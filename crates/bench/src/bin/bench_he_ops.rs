@@ -241,19 +241,11 @@ struct FcPoint {
     pow2: f64,
 }
 
-/// Zeroes `dead` of the `g = gcd(no, ni)` diagonal alias classes of an FC
-/// weight tensor (classes `1..=dead`; class 0 stays live), the structured
-/// unit [`cheetah_core::sparse::FcStructure`] can skip whole.
+/// Zeroes `dead_frac` of the folded diagonals of an FC weight tensor
+/// (classes `1..=dead`; class 0 stays live), the structured unit
+/// [`cheetah_core::sparse::FcStructure`] can skip whole.
 fn prune_fc_classes(weights: &Tensor, no: usize, ni: usize, dead_frac: f64) -> Tensor {
-    let g = {
-        let (mut a, mut b) = (no, ni);
-        while b != 0 {
-            let r = a % b;
-            a = b;
-            b = r;
-        }
-        a
-    };
+    let g = cheetah_nn::layer::folded_diagonals(no, ni);
     let dead = ((g as f64) * dead_frac) as usize;
     let mut out = weights.clone();
     let data = out.data_mut();
@@ -269,7 +261,9 @@ fn prune_fc_classes(weights: &Tensor, no: usize, ni: usize, dead_frac: f64) -> T
 }
 
 fn fc_point(params: BfvParams) -> FcPoint {
-    let ni = if smoke() { 32 } else { 64 };
+    // n_i → n_i/4: d = n_i/4 folded diagonals (64, or 16 in a smoke run —
+    // enough for a √d split) and a fold of 4 behind every kernel.
+    let ni = if smoke() { 64 } else { 256 };
     let spec = FcSpec {
         name: "bench-fc".into(),
         ni,
@@ -296,7 +290,8 @@ fn fc_point(params: BfvParams) -> FcPoint {
     let bsgs = HomFc::new(&spec, &weights, &encoder, &eval, Schedule::PartialAligned).unwrap();
     assert!(
         bsgs.plan().is_some(),
-        "d = {ni} must auto-select a BSGS plan"
+        "d = {} must auto-select a BSGS plan",
+        spec.no
     );
     let diag = HomFc::with_plan(
         &spec,
@@ -317,8 +312,8 @@ fn fc_point(params: BfvParams) -> FcPoint {
         })
     };
 
-    // Sparse variants: the same layer with 50% / 90% of the diagonal
-    // alias classes pruned whole, auto-selecting a SparseBsgsPlan.
+    // Sparse variants: the same layer with 50% / 90% of the folded
+    // diagonals pruned whole, auto-selecting a SparseBsgsPlan.
     let sparse50 = HomFc::new(
         &spec,
         &prune_fc_classes(&weights, spec.no, spec.ni, 0.5),

@@ -1,37 +1,80 @@
-//! Homomorphic fully connected layers via the diagonal method, under
-//! either schedule — reshaped into Baby-Step-Giant-Step rotation sets when
-//! the cost model says the split wins.
+//! Homomorphic fully connected layers via the **folded** diagonal method,
+//! under either schedule — reshaped into Baby-Step-Giant-Step rotation
+//! sets when the cost model says the split wins.
 //!
-//! The weight matrix `W (n_o × n_i)` is split into `n_i` generalized
-//! diagonals `diag_k[j] = W[j mod n_o][(j+k) mod n_i]`; then
-//! `y_ext[j] = Σ_k rot(x, k) ⊙ diag_k` satisfies
-//! `y_ext[j] = (W·x)[j mod n_o]` — the matrix-vector product materializes
-//! replicated across the slots. The input is packed twice
-//! (`x ‖ x`) so plain row rotations realize rotations mod `n_i`.
+//! # Layout
+//!
+//! The input is packed twice (`x ‖ x` in slots `[0, 2·n_i)`) so plain row
+//! rotations act as rotations mod `n_i`. The weight matrix `W (n_o × n_i)`
+//! is padded with zero rows to `n_o' = next_pow2(n_o)` (call it `W'`) and
+//! split into its `n_o'` distinct generalized diagonals
+//!
+//! ```text
+//! diag_k[j] = W'[j mod n_o'][(j + k) mod n_i]      k < n_o', j < n_i
+//! ```
+//!
+//! (`diag_{k + m·n_o'}` is `diag_k` rotated by `m·n_o'`, so the other
+//! `n_i − n_o'` carry nothing new). The kernel — diagonal, BSGS or sparse
+//! BSGS — evaluates the partial product over those only:
+//!
+//! ```text
+//! y_part[j] = Σ_{k < n_o'} rot(x, k)[j] · diag_k[j]
+//!           = Σ_{k < n_o'} W'[j mod n_o'][(j + k) mod n_i] · x[(j + k) mod n_i]
+//! ```
+//!
+//! Slot `j` of `y_part` holds the part of row `j mod n_o'` over the `n_o'`
+//! columns starting at `j`; the `n_i / n_o'` slots `j, j + n_o', …` of one
+//! row tile all `n_i` columns between them.
+//!
+//! # The fold
+//!
+//! One rotate-and-sum, the same [`ReducePlan`] machinery the convolution's
+//! channel reduction runs, gathers them:
+//!
+//! ```text
+//! y = Σ_{m < n_i / n_o'} rot(y_part, m·n_o')        y[j] = (W·x)[j]  for j < n_o
+//! ```
+//!
+//! For `j < n_o'` every term reads a slot below `n_i`, so nothing wraps.
+//! The fold is one shared tail after the kernel dispatch: a square layer
+//! (`n_o' = n_i`, fold 1) skips it and an `n_o'`-row layer pays `n_o'`
+//! mask multiplies and `O(√n_o') + log2(n_i / n_o')`-ish rotations, not
+//! `n_i` and `O(√n_i)`.
+//!
+//! # Which slots are garbage
+//!
+//! Only slots `[0, n_o)` of the output are the layer's result. Slots
+//! `[n_o, n_o')` are zero (padding rows); slots `[n_o', n_i)` — and the
+//! last `n_i − n_o'` slots of the row, where the fold's left rotations
+//! wrap the head of `y_part` — hold **partial row sums**: some of a row's
+//! `n_i / n_o'` pieces, short of the whole. They are linear functions of
+//! the activations and the model. Nobody reads them, and the protocol
+//! layer must not ship them in the clear: `cheetah-protocol` adds fresh
+//! uniform blinding to every slot outside `[0, n_o)` before a download
+//! leaves the server.
 //!
 //! # The BSGS reshape
 //!
-//! Writing `k = u·b + v` (`v < b` baby, `u < g` giant, `b·g ≥ n_i`):
+//! Writing `k = u·b + v` (`v < b` baby, `u < g` giant, `b·g ≥ n_o'`):
 //!
 //! ```text
-//! y = Σ_u rot( Σ_v rot(x, v) ⊙ rot⁻ᵘᵇ(diag_{ub+v}), u·b )
+//! y_part = Σ_u rot( Σ_v rot(x, v) ⊙ rot⁻ᵘᵇ(diag_{ub+v}), u·b )
 //! ```
 //!
 //! The `b − 1` baby rotations all read the *input*, so one hoist
 //! ([`Evaluator::hoist_into`]) covers the whole set; the giant-step
 //! pre-rotation of each diagonal happens on the plaintext mask at
 //! preparation time (free); only the `g − 1` giant rotations of the group
-//! inner sums pay full NTT bills. Rotation plane transforms drop from
-//! `O(d·l_ct)` (one full rotation per diagonal) to `O(√d·l_ct)` (one hoist
-//! plus `g − 1 ≈ √d` rotations). The plan is chosen per layer from
-//! [`HeCostParams`]; tiny layers keep the plain diagonal path.
+//! inner sums pay full NTT bills. The plan is chosen per layer from
+//! [`HeCostParams`] by [`FcPlan::choose`] — the one chooser the engine and
+//! the chain solver share; tiny layers keep the plain diagonal path.
 //!
 //! Sched-IA rotates `x` then multiplies; Sched-PA multiplies the fresh `x`
 //! by pre-shifted diagonals and rotates the partial products (Fig. 5).
 //! The BSGS path subsumes both: `b = d` is hoisted Sched-IA, `b = 1` is
 //! Sched-PA; its decrypted output is identical to either in every slot.
 //!
-//! Constraints: `n_i` a power of two, `n_o ≤ n_i`, `2·n_i ≤ n/2`.
+//! Constraints: `n_i` a power of two, `1 ≤ n_o ≤ n_i`, `2·n_i ≤ n/2`.
 
 use cheetah_bfv::{
     BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, Plaintext,
@@ -41,9 +84,119 @@ use cheetah_nn::{FcSpec, Tensor};
 
 use crate::cost::HeCostParams;
 use crate::linear::parallel::{default_threads, map_chunks, merge_partials};
-use crate::linear::BsgsPlan;
+use crate::linear::{rotate_sum_noise, rotate_sum_reduce, BsgsPlan, ReducePlan};
 use crate::schedule::Schedule;
 use crate::sparse::{FcStructure, SparseBsgsPlan};
+
+/// Which kernel evaluates the folded diagonals.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FcKernelPlan {
+    /// One direct rotation per diagonal past the first, in schedule order.
+    Diagonal,
+    /// Dense BSGS over every diagonal.
+    Bsgs(BsgsPlan),
+    /// BSGS over the live diagonals only.
+    Sparse(SparseBsgsPlan),
+}
+
+/// The whole rotation plan of one FC layer: the kernel over the `d`
+/// folded diagonals plus the fold that gathers the `n_i / d` partial
+/// copies. [`HomFc`] executes exactly this and the chain solver prices
+/// exactly this — op counts, Galois steps and label all come from here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FcPlan {
+    /// The kernel over the folded diagonals.
+    pub kernel: FcKernelPlan,
+    /// Folded diagonals `d = n_o'`: the fold's stride.
+    pub diagonals: usize,
+    /// Diagonals that carry a mask: the plaintext multiplies per
+    /// evaluation.
+    pub live: usize,
+    /// Terms of the fold, `n_i / d` (1 on a square layer: no fold).
+    pub fold: usize,
+    /// How the fold's rotate-and-sum runs.
+    pub fold_plan: ReducePlan,
+}
+
+impl FcPlan {
+    /// Picks the cheapest plan under `cost`: a sparse BSGS plan when some
+    /// diagonal is dead, else the dense BSGS split where it beats the
+    /// diagonal path, and the cheapest [`ReducePlan`] for the fold.
+    pub fn choose(s: &FcStructure, cost: &HeCostParams) -> Self {
+        let kernel = if s.fully_live() {
+            BsgsPlan::choose(s.diagonals(), cost).map_or(FcKernelPlan::Diagonal, FcKernelPlan::Bsgs)
+        } else {
+            FcKernelPlan::Sparse(SparseBsgsPlan::choose(s, cost))
+        };
+        Self::with_kernel(s, kernel, cost)
+    }
+
+    /// The plan running `kernel` over `s`'s diagonals.
+    fn with_kernel(s: &FcStructure, kernel: FcKernelPlan, cost: &HeCostParams) -> Self {
+        Self {
+            kernel,
+            diagonals: s.diagonals(),
+            live: s.live_diagonals(),
+            fold: s.fold(),
+            fold_plan: ReducePlan::choose(s.fold(), cost),
+        }
+    }
+
+    /// Rotations per evaluation — each step of
+    /// [`FcPlan::rotation_steps`] exactly once.
+    pub fn rotations(&self) -> usize {
+        self.rotation_steps().len()
+    }
+
+    /// The exact rotation steps evaluation performs: the kernel's (all
+    /// below `d`) then the fold's (multiples of `d`). An all-zero layer
+    /// rotates by nothing.
+    pub fn rotation_steps(&self) -> Vec<i64> {
+        let mut steps: Vec<i64> = match &self.kernel {
+            FcKernelPlan::Diagonal => (1..self.diagonals as i64).collect(),
+            FcKernelPlan::Bsgs(p) => (1..p.b as i64)
+                .chain((1..p.g as i64).map(|u| u * p.b as i64))
+                .collect(),
+            FcKernelPlan::Sparse(p) => p.rotation_steps(),
+        };
+        if self.live > 0 && self.fold > 1 {
+            steps.extend(self.fold_plan.steps(self.fold, self.diagonals as i64));
+        }
+        steps
+    }
+
+    /// Rotation-side integer multiplications under `cost`.
+    pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
+        let kernel = match &self.kernel {
+            FcKernelPlan::Diagonal => cost.bsgs_rotation_mults(1, self.diagonals),
+            FcKernelPlan::Bsgs(p) => cost.bsgs_rotation_mults(p.b, p.g),
+            FcKernelPlan::Sparse(p) => p.rotation_mults(cost),
+        };
+        if self.live == 0 {
+            return kernel;
+        }
+        kernel + cost.reduce_plan_mults(self.fold_plan, self.fold)
+    }
+
+    /// All integer multiplications under `cost`: the mask multiplies plus
+    /// the rotations.
+    pub fn int_mults(&self, cost: &HeCostParams) -> u64 {
+        self.live as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
+    }
+
+    /// Human-readable label for transcripts, reports and solver plans.
+    pub fn label(&self) -> String {
+        let kernel = match &self.kernel {
+            FcKernelPlan::Diagonal => "fc diag".to_string(),
+            FcKernelPlan::Bsgs(p) => format!("fc bsgs b={} g={}", p.b, p.g),
+            FcKernelPlan::Sparse(p) => format!(
+                "fc sparse b={} g={} live={}/{}",
+                p.b, p.g, self.live, self.diagonals
+            ),
+        };
+        format!("{kernel} fold={}", self.fold)
+    }
+}
 
 /// The prepared weight material: either the legacy per-step diagonals or
 /// the BSGS group layout with giant-step pre-rotated masks.
@@ -53,7 +206,7 @@ enum FcKernel {
     /// in schedule order.
     Diagonal(Vec<PreparedPlaintext>),
     /// BSGS: `groups[u][v]` multiplies baby rotation `v` inside giant
-    /// group `u` (diagonal `k = u·b + v`; the last group may be short when
+    /// group `u` (diagonal `k = u·b + v`; the last group is short when
     /// `b·g > d`).
     Bsgs {
         plan: BsgsPlan,
@@ -78,24 +231,71 @@ pub struct HomFc {
     spec: FcSpec,
     schedule: Schedule,
     kernel: FcKernel,
+    /// Terms of the fold after the kernel (`n_i / n_o'`).
+    fold: usize,
+    fold_plan: ReducePlan,
+}
+
+/// The typed refusals every constructor shares.
+fn check_shape(spec: &FcSpec, weights: &Tensor, encoder: &BatchEncoder) -> Result<()> {
+    if !spec.ni.is_power_of_two() {
+        return Err(Error::Unsupported("HomFc needs a power-of-two n_i"));
+    }
+    if spec.no == 0 || spec.no > spec.ni {
+        return Err(Error::Unsupported("HomFc needs 1 <= n_o <= n_i"));
+    }
+    if weights.shape() != [spec.no, spec.ni] {
+        return Err(Error::Unsupported(
+            "FC weight tensor shape does not match the spec",
+        ));
+    }
+    if 2 * spec.ni > encoder.row_size() {
+        return Err(Error::TooManyValues {
+            given: 2 * spec.ni,
+            slots: encoder.row_size(),
+        });
+    }
+    Ok(())
+}
+
+/// Slot mask of folded diagonal `k = shift + v`, laid out to multiply the
+/// input rotated by `v` ahead of a rotation by `shift`: support
+/// `[shift, shift + n_i)`, so that after that rotation output position `j`
+/// reads weight row `j mod n_o'` (zero past `n_o`) and input slot
+/// `(j + k) mod n_i`. `shift = 0` is the Sched-IA diagonal, `v = 0` the
+/// Sched-PA one, `shift = u·b` a BSGS group member. Weights come divided
+/// by `2^scale_log2` (exact — the caller factored it out of every one).
+fn diagonal_mask(
+    spec: &FcSpec,
+    weights: &Tensor,
+    shift: usize,
+    v: usize,
+    scale_log2: u32,
+    slots: usize,
+) -> Vec<i64> {
+    let rows = spec.no.next_power_of_two();
+    let mut mask = vec![0i64; slots];
+    for (off, slot) in mask[shift..shift + spec.ni].iter_mut().enumerate() {
+        let row = off % rows;
+        if row < spec.no {
+            *slot = weights.data()[row * spec.ni + (off + shift + v) % spec.ni] >> scale_log2;
+        }
+    }
+    mask
 }
 
 impl HomFc {
-    /// Prepares the layer (encodes and NTT-transforms every diagonal),
-    /// choosing the rotation plan from the parameter set's cost model:
-    /// a [`BsgsPlan`] where the hoisted split beats the diagonal path,
-    /// the plain diagonal method otherwise (tiny `n_i`).
+    /// Prepares the layer (encodes and NTT-transforms every folded
+    /// diagonal), choosing the rotation plan from the parameter set's cost
+    /// model via [`FcPlan::choose`].
     ///
     /// `weights` has shape `(no, ni)`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TooManyValues`] when `2·n_i` exceeds the row size.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n_i` is a power of two and `n_o ≤ n_i`, or on a
-    /// weight-shape mismatch.
+    /// [`Error::Unsupported`] unless `n_i` is a power of two,
+    /// `1 ≤ n_o ≤ n_i` and the weights are `(n_o, n_i)`;
+    /// [`Error::TooManyValues`] when `2·n_i` exceeds the row size.
     pub fn new(
         spec: &FcSpec,
         weights: &Tensor,
@@ -113,16 +313,12 @@ impl HomFc {
     /// When the weights have dead diagonals the layer is prepared under a
     /// [`SparseBsgsPlan`] covering only the live ones — skipped rotations,
     /// multiplies, and Galois steps, bit-identical output (the skipped
-    /// terms are zero polynomials). Fully-live weights keep the classic
-    /// dense path verbatim.
+    /// terms are zero polynomials). Fully-live weights take the dense
+    /// path.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TooManyValues`] when `2·n_i` exceeds the row size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the [`HomFc::new`] conditions.
+    /// As [`HomFc::new`].
     pub fn new_at_level(
         spec: &FcSpec,
         weights: &Tensor,
@@ -131,15 +327,11 @@ impl HomFc {
         schedule: Schedule,
         level: usize,
     ) -> Result<Self> {
+        check_shape(spec, weights, encoder)?;
         let cost = HeCostParams::for_bfv(eval.params(), level);
         let structure = FcStructure::analyze_tensor(weights, spec);
-        if structure.fully_live() {
-            let plan = BsgsPlan::choose(spec.ni, &cost);
-            Self::with_plan(spec, weights, encoder, eval, schedule, plan)
-        } else {
-            let plan = SparseBsgsPlan::choose(&structure, &cost);
-            Self::from_sparse(spec, weights, encoder, eval, schedule, &structure, plan)
-        }
+        let plan = FcPlan::choose(&structure, &cost);
+        Self::build(spec, weights, encoder, eval, schedule, &structure, plan)
     }
 
     /// Forces a sparse plan with baby width `baby` (liveness is always
@@ -149,11 +341,11 @@ impl HomFc {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TooManyValues`] when `2·n_i` exceeds the row size.
+    /// As [`HomFc::new`].
     ///
     /// # Panics
     ///
-    /// Panics on the [`HomFc::new`] conditions or `baby == 0`.
+    /// Panics when `baby == 0`.
     pub fn with_sparse_plan(
         spec: &FcSpec,
         weights: &Tensor,
@@ -162,84 +354,25 @@ impl HomFc {
         schedule: Schedule,
         baby: usize,
     ) -> Result<Self> {
+        check_shape(spec, weights, encoder)?;
         let structure = FcStructure::analyze_tensor(weights, spec);
-        let plan = SparseBsgsPlan::for_structure(&structure, baby);
-        Self::from_sparse(spec, weights, encoder, eval, schedule, &structure, plan)
+        let kernel = FcKernelPlan::Sparse(SparseBsgsPlan::for_structure(&structure, baby));
+        let cost = HeCostParams::for_bfv(eval.params(), 0);
+        let plan = FcPlan::with_kernel(&structure, kernel, &cost);
+        Self::build(spec, weights, encoder, eval, schedule, &structure, plan)
     }
 
-    /// Prepares the sparse kernel: one giant-step pre-rotated mask per
-    /// *live* diagonal, carrying `w / 2^m` when the structure factors a
-    /// shared pow2 scale `m` out (re-applied once after the merge, exact
-    /// mod `t`).
-    fn from_sparse(
-        spec: &FcSpec,
-        weights: &Tensor,
-        encoder: &BatchEncoder,
-        eval: &Evaluator,
-        schedule: Schedule,
-        structure: &FcStructure,
-        plan: SparseBsgsPlan,
-    ) -> Result<Self> {
-        assert!(spec.ni.is_power_of_two(), "n_i must be a power of two");
-        assert!(spec.no <= spec.ni, "n_o must not exceed n_i");
-        assert_eq!(
-            weights.shape(),
-            &[spec.no, spec.ni],
-            "weight shape mismatch"
-        );
-        if 2 * spec.ni > encoder.row_size() {
-            return Err(Error::TooManyValues {
-                given: 2 * spec.ni,
-                slots: encoder.row_size(),
-            });
-        }
-        let slots = encoder.slots();
-        let scale_log2 = structure.pow2_scale_log2().unwrap_or(0);
-        let mut groups = Vec::with_capacity(plan.live_groups().len());
-        for &u in plan.live_groups() {
-            let shift = u * plan.b;
-            let width = plan.b.min(spec.ni - shift);
-            let mut per_group = Vec::new();
-            for v in 0..width {
-                if !structure.is_live(shift + v) {
-                    continue;
-                }
-                // Same giant-step pre-rotated layout as the dense path
-                // (support [shift, shift + ni)), divided by the shared
-                // pow2 factor — exact, every weight is a multiple of it.
-                let mut mask = vec![0i64; slots];
-                for (off, slot) in mask[shift..shift + spec.ni].iter_mut().enumerate() {
-                    *slot = weights.data()[(off % spec.no) * spec.ni + (off + shift + v) % spec.ni]
-                        >> scale_log2;
-                }
-                let pt = encoder.encode_signed(&mask)?;
-                per_group.push((v, eval.prepare_plaintext(&pt)?));
-            }
-            groups.push(per_group);
-        }
-        Ok(Self {
-            spec: spec.clone(),
-            schedule,
-            kernel: FcKernel::SparseBsgs {
-                plan,
-                groups,
-                scale_log2,
-            },
-        })
-    }
-
-    /// [`HomFc::new`] with an explicit rotation plan: `Some(plan)` forces
-    /// the BSGS split (`plan.b·plan.g ≥ n_i`; padded tail diagonals are
-    /// skipped), `None` forces the legacy schedule-ordered diagonal path.
+    /// [`HomFc::new`] with an explicit dense kernel: `Some(plan)` forces
+    /// the BSGS split (`plan.b·plan.g ≥ d` over the `d = n_o'` folded
+    /// diagonals; `b` is trimmed to `d` and `g` to the `⌈d / b⌉` groups
+    /// that exist),
+    /// `None` forces the legacy schedule-ordered diagonal path. Every
+    /// diagonal gets a mask, dead or not.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TooManyValues`] when `2·n_i` exceeds the row size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the [`HomFc::new`] conditions, or when a forced plan does
-    /// not cover every diagonal (`b·g < n_i`) or has a zero dimension.
+    /// As [`HomFc::new`], plus [`Error::Unsupported`] for a plan that does
+    /// not cover every diagonal (`b·g < d`) or has a zero dimension.
     pub fn with_plan(
         spec: &FcSpec,
         weights: &Tensor,
@@ -248,85 +381,98 @@ impl HomFc {
         schedule: Schedule,
         plan: Option<BsgsPlan>,
     ) -> Result<Self> {
-        assert!(spec.ni.is_power_of_two(), "n_i must be a power of two");
-        assert!(spec.no <= spec.ni, "n_o must not exceed n_i");
-        assert_eq!(
-            weights.shape(),
-            &[spec.no, spec.ni],
-            "weight shape mismatch"
-        );
-        if 2 * spec.ni > encoder.row_size() {
-            return Err(Error::TooManyValues {
-                given: 2 * spec.ni,
-                slots: encoder.row_size(),
-            });
-        }
-        let slots = encoder.slots();
+        check_shape(spec, weights, encoder)?;
+        let structure = FcStructure::dense(spec.no, spec.ni);
+        let d = structure.diagonals();
         let kernel = match plan {
-            None => {
-                let mut diagonals = Vec::with_capacity(spec.ni);
-                for k in 0..spec.ni {
-                    let mut mask = vec![0i64; slots];
-                    match schedule {
-                        Schedule::InputAligned => {
-                            // Aligned to post-rotation positions j in [0, ni).
-                            for (j, slot) in mask.iter_mut().enumerate().take(spec.ni) {
-                                *slot = weights.data()[(j % spec.no) * spec.ni + (j + k) % spec.ni];
-                            }
-                        }
-                        Schedule::PartialAligned => {
-                            // Aligned to pre-rotation positions m in [k, ni + k):
-                            // after rotating left by k, position j reads m = j + k.
-                            for (j, slot) in mask[k..spec.ni + k].iter_mut().enumerate() {
-                                *slot = weights.data()[(j % spec.no) * spec.ni + (j + k) % spec.ni];
-                            }
-                        }
-                    }
-                    let pt = encoder.encode_signed(&mask)?;
-                    diagonals.push(eval.prepare_plaintext(&pt)?);
-                }
-                FcKernel::Diagonal(diagonals)
+            None => FcKernelPlan::Diagonal,
+            Some(p) if p.b >= 1 && p.b * p.g >= d => {
+                let b = p.b.min(d);
+                FcKernelPlan::Bsgs(BsgsPlan {
+                    b,
+                    g: d.div_ceil(b),
+                })
             }
-            Some(plan) => {
-                assert!(plan.b >= 1 && plan.g >= 1, "degenerate BSGS plan");
-                assert!(
-                    plan.b * plan.g >= spec.ni,
-                    "plan ({}, {}) does not cover {} diagonals",
-                    plan.b,
-                    plan.g,
-                    spec.ni
-                );
-                let mut groups = Vec::with_capacity(plan.g);
-                for u in 0..plan.g {
-                    let shift = u * plan.b;
-                    if shift >= spec.ni {
-                        break; // fully padded trailing group
-                    }
-                    let width = plan.b.min(spec.ni - shift);
-                    let mut per_group = Vec::with_capacity(width);
-                    for v in 0..width {
-                        // Diagonal k = u·b + v, pre-rotated right by the
-                        // giant step: support [shift, shift + ni), aligned
-                        // so that after the giant rotation by `shift` the
-                        // output position j reads weight row j mod no and
-                        // the baby-rotated input slot (p + v) mod ni.
-                        let mut mask = vec![0i64; slots];
-                        for (off, slot) in mask[shift..shift + spec.ni].iter_mut().enumerate() {
-                            *slot = weights.data()
-                                [(off % spec.no) * spec.ni + (off + shift + v) % spec.ni];
-                        }
-                        let pt = encoder.encode_signed(&mask)?;
-                        per_group.push(eval.prepare_plaintext(&pt)?);
-                    }
-                    groups.push(per_group);
+            Some(_) => {
+                return Err(Error::Unsupported(
+                    "BSGS plan does not cover every FC diagonal",
+                ))
+            }
+        };
+        let cost = HeCostParams::for_bfv(eval.params(), 0);
+        let plan = FcPlan::with_kernel(&structure, kernel, &cost);
+        Self::build(spec, weights, encoder, eval, schedule, &structure, plan)
+    }
+
+    /// Encodes and prepares one mask per diagonal `plan` multiplies.
+    /// `structure` says which are live (and what pow2 factor the sparse
+    /// kernel pulls out); the shape was checked by the caller.
+    fn build(
+        spec: &FcSpec,
+        weights: &Tensor,
+        encoder: &BatchEncoder,
+        eval: &Evaluator,
+        schedule: Schedule,
+        structure: &FcStructure,
+        plan: FcPlan,
+    ) -> Result<Self> {
+        let d = plan.diagonals;
+        let prepare = |shift: usize, v: usize, scale_log2: u32| {
+            let mask = diagonal_mask(spec, weights, shift, v, scale_log2, encoder.slots());
+            eval.prepare_plaintext(&encoder.encode_signed(&mask)?)
+        };
+        let kernel = match plan.kernel {
+            FcKernelPlan::Diagonal => FcKernel::Diagonal(
+                (0..d)
+                    .map(|k| match schedule {
+                        // Aligned to post-rotation positions j in [0, ni).
+                        Schedule::InputAligned => prepare(0, k, 0),
+                        // Aligned to pre-rotation positions [k, ni + k):
+                        // after rotating left by k, position j reads j + k.
+                        Schedule::PartialAligned => prepare(k, 0, 0),
+                    })
+                    .collect::<Result<_>>()?,
+            ),
+            FcKernelPlan::Bsgs(bsgs) => FcKernel::Bsgs {
+                plan: bsgs,
+                groups: (0..bsgs.g)
+                    .map(|u| {
+                        let shift = u * bsgs.b;
+                        (0..bsgs.b.min(d - shift))
+                            .map(|v| prepare(shift, v, 0))
+                            .collect()
+                    })
+                    .collect::<Result<_>>()?,
+            },
+            FcKernelPlan::Sparse(sparse) => {
+                // One mask per *live* diagonal, carrying `w / 2^m` when the
+                // structure factors a shared pow2 scale `m` out (re-applied
+                // once after the merge, exact mod `t`).
+                let scale_log2 = structure.pow2_scale_log2().unwrap_or(0);
+                let groups = sparse
+                    .live_groups()
+                    .iter()
+                    .map(|&u| {
+                        let shift = u * sparse.b;
+                        (0..sparse.b.min(d - shift))
+                            .filter(|&v| structure.is_live(shift + v))
+                            .map(|v| Ok((v, prepare(shift, v, scale_log2)?)))
+                            .collect()
+                    })
+                    .collect::<Result<_>>()?;
+                FcKernel::SparseBsgs {
+                    plan: sparse,
+                    groups,
+                    scale_log2,
                 }
-                FcKernel::Bsgs { plan, groups }
             }
         };
         Ok(Self {
             spec: spec.clone(),
             schedule,
             kernel,
+            fold: plan.fold,
+            fold_plan: plan.fold_plan,
         })
     }
 
@@ -352,12 +498,40 @@ impl HomFc {
         }
     }
 
+    /// The whole rotation plan this layer executes: kernel, live
+    /// diagonals, fold.
+    pub fn fc_plan(&self) -> FcPlan {
+        let (kernel, live) = match &self.kernel {
+            FcKernel::Diagonal(d) => (FcKernelPlan::Diagonal, d.len()),
+            FcKernel::Bsgs { plan, groups } => {
+                (FcKernelPlan::Bsgs(*plan), groups.iter().map(Vec::len).sum())
+            }
+            FcKernel::SparseBsgs { plan, groups, .. } => (
+                FcKernelPlan::Sparse(plan.clone()),
+                groups.iter().map(Vec::len).sum(),
+            ),
+        };
+        FcPlan {
+            kernel,
+            diagonals: self.spec.ni / self.fold,
+            live,
+            fold: self.fold,
+            fold_plan: self.fold_plan,
+        }
+    }
+
     /// The pow2 factor (as `log2`) pulled out of the sparse masks, if any.
     pub fn pow2_scale_log2(&self) -> u32 {
         match &self.kernel {
             FcKernel::SparseBsgs { scale_log2, .. } => *scale_log2,
             _ => 0,
         }
+    }
+
+    /// Whether no diagonal is live: the output is a transparent zero and
+    /// nothing rotates, the fold included.
+    fn all_zero(&self) -> bool {
+        matches!(&self.kernel, FcKernel::SparseBsgs { groups, .. } if groups.is_empty())
     }
 
     /// Worst prepared-mask infinity norm (drives the noise model).
@@ -376,21 +550,24 @@ impl HomFc {
     }
 
     /// Conservative Table-III prediction of the layer's output noise at
-    /// `level` (see `HomConv2d::noise_after`). On the diagonal path: `n_i`
-    /// terms, each charged the worst diagonal norm and one rotation in
-    /// schedule order. On the BSGS path:
-    /// [`cheetah_bfv::NoiseEstimate::bsgs_matvec_at`] — `g` groups of `b`
-    /// rotate-mul inner terms plus one giant rotation each, **not** `n_i`
-    /// sequential rotate-adds. Upper-bounds the engine-tracked estimate of
-    /// [`HomFc::apply`].
+    /// `level` (see `HomConv2d::noise_after`): the kernel's bound over the
+    /// folded diagonals, then the fold's rotate-and-sum transition on top.
+    /// On the diagonal path the kernel is `d` terms, each charged the
+    /// worst diagonal norm and one rotation in schedule order; on the BSGS
+    /// paths it is [`cheetah_bfv::NoiseEstimate::bsgs_matvec_at`] — `g`
+    /// groups of `b` rotate-mul inner terms plus one giant rotation each.
+    /// Upper-bounds the engine-tracked estimate of [`HomFc::apply`].
     pub fn noise_after(
         &self,
         input: &cheetah_bfv::NoiseEstimate,
         params: &cheetah_bfv::BfvParams,
         level: usize,
     ) -> cheetah_bfv::NoiseEstimate {
+        if self.all_zero() {
+            return cheetah_bfv::NoiseEstimate::zero();
+        }
         let max_norm = self.max_norm();
-        match &self.kernel {
+        let part = match &self.kernel {
             FcKernel::Diagonal(diagonals) => crate::linear::accumulated_term_noise(
                 input,
                 params,
@@ -405,9 +582,6 @@ impl HomFc {
             FcKernel::SparseBsgs {
                 groups, scale_log2, ..
             } => {
-                if groups.is_empty() {
-                    return cheetah_bfv::NoiseEstimate::zero();
-                }
                 // Only live work accumulates noise: the widest live group
                 // bounds the inner terms, dead groups never rotate.
                 let live_b = groups.iter().map(Vec::len).max().unwrap_or(1);
@@ -418,30 +592,27 @@ impl HomFc {
                     est
                 }
             }
-        }
+        };
+        rotate_sum_noise(&part, params, level, self.fold, self.fold_plan)
     }
 
-    /// Rotation steps the evaluation may need: `1..n_i`. A superset of
-    /// every plan's steps (baby steps `1..b` and giant steps `u·b` are all
-    /// below `n_i`); use [`HomFc::rotation_steps`] on a prepared layer for
-    /// the exact plan-specific set.
+    /// Rotation steps an evaluation may need, whatever plan is chosen:
+    /// kernel steps `1..d` over the `d = n_o'` folded diagonals plus the
+    /// fold's multiples of `d` below `n_i`. Use [`HomFc::rotation_steps`]
+    /// on a prepared layer for the exact plan-specific set.
     pub fn required_steps(spec: &FcSpec) -> Vec<i64> {
-        (1..spec.ni as i64).collect()
+        let d = cheetah_nn::layer::folded_diagonals(spec.no, spec.ni);
+        (1..d)
+            .chain((d..spec.ni).step_by(d))
+            .map(|s| s as i64)
+            .collect()
     }
 
-    /// The exact rotation steps this prepared layer performs: every
-    /// nonzero diagonal step on the legacy path, baby steps `1..b` plus
-    /// giant steps `b, 2b, …` under a BSGS plan.
+    /// The exact rotation steps this prepared layer performs
+    /// ([`FcPlan::rotation_steps`]): generate Galois keys for these and
+    /// nothing more.
     pub fn rotation_steps(&self) -> Vec<i64> {
-        match &self.kernel {
-            FcKernel::Diagonal(diagonals) => (1..diagonals.len() as i64).collect(),
-            FcKernel::Bsgs { plan, groups } => {
-                let mut steps: Vec<i64> = (1..plan.b as i64).collect();
-                steps.extend((1..groups.len() as i64).map(|u| u * plan.b as i64));
-                steps
-            }
-            FcKernel::SparseBsgs { plan, .. } => plan.rotation_steps(),
-        }
+        self.fc_plan().rotation_steps()
     }
 
     /// Packs an input vector replicated twice (`x ‖ x`) so row rotations
@@ -466,7 +637,8 @@ impl HomFc {
         encoder.encode_signed(&doubled)
     }
 
-    /// Applies the layer; the output vector lands in slots `[0, n_o)`.
+    /// Applies the layer; the output vector lands in slots `[0, n_o)`
+    /// (the module header says what the other slots hold).
     ///
     /// Runs the rotation + mul-accumulate loop across [`default_threads`]
     /// worker threads; see [`HomFc::apply_threaded`] for an explicit count.
@@ -484,11 +656,12 @@ impl HomFc {
     }
 
     /// [`HomFc::apply`] with an explicit worker-thread count
-    /// (`threads <= 1` runs fully inline). The work range — diagonal steps
-    /// on the legacy path, giant-step groups under a BSGS plan — is split
-    /// into contiguous chunks, one scratch-owning worker per chunk;
-    /// per-chunk partial sums merge in chunk order, so residues — and the
-    /// decrypted output — are identical for every thread count.
+    /// (`threads <= 1` runs fully inline). The kernel's work range —
+    /// diagonal steps on the legacy path, giant-step groups under a BSGS
+    /// plan — is split into contiguous chunks, one scratch-owning worker
+    /// per chunk; per-chunk partial sums merge in chunk order, and the
+    /// fold runs on the merged sum, so residues — and the decrypted
+    /// output — are identical for every thread count.
     ///
     /// # Errors
     ///
@@ -503,7 +676,7 @@ impl HomFc {
         // The scratch-reuse hot path copies the input into evaluator-owned
         // buffers, so foreign ciphertexts must be rejected up front.
         eval.params().check_same(input.params())?;
-        match &self.kernel {
+        let part = match &self.kernel {
             FcKernel::Diagonal(diagonals) => {
                 self.apply_diagonal(diagonals, input, eval, keys, threads)
             }
@@ -515,7 +688,26 @@ impl HomFc {
                 groups,
                 scale_log2,
             } => self.apply_sparse(plan, groups, *scale_log2, input, eval, keys, threads),
+        }?;
+        if self.fold == 1 || self.all_zero() {
+            return Ok(part);
         }
+        // The fold: y = Σ_m rot(y_part, m·d) gathers each row's partial
+        // sums into slots [0, d).
+        let mut scratch = eval.new_scratch();
+        let mut rotated = Ciphertext::transparent_zero_at(eval.params(), part.level());
+        let mut hoisted = HoistedDecomposition::empty(eval.params());
+        rotate_sum_reduce(
+            part,
+            (self.spec.ni / self.fold) as i64,
+            self.fold,
+            self.fold_plan,
+            eval,
+            keys,
+            &mut scratch,
+            &mut rotated,
+            &mut hoisted,
+        )
     }
 
     fn apply_diagonal(
@@ -808,11 +1000,12 @@ mod tests {
 
     #[test]
     fn bsgs_plan_is_chosen_and_reduces_rotation_ntts() {
-        // d = 32 diagonals: the auto-chosen plan must split, perform
-        // b + g − 2 rotations, and pay NTT planes for one hoist plus the
-        // g − 1 giant steps only — the O(√d) plane-transform headline,
-        // pinned against OpCounts.
-        let s = spec(32, 8);
+        // d = 32 diagonals (square: no fold, the ops of the unfolded
+        // engine): the auto-chosen plan must split, perform b + g − 2
+        // rotations, and pay NTT planes for one hoist plus the g − 1 giant
+        // steps only — the O(√d) plane-transform headline, pinned against
+        // OpCounts.
+        let s = spec(32, 32);
         let mut c = ctx(&s);
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let weights = Tensor::from_data(
@@ -869,9 +1062,9 @@ mod tests {
 
     #[test]
     fn forced_padding_plan_matches_diagonal_path() {
-        // b·g = 15 > d = 8: the padded tail group is skipped; output must
-        // still match the legacy path slot for slot.
-        let s = spec(8, 4);
+        // b·g = 15 > d = 8: the padded tail groups are trimmed; output
+        // must still match the legacy path slot for slot.
+        let s = spec(8, 8);
         let mut c = ctx(&s);
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let weights = Tensor::from_data(
@@ -909,6 +1102,7 @@ mod tests {
         );
         // The padded plan performs (b−1) + (groups−1) rotations with
         // groups = ceil(d/b) = 3 live groups.
+        assert_eq!(forced.plan(), Some(BsgsPlan { b: 3, g: 3 }));
         assert_eq!(forced.rotation_steps(), vec![1, 2, 3, 6]);
     }
 
@@ -1095,6 +1289,39 @@ mod tests {
             .encoder
             .decode_signed(&c.dec.decrypt_checked(&out).unwrap());
         assert_eq!(layer.decode_output(&slots).data(), expect.data());
+    }
+
+    #[test]
+    fn unsupported_shapes_are_typed_errors() {
+        let c = ctx(&spec(16, 16));
+        let try_new = |s: &FcSpec, w: &Tensor| {
+            HomFc::new(s, w, &c.encoder, &c.eval, Schedule::PartialAligned).map(|_| ())
+        };
+        // n_i not a power of two, n_o > n_i, n_o = 0, weights of another
+        // shape, a forced plan short of the diagonals.
+        for (s, w) in [
+            (spec(24, 8), Tensor::zeros(&[8, 24])),
+            (spec(8, 16), Tensor::zeros(&[16, 8])),
+            (spec(8, 0), Tensor::zeros(&[1, 8])),
+            (spec(16, 4), Tensor::zeros(&[4, 8])),
+        ] {
+            assert!(
+                matches!(try_new(&s, &w), Err(Error::Unsupported(_))),
+                "({}, {}) with weights {:?}",
+                s.ni,
+                s.no,
+                w.shape()
+            );
+        }
+        let short = HomFc::with_plan(
+            &spec(16, 16),
+            &Tensor::zeros(&[16, 16]),
+            &c.encoder,
+            &c.eval,
+            Schedule::PartialAligned,
+            Some(BsgsPlan { b: 3, g: 5 }),
+        );
+        assert!(matches!(short, Err(Error::Unsupported(_))));
     }
 
     #[test]

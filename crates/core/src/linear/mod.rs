@@ -1,5 +1,5 @@
 //! Functional homomorphic linear layers on the real BFV engine: packed
-//! convolution (Fig. 4), FC via the diagonal method — reshaped into
+//! convolution (Fig. 4), FC via the folded diagonal method — reshaped into
 //! Baby-Step-Giant-Step rotation sets where the cost model says so — and
 //! bare dot products under both schedules (Fig. 5).
 
@@ -10,7 +10,7 @@ pub mod parallel;
 
 pub use conv::HomConv2d;
 pub use dot::{dot_input_aligned, dot_partial_aligned};
-pub use fc::HomFc;
+pub use fc::{FcKernelPlan, FcPlan, HomFc};
 
 use crate::cost::HeCostParams;
 use crate::schedule::Schedule;
@@ -67,13 +67,9 @@ impl BsgsPlan {
 
     /// Total rotations the plan performs: `b − 1` hoisted baby replays plus
     /// `g − 1` direct giant steps (baby step 0 and group 0 are free).
-    ///
-    /// Exact for plans whose every group is live — `(g − 1)·b < d`, which
-    /// [`BsgsPlan::choose`] always produces. A hand-forced plan with
-    /// fully-padded trailing groups (`(g − 1)·b ≥ d`) skips those groups
-    /// at evaluation, so it performs *fewer* rotations than this reports;
-    /// `HomFc::rotation_steps()` on the prepared layer is the ground
-    /// truth for key generation and op accounting.
+    /// Exact when every group exists — `(g − 1)·b < d`, which
+    /// [`BsgsPlan::choose`] always produces and `HomFc::with_plan` trims a
+    /// forced plan to.
     pub fn rotations(&self) -> usize {
         self.b + self.g - 2
     }

@@ -4,7 +4,7 @@
 //! single-word `(n, q, A, W)` tuples — fine for the paper's Fig. 3
 //! scatter, but the engine runs *RNS chains*: presets with congruent
 //! limbs, a level per layer, a special prime for hybrid key switching,
-//! and a rotation plan ([`BsgsPlan`] / [`ReducePlan`]) per layer whose
+//! and a rotation plan ([`FcPlan`] / [`ReducePlan`]) per layer whose
 //! price depends on all of the above. This module closes that gap: it
 //! sweeps **{chain, per-layer level, rotation plan}** jointly over a
 //! network's linear layers, using the hybrid-aware cost model
@@ -19,13 +19,13 @@ use cheetah_bfv::BfvParams;
 use cheetah_nn::LinearLayer;
 
 use crate::cost::HeCostParams;
-use crate::linear::{BsgsPlan, ReducePlan};
+use crate::linear::{FcPlan, ReducePlan};
 use crate::ptune::noise::{layer_noise_shape, LayerNoise, NoiseRegime};
 use crate::ptune::perf::layer_ops_scheduled;
 use crate::ptune::tuner::InfeasibleLayer;
 use crate::quant::QuantSpec;
 use crate::schedule::Schedule;
-use crate::sparse::{LayerStructure, SparseBsgsPlan};
+use crate::sparse::{FcStructure, LayerStructure};
 
 pub use cheetah_bfv::noise::FAILURE_SCALE;
 
@@ -148,6 +148,14 @@ pub fn layer_noise_on_chain_structured(
     }
 }
 
+/// What [`layer_cost_on_chain_structured`] prices one layer at.
+struct LayerCost {
+    int_mults: f64,
+    he_mult: f64,
+    he_rotate: f64,
+    label: String,
+}
+
 /// One layer's slot in a [`ChainPlan`]: the level it runs at, the rotation
 /// plan the cost model picked at that level, and the modeled cost/budget.
 #[derive(Debug, Clone)]
@@ -156,12 +164,17 @@ pub struct LayerPlan {
     pub layer: String,
     /// Chain level (dropped limbs) the layer runs at.
     pub level: usize,
-    /// Rotation-plan label (`fc bsgs b=.. g=..`, `fc diag`,
-    /// `conv reduce ..`) — the same family the engine's preparers choose
-    /// from, priced under the same [`HeCostParams`].
+    /// Rotation-plan label (`fc bsgs b=.. g=.. fold=..`, `fc diag fold=..`,
+    /// `conv reduce ..`) — for FC layers the very label the prepared layer
+    /// reports, priced under the same [`HeCostParams`].
     pub plan: String,
     /// Modeled integer multiplications for the layer at this level.
     pub int_mults: f64,
+    /// Modeled plaintext multiplies. Exact for FC layers (what `OpCounts`
+    /// measures on the prepared layer); Table IV's rate for conv.
+    pub he_mult: f64,
+    /// Modeled rotations, exact for FC layers like `he_mult`.
+    pub he_rotate: f64,
     /// Remaining modeled noise budget (bits) at this level.
     pub budget_bits: f64,
 }
@@ -210,70 +223,62 @@ pub fn chain_candidates(degrees: &[usize]) -> Vec<(String, BfvParams)> {
 }
 
 /// Prices one layer on a chain at a level, choosing the rotation plan
-/// jointly: FC layers get the cheaper of the BSGS split and the diagonal
-/// path under the chain's (hybrid-aware) hoist/replay pricing — the same
-/// chooser `HomFc::new` runs at prepare time — and conv layers record the
-/// channel-reduction plan `HomConv2d` picks. Returns `(int_mults, label)`.
+/// jointly. FC layers run [`FcPlan::choose`] — the very chooser `HomFc`
+/// runs at prepare time — so the multiplies, rotations and label are the
+/// ones the prepared kernel will perform: one multiply per live folded
+/// diagonal, the BSGS / sparse / diagonal kernel's rotations, and the
+/// fold's. Conv layers price Table IV's counts scaled by the live-mask
+/// fraction and record the channel-reduction plan `HomConv2d` picks.
 ///
-/// Under a measured weight structure (`structure = Some`): sparse FC
-/// layers are priced with the [`SparseBsgsPlan`] chooser — exactly the
-/// live rotations the prepared kernel will perform — and every layer's
-/// `HE_Mult` bill scales with its live-mask fraction. An all-zero layer
-/// costs nothing. `None` prices dense.
+/// `structure = None` prices dense; an all-zero layer costs nothing.
 fn layer_cost_on_chain_structured(
     layer: &LinearLayer,
     structure: Option<&LayerStructure>,
     params: &BfvParams,
     level: usize,
     schedule: Schedule,
-) -> (f64, String) {
+) -> LayerCost {
     let cost = HeCostParams::for_bfv(params, level);
-    let ops = layer_ops_scheduled(layer, params.degree(), params.l_pt(), schedule);
     let live_frac = structure.map_or(1.0, LayerStructure::live_fraction);
     if live_frac == 0.0 {
-        return (0.0, "zero".to_string());
+        return LayerCost {
+            int_mults: 0.0,
+            he_mult: 0.0,
+            he_rotate: 0.0,
+            label: "zero".to_string(),
+        };
     }
-    let mult_cost = ops.he_mult * live_frac * cost.he_mult_mults() as f64;
     match layer {
         LinearLayer::Fc(f) => {
-            if let Some(LayerStructure::Fc(s)) = structure {
-                if !s.fully_live() {
-                    let plan = SparseBsgsPlan::choose(s, &cost);
-                    return (
-                        mult_cost + plan.rotation_mults(&cost) as f64,
-                        format!(
-                            "fc sparse b={} g={} live={}/{}",
-                            plan.b,
-                            plan.g,
-                            s.live_diagonals(),
-                            s.ni()
-                        ),
-                    );
-                }
-            }
-            let d = f.ni.min(params.degree());
-            let diag = (d as u64).saturating_sub(1) * cost.he_rotate_mults();
-            match BsgsPlan::choose(d, &cost) {
-                Some(plan) => (
-                    mult_cost + cost.bsgs_rotation_mults(plan.b, plan.g) as f64,
-                    format!("fc bsgs b={} g={}", plan.b, plan.g),
-                ),
-                None => (mult_cost + diag as f64, "fc diag".to_string()),
+            let plan = match structure {
+                Some(LayerStructure::Fc(s)) => FcPlan::choose(s, &cost),
+                _ => FcPlan::choose(&FcStructure::dense(f.no, f.ni), &cost),
+            };
+            LayerCost {
+                int_mults: plan.int_mults(&cost) as f64,
+                he_mult: plan.live as f64,
+                he_rotate: plan.rotations() as f64,
+                label: plan.label(),
             }
         }
         LinearLayer::Conv(c) => {
+            let ops = layer_ops_scheduled(layer, params.degree(), params.l_pt(), schedule);
             let plan = ReducePlan::choose(c.ci, &cost);
             // Dead taps skip their rotation and dead masks their multiply:
-            // the blunt Table-IV rotate bill scales with the live fraction.
+            // the blunt Table-IV bills scale with the live fraction.
             let label = if live_frac < 1.0 {
                 format!("conv sparse reduce {plan:?} live={live_frac:.2}")
             } else {
                 format!("conv reduce {plan:?}")
             };
-            (
-                mult_cost + ops.he_rotate * live_frac * cost.he_rotate_mults() as f64,
+            let (he_mult, he_rotate) = (ops.he_mult * live_frac, ops.he_rotate * live_frac);
+            LayerCost {
+                int_mults: he_mult * cost.he_mult_mults() as f64
+                    + he_rotate * cost.he_rotate_mults() as f64,
+                he_mult,
+                he_rotate,
                 label,
-            )
+            }
         }
     }
 }
@@ -354,19 +359,21 @@ pub fn solve_chain_plan_structured(
                 if noise.budget_bits < PLAN_MARGIN_BITS {
                     continue;
                 }
-                let (int_mults, label) = layer_cost_on_chain_structured(
+                let cost = layer_cost_on_chain_structured(
                     layer,
                     structure_of(i),
                     &params,
                     level,
                     schedule,
                 );
-                if chosen.as_ref().is_none_or(|c| int_mults < c.int_mults) {
+                if chosen.as_ref().is_none_or(|c| cost.int_mults < c.int_mults) {
                     chosen = Some(LayerPlan {
                         layer: layer.name().to_owned(),
                         level,
-                        plan: label,
-                        int_mults,
+                        plan: cost.label,
+                        int_mults: cost.int_mults,
+                        he_mult: cost.he_mult,
+                        he_rotate: cost.he_rotate,
                         budget_bits: noise.budget_bits,
                     });
                 }
@@ -500,10 +507,11 @@ mod tests {
             NoiseRegime::Statistical,
         );
         assert!(l0.budget_bits > 0.0);
-        let c0 =
-            layer_cost_on_chain_structured(layer, None, &params, 0, Schedule::PartialAligned).0;
-        let c1 =
-            layer_cost_on_chain_structured(layer, None, &params, 1, Schedule::PartialAligned).0;
+        let price = |level| {
+            layer_cost_on_chain_structured(layer, None, &params, level, Schedule::PartialAligned)
+                .int_mults
+        };
+        let (c0, c1) = (price(0), price(1));
         assert!(c1 < c0, "deeper level must be cheaper: {c1} vs {c0}");
         // The level-1 ceiling is one 36-bit limb; the budget moves but
         // the model must not explode (rotate noise is P-divided).
@@ -534,13 +542,14 @@ mod tests {
             &[4096],
         )
         .unwrap();
-        // 90%-sparse FC structure (6 of 64 diagonals live), dense conv.
+        // ~90%-sparse FC structure (2 of the 16 folded diagonals live),
+        // dense conv.
         let fc = &layers[1];
         let (no, ni) = (10usize, 64usize);
         let mut w = vec![0i64; no * ni];
-        for k in [0usize, 7, 19, 33, 42, 60] {
-            for off in 0..ni {
-                w[(off % no) * ni + (off + k) % ni] = 3;
+        for k in [3usize, 12] {
+            for j in (0..ni).filter(|j| j % 16 < no) {
+                w[(j % 16) * ni + (j + k) % ni] = 3;
             }
         }
         let structures = vec![

@@ -17,6 +17,13 @@
 //! keeping mask norms — and the noise bound — `m` bits lower through the
 //! accumulation.
 //!
+//! An FC layer's unit is the **folded** diagonal of
+//! [`crate::linear::fc`]: with the rows padded to `n_o' = next_pow2(n_o)`,
+//! diagonal `k + m·n_o'` is diagonal `k` rotated by `m·n_o'`, so only
+//! `n_o'` of them are distinct and every weight cell `(r, c)` lies on
+//! exactly one — `k = (c − r) mod n_o'`. Those are the classes scanned
+//! here, the masks the layer prepares, and the units pruning kills.
+//!
 //! Classification is exact (a diagonal is zero iff every entry is zero),
 //! so sparse evaluation is *bit-identical* to the dense plan: the skipped
 //! terms are zero polynomials. Per-entry random sparsity almost never
@@ -26,6 +33,7 @@
 //! under diagonal packing.
 
 use crate::cost::HeCostParams;
+use cheetah_nn::layer::folded_diagonals;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 
 /// `Some(e)` iff `v == ±2^e` (so `±1` is `Some(0)`).
@@ -92,7 +100,12 @@ impl MaskClass {
 }
 
 /// Per-diagonal structure of an FC weight matrix `W (n_o × n_i)`, under
-/// the diagonal-method layout `diag_k[j] = W[j mod n_o][(j + k) mod n_i]`.
+/// the folded diagonal layout `diag_k[j] = W'[j mod n_o'][(j + k) mod n_i]`
+/// for `k < n_o'` (`W'` is `W` with zero rows up to `n_o' = next_pow2(n_o)`).
+///
+/// Shapes [`crate::linear::HomFc`] refuses (`n_i` not a power of two,
+/// `n_o > n_i`) are still classified, with both sides zero-padded to
+/// powers of two, so the chain solver can price any layer.
 #[derive(Debug, Clone)]
 pub struct FcStructure {
     ni: usize,
@@ -106,8 +119,14 @@ impl FcStructure {
     pub fn analyze(w: &[i64], no: usize, ni: usize) -> Self {
         assert_eq!(w.len(), no * ni, "weight length mismatch");
         assert!(no >= 1 && ni >= 1, "degenerate FC shape");
-        let classes = (0..ni)
-            .map(|k| MaskClass::classify((0..ni).map(|off| w[(off % no) * ni + (off + k) % ni])))
+        let (rows, cols) = (no.next_power_of_two(), ni.next_power_of_two());
+        let classes = (0..folded_diagonals(no, ni))
+            .map(|k| {
+                MaskClass::classify((0..rows.max(cols)).filter_map(|j| {
+                    let (r, c) = (j % rows, (j + k) % cols);
+                    (r < no && c < ni).then(|| w[r * ni + c])
+                }))
+            })
             .collect();
         Self { ni, no, classes }
     }
@@ -122,9 +141,31 @@ impl FcStructure {
         Self::analyze(weights.data(), spec.no, spec.ni)
     }
 
-    /// Input width (= diagonal count).
+    /// The fully-live structure of an `no × ni` layer — what pricing
+    /// without weight knowledge must assume.
+    pub fn dense(no: usize, ni: usize) -> Self {
+        Self {
+            ni,
+            no,
+            classes: vec![MaskClass::Dense; folded_diagonals(no, ni)],
+        }
+    }
+
+    /// Input width.
     pub fn ni(&self) -> usize {
         self.ni
+    }
+
+    /// Distinct (folded) diagonals — one class, one mask, one multiply
+    /// each.
+    pub fn diagonals(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Copies of the output the folded diagonals leave spread over the
+    /// input width: the rotate-and-sum count that gathers them.
+    pub fn fold(&self) -> usize {
+        self.ni.next_power_of_two() / self.diagonals()
     }
 
     /// Output width.
@@ -155,12 +196,12 @@ impl FcStructure {
     /// Whether every diagonal is live (the dense fast case: the classic
     /// [`crate::linear::BsgsPlan`] path is optimal and is kept verbatim).
     pub fn fully_live(&self) -> bool {
-        self.live_diagonals() == self.ni
+        self.live_diagonals() == self.diagonals()
     }
 
     /// Live fraction in `[0, 1]`.
     pub fn live_fraction(&self) -> f64 {
-        self.live_diagonals() as f64 / self.ni as f64
+        self.live_diagonals() as f64 / self.diagonals() as f64
     }
 
     /// The shared power-of-two factor `m ≥ 1` (as `log2`) that can be
@@ -194,7 +235,8 @@ impl FcStructure {
 pub struct SparseBsgsPlan {
     /// Baby steps per group (grid width).
     pub b: usize,
-    /// Giant-step groups (grid height, `⌈n_i / b⌉`).
+    /// Giant-step groups (grid height, `⌈d / b⌉` over the `d` folded
+    /// diagonals).
     pub g: usize,
     baby_steps: Vec<usize>,
     live_groups: Vec<usize>,
@@ -204,12 +246,13 @@ impl SparseBsgsPlan {
     /// Builds the plan for a fixed baby width `b ≥ 1` over the structure.
     pub fn for_structure(s: &FcStructure, b: usize) -> Self {
         assert!(b >= 1, "degenerate baby width");
-        let g = s.ni().div_ceil(b);
+        let d = s.diagonals();
+        let g = d.div_ceil(b);
         let mut baby_used = vec![false; b];
         let mut live_groups = Vec::new();
         for u in 0..g {
             let shift = u * b;
-            let width = b.min(s.ni() - shift);
+            let width = b.min(d - shift);
             let mut any = false;
             for (v, used) in baby_used.iter_mut().enumerate().take(width) {
                 if s.is_live(shift + v) {
@@ -236,7 +279,7 @@ impl SparseBsgsPlan {
     /// fully-live structure selects exactly the dense plan, and every
     /// zeroed diagonal can only shrink the bill.
     pub fn choose(s: &FcStructure, cost: &HeCostParams) -> SparseBsgsPlan {
-        let d = s.ni();
+        let d = s.diagonals();
         let mut best = Self::for_structure(s, 1);
         let mut best_cost = best.rotation_mults(cost);
         for b in 2..=d {
@@ -446,9 +489,7 @@ impl LayerStructure {
     /// knowledge must assume.
     pub fn dense(layer: &LinearLayer) -> Self {
         match layer {
-            LinearLayer::Fc(f) => {
-                LayerStructure::Fc(FcStructure::analyze(&vec![1; f.no * f.ni], f.no, f.ni))
-            }
+            LinearLayer::Fc(f) => LayerStructure::Fc(FcStructure::dense(f.no, f.ni)),
             LinearLayer::Conv(c) => LayerStructure::Conv(ConvStructure::analyze(
                 &vec![1; c.co * c.ci * c.fw * c.fw],
                 c.co,

@@ -178,11 +178,12 @@ proptest! {
 /// The O(√d) structure, pinned exactly: rotation count `b + g − 2` and
 /// NTT plane bill `g·(l_ct + 1)·limbs` (one hoist + `g − 1` giant steps)
 /// versus the diagonal path's `(d − 1)·(l_ct + 1)·limbs` — at level 0 and
-/// at level 1 of the deep chain, where every live count shrinks.
+/// at level 1 of the deep chain, where every live count shrinks. A square
+/// layer: no fold, so these are the unfolded engine's counts verbatim.
 #[test]
 fn bsgs_ntt_structure_at_level_0_and_1() {
     let params = deep_params();
-    let s = spec(32, 8);
+    let s = spec(32, 32);
     let c = ctx(params.clone(), s.ni, 3);
     let (weights, input) = random_layer(&s, 77);
     let mut enc = c.enc;

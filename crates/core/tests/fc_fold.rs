@@ -1,0 +1,462 @@
+//! The folded FC layout, pinned from outside:
+//!
+//! * over random `(n_i, n_o ≤ n_i)` — `n_o = 1`, `n_o = n_i` and
+//!   non-power-of-two `n_o` included — × {diagonal, forced BSGS, auto,
+//!   sparse, pow2-sparse} kernels × both schedules × levels 0/1 × the digit
+//!   and hybrid presets: slots `[0, n_o)` decrypt to the cleartext `W·x`,
+//!   measured ≤ tracked ≤ predicted noise, one multiply per live folded
+//!   diagonal, one rotation per step of `rotation_steps()`, and exactly
+//!   those Galois keys are enough while any one fewer is not;
+//! * a square layer (`fold = 1`) runs the unfolded engine's ops and keys;
+//! * the chain solver's per-FC-layer multiply and rotation counts (and its
+//!   label) are the prepared layer's measured `OpCounts`, on the
+//!   benchmark networks' FC shapes.
+
+use cheetah_bfv::{
+    BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
+    OpCounts,
+};
+use cheetah_core::linear::{FcKernelPlan, HomFc};
+use cheetah_core::ptune::{solve_chain_plan, NoiseRegime};
+use cheetah_core::{BsgsPlan, HeCostParams, QuantSpec, ReducePlan, Schedule};
+use cheetah_nn::inference::eval_linear;
+use cheetah_nn::{FcSpec, LinearLayer, Tensor};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+struct Ctx {
+    params: BfvParams,
+    encoder: BatchEncoder,
+    enc: Encryptor,
+    dec: Decryptor,
+    eval: Evaluator,
+    kg: KeyGenerator,
+}
+
+fn ctx(params: BfvParams, seed: u64) -> Ctx {
+    let mut kg = KeyGenerator::from_seed(params.clone(), seed);
+    let pk = kg.public_key().unwrap();
+    Ctx {
+        encoder: BatchEncoder::new(params.clone()),
+        enc: Encryptor::from_public_key(pk, seed ^ 0x5eed),
+        dec: Decryptor::new(kg.secret_key().clone()),
+        eval: Evaluator::new(params.clone()),
+        params,
+        kg,
+    }
+}
+
+fn preset(hybrid: bool) -> BfvParams {
+    if hybrid {
+        BfvParams::preset_hybrid_2x36(4096).unwrap()
+    } else {
+        BfvParams::preset_rns_3x36(4096).unwrap()
+    }
+}
+
+fn spec(ni: usize, no: usize) -> FcSpec {
+    FcSpec {
+        name: "fc-fold".into(),
+        ni,
+        no,
+    }
+}
+
+/// Which kernel a case prepares, and from what weights.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    /// `with_plan(None)` on dense weights.
+    Diagonal,
+    /// `with_plan(Some(b, ⌈d/b⌉))` on dense weights.
+    ForcedBsgs(usize),
+    /// `new_at_level` on dense weights.
+    Auto,
+    /// `new_at_level` on weights with dead folded diagonals.
+    Sparse,
+    /// [`Kind::Sparse`] with every live weight `±2` or `±4`.
+    Pow2,
+}
+
+/// `(n_o, n_i)` weights whose live folded diagonals are exactly `live`
+/// (of the `d = next_pow2(n_o)` there are), nonzero values from `draw`.
+fn weights_on(s: &FcSpec, live: &[usize], mut draw: impl FnMut() -> i64) -> Tensor {
+    let d = s.no.next_power_of_two();
+    let mut data = vec![0i64; s.no * s.ni];
+    for &k in live {
+        for j in (0..s.ni).filter(|j| j % d < s.no) {
+            data[(j % d) * s.ni + (j + k) % s.ni] = draw();
+        }
+    }
+    Tensor::from_data(&[s.no, s.ni], data)
+}
+
+fn nonzero(rng: &mut StdRng, bound: i64) -> i64 {
+    loop {
+        let v = rng.random_range(-bound..=bound);
+        if v != 0 {
+            return v;
+        }
+    }
+}
+
+/// The case's weights and how many folded diagonals get a mask.
+fn weights_for(s: &FcSpec, kind: Kind, rng: &mut StdRng) -> (Tensor, usize) {
+    let d = s.no.next_power_of_two();
+    let all: Vec<usize> = (0..d).collect();
+    match kind {
+        Kind::Diagonal | Kind::ForcedBsgs(_) | Kind::Auto => {
+            (weights_on(s, &all, || nonzero(rng, 3)), d)
+        }
+        Kind::Sparse | Kind::Pow2 => {
+            // At least one live, at least one dead (d ≥ 2 is the caller's
+            // business).
+            let mut live: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|_| rng.random_range(0..10) < 4)
+                .collect();
+            if live.is_empty() {
+                live.push(rng.random_range(0..d));
+            }
+            if live.len() == d {
+                live.pop();
+            }
+            let w = match kind {
+                Kind::Pow2 => {
+                    weights_on(s, &live, || [2i64, -2, 4, -4][rng.random_range(0..4usize)])
+                }
+                _ => weights_on(s, &live, || nonzero(rng, 3)),
+            };
+            (w, live.len())
+        }
+    }
+}
+
+fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, schedule: Schedule, level: usize) -> HomFc {
+    let d = s.no.next_power_of_two();
+    match kind {
+        Kind::Diagonal => HomFc::with_plan(s, w, &c.encoder, &c.eval, schedule, None),
+        Kind::ForcedBsgs(b) => {
+            let plan = BsgsPlan {
+                b,
+                g: d.div_ceil(b),
+            };
+            HomFc::with_plan(s, w, &c.encoder, &c.eval, schedule, Some(plan))
+        }
+        Kind::Auto | Kind::Sparse | Kind::Pow2 => {
+            HomFc::new_at_level(s, w, &c.encoder, &c.eval, schedule, level)
+        }
+    }
+    .unwrap()
+}
+
+/// One evaluation under exactly the layer's own Galois keys, with its
+/// `OpCounts`.
+fn run(c: &mut Ctx, layer: &HomFc, ct: &Ciphertext) -> (Ciphertext, OpCounts) {
+    let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
+    c.eval.reset_op_counts();
+    let out = layer.apply_threaded(ct, &c.eval, &keys, 1).unwrap();
+    (out, c.eval.op_counts())
+}
+
+/// The input at the deepest of `level` and 0 the planner would run the
+/// layer at.
+fn input_at(c: &mut Ctx, layer: &HomFc, s: &FcSpec, input: &Tensor, level: usize) -> Ciphertext {
+    let fresh = c
+        .enc
+        .encrypt(&HomFc::encode_input(s, input, &c.encoder).unwrap())
+        .unwrap();
+    let switched = c.eval.mod_switch_to(&fresh, level).unwrap();
+    let predicted = layer.noise_after(switched.noise(), &c.params, level);
+    if predicted.budget_bits_statistical_at(&c.params, level) >= 2.0 {
+        switched
+    } else {
+        fresh
+    }
+}
+
+/// Everything the header promises of one prepared layer on one input.
+fn check_layer(
+    c: &mut Ctx,
+    s: &FcSpec,
+    w: &Tensor,
+    layer: &HomFc,
+    masks: usize,
+    level: usize,
+    rng: &mut StdRng,
+) {
+    let input = Tensor::from_data(
+        &[s.ni],
+        (0..s.ni).map(|_| rng.random_range(-3i64..=3)).collect(),
+    );
+    let expect = eval_linear(&LinearLayer::Fc(s.clone()), w, &input);
+    let ct = input_at(c, layer, s, &input, level);
+    let level = ct.level();
+    let (out, counts) = run(c, layer, &ct);
+
+    // Slots [0, n_o) are W·x (|y| ≤ 64·3·4 stays far inside ±t/2).
+    let slots = c
+        .encoder
+        .decode_signed(&c.dec.decrypt_checked(&out).unwrap());
+    assert_eq!(layer.decode_output(&slots).data(), expect.data());
+
+    // measured ≤ tracked ≤ predicted.
+    let predicted = layer.noise_after(ct.noise(), &c.params, level).bound_log2;
+    let tracked = out.noise().bound_log2;
+    let measured = (c.dec.invariant_noise(&out).unwrap().max(1) as f64).log2();
+    assert!(
+        tracked <= predicted + 1e-9,
+        "tracked {tracked} > predicted {predicted}"
+    );
+    assert!(
+        measured <= tracked,
+        "measured {measured} > tracked {tracked}"
+    );
+
+    // One multiply per mask, one rotation per step, each step its own key.
+    let plan = layer.fc_plan();
+    let steps = layer.rotation_steps();
+    assert_eq!(plan.live, masks);
+    assert_eq!(counts.mul as usize, masks);
+    assert_eq!(counts.rotate as usize, steps.len());
+    assert_eq!(plan.rotations(), steps.len());
+    let mut distinct = steps.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        steps.len(),
+        "a step listed twice: {:?}",
+        steps
+    );
+    let d = s.no.next_power_of_two();
+    assert_eq!((plan.diagonals, plan.fold), (d, s.ni / d));
+
+    // The dense closed form: b + g − 2 kernel rotations, then the fold's —
+    // log2(fold) on the ladder, s + g' − 2 hoisted.
+    let fold_rotations = match plan.fold_plan {
+        ReducePlan::Ladder => plan.fold.ilog2() as usize,
+        ReducePlan::Bsgs { s: fs, g: fg } => fs + fg - 2,
+    };
+    match &plan.kernel {
+        FcKernelPlan::Diagonal => assert_eq!(steps.len(), d - 1 + fold_rotations),
+        FcKernelPlan::Bsgs(p) => assert_eq!(steps.len(), p.b + p.g - 2 + fold_rotations),
+        FcKernelPlan::Sparse(p) => assert_eq!(steps.len(), p.rotations() + fold_rotations),
+    }
+
+    // Any one key fewer is a typed refusal: every step is really used.
+    if !steps.is_empty() {
+        let drop = rng.random_range(0..steps.len());
+        let rest: Vec<i64> = steps
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != drop)
+            .map(|(_, &st)| st)
+            .collect();
+        let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
+        let refused = layer.apply_threaded(&ct, &c.eval, &lean, 1);
+        assert!(
+            matches!(refused, Err(Error::MissingGaloisKey { .. })),
+            "step {} of {:?} was never rotated by",
+            steps[drop],
+            steps
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    #[test]
+    fn folded_fc_is_exact_sound_and_plan_exact(
+        seed in any::<u64>(),
+        ni_sel in 0usize..4,
+        no_sel in 0usize..4,
+        kind_sel in 0usize..5,
+        ia in any::<bool>(),
+        level in 0usize..2,
+        hybrid in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ni = [8usize, 16, 32, 64][ni_sel];
+        let no = match no_sel {
+            0 => 1,
+            1 => ni,
+            2 => rng.random_range(1..=ni),
+            // Not a power of two: the rows pad.
+            _ => loop {
+                let no = rng.random_range(3..=ni);
+                if !no.is_power_of_two() {
+                    break no;
+                }
+            },
+        };
+        let d = no.next_power_of_two();
+        let kind = match kind_sel {
+            0 => Kind::Diagonal,
+            1 => Kind::ForcedBsgs(rng.random_range(1..=d)),
+            // A one-diagonal layer has nothing to prune.
+            3 if d > 1 => Kind::Sparse,
+            4 if d > 1 => Kind::Pow2,
+            _ => Kind::Auto,
+        };
+        let schedule = if ia { Schedule::InputAligned } else { Schedule::PartialAligned };
+        let s = spec(ni, no);
+        let mut c = ctx(preset(hybrid), seed % 977 + 1);
+        let (w, masks) = weights_for(&s, kind, &mut rng);
+        let layer = prepare(&c, &s, &w, kind, schedule, level);
+        match kind {
+            Kind::Sparse => prop_assert!(layer.sparse_plan().is_some()),
+            Kind::Pow2 => prop_assert!(layer.pow2_scale_log2() >= 1, "±2/±4 share a factor"),
+            _ => prop_assert!(layer.sparse_plan().is_none()),
+        }
+        check_layer(&mut c, &s, &w, &layer, masks, level, &mut rng);
+    }
+}
+
+/// The corners, deterministically: one output, a square layer, padded
+/// rows — under the auto-chosen and the diagonal kernel.
+#[test]
+fn corner_shapes_fold_correctly() {
+    let mut rng = StdRng::seed_from_u64(0xc04e);
+    for (ni, no) in [(16, 1), (16, 16), (32, 10)] {
+        for kind in [Kind::Auto, Kind::Diagonal] {
+            let s = spec(ni, no);
+            let mut c = ctx(preset(false), 5);
+            let (w, masks) = weights_for(&s, kind, &mut rng);
+            let layer = prepare(&c, &s, &w, kind, Schedule::PartialAligned, 0);
+            check_layer(&mut c, &s, &w, &layer, masks, 0, &mut rng);
+        }
+    }
+}
+
+/// A folded layer needs every key it lists: drop each in turn.
+#[test]
+fn every_listed_step_is_rotated_by() {
+    let mut rng = StdRng::seed_from_u64(0x57e9);
+    let s = spec(32, 8);
+    for kind in [Kind::Auto, Kind::Sparse] {
+        let mut c = ctx(preset(false), 9);
+        let (w, _) = weights_for(&s, kind, &mut rng);
+        let layer = prepare(&c, &s, &w, kind, Schedule::PartialAligned, 0);
+        let steps = layer.rotation_steps();
+        assert!(
+            steps.iter().any(|&st| st >= 8),
+            "fold steps listed: {steps:?}"
+        );
+        let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i % 5 - 2).collect());
+        let ct = input_at(&mut c, &layer, &s, &input, 0);
+        for drop in 0..steps.len() {
+            let rest: Vec<i64> = (0..steps.len())
+                .filter(|&i| i != drop)
+                .map(|i| steps[i])
+                .collect();
+            let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
+            assert!(
+                matches!(
+                    layer.apply_threaded(&ct, &c.eval, &lean, 1),
+                    Err(Error::MissingGaloisKey { .. })
+                ),
+                "{kind:?}: step {} of {steps:?} is never used",
+                steps[drop]
+            );
+        }
+    }
+}
+
+/// `fold = 1`: the plan, the key set and every op count are the unfolded
+/// engine's — `BsgsPlan::choose(n_i)`, baby steps `1..b` then giant steps
+/// `b, 2b, …`, `n_i` multiplies, `b + g − 2` rotations, and the plane
+/// transforms of one hoist, `b − 1` replays and `g − 1` direct rotations.
+#[test]
+fn square_layer_is_the_unfolded_engine_op_for_op() {
+    let mut rng = StdRng::seed_from_u64(0x59a4e);
+    for hybrid in [false, true] {
+        for level in 0..2 {
+            let s = spec(32, 32);
+            let mut c = ctx(preset(hybrid), 21);
+            let (w, _) = weights_for(&s, Kind::Auto, &mut rng);
+            let layer = prepare(&c, &s, &w, Kind::Auto, Schedule::PartialAligned, level);
+            let cost = HeCostParams::for_bfv(&c.params, level);
+            let plan = BsgsPlan::choose(s.ni, &cost).expect("32 diagonals split");
+            assert_eq!(layer.plan(), Some(plan));
+            assert_eq!(layer.fc_plan().fold, 1);
+            let parent_steps: Vec<i64> = (1..plan.b as i64)
+                .chain((1..plan.g as i64).map(|u| u * plan.b as i64))
+                .collect();
+            assert_eq!(layer.rotation_steps(), parent_steps);
+
+            let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i % 7 - 3).collect());
+            let fresh = c
+                .enc
+                .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+                .unwrap();
+            let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
+            let (_, counts) = run(&mut c, &layer, &ct);
+            assert_eq!(counts.mul as usize, s.ni);
+            assert_eq!(counts.rotate as usize, plan.b + plan.g - 2);
+            assert_eq!(
+                counts.ntt,
+                cost.ntts_per_hoist()
+                    + (plan.b as u64 - 1) * cost.ntts_per_rotate_hoisted()
+                    + (plan.g as u64 - 1) * cost.ntts_per_rotate(),
+                "hybrid={hybrid} level {level}"
+            );
+        }
+    }
+}
+
+/// The solver and the engine are one plan: for `bench_mlp`'s three FC
+/// layers and `bench_cnn`'s, the `ChainPlan`'s multiply and rotation
+/// counts are the `OpCounts` of the layer prepared on the plan's chain at
+/// the plan's level, and its label is the prepared layer's.
+#[test]
+fn solver_counts_are_the_engines_measured_counts() {
+    let shapes = [(1024, 256), (256, 64), (64, 16), (256, 16)];
+    let layers: Vec<LinearLayer> = shapes
+        .iter()
+        .map(|&(ni, no)| LinearLayer::Fc(spec(ni, no)))
+        .collect();
+    // The benchmark's value ranges: weights in ±1, activations in ±3.
+    let quant = QuantSpec {
+        weight_bits: 1,
+        activation_bits: 2,
+        ..QuantSpec::default()
+    };
+    let plan = solve_chain_plan(
+        &layers,
+        &quant,
+        Schedule::PartialAligned,
+        NoiseRegime::Statistical,
+        &[4096],
+    )
+    .expect("the benchmark's FC shapes are solvable at n = 4096");
+
+    let mut rng = StdRng::seed_from_u64(0x501e);
+    let mut c = ctx(plan.params.clone(), 33);
+    for (&(ni, no), lp) in shapes.iter().zip(&plan.layers) {
+        let s = spec(ni, no);
+        let all: Vec<usize> = (0..no).collect();
+        let w = weights_on(&s, &all, || nonzero(&mut rng, 1));
+        let layer =
+            HomFc::new_at_level(&s, &w, &c.encoder, &c.eval, plan.schedule, lp.level).unwrap();
+        assert_eq!(lp.plan, layer.fc_plan().label(), "({ni}, {no})");
+        assert!(
+            lp.plan.ends_with(&format!("fold={}", ni / no)),
+            "{}",
+            lp.plan
+        );
+
+        let input = Tensor::from_data(&[ni], (0..ni as i64).map(|i| i % 7 - 3).collect());
+        let fresh = c
+            .enc
+            .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+            .unwrap();
+        let ct = c.eval.mod_switch_to(&fresh, lp.level).unwrap();
+        let (_, counts) = run(&mut c, &layer, &ct);
+        assert_eq!(lp.he_mult, counts.mul as f64, "({ni}, {no}) multiplies");
+        assert_eq!(lp.he_rotate, counts.rotate as f64, "({ni}, {no}) rotations");
+        assert_eq!(counts.mul as usize, no, "one multiply per matrix row");
+    }
+}

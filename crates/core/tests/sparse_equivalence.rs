@@ -2,9 +2,10 @@
 //!
 //! * a sparsity-planned `HomFc` (SparseBsgsPlan) decrypts **bit-identically**
 //!   to the dense BSGS plan of the same `(b, g)` shape on the same weights —
-//!   across sparsity patterns (fully live, 50%, 90%, single diagonal) and at
-//!   every reachable level of a deep chain (skipped terms are zero
-//!   polynomials, so even the ciphertext bits agree);
+//!   across sparsity patterns over the **folded** diagonals of a 64→16
+//!   layer (fully live, 50%, 90%, single diagonal) and at every reachable
+//!   level of a deep chain (skipped terms are zero polynomials, so even
+//!   the ciphertext bits agree, before and after the shared fold);
 //! * a sparse `HomConv2d` (dead taps, dead channels, live-channel reduces)
 //!   decodes to exactly the cleartext reference under both schedules and at
 //!   every reachable level;
@@ -55,22 +56,23 @@ fn deep_params() -> BfvParams {
         .unwrap()
 }
 
-const NI: usize = 16;
+const NI: usize = 64;
+/// Rows, and so folded diagonals: the classes a pattern names. The
+/// layer folds `NI / NO = 4` partial copies.
+const NO: usize = 16;
 
 fn fc_spec() -> FcSpec {
-    // Square, so diagonals have no alias partners and patterns prune
-    // exactly the diagonals they name.
     FcSpec {
         name: "fc-sparse".into(),
         ni: NI,
-        no: NI,
+        no: NO,
     }
 }
 
-/// Square FC weights whose live generalized diagonals are exactly `live`.
+/// FC weights whose live folded diagonals are exactly `live`.
 fn fc_weights_with_live(live: &[usize], seed: u64) -> Tensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut data = vec![0i64; NI * NI];
+    let mut data = vec![0i64; NO * NI];
     for &k in live {
         for j in 0..NI {
             let v = loop {
@@ -79,17 +81,17 @@ fn fc_weights_with_live(live: &[usize], seed: u64) -> Tensor {
                     break v;
                 }
             };
-            data[(j % NI) * NI + (j + k) % NI] = v;
+            data[(j % NO) * NI + (j + k) % NI] = v;
         }
     }
-    Tensor::from_data(&[NI, NI], data)
+    Tensor::from_data(&[NO, NI], data)
 }
 
 /// The five sparsity patterns of the suite, by index.
 fn fc_pattern(sel: usize) -> (&'static str, Vec<usize>) {
     match sel {
-        0 => ("full", (0..NI).collect()),
-        1 => ("half", (0..NI).step_by(2).collect()),
+        0 => ("full", (0..NO).collect()),
+        1 => ("half", (0..NO).step_by(2).collect()),
         2 => ("sparse90", vec![3, 11]),
         3 => ("single", vec![5]),
         _ => ("zero", vec![]),
@@ -123,12 +125,12 @@ proptest! {
             .unwrap();
         // Fully-live structures collapse to the plain dense kernel; pruned
         // ones carry a sparse plan.
-        let (b, g, sparse_rotations) = match (sparse.plan(), sparse.sparse_plan()) {
+        let (b, g) = match (sparse.plan(), sparse.sparse_plan()) {
             (Some(p), None) => {
                 prop_assert_eq!(pattern, "full", "dense collapse only when fully live");
-                (p.b, p.g, p.rotations())
+                (p.b, p.g)
             }
-            (None, Some(p)) => (p.b, p.g, p.rotations()),
+            (None, Some(p)) => (p.b, p.g),
             other => {
                 prop_assert!(false, "no plan chosen: {:?}", other);
                 unreachable!()
@@ -138,10 +140,13 @@ proptest! {
             &s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned,
             Some(BsgsPlan { b, g }),
         ).unwrap();
+        // Kernel steps plus the fold's, each rotated by exactly once.
+        let sparse_rotations = sparse.rotation_steps().len();
         prop_assert!(
-            sparse_rotations <= BsgsPlan { b, g }.rotations(),
+            sparse_rotations <= dense.rotation_steps().len(),
             "{}: sparse plan must not rotate more than dense", pattern
         );
+        prop_assert_eq!(sparse.fc_plan().live, live.len());
 
         let fresh = c.enc
             .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
@@ -162,6 +167,7 @@ proptest! {
                 counts.rotate as usize, sparse_rotations,
                 "{} level {}: rotation count off plan", pattern, level
             );
+            prop_assert_eq!(counts.mul as usize, live.len(), "one multiply per live class");
             let d = dense.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
 
             // Skipped terms are zero polynomials: the ciphertexts agree

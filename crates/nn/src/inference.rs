@@ -71,11 +71,11 @@ impl Weights {
     /// reproducible from `seed`. Pruning follows the units the
     /// homomorphic layers can actually skip, not scattered scalars:
     ///
-    /// * FC tensors (`[no, ni]`) zero whole **generalized diagonals** —
-    ///   and because diagonals `k` and `k + a·no` read the same matrix
-    ///   cells (they are cyclic shifts of one another), the unit is the
-    ///   *alias class* `k mod gcd(no, ni)`: classes die whole, so the
-    ///   diagonal structure analyzer sees every member dead.
+    /// * FC tensors (`[no, ni]`) zero whole **folded diagonals**
+    ///   ([`crate::layer::folded_diagonals`]): cell `(r, c)` lies on
+    ///   exactly the one diagonal `k = (c − r) mod g` the homomorphic
+    ///   layer prepares a mask for — the unit one multiply serves — and
+    ///   that is the unit that dies.
     /// * Conv tensors (`[co, ci, fw, fw]`) zero whole **taps** per output
     ///   channel (the `(o, tap)` mask across all input channels) — the
     ///   unit one rotation-and-multiply serves.
@@ -89,13 +89,13 @@ impl Weights {
             let mut rng = StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9e37_79b9));
             match *tensor.shape() {
                 [no, ni] => {
-                    let g = gcd(no, ni);
+                    let g = crate::layer::folded_diagonals(no, ni);
                     let dead = pick_units(g, frac, &mut rng);
                     let data = tensor.data_mut();
                     for r in 0..no {
                         for c in 0..ni {
-                            // Cell (r, c) lies on exactly the diagonals
-                            // k ≡ c − r (mod gcd(no, ni)).
+                            // Cell (r, c) lies on the folded diagonal
+                            // k ≡ c − r (mod g).
                             let class = ((c % g) + g - (r % g)) % g;
                             if dead[class] {
                                 data[r * ni + c] = 0;
@@ -146,14 +146,6 @@ impl Weights {
         } else {
             zeros as f64 / total as f64
         }
-    }
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 

@@ -65,6 +65,14 @@ impl fmt::Display for ConvSpec {
     }
 }
 
+/// Distinct generalized diagonals of an `n_o × n_i` FC matrix once both
+/// sides are zero-padded to powers of two: the shorter side's. Cell
+/// `(r, c)` lies on exactly the one diagonal `(c − r) mod` this — the unit
+/// the homomorphic layer multiplies by and structured pruning zeroes.
+pub fn folded_diagonals(no: usize, ni: usize) -> usize {
+    no.next_power_of_two().min(ni.next_power_of_two())
+}
+
 /// A fully connected layer `(n_i, n_o)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FcSpec {

@@ -24,6 +24,7 @@ use cheetah_core::ptune::ChainPlan;
 use cheetah_core::Schedule;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
+use rand::Rng;
 
 /// Worst-case budget (bits) the leveled-evaluation planner keeps in hand
 /// when choosing how many limbs to drop before a layer.
@@ -39,8 +40,8 @@ impl HomLayer {
     /// Rotation steps this prepared layer needs Galois keys for. Both
     /// layer kinds report their *instance* plan steps — live conv taps
     /// plus the chosen channel reduces, and the exact FC BSGS / sparse /
-    /// diagonal plan — so a session generates keys only for rotations the
-    /// prepared weights actually perform. A 90%-sparse layer's keygen
+    /// diagonal kernel plus its fold — so a session generates keys only
+    /// for rotations the prepared weights actually perform. A 90%-sparse layer's keygen
     /// shrinks with its plan; an all-zero layer needs no keys at all.
     fn rotation_steps(&self) -> Vec<i64> {
         match self {
@@ -64,11 +65,7 @@ impl HomLayer {
                     )
                 }
             }
-            HomLayer::Fc(f) => match (f.plan(), f.sparse_plan()) {
-                (Some(p), _) => format!("fc bsgs b={} g={}", p.b, p.g),
-                (None, Some(p)) => format!("fc sparse b={} g={} rot={}", p.b, p.g, p.rotations()),
-                (None, None) => "fc diag".to_string(),
-            },
+            HomLayer::Fc(f) => f.fc_plan().label(),
         }
     }
 
@@ -153,20 +150,6 @@ impl HomLayer {
             HomLayer::Fc(f) => {
                 Tensor::from_data(&[f.spec().no], slot_vecs[0][..f.spec().no].to_vec())
             }
-        }
-    }
-
-    /// Packs a mask tensor to match the *output* slot layout, one plaintext
-    /// per output ciphertext.
-    fn pack_output_mask(&self, mask: &Tensor, encoder: &BatchEncoder) -> Result<Vec<Plaintext>> {
-        match self {
-            HomLayer::Conv(c) => {
-                let w2 = c.spec().w * c.spec().w;
-                (0..c.spec().co)
-                    .map(|o| encoder.encode_signed(&mask.data()[o * w2..(o + 1) * w2]))
-                    .collect()
-            }
-            HomLayer::Fc(_) => Ok(vec![encoder.encode_signed(mask.data())?]),
         }
     }
 }
@@ -504,12 +487,70 @@ impl PreparedLayers {
     }
 
     /// Packs a mask tensor to linear layer `k`'s output slot layout, one
-    /// plaintext per output ciphertext.
+    /// plaintext per output ciphertext — the output slots only; what a
+    /// server ships is [`PreparedLayers::draw_output_mask`]'s.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors.
     pub fn pack_output_mask(&self, k: usize, mask: &Tensor) -> Result<Vec<Plaintext>> {
-        self.layers[k].pack_output_mask(mask, &self.encoder)
+        self.pack_mask_with(k, mask, |_| {})
+    }
+
+    /// One plaintext per output ciphertext of layer `k`: that ciphertext's
+    /// share of `mask` in its leading slots, then whatever `rest` appends.
+    fn pack_mask_with(
+        &self,
+        k: usize,
+        mask: &Tensor,
+        mut rest: impl FnMut(&mut Vec<i64>),
+    ) -> Result<Vec<Plaintext>> {
+        let per_ct = mask.len() / self.output_ciphertexts(k);
+        mask.data()
+            .chunks(per_ct)
+            .map(|output| {
+                let mut values = output.to_vec();
+                rest(&mut values);
+                self.encoder.encode_signed(&values)
+            })
+            .collect()
+    }
+
+    /// Draws linear layer `k`'s download mask from the server's mask
+    /// stream: the logical output mask `r` (uniform mod `t`; zeros on the
+    /// final layer, whose prediction belongs to the client), then — per
+    /// output ciphertext — fresh uniform blinding for **every slot the
+    /// output does not occupy**. Those slots are not empty: an FC layer
+    /// leaves partial row sums past its `n_o` outputs and a convolution
+    /// partial channel sums past its `w²` pixels, all linear in the
+    /// activations and the weights, and the client decrypts whatever is
+    /// shipped. Returns `r` and the packed plaintexts to add, one per
+    /// output ciphertext. Both session implementations draw through here,
+    /// so their streams agree seed for seed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding errors.
+    pub fn draw_output_mask(
+        &self,
+        k: usize,
+        rng: &mut impl Rng,
+    ) -> Result<(Tensor, Vec<Plaintext>)> {
+        let half_t = (self.params.plain_modulus().value() / 2) as i64;
+        let shape = self.output_shape(k);
+        let mask = if k + 1 == self.layers.len() {
+            Tensor::zeros(&shape)
+        } else {
+            let len = shape.iter().product();
+            let data = (0..len)
+                .map(|_| rng.random_range(-half_t..=half_t))
+                .collect();
+            Tensor::from_data(&shape, data)
+        };
+        let slots = self.encoder.slots();
+        let packed = self.pack_mask_with(k, &mask, |values| {
+            values.resize_with(slots, || rng.random_range(-half_t..=half_t));
+        })?;
+        Ok((mask, packed))
     }
 }

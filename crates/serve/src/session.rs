@@ -329,20 +329,12 @@ impl ServerSession {
         }
 
         // Fresh output mask r (zeros on the final layer — the prediction
-        // belongs to the client), then the next round's input mask. Drawn
+        // belongs to the client) with uniform blinding on every slot the
+        // output does not occupy, then the next round's input mask. Drawn
         // back-to-back in the same order and counts as the one-party
         // session, so the mask streams match seed-for-seed.
-        let out_shape = layers.output_shape(k);
-        let out_len: usize = out_shape.iter().product();
-        let mask = if is_last_linear {
-            Tensor::zeros(&out_shape)
-        } else {
-            let data: Vec<i64> = (0..out_len)
-                .map(|_| self.mask_rng.random_range(-half_t..=half_t))
-                .collect();
-            Tensor::from_data(&out_shape, data)
-        };
-        let mask_pts = layers.pack_output_mask(k, &mask)?;
+        let (mask, mask_pts) = layers.draw_output_mask(k, &mut self.mask_rng)?;
+        let out_len = mask.len();
         let mut masked_cts = outputs;
         for (out_ct, m_pt) in masked_cts.iter_mut().zip(&mask_pts) {
             layers.evaluator().add_plain_assign(out_ct, m_pt, scratch)?;

@@ -24,12 +24,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // HE session parameters: wide enough t for the network's worst-case
-    // integer range, q ≡ 1 (mod 2n·t).
+    // integer range, q ≡ 1 (mod 2n·t). The FC layers' hoisted baby steps
+    // multiply a key-switched ciphertext, so the decomposition base A sets
+    // their noise: at A = 2^6 a single 60-bit limb leaves the client's
+    // decrypt gate under half a bit (one key seed in twenty trips it);
+    // A = 2^4 buys two bits back for a few more key-switch digits.
     let params = BfvParams::builder()
         .degree(4096)
         .plain_bits(18)
         .cipher_bits(60)
-        .a_dcmp(1 << 6)
+        .a_dcmp(1 << 4)
         .build()?;
 
     let mut session =

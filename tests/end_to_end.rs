@@ -57,6 +57,30 @@ fn private_inference_matches_plaintext_for_both_schedules() {
 }
 
 #[test]
+fn unsupported_zoo_shapes_are_typed_errors_at_prepare_time() {
+    // LeNet-300-100's 784 and 300 are not powers of two: preparing it is a
+    // refusal the panic-free protocol and serve crates hand on as a value.
+    let net = models::lenet300();
+    let weights = Weights::random(&net, 1, 810);
+    let params = BfvParams::preset_rns_3x36(4096).unwrap();
+    let served = cheetah::serve::PreparedModel::prepare(
+        &net,
+        &weights,
+        params.clone(),
+        Schedule::PartialAligned,
+    );
+    assert!(matches!(
+        served.map(|_| ()),
+        Err(cheetah::bfv::Error::Unsupported(_))
+    ));
+    let session = PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 1);
+    assert!(matches!(
+        session.map(|_| ()),
+        Err(cheetah::bfv::Error::Unsupported(_))
+    ));
+}
+
+#[test]
 fn tuning_profile_and_limit_study_compose() {
     // HE-PTune -> measured kernel times -> breakdown -> limit study: the
     // §IV -> §VI pipeline end to end on LeNet5.
