@@ -18,10 +18,8 @@
 //! calibration. The DSE *mechanism* — sweep, extract Pareto, feed the
 //! architecture simulator — is the paper's, reproduced exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// The hardware kernels of the Lane datapath (Fig. 9c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Forward NTT (Harvey butterflies, strided SRAM access).
     Ntt,
@@ -72,7 +70,7 @@ impl KernelKind {
 }
 
 /// A microarchitectural design point for one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelDesign {
     /// Which kernel.
     pub kind: KernelKind,
@@ -87,7 +85,7 @@ pub struct KernelDesign {
 }
 
 /// Modeled cost of a kernel design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCost {
     /// Latency per invocation, cycles.
     pub cycles: u64,

@@ -7,10 +7,11 @@
 //! `l{2,3}_rotate_level1` (rotating after one drop) — demonstrating that
 //! reduced-level rotations are measurably cheaper than full-level ones —
 //! and the FC-layer pair `l{2,3}_fc_bsgs` vs `l{2,3}_fc_diag` (plus
-//! `_level1` variants): the Baby-Step-Giant-Step reshape against the
-//! legacy diagonal method on the same weights, the headline win of the
-//! hoistable-rotation-set work (`scripts/check.sh` fails a committed full
-//! run where BSGS does not beat the diagonal path on the 3-limb preset).
+//! `_level1` variants): the auto-chosen Baby-Step-Giant-Step split against
+//! the same kernel forced to baby width 1 (the diagonal method) on the
+//! same weights, the headline win of the hoistable-rotation-set work
+//! (`scripts/check.sh` fails a committed full run where BSGS does not beat
+//! the diagonal method on the 3-limb preset).
 //!
 //! The special-prime hybrid key-switch path is benchmarked against its
 //! **equal-total-plane-count** digit twin: `l2_rotate_hybrid`
@@ -29,10 +30,7 @@
 //! `l{1,2,3}_rotate` / `l{1,2,3}_rotate_simd` twins. The unsuffixed keys
 //! are **pinned to the scalar backend** so their history stays comparable
 //! across the SIMD work; the `_simd` twins run whatever
-//! `cheetah_bfv::simd::detect()` picks. Without `--features simd` both
-//! halves clamp to scalar and the pairs read equal — the keys are emitted
-//! unconditionally so the smoke-mode key-regression gate holds in every
-//! build.
+//! `cheetah_bfv::simd::detect()` picks — as does every other key.
 //!
 //! Run: `cargo run --release -p cheetah-bench --bin bench_he_ops [out.json]`
 //!
@@ -52,7 +50,7 @@ use cheetah_bfv::{
     KeyGenerator, PreparedPlaintext, Scratch,
 };
 use cheetah_core::linear::HomFc;
-use cheetah_core::Schedule;
+use cheetah_core::FcStructure;
 use cheetah_gpu::batched::batched_forward;
 use cheetah_nn::{FcSpec, Tensor};
 
@@ -219,9 +217,9 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
     }
 }
 
-/// FC-layer timings on one multi-limb preset: the BSGS reshape vs the
-/// legacy diagonal path, on the same weights and keys, at level 0 and
-/// after one modulus switch. Decryption is not on the timed path, so the
+/// FC-layer timings on one multi-limb preset: the auto BSGS split vs the
+/// forced `b = 1` diagonal method, on the same weights and keys, at level
+/// 0 and after one modulus switch. Decryption is not on the timed path, so the
 /// preset's default decomposition base is fine — only the rotation
 /// structure is under test.
 struct FcPoint {
@@ -230,9 +228,9 @@ struct FcPoint {
     bsgs: f64,
     diag_level1: f64,
     bsgs_level1: f64,
-    /// Sparse BSGS on the same layer with half / 90% of the diagonal
-    /// alias classes pruned whole — the rotations and mask multiplies the
-    /// structure analyzer lets the plan skip.
+    /// The same layer with half / 90% of the folded diagonals pruned
+    /// whole — the rotations and mask multiplies the structure analyzer
+    /// lets the plan skip.
     bsgs_sparse50: f64,
     bsgs_sparse90: f64,
     /// Power-of-two weights at 50% structured sparsity: the sparse plan's
@@ -287,52 +285,34 @@ fn fc_point(params: BfvParams) -> FcPoint {
         .unwrap();
     let ct_level1 = eval.mod_switch_to(&ct, 1).unwrap();
 
-    let bsgs = HomFc::new(&spec, &weights, &encoder, &eval, Schedule::PartialAligned).unwrap();
+    // `fc_bsgs` is the auto plan; `fc_diag` the diagonal method — the same
+    // kernel forced to baby width 1 (multiply the fresh input, rotate each
+    // partial product directly).
+    let bsgs = HomFc::new(&spec, &weights, &encoder, &eval).unwrap();
     assert!(
-        bsgs.plan().is_some(),
-        "d = {} must auto-select a BSGS plan",
+        bsgs.fc_plan().kernel.b > 1,
+        "d = {} must auto-select a BSGS split",
         spec.no
     );
-    let diag = HomFc::with_plan(
-        &spec,
-        &weights,
-        &encoder,
-        &eval,
-        Schedule::PartialAligned,
-        None,
-    )
-    .unwrap();
+    let dense = FcStructure::dense(spec.no, spec.ni);
+    let diag = HomFc::with_forced_plan(&spec, &weights, &encoder, &eval, &dense, 1).unwrap();
     let time_fc = |layer: &HomFc, input: &Ciphertext| {
         time_ns(|| {
-            black_box(
-                layer
-                    .apply_threaded(black_box(input), &eval, &keys, 1)
-                    .unwrap(),
-            );
+            black_box(layer.apply(black_box(input), &eval, &keys, 1).unwrap());
         })
     };
 
     // Sparse variants: the same layer with 50% / 90% of the folded
-    // diagonals pruned whole, auto-selecting a SparseBsgsPlan.
-    let sparse50 = HomFc::new(
-        &spec,
-        &prune_fc_classes(&weights, spec.no, spec.ni, 0.5),
-        &encoder,
-        &eval,
-        Schedule::PartialAligned,
-    )
-    .unwrap();
-    let sparse90 = HomFc::new(
-        &spec,
-        &prune_fc_classes(&weights, spec.no, spec.ni, 0.9),
-        &encoder,
-        &eval,
-        Schedule::PartialAligned,
-    )
-    .unwrap();
+    // diagonals pruned whole; the plan covers the live ones only.
+    let pruned = |w: &Tensor, dead_frac: f64| {
+        let w = prune_fc_classes(w, spec.no, spec.ni, dead_frac);
+        HomFc::new(&spec, &w, &encoder, &eval).unwrap()
+    };
+    let sparse50 = pruned(&weights, 0.5);
+    let sparse90 = pruned(&weights, 0.9);
     assert!(
-        sparse90.sparse_plan().is_some(),
-        "a 90%-pruned layer must take the sparse plan"
+        sparse90.fc_plan().live < spec.no / 5,
+        "a 90%-pruned layer must plan over its live diagonals only"
     );
 
     // Pow2 variant: every live weight ±2 or ±4 (shared factor 2 is pulled
@@ -342,14 +322,7 @@ fn fc_point(params: BfvParams) -> FcPoint {
         &[spec.no, spec.ni],
         weights.data().iter().map(|&v| 2 * v).collect(),
     );
-    let pow2 = HomFc::new(
-        &spec,
-        &prune_fc_classes(&pow2_weights, spec.no, spec.ni, 0.5),
-        &encoder,
-        &eval,
-        Schedule::PartialAligned,
-    )
-    .unwrap();
+    let pow2 = pruned(&pow2_weights, 0.5);
     assert!(
         pow2.pow2_scale_log2() >= 1,
         "pow2 bench weights must factor a shared scale"

@@ -90,8 +90,7 @@ impl Modulus {
 
     /// The Barrett constant `floor(2^128 / value)` (for the branch-free
     /// lane kernels in [`crate::simd`], which replicate [`Modulus::mul_mod`]
-    /// bit-for-bit; only they read it, hence unused in non-`simd` builds).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
+    /// bit-for-bit; only they read it).
     #[inline]
     pub(crate) const fn const_ratio(&self) -> u128 {
         self.const_ratio

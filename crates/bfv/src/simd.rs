@@ -6,7 +6,8 @@
 //!
 //! * [`SimdBackend::Scalar`] — the original loops, verbatim. This is the
 //!   pinned reference: the other backends are *defined* as bit-identical
-//!   to it, and the default whenever the `simd` cargo feature is off.
+//!   to it. Never auto-selected; [`force_backend`] reaches it, and every
+//!   equivalence test compares against it.
 //! * [`SimdBackend::Portable`] — branch-free, lane-chunked rewrites of the
 //!   same arithmetic, shaped so LLVM auto-vectorizes them for whatever the
 //!   target baseline offers (NEON on aarch64, SSE2 on x86_64).
@@ -42,8 +43,6 @@
 //! [`force_backend`] pins the calling **thread** to a backend; worker
 //! threads spawned by batched transforms keep the process default, so a
 //! test forcing `Scalar` cannot race a concurrent test forcing `Avx2`.
-//! Without the `simd` feature every request clamps to `Scalar`, so the
-//! same test suite runs unchanged in both feature configurations.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -72,33 +71,23 @@ impl SimdBackend {
     }
 }
 
-/// Clamps a requested backend to what this build and CPU can actually run:
-/// without the `simd` feature everything is `Scalar`; `Avx2` falls back to
-/// `Portable` off x86_64 or when the CPU lacks the feature.
+/// Clamps a requested backend to what this CPU can actually run: `Avx2`
+/// falls back to `Portable` off x86_64 or when the CPU lacks the feature.
 fn clamp(requested: SimdBackend) -> SimdBackend {
-    #[cfg(not(feature = "simd"))]
-    {
-        let _ = requested;
-        SimdBackend::Scalar
-    }
-    #[cfg(feature = "simd")]
-    {
-        match requested {
-            SimdBackend::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return SimdBackend::Avx2;
-                }
-                SimdBackend::Portable
+    match requested {
+        SimdBackend::Avx2 => {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return SimdBackend::Avx2;
             }
-            other => other,
+            SimdBackend::Portable
         }
+        other => other,
     }
 }
 
-/// The best backend this build and CPU support: `Avx2` when the `simd`
-/// feature is on and the CPU has it, else `Portable` (feature on) or
-/// `Scalar` (feature off).
+/// The best backend this CPU supports: `Avx2` when it has it, else
+/// `Portable`.
 pub fn detect() -> SimdBackend {
     clamp(SimdBackend::Avx2)
 }
@@ -120,8 +109,8 @@ pub fn current_backend() -> SimdBackend {
 
 /// Pins the calling thread to a backend (`None` restores auto-detection)
 /// and returns the backend now in effect. Requests are clamped to what the
-/// build supports — see [`clamp`]'s rules — so forcing `Avx2` in a
-/// non-`simd` build is a no-op that leaves the thread on `Scalar`.
+/// CPU supports — see [`clamp`]'s rules — so forcing `Avx2` on a CPU
+/// without it leaves the thread on `Portable`.
 ///
 /// The override is **per thread**: worker threads spawned by
 /// [`crate::PolyBatch`] transforms or the serving pool keep the detected
@@ -141,9 +130,8 @@ pub fn force_backend(backend: Option<SimdBackend>) -> SimdBackend {
 macro_rules! dispatch {
     ($name:ident($($arg:expr),* $(,)?)) => {
         match current_backend() {
-            #[cfg(feature = "simd")]
             SimdBackend::Portable => lanes::portable::$name($($arg),*),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: `clamp` only yields `Avx2` after
             // `is_x86_feature_detected!("avx2")` returned true.
             SimdBackend::Avx2 => unsafe { lanes::avx2::$name($($arg),*) },
@@ -385,7 +373,6 @@ mod scalar {
 // inlined body with AVX2 enabled.
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "simd")]
 mod lanes {
     mod body {
         use crate::arith::{mulhi_u128, Modulus};
@@ -660,17 +647,18 @@ mod tests {
     }
 
     #[test]
-    fn clamp_respects_build_features() {
+    fn clamp_keeps_what_the_cpu_has() {
+        // Auto-detection never lands on the scalar reference; the scalar
+        // and portable backends are always selectable; Avx2 is granted
+        // exactly when it is what detection found.
         let detected = detect();
-        if cfg!(feature = "simd") {
-            assert_ne!(detected, SimdBackend::Scalar);
-            let (_g, eff) = ForceGuard::pin(SimdBackend::Portable);
-            assert_eq!(eff, SimdBackend::Portable);
-        } else {
-            assert_eq!(detected, SimdBackend::Scalar);
-            let (_g, eff) = ForceGuard::pin(SimdBackend::Avx2);
-            assert_eq!(eff, SimdBackend::Scalar, "non-simd builds clamp to scalar");
+        assert_ne!(detected, SimdBackend::Scalar);
+        for backend in [SimdBackend::Scalar, SimdBackend::Portable] {
+            let (_g, eff) = ForceGuard::pin(backend);
+            assert_eq!(eff, backend);
         }
+        let (_g, eff) = ForceGuard::pin(SimdBackend::Avx2);
+        assert_eq!(eff, detected);
     }
 
     #[test]

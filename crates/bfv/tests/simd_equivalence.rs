@@ -1,7 +1,7 @@
 //! Scalar-vs-SIMD bit-identity pins.
 //!
-//! The `simd` feature is only allowed to change *how fast* a kernel runs,
-//! never a single output bit. These tests force the pinned scalar
+//! The vector backends are only allowed to change *how fast* a kernel
+//! runs, never a single output bit. These tests force the pinned scalar
 //! reference, repeat the identical computation under every runnable
 //! vector backend, and require byte-for-byte equality:
 //!
@@ -12,10 +12,6 @@
 //! * a **full rotate** — keygen, encrypt, Galois key switch, decrypt —
 //!   at every preset and every reachable level of its chain;
 //! * typed-error behaviour is backend-independent.
-//!
-//! The same suite compiles and passes with the feature off: every
-//! requested backend then clamps to `Scalar` and the comparisons are
-//! trivially exact, which pins the clamp itself.
 
 use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::ntt::NttTable;
@@ -31,8 +27,8 @@ struct ForceGuard;
 
 impl ForceGuard {
     /// Forces `backend` for the current thread; returns the guard and the
-    /// backend that is actually in effect after clamping (`Scalar` in
-    /// no-`simd` builds, `Portable` when AVX2 is unavailable).
+    /// backend that is actually in effect after clamping (`Portable` when
+    /// AVX2 is unavailable).
     fn force(backend: SimdBackend) -> (Self, SimdBackend) {
         let effective = simd::force_backend(Some(backend));
         (ForceGuard, effective)

@@ -20,7 +20,7 @@
 //! direct rotation pays `live² + 6·live + 2` plane transforms and
 //! `2·live` pointwise multiplications over `live + 1` planes. The
 //! [`HeCostParams::hybrid`] flag dispatches every accessor between the
-//! two regimes so plan choosers ([`crate::linear::BsgsPlan`],
+//! two regimes so plan choosers ([`crate::sparse::BsgsPlan`],
 //! [`crate::linear::ReducePlan`]) price whichever path the chain runs.
 //!
 //! These constants match the real engine: `cheetah-bfv`'s Barrett reduction
@@ -190,18 +190,6 @@ impl HeCostParams {
     /// Integer multiplications in one hoist: pure NTT plane-transform work.
     pub fn hoist_mults(&self) -> u64 {
         self.ntts_per_hoist() * self.ntt_mults()
-    }
-
-    /// Rotation-side integer multiplications of a BSGS rotation set with
-    /// `baby` hoisted baby steps and `giant` direct giant steps: one hoist
-    /// (when any baby step rotates), `baby − 1` replays (step 0 is free),
-    /// and `giant − 1` direct rotations (group 0 is unrotated). This is
-    /// what [`crate::linear::BsgsPlan::choose`] minimizes.
-    pub fn bsgs_rotation_mults(&self, baby: usize, giant: usize) -> u64 {
-        let hoist = if baby > 1 { self.hoist_mults() } else { 0 };
-        hoist
-            + (baby as u64).saturating_sub(1) * self.he_rotate_hoisted_mults()
-            + (giant as u64).saturating_sub(1) * self.he_rotate_mults()
     }
 
     /// Rotation-side integer multiplications of a **sparse** flat hoisted
@@ -394,21 +382,11 @@ mod tests {
             p.hoist_mults() + p.he_rotate_hoisted_mults(),
             p.he_rotate_mults()
         );
-        // A √d × √d BSGS set is strictly cheaper than d direct rotations
-        // for any nontrivial d.
-        let d = 64;
-        let direct = (d as u64 - 1) * p.he_rotate_mults();
-        let bsgs = p.bsgs_rotation_mults(8, 8);
+        // A √d × √d BSGS set (one hoist, 7 replays, 7 direct giant steps)
+        // is strictly cheaper than d − 1 direct rotations for d = 64.
+        let direct = 63 * p.he_rotate_mults();
+        let bsgs = p.hoist_mults() + 7 * p.he_rotate_hoisted_mults() + 7 * p.he_rotate_mults();
         assert!(bsgs < direct, "BSGS {bsgs} must beat direct {direct}");
-        // Degenerate plans price as their non-BSGS equivalents.
-        assert_eq!(
-            p.bsgs_rotation_mults(1, d),
-            (d as u64 - 1) * p.he_rotate_mults()
-        );
-        assert_eq!(
-            p.bsgs_rotation_mults(d, 1),
-            p.hoist_mults() + (d as u64 - 1) * p.he_rotate_hoisted_mults()
-        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * [`schedule`] / [`linear`] — the partial-aligned dot-product schedule
 //!   (Sched-PA, §V) and its input-aligned prior-art counterpart, both as
 //!   analytical noise shapes and as functional layers on real ciphertexts
-//!   (packed convolution, diagonal-method FC, bare dot products);
+//!   (packed convolution and bare dot products under either schedule; FC
+//!   as one BSGS kernel over the live folded diagonals, whose baby widths
+//!   1 and `d` are the diagonal method in Sched-PA's and Sched-IA's order);
 //! * [`baseline`] / [`speedup`] — the Gazelle baseline (one global
 //!   parameter set + Sched-IA) and the Fig. 6 speedup pipeline.
 //!
@@ -46,9 +48,9 @@ pub mod sparse;
 pub mod speedup;
 
 pub use cost::{HeCostParams, KernelMults, KernelTally};
-pub use linear::{BsgsPlan, ReducePlan};
+pub use linear::ReducePlan;
 pub use ptune::{DesignPoint, NoiseRegime, TuneSpace};
 pub use quant::{QuantSpec, WeightMode};
 pub use schedule::Schedule;
-pub use sparse::{ConvStructure, FcStructure, LayerStructure, MaskClass, SparseBsgsPlan};
+pub use sparse::{BsgsPlan, ConvStructure, FcStructure, LayerStructure, MaskClass};
 pub use speedup::{evaluate_model, harmonic_mean, ModelSpeedup};

@@ -25,7 +25,7 @@ use cheetah_bfv::{
 use cheetah_nn::{ConvSpec, Tensor};
 
 use crate::cost::HeCostParams;
-use crate::linear::parallel::{default_threads, map_chunks, merge_partial_vecs};
+use crate::linear::parallel::{map_chunks, merge_partial_vecs};
 use crate::linear::{rotate_sum_noise, rotate_sum_reduce, ReducePlan};
 use crate::schedule::Schedule;
 use crate::sparse::ConvStructure;
@@ -76,13 +76,10 @@ impl HomConv2d {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TooManyValues`] when `c_i·w²` exceeds the row
-    /// capacity, and propagates encoding errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec has stride ≠ 1, even filter width, or padding
-    /// ≠ `f_w/2`, or if the weight tensor shape mismatches the spec.
+    /// [`Error::Unsupported`] unless the spec has stride 1, an odd filter
+    /// width and padding `f_w/2` and the weights are `(co, ci, fw, fw)`;
+    /// [`Error::TooManyValues`] when `c_i·w²` exceeds the row capacity;
+    /// propagates encoding errors.
     pub fn new(
         spec: &ConvSpec,
         weights: &Tensor,
@@ -100,12 +97,7 @@ impl HomConv2d {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TooManyValues`] when `c_i·w²` exceeds the row
-    /// capacity, and propagates encoding errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the [`HomConv2d::new`] conditions.
+    /// As [`HomConv2d::new`].
     pub fn new_at_level(
         spec: &ConvSpec,
         weights: &Tensor,
@@ -114,18 +106,19 @@ impl HomConv2d {
         schedule: Schedule,
         level: usize,
     ) -> Result<Self> {
-        assert_eq!(spec.stride, 1, "HomConv2d supports stride 1");
-        assert_eq!(spec.fw % 2, 1, "filter width must be odd");
-        assert_eq!(
-            spec.pad,
-            spec.fw / 2,
-            "HomConv2d computes 'same' convolutions"
-        );
-        assert_eq!(
-            weights.shape(),
-            &[spec.co, spec.ci, spec.fw, spec.fw],
-            "weight tensor shape mismatch"
-        );
+        if spec.stride != 1 {
+            return Err(Error::Unsupported("HomConv2d needs stride 1"));
+        }
+        if spec.fw % 2 != 1 || spec.pad != spec.fw / 2 {
+            return Err(Error::Unsupported(
+                "HomConv2d needs an odd filter with 'same' padding",
+            ));
+        }
+        if weights.shape() != [spec.co, spec.ci, spec.fw, spec.fw] {
+            return Err(Error::Unsupported(
+                "conv weight tensor shape does not match the spec",
+            ));
+        }
         let w2 = spec.w * spec.w;
         if spec.ci * w2 > encoder.row_size() {
             return Err(Error::TooManyValues {
@@ -336,53 +329,36 @@ impl HomConv2d {
     ///
     /// # Errors
     ///
-    /// Propagates encoding errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor shape mismatches the spec.
+    /// [`Error::Unsupported`] when the tensor is not `(ci, w, w)`;
+    /// propagates encoding errors.
     pub fn encode_input(
         spec: &ConvSpec,
         input: &Tensor,
         encoder: &BatchEncoder,
     ) -> Result<Plaintext> {
-        assert_eq!(input.shape(), &[spec.ci, spec.w, spec.w]);
+        if input.shape() != [spec.ci, spec.w, spec.w] {
+            return Err(Error::Unsupported(
+                "conv input shape does not match the spec",
+            ));
+        }
         encoder.encode_signed(input.data())
     }
 
     /// Applies the convolution: one output ciphertext per output channel,
     /// each holding its `w × w` output image in slots `[0, w²)`.
     ///
-    /// Runs the rotation + mul-accumulate loops across
-    /// [`default_threads`] worker threads; see
-    /// [`HomConv2d::apply_threaded`] for an explicit thread count.
+    /// The per-tap work — rotations in Sched-IA, multiply-then-rotate
+    /// partials in Sched-PA — is split into contiguous tap chunks across
+    /// `threads` workers (`threads <= 1` runs fully inline), one
+    /// scratch-owning worker per chunk, and the per-chunk partial sums are
+    /// merged in chunk order. Residues mod `q` are exact, so the decrypted
+    /// result is identical for every thread count.
     ///
     /// # Errors
     ///
     /// Propagates BFV evaluation errors (missing Galois keys, parameter
     /// mismatches).
     pub fn apply(
-        &self,
-        input: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-    ) -> Result<Vec<Ciphertext>> {
-        self.apply_threaded(input, eval, keys, default_threads())
-    }
-
-    /// [`HomConv2d::apply`] with an explicit worker-thread count
-    /// (`threads <= 1` runs fully inline). The per-tap work — rotations in
-    /// Sched-IA, multiply-then-rotate partials in Sched-PA — is split into
-    /// contiguous tap chunks, one scratch-owning worker per chunk, and the
-    /// per-chunk partial sums are merged in chunk order. Residues mod `q`
-    /// are exact, so the decrypted result is identical for every thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates BFV evaluation errors (missing Galois keys, parameter
-    /// mismatches).
-    pub fn apply_threaded(
         &self,
         input: &Ciphertext,
         eval: &Evaluator,
@@ -734,7 +710,8 @@ mod tests {
             .enc
             .encrypt(&HomConv2d::encode_input(spec, &input, &c.encoder).unwrap())
             .unwrap();
-        let outputs = layer.apply(&ct, &c.eval, &c.keys).unwrap();
+        let threads = crate::linear::parallel::default_threads();
+        let outputs = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
         assert_eq!(outputs.len(), spec.co);
         for (o, out_ct) in outputs.iter().enumerate() {
             let budget = c.dec.invariant_noise_budget(out_ct).unwrap();
@@ -777,7 +754,7 @@ mod tests {
             .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
             .unwrap();
         c.eval.reset_op_counts();
-        let _ = layer.apply(&ct, &c.eval, &c.keys).unwrap();
+        let _ = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let counts = c.eval.op_counts();
         let params = c.eval.params();
         let planes = (params.l_ct() as u64 + 1) * params.limbs() as u64;
@@ -818,11 +795,11 @@ mod tests {
 
         let pa = HomConv2d::new(&s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned)
             .unwrap()
-            .apply(&ct, &c.eval, &c.keys)
+            .apply(&ct, &c.eval, &c.keys, 1)
             .unwrap();
         let ia = HomConv2d::new(&s, &weights, &c.encoder, &c.eval, Schedule::InputAligned)
             .unwrap()
-            .apply(&ct, &c.eval, &c.keys)
+            .apply(&ct, &c.eval, &c.keys, 1)
             .unwrap();
         let pa_budget = c.dec.invariant_noise_budget(&pa[0]).unwrap();
         let ia_budget = c.dec.invariant_noise_budget(&ia[0]).unwrap();
@@ -848,7 +825,7 @@ mod tests {
             .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
             .unwrap();
         c.eval.reset_op_counts();
-        let _ = layer.apply(&ct, &c.eval, &c.keys).unwrap();
+        let _ = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let counts = c.eval.op_counts();
 
         // Compare at the *effective* slot count (slots the layer occupies):
@@ -930,13 +907,13 @@ mod tests {
             .unwrap();
 
         eval.reset_op_counts();
-        let full_out = layer.apply(&ct, &eval, &keys).unwrap();
+        let full_out = layer.apply(&ct, &eval, &keys, 1).unwrap();
         let full_counts = eval.op_counts();
 
         let switched = eval.mod_switch_to_next(&ct).unwrap();
         assert_eq!(switched.level(), 1);
         eval.reset_op_counts();
-        let low_out = layer.apply(&switched, &eval, &keys).unwrap();
+        let low_out = layer.apply(&switched, &eval, &keys, 1).unwrap();
         let low_counts = eval.op_counts();
         assert!(
             low_counts.ntt < full_counts.ntt,
@@ -1001,7 +978,7 @@ mod tests {
             .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
             .unwrap();
         c.eval.reset_op_counts();
-        let outputs = layer.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
+        let outputs = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let counts = c.eval.op_counts();
         // Center tap only: no tap rotation, no hoist for the tap set; the
         // lone live output multiplies once per live channel mask — one
@@ -1037,7 +1014,7 @@ mod tests {
         let params = c.eval.params().clone();
         let mut kg = KeyGenerator::from_seed(params, 41);
         let lean_keys = kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
-        let lean = layer.apply_threaded(&ct, &c.eval, &lean_keys, 1).unwrap();
+        let lean = layer.apply(&ct, &c.eval, &lean_keys, 1).unwrap();
         for (a, b) in outputs.iter().zip(&lean) {
             assert_eq!(
                 layer
@@ -1082,7 +1059,7 @@ mod tests {
                 .enc
                 .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
                 .unwrap();
-            let outputs = layer.apply(&ct, &c.eval, &c.keys).unwrap();
+            let outputs = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             for (o, out_ct) in outputs.iter().enumerate() {
                 let slots = c.encoder.decode_signed(&c.dec.decrypt(out_ct).unwrap());
                 let img = layer.decode_output(&slots);

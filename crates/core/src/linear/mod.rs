@@ -1,7 +1,8 @@
 //! Functional homomorphic linear layers on the real BFV engine: packed
-//! convolution (Fig. 4), FC via the folded diagonal method — reshaped into
-//! Baby-Step-Giant-Step rotation sets where the cost model says so — and
-//! bare dot products under both schedules (Fig. 5).
+//! convolution (Fig. 4) under either schedule, FC as one Baby-Step-Giant-
+//! Step kernel over the live folded diagonals (the diagonal method is its
+//! baby-width-1 and baby-width-`d` corners; a dense layer its all-live
+//! case), and bare dot products under both schedules (Fig. 5).
 
 pub mod conv;
 pub mod dot;
@@ -10,7 +11,7 @@ pub mod parallel;
 
 pub use conv::HomConv2d;
 pub use dot::{dot_input_aligned, dot_partial_aligned};
-pub use fc::{FcKernelPlan, FcPlan, HomFc};
+pub use fc::{FcPlan, HomFc};
 
 use crate::cost::HeCostParams;
 use crate::schedule::Schedule;
@@ -18,62 +19,6 @@ use cheetah_bfv::{
     BfvParams, Ciphertext, Evaluator, GaloisKeys, HoistedDecomposition, NoiseEstimate, Result,
     Scratch,
 };
-
-/// A Baby-Step-Giant-Step split of `d` matrix diagonals into `g` groups of
-/// `b` baby steps (`b·g ≥ d`; absent diagonals of a padded last group are
-/// simply skipped).
-///
-/// The diagonal method's `d − 1` rotation steps all read either the input
-/// (Sched-IA) or a fresh partial product (Sched-PA); the BSGS reshape
-/// turns them into `b − 1` **hoistable** baby rotations of the input (one
-/// shared INTT + digit decomposition for the whole set) plus `g − 1` giant
-/// rotations of the per-group inner sums — `b + g − 2` rotations, of which
-/// only the giant steps pay NTT plane transforms. With `b ≈ √d` the FC
-/// rotation transform bill drops from `O(d·l_ct)` to `O(√d·l_ct)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BsgsPlan {
-    /// Baby steps per group: the input is rotated by `0..b` once, hoisted.
-    pub b: usize,
-    /// Giant-step groups: group `u` is rotated by `u·b` after its inner sum.
-    pub g: usize,
-}
-
-impl BsgsPlan {
-    /// Picks the cheapest split for `d` diagonals under the hoisted/direct
-    /// rotation pricing of `cost`, or `None` when no split beats the plain
-    /// diagonal path (tiny `d`): minimizes
-    /// [`HeCostParams::bsgs_rotation_mults`] over `b ∈ 1..=d` with
-    /// `g = ⌈d/b⌉`, where `b = 1` *is* the diagonal path (every rotation
-    /// direct, nothing hoistable).
-    pub fn choose(d: usize, cost: &HeCostParams) -> Option<BsgsPlan> {
-        if d < 2 {
-            return None;
-        }
-        let mut best_b = 1usize;
-        let mut best_cost = cost.bsgs_rotation_mults(1, d);
-        for b in 2..=d {
-            let g = d.div_ceil(b);
-            let c = cost.bsgs_rotation_mults(b, g);
-            if c < best_cost {
-                best_cost = c;
-                best_b = b;
-            }
-        }
-        (best_b > 1).then(|| BsgsPlan {
-            b: best_b,
-            g: d.div_ceil(best_b),
-        })
-    }
-
-    /// Total rotations the plan performs: `b − 1` hoisted baby replays plus
-    /// `g − 1` direct giant steps (baby step 0 and group 0 are free).
-    /// Exact when every group exists — `(g − 1)·b < d`, which
-    /// [`BsgsPlan::choose`] always produces and `HomFc::with_plan` trims a
-    /// forced plan to.
-    pub fn rotations(&self) -> usize {
-        self.b + self.g - 2
-    }
-}
 
 /// How a rotate-and-sum reduction `Σ_{c=0}^{count−1} rot(x, c·stride)`
 /// is evaluated.
@@ -306,6 +251,7 @@ pub(crate) fn accumulated_term_noise(
 #[cfg(test)]
 mod plan_tests {
     use super::*;
+    use crate::sparse::{BsgsPlan, FcStructure};
 
     fn cost(l_ct: usize, limbs: usize) -> HeCostParams {
         HeCostParams {
@@ -320,15 +266,17 @@ mod plan_tests {
     #[test]
     fn bsgs_plan_tiny_d_keeps_the_diagonal_path() {
         let c = cost(10, 1);
-        assert_eq!(BsgsPlan::choose(1, &c), None);
-        assert_eq!(BsgsPlan::choose(2, &c), None);
+        for d in [1usize, 2] {
+            let plan = BsgsPlan::choose(&FcStructure::dense(d, d), &c);
+            assert_eq!((plan.b, plan.g), (1, d));
+        }
     }
 
     #[test]
     fn bsgs_plan_scales_like_sqrt_d() {
         let c = cost(10, 1);
         for d in [16usize, 32, 64, 256, 1024] {
-            let plan = BsgsPlan::choose(d, &c).expect("nontrivial d must split");
+            let plan = BsgsPlan::choose(&FcStructure::dense(d, d), &c);
             assert!(plan.b * plan.g >= d, "b·g must cover every diagonal");
             assert!(
                 plan.rotations() < d - 1,
@@ -346,17 +294,26 @@ mod plan_tests {
     #[test]
     fn bsgs_plan_cost_is_minimal_over_candidates() {
         let c = cost(6, 3);
-        let d = 48;
-        let plan = BsgsPlan::choose(d, &c).unwrap();
-        let chosen = c.bsgs_rotation_mults(plan.b, plan.g);
+        let d = 64;
+        let s = FcStructure::dense(d, d);
+        let chosen = BsgsPlan::choose(&s, &c).rotation_mults(&c);
         for b in 1..=d {
             assert!(
-                chosen <= c.bsgs_rotation_mults(b, d.div_ceil(b)),
-                "b={b} beats the chosen ({}, {})",
-                plan.b,
-                plan.g
+                chosen <= BsgsPlan::for_structure(&s, b).rotation_mults(&c),
+                "b={b} beats the chosen plan"
             );
         }
+        // b = 1: every rotation direct, nothing hoisted (Sched-PA's order).
+        let pa = BsgsPlan::for_structure(&s, 1);
+        assert!(pa.baby_steps().is_empty());
+        assert_eq!(pa.rotation_mults(&c), (d as u64 - 1) * c.he_rotate_mults());
+        // b = d: one hoist, every rotation a replay (hoisted Sched-IA).
+        let ia = BsgsPlan::for_structure(&s, d);
+        assert_eq!((ia.g, ia.giant_rotations()), (1, 0));
+        assert_eq!(
+            ia.rotation_mults(&c),
+            c.hoist_mults() + (d as u64 - 1) * c.he_rotate_hoisted_mults()
+        );
     }
 
     #[test]

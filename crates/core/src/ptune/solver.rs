@@ -164,9 +164,10 @@ pub struct LayerPlan {
     pub layer: String,
     /// Chain level (dropped limbs) the layer runs at.
     pub level: usize,
-    /// Rotation-plan label (`fc bsgs b=.. g=.. fold=..`, `fc diag fold=..`,
-    /// `conv reduce ..`) — for FC layers the very label the prepared layer
-    /// reports, priced under the same [`HeCostParams`].
+    /// Rotation-plan label (`fc bsgs b=.. g=.. live=../.. fold=..`,
+    /// `conv reduce ..`, `conv sparse reduce .. live=..`, `zero`) — for FC
+    /// layers the very label the prepared layer reports, priced under the
+    /// same [`HeCostParams`].
     pub plan: String,
     /// Modeled integer multiplications for the layer at this level.
     pub int_mults: f64,
@@ -572,8 +573,8 @@ mod tests {
             dense.total_int_mults
         );
         assert!(
-            sparse.layers[1].plan.starts_with("fc sparse"),
-            "sparse FC must be planned sparse, got {}",
+            sparse.layers[1].plan.contains("live=2/16"),
+            "sparse FC must be planned over its live diagonals, got {}",
             sparse.layers[1].plan
         );
         assert_eq!(fc.name(), "fc1");

@@ -1,14 +1,14 @@
 //! Weight-structure analysis: the sparsity subsystem.
 //!
-//! Pruned networks are mostly zeros, and the BSGS planner of
-//! [`crate::linear`] prices every diagonal as live. This module scans a
-//! layer's weights at preparation time and classifies each FC generalized
-//! diagonal / conv filter tap as **zero**, **power-of-two**, or **dense**
-//! ([`MaskClass`]); a [`SparseBsgsPlan`] then covers only the live
-//! diagonals — baby and giant steps whose every diagonal is zero are
+//! Pruned networks are mostly zeros. This module scans a layer's weights
+//! at preparation time and classifies each FC generalized diagonal / conv
+//! filter tap as **zero**, **power-of-two**, or **dense** ([`MaskClass`]);
+//! the FC layer's one rotation plan, [`BsgsPlan`], then covers only the
+//! live diagonals — baby and giant steps whose every diagonal is zero are
 //! skipped entirely, so rotations, hoisted replays, plaintext multiplies,
 //! Galois-key generation, noise transitions, and cost-model pricing all
-//! shrink with the measured sparsity.
+//! shrink with the measured sparsity. A dense layer is the all-live
+//! structure of the same plan, not a separate path.
 //!
 //! The power-of-two class feeds the shift-add weight path: when every live
 //! weight of a layer is `±2^k`, the shared factor `2^m` (the smallest
@@ -25,12 +25,12 @@
 //! here, the masks the layer prepares, and the units pruning kills.
 //!
 //! Classification is exact (a diagonal is zero iff every entry is zero),
-//! so sparse evaluation is *bit-identical* to the dense plan: the skipped
-//! terms are zero polynomials. Per-entry random sparsity almost never
-//! zeroes a whole length-`n_i` diagonal; the structured pruning helper
-//! `cheetah_nn`'s `Weights::prune_to_sparsity` zeroes whole diagonals /
-//! taps, which is also what magnitude-pruned real networks converge to
-//! under diagonal packing.
+//! so skipping the dead diagonals is *bit-identical* to multiplying their
+//! zero masks: the skipped terms are zero polynomials. Per-entry random
+//! sparsity almost never zeroes a whole length-`n_i` diagonal; the
+//! structured pruning helper `cheetah_nn`'s `Weights::prune_to_sparsity`
+//! zeroes whole diagonals / taps, which is also what magnitude-pruned real
+//! networks converge to under diagonal packing.
 
 use crate::cost::HeCostParams;
 use cheetah_nn::layer::folded_diagonals;
@@ -193,12 +193,6 @@ impl FcStructure {
         self.live_diagonals() == 0
     }
 
-    /// Whether every diagonal is live (the dense fast case: the classic
-    /// [`crate::linear::BsgsPlan`] path is optimal and is kept verbatim).
-    pub fn fully_live(&self) -> bool {
-        self.live_diagonals() == self.diagonals()
-    }
-
     /// Live fraction in `[0, 1]`.
     pub fn live_fraction(&self) -> f64 {
         self.live_diagonals() as f64 / self.diagonals() as f64
@@ -222,17 +216,28 @@ impl FcStructure {
     }
 }
 
-/// A sparsity-aware Baby-Step-Giant-Step plan: the dense `b × g` grid of
-/// [`crate::linear::BsgsPlan`], minus every baby step and giant group
-/// whose diagonals are all zero.
+/// A Baby-Step-Giant-Step split of an FC layer's `d` folded diagonals into
+/// `g = ⌈d / b⌉` groups of `b` baby steps (diagonal `k = u·b + v`), minus
+/// every baby step and giant group whose diagonals are all zero.
+///
+/// The `b − 1` baby rotations all read the *input*, so one hoist (one
+/// shared INTT + digit decomposition) serves the whole set; only the
+/// `g − 1` giant rotations of the per-group inner sums pay NTT plane
+/// transforms. With `b ≈ √d` the rotation transform bill drops from
+/// `O(d·l_ct)` to `O(√d·l_ct)`. The corners are the diagonal method:
+/// `b = 1` multiplies the fresh input by each pre-shifted diagonal and
+/// rotates the partial product (Sched-PA's order, nothing hoistable),
+/// `b = d` rotates the hoisted input once per diagonal and never rotates
+/// a sum (hoisted Sched-IA).
 ///
 /// Invariants: `baby_steps` holds the rotations `v ∈ 1..b` that some live
 /// group actually multiplies (step 0 reads the unrotated input and is
 /// never listed); `live_groups` holds the groups `u` with at least one
-/// live diagonal `k = u·b + v`. An all-zero layer yields empty sets — no
-/// rotations, no multiplies, a transparent-zero output.
+/// live diagonal `k = u·b + v`. A fully-live structure keeps every step
+/// and group; an all-zero layer yields empty sets — no rotations, no
+/// multiplies, a transparent-zero output.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SparseBsgsPlan {
+pub struct BsgsPlan {
     /// Baby steps per group (grid width).
     pub b: usize,
     /// Giant-step groups (grid height, `⌈d / b⌉` over the `d` folded
@@ -242,7 +247,7 @@ pub struct SparseBsgsPlan {
     live_groups: Vec<usize>,
 }
 
-impl SparseBsgsPlan {
+impl BsgsPlan {
     /// Builds the plan for a fixed baby width `b ≥ 1` over the structure.
     pub fn for_structure(s: &FcStructure, b: usize) -> Self {
         assert!(b >= 1, "degenerate baby width");
@@ -273,12 +278,12 @@ impl SparseBsgsPlan {
         }
     }
 
-    /// Picks the cheapest baby width under `cost`, mirroring
-    /// [`crate::linear::BsgsPlan::choose`]'s sweep (baseline `b = 1`,
-    /// strict improvement only) but pricing only the *live* rotations: a
-    /// fully-live structure selects exactly the dense plan, and every
-    /// zeroed diagonal can only shrink the bill.
-    pub fn choose(s: &FcStructure, cost: &HeCostParams) -> SparseBsgsPlan {
+    /// Picks the cheapest baby width under `cost`: minimizes
+    /// [`BsgsPlan::rotation_mults`] — the *live* rotations only — over
+    /// `b ∈ 1..=d`, keeping the smaller width unless a wider one is a
+    /// strict improvement. Tiny layers stay at `b = 1`; every zeroed
+    /// diagonal can only shrink the bill.
+    pub fn choose(s: &FcStructure, cost: &HeCostParams) -> BsgsPlan {
         let d = s.diagonals();
         let mut best = Self::for_structure(s, 1);
         let mut best_cost = best.rotation_mults(cost);
@@ -314,7 +319,8 @@ impl SparseBsgsPlan {
         self.live_groups.iter().filter(|&&u| u > 0).count()
     }
 
-    /// Total rotations: hoisted baby replays plus direct giant steps.
+    /// Total rotations: hoisted baby replays plus direct giant steps
+    /// (`b + g − 2` when every diagonal is live).
     pub fn rotations(&self) -> usize {
         self.baby_steps.len() + self.giant_rotations()
     }
@@ -334,8 +340,7 @@ impl SparseBsgsPlan {
 
     /// Rotation-side integer multiplications under `cost`: one hoist when
     /// any baby replay runs, one hoisted replay per live baby step, one
-    /// direct rotation per live giant group past the first. The sparse
-    /// counterpart of [`HeCostParams::bsgs_rotation_mults`].
+    /// direct rotation per live giant group past the first.
     pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
         let hoist = if self.baby_steps.is_empty() {
             0
@@ -460,9 +465,14 @@ impl ConvStructure {
         self.classes.iter().all(|c| c.is_live())
     }
 
+    /// Live `(o, tap)` masks, of the `co·fw²` there are.
+    pub fn live_masks(&self) -> usize {
+        self.classes.iter().filter(|c| c.is_live()).count()
+    }
+
     /// Live fraction of `(o, tap)` masks in `[0, 1]`.
     pub fn live_fraction(&self) -> f64 {
-        self.classes.iter().filter(|c| c.is_live()).count() as f64 / self.classes.len() as f64
+        self.live_masks() as f64 / self.classes.len() as f64
     }
 }
 
@@ -519,7 +529,6 @@ impl LayerStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::BsgsPlan;
 
     fn cost(l_ct: usize, limbs: usize) -> HeCostParams {
         HeCostParams {
@@ -568,24 +577,27 @@ mod tests {
         let s = FcStructure::analyze(&w, ni, ni);
         assert_eq!(s.live_diagonals(), ni - 4);
         assert!(!s.is_live(3) && s.is_live(4));
-        assert!(!s.all_zero() && !s.fully_live());
+        assert!(!s.all_zero());
         assert!((s.live_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn fully_live_structure_chooses_the_dense_plan() {
-        // The sparse chooser must collapse to BsgsPlan::choose on dense
-        // weights: same sweep, same pricing, same split.
+        // Dense is the all-live case of the one chooser: analyzed fully-live
+        // weights and `FcStructure::dense` pick the same split, keep every
+        // step of the `b × g` grid, and price as one hoist, `b − 1` replays
+        // and `g − 1` direct rotations.
         for (d, c) in [(16usize, cost(10, 1)), (64, cost(6, 3)), (32, cost(4, 2))] {
             let w = fc_weights_with_dead(d, d, &[]);
-            let s = FcStructure::analyze(&w, d, d);
-            let sparse = SparseBsgsPlan::choose(&s, &c);
-            let dense = BsgsPlan::choose(d, &c).expect("nontrivial d splits");
-            assert_eq!((sparse.b, sparse.g), (dense.b, dense.g));
-            assert_eq!(sparse.rotations(), dense.rotations());
+            let plan = BsgsPlan::choose(&FcStructure::analyze(&w, d, d), &c);
+            assert_eq!(plan, BsgsPlan::choose(&FcStructure::dense(d, d), &c));
+            assert!(plan.b > 1 && plan.g > 1, "d={d} must split: {plan:?}");
+            assert_eq!(plan.rotations(), plan.b + plan.g - 2);
             assert_eq!(
-                sparse.rotation_mults(&c),
-                c.bsgs_rotation_mults(dense.b, dense.g)
+                plan.rotation_mults(&c),
+                c.hoist_mults()
+                    + (plan.b as u64 - 1) * c.he_rotate_hoisted_mults()
+                    + (plan.g as u64 - 1) * c.he_rotate_mults()
             );
         }
     }
@@ -595,12 +607,12 @@ mod tests {
         let ni = 32;
         let c = cost(10, 1);
         let dense_w = fc_weights_with_dead(ni, ni, &[]);
-        let dense = SparseBsgsPlan::choose(&FcStructure::analyze(&dense_w, ni, ni), &c);
+        let dense = BsgsPlan::choose(&FcStructure::analyze(&dense_w, ni, ni), &c);
         // Kill 90% of the diagonals (keep 3 of 32).
         let dead: Vec<usize> = (0..ni).filter(|k| ![0, 11, 21].contains(k)).collect();
         let s = FcStructure::analyze(&fc_weights_with_dead(ni, ni, &dead), ni, ni);
         assert_eq!(s.live_diagonals(), 3);
-        let sparse = SparseBsgsPlan::choose(&s, &c);
+        let sparse = BsgsPlan::choose(&s, &c);
         assert!(sparse.rotations() < dense.rotations());
         assert!(sparse.rotation_mults(&c) < dense.rotation_mults(&c));
         // Every step the plan reports maps to a live diagonal.
@@ -616,7 +628,7 @@ mod tests {
         let dead: Vec<usize> = (0..ni).collect();
         let s = FcStructure::analyze(&fc_weights_with_dead(4, ni, &dead), 4, ni);
         assert!(s.all_zero());
-        let plan = SparseBsgsPlan::choose(&s, &cost(10, 1));
+        let plan = BsgsPlan::choose(&s, &cost(10, 1));
         assert!(plan.is_empty());
         assert_eq!(plan.rotations(), 0);
         assert!(plan.rotation_steps().is_empty());
@@ -630,7 +642,7 @@ mod tests {
             let dead: Vec<usize> = (0..ni).filter(|&k| k != live).collect();
             let s = FcStructure::analyze(&fc_weights_with_dead(ni, ni, &dead), ni, ni);
             assert_eq!(s.live_diagonals(), 1);
-            let plan = SparseBsgsPlan::choose(&s, &cost(10, 1));
+            let plan = BsgsPlan::choose(&s, &cost(10, 1));
             assert!(plan.rotations() <= 1, "live={live}: {plan:?}");
             if live == 0 {
                 assert_eq!(plan.rotations(), 0, "diagonal 0 needs no rotation");

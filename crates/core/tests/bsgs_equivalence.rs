@@ -1,19 +1,20 @@
-//! BSGS ↔ diagonal equivalence, pinned:
+//! BSGS ↔ diagonal-method equivalence, pinned on the one FC kernel:
 //!
-//! * a BSGS `HomFc` decrypts identically to the legacy diagonal path —
-//!   across random dims (non-square, `d` not a perfect square, forced
-//!   `b·g > d` padding) and under both legacy schedules;
+//! * any forced baby width decrypts identically to the kernel's two
+//!   diagonal-method corners — `b = 1` (Sched-PA's order) and `b = d`
+//!   (hoisted Sched-IA) — across random dims (non-square, ragged last
+//!   group, widths past `d`) and to the cleartext `W·x`;
 //! * the equivalence holds at **every reachable level** of a deep chain
 //!   (every level the statistical planner would run the layer at);
 //! * the BSGS rotation structure is what the plan promises: `b + g − 2`
 //!   rotations, `g` hoist-priced NTT bills — `O(√d)` plane transforms
-//!   against the diagonal path's `O(d)`.
+//!   against the diagonal method's `O(d)`.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
 };
 use cheetah_core::linear::HomFc;
-use cheetah_core::{BsgsPlan, Schedule};
+use cheetah_core::FcStructure;
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -86,26 +87,30 @@ fn random_layer(s: &FcSpec, seed: u64) -> (Tensor, Tensor) {
     (weights, input)
 }
 
+/// The layer with every diagonal given a mask, under baby width `baby`.
+fn forced(c: &Ctx, s: &FcSpec, weights: &Tensor, baby: usize) -> HomFc {
+    let dense = FcStructure::dense(s.no, s.ni);
+    HomFc::with_forced_plan(s, weights, &c.encoder, &c.eval, &dense, baby).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// BSGS decrypts identically to the legacy diagonal path for random
-    /// dims and arbitrary forced splits, including b·g > d padding and
-    /// non-perfect-square d, against both legacy schedules and the
+    /// A forced BSGS split decrypts identically to both diagonal-method
+    /// corners for random dims and arbitrary widths, including a ragged
+    /// last group, a width past `d` and non-perfect-square `d`, and to the
     /// cleartext reference.
     #[test]
     fn bsgs_matches_diagonal_for_random_dims_and_plans(
         seed in any::<u64>(),
         dim_sel in 0usize..3,
-        extra_g in 0usize..2,
     ) {
         let ni = [8usize, 16, 32][dim_sel];
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xb565);
         let no = rng.random_range(1..=ni);
         let b = rng.random_range(2..=ni);
-        // ceil(ni/b) groups cover every diagonal; extra_g pads b·g past d.
-        let g = ni.div_ceil(b) + extra_g;
         let s = spec(ni, no);
+        let d = no.next_power_of_two();
         let mut c = ctx(flat_params(), ni, seed % 997 + 1);
         let (weights, input) = random_layer(&s, seed);
         let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
@@ -114,22 +119,19 @@ proptest! {
             .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
             .unwrap();
 
-        let bsgs = HomFc::with_plan(
-            &s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned,
-            Some(BsgsPlan { b, g }),
-        ).unwrap();
-        let out_bsgs = bsgs.apply(&ct, &c.eval, &c.keys).unwrap();
+        let bsgs = forced(&c, &s, &weights, b);
+        let kernel = &bsgs.fc_plan().kernel;
+        prop_assert_eq!((kernel.b, kernel.g), (b.min(d), d.div_ceil(b.min(d))));
+        let out_bsgs = bsgs.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let slots_bsgs = c.encoder.decode_signed(&c.dec.decrypt_checked(&out_bsgs).unwrap());
 
-        for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
-            let diag = HomFc::with_plan(
-                &s, &weights, &c.encoder, &c.eval, schedule, None,
-            ).unwrap();
-            let out_diag = diag.apply(&ct, &c.eval, &c.keys).unwrap();
+        for corner in [1, d] {
+            let diag = forced(&c, &s, &weights, corner);
+            let out_diag = diag.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             let slots_diag = c.encoder.decode_signed(&c.dec.decrypt_checked(&out_diag).unwrap());
             prop_assert_eq!(
                 &slots_bsgs, &slots_diag,
-                "b={} g={} vs {} diagonal", b, g, schedule
+                "b={} vs the b={} diagonal method", b, corner
             );
         }
         prop_assert_eq!(bsgs.decode_output(&slots_bsgs).data(), expect.data());
@@ -137,8 +139,8 @@ proptest! {
 
     /// The equivalence holds at every level the statistical planner deems
     /// reachable on a deep chain: the same masks (prepared at level 0)
-    /// serve the modulus-switched input, and BSGS and diagonal agree slot
-    /// for slot at each such level.
+    /// serve the modulus-switched input, and the auto plan and the `b = 1`
+    /// diagonal method agree slot for slot at each such level.
     #[test]
     fn bsgs_matches_diagonal_at_every_reachable_level(seed in any::<u64>()) {
         let params = deep_params();
@@ -146,12 +148,9 @@ proptest! {
         let mut c = ctx(params.clone(), s.ni, seed % 991 + 1);
         let (weights, input) = random_layer(&s, seed ^ 0x1eaf);
 
-        let bsgs = HomFc::new(&s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned)
-            .unwrap();
-        prop_assert!(bsgs.plan().is_some(), "d = 16 must pick a BSGS plan");
-        let diag = HomFc::with_plan(
-            &s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned, None,
-        ).unwrap();
+        let bsgs = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        prop_assert!(bsgs.fc_plan().kernel.b > 1, "d = 8 must pick a BSGS split");
+        let diag = forced(&c, &s, &weights, 1);
 
         let fresh = c.enc
             .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
@@ -164,8 +163,8 @@ proptest! {
                 continue; // not reachable: the planner would never run here
             }
             reached += 1;
-            let a = bsgs.apply(&ct, &c.eval, &c.keys).unwrap();
-            let b = diag.apply(&ct, &c.eval, &c.keys).unwrap();
+            let a = bsgs.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let b = diag.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             prop_assert_eq!(a.level(), level, "output follows the input level");
             let sa = c.encoder.decode_signed(&c.dec.decrypt_checked(&a).unwrap());
             let sb = c.encoder.decode_signed(&c.dec.decrypt_checked(&b).unwrap());
@@ -177,29 +176,23 @@ proptest! {
 
 /// The O(√d) structure, pinned exactly: rotation count `b + g − 2` and
 /// NTT plane bill `g·(l_ct + 1)·limbs` (one hoist + `g − 1` giant steps)
-/// versus the diagonal path's `(d − 1)·(l_ct + 1)·limbs` — at level 0 and
-/// at level 1 of the deep chain, where every live count shrinks. A square
-/// layer: no fold, so these are the unfolded engine's counts verbatim.
+/// versus the `b = 1` diagonal method's `(d − 1)·(l_ct + 1)·limbs` — at
+/// level 0 and at level 1 of the deep chain, where every live count
+/// shrinks. A square layer: no fold, so these are the kernel's counts
+/// alone.
 #[test]
 fn bsgs_ntt_structure_at_level_0_and_1() {
     let params = deep_params();
     let s = spec(32, 32);
     let c = ctx(params.clone(), s.ni, 3);
     let (weights, input) = random_layer(&s, 77);
+
+    let bsgs = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+    let plan = bsgs.fc_plan().kernel.clone();
+    assert!(plan.b > 1 && plan.g > 1, "32 diagonals split: {plan:?}");
+    let diag = forced(&c, &s, &weights, 1);
+
     let mut enc = c.enc;
-
-    let bsgs = HomFc::new(&s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned).unwrap();
-    let plan = bsgs.plan().unwrap();
-    let diag = HomFc::with_plan(
-        &s,
-        &weights,
-        &c.encoder,
-        &c.eval,
-        Schedule::InputAligned,
-        None,
-    )
-    .unwrap();
-
     let fresh = enc
         .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
         .unwrap();
@@ -208,14 +201,15 @@ fn bsgs_ntt_structure_at_level_0_and_1() {
         let planes = (params.l_ct_at(level) as u64 + 1) * params.live_limbs_at(level) as u64;
 
         c.eval.reset_op_counts();
-        bsgs.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
+        bsgs.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let counts = c.eval.op_counts();
-        assert_eq!(counts.rotate as usize, plan.rotations(), "level {level}");
+        assert_eq!(counts.rotate as usize, plan.b + plan.g - 2, "level {level}");
         assert_eq!(counts.ntt, planes * plan.g as u64, "level {level}");
 
         c.eval.reset_op_counts();
-        diag.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
+        diag.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let diag_counts = c.eval.op_counts();
+        assert_eq!(diag_counts.rotate as usize, s.ni - 1, "level {level}");
         assert_eq!(diag_counts.ntt, planes * (s.ni as u64 - 1), "level {level}");
         assert!(
             counts.ntt * 4 < diag_counts.ntt,

@@ -1,24 +1,27 @@
 //! The folded FC layout, pinned from outside:
 //!
 //! * over random `(n_i, n_o ≤ n_i)` — `n_o = 1`, `n_o = n_i` and
-//!   non-power-of-two `n_o` included — × {diagonal, forced BSGS, auto,
-//!   sparse, pow2-sparse} kernels × both schedules × levels 0/1 × the digit
-//!   and hybrid presets: slots `[0, n_o)` decrypt to the cleartext `W·x`,
-//!   measured ≤ tracked ≤ predicted noise, one multiply per live folded
-//!   diagonal, one rotation per step of `rotation_steps()`, and exactly
-//!   those Galois keys are enough while any one fewer is not;
+//!   non-power-of-two `n_o` included — × {forced `b = 1`, forced `b = d`,
+//!   forced random `b`, forced all-live over dead diagonals, auto, sparse,
+//!   pow2} plans × levels 0/1 × the digit and hybrid presets: slots
+//!   `[0, n_o)` decrypt to the cleartext `W·x`, every slot equals the
+//!   `b = 1` all-live plan's, measured ≤ tracked ≤ predicted noise, one
+//!   multiply per live folded diagonal, one rotation per step of
+//!   `rotation_steps()`, and exactly those Galois keys are enough while
+//!   any one fewer is not;
 //! * a square layer (`fold = 1`) runs the unfolded engine's ops and keys;
 //! * the chain solver's per-FC-layer multiply and rotation counts (and its
 //!   label) are the prepared layer's measured `OpCounts`, on the
-//!   benchmark networks' FC shapes.
+//!   benchmark networks' FC shapes, and are the figures PR 12's traced
+//!   benchmark runs recorded.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     OpCounts,
 };
-use cheetah_core::linear::{FcKernelPlan, HomFc};
+use cheetah_core::linear::HomFc;
 use cheetah_core::ptune::{solve_chain_plan, NoiseRegime};
-use cheetah_core::{BsgsPlan, HeCostParams, QuantSpec, ReducePlan, Schedule};
+use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec, ReducePlan, Schedule};
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -63,13 +66,15 @@ fn spec(ni: usize, no: usize) -> FcSpec {
     }
 }
 
-/// Which kernel a case prepares, and from what weights.
+/// Which plan a case prepares, and from what weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
-    /// `with_plan(None)` on dense weights.
-    Diagonal,
-    /// `with_plan(Some(b, ⌈d/b⌉))` on dense weights.
-    ForcedBsgs(usize),
+    /// `with_forced_plan(dense, b)` on dense weights: `b = 1` and `b = d`
+    /// are the diagonal method's two corners.
+    Forced(usize),
+    /// `with_forced_plan(dense, b)` on weights with dead folded diagonals:
+    /// every diagonal gets a mask, dead or not.
+    ForcedAllLive(usize),
     /// `new_at_level` on dense weights.
     Auto,
     /// `new_at_level` on weights with dead folded diagonals.
@@ -105,10 +110,8 @@ fn weights_for(s: &FcSpec, kind: Kind, rng: &mut StdRng) -> (Tensor, usize) {
     let d = s.no.next_power_of_two();
     let all: Vec<usize> = (0..d).collect();
     match kind {
-        Kind::Diagonal | Kind::ForcedBsgs(_) | Kind::Auto => {
-            (weights_on(s, &all, || nonzero(rng, 3)), d)
-        }
-        Kind::Sparse | Kind::Pow2 => {
+        Kind::Forced(_) | Kind::Auto => (weights_on(s, &all, || nonzero(rng, 3)), d),
+        Kind::ForcedAllLive(_) | Kind::Sparse | Kind::Pow2 => {
             // At least one live, at least one dead (d ≥ 2 is the caller's
             // business).
             let mut live: Vec<usize> = all
@@ -128,24 +131,22 @@ fn weights_for(s: &FcSpec, kind: Kind, rng: &mut StdRng) -> (Tensor, usize) {
                 }
                 _ => weights_on(s, &live, || nonzero(rng, 3)),
             };
-            (w, live.len())
+            match kind {
+                Kind::ForcedAllLive(_) => (w, d),
+                _ => (w, live.len()),
+            }
         }
     }
 }
 
-fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, schedule: Schedule, level: usize) -> HomFc {
-    let d = s.no.next_power_of_two();
+fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, level: usize) -> HomFc {
     match kind {
-        Kind::Diagonal => HomFc::with_plan(s, w, &c.encoder, &c.eval, schedule, None),
-        Kind::ForcedBsgs(b) => {
-            let plan = BsgsPlan {
-                b,
-                g: d.div_ceil(b),
-            };
-            HomFc::with_plan(s, w, &c.encoder, &c.eval, schedule, Some(plan))
+        Kind::Forced(b) | Kind::ForcedAllLive(b) => {
+            let dense = FcStructure::dense(s.no, s.ni);
+            HomFc::with_forced_plan(s, w, &c.encoder, &c.eval, &dense, b)
         }
         Kind::Auto | Kind::Sparse | Kind::Pow2 => {
-            HomFc::new_at_level(s, w, &c.encoder, &c.eval, schedule, level)
+            HomFc::new_at_level(s, w, &c.encoder, &c.eval, level)
         }
     }
     .unwrap()
@@ -156,7 +157,7 @@ fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, schedule: Schedule, leve
 fn run(c: &mut Ctx, layer: &HomFc, ct: &Ciphertext) -> (Ciphertext, OpCounts) {
     let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
     c.eval.reset_op_counts();
-    let out = layer.apply_threaded(ct, &c.eval, &keys, 1).unwrap();
+    let out = layer.apply(ct, &c.eval, &keys, 1).unwrap();
     (out, c.eval.op_counts())
 }
 
@@ -195,11 +196,22 @@ fn check_layer(
     let level = ct.level();
     let (out, counts) = run(c, layer, &ct);
 
-    // Slots [0, n_o) are W·x (|y| ≤ 64·3·4 stays far inside ±t/2).
+    // Slots [0, n_o) are W·x (|y| ≤ 64·3·4 stays far inside ±t/2), and
+    // every slot — the partial sums past n_o included — is what the
+    // all-live b = 1 plan of the same weights leaves there.
     let slots = c
         .encoder
         .decode_signed(&c.dec.decrypt_checked(&out).unwrap());
     assert_eq!(layer.decode_output(&slots).data(), expect.data());
+    let reference = prepare(c, s, w, Kind::Forced(1), level);
+    let (ref_out, ref_counts) = run(c, &reference, &ct);
+    assert_eq!(ref_counts.mul as usize, s.no.next_power_of_two());
+    assert_eq!(
+        slots,
+        c.encoder
+            .decode_signed(&c.dec.decrypt_checked(&ref_out).unwrap()),
+        "a slot differs from the all-live b = 1 plan's"
+    );
 
     // measured ≤ tracked ≤ predicted.
     let predicted = layer.noise_after(ct.noise(), &c.params, level).bound_log2;
@@ -233,16 +245,16 @@ fn check_layer(
     let d = s.no.next_power_of_two();
     assert_eq!((plan.diagonals, plan.fold), (d, s.ni / d));
 
-    // The dense closed form: b + g − 2 kernel rotations, then the fold's —
-    // log2(fold) on the ladder, s + g' − 2 hoisted.
+    // The kernel's live rotations — b + g − 2 when every diagonal carries
+    // a mask — then the fold's: log2(fold) on the ladder, s + g' − 2
+    // hoisted.
     let fold_rotations = match plan.fold_plan {
         ReducePlan::Ladder => plan.fold.ilog2() as usize,
         ReducePlan::Bsgs { s: fs, g: fg } => fs + fg - 2,
     };
-    match &plan.kernel {
-        FcKernelPlan::Diagonal => assert_eq!(steps.len(), d - 1 + fold_rotations),
-        FcKernelPlan::Bsgs(p) => assert_eq!(steps.len(), p.b + p.g - 2 + fold_rotations),
-        FcKernelPlan::Sparse(p) => assert_eq!(steps.len(), p.rotations() + fold_rotations),
+    assert_eq!(steps.len(), plan.kernel.rotations() + fold_rotations);
+    if masks == d {
+        assert_eq!(plan.kernel.rotations(), plan.kernel.b + plan.kernel.g - 2);
     }
 
     // Any one key fewer is a typed refusal: every step is really used.
@@ -255,7 +267,7 @@ fn check_layer(
             .map(|(_, &st)| st)
             .collect();
         let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
-        let refused = layer.apply_threaded(&ct, &c.eval, &lean, 1);
+        let refused = layer.apply(&ct, &c.eval, &lean, 1);
         assert!(
             matches!(refused, Err(Error::MissingGaloisKey { .. })),
             "step {} of {:?} was never rotated by",
@@ -273,8 +285,7 @@ proptest! {
         seed in any::<u64>(),
         ni_sel in 0usize..4,
         no_sel in 0usize..4,
-        kind_sel in 0usize..5,
-        ia in any::<bool>(),
+        kind_sel in 0usize..7,
         level in 0usize..2,
         hybrid in any::<bool>(),
     ) {
@@ -294,38 +305,40 @@ proptest! {
         };
         let d = no.next_power_of_two();
         let kind = match kind_sel {
-            0 => Kind::Diagonal,
-            1 => Kind::ForcedBsgs(rng.random_range(1..=d)),
+            0 => Kind::Forced(1),
+            1 => Kind::Forced(d),
+            2 => Kind::Forced(rng.random_range(1..=d)),
             // A one-diagonal layer has nothing to prune.
-            3 if d > 1 => Kind::Sparse,
-            4 if d > 1 => Kind::Pow2,
+            3 if d > 1 => Kind::ForcedAllLive(rng.random_range(1..=d)),
+            4 if d > 1 => Kind::Sparse,
+            5 if d > 1 => Kind::Pow2,
             _ => Kind::Auto,
         };
-        let schedule = if ia { Schedule::InputAligned } else { Schedule::PartialAligned };
         let s = spec(ni, no);
         let mut c = ctx(preset(hybrid), seed % 977 + 1);
         let (w, masks) = weights_for(&s, kind, &mut rng);
-        let layer = prepare(&c, &s, &w, kind, schedule, level);
+        let layer = prepare(&c, &s, &w, kind, level);
         match kind {
-            Kind::Sparse => prop_assert!(layer.sparse_plan().is_some()),
+            Kind::Sparse => prop_assert!(layer.fc_plan().live < d),
             Kind::Pow2 => prop_assert!(layer.pow2_scale_log2() >= 1, "±2/±4 share a factor"),
-            _ => prop_assert!(layer.sparse_plan().is_none()),
+            _ => prop_assert_eq!(layer.fc_plan().live, d),
         }
         check_layer(&mut c, &s, &w, &layer, masks, level, &mut rng);
     }
 }
 
 /// The corners, deterministically: one output, a square layer, padded
-/// rows — under the auto-chosen and the diagonal kernel.
+/// rows — under the auto-chosen plan and both diagonal-method widths.
 #[test]
 fn corner_shapes_fold_correctly() {
     let mut rng = StdRng::seed_from_u64(0xc04e);
-    for (ni, no) in [(16, 1), (16, 16), (32, 10)] {
-        for kind in [Kind::Auto, Kind::Diagonal] {
+    for (ni, no) in [(16usize, 1usize), (16, 16), (32, 10)] {
+        let d = no.next_power_of_two();
+        for kind in [Kind::Auto, Kind::Forced(1), Kind::Forced(d)] {
             let s = spec(ni, no);
             let mut c = ctx(preset(false), 5);
             let (w, masks) = weights_for(&s, kind, &mut rng);
-            let layer = prepare(&c, &s, &w, kind, Schedule::PartialAligned, 0);
+            let layer = prepare(&c, &s, &w, kind, 0);
             check_layer(&mut c, &s, &w, &layer, masks, 0, &mut rng);
         }
     }
@@ -339,7 +352,7 @@ fn every_listed_step_is_rotated_by() {
     for kind in [Kind::Auto, Kind::Sparse] {
         let mut c = ctx(preset(false), 9);
         let (w, _) = weights_for(&s, kind, &mut rng);
-        let layer = prepare(&c, &s, &w, kind, Schedule::PartialAligned, 0);
+        let layer = prepare(&c, &s, &w, kind, 0);
         let steps = layer.rotation_steps();
         assert!(
             steps.iter().any(|&st| st >= 8),
@@ -355,7 +368,7 @@ fn every_listed_step_is_rotated_by() {
             let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
             assert!(
                 matches!(
-                    layer.apply_threaded(&ct, &c.eval, &lean, 1),
+                    layer.apply(&ct, &c.eval, &lean, 1),
                     Err(Error::MissingGaloisKey { .. })
                 ),
                 "{kind:?}: step {} of {steps:?} is never used",
@@ -366,9 +379,10 @@ fn every_listed_step_is_rotated_by() {
 }
 
 /// `fold = 1`: the plan, the key set and every op count are the unfolded
-/// engine's — `BsgsPlan::choose(n_i)`, baby steps `1..b` then giant steps
-/// `b, 2b, …`, `n_i` multiplies, `b + g − 2` rotations, and the plane
-/// transforms of one hoist, `b − 1` replays and `g − 1` direct rotations.
+/// engine's — the chooser's split of the `n_i` all-live diagonals, baby
+/// steps `1..b` then giant steps `b, 2b, …`, `n_i` multiplies, `b + g − 2`
+/// rotations, and the plane transforms of one hoist, `b − 1` replays and
+/// `g − 1` direct rotations.
 #[test]
 fn square_layer_is_the_unfolded_engine_op_for_op() {
     let mut rng = StdRng::seed_from_u64(0x59a4e);
@@ -377,10 +391,11 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
             let s = spec(32, 32);
             let mut c = ctx(preset(hybrid), 21);
             let (w, _) = weights_for(&s, Kind::Auto, &mut rng);
-            let layer = prepare(&c, &s, &w, Kind::Auto, Schedule::PartialAligned, level);
+            let layer = prepare(&c, &s, &w, Kind::Auto, level);
             let cost = HeCostParams::for_bfv(&c.params, level);
-            let plan = BsgsPlan::choose(s.ni, &cost).expect("32 diagonals split");
-            assert_eq!(layer.plan(), Some(plan));
+            let plan = BsgsPlan::choose(&FcStructure::dense(s.no, s.ni), &cost);
+            assert!(plan.b > 1 && plan.g > 1, "32 diagonals split: {plan:?}");
+            assert_eq!(layer.fc_plan().kernel, plan);
             assert_eq!(layer.fc_plan().fold, 1);
             let parent_steps: Vec<i64> = (1..plan.b as i64)
                 .chain((1..plan.g as i64).map(|u| u * plan.b as i64))
@@ -439,8 +454,7 @@ fn solver_counts_are_the_engines_measured_counts() {
         let s = spec(ni, no);
         let all: Vec<usize> = (0..no).collect();
         let w = weights_on(&s, &all, || nonzero(&mut rng, 1));
-        let layer =
-            HomFc::new_at_level(&s, &w, &c.encoder, &c.eval, plan.schedule, lp.level).unwrap();
+        let layer = HomFc::new_at_level(&s, &w, &c.encoder, &c.eval, lp.level).unwrap();
         assert_eq!(lp.plan, layer.fc_plan().label(), "({ni}, {no})");
         assert!(
             lp.plan.ends_with(&format!("fold={}", ni / no)),
@@ -458,5 +472,43 @@ fn solver_counts_are_the_engines_measured_counts() {
         assert_eq!(lp.he_mult, counts.mul as f64, "({ni}, {no}) multiplies");
         assert_eq!(lp.he_rotate, counts.rotate as f64, "({ni}, {no}) rotations");
         assert_eq!(counts.mul as usize, no, "one multiply per matrix row");
+    }
+
+    // "The same plan as before" as numbers: what PR 12's traced benchmark
+    // runs recorded for these shapes at level 0 of the two benchmark
+    // chains (`mlp_digit` / `cnn_digit.L2` on the digit chain, `mlp_hybrid`
+    // on its hybrid twin).
+    for (hybrid, ni, no, rotate, label) in [
+        (
+            false,
+            1024,
+            256,
+            37,
+            "fc bsgs b=26 g=10 live=256/256 fold=4",
+        ),
+        (false, 256, 64, 19, "fc bsgs b=13 g=5 live=64/64 fold=4"),
+        (false, 64, 16, 11, "fc bsgs b=8 g=2 live=16/16 fold=4"),
+        (false, 256, 16, 14, "fc bsgs b=8 g=2 live=16/16 fold=16"),
+        (true, 1024, 256, 33, "fc bsgs b=20 g=13 live=256/256 fold=4"),
+        (true, 256, 64, 17, "fc bsgs b=11 g=6 live=64/64 fold=4"),
+        (true, 64, 16, 8, "fc bsgs b=4 g=4 live=16/16 fold=4"),
+    ] {
+        let s = spec(ni, no);
+        let mut c = ctx(preset(hybrid), 35);
+        let all: Vec<usize> = (0..no).collect();
+        let w = weights_on(&s, &all, || nonzero(&mut rng, 1));
+        let layer = HomFc::new(&s, &w, &c.encoder, &c.eval).unwrap();
+        assert_eq!(layer.fc_plan().label(), label);
+        let input = Tensor::from_data(&[ni], (0..ni as i64).map(|i| i % 7 - 3).collect());
+        let ct = c
+            .enc
+            .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+            .unwrap();
+        let (_, counts) = run(&mut c, &layer, &ct);
+        assert_eq!(
+            (counts.mul as usize, counts.rotate as usize),
+            (no, rotate),
+            "{label}"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Parallel-vs-serial equivalence for the homomorphic linear layers:
-//! `apply_threaded(…, N)` must decrypt to exactly the tensor that
-//! `apply_threaded(…, 1)` (the serial path) produces, for both schedules.
+//! `apply(…, N)` must decrypt to exactly the tensor that `apply(…, 1)`
+//! (the serial path) produces — for both conv schedules, and for the FC
+//! kernel's auto plan and both diagonal-method corners.
 //! Residue arithmetic mod `q` is exact, so the chunked accumulation order
 //! cannot change the decrypted result — these tests pin that down on the
 //! real engine.
@@ -10,6 +11,7 @@ use cheetah_bfv::{
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::schedule::Schedule;
+use cheetah_core::FcStructure;
 use cheetah_nn::{ConvSpec, FcSpec, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -81,8 +83,8 @@ proptest! {
                 .enc
                 .encrypt(&HomConv2d::encode_input(&spec, &input, &c.encoder).unwrap())
                 .unwrap();
-            let serial = layer.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
-            let parallel = layer.apply_threaded(&ct, &c.eval, &c.keys, threads).unwrap();
+            let serial = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let parallel = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
             prop_assert_eq!(serial.len(), parallel.len());
             for (o, (s, p)) in serial.iter().zip(&parallel).enumerate() {
                 let ds = c.encoder.decode_signed(&c.dec.decrypt(s).unwrap());
@@ -110,17 +112,24 @@ proptest! {
             (0..spec.ni).map(|_| rng.random_range(-9..=9)).collect(),
         );
 
-        for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
-            let layer = HomFc::new(&spec, &weights, &c.encoder, &c.eval, schedule).unwrap();
+        let dense = FcStructure::dense(spec.no, spec.ni);
+        let forced = |baby| {
+            HomFc::with_forced_plan(&spec, &weights, &c.encoder, &c.eval, &dense, baby).unwrap()
+        };
+        for (what, layer) in [
+            ("auto", HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap()),
+            ("b=1", forced(1)),
+            ("b=d", forced(spec.no)),
+        ] {
             let ct = c
                 .enc
                 .encrypt(&HomFc::encode_input(&spec, &input, &c.encoder).unwrap())
                 .unwrap();
-            let serial = layer.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
-            let parallel = layer.apply_threaded(&ct, &c.eval, &c.keys, threads).unwrap();
+            let serial = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let parallel = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
             let ds = c.encoder.decode_signed(&c.dec.decrypt(&serial).unwrap());
             let dp = c.encoder.decode_signed(&c.dec.decrypt(&parallel).unwrap());
-            prop_assert_eq!(&ds[..spec.no], &dp[..spec.no], "{} differs", schedule);
+            prop_assert_eq!(&ds[..spec.no], &dp[..spec.no], "{} differs", what);
             prop_assert_eq!(serial.c0().data(), parallel.c0().data());
             prop_assert_eq!(serial.c1().data(), parallel.c1().data());
         }
@@ -139,37 +148,29 @@ fn op_counts_exact_across_threads() {
     let mut c = ctx(&HomFc::required_steps(&spec), 77);
     let weights = Tensor::from_data(&[spec.no, spec.ni], vec![1; spec.no * spec.ni]);
     let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).collect());
-    let layer = HomFc::new(
-        &spec,
-        &weights,
-        &c.encoder,
-        &c.eval,
-        Schedule::PartialAligned,
-    )
-    .unwrap();
+    let layer = HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap();
     let ct = c
         .enc
         .encrypt(&HomFc::encode_input(&spec, &input, &c.encoder).unwrap())
         .unwrap();
 
     c.eval.reset_op_counts();
-    let _ = layer.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
+    let _ = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
     let serial = c.eval.op_counts();
 
     c.eval.reset_op_counts();
-    let _ = layer.apply_threaded(&ct, &c.eval, &c.keys, 4).unwrap();
+    let _ = layer.apply(&ct, &c.eval, &c.keys, 4).unwrap();
     let parallel = c.eval.op_counts();
 
     // Rotations, multiplications, NTTs, and pointwise products are
     // structural (independent of chunking); only the merge adds differ by
     // the number of extra partial-sum folds (chunks - 1 extra HE_Adds).
-    // The parallel work range is the layer's plan: giant-step groups under
-    // BSGS, diagonal steps on the legacy path.
+    // The parallel work range is the plan's live giant-step groups.
     assert_eq!(serial.rotate, parallel.rotate);
     assert_eq!(serial.mul, parallel.mul);
     assert_eq!(serial.ntt, parallel.ntt);
     assert_eq!(serial.poly_mul, parallel.poly_mul);
-    let work_items = layer.plan().map_or(spec.ni, |p| p.g);
+    let work_items = layer.fc_plan().kernel.live_groups().len();
     let chunks = 4.min(work_items) as u64;
     assert_eq!(
         parallel.add - serial.add,
@@ -191,14 +192,7 @@ fn foreign_parameter_input_is_rejected() {
     };
     let c = ctx(&HomFc::required_steps(&spec), 13);
     let weights = Tensor::from_data(&[spec.no, spec.ni], vec![1; spec.no * spec.ni]);
-    let layer = HomFc::new(
-        &spec,
-        &weights,
-        &c.encoder,
-        &c.eval,
-        Schedule::PartialAligned,
-    )
-    .unwrap();
+    let layer = HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap();
 
     // Same degree, different cipher modulus -> foreign parameter set.
     let foreign = BfvParams::builder()
@@ -218,9 +212,7 @@ fn foreign_parameter_input_is_rejected() {
 
     for threads in [1, 4] {
         assert!(
-            layer
-                .apply_threaded(&foreign_ct, &c.eval, &c.keys, threads)
-                .is_err(),
+            layer.apply(&foreign_ct, &c.eval, &c.keys, threads).is_err(),
             "foreign ciphertext accepted at {threads} threads"
         );
     }

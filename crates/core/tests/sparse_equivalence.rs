@@ -1,11 +1,12 @@
-//! Sparse ↔ dense equivalence, pinned:
+//! Sparse ↔ all-live equivalence, pinned:
 //!
-//! * a sparsity-planned `HomFc` (SparseBsgsPlan) decrypts **bit-identically**
-//!   to the dense BSGS plan of the same `(b, g)` shape on the same weights —
-//!   across sparsity patterns over the **folded** diagonals of a 64→16
-//!   layer (fully live, 50%, 90%, single diagonal) and at every reachable
-//!   level of a deep chain (skipped terms are zero polynomials, so even
-//!   the ciphertext bits agree, before and after the shared fold);
+//! * a `HomFc` prepared from its weights' own structure (dead diagonals
+//!   carry no mask) is **bit-identical** to the same weights forced
+//!   all-live under the same baby width — across sparsity patterns over
+//!   the **folded** diagonals of a 64→16 layer (fully live, 50%, 90%,
+//!   single diagonal) and at every reachable level of a deep chain
+//!   (skipped terms are zero polynomials, so even the ciphertext bits
+//!   agree, before and after the shared fold);
 //! * a sparse `HomConv2d` (dead taps, dead channels, live-channel reduces)
 //!   decodes to exactly the cleartext reference under both schedules and at
 //!   every reachable level;
@@ -16,7 +17,7 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
-use cheetah_core::{BsgsPlan, Schedule};
+use cheetah_core::{FcStructure, Schedule};
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -102,9 +103,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Sparse FC bit-identity: for every pattern with live weight, the
-    /// auto-chosen kernel decrypts to the same full slot vector as a dense
-    /// BSGS of the same `(b, g)` on the same weights, at every reachable
-    /// level — and never rotates more than the dense plan.
+    /// auto-chosen plan produces the same ciphertext as the same baby
+    /// width with every diagonal forced live, at every reachable level —
+    /// and never rotates more than it.
     #[test]
     fn sparse_fc_matches_dense_plan_across_patterns_and_levels(
         seed in any::<u64>(),
@@ -121,25 +122,12 @@ proptest! {
         );
         let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
 
-        let sparse = HomFc::new(&s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned)
-            .unwrap();
-        // Fully-live structures collapse to the plain dense kernel; pruned
-        // ones carry a sparse plan.
-        let (b, g) = match (sparse.plan(), sparse.sparse_plan()) {
-            (Some(p), None) => {
-                prop_assert_eq!(pattern, "full", "dense collapse only when fully live");
-                (p.b, p.g)
-            }
-            (None, Some(p)) => (p.b, p.g),
-            other => {
-                prop_assert!(false, "no plan chosen: {:?}", other);
-                unreachable!()
-            }
-        };
-        let dense = HomFc::with_plan(
-            &s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned,
-            Some(BsgsPlan { b, g }),
+        let sparse = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let b = sparse.fc_plan().kernel.b;
+        let dense = HomFc::with_forced_plan(
+            &s, &weights, &c.encoder, &c.eval, &FcStructure::dense(NO, NI), b,
         ).unwrap();
+        prop_assert_eq!(dense.fc_plan().live, NO, "{}: every diagonal forced live", pattern);
         // Kernel steps plus the fold's, each rotated by exactly once.
         let sparse_rotations = sparse.rotation_steps().len();
         prop_assert!(
@@ -161,14 +149,14 @@ proptest! {
             reached += 1;
 
             c.eval.reset_op_counts();
-            let a = sparse.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
+            let a = sparse.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             let counts = c.eval.op_counts();
             prop_assert_eq!(
                 counts.rotate as usize, sparse_rotations,
                 "{} level {}: rotation count off plan", pattern, level
             );
             prop_assert_eq!(counts.mul as usize, live.len(), "one multiply per live class");
-            let d = dense.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
+            let d = dense.apply(&ct, &c.eval, &c.keys, 1).unwrap();
 
             // Skipped terms are zero polynomials: the ciphertexts agree
             // bit for bit, not just after decryption.
@@ -251,7 +239,7 @@ proptest! {
                     continue;
                 }
                 reached += 1;
-                let outputs = layer.apply(&ct, &c.eval, &c.keys).unwrap();
+                let outputs = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
                 for (o, out_ct) in outputs.iter().enumerate() {
                     let slots = c.encoder.decode_signed(&c.dec.decrypt_checked(out_ct).unwrap());
                     let img = layer.decode_output(&slots);
@@ -282,7 +270,7 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
     let s = fc_spec();
     let mut c = ctx(params.clone(), &HomFc::required_steps(&s), 61);
     let weights = fc_weights_with_live(&[], 0);
-    let fc = HomFc::new(&s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned).unwrap();
+    let fc = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
     assert!(fc.rotation_steps().is_empty(), "no keys needed at all");
     let input = Tensor::from_data(&[NI], (0..NI as i64).collect());
     let fresh = c
@@ -292,7 +280,7 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
     for level in 0..params.levels() {
         let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
         c.eval.reset_op_counts();
-        let out = fc.apply_threaded(&ct, &c.eval, &c.keys, 1).unwrap();
+        let out = fc.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let counts = c.eval.op_counts();
         assert_eq!(counts.rotate, 0, "level {level}: all-zero FC rotated");
         assert_eq!(counts.mul, 0, "level {level}: all-zero FC multiplied");
@@ -335,7 +323,7 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
         for level in 0..params.levels() {
             let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
             c.eval.reset_op_counts();
-            let outputs = conv.apply(&ct, &c.eval, &c.keys).unwrap();
+            let outputs = conv.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             let counts = c.eval.op_counts();
             assert_eq!(counts.rotate, 0, "{schedule:?} level {level}: rotated");
             assert_eq!(counts.mul, 0, "{schedule:?} level {level}: multiplied");

@@ -19,6 +19,7 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
     Result,
 };
+use cheetah_core::linear::parallel::default_threads;
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::ptune::ChainPlan;
 use cheetah_core::Schedule;
@@ -39,10 +40,11 @@ pub(crate) enum HomLayer {
 impl HomLayer {
     /// Rotation steps this prepared layer needs Galois keys for. Both
     /// layer kinds report their *instance* plan steps — live conv taps
-    /// plus the chosen channel reduces, and the exact FC BSGS / sparse /
-    /// diagonal kernel plus its fold — so a session generates keys only
-    /// for rotations the prepared weights actually perform. A 90%-sparse layer's keygen
-    /// shrinks with its plan; an all-zero layer needs no keys at all.
+    /// plus the chosen channel reduces, and the FC kernel's live baby and
+    /// giant steps plus its fold — so a session generates keys only for
+    /// rotations the prepared weights actually perform. A 90%-sparse
+    /// layer's keygen shrinks with its plan; an all-zero layer needs no
+    /// keys at all.
     fn rotation_steps(&self) -> Vec<i64> {
         match self {
             HomLayer::Conv(c) => c.rotation_steps(),
@@ -50,17 +52,22 @@ impl HomLayer {
         }
     }
 
-    /// Human-readable rotation-plan label for transcripts and reports.
+    /// Human-readable rotation-plan label for transcripts and reports. A
+    /// pruned convolution reports its live `(o, tap)` masks over all
+    /// `co·fw²` — the unit [`ConvStructure::live_fraction`] counts in.
+    ///
+    /// [`ConvStructure::live_fraction`]: cheetah_core::sparse::ConvStructure::live_fraction
     fn plan_label(&self) -> String {
         match self {
             HomLayer::Conv(c) => {
-                if c.structure().fully_live() {
+                let s = c.structure();
+                if s.fully_live() {
                     format!("conv reduce {:?}", c.reduce_plan())
                 } else {
                     format!(
                         "conv sparse live={}/{} reduce {:?}",
-                        c.structure().live_taps(),
-                        c.spec().co * c.spec().ci * c.spec().fw * c.spec().fw,
+                        s.live_masks(),
+                        s.co() * s.taps(),
                         c.reduce_plan()
                     )
                 }
@@ -123,8 +130,8 @@ impl HomLayer {
         keys: &GaloisKeys,
     ) -> Result<Vec<Ciphertext>> {
         match self {
-            HomLayer::Conv(c) => c.apply(ct, eval, keys),
-            HomLayer::Fc(f) => Ok(vec![f.apply(ct, eval, keys)?]),
+            HomLayer::Conv(c) => c.apply(ct, eval, keys, default_threads()),
+            HomLayer::Fc(f) => Ok(vec![f.apply(ct, eval, keys, default_threads())?]),
         }
     }
 
@@ -207,7 +214,8 @@ pub struct PreparedLayers {
 }
 
 impl PreparedLayers {
-    /// Prepares every linear layer of `net` under the given schedule and
+    /// Prepares every linear layer of `net` — convolutions under the given
+    /// schedule, FC layers under the plan their cost model picks — and
     /// splits the network into leading / per-layer nonlinear bundles.
     ///
     /// # Errors
@@ -265,7 +273,6 @@ impl PreparedLayers {
                             weights.layer(linear_idx),
                             &encoder,
                             &evaluator,
-                            schedule,
                             level,
                         )?));
                     }

@@ -65,8 +65,10 @@ use crate::transcript::{garbled_circuit_bytes, Direction, Transcript};
 pub struct LayerReport {
     /// Linear-layer index.
     pub layer: usize,
-    /// Rotation-plan label (`fc bsgs b=.. g=..`, `fc diag`,
-    /// `conv reduce ..`).
+    /// Rotation-plan label: `fc bsgs b=.. g=.. live=../.. fold=..` (baby
+    /// width, giant groups, live of all folded diagonals, fold terms),
+    /// `conv reduce ..`, or `conv sparse live=../.. reduce ..` (live of
+    /// all `(o, tap)` masks).
     pub plan: String,
     /// Level the layer ran (and shipped) at.
     pub level: usize,

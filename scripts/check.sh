@@ -12,10 +12,13 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy --features simd -D warnings"
-# The vector backends are feature-gated off by default; lint them too so
-# the simd build can't rot between benches.
-cargo clippy -p cheetah-bfv -p cheetah-bench --features cheetah-bfv/simd --all-targets -- -D warnings
+echo "==> one-representation gate"
+# One FC kernel, one apply per layer, no simd cargo feature: the deleted
+# parallel forms must not grow back.
+if git grep -nE 'FcKernelPlan|FcKernel::|apply_threaded|apply_diagonal|apply_bsgs|feature = "simd"' -- crates src tests examples; then
+    echo "FAIL: a deleted parallel representation is back (see matches above)"
+    exit 1
+fi
 
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
@@ -37,10 +40,11 @@ if [[ "${1:-}" != "quick" ]]; then
     rm -f "$smoke_json"
 
     echo "==> BSGS regression gate (committed non-smoke BENCH_he_ops.json)"
-    # The committed JSON is a full (non-smoke) run: the BSGS FC layer must
-    # beat the diagonal path on the 3-limb preset, else the headline
-    # optimization has regressed. (Smoke-run numbers are too noisy to
-    # gate, so the check reads the committed file.)
+    # The committed JSON is a full (non-smoke) run: the auto-chosen BSGS
+    # split must beat the same kernel forced to baby width 1 (the diagonal
+    # method) on the 3-limb preset, else the headline optimization has
+    # regressed. (Smoke-run numbers are too noisy to gate, so the check
+    # reads the committed file.)
     json_val() { grep -o "\"$2\": [0-9.]*" "$1" | head -1 | awk '{print $2}'; }
     fc_diag=$(json_val BENCH_he_ops.json l3_fc_diag)
     fc_bsgs=$(json_val BENCH_he_ops.json l3_fc_bsgs)
@@ -55,8 +59,8 @@ if [[ "${1:-}" != "quick" ]]; then
 
     echo "==> sparse/pow2 FC regression gate (committed non-smoke BENCH_he_ops.json)"
     # Weight-structure plans must keep paying: a 90%-pruned FC layer's
-    # SparseBsgsPlan and the pow2 (50%-sparse, scale-factored) layer must
-    # both beat the dense BSGS plan on the 3-limb preset — the rotations
+    # live-diagonal plan and the pow2 (50%-sparse, scale-factored) layer
+    # must both beat the all-live plan on the 3-limb preset — the rotations
     # and mask multiplies the structure analyzer skips are real time.
     fc_sparse90=$(json_val BENCH_he_ops.json l3_fc_bsgs_sparse90)
     fc_pow2=$(json_val BENCH_he_ops.json l3_fc_pow2)
@@ -95,9 +99,9 @@ if [[ "${1:-}" != "quick" ]]; then
     fi
 
     echo "==> SIMD kernel regression gate (committed non-smoke BENCH_he_ops.json)"
-    # The committed JSON is a full `--features simd` run: the unsuffixed
-    # keys are pinned to the forced-scalar reference, the `_simd` twins
-    # run the runtime-detected backend. The vectorized NTT roundtrip and
+    # In the committed full run the unsuffixed keys are pinned to the
+    # forced-scalar reference, the `_simd` twins run the runtime-detected
+    # backend. The vectorized NTT roundtrip and
     # the 2/3-limb rotations must beat their scalar pins — these margins
     # are decisive even on the 1-core CI box. The `l1_rotate` pair is
     # emitted and tracked but not gated: a single-limb rotation is
@@ -179,11 +183,9 @@ echo "==> multi-client serving smoke (fixed-seed fleet, fault containment)"
 # bit-identical to a clean run.
 cargo test -q -p cheetah-serve --test concurrency_determinism faulted_client_does_not_perturb_neighbors
 
-echo "==> scalar/SIMD bit-identity (both feature configs)"
-# The simd feature must never change an output bit: the equivalence suite
-# runs in both configurations (feature off clamps every backend to the
-# scalar reference, pinning the clamp itself).
-cargo test -q -p cheetah-bfv --features simd
+echo "==> scalar/SIMD bit-identity"
+# A vector backend must never change an output bit: the equivalence suite
+# holds the forced-scalar reference against every runnable backend.
 cargo test -q -p cheetah-bfv --test simd_equivalence
 
 echo "==> tier-1: cargo test -q"

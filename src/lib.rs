@@ -10,7 +10,9 @@
 //!   fixed-point plaintext inference;
 //! * [`core`] — the paper's contribution: HE-PTune analytical models and
 //!   per-layer parameter tuning, plus the Sched-PA / Sched-IA schedules
-//!   (both analytical and on real ciphertexts);
+//!   (analytical, and on real ciphertexts in the packed convolution and
+//!   the bare dot products; the FC layer is one BSGS kernel whose baby
+//!   widths 1 and `d` are the two schedules' orders);
 //! * [`protocol`] — the Gazelle-style client/cloud private-inference
 //!   round-trip with masking and a simulated garbled circuit;
 //! * [`profile`] — kernel profiling and the Fig. 7 limit study;
@@ -40,10 +42,14 @@
 //!   polynomials in one contiguous allocation with stride-`n` views and
 //!   runs forward/inverse NTTs across worker threads, bit-identically to
 //!   the serial path for any thread count.
-//! * **Parallel linear layers** — `core`'s `HomConv2d` / `HomFc` split
-//!   their rotate-mul-accumulate loops into per-thread chunks (each worker
-//!   owns a `Scratch`), merge partial sums deterministically, and keep
-//!   exact kernel accounting via the evaluator's atomic [`bfv::OpCounts`].
+//! * **Parallel linear layers** — `core`'s `HomConv2d` / `HomFc` each have
+//!   one `apply(input, eval, keys, threads)` that splits its
+//!   rotate-mul-accumulate loop into per-thread chunks (each worker owns a
+//!   `Scratch`), merges partial sums deterministically, and keeps exact
+//!   kernel accounting via the evaluator's atomic [`bfv::OpCounts`].
+//! * **Vector kernels** — [`bfv::simd`] dispatches the NTT butterflies
+//!   and pointwise kernels at runtime to AVX2 or portable lanes,
+//!   bit-identical to the scalar reference (no cargo feature).
 //!
 //! `cargo run --release -p cheetah-bench --bin bench_he_ops` emits
 //! `BENCH_he_ops.json` with ns/op for the three operators (allocating vs

@@ -10,7 +10,7 @@ use cheetah::core::speedup::evaluate_model;
 use cheetah::core::{QuantSpec, Schedule};
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::models;
-use cheetah::nn::Weights;
+use cheetah::nn::{Layer, Network, Tensor, Weights};
 use cheetah::profile::{limit_study, network_breakdown, KernelTimer};
 use cheetah::protocol::PrivateInferenceSession;
 
@@ -58,26 +58,69 @@ fn private_inference_matches_plaintext_for_both_schedules() {
 
 #[test]
 fn unsupported_zoo_shapes_are_typed_errors_at_prepare_time() {
-    // LeNet-300-100's 784 and 300 are not powers of two: preparing it is a
-    // refusal the panic-free protocol and serve crates hand on as a value.
-    let net = models::lenet300();
-    let weights = Weights::random(&net, 1, 810);
+    // Shapes the homomorphic layers cannot pack are refusals the
+    // panic-free protocol and serve crates hand on as values, through
+    // both entry points: LeNet-300-100's 784 and 300 are not powers of
+    // two; LeNet5's 5×5 convolutions are unpadded; a strided convolution
+    // (the zoo's are too large to draw weights for here) subsamples.
+    let strided = Network {
+        name: "strided".into(),
+        input_shape: vec![1, 8, 8],
+        layers: vec![Layer::conv("conv", 8, 3, 1, 2, 2, 1)],
+    };
+    for (net, refusal) in [
+        (models::lenet300(), "HomFc"),
+        (models::lenet5(), "HomConv2d"),
+        (strided, "HomConv2d"),
+    ] {
+        let weights = Weights::random(&net, 1, 810);
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let served = cheetah::serve::PreparedModel::prepare(
+            &net,
+            &weights,
+            params.clone(),
+            Schedule::PartialAligned,
+        );
+        let session =
+            PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 1);
+        for refused in [served.map(|_| ()), session.map(|_| ())] {
+            assert!(
+                matches!(refused, Err(cheetah::bfv::Error::Unsupported(why)) if why.contains(refusal)),
+                "{}",
+                net.name
+            );
+        }
+    }
+}
+
+#[test]
+fn wrong_shaped_client_input_is_a_typed_error() {
+    // A client input of the wrong shape reaches the layers' packers
+    // through `ClientSession::new` / `next_upload`: a refusal, not a panic.
     let params = BfvParams::preset_rns_3x36(4096).unwrap();
-    let served = cheetah::serve::PreparedModel::prepare(
-        &net,
-        &weights,
-        params.clone(),
-        Schedule::PartialAligned,
-    );
-    assert!(matches!(
-        served.map(|_| ()),
-        Err(cheetah::bfv::Error::Unsupported(_))
-    ));
-    let session = PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 1);
-    assert!(matches!(
-        session.map(|_| ()),
-        Err(cheetah::bfv::Error::Unsupported(_))
-    ));
+    let mlp = Network {
+        name: "mlp".into(),
+        input_shape: vec![16],
+        layers: vec![Layer::fc("fc", 16, 4)],
+    };
+    for (net, wrong_shape) in [(models::tiny_cnn(), vec![1, 4, 4]), (mlp, vec![7])] {
+        let weights = Weights::random(&net, 2, 811);
+        let model = cheetah::serve::PreparedModel::prepare(
+            &net,
+            &weights,
+            params.clone(),
+            Schedule::PartialAligned,
+        )
+        .unwrap();
+        let wrong = Tensor::zeros(&wrong_shape);
+        let refused = cheetah::serve::ClientSession::new(model, 3, &wrong)
+            .and_then(|(mut client, _)| client.next_upload());
+        assert!(
+            matches!(refused, Err(cheetah::bfv::Error::Unsupported(_))),
+            "{}",
+            net.name
+        );
+    }
 }
 
 #[test]

@@ -183,8 +183,8 @@ fn tiny_cnn_conformance_on_all_preset_chains() {
 
 #[test]
 fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
-    // Structured pruning flows end to end: the prepared model picks
-    // sparse BSGS / live-channel plans, the session generates Galois keys
+    // Structured pruning flows end to end: the prepared model plans over
+    // the live diagonals / masks / channels only, the session generates Galois keys
     // for strictly fewer rotation steps than the dense model, and the
     // decrypted output still matches the cleartext reference on the same
     // pruned weights bit-exactly — on every preset chain.
@@ -214,10 +214,14 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
             "{name}: sparse keygen must shrink ({} vs dense {dense_steps})",
             prepared.required_steps().len()
         );
-        let fc_plans: Vec<String> = (1..3).map(|k| prepared.plan_label(k)).collect();
+        // Labels count what is skipped in its own unit: the convolution's
+        // 18 `(o, tap)` masks (10 pruned, one drawn all-zero), the FC
+        // layers' folded diagonals (9 of 16 and 2 of 4 pruned).
+        let plans: Vec<String> = (0..3).map(|k| prepared.plan_label(k)).collect();
+        assert_eq!(plans[0], "conv sparse live=7/18 reduce Ladder", "{name}");
         assert!(
-            fc_plans.iter().any(|p| p.contains("sparse")),
-            "{name}: pruned FC layers should carry sparse plans, got {fc_plans:?}"
+            plans[1].contains("live=7/16 fold=2") && plans[2].contains("live=2/4 fold=4"),
+            "{name}: pruned FC layers should plan over live diagonals, got {plans:?}"
         );
 
         let mut session =
