@@ -11,7 +11,10 @@
 //! the same kernel forced to baby width 1 (the diagonal method) on the
 //! same weights, the headline win of the hoistable-rotation-set work
 //! (`scripts/check.sh` fails a committed full run where BSGS does not beat
-//! the diagonal method on the 3-limb preset).
+//! the diagonal method on the 3-limb preset). `l{2,3}_conv_packed` is one
+//! evaluation of the packed convolution on `bench_e2e`'s second layer
+//! (8→16 channels, 8×8, 3×3): 8 hoisted tap replays, 72 mask multiplies, 7
+//! Horner rotations, one output ciphertext.
 //!
 //! The special-prime hybrid key-switch path is benchmarked against its
 //! **equal-total-plane-count** digit twin: `l2_rotate_hybrid`
@@ -49,10 +52,10 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Encryptor, Evaluator, GaloisKeys, HoistedDecomposition,
     KeyGenerator, PreparedPlaintext, Scratch,
 };
-use cheetah_core::linear::HomFc;
+use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::FcStructure;
 use cheetah_gpu::batched::batched_forward;
-use cheetah_nn::{FcSpec, Tensor};
+use cheetah_nn::{ConvSpec, FcSpec, Tensor};
 
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -340,6 +343,52 @@ fn fc_point(params: BfvParams) -> FcPoint {
     }
 }
 
+/// One evaluation of the packed convolution — 8→16 channels, 8×8, 3×3,
+/// `bench_e2e`'s `cnn_digit` layer 1 — under its auto plan at level 0:
+/// `(limbs, ns)`.
+fn conv_point(params: BfvParams) -> (usize, f64) {
+    let spec = ConvSpec {
+        name: "bench-conv".into(),
+        w: 8,
+        fw: 3,
+        ci: 8,
+        co: 16,
+        stride: 1,
+        pad: 1,
+    };
+    let mut kg = KeyGenerator::from_seed(params.clone(), 31);
+    let pk = kg.public_key().unwrap();
+    let encoder = BatchEncoder::new(params.clone());
+    let mut enc = Encryptor::from_public_key(pk, 32);
+    let eval = Evaluator::new(params.clone());
+    let len = spec.co * spec.ci * spec.fw * spec.fw;
+    let weights = Tensor::from_data(
+        &[spec.co, spec.ci, spec.fw, spec.fw],
+        (0..len).map(|i| (i % 5) as i64 - 2).collect(),
+    );
+    let layer = HomConv2d::new(&spec, &weights, &encoder, &eval).unwrap();
+    let plan = layer.conv_plan();
+    assert_eq!(
+        (plan.rotations(), plan.live_masks(), plan.outputs()),
+        (15, 72, 1),
+        "8 replays + 7 Horner steps, 72 masks, one output ciphertext"
+    );
+    let keys = kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
+    let input = Tensor::from_data(
+        &[spec.ci, spec.w, spec.w],
+        (0..spec.ci * spec.w * spec.w)
+            .map(|i| (i % 7) as i64 - 3)
+            .collect(),
+    );
+    let ct = enc
+        .encrypt(&HomConv2d::encode_input(&spec, &input, &encoder).unwrap())
+        .unwrap();
+    let ns = time_ns(|| {
+        black_box(layer.apply(black_box(&ct), &eval, &keys, 1).unwrap());
+    });
+    (params.limbs(), ns)
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -481,6 +530,13 @@ fn main() {
     .map(fc_point)
     .collect();
 
+    // --- Packed convolution on the multi-limb presets ---
+    let conv_points = [
+        BfvParams::preset_rns_2x30(4096).unwrap(),
+        BfvParams::preset_rns_3x36(4096).unwrap(),
+    ]
+    .map(conv_point);
+
     // --- Contiguous batched NTT, serial vs 4 threads ---
     let (ntt_n, ntt_batch, ntt_threads) = if smoke() {
         (2048usize, 8usize, 4usize)
@@ -585,6 +641,11 @@ fn main() {
         );
         let _ = writeln!(json, "    \"l{limbs}_fc_pow2\": {:.1}{trail}", p.pow2);
     }
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"conv_layer_ns\": {{");
+    let [(la, a), (lb, b)] = conv_points;
+    let _ = writeln!(json, "    \"l{la}_conv_packed\": {a:.1},");
+    let _ = writeln!(json, "    \"l{lb}_conv_packed\": {b:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"batched_ntt\": {{");
     let _ = writeln!(json, "    \"n\": {ntt_n},");

@@ -21,6 +21,7 @@
 //! `2·live` pointwise multiplications over `live + 1` planes. The
 //! [`HeCostParams::hybrid`] flag dispatches every accessor between the
 //! two regimes so plan choosers ([`crate::sparse::BsgsPlan`],
+//! [`crate::linear::ConvPlan`],
 //! [`crate::linear::ReducePlan`]) price whichever path the chain runs.
 //!
 //! These constants match the real engine: `cheetah-bfv`'s Barrett reduction
@@ -192,23 +193,9 @@ impl HeCostParams {
         self.ntts_per_hoist() * self.ntt_mults()
     }
 
-    /// Rotation-side integer multiplications of a **sparse** flat hoisted
-    /// reduction over `live_rotations` nonzero strides: one hoist plus one
-    /// replay per live stride (zero when nothing rotates). The sparse
-    /// counterpart of a [`crate::linear::ReducePlan`]'s bill — a layer
-    /// with mostly-dead channels sums only the live blocks, beating every
-    /// dense factorization once enough strides die.
-    pub fn sparse_reduce_mults(&self, live_rotations: usize) -> u64 {
-        if live_rotations == 0 {
-            return 0;
-        }
-        self.hoist_mults() + live_rotations as u64 * self.he_rotate_hoisted_mults()
-    }
-
     /// Integer multiplications of a dense [`crate::linear::ReducePlan`]'s
     /// rotation schedule — the bill [`crate::linear::ReducePlan::choose`]
-    /// minimizes, exposed so sparse channel reductions can be priced
-    /// against it.
+    /// minimizes.
     pub fn reduce_plan_mults(&self, plan: crate::linear::ReducePlan, count: usize) -> u64 {
         if count <= 1 {
             return 0;

@@ -1,99 +1,396 @@
-//! Homomorphic 2-D convolution with packed channels — Fig. 4 of the paper,
-//! on the real BFV engine, under either schedule.
+//! Homomorphic 2-D convolution with input *and* output channels packed:
+//! one kernel in [`super::HomFc`]'s shape — hoisted tap baby steps, channel
+//! block-diagonal giant steps — writing every output channel into one
+//! ciphertext (Fig. 4 of the paper, on the real BFV engine).
 //!
-//! Packing: the `c_i` input channels are laid out sequentially in row
-//! slots, channel `c` occupying slots `[c·w², (c+1)·w²)` in row-major
-//! spatial order. For each filter tap `(dy, dx)` a single rotation by
-//! `dy·w + dx` aligns every contributing pixel with its output slot; zeros
-//! in the weight plaintexts mask the positions where the rotation wrapped
-//! across an image or channel boundary (the "selectively adding zeros"
-//! of §V-B). A final rotate-and-add pass reduces across input channels.
+//! # Layout
 //!
-//! The implementation computes one output-channel ciphertext at a time
-//! (output image in slots `[0, w²)` of each). This keeps the slot
-//! bookkeeping auditable; the *cost* of the fully packed layout is what the
-//! analytical Table IV model captures, and the two are reconciled (within a
-//! small factor) by tests.
+//! A channel owns a **block** of `s = next_pow2(w²)` row slots, its `w × w`
+//! image row-major in the first `w²` of them. The client packs the
+//! `c_i' = next_pow2(c_i)` input blocks (zeros past `c_i`) and tiles that
+//! `c_i'·s`-slot pattern across the whole row, so a row rotation by `d·s`
+//! is a rotation of the channels mod `c_i'` in every block at once. Output
+//! channel `o` lands in block `o` of a single ciphertext — `⌈c_o·s / row⌉`
+//! ciphertexts when the outputs overflow a row, output `o` then in block
+//! `o mod (row/s)` of ciphertext `o / (row/s)`.
 //!
-//! Constraints: stride 1, odd filter with 'same' padding, and
-//! `c_i·w² ≤ n/2` (all input channels in one ciphertext row).
+//! # The kernel
+//!
+//! Channel block-diagonal `d < c_i'` pairs output block `o` with input
+//! channel `(o + d) mod c_i'`; tap `(dy, dx)` reads the input rotated by
+//! `off = dy·w + dx`. With `M_{d,tap}` the plaintext that carries
+//! `f[o][(o + d) mod c_i'][tap]` in output block `o` (zero where the tap
+//! reads across the image border — the "selectively adding zeros" of §V-B
+//! — and where the channel is padding):
+//!
+//! ```text
+//! out = Σ_d rot( Σ_tap M_{d,tap} ⊙ rot(x, off_tap), d·s )
+//! ```
+//!
+//! Writing `d = u·b + v` (`v < b` baby, `u < g` giant, `b·g ≥ c_i'`):
+//!
+//! ```text
+//! out = Σ_u rot( Σ_{v,tap} M_{ub+v,tap} ⊙ rot(x, off_tap + v·s), u·b·s )
+//! ```
+//!
+//! The baby rotations all read the *input*, so one hoist covers the whole
+//! set; each mask is pre-rotated by its group's `u·b·s` on the plaintext
+//! at preparation time (free); the giant steps accumulate by Horner —
+//! `acc ← rot(acc, b·s) + inner_u` from the last live group down — so all
+//! of them share the **one** Galois key `b·s`. Only live `(d, tap)` masks
+//! are prepared ([`ConvStructure`]): a baby step no live mask reads is
+//! never replayed, a group with no live mask adds nothing, groups past the
+//! last live one are never rotated through, and an output ciphertext with
+//! no live mask is a transparent zero. [`ConvPlan::choose`] picks the baby
+//! width from [`HeCostParams`] — the one chooser the engine and the chain
+//! solver share; a layer takes no schedule argument.
+//!
+//! # Which slots are garbage
+//!
+//! None: only the first `w²` slots of blocks `o < c_o` are the layer's
+//! result, and every other slot is **zero**. A mask is nonzero only where
+//! its group's giant rotation carries an output pixel from, so the
+//! `s − w²` slots behind an image, the blocks past `c_o` and the second
+//! row never receive a product (the FC kernel, whose diagonals fill the
+//! row, does leave partial sums behind). `cheetah-protocol` still adds
+//! fresh uniform blinding to every slot that is not an output pixel before
+//! a download leaves the server — a download's slots are all drawn from
+//! the mask stream, whatever the layer wrote there.
+//!
+//! Constraints: stride 1, odd filter narrower than `2w` with 'same'
+//! padding, and `c_i'·s ≤ n/2` (one input tile per row).
 
 use cheetah_bfv::{
     BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, Plaintext,
-    PreparedPlaintext, Result, Scratch,
+    PreparedPlaintext, Result,
 };
 use cheetah_nn::{ConvSpec, Tensor};
 
 use crate::cost::HeCostParams;
-use crate::linear::parallel::{map_chunks, merge_partial_vecs};
-use crate::linear::{rotate_sum_noise, rotate_sum_reduce, ReducePlan};
-use crate::schedule::Schedule;
+use crate::linear::parallel::map_chunks;
 use crate::sparse::ConvStructure;
 
-/// How one output channel's cross-channel reduction runs.
+/// One live mask of a [`ConvPlan`] group: diagonal `u·b + v`, tap `tap`,
+/// multiplying the input rotated by `step` (`0` reads it unrotated).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvMask {
+    /// Baby index of the diagonal inside its group.
+    pub v: usize,
+    /// Filter tap, row-major over `fw × fw`.
+    pub tap: usize,
+    /// `off_tap + v·s`, reduced mod the row.
+    pub step: i64,
+}
+
+/// One live giant group of a [`ConvPlan`]: its index and live masks.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChannelReduce {
-    /// Classic rotate-and-sum over all `ci` blocks under the layer's
-    /// shared [`ReducePlan`].
-    Dense,
-    /// Flat hoisted sum over the listed *live* channel blocks only (dead
-    /// blocks are zero polynomials — the masks never wrote them). Chosen
-    /// when the live set is small enough that one hoist plus a replay per
-    /// live block beats the dense plan.
-    SparseLive(Vec<usize>),
-    /// No live channels: the output is a transparent zero and the whole
-    /// tap/reduce pipeline is skipped.
-    Zero,
+pub struct ConvGroup {
+    /// Giant index: the group's inner sum is rotated by `u·b·s` in all.
+    pub u: usize,
+    /// Live masks, ascending `(v, tap)`.
+    pub masks: Vec<ConvMask>,
+}
+
+/// The whole rotation plan of one convolution: the baby/giant split of the
+/// `c_i'` channel block-diagonals and which masks of it are live, per
+/// output ciphertext. [`HomConv2d`] executes exactly this and the chain
+/// solver prices exactly this — op counts, Galois steps and label all come
+/// from here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvPlan {
+    /// Slots per channel block, `s = next_pow2(w²)`.
+    pub stride: usize,
+    /// Channel block-diagonals `c_i' = next_pow2(c_i)`.
+    pub diagonals: usize,
+    /// Baby width: diagonals per giant group.
+    pub b: usize,
+    /// Giant groups `⌈c_i' / b⌉`.
+    pub g: usize,
+    /// Channel blocks per ciphertext row.
+    pub per_ct: usize,
+    /// Taps per filter, `fw²`.
+    taps: usize,
+    baby_steps: Vec<i64>,
+    chains: Vec<Vec<ConvGroup>>,
+}
+
+impl ConvPlan {
+    /// The plan for a fixed baby width `b ≥ 1` over `s`, the structure of
+    /// `spec`'s weights, on rows of `row` slots. A shape too wide for the
+    /// row is planned as if the row held one input tile, so the chain
+    /// solver can price any layer.
+    pub fn for_structure(spec: &ConvSpec, row: usize, s: &ConvStructure, b: usize) -> Self {
+        assert!(b >= 1, "degenerate baby width");
+        let stride = (spec.w * spec.w).next_power_of_two();
+        let diagonals = s.diagonals();
+        let per_ct = (row / stride).max(diagonals);
+        let wrap = (per_ct * stride) as i64;
+        let (w, fw, r) = (spec.w as i64, spec.fw, (spec.fw / 2) as i64);
+        let g = diagonals.div_ceil(b);
+        let chains: Vec<Vec<ConvGroup>> = (0..spec.co.div_ceil(per_ct))
+            .map(|q| {
+                let outputs = q * per_ct..spec.co.min((q + 1) * per_ct);
+                (0..g)
+                    .filter_map(|u| {
+                        let width = b.min(diagonals - u * b);
+                        let masks: Vec<ConvMask> = (0..width * s.taps())
+                            .map(|i| (i / s.taps(), i % s.taps()))
+                            .filter(|&(v, tap)| s.mask_live(outputs.clone(), u * b + v, tap))
+                            .map(|(v, tap)| {
+                                let off = ((tap / fw) as i64 - r) * w + (tap % fw) as i64 - r;
+                                let step = (off + (v * stride) as i64).rem_euclid(wrap);
+                                ConvMask { v, tap, step }
+                            })
+                            .collect();
+                        (!masks.is_empty()).then_some(ConvGroup { u, masks })
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut baby_steps: Vec<i64> = chains
+            .iter()
+            .flatten()
+            .flat_map(|group| group.masks.iter().map(|m| m.step))
+            .filter(|&step| step != 0)
+            .collect();
+        baby_steps.sort_unstable();
+        baby_steps.dedup();
+        Self {
+            stride,
+            diagonals,
+            b,
+            g,
+            per_ct,
+            taps: s.taps(),
+            baby_steps,
+            chains,
+        }
+    }
+
+    /// Picks the baby width under `cost`: minimizes the rotations' bill
+    /// ([`ConvPlan::rotation_mults`]) plus one direct rotation per Galois
+    /// key the plan needs, over `b ∈ 1..=c_i'`, keeping the smaller width
+    /// unless a wider one is a strict improvement. The key charge is what
+    /// separates this chooser from the FC one: Horner keeps the giant
+    /// steps on one key whatever `b` is, so every baby step past the tap
+    /// set is a key nothing else would need, and a client generates and
+    /// uploads each key once per session at about a direct rotation's
+    /// price. `b` stays 1 while `c_i'` is near `fw²` and grows past it.
+    pub fn choose(spec: &ConvSpec, row: usize, s: &ConvStructure, cost: &HeCostParams) -> Self {
+        let price = |plan: &Self| {
+            plan.rotation_mults(cost) + plan.rotation_steps().len() as u64 * cost.he_rotate_mults()
+        };
+        let mut best = Self::for_structure(spec, row, s, 1);
+        let mut best_price = price(&best);
+        for b in 2..=s.diagonals() {
+            let cand = Self::for_structure(spec, row, s, b);
+            let p = price(&cand);
+            if p < best_price {
+                best_price = p;
+                best = cand;
+            }
+        }
+        best
+    }
+
+    /// Distinct nonzero baby steps `off_tap + v·s` some live mask reads,
+    /// ascending, reduced mod the row: one hoisted replay each.
+    pub fn baby_steps(&self) -> &[i64] {
+        &self.baby_steps
+    }
+
+    /// Per output ciphertext, its live giant groups in ascending `u`.
+    pub fn chains(&self) -> &[Vec<ConvGroup>] {
+        &self.chains
+    }
+
+    /// Output ciphertexts, `⌈c_o / per_ct⌉`.
+    pub fn outputs(&self) -> usize {
+        self.chains.len()
+    }
+
+    /// Whether the plan covers nothing (all-zero layer).
+    pub fn is_empty(&self) -> bool {
+        self.chains.iter().all(Vec::is_empty)
+    }
+
+    /// Live masks: the plaintext multiplies per evaluation.
+    pub fn live_masks(&self) -> usize {
+        let groups = self.chains.iter().flatten();
+        groups.map(|group| group.masks.len()).sum()
+    }
+
+    /// Most live masks in any one group: the widest inner sum.
+    pub fn widest_group(&self) -> usize {
+        let groups = self.chains.iter().flatten();
+        groups.map(|group| group.masks.len()).max().unwrap_or(0)
+    }
+
+    /// Groups the longest Horner chain runs through — one past the
+    /// highest live `u` of any output ciphertext (0 on an all-zero layer).
+    pub fn longest_chain(&self) -> usize {
+        let tops = self.chains.iter().filter_map(|chain| chain.last());
+        tops.map(|top| top.u + 1).max().unwrap_or(0)
+    }
+
+    /// Direct rotations by `b·s`: each output ciphertext's chain rotates
+    /// once per group below its highest live one.
+    pub fn giant_rotations(&self) -> usize {
+        let tops = self.chains.iter().filter_map(|chain| chain.last());
+        tops.map(|top| top.u).sum()
+    }
+
+    /// Rotations per evaluation: hoisted baby replays plus Horner steps.
+    pub fn rotations(&self) -> usize {
+        self.baby_steps.len() + self.giant_rotations()
+    }
+
+    /// The exact rotation steps evaluation performs — the baby steps and,
+    /// when any chain rotates, the one giant step `b·s`. Generate Galois
+    /// keys for these and nothing more.
+    pub fn rotation_steps(&self) -> Vec<i64> {
+        let mut steps = self.baby_steps.clone();
+        if self.giant_rotations() > 0 {
+            steps.push((self.b * self.stride) as i64);
+        }
+        steps
+    }
+
+    /// Rotation-side integer multiplications under `cost`: one hoist when
+    /// any baby replay runs, one hoisted replay per baby step, one direct
+    /// rotation per Horner step.
+    pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
+        let hoist = if self.baby_steps.is_empty() {
+            0
+        } else {
+            cost.hoist_mults()
+        };
+        hoist
+            + self.baby_steps.len() as u64 * cost.he_rotate_hoisted_mults()
+            + self.giant_rotations() as u64 * cost.he_rotate_mults()
+    }
+
+    /// All integer multiplications under `cost`: the mask multiplies plus
+    /// the rotations.
+    pub fn int_mults(&self, cost: &HeCostParams) -> u64 {
+        self.live_masks() as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
+    }
+
+    /// Human-readable label for transcripts, reports and solver plans:
+    /// `conv packed b=.. g=.. live=../.. out=..` — live masks over the
+    /// `c_i'·fw²` per output ciphertext, then the output ciphertexts.
+    pub fn label(&self) -> String {
+        format!(
+            "conv packed b={} g={} live={}/{} out={}",
+            self.b,
+            self.g,
+            self.live_masks(),
+            self.diagonals * self.taps * self.outputs(),
+            self.outputs()
+        )
+    }
 }
 
 /// A prepared homomorphic convolution layer.
 #[derive(Debug)]
 pub struct HomConv2d {
     spec: ConvSpec,
-    schedule: Schedule,
-    /// `masks[o][tap]`: prepared weight plaintexts per output channel/tap.
-    masks: Vec<Vec<PreparedPlaintext>>,
-    /// Per-tap rotation offsets `dy·w + dx`.
-    offsets: Vec<i64>,
-    /// How the cross-channel rotate-and-sum reduction runs, chosen from
-    /// the parameter set's hoisted/direct rotation pricing: the doubling
-    /// ladder is a dependent chain (one full rotation per level), the
-    /// BSGS reshape turns it into two hoistable replay sets.
-    reduce_plan: ReducePlan,
-    /// Weight structure: which `(o, tap)` masks and `(o, c)` channels
-    /// carry any weight. Dead taps are never rotated, dead masks never
-    /// multiplied, dead channel blocks never summed.
-    structure: ConvStructure,
-    /// Per-output-channel reduction choice (indexed by `o`).
-    reduces: Vec<ChannelReduce>,
+    plan: ConvPlan,
+    /// `masks[q][i][j]` pairs with `plan.chains()[q][i].masks[j]`.
+    masks: Vec<Vec<Vec<PreparedPlaintext>>>,
+}
+
+/// The typed refusals every constructor shares.
+fn check_shape(spec: &ConvSpec, weights: &Tensor, encoder: &BatchEncoder) -> Result<()> {
+    if spec.stride != 1 {
+        return Err(Error::Unsupported("HomConv2d needs stride 1"));
+    }
+    if spec.fw % 2 != 1 || spec.pad != spec.fw / 2 || spec.fw / 2 >= spec.w {
+        return Err(Error::Unsupported(
+            "HomConv2d needs an odd filter narrower than 2w with 'same' padding",
+        ));
+    }
+    if weights.shape() != [spec.co, spec.ci, spec.fw, spec.fw] {
+        return Err(Error::Unsupported(
+            "conv weight tensor shape does not match the spec",
+        ));
+    }
+    check_fits(spec, encoder)
+}
+
+/// One input tile — `c_i'` blocks of `s` slots — must fit a row.
+fn check_fits(spec: &ConvSpec, encoder: &BatchEncoder) -> Result<()> {
+    let tile = spec.ci.next_power_of_two() * (spec.w * spec.w).next_power_of_two();
+    if tile > encoder.row_size() {
+        return Err(Error::TooManyValues {
+            given: tile,
+            slots: encoder.row_size(),
+        });
+    }
+    Ok(())
+}
+
+/// Slot mask of `(d = shift + m.v, m.tap)` for output ciphertext `q`, laid
+/// out to multiply the input rotated by `m.step` ahead of a rotation by
+/// `shift·s`: the block that rotation carries into output block `o` holds
+/// `f[o][(o + d) mod c_i'][tap]` at every pixel whose tap source lies
+/// inside the image. `shift = u·b` for a member of giant group `u`.
+fn conv_mask(
+    spec: &ConvSpec,
+    weights: &Tensor,
+    plan: &ConvPlan,
+    q: usize,
+    shift: usize,
+    m: &ConvMask,
+    slots: usize,
+) -> Vec<i64> {
+    let (w, r) = (spec.w as i64, (spec.fw / 2) as i64);
+    let (dy, dx) = ((m.tap / spec.fw) as i64 - r, (m.tap % spec.fw) as i64 - r);
+    let mut mask = vec![0i64; slots];
+    for o in q * plan.per_ct..spec.co.min((q + 1) * plan.per_ct) {
+        let c = (o + shift + m.v) % plan.diagonals;
+        if c >= spec.ci {
+            continue;
+        }
+        let f = weights.data()[(o * spec.ci + c) * plan.taps + m.tap];
+        if f == 0 {
+            continue;
+        }
+        let block = (o + shift) % plan.per_ct * plan.stride;
+        for y in (-dy).max(0)..w.min(w - dy) {
+            for x in (-dx).max(0)..w.min(w - dx) {
+                mask[block + (y * w + x) as usize] = f;
+            }
+        }
+    }
+    mask
 }
 
 impl HomConv2d {
-    /// Prepares the layer: validates the spec, builds and NTT-transforms
-    /// every weight mask.
+    /// Prepares the layer (encodes and NTT-transforms every live
+    /// `(d, tap)` mask), choosing the baby width from the parameter set's
+    /// cost model via [`ConvPlan::choose`].
     ///
     /// `weights` has shape `(co, ci, fw, fw)`.
     ///
     /// # Errors
     ///
     /// [`Error::Unsupported`] unless the spec has stride 1, an odd filter
-    /// width and padding `f_w/2` and the weights are `(co, ci, fw, fw)`;
-    /// [`Error::TooManyValues`] when `c_i·w²` exceeds the row capacity;
-    /// propagates encoding errors.
+    /// narrower than `2w` and padding `f_w/2` and the weights are
+    /// `(co, ci, fw, fw)`; [`Error::TooManyValues`] when one input tile
+    /// `next_pow2(c_i)·next_pow2(w²)` exceeds the row; propagates encoding
+    /// errors.
     pub fn new(
         spec: &ConvSpec,
         weights: &Tensor,
         encoder: &BatchEncoder,
         eval: &Evaluator,
-        schedule: Schedule,
     ) -> Result<Self> {
-        Self::new_at_level(spec, weights, encoder, eval, schedule, 0)
+        Self::new_at_level(spec, weights, encoder, eval, 0)
     }
 
     /// [`HomConv2d::new`] with the level the layer is planned to run at:
-    /// the reduce plan is priced over the limbs live there, so a deep
-    /// chain position can pick a different rotate-and-sum shape than
-    /// level 0.
+    /// the cost model prices rotations over the limbs live there.
     ///
     /// # Errors
     ///
@@ -103,100 +400,67 @@ impl HomConv2d {
         weights: &Tensor,
         encoder: &BatchEncoder,
         eval: &Evaluator,
-        schedule: Schedule,
         level: usize,
     ) -> Result<Self> {
-        if spec.stride != 1 {
-            return Err(Error::Unsupported("HomConv2d needs stride 1"));
-        }
-        if spec.fw % 2 != 1 || spec.pad != spec.fw / 2 {
-            return Err(Error::Unsupported(
-                "HomConv2d needs an odd filter with 'same' padding",
-            ));
-        }
-        if weights.shape() != [spec.co, spec.ci, spec.fw, spec.fw] {
-            return Err(Error::Unsupported(
-                "conv weight tensor shape does not match the spec",
-            ));
-        }
-        let w2 = spec.w * spec.w;
-        if spec.ci * w2 > encoder.row_size() {
-            return Err(Error::TooManyValues {
-                given: spec.ci * w2,
-                slots: encoder.row_size(),
-            });
-        }
-        let r = (spec.fw / 2) as i64;
-        let w = spec.w as i64;
-        let mut offsets = Vec::with_capacity(spec.fw * spec.fw);
-        for dy in -r..=r {
-            for dx in -r..=r {
-                offsets.push(dy * w + dx);
-            }
-        }
-        let mut masks = Vec::with_capacity(spec.co);
-        for o in 0..spec.co {
-            let mut per_tap = Vec::with_capacity(offsets.len());
-            for (tap, _) in offsets.iter().enumerate() {
-                let dy = tap as i64 / spec.fw as i64 - r;
-                let dx = tap as i64 % spec.fw as i64 - r;
-                let mask = build_mask(spec, weights, o, dy, dx, schedule, encoder.slots());
-                let pt = encoder.encode_signed(&mask)?;
-                per_tap.push(eval.prepare_plaintext(&pt)?);
-            }
-            masks.push(per_tap);
-        }
+        check_shape(spec, weights, encoder)?;
         let cost = HeCostParams::for_bfv(eval.params(), level);
-        let reduce_plan = ReducePlan::choose(spec.ci, &cost);
         let structure = ConvStructure::analyze_tensor(weights, spec);
-        // Per output channel: dense reduce when every channel is live,
-        // transparent zero when none is, and otherwise whichever of the
-        // dense plan / flat hoisted live-block sum the cost model prices
-        // cheaper.
-        let dense_mults = cost.reduce_plan_mults(reduce_plan, spec.ci);
-        let reduces = (0..spec.co)
-            .map(|o| {
-                let live: Vec<usize> = (0..spec.ci)
-                    .filter(|&c| structure.channel_live(o, c))
-                    .collect();
-                if live.is_empty() {
-                    ChannelReduce::Zero
-                } else if live.len() == spec.ci {
-                    ChannelReduce::Dense
-                } else {
-                    let rotations = live.iter().filter(|&&c| c > 0).count();
-                    if cost.sparse_reduce_mults(rotations) < dense_mults {
-                        ChannelReduce::SparseLive(live)
-                    } else {
-                        ChannelReduce::Dense
-                    }
-                }
-            })
-            .collect();
+        let plan = ConvPlan::choose(spec, encoder.row_size(), &structure, &cost);
+        Self::build(spec, weights, encoder, eval, plan)
+    }
+
+    /// Test/benchmark hook: prepares the layer under baby width `baby`
+    /// (trimmed to the `c_i'` diagonals) instead of the cost model's
+    /// choice.
+    ///
+    /// # Errors
+    ///
+    /// As [`HomConv2d::new`], plus [`Error::Unsupported`] for `baby = 0`.
+    pub fn with_baby_width(
+        spec: &ConvSpec,
+        weights: &Tensor,
+        encoder: &BatchEncoder,
+        eval: &Evaluator,
+        baby: usize,
+    ) -> Result<Self> {
+        check_shape(spec, weights, encoder)?;
+        if baby == 0 {
+            return Err(Error::Unsupported("forced conv baby width must be >= 1"));
+        }
+        let structure = ConvStructure::analyze_tensor(weights, spec);
+        let b = baby.min(structure.diagonals());
+        let plan = ConvPlan::for_structure(spec, encoder.row_size(), &structure, b);
+        Self::build(spec, weights, encoder, eval, plan)
+    }
+
+    /// Encodes and prepares one plaintext per mask `plan` calls live. The
+    /// shape was checked by the caller.
+    fn build(
+        spec: &ConvSpec,
+        weights: &Tensor,
+        encoder: &BatchEncoder,
+        eval: &Evaluator,
+        plan: ConvPlan,
+    ) -> Result<Self> {
+        let prepare = |q: usize, group: &ConvGroup| {
+            let masks = group.masks.iter().map(|m| {
+                let shift = group.u * plan.b;
+                let mask = conv_mask(spec, weights, &plan, q, shift, m, encoder.slots());
+                eval.prepare_plaintext(&encoder.encode_signed(&mask)?)
+            });
+            masks.collect::<Result<Vec<_>>>()
+        };
+        let masks = plan
+            .chains()
+            .iter()
+            .enumerate()
+            .map(|(q, chain)| chain.iter().map(|group| prepare(q, group)).collect())
+            .collect::<Result<_>>()?;
         Ok(Self {
             spec: spec.clone(),
-            schedule,
+            plan,
             masks,
-            offsets,
-            reduce_plan,
-            structure,
-            reduces,
         })
-    }
-
-    /// The channel-reduction plan in use.
-    pub fn reduce_plan(&self) -> ReducePlan {
-        self.reduce_plan
-    }
-
-    /// The analyzed weight structure.
-    pub fn structure(&self) -> &ConvStructure {
-        &self.structure
-    }
-
-    /// Per-output-channel reduction choices (indexed by `o`).
-    pub fn channel_reduces(&self) -> &[ChannelReduce] {
-        &self.reduces
     }
 
     /// The layer spec.
@@ -204,133 +468,57 @@ impl HomConv2d {
         &self.spec
     }
 
-    /// The schedule in use.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
+    /// The whole rotation plan this layer executes.
+    pub fn conv_plan(&self) -> &ConvPlan {
+        &self.plan
     }
 
     /// Conservative Table-III prediction of the layer's output noise when
-    /// evaluated at `level` on an input with the given estimate: every tap
-    /// is charged the worst mask norm and (for IA) a rotation, then the
-    /// channel reduction's rotate-and-add terms are added. Upper-bounds
-    /// the estimate the engine tracks through [`HomConv2d::apply`], so a
-    /// positive predicted budget at a level means the layer can safely run
-    /// there — the planning query behind leveled sessions.
+    /// evaluated at `level` on an input with the given estimate:
+    /// [`cheetah_bfv::NoiseEstimate::bsgs_matvec_at`] over the live work —
+    /// every group as wide as the widest, every chain as long as the
+    /// longest, every mask charged the worst norm, and each Horner step
+    /// (one rotation of the running sum) bounded by a rotation per group.
+    /// Upper-bounds the estimate the engine tracks through
+    /// [`HomConv2d::apply`], so a positive predicted budget at a level
+    /// means the layer can safely run there — the planning query behind
+    /// leveled sessions.
     pub fn noise_after(
         &self,
         input: &cheetah_bfv::NoiseEstimate,
         params: &cheetah_bfv::BfvParams,
         level: usize,
     ) -> cheetah_bfv::NoiseEstimate {
-        if self.structure.all_zero() {
+        if self.plan.is_empty() {
             return cheetah_bfv::NoiseEstimate::zero();
         }
-        let max_norm = self
-            .masks
-            .iter()
-            .flatten()
-            .map(PreparedPlaintext::inf_norm)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        // Only live taps accumulate a schedule-ordered rotate-mul term;
-        // dead ones are skipped outright.
-        let acc = crate::linear::accumulated_term_noise(
-            input,
+        let masks = self.masks.iter().flatten().flatten();
+        let max_norm = masks.map(PreparedPlaintext::inf_norm).max().unwrap_or(1);
+        input.bsgs_matvec_at(
             params,
             level,
-            self.schedule,
-            max_norm,
-            self.structure.live_taps().max(1),
-        );
-        // Channel reduction: each output runs its own shape — the worst
-        // one bounds the layer. A flat live-block sum prices like a
-        // one-stage BSGS replay set (`g = 1` conservatively charges the
-        // unused giant rotation).
-        let mut worst = cheetah_bfv::NoiseEstimate::zero();
-        for reduce in &self.reduces {
-            let est = match reduce {
-                ChannelReduce::Zero => continue,
-                ChannelReduce::Dense => {
-                    rotate_sum_noise(&acc, params, level, self.spec.ci, self.reduce_plan)
-                }
-                ChannelReduce::SparseLive(live) => rotate_sum_noise(
-                    &acc,
-                    params,
-                    level,
-                    live.len(),
-                    ReducePlan::Bsgs {
-                        s: live.len(),
-                        g: 1,
-                    },
-                ),
-            };
-            if est.bound_log2 > worst.bound_log2 {
-                worst = est;
-            }
-        }
-        worst
+            self.plan.widest_group(),
+            self.plan.longest_chain(),
+            2 * max_norm.max(1),
+        )
     }
 
-    /// Rotation steps the evaluation needs (generate Galois keys for
-    /// these): all tap offsets plus the channel-reduction strides.
-    pub fn required_steps(spec: &ConvSpec) -> Vec<i64> {
-        let r = (spec.fw / 2) as i64;
-        let w = spec.w as i64;
-        let mut steps = Vec::new();
-        for dy in -r..=r {
-            for dx in -r..=r {
-                let k = dy * w + dx;
-                if k != 0 {
-                    steps.push(k);
-                }
-            }
-        }
-        let w2 = (spec.w * spec.w) as i64;
-        for c in 1..spec.ci as i64 {
-            steps.push(c * w2);
-        }
-        steps
-    }
-
-    /// The exact rotation steps this prepared layer performs — the sparse
-    /// counterpart of the static [`HomConv2d::required_steps`] superset:
-    /// live tap offsets plus each output's actual reduction strides.
-    /// Generate Galois keys for these and nothing more.
+    /// The exact rotation steps this prepared layer performs
+    /// ([`ConvPlan::rotation_steps`]): generate Galois keys for these and
+    /// nothing more.
     pub fn rotation_steps(&self) -> Vec<i64> {
-        let mut steps: Vec<i64> = self
-            .offsets
-            .iter()
-            .enumerate()
-            .filter(|&(tap, &k)| k != 0 && self.structure.tap_live(tap))
-            .map(|(_, &k)| k)
-            .collect();
-        let w2 = (self.spec.w * self.spec.w) as i64;
-        for reduce in &self.reduces {
-            match reduce {
-                ChannelReduce::Zero => {}
-                ChannelReduce::Dense => {
-                    if self.spec.ci > 1 {
-                        steps.extend(self.reduce_plan.steps(self.spec.ci, w2));
-                    }
-                }
-                ChannelReduce::SparseLive(live) => {
-                    steps.extend(live.iter().filter(|&&c| c > 0).map(|&c| c as i64 * w2));
-                }
-            }
-        }
-        steps.sort_unstable();
-        steps.dedup();
-        steps
+        self.plan.rotation_steps()
     }
 
-    /// Packs an input tensor `(ci, w, w)` into a plaintext (channels
-    /// sequential, row-major).
+    /// Packs an input tensor `(ci, w, w)` into a plaintext: channel `c` in
+    /// block `c` of a `c_i'`-block tile, the tile repeated across the
+    /// whole first row.
     ///
     /// # Errors
     ///
     /// [`Error::Unsupported`] when the tensor is not `(ci, w, w)`;
-    /// propagates encoding errors.
+    /// [`Error::TooManyValues`] when a tile exceeds the row; propagates
+    /// encoding errors.
     pub fn encode_input(
         spec: &ConvSpec,
         input: &Tensor,
@@ -341,18 +529,30 @@ impl HomConv2d {
                 "conv input shape does not match the spec",
             ));
         }
-        encoder.encode_signed(input.data())
+        check_fits(spec, encoder)?;
+        let w2 = spec.w * spec.w;
+        let stride = w2.next_power_of_two();
+        let tile = spec.ci.next_power_of_two() * stride;
+        let mut slots = vec![0i64; encoder.row_size()];
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let (c, pixel) = (i % tile / stride, i % stride);
+            if c < spec.ci && pixel < w2 {
+                *slot = input.data()[c * w2 + pixel];
+            }
+        }
+        encoder.encode_signed(&slots)
     }
 
-    /// Applies the convolution: one output ciphertext per output channel,
-    /// each holding its `w × w` output image in slots `[0, w²)`.
+    /// Applies the convolution: [`ConvPlan::outputs`] ciphertexts, output
+    /// channel `o` at [`HomConv2d::output_slot`], every other slot zero.
     ///
-    /// The per-tap work — rotations in Sched-IA, multiply-then-rotate
-    /// partials in Sched-PA — is split into contiguous tap chunks across
-    /// `threads` workers (`threads <= 1` runs fully inline), one
-    /// scratch-owning worker per chunk, and the per-chunk partial sums are
-    /// merged in chunk order. Residues mod `q` are exact, so the decrypted
-    /// result is identical for every thread count.
+    /// Hoists the input once and replays the live baby steps, fans the
+    /// live giant groups' inner sums across `threads` workers
+    /// (`threads <= 1` runs fully inline), then runs each output
+    /// ciphertext's Horner chain in order. Every inner sum is formed by
+    /// one worker in mask order, so residues, op counts and the decrypted
+    /// output are identical for every thread count. An output ciphertext
+    /// with no live mask is a transparent zero.
     ///
     /// # Errors
     ///
@@ -368,272 +568,95 @@ impl HomConv2d {
         // The scratch-reuse hot path copies the input into evaluator-owned
         // buffers, so foreign ciphertexts must be rejected up front.
         eval.params().check_same(input.params())?;
-        match self.schedule {
-            Schedule::InputAligned => self.apply_input_aligned(input, eval, keys, threads),
-            Schedule::PartialAligned => self.apply_partial_aligned(input, eval, keys, threads),
-        }
-    }
-
-    fn apply_input_aligned(
-        &self,
-        input: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        threads: usize,
-    ) -> Result<Vec<Ciphertext>> {
-        let co = self.spec.co;
         let level = input.level();
-        // Every tap rotates the *same* input ciphertext, so the INTT +
-        // digit decomposition is hoisted once for the whole tap set (the
-        // read-only result is shared by all workers) and each tap pays
-        // only permutations + key-switch multiply-accumulates. A 1×1
-        // filter has only the zero-offset tap — and a pruned layer may
-        // have no live off-center tap at all — and skips the hoist
-        // entirely.
-        let needs_hoist = self
-            .offsets
-            .iter()
-            .enumerate()
-            .any(|(tap, &k)| k != 0 && self.structure.tap_live(tap));
-        let hoisted = match needs_hoist {
-            true => Some(eval.hoist(input)?),
-            false => None,
-        };
-        // One fork for the whole layer: each worker owns a tap chunk,
-        // rotates the input once per tap (shared across output channels,
-        // reusing a single rotation buffer + scratch), and fuse-
-        // accumulates straight into its per-channel partial sums — the
-        // rotated ciphertexts are never materialized as a batch.
-        // Accumulators follow the input's level: a modulus-switched input
-        // runs the whole layer over its live limbs only.
-        let partials = map_chunks(self.offsets.len(), threads, |range| {
-            let mut scratch = eval.new_scratch();
-            let mut rot = Ciphertext::transparent_zero_at(eval.params(), level);
-            let mut accs = vec![Ciphertext::transparent_zero_at(eval.params(), level); co];
-            for (tap, &k) in range.clone().zip(&self.offsets[range]) {
-                // A tap dead across every output channel never rotates.
-                if !self.structure.tap_live(tap) {
-                    continue;
-                }
-                let src: &Ciphertext = match (&hoisted, k != 0) {
-                    (Some(h), true) => {
-                        eval.rotate_hoisted_into(&mut rot, input, h, k, keys, &mut scratch)?;
-                        &rot
-                    }
-                    // Zero-offset tap: accumulate straight from the
-                    // unrotated input, no copy.
-                    _ => input,
-                };
-                for (o, (acc, per_tap)) in accs.iter_mut().zip(&self.masks).enumerate() {
-                    // An all-zero mask multiplies to a zero polynomial —
-                    // skipping it is bit-identical.
-                    if !self.structure.mask_live(o, tap) {
-                        continue;
-                    }
-                    eval.mul_plain_accumulate(acc, src, &per_tap[tap])?;
-                }
-            }
-            Ok(accs)
-        })?;
-        let merged = merge_partial_vecs(partials, eval)?;
-        self.reduce_all_channels(merged, eval, keys)
-    }
-
-    fn apply_partial_aligned(
-        &self,
-        input: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        threads: usize,
-    ) -> Result<Vec<Ciphertext>> {
-        let co = self.spec.co;
-        let level = input.level();
-        // One fork for the whole layer; per-worker buffers are reused
-        // across every (tap, channel) pair in the chunk, all at the
-        // input's level.
-        let partials = map_chunks(self.offsets.len(), threads, |range| {
-            let mut scratch = eval.new_scratch();
-            let mut prod = Ciphertext::transparent_zero_at(eval.params(), level);
-            let mut aligned = Ciphertext::transparent_zero_at(eval.params(), level);
-            let mut accs = vec![Ciphertext::transparent_zero_at(eval.params(), level); co];
-            for (tap, &k) in range.clone().zip(&self.offsets[range]) {
-                for (o, (acc, per_tap)) in accs.iter_mut().zip(&self.masks).enumerate() {
-                    // A dead (o, tap) mask contributes a zero polynomial —
-                    // skip its multiply and rotation outright.
-                    if !self.structure.mask_live(o, tap) {
-                        continue;
-                    }
-                    // Multiply the *fresh* input first…
-                    prod.copy_from(input);
-                    eval.mul_plain_assign(&mut prod, &per_tap[tap])?;
-                    // …then rotate the partial into alignment.
-                    eval.rotate_rows_into(&mut aligned, &prod, k, keys, &mut scratch)?;
-                    eval.add_assign(acc, &aligned)?;
-                }
-            }
-            Ok(accs)
-        })?;
-        let merged = merge_partial_vecs(partials, eval)?;
-        self.reduce_all_channels(merged, eval, keys)
-    }
-
-    /// Sums the per-channel partial blocks of every output channel into
-    /// block 0, on the scratch path (no allocating `rotate_rows`/`add`
-    /// wrappers). One scratch pool, rotation buffer, and hoisted-digit
-    /// store serve all `co` reductions, so the whole pass stays
-    /// allocation-free after the first channel warms the buffers.
-    fn reduce_all_channels(
-        &self,
-        accs: Vec<Ciphertext>,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-    ) -> Result<Vec<Ciphertext>> {
-        let ci = self.spec.ci;
+        let plan = &self.plan;
         let mut scratch = eval.new_scratch();
-        let mut rotated = Ciphertext::transparent_zero(eval.params());
-        let mut hoisted = HoistedDecomposition::empty(eval.params());
-        accs.into_iter()
-            .zip(&self.reduces)
-            .map(|(acc, reduce)| match reduce {
-                // All-zero output: the accumulator never saw a multiply.
-                ChannelReduce::Zero => Ok(acc),
-                ChannelReduce::Dense => {
-                    if ci == 1 {
-                        return Ok(acc);
+        let mut babies: Vec<Ciphertext> = Vec::new();
+        // A 1×1 filter at b = 1 — or a layer pruned down to its center
+        // taps — reads only the unrotated input and skips the hoist.
+        if !plan.baby_steps().is_empty() {
+            let mut hoisted = HoistedDecomposition::empty(eval.params());
+            eval.rotate_set_hoisted_into(
+                &mut babies,
+                input,
+                plan.baby_steps(),
+                keys,
+                &mut hoisted,
+                &mut scratch,
+            )?;
+        }
+        let babies = &babies;
+        let groups: Vec<(&ConvGroup, &Vec<PreparedPlaintext>)> = plan
+            .chains()
+            .iter()
+            .zip(&self.masks)
+            .flat_map(|(chain, masks)| chain.iter().zip(masks))
+            .collect();
+        let inners = map_chunks(groups.len(), threads, |range| {
+            groups[range]
+                .iter()
+                .map(|(group, masks)| {
+                    let mut inner = Ciphertext::transparent_zero_at(eval.params(), level);
+                    for (m, mask) in group.masks.iter().zip(*masks) {
+                        let src = match plan.baby_steps().binary_search(&m.step) {
+                            Ok(i) => &babies[i],
+                            Err(_) => input,
+                        };
+                        eval.mul_plain_accumulate(&mut inner, src, mask)?;
                     }
-                    self.reduce_channels(acc, eval, keys, &mut scratch, &mut rotated, &mut hoisted)
+                    Ok(inner)
+                })
+                .collect::<Result<Vec<_>>>()
+        })?;
+        let mut inners = inners.into_iter().flatten();
+        let giant = (plan.b * plan.stride) as i64;
+        let mut rotated = Ciphertext::transparent_zero_at(eval.params(), level);
+        plan.chains()
+            .iter()
+            .map(|chain| {
+                // Horner from the highest live group down: rotate the
+                // running sum one giant step per group index, adding each
+                // live group's inner sum as its index comes up.
+                let sums: Vec<Ciphertext> = inners.by_ref().take(chain.len()).collect();
+                let mut pending = chain.iter().zip(sums).rev().peekable();
+                let Some((top, mut acc)) = pending.next() else {
+                    return Ok(Ciphertext::transparent_zero_at(eval.params(), level));
+                };
+                for u in (0..top.u).rev() {
+                    eval.rotate_rows_into(&mut rotated, &acc, giant, keys, &mut scratch)?;
+                    std::mem::swap(&mut acc, &mut rotated);
+                    if let Some((_, inner)) = pending.next_if(|(group, _)| group.u == u) {
+                        eval.add_assign(&mut acc, &inner)?;
+                    }
                 }
-                ChannelReduce::SparseLive(live) => {
-                    self.reduce_live_channels(acc, live, eval, keys, &mut scratch, &mut rotated)
-                }
+                Ok(acc)
             })
             .collect()
     }
 
-    /// Flat hoisted reduction over the live channel blocks only: hoist the
-    /// accumulator once, replay one rotation per live block past block 0.
-    /// Dead blocks are zero polynomials, so the sum landing in block 0 is
-    /// bit-identical to the dense reduction's (slots outside block 0 —
-    /// garbage in every plan — may differ).
-    fn reduce_live_channels(
-        &self,
-        acc: Ciphertext,
-        live: &[usize],
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        scratch: &mut Scratch,
-        rotated: &mut Ciphertext,
-    ) -> Result<Ciphertext> {
-        let w2 = (self.spec.w * self.spec.w) as i64;
-        let rotations: Vec<i64> = live
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| c as i64 * w2)
-            .collect();
-        if rotations.is_empty() {
-            // live ⊆ {0}: block 0 already holds the whole sum.
-            return Ok(acc);
-        }
-        let h = eval.hoist(&acc)?;
-        let mut out = Ciphertext::transparent_zero_at(eval.params(), acc.level());
-        if live[0] == 0 {
-            eval.add_assign(&mut out, &acc)?;
-        }
-        for &step in &rotations {
-            eval.rotate_hoisted_into(rotated, &acc, &h, step, keys, scratch)?;
-            eval.add_assign(&mut out, rotated)?;
-        }
-        Ok(out)
+    /// Where output pixel `pixel` (row-major, `< w²`) of channel `o`
+    /// lands: `(ciphertext, slot)`.
+    pub fn output_slot(&self, o: usize, pixel: usize) -> (usize, usize) {
+        let per_ct = self.plan.per_ct;
+        (o / per_ct, o % per_ct * self.plan.stride + pixel)
     }
 
-    /// One output channel's reduction, under the layer's [`ReducePlan`]:
-    /// the doubling ladder is a dependent chain and reuses the shared
-    /// rotation buffer; a BSGS plan rotates the *same* base (then the same
-    /// inner sum) repeatedly, so each stage's decomposition is hoisted
-    /// once for its whole replay set (into the shared digit store). Every
-    /// plan computes the identical sum, so the decrypted channel is the
-    /// same whichever is chosen.
-    fn reduce_channels(
-        &self,
-        acc: Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        scratch: &mut Scratch,
-        rotated: &mut Ciphertext,
-        hoisted: &mut HoistedDecomposition,
-    ) -> Result<Ciphertext> {
-        let w2 = (self.spec.w * self.spec.w) as i64;
-        rotate_sum_reduce(
-            acc,
-            w2,
-            self.spec.ci,
-            self.reduce_plan,
-            eval,
-            keys,
-            scratch,
-            rotated,
-            hoisted,
-        )
+    /// Extracts the `(co, w, w)` output tensor from the decoded slots of
+    /// every output ciphertext, in order.
+    pub fn decode_output(&self, slot_vecs: &[Vec<i64>]) -> Tensor {
+        let (co, w) = (self.spec.co, self.spec.w);
+        let data = (0..co * w * w).map(|i| {
+            let (ct, slot) = self.output_slot(i / (w * w), i % (w * w));
+            slot_vecs[ct][slot]
+        });
+        Tensor::from_data(&[co, w, w], data.collect())
     }
-
-    /// Extracts the output image of channel `o` from a decrypted/decoded
-    /// slot vector.
-    pub fn decode_output(&self, slots: &[i64]) -> Tensor {
-        let w = self.spec.w;
-        Tensor::from_data(&[1, w, w], slots[..w * w].to_vec())
-    }
-}
-
-/// Builds the slot mask for `(output channel o, tap (dy, dx))`.
-///
-/// * Sched-IA masks are aligned to *output* positions: slot
-///   `c·w² + y·w + x` carries `f[o][c][dy][dx]` iff input pixel
-///   `(y+dy, x+dx)` is inside the image.
-/// * Sched-PA masks are aligned to *input* positions (pre-rotation): slot
-///   `c·w² + y'·w + x'` carries the weight iff output pixel
-///   `(y'−dy, x'−dx)` is inside the image.
-fn build_mask(
-    spec: &ConvSpec,
-    weights: &Tensor,
-    o: usize,
-    dy: i64,
-    dx: i64,
-    schedule: Schedule,
-    slots: usize,
-) -> Vec<i64> {
-    let w = spec.w as i64;
-    let r = spec.fw / 2;
-    let ky = (dy + r as i64) as usize;
-    let kx = (dx + r as i64) as usize;
-    let mut mask = vec![0i64; slots];
-    for c in 0..spec.ci {
-        let f = weights.data()[((o * spec.ci + c) * spec.fw + ky) * spec.fw + kx];
-        if f == 0 {
-            continue;
-        }
-        for y in 0..w {
-            for x in 0..w {
-                let (sy, sx) = match schedule {
-                    // valid iff the *source* pixel exists
-                    Schedule::InputAligned => (y + dy, x + dx),
-                    // valid iff the *destination* pixel exists
-                    Schedule::PartialAligned => (y - dy, x - dx),
-                };
-                if sy < 0 || sy >= w || sx < 0 || sx >= w {
-                    continue;
-                }
-                let slot = c * (w * w) as usize + (y * w + x) as usize;
-                mask[slot] = f;
-            }
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator};
+    use cheetah_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator, OpCounts};
     use cheetah_nn::inference::eval_linear;
     use cheetah_nn::LinearLayer;
     use rand::{Rng, SeedableRng};
@@ -655,29 +678,31 @@ mod tests {
         enc: Encryptor,
         dec: Decryptor,
         eval: Evaluator,
-        keys: GaloisKeys,
+        kg: KeyGenerator,
     }
 
-    fn ctx(spec: &ConvSpec) -> Ctx {
-        let params = BfvParams::builder()
-            .degree(4096)
-            .plain_bits(16)
-            .cipher_bits(60)
-            .a_dcmp(1 << 6)
-            .build()
-            .unwrap();
+    fn ctx_for(params: BfvParams) -> Ctx {
         let mut kg = KeyGenerator::from_seed(params.clone(), 41);
         let pk = kg.public_key().unwrap();
-        let keys = kg
-            .galois_keys_for_steps(&HomConv2d::required_steps(spec))
-            .unwrap();
         Ctx {
             encoder: BatchEncoder::new(params.clone()),
             enc: Encryptor::from_public_key(pk, 42),
             dec: Decryptor::new(kg.secret_key().clone()),
             eval: Evaluator::new(params),
-            keys,
+            kg,
         }
+    }
+
+    fn ctx() -> Ctx {
+        ctx_for(
+            BfvParams::builder()
+                .degree(4096)
+                .plain_bits(16)
+                .cipher_bits(60)
+                .a_dcmp(1 << 6)
+                .build()
+                .unwrap(),
+        )
     }
 
     fn random_weights(spec: &ConvSpec, seed: u64) -> Tensor {
@@ -699,175 +724,148 @@ mod tests {
         )
     }
 
-    fn check_conv(spec: &ConvSpec, schedule: Schedule) {
-        let mut c = ctx(spec);
+    fn encrypt(c: &mut Ctx, spec: &ConvSpec, input: &Tensor) -> Ciphertext {
+        c.enc
+            .encrypt(&HomConv2d::encode_input(spec, input, &c.encoder).unwrap())
+            .unwrap()
+    }
+
+    /// Applies `layer` under keys for exactly its own steps; returns the
+    /// decoded output tensor, the output ciphertexts and the op counts.
+    fn run(c: &mut Ctx, layer: &HomConv2d, ct: &Ciphertext) -> (Tensor, Vec<Ciphertext>, OpCounts) {
+        let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
+        c.eval.reset_op_counts();
+        let threads = crate::linear::parallel::default_threads();
+        let outputs = layer.apply(ct, &c.eval, &keys, threads).unwrap();
+        let counts = c.eval.op_counts();
+        assert_eq!(outputs.len(), layer.conv_plan().outputs());
+        let slot_vecs: Vec<Vec<i64>> = outputs
+            .iter()
+            .map(|out| {
+                let budget = c.dec.invariant_noise_budget(out).unwrap();
+                assert!(budget > 0.0, "budget exhausted ({budget:.1})");
+                c.encoder.decode_signed(&c.dec.decrypt(out).unwrap())
+            })
+            .collect();
+        (layer.decode_output(&slot_vecs), outputs, counts)
+    }
+
+    /// Random weights and input through the auto plan and every forced
+    /// baby width: all equal the cleartext convolution.
+    fn check_conv(spec: &ConvSpec) {
+        let mut c = ctx();
         let weights = random_weights(spec, 1);
         let input = random_input(spec, 2);
         let expect = eval_linear(&LinearLayer::Conv(spec.clone()), &weights, &input);
-
-        let layer = HomConv2d::new(spec, &weights, &c.encoder, &c.eval, schedule).unwrap();
-        let ct = c
-            .enc
-            .encrypt(&HomConv2d::encode_input(spec, &input, &c.encoder).unwrap())
-            .unwrap();
-        let threads = crate::linear::parallel::default_threads();
-        let outputs = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
-        assert_eq!(outputs.len(), spec.co);
-        for (o, out_ct) in outputs.iter().enumerate() {
-            let budget = c.dec.invariant_noise_budget(out_ct).unwrap();
-            assert!(budget > 0.0, "channel {o} budget exhausted ({budget:.1})");
-            let slots = c.encoder.decode_signed(&c.dec.decrypt(out_ct).unwrap());
-            let img = layer.decode_output(&slots);
-            for y in 0..spec.w {
-                for x in 0..spec.w {
-                    assert_eq!(
-                        img.at3(0, y, x),
-                        expect.at3(o, y, x),
-                        "{schedule} mismatch at (o={o}, y={y}, x={x})"
-                    );
-                }
-            }
+        let ct = encrypt(&mut c, spec, &input);
+        let auto = HomConv2d::new(spec, &weights, &c.encoder, &c.eval).unwrap();
+        assert_eq!(run(&mut c, &auto, &ct).0, expect, "{:?}", auto.conv_plan());
+        for b in 1..=spec.ci.next_power_of_two() {
+            let layer = HomConv2d::with_baby_width(spec, &weights, &c.encoder, &c.eval, b).unwrap();
+            let (out, _, counts) = run(&mut c, &layer, &ct);
+            assert_eq!(out, expect, "b={b}");
+            let plan = layer.conv_plan();
+            assert_eq!(counts.mul as usize, plan.live_masks(), "b={b}");
+            assert_eq!(counts.rotate as usize, plan.rotations(), "b={b}");
         }
     }
 
     #[test]
-    fn conv_3x3_single_channel_both_schedules() {
-        let s = spec(8, 3, 1, 1);
-        check_conv(&s, Schedule::PartialAligned);
-        check_conv(&s, Schedule::InputAligned);
+    fn conv_3x3_single_channel() {
+        check_conv(&spec(8, 3, 1, 1));
     }
 
     #[test]
     fn conv_1x1_skips_the_hoist() {
-        // A 1×1 filter has only the zero-offset tap: the IA path must not
-        // pay a hoist (or any rotation) for the tap loop — only the
-        // channel reduction rotates.
+        // A 1×1 filter has only the zero-offset tap: at b = 1 nothing
+        // reads a rotated input, so the layer pays no hoist — only the one
+        // Horner rotation that brings channel diagonal 1 home.
         let s = spec(8, 1, 2, 2);
-        check_conv(&s, Schedule::InputAligned);
-        let mut c = ctx(&s);
+        check_conv(&s);
+        let mut c = ctx();
         let weights = random_weights(&s, 8);
-        let input = random_input(&s, 9);
-        let layer =
-            HomConv2d::new(&s, &weights, &c.encoder, &c.eval, Schedule::InputAligned).unwrap();
-        let ct = c
-            .enc
-            .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
-            .unwrap();
-        c.eval.reset_op_counts();
-        let _ = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let counts = c.eval.op_counts();
+        let ct = encrypt(&mut c, &s, &random_input(&s, 9));
+        let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let plan = layer.conv_plan();
+        assert_eq!((plan.b, plan.g), (1, 2), "hoist + replay ties a rotation");
+        assert!(plan.baby_steps().is_empty());
+        let (_, outputs, counts) = run(&mut c, &layer, &ct);
+        assert_eq!(outputs.len(), 1, "both output channels in one ciphertext");
         let params = c.eval.params();
         let planes = (params.l_ct() as u64 + 1) * params.limbs() as u64;
-        // co · log2(ci) ladder rotations, nothing else.
-        assert_eq!(counts.rotate, 2);
-        assert_eq!(counts.ntt, 2 * planes, "no hoist for a 1×1 tap set");
+        assert_eq!((counts.mul, counts.rotate), (2, 1));
+        assert_eq!(counts.ntt, planes, "no hoist for a 1×1 tap set");
     }
 
     #[test]
     fn conv_3x3_multi_channel_power_of_two() {
-        let s = spec(8, 3, 4, 2);
-        check_conv(&s, Schedule::PartialAligned);
-        check_conv(&s, Schedule::InputAligned);
+        check_conv(&spec(8, 3, 4, 2));
     }
 
     #[test]
     fn conv_3x3_non_power_of_two_channels() {
-        let s = spec(6, 3, 3, 2);
-        check_conv(&s, Schedule::PartialAligned);
+        // s = 64 > w² = 36 and c_i' = 4 > c_i = 3: gaps and a padding
+        // channel; then c_o > c_i' too.
+        check_conv(&spec(6, 3, 3, 2));
+        check_conv(&spec(6, 3, 3, 7));
     }
 
     #[test]
     fn conv_5x5_filter() {
-        let s = spec(8, 5, 2, 1);
-        check_conv(&s, Schedule::PartialAligned);
+        check_conv(&spec(8, 5, 2, 1));
     }
 
     #[test]
-    fn pa_leaves_more_noise_budget_than_ia() {
-        let s = spec(8, 3, 2, 1);
-        let mut c = ctx(&s);
-        let weights = random_weights(&s, 3);
-        let input = random_input(&s, 4);
-        let ct = c
-            .enc
-            .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
-            .unwrap();
-
-        let pa = HomConv2d::new(&s, &weights, &c.encoder, &c.eval, Schedule::PartialAligned)
-            .unwrap()
-            .apply(&ct, &c.eval, &c.keys, 1)
-            .unwrap();
-        let ia = HomConv2d::new(&s, &weights, &c.encoder, &c.eval, Schedule::InputAligned)
-            .unwrap()
-            .apply(&ct, &c.eval, &c.keys, 1)
-            .unwrap();
-        let pa_budget = c.dec.invariant_noise_budget(&pa[0]).unwrap();
-        let ia_budget = c.dec.invariant_noise_budget(&ia[0]).unwrap();
-        assert!(
-            pa_budget >= ia_budget,
-            "PA {pa_budget:.1} bits vs IA {ia_budget:.1} bits"
-        );
+    fn outputs_overflowing_a_row_split_across_ciphertexts() {
+        // 16×16 images: 8 blocks a row, 12 outputs — 8 and 4.
+        let s = spec(16, 3, 2, 12);
+        let mut c = ctx();
+        let weights = random_weights(&s, 21);
+        let input = random_input(&s, 22);
+        let expect = eval_linear(&LinearLayer::Conv(s.clone()), &weights, &input);
+        let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let plan = layer.conv_plan();
+        assert_eq!((plan.per_ct, plan.outputs()), (8, 2));
+        assert_eq!(layer.output_slot(9, 5), (1, 256 + 5));
+        assert_eq!(plan.label(), "conv packed b=1 g=2 live=36/36 out=2");
+        let ct = encrypt(&mut c, &s, &input);
+        let (out, outputs, counts) = run(&mut c, &layer, &ct);
+        assert_eq!(out, expect);
+        assert_eq!(outputs.len(), 2);
+        // The tap replays are shared; each ciphertext runs its own chain.
+        assert_eq!((counts.mul, counts.rotate), (36, 8 + 2));
     }
 
     #[test]
     fn op_counts_within_factor_of_table_iv_model() {
-        // The functional layer computes one output channel per ciphertext;
-        // Table IV models the fully packed layout. Counts must agree
-        // within a small factor.
+        // Table IV packs c_n = row/w² channels a ciphertext and bills
+        // c_i·c_o·f_w²/c_n multiplies. The packed kernel multiplies once
+        // per (d, tap) mask — c_i'·f_w² — which is Table IV's count at
+        // c_o = c_n and above it by exactly the idle-block factor c_n/c_o
+        // when the outputs leave blocks of the row empty (here 32 blocks,
+        // 2 outputs: 16). Rotations come in under the same multiple of the
+        // model: f_w² − 1 replays plus c_i' − 1 Horner steps, not one per
+        // multiply.
         let s = spec(8, 3, 4, 2);
-        let mut c = ctx(&s);
+        let mut c = ctx();
         let weights = random_weights(&s, 5);
-        let input = random_input(&s, 6);
-        let layer =
-            HomConv2d::new(&s, &weights, &c.encoder, &c.eval, Schedule::InputAligned).unwrap();
-        let ct = c
-            .enc
-            .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
-            .unwrap();
-        c.eval.reset_op_counts();
-        let _ = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let counts = c.eval.op_counts();
+        let ct = encrypt(&mut c, &s, &random_input(&s, 6));
+        let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let plan = layer.conv_plan();
+        assert_eq!((plan.b, plan.g, plan.per_ct), (1, 4, 32));
+        let (_, _, counts) = run(&mut c, &layer, &ct);
+        assert_eq!((counts.mul, counts.rotate), (36, 8 + 3));
 
-        // Compare at the *effective* slot count (slots the layer occupies):
-        // Table IV amortizes over cn = n/w² packed channels, while the
-        // functional layer packs exactly ci channels.
-        let model = crate::ptune::perf::conv_ops(&s, s.ci * s.w * s.w, 1);
-        let ratio_mult = counts.mul as f64 / model.he_mult;
-        assert!(
-            (0.2..5.0).contains(&ratio_mult),
-            "functional mults {} vs model {:.1}",
-            counts.mul,
-            model.he_mult
-        );
-
-        // NTT reconciliation against the corrected plane-transform model.
-        // Per-rotation the engine would do (l_ct + 1)·limbs transforms;
-        // with the tap set hoisted the layer pays exactly one hoist for
-        // all fw² taps plus, per output channel, the reduce plan's bill:
-        // one full rotation per ladder level, or one hoist per BSGS stage.
-        let params = c.eval.params();
-        let planes = (params.l_ct() as u64 + 1) * params.limbs() as u64;
-        let per_channel = match layer.reduce_plan() {
-            crate::linear::ReducePlan::Ladder => s.ci.ilog2() as u64,
-            crate::linear::ReducePlan::Bsgs { s: bs, g } => u64::from(bs > 1) + u64::from(g > 1),
-        };
-        assert_eq!(
-            counts.ntt,
-            planes * (1 + s.co as u64 * per_channel),
-            "hoisted NTT structure under {:?}",
-            layer.reduce_plan()
-        );
-        // The reduce plan must have left the dependent ladder behind for
-        // ci = 4: strictly fewer reduction NTTs than the log2(ci) ladder.
-        assert!(per_channel < s.ci.ilog2() as u64 + 1);
-        // The uncorrected per-rotation accounting would have charged every
-        // rotation a full decomposition; hoisting must beat it.
-        assert!(
-            counts.ntt < counts.rotate * planes,
-            "hoisting saved nothing: {} NTT planes for {} rotations",
-            counts.ntt,
-            counts.rotate
-        );
+        let cost = HeCostParams::for_bfv(c.eval.params(), 0);
+        let model = crate::ptune::perf::conv_ops(&s, cost.n / 2, 1);
+        let idle = (plan.per_ct / s.co) as f64;
+        assert_eq!(counts.mul as f64, model.he_mult * idle, "multiplies");
+        assert!((counts.rotate as f64) < model.he_rotate * idle);
+        // One hoist for all f_w² taps, then one direct rotation per
+        // Horner step — the uncorrected per-rotation accounting would
+        // have charged every rotation a full decomposition.
+        assert_eq!(counts.ntt, (1 + 3) * cost.ntts_per_rotate());
+        assert!(counts.ntt < counts.rotate * cost.ntts_per_rotate());
     }
 
     #[test]
@@ -888,189 +886,131 @@ mod tests {
             .a_dcmp(1 << 6)
             .build()
             .unwrap();
-        let mut kg = KeyGenerator::from_seed(params.clone(), 43);
-        let pk = kg.public_key().unwrap();
-        let keys = kg
-            .galois_keys_for_steps(&HomConv2d::required_steps(&s))
-            .unwrap();
-        let encoder = BatchEncoder::new(params.clone());
-        let mut enc = Encryptor::from_public_key(pk, 44);
-        let dec = Decryptor::new(kg.secret_key().clone());
-        let eval = Evaluator::new(params.clone());
-
+        let mut c = ctx_for(params.clone());
         let weights = random_weights(&s, 10);
         let input = random_input(&s, 11);
         let expect = eval_linear(&LinearLayer::Conv(s.clone()), &weights, &input);
-        let layer = HomConv2d::new(&s, &weights, &encoder, &eval, Schedule::InputAligned).unwrap();
-        let ct = enc
-            .encrypt(&HomConv2d::encode_input(&s, &input, &encoder).unwrap())
-            .unwrap();
+        let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let ct = encrypt(&mut c, &s, &input);
 
-        eval.reset_op_counts();
-        let full_out = layer.apply(&ct, &eval, &keys, 1).unwrap();
-        let full_counts = eval.op_counts();
-
-        let switched = eval.mod_switch_to_next(&ct).unwrap();
+        let (full, _, full_counts) = run(&mut c, &layer, &ct);
+        let switched = c.eval.mod_switch_to_next(&ct).unwrap();
         assert_eq!(switched.level(), 1);
-        eval.reset_op_counts();
-        let low_out = layer.apply(&switched, &eval, &keys, 1).unwrap();
-        let low_counts = eval.op_counts();
+        let (low, low_cts, low_counts) = run(&mut c, &layer, &switched);
         assert!(
             low_counts.ntt < full_counts.ntt,
             "reduced level must do less NTT work: {} vs {}",
             low_counts.ntt,
             full_counts.ntt
         );
+        assert_eq!(full, expect);
+        assert_eq!(low, expect, "diverged at the reduced level");
 
         let predicted = layer.noise_after(switched.noise(), &params, 1);
-        for (o, (a, b)) in full_out.iter().zip(&low_out).enumerate() {
-            assert_eq!(b.level(), 1, "outputs stay at the input's level");
-            let da = encoder.decode_signed(&dec.decrypt_checked(a).unwrap());
-            let db = encoder.decode_signed(&dec.decrypt_checked(b).unwrap());
-            assert_eq!(
-                layer.decode_output(&da).data(),
-                layer.decode_output(&db).data(),
-                "channel {o} diverged at the reduced level"
-            );
-            assert_eq!(
-                layer.decode_output(&db).data(),
-                (0..s.w * s.w)
-                    .map(|i| expect.data()[o * s.w * s.w + i])
-                    .collect::<Vec<_>>(),
-                "channel {o} wrong"
-            );
+        for out in &low_cts {
+            assert_eq!(out.level(), 1, "outputs stay at the input's level");
             // The engine-tracked noise stays under the planner's model.
-            assert!(b.noise().bound_log2 <= predicted.bound_log2 + 1e-9);
+            assert!(out.noise().bound_log2 <= predicted.bound_log2 + 1e-9);
         }
     }
 
     #[test]
     fn sparse_conv_skips_dead_taps_and_channels() {
-        // Output 0: only the center tap of channels 0 and 2; output 1:
-        // fully dead. Dense evaluation must agree on the output blocks
-        // while the sparse layer rotates and multiplies far less.
+        // Output 0: only the center tap of channels 0 and 2 (diagonals 0
+        // and 2); output 1: fully dead. Two masks, no tap rotation, and
+        // the chooser pairs the diagonals up (b = 2) so that the two live
+        // ones are one giant step apart: one rotation, by 2·s.
         let s = spec(8, 3, 4, 2);
-        let mut c = ctx(&s);
-        let len = s.co * s.ci * s.fw * s.fw;
+        let mut c = ctx();
         let taps = s.fw * s.fw;
-        let mut w = vec![0i64; len];
+        let mut w = vec![0i64; s.co * s.ci * taps];
         w[4] = 3; // (o=0, c=0, center tap)
         w[2 * taps + 4] = -5; // (o=0, c=2, center tap)
         let weights = Tensor::from_data(&[s.co, s.ci, s.fw, s.fw], w);
         let input = random_input(&s, 12);
         let expect = eval_linear(&LinearLayer::Conv(s.clone()), &weights, &input);
 
-        let layer =
-            HomConv2d::new(&s, &weights, &c.encoder, &c.eval, Schedule::InputAligned).unwrap();
-        assert_eq!(
-            layer.structure().live_taps(),
-            1,
-            "only the center tap is live"
-        );
-        assert_eq!(layer.channel_reduces()[1], ChannelReduce::Zero);
-        assert!(matches!(
-            layer.channel_reduces()[0],
-            ChannelReduce::SparseLive(_) | ChannelReduce::Dense
-        ));
+        let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let plan = layer.conv_plan();
+        assert_eq!(plan.label(), "conv packed b=2 g=2 live=2/36 out=1");
+        assert!(plan.baby_steps().is_empty(), "only the center tap is live");
+        assert_eq!(layer.rotation_steps(), vec![128], "the one giant key");
+        let ct = encrypt(&mut c, &s, &input);
+        let (out, _, counts) = run(&mut c, &layer, &ct);
+        assert_eq!(out, expect);
+        assert_eq!((counts.mul, counts.rotate), (2, 1));
 
-        let ct = c
-            .enc
-            .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
-            .unwrap();
-        c.eval.reset_op_counts();
-        let outputs = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let counts = c.eval.op_counts();
-        // Center tap only: no tap rotation, no hoist for the tap set; the
-        // lone live output multiplies once per live channel mask — one
-        // mask, two live channels inside it — i.e. exactly 1 mul.
-        assert_eq!(counts.mul, 1, "one live (o, tap) mask");
-        // Reduction: only output 0 reduces, over channels {0, 2}.
-        assert!(
-            counts.rotate <= 2,
-            "live-channel reduce must beat the dense ladder ({} rotations)",
-            counts.rotate
-        );
-        for (o, out_ct) in outputs.iter().enumerate() {
-            let slots = c.encoder.decode_signed(&c.dec.decrypt(out_ct).unwrap());
-            let img = layer.decode_output(&slots);
-            for y in 0..s.w {
-                for x in 0..s.w {
-                    assert_eq!(
-                        img.at3(0, y, x),
-                        expect.at3(o, y, x),
-                        "mismatch at (o={o}, y={y}, x={x})"
-                    );
-                }
+        // An all-zero layer needs no key and does no work.
+        let zero = Tensor::zeros(&[s.co, s.ci, s.fw, s.fw]);
+        let layer = HomConv2d::new(&s, &zero, &c.encoder, &c.eval).unwrap();
+        assert!(layer.conv_plan().is_empty() && layer.rotation_steps().is_empty());
+        let (out, outputs, counts) = run(&mut c, &layer, &ct);
+        assert!(out.data().iter().all(|&v| v == 0));
+        assert_eq!((counts.mul, counts.rotate), (0, 0));
+        assert_eq!(outputs[0].noise().bound_log2, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn sparse_conv_matches_cleartext_at_every_baby_width() {
+        // Prune channel 1 of each output and the corner taps; outputs must
+        // stay bit-identical to the cleartext reference, with the dead
+        // corner taps never replayed.
+        let s = spec(6, 3, 3, 2);
+        let taps = s.fw * s.fw;
+        let mut weights = random_weights(&s, 14);
+        for (i, v) in weights.data_mut().iter_mut().enumerate() {
+            let (ch, tap) = (i / taps % s.ci, i % taps);
+            if ch == 1 || [0usize, 2, 6, 8].contains(&tap) {
+                *v = 0;
             }
         }
-        // The dead output decrypts to exact zeros without any work.
-        assert_eq!(
-            outputs[1].noise().bound_log2,
-            f64::NEG_INFINITY,
-            "dead output stays transparent"
-        );
-
-        // Keys for exactly the layer's sparse steps suffice.
-        let params = c.eval.params().clone();
-        let mut kg = KeyGenerator::from_seed(params, 41);
-        let lean_keys = kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
-        let lean = layer.apply(&ct, &c.eval, &lean_keys, 1).unwrap();
-        for (a, b) in outputs.iter().zip(&lean) {
-            assert_eq!(
-                layer
-                    .decode_output(&c.encoder.decode_signed(&c.dec.decrypt(a).unwrap()))
-                    .data(),
-                layer
-                    .decode_output(&c.encoder.decode_signed(&c.dec.decrypt(b).unwrap()))
-                    .data(),
-            );
+        let input = random_input(&s, 15);
+        let expect = eval_linear(&LinearLayer::Conv(s.clone()), &weights, &input);
+        let mut c = ctx();
+        let ct = encrypt(&mut c, &s, &input);
+        for b in 1..=4 {
+            let layer = HomConv2d::with_baby_width(&s, &weights, &c.encoder, &c.eval, b).unwrap();
+            let plan = layer.conv_plan();
+            let groups = plan.chains()[0].iter();
+            let mut taps_read = groups.flat_map(|group| group.masks.iter().map(|m| m.tap));
+            assert!(taps_read.all(|tap| [1, 3, 4, 5, 7].contains(&tap)));
+            let (out, _, counts) = run(&mut c, &layer, &ct);
+            assert_eq!(out, expect, "b={b}");
+            assert_eq!(counts.mul as usize, plan.live_masks());
+            assert_eq!(counts.rotate as usize, plan.rotations());
         }
     }
 
     #[test]
-    fn sparse_conv_matches_dense_evaluation_both_schedules() {
-        // Prune channel 1 of each output and the corner taps; outputs must
-        // stay bit-identical to the cleartext reference under both
-        // schedules.
-        let s = spec(6, 3, 3, 2);
-        let taps = s.fw * s.fw;
-        let mut weights = random_weights(&s, 14);
-        {
-            let data = weights.data_mut();
-            for o in 0..s.co {
-                for c in 0..s.ci {
-                    for tap in 0..taps {
-                        let dead_channel = c == 1;
-                        let dead_tap = [0usize, 2, 6, 8].contains(&tap);
-                        if dead_channel || dead_tap {
-                            data[(o * s.ci + c) * taps + tap] = 0;
-                        }
-                    }
-                }
-            }
-        }
-        for schedule in [Schedule::InputAligned, Schedule::PartialAligned] {
-            let mut c = ctx(&s);
-            let input = random_input(&s, 15);
-            let expect = eval_linear(&LinearLayer::Conv(s.clone()), &weights, &input);
-            let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval, schedule).unwrap();
-            assert_eq!(layer.structure().live_taps(), 5, "corner taps pruned");
-            let ct = c
-                .enc
-                .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
-                .unwrap();
-            let outputs = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-            for (o, out_ct) in outputs.iter().enumerate() {
-                let slots = c.encoder.decode_signed(&c.dec.decrypt(out_ct).unwrap());
-                let img = layer.decode_output(&slots);
-                for y in 0..s.w {
-                    for x in 0..s.w {
-                        assert_eq!(
-                            img.at3(0, y, x),
-                            expect.at3(o, y, x),
-                            "{schedule} mismatch at (o={o}, y={y}, x={x})"
-                        );
-                    }
+    fn chooser_widens_the_baby_step_only_past_the_tap_set() {
+        // b = 1 on the benchmark's layers (c_i' ≤ f_w²: a wider baby set
+        // would cost f_w² more replays and keys per giant step saved); a
+        // 3×3 layer over 32 channels, and a 1×1 over 8, split.
+        let row = 2048;
+        for params in [
+            BfvParams::preset_rns_3x36(4096).unwrap(),
+            BfvParams::preset_hybrid_2x36(4096).unwrap(),
+        ] {
+            for level in 0..2 {
+                let cost = HeCostParams::for_bfv(&params, level);
+                let choose = |s: &ConvSpec| {
+                    ConvPlan::choose(s, row, &ConvStructure::dense(s.co, s.ci, s.fw), &cost)
+                };
+                let conv1 = choose(&spec(16, 3, 1, 8));
+                assert_eq!((conv1.b, conv1.g, conv1.rotations()), (1, 1, 8));
+                let conv2 = choose(&spec(8, 3, 8, 16));
+                assert_eq!((conv2.b, conv2.g, conv2.rotations()), (1, 8, 15));
+                assert_eq!(conv2.rotation_steps().len(), 9, "8 taps + the key 64");
+                let wide = choose(&spec(8, 3, 32, 32));
+                assert!(wide.b > 1, "32 diagonals over 9 taps: {}", wide.label());
+                let pointwise = choose(&spec(8, 1, 8, 8));
+                assert!(pointwise.b > 1, "{}", pointwise.label());
+                // Whatever b, the giant steps share one key.
+                for plan in [&wide, &pointwise] {
+                    let giant = (plan.b * plan.stride) as i64;
+                    let keys = plan.rotation_steps();
+                    assert_eq!(keys.len(), plan.baby_steps().len() + 1);
+                    assert_eq!(keys.last(), Some(&giant));
                 }
             }
         }
@@ -1078,7 +1018,6 @@ mod tests {
 
     #[test]
     fn oversized_layer_rejected() {
-        let s = spec(64, 3, 2, 1); // 2*4096 slots > 2048-row
         let params = BfvParams::builder()
             .degree(4096)
             .plain_bits(20)
@@ -1087,10 +1026,64 @@ mod tests {
             .unwrap();
         let encoder = BatchEncoder::new(params.clone());
         let eval = Evaluator::new(params);
-        let weights = random_weights(&s, 7);
+        // 2·4096 slots against the 2048-slot row; and 40 channels of 6×6
+        // are 1440 values but pad to 64 blocks of 64 slots.
+        for s in [spec(64, 3, 2, 1), spec(6, 3, 40, 1)] {
+            let weights = random_weights(&s, 7);
+            assert!(matches!(
+                HomConv2d::new(&s, &weights, &encoder, &eval),
+                Err(Error::TooManyValues { .. })
+            ));
+            assert!(matches!(
+                HomConv2d::encode_input(&s, &random_input(&s, 8), &encoder),
+                Err(Error::TooManyValues { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn malformed_layers_are_typed_errors_before_the_structure_scan() {
+        // `ConvStructure::analyze` asserts on the weight length; the
+        // constructors check the shape first, so it is never reached with
+        // a mismatch.
+        let c = ctx();
+        let s = spec(8, 3, 2, 2);
+        let good = random_weights(&s, 1);
+        let unsupported = |spec: &ConvSpec, w: &Tensor| {
+            matches!(
+                HomConv2d::new(spec, w, &c.encoder, &c.eval),
+                Err(Error::Unsupported(_))
+            ) && matches!(
+                HomConv2d::with_baby_width(spec, w, &c.encoder, &c.eval, 1),
+                Err(Error::Unsupported(_))
+            )
+        };
+        assert!(unsupported(&s, &Tensor::zeros(&[2, 2, 3])), "weight shape");
+        assert!(unsupported(
+            &ConvSpec {
+                stride: 2,
+                ..s.clone()
+            },
+            &good
+        ));
+        assert!(unsupported(
+            &ConvSpec {
+                pad: 0,
+                ..s.clone()
+            },
+            &good
+        ));
+        assert!(unsupported(
+            &spec(8, 2, 2, 2),
+            &Tensor::zeros(&[2, 2, 2, 2])
+        ));
+        assert!(unsupported(
+            &spec(2, 5, 1, 1),
+            &Tensor::zeros(&[1, 1, 5, 5])
+        ));
         assert!(matches!(
-            HomConv2d::new(&s, &weights, &encoder, &eval, Schedule::PartialAligned),
-            Err(Error::TooManyValues { .. })
+            HomConv2d::with_baby_width(&s, &good, &c.encoder, &c.eval, 0),
+            Err(Error::Unsupported(_))
         ));
     }
 }

@@ -56,8 +56,7 @@
 //!
 //! # The fold
 //!
-//! One rotate-and-sum, the same [`ReducePlan`] machinery the convolution's
-//! channel reduction runs, gathers the partial copies:
+//! One rotate-and-sum under a [`ReducePlan`] gathers the partial copies:
 //!
 //! ```text
 //! y = Σ_{m < n_i / n_o'} rot(y_part, m·n_o')        y[j] = (W·x)[j]  for j < n_o

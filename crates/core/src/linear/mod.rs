@@ -1,20 +1,21 @@
-//! Functional homomorphic linear layers on the real BFV engine: packed
-//! convolution (Fig. 4) under either schedule, FC as one Baby-Step-Giant-
-//! Step kernel over the live folded diagonals (the diagonal method is its
-//! baby-width-1 and baby-width-`d` corners; a dense layer its all-live
-//! case), and bare dot products under both schedules (Fig. 5).
+//! Functional homomorphic linear layers on the real BFV engine:
+//! convolution (Fig. 4) as one packed kernel — hoisted tap baby steps,
+//! Horner channel-diagonal giant steps, every output channel in one
+//! ciphertext — FC as one Baby-Step-Giant-Step kernel over the live folded
+//! diagonals (the diagonal method is its baby-width-1 and baby-width-`d`
+//! corners; a dense layer its all-live case), and bare dot products under
+//! both schedules (Fig. 5).
 
 pub mod conv;
 pub mod dot;
 pub mod fc;
 pub mod parallel;
 
-pub use conv::HomConv2d;
+pub use conv::{ConvPlan, HomConv2d};
 pub use dot::{dot_input_aligned, dot_partial_aligned};
 pub use fc::{FcPlan, HomFc};
 
 use crate::cost::HeCostParams;
-use crate::schedule::Schedule;
 use cheetah_bfv::{
     BfvParams, Ciphertext, Evaluator, GaloisKeys, HoistedDecomposition, NoiseEstimate, Result,
     Scratch,
@@ -179,8 +180,7 @@ pub(crate) fn rotate_sum_reduce(
 
 /// Noise model of [`rotate_sum_reduce`]: the plan's transition applied to
 /// the accumulator estimate (unrotated terms are bounded by their rotated
-/// counterparts, keeping the bound conservative — same convention as
-/// [`accumulated_term_noise`]).
+/// counterparts, keeping the bound conservative).
 pub(crate) fn rotate_sum_noise(
     acc: &NoiseEstimate,
     params: &BfvParams,
@@ -215,37 +215,6 @@ pub(crate) fn rotate_sum_noise(
             est
         }
     }
-}
-
-/// The shared core of the layers' `noise_after` planning models: one
-/// rotate-mul term per rotation step in schedule order (§V — IA rotates
-/// the input first and multiplies the noisier result, PA multiplies fresh
-/// and rotates the partial), charged the layer's worst plaintext norm and
-/// accumulated `terms` times. Zero-step terms skip their rotation in the
-/// engine; the rotated term bounds them, keeping the model conservative.
-pub(crate) fn accumulated_term_noise(
-    input: &NoiseEstimate,
-    params: &BfvParams,
-    level: usize,
-    schedule: Schedule,
-    max_norm: u64,
-    terms: usize,
-) -> NoiseEstimate {
-    let term = match schedule {
-        Schedule::InputAligned => {
-            input
-                .rotate_at(params, level)
-                .mul_plain_at(params, level, 1, 2 * max_norm)
-        }
-        Schedule::PartialAligned => input
-            .mul_plain_at(params, level, 1, 2 * max_norm)
-            .rotate_at(params, level),
-    };
-    let mut acc = term;
-    for _ in 1..terms {
-        acc = acc.add(&term);
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Chunked fork/join helper for the thread-parallel linear layers.
 //!
 //! Both [`super::HomConv2d`] and [`super::HomFc`] are rotate-mul-accumulate
-//! loops whose iterations (one per rotation step) are independent until the
-//! final accumulation. [`map_chunks`] splits the step range into contiguous
+//! loops whose iterations (one per giant group) are independent until the
+//! final accumulation. [`map_chunks`] splits the group range into contiguous
 //! chunks, runs one worker per chunk via `crossbeam::scope`, and returns
 //! the per-chunk results **in chunk order**, so the caller's merge is
 //! deterministic: residue arithmetic mod `q` is exact and order-independent,
@@ -85,32 +85,6 @@ pub fn merge_partials(partials: Vec<Ciphertext>, eval: &Evaluator) -> Result<Cip
         eval.add_assign(&mut acc, &p)?;
     }
     Ok(acc)
-}
-
-/// Column-wise [`merge_partials`]: folds `partials[chunk][slot]` into one
-/// accumulator per slot (used by conv layers, one slot per output
-/// channel), in chunk order.
-///
-/// # Errors
-///
-/// Propagates evaluator errors.
-///
-/// # Panics
-///
-/// Panics if chunks disagree on the slot count or no chunks exist.
-pub fn merge_partial_vecs(
-    partials: Vec<Vec<Ciphertext>>,
-    eval: &Evaluator,
-) -> Result<Vec<Ciphertext>> {
-    let mut iter = partials.into_iter();
-    let mut accs = iter.next().expect("at least one partial chunk");
-    for chunk in iter {
-        assert_eq!(chunk.len(), accs.len(), "ragged partial chunk");
-        for (acc, p) in accs.iter_mut().zip(&chunk) {
-            eval.add_assign(acc, p)?;
-        }
-    }
-    Ok(accs)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! single-word `(n, q, A, W)` tuples — fine for the paper's Fig. 3
 //! scatter, but the engine runs *RNS chains*: presets with congruent
 //! limbs, a level per layer, a special prime for hybrid key switching,
-//! and a rotation plan ([`FcPlan`] / [`ReducePlan`]) per layer whose
+//! and a rotation plan ([`FcPlan`] / [`ConvPlan`]) per layer whose
 //! price depends on all of the above. This module closes that gap: it
 //! sweeps **{chain, per-layer level, rotation plan}** jointly over a
 //! network's linear layers, using the hybrid-aware cost model
@@ -19,13 +19,12 @@ use cheetah_bfv::BfvParams;
 use cheetah_nn::LinearLayer;
 
 use crate::cost::HeCostParams;
-use crate::linear::{FcPlan, ReducePlan};
-use crate::ptune::noise::{layer_noise_shape, LayerNoise, NoiseRegime};
-use crate::ptune::perf::layer_ops_scheduled;
+use crate::linear::{ConvPlan, FcPlan};
+use crate::ptune::noise::{layer_noise_shape, LayerNoise, NoiseRegime, NoiseShape};
 use crate::ptune::tuner::InfeasibleLayer;
 use crate::quant::QuantSpec;
 use crate::schedule::Schedule;
-use crate::sparse::{FcStructure, LayerStructure};
+use crate::sparse::{ConvStructure, FcStructure, LayerStructure};
 
 pub use cheetah_bfv::noise::FAILURE_SCALE;
 
@@ -50,11 +49,36 @@ pub fn layer_noise_on_chain(
     layer_noise_on_chain_structured(layer, None, params, level, schedule, regime)
 }
 
-/// [`layer_noise_on_chain`] under a measured weight structure: the
-/// accumulated mult/rotate term counts scale with the live-mask fraction
-/// (skipped diagonals contribute no rotate-mul term at all), so sparse
-/// layers clear the margin at levels their dense pricing could not afford.
-/// `None` prices the dense (fully live) worst case.
+/// The packed-convolution plan [`crate::linear::HomConv2d`] would execute
+/// for `c` on this chain at this level — the engine's own chooser over the
+/// measured structure, or the dense one without it.
+fn conv_plan_on_chain(
+    c: &cheetah_nn::ConvSpec,
+    structure: Option<&LayerStructure>,
+    params: &BfvParams,
+    level: usize,
+) -> ConvPlan {
+    let cost = HeCostParams::for_bfv(params, level);
+    let dense;
+    let s = match structure {
+        Some(LayerStructure::Conv(s)) => s,
+        _ => {
+            dense = ConvStructure::dense(c.co, c.ci, c.fw);
+            &dense
+        }
+    };
+    ConvPlan::choose(c, params.row_size(), s, &cost)
+}
+
+/// [`layer_noise_on_chain`] under a measured weight structure. FC layers
+/// scale Table V's mult/rotate term counts by the live-diagonal fraction
+/// (skipped diagonals contribute no rotate-mul term at all). Convolutions
+/// count the terms of the plan the engine runs — the widest group's masks
+/// times the longest Horner chain, one rotation per chain link — and
+/// charge every multiply on `v0 + ηA` whatever `schedule` says: the packed
+/// kernel's taps are hoisted rotations of the input, multiplied after.
+/// Sparse layers clear the margin at levels their dense pricing could not
+/// afford. `None` prices the dense (fully live) worst case.
 pub fn layer_noise_on_chain_structured(
     layer: &LinearLayer,
     structure: Option<&LayerStructure>,
@@ -63,7 +87,6 @@ pub fn layer_noise_on_chain_structured(
     schedule: Schedule,
     regime: NoiseRegime,
 ) -> LayerNoise {
-    let live_frac = structure.map_or(1.0, LayerStructure::live_fraction);
     let n = params.degree() as f64;
     let sigma = params.sigma();
     let b = 6.0 * sigma;
@@ -81,14 +104,29 @@ pub fn layer_noise_on_chain_structured(
     let dropped: f64 = (live..params.limbs())
         .map(|i| params.chain().modulus(i).value() as f64)
         .product();
-    let mut shape = layer_noise_shape(layer, params.degree());
-    // A dead mask contributes no rotate-mul term: scale both term counts
-    // by the live fraction (floored at one term so an almost-empty layer
-    // still pays its single live accumulation).
-    if live_frac < 1.0 {
-        shape.mult_terms = (shape.mult_terms * live_frac).max(1.0);
-        shape.rot_terms = (shape.rot_terms * live_frac).max(1.0);
-    }
+    let (shape, schedule) = match layer {
+        LinearLayer::Conv(c) => {
+            let plan = conv_plan_on_chain(c, structure, params, level);
+            let links = plan.longest_chain().max(1) as f64;
+            let shape = NoiseShape {
+                mult_terms: plan.widest_group().max(1) as f64 * links,
+                rot_terms: links,
+            };
+            (shape, Schedule::InputAligned)
+        }
+        LinearLayer::Fc(_) => {
+            let mut shape = layer_noise_shape(layer, params.degree());
+            // A dead diagonal contributes no rotate-mul term: scale both
+            // term counts by the live fraction (floored at one term so an
+            // almost-empty layer still pays its single live accumulation).
+            let live_frac = structure.map_or(1.0, LayerStructure::live_fraction);
+            if live_frac < 1.0 {
+                shape.mult_terms = (shape.mult_terms * live_frac).max(1.0);
+                shape.rot_terms = (shape.rot_terms * live_frac).max(1.0);
+            }
+            (shape, schedule)
+        }
+    };
     let ceiling_bits = params.noise_ceiling_at(level).log2();
 
     let noise_log2 = match regime {
@@ -165,16 +203,15 @@ pub struct LayerPlan {
     /// Chain level (dropped limbs) the layer runs at.
     pub level: usize,
     /// Rotation-plan label (`fc bsgs b=.. g=.. live=../.. fold=..`,
-    /// `conv reduce ..`, `conv sparse reduce .. live=..`, `zero`) — for FC
-    /// layers the very label the prepared layer reports, priced under the
-    /// same [`HeCostParams`].
+    /// `conv packed b=.. g=.. live=../.. out=..`, `zero`) — the very label
+    /// the prepared layer reports, priced under the same [`HeCostParams`].
     pub plan: String,
     /// Modeled integer multiplications for the layer at this level.
     pub int_mults: f64,
-    /// Modeled plaintext multiplies. Exact for FC layers (what `OpCounts`
-    /// measures on the prepared layer); Table IV's rate for conv.
+    /// Modeled plaintext multiplies: what `OpCounts` measures on the
+    /// prepared layer.
     pub he_mult: f64,
-    /// Modeled rotations, exact for FC layers like `he_mult`.
+    /// Modeled rotations, exact like `he_mult`.
     pub he_rotate: f64,
     /// Remaining modeled noise budget (bits) at this level.
     pub budget_bits: f64,
@@ -190,7 +227,10 @@ pub struct ChainPlan {
     pub name: String,
     /// The chosen parameter set, special prime included when hybrid won.
     pub params: BfvParams,
-    /// The dot-product schedule the plan was priced under.
+    /// The dot-product schedule the plan was priced under. No prepared
+    /// layer reads it any more — FC layers and convolutions both run one
+    /// kernel — it is kept because the analytic Fig. 5/6 pricing and the
+    /// frozen `bench_e2e` driver still pass one.
     pub schedule: Schedule,
     /// Per-linear-layer plans, in network order.
     pub layers: Vec<LayerPlan>,
@@ -224,12 +264,11 @@ pub fn chain_candidates(degrees: &[usize]) -> Vec<(String, BfvParams)> {
 }
 
 /// Prices one layer on a chain at a level, choosing the rotation plan
-/// jointly. FC layers run [`FcPlan::choose`] — the very chooser `HomFc`
-/// runs at prepare time — so the multiplies, rotations and label are the
-/// ones the prepared kernel will perform: one multiply per live folded
-/// diagonal, the BSGS / sparse / diagonal kernel's rotations, and the
-/// fold's. Conv layers price Table IV's counts scaled by the live-mask
-/// fraction and record the channel-reduction plan `HomConv2d` picks.
+/// jointly. FC layers run [`FcPlan::choose`] and convolutions
+/// [`ConvPlan::choose`] — the very choosers `HomFc` / `HomConv2d` run at
+/// prepare time — so the multiplies, rotations and label are the ones the
+/// prepared kernel will perform: one multiply per live mask, the hoisted
+/// baby replays, the giant steps, and (FC) the fold's.
 ///
 /// `structure = None` prices dense; an all-zero layer costs nothing.
 fn layer_cost_on_chain_structured(
@@ -237,11 +276,9 @@ fn layer_cost_on_chain_structured(
     structure: Option<&LayerStructure>,
     params: &BfvParams,
     level: usize,
-    schedule: Schedule,
 ) -> LayerCost {
     let cost = HeCostParams::for_bfv(params, level);
-    let live_frac = structure.map_or(1.0, LayerStructure::live_fraction);
-    if live_frac == 0.0 {
+    if structure.is_some_and(LayerStructure::all_zero) {
         return LayerCost {
             int_mults: 0.0,
             he_mult: 0.0,
@@ -263,22 +300,12 @@ fn layer_cost_on_chain_structured(
             }
         }
         LinearLayer::Conv(c) => {
-            let ops = layer_ops_scheduled(layer, params.degree(), params.l_pt(), schedule);
-            let plan = ReducePlan::choose(c.ci, &cost);
-            // Dead taps skip their rotation and dead masks their multiply:
-            // the blunt Table-IV bills scale with the live fraction.
-            let label = if live_frac < 1.0 {
-                format!("conv sparse reduce {plan:?} live={live_frac:.2}")
-            } else {
-                format!("conv reduce {plan:?}")
-            };
-            let (he_mult, he_rotate) = (ops.he_mult * live_frac, ops.he_rotate * live_frac);
+            let plan = conv_plan_on_chain(c, structure, params, level);
             LayerCost {
-                int_mults: he_mult * cost.he_mult_mults() as f64
-                    + he_rotate * cost.he_rotate_mults() as f64,
-                he_mult,
-                he_rotate,
-                label,
+                int_mults: plan.int_mults(&cost) as f64,
+                he_mult: plan.live_masks() as f64,
+                he_rotate: plan.rotations() as f64,
+                label: plan.label(),
             }
         }
     }
@@ -360,13 +387,7 @@ pub fn solve_chain_plan_structured(
                 if noise.budget_bits < PLAN_MARGIN_BITS {
                     continue;
                 }
-                let cost = layer_cost_on_chain_structured(
-                    layer,
-                    structure_of(i),
-                    &params,
-                    level,
-                    schedule,
-                );
+                let cost = layer_cost_on_chain_structured(layer, structure_of(i), &params, level);
                 if chosen.as_ref().is_none_or(|c| cost.int_mults < c.int_mults) {
                     chosen = Some(LayerPlan {
                         layer: layer.name().to_owned(),
@@ -508,10 +529,7 @@ mod tests {
             NoiseRegime::Statistical,
         );
         assert!(l0.budget_bits > 0.0);
-        let price = |level| {
-            layer_cost_on_chain_structured(layer, None, &params, level, Schedule::PartialAligned)
-                .int_mults
-        };
+        let price = |level| layer_cost_on_chain_structured(layer, None, &params, level).int_mults;
         let (c0, c1) = (price(0), price(1));
         assert!(c1 < c0, "deeper level must be cheaper: {c1} vs {c0}");
         // The level-1 ceiling is one 36-bit limb; the budget moves but

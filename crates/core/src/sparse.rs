@@ -1,14 +1,15 @@
 //! Weight-structure analysis: the sparsity subsystem.
 //!
 //! Pruned networks are mostly zeros. This module scans a layer's weights
-//! at preparation time and classifies each FC generalized diagonal / conv
-//! filter tap as **zero**, **power-of-two**, or **dense** ([`MaskClass`]);
-//! the FC layer's one rotation plan, [`BsgsPlan`], then covers only the
-//! live diagonals — baby and giant steps whose every diagonal is zero are
-//! skipped entirely, so rotations, hoisted replays, plaintext multiplies,
-//! Galois-key generation, noise transitions, and cost-model pricing all
-//! shrink with the measured sparsity. A dense layer is the all-live
-//! structure of the same plan, not a separate path.
+//! at preparation time and classifies each FC generalized diagonal as
+//! **zero**, **power-of-two**, or **dense** ([`MaskClass`]) and each conv
+//! `(channel diagonal, tap)` mask as live or dead ([`ConvStructure`]);
+//! the layers' rotation plans — [`BsgsPlan`], [`crate::linear::ConvPlan`]
+//! — then cover only the live masks: baby and giant steps whose every
+//! mask is zero are skipped entirely, so rotations, hoisted replays,
+//! plaintext multiplies, Galois-key generation, noise transitions, and
+//! cost-model pricing all shrink with the measured sparsity. A dense
+//! layer is the all-live structure of the same plan, not a separate path.
 //!
 //! The power-of-two class feeds the shift-add weight path: when every live
 //! weight of a layer is `±2^k`, the shared factor `2^m` (the smallest
@@ -29,12 +30,13 @@
 //! zero masks: the skipped terms are zero polynomials. Per-entry random
 //! sparsity almost never zeroes a whole length-`n_i` diagonal; the
 //! structured pruning helper `cheetah_nn`'s `Weights::prune_to_sparsity`
-//! zeroes whole diagonals / taps, which is also what magnitude-pruned real
-//! networks converge to under diagonal packing.
+//! zeroes whole diagonals / conv masks, which is also what magnitude-pruned
+//! real networks converge to under diagonal packing.
 
 use crate::cost::HeCostParams;
 use cheetah_nn::layer::folded_diagonals;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
+use std::ops::Range;
 
 /// `Some(e)` iff `v == ±2^e` (so `±1` is `Some(0)`).
 pub fn pow2_exponent(v: i64) -> Option<u32> {
@@ -46,8 +48,8 @@ pub fn pow2_exponent(v: i64) -> Option<u32> {
     }
 }
 
-/// Structure class of one prepared mask (an FC generalized diagonal or a
-/// conv tap's per-channel weight column).
+/// Structure class of one prepared FC mask (a folded generalized
+/// diagonal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaskClass {
     /// Every entry is zero: the mask, its rotation, and its multiply are
@@ -353,19 +355,22 @@ impl BsgsPlan {
     }
 }
 
-/// Per-mask structure of a conv weight tensor `(co, ci, fw, fw)` under the
-/// packed layout of [`crate::linear::HomConv2d`]: one mask per
-/// `(output channel o, tap)`, classified over its `ci` channel weights,
-/// plus per-`(o, c)` input-channel liveness for the channel reduction.
+/// Weight structure of a conv tensor `(co, ci, fw, fw)` under the packed
+/// layout of [`crate::linear::HomConv2d`], whose unit is the `(d, tap)`
+/// mask: channel block-diagonal `d < c_i' = next_pow2(c_i)` pairs output
+/// channel `o` with input channel `(o + d) mod c_i'`
+/// ([`cheetah_nn::layer::channel_diagonal`]), and one plaintext carries
+/// that pairing's tap weight for every output channel of a ciphertext.
+/// Which outputs share a ciphertext depends on the row size, so the
+/// structure keeps the per-cell zero map and answers liveness per output
+/// range; whole-layer counts treat all outputs as one range.
 #[derive(Debug, Clone)]
 pub struct ConvStructure {
     co: usize,
     ci: usize,
     taps: usize,
-    /// `classes[o·taps + tap]`.
-    classes: Vec<MaskClass>,
-    /// `channel_live[o·ci + c]`: channel `c` carries weight into output `o`.
-    channel_live: Vec<bool>,
+    /// `nonzero[(o·ci + c)·taps + tap]`.
+    nonzero: Vec<bool>,
 }
 
 impl ConvStructure {
@@ -373,24 +378,11 @@ impl ConvStructure {
     pub fn analyze(w: &[i64], co: usize, ci: usize, fw: usize) -> Self {
         let taps = fw * fw;
         assert_eq!(w.len(), co * ci * taps, "weight length mismatch");
-        let mut classes = Vec::with_capacity(co * taps);
-        let mut channel_live = vec![false; co * ci];
-        for o in 0..co {
-            for tap in 0..taps {
-                classes.push(MaskClass::classify(
-                    (0..ci).map(|c| w[(o * ci + c) * taps + tap]),
-                ));
-            }
-            for c in 0..ci {
-                channel_live[o * ci + c] = (0..taps).any(|tap| w[(o * ci + c) * taps + tap] != 0);
-            }
-        }
         Self {
             co,
             ci,
             taps,
-            classes,
-            channel_live,
+            nonzero: w.iter().map(|&v| v != 0).collect(),
         }
     }
 
@@ -404,14 +396,15 @@ impl ConvStructure {
         Self::analyze(weights.data(), spec.co, spec.ci, spec.fw)
     }
 
-    /// Output channels.
-    pub fn co(&self) -> usize {
-        self.co
-    }
-
-    /// Input channels.
-    pub fn ci(&self) -> usize {
-        self.ci
+    /// The fully-live structure of a `(co, ci, fw, fw)` layer — what
+    /// pricing without weight knowledge must assume.
+    pub fn dense(co: usize, ci: usize, fw: usize) -> Self {
+        Self {
+            co,
+            ci,
+            taps: fw * fw,
+            nonzero: vec![true; co * ci * fw * fw],
+        }
     }
 
     /// Taps per filter (`fw²`).
@@ -419,60 +412,38 @@ impl ConvStructure {
         self.taps
     }
 
-    /// Class of mask `(o, tap)`.
-    pub fn mask_class(&self, o: usize, tap: usize) -> MaskClass {
-        self.classes[o * self.taps + tap]
+    /// Channel block-diagonals `c_i' = next_pow2(c_i)`.
+    pub fn diagonals(&self) -> usize {
+        self.ci.next_power_of_two()
     }
 
-    /// Whether mask `(o, tap)` has any weight.
-    pub fn mask_live(&self, o: usize, tap: usize) -> bool {
-        self.mask_class(o, tap).is_live()
+    /// Whether the `(d, tap)` mask serving output channels `outputs`
+    /// carries any weight: some `o` in the range has a nonzero
+    /// `f[o][(o + d) mod c_i'][tap]`.
+    pub fn mask_live(&self, outputs: Range<usize>, d: usize, tap: usize) -> bool {
+        let diagonals = self.diagonals();
+        outputs.into_iter().any(|o| {
+            let c = (o + d) % diagonals;
+            c < self.ci && self.nonzero[(o * self.ci + c) * self.taps + tap]
+        })
     }
 
-    /// Whether tap `tap` is live for *any* output channel (a dead tap's
-    /// input rotation is skipped layer-wide).
-    pub fn tap_live(&self, tap: usize) -> bool {
-        (0..self.co).any(|o| self.mask_live(o, tap))
-    }
-
-    /// Live taps across the layer.
-    pub fn live_taps(&self) -> usize {
-        (0..self.taps).filter(|&t| self.tap_live(t)).count()
-    }
-
-    /// Whether input channel `c` contributes to output `o`.
-    pub fn channel_live(&self, o: usize, c: usize) -> bool {
-        self.channel_live[o * self.ci + c]
-    }
-
-    /// Live input channels for output `o`.
-    pub fn live_channels(&self, o: usize) -> usize {
-        (0..self.ci).filter(|&c| self.channel_live(o, c)).count()
-    }
-
-    /// Whether output channel `o` receives any weight at all.
-    pub fn output_live(&self, o: usize) -> bool {
-        self.live_channels(o) > 0
+    /// Live `(d, tap)` masks over all output channels, of the `c_i'·fw²`
+    /// there are.
+    pub fn live_masks(&self) -> usize {
+        (0..self.diagonals() * self.taps)
+            .filter(|i| self.mask_live(0..self.co, i / self.taps, i % self.taps))
+            .count()
     }
 
     /// Whether the whole layer is zero.
     pub fn all_zero(&self) -> bool {
-        self.classes.iter().all(|c| c.is_zero())
+        !self.nonzero.contains(&true)
     }
 
-    /// Whether every `(o, tap)` mask is live (dense layer).
-    pub fn fully_live(&self) -> bool {
-        self.classes.iter().all(|c| c.is_live())
-    }
-
-    /// Live `(o, tap)` masks, of the `co·fw²` there are.
-    pub fn live_masks(&self) -> usize {
-        self.classes.iter().filter(|c| c.is_live()).count()
-    }
-
-    /// Live fraction of `(o, tap)` masks in `[0, 1]`.
+    /// Live fraction of `(d, tap)` masks in `[0, 1]`.
     pub fn live_fraction(&self) -> f64 {
-        self.live_masks() as f64 / self.classes.len() as f64
+        self.live_masks() as f64 / (self.diagonals() * self.taps) as f64
     }
 }
 
@@ -482,7 +453,7 @@ impl ConvStructure {
 pub enum LayerStructure {
     /// FC diagonal structure.
     Fc(FcStructure),
-    /// Conv mask/channel structure.
+    /// Conv `(d, tap)` mask structure.
     Conv(ConvStructure),
 }
 
@@ -500,12 +471,7 @@ impl LayerStructure {
     pub fn dense(layer: &LinearLayer) -> Self {
         match layer {
             LinearLayer::Fc(f) => LayerStructure::Fc(FcStructure::dense(f.no, f.ni)),
-            LinearLayer::Conv(c) => LayerStructure::Conv(ConvStructure::analyze(
-                &vec![1; c.co * c.ci * c.fw * c.fw],
-                c.co,
-                c.ci,
-                c.fw,
-            )),
+            LinearLayer::Conv(c) => LayerStructure::Conv(ConvStructure::dense(c.co, c.ci, c.fw)),
         }
     }
 
@@ -674,27 +640,32 @@ mod tests {
         let (co, ci, fw) = (2usize, 4usize, 3usize);
         let taps = fw * fw;
         let mut w = vec![0i64; co * ci * taps];
-        // Output 0: channels 0 and 2 live, tap 4 (center) only.
+        // Output 0: channels 0 and 2, tap 4 (center) only — diagonals 0, 2.
         w[4] = 2;
         w[2 * taps + 4] = -4;
-        // Output 1: channel 1, taps 0 and 4.
+        // Output 1: channel 1, taps 0 and 4 — diagonal (1 − 1) mod 4 = 0.
         w[(ci + 1) * taps] = 3;
         w[(ci + 1) * taps + 4] = 1;
         let s = ConvStructure::analyze(&w, co, ci, fw);
-        assert!(s.mask_live(0, 4) && !s.mask_live(0, 0) && s.mask_live(1, 0));
-        assert!(s.tap_live(4) && s.tap_live(0) && !s.tap_live(1));
-        assert_eq!(s.live_taps(), 2);
-        assert_eq!(s.live_channels(0), 2);
-        assert_eq!(s.live_channels(1), 1);
-        assert!(s.channel_live(0, 2) && !s.channel_live(0, 1));
-        assert!(s.output_live(0) && s.output_live(1));
-        assert!(!s.all_zero() && !s.fully_live());
-        assert_eq!(
-            s.mask_class(0, 4),
-            MaskClass::Pow2 { min_exp: 1 },
-            "2 and -4 are both pow2"
+        assert_eq!((s.diagonals(), s.taps()), (4, 9));
+        assert!(s.mask_live(0..2, 0, 4) && s.mask_live(0..2, 2, 4) && s.mask_live(0..2, 0, 0));
+        assert!(!s.mask_live(0..2, 1, 4) && !s.mask_live(0..2, 3, 4) && !s.mask_live(0..2, 2, 0));
+        // Per output range: tap 0 of diagonal 0 belongs to output 1 alone.
+        assert!(!s.mask_live(0..1, 0, 0) && s.mask_live(1..2, 0, 0));
+        assert_eq!(s.live_masks(), 3);
+        assert!((s.live_fraction() - 3.0 / 36.0).abs() < 1e-12);
+        assert!(!s.all_zero());
+        // A non-power-of-two channel count pads: diagonal d pairs output o
+        // with channel (o + d) mod 4, and channel 3 does not exist.
+        let s = ConvStructure::dense(2, 3, 1);
+        assert_eq!(s.diagonals(), 4);
+        assert!(s.mask_live(0..1, 2, 0) && !s.mask_live(0..1, 3, 0));
+        assert!(
+            s.mask_live(0..2, 3, 0),
+            "output 1 reaches channel 0 on d = 3"
         );
-        assert_eq!(s.mask_class(1, 0), MaskClass::Dense);
+        assert_eq!(s.live_masks(), 4);
+        assert!(ConvStructure::analyze(&[0; 18], 2, 1, 3).all_zero());
     }
 
     #[test]

@@ -10,20 +10,20 @@
 //!   `rotation_steps()`, and exactly those Galois keys are enough while
 //!   any one fewer is not;
 //! * a square layer (`fold = 1`) runs the unfolded engine's ops and keys;
-//! * the chain solver's per-FC-layer multiply and rotation counts (and its
+//! * the chain solver's per-layer multiply and rotation counts (and its
 //!   label) are the prepared layer's measured `OpCounts`, on the
-//!   benchmark networks' FC shapes, and are the figures PR 12's traced
-//!   benchmark runs recorded.
+//!   benchmark networks' FC shapes and `bench_cnn`'s two convolutions, and
+//!   are the figures the traced benchmark runs record.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     OpCounts,
 };
-use cheetah_core::linear::HomFc;
+use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::ptune::{solve_chain_plan, NoiseRegime};
 use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec, ReducePlan, Schedule};
 use cheetah_nn::inference::eval_linear;
-use cheetah_nn::{FcSpec, LinearLayer, Tensor};
+use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -423,9 +423,10 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
 }
 
 /// The solver and the engine are one plan: for `bench_mlp`'s three FC
-/// layers and `bench_cnn`'s, the `ChainPlan`'s multiply and rotation
-/// counts are the `OpCounts` of the layer prepared on the plan's chain at
-/// the plan's level, and its label is the prepared layer's.
+/// layers and `bench_cnn`'s FC layer and two convolutions, the
+/// `ChainPlan`'s multiply and rotation counts are the `OpCounts` of the
+/// layer prepared on the plan's chain at the plan's level, and its label
+/// is the prepared layer's.
 #[test]
 fn solver_counts_are_the_engines_measured_counts() {
     let shapes = [(1024, 256), (256, 64), (64, 16), (256, 16)];
@@ -509,6 +510,76 @@ fn solver_counts_are_the_engines_measured_counts() {
             (counts.mul as usize, counts.rotate as usize),
             (no, rotate),
             "{label}"
+        );
+    }
+    // `bench_cnn`'s convolutions: 1→8 channels on 16×16, 8→16 on 8×8.
+    let convs: Vec<ConvSpec> = [(16, 1, 8), (8, 8, 16)]
+        .iter()
+        .map(|&(w, ci, co)| ConvSpec {
+            name: format!("conv{ci}"),
+            w,
+            fw: 3,
+            ci,
+            co,
+            stride: 1,
+            pad: 1,
+        })
+        .collect();
+    let layers: Vec<LinearLayer> = convs.iter().cloned().map(LinearLayer::Conv).collect();
+    let plan = solve_chain_plan(
+        &layers,
+        &quant,
+        Schedule::PartialAligned,
+        NoiseRegime::Statistical,
+        &[4096],
+    )
+    .expect("the benchmark's conv shapes are solvable at n = 4096");
+    let mut c = ctx(plan.params.clone(), 37);
+    let literal = [
+        ("conv packed b=1 g=1 live=9/9 out=1", 9, 8),
+        ("conv packed b=1 g=8 live=72/72 out=1", 72, 15),
+    ];
+    for ((s, lp), (label, mul, rotate)) in convs.iter().zip(&plan.layers).zip(literal) {
+        let len = s.co * s.ci * 9;
+        let w = Tensor::from_data(
+            &[s.co, s.ci, 3, 3],
+            (0..len).map(|_| nonzero(&mut rng, 1)).collect(),
+        );
+        let layer = HomConv2d::new_at_level(s, &w, &c.encoder, &c.eval, lp.level).unwrap();
+        assert_eq!(lp.plan, layer.conv_plan().label(), "{}", s.name);
+        assert_eq!(lp.plan, label);
+
+        let input = Tensor::from_data(
+            &[s.ci, s.w, s.w],
+            (0..s.ci * s.w * s.w).map(|i| i as i64 % 7 - 3).collect(),
+        );
+        let fresh = c
+            .enc
+            .encrypt(&HomConv2d::encode_input(s, &input, &c.encoder).unwrap())
+            .unwrap();
+        let ct = c.eval.mod_switch_to(&fresh, lp.level).unwrap();
+        let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
+        c.eval.reset_op_counts();
+        let outputs = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
+        let counts = c.eval.op_counts();
+        assert_eq!(
+            outputs.len(),
+            1,
+            "{label}: every output channel in one ciphertext"
+        );
+        assert_eq!(
+            (lp.he_mult, lp.he_rotate),
+            (mul as f64, rotate as f64),
+            "{label}"
+        );
+        assert_eq!((counts.mul, counts.rotate), (mul, rotate), "{label}");
+        // The level the solver planned is one the runtime planner's own
+        // bound accepts.
+        let predicted = layer.noise_after(ct.noise(), &c.params, lp.level);
+        assert!(
+            predicted.budget_bits_statistical_at(&c.params, lp.level) >= 2.0,
+            "{label}: planned level {} is past the engine's bound",
+            lp.level
         );
     }
 }

@@ -1,7 +1,8 @@
 //! Parallel-vs-serial equivalence for the homomorphic linear layers:
 //! `apply(…, N)` must decrypt to exactly the tensor that `apply(…, 1)`
-//! (the serial path) produces — for both conv schedules, and for the FC
-//! kernel's auto plan and both diagonal-method corners.
+//! (the serial path) produces — for the conv kernel's auto plan and a
+//! wider baby step, and for the FC kernel's auto plan and both
+//! diagonal-method corners.
 //! Residue arithmetic mod `q` is exact, so the chunked accumulation order
 //! cannot change the decrypted result — these tests pin that down on the
 //! real engine.
@@ -10,7 +11,6 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
-use cheetah_core::schedule::Schedule;
 use cheetah_core::FcStructure;
 use cheetah_nn::{ConvSpec, FcSpec, Tensor};
 use proptest::prelude::*;
@@ -21,6 +21,7 @@ struct Ctx {
     enc: Encryptor,
     dec: Decryptor,
     eval: Evaluator,
+    kg: KeyGenerator,
     keys: GaloisKeys,
 }
 
@@ -40,6 +41,7 @@ fn ctx(steps: &[i64], seed: u64) -> Ctx {
         enc: Encryptor::from_public_key(pk, seed ^ 1),
         dec: Decryptor::new(kg.secret_key().clone()),
         eval: Evaluator::new(params),
+        kg,
         keys,
     }
 }
@@ -61,8 +63,10 @@ proptest! {
 
     #[test]
     fn conv_parallel_decrypts_identically(seed in any::<u64>(), threads in 2usize..6) {
-        let spec = conv_spec(8, 3, 2, 2);
-        let mut c = ctx(&HomConv2d::required_steps(&spec), seed % 1000 + 1);
+        // Four channel diagonals, two output ciphertexts: up to eight
+        // giant groups for the workers to share.
+        let spec = conv_spec(16, 3, 4, 10);
+        let mut c = ctx(&[], seed % 1000 + 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let weights = Tensor::from_data(
             &[spec.co, spec.ci, spec.fw, spec.fw],
@@ -77,19 +81,29 @@ proptest! {
                 .collect(),
         );
 
-        for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
-            let layer = HomConv2d::new(&spec, &weights, &c.encoder, &c.eval, schedule).unwrap();
+        for (what, layer) in [
+            ("auto", HomConv2d::new(&spec, &weights, &c.encoder, &c.eval).unwrap()),
+            ("b=2", HomConv2d::with_baby_width(&spec, &weights, &c.encoder, &c.eval, 2).unwrap()),
+        ] {
+            let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
             let ct = c
                 .enc
                 .encrypt(&HomConv2d::encode_input(&spec, &input, &c.encoder).unwrap())
                 .unwrap();
-            let serial = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-            let parallel = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
+            c.eval.reset_op_counts();
+            let serial = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
+            let serial_counts = c.eval.op_counts();
+            c.eval.reset_op_counts();
+            let parallel = layer.apply(&ct, &c.eval, &keys, threads).unwrap();
+            // Each inner sum is one worker's, the Horner chains run after
+            // the join: not even the add count depends on the chunking.
+            prop_assert_eq!(serial_counts, c.eval.op_counts(), "{} at {} threads", what, threads);
+            prop_assert_eq!(serial.len(), 2);
             prop_assert_eq!(serial.len(), parallel.len());
-            for (o, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+            for (q, (s, p)) in serial.iter().zip(&parallel).enumerate() {
                 let ds = c.encoder.decode_signed(&c.dec.decrypt(s).unwrap());
                 let dp = c.encoder.decode_signed(&c.dec.decrypt(p).unwrap());
-                prop_assert_eq!(&ds, &dp, "{} channel {} differs at {} threads", schedule, o, threads);
+                prop_assert_eq!(&ds, &dp, "{} ciphertext {} differs at {} threads", what, q, threads);
                 // Residues themselves must match: chunked accumulation is
                 // exact mod q, not just up to decryption.
                 prop_assert_eq!(s.c0().data(), p.c0().data());

@@ -7,9 +7,9 @@
 //!   single diagonal) and at every reachable level of a deep chain
 //!   (skipped terms are zero polynomials, so even the ciphertext bits
 //!   agree, before and after the shared fold);
-//! * a sparse `HomConv2d` (dead taps, dead channels, live-channel reduces)
-//!   decodes to exactly the cleartext reference under both schedules and at
-//!   every reachable level;
+//! * a sparse `HomConv2d` (dead taps, dead `(d, tap)` masks, dead trailing
+//!   diagonals) decodes to exactly the cleartext reference at every
+//!   reachable level and multiplies once per live mask;
 //! * all-zero layers produce transparent-zero outputs with **zero**
 //!   rotations and zero multiplies, at every level, for both layer kinds.
 
@@ -17,7 +17,7 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
-use cheetah_core::{FcStructure, Schedule};
+use cheetah_core::FcStructure;
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -29,6 +29,7 @@ struct Ctx {
     enc: Encryptor,
     dec: Decryptor,
     eval: Evaluator,
+    kg: KeyGenerator,
     keys: GaloisKeys,
 }
 
@@ -42,6 +43,7 @@ fn ctx(params: BfvParams, steps: &[i64], seed: u64) -> Ctx {
         enc: Encryptor::from_public_key(pk, seed ^ 0x5eed),
         dec: Decryptor::new(kg.secret_key().clone()),
         eval: Evaluator::new(params),
+        kg,
         keys,
     }
 }
@@ -172,11 +174,12 @@ proptest! {
         prop_assert!(reached >= 2, "levels 0 and 1 must both be reachable");
     }
 
-    /// Sparse conv correctness: dead taps and dead channels are skipped
-    /// (live-channel reduces included) and the decoded outputs equal the
-    /// cleartext reference under both schedules at every reachable level.
+    /// Sparse conv correctness: dead taps and dead `(d, tap)` masks are
+    /// skipped — one multiply per live mask, keys for the plan's own steps
+    /// and no others — and the decoded outputs equal the cleartext
+    /// reference at every reachable level.
     #[test]
-    fn sparse_conv_matches_reference_across_patterns_levels_and_schedules(
+    fn sparse_conv_matches_reference_across_patterns_and_levels(
         seed in any::<u64>(),
         sel in 0usize..4,
     ) {
@@ -192,12 +195,13 @@ proptest! {
         let taps = s.fw * s.fw;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xc0de);
         let mut data = vec![0i64; s.co * s.ci * taps];
-        // Pattern: which (o, c, tap) cells stay live.
-        let live_cell: &dyn Fn(usize, usize, usize) -> bool = match sel {
-            0 => &|_, _, _| true,                                  // full
-            1 => &|_, _, tap| ![0usize, 2, 6, 8].contains(&tap),   // corners dead
-            2 => &|o, c, tap| o == 0 && c == 1 && tap == 4,        // 90%+: one cell
-            3 => &|o, _, tap| o == 1 && tap == 3,                  // single mask
+        // Pattern: which (o, c, tap) cells stay live, and how many of the
+        // 18 (d, tap) masks that leaves.
+        let (live_cell, live_masks): (&dyn Fn(usize, usize, usize) -> bool, usize) = match sel {
+            0 => (&|_, _, _| true, 18),                                  // full
+            1 => (&|_, _, tap| ![0usize, 2, 6, 8].contains(&tap), 10),   // corners dead
+            2 => (&|o, c, tap| o == 0 && c == 1 && tap == 4, 1),         // one cell
+            3 => (&|o, _, tap| o == 1 && tap == 3, 2),                   // one tap of one output
             _ => unreachable!(),
         };
         for o in 0..s.co {
@@ -219,49 +223,41 @@ proptest! {
         );
         let expect = eval_linear(&LinearLayer::Conv(s.clone()), &weights, &input);
 
-        for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
-            let mut c = ctx(deep_params(), &HomConv2d::required_steps(&s), seed % 907 + 1);
-            let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval, schedule).unwrap();
-            if sel > 0 {
-                prop_assert!(
-                    !layer.structure().fully_live(),
-                    "pattern {} must prune something", sel
-                );
+        let mut c = ctx(deep_params(), &[], seed % 907 + 1);
+        let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        prop_assert_eq!(layer.conv_plan().live_masks(), live_masks, "pattern {}", sel);
+        let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
+        let fresh = c.enc
+            .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
+            .unwrap();
+        let mut reached = 0;
+        for level in 0..c.params.levels() {
+            let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
+            let predicted = layer.noise_after(ct.noise(), &c.params, level);
+            if predicted.budget_bits_statistical_at(&c.params, level) < 2.0 {
+                continue;
             }
-            let fresh = c.enc
-                .encrypt(&HomConv2d::encode_input(&s, &input, &c.encoder).unwrap())
-                .unwrap();
-            let mut reached = 0;
-            for level in 0..c.params.levels() {
-                let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
-                let predicted = layer.noise_after(ct.noise(), &c.params, level);
-                if predicted.budget_bits_statistical_at(&c.params, level) < 2.0 {
-                    continue;
-                }
-                reached += 1;
-                let outputs = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-                for (o, out_ct) in outputs.iter().enumerate() {
-                    let slots = c.encoder.decode_signed(&c.dec.decrypt_checked(out_ct).unwrap());
-                    let img = layer.decode_output(&slots);
-                    for y in 0..s.w {
-                        for x in 0..s.w {
-                            prop_assert_eq!(
-                                img.at3(0, y, x), expect.at3(o, y, x),
-                                "pattern {} {:?} level {}: (o={}, y={}, x={})",
-                                sel, schedule, level, o, y, x
-                            );
-                        }
-                    }
-                }
-            }
-            prop_assert!(reached >= 1, "level 0 must be reachable");
+            reached += 1;
+            c.eval.reset_op_counts();
+            let outputs = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
+            let counts = c.eval.op_counts();
+            prop_assert_eq!(counts.mul as usize, live_masks);
+            prop_assert_eq!(counts.rotate as usize, layer.conv_plan().rotations());
+            let slot_vecs: Vec<Vec<i64>> = outputs
+                .iter()
+                .map(|out| c.encoder.decode_signed(&c.dec.decrypt_checked(out).unwrap()))
+                .collect();
+            prop_assert_eq!(
+                layer.decode_output(&slot_vecs), expect.clone(),
+                "pattern {} level {}", sel, level
+            );
         }
+        prop_assert!(reached >= 1, "level 0 must be reachable");
     }
 }
 
 /// All-zero layers cost nothing: transparent-zero outputs, zero rotations,
-/// zero plaintext multiplies — at every level, both layer kinds, both
-/// schedules for conv.
+/// zero plaintext multiplies — at every level, both layer kinds.
 #[test]
 fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
     let params = deep_params();
@@ -296,7 +292,7 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
         assert!(slots.iter().all(|&v| v == 0));
     }
 
-    // Conv, both schedules.
+    // Conv.
     let cs = ConvSpec {
         name: "conv-zero".into(),
         w: 4,
@@ -306,34 +302,31 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
         stride: 1,
         pad: 1,
     };
-    let zero_w = Tensor::from_data(
-        &[cs.co, cs.ci, cs.fw, cs.fw],
-        vec![0i64; cs.co * cs.ci * cs.fw * cs.fw],
-    );
+    let zero_w = Tensor::zeros(&[cs.co, cs.ci, cs.fw, cs.fw]);
     let input = Tensor::from_data(&[cs.ci, cs.w, cs.w], (0..32i64).collect());
-    for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
-        let mut c = ctx(params.clone(), &HomConv2d::required_steps(&cs), 62);
-        let conv = HomConv2d::new(&cs, &zero_w, &c.encoder, &c.eval, schedule).unwrap();
-        assert!(conv.structure().all_zero());
-        assert!(conv.rotation_steps().is_empty());
-        let fresh = c
-            .enc
-            .encrypt(&HomConv2d::encode_input(&cs, &input, &c.encoder).unwrap())
-            .unwrap();
-        for level in 0..params.levels() {
-            let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
-            c.eval.reset_op_counts();
-            let outputs = conv.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-            let counts = c.eval.op_counts();
-            assert_eq!(counts.rotate, 0, "{schedule:?} level {level}: rotated");
-            assert_eq!(counts.mul, 0, "{schedule:?} level {level}: multiplied");
-            for out in &outputs {
-                assert_eq!(out.noise().bound_log2, f64::NEG_INFINITY);
-                let slots = c
-                    .encoder
-                    .decode_signed(&c.dec.decrypt_checked(out).unwrap());
-                assert!(slots.iter().all(|&v| v == 0));
-            }
+    let mut c = ctx(params.clone(), &[], 62);
+    let conv = HomConv2d::new(&cs, &zero_w, &c.encoder, &c.eval).unwrap();
+    assert!(conv.conv_plan().is_empty());
+    assert!(conv.rotation_steps().is_empty());
+    let fresh = c
+        .enc
+        .encrypt(&HomConv2d::encode_input(&cs, &input, &c.encoder).unwrap())
+        .unwrap();
+    for level in 0..params.levels() {
+        let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
+        c.eval.reset_op_counts();
+        let outputs = conv.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+        let counts = c.eval.op_counts();
+        assert_eq!(counts.rotate, 0, "level {level}: rotated");
+        assert_eq!(counts.mul, 0, "level {level}: multiplied");
+        assert_eq!(outputs.len(), 1);
+        for out in &outputs {
+            assert_eq!(out.level(), level);
+            assert_eq!(out.noise().bound_log2, f64::NEG_INFINITY);
+            let slots = c
+                .encoder
+                .decode_signed(&c.dec.decrypt_checked(out).unwrap());
+            assert!(slots.iter().all(|&v| v == 0));
         }
     }
 }

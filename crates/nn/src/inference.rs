@@ -76,9 +76,11 @@ impl Weights {
     ///   exactly the one diagonal `k = (c − r) mod g` the homomorphic
     ///   layer prepares a mask for — the unit one multiply serves — and
     ///   that is the unit that dies.
-    /// * Conv tensors (`[co, ci, fw, fw]`) zero whole **taps** per output
-    ///   channel (the `(o, tap)` mask across all input channels) — the
-    ///   unit one rotation-and-multiply serves.
+    /// * Conv tensors (`[co, ci, fw, fw]`) zero whole **`(d, tap)` masks**:
+    ///   tap `tap` of every cell `(o, c)` on channel block-diagonal
+    ///   `d = (c − o) mod next_pow2(ci)`
+    ///   ([`crate::layer::channel_diagonal`]) — the unit one multiply of
+    ///   the packed convolution serves.
     ///
     /// `frac` of each tensor's units (rounded down) are chosen by a
     /// seeded Fisher–Yates pass per layer; `frac ≥ 1.0` zeroes the layer
@@ -103,15 +105,13 @@ impl Weights {
                         }
                     }
                 }
-                [co, _ci, fw, fh] => {
+                [_co, ci, fw, fh] => {
                     let taps = fw * fh;
-                    let dead = pick_units(co * taps, frac, &mut rng);
-                    let data = tensor.data_mut();
-                    let per_out = data.len() / co;
-                    for (i, v) in data.iter_mut().enumerate() {
-                        let o = i / per_out;
-                        let tap = i % taps;
-                        if dead[o * taps + tap] {
+                    let dead = pick_units(ci.next_power_of_two() * taps, frac, &mut rng);
+                    for (i, v) in tensor.data_mut().iter_mut().enumerate() {
+                        let (cell, tap) = (i / taps, i % taps);
+                        let d = crate::layer::channel_diagonal(cell / ci, cell % ci, ci);
+                        if dead[d * taps + tap] {
                             *v = 0;
                         }
                     }
@@ -487,25 +487,35 @@ mod tests {
         }
         assert_eq!(dead_diags, 8, "half the diagonal units die whole");
 
-        // Conv: units are (output, tap) masks across all input channels.
-        let cnet = tiny_cnn();
+        // Conv: units are (channel block-diagonal, tap) masks across all
+        // output channels. Three input channels pad to four diagonals.
+        let cnet = Network {
+            name: "conv".into(),
+            input_shape: vec![3, 4, 4],
+            layers: vec![Layer::conv("c", 4, 3, 3, 5, 1, 1)],
+        };
         let mut cw = Weights::random(&cnet, 3, 12);
-        cw.prune_to_sparsity(0.9, 7);
-        assert!(cw.sparsity() > 0.6, "90% unit pruning shows up in weights");
+        // Zero-free weights, so a unit is dead iff pruning killed it.
+        for v in cw.tensors[0].data_mut() {
+            *v = if *v == 0 { 1 } else { *v };
+        }
+        cw.prune_to_sparsity(0.5, 7);
         let conv = cw.layer(0);
-        if let &[co, ci, fw, fh] = conv.shape() {
-            let taps = fw * fh;
-            for o in 0..co {
-                for tap in 0..taps {
-                    let vals: Vec<i64> = (0..ci)
-                        .map(|c| conv.data()[o * ci * taps + c * taps + tap])
-                        .collect();
-                    let zero = vals.iter().all(|&v| v == 0);
-                    let any = vals.iter().any(|&v| v != 0);
-                    assert!(zero || any, "tap units die whole");
-                }
+        let (co, ci, taps) = (5, 3, 9);
+        let mut dead_units = 0;
+        for d in 0..4 {
+            for tap in 0..taps {
+                let vals: Vec<i64> = (0..co)
+                    .filter(|o| (o + d) % 4 < ci)
+                    .map(|o| conv.data()[(o * ci + (o + d) % 4) * taps + tap])
+                    .collect();
+                let zero = vals.iter().all(|&v| v == 0);
+                assert!(zero || vals.iter().all(|&v| v != 0), "units die whole");
+                dead_units += usize::from(zero);
             }
         }
+        assert_eq!(dead_units, 18, "half the 36 (d, tap) units die");
+        let cnet = tiny_cnn();
 
         // frac = 1.0 zeroes everything.
         let mut all = Weights::random(&cnet, 3, 13);

@@ -73,6 +73,16 @@ pub fn folded_diagonals(no: usize, ni: usize) -> usize {
     no.next_power_of_two().min(ni.next_power_of_two())
 }
 
+/// Channel block-diagonal of conv weight cell `(o, c)`: with the input
+/// channels zero-padded to `c_i' = next_pow2(c_i)`, the cell lies on
+/// exactly the one diagonal `(c − o) mod c_i'` — with a filter tap, the
+/// unit the packed homomorphic convolution multiplies by and structured
+/// pruning zeroes.
+pub fn channel_diagonal(o: usize, c: usize, ci: usize) -> usize {
+    let d = ci.next_power_of_two();
+    (c + d - o % d) % d
+}
+
 /// A fully connected layer `(n_i, n_o)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FcSpec {

@@ -1,9 +1,9 @@
 //! Shared, immutable prepared state of a private-inference model.
 //!
 //! Preparing a network for homomorphic evaluation is expensive: every
-//! linear layer's weights are packed into prepared plaintexts, BSGS /
-//! reduce plans are chosen, and the union of rotation steps the plans
-//! need is computed. None of that depends on a client — so it is built
+//! linear layer's weights are packed into prepared plaintexts, BSGS
+//! plans are chosen, and the union of rotation steps the plans need is
+//! computed. None of that depends on a client — so it is built
 //! **once** into a [`PreparedLayers`] and shared (behind an
 //! `Arc<PreparedLayers>`) across every concurrent session the serving
 //! layer runs. Everything here is read-only after construction: the
@@ -39,12 +39,12 @@ pub(crate) enum HomLayer {
 
 impl HomLayer {
     /// Rotation steps this prepared layer needs Galois keys for. Both
-    /// layer kinds report their *instance* plan steps — live conv taps
-    /// plus the chosen channel reduces, and the FC kernel's live baby and
-    /// giant steps plus its fold — so a session generates keys only for
-    /// rotations the prepared weights actually perform. A 90%-sparse
-    /// layer's keygen shrinks with its plan; an all-zero layer needs no
-    /// keys at all.
+    /// layer kinds report their *instance* plan steps — the convolution's
+    /// live tap baby steps plus its one giant step, and the FC kernel's
+    /// live baby and giant steps plus its fold — so a session generates
+    /// keys only for rotations the prepared weights actually perform. A
+    /// 90%-sparse layer's keygen shrinks with its plan; an all-zero layer
+    /// needs no keys at all.
     fn rotation_steps(&self) -> Vec<i64> {
         match self {
             HomLayer::Conv(c) => c.rotation_steps(),
@@ -52,26 +52,11 @@ impl HomLayer {
         }
     }
 
-    /// Human-readable rotation-plan label for transcripts and reports. A
-    /// pruned convolution reports its live `(o, tap)` masks over all
-    /// `co·fw²` — the unit [`ConvStructure::live_fraction`] counts in.
-    ///
-    /// [`ConvStructure::live_fraction`]: cheetah_core::sparse::ConvStructure::live_fraction
+    /// Human-readable rotation-plan label for transcripts and reports —
+    /// the label the chain solver's `LayerPlan` carries for the same plan.
     fn plan_label(&self) -> String {
         match self {
-            HomLayer::Conv(c) => {
-                let s = c.structure();
-                if s.fully_live() {
-                    format!("conv reduce {:?}", c.reduce_plan())
-                } else {
-                    format!(
-                        "conv sparse live={}/{} reduce {:?}",
-                        s.live_masks(),
-                        s.co() * s.taps(),
-                        c.reduce_plan()
-                    )
-                }
-            }
+            HomLayer::Conv(c) => c.conv_plan().label(),
             HomLayer::Fc(f) => f.fc_plan().label(),
         }
     }
@@ -95,9 +80,9 @@ impl HomLayer {
     /// the chain and keeps the deepest level whose *predicted output*
     /// still clears the planning margin under the **statistical** (IBDG)
     /// budget — the §IV-B provisioning rule HE-PTune uses (failure
-    /// probability below 1e-10). The worst-case bound would pin BSGS FC
-    /// layers at full level: their baby steps are rotate-then-multiply, so
-    /// the Table-III bound pays the key-switch additive inside the
+    /// probability below 1e-10). The worst-case bound would pin both
+    /// kernels at full level: their baby steps are rotate-then-multiply,
+    /// so the Table-III bound pays the key-switch additive inside the
     /// multiplication even though the measured noise sits far below it.
     /// Returns 0 (full chain) when no switch is safe — dropping limbs is
     /// purely an optimization, never a correctness requirement.
@@ -143,20 +128,31 @@ impl HomLayer {
         }
     }
 
+    /// Ciphertexts per evaluation.
+    fn output_ciphertexts(&self) -> usize {
+        match self {
+            HomLayer::Conv(c) => c.conv_plan().outputs(),
+            HomLayer::Fc(_) => 1,
+        }
+    }
+
+    /// Where element `i` of the (row-major) output tensor lands:
+    /// `(ciphertext, slot)`.
+    fn output_slot(&self, i: usize) -> (usize, usize) {
+        match self {
+            HomLayer::Conv(c) => {
+                let w2 = c.spec().w * c.spec().w;
+                c.output_slot(i / w2, i % w2)
+            }
+            HomLayer::Fc(_) => (0, i),
+        }
+    }
+
     /// Extracts the output tensor from per-ciphertext decoded slots.
     fn unpack(&self, slot_vecs: &[Vec<i64>]) -> Tensor {
         match self {
-            HomLayer::Conv(c) => {
-                let w = c.spec().w;
-                let mut data = Vec::with_capacity(c.spec().co * w * w);
-                for slots in slot_vecs {
-                    data.extend_from_slice(&slots[..w * w]);
-                }
-                Tensor::from_data(&[c.spec().co, w, w], data)
-            }
-            HomLayer::Fc(f) => {
-                Tensor::from_data(&[f.spec().no], slot_vecs[0][..f.spec().no].to_vec())
-            }
+            HomLayer::Conv(c) => c.decode_output(slot_vecs),
+            HomLayer::Fc(f) => f.decode_output(&slot_vecs[0]),
         }
     }
 }
@@ -214,9 +210,14 @@ pub struct PreparedLayers {
 }
 
 impl PreparedLayers {
-    /// Prepares every linear layer of `net` — convolutions under the given
-    /// schedule, FC layers under the plan their cost model picks — and
-    /// splits the network into leading / per-layer nonlinear bundles.
+    /// Prepares every linear layer of `net` under the plan its cost model
+    /// picks and splits the network into leading / per-layer nonlinear
+    /// bundles.
+    ///
+    /// No layer reads `_schedule`: convolutions and FC layers each run one
+    /// kernel. The argument stays only because the frozen
+    /// `bench_e2e/run.rs` driver and the callers that pair a session with
+    /// the analytic Fig. 5/6 schedule pricing still pass one.
     ///
     /// # Errors
     ///
@@ -226,21 +227,20 @@ impl PreparedLayers {
         net: &Network,
         weights: &Weights,
         params: BfvParams,
-        schedule: Schedule,
+        _schedule: Schedule,
     ) -> Result<Self> {
-        Self::new_with_levels(net, weights, params, schedule, None)
+        Self::new_with_levels(net, weights, params, None)
     }
 
     /// [`PreparedLayers::new`] with optional per-linear-layer planned
-    /// levels: each layer's plan (BSGS width, reduce shape, sparse
-    /// pruning) is then priced with the cost model *at its planned level*
-    /// instead of level 0 — fewer live limbs make rotations relatively
-    /// cheaper and can tip the plan choice.
+    /// levels: each layer's plan (baby width, fold shape, sparse pruning)
+    /// is then priced with the cost model *at its planned level* instead
+    /// of level 0 — fewer live limbs make rotations relatively cheaper and
+    /// can tip the plan choice.
     fn new_with_levels(
         net: &Network,
         weights: &Weights,
         params: BfvParams,
-        schedule: Schedule,
         levels: Option<&[usize]>,
     ) -> Result<Self> {
         let encoder = BatchEncoder::new(params.clone());
@@ -263,7 +263,6 @@ impl PreparedLayers {
                             weights.layer(linear_idx),
                             &encoder,
                             &evaluator,
-                            schedule,
                             level,
                         )?));
                     }
@@ -306,8 +305,8 @@ impl PreparedLayers {
 
     /// Prepares a network from a solver-produced [`ChainPlan`]: the plan's
     /// exact parameter chain (special prime included when the solver chose
-    /// a hybrid chain) and schedule drive preparation, and its per-layer
-    /// levels become ceilings for the runtime level planner — the
+    /// a hybrid chain) drives preparation, and its per-layer levels become
+    /// ceilings for the runtime level planner — the
     /// HE-PTune v2 path from `solve_chain_plan` straight into a serving
     /// session.
     ///
@@ -327,13 +326,7 @@ impl PreparedLayers {
             ));
         }
         let levels = plan.levels();
-        let mut prepared = Self::new_with_levels(
-            net,
-            weights,
-            plan.params.clone(),
-            plan.schedule,
-            Some(&levels),
-        )?;
+        let mut prepared = Self::new_with_levels(net, weights, plan.params.clone(), Some(&levels))?;
         prepared.planned_levels = Some(levels);
         Ok(prepared)
     }
@@ -436,13 +429,10 @@ impl PreparedLayers {
     }
 
     /// Number of ciphertexts linear layer `k` ships per masked download
-    /// (conv layers send one per output channel, FC layers one) — what a
-    /// client validates a download bundle's framing against.
+    /// (one, unless a convolution's output channels overflow a row) —
+    /// what a client validates a download bundle's framing against.
     pub fn output_ciphertexts(&self, k: usize) -> usize {
-        match &self.layers[k] {
-            HomLayer::Conv(c) => c.spec().co,
-            HomLayer::Fc(_) => 1,
-        }
+        self.layers[k].output_ciphertexts()
     }
 
     /// Output tensor shape of linear layer `k` (before its bundle).
@@ -501,24 +491,32 @@ impl PreparedLayers {
     ///
     /// Propagates encoding errors.
     pub fn pack_output_mask(&self, k: usize, mask: &Tensor) -> Result<Vec<Plaintext>> {
-        self.pack_mask_with(k, mask, |_| {})
+        self.pack_mask_with(k, mask, || 0)
     }
 
-    /// One plaintext per output ciphertext of layer `k`: that ciphertext's
-    /// share of `mask` in its leading slots, then whatever `rest` appends.
+    /// One plaintext per output ciphertext of layer `k`: `mask` scattered
+    /// to the output slots, and every other slot — ciphertext by
+    /// ciphertext, ascending — whatever `rest` yields.
     fn pack_mask_with(
         &self,
         k: usize,
         mask: &Tensor,
-        mut rest: impl FnMut(&mut Vec<i64>),
+        mut rest: impl FnMut() -> i64,
     ) -> Result<Vec<Plaintext>> {
-        let per_ct = mask.len() / self.output_ciphertexts(k);
-        mask.data()
-            .chunks(per_ct)
-            .map(|output| {
-                let mut values = output.to_vec();
-                rest(&mut values);
-                self.encoder.encode_signed(&values)
+        let layer = &self.layers[k];
+        let mut values = vec![vec![None; self.encoder.slots()]; layer.output_ciphertexts()];
+        for (i, &m) in mask.data().iter().enumerate() {
+            let (ct, slot) = layer.output_slot(i);
+            values[ct][slot] = Some(m);
+        }
+        values
+            .into_iter()
+            .map(|slots| {
+                let slots: Vec<i64> = slots
+                    .into_iter()
+                    .map(|v| v.unwrap_or_else(&mut rest))
+                    .collect();
+                self.encoder.encode_signed(&slots)
             })
             .collect()
     }
@@ -526,14 +524,17 @@ impl PreparedLayers {
     /// Draws linear layer `k`'s download mask from the server's mask
     /// stream: the logical output mask `r` (uniform mod `t`; zeros on the
     /// final layer, whose prediction belongs to the client), then — per
-    /// output ciphertext — fresh uniform blinding for **every slot the
-    /// output does not occupy**. Those slots are not empty: an FC layer
-    /// leaves partial row sums past its `n_o` outputs and a convolution
-    /// partial channel sums past its `w²` pixels, all linear in the
+    /// output ciphertext — fresh uniform blinding for **every slot that
+    /// is not an output element**. Those slots need not be empty: an FC
+    /// layer leaves partial row sums past its `n_o` outputs, linear in the
     /// activations and the weights, and the client decrypts whatever is
-    /// shipped. Returns `r` and the packed plaintexts to add, one per
-    /// output ciphertext. Both session implementations draw through here,
-    /// so their streams agree seed for seed.
+    /// shipped. (A packed convolution's masks zero the gap behind each
+    /// `w²` image, the blocks past `c_o` and the second row; they are
+    /// blinded all the same, so no layout has to be trusted for it.)
+    /// Returns `r` and the packed plaintexts to add, one per output
+    /// ciphertext. Both session
+    /// implementations draw through here, so their streams agree seed for
+    /// seed.
     ///
     /// # Errors
     ///
@@ -554,10 +555,7 @@ impl PreparedLayers {
                 .collect();
             Tensor::from_data(&shape, data)
         };
-        let slots = self.encoder.slots();
-        let packed = self.pack_mask_with(k, &mask, |values| {
-            values.resize_with(slots, || rng.random_range(-half_t..=half_t));
-        })?;
+        let packed = self.pack_mask_with(k, &mask, || rng.random_range(-half_t..=half_t))?;
         Ok((mask, packed))
     }
 }

@@ -64,6 +64,16 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
         plan.name
     );
     assert!(transcript.total_bytes() > 0);
+
+    // The solver priced the convolution as the engine runs it — hoisted
+    // taps, multiplied after — so the level it planned is one the runtime
+    // planner accepts as is, and the split it labelled is the prepared
+    // one (the weights, which this dense solve never saw, drew one tap
+    // zero in both filters).
+    let conv = &session.layer_reports()[0];
+    assert_eq!(conv.level, plan.layers[0].level, "planned conv level");
+    assert_eq!(plan.layers[0].plan, "conv packed b=1 g=1 live=9/9 out=1");
+    assert_eq!(conv.plan, "conv packed b=1 g=1 live=8/9 out=1");
 }
 
 #[test]

@@ -197,7 +197,7 @@ fn solver_planned_model_serves_concurrent_clients() {
 #[test]
 fn sparse_and_pow2_models_serve_concurrent_clients_exactly() {
     // Weight-structure variants through the full serving stack: an
-    // 80%-pruned model (sparse BSGS plans, live-channel reduces, smaller
+    // 80%-pruned model (sparse BSGS plans, live conv masks only, smaller
     // Galois key set) and a pow2-rounded model (shift-add `mul_plain`
     // plaintexts) each serve a concurrent client fleet bit-identically to
     // the cleartext reference on the same transformed weights.

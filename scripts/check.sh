@@ -13,9 +13,9 @@ echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> one-representation gate"
-# One FC kernel, one apply per layer, no simd cargo feature: the deleted
-# parallel forms must not grow back.
-if git grep -nE 'FcKernelPlan|FcKernel::|apply_threaded|apply_diagonal|apply_bsgs|feature = "simd"' -- crates src tests examples; then
+# One FC kernel, one conv kernel, one apply per layer, no simd cargo
+# feature: the deleted parallel forms must not grow back.
+if git grep -nE 'FcKernelPlan|FcKernel::|apply_threaded|apply_diagonal|apply_bsgs|feature = "simd"|ChannelReduce|apply_partial_aligned|apply_input_aligned|merge_partial_vecs' -- crates src tests examples; then
     echo "FAIL: a deleted parallel representation is back (see matches above)"
     exit 1
 fi

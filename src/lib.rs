@@ -43,10 +43,10 @@
 //!   runs forward/inverse NTTs across worker threads, bit-identically to
 //!   the serial path for any thread count.
 //! * **Parallel linear layers** — `core`'s `HomConv2d` / `HomFc` each have
-//!   one `apply(input, eval, keys, threads)` that splits its
-//!   rotate-mul-accumulate loop into per-thread chunks (each worker owns a
-//!   `Scratch`), merges partial sums deterministically, and keeps exact
-//!   kernel accounting via the evaluator's atomic [`bfv::OpCounts`].
+//!   one `apply(input, eval, keys, threads)` that splits its giant
+//!   groups' multiply-accumulate loops into per-thread chunks, combines
+//!   the results in a fixed order, and keeps exact kernel accounting via
+//!   the evaluator's atomic [`bfv::OpCounts`].
 //! * **Vector kernels** — [`bfv::simd`] dispatches the NTT butterflies
 //!   and pointwise kernels at runtime to AVX2 or portable lanes,
 //!   bit-identical to the scalar reference (no cargo feature).

@@ -2,14 +2,18 @@
 //!
 //! A linear layer writes more slots than its output occupies: an FC layer
 //! leaves partial row sums past its `n_o` outputs (what the fold gathers
-//! from, short of the terms that would wrap), a convolution partial
-//! channel sums past its `w²` pixels. The client decrypts whatever is
-//! shipped, so every such slot must leave the server under fresh uniform
-//! blinding — on the final layer too, whose *output* is deliberately
-//! unmasked. Checked on the one-party session and on the served halves:
-//! `decrypt(download) − decrypt(unblinded layer output)` is nonzero on
-//! every slot the layer wrote outside its output, and differs between two
-//! mask seeds.
+//! from, short of the terms that would wrap). The client decrypts whatever
+//! is shipped, so every such slot must leave the server under fresh
+//! uniform blinding — on the final layer too, whose *output* is
+//! deliberately unmasked. A packed convolution's masks are zero wherever
+//! no output pixel lands — the `s − w²` gap behind each image when `w²` is
+//! not a power of two, the blocks past `c_o`, the second row — so it
+//! writes nothing there; that is pinned too, and the blinding covers those
+//! slots all the same. Checked on the one-party session and on the served
+//! halves: `decrypt(download) − decrypt(unblinded layer output)` is
+//! nonzero on every slot the layer wrote outside its output, is a fresh
+//! draw on (all but a stray few of) the slots it did not write, and
+//! differs between two mask seeds.
 
 use std::sync::Arc;
 
@@ -25,8 +29,8 @@ fn params() -> BfvParams {
     BfvParams::preset_rns_3x36(4096).unwrap()
 }
 
-/// A 2-channel convolution feeding the (final) FC layer: the conv leaves
-/// channel 1's partial sums in slots `[16, 32)` of every download.
+/// A 2-channel 4×4 convolution feeding the (final) FC layer: 16-slot
+/// blocks, the two outputs in blocks 0 and 1 of the row's 128.
 fn conv_first() -> Network {
     Network {
         name: "conv-first".into(),
@@ -36,6 +40,22 @@ fn conv_first() -> Network {
             Layer::Relu,
             Layer::Flatten,
             Layer::fc("fc", 32, 8),
+        ],
+    }
+}
+
+/// A 6×6 convolution, not the final layer: 36 pixels in 64-slot blocks,
+/// so every block trails a 28-slot gap.
+fn conv_with_gaps() -> Network {
+    Network {
+        name: "conv-gaps".into(),
+        input_shape: vec![2, 6, 6],
+        layers: vec![
+            Layer::conv("conv", 6, 3, 2, 2, 1, 1),
+            Layer::Relu,
+            Layer::MaxPool { k: 3, stride: 3 },
+            Layer::Flatten,
+            Layer::fc("fc", 8, 4),
         ],
     }
 }
@@ -127,62 +147,87 @@ fn both_sessions(net: &Network, weights: &Weights, seed: u64) -> [Vec<(Vec<i64>,
     ]
 }
 
-/// The checks on one network: `out_len` output slots per ciphertext, the
-/// output itself masked or (final layer) not.
-fn check(net: &Network, out_len: usize, output_masked: bool) {
+/// Slot `slot` of a `c_o`-channel `w × w` convolution's one download
+/// ciphertext: `"output"`, or the kind of slot the blinding must cover.
+fn conv_region(w: usize, co: usize, slot: usize) -> &'static str {
+    let stride = (w * w).next_power_of_two();
+    match (slot / stride, slot % stride) {
+        _ if slot >= 2048 => "second row",
+        (block, _) if block >= co => "spare block",
+        (_, pixel) if pixel >= w * w => "gap",
+        _ => "output",
+    }
+}
+
+/// The checks on one network: `region` names each slot of a download
+/// ciphertext (`"output"` for the layer's result, masked or — final layer
+/// — not); `written` lists the other regions the layer writes into.
+fn check(net: &Network, region: impl Fn(usize) -> &'static str, written: &[&str], masked: bool) {
     let weights = Weights::random(net, 2, 17);
     let by_seed = [1u64, 2].map(|seed| both_sessions(net, &weights, seed));
+    let blind = |slot: &usize| region(*slot) != "output";
     for (seed, sessions) in by_seed.iter().enumerate() {
         for (which, cts) in sessions.iter().enumerate() {
-            let mut exposed = 0;
-            for (clear, added) in cts {
-                if !output_masked {
-                    assert!(
-                        added[..out_len].iter().all(|&v| v == 0),
-                        "the final layer's prediction ships unmasked"
+            assert_eq!(cts.len(), 1, "{}: one download ciphertext", net.name);
+            let (clear, added) = &cts[0];
+            if !masked {
+                let output = (0..clear.len()).filter(|s| !blind(s));
+                assert!(
+                    output.map(|s| added[s]).all(|v| v == 0),
+                    "the final layer's prediction ships unmasked"
+                );
+            }
+            let mut exposed: Vec<&str> = Vec::new();
+            for slot in (0..clear.len()).filter(blind) {
+                if clear[slot] != 0 {
+                    if !exposed.contains(&region(slot)) {
+                        exposed.push(region(slot));
+                    }
+                    assert_ne!(
+                        added[slot],
+                        0,
+                        "{} seed {seed} session {which}: {} slot {slot} ships {} in the clear",
+                        net.name,
+                        region(slot),
+                        clear[slot]
                     );
                 }
-                for (slot, (&c, &a)) in clear.iter().zip(added).enumerate().skip(out_len) {
-                    if c != 0 {
-                        exposed += 1;
-                        assert_ne!(
-                            a, 0,
-                            "{} seed {seed} session {which}: slot {slot} ships {c} in the clear",
-                            net.name
-                        );
-                    }
-                }
             }
-            assert!(
-                exposed > 0,
-                "{}: the layer wrote nothing outside its output — the test is vacuous",
-                net.name
-            );
+            assert_eq!(exposed, written, "{}: regions written", net.name);
+            // Every slot outside the output draws from the mask stream,
+            // written or not: a uniform draw mod t is zero once in 2^17.
+            let undrawn = (0..clear.len()).filter(|s| blind(s) && added[*s] == 0);
+            assert!(undrawn.count() <= 2, "{}: unblinded slots", net.name);
         }
         // The served halves draw the one-party session's mask stream.
         assert_eq!(sessions[0], sessions[1], "{} seed {seed}", net.name);
     }
     // Fresh per server seed: the same slots carry other values.
-    for (a, b) in by_seed[0][0].iter().zip(&by_seed[1][0]) {
-        let differing = a.1[out_len..]
-            .iter()
-            .zip(&b.1[out_len..])
-            .filter(|(x, y)| x != y)
-            .count();
-        assert!(
-            differing > (a.1.len() - out_len) * 9 / 10,
-            "{}: blinding repeats across mask seeds ({differing} slots differ)",
-            net.name
-        );
-    }
+    let (a, b) = (&by_seed[0][0][0].1, &by_seed[1][0][0].1);
+    let slots: Vec<usize> = (0..a.len()).filter(blind).collect();
+    let differing = slots.iter().filter(|&&s| a[s] != b[s]).count();
+    assert!(
+        differing > slots.len() * 9 / 10,
+        "{}: blinding repeats across mask seeds ({differing} slots differ)",
+        net.name
+    );
 }
 
 #[test]
 fn conv_download_blinds_the_partial_channel_sums() {
-    check(&conv_first(), 16, true);
+    // c_o = 2 of the row's 128 blocks (w² = 16 is a power of two, so the
+    // blocks have no gap): the 126 spare ones and the second row stay
+    // zero under the layer and leave blinded.
+    check(&conv_first(), |s| conv_region(4, 2, s), &[], true);
+}
+
+#[test]
+fn conv_download_blinds_the_gaps_behind_each_image() {
+    check(&conv_with_gaps(), |s| conv_region(6, 2, s), &[], true);
 }
 
 #[test]
 fn final_fc_download_blinds_the_partial_row_sums() {
-    check(&fc_only(), 8, false);
+    let region = |s: usize| if s < 8 { "output" } else { "partial row sums" };
+    check(&fc_only(), region, &["partial row sums"], false);
 }

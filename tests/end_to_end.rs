@@ -94,6 +94,47 @@ fn unsupported_zoo_shapes_are_typed_errors_at_prepare_time() {
 }
 
 #[test]
+fn oversized_and_mismatched_convs_are_typed_errors_at_prepare_time() {
+    // The packed convolution pads channels and pixels to powers of two:
+    // 40 channels of 6×6 are 1440 values, but 64 blocks of 64 slots
+    // overflow the 2048-slot row. And weights drawn for another network
+    // are refused on their shape, before any structure scan asserts on
+    // their length.
+    let conv_net = |ci: usize| Network {
+        name: format!("conv{ci}"),
+        input_shape: vec![ci, 6, 6],
+        layers: vec![Layer::conv("conv", 6, 3, ci, 2, 1, 1)],
+    };
+    let params = BfvParams::preset_rns_3x36(4096).unwrap();
+    let both = |net: &Network, weights: &Weights| {
+        let served = cheetah::serve::PreparedModel::prepare(
+            net,
+            weights,
+            params.clone(),
+            Schedule::PartialAligned,
+        );
+        let session =
+            PrivateInferenceSession::new(net, weights, params.clone(), Schedule::PartialAligned, 1);
+        [served.map(|_| ()), session.map(|_| ())]
+    };
+    let wide = conv_net(40);
+    for refused in both(&wide, &Weights::random(&wide, 1, 812)) {
+        assert!(matches!(
+            refused,
+            Err(cheetah::bfv::Error::TooManyValues {
+                given: 4096,
+                slots: 2048
+            })
+        ));
+    }
+    for refused in both(&conv_net(2), &Weights::random(&conv_net(3), 1, 813)) {
+        assert!(
+            matches!(refused, Err(cheetah::bfv::Error::Unsupported(why)) if why.contains("weight tensor shape"))
+        );
+    }
+}
+
+#[test]
 fn wrong_shaped_client_input_is_a_typed_error() {
     // A client input of the wrong shape reaches the layers' packers
     // through `ClientSession::new` / `next_upload`: a refusal, not a panic.

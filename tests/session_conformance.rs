@@ -11,8 +11,9 @@
 //!   accounting at its recorded level: uploads are always full-chain and
 //!   ship in the seeded wire format (`limbs·n·8 + 8`: an 8-byte PRNG
 //!   seed replaces the whole `c1` component), while masked downloads
-//!   stay in the full `2·live·n·8` format and shrink with the planned
-//!   level;
+//!   stay in the full `2·live·n·8` format — one ciphertext a layer, the
+//!   convolution's two output channels included — and shrink with the
+//!   planned level;
 //! * every linear layer's *measured* invariant noise sits under the
 //!   engine-tracked estimate, which sits under the layer's `noise_after`
 //!   planning bound — `measured ≤ tracked ≤ predicted`, per layer, per
@@ -61,15 +62,6 @@ fn preset_chains() -> Vec<(&'static str, BfvParams)> {
         ("rns_2x30", rns_2x30),
         ("rns_3x36", rns_3x36),
     ]
-}
-
-/// Ciphertexts per masked download of linear layer `i` of the tiny CNN:
-/// the conv layer ships one ciphertext per output channel, FC layers one.
-fn cts_per_download(layer: usize) -> usize {
-    match layer {
-        0 => 2, // conv1: co = 2
-        _ => 1,
-    }
 }
 
 /// Parses the `lvlN` suffix of a masked-download label.
@@ -131,7 +123,7 @@ fn tiny_cnn_conformance_on_all_preset_chains() {
                 let live = limbs - level;
                 assert_eq!(
                     m.bytes,
-                    cts_per_download(downloads) * 2 * live * N * 8,
+                    2 * live * N * 8,
                     "{name}: download accounting for {}",
                     m.label
                 );
@@ -215,10 +207,10 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
             prepared.required_steps().len()
         );
         // Labels count what is skipped in its own unit: the convolution's
-        // 18 `(o, tap)` masks (10 pruned, one drawn all-zero), the FC
-        // layers' folded diagonals (9 of 16 and 2 of 4 pruned).
+        // 9 `(d, tap)` masks (5 pruned), the FC layers' folded diagonals
+        // (9 of 16 and 2 of 4 pruned).
         let plans: Vec<String> = (0..3).map(|k| prepared.plan_label(k)).collect();
-        assert_eq!(plans[0], "conv sparse live=7/18 reduce Ladder", "{name}");
+        assert_eq!(plans[0], "conv packed b=1 g=1 live=4/9 out=1", "{name}");
         assert!(
             plans[1].contains("live=7/16 fold=2") && plans[2].contains("live=2/4 fold=4"),
             "{name}: pruned FC layers should plan over live diagonals, got {plans:?}"
