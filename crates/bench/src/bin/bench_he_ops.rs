@@ -6,6 +6,10 @@
 //! the leveled primitives — `l{2,3}_mod_switch` (dropping a limb) and
 //! `l{2,3}_rotate_level1` (rotating after one drop) — demonstrating that
 //! reduced-level rotations are measurably cheaper than full-level ones —
+//! `l{1,2,3}_dot_plain_26` beside `l{1,2,3}_mul` (a 26-term
+//! `mul_plain_accumulate_many` group sum against one `mul_plain_assign`:
+//! `scripts/check.sh` fails a committed full run where the one-pass sum
+//! costs more than 0.6 × 26 multiplies) —
 //! and the FC-layer pair `l{2,3}_fc_bsgs` vs `l{2,3}_fc_diag` (plus
 //! `_level1` variants): the auto-chosen Baby-Step-Giant-Step split against
 //! the same kernel forced to baby width 1 (the diagonal method) on the
@@ -127,6 +131,11 @@ fn ctx() -> Ctx {
     )
 }
 
+/// Terms of the `l{1,2,3}_dot_plain_26` group sum: about one giant group
+/// of a 256-diagonal FC layer (`bench_e2e`'s `mlp_digit` first layer runs
+/// 256 masks in 37 rotations).
+const DOT_TERMS: usize = 26;
+
 /// Per-preset timings, using the in-place ops. `rotate_hoisted` is the
 /// marginal cost of one extra rotation of an already-hoisted set —
 /// permutations + key-switch multiply-accumulates, zero NTTs. Multi-limb
@@ -138,6 +147,8 @@ struct LimbPoint {
     limbs: usize,
     add: f64,
     mul: f64,
+    /// One [`DOT_TERMS`]-term `mul_plain_accumulate_many`.
+    dot_plain: f64,
     /// Rotation with the backend pinned to scalar — comparable across the
     /// SIMD work.
     rotate: f64,
@@ -162,6 +173,29 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
     let mul = time_ns(|| {
         c.eval
             .mul_plain_assign(black_box(&mut work), &c.pt)
+            .unwrap();
+    });
+    // One BSGS group's inner sum: 26 distinct masks against alternating
+    // ciphertexts, accumulated in one lazy pass.
+    let encoder = BatchEncoder::new(params.clone());
+    let t = params.plain_modulus().value();
+    let masks: Vec<PreparedPlaintext> = (0..DOT_TERMS as u64)
+        .map(|k| {
+            let values: Vec<u64> = (0..4096u64).map(|v| (v * (k + 2) + k) % t).collect();
+            c.eval
+                .prepare_plaintext(&encoder.encode(&values).unwrap())
+                .unwrap()
+        })
+        .collect();
+    let terms: Vec<(&Ciphertext, &PreparedPlaintext)> = masks
+        .iter()
+        .enumerate()
+        .map(|(k, mask)| (if k % 2 == 0 { &c.ct } else { &c.ct2 }, mask))
+        .collect();
+    let mut work = c.ct.clone();
+    let dot_plain = time_ns(|| {
+        c.eval
+            .mul_plain_accumulate_many(black_box(&mut work), black_box(&terms))
             .unwrap();
     });
     let mut scratch: Scratch = c.eval.new_scratch();
@@ -213,6 +247,7 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
         limbs,
         add,
         mul,
+        dot_plain,
         rotate,
         rotate_simd,
         rotate_hoisted,
@@ -589,6 +624,11 @@ fn main() {
         let trail = ",";
         let _ = writeln!(json, "    \"l{limbs}_add\": {:.1},", p.add);
         let _ = writeln!(json, "    \"l{limbs}_mul\": {:.1},", p.mul);
+        let _ = writeln!(
+            json,
+            "    \"l{limbs}_dot_plain_{DOT_TERMS}\": {:.1},",
+            p.dot_plain
+        );
         let _ = writeln!(json, "    \"l{limbs}_rotate\": {:.1},", p.rotate);
         let _ = writeln!(json, "    \"l{limbs}_rotate_simd\": {:.1},", p.rotate_simd);
         match p.leveled {

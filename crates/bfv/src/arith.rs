@@ -55,6 +55,10 @@ pub const MAX_MODULUS_BITS: u32 = 62;
 /// arithmetic that never enters a transform.
 pub const MAX_NTT_MODULUS_BITS: u32 = 61;
 
+/// [`Modulus::reduce_u128`] takes inputs below `2^LAZY_SUM_BITS`: twice
+/// [`MAX_MODULUS_BITS`], the width of the widest single product.
+pub(crate) const LAZY_SUM_BITS: u32 = 2 * MAX_MODULUS_BITS;
+
 impl Modulus {
     /// Creates a new modulus with precomputed Barrett constants.
     ///
@@ -102,21 +106,40 @@ impl Modulus {
         self.reduce_u128(x as u128)
     }
 
-    /// Barrett-reduces a 128-bit value modulo `self`.
+    /// Barrett-reduces a 128-bit value `x < 2^124` modulo `self`.
     ///
     /// This is the five-multiplication reduction the paper's cost model
     /// references (four partials in the 128×128 high product, one for `t·q`).
+    /// A product of two residues is below `2^124` for every valid modulus;
+    /// a lazy sum of products stays below it for
+    /// [`Modulus::lazy_dot_terms`] terms.
     #[inline]
     pub fn reduce_u128(&self, x: u128) -> u64 {
+        debug_assert!(x >> LAZY_SUM_BITS == 0, "reduce_u128 input exceeds 2^124");
         // Quotient estimate t = floor(x * const_ratio / 2^128) <= floor(x/q),
         // off by at most 2.
         let t = mulhi_u128(x, self.const_ratio);
-        // x < 2^124 in all callers, so floor(x/q) < 2^64 and t fits u64 math.
         let mut r = (x - t * self.value as u128) as u64;
         while r >= self.value {
             r -= self.value;
         }
         r
+    }
+
+    /// How many products of two residues a lazy inner product may add to
+    /// a `u128` accumulator that starts at a residue before it has to
+    /// reduce: `K = ⌊(min(2^124, q·2^64) − q) / (q − 1)²⌋`, so that
+    /// `(q − 1) + K·(q − 1)²` — the largest value `K` terms can reach —
+    /// is still below [`Modulus::reduce_u128`]'s `2^124` input bound and
+    /// its quotient `⌊x/q⌋` still fits one word. At least 1 for every
+    /// valid modulus; 4 just under `2^61`, 16 just under `2^60`, `2^28`
+    /// for 36-bit limbs (saturates at `usize::MAX` for tiny moduli).
+    #[inline]
+    pub fn lazy_dot_terms(&self) -> usize {
+        let q = self.value as u128;
+        let limit = (1u128 << LAZY_SUM_BITS).min(q << 64);
+        let k = (limit - q) / ((q - 1) * (q - 1));
+        usize::try_from(k).unwrap_or(usize::MAX)
     }
 
     /// Modular multiplication via Barrett reduction.
@@ -467,8 +490,8 @@ impl CrtBasis {
         v
     }
 
-    /// CRT decomposition of `v < Q` into per-limb residues (Barrett per
-    /// limb), writing into `out`.
+    /// CRT decomposition of `v < Q` into per-limb residues, writing into
+    /// `out`.
     ///
     /// # Panics
     ///
@@ -477,7 +500,8 @@ impl CrtBasis {
         assert_eq!(out.len(), self.moduli.len(), "output count != limb count");
         debug_assert!(v < self.big_q);
         for (o, q) in out.iter_mut().zip(&self.moduli) {
-            *o = q.reduce_u128(v);
+            // `v < Q < 2^127` can exceed `reduce_u128`'s `2^124` bound.
+            *o = (v % q.value() as u128) as u64;
         }
     }
 

@@ -26,14 +26,30 @@
 //! `(l_ct + 1)·l_limbs` plane transforms — the counts the corrected
 //! HE-PTune model charges (§IV-A).
 //!
+//! # One inner product
+//!
+//! The `2·l_ct` key-switch multiplications are an inner product
+//! `Σ_j d_j ⊙ (k0_j, k1_j)`, and so is a linear layer's group sum
+//! `Σ_k (c0_k, c1_k) ⊙ m_k` ([`Evaluator::mul_plain_accumulate_many`]).
+//! Both run as **one lazy pass** per limb plane
+//! ([`RnsPoly::dot_pair_prefix`]): the 128-bit products of all terms are
+//! added unreduced and each coefficient is Barrett-reduced once, the two
+//! outputs sharing the pass over the common operand, instead of one
+//! reduction and one modular add per term. The residues written are the
+//! canonical ones the term-by-term path writes — no ciphertext bit, op
+//! count or noise estimate depends on it (`docs/SIMD.md` has the overflow
+//! bound).
+//!
 //! # Hoisting
 //!
 //! Rotating one ciphertext by many steps (conv tap sets, rotate-and-sum
 //! reductions over a fixed input) shares all of the INTT + decompose + NTT
 //! work: [`Evaluator::hoist`] performs it once, and
 //! [`Evaluator::rotate_hoisted_into`] replays any number of rotations from
-//! the cached evaluation-form digits — per extra rotation only the slot
-//! permutations and `2·l_ct` multiply-accumulates remain. Correctness:
+//! the cached evaluation-form digits — per extra rotation only the `c0`
+//! slot permutation and the `2·l_ct`-product key-switch sum remain, the
+//! sum reading each digit *through* the permutation rather than from a
+//! permuted copy. Correctness:
 //! `φ_g` is a ring automorphism, so
 //! `Σ_j φ_g(D_j(c1))·A^j·q̂_i·φ_g(s) = φ_g(c1·s)` even though digit
 //! extraction itself does not commute with `φ_g`; the hoisted result is
@@ -45,8 +61,9 @@
 //! Every operator comes in two forms:
 //!
 //! * an **in-place** form (`add_assign`, `sub_assign`, `negate_assign`,
-//!   `mul_plain_assign`, `mul_plain_accumulate`, `mul_scalar_assign`,
-//!   `add_plain_assign`, `apply_galois_into`, `rotate_rows_into`) that
+//!   `mul_plain_assign`, `mul_plain_accumulate`,
+//!   `mul_plain_accumulate_many`, `mul_scalar_assign`, `add_plain_assign`,
+//!   `apply_galois_into`, `rotate_rows_into`, `rotate_hoisted_into`) that
 //!   mutates caller-owned ciphertexts and draws any temporaries from a
 //!   caller-owned [`Scratch`] pool — zero heap allocations at steady
 //!   state (proved by the counting-allocator test in `tests/zero_alloc.rs`);
@@ -72,7 +89,7 @@ use crate::keys::{element_for_step, GaloisKeys};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::poly::Representation;
-use crate::rns::{digits_from_coeffs, RnsPoly};
+use crate::rns::{digits_from_coeffs, DotTerm, PlaneAlign, RnsPoly};
 use crate::scratch::Scratch;
 
 /// Running kernel-invocation counters (per evaluator).
@@ -182,6 +199,13 @@ fn pow2_scalar_of(centered: &[i64]) -> Option<Pow2Scalar> {
 /// ignores the surplus. A ciphertext *shallower* than the preparation is
 /// rejected with [`Error::LevelMismatch`] (the dropped planes cannot be
 /// regrown). Level-0 preparations (the default) therefore work everywhere.
+///
+/// A uniform `±2^e` plaintext carries a [`Pow2Scalar`] marker *and* its
+/// evaluation form: `mul_plain` follows the marker onto doubling chains,
+/// while the accumulating forms ([`Evaluator::mul_plain_accumulate`],
+/// [`Evaluator::mul_plain_accumulate_many`]) read `poly` like any other
+/// mask inside their one lazy pass — canonical residues either way, so the
+/// same bits.
 #[derive(Debug, Clone)]
 pub struct PreparedPlaintext {
     /// Evaluation-form RNS polynomial (centered lift of the mod-`t`
@@ -192,7 +216,8 @@ pub struct PreparedPlaintext {
     /// Level the plaintext was prepared at (0 = full chain).
     level: usize,
     /// Set when the plaintext is a uniform `±2^exp` scalar with a small
-    /// exponent; `mul_plain` then takes the shift-add fast path.
+    /// exponent; `mul_plain` then takes the shift-add fast path (the
+    /// accumulating forms read `poly` regardless).
     pow2: Option<Pow2Scalar>,
 }
 
@@ -579,10 +604,11 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Fused multiply-accumulate: `acc += a ⊙ pt`, the inner loop of every
-    /// rotate-mul-accumulate linear layer. Equivalent to `mul_plain` +
-    /// `add` but with no intermediate ciphertext; counts one `HE_Mult`,
-    /// one `HE_Add`, and two pointwise multiplications. No allocation.
+    /// Fused multiply-accumulate: `acc += a ⊙ pt` — the one-term case of
+    /// [`Evaluator::mul_plain_accumulate_many`]. Equivalent to `mul_plain`
+    /// then `add` but with no intermediate ciphertext; counts one
+    /// `HE_Mult`, one `HE_Add`, and two pointwise multiplications. No
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -595,30 +621,64 @@ impl Evaluator {
         a: &Ciphertext,
         pt: &PreparedPlaintext,
     ) -> Result<()> {
+        self.mul_plain_accumulate_many(acc, &[(a, pt)])
+    }
+
+    /// The group sum of every rotate-mul-accumulate linear layer:
+    /// `acc += Σ_k a_k ⊙ pt_k` in **one pass** over the limb planes. Each
+    /// coefficient's products are summed unreduced in `u128` and reduced
+    /// once ([`RnsPoly::dot_pair_prefix`]), with both components sharing
+    /// the pass over each mask, instead of one Barrett reduction and one
+    /// modular add per term. The ciphertext, the noise estimate (folded
+    /// term by term, in order) and the [`OpCounts`] (`k` `HE_Mult`, `k`
+    /// `HE_Add`, `2k` pointwise multiplications) are exactly those of `k`
+    /// sequential [`Evaluator::mul_plain_accumulate`] calls. Uniform
+    /// `±2^e` masks are read through their evaluation form like any other
+    /// (the same residues their doubling chains produce). Every term is
+    /// checked before `acc` is touched. No allocation.
+    ///
+    /// # Errors
+    ///
+    /// Per term, the conditions of [`Evaluator::mul_plain_accumulate`].
+    pub fn mul_plain_accumulate_many(
+        &self,
+        acc: &mut Ciphertext,
+        terms: &[(&Ciphertext, &PreparedPlaintext)],
+    ) -> Result<()> {
         self.params.check_same(acc.params())?;
-        self.params.check_same(a.params())?;
-        let level = a.level();
-        Self::check_levels(acc.level(), level)?;
-        Self::check_prepared(pt, level)?;
-        let chain = self.params.chain_at(level);
-        let term = a
-            .noise()
-            .mul_plain_at(&self.params, level, 1, 2 * pt.inf_norm);
-        let noise = acc.noise().add(&term);
-        {
-            let (c0, c1) = acc.parts_mut();
-            if let Some(p2) = pt.pow2 {
-                c0.fma_pow2_prefix(a.c0(), p2.exp, p2.negative, chain)?;
-                c1.fma_pow2_prefix(a.c1(), p2.exp, p2.negative, chain)?;
-            } else {
-                c0.fma_pointwise_prefix(a.c0(), &pt.poly, chain)?;
-                c1.fma_pointwise_prefix(a.c1(), &pt.poly, chain)?;
-            }
+        let level = acc.level();
+        let mut noise = *acc.noise();
+        for (a, pt) in terms {
+            self.params.check_same(a.params())?;
+            Self::check_levels(level, a.level())?;
+            Self::check_prepared(pt, level)?;
+            let term = a
+                .noise()
+                .mul_plain_at(&self.params, level, 1, 2 * pt.inf_norm);
+            noise = noise.add(&term);
         }
+        let (c0, c1) = acc.parts_mut();
+        RnsPoly::dot_pair_prefix(
+            c0,
+            c1,
+            terms.len(),
+            |k| {
+                let (a, pt) = terms[k];
+                DotTerm {
+                    x0: a.c0(),
+                    x1: a.c1(),
+                    shared: &pt.poly,
+                }
+            },
+            None,
+            PlaneAlign::Prefix,
+            self.params.chain_at(level),
+        )?;
         acc.set_noise(noise);
-        Self::count(&self.mul_count, 1);
-        Self::count(&self.add_count, 1);
-        Self::count(&self.poly_mul_count, 2);
+        let k = terms.len() as u64;
+        Self::count(&self.mul_count, k);
+        Self::count(&self.add_count, k);
+        Self::count(&self.poly_mul_count, 2 * k);
         Ok(())
     }
 
@@ -664,8 +724,9 @@ impl Evaluator {
     /// switching over the **live** limbs only: permutation (free),
     /// INTT(c1), per-live-limb `q̂_i`-digit decomposition (limb-local
     /// `u64` arithmetic, full-chain normalizers so level-0 keys apply
-    /// verbatim), `l_ct(ℓ)` digit NTTs, `2·l_ct(ℓ)` pointwise
-    /// multiply-accumulates against the limb-major key-pair *prefix*.
+    /// verbatim), `l_ct(ℓ)` digit NTTs, then the `2·l_ct(ℓ)`-product
+    /// inner product against the limb-major key-pair *prefix* in one lazy
+    /// pass.
     /// At a reduced level every stage shrinks: `(l_ct(ℓ) + 1)·live`
     /// NTT plane transforms instead of `(l_ct + 1)·limbs`.
     ///
@@ -748,17 +809,47 @@ impl Evaluator {
         //    into base-A digits — never composed.
         let digits = scratch.digits_mut_limbs(self.params.l_ct_at(level), live);
         c1_g.rns_decompose_into(self.params.a_dcmp(), chain, digits)?;
-        // 4. NTT each digit; multiply-accumulate against the (limb, digit)
+        // 4. NTT every digit, then one lazy sum against the (limb, digit)
         //    key pairs — the limb-major order means the live limbs' pairs
         //    are exactly the list's prefix, read over live planes only.
         oc1.fill_zero();
         oc1.set_representation(Representation::Eval);
-        for (digit, (k0, k1)) in digits.iter_mut().zip(key.pairs()) {
+        for digit in digits.iter_mut() {
             digit.to_eval(level_chain);
-            oc0.fma_pointwise_prefix(digit, k0, level_chain)?;
-            oc1.fma_pointwise_prefix(digit, k1, level_chain)?;
         }
-        Ok(())
+        Self::key_switch_sum(oc0, oc1, digits, key, None, PlaneAlign::Prefix, level_chain)
+    }
+
+    /// The digit × key inner product every key switch ends in:
+    /// `r0 += Σ_j d_j ⊙ k0_j`, `r1 += Σ_j d_j ⊙ k1_j` over the
+    /// evaluation-form digits and the key's pair prefix, both outputs
+    /// sharing one lazy pass over each digit
+    /// ([`RnsPoly::dot_pair_prefix`]). A hoisted replay passes the Galois
+    /// permutation as `gather` and reads `φ_g(d_j)` straight out of the
+    /// cached digits.
+    fn key_switch_sum(
+        r0: &mut RnsPoly,
+        r1: &mut RnsPoly,
+        digits: &[RnsPoly],
+        key: &crate::keys::GaloisKey,
+        gather: Option<&[u32]>,
+        align: PlaneAlign,
+        chain: &crate::rns::ModulusChain,
+    ) -> Result<()> {
+        let pairs = key.pairs();
+        RnsPoly::dot_pair_prefix(
+            r0,
+            r1,
+            digits.len().min(pairs.len()),
+            |j| DotTerm {
+                x0: &pairs[j].0,
+                x1: &pairs[j].1,
+                shared: &digits[j],
+            },
+            gather,
+            align,
+            chain,
+        )
     }
 
     /// The hybrid `P·Q_ℓ` datapath body of [`Evaluator::apply_galois_into`]
@@ -780,7 +871,6 @@ impl Evaluator {
         let level = a.level();
         let live = a.live_limbs();
         let chain = self.params.chain();
-        let level_chain = self.params.chain_at(level);
         let ks = self.params.ks_chain_at(level);
         let perm = key.permutation();
 
@@ -791,45 +881,76 @@ impl Evaluator {
         oc0.permute_from(a.c0(), perm);
         // 2. INTT c1 (the full chain's tables drive the live prefix).
         c1_g.to_coeff(chain);
-        // 3–5 run in a closure so every error path returns the
-        //    accumulator leases to the pool before propagating.
+        // 3. Decompose over the live limbs (full-chain q̂_i⁻¹ normalizers
+        //    pair level-ℓ digits with level-0 keys) and NTT every digit
+        //    on the key-switch chain; the accumulators are leased around
+        //    the rest so every error path returns them to the pool.
         let mut acc0 = scratch.take_poly_limbs(live + 1, Representation::Eval);
         let mut acc1 = scratch.take_poly_limbs(live + 1, Representation::Eval);
-        let mut body = || -> Result<()> {
-            acc0.fill_zero();
-            acc0.set_representation(Representation::Eval);
-            acc1.fill_zero();
-            acc1.set_representation(Representation::Eval);
-            // 3. Decompose over the live limbs (full-chain q̂_i⁻¹
-            //    normalizers pair level-ℓ digits with level-0 keys), NTT
-            //    each digit on the key-switch chain, and accumulate
-            //    against the key pairs' limb-major prefix — the special
-            //    plane reads each key's *last* plane.
-            let digits = scratch.digits_mut_limbs(live, live + 1);
-            c1_g.hybrid_decompose_into(chain, ks, digits)?;
-            for (digit, (k0, k1)) in digits.iter_mut().zip(key.pairs()) {
-                digit.to_eval(ks);
-                acc0.fma_pointwise_prefix_last(digit, k0, ks)?;
-                acc1.fma_pointwise_prefix_last(digit, k1, ks)?;
-            }
-            // 4. Exact rescale by P: the special prime is the ks chain's
-            //    last limb, so the rounded limb drop is exactly
-            //    round(·/P) onto the live data planes.
-            acc0.to_coeff(ks);
-            acc1.to_coeff(ks);
-            ks.mod_switch_in_place(&mut acc0)?;
-            ks.mod_switch_in_place(&mut acc1)?;
-            acc0.to_eval(level_chain);
-            acc1.to_eval(level_chain);
-            // 5. Fold into the permuted output.
-            oc0.add_assign(&acc0, level_chain)?;
-            oc1.copy_from(&acc1);
-            Ok(())
-        };
-        let switched = body();
+        let digits = scratch.digits_mut_limbs(live, live + 1);
+        let switched = c1_g
+            .hybrid_decompose_into(chain, ks, digits)
+            .and_then(|()| {
+                for digit in digits.iter_mut() {
+                    digit.to_eval(ks);
+                }
+                self.hybrid_sum_and_rescale(
+                    oc0,
+                    oc1,
+                    [&mut acc0, &mut acc1],
+                    digits,
+                    key,
+                    None,
+                    level,
+                )
+            });
         scratch.put_poly(acc0);
         scratch.put_poly(acc1);
         switched
+    }
+
+    /// What both hybrid key switches end in, over two leased `live + 1`
+    /// plane accumulators: one lazy sum of the ks-chain digits against the
+    /// key pairs' limb-major prefix over `P·Q_ℓ` (the special plane reads
+    /// each key's *last* plane), the exact rescale by `P` — the special
+    /// prime is the ks chain's last limb, so the rounded limb drop is
+    /// exactly `round(·/P)` onto the live data planes — and the fold into
+    /// the permuted output. The rescale drops each accumulator's special
+    /// plane; they leave at the width they came in, as the pool files
+    /// them.
+    #[allow(clippy::too_many_arguments)] // the two outputs, their two accumulators, the sum's operands
+    fn hybrid_sum_and_rescale(
+        &self,
+        oc0: &mut RnsPoly,
+        oc1: &mut RnsPoly,
+        [acc0, acc1]: [&mut RnsPoly; 2],
+        digits: &[RnsPoly],
+        key: &crate::keys::GaloisKey,
+        gather: Option<&[u32]>,
+        level: usize,
+    ) -> Result<()> {
+        let level_chain = self.params.chain_at(level);
+        let ks = self.params.ks_chain_at(level);
+        let width = acc0.limbs();
+        for acc in [&mut *acc0, &mut *acc1] {
+            acc.fill_zero();
+            acc.set_representation(Representation::Eval);
+        }
+        let mut body = || -> Result<()> {
+            Self::key_switch_sum(acc0, acc1, digits, key, gather, PlaneAlign::SpecialLast, ks)?;
+            for acc in [&mut *acc0, &mut *acc1] {
+                acc.to_coeff(ks);
+                ks.mod_switch_in_place(acc)?;
+                acc.to_eval(level_chain);
+            }
+            oc0.add_assign(acc0, level_chain)?;
+            oc1.copy_from(acc1);
+            Ok(())
+        };
+        let done = body();
+        acc0.resize_limbs(width);
+        acc1.resize_limbs(width);
+        done
     }
 
     /// `HE_Rotate` into a caller-owned output ciphertext. Steps wrap
@@ -1093,9 +1214,10 @@ impl Evaluator {
         Ok(())
     }
 
-    /// `HE_Rotate` from a hoisted decomposition: applies the Galois slot
-    /// permutation to the cached evaluation-form digits and
-    /// multiply-accumulates against the key pairs — **zero NTTs**. `a`
+    /// `HE_Rotate` from a hoisted decomposition: sums the cached
+    /// evaluation-form digits, read through the Galois slot permutation,
+    /// against the key pairs in one lazy pass — **zero NTTs** on a digit
+    /// chain (a hybrid chain still pays its `P`-rescale). `a`
     /// must be the ciphertext `hoisted` was built from (its `c0` and noise
     /// estimate are consumed here; enforced by a sampled fingerprint of
     /// its `c1`). Steps wrap around the row; a multiple
@@ -1156,35 +1278,20 @@ impl Evaluator {
         let (oc0, oc1) = out.parts_mut();
         oc0.permute_from(a.c0(), perm);
         if self.params.has_special() {
-            // Hybrid replay: permute the cached ks-chain digits, FMA over
-            // P·Q_ℓ, then pay the per-step exact P-rescale back onto the
-            // live data planes.
-            let ks = self.params.ks_chain_at(level);
-            let mut permuted = scratch.take_poly_limbs(live + 1, Representation::Eval);
+            // Hybrid replay: sum the cached ks-chain digits, read through
+            // the permutation, against the key over P·Q_ℓ, then pay the
+            // per-step exact P-rescale back onto the live data planes.
             let mut acc0 = scratch.take_poly_limbs(live + 1, Representation::Eval);
             let mut acc1 = scratch.take_poly_limbs(live + 1, Representation::Eval);
-            let mut fma = || -> Result<()> {
-                acc0.fill_zero();
-                acc0.set_representation(Representation::Eval);
-                acc1.fill_zero();
-                acc1.set_representation(Representation::Eval);
-                for (digit, (k0, k1)) in hoisted.digits.iter().zip(key.pairs()) {
-                    permuted.permute_from(digit, perm);
-                    acc0.fma_pointwise_prefix_last(&permuted, k0, ks)?;
-                    acc1.fma_pointwise_prefix_last(&permuted, k1, ks)?;
-                }
-                acc0.to_coeff(ks);
-                acc1.to_coeff(ks);
-                ks.mod_switch_in_place(&mut acc0)?;
-                ks.mod_switch_in_place(&mut acc1)?;
-                acc0.to_eval(level_chain);
-                acc1.to_eval(level_chain);
-                oc0.add_assign(&acc0, level_chain)?;
-                oc1.copy_from(&acc1);
-                Ok(())
-            };
-            let r = fma();
-            scratch.put_poly(permuted);
+            let r = self.hybrid_sum_and_rescale(
+                oc0,
+                oc1,
+                [&mut acc0, &mut acc1],
+                &hoisted.digits,
+                key,
+                Some(perm),
+                level,
+            );
             scratch.put_poly(acc0);
             scratch.put_poly(acc1);
             r?;
@@ -1194,18 +1301,15 @@ impl Evaluator {
         } else {
             oc1.fill_zero();
             oc1.set_representation(Representation::Eval);
-            let mut permuted = scratch.take_poly_limbs(live, Representation::Eval);
-            let mut fma = || -> Result<()> {
-                for (digit, (k0, k1)) in hoisted.digits.iter().zip(key.pairs()) {
-                    permuted.permute_from(digit, perm);
-                    oc0.fma_pointwise_prefix(&permuted, k0, level_chain)?;
-                    oc1.fma_pointwise_prefix(&permuted, k1, level_chain)?;
-                }
-                Ok(())
-            };
-            let r = fma();
-            scratch.put_poly(permuted);
-            r?;
+            Self::key_switch_sum(
+                oc0,
+                oc1,
+                &hoisted.digits,
+                key,
+                Some(perm),
+                PlaneAlign::Prefix,
+                level_chain,
+            )?;
             Self::count(&self.poly_mul_count, 2 * self.params.l_ct_at(level) as u64);
         }
         Self::count(&self.rotate_count, 1);
@@ -1216,9 +1320,11 @@ impl Evaluator {
     /// The baby-step primitive of BSGS layers: hoists `a` once (into the
     /// reusable `hoisted`) and replays the whole rotation `steps` set,
     /// writing `outs[i] = rot(a, steps[i])`. `outs` is resized to
-    /// `steps.len()` (retained entries keep their capacity, so a reused
-    /// output set is allocation-free at steady state within one level);
-    /// steps that are multiples of the row degenerate to copies of `a`.
+    /// `steps.len()`: retained entries keep their capacity and missing
+    /// ones are leased from `scratch` (hand them back with
+    /// [`Scratch::put_ct`] to keep the pool warm), so a layer's baby set
+    /// is allocation-free at steady state within one level; steps that
+    /// are multiples of the row degenerate to copies of `a`.
     ///
     /// Total NTT bill: `(l_ct(ℓ) + 1)·live` plane transforms for the hoist
     /// — independent of the number of steps.
@@ -1240,7 +1346,7 @@ impl Evaluator {
         self.hoist_into(hoisted, a, scratch)?;
         outs.truncate(steps.len());
         while outs.len() < steps.len() {
-            outs.push(Ciphertext::transparent_zero_at(&self.params, a.level()));
+            outs.push(scratch.take_ct(&self.params, a.level()));
         }
         for (out, &step) in outs.iter_mut().zip(steps) {
             self.rotate_hoisted_into(out, a, hoisted, step, keys, scratch)?;
@@ -1424,8 +1530,6 @@ impl Evaluator {
             for (digit, ct) in digits.iter_mut().zip(&wct.cts) {
                 digit.to_eval(chain);
                 Self::count(&self.ntt_count, live as u64);
-                oc0.fma_pointwise(ct.c0(), digit, chain)?;
-                oc1.fma_pointwise(ct.c1(), digit, chain)?;
                 Self::count(&self.poly_mul_count, 2);
                 let term = ct.noise().mul_plain_at(&self.params, level, 1, wct.base);
                 noise = Some(match noise {
@@ -1433,6 +1537,20 @@ impl Evaluator {
                     Some(prev) => prev.add(&term),
                 });
             }
+            let (digits, cts) = (&*digits, &wct.cts);
+            RnsPoly::dot_pair_prefix(
+                oc0,
+                oc1,
+                l_pt,
+                |d| DotTerm {
+                    x0: cts[d].c0(),
+                    x1: cts[d].c1(),
+                    shared: &digits[d],
+                },
+                None,
+                PlaneAlign::Prefix,
+                chain,
+            )?;
         }
         Self::count(&self.mul_count, l_pt as u64);
         // l_pt >= 1 by construction, but the boundary never panics on it.

@@ -1055,7 +1055,11 @@ impl BfvParamsBuilder {
                 ks_levels.push(ModulusChain::new(self.n, &ks_values)?);
             }
             let delta = sub.big_q() / t_val as u128;
-            let delta_mod = sub.moduli().iter().map(|q| q.reduce_u128(delta)).collect();
+            let delta_mod = sub
+                .moduli()
+                .iter()
+                .map(|q| (delta % q.value() as u128) as u64)
+                .collect();
             let q_mod_t = (sub.big_q() % t_val as u128) as u64;
             levels.push(LevelData {
                 chain: sub,

@@ -58,12 +58,6 @@ pub(crate) fn mul_pow2_slice(a: &mut [u64], exp: u32, negative: bool, q: &Modulu
     simd::mul_pow2(a, exp, negative, q);
 }
 
-/// `r ← r + (±2^exp)·a mod q` element-wise (the pow2 fused accumulate;
-/// see [`mul_pow2_slice`] for the bit-identity argument).
-pub(crate) fn fma_pow2_slice(r: &mut [u64], a: &[u64], exp: u32, negative: bool, q: &Modulus) {
-    simd::fma_pow2(r, a, exp, negative, q);
-}
-
 pub(crate) fn permute_slice(dst: &mut [u64], src: &[u64], perm: &[u32]) {
     for (d, &i) in dst.iter_mut().zip(perm) {
         *d = src[i as usize];

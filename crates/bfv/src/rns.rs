@@ -32,9 +32,10 @@ use crate::arith::{CrtBasis, Modulus};
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
 use crate::poly::{
-    add_assign_slice, fma_pointwise_slice, fma_pow2_slice, mul_pointwise_slice, mul_pow2_slice,
-    mul_scalar_slice, negate_slice, permute_slice, sub_assign_slice, Representation,
+    add_assign_slice, fma_pointwise_slice, mul_pointwise_slice, mul_pow2_slice, mul_scalar_slice,
+    negate_slice, permute_slice, sub_assign_slice, Representation,
 };
+use crate::simd::{self, DotPlanes};
 
 /// An ordered chain of CRT primes with per-limb NTT tables and the
 /// cross-limb (Garner/CRT) constants.
@@ -273,6 +274,34 @@ impl ModulusChain {
         p.truncate_limbs(live - 1);
         Ok(())
     }
+}
+
+/// One term of [`RnsPoly::dot_pair_prefix`]: contributes `x0 ⊙ shared`
+/// to the first output and `x1 ⊙ shared` to the second — a ciphertext's
+/// two components against one mask, or a key pair against one digit.
+#[derive(Debug, Clone, Copy)]
+pub struct DotTerm<'a> {
+    /// Multiplies `shared` into the first output.
+    pub x0: &'a RnsPoly,
+    /// Multiplies `shared` into the second output.
+    pub x1: &'a RnsPoly,
+    /// The operand both products share.
+    pub shared: &'a RnsPoly,
+}
+
+/// Which plane of `x0`/`x1` the last output plane of
+/// [`RnsPoly::dot_pair_prefix`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaneAlign {
+    /// Plane `i` everywhere: operands are the outputs' chain, or a
+    /// shallower level of it.
+    Prefix,
+    /// The outputs live on a per-level key-switch chain
+    /// `[q_0, …, q_{live−1}, P]` and `x0`/`x1` on the full one: the
+    /// special plane is each chain's last, at different indices below
+    /// level 0, so plain prefix alignment would pair `P` with a foreign
+    /// modulus.
+    SpecialLast,
 }
 
 /// A polynomial in `Z_Q[x]/(x^n + 1)` stored as `l` contiguous limb planes
@@ -651,39 +680,6 @@ impl RnsPoly {
         }
     }
 
-    /// `self += (±2^exp)·a` over self's planes, prefix semantics like
-    /// [`RnsPoly::fma_pointwise_prefix`] (`a` may carry more planes).
-    /// The pow2 accumulate of the shift-add `mul_plain` fast path.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::WrongRepresentation`] unless both are in evaluation form,
-    /// [`Error::ParameterMismatch`] unless `chain` matches `self`'s shape
-    /// and `a` covers at least `self`'s planes.
-    pub fn fma_pow2_prefix(
-        &mut self,
-        a: &RnsPoly,
-        exp: u32,
-        negative: bool,
-        chain: &ModulusChain,
-    ) -> Result<()> {
-        self.expect_repr(Representation::Eval)?;
-        a.expect_repr(Representation::Eval)?;
-        chain.check_poly(self)?;
-        if a.limbs() < self.limbs() || a.degree() != self.n {
-            return Err(Error::ParameterMismatch);
-        }
-        for (i, (r, x)) in self
-            .data
-            .chunks_exact_mut(self.n)
-            .zip(a.limb_planes())
-            .enumerate()
-        {
-            fma_pow2_slice(r, x, exp, negative, chain.modulus(i));
-        }
-        Ok(())
-    }
-
     /// Fused multiply-accumulate: `self += a * b` pointwise limb-wise, all
     /// in evaluation form — the key-switch inner loop.
     ///
@@ -741,44 +737,6 @@ impl RnsPoly {
             .enumerate()
         {
             mul_pointwise_slice(a, b, chain.modulus(i));
-        }
-        Ok(())
-    }
-
-    /// Prefix variant of [`RnsPoly::fma_pointwise`]: `self += a * b` over
-    /// self's planes, where `a` and `b` may carry more planes than `self`
-    /// (see [`RnsPoly::mul_assign_pointwise_prefix`]). The key-switch inner
-    /// loop at reduced level: digits live at the ciphertext's level, key
-    /// pairs at level 0.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RnsPoly::mul_assign_pointwise_prefix`].
-    pub fn fma_pointwise_prefix(
-        &mut self,
-        a: &RnsPoly,
-        b: &RnsPoly,
-        chain: &ModulusChain,
-    ) -> Result<()> {
-        self.expect_repr(Representation::Eval)?;
-        a.expect_repr(Representation::Eval)?;
-        b.expect_repr(Representation::Eval)?;
-        chain.check_poly(self)?;
-        if a.limbs() < self.limbs()
-            || b.limbs() < self.limbs()
-            || a.degree() != self.n
-            || b.degree() != self.n
-        {
-            return Err(Error::ParameterMismatch);
-        }
-        for (i, ((r, x), y)) in self
-            .data
-            .chunks_exact_mut(self.n)
-            .zip(a.limb_planes())
-            .zip(b.limb_planes())
-            .enumerate()
-        {
-            fma_pointwise_slice(r, x, y, chain.modulus(i));
         }
         Ok(())
     }
@@ -948,48 +906,73 @@ impl RnsPoly {
         Ok(())
     }
 
-    /// Key-switch variant of [`RnsPoly::fma_pointwise_prefix`] for the
-    /// hybrid path: `self += a * b` over `self`'s planes on the per-level
-    /// key-switch chain, where `b` (a key polynomial) lives on the *full*
-    /// key-switch chain. Prefix planes align by index; `self`'s last plane
-    /// (the special prime) reads `b`'s **last** plane — at reduced levels
-    /// the special plane sits at different indices in digits (`live`) and
-    /// keys (`limbs`), so plain prefix alignment would pair it with a
-    /// foreign modulus.
+    /// The lazy two-output inner product under every mask sum and every
+    /// key switch: `r0 += Σ_k x0_k ⊙ s_k` and `r1 += Σ_k x1_k ⊙ s_k` over
+    /// the outputs' planes, all in evaluation form, where `term(k)` yields
+    /// the `k`-th [`DotTerm`] and `s_k` is its shared operand — read
+    /// through the Galois slot permutation `gather` when one is given
+    /// (`s_k[j] = shared_k[gather[j]]`, the hoisted replay's automorphism
+    /// fused into the sum).
+    ///
+    /// One pass per limb plane sums all `terms` products unreduced in
+    /// `u128` and reduces once per coefficient (early every
+    /// [`Modulus::lazy_dot_terms`] terms), so every residue written is the
+    /// canonical `(r + Σ_k x_k·s_k) mod q` that `terms` sequential
+    /// [`RnsPoly::fma_pointwise`] calls write — same bits, a fraction of
+    /// the Barrett reductions.
+    ///
+    /// Operands may carry more planes than the outputs (full-level masks
+    /// and key pairs against a modulus-switched ciphertext): plane `i` of
+    /// the outputs reads plane `i` of every operand, except that under
+    /// [`PlaneAlign::SpecialLast`] the outputs' last plane — the special
+    /// prime of a per-level key-switch chain — reads the **last** plane of
+    /// `x0`/`x1`, where the full key-switch chain keeps it.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`RnsPoly::fma_pointwise_prefix`].
-    pub fn fma_pointwise_prefix_last(
-        &mut self,
-        a: &RnsPoly,
-        b: &RnsPoly,
+    /// [`Error::WrongRepresentation`] unless everything is in evaluation
+    /// form, [`Error::ParameterMismatch`] unless `chain` matches the
+    /// outputs' shape, every operand covers the outputs' planes at their
+    /// degree, and `gather` (when given) has one entry per coefficient.
+    pub fn dot_pair_prefix<'a>(
+        r0: &mut RnsPoly,
+        r1: &mut RnsPoly,
+        terms: usize,
+        term: impl Fn(usize) -> DotTerm<'a>,
+        gather: Option<&[u32]>,
+        align: PlaneAlign,
         chain: &ModulusChain,
     ) -> Result<()> {
-        self.expect_repr(Representation::Eval)?;
-        a.expect_repr(Representation::Eval)?;
-        b.expect_repr(Representation::Eval)?;
-        chain.check_poly(self)?;
-        if a.limbs() < self.limbs
-            || b.limbs() < self.limbs
-            || a.degree() != self.n
-            || b.degree() != self.n
-        {
+        let (live, n) = (r0.limbs, r0.n);
+        for r in [&*r0, &*r1] {
+            r.expect_repr(Representation::Eval)?;
+            chain.check_poly(r)?;
+        }
+        if gather.is_some_and(|perm| perm.len() != n) {
             return Err(Error::ParameterMismatch);
         }
-        let last = self.limbs - 1;
-        for (i, (r, x)) in self
-            .data
-            .chunks_exact_mut(self.n)
-            .zip(a.limb_planes())
-            .enumerate()
-        {
-            let y = if i < last {
-                b.limb(i)
-            } else {
-                b.limb(b.limbs() - 1)
+        for k in 0..terms {
+            let t = term(k);
+            for p in [t.x0, t.x1, t.shared] {
+                p.expect_repr(Representation::Eval)?;
+                if p.limbs < live || p.n != n {
+                    return Err(Error::ParameterMismatch);
+                }
+            }
+        }
+        let planes = r0.data.chunks_exact_mut(n).zip(r1.data.chunks_exact_mut(n));
+        for (i, (p0, p1)) in planes.enumerate() {
+            let special = align == PlaneAlign::SpecialLast && i + 1 == live;
+            let x_plane = |x: &'a RnsPoly| x.limb(if special { x.limbs - 1 } else { i });
+            let plane_term = |k| {
+                let t = term(k);
+                DotPlanes {
+                    x0: x_plane(t.x0),
+                    x1: x_plane(t.x1),
+                    shared: t.shared.limb(i),
+                }
             };
-            fma_pointwise_slice(r, x, y, chain.modulus(i));
+            simd::dot_pair(p0, p1, terms, plane_term, gather, chain.modulus(i));
         }
         Ok(())
     }

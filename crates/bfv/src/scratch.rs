@@ -24,7 +24,10 @@
 //! [`crate::Evaluator`] also keeps one internal pool behind a mutex to
 //! back the legacy allocating API.
 
+use std::sync::Arc;
+
 use crate::ciphertext::Ciphertext;
+use crate::evaluator::HoistedDecomposition;
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::poly::Representation;
@@ -47,6 +50,10 @@ pub struct Scratch {
     digits: Vec<RnsPoly>,
     /// Live-limb count the digit store is currently shaped for.
     digit_limbs: usize,
+    /// The hoist store between [`Scratch::take_hoisted`] leases.
+    hoisted: Option<HoistedDecomposition>,
+    /// Child pools for a layer's worker threads ([`Scratch::workers`]).
+    workers: Option<Arc<ScratchPool>>,
 }
 
 impl Scratch {
@@ -61,6 +68,8 @@ impl Scratch {
             free: vec![Vec::new(); limbs],
             digits: Vec::new(),
             digit_limbs: limbs,
+            hoisted: None,
+            workers: None,
         }
     }
 
@@ -182,6 +191,31 @@ impl Scratch {
         self.put_poly(c1);
     }
 
+    /// Leases the pool's [`HoistedDecomposition`] — its digit storage
+    /// (`l_ct` full polynomials, the largest single buffer of a BSGS
+    /// layer) warm from the previous layer — or an empty one on first
+    /// use. Return it with [`Scratch::put_hoisted`].
+    pub fn take_hoisted(&mut self, params: &BfvParams) -> HoistedDecomposition {
+        self.hoisted
+            .take()
+            .unwrap_or_else(|| HoistedDecomposition::empty(params))
+    }
+
+    /// Returns a leased hoist store to the pool.
+    pub fn put_hoisted(&mut self, hoisted: HoistedDecomposition) {
+        self.hoisted = Some(hoisted);
+    }
+
+    /// Child pools of the same shape, one lease per worker thread of a
+    /// layer evaluation: they live inside this `Scratch`, so a worker's
+    /// accumulators and key-switch digits stay warm from layer to layer
+    /// and session to session exactly as long as this instance does.
+    pub fn workers(&mut self) -> &Arc<ScratchPool> {
+        let (n, limbs) = (self.n, self.limbs);
+        self.workers
+            .get_or_insert_with(|| Arc::new(ScratchPool::new(n, limbs)))
+    }
+
     /// Number of pooled free buffers across all sizes (diagnostic).
     pub fn pooled(&self) -> usize {
         self.free.iter().map(Vec::len).sum()
@@ -239,13 +273,13 @@ impl ScratchPool {
 
     /// Leases a warm `Scratch` (or creates a cold one when the free list
     /// is empty). The lease returns it on drop.
-    pub fn lease(self: &std::sync::Arc<Self>) -> ScratchLease {
+    pub fn lease(self: &Arc<Self>) -> ScratchLease {
         let scratch = self
             .free_list()
             .pop()
             .unwrap_or_else(|| Scratch::new(self.n, self.limbs));
         ScratchLease {
-            pool: std::sync::Arc::clone(self),
+            pool: Arc::clone(self),
             scratch: Some(scratch),
         }
     }
@@ -260,7 +294,7 @@ impl ScratchPool {
 /// to its [`ScratchPool`] — warm buffers intact — on drop.
 #[derive(Debug)]
 pub struct ScratchLease {
-    pool: std::sync::Arc<ScratchPool>,
+    pool: Arc<ScratchPool>,
     scratch: Option<Scratch>,
 }
 

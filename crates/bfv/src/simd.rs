@@ -197,9 +197,145 @@ pub(crate) fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus) {
     dispatch!(mul_pow2(a, exp, negative, q))
 }
 
-/// `r[i] ← r[i] + (±2^exp)·a[i] mod q` (fused pow2 accumulate).
-pub(crate) fn fma_pow2(r: &mut [u64], a: &[u64], exp: u32, negative: bool, q: &Modulus) {
-    dispatch!(fma_pow2(r, a, exp, negative, q))
+/// Coefficients per block of [`dot_pair`]: two `u128` accumulator rows of
+/// this length (8 KiB together) stay in L1 while the terms stream past.
+const DOT_BLOCK: usize = 256;
+
+/// Terms one pass of the block kernels folds into the accumulators. A
+/// one-term pass is bound by its four accumulator-word stores per
+/// coefficient; folding several products per load/store of each
+/// accumulator moves the bound to the multiplier.
+const DOT_UNROLL: usize = 2;
+
+/// What an unused slot of a [`DOT_UNROLL`]-wide pass multiplies.
+static ZERO_BLOCK: [u64; DOT_BLOCK] = [0; DOT_BLOCK];
+
+/// One term of [`dot_pair`], as limb planes: adds `x0 ⊙ shared` to the
+/// first output and `x1 ⊙ shared` to the second.
+#[derive(Clone, Copy)]
+pub(crate) struct DotPlanes<'a> {
+    pub x0: &'a [u64],
+    pub x1: &'a [u64],
+    pub shared: &'a [u64],
+}
+
+/// The lazy inner product under every mask sum and every key switch:
+/// `r0[i] ← r0[i] + Σ_k x0_k[i]·s_k[i] mod q` and the same for `r1` over
+/// `x1_k`, with `s_k[i]` read as `shared_k[gather[i]]` when a Galois
+/// permutation is fused in (one gather serves both outputs).
+///
+/// Per [`DOT_BLOCK`] coefficients the products of all `terms` are summed
+/// unreduced in `u128`, [`DOT_UNROLL`] terms to a pass, and reduced
+/// **once**; an early reduction every [`Modulus::lazy_dot_terms`] terms
+/// keeps the sum inside [`Modulus::reduce_u128`]'s input bound for every
+/// modulus. Each output is the canonical residue of the exact sum, so it
+/// is bit-identical to `terms` sequential [`fma_pointwise`] calls on any
+/// backend.
+///
+/// Every plane `term(k)` yields, and `gather` when present, must be as
+/// long as the outputs.
+pub(crate) fn dot_pair<'a>(
+    r0: &mut [u64],
+    r1: &mut [u64],
+    terms: usize,
+    term: impl Fn(usize) -> DotPlanes<'a>,
+    gather: Option<&[u32]>,
+    q: &Modulus,
+) {
+    let flush_every = q.lazy_dot_terms();
+    let mut acc0 = [0u128; DOT_BLOCK];
+    let mut acc1 = [0u128; DOT_BLOCK];
+    let blocks = r0.chunks_mut(DOT_BLOCK).zip(r1.chunks_mut(DOT_BLOCK));
+    for (block, (r0, r1)) in blocks.enumerate() {
+        let len = r0.len();
+        let span = block * DOT_BLOCK..block * DOT_BLOCK + len;
+        let (acc0, acc1) = (&mut acc0[..len], &mut acc1[..len]);
+        for (acc, r) in [(&mut *acc0, &*r0), (&mut *acc1, &*r1)] {
+            for (a, &x) in acc.iter_mut().zip(r) {
+                *a = x as u128;
+            }
+        }
+        let zeros = &ZERO_BLOCK[..len];
+        let mut room = flush_every;
+        let mut k = 0;
+        while k < terms {
+            if room == 0 {
+                dot_reduce(acc0, q);
+                dot_reduce(acc1, q);
+                room = flush_every;
+            }
+            let take = DOT_UNROLL.min(room).min(terms - k);
+            // Slots past `take` multiply zeros (through any gatherable
+            // plane): they add nothing.
+            let mut pass = [DotPlanes {
+                x0: zeros,
+                x1: zeros,
+                shared: if gather.is_some() {
+                    term(k).shared
+                } else {
+                    zeros
+                },
+            }; DOT_UNROLL];
+            for (slot, t) in pass.iter_mut().zip((k..k + take).map(&term)) {
+                slot.x0 = &t.x0[span.clone()];
+                slot.x1 = &t.x1[span.clone()];
+                slot.shared = match gather {
+                    None => &t.shared[span.clone()],
+                    Some(_) => t.shared,
+                };
+            }
+            match gather {
+                None => dot_mac::<false>(acc0, acc1, &pass, &[]),
+                Some(perm) => dot_mac::<true>(acc0, acc1, &pass, &perm[span.clone()]),
+            }
+            k += take;
+            room -= take;
+        }
+        dot_reduce(acc0, q);
+        dot_reduce(acc1, q);
+        for (acc, r) in [(&*acc0, r0), (&*acc1, r1)] {
+            for (x, &a) in r.iter_mut().zip(acc) {
+                *x = a as u64;
+            }
+        }
+    }
+}
+
+/// One pass of [`dot_pair`] over a block: `acc0[i] += Σ_t x0_t[i]·s_t[j]`
+/// and the same for `acc1` over `x1_t`, unreduced, with `j = perm[i]` into
+/// the whole shared plane when `GATHER` and `j = i` into a block-long one
+/// otherwise. Plain 64×64→128 multiplies and carries: there is no vector
+/// form to dispatch to, so every backend runs this loop and differs only
+/// in [`dot_reduce`].
+fn dot_mac<const GATHER: bool>(
+    acc0: &mut [u128],
+    acc1: &mut [u128],
+    pass: &[DotPlanes<'_>; DOT_UNROLL],
+    perm: &[u32],
+) {
+    let len = acc0.len();
+    let acc1 = &mut acc1[..len];
+    let perm = if GATHER { &perm[..len] } else { perm };
+    let pass = pass.map(|t| {
+        let shared = if GATHER { t.shared } else { &t.shared[..len] };
+        (&t.x0[..len], &t.x1[..len], shared)
+    });
+    for i in 0..len {
+        let (mut a0, mut a1) = (acc0[i], acc1[i]);
+        let j = if GATHER { perm[i] as usize } else { i };
+        for (x0, x1, s) in pass {
+            let z = s[j] as u128;
+            a0 += x0[i] as u128 * z;
+            a1 += x1[i] as u128 * z;
+        }
+        acc0[i] = a0;
+        acc1[i] = a1;
+    }
+}
+
+/// `acc[i] ← acc[i] mod q` (each `acc[i] < 2^124`).
+fn dot_reduce(acc: &mut [u128], q: &Modulus) {
+    dispatch!(dot_reduce(acc, q))
 }
 
 // ---------------------------------------------------------------------
@@ -350,16 +486,9 @@ mod scalar {
         }
     }
 
-    pub(super) fn fma_pow2(r: &mut [u64], a: &[u64], exp: u32, negative: bool, q: &Modulus) {
-        for (x, &y) in r.iter_mut().zip(a) {
-            let mut v = y;
-            for _ in 0..exp {
-                v = q.add_mod(v, v);
-            }
-            if negative {
-                v = q.neg_mod(v);
-            }
-            *x = q.add_mod(*x, v);
+    pub(super) fn dot_reduce(acc: &mut [u128], q: &Modulus) {
+        for a in acc.iter_mut() {
+            *a = q.reduce_u128(*a) as u128;
         }
     }
 }
@@ -375,7 +504,7 @@ mod scalar {
 
 mod lanes {
     mod body {
-        use crate::arith::{mulhi_u128, Modulus};
+        use crate::arith::{mulhi_u128, Modulus, LAZY_SUM_BITS};
 
         /// Lane width the kernels chunk by: 4 × u64 is one 256-bit AVX2
         /// vector, and two 128-bit NEON/SSE2 vectors. NTT stages with
@@ -403,7 +532,14 @@ mod lanes {
         /// subtractions reproduce the scalar `while` loop exactly.
         #[inline(always)]
         fn mul_mod_bf(a: u64, b: u64, q: u64, ratio: u128) -> u64 {
-            let x = a as u128 * b as u128;
+            reduce_bf(a as u128 * b as u128, q, ratio)
+        }
+
+        /// Branch-free Barrett `x mod q` for `x < 2^124` — the tail of
+        /// [`mul_mod_bf`], also the one reduction a lazy dot block pays.
+        #[inline(always)]
+        fn reduce_bf(x: u128, q: u64, ratio: u128) -> u64 {
+            debug_assert!(x >> LAZY_SUM_BITS == 0, "reduce_bf input exceeds 2^124");
             let t = mulhi_u128(x, ratio);
             let r = (x - t * q as u128) as u64;
             csub(csub(r, q), q)
@@ -565,17 +701,11 @@ mod lanes {
             }
         }
 
-        pub(super) fn fma_pow2(r: &mut [u64], a: &[u64], exp: u32, negative: bool, q: &Modulus) {
+        pub(super) fn dot_reduce(acc: &mut [u128], q: &Modulus) {
             let qv = q.value();
-            for (x, &y) in r.iter_mut().zip(a) {
-                let mut v = y;
-                for _ in 0..exp {
-                    v = csub(v + v, qv);
-                }
-                if negative {
-                    v = (qv - v) * ((v != 0) as u64);
-                }
-                *x = csub(*x + v, qv);
+            let ratio = q.const_ratio();
+            for a in acc.iter_mut() {
+                *a = reduce_bf(*a, qv, ratio) as u128;
             }
         }
     }
@@ -621,7 +751,7 @@ mod lanes {
         fn mul_scalar(a: &mut [u64], c: u64, q: &Modulus);
         fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus);
         fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus);
-        fn fma_pow2(r: &mut [u64], a: &[u64], exp: u32, negative: bool, q: &Modulus);
+        fn dot_reduce(acc: &mut [u128], q: &Modulus);
     }
 }
 
@@ -705,7 +835,6 @@ mod tests {
                 mul_scalar(&mut r, u64::MAX, &q);
                 fma_pointwise(&mut r, &a, &b, &q);
                 mul_pow2(&mut r, 8, true, &q);
-                fma_pow2(&mut r, &a, 9, false, &q);
                 r
             };
             let reference = run(SimdBackend::Scalar);

@@ -126,6 +126,53 @@ proptest! {
         assert_polys_eq(&fused, &explicit);
     }
 
+    /// The one-pass group sum lands on the residues, the noise estimate
+    /// and the op counts of its terms accumulated one at a time — and on
+    /// the seed-era `Poly` reference's residues.
+    #[test]
+    fn mul_plain_accumulate_many_matches_sequential_and_poly_reference(
+        seed in any::<u64>(),
+        terms in 0usize..6,
+        w in proptest::collection::vec(0u64..65536, 8),
+    ) {
+        let mut c = ctx(seed);
+        let q = *c.params.chain().modulus(0);
+        let start = c.enc.encrypt(&c.encoder.encode(&w).unwrap()).unwrap();
+        let cts: Vec<Ciphertext> = (0..terms)
+            .map(|k| {
+                let vals: Vec<u64> = w.iter().map(|&v| (v + k as u64) % 65536).collect();
+                c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap()
+            })
+            .collect();
+        let masks: Vec<_> = (0..terms)
+            .map(|k| {
+                let vals: Vec<u64> = w.iter().map(|&v| (3 * v + k as u64) % 65536).collect();
+                c.eval.prepare_plaintext(&c.encoder.encode(&vals).unwrap()).unwrap()
+            })
+            .collect();
+
+        let mut ref0 = limb0(start.c0());
+        let mut ref1 = limb0(start.c1());
+        let mut sequential = start.clone();
+        c.eval.reset_op_counts();
+        for (ct, mask) in cts.iter().zip(&masks) {
+            ref0.fma_pointwise(&limb0(ct.c0()), &limb0(mask.poly()), &q).unwrap();
+            ref1.fma_pointwise(&limb0(ct.c1()), &limb0(mask.poly()), &q).unwrap();
+            c.eval.mul_plain_accumulate(&mut sequential, ct, mask).unwrap();
+        }
+        let sequential_counts = c.eval.op_counts();
+
+        let pairs: Vec<_> = cts.iter().zip(&masks).collect();
+        let mut many = start.clone();
+        c.eval.reset_op_counts();
+        c.eval.mul_plain_accumulate_many(&mut many, &pairs).unwrap();
+        prop_assert_eq!(c.eval.op_counts(), sequential_counts);
+        prop_assert_eq!(many.c0().data(), ref0.data());
+        prop_assert_eq!(many.c1().data(), ref1.data());
+        assert_polys_eq(&many, &sequential);
+        prop_assert_eq!(many.noise(), sequential.noise());
+    }
+
     #[test]
     fn rotate_into_is_deterministic_under_dirty_scratch(
         seed in any::<u64>(),

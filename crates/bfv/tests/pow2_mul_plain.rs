@@ -1,10 +1,12 @@
 //! Pins of the pow2 shift-add `mul_plain` fast path:
 //!
 //! * a prepared plaintext that is a uniform `±2^e` scalar carries the
-//!   [`cheetah_bfv::Pow2Scalar`] marker, and multiplying by it — plain or
-//!   fused-accumulate — produces **bit-identical** ciphertexts to the
-//!   generic Barrett path on the same prepared polynomial, for every RNS
-//!   and hybrid preset and at every recommended level;
+//!   [`cheetah_bfv::Pow2Scalar`] marker, and multiplying by it — plain,
+//!   fused-accumulate or inside a many-term group sum (which reads the
+//!   mask's evaluation form, marker or not) — produces **bit-identical**
+//!   ciphertexts to the generic Barrett path on the same prepared
+//!   polynomial, for every RNS and hybrid preset and at every recommended
+//!   level;
 //! * `mul_scalar_assign` by a small power of two lands on exactly the
 //!   bits of a generic `mul_plain` by the same uniform constant;
 //! * plaintexts that are not uniform power-of-two scalars (non-uniform
@@ -90,6 +92,27 @@ fn pow2_fast_path_is_bit_identical_across_presets_and_levels() {
                     &acc_fast,
                     &acc_generic,
                     &format!("{name} L{level} fma x{scalar}"),
+                );
+
+                // The group sum reads a pow2 mask through its evaluation
+                // form, not through the doubling chain `mul_plain` takes:
+                // marked or stripped, it lands on multiply-then-add's bits.
+                let mut many = ct.clone();
+                c.eval
+                    .mul_plain_accumulate_many(
+                        &mut many,
+                        &[(&ct, &prep), (&fast, &stripped), (&ct, &prep)],
+                    )
+                    .unwrap();
+                let mut explicit = ct.clone();
+                for a in [&ct, &fast, &ct] {
+                    let product = c.eval.mul_plain(a, &prep).unwrap();
+                    c.eval.add_assign(&mut explicit, &product).unwrap();
+                }
+                assert_same_bits(
+                    &many,
+                    &explicit,
+                    &format!("{name} L{level} group sum x{scalar}"),
                 );
 
                 // And the product is the right one: inputs and scalars are

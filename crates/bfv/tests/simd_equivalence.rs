@@ -9,16 +9,23 @@
 //!   of every preset (RNS and hybrid);
 //! * the pointwise Barrett kernels (`add`/`sub`/`negate`/`mul`/`fma`/
 //!   `mul_scalar`) on random residue vectors;
+//! * the **lazy dot kernel** under every mask sum and key switch, against
+//!   sequential `fma_pointwise`, on random 20–61-bit NTT primes with term
+//!   counts straddling [`Modulus::lazy_dot_terms`] and all-`q − 1`
+//!   operands — the overflow bound as a test — plus one group sum wider
+//!   than the bound on `preset_single_60`;
 //! * a **full rotate** — keygen, encrypt, Galois key switch, decrypt —
 //!   at every preset and every reachable level of its chain;
 //! * typed-error behaviour is backend-independent.
 
-use cheetah_bfv::arith::Modulus;
+use cheetah_bfv::arith::{generate_ntt_primes, Modulus};
 use cheetah_bfv::ntt::NttTable;
 use cheetah_bfv::poly::{Poly, Representation};
+use cheetah_bfv::rns::{DotTerm, PlaneAlign};
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
+    ModulusChain, RnsPoly,
 };
 use proptest::prelude::*;
 
@@ -164,6 +171,155 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Overflow soundness of the lazy dot kernel, as a test: for random
+    /// NTT primes up to the 61-bit cap, term counts on both sides of the
+    /// flush bound `K`, worst-case all-`q − 1` operands, a nonzero
+    /// starting accumulator, with and without the fused Galois gather,
+    /// every backend writes the residues `terms` sequential
+    /// `fma_pointwise` calls write.
+    #[test]
+    fn lazy_dot_matches_sequential_fma_across_the_flush_bound(
+        bits in prop_oneof![57u32..=61, 20u32..=61],
+        seed in any::<u64>(),
+        gather in any::<bool>(),
+        worst in any::<bool>(),
+        two_blocks in any::<bool>(),
+    ) {
+        // 64 coefficients sit inside one accumulator block, 512 span two.
+        let n = if two_blocks { 512 } else { 64 };
+        let primes = generate_ntt_primes(bits, n, 1 + (seed % 3) as usize).unwrap();
+        let chain = ModulusChain::new(n, &[*primes.last().unwrap()]).unwrap();
+        let q = chain.modulus(0);
+        let k = q.lazy_dot_terms();
+        prop_assert!(k >= 1);
+        let counts = if k <= 64 {
+            vec![1, k - 1, k, k + 1, 3 * k + 2]
+        } else {
+            vec![1, 2, 19]
+        };
+        let poly = |salt: u64| {
+            let data = if worst {
+                vec![q.value() - 1; n]
+            } else {
+                residues(q, n, seed ^ salt)
+            };
+            RnsPoly::from_data(data, 1, n, Representation::Eval)
+        };
+        let perm = chain.table(0).galois_permutation(3);
+        let (start0, start1) = (poly(1), poly(2));
+
+        for terms in counts.into_iter().filter(|&t| t > 0) {
+            let operands: Vec<[RnsPoly; 3]> = (0..terms as u64)
+                .map(|t| [poly(3 * t + 3), poly(3 * t + 4), poly(3 * t + 5)])
+                .collect();
+
+            // Reference: one Barrett-reduced fma per term, on the pinned
+            // scalar backend, over the explicitly permuted shared operand.
+            let (mut ref0, mut ref1) = (start0.clone(), start1.clone());
+            {
+                let (_guard, _) = ForceGuard::force(SimdBackend::Scalar);
+                let mut shared = RnsPoly::zero(&chain, Representation::Eval);
+                for [x0, x1, s] in &operands {
+                    if gather {
+                        shared.permute_from(s, &perm);
+                    } else {
+                        shared.copy_from(s);
+                    }
+                    ref0.fma_pointwise(x0, &shared, &chain).unwrap();
+                    ref1.fma_pointwise(x1, &shared, &chain).unwrap();
+                }
+            }
+
+            let mut backends = vec![SimdBackend::Scalar];
+            backends.extend(runnable_vector_backends());
+            for backend in backends {
+                let (_guard, eff) = ForceGuard::force(backend);
+                prop_assert_eq!(eff, backend);
+                let (mut r0, mut r1) = (start0.clone(), start1.clone());
+                RnsPoly::dot_pair_prefix(
+                    &mut r0,
+                    &mut r1,
+                    terms,
+                    |t| {
+                        let [x0, x1, shared] = &operands[t];
+                        DotTerm { x0, x1, shared }
+                    },
+                    gather.then_some(&perm[..]),
+                    PlaneAlign::Prefix,
+                    &chain,
+                )
+                .unwrap();
+                prop_assert_eq!(
+                    (&r0, &r1), (&ref0, &ref1),
+                    "{} bits, K = {}, {} terms, gather={}, worst={} diverged on {}",
+                    bits, k, terms, gather, worst, backend.name()
+                );
+            }
+        }
+    }
+}
+
+/// A group sum wider than the flush bound, end to end: on
+/// `preset_single_60` (`K = 16`) twenty masks accumulate in one pass to
+/// the bits — and the slots — of twenty sequential accumulates, on every
+/// backend.
+#[test]
+fn group_sum_wider_than_the_flush_bound_on_single_60() {
+    const TERMS: usize = 20;
+    let params = BfvParams::preset_single_60(4096).unwrap();
+    assert!(params.chain().modulus(0).lazy_dot_terms() < TERMS);
+    let mut kg = KeyGenerator::from_seed(params.clone(), 60);
+    let pk = kg.public_key().unwrap();
+    let encoder = BatchEncoder::new(params.clone());
+    let mut enc = Encryptor::from_public_key(pk, 61);
+    let dec = Decryptor::new(kg.secret_key().clone());
+    let eval = Evaluator::new(params.clone());
+
+    let values: Vec<i64> = (0..64).map(|i| i % 7 - 3).collect();
+    let cts: Vec<Ciphertext> = (0..TERMS)
+        .map(|_| {
+            enc.encrypt(&encoder.encode_signed(&values).unwrap())
+                .unwrap()
+        })
+        .collect();
+    let weights = |k: usize| -> Vec<i64> { (0..64).map(|i| (i + k as i64) % 5 - 2).collect() };
+    let masks: Vec<_> = (0..TERMS)
+        .map(|k| {
+            eval.prepare_plaintext(&encoder.encode_signed(&weights(k)).unwrap())
+                .unwrap()
+        })
+        .collect();
+    let terms: Vec<_> = cts.iter().zip(&masks).collect();
+
+    let mut sequential = Ciphertext::transparent_zero(&params);
+    {
+        let (_guard, _) = ForceGuard::force(SimdBackend::Scalar);
+        for (ct, mask) in &terms {
+            eval.mul_plain_accumulate(&mut sequential, ct, mask)
+                .unwrap();
+        }
+    }
+    let mut backends = vec![SimdBackend::Scalar];
+    backends.extend(runnable_vector_backends());
+    for backend in backends {
+        let (_guard, eff) = ForceGuard::force(backend);
+        assert_eq!(eff, backend);
+        let mut many = Ciphertext::transparent_zero(&params);
+        eval.mul_plain_accumulate_many(&mut many, &terms).unwrap();
+        assert_eq!(many.c0(), sequential.c0(), "c0 on {}", backend.name());
+        assert_eq!(many.c1(), sequential.c1(), "c1 on {}", backend.name());
+        assert_eq!(many.noise(), sequential.noise());
+        let got = encoder.decode_signed(&dec.decrypt_checked(&many).unwrap());
+        for (slot, &x) in values.iter().enumerate() {
+            let expect: i64 = (0..TERMS).map(|k| x * weights(k)[slot]).sum();
+            assert_eq!(got[slot], expect, "slot {slot} on {}", backend.name());
         }
     }
 }

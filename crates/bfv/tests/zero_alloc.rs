@@ -43,13 +43,21 @@ fn allocations() -> u64 {
 
 #[test]
 fn steady_state_inplace_ops_do_not_allocate() {
-    let params = BfvParams::builder()
+    let digit_chain = BfvParams::builder()
         .degree(2048)
         .plain_bits(16)
         .cipher_bits(54)
         .a_dcmp(1 << 16)
         .build()
         .unwrap();
+    // The digit key switch and its special-prime hybrid twin: both lease
+    // every temporary — and hand it back at the width it was taken.
+    for params in [digit_chain, BfvParams::preset_hybrid_2x36(4096).unwrap()] {
+        steady_state_on(params);
+    }
+}
+
+fn steady_state_on(params: BfvParams) {
     let mut kg = KeyGenerator::from_seed(params.clone(), 99);
     let pk = kg.public_key().unwrap();
     let keys = kg.galois_keys_for_steps(&[1, 2]).unwrap();
@@ -79,6 +87,11 @@ fn steady_state_inplace_ops_do_not_allocate() {
         eval.negate_assign(work).unwrap();
         eval.mul_plain_assign(work, &prepared).unwrap();
         eval.mul_plain_accumulate(work, &other, &prepared).unwrap();
+        eval.mul_plain_accumulate_many(
+            work,
+            &[(&other, &prepared), (&base, &prepared), (&other, &prepared)],
+        )
+        .unwrap();
         eval.mul_scalar_assign(work, 3).unwrap();
         eval.add_plain_assign(work, &pt, scratch).unwrap();
         eval.rotate_rows_into(rot, work, 1, &keys, scratch).unwrap();

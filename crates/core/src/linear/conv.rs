@@ -35,7 +35,10 @@
 //!
 //! The baby rotations all read the *input*, so one hoist covers the whole
 //! set; each mask is pre-rotated by its group's `u·b·s` on the plaintext
-//! at preparation time (free); the giant steps accumulate by Horner —
+//! at preparation time (free); a group's inner sum `Σ_{v,tap}` is one lazy
+//! pass over its masks ([`Evaluator::mul_plain_accumulate_many`]: one
+//! Barrett reduction per coefficient, not one per mask — same bits); the
+//! giant steps accumulate by Horner —
 //! `acc ← rot(acc, b·s) + inner_u` from the last live group down — so all
 //! of them share the **one** Galois key `b·s`. Only live `(d, tap)` masks
 //! are prepared ([`ConvStructure`]): a baby step no live mask reads is
@@ -60,9 +63,11 @@
 //! Constraints: stride 1, odd filter narrower than `2w` with 'same'
 //! padding, and `c_i'·s ≤ n/2` (one input tile per row).
 
+use std::sync::{Mutex, PoisonError};
+
 use cheetah_bfv::{
-    BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, Plaintext,
-    PreparedPlaintext, Result,
+    BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, Plaintext, PreparedPlaintext, Result,
+    Scratch,
 };
 use cheetah_nn::{ConvSpec, Tensor};
 
@@ -548,11 +553,15 @@ impl HomConv2d {
     ///
     /// Hoists the input once and replays the live baby steps, fans the
     /// live giant groups' inner sums across `threads` workers
-    /// (`threads <= 1` runs fully inline), then runs each output
-    /// ciphertext's Horner chain in order. Every inner sum is formed by
-    /// one worker in mask order, so residues, op counts and the decrypted
-    /// output are identical for every thread count. An output ciphertext
-    /// with no live mask is a transparent zero.
+    /// (`threads <= 1` runs fully inline) — each one lazy pass over its
+    /// masks ([`Evaluator::mul_plain_accumulate_many`]) — then runs each
+    /// output ciphertext's Horner chain in order. Every inner sum is formed
+    /// by one worker in mask order, so residues, op counts and the
+    /// decrypted output are identical for every thread count. An output
+    /// ciphertext with no live mask is a transparent zero.
+    ///
+    /// Works out of a fresh [`Scratch`]; a caller that evaluates layer
+    /// after layer keeps one and calls [`HomConv2d::apply_with_scratch`].
     ///
     /// # Errors
     ///
@@ -565,53 +574,105 @@ impl HomConv2d {
         keys: &GaloisKeys,
         threads: usize,
     ) -> Result<Vec<Ciphertext>> {
+        self.apply_with_scratch(input, eval, keys, threads, &mut eval.new_scratch())
+    }
+
+    /// [`HomConv2d::apply`] with every temporary — the baby set, the hoist
+    /// store, the inner sums, the Horner chains' key-switch digits — leased
+    /// from `scratch` and handed back, so a session that keeps one
+    /// `Scratch` across layers faults its workspace in once.
+    ///
+    /// # Errors
+    ///
+    /// As [`HomConv2d::apply`].
+    pub fn apply_with_scratch(
+        &self,
+        input: &Ciphertext,
+        eval: &Evaluator,
+        keys: &GaloisKeys,
+        threads: usize,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<Ciphertext>> {
         // The scratch-reuse hot path copies the input into evaluator-owned
         // buffers, so foreign ciphertexts must be rejected up front.
         eval.params().check_same(input.params())?;
+        // The baby set's lease outlives the evaluation so that an error
+        // path hands it back too.
+        let mut babies: Vec<Ciphertext> = Vec::new();
+        let out = self.evaluate(input, eval, keys, threads, scratch, &mut babies);
+        babies.into_iter().for_each(|baby| scratch.put_ct(baby));
+        out
+    }
+
+    /// The body of [`HomConv2d::apply_with_scratch`] over its leased baby
+    /// set.
+    fn evaluate(
+        &self,
+        input: &Ciphertext,
+        eval: &Evaluator,
+        keys: &GaloisKeys,
+        threads: usize,
+        scratch: &mut Scratch,
+        babies: &mut Vec<Ciphertext>,
+    ) -> Result<Vec<Ciphertext>> {
         let level = input.level();
         let plan = &self.plan;
-        let mut scratch = eval.new_scratch();
-        let mut babies: Vec<Ciphertext> = Vec::new();
         // A 1×1 filter at b = 1 — or a layer pruned down to its center
         // taps — reads only the unrotated input and skips the hoist.
         if !plan.baby_steps().is_empty() {
-            let mut hoisted = HoistedDecomposition::empty(eval.params());
-            eval.rotate_set_hoisted_into(
-                &mut babies,
+            let mut hoisted = scratch.take_hoisted(eval.params());
+            let replayed = eval.rotate_set_hoisted_into(
+                babies,
                 input,
                 plan.baby_steps(),
                 keys,
                 &mut hoisted,
-                &mut scratch,
-            )?;
+                scratch,
+            );
+            scratch.put_hoisted(hoisted);
+            replayed?;
         }
-        let babies = &babies;
+        let babies = &*babies;
         let groups: Vec<(&ConvGroup, &Vec<PreparedPlaintext>)> = plan
             .chains()
             .iter()
             .zip(&self.masks)
             .flat_map(|(chain, masks)| chain.iter().zip(masks))
             .collect();
+        // The inner sums' (zeroed) accumulators come from the caller's
+        // scratch and go back to it as the Horner chains consume them.
+        let blanks: Vec<Ciphertext> = groups
+            .iter()
+            .map(|_| scratch.take_ct(eval.params(), level))
+            .collect();
+        let blanks = Mutex::new(blanks);
         let inners = map_chunks(groups.len(), threads, |range| {
+            let mut terms = Vec::new();
             groups[range]
                 .iter()
                 .map(|(group, masks)| {
-                    let mut inner = Ciphertext::transparent_zero_at(eval.params(), level);
-                    for (m, mask) in group.masks.iter().zip(*masks) {
+                    // One blank per group, and a worker that panicked
+                    // mid-pop left the list whole.
+                    let blank = blanks.lock().unwrap_or_else(PoisonError::into_inner).pop();
+                    let mut inner = blank.expect("one blank accumulator per group");
+                    terms.clear();
+                    terms.extend(group.masks.iter().zip(*masks).map(|(m, mask)| {
                         let src = match plan.baby_steps().binary_search(&m.step) {
                             Ok(i) => &babies[i],
                             Err(_) => input,
                         };
-                        eval.mul_plain_accumulate(&mut inner, src, mask)?;
-                    }
+                        (src, mask)
+                    }));
+                    eval.mul_plain_accumulate_many(&mut inner, &terms)?;
                     Ok(inner)
                 })
                 .collect::<Result<Vec<_>>>()
         })?;
         let mut inners = inners.into_iter().flatten();
         let giant = (plan.b * plan.stride) as i64;
-        let mut rotated = Ciphertext::transparent_zero_at(eval.params(), level);
-        plan.chains()
+        let mut rotated = scratch.take_ct(eval.params(), level);
+        let outputs: Result<Vec<Ciphertext>> = plan
+            .chains()
             .iter()
             .map(|chain| {
                 // Horner from the highest live group down: rotate the
@@ -623,15 +684,18 @@ impl HomConv2d {
                     return Ok(Ciphertext::transparent_zero_at(eval.params(), level));
                 };
                 for u in (0..top.u).rev() {
-                    eval.rotate_rows_into(&mut rotated, &acc, giant, keys, &mut scratch)?;
+                    eval.rotate_rows_into(&mut rotated, &acc, giant, keys, scratch)?;
                     std::mem::swap(&mut acc, &mut rotated);
                     if let Some((_, inner)) = pending.next_if(|(group, _)| group.u == u) {
                         eval.add_assign(&mut acc, &inner)?;
+                        scratch.put_ct(inner);
                     }
                 }
                 Ok(acc)
             })
-            .collect()
+            .collect();
+        scratch.put_ct(rotated);
+        outputs
     }
 
     /// Where output pixel `pixel` (row-major, `< w²`) of channel `o`

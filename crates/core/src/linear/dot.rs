@@ -108,7 +108,9 @@ pub fn dot_partial_aligned(
 ///
 /// All `d − 1` rotations act on the same fresh input, so its INTT + digit
 /// decomposition is hoisted once for the whole set and each alignment
-/// pays only permutations + key-switch multiply-accumulates.
+/// pays only the key-switch sum; the `d` aligned copies then meet their
+/// slot-0 weights in one lazy pass
+/// ([`Evaluator::mul_plain_accumulate_many`]).
 ///
 /// # Errors
 ///
@@ -120,36 +122,35 @@ pub fn dot_input_aligned(
     eval: &Evaluator,
     keys: &GaloisKeys,
 ) -> Result<Ciphertext> {
-    let slots = encoder.slots();
+    // w placed at slot 0 only.
+    let masks = weights
+        .iter()
+        .map(|&w| {
+            let mut mask = vec![0i64; encoder.slots()];
+            mask[0] = w;
+            eval.prepare_plaintext(&encoder.encode_signed(&mask)?)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    // x[0] is already aligned: no rotation, and no hoist at all when the
+    // dot product is a single term.
+    let mut aligned: Vec<Ciphertext> = Vec::new();
+    if weights.len() > 1 {
+        let steps: Vec<i64> = (1..weights.len() as i64).collect();
+        let mut hoisted = HoistedDecomposition::empty(eval.params());
+        eval.rotate_set_hoisted_into(
+            &mut aligned,
+            ct,
+            &steps,
+            keys,
+            &mut hoisted,
+            &mut eval.new_scratch(),
+        )?;
+    }
+    let terms: Vec<_> = std::iter::once(ct).chain(&aligned).zip(&masks).collect();
     // The accumulator follows the input's level (modulus-switched inputs
     // run the alignment set over their live limbs only).
     let mut acc = Ciphertext::transparent_zero_at(eval.params(), ct.level());
-    // Multiply by w placed at slot 0 only, fused into the accumulator.
-    let accumulate = |acc: &mut Ciphertext, aligned: &Ciphertext, w: i64| -> Result<()> {
-        let mut mask = vec![0i64; slots];
-        mask[0] = w;
-        let w_pt = encoder.encode_signed(&mask)?;
-        let prepared = eval.prepare_plaintext(&w_pt)?;
-        eval.mul_plain_accumulate(acc, aligned, &prepared)
-    };
-    // x[0] is already aligned: no rotation, and no hoist at all when the
-    // dot product is a single term.
-    accumulate(&mut acc, ct, weights[0])?;
-    if weights.len() > 1 {
-        let hoisted = eval.hoist(ct)?;
-        let mut rs = RotateScratch::new(eval);
-        for (i, &w) in weights.iter().enumerate().skip(1) {
-            eval.rotate_hoisted_into(
-                &mut rs.rotated,
-                ct,
-                &hoisted,
-                i as i64,
-                keys,
-                &mut rs.scratch,
-            )?;
-            accumulate(&mut acc, &rs.rotated, w)?;
-        }
-    }
+    eval.mul_plain_accumulate_many(&mut acc, &terms)?;
     Ok(acc)
 }
 

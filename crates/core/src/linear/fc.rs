@@ -36,8 +36,11 @@
 //! The baby rotations all read the *input*, so one hoist
 //! ([`Evaluator::hoist_into`]) covers the whole set; the giant-step
 //! pre-rotation of each diagonal happens on the plaintext mask at
-//! preparation time (free); only the giant rotations of the group inner
-//! sums pay full NTT bills. Only **live** diagonals carry a mask
+//! preparation time (free); a group's inner sum `Σ_v` is one lazy pass
+//! over its masks ([`Evaluator::mul_plain_accumulate_many`]: one Barrett
+//! reduction per coefficient, not one per mask — same bits); only the
+//! giant rotations of the group inner sums pay full NTT bills. Only
+//! **live** diagonals carry a mask
 //! ([`FcStructure`]): a baby step no live diagonal reads is never replayed,
 //! a group with no live diagonal never summed or rotated, and the skipped
 //! terms are zero polynomials, so the ciphertext is the one the all-live
@@ -81,14 +84,16 @@
 //!
 //! Constraints: `n_i` a power of two, `1 ≤ n_o ≤ n_i`, `2·n_i ≤ n/2`.
 
+use std::ops::Range;
+
 use cheetah_bfv::{
     BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, Plaintext,
-    PreparedPlaintext, Result,
+    PreparedPlaintext, Result, Scratch,
 };
 use cheetah_nn::{FcSpec, Tensor};
 
 use crate::cost::HeCostParams;
-use crate::linear::parallel::{map_chunks, merge_partials};
+use crate::linear::parallel::{map_chunks, merge_partials, WorkerScratch};
 use crate::linear::{rotate_sum_noise, rotate_sum_reduce, ReducePlan};
 use crate::sparse::{BsgsPlan, FcStructure};
 
@@ -443,12 +448,17 @@ impl HomFc {
     /// Hoists the input once and replays only the *live* baby steps, then
     /// fans the *live* giant groups across `threads` workers
     /// (`threads <= 1` runs fully inline), one scratch-owning worker per
-    /// contiguous chunk of groups: each group fuses its inner sum from the
-    /// baby set and pays exactly one direct rotation. Per-chunk partial
-    /// sums merge in chunk order, and the scale and the fold run on the
-    /// merged sum, so residues — and the decrypted output — are identical
-    /// for every thread count. An all-zero layer returns a transparent
-    /// zero without a single rotation or multiply.
+    /// contiguous chunk of groups: each group forms its inner sum over the
+    /// baby set in one lazy pass
+    /// ([`Evaluator::mul_plain_accumulate_many`]) and pays exactly one
+    /// direct rotation. Per-chunk partial sums merge in chunk order, and
+    /// the scale and the fold run on the merged sum, so residues — and the
+    /// decrypted output — are identical for every thread count. An
+    /// all-zero layer returns a transparent zero without a single rotation
+    /// or multiply.
+    ///
+    /// Works out of a fresh [`Scratch`]; a caller that evaluates layer
+    /// after layer keeps one and calls [`HomFc::apply_with_scratch`].
     ///
     /// # Errors
     ///
@@ -460,53 +470,97 @@ impl HomFc {
         keys: &GaloisKeys,
         threads: usize,
     ) -> Result<Ciphertext> {
+        self.apply_with_scratch(input, eval, keys, threads, &mut eval.new_scratch())
+    }
+
+    /// [`HomFc::apply`] with every temporary — the baby set, the hoist
+    /// store, each worker's accumulators and key-switch digits — leased
+    /// from `scratch` and handed back, so a session that keeps one
+    /// `Scratch` across layers faults its workspace in once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates BFV evaluation errors.
+    pub fn apply_with_scratch(
+        &self,
+        input: &Ciphertext,
+        eval: &Evaluator,
+        keys: &GaloisKeys,
+        threads: usize,
+        scratch: &mut Scratch,
+    ) -> Result<Ciphertext> {
         // The scratch-reuse hot path copies the input into evaluator-owned
         // buffers, so foreign ciphertexts must be rejected up front.
         eval.params().check_same(input.params())?;
-        let level = input.level();
         if self.groups.is_empty() {
-            return Ok(Ciphertext::transparent_zero_at(eval.params(), level));
+            return Ok(Ciphertext::transparent_zero_at(
+                eval.params(),
+                input.level(),
+            ));
         }
+        // Leases outlive the evaluation so that an error path hands them
+        // back too.
+        let mut babies: Vec<Ciphertext> = Vec::new();
+        let mut hoisted = scratch.take_hoisted(eval.params());
+        let out = self.evaluate(
+            input,
+            eval,
+            keys,
+            threads,
+            scratch,
+            &mut babies,
+            &mut hoisted,
+        );
+        babies.into_iter().for_each(|baby| scratch.put_ct(baby));
+        scratch.put_hoisted(hoisted);
+        out
+    }
+
+    /// The body of [`HomFc::apply_with_scratch`] over its leased baby set
+    /// and hoist store.
+    #[allow(clippy::too_many_arguments)] // the three trailing buffers are the shared scratch set
+    fn evaluate(
+        &self,
+        input: &Ciphertext,
+        eval: &Evaluator,
+        keys: &GaloisKeys,
+        threads: usize,
+        scratch: &mut Scratch,
+        babies: &mut Vec<Ciphertext>,
+        hoisted: &mut HoistedDecomposition,
+    ) -> Result<Ciphertext> {
+        let level = input.level();
         let kernel = &self.plan.kernel;
         // Baby set, live steps only: baby_at[v] indexes into `babies` for
         // v in kernel.baby_steps(); v = 0 reads the unrotated input.
-        let mut scratch = eval.new_scratch();
-        let mut babies: Vec<Ciphertext> = Vec::new();
         let mut baby_at = vec![usize::MAX; kernel.b];
-        let mut hoisted = HoistedDecomposition::empty(eval.params());
         if !kernel.baby_steps().is_empty() {
             let steps: Vec<i64> = kernel.baby_steps().iter().map(|&v| v as i64).collect();
             for (i, &v) in kernel.baby_steps().iter().enumerate() {
                 baby_at[v] = i;
             }
-            eval.rotate_set_hoisted_into(
-                &mut babies,
-                input,
-                &steps,
-                keys,
-                &mut hoisted,
-                &mut scratch,
-            )?;
+            eval.rotate_set_hoisted_into(babies, input, &steps, keys, hoisted, scratch)?;
         }
-        let babies = &babies;
+        let babies = &*babies;
         let baby_at = &baby_at;
         let live_groups = kernel.live_groups();
-        let partials = map_chunks(self.groups.len(), threads, |range| {
-            let mut scratch = eval.new_scratch();
+        let workers = WorkerScratch::new(scratch);
+        let sum_chunk = |range: Range<usize>, scratch: &mut Scratch| {
             let mut acc = Ciphertext::transparent_zero_at(eval.params(), level);
             let mut rotated = scratch.take_ct(eval.params(), level);
+            let mut terms = Vec::new();
             for (i, masks) in range.clone().zip(&self.groups[range]) {
                 let u = live_groups[i];
                 // Group accumulator leased (zeroed) from the per-level
                 // pool and returned after its sum folds into the partial,
                 // so every group past the first recycles the same buffer.
-                // (An early error drops the worker-local pool wholesale,
-                // so the lease needs no cleanup on that path.)
                 let mut inner = scratch.take_ct(eval.params(), level);
-                for (v, mask) in masks {
+                terms.clear();
+                terms.extend(masks.iter().map(|(v, mask)| {
                     let src = if *v == 0 { input } else { &babies[baby_at[*v]] };
-                    eval.mul_plain_accumulate(&mut inner, src, mask)?;
-                }
+                    (src, mask)
+                }));
+                eval.mul_plain_accumulate_many(&mut inner, &terms)?;
                 if u == 0 {
                     eval.add_assign(&mut acc, &inner)?;
                 } else {
@@ -515,7 +569,7 @@ impl HomFc {
                         &inner,
                         (u * kernel.b) as i64,
                         keys,
-                        &mut scratch,
+                        scratch,
                     )?;
                     eval.add_assign(&mut acc, &rotated)?;
                 }
@@ -523,7 +577,11 @@ impl HomFc {
             }
             scratch.put_ct(rotated);
             Ok(acc)
+        };
+        let partials = map_chunks(self.groups.len(), threads, |range| {
+            workers.with(|scratch| sum_chunk(range, scratch))
         })?;
+        drop(workers);
         let mut part = merge_partials(partials, eval)?;
         if self.scale_log2 > 0 {
             eval.mul_scalar_assign(&mut part, 1u64 << self.scale_log2)?;
@@ -533,18 +591,20 @@ impl HomFc {
         }
         // The fold: y = Σ_m rot(y_part, m·d) gathers each row's partial
         // sums into slots [0, d).
-        let mut rotated = Ciphertext::transparent_zero_at(eval.params(), level);
-        rotate_sum_reduce(
+        let mut rotated = scratch.take_ct(eval.params(), level);
+        let folded = rotate_sum_reduce(
             part,
             self.plan.diagonals as i64,
             self.plan.fold,
             self.plan.fold_plan,
             eval,
             keys,
-            &mut scratch,
+            scratch,
             &mut rotated,
-            &mut hoisted,
-        )
+            hoisted,
+        );
+        scratch.put_ct(rotated);
+        folded
     }
 
     /// Extracts the output vector from decoded slots.

@@ -9,11 +9,49 @@
 //! and the (float) noise-estimate fold always happens in the same order for
 //! a given thread count.
 //!
-//! Each worker owns a private [`cheetah_bfv::Scratch`], so the steady-state
-//! loop bodies run with zero heap allocation and zero lock contention.
+//! Each worker runs out of a [`cheetah_bfv::Scratch`] of its own
+//! ([`WorkerScratch`]), so the steady-state loop bodies run with zero heap
+//! allocation and zero lock contention.
 
-use cheetah_bfv::{Ciphertext, Evaluator, Result};
+use cheetah_bfv::{Ciphertext, Evaluator, Result, Scratch, ScratchPool};
 use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// The scratch the chunk workers of one layer evaluation run out of: the
+/// first worker to ask borrows the caller's own `Scratch` — so a
+/// single-threaded evaluation keeps one warm workspace, not two — and any
+/// others lease the child pools it keeps for them
+/// ([`Scratch::workers`]).
+pub(crate) struct WorkerScratch<'a> {
+    own: Mutex<Option<&'a mut Scratch>>,
+    children: Arc<ScratchPool>,
+}
+
+impl<'a> WorkerScratch<'a> {
+    pub(crate) fn new(scratch: &'a mut Scratch) -> Self {
+        let children = Arc::clone(scratch.workers());
+        Self {
+            own: Mutex::new(Some(scratch)),
+            children,
+        }
+    }
+
+    /// Runs `work` with a scratch no other worker holds.
+    pub(crate) fn with<T>(&self, work: impl FnOnce(&mut Scratch) -> T) -> T {
+        // The slot holds a plain reference: a worker that panicked while
+        // it was locked left it whole.
+        let slot = || self.own.lock().unwrap_or_else(PoisonError::into_inner);
+        let own = slot().take();
+        match own {
+            Some(scratch) => {
+                let out = work(scratch);
+                *slot() = Some(scratch);
+                out
+            }
+            None => work(&mut self.children.lease()),
+        }
+    }
+}
 
 /// Number of worker threads the linear layers use by default: the
 /// machine's available parallelism (1 on a single-core host, which makes

@@ -17,7 +17,7 @@
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
-    Result,
+    Result, Scratch,
 };
 use cheetah_core::linear::parallel::default_threads;
 use cheetah_core::linear::{HomConv2d, HomFc};
@@ -113,10 +113,12 @@ impl HomLayer {
         ct: &Ciphertext,
         eval: &Evaluator,
         keys: &GaloisKeys,
+        scratch: &mut Scratch,
     ) -> Result<Vec<Ciphertext>> {
+        let threads = default_threads();
         match self {
-            HomLayer::Conv(c) => c.apply(ct, eval, keys, default_threads()),
-            HomLayer::Fc(f) => Ok(vec![f.apply(ct, eval, keys, default_threads())?]),
+            HomLayer::Conv(c) => c.apply_with_scratch(ct, eval, keys, threads, scratch),
+            HomLayer::Fc(f) => Ok(vec![f.apply_with_scratch(ct, eval, keys, threads, scratch)?]),
         }
     }
 
@@ -474,7 +476,24 @@ impl PreparedLayers {
     /// Propagates BFV errors ([`Error::MissingGaloisKey`] when `keys` does
     /// not cover the plan, noise/parameter errors otherwise).
     pub fn apply(&self, k: usize, ct: &Ciphertext, keys: &GaloisKeys) -> Result<Vec<Ciphertext>> {
-        self.layers[k].apply(ct, &self.evaluator, keys)
+        self.apply_with_scratch(k, ct, keys, &mut self.evaluator.new_scratch())
+    }
+
+    /// [`PreparedLayers::apply`] with the layer's temporaries leased from
+    /// the caller's `scratch` — the one a session already holds for its
+    /// mask arithmetic — so they stay warm from layer to layer.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedLayers::apply`].
+    pub fn apply_with_scratch(
+        &self,
+        k: usize,
+        ct: &Ciphertext,
+        keys: &GaloisKeys,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<Ciphertext>> {
+        self.layers[k].apply(ct, &self.evaluator, keys, scratch)
     }
 
     /// Extracts linear layer `k`'s output tensor from per-ciphertext

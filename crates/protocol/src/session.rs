@@ -343,7 +343,7 @@ impl PrivateInferenceSession {
 
             // Cloud: HE linear layer.
             let predicted = prepared.noise_after(k, ct.noise(), ct.level());
-            let outputs = prepared.apply(k, &ct, &self.keys)?;
+            let outputs = prepared.apply_with_scratch(k, &ct, &self.keys, &mut self.scratch)?;
 
             // Conformance record. Tracked/predicted bounds are free; the
             // *measured* invariant noise needs a real decryption per

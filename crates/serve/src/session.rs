@@ -294,7 +294,7 @@ impl ServerSession {
 
         // The HE linear layer, with this client's keys.
         let predicted = layers.noise_after(k, ct.noise(), ct.level());
-        let outputs = layers.apply(k, &ct, &self.keys)?;
+        let outputs = layers.apply_with_scratch(k, &ct, &self.keys, scratch)?;
 
         let mut tracked = f64::NEG_INFINITY;
         let mut tracked_budget = f64::INFINITY;

@@ -20,6 +20,20 @@ if git grep -nE 'FcKernelPlan|FcKernel::|apply_threaded|apply_diagonal|apply_bsg
     exit 1
 fi
 
+echo "==> one-inner-product gate"
+# Every mask sum and every key switch is one lazy pass
+# (RnsPoly::dot_pair_prefix): the evaluator calls no per-term
+# fma_pointwise*, and the per-term prefix/pow2 accumulate kernels the dot
+# kernel replaced must not grow back.
+if git grep -n 'fma_pointwise' -- crates/bfv/src/evaluator.rs; then
+    echo "FAIL: evaluator.rs accumulates term by term again (see matches above)"
+    exit 1
+fi
+if git grep -nE 'fma_pointwise_prefix|fma_pow2' -- crates src tests examples; then
+    echo "FAIL: a per-term accumulate kernel the dot kernel replaced is back"
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release
@@ -56,6 +70,23 @@ if [[ "${1:-}" != "quick" ]]; then
         echo "FAIL: committed l3_fc_bsgs ($fc_bsgs ns) is not faster than l3_fc_diag ($fc_diag ns)"
         exit 1
     fi
+
+    echo "==> lazy group-sum gate (committed non-smoke BENCH_he_ops.json)"
+    # A 26-term mul_plain_accumulate_many pays one reduction per
+    # coefficient where 26 multiplies pay 26: on every preset the one-pass
+    # sum must cost under 0.6 of 26 separate multiplies.
+    for limbs in 1 2 3; do
+        dot=$(json_val BENCH_he_ops.json "l${limbs}_dot_plain_26")
+        mul=$(json_val BENCH_he_ops.json "l${limbs}_mul")
+        if [[ -z "$dot" || -z "$mul" ]]; then
+            echo "FAIL: BENCH_he_ops.json lacks l${limbs}_dot_plain_26 / l${limbs}_mul"
+            exit 1
+        fi
+        if ! awk -v d="$dot" -v m="$mul" 'BEGIN { exit !(d < 0.6 * 26 * m) }'; then
+            echo "FAIL: committed l${limbs}_dot_plain_26 ($dot ns) is not under 0.6 x 26 x l${limbs}_mul ($mul ns)"
+            exit 1
+        fi
+    done
 
     echo "==> sparse/pow2 FC regression gate (committed non-smoke BENCH_he_ops.json)"
     # Weight-structure plans must keep paying: a 90%-pruned FC layer's
