@@ -11,11 +11,15 @@
 //! `scripts/check.sh` fails a committed full run where the one-pass sum
 //! costs more than 0.6 × 26 multiplies) —
 //! and the FC-layer pair `l{2,3}_fc_bsgs` vs `l{2,3}_fc_diag` (plus
-//! `_level1` variants): the auto-chosen Baby-Step-Giant-Step split against
-//! the same kernel forced to baby width 1 (the diagonal method) on the
-//! same weights, the headline win of the hoistable-rotation-set work
-//! (`scripts/check.sh` fails a committed full run where BSGS does not beat
-//! the diagonal method on the 3-limb preset). `l{2,3}_conv_packed` is one
+//! `_level1` variants): the auto-chosen plan — tiled input,
+//! Baby-Step-Giant-Step split — against the same kernel forced untiled to
+//! baby width 1 (the diagonal method) on the same weights, the headline
+//! win of the hoistable-rotation-set work (`scripts/check.sh` fails a
+//! committed full run where BSGS does not beat the diagonal method on the
+//! 3-limb preset), and `l{2,3}_fc_bsgs_untiled`, the same layer forced to
+//! `tiles = 1` under the baby width the chooser picks there, so tiled and
+//! untiled read like for like (gated on the 3-limb preset too). Every FC
+//! variant runs on an input packed by its own plan. `l{2,3}_conv_packed` is one
 //! evaluation of the packed convolution on `bench_e2e`'s second layer
 //! (8→16 channels, 8×8, 3×3): 8 hoisted tap replays, 72 mask multiplies, 7
 //! Horner rotations, one output ciphertext.
@@ -57,7 +61,7 @@ use cheetah_bfv::{
     KeyGenerator, PreparedPlaintext, Scratch,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
-use cheetah_core::FcStructure;
+use cheetah_core::{BsgsPlan, FcStructure, HeCostParams};
 use cheetah_gpu::batched::batched_forward;
 use cheetah_nn::{ConvSpec, FcSpec, Tensor};
 
@@ -255,15 +259,18 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
     }
 }
 
-/// FC-layer timings on one multi-limb preset: the auto BSGS split vs the
-/// forced `b = 1` diagonal method, on the same weights and keys, at level
-/// 0 and after one modulus switch. Decryption is not on the timed path, so the
-/// preset's default decomposition base is fine — only the rotation
-/// structure is under test.
+/// FC-layer timings on one multi-limb preset: the auto plan vs the
+/// forced untiled `b = 1` diagonal method, on the same weights and keys,
+/// at level 0 and after one modulus switch. Decryption is not on the timed
+/// path, so the preset's default decomposition base is fine — only the
+/// rotation structure is under test.
 struct FcPoint {
     limbs: usize,
     diag: f64,
     bsgs: f64,
+    /// The auto plan's layer forced to `tiles = 1` (under the baby width
+    /// the chooser picks for the untiled diagonals).
+    bsgs_untiled: f64,
     diag_level1: f64,
     bsgs_level1: f64,
     /// The same layer with half / 90% of the folded diagonals pruned
@@ -307,9 +314,6 @@ fn fc_point(params: BfvParams) -> FcPoint {
     };
     let mut kg = KeyGenerator::from_seed(params.clone(), 21);
     let pk = kg.public_key().unwrap();
-    let keys = kg
-        .galois_keys_for_steps(&HomFc::required_steps(&spec))
-        .unwrap();
     let encoder = BatchEncoder::new(params.clone());
     let mut enc = Encryptor::from_public_key(pk, 22);
     let eval = Evaluator::new(params.clone());
@@ -317,28 +321,24 @@ fn fc_point(params: BfvParams) -> FcPoint {
         &[spec.no, spec.ni],
         (0..spec.no * spec.ni).map(|i| (i % 5) as i64 - 2).collect(),
     );
-    let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).collect());
-    let ct = enc
-        .encrypt(&HomFc::encode_input(&spec, &input, &encoder).unwrap())
-        .unwrap();
-    let ct_level1 = eval.mod_switch_to(&ct, 1).unwrap();
 
-    // `fc_bsgs` is the auto plan; `fc_diag` the diagonal method — the same
-    // kernel forced to baby width 1 (multiply the fresh input, rotate each
-    // partial product directly).
+    // `fc_bsgs` is the auto plan; `fc_bsgs_untiled` the same layer at
+    // `tiles = 1`; `fc_diag` the diagonal method — the untiled kernel forced
+    // to baby width 1 (multiply the fresh input, rotate each partial
+    // product directly).
     let bsgs = HomFc::new(&spec, &weights, &encoder, &eval).unwrap();
     assert!(
-        bsgs.fc_plan().kernel.b > 1,
-        "d = {} must auto-select a BSGS split",
-        spec.no
+        bsgs.fc_plan().tiles > 1 && bsgs.fc_plan().kernel.b > 1,
+        "d = {} must auto-select a tiled BSGS split, got {}",
+        spec.no,
+        bsgs.fc_plan().label()
     );
     let dense = FcStructure::dense(spec.no, spec.ni);
-    let diag = HomFc::with_forced_plan(&spec, &weights, &encoder, &eval, &dense, 1).unwrap();
-    let time_fc = |layer: &HomFc, input: &Ciphertext| {
-        time_ns(|| {
-            black_box(layer.apply(black_box(input), &eval, &keys, 1).unwrap());
-        })
+    let forced = |baby: usize| {
+        HomFc::with_forced_plan(&spec, &weights, &encoder, &eval, &dense, baby, 1).unwrap()
     };
+    let untiled = forced(BsgsPlan::choose(&dense, &HeCostParams::for_bfv(&params, 0)).b);
+    let diag = forced(1);
 
     // Sparse variants: the same layer with 50% / 90% of the folded
     // diagonals pruned whole; the plan covers the live ones only.
@@ -366,15 +366,31 @@ fn fc_point(params: BfvParams) -> FcPoint {
         "pow2 bench weights must factor a shared scale"
     );
 
+    let layers = [&diag, &bsgs, &untiled, &sparse50, &sparse90, &pow2];
+    let steps: Vec<i64> = layers.iter().flat_map(|l| l.rotation_steps()).collect();
+    let keys = kg.galois_keys_for_steps(&steps).unwrap();
+    // Every variant reads the input packed the way its own plan tiles it.
+    let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).collect());
+    let mut time_fc = |layer: &HomFc, level: usize| {
+        let fresh = enc
+            .encrypt(&layer.encode_input(&input, &encoder).unwrap())
+            .unwrap();
+        let ct = eval.mod_switch_to(&fresh, level).unwrap();
+        time_ns(|| {
+            black_box(layer.apply(black_box(&ct), &eval, &keys, 1).unwrap());
+        })
+    };
+
     FcPoint {
         limbs: params.limbs(),
-        diag: time_fc(&diag, &ct),
-        bsgs: time_fc(&bsgs, &ct),
-        diag_level1: time_fc(&diag, &ct_level1),
-        bsgs_level1: time_fc(&bsgs, &ct_level1),
-        bsgs_sparse50: time_fc(&sparse50, &ct),
-        bsgs_sparse90: time_fc(&sparse90, &ct),
-        pow2: time_fc(&pow2, &ct),
+        diag: time_fc(&diag, 0),
+        bsgs: time_fc(&bsgs, 0),
+        bsgs_untiled: time_fc(&untiled, 0),
+        diag_level1: time_fc(&diag, 1),
+        bsgs_level1: time_fc(&bsgs, 1),
+        bsgs_sparse50: time_fc(&sparse50, 0),
+        bsgs_sparse90: time_fc(&sparse90, 0),
+        pow2: time_fc(&pow2, 0),
     }
 }
 
@@ -659,6 +675,11 @@ fn main() {
         let trail = if idx + 1 < fc_points.len() { "," } else { "" };
         let _ = writeln!(json, "    \"l{limbs}_fc_diag\": {:.1},", p.diag);
         let _ = writeln!(json, "    \"l{limbs}_fc_bsgs\": {:.1},", p.bsgs);
+        let _ = writeln!(
+            json,
+            "    \"l{limbs}_fc_bsgs_untiled\": {:.1},",
+            p.bsgs_untiled
+        );
         let _ = writeln!(
             json,
             "    \"l{limbs}_fc_diag_level1\": {:.1},",

@@ -55,7 +55,7 @@
 //! its group's giant rotation carries an output pixel from, so the
 //! `s − w²` slots behind an image, the blocks past `c_o` and the second
 //! row never receive a product (the FC kernel, whose diagonals fill the
-//! row, does leave partial sums behind). `cheetah-protocol` still adds
+//! row, leaves copies of its outputs there). `cheetah-protocol` still adds
 //! fresh uniform blinding to every slot that is not an output pixel before
 //! a download leaves the server — a download's slots are all drawn from
 //! the mask stream, whatever the layer wrote there.

@@ -1,88 +1,111 @@
 //! Homomorphic fully connected layers: one Baby-Step-Giant-Step kernel
-//! over the live **folded** diagonals, then one fold.
+//! over the live **tiled** diagonals of a periodically packed input, then
+//! one fold.
 //!
 //! # Layout
 //!
-//! The input is packed twice (`x ‖ x` in slots `[0, 2·n_i)`) so plain row
-//! rotations act as rotations mod `n_i`. The weight matrix `W (n_o × n_i)`
-//! is padded with zero rows to `n_o' = next_pow2(n_o)` (call it `W'`) and
-//! split into its `n_o'` distinct generalized diagonals
+//! Pad `n_i` to `n_i' = next_pow2(n_i)` (zero columns) and `n_o` to
+//! `d = n_o' = next_pow2(n_o)` (zero rows); call the padded matrix `W'` and
+//! the padded input `x`. The client — who encrypts every layer's input in
+//! this protocol — fills the whole batching row (`row = n/2` slots) with
+//! `r = tiles` pre-rotated copies of `x`, over and over:
 //!
 //! ```text
-//! diag_k[j] = W'[j mod n_o'][(j + k) mod n_i]      k < n_o', j < n_i
+//! in[s] = x[src(s)]    src(s) = ((s mod n_i') + ⌊(s mod T) / n_i'⌋·δ) mod n_i'
+//!                      δ = d / r,  T = r·n_i'
 //! ```
 //!
-//! (`diag_{k + m·n_o'}` is `diag_k` rotated by `m·n_o'`, so the other
-//! `n_i − n_o'` carry nothing new). The kernel evaluates the partial
-//! product over those only:
+//! Copy `c` of each group of `r` is `x` rotated left by `c·δ`. The layout
+//! has period `T`, and `T` divides the row, so a row rotation is a cyclic
+//! shift of it with no seam: nothing in this file special-cases a wrap.
+//! `r` is a power of two with `1 ≤ r ≤ min(row / n_i', d)`
+//! ([`FcStructure::max_tiles`]); `r = 1` is plain `x` repeated. The second
+//! row stays zero.
+//!
+//! # Tiled diagonals
+//!
+//! Folded diagonal `j < d` of `W'` holds the cells `(ρ, γ)` with
+//! `γ − ρ ≡ j (mod d)`; every cell lies on exactly one, and they are the
+//! units [`FcStructure`] classifies and pruning zeroes. The kernel
+//! multiplies by the `δ` **tiled** diagonals
 //!
 //! ```text
-//! y_part[j] = Σ_{k < n_o'} rot(x, k)[j] · diag_k[j]
-//!           = Σ_{k < n_o'} W'[j mod n_o'][(j + k) mod n_i] · x[(j + k) mod n_i]
+//! mask_k[s] = W'[s mod d][src((s + k) mod row)]        k < δ, s < row
 //! ```
 //!
-//! Slot `j` of `y_part` holds the part of row `j mod n_o'` over the `n_o'`
-//! columns starting at `j`; the `n_i / n_o'` slots `j, j + n_o', …` of one
-//! row tile all `n_i` columns between them.
+//! Where slot `s` sits in copy `c`, `src(s + k) − s ≡ k + c·δ (mod d)`: one
+//! mask reads the `r` folded diagonals `k, k + δ, …, k + (r−1)·δ` at once,
+//! each under the copy pre-rotated to meet it (a slot whose `s + k` crosses
+//! into the next copy reads that copy's offset instead — the same `r`
+//! diagonals, met in another order). A tiled diagonal is live iff any of
+//! its members is ([`FcStructure::tiled`]). The partial product
+//!
+//! ```text
+//! y_part[s] = Σ_{k < δ} in[(s + k) mod row] · mask_k[s]
+//! ```
+//!
+//! leaves in slot `s` the part of output row `s mod d` over `δ` columns.
 //!
 //! # The kernel
 //!
-//! Writing `k = u·b + v` (`v < b` baby, `u < g` giant, `b·g ≥ n_o'`):
+//! Writing `k = u·b + v` (`v < b` baby, `u < g` giant, `b·g ≥ δ`):
 //!
 //! ```text
-//! y_part = Σ_u rot( Σ_v rot(x, v) ⊙ rot⁻ᵘᵇ(diag_{ub+v}), u·b )
+//! y_part = Σ_u rot( Σ_v rot(in, v) ⊙ rot⁻ᵘᵇ(mask_{ub+v}), u·b )
 //! ```
 //!
 //! The baby rotations all read the *input*, so one hoist
 //! ([`Evaluator::hoist_into`]) covers the whole set; the giant-step
-//! pre-rotation of each diagonal happens on the plaintext mask at
-//! preparation time (free); a group's inner sum `Σ_v` is one lazy pass
-//! over its masks ([`Evaluator::mul_plain_accumulate_many`]: one Barrett
-//! reduction per coefficient, not one per mask — same bits); only the
-//! giant rotations of the group inner sums pay full NTT bills. Only
-//! **live** diagonals carry a mask
-//! ([`FcStructure`]): a baby step no live diagonal reads is never replayed,
-//! a group with no live diagonal never summed or rotated, and the skipped
+//! pre-rotation of each mask is a cyclic shift of its row at preparation
+//! time (free); a group's inner sum `Σ_v` is one lazy pass over its masks
+//! ([`Evaluator::mul_plain_accumulate_many`]: one Barrett reduction per
+//! coefficient, not one per mask — same bits); only the giant rotations of
+//! the group inner sums pay full NTT bills. Only **live** tiled diagonals
+//! carry a mask: a baby step no live diagonal reads is never replayed, a
+//! group with no live diagonal never summed or rotated, and the skipped
 //! terms are zero polynomials, so the ciphertext is the one the all-live
 //! evaluation of the same weights produces, bit for bit. When every live
 //! weight is `±2^k` the shared factor is pulled out of the masks and
 //! re-applied by one scalar multiply after the sum (exact mod `t`).
 //!
-//! That is the only kernel. A dense layer is its all-live case, and the
-//! diagonal method of Fig. 5 is its two corners: `b = 1` multiplies the
-//! fresh input by each pre-shifted diagonal and rotates the partial
-//! product (Sched-PA's order), `b = n_o'` rotates the hoisted input once
-//! per diagonal and rotates no sum (hoisted Sched-IA). The baby width is
-//! chosen per layer from [`HeCostParams`] by [`FcPlan::choose`] — the one
-//! chooser the engine and the chain solver share; a layer takes no
-//! schedule argument.
+//! That is the only kernel. A dense layer is its all-live case, an untiled
+//! one its `r = 1` case, and the diagonal method of Fig. 5 is its two
+//! corners: `b = 1` multiplies the fresh input by each pre-shifted
+//! diagonal and rotates the partial product (Sched-PA's order), `b = δ`
+//! rotates the hoisted input once per diagonal and rotates no sum (hoisted
+//! Sched-IA). Tiling and baby width are chosen per layer from
+//! [`HeCostParams`] by [`FcPlan::choose`] — the one chooser the engine and
+//! the chain solver share; a layer takes no schedule argument.
 //!
 //! # The fold
 //!
-//! One rotate-and-sum under a [`ReducePlan`] gathers the partial copies:
+//! One rotate-and-sum under a [`ReducePlan`] gathers the partial copies,
+//! `T / d` of them at stride `d` around the cyclic row:
 //!
 //! ```text
-//! y = Σ_{m < n_i / n_o'} rot(y_part, m·n_o')        y[j] = (W·x)[j]  for j < n_o
+//! y[s] = Σ_{m < T/d} y_part[(s + m·d) mod row]       y[s] = (W'·x)[s mod d]
 //! ```
 //!
-//! For `j < n_o'` every term reads a slot below `n_i`, so nothing wraps. A
-//! square layer (`n_o' = n_i`, fold 1) skips it and an `n_o'`-row layer
-//! pays `n_o'` mask multiplies and `O(√n_o') + log2(n_i / n_o')`-ish
-//! rotations, not `n_i` and `O(√n_i)`.
+//! The `T / d` windows of `δ` slots it adds up meet, in each of the `r`
+//! copies, the residues `[c·δ, (c+1)·δ)` of `γ − s (mod d)` — between them
+//! every residue once — and `n_i' / d` windows per copy cover every column
+//! of each: output row `s mod d` meets every column exactly once, whatever
+//! `s`. A layer with `T = d` (square, untiled) skips the fold; an
+//! `n_o'`-row layer pays `δ = n_o' / r` mask multiplies and
+//! `O(√δ) + log2(T / d)`-ish rotations, where the untiled layout pays
+//! `n_o'` and `O(√n_o') + log2(n_i' / d)`.
 //!
-//! # Which slots are garbage
+//! # Which slots hold what
 //!
-//! Only slots `[0, n_o)` of the output are the layer's result. Slots
-//! `[n_o, n_o')` are zero (padding rows); slots `[n_o', n_i)` — and the
-//! last `n_i − n_o'` slots of the row, where the fold's left rotations
-//! wrap the head of `y_part` — hold **partial row sums**: some of a row's
-//! `n_i / n_o'` pieces, short of the whole. They are linear functions of
-//! the activations and the model. Nobody reads them, and the protocol
-//! layer must not ship them in the clear: `cheetah-protocol` adds fresh
-//! uniform blinding to every slot outside `[0, n_o)` before a download
-//! leaves the server.
+//! After the fold **every** slot `s` of row 0 holds `y[s mod d]`: the
+//! layer's result in `[0, n_o)`, zeros in `[n_o, d)` (padding rows), and
+//! then `row / d − 1` more **copies of the outputs** — on a hidden layer,
+//! the unmasked pre-activations. Row 1 is zero. Only slots `[0, n_o)` are
+//! read, and the protocol layer must not ship the rest in the clear:
+//! `cheetah-protocol` adds fresh uniform blinding to every slot outside
+//! `[0, n_o)` before a download leaves the server.
 //!
-//! Constraints: `n_i` a power of two, `1 ≤ n_o ≤ n_i`, `2·n_i ≤ n/2`.
+//! Constraints: `1 ≤ n_o ≤ n_i`, `n_i' ≤ n/2`.
 
 use std::ops::Range;
 
@@ -97,42 +120,88 @@ use crate::linear::parallel::{map_chunks, merge_partials, WorkerScratch};
 use crate::linear::{rotate_sum_noise, rotate_sum_reduce, ReducePlan};
 use crate::sparse::{BsgsPlan, FcStructure};
 
-/// The whole rotation plan of one FC layer: the BSGS kernel over the `d`
-/// folded diagonals plus the fold that gathers the `n_i / d` partial
-/// copies. [`HomFc`] executes exactly this and the chain solver prices
-/// exactly this — op counts, Galois steps and label all come from here.
+/// The whole plan of one FC layer: how many copies of the input the client
+/// tiles the row with, the BSGS kernel over the tiled diagonals, and the
+/// fold that gathers the partial copies. [`HomFc`] executes exactly this
+/// and the chain solver prices exactly this — op counts, Galois steps and
+/// label all come from here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FcPlan {
+    /// Pre-rotated copies `r` of the input per period of the row (a power
+    /// of two; 1 = plain `x`, repeated).
+    pub tiles: usize,
     /// The kernel's baby/giant split and which of its steps are live.
     pub kernel: BsgsPlan,
-    /// Folded diagonals `d = n_o'`: the fold's stride.
+    /// Tiled diagonals `δ = n_o' / r` the kernel covers. The fold's stride
+    /// is `n_o' = tiles · diagonals`.
     pub diagonals: usize,
-    /// Diagonals that carry a mask: the plaintext multiplies per
+    /// Tiled diagonals that carry a mask: the plaintext multiplies per
     /// evaluation.
     pub live: usize,
-    /// Terms of the fold, `n_i / d` (1 on a square layer: no fold).
+    /// Terms of the fold, `r·n_i' / n_o'` (1 on a square untiled layer: no
+    /// fold).
     pub fold: usize,
     /// How the fold's rotate-and-sum runs.
     pub fold_plan: ReducePlan,
 }
 
 impl FcPlan {
-    /// Picks the cheapest plan under `cost`: the baby width minimizing the
-    /// live rotations' bill ([`BsgsPlan::choose`]) and the cheapest
-    /// [`ReducePlan`] for the fold.
-    pub fn choose(s: &FcStructure, cost: &HeCostParams) -> Self {
-        Self::with_kernel(s, BsgsPlan::choose(s, cost), cost)
+    /// Picks the cheapest plan under `cost` for a `row`-slot batching row:
+    /// for every admissible tiling `r` ([`FcStructure::tilings`]) the
+    /// baby width minimizing the live rotations' bill
+    /// ([`BsgsPlan::choose`]) and the cheapest [`ReducePlan`] for the
+    /// fold, keeping the least [`FcPlan::int_mults`] — the smaller `r`
+    /// unless a larger one is strictly cheaper, with every Galois key past
+    /// the untiled plan's charged one direct rotation
+    /// ([`super::ConvPlan::choose`]'s rate: keys are uploaded once per
+    /// session).
+    pub fn choose(s: &FcStructure, row: usize, cost: &HeCostParams) -> Self {
+        let mut best = Self::for_tiles(s, 1, None, cost);
+        let keys = best.rotations();
+        let price = |plan: &Self| {
+            let extra_keys = plan.rotations().saturating_sub(keys) as u64;
+            plan.int_mults(cost) + extra_keys * cost.he_rotate_mults()
+        };
+        let mut best_price = price(&best);
+        for tiles in s.tilings(row).skip(1) {
+            let cand = Self::for_tiles(s, tiles, None, cost);
+            let p = price(&cand);
+            if p < best_price {
+                best_price = p;
+                best = cand;
+            }
+        }
+        best
     }
 
-    /// The plan running `kernel` over `s`'s diagonals.
-    fn with_kernel(s: &FcStructure, kernel: BsgsPlan, cost: &HeCostParams) -> Self {
+    /// The plan over `s` tiled `tiles` times, under baby width `baby`
+    /// (trimmed to the tiled diagonals) or the chooser's.
+    fn for_tiles(s: &FcStructure, tiles: usize, baby: Option<usize>, cost: &HeCostParams) -> Self {
+        let tiled = s.tiled(tiles);
+        let kernel = match baby {
+            Some(b) => BsgsPlan::for_structure(&tiled, b.min(tiled.diagonals())),
+            None => BsgsPlan::choose(&tiled, cost),
+        };
         Self {
+            tiles,
             kernel,
-            diagonals: s.diagonals(),
-            live: s.live_diagonals(),
-            fold: s.fold(),
-            fold_plan: ReducePlan::choose(s.fold(), cost),
+            diagonals: tiled.diagonals(),
+            live: tiled.live_diagonals(),
+            fold: tiled.fold(),
+            fold_plan: ReducePlan::choose(tiled.fold(), cost),
         }
+    }
+
+    /// The fold's stride `d = n_o'`: the period of the output.
+    pub fn stride(&self) -> usize {
+        self.tiles * self.diagonals
+    }
+
+    /// Which element of the zero-padded input row slot `s` holds:
+    /// `src(s)` of the module header (`n_i' = fold · diagonals`).
+    fn src(&self, s: usize) -> usize {
+        let period = self.fold * self.diagonals;
+        (s % period + s % (self.tiles * period) / period * self.diagonals) % period
     }
 
     /// Rotations per evaluation — each step of
@@ -142,12 +211,12 @@ impl FcPlan {
     }
 
     /// The exact rotation steps evaluation performs: the kernel's (all
-    /// below `d`) then the fold's (multiples of `d`). An all-zero layer
+    /// below `δ`) then the fold's (multiples of `d`). An all-zero layer
     /// rotates by nothing.
     pub fn rotation_steps(&self) -> Vec<i64> {
         let mut steps = self.kernel.rotation_steps();
         if self.live > 0 && self.fold > 1 {
-            steps.extend(self.fold_plan.steps(self.fold, self.diagonals as i64));
+            steps.extend(self.fold_plan.steps(self.fold, self.stride() as i64));
         }
         steps
     }
@@ -168,11 +237,11 @@ impl FcPlan {
     }
 
     /// Human-readable label for transcripts, reports and solver plans:
-    /// `fc bsgs b=.. g=.. live=../.. fold=..`.
+    /// `fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`.
     pub fn label(&self) -> String {
         format!(
-            "fc bsgs b={} g={} live={}/{} fold={}",
-            self.kernel.b, self.kernel.g, self.live, self.diagonals, self.fold
+            "fc bsgs tiles={} b={} g={} live={}/{} fold={}",
+            self.tiles, self.kernel.b, self.kernel.g, self.live, self.diagonals, self.fold
         )
     }
 }
@@ -183,8 +252,8 @@ pub struct HomFc {
     spec: FcSpec,
     plan: FcPlan,
     /// `groups[i]` pairs with `plan.kernel.live_groups()[i]` and lists
-    /// `(v, mask)` for the live diagonals `k = u·b + v` of that group;
-    /// dead baby steps are never rotated, dead groups never touched.
+    /// `(v, mask)` for the live tiled diagonals `k = u·b + v` of that
+    /// group; dead baby steps are never rotated, dead groups never touched.
     groups: Vec<Vec<(usize, PreparedPlaintext)>>,
     /// When positive, every live weight was `±2^k` and the shared factor
     /// `2^scale_log2` was pulled out of the masks, to be re-applied once
@@ -194,9 +263,6 @@ pub struct HomFc {
 
 /// The typed refusals every constructor shares.
 fn check_shape(spec: &FcSpec, weights: &Tensor, encoder: &BatchEncoder) -> Result<()> {
-    if !spec.ni.is_power_of_two() {
-        return Err(Error::Unsupported("HomFc needs a power-of-two n_i"));
-    }
     if spec.no == 0 || spec.no > spec.ni {
         return Err(Error::Unsupported("HomFc needs 1 <= n_o <= n_i"));
     }
@@ -205,54 +271,56 @@ fn check_shape(spec: &FcSpec, weights: &Tensor, encoder: &BatchEncoder) -> Resul
             "FC weight tensor shape does not match the spec",
         ));
     }
-    if 2 * spec.ni > encoder.row_size() {
+    if spec.ni.next_power_of_two() > encoder.row_size() {
         return Err(Error::TooManyValues {
-            given: 2 * spec.ni,
+            given: spec.ni.next_power_of_two(),
             slots: encoder.row_size(),
         });
     }
     Ok(())
 }
 
-/// Slot mask of folded diagonal `k = shift + v`, laid out to multiply the
-/// input rotated by `v` ahead of a rotation by `shift`: support
-/// `[shift, shift + n_i)`, so that after that rotation output position `j`
-/// reads weight row `j mod n_o'` (zero past `n_o`) and input slot
-/// `(j + k) mod n_i`. `shift = u·b` for the member of giant group `u`;
-/// `v = 0` throughout at `b = 1`, `shift = 0` throughout at `b = d`.
-/// Weights come divided by `2^scale_log2` (exact — the caller factored it
-/// out of every one).
+/// Slot mask of tiled diagonal `k = shift + v`, laid out to multiply the
+/// input rotated by `v` ahead of a rotation by `shift`: `mask_k` of the
+/// module header shifted cyclically right by `shift` within the row, so
+/// that after that rotation slot `s` reads weight row `s mod d` (zero past
+/// `n_o`) and input slot `(s + k) mod row`. `shift = u·b` for the member
+/// of giant group `u`; `v = 0` throughout at `b = 1`, `shift = 0`
+/// throughout at `b = δ`. Weights come divided by `2^scale_log2` (exact —
+/// the caller factored it out of every one).
 fn diagonal_mask(
     spec: &FcSpec,
     weights: &Tensor,
+    plan: &FcPlan,
     shift: usize,
     v: usize,
     scale_log2: u32,
-    slots: usize,
+    encoder: &BatchEncoder,
 ) -> Vec<i64> {
-    let rows = spec.no.next_power_of_two();
-    let mut mask = vec![0i64; slots];
-    for (off, slot) in mask[shift..shift + spec.ni].iter_mut().enumerate() {
-        let row = off % rows;
-        if row < spec.no {
-            *slot = weights.data()[row * spec.ni + (off + shift + v) % spec.ni] >> scale_log2;
+    let (row, d) = (encoder.row_size(), plan.stride());
+    let mut mask = vec![0i64; encoder.slots()];
+    for (s, slot) in mask[..row].iter_mut().enumerate() {
+        // d divides the row, so (s − shift) mod d needs no wrap case.
+        let (out, col) = ((s + row - shift) % d, plan.src((s + v) % row));
+        if out < spec.no && col < spec.ni {
+            *slot = weights.data()[out * spec.ni + col] >> scale_log2;
         }
     }
     mask
 }
 
 impl HomFc {
-    /// Prepares the layer (encodes and NTT-transforms every live folded
-    /// diagonal), choosing the rotation plan from the parameter set's cost
-    /// model via [`FcPlan::choose`].
+    /// Prepares the layer (encodes and NTT-transforms every live tiled
+    /// diagonal), choosing the tiling and the rotation plan from the
+    /// parameter set's cost model via [`FcPlan::choose`].
     ///
     /// `weights` has shape `(no, ni)`.
     ///
     /// # Errors
     ///
-    /// [`Error::Unsupported`] unless `n_i` is a power of two,
-    /// `1 ≤ n_o ≤ n_i` and the weights are `(n_o, n_i)`;
-    /// [`Error::TooManyValues`] when `2·n_i` exceeds the row size.
+    /// [`Error::Unsupported`] unless `1 ≤ n_o ≤ n_i` and the weights are
+    /// `(n_o, n_i)`; [`Error::TooManyValues`] when `next_pow2(n_i)`
+    /// exceeds the row size.
     pub fn new(
         spec: &FcSpec,
         weights: &Tensor,
@@ -264,7 +332,7 @@ impl HomFc {
 
     /// [`HomFc::new`] with the level the layer is planned to run at: the
     /// cost model prices rotations over the limbs actually live there, so
-    /// a deep chain position can pick a different BSGS split than level 0.
+    /// a deep chain position can pick a different plan than level 0.
     ///
     /// # Errors
     ///
@@ -279,22 +347,25 @@ impl HomFc {
         check_shape(spec, weights, encoder)?;
         let cost = HeCostParams::for_bfv(eval.params(), level);
         let structure = FcStructure::analyze_tensor(weights, spec);
-        let plan = FcPlan::choose(&structure, &cost);
+        let plan = FcPlan::choose(&structure, encoder.row_size(), &cost);
         Self::build(spec, weights, encoder, eval, &structure, plan)
     }
 
     /// Test/benchmark hook: prepares the layer as if its weights had the
-    /// structure `assume`, under baby width `baby` (trimmed to the `d`
-    /// folded diagonals) instead of the cost model's choice.
-    /// [`FcStructure::dense`] gives every diagonal a mask, dead or not;
-    /// `baby = 1` is the diagonal method in Sched-PA's order, `baby = d`
-    /// its hoisted Sched-IA form.
+    /// structure `assume`, tiled `tiles` times under baby width `baby`
+    /// (trimmed to the `δ` tiled diagonals) instead of the cost model's
+    /// choices. [`FcStructure::dense`] gives every diagonal a mask, dead
+    /// or not; `baby = 1` is the diagonal method in Sched-PA's order,
+    /// `baby = δ` its hoisted Sched-IA form; `tiles = 1` is the untiled
+    /// layout.
     ///
     /// # Errors
     ///
-    /// As [`HomFc::new`], plus [`Error::Unsupported`] for `baby = 0` or an
-    /// `assume` the weights do not fit: another shape, a live diagonal
-    /// called dead, or a pow2 factor the weights do not share.
+    /// As [`HomFc::new`], plus [`Error::Unsupported`] for `baby = 0`, a
+    /// `tiles` that is not one of [`FcStructure::tilings`], or an `assume`
+    /// the weights do not fit:
+    /// another shape, a live diagonal called dead, or a pow2 factor the
+    /// weights do not share.
     pub fn with_forced_plan(
         spec: &FcSpec,
         weights: &Tensor,
@@ -302,6 +373,7 @@ impl HomFc {
         eval: &Evaluator,
         assume: &FcStructure,
         baby: usize,
+        tiles: usize,
     ) -> Result<Self> {
         check_shape(spec, weights, encoder)?;
         let actual = FcStructure::analyze_tensor(weights, spec);
@@ -309,20 +381,20 @@ impl HomFc {
         let fits = (assume.no(), assume.ni()) == (spec.no, spec.ni)
             && (0..actual.diagonals()).all(|k| assume.is_live(k) || !actual.is_live(k))
             && (actual.all_zero() || actual.pow2_scale_log2().unwrap_or(0) >= scale);
-        if baby == 0 || !fits {
+        let tiles_fit = assume.tilings(encoder.row_size()).any(|r| r == tiles);
+        if baby == 0 || !fits || !tiles_fit {
             return Err(Error::Unsupported(
                 "forced FC plan does not fit the weights",
             ));
         }
-        let kernel = BsgsPlan::for_structure(assume, baby.min(assume.diagonals()));
         let cost = HeCostParams::for_bfv(eval.params(), 0);
-        let plan = FcPlan::with_kernel(assume, kernel, &cost);
+        let plan = FcPlan::for_tiles(assume, tiles, Some(baby), &cost);
         Self::build(spec, weights, encoder, eval, assume, plan)
     }
 
-    /// Encodes and prepares one mask per diagonal `structure` calls live,
-    /// carrying `w / 2^m` when the structure factors a shared pow2 scale
-    /// `m` out. The shape was checked by the caller.
+    /// Encodes and prepares one mask per tiled diagonal `plan` calls live
+    /// under `structure`, carrying `w / 2^m` when the structure factors a
+    /// shared pow2 scale `m` out. The shape was checked by the caller.
     fn build(
         spec: &FcSpec,
         weights: &Tensor,
@@ -331,7 +403,8 @@ impl HomFc {
         structure: &FcStructure,
         plan: FcPlan,
     ) -> Result<Self> {
-        let (d, b) = (plan.diagonals, plan.kernel.b);
+        let (delta, b) = (plan.diagonals, plan.kernel.b);
+        let tiled = structure.tiled(plan.tiles);
         let scale_log2 = structure.pow2_scale_log2().unwrap_or(0);
         let groups = plan
             .kernel
@@ -339,11 +412,11 @@ impl HomFc {
             .iter()
             .map(|&u| {
                 let shift = u * b;
-                (0..b.min(d - shift))
-                    .filter(|&v| structure.is_live(shift + v))
+                (0..b.min(delta - shift))
+                    .filter(|&v| tiled.is_live(shift + v))
                     .map(|v| {
                         let mask =
-                            diagonal_mask(spec, weights, shift, v, scale_log2, encoder.slots());
+                            diagonal_mask(spec, weights, &plan, shift, v, scale_log2, encoder);
                         let prepared = eval.prepare_plaintext(&encoder.encode_signed(&mask)?)?;
                         Ok((v, prepared))
                     })
@@ -363,7 +436,7 @@ impl HomFc {
         &self.spec
     }
 
-    /// The whole rotation plan this layer executes: kernel, live
+    /// The whole plan this layer executes: tiling, kernel, live
     /// diagonals, fold.
     pub fn fc_plan(&self) -> &FcPlan {
         &self.plan
@@ -400,14 +473,18 @@ impl HomFc {
         rotate_sum_noise(&part, params, level, self.plan.fold, self.plan.fold_plan)
     }
 
-    /// Rotation steps an evaluation may need, whatever plan is chosen:
-    /// kernel steps `1..d` over the `d = n_o'` folded diagonals plus the
-    /// fold's multiples of `d` below `n_i`. Use [`HomFc::rotation_steps`]
-    /// on a prepared layer for the exact plan-specific set.
-    pub fn required_steps(spec: &FcSpec) -> Vec<i64> {
-        let d = cheetah_nn::layer::folded_diagonals(spec.no, spec.ni);
+    /// Rotation steps an evaluation may need on a `row`-slot batching row,
+    /// whatever plan is chosen: kernel steps `1..d` over the `d = n_o'`
+    /// folded diagonals (tiling only shortens them) plus the fold's
+    /// multiples of `d` below the widest tiling's period. Use
+    /// [`HomFc::rotation_steps`] on a prepared layer for the exact
+    /// plan-specific set.
+    pub fn required_steps(spec: &FcSpec, row: usize) -> Vec<i64> {
+        let dense = FcStructure::dense(spec.no, spec.ni);
+        let d = dense.diagonals();
+        let period = dense.max_tiles(row).max(1) * spec.ni.next_power_of_two();
         (1..d)
-            .chain((d..spec.ni).step_by(d))
+            .chain((d..period).step_by(d))
             .map(|s| s as i64)
             .collect()
     }
@@ -419,27 +496,26 @@ impl HomFc {
         self.plan.rotation_steps()
     }
 
-    /// Packs an input vector replicated twice (`x ‖ x`) so row rotations
-    /// act as rotations mod `n_i`.
+    /// Packs an input vector into the layout this layer's plan reads: the
+    /// whole first row filled with `x[src(s)]` (the module header's `src`;
+    /// zero past `n_i`), so row rotations are seamless and each mask meets
+    /// `plan.tiles` folded diagonals at once.
     ///
     /// # Errors
     ///
     /// [`Error::Unsupported`] when the input length is not `n_i`;
     /// propagates encoding errors.
-    pub fn encode_input(
-        spec: &FcSpec,
-        input: &Tensor,
-        encoder: &BatchEncoder,
-    ) -> Result<Plaintext> {
-        if input.len() != spec.ni {
+    pub fn encode_input(&self, input: &Tensor, encoder: &BatchEncoder) -> Result<Plaintext> {
+        if input.len() != self.spec.ni {
             return Err(Error::Unsupported(
                 "FC input length does not match the spec",
             ));
         }
-        let mut doubled = Vec::with_capacity(2 * spec.ni);
-        doubled.extend_from_slice(input.data());
-        doubled.extend_from_slice(input.data());
-        encoder.encode_signed(&doubled)
+        let x = input.data();
+        let row: Vec<i64> = (0..encoder.row_size())
+            .map(|s| x.get(self.plan.src(s)).copied().unwrap_or(0))
+            .collect();
+        encoder.encode_signed(&row)
     }
 
     /// Applies the layer; the output vector lands in slots `[0, n_o)`
@@ -590,11 +666,11 @@ impl HomFc {
             return Ok(part);
         }
         // The fold: y = Σ_m rot(y_part, m·d) gathers each row's partial
-        // sums into slots [0, d).
+        // sums — into every slot s ≡ that row (mod d).
         let mut rotated = scratch.take_ct(eval.params(), level);
         let folded = rotate_sum_reduce(
             part,
-            self.plan.diagonals as i64,
+            self.plan.stride() as i64,
             self.plan.fold,
             self.plan.fold_plan,
             eval,
@@ -648,7 +724,7 @@ mod tests {
         let mut kg = KeyGenerator::from_seed(params.clone(), 51);
         let pk = kg.public_key().unwrap();
         let keys = kg
-            .galois_keys_for_steps(&HomFc::required_steps(spec))
+            .galois_keys_for_steps(&HomFc::required_steps(spec, params.row_size()))
             .unwrap();
         Ctx {
             encoder: BatchEncoder::new(params.clone()),
@@ -667,23 +743,38 @@ mod tests {
         )
     }
 
-    fn encrypt(c: &mut Ctx, s: &FcSpec, input: &Tensor) -> Ciphertext {
+    /// `input` encrypted in the layout `layer`'s plan reads.
+    fn encrypt(c: &mut Ctx, layer: &HomFc, input: &Tensor) -> Ciphertext {
         c.enc
-            .encrypt(&HomFc::encode_input(s, input, &c.encoder).unwrap())
+            .encrypt(&layer.encode_input(input, &c.encoder).unwrap())
             .unwrap()
     }
 
-    /// The layer forced to every diagonal live and baby width `baby`.
-    fn forced(c: &Ctx, s: &FcSpec, w: &Tensor, baby: usize) -> HomFc {
+    /// The layer forced to every diagonal live, `tiles` copies and baby
+    /// width `baby`.
+    fn forced(c: &Ctx, s: &FcSpec, w: &Tensor, baby: usize, tiles: usize) -> HomFc {
         let dense = FcStructure::dense(s.no, s.ni);
-        HomFc::with_forced_plan(s, w, &c.encoder, &c.eval, &dense, baby).unwrap()
+        HomFc::with_forced_plan(s, w, &c.encoder, &c.eval, &dense, baby, tiles).unwrap()
+    }
+
+    /// The untiled baby width the chooser picks for a dense layer.
+    fn dense_baby(c: &Ctx, s: &FcSpec) -> usize {
+        let cost = HeCostParams::for_bfv(c.eval.params(), 0);
+        BsgsPlan::choose(&FcStructure::dense(s.no, s.ni), &cost).b
     }
 
     fn decrypt_slots(c: &Ctx, ct: &Ciphertext) -> Vec<i64> {
         c.encoder.decode_signed(&c.dec.decrypt_checked(ct).unwrap())
     }
 
-    /// The auto plan and both diagonal-method corners against cleartext.
+    /// Every admissible tiling of a dense layer, ascending.
+    fn tilings(c: &Ctx, s: &FcSpec) -> Vec<usize> {
+        let dense = FcStructure::dense(s.no, s.ni);
+        dense.tilings(c.encoder.row_size()).collect()
+    }
+
+    /// The auto plan and, under every tiling, both diagonal-method corners
+    /// against cleartext.
     fn check_fc(spec: &FcSpec) {
         let mut c = ctx(spec);
         let weights = random_weights(spec, 9);
@@ -693,16 +784,19 @@ mod tests {
             (0..spec.ni).map(|_| rng.random_range(-9..=9)).collect(),
         );
         let expect = eval_linear(&LinearLayer::Fc(spec.clone()), &weights, &input);
-        let ct = encrypt(&mut c, spec, &input);
         let d = spec.no.next_power_of_two();
-        for (what, layer) in [
-            (
-                "auto",
-                HomFc::new(spec, &weights, &c.encoder, &c.eval).unwrap(),
-            ),
-            ("b=1", forced(&c, spec, &weights, 1)),
-            ("b=d", forced(&c, spec, &weights, d)),
-        ] {
+        let mut layers = vec![(
+            "auto".to_string(),
+            HomFc::new(spec, &weights, &c.encoder, &c.eval).unwrap(),
+        )];
+        for tiles in tilings(&c, spec) {
+            for b in [1, d / tiles] {
+                let layer = forced(&c, spec, &weights, b, tiles);
+                layers.push((format!("tiles={tiles} b={b}"), layer));
+            }
+        }
+        for (what, layer) in layers {
+            let ct = encrypt(&mut c, &layer, &input);
             let threads = crate::linear::parallel::default_threads();
             let out_ct = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
             let budget = c.dec.invariant_noise_budget(&out_ct).unwrap();
@@ -734,19 +828,121 @@ mod tests {
     }
 
     #[test]
+    fn fc_padded_input() {
+        // n_i = 24 pads to 32 zero columns; n_o = 5 to 8 zero rows.
+        check_fc(&spec(24, 5));
+    }
+
+    #[test]
+    fn tiled_slot_arithmetic_reproduces_the_matrix_product() {
+        // The layout, the masks and the fold as plain slot arithmetic, no
+        // ciphertext anywhere: for the benchmark and LeNet-300-100 shapes,
+        // every tiling and a ragged baby width, every slot s of the row
+        // ends up holding (W'·x)[s mod d] — wrap-around included.
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let encoder = BatchEncoder::new(params.clone());
+        let cost = HeCostParams::for_bfv(&params, 0);
+        let row = encoder.row_size();
+        let rot =
+            |v: &[i64], k: usize| -> Vec<i64> { (0..row).map(|s| v[(s + k) % row]).collect() };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x711e);
+        for (ni, no) in [
+            (1024, 256),
+            (256, 64),
+            (64, 16),
+            (256, 16),
+            (784, 300),
+            (300, 100),
+            (100, 10),
+            (2048, 10),
+        ] {
+            let s = spec(ni, no);
+            let w = random_weights(&s, 3);
+            let x: Vec<i64> = (0..ni).map(|_| rng.random_range(-9..=9)).collect();
+            let y = eval_linear(
+                &LinearLayer::Fc(s.clone()),
+                &w,
+                &Tensor::from_data(&[ni], x.clone()),
+            );
+            let dense = FcStructure::dense(no, ni);
+            for tiles in dense.tilings(row) {
+                let delta = dense.diagonals() / tiles;
+                for baby in [None, Some(1), Some(delta.min(3))] {
+                    let plan = FcPlan::for_tiles(&dense, tiles, baby, &cost);
+                    let (b, d) = (plan.kernel.b, plan.stride());
+                    let input: Vec<i64> = (0..row)
+                        .map(|slot| x.get(plan.src(slot)).copied().unwrap_or(0))
+                        .collect();
+                    let mut part = vec![0i64; row];
+                    for u in 0..plan.kernel.g {
+                        let mut inner = vec![0i64; row];
+                        for v in 0..b.min(delta - u * b) {
+                            let mask = diagonal_mask(&s, &w, &plan, u * b, v, 0, &encoder);
+                            let baby = rot(&input, v);
+                            for slot in 0..row {
+                                inner[slot] += baby[slot] * mask[slot];
+                            }
+                            assert!(mask[row..].iter().all(|&m| m == 0), "row 1 stays empty");
+                        }
+                        let giant = rot(&inner, u * b);
+                        part.iter_mut().zip(giant).for_each(|(p, g)| *p += g);
+                    }
+                    for slot in 0..row {
+                        let folded: i64 = (0..plan.fold).map(|m| part[(slot + m * d) % row]).sum();
+                        let expect = y.data().get(slot % d).copied().unwrap_or(0);
+                        assert_eq!(folded, expect, "({ni}, {no}) {} slot {slot}", plan.label());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_input_fills_the_row_exactly() {
+        // 2048 → 10 at n = 4096: the x ‖ x layout needed 2·n_i slots and
+        // refused this layer; the periodic one needs n_i' ≤ row.
+        let s = spec(2048, 10);
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let mut kg = KeyGenerator::from_seed(params.clone(), 61);
+        let encoder = BatchEncoder::new(params.clone());
+        let eval = Evaluator::new(params.clone());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(62);
+        let weights = Tensor::from_data(
+            &[s.no, s.ni],
+            (0..s.no * s.ni).map(|_| rng.random_range(-1..=1)).collect(),
+        );
+        let input = Tensor::from_data(
+            &[s.ni],
+            (0..s.ni).map(|_| rng.random_range(-3..=3)).collect(),
+        );
+        let layer = HomFc::new(&s, &weights, &encoder, &eval).unwrap();
+        assert_eq!((layer.fc_plan().tiles, layer.fc_plan().fold), (1, 128));
+        let keys = kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
+        let mut enc = Encryptor::from_secret_key(kg.secret_key().clone(), 63);
+        let ct = enc
+            .encrypt(&layer.encode_input(&input, &encoder).unwrap())
+            .unwrap();
+        let out = layer.apply(&ct, &eval, &keys, 1).unwrap();
+        let dec = Decryptor::new(kg.secret_key().clone());
+        let slots = encoder.decode_signed(&dec.decrypt_checked(&out).unwrap());
+        let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
+        assert_eq!(layer.decode_output(&slots).data(), expect.data());
+    }
+
+    #[test]
     fn bsgs_plan_is_chosen_and_reduces_rotation_ntts() {
-        // d = 32 diagonals (square: no fold, the ops of the unfolded
-        // engine): the auto-chosen plan must split, perform b + g − 2
-        // rotations, and pay NTT planes for one hoist plus the g − 1 giant
-        // steps only — the O(√d) plane-transform headline, pinned against
-        // OpCounts.
+        // d = 32 diagonals, untiled (square: no fold, the ops of the
+        // unfolded engine): the chooser's width must split, perform
+        // b + g − 2 rotations, and pay NTT planes for one hoist plus the
+        // g − 1 giant steps only — the O(√d) plane-transform headline,
+        // pinned against OpCounts.
         let s = spec(32, 32);
         let mut c = ctx(&s);
         let weights = random_weights(&s, 13);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).collect());
-        let ct = encrypt(&mut c, &s, &input);
 
-        let bsgs = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let bsgs = forced(&c, &s, &weights, dense_baby(&c, &s), 1);
+        let ct = encrypt(&mut c, &bsgs, &input);
         let plan = bsgs.fc_plan().kernel.clone();
         assert!(plan.b > 1 && plan.g > 1, "√d split expected, got {plan:?}");
 
@@ -763,7 +959,7 @@ mod tests {
         );
 
         // The diagonal method (b = 1) pays a full rotation per diagonal.
-        let diag = forced(&c, &s, &weights, 1);
+        let diag = forced(&c, &s, &weights, 1, 1);
         c.eval.reset_op_counts();
         let out_diag = diag.apply(&ct, &c.eval, &c.keys, 1).unwrap();
         let diag_counts = c.eval.op_counts();
@@ -786,10 +982,10 @@ mod tests {
         let mut c = ctx(&s);
         let weights = random_weights(&s, 17);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i - 3).collect());
-        let ct = encrypt(&mut c, &s, &input);
-        let ragged = forced(&c, &s, &weights, 3);
+        let ragged = forced(&c, &s, &weights, 3, 1);
+        let ct = encrypt(&mut c, &ragged, &input);
         let a = ragged.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let b = forced(&c, &s, &weights, 1)
+        let b = forced(&c, &s, &weights, 1, 1)
             .apply(&ct, &c.eval, &c.keys, 1)
             .unwrap();
         assert_eq!(decrypt_slots(&c, &a), decrypt_slots(&c, &b));
@@ -797,8 +993,16 @@ mod tests {
         assert_eq!((kernel.b, kernel.g), (3, 3));
         assert_eq!(ragged.rotation_steps(), vec![1, 2, 3, 6]);
         // A width past d is trimmed to d: one group, every step a replay.
-        let wide = forced(&c, &s, &weights, 100);
+        let wide = forced(&c, &s, &weights, 100, 1);
         assert_eq!((wide.fc_plan().kernel.b, wide.fc_plan().kernel.g), (8, 1));
+        // Tiled, the same width covers δ = 4 diagonals in two groups and
+        // the fold gathers T/d = 2 copies.
+        let tiled = forced(&c, &s, &weights, 3, 2);
+        assert_eq!(tiled.rotation_steps(), vec![1, 2, 3, 8]);
+        assert_eq!(
+            tiled.fc_plan().label(),
+            "fc bsgs tiles=2 b=3 g=2 live=4/4 fold=2"
+        );
     }
 
     #[test]
@@ -810,11 +1014,10 @@ mod tests {
         let mut c = ctx(&s);
         let weights = random_weights(&s, 10);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).collect());
-        let ct = encrypt(&mut c, &s, &input);
-        let pa = forced(&c, &s, &weights, 1)
-            .apply(&ct, &c.eval, &c.keys, 1)
-            .unwrap();
-        let ia = forced(&c, &s, &weights, 8)
+        let pa = forced(&c, &s, &weights, 1, 1);
+        let ct = encrypt(&mut c, &pa, &input);
+        let pa = pa.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+        let ia = forced(&c, &s, &weights, 8, 1)
             .apply(&ct, &c.eval, &c.keys, 1)
             .unwrap();
         let pa_budget = c.dec.invariant_noise_budget(&pa).unwrap();
@@ -848,51 +1051,64 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let weights = sparse_square_weights(s.ni, &[0, 5, 11, 19, 30], &mut rng);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i - 16).collect());
-        let ct = encrypt(&mut c, &s, &input);
+        let structure = FcStructure::analyze_tensor(&weights, &s);
+        let cost = HeCostParams::for_bfv(c.eval.params(), 0);
 
-        let sparse = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
-        assert_eq!(sparse.fc_plan().live, 5, "dead diagonals carry no mask");
-        // The same weights with every diagonal given a mask, under the
-        // width the cost model picks for a dense 32-diagonal layer.
-        let dense_b = BsgsPlan::choose(
-            &FcStructure::dense(s.no, s.ni),
-            &HeCostParams::for_bfv(c.eval.params(), 0),
-        )
-        .b;
-        let dense = forced(&c, &s, &weights, dense_b);
+        // Under every tiling: the plan over the live tiled diagonals
+        // against the same weights with every diagonal given a mask, under
+        // the width the cost model picks for the dense layer there.
+        for tiles in tilings(&c, &s) {
+            let tiled = structure.tiled(tiles);
+            let b = BsgsPlan::choose(&tiled, &cost).b;
+            let sparse =
+                HomFc::with_forced_plan(&s, &weights, &c.encoder, &c.eval, &structure, b, tiles)
+                    .unwrap();
+            let plan = sparse.fc_plan();
+            assert_eq!(
+                plan.live,
+                tiled.live_diagonals(),
+                "dead diagonals carry no mask"
+            );
+            let dense_b = BsgsPlan::choose(&FcStructure::dense(s.no, s.ni).tiled(tiles), &cost).b;
+            let dense = forced(&c, &s, &weights, dense_b, tiles);
+            let ct = encrypt(&mut c, &sparse, &input);
 
-        c.eval.reset_op_counts();
-        let out_sparse = sparse.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let sparse_counts = c.eval.op_counts();
-        c.eval.reset_op_counts();
-        let out_dense = dense.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let dense_counts = c.eval.op_counts();
+            c.eval.reset_op_counts();
+            let out_sparse = sparse.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let sparse_counts = c.eval.op_counts();
+            c.eval.reset_op_counts();
+            let out_dense = dense.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let dense_counts = c.eval.op_counts();
 
-        // Skipped terms are zero polynomials: every slot matches.
-        assert_eq!(
-            decrypt_slots(&c, &out_sparse),
-            decrypt_slots(&c, &out_dense),
-            "sparse and all-live outputs diverged"
-        );
-        assert_eq!(
-            sparse_counts.rotate as usize,
-            sparse.fc_plan().kernel.rotations()
-        );
-        assert!(
-            sparse_counts.rotate < dense_counts.rotate,
-            "sparse {} vs dense {} rotations",
-            sparse_counts.rotate,
-            dense_counts.rotate
-        );
-        assert_eq!((sparse_counts.mul, dense_counts.mul), (5, 32));
-        assert!(sparse_counts.ntt < dense_counts.ntt);
+            // Skipped terms are zero polynomials: every slot matches.
+            assert_eq!(
+                decrypt_slots(&c, &out_sparse),
+                decrypt_slots(&c, &out_dense),
+                "tiles={tiles}: sparse and all-live outputs diverged"
+            );
+            assert_eq!(sparse_counts.rotate as usize, plan.rotations());
+            assert_eq!(
+                (sparse_counts.mul as usize, dense_counts.mul as usize),
+                (plan.live, plan.diagonals)
+            );
+            if tiles == 1 {
+                assert_eq!((plan.live, plan.diagonals), (5, 32));
+                assert!(
+                    sparse_counts.rotate < dense_counts.rotate,
+                    "sparse {} vs dense {} rotations",
+                    sparse_counts.rotate,
+                    dense_counts.rotate
+                );
+                assert!(sparse_counts.ntt < dense_counts.ntt);
+            }
 
-        // Keys for exactly the sparse steps suffice.
-        let params = c.eval.params().clone();
-        let mut kg = KeyGenerator::from_seed(params, 51);
-        let lean_keys = kg.galois_keys_for_steps(&sparse.rotation_steps()).unwrap();
-        let out_lean = sparse.apply(&ct, &c.eval, &lean_keys, 1).unwrap();
-        assert_eq!(decrypt_slots(&c, &out_lean), decrypt_slots(&c, &out_dense));
+            // Keys for exactly the sparse steps suffice.
+            let params = c.eval.params().clone();
+            let mut kg = KeyGenerator::from_seed(params, 51);
+            let lean_keys = kg.galois_keys_for_steps(&sparse.rotation_steps()).unwrap();
+            let out_lean = sparse.apply(&ct, &c.eval, &lean_keys, 1).unwrap();
+            assert_eq!(decrypt_slots(&c, &out_lean), decrypt_slots(&c, &out_dense));
+        }
     }
 
     #[test]
@@ -901,8 +1117,8 @@ mod tests {
         let mut c = ctx(&s);
         let weights = Tensor::zeros(&[s.ni, s.ni]);
         let input = Tensor::from_data(&[s.ni], (1..=s.ni as i64).collect());
-        let ct = encrypt(&mut c, &s, &input);
         let layer = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+        let ct = encrypt(&mut c, &layer, &input);
         assert!(layer.fc_plan().kernel.is_empty());
         assert!(layer.rotation_steps().is_empty());
         c.eval.reset_op_counts();
@@ -935,15 +1151,17 @@ mod tests {
             }
             let weights = Tensor::from_data(&[s.ni, s.ni], w);
             let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| 7 - i).collect());
-            let ct = encrypt(&mut c, &s, &input);
             let layer = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
+            let ct = encrypt(&mut c, &layer, &input);
             assert_eq!(layer.pow2_scale_log2(), 2, "shared ±4/±8 factor is 2²");
             let out = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
             let slots = decrypt_slots(&c, &out);
             assert_eq!(layer.decode_output(&slots).data(), expect.data());
-            // Forced all-live, nothing is factored; same slots.
-            let plain = forced(&c, &s, &weights, layer.fc_plan().kernel.b);
+            // Forced all-live under the same tiling, nothing is factored;
+            // same slots.
+            let plan = layer.fc_plan();
+            let plain = forced(&c, &s, &weights, plan.kernel.b, plan.tiles);
             assert_eq!(plain.pow2_scale_log2(), 0);
             let out_plain = plain.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             assert_eq!(slots, decrypt_slots(&c, &out_plain));
@@ -954,10 +1172,8 @@ mod tests {
     fn unsupported_shapes_are_typed_errors() {
         let c = ctx(&spec(16, 16));
         let try_new = |s: &FcSpec, w: &Tensor| HomFc::new(s, w, &c.encoder, &c.eval).map(|_| ());
-        // n_i not a power of two, n_o > n_i, n_o = 0, weights of another
-        // shape.
+        // n_o > n_i, n_o = 0, weights of another shape.
         for (s, w) in [
-            (spec(24, 8), Tensor::zeros(&[8, 24])),
             (spec(8, 16), Tensor::zeros(&[16, 8])),
             (spec(8, 0), Tensor::zeros(&[1, 8])),
             (spec(16, 4), Tensor::zeros(&[4, 8])),
@@ -971,9 +1187,15 @@ mod tests {
             );
         }
         // A wrong-length input is refused, not a panic.
+        let layer = HomFc::new(
+            &spec(16, 16),
+            &Tensor::zeros(&[16, 16]),
+            &c.encoder,
+            &c.eval,
+        );
         let short = Tensor::zeros(&[8]);
         assert!(matches!(
-            HomFc::encode_input(&spec(16, 16), &short, &c.encoder),
+            layer.unwrap().encode_input(&short, &c.encoder),
             Err(Error::Unsupported(_))
         ));
     }
@@ -984,23 +1206,29 @@ mod tests {
         let c = ctx(&s);
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         let weights = sparse_square_weights(s.ni, &[0, 5], &mut rng);
-        let try_forced = |assume: &FcStructure, baby: usize| {
-            HomFc::with_forced_plan(&s, &weights, &c.encoder, &c.eval, assume, baby).map(|_| ())
+        let try_forced = |assume: &FcStructure, baby: usize, tiles: usize| {
+            HomFc::with_forced_plan(&s, &weights, &c.encoder, &c.eval, assume, baby, tiles)
+                .map(|_| ())
         };
         let actual = FcStructure::analyze_tensor(&weights, &s);
-        assert!(try_forced(&actual, 4).is_ok());
+        assert!(try_forced(&actual, 4, 1).is_ok());
+        assert!(try_forced(&actual, 4, 16).is_ok());
         // Baby width 0, another layer's structure, a live diagonal called
-        // dead, a pow2 factor these ±1..5 weights do not share.
+        // dead, a pow2 factor these ±1..5 weights do not share; no copies,
+        // a count that is no power of two, more copies than diagonals.
         let other_live = sparse_square_weights(s.ni, &[0], &mut rng);
         let pow2 = Tensor::from_data(&[16, 16], vec![4; 256]);
-        for (assume, baby) in [
-            (actual.clone(), 0),
-            (FcStructure::dense(8, 16), 4),
-            (FcStructure::analyze_tensor(&other_live, &s), 4),
-            (FcStructure::analyze_tensor(&pow2, &s), 4),
+        for (assume, baby, tiles) in [
+            (actual.clone(), 0, 1),
+            (FcStructure::dense(8, 16), 4, 1),
+            (FcStructure::analyze_tensor(&other_live, &s), 4, 1),
+            (FcStructure::analyze_tensor(&pow2, &s), 4, 1),
+            (actual.clone(), 4, 0),
+            (actual.clone(), 4, 3),
+            (actual.clone(), 4, 32),
         ] {
             assert!(matches!(
-                try_forced(&assume, baby),
+                try_forced(&assume, baby, tiles),
                 Err(Error::Unsupported(_))
             ));
         }
@@ -1008,7 +1236,7 @@ mod tests {
 
     #[test]
     fn oversized_input_rejected() {
-        let s = spec(1024, 10); // 2·1024 exceeds the 1024-slot row of n = 2048
+        // 2048 columns exceed the 1024-slot row of n = 2048; 1024 fill it.
         let params = BfvParams::builder()
             .degree(2048)
             .plain_bits(20)
@@ -1017,10 +1245,24 @@ mod tests {
             .unwrap();
         let encoder = BatchEncoder::new(params.clone());
         let eval = Evaluator::new(params);
-        let weights = Tensor::zeros(&[10, 1024]);
         assert!(matches!(
-            HomFc::new(&s, &weights, &encoder, &eval),
-            Err(Error::TooManyValues { .. })
+            HomFc::new(
+                &spec(2048, 10),
+                &Tensor::zeros(&[10, 2048]),
+                &encoder,
+                &eval
+            ),
+            Err(Error::TooManyValues {
+                given: 2048,
+                slots: 1024
+            })
         ));
+        assert!(HomFc::new(
+            &spec(1024, 10),
+            &Tensor::zeros(&[10, 1024]),
+            &encoder,
+            &eval
+        )
+        .is_ok());
     }
 }

@@ -202,7 +202,7 @@ pub struct LayerPlan {
     pub layer: String,
     /// Chain level (dropped limbs) the layer runs at.
     pub level: usize,
-    /// Rotation-plan label (`fc bsgs b=.. g=.. live=../.. fold=..`,
+    /// Rotation-plan label (`fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`,
     /// `conv packed b=.. g=.. live=../.. out=..`, `zero`) — the very label
     /// the prepared layer reports, priced under the same [`HeCostParams`].
     pub plan: String,
@@ -288,9 +288,10 @@ fn layer_cost_on_chain_structured(
     }
     match layer {
         LinearLayer::Fc(f) => {
+            let row = params.row_size();
             let plan = match structure {
-                Some(LayerStructure::Fc(s)) => FcPlan::choose(s, &cost),
-                _ => FcPlan::choose(&FcStructure::dense(f.no, f.ni), &cost),
+                Some(LayerStructure::Fc(s)) => FcPlan::choose(s, row, &cost),
+                _ => FcPlan::choose(&FcStructure::dense(f.no, f.ni), row, &cost),
             };
             LayerCost {
                 int_mults: plan.int_mults(&cost) as f64,
@@ -571,9 +572,11 @@ mod tests {
                 w[(j % 16) * ni + (j + k) % ni] = 3;
             }
         }
+        let fc_structure = FcStructure::analyze(&w, no, ni);
+        assert_eq!(fc_structure.live_diagonals(), 2);
         let structures = vec![
             LayerStructure::dense(&layers[0]),
-            LayerStructure::Fc(FcStructure::analyze(&w, no, ni)),
+            LayerStructure::Fc(fc_structure.clone()),
         ];
         let sparse = solve_chain_plan_structured(
             &layers,
@@ -590,10 +593,17 @@ mod tests {
             sparse.total_int_mults,
             dense.total_int_mults
         );
+        // The FC layer is planned over its live diagonals: the label is
+        // the engine's chooser's for that structure at the planned level,
+        // with no more masks than the two live folded diagonals.
+        let lp = &sparse.layers[1];
+        let cost = HeCostParams::for_bfv(&sparse.params, lp.level);
+        let fc_plan = FcPlan::choose(&fc_structure, sparse.params.row_size(), &cost);
+        assert_eq!(lp.plan, fc_plan.label());
         assert!(
-            sparse.layers[1].plan.contains("live=2/16"),
+            lp.he_mult <= 2.0 && lp.he_mult == fc_plan.live as f64,
             "sparse FC must be planned over its live diagonals, got {}",
-            sparse.layers[1].plan
+            lp.plan
         );
         assert_eq!(fc.name(), "fc1");
         // Dense structures reproduce the dense solve bit for bit.

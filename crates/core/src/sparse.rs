@@ -23,7 +23,10 @@
 //! diagonal `k + m·n_o'` is diagonal `k` rotated by `m·n_o'`, so only
 //! `n_o'` of them are distinct and every weight cell `(r, c)` lies on
 //! exactly one — `k = (c − r) mod n_o'`. Those are the classes scanned
-//! here, the masks the layer prepares, and the units pruning kills.
+//! here and the units pruning kills. A layer whose input is tiled `r`
+//! times multiplies by the `n_o' / r` **tiled** diagonals of
+//! [`FcStructure::tiled`] instead — one mask reads `r` folded diagonals at
+//! once, and is dead only when all of them are.
 //!
 //! Classification is exact (a diagonal is zero iff every entry is zero),
 //! so skipping the dead diagonals is *bit-identical* to multiplying their
@@ -99,15 +102,26 @@ impl MaskClass {
     pub fn is_live(self) -> bool {
         !self.is_zero()
     }
+
+    /// The class of the two masks' entries taken together.
+    pub fn merge(self, other: MaskClass) -> MaskClass {
+        match (self, other) {
+            (MaskClass::Zero, c) | (c, MaskClass::Zero) => c,
+            (MaskClass::Pow2 { min_exp: a }, MaskClass::Pow2 { min_exp: b }) => {
+                MaskClass::Pow2 { min_exp: a.min(b) }
+            }
+            _ => MaskClass::Dense,
+        }
+    }
 }
 
 /// Per-diagonal structure of an FC weight matrix `W (n_o × n_i)`, under
 /// the folded diagonal layout `diag_k[j] = W'[j mod n_o'][(j + k) mod n_i]`
 /// for `k < n_o'` (`W'` is `W` with zero rows up to `n_o' = next_pow2(n_o)`).
 ///
-/// Shapes [`crate::linear::HomFc`] refuses (`n_i` not a power of two,
-/// `n_o > n_i`) are still classified, with both sides zero-padded to
-/// powers of two, so the chain solver can price any layer.
+/// Both sides are zero-padded to powers of two, and shapes
+/// [`crate::linear::HomFc`] refuses (`n_o > n_i`, a row narrower than the
+/// input) are still classified, so the chain solver can price any layer.
 #[derive(Debug, Clone)]
 pub struct FcStructure {
     ni: usize,
@@ -153,19 +167,62 @@ impl FcStructure {
         }
     }
 
+    /// The structure of the `δ = d / tiles` **tiled** diagonals a layer
+    /// multiplies by when its input row carries `tiles` pre-rotated copies
+    /// of `x` ([`crate::linear::fc`]): tiled diagonal `k` reads the folded
+    /// diagonals `k + c·δ`, `c < tiles`, through one mask, so its class is
+    /// theirs merged. `tiles = 1` is `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tiles` divides the diagonal count.
+    pub fn tiled(&self, tiles: usize) -> Self {
+        let d = self.diagonals();
+        assert!(
+            tiles >= 1 && d.is_multiple_of(tiles),
+            "tiles must divide the diagonals"
+        );
+        let delta = d / tiles;
+        let classes = (0..delta)
+            .map(|k| {
+                let members = (0..tiles).map(|c| self.classes[k + c * delta]);
+                members.fold(MaskClass::Zero, MaskClass::merge)
+            })
+            .collect();
+        Self {
+            ni: self.ni,
+            no: self.no,
+            classes,
+        }
+    }
+
+    /// The most copies of `x` a `row`-slot batching row can tile: as many
+    /// as fit, and no more than there are diagonals to share between them.
+    /// A power of two; 0 when the padded input overflows the row.
+    pub fn max_tiles(&self, row: usize) -> usize {
+        (row / self.ni.next_power_of_two()).min(self.diagonals())
+    }
+
+    /// Every admissible tiling of a `row`-slot batching row, ascending: the
+    /// powers of two up to [`FcStructure::max_tiles`].
+    pub fn tilings(&self, row: usize) -> impl Iterator<Item = usize> {
+        let max = self.max_tiles(row);
+        std::iter::successors(Some(1), |&r| Some(2 * r)).take_while(move |&r| r <= max)
+    }
+
     /// Input width.
     pub fn ni(&self) -> usize {
         self.ni
     }
 
-    /// Distinct (folded) diagonals — one class, one mask, one multiply
-    /// each.
+    /// Distinct diagonals — one class, one mask, one multiply each.
     pub fn diagonals(&self) -> usize {
         self.classes.len()
     }
 
-    /// Copies of the output the folded diagonals leave spread over the
-    /// input width: the rotate-and-sum count that gathers them.
+    /// Copies of the output the diagonals leave spread over the (tiled)
+    /// input: the rotate-and-sum count that gathers them. Tiling `r` times
+    /// leaves `r` times the copies, `r·n_i' / d = n_i' / δ`.
     pub fn fold(&self) -> usize {
         self.ni.next_power_of_two() / self.diagonals()
     }
@@ -218,9 +275,10 @@ impl FcStructure {
     }
 }
 
-/// A Baby-Step-Giant-Step split of an FC layer's `d` folded diagonals into
-/// `g = ⌈d / b⌉` groups of `b` baby steps (diagonal `k = u·b + v`), minus
-/// every baby step and giant group whose diagonals are all zero.
+/// A Baby-Step-Giant-Step split of an FC layer's `d` (folded, or tiled)
+/// diagonals into `g = ⌈d / b⌉` groups of `b` baby steps (diagonal
+/// `k = u·b + v`), minus every baby step and giant group whose diagonals
+/// are all zero.
 ///
 /// The `b − 1` baby rotations all read the *input*, so one hoist (one
 /// shared INTT + digit decomposition) serves the whole set; only the
@@ -545,6 +603,45 @@ mod tests {
         assert!(!s.is_live(3) && s.is_live(4));
         assert!(!s.all_zero());
         assert!((s.live_fraction() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tiled_structure_merges_member_diagonals() {
+        // d = 8 folded diagonals: 1 and 6 dense, 3 pow2, the rest dead.
+        let ni = 8;
+        let mut w = fc_weights_with_dead(ni, ni, &[0, 2, 3, 4, 5, 7]);
+        for off in 0..ni {
+            w[(off % ni) * ni + (off + 3) % ni] = -4;
+        }
+        let s = FcStructure::analyze(&w, ni, ni);
+        assert_eq!(s.live_diagonals(), 3);
+        assert_eq!(s.tiled(1).classes(), s.classes());
+        // δ = 4: tiled k reads folded k and k + 4 — {1, 5}, {2, 6}, {3, 7}.
+        let two = s.tiled(2);
+        assert_eq!(
+            two.classes(),
+            [
+                MaskClass::Zero,
+                MaskClass::Dense,
+                MaskClass::Dense,
+                MaskClass::Pow2 { min_exp: 2 }
+            ]
+        );
+        assert_eq!((two.diagonals(), two.fold()), (4, 2));
+        // δ = 1: every diagonal under one mask.
+        let eight = s.tiled(8);
+        assert_eq!(eight.classes(), [MaskClass::Dense]);
+        assert_eq!(eight.fold(), 8);
+        assert_eq!(s.pow2_scale_log2(), two.pow2_scale_log2());
+        // As many copies as fit the row, never more than diagonals; a
+        // padded input counts at its padded width.
+        assert_eq!(s.max_tiles(2048), 8);
+        assert_eq!(s.tilings(2048).collect::<Vec<_>>(), [1, 2, 4, 8]);
+        assert_eq!(s.max_tiles(32), 4);
+        assert_eq!(FcStructure::dense(300, 784).max_tiles(2048), 2);
+        assert_eq!(FcStructure::dense(10, 2048).max_tiles(2048), 1);
+        assert_eq!(FcStructure::dense(10, 2048).max_tiles(1024), 0);
+        assert_eq!(FcStructure::dense(10, 2048).tilings(1024).count(), 0);
     }
 
     #[test]

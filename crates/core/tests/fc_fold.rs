@@ -1,19 +1,24 @@
-//! The folded FC layout, pinned from outside:
+//! The tiled, folded FC layout, pinned from outside:
 //!
-//! * over random `(n_i, n_o ≤ n_i)` — `n_o = 1`, `n_o = n_i` and
-//!   non-power-of-two `n_o` included — × {forced `b = 1`, forced `b = d`,
-//!   forced random `b`, forced all-live over dead diagonals, auto, sparse,
+//! * over random `(n_i, n_o ≤ n_i)` — `n_o = 1`, `n_o = n_i`,
+//!   non-power-of-two `n_o` and non-power-of-two `n_i` included — ×
+//!   {forced `b = 1`, forced `b = δ`, forced random `b`, forced all-live
+//!   over dead diagonals, forced over the weights' own sparse or pow2
+//!   structure — each under a random admissible tiling — auto, sparse,
 //!   pow2} plans × levels 0/1 × the digit and hybrid presets: slots
 //!   `[0, n_o)` decrypt to the cleartext `W·x`, every slot equals the
-//!   `b = 1` all-live plan's, measured ≤ tracked ≤ predicted noise, one
-//!   multiply per live folded diagonal, one rotation per step of
+//!   untiled `b = 1` all-live plan's, measured ≤ tracked ≤ predicted noise,
+//!   one multiply per live tiled diagonal, one rotation per step of
 //!   `rotation_steps()`, and exactly those Galois keys are enough while
-//!   any one fewer is not;
-//! * a square layer (`fold = 1`) runs the unfolded engine's ops and keys;
+//!   any one fewer is not; every admissible tiling of one shape is walked
+//!   deterministically besides;
+//! * a square untiled layer (`fold = 1`) runs the unfolded engine's ops
+//!   and keys, and `tiles = 1` on the benchmark shapes runs the plans —
+//!   multiplies, rotations, step lists — the layout had before it tiled;
 //! * the chain solver's per-layer multiply and rotation counts (and its
 //!   label) are the prepared layer's measured `OpCounts`, on the
-//!   benchmark networks' FC shapes and `bench_cnn`'s two convolutions, and
-//!   are the figures the traced benchmark runs record.
+//!   benchmark networks' FC shapes — tiled picks, all of them — and
+//!   `bench_cnn`'s two convolutions.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
@@ -69,12 +74,15 @@ fn spec(ni: usize, no: usize) -> FcSpec {
 /// Which plan a case prepares, and from what weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
-    /// `with_forced_plan(dense, b)` on dense weights: `b = 1` and `b = d`
-    /// are the diagonal method's two corners.
-    Forced(usize),
-    /// `with_forced_plan(dense, b)` on weights with dead folded diagonals:
-    /// every diagonal gets a mask, dead or not.
-    ForcedAllLive(usize),
+    /// `with_forced_plan(dense, b, tiles)` on dense weights: `b = 1` and
+    /// `b = δ` are the diagonal method's two corners.
+    Forced(usize, usize),
+    /// `with_forced_plan(dense, b, tiles)` on weights with dead folded
+    /// diagonals: every tiled diagonal gets a mask, dead or not.
+    ForcedAllLive(usize, usize),
+    /// `with_forced_plan(the weights' own structure, b, tiles)` on weights
+    /// with dead folded diagonals, every live one `±2` or `±4` when `pow2`.
+    ForcedSparse { b: usize, tiles: usize, pow2: bool },
     /// `new_at_level` on dense weights.
     Auto,
     /// `new_at_level` on weights with dead folded diagonals.
@@ -83,17 +91,37 @@ enum Kind {
     Pow2,
 }
 
-/// `(n_o, n_i)` weights whose live folded diagonals are exactly `live`
-/// (of the `d = next_pow2(n_o)` there are), nonzero values from `draw`.
+/// The folded diagonal cell `(r, c)` lies on, of `d = next_pow2(n_o)`.
+fn folded(r: usize, c: usize, d: usize) -> usize {
+    (c + d - r % d) % d
+}
+
+/// `(n_o, n_i)` weights nonzero (values from `draw`) exactly on the cells
+/// of the folded diagonals in `live`.
 fn weights_on(s: &FcSpec, live: &[usize], mut draw: impl FnMut() -> i64) -> Tensor {
     let d = s.no.next_power_of_two();
     let mut data = vec![0i64; s.no * s.ni];
-    for &k in live {
-        for j in (0..s.ni).filter(|j| j % d < s.no) {
-            data[(j % d) * s.ni + (j + k) % s.ni] = draw();
+    for (i, w) in data.iter_mut().enumerate() {
+        if live.contains(&folded(i / s.ni, i % s.ni, d)) {
+            *w = draw();
         }
     }
     Tensor::from_data(&[s.no, s.ni], data)
+}
+
+/// The tiled diagonals of `w` that carry a weight under `tiles` copies,
+/// counted cell by cell: tiled diagonal `k` reads the folded diagonals
+/// `≡ k (mod δ)`.
+fn live_tiled(s: &FcSpec, w: &Tensor, tiles: usize) -> usize {
+    let d = s.no.next_power_of_two();
+    let delta = d / tiles;
+    let mut live = vec![false; delta];
+    for (i, &v) in w.data().iter().enumerate() {
+        if v != 0 {
+            live[folded(i / s.ni, i % s.ni, d) % delta] = true;
+        }
+    }
+    live.iter().filter(|&&l| l).count()
 }
 
 fn nonzero(rng: &mut StdRng, bound: i64) -> i64 {
@@ -105,13 +133,14 @@ fn nonzero(rng: &mut StdRng, bound: i64) -> i64 {
     }
 }
 
-/// The case's weights and how many folded diagonals get a mask.
-fn weights_for(s: &FcSpec, kind: Kind, rng: &mut StdRng) -> (Tensor, usize) {
+/// The case's weights.
+fn weights_for(s: &FcSpec, kind: Kind, rng: &mut StdRng) -> Tensor {
     let d = s.no.next_power_of_two();
     let all: Vec<usize> = (0..d).collect();
+    let pow2 = matches!(kind, Kind::Pow2 | Kind::ForcedSparse { pow2: true, .. });
     match kind {
-        Kind::Forced(_) | Kind::Auto => (weights_on(s, &all, || nonzero(rng, 3)), d),
-        Kind::ForcedAllLive(_) | Kind::Sparse | Kind::Pow2 => {
+        Kind::Forced(..) | Kind::Auto => weights_on(s, &all, || nonzero(rng, 3)),
+        _ => {
             // At least one live, at least one dead (d ≥ 2 is the caller's
             // business).
             let mut live: Vec<usize> = all
@@ -125,31 +154,35 @@ fn weights_for(s: &FcSpec, kind: Kind, rng: &mut StdRng) -> (Tensor, usize) {
             if live.len() == d {
                 live.pop();
             }
-            let w = match kind {
-                Kind::Pow2 => {
-                    weights_on(s, &live, || [2i64, -2, 4, -4][rng.random_range(0..4usize)])
-                }
-                _ => weights_on(s, &live, || nonzero(rng, 3)),
-            };
-            match kind {
-                Kind::ForcedAllLive(_) => (w, d),
-                _ => (w, live.len()),
+            if pow2 {
+                weights_on(s, &live, || [2i64, -2, 4, -4][rng.random_range(0..4usize)])
+            } else {
+                weights_on(s, &live, || nonzero(rng, 3))
             }
         }
     }
 }
 
 fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, level: usize) -> HomFc {
+    let forced = |assume: &FcStructure, b, tiles| {
+        HomFc::with_forced_plan(s, w, &c.encoder, &c.eval, assume, b, tiles)
+    };
     match kind {
-        Kind::Forced(b) | Kind::ForcedAllLive(b) => {
-            let dense = FcStructure::dense(s.no, s.ni);
-            HomFc::with_forced_plan(s, w, &c.encoder, &c.eval, &dense, b)
+        Kind::Forced(b, tiles) | Kind::ForcedAllLive(b, tiles) => {
+            forced(&FcStructure::dense(s.no, s.ni), b, tiles)
         }
+        Kind::ForcedSparse { b, tiles, .. } => forced(&FcStructure::analyze_tensor(w, s), b, tiles),
         Kind::Auto | Kind::Sparse | Kind::Pow2 => {
             HomFc::new_at_level(s, w, &c.encoder, &c.eval, level)
         }
     }
     .unwrap()
+}
+
+/// Every admissible tiling of an `s`-shaped layer, ascending.
+fn tilings(c: &Ctx, s: &FcSpec) -> Vec<usize> {
+    let dense = FcStructure::dense(s.no, s.ni);
+    dense.tilings(c.params.row_size()).collect()
 }
 
 /// One evaluation under exactly the layer's own Galois keys, with its
@@ -161,12 +194,12 @@ fn run(c: &mut Ctx, layer: &HomFc, ct: &Ciphertext) -> (Ciphertext, OpCounts) {
     (out, c.eval.op_counts())
 }
 
-/// The input at the deepest of `level` and 0 the planner would run the
-/// layer at.
-fn input_at(c: &mut Ctx, layer: &HomFc, s: &FcSpec, input: &Tensor, level: usize) -> Ciphertext {
+/// The input, packed the way `layer` tiles it, at the deepest of `level`
+/// and 0 the planner would run the layer at.
+fn input_at(c: &mut Ctx, layer: &HomFc, input: &Tensor, level: usize) -> Ciphertext {
     let fresh = c
         .enc
-        .encrypt(&HomFc::encode_input(s, input, &c.encoder).unwrap())
+        .encrypt(&layer.encode_input(input, &c.encoder).unwrap())
         .unwrap();
     let switched = c.eval.mod_switch_to(&fresh, level).unwrap();
     let predicted = layer.noise_after(switched.noise(), &c.params, level);
@@ -178,12 +211,13 @@ fn input_at(c: &mut Ctx, layer: &HomFc, s: &FcSpec, input: &Tensor, level: usize
 }
 
 /// Everything the header promises of one prepared layer on one input.
+/// `all_live`: the plan gives every tiled diagonal a mask, dead or not.
 fn check_layer(
     c: &mut Ctx,
     s: &FcSpec,
     w: &Tensor,
     layer: &HomFc,
-    masks: usize,
+    all_live: bool,
     level: usize,
     rng: &mut StdRng,
 ) {
@@ -192,25 +226,33 @@ fn check_layer(
         (0..s.ni).map(|_| rng.random_range(-3i64..=3)).collect(),
     );
     let expect = eval_linear(&LinearLayer::Fc(s.clone()), w, &input);
-    let ct = input_at(c, layer, s, &input, level);
+    let ct = input_at(c, layer, &input, level);
     let level = ct.level();
     let (out, counts) = run(c, layer, &ct);
 
     // Slots [0, n_o) are W·x (|y| ≤ 64·3·4 stays far inside ±t/2), and
-    // every slot — the partial sums past n_o included — is what the
-    // all-live b = 1 plan of the same weights leaves there.
+    // every slot — the copies past n_o included — is what the untiled
+    // all-live b = 1 plan of the same weights leaves there: the output
+    // layout does not depend on the tiling.
     let slots = c
         .encoder
         .decode_signed(&c.dec.decrypt_checked(&out).unwrap());
     assert_eq!(layer.decode_output(&slots).data(), expect.data());
-    let reference = prepare(c, s, w, Kind::Forced(1), level);
-    let (ref_out, ref_counts) = run(c, &reference, &ct);
-    assert_eq!(ref_counts.mul as usize, s.no.next_power_of_two());
+    let d = s.no.next_power_of_two();
+    let row = c.params.row_size();
+    for (slot, &v) in slots.iter().enumerate() {
+        let copy = (slot < row).then(|| expect.data().get(slot % d)).flatten();
+        assert_eq!(v, copy.copied().unwrap_or(0), "slot {slot}");
+    }
+    let reference = prepare(c, s, w, Kind::Forced(1, 1), level);
+    let ref_ct = input_at(c, &reference, &input, level);
+    let (ref_out, ref_counts) = run(c, &reference, &ref_ct);
+    assert_eq!(ref_counts.mul as usize, d);
     assert_eq!(
         slots,
         c.encoder
             .decode_signed(&c.dec.decrypt_checked(&ref_out).unwrap()),
-        "a slot differs from the all-live b = 1 plan's"
+        "a slot differs from the untiled all-live b = 1 plan's"
     );
 
     // measured ≤ tracked ≤ predicted.
@@ -226,9 +268,16 @@ fn check_layer(
         "measured {measured} > tracked {tracked}"
     );
 
-    // One multiply per mask, one rotation per step, each step its own key.
+    // One multiply per live tiled diagonal, one rotation per step, each
+    // step its own key.
     let plan = layer.fc_plan();
     let steps = layer.rotation_steps();
+    let (tiles, delta) = (plan.tiles, d / plan.tiles);
+    let masks = if all_live {
+        delta
+    } else {
+        live_tiled(s, w, tiles)
+    };
     assert_eq!(plan.live, masks);
     assert_eq!(counts.mul as usize, masks);
     assert_eq!(counts.rotate as usize, steps.len());
@@ -242,8 +291,10 @@ fn check_layer(
         "a step listed twice: {:?}",
         steps
     );
-    let d = s.no.next_power_of_two();
-    assert_eq!((plan.diagonals, plan.fold), (d, s.ni / d));
+    assert_eq!(
+        (plan.diagonals, plan.stride(), plan.fold),
+        (delta, d, tiles * s.ni.next_power_of_two() / d)
+    );
 
     // The kernel's live rotations — b + g − 2 when every diagonal carries
     // a mask — then the fold's: log2(fold) on the ladder, s + g' − 2
@@ -253,7 +304,7 @@ fn check_layer(
         ReducePlan::Bsgs { s: fs, g: fg } => fs + fg - 2,
     };
     assert_eq!(steps.len(), plan.kernel.rotations() + fold_rotations);
-    if masks == d {
+    if masks == delta {
         assert_eq!(plan.kernel.rotations(), plan.kernel.b + plan.kernel.g - 2);
     }
 
@@ -278,19 +329,28 @@ fn check_layer(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn folded_fc_is_exact_sound_and_plan_exact(
         seed in any::<u64>(),
-        ni_sel in 0usize..4,
+        ni_sel in 0usize..6,
         no_sel in 0usize..4,
-        kind_sel in 0usize..7,
+        kind_sel in 0usize..9,
         level in 0usize..2,
         hybrid in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let ni = [8usize, 16, 32, 64][ni_sel];
+        let ni = match ni_sel {
+            0..4 => [8usize, 16, 32, 64][ni_sel],
+            // Not a power of two: the columns pad.
+            _ => loop {
+                let ni = rng.random_range(5..64usize);
+                if !ni.is_power_of_two() {
+                    break ni;
+                }
+            },
+        };
         let no = match no_sel {
             0 => 1,
             1 => ni,
@@ -304,42 +364,76 @@ proptest! {
             },
         };
         let d = no.next_power_of_two();
-        let kind = match kind_sel {
-            0 => Kind::Forced(1),
-            1 => Kind::Forced(d),
-            2 => Kind::Forced(rng.random_range(1..=d)),
-            // A one-diagonal layer has nothing to prune.
-            3 if d > 1 => Kind::ForcedAllLive(rng.random_range(1..=d)),
-            4 if d > 1 => Kind::Sparse,
-            5 if d > 1 => Kind::Pow2,
-            _ => Kind::Auto,
-        };
         let s = spec(ni, no);
         let mut c = ctx(preset(hybrid), seed % 977 + 1);
-        let (w, masks) = weights_for(&s, kind, &mut rng);
+        let all_tiles = tilings(&c, &s);
+        let tiles = all_tiles[rng.random_range(0..all_tiles.len())];
+        let delta = d / tiles;
+        let kind = match kind_sel {
+            0 => Kind::Forced(1, tiles),
+            1 => Kind::Forced(delta, tiles),
+            2 => Kind::Forced(rng.random_range(1..=delta), tiles),
+            // A one-diagonal layer has nothing to prune.
+            3 if d > 1 => Kind::ForcedAllLive(rng.random_range(1..=delta), tiles),
+            4 | 5 if d > 1 => Kind::ForcedSparse {
+                b: rng.random_range(1..=delta),
+                tiles,
+                pow2: kind_sel == 5,
+            },
+            6 if d > 1 => Kind::Sparse,
+            7 if d > 1 => Kind::Pow2,
+            _ => Kind::Auto,
+        };
+        let w = weights_for(&s, kind, &mut rng);
         let layer = prepare(&c, &s, &w, kind, level);
+        let plan = layer.fc_plan();
         match kind {
-            Kind::Sparse => prop_assert!(layer.fc_plan().live < d),
-            Kind::Pow2 => prop_assert!(layer.pow2_scale_log2() >= 1, "±2/±4 share a factor"),
-            _ => prop_assert_eq!(layer.fc_plan().live, d),
+            Kind::Forced(..) | Kind::ForcedAllLive(..) | Kind::ForcedSparse { .. } => {
+                prop_assert_eq!(plan.tiles, tiles);
+            }
+            _ => prop_assert!(all_tiles.contains(&plan.tiles), "{}", plan.label()),
         }
-        check_layer(&mut c, &s, &w, &layer, masks, level, &mut rng);
+        match kind {
+            Kind::Sparse | Kind::ForcedSparse { pow2: false, .. } => {
+                prop_assert!(live_tiled(&s, &w, 1) < d);
+            }
+            Kind::Pow2 | Kind::ForcedSparse { pow2: true, .. } => {
+                prop_assert!(layer.pow2_scale_log2() >= 1, "±2/±4 share a factor");
+            }
+            _ => prop_assert_eq!(plan.live, plan.diagonals),
+        }
+        let all_live = matches!(kind, Kind::Forced(..) | Kind::ForcedAllLive(..) | Kind::Auto);
+        check_layer(&mut c, &s, &w, &layer, all_live, level, &mut rng);
     }
 }
 
 /// The corners, deterministically: one output, a square layer, padded
-/// rows — under the auto-chosen plan and both diagonal-method widths.
+/// rows, padded columns — under the auto-chosen plan and, for **every**
+/// admissible tiling, both diagonal-method widths and a sparse pow2 plan.
 #[test]
 fn corner_shapes_fold_correctly() {
     let mut rng = StdRng::seed_from_u64(0xc04e);
-    for (ni, no) in [(16usize, 1usize), (16, 16), (32, 10)] {
+    for (ni, no) in [(16usize, 1usize), (16, 16), (32, 10), (24, 5)] {
         let d = no.next_power_of_two();
-        for kind in [Kind::Auto, Kind::Forced(1), Kind::Forced(d)] {
-            let s = spec(ni, no);
-            let mut c = ctx(preset(false), 5);
-            let (w, masks) = weights_for(&s, kind, &mut rng);
+        let s = spec(ni, no);
+        let mut c = ctx(preset(false), 5);
+        let mut kinds = vec![Kind::Auto];
+        for tiles in tilings(&c, &s) {
+            kinds.push(Kind::Forced(1, tiles));
+            kinds.push(Kind::Forced(d / tiles, tiles));
+            if d > 1 {
+                kinds.push(Kind::ForcedSparse {
+                    b: 2,
+                    tiles,
+                    pow2: true,
+                });
+            }
+        }
+        for kind in kinds {
+            let w = weights_for(&s, kind, &mut rng);
             let layer = prepare(&c, &s, &w, kind, 0);
-            check_layer(&mut c, &s, &w, &layer, masks, 0, &mut rng);
+            let all_live = !matches!(kind, Kind::ForcedSparse { .. });
+            check_layer(&mut c, &s, &w, &layer, all_live, 0, &mut rng);
         }
     }
 }
@@ -349,9 +443,9 @@ fn corner_shapes_fold_correctly() {
 fn every_listed_step_is_rotated_by() {
     let mut rng = StdRng::seed_from_u64(0x57e9);
     let s = spec(32, 8);
-    for kind in [Kind::Auto, Kind::Sparse] {
+    for kind in [Kind::Auto, Kind::Sparse, Kind::Forced(3, 1)] {
         let mut c = ctx(preset(false), 9);
-        let (w, _) = weights_for(&s, kind, &mut rng);
+        let w = weights_for(&s, kind, &mut rng);
         let layer = prepare(&c, &s, &w, kind, 0);
         let steps = layer.rotation_steps();
         assert!(
@@ -359,7 +453,7 @@ fn every_listed_step_is_rotated_by() {
             "fold steps listed: {steps:?}"
         );
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i % 5 - 2).collect());
-        let ct = input_at(&mut c, &layer, &s, &input, 0);
+        let ct = input_at(&mut c, &layer, &input, 0);
         for drop in 0..steps.len() {
             let rest: Vec<i64> = (0..steps.len())
                 .filter(|&i| i != drop)
@@ -378,11 +472,11 @@ fn every_listed_step_is_rotated_by() {
     }
 }
 
-/// `fold = 1`: the plan, the key set and every op count are the unfolded
-/// engine's — the chooser's split of the `n_i` all-live diagonals, baby
-/// steps `1..b` then giant steps `b, 2b, …`, `n_i` multiplies, `b + g − 2`
-/// rotations, and the plane transforms of one hoist, `b − 1` replays and
-/// `g − 1` direct rotations.
+/// `fold = 1`: the plan, the key set and every op count of a square
+/// untiled layer are the unfolded engine's — the chooser's split of the
+/// `n_i` all-live diagonals, baby steps `1..b` then giant steps
+/// `b, 2b, …`, `n_i` multiplies, `b + g − 2` rotations, and the plane
+/// transforms of one hoist, `b − 1` replays and `g − 1` direct rotations.
 #[test]
 fn square_layer_is_the_unfolded_engine_op_for_op() {
     let mut rng = StdRng::seed_from_u64(0x59a4e);
@@ -390,11 +484,12 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
         for level in 0..2 {
             let s = spec(32, 32);
             let mut c = ctx(preset(hybrid), 21);
-            let (w, _) = weights_for(&s, Kind::Auto, &mut rng);
-            let layer = prepare(&c, &s, &w, Kind::Auto, level);
             let cost = HeCostParams::for_bfv(&c.params, level);
             let plan = BsgsPlan::choose(&FcStructure::dense(s.no, s.ni), &cost);
             assert!(plan.b > 1 && plan.g > 1, "32 diagonals split: {plan:?}");
+            let kind = Kind::Forced(plan.b, 1);
+            let w = weights_for(&s, kind, &mut rng);
+            let layer = prepare(&c, &s, &w, kind, level);
             assert_eq!(layer.fc_plan().kernel, plan);
             assert_eq!(layer.fc_plan().fold, 1);
             let parent_steps: Vec<i64> = (1..plan.b as i64)
@@ -405,7 +500,7 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
             let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i % 7 - 3).collect());
             let fresh = c
                 .enc
-                .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+                .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
                 .unwrap();
             let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
             let (_, counts) = run(&mut c, &layer, &ct);
@@ -419,6 +514,59 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
                 "hybrid={hybrid} level {level}"
             );
         }
+    }
+}
+
+/// `tiles = 1` is the layout before it tiled, as numbers: forced untiled
+/// under the baby width the chooser picks there, the benchmark networks'
+/// FC shapes run the labels, multiplies, rotations and step lists PR 12's
+/// and PR 15's traced runs recorded at level 0 of the two benchmark chains
+/// (`mlp_digit` / `cnn_digit.L2` on the digit chain, `mlp_hybrid` on its
+/// hybrid twin).
+#[test]
+fn untiled_plans_are_the_parents_op_for_op() {
+    let mut rng = StdRng::seed_from_u64(0x7117);
+    for (hybrid, ni, no, (b, g), fold_steps, rotate) in [
+        (false, 1024, 256, (26, 10), vec![256, 512, 768], 37),
+        (false, 256, 64, (13, 5), vec![64, 128, 192], 19),
+        (false, 64, 16, (8, 2), vec![16, 32, 48], 11),
+        (false, 256, 16, (8, 2), vec![16, 32, 48, 64, 128, 192], 14),
+        (true, 1024, 256, (20, 13), vec![512, 256], 33),
+        (true, 256, 64, (11, 6), vec![128, 64], 17),
+        (true, 64, 16, (4, 4), vec![32, 16], 8),
+        (true, 256, 16, (4, 4), vec![128, 64, 32, 16], 10),
+    ] {
+        let s = spec(ni, no);
+        let mut c = ctx(preset(hybrid), 35);
+        let cost = HeCostParams::for_bfv(&c.params, 0);
+        let chosen = BsgsPlan::choose(&FcStructure::dense(no, ni), &cost);
+        assert_eq!((chosen.b, chosen.g), (b, g), "({ni}, {no})");
+        let all: Vec<usize> = (0..no).collect();
+        let w = weights_on(&s, &all, || nonzero(&mut rng, 1));
+        let layer = prepare(&c, &s, &w, Kind::Forced(b, 1), 0);
+        let label = format!(
+            "fc bsgs tiles=1 b={b} g={g} live={no}/{no} fold={}",
+            ni / no
+        );
+        assert_eq!(layer.fc_plan().label(), label);
+        let steps: Vec<i64> = (1..b as i64)
+            .chain((1..g as i64).map(|u| u * b as i64))
+            .chain(fold_steps)
+            .collect();
+        assert_eq!(layer.rotation_steps(), steps, "{label}");
+        let input = Tensor::from_data(&[ni], (0..ni as i64).map(|i| i % 7 - 3).collect());
+        let ct = input_at(&mut c, &layer, &input, 0);
+        let (out, counts) = run(&mut c, &layer, &ct);
+        assert_eq!(
+            (counts.mul as usize, counts.rotate as usize),
+            (no, rotate),
+            "{label}"
+        );
+        let slots = c
+            .encoder
+            .decode_signed(&c.dec.decrypt_checked(&out).unwrap());
+        let expect = eval_linear(&LinearLayer::Fc(s.clone()), &w, &input);
+        assert_eq!(layer.decode_output(&slots).data(), expect.data(), "{label}");
     }
 }
 
@@ -456,43 +604,88 @@ fn solver_counts_are_the_engines_measured_counts() {
         let all: Vec<usize> = (0..no).collect();
         let w = weights_on(&s, &all, || nonzero(&mut rng, 1));
         let layer = HomFc::new_at_level(&s, &w, &c.encoder, &c.eval, lp.level).unwrap();
-        assert_eq!(lp.plan, layer.fc_plan().label(), "({ni}, {no})");
-        assert!(
-            lp.plan.ends_with(&format!("fold={}", ni / no)),
-            "{}",
-            lp.plan
-        );
+        let fc = layer.fc_plan();
+        assert_eq!(lp.plan, fc.label(), "({ni}, {no})");
+        // Every one of these shapes leaves room in the row, and filling it
+        // is cheaper: the solver priced a tiled plan.
+        assert!(fc.tiles > 1, "({ni}, {no}) stayed untiled: {}", lp.plan);
+        assert_eq!(fc.fold, fc.tiles * ni / no, "{}", lp.plan);
 
         let input = Tensor::from_data(&[ni], (0..ni as i64).map(|i| i % 7 - 3).collect());
         let fresh = c
             .enc
-            .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+            .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
             .unwrap();
         let ct = c.eval.mod_switch_to(&fresh, lp.level).unwrap();
         let (_, counts) = run(&mut c, &layer, &ct);
         assert_eq!(lp.he_mult, counts.mul as f64, "({ni}, {no}) multiplies");
         assert_eq!(lp.he_rotate, counts.rotate as f64, "({ni}, {no}) rotations");
-        assert_eq!(counts.mul as usize, no, "one multiply per matrix row");
+        assert_eq!(
+            counts.mul as usize,
+            no / fc.tiles,
+            "one multiply serves `tiles` matrix rows' diagonals"
+        );
     }
 
-    // "The same plan as before" as numbers: what PR 12's traced benchmark
-    // runs recorded for these shapes at level 0 of the two benchmark
-    // chains (`mlp_digit` / `cnn_digit.L2` on the digit chain, `mlp_hybrid`
-    // on its hybrid twin).
-    for (hybrid, ni, no, rotate, label) in [
+    // The tiled picks as numbers: what this layout's traced benchmark runs
+    // record for these shapes at level 0 of the two benchmark chains.
+    for (hybrid, ni, no, mul, rotate, label) in [
         (
             false,
             1024,
             256,
-            37,
-            "fc bsgs b=26 g=10 live=256/256 fold=4",
+            128,
+            26,
+            "fc bsgs tiles=2 b=16 g=8 live=128/128 fold=8",
         ),
-        (false, 256, 64, 19, "fc bsgs b=13 g=5 live=64/64 fold=4"),
-        (false, 64, 16, 11, "fc bsgs b=8 g=2 live=16/16 fold=4"),
-        (false, 256, 16, 14, "fc bsgs b=8 g=2 live=16/16 fold=16"),
-        (true, 1024, 256, 33, "fc bsgs b=20 g=13 live=256/256 fold=4"),
-        (true, 256, 64, 17, "fc bsgs b=11 g=6 live=64/64 fold=4"),
-        (true, 64, 16, 8, "fc bsgs b=4 g=4 live=16/16 fold=4"),
+        (
+            false,
+            256,
+            64,
+            8,
+            14,
+            "fc bsgs tiles=8 b=4 g=2 live=8/8 fold=32",
+        ),
+        (
+            false,
+            64,
+            16,
+            4,
+            9,
+            "fc bsgs tiles=4 b=4 g=1 live=4/4 fold=16",
+        ),
+        (
+            false,
+            256,
+            16,
+            4,
+            9,
+            "fc bsgs tiles=4 b=4 g=1 live=4/4 fold=64",
+        ),
+        (
+            true,
+            1024,
+            256,
+            128,
+            25,
+            "fc bsgs tiles=2 b=16 g=8 live=128/128 fold=8",
+        ),
+        (
+            true,
+            256,
+            64,
+            8,
+            9,
+            "fc bsgs tiles=8 b=4 g=2 live=8/8 fold=32",
+        ),
+        (
+            true,
+            64,
+            16,
+            1,
+            6,
+            "fc bsgs tiles=16 b=1 g=1 live=1/1 fold=64",
+        ),
     ] {
         let s = spec(ni, no);
         let mut c = ctx(preset(hybrid), 35);
@@ -503,12 +696,12 @@ fn solver_counts_are_the_engines_measured_counts() {
         let input = Tensor::from_data(&[ni], (0..ni as i64).map(|i| i % 7 - 3).collect());
         let ct = c
             .enc
-            .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+            .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
             .unwrap();
         let (_, counts) = run(&mut c, &layer, &ct);
         assert_eq!(
             (counts.mul as usize, counts.rotate as usize),
-            (no, rotate),
+            (mul, rotate),
             "{label}"
         );
     }

@@ -1,8 +1,8 @@
 //! Parallel-vs-serial equivalence for the homomorphic linear layers:
 //! `apply(…, N)` must decrypt to exactly the tensor that `apply(…, 1)`
 //! (the serial path) produces — for the conv kernel's auto plan and a
-//! wider baby step, and for the FC kernel's auto plan and both
-//! diagonal-method corners.
+//! wider baby step, and for the FC kernel's auto plan, both
+//! diagonal-method corners and a tiled split.
 //! Residue arithmetic mod `q` is exact, so the chunked accumulation order
 //! cannot change the decrypted result — these tests pin that down on the
 //! real engine.
@@ -115,7 +115,7 @@ proptest! {
     #[test]
     fn fc_parallel_decrypts_identically(seed in any::<u64>(), threads in 2usize..6) {
         let spec = FcSpec { name: "fc-par".into(), ni: 16, no: 8 };
-        let mut c = ctx(&HomFc::required_steps(&spec), seed % 1000 + 1);
+        let mut c = ctx(&HomFc::required_steps(&spec, 2048), seed % 1000 + 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let weights = Tensor::from_data(
             &[spec.no, spec.ni],
@@ -127,17 +127,20 @@ proptest! {
         );
 
         let dense = FcStructure::dense(spec.no, spec.ni);
-        let forced = |baby| {
-            HomFc::with_forced_plan(&spec, &weights, &c.encoder, &c.eval, &dense, baby).unwrap()
+        let forced = |baby, tiles| {
+            HomFc::with_forced_plan(&spec, &weights, &c.encoder, &c.eval, &dense, baby, tiles)
+                .unwrap()
         };
         for (what, layer) in [
             ("auto", HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap()),
-            ("b=1", forced(1)),
-            ("b=d", forced(spec.no)),
+            ("b=1", forced(1, 1)),
+            ("b=d", forced(spec.no, 1)),
+            // δ = 4 tiled diagonals in two groups: two workers' worth.
+            ("tiles=2 b=2", forced(2, 2)),
         ] {
             let ct = c
                 .enc
-                .encrypt(&HomFc::encode_input(&spec, &input, &c.encoder).unwrap())
+                .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
                 .unwrap();
             let serial = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
             let parallel = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
@@ -159,13 +162,13 @@ fn op_counts_exact_across_threads() {
         ni: 16,
         no: 8,
     };
-    let mut c = ctx(&HomFc::required_steps(&spec), 77);
+    let mut c = ctx(&HomFc::required_steps(&spec, 2048), 77);
     let weights = Tensor::from_data(&[spec.no, spec.ni], vec![1; spec.no * spec.ni]);
     let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).collect());
     let layer = HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap();
     let ct = c
         .enc
-        .encrypt(&HomFc::encode_input(&spec, &input, &c.encoder).unwrap())
+        .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
         .unwrap();
 
     c.eval.reset_op_counts();
@@ -185,6 +188,11 @@ fn op_counts_exact_across_threads() {
     assert_eq!(serial.ntt, parallel.ntt);
     assert_eq!(serial.poly_mul, parallel.poly_mul);
     let work_items = layer.fc_plan().kernel.live_groups().len();
+    assert!(
+        work_items > 1,
+        "{}: nothing to merge",
+        layer.fc_plan().label()
+    );
     let chunks = 4.min(work_items) as u64;
     assert_eq!(
         parallel.add - serial.add,
@@ -204,7 +212,7 @@ fn foreign_parameter_input_is_rejected() {
         ni: 8,
         no: 4,
     };
-    let c = ctx(&HomFc::required_steps(&spec), 13);
+    let c = ctx(&HomFc::required_steps(&spec, 2048), 13);
     let weights = Tensor::from_data(&[spec.no, spec.ni], vec![1; spec.no * spec.ni]);
     let layer = HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap();
 
@@ -221,7 +229,7 @@ fn foreign_parameter_input_is_rejected() {
     let fencoder = BatchEncoder::new(foreign);
     let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).collect());
     let foreign_ct = fenc
-        .encrypt(&HomFc::encode_input(&spec, &input, &fencoder).unwrap())
+        .encrypt(&layer.encode_input(&input, &fencoder).unwrap())
         .unwrap();
 
     for threads in [1, 4] {

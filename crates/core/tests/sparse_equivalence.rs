@@ -2,11 +2,11 @@
 //!
 //! * a `HomFc` prepared from its weights' own structure (dead diagonals
 //!   carry no mask) is **bit-identical** to the same weights forced
-//!   all-live under the same baby width — across sparsity patterns over
-//!   the **folded** diagonals of a 64→16 layer (fully live, 50%, 90%,
-//!   single diagonal) and at every reachable level of a deep chain
-//!   (skipped terms are zero polynomials, so even the ciphertext bits
-//!   agree, before and after the shared fold);
+//!   all-live under the same tiling and baby width — across sparsity
+//!   patterns over the **folded** diagonals of a 64→16 layer (fully live,
+//!   50%, 90%, single diagonal) and at every reachable level of a deep
+//!   chain (skipped terms are zero polynomials, so even the ciphertext
+//!   bits agree, before and after the shared fold);
 //! * a sparse `HomConv2d` (dead taps, dead `(d, tap)` masks, dead trailing
 //!   diagonals) decodes to exactly the cleartext reference at every
 //!   reachable level and multiplies once per live mask;
@@ -33,10 +33,12 @@ struct Ctx {
     keys: GaloisKeys,
 }
 
-fn ctx(params: BfvParams, steps: &[i64], seed: u64) -> Ctx {
+/// A context with no Galois keys yet: each case generates exactly the
+/// ones its prepared layers list.
+fn ctx(params: BfvParams, seed: u64) -> Ctx {
     let mut kg = KeyGenerator::from_seed(params.clone(), seed);
     let pk = kg.public_key().unwrap();
-    let keys = kg.galois_keys_for_steps(steps).unwrap();
+    let keys = kg.galois_keys_for_steps(&[]).unwrap();
     Ctx {
         params: params.clone(),
         encoder: BatchEncoder::new(params.clone()),
@@ -60,8 +62,8 @@ fn deep_params() -> BfvParams {
 }
 
 const NI: usize = 64;
-/// Rows, and so folded diagonals: the classes a pattern names. The
-/// layer folds `NI / NO = 4` partial copies.
+/// Rows, and so folded diagonals: the classes a pattern names. Untiled,
+/// the layer folds `NI / NO = 4` partial copies.
 const NO: usize = 16;
 
 fn fc_spec() -> FcSpec {
@@ -105,9 +107,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Sparse FC bit-identity: for every pattern with live weight, the
-    /// auto-chosen plan produces the same ciphertext as the same baby
-    /// width with every diagonal forced live, at every reachable level —
-    /// and never rotates more than it.
+    /// auto-chosen plan produces the same ciphertext as the same tiling
+    /// and baby width with every diagonal forced live, at every reachable
+    /// level — and never rotates more than it.
     #[test]
     fn sparse_fc_matches_dense_plan_across_patterns_and_levels(
         seed in any::<u64>(),
@@ -115,7 +117,7 @@ proptest! {
     ) {
         let (pattern, live) = fc_pattern(sel);
         let s = fc_spec();
-        let mut c = ctx(deep_params(), &HomFc::required_steps(&s), seed % 911 + 1);
+        let mut c = ctx(deep_params(), seed % 911 + 1);
         let weights = fc_weights_with_live(&live, seed ^ 0xd1a6);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x1297);
         let input = Tensor::from_data(
@@ -125,21 +127,28 @@ proptest! {
         let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
 
         let sparse = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
-        let b = sparse.fc_plan().kernel.b;
+        let (b, tiles) = (sparse.fc_plan().kernel.b, sparse.fc_plan().tiles);
         let dense = HomFc::with_forced_plan(
-            &s, &weights, &c.encoder, &c.eval, &FcStructure::dense(NO, NI), b,
+            &s, &weights, &c.encoder, &c.eval, &FcStructure::dense(NO, NI), b, tiles,
         ).unwrap();
-        prop_assert_eq!(dense.fc_plan().live, NO, "{}: every diagonal forced live", pattern);
+        prop_assert_eq!(
+            dense.fc_plan().live, NO / tiles,
+            "{}: every tiled diagonal forced live", pattern
+        );
         // Kernel steps plus the fold's, each rotated by exactly once.
         let sparse_rotations = sparse.rotation_steps().len();
         prop_assert!(
             sparse_rotations <= dense.rotation_steps().len(),
             "{}: sparse plan must not rotate more than dense", pattern
         );
-        prop_assert_eq!(sparse.fc_plan().live, live.len());
+        // A tiled diagonal is live iff one of the folded ones it reads is.
+        let masks = FcStructure::analyze_tensor(&weights, &s).tiled(tiles).live_diagonals();
+        prop_assert_eq!(sparse.fc_plan().live, masks);
+        prop_assert!(masks <= live.len() && (tiles > 1 || masks == live.len()));
+        c.keys = c.kg.galois_keys_for_steps(&dense.rotation_steps()).unwrap();
 
         let fresh = c.enc
-            .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+            .encrypt(&sparse.encode_input(&input, &c.encoder).unwrap())
             .unwrap();
         let mut reached = 0;
         for level in 0..c.params.levels() {
@@ -157,7 +166,7 @@ proptest! {
                 counts.rotate as usize, sparse_rotations,
                 "{} level {}: rotation count off plan", pattern, level
             );
-            prop_assert_eq!(counts.mul as usize, live.len(), "one multiply per live class");
+            prop_assert_eq!(counts.mul as usize, masks, "one multiply per live mask");
             let d = dense.apply(&ct, &c.eval, &c.keys, 1).unwrap();
 
             // Skipped terms are zero polynomials: the ciphertexts agree
@@ -223,7 +232,7 @@ proptest! {
         );
         let expect = eval_linear(&LinearLayer::Conv(s.clone()), &weights, &input);
 
-        let mut c = ctx(deep_params(), &[], seed % 907 + 1);
+        let mut c = ctx(deep_params(), seed % 907 + 1);
         let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
         prop_assert_eq!(layer.conv_plan().live_masks(), live_masks, "pattern {}", sel);
         let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
@@ -264,14 +273,14 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
 
     // FC.
     let s = fc_spec();
-    let mut c = ctx(params.clone(), &HomFc::required_steps(&s), 61);
+    let mut c = ctx(params.clone(), 61);
     let weights = fc_weights_with_live(&[], 0);
     let fc = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
     assert!(fc.rotation_steps().is_empty(), "no keys needed at all");
     let input = Tensor::from_data(&[NI], (0..NI as i64).collect());
     let fresh = c
         .enc
-        .encrypt(&HomFc::encode_input(&s, &input, &c.encoder).unwrap())
+        .encrypt(&fc.encode_input(&input, &c.encoder).unwrap())
         .unwrap();
     for level in 0..params.levels() {
         let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
@@ -304,7 +313,7 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
     };
     let zero_w = Tensor::zeros(&[cs.co, cs.ci, cs.fw, cs.fw]);
     let input = Tensor::from_data(&[cs.ci, cs.w, cs.w], (0..32i64).collect());
-    let mut c = ctx(params.clone(), &[], 62);
+    let mut c = ctx(params.clone(), 62);
     let conv = HomConv2d::new(&cs, &zero_w, &c.encoder, &c.eval).unwrap();
     assert!(conv.conv_plan().is_empty());
     assert!(conv.rotation_steps().is_empty());

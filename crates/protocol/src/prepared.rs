@@ -101,10 +101,13 @@ impl HomLayer {
         best
     }
 
+    /// The layer's input layout — an FC layer's is its plan's tiling, so
+    /// the client's uploads and the server's mask removal, which both pack
+    /// through here, agree on it by construction.
     fn pack(&self, t: &Tensor, encoder: &BatchEncoder) -> Result<Plaintext> {
         match self {
             HomLayer::Conv(c) => HomConv2d::encode_input(c.spec(), t, encoder),
-            HomLayer::Fc(f) => HomFc::encode_input(f.spec(), t, encoder),
+            HomLayer::Fc(f) => f.encode_input(t, encoder),
         }
     }
 
@@ -545,8 +548,9 @@ impl PreparedLayers {
     /// final layer, whose prediction belongs to the client), then — per
     /// output ciphertext — fresh uniform blinding for **every slot that
     /// is not an output element**. Those slots need not be empty: an FC
-    /// layer leaves partial row sums past its `n_o` outputs, linear in the
-    /// activations and the weights, and the client decrypts whatever is
+    /// layer leaves every slot `s` of its first row holding output
+    /// `s mod n_o'` — past its `n_o` outputs, copy after copy of the
+    /// unmasked pre-activations — and the client decrypts whatever is
     /// shipped. (A packed convolution's masks zero the gap behind each
     /// `w²` image, the blocks past `c_o` and the second row; they are
     /// blinded all the same, so no layout has to be trusted for it.)

@@ -8,8 +8,8 @@
 //! 1. client packs + encrypts its masked activation `a + r_prev`, sends it;
 //! 2. cloud homomorphically subtracts `r_prev` (it knows the mask), applies
 //!    `L` under HE, adds a fresh output mask `r` — and fresh uniform
-//!    blinding on every slot `y` does not occupy, which hold partial sums
-//!    — and sends `Enc(y + r)`;
+//!    blinding on every slot `y` does not occupy, which an FC layer fills
+//!    with further copies of `y` — and sends `Enc(y + r)`;
 //! 3. client decrypts `y + r`;
 //! 4. the garbled circuit (simulated functionally) removes `r`, applies
 //!    the nonlinear bundle (ReLU / pooling / flatten), and re-masks with
@@ -65,10 +65,11 @@ use crate::transcript::{garbled_circuit_bytes, Direction, Transcript};
 pub struct LayerReport {
     /// Linear-layer index.
     pub layer: usize,
-    /// Rotation-plan label: `fc bsgs b=.. g=.. live=../.. fold=..` (baby
-    /// width, giant groups, live of all folded diagonals, fold terms),
-    /// `conv reduce ..`, or `conv sparse live=../.. reduce ..` (live of
-    /// all `(o, tap)` masks).
+    /// Rotation-plan label: `fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`
+    /// (input copies per period, baby width, giant groups, live of all
+    /// tiled diagonals, fold terms) or
+    /// `conv packed b=.. g=.. live=../.. out=..` (baby width, giant
+    /// groups, live of all `(d, tap)` masks, output ciphertexts).
     pub plan: String,
     /// Level the layer ran (and shipped) at.
     pub level: usize,

@@ -71,6 +71,20 @@ if [[ "${1:-}" != "quick" ]]; then
         exit 1
     fi
 
+    echo "==> tiled FC regression gate (committed non-smoke BENCH_he_ops.json)"
+    # The auto plan tiles the input row (one mask multiply serves several
+    # folded diagonals): it must beat the same layer forced to tiles = 1
+    # under the baby width the chooser picks there, on the 3-limb preset.
+    fc_untiled=$(json_val BENCH_he_ops.json l3_fc_bsgs_untiled)
+    if [[ -z "$fc_untiled" ]]; then
+        echo "FAIL: BENCH_he_ops.json lacks l3_fc_bsgs_untiled"
+        exit 1
+    fi
+    if ! awk -v b="$fc_bsgs" -v u="$fc_untiled" 'BEGIN { exit !(b < u) }'; then
+        echo "FAIL: committed l3_fc_bsgs ($fc_bsgs ns) is not faster than l3_fc_bsgs_untiled ($fc_untiled ns)"
+        exit 1
+    fi
+
     echo "==> lazy group-sum gate (committed non-smoke BENCH_he_ops.json)"
     # A 26-term mul_plain_accumulate_many pays one reduction per
     # coefficient where 26 multiplies pay 26: on every preset the one-pass
@@ -92,19 +106,23 @@ if [[ "${1:-}" != "quick" ]]; then
     # Weight-structure plans must keep paying: a 90%-pruned FC layer's
     # live-diagonal plan and the pow2 (50%-sparse, scale-factored) layer
     # must both beat the all-live plan on the 3-limb preset — the rotations
-    # and mask multiplies the structure analyzer skips are real time.
+    # and mask multiplies the structure analyzer skips are real time. The
+    # all-live plan they are held against is the untiled one: the dense
+    # layer's tiled plan shares eight folded diagonals per mask, which the
+    # bench's contiguous pruning pattern cannot skip any of, so tiled the
+    # 50%-sparse layers run the dense plan (pow2: plus its scale multiply).
     fc_sparse90=$(json_val BENCH_he_ops.json l3_fc_bsgs_sparse90)
     fc_pow2=$(json_val BENCH_he_ops.json l3_fc_pow2)
     if [[ -z "$fc_sparse90" || -z "$fc_pow2" ]]; then
         echo "FAIL: BENCH_he_ops.json lacks l3_fc_bsgs_sparse90 / l3_fc_pow2"
         exit 1
     fi
-    if ! awk -v s="$fc_sparse90" -v b="$fc_bsgs" 'BEGIN { exit !(s < b) }'; then
-        echo "FAIL: committed l3_fc_bsgs_sparse90 ($fc_sparse90 ns) is not faster than dense l3_fc_bsgs ($fc_bsgs ns)"
+    if ! awk -v s="$fc_sparse90" -v b="$fc_untiled" 'BEGIN { exit !(s < b) }'; then
+        echo "FAIL: committed l3_fc_bsgs_sparse90 ($fc_sparse90 ns) is not faster than dense l3_fc_bsgs_untiled ($fc_untiled ns)"
         exit 1
     fi
-    if ! awk -v p="$fc_pow2" -v b="$fc_bsgs" 'BEGIN { exit !(p < b) }'; then
-        echo "FAIL: committed l3_fc_pow2 ($fc_pow2 ns) is not faster than dense l3_fc_bsgs ($fc_bsgs ns)"
+    if ! awk -v p="$fc_pow2" -v b="$fc_untiled" 'BEGIN { exit !(p < b) }'; then
+        echo "FAIL: committed l3_fc_pow2 ($fc_pow2 ns) is not faster than dense l3_fc_bsgs_untiled ($fc_untiled ns)"
         exit 1
     fi
 
@@ -213,6 +231,15 @@ echo "==> multi-client serving smoke (fixed-seed fleet, fault containment)"
 # client must die typed while its neighbors' transcripts stay
 # bit-identical to a clean run.
 cargo test -q -p cheetah-serve --test concurrency_determinism faulted_client_does_not_perturb_neighbors
+
+if [[ "${1:-}" != "quick" ]]; then
+    echo "==> bench_e2e smoke (the frozen driver's pack -> apply -> unpack replay)"
+    # BENCHMARK.json's driver packs inputs, builds keys from
+    # required_steps() and replays every layer through the public
+    # PreparedLayers calls, checking each prediction against cleartext: a
+    # layout or key-set change that breaks it exits non-zero here.
+    cargo run --release -q -p cheetah-bench --bin bench_e2e -- --smoke >/dev/null
+fi
 
 echo "==> scalar/SIMD bit-identity"
 # A vector backend must never change an output bit: the equivalence suite

@@ -1,11 +1,13 @@
 //! What a client can read out of a masked download, beyond its output.
 //!
 //! A linear layer writes more slots than its output occupies: an FC layer
-//! leaves partial row sums past its `n_o` outputs (what the fold gathers
-//! from, short of the terms that would wrap). The client decrypts whatever
-//! is shipped, so every such slot must leave the server under fresh
-//! uniform blinding — on the final layer too, whose *output* is
-//! deliberately unmasked. A packed convolution's masks are zero wherever
+//! leaves **every** slot `s` of its first row holding output
+//! `s mod n_o'` — past its `n_o` outputs (and the zero padding rows up to
+//! `n_o'`), `row / n_o' − 1` further copies of them, which on a hidden
+//! layer are the unmasked pre-activations the output mask exists to hide.
+//! The client decrypts whatever is shipped, so every such slot must leave
+//! the server under fresh uniform blinding — on the final layer too, whose
+//! *output* is deliberately unmasked. A packed convolution's masks are zero wherever
 //! no output pixel lands — the `s − w²` gap behind each image when `w²` is
 //! not a power of two, the blocks past `c_o`, the second row — so it
 //! writes nothing there; that is pinned too, and the blinding covers those
@@ -60,13 +62,34 @@ fn conv_with_gaps() -> Network {
     }
 }
 
-/// One FC layer, first and final: 8 folded diagonals, a fold of 4, and so
-/// partial row sums in slots `[8, 32)` (and, wrapped, at the row's end).
+/// One FC layer, first and final: 6 outputs padded to 8 rows, so the row
+/// holds 256 copies of them, two zero slots behind each.
 fn fc_only() -> Network {
     Network {
         name: "fc-only".into(),
         input_shape: vec![32],
-        layers: vec![Layer::fc("fc", 32, 8)],
+        layers: vec![Layer::fc("fc", 32, 6)],
+    }
+}
+
+/// The same layer hidden behind a ReLU and a second FC layer: its copies
+/// are pre-activations the client must never see unmasked.
+fn fc_hidden() -> Network {
+    Network {
+        name: "fc-hidden".into(),
+        input_shape: vec![32],
+        layers: vec![Layer::fc("fc1", 32, 6), Layer::Relu, Layer::fc("fc2", 6, 3)],
+    }
+}
+
+/// Slot `slot` of an FC layer's download ciphertext, `no` outputs padded
+/// to `d` rows.
+fn fc_region(no: usize, d: usize, slot: usize) -> &'static str {
+    match slot % d {
+        _ if slot >= 2048 => "second row",
+        _ if slot < no => "output",
+        row if row < no => "output copies",
+        _ => "padding rows",
     }
 }
 
@@ -162,7 +185,13 @@ fn conv_region(w: usize, co: usize, slot: usize) -> &'static str {
 /// The checks on one network: `region` names each slot of a download
 /// ciphertext (`"output"` for the layer's result, masked or — final layer
 /// — not); `written` lists the other regions the layer writes into.
-fn check(net: &Network, region: impl Fn(usize) -> &'static str, written: &[&str], masked: bool) {
+/// Returns seed 1's one-party view for further pins.
+fn check(
+    net: &Network,
+    region: impl Fn(usize) -> &'static str,
+    written: &[&str],
+    masked: bool,
+) -> Vec<(Vec<i64>, Vec<i64>)> {
     let weights = Weights::random(net, 2, 17);
     let by_seed = [1u64, 2].map(|seed| both_sessions(net, &weights, seed));
     let blind = |slot: &usize| region(*slot) != "output";
@@ -211,6 +240,8 @@ fn check(net: &Network, region: impl Fn(usize) -> &'static str, written: &[&str]
         "{}: blinding repeats across mask seeds ({differing} slots differ)",
         net.name
     );
+    let [[one_party, _], _] = by_seed;
+    one_party
 }
 
 #[test]
@@ -227,7 +258,29 @@ fn conv_download_blinds_the_gaps_behind_each_image() {
 }
 
 #[test]
-fn final_fc_download_blinds_the_partial_row_sums() {
-    let region = |s: usize| if s < 8 { "output" } else { "partial row sums" };
-    check(&fc_only(), region, &["partial row sums"], false);
+fn final_fc_download_blinds_the_output_copies() {
+    let blinding = check(
+        &fc_only(),
+        |s| fc_region(6, 8, s),
+        &["output copies"],
+        false,
+    );
+    // What the blinding hides is the prediction itself, 255 times over:
+    // every slot of the first row holds output `s mod 8`.
+    for (clear, _) in blinding {
+        assert!(clear[..6].iter().any(|&v| v != 0));
+        assert!((0..2048).all(|s| clear[s] == if s % 8 < 6 { clear[s % 8] } else { 0 }));
+    }
+}
+
+#[test]
+fn hidden_fc_download_blinds_the_pre_activation_copies() {
+    // The output slots carry the mask r; a copy left in the clear beside
+    // them would hand the client y itself (and r with it).
+    check(
+        &fc_hidden(),
+        |s| fc_region(6, 8, s),
+        &["output copies"],
+        true,
+    );
 }

@@ -60,19 +60,15 @@ fn private_inference_matches_plaintext_for_both_schedules() {
 fn unsupported_zoo_shapes_are_typed_errors_at_prepare_time() {
     // Shapes the homomorphic layers cannot pack are refusals the
     // panic-free protocol and serve crates hand on as values, through
-    // both entry points: LeNet-300-100's 784 and 300 are not powers of
-    // two; LeNet5's 5×5 convolutions are unpadded; a strided convolution
-    // (the zoo's are too large to draw weights for here) subsamples.
+    // both entry points: LeNet5's 5×5 convolutions are unpadded; a strided
+    // convolution (the zoo's are too large to draw weights for here)
+    // subsamples.
     let strided = Network {
         name: "strided".into(),
         input_shape: vec![1, 8, 8],
         layers: vec![Layer::conv("conv", 8, 3, 1, 2, 2, 1)],
     };
-    for (net, refusal) in [
-        (models::lenet300(), "HomFc"),
-        (models::lenet5(), "HomConv2d"),
-        (strided, "HomConv2d"),
-    ] {
+    for (net, refusal) in [(models::lenet5(), "HomConv2d"), (strided, "HomConv2d")] {
         let weights = Weights::random(&net, 1, 810);
         let params = BfvParams::preset_rns_3x36(4096).unwrap();
         let served = cheetah::serve::PreparedModel::prepare(
@@ -91,6 +87,47 @@ fn unsupported_zoo_shapes_are_typed_errors_at_prepare_time() {
             );
         }
     }
+}
+
+#[test]
+fn lenet300_pads_its_inputs_and_matches_plaintext() {
+    // LeNet-300-100's 784 and 300 are not powers of two: the FC layout
+    // pads them with zero columns (784 → 1024, 300 → 512, 100 → 128)
+    // instead of refusing. One session through each entry point, on the
+    // benchmark's digit chain.
+    let net = models::lenet300();
+    let weights = Weights::random(&net, 1, 810);
+    let input = random_input(&net.input_shape, 3, 814);
+    let expect = infer(&net, &weights, &input).output;
+    let params = BfvParams::preset_rns_3x36(4096).unwrap();
+
+    let mut session =
+        PrivateInferenceSession::new(&net, &weights, params.clone(), Schedule::PartialAligned, 1)
+            .unwrap();
+    let (out, _) = session.run(&input).unwrap();
+    assert_eq!(out.data(), expect.data(), "one-party session");
+    for (report, (ni, no)) in
+        session
+            .layer_reports()
+            .iter()
+            .zip([(784, 300), (300, 100), (100, 10)])
+    {
+        assert!(report.fault.is_none());
+        assert!(report.plan.starts_with("fc bsgs tiles="), "{ni}→{no}");
+    }
+
+    let model =
+        cheetah::serve::PreparedModel::prepare(&net, &weights, params, Schedule::PartialAligned)
+            .unwrap();
+    let driver = cheetah::serve::SessionDriver::new(&model, 0, 1, &input).unwrap();
+    let served = cheetah::serve::ServerPool::new(model, 1)
+        .run(vec![driver])
+        .remove(0);
+    assert_eq!(
+        served.result.unwrap().data(),
+        expect.data(),
+        "served halves"
+    );
 }
 
 #[test]

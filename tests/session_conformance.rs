@@ -20,10 +20,11 @@
 //!   preset chain.
 
 use cheetah::bfv::BfvParams;
-use cheetah::core::Schedule;
+use cheetah::core::linear::FcPlan;
+use cheetah::core::{FcStructure, HeCostParams, Schedule};
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::models::tiny_cnn;
-use cheetah::nn::Weights;
+use cheetah::nn::{LinearLayer, Weights};
 use cheetah::protocol::PrivateInferenceSession;
 
 const N: usize = 4096;
@@ -207,14 +208,27 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
             prepared.required_steps().len()
         );
         // Labels count what is skipped in its own unit: the convolution's
-        // 9 `(d, tap)` masks (5 pruned), the FC layers' folded diagonals
-        // (9 of 16 and 2 of 4 pruned).
+        // 9 `(d, tap)` masks (5 pruned); the FC layers' tiled diagonals,
+        // never more of them live than the folded diagonals pruning left
+        // (7 of 16 and 2 of 4) — the label is the shared chooser's for
+        // that structure.
         let plans: Vec<String> = (0..3).map(|k| prepared.plan_label(k)).collect();
         assert_eq!(plans[0], "conv packed b=1 g=1 live=4/9 out=1", "{name}");
-        assert!(
-            plans[1].contains("live=7/16 fold=2") && plans[2].contains("live=2/4 fold=4"),
-            "{name}: pruned FC layers should plan over live diagonals, got {plans:?}"
-        );
+        let cost = HeCostParams::for_bfv(&params, 0);
+        for (k, layer) in net.linear_layers().iter().enumerate().skip(1) {
+            let LinearLayer::Fc(spec) = layer else {
+                panic!("tiny_cnn ends in two FC layers");
+            };
+            let structure = FcStructure::analyze_tensor(weights.layer(k), spec);
+            let pruned = (structure.live_diagonals(), structure.diagonals());
+            assert_eq!(pruned, [(7, 16), (2, 4)][k - 1], "{name} L{k}");
+            let plan = FcPlan::choose(&structure, params.row_size(), &cost);
+            assert_eq!(plans[k], plan.label(), "{name} L{k}");
+            assert!(
+                plan.live <= pruned.0 && plan.live * plan.tiles < pruned.1,
+                "{name}: pruned FC layers should plan over live diagonals, got {plans:?}"
+            );
+        }
 
         let mut session =
             cheetah::protocol::PrivateInferenceSession::with_prepared(Arc::clone(&prepared), 7)
