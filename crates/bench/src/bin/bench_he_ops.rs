@@ -35,13 +35,16 @@
 //! the hybrid rotation does not beat its digit twin. `hoist_hybrid` is
 //! the one-time hoist on the hybrid chain (`ops_ns` section).
 //!
-//! The scalar-vs-vector pairs pin the SIMD work: `ntt` / `ntt_simd`
-//! (a 4096-point forward+inverse roundtrip under the forced scalar
-//! reference vs the runtime-detected backend) and the per-preset
-//! `l{1,2,3}_rotate` / `l{1,2,3}_rotate_simd` twins. The unsuffixed keys
-//! are **pinned to the scalar backend** so their history stays comparable
-//! across the SIMD work; the `_simd` twins run whatever
-//! `cheetah_bfv::simd::detect()` picks — as does every other key.
+//! The scalar-vs-vector pairs pin the SIMD work: `ntt` / `ntt_avx2` /
+//! `ntt_simd` and `intt` / `intt_simd` (one 4096-point forward, resp.
+//! inverse, transform of a 36-bit limb under the forced scalar reference,
+//! the forced AVX2 lanes and the runtime-detected backend) and the
+//! per-preset `l{1,2,3}_rotate` / `l{1,2,3}_rotate_simd` twins (`l1` is a
+//! 60-bit limb, past the IFMA kernel's `2^50` gate: the fall-through
+//! control). The unsuffixed keys are **pinned to the scalar backend** so
+//! their history stays comparable across the SIMD work; the `_simd` twins
+//! run whatever `cheetah_bfv::simd::detect()` picks — named in the header's
+//! `simd_backend` — as does every other key.
 //!
 //! Run: `cargo run --release -p cheetah-bench --bin bench_he_ops [out.json]`
 //!
@@ -501,30 +504,26 @@ fn main() {
             .unwrap();
     });
 
-    // --- Single-table NTT: forced scalar vs runtime-detected backend ---
-    // A 4096-point forward+inverse roundtrip on one 54-bit limb: the
-    // narrowest pin of the vectorized butterfly kernels themselves, with
-    // no key-switch machinery around them.
-    let (ntt_scalar, ntt_simd) = {
+    // --- Single-table NTT: forced scalar vs forced AVX2 lanes vs detected ---
+    // One 4096-point transform of one 36-bit limb (the limb width of every
+    // `bench_e2e` chain, under the IFMA kernel's 2^50 gate), forward and
+    // inverse apart: the narrowest pin of the butterfly kernels themselves,
+    // with no key-switch machinery around them.
+    let [[ntt, ntt_avx2, ntt_simd], [intt, _, intt_simd]] = {
         let q = cheetah_bfv::arith::Modulus::new(
-            cheetah_bfv::arith::generate_ntt_prime(54, 4096).unwrap(),
+            cheetah_bfv::arith::generate_ntt_prime(36, 4096).unwrap(),
         )
         .unwrap();
         let table = cheetah_bfv::ntt::NttTable::new(4096, q).unwrap();
         let mut buf: Vec<u64> = (0..4096u64)
             .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % q.value())
             .collect();
-        let scalar = with_backend(Some(SimdBackend::Scalar), || {
-            time_ns(|| {
-                table.forward(black_box(&mut buf));
-                table.inverse(black_box(&mut buf));
-            })
-        });
-        let vector = time_ns(|| {
-            table.forward(black_box(&mut buf));
-            table.inverse(black_box(&mut buf));
-        });
-        (scalar, vector)
+        let transforms: [fn(&cheetah_bfv::ntt::NttTable, &mut [u64]); 2] =
+            [|t, a| t.forward(a), |t, a| t.inverse(a)];
+        transforms.map(|transform| {
+            [Some(SimdBackend::Scalar), Some(SimdBackend::Avx2), None]
+                .map(|b| with_backend(b, || time_ns(|| transform(&table, black_box(&mut buf)))))
+        })
     };
 
     // --- Modulus switching: one dropped limb on a 2-limb chain ---
@@ -620,6 +619,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"degree\": 4096,");
     let _ = writeln!(json, "  \"cores\": {cores},");
+    let _ = writeln!(json, "  \"simd_backend\": \"{}\",", simd::detect().name());
     let _ = writeln!(json, "  \"ops_ns\": {{");
     let _ = writeln!(json, "    \"add\": {add_alloc:.1},");
     let _ = writeln!(json, "    \"add_assign\": {add_assign:.1},");
@@ -631,8 +631,11 @@ fn main() {
     let _ = writeln!(json, "    \"hoist_hybrid\": {hoist_hybrid:.1},");
     let _ = writeln!(json, "    \"rotate_hoisted\": {rotate_hoisted:.1},");
     let _ = writeln!(json, "    \"mod_switch\": {mod_switch:.1},");
-    let _ = writeln!(json, "    \"ntt\": {ntt_scalar:.1},");
-    let _ = writeln!(json, "    \"ntt_simd\": {ntt_simd:.1}");
+    let _ = writeln!(json, "    \"ntt\": {ntt:.1},");
+    let _ = writeln!(json, "    \"ntt_avx2\": {ntt_avx2:.1},");
+    let _ = writeln!(json, "    \"ntt_simd\": {ntt_simd:.1},");
+    let _ = writeln!(json, "    \"intt\": {intt:.1},");
+    let _ = writeln!(json, "    \"intt_simd\": {intt_simd:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"per_limb_ns\": {{");
     for p in &limb_points {

@@ -51,6 +51,14 @@
 //! their preparation level or deeper, while [`HoistedDecomposition`]s
 //! replay only at the exact level they were hoisted at.
 //!
+//! ## Kernels
+//!
+//! Every NTT butterfly and pointwise residue loop dispatches at runtime
+//! through [`simd`] to one of four backends — the scalar reference
+//! (forced only), portable lanes, AVX2 lanes, or the AVX2 lanes plus an
+//! explicit AVX-512 IFMA NTT for limbs under `2^50` — which differ in
+//! speed and never in an output bit (`docs/SIMD.md`).
+//!
 //! ## Quick start
 //!
 //! ```

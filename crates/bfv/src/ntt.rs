@@ -15,10 +15,11 @@
 //! [`crate::encoder::BatchEncoder`] and the Galois slot permutations.
 //!
 //! The butterfly loops themselves live in [`crate::simd`] and are selected
-//! per thread (scalar reference / portable lanes / AVX2 — bit-identical by
-//! contract). Twiddles are stored **struct-of-arrays** — separate `operand`
-//! and Shoup-`quotient` planes — so lane kernels load each side
-//! contiguously instead of striding through `(op, quo)` pairs.
+//! per thread (scalar reference / portable lanes / AVX2 lanes / the
+//! AVX-512 IFMA kernel — bit-identical by contract). Twiddles are stored
+//! **struct-of-arrays** — separate `operand` and Shoup-`quotient` planes —
+//! so vector kernels load each side contiguously instead of striding
+//! through `(op, quo)` pairs.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -557,9 +558,11 @@ mod tests {
         use crate::simd::{current_backend, detect, force_backend, SimdBackend};
         // Forward and inverse on every backend this build can run must
         // equal the pinned scalar reference byte-for-byte. Degree 64 makes
-        // the small-t butterfly stages (t < LANES) a large fraction of the
-        // work; 60-bit q exercises the top of the headroom range.
-        for (n, bits) in [(64usize, 30u32), (256, 60), (4096, 59)] {
+        // the small-t butterfly stages (t < LANES; the IFMA kernel's
+        // in-register ones) a large fraction of the work; 60-bit q
+        // exercises the top of the headroom range, 49-bit the top of the
+        // IFMA kernel's.
+        for (n, bits) in [(64usize, 30u32), (256, 60), (4096, 59), (4096, 49)] {
             let t = table(n, bits);
             let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64 ^ 0xD15);
             let a: Vec<u64> = (0..n)
@@ -571,7 +574,11 @@ mod tests {
             let mut inv_ref = fwd_ref.clone();
             t.inverse(&mut inv_ref);
             assert_eq!(inv_ref, a);
-            for backend in [SimdBackend::Portable, SimdBackend::Avx2] {
+            for backend in [
+                SimdBackend::Portable,
+                SimdBackend::Avx2,
+                SimdBackend::Avx512Ifma,
+            ] {
                 let eff = force_backend(Some(backend));
                 if eff != backend {
                     continue; // not runnable in this build/CPU

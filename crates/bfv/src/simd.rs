@@ -1,34 +1,58 @@
-//! Vectorized kernel dispatch: scalar reference, portable lanes, and AVX2.
+//! Kernel dispatch: scalar reference, portable lanes, AVX2 lanes, and the
+//! AVX-512 IFMA NTT.
 //!
 //! Every element-wise loop in the engine — the Harvey NTT butterflies in
 //! [`crate::ntt::NttTable`] and the Barrett/Shoup pointwise kernels in
-//! [`crate::poly`] — funnels through this module. Three backends exist:
+//! [`crate::poly`] — funnels through this module. Four backends exist:
 //!
 //! * [`SimdBackend::Scalar`] — the original loops, verbatim. This is the
 //!   pinned reference: the other backends are *defined* as bit-identical
 //!   to it. Never auto-selected; [`force_backend`] reaches it, and every
 //!   equivalence test compares against it.
 //! * [`SimdBackend::Portable`] — branch-free, lane-chunked rewrites of the
-//!   same arithmetic, shaped so LLVM auto-vectorizes them for whatever the
-//!   target baseline offers (NEON on aarch64, SSE2 on x86_64).
+//!   same arithmetic, compiled for the target baseline (NEON on aarch64,
+//!   SSE2 on x86_64).
 //! * [`SimdBackend::Avx2`] — the identical lane bodies monomorphized under
 //!   `#[target_feature(enable = "avx2")]`, selected at runtime via
 //!   `is_x86_feature_detected!`. (`std::simd` is nightly-only; cloning
 //!   `#[inline(always)]` bodies into a `target_feature` wrapper is the
 //!   stable equivalent of multiversioning.)
+//! * [`SimdBackend::Avx512Ifma`] — the `Avx2` lanes for every kernel but
+//!   the NTT, whose forward and inverse transforms are explicit
+//!   `std::arch` kernels (the `ifma` module below): Harvey's butterfly
+//!   in 52-bit form, eight per instruction, for every limb `q < 2^50` at
+//!   degree `n ≥ 16`. Wider limbs and `n = 8` run the `Avx2` lane NTT.
+//!
+//! ## What the compiler vectorizes, kernel by kernel
+//!
+//! The lane bodies are shaped for auto-vectorization, and LLVM takes the
+//! offer only where no 64×64→128-bit multiply is involved: `add_assign`,
+//! `sub_assign`, `negate` and the `mul_pow2` doubling chain (adds,
+//! compares, conditional subtractions) become vector code under
+//! `Portable` and `Avx2`. Everything that goes through a `u128` product —
+//! the Shoup multiply of the lane **NTT butterflies**, the Barrett
+//! multiply of `mul_pointwise` / `mul_scalar` / `fma_pointwise`,
+//! `dot_reduce` — multiplies with scalar `mul`s, lane by lane (x86 has no
+//! vector multiply with a high half below AVX-512 IFMA's 52-bit one), so
+//! those lane kernels are branch-free loops at *scalar* multiply
+//! throughput: `BENCH_he_ops.json`'s `ntt_avx2` is 0.82 × the forced-scalar
+//! `ntt`, `ntt_simd` 0.12 ×. The only vector NTT is the explicit IFMA one.
 //!
 //! ## Bit-identity contract
 //!
-//! All three backends produce **identical bytes** on identical inputs, for
+//! All four backends produce **identical bytes** on identical inputs, for
 //! every modulus the engine admits. This holds by construction, not by
 //! rounding luck: the kernels are pure integer arithmetic, and the lane
 //! variants only replace `if x >= m { x -= m }` with the branch-free
 //! `x - m·(x ≥ m)` (same value) and the Barrett `while`-correction with
 //! two masked subtractions (the quotient estimate is off by at most 2, so
-//! the loop never runs more than twice). Lazy `[0, 2q)`/`[0, 4q)`
-//! intermediates never escape a kernel; every output is canonical in
-//! `[0, q)`. The `simd_equivalence` proptests pin the contract across all
-//! presets and levels.
+//! the loop never runs more than twice). The IFMA butterflies take a
+//! different quotient estimate (52-bit instead of 64-bit Shoup), so their
+//! *lazy* intermediates may differ from the reference's by a multiple of
+//! `q` — but lazy `[0, 2q)`/`[0, 4q)` intermediates never escape a kernel;
+//! every output is the canonical residue in `[0, q)` of a mathematically
+//! fixed value. The `simd_equivalence` proptests pin the contract across
+//! all presets and levels.
 //!
 //! ## Headroom
 //!
@@ -36,7 +60,9 @@
 //! why NTT limbs are capped at `q < 2^61`
 //! ([`crate::arith::MAX_NTT_MODULUS_BITS`]): `4q < 2^63` leaves one spare
 //! bit over the Harvey minimum (`q < 2^62`) for deferred-reduction
-//! experiments without changing the tables.
+//! experiments without changing the tables. The IFMA butterflies feed the
+//! same `< 4q` values to a multiplier that reads 52 bits, so they run iff
+//! `4q ≤ 2^52`, i.e. `q < 2^50` — see the `ifma` module.
 //!
 //! ## Overriding the backend (tests/benches)
 //!
@@ -58,6 +84,9 @@ pub enum SimdBackend {
     Portable,
     /// The lane loops monomorphized under AVX2 (x86_64, runtime-detected).
     Avx2,
+    /// `Avx2` plus the explicit AVX-512 IFMA NTT for limbs under `2^50`
+    /// (x86_64, runtime-detected).
+    Avx512Ifma,
 }
 
 impl SimdBackend {
@@ -67,14 +96,28 @@ impl SimdBackend {
             SimdBackend::Scalar => "scalar",
             SimdBackend::Portable => "portable",
             SimdBackend::Avx2 => "avx2",
+            SimdBackend::Avx512Ifma => "avx512ifma",
         }
     }
 }
 
-/// Clamps a requested backend to what this CPU can actually run: `Avx2`
-/// falls back to `Portable` off x86_64 or when the CPU lacks the feature.
+/// Clamps a requested backend to what this CPU can actually run:
+/// `Avx512Ifma` falls back to `Avx2`, and `Avx2` to `Portable`, off x86_64
+/// or when the CPU lacks the features.
 fn clamp(requested: SimdBackend) -> SimdBackend {
     match requested {
+        SimdBackend::Avx512Ifma => {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+                && std::arch::is_x86_feature_detected!("avx512ifma")
+            {
+                return SimdBackend::Avx512Ifma;
+            }
+            clamp(SimdBackend::Avx2)
+        }
         SimdBackend::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -86,10 +129,10 @@ fn clamp(requested: SimdBackend) -> SimdBackend {
     }
 }
 
-/// The best backend this CPU supports: `Avx2` when it has it, else
+/// The best backend this CPU supports: `Avx512Ifma`, else `Avx2`, else
 /// `Portable`.
 pub fn detect() -> SimdBackend {
-    clamp(SimdBackend::Avx2)
+    clamp(SimdBackend::Avx512Ifma)
 }
 
 static DETECTED: OnceLock<SimdBackend> = OnceLock::new();
@@ -109,8 +152,8 @@ pub fn current_backend() -> SimdBackend {
 
 /// Pins the calling thread to a backend (`None` restores auto-detection)
 /// and returns the backend now in effect. Requests are clamped to what the
-/// CPU supports — see [`clamp`]'s rules — so forcing `Avx2` on a CPU
-/// without it leaves the thread on `Portable`.
+/// CPU supports — see [`clamp`]'s rules — so forcing `Avx512Ifma` on a CPU
+/// without it leaves the thread on `Avx2`, or on `Portable` without that.
 ///
 /// The override is **per thread**: worker threads spawned by
 /// [`crate::PolyBatch`] transforms or the serving pool keep the detected
@@ -122,19 +165,25 @@ pub fn force_backend(backend: Option<SimdBackend>) -> SimdBackend {
 
 // ---------------------------------------------------------------------
 // Dispatch: one `match` per kernel invocation (a whole slice, not an
-// element), so steady-state cost is a predicted branch. `Avx2` is only
-// ever reported by `clamp` after `is_x86_feature_detected!` succeeded,
-// which is what makes the `unsafe` call sound.
+// element), so steady-state cost is a predicted branch. `Avx2` and
+// `Avx512Ifma` are only ever reported by `clamp` after
+// `is_x86_feature_detected!` succeeded, which is what makes the `unsafe`
+// calls sound.
 // ---------------------------------------------------------------------
 
 macro_rules! dispatch {
     ($name:ident($($arg:expr),* $(,)?)) => {
-        match current_backend() {
+        dispatch!(current_backend() => $name($($arg),*))
+    };
+    ($backend:expr => $name:ident($($arg:expr),* $(,)?)) => {
+        match $backend {
             SimdBackend::Portable => lanes::portable::$name($($arg),*),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `clamp` only yields `Avx2` after
+            // SAFETY: `clamp` only yields `Avx2` or `Avx512Ifma` after
             // `is_x86_feature_detected!("avx2")` returned true.
-            SimdBackend::Avx2 => unsafe { lanes::avx2::$name($($arg),*) },
+            SimdBackend::Avx2 | SimdBackend::Avx512Ifma => unsafe {
+                lanes::avx2::$name($($arg),*)
+            },
             _ => scalar::$name($($arg),*),
         }
     };
@@ -145,7 +194,16 @@ macro_rules! dispatch {
 /// `op`/`quo` are the bit-reverse-scrambled `ψ` powers with their Shoup
 /// quotients. Inputs canonical in `[0, q)`; outputs canonical.
 pub(crate) fn ntt_forward(a: &mut [u64], op: &[u64], quo: &[u64], q: u64) {
-    dispatch!(ntt_forward(a, op, quo, q))
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `clamp` only yields `Avx512Ifma` after
+        // `is_x86_feature_detected!` returned true for every feature
+        // `ifma`'s kernels enable.
+        SimdBackend::Avx512Ifma if ifma::admits(a.len(), q) => unsafe {
+            ifma::ntt_forward(a, op, quo, q)
+        },
+        backend => dispatch!(backend => ntt_forward(a, op, quo, q)),
+    }
 }
 
 /// In-place inverse negacyclic NTT (bit-reversed → natural), including the
@@ -159,7 +217,14 @@ pub(crate) fn ntt_inverse(
     n_inv_op: u64,
     n_inv_quo: u64,
 ) {
-    dispatch!(ntt_inverse(a, op, quo, q, n_inv_op, n_inv_quo))
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma if ifma::admits(a.len(), q) => unsafe {
+            ifma::ntt_inverse(a, op, quo, q, n_inv_op, n_inv_quo)
+        },
+        backend => dispatch!(backend => ntt_inverse(a, op, quo, q, n_inv_op, n_inv_quo)),
+    }
 }
 
 /// `a[i] ← a[i] + b[i] mod q`, element-wise.
@@ -494,9 +559,10 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------------
-// Lane backends: branch-free bodies chunked to LANES so LLVM vectorizes
-// with no scalar epilogue (plane lengths are powers of two ≥ 8, hence
-// multiples of LANES). The same `#[inline(always)]` bodies are exposed
+// Lane backends: branch-free bodies chunked to LANES so that, where LLVM
+// vectorizes (the kernels without a 64×64→128 multiply — see the module
+// header), it needs no scalar epilogue (plane lengths are powers of two
+// ≥ 8, hence multiples of LANES). The same `#[inline(always)]` bodies are exposed
 // twice — once plain (`portable`), once under
 // `#[target_feature(enable = "avx2")]` (`avx2`), which re-codegens every
 // inlined body with AVX2 enabled.
@@ -507,8 +573,10 @@ mod lanes {
         use crate::arith::{mulhi_u128, Modulus, LAZY_SUM_BITS};
 
         /// Lane width the kernels chunk by: 4 × u64 is one 256-bit AVX2
-        /// vector, and two 128-bit NEON/SSE2 vectors. NTT stages with
-        /// `t < LANES` (the last two) run the same body unchunked.
+        /// vector, and two 128-bit NEON/SSE2 vectors — for the additive
+        /// kernels LLVM does vectorize; the butterflies' Shoup multiply
+        /// stays scalar at any width. NTT stages with `t < LANES` (the
+        /// last two) run the same body unchunked.
         pub(super) const LANES: usize = 4;
 
         /// Branch-free `if x >= m { x - m } else { x }` — identical value,
@@ -755,6 +823,297 @@ mod lanes {
     }
 }
 
+// ---------------------------------------------------------------------
+// AVX-512 IFMA NTT: Harvey's lazy butterfly in 52-bit form, eight per
+// instruction (the shape of Intel HEXL's published NTT; no dependency).
+//
+// `madd52lo/hi(acc, b, c)` add the low / high 52 bits of the 104-bit
+// product of the **low 52 bits** of `b` and `c` to `acc`. With `β = 2^52`
+// and `w′ = ⌊w·β/q⌋`, the Shoup product of a lazy `y < β` and a canonical
+// twiddle `w < q` is
+//
+//   Q = ⌊y·w′/β⌋ = madd52hi(0, y, w′)
+//   U = y·w − Q·q ∈ [0, q + y·q/β) ⊂ [0, 2q)
+//     = madd52lo(madd52lo(0, y, w), Q, β − q) mod β          (2q ≤ β)
+//
+// (`β − q ≡ −q` to a multiplier that works mod `β`, which saves the
+// subtraction of `(madd52lo(0, y, w) − madd52lo(0, Q, q)) mod β`.) This is
+// exact as long as every operand fits 52 bits. Butterfly values stay
+// below `4q`, so the kernel runs iff `4q ≤ 2^52`, i.e. `q < 2^50`; wider
+// limbs fall through to the lane NTT. `w′` is not a second table: the
+// tables hold `quo = ⌊w·2^64/q⌋`, and a floor of a floor is exact —
+// `quo >> 12 = ⌊⌊w·2^64/q⌋ / 2^12⌋ = ⌊w·2^52/q⌋`.
+//
+// A stage of span `t` pairs coefficient `j` of each `2t`-block with
+// coefficient `j + t` under the block's one twiddle. While `t` is at
+// least a vector, that is one broadcast twiddle per block. The last three
+// stages (`t = 4, 2, 1`; the first three of the inverse) pair elements
+// *inside* a vector: they take two vectors — 16 consecutive coefficients —
+// at a time, gather the butterflies' `X` and `Y` halves into one vector
+// each with `permutex2var`, spread the `8/t` twiddles over their blocks'
+// lanes with `permutexvar`, and permute back, all three stages between
+// one load and one store. Hence `n ≥ 16`.
+//
+// The quotient estimate differs from the reference's 64-bit one, so lazy
+// intermediates may differ by a multiple of `q`; outputs are canonical
+// residues of the same values, hence the same bytes.
+// ---------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use std::arch::x86_64::*;
+
+    /// Whether the kernels run a degree-`n` transform mod `q`; the section
+    /// comment derives both bounds.
+    pub(super) fn admits(n: usize, q: u64) -> bool {
+        n >= 16 && q >> 50 == 0
+    }
+
+    /// Compiles every function inside with the features [`super::clamp`]
+    /// detects for `Avx512Ifma`: they inline into one another, and the
+    /// value intrinsics are safe to call.
+    macro_rules! with_ifma {
+        ($($item:item)*) => {
+            $(
+                #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
+                #[inline]
+                $item
+            )*
+        };
+    }
+
+    /// The per-transform constants, broadcast.
+    #[derive(Clone, Copy)]
+    struct Consts {
+        q: __m512i,
+        two_q: __m512i,
+        /// `2^52 − q`.
+        neg_q: __m512i,
+        mask52: __m512i,
+    }
+
+    /// Eight twiddles with their 52-bit Shoup quotients `⌊w·2^52/q⌋`.
+    #[derive(Clone, Copy)]
+    struct Twiddles {
+        w: __m512i,
+        w52: __m512i,
+    }
+
+    with_ifma! {
+        fn load(lanes: &[u64; 8]) -> __m512i {
+            // SAFETY: `lanes` is 64 readable bytes; the load is unaligned.
+            unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) }
+        }
+
+        fn store(lanes: &mut [u64; 8], v: __m512i) {
+            // SAFETY: `lanes` is 64 writable bytes; the store is unaligned.
+            unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), v) }
+        }
+
+        fn splat(x: u64) -> __m512i {
+            _mm512_set1_epi64(x as i64)
+        }
+
+        fn consts(q: u64) -> Consts {
+            Consts {
+                q: splat(q),
+                two_q: splat(2 * q),
+                neg_q: splat((1 << 52) - q),
+                mask52: splat((1 << 52) - 1),
+            }
+        }
+
+        /// A lane index vector from its formula.
+        fn lanes_of(f: impl Fn(usize) -> usize) -> __m512i {
+            load(&std::array::from_fn(|p| f(p) as u64))
+        }
+
+        /// Twiddles from table operands and their 64-bit Shoup quotients:
+        /// `quo >> 12` is the 52-bit quotient exactly.
+        fn twiddles(w: __m512i, quo: __m512i) -> Twiddles {
+            Twiddles {
+                w,
+                w52: _mm512_srli_epi64::<12>(quo),
+            }
+        }
+
+        /// The eight table entries from `at` on.
+        fn eight(table: &[u64], at: usize) -> __m512i {
+            load(table[at..].first_chunk().expect("twiddle tables hold n entries"))
+        }
+
+        /// `if x >= m { x - m } else { x }`: when `x < m` the difference
+        /// wraps above every lazy value, so the unsigned minimum keeps `x`.
+        fn csub(x: __m512i, m: __m512i) -> __m512i {
+            _mm512_min_epu64(x, _mm512_sub_epi64(x, m))
+        }
+
+        /// Shoup `y·w mod q` lazily reduced to `[0, 2q)`, for `y < 2^52`.
+        fn mul_lazy(y: __m512i, tw: Twiddles, c: &Consts) -> __m512i {
+            let zero = _mm512_setzero_si512();
+            let quot = _mm512_madd52hi_epu64(zero, y, tw.w52);
+            let yw = _mm512_madd52lo_epu64(zero, y, tw.w);
+            _mm512_and_si512(_mm512_madd52lo_epu64(yw, quot, c.neg_q), c.mask52)
+        }
+
+        /// Eight butterflies. Forward (Harvey): `x, y < 4q` in,
+        /// `(x + wy, x − wy)` out, both `< 4q`. Inverse (Gentleman–Sande):
+        /// `x, y < 2q` in, `(x + y, w(x − y))` out, both `< 2q`.
+        fn butterfly<const INVERSE: bool>(
+            x: __m512i,
+            y: __m512i,
+            tw: Twiddles,
+            c: &Consts,
+        ) -> (__m512i, __m512i) {
+            if INVERSE {
+                let sum = csub(_mm512_add_epi64(x, y), c.two_q);
+                let diff = _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), y);
+                (sum, mul_lazy(diff, tw, c))
+            } else {
+                let x = csub(x, c.two_q);
+                let u = mul_lazy(y, tw, c);
+                (
+                    _mm512_add_epi64(x, u),
+                    _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), u),
+                )
+            }
+        }
+
+        /// The stage of span `t ≥ 8`: block `i` pairs its halves under
+        /// twiddle `n/2t + i`, in either direction.
+        fn span_stage<const INVERSE: bool>(
+            a: &mut [u64],
+            t: usize,
+            op: &[u64],
+            quo: &[u64],
+            c: &Consts,
+        ) {
+            let first = a.len() / (2 * t);
+            for (i, block) in a.chunks_exact_mut(2 * t).enumerate() {
+                let tw = twiddles(splat(op[first + i]), splat(quo[first + i]));
+                let (lo, hi) = block.split_at_mut(t);
+                let (lo, hi) = (lo.as_chunks_mut().0, hi.as_chunks_mut().0);
+                for (xs, ys) in lo.iter_mut().zip(hi) {
+                    let (x, y) = butterfly::<INVERSE>(load(xs), load(ys), tw, c);
+                    store(xs, x);
+                    store(ys, y);
+                }
+            }
+        }
+
+        /// The stage of span `T ∈ {4, 2, 1}` on chunk `k` of 16 consecutive
+        /// coefficients `(lo, hi)`. Its `8/T` blocks — `8k/T` onward of the
+        /// stage's `n/2T` — are `T` `X`s then `T` `Y`s each: gathers the
+        /// `X`s and the `Y`s (lane `p` of either belongs to block `p/T`),
+        /// spreads the blocks' twiddles over their lanes, runs the
+        /// butterflies and scatters the halves back.
+        fn paired_stage<const T: usize, const INVERSE: bool>(
+            (lo, hi): (__m512i, __m512i),
+            k: usize,
+            n: usize,
+            op: &[u64],
+            quo: &[u64],
+            c: &Consts,
+        ) -> (__m512i, __m512i) {
+            // Indices 0..8 select from the first source, 8..16 the second.
+            let x_of = |p: usize| p / T * 2 * T + p % T;
+            let xs = _mm512_permutex2var_epi64(lo, lanes_of(x_of), hi);
+            let ys = _mm512_permutex2var_epi64(lo, lanes_of(|p| x_of(p) + T), hi);
+            // The eight-entry read stays inside the table: it starts at
+            // most at n/2T + n/2T − 8/T, and 8 − 8/T ≤ n − n/T.
+            let at = n / (2 * T) + 8 / T * k;
+            let tw = twiddles(eight(op, at), eight(quo, at));
+            let block = lanes_of(|p| p / T);
+            let tw = Twiddles {
+                w: _mm512_permutexvar_epi64(block, tw.w),
+                w52: _mm512_permutexvar_epi64(block, tw.w52),
+            };
+            let (xs, ys) = butterfly::<INVERSE>(xs, ys, tw, c);
+            // Coefficient `e` sits in block `e / 2T` at offset `e % 2T`:
+            // an `X` lane below `T`, a `Y` lane (second source) from there.
+            let home = |e: usize| {
+                let (b, r) = (e / (2 * T), e % (2 * T));
+                if r < T {
+                    b * T + r
+                } else {
+                    8 + b * T + r - T
+                }
+            };
+            (
+                _mm512_permutex2var_epi64(xs, lanes_of(home), ys),
+                _mm512_permutex2var_epi64(xs, lanes_of(|e| home(e + 8)), ys),
+            )
+        }
+
+        /// [`super::ntt_forward`] for a transform [`admits`] accepts. Any
+        /// other shape panics or computes garbage; none is unsound.
+        pub(super) fn ntt_forward(a: &mut [u64], op: &[u64], quo: &[u64], q: u64) {
+            let n = a.len();
+            let c = consts(q);
+            let mut t = n / 2;
+            while t >= 8 {
+                span_stage::<false>(a, t, op, quo, &c);
+                t /= 2;
+            }
+            let chunks = a.as_chunks_mut::<8>().0.as_chunks_mut::<2>().0;
+            for (k, [lo, hi]) in chunks.iter_mut().enumerate() {
+                let mut v = (load(lo), load(hi));
+                v = paired_stage::<4, false>(v, k, n, op, quo, &c);
+                v = paired_stage::<2, false>(v, k, n, op, quo, &c);
+                v = paired_stage::<1, false>(v, k, n, op, quo, &c);
+                store(lo, csub(csub(v.0, c.two_q), c.q));
+                store(hi, csub(csub(v.1, c.two_q), c.q));
+            }
+        }
+
+        /// [`super::ntt_inverse`] for a transform [`admits`] accepts; as
+        /// [`ntt_forward`].
+        pub(super) fn ntt_inverse(
+            a: &mut [u64],
+            op: &[u64],
+            quo: &[u64],
+            q: u64,
+            n_inv_op: u64,
+            n_inv_quo: u64,
+        ) {
+            let n = a.len();
+            let c = consts(q);
+            let chunks = a.as_chunks_mut::<8>().0.as_chunks_mut::<2>().0;
+            for (k, [lo, hi]) in chunks.iter_mut().enumerate() {
+                let mut v = (load(lo), load(hi));
+                v = paired_stage::<1, true>(v, k, n, op, quo, &c);
+                v = paired_stage::<2, true>(v, k, n, op, quo, &c);
+                v = paired_stage::<4, true>(v, k, n, op, quo, &c);
+                store(lo, v.0);
+                store(hi, v.1);
+            }
+            let mut t = 8;
+            while t < n / 2 {
+                span_stage::<true>(a, t, op, quo, &c);
+                t *= 2;
+            }
+            // The last stage (one block, twiddle `op[1]`) with the n⁻¹
+            // scaling folded in: `(x + y)·n⁻¹` and `(x − y)·(w·n⁻¹)`, each
+            // one lazy multiply of a value below `4q`, then canonical.
+            let n_inv = twiddles(splat(n_inv_op), splat(n_inv_quo));
+            let w = (op[1] as u128 * n_inv_op as u128 % q as u128) as u64;
+            let w_n_inv = Twiddles {
+                w: splat(w),
+                w52: splat((((w as u128) << 52) / q as u128) as u64),
+            };
+            let (lo, hi) = a.split_at_mut(n / 2);
+            let (lo, hi) = (lo.as_chunks_mut().0, hi.as_chunks_mut().0);
+            for (xs, ys) in lo.iter_mut().zip(hi) {
+                let (x, y) = (load(xs), load(ys));
+                let sum = _mm512_add_epi64(x, y);
+                let diff = _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), y);
+                store(xs, csub(mul_lazy(sum, n_inv, &c), c.q));
+                store(ys, csub(mul_lazy(diff, w_n_inv, &c), c.q));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,16 +1138,23 @@ mod tests {
     #[test]
     fn clamp_keeps_what_the_cpu_has() {
         // Auto-detection never lands on the scalar reference; the scalar
-        // and portable backends are always selectable; Avx2 is granted
-        // exactly when it is what detection found.
+        // and portable backends are always selectable; forcing the top
+        // backend yields exactly what detection found, and forcing Avx2
+        // yields Avx2 wherever detection found it or better.
         let detected = detect();
         assert_ne!(detected, SimdBackend::Scalar);
         for backend in [SimdBackend::Scalar, SimdBackend::Portable] {
             let (_g, eff) = ForceGuard::pin(backend);
             assert_eq!(eff, backend);
         }
-        let (_g, eff) = ForceGuard::pin(SimdBackend::Avx2);
+        let (_g, eff) = ForceGuard::pin(SimdBackend::Avx512Ifma);
         assert_eq!(eff, detected);
+        let (_g, eff) = ForceGuard::pin(SimdBackend::Avx2);
+        let expect = match detected {
+            SimdBackend::Avx512Ifma => SimdBackend::Avx2,
+            other => other,
+        };
+        assert_eq!(eff, expect);
     }
 
     #[test]
@@ -796,13 +1162,23 @@ mod tests {
         let (_g, _) = ForceGuard::pin(SimdBackend::Scalar);
         let other = std::thread::spawn(current_backend).join().unwrap();
         assert_eq!(other, detect(), "spawned threads keep the default");
+        assert_ne!(other, SimdBackend::Scalar);
+        // Nor does a spawned thread's own override reach this one.
+        let theirs = std::thread::spawn(|| force_backend(Some(SimdBackend::Avx512Ifma)))
+            .join()
+            .unwrap();
+        assert_eq!(theirs, detect());
         assert_eq!(current_backend(), SimdBackend::Scalar);
     }
 
     /// Every backend this build can run, each exercised against Scalar.
     fn runnable_backends() -> Vec<SimdBackend> {
         let mut v = vec![SimdBackend::Scalar];
-        for b in [SimdBackend::Portable, SimdBackend::Avx2] {
+        for b in [
+            SimdBackend::Portable,
+            SimdBackend::Avx2,
+            SimdBackend::Avx512Ifma,
+        ] {
             let (_g, eff) = ForceGuard::pin(b);
             if eff == b {
                 v.push(b);

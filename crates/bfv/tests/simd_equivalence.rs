@@ -6,7 +6,8 @@
 //! vector backend, and require byte-for-byte equality:
 //!
 //! * forward and inverse negacyclic NTT on random polynomials, per limb
-//!   of every preset (RNS and hybrid);
+//!   of every preset (RNS and hybrid, the special prime `P` included), and
+//!   at the edges of the AVX-512 IFMA kernel's gate (`q < 2^50`, `n ≥ 16`);
 //! * the pointwise Barrett kernels (`add`/`sub`/`negate`/`mul`/`fma`/
 //!   `mul_scalar`) on random residue vectors;
 //! * the **lazy dot kernel** under every mask sum and key switch, against
@@ -15,10 +16,10 @@
 //!   operands — the overflow bound as a test — plus one group sum wider
 //!   than the bound on `preset_single_60`;
 //! * a **full rotate** — keygen, encrypt, Galois key switch, decrypt —
-//!   at every preset and every reachable level of its chain;
+//!   at every preset and every level of its chain;
 //! * typed-error behaviour is backend-independent.
 
-use cheetah_bfv::arith::{generate_ntt_primes, Modulus};
+use cheetah_bfv::arith::{generate_ntt_prime, generate_ntt_primes, is_prime, Modulus};
 use cheetah_bfv::ntt::NttTable;
 use cheetah_bfv::poly::{Poly, Representation};
 use cheetah_bfv::rns::{DotTerm, PlaneAlign};
@@ -34,8 +35,8 @@ struct ForceGuard;
 
 impl ForceGuard {
     /// Forces `backend` for the current thread; returns the guard and the
-    /// backend that is actually in effect after clamping (`Portable` when
-    /// AVX2 is unavailable).
+    /// backend that is actually in effect after clamping (the next one
+    /// down when the CPU lacks the requested one).
     fn force(backend: SimdBackend) -> (Self, SimdBackend) {
         let effective = simd::force_backend(Some(backend));
         (ForceGuard, effective)
@@ -51,13 +52,17 @@ impl Drop for ForceGuard {
 /// The vector backends this machine can actually run (clamp fixpoints).
 /// Scalar is the reference, so it is excluded.
 fn runnable_vector_backends() -> Vec<SimdBackend> {
-    [SimdBackend::Portable, SimdBackend::Avx2]
-        .into_iter()
-        .filter(|&b| {
-            let (_guard, effective) = ForceGuard::force(b);
-            effective == b
-        })
-        .collect()
+    [
+        SimdBackend::Portable,
+        SimdBackend::Avx2,
+        SimdBackend::Avx512Ifma,
+    ]
+    .into_iter()
+    .filter(|&b| {
+        let (_guard, effective) = ForceGuard::force(b);
+        effective == b
+    })
+    .collect()
 }
 
 fn all_presets() -> Vec<(&'static str, BfvParams)> {
@@ -87,11 +92,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Forward and inverse NTT produce the same bits on every backend,
-    /// for every limb of every preset.
+    /// for every limb of every preset — a hybrid preset's special prime
+    /// `P` (the last limb of its key-switch chain) included.
     #[test]
     fn ntt_transforms_bit_identical_across_backends(seed in any::<u64>()) {
-        for (name, params) in all_presets() {
-            let chain = params.chain();
+        let mut presets = all_presets();
+        presets.push(("hybrid_2x40", BfvParams::preset_hybrid_2x40(8192).unwrap()));
+        for (name, params) in presets {
+            let chain = if params.has_special() {
+                params.ks_chain_at(0)
+            } else {
+                params.chain()
+            };
             for i in 0..chain.limbs() {
                 let table = chain.table(i);
                 let input = residues(chain.modulus(i), chain.degree(), seed);
@@ -169,6 +181,62 @@ proptest! {
                         "{} limb {} pointwise kernels diverged on {}",
                         name, i, backend.name()
                     );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The AVX-512 IFMA NTT at the edges of its gate (`q < 2^50`,
+    /// `n ≥ 16`): a random NTT prime of 20–49 bits, the largest NTT prime
+    /// below `2^50` (lazy values reach `4q` just under `2^52`) and the
+    /// smallest above it (falls through to the lanes), at degrees where
+    /// the in-register `t = 4, 2, 1` stages are most of the work (16, 32),
+    /// below the kernel's minimum (8) and past L1 (8192), on random and
+    /// extreme inputs — forward, inverse and round trip write the forced
+    /// scalar reference's bytes on every runnable backend.
+    #[test]
+    fn ifma_ntt_matches_scalar_at_the_gate(bits in 20u32..=49, seed in any::<u64>()) {
+        for n in [8usize, 16, 32, 64, 1024, 4096, 8192] {
+            let random = *generate_ntt_primes(bits, n, 1 + (seed % 3) as usize)
+                .unwrap()
+                .last()
+                .unwrap();
+            let below = generate_ntt_prime(50, n).unwrap();
+            let above = (0..)
+                .map(|k| (1u64 << 50) + 1 + k * 2 * n as u64)
+                .find(|&p| is_prime(p))
+                .unwrap();
+            for q in [random, below, above] {
+                let table = NttTable::new(n, Modulus::new(q).unwrap()).unwrap();
+                let inputs = [
+                    residues(table.modulus(), n, seed),
+                    vec![0; n],
+                    vec![q - 1; n],
+                    (0..n as u64).map(|i| (i % 2) * (q - 1)).collect(),
+                ];
+                for input in &inputs {
+                    let transforms = |backend: SimdBackend| {
+                        let (_guard, eff) = ForceGuard::force(backend);
+                        assert_eq!(eff, backend);
+                        let (mut fwd, mut inv) = (input.clone(), input.clone());
+                        table.forward(&mut fwd);
+                        table.inverse(&mut inv);
+                        let mut round = fwd.clone();
+                        table.inverse(&mut round);
+                        (fwd, inv, round)
+                    };
+                    let reference = transforms(SimdBackend::Scalar);
+                    prop_assert_eq!(&reference.2, input, "q = {}, n = {}: scalar round trip", q, n);
+                    for backend in runnable_vector_backends() {
+                        prop_assert_eq!(
+                            &transforms(backend), &reference,
+                            "q = {}, n = {} diverged on {}", q, n, backend.name()
+                        );
+                    }
                 }
             }
         }
@@ -328,8 +396,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// A full rotate pipeline — seeded keygen, encrypt, Galois key switch
-    /// at each reachable level — produces bit-identical ciphertexts on
-    /// every backend, for every preset including hybrid keyswitching.
+    /// at every level, noise-sound or not — produces bit-identical
+    /// ciphertexts on every backend, for every preset including hybrid
+    /// keyswitching (`hybrid_2x36` levels 0 and 1 put the special prime's
+    /// plane through the IFMA NTT on both key-switch chains).
     #[test]
     fn full_rotate_bit_identical_across_backends(seed in any::<u64>(), step in 1i64..8) {
         for (name, params) in all_presets() {
@@ -346,9 +416,8 @@ proptest! {
 
                 let values: Vec<u64> = (0..64u64).map(|i| (i * 37 + 11) % 97).collect();
                 let fresh = enc.encrypt(&encoder.encode(&values).unwrap()).unwrap();
-                let deepest = fresh.noise().recommended_level(&params, 0, 2.0);
                 let mut out = Vec::new();
-                for level in 0..=deepest {
+                for level in 0..=params.max_level() {
                     let ct = eval.mod_switch_to(&fresh, level).unwrap();
                     let rotated = eval.rotate_rows(&ct, step, &keys).unwrap();
                     // Where the noise model says the rotation is sound
@@ -397,7 +466,7 @@ proptest! {
 /// live in front of the dispatch, so no vector path can bypass them.
 #[test]
 fn typed_errors_are_backend_independent() {
-    let q = Modulus::new(cheetah_bfv::arith::generate_ntt_prime(30, 64).unwrap()).unwrap();
+    let q = Modulus::new(generate_ntt_prime(30, 64).unwrap()).unwrap();
     let table = NttTable::new(64, q).unwrap();
     let mut backends = vec![SimdBackend::Scalar];
     backends.extend(runnable_vector_backends());

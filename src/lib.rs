@@ -48,7 +48,9 @@
 //!   the results in a fixed order, and keeps exact kernel accounting via
 //!   the evaluator's atomic [`bfv::OpCounts`].
 //! * **Vector kernels** — [`bfv::simd`] dispatches the NTT butterflies
-//!   and pointwise kernels at runtime to AVX2 or portable lanes,
+//!   and pointwise kernels at runtime to one of four backends — the
+//!   scalar reference (forced only), portable lanes, AVX2 lanes, or the
+//!   AVX2 lanes plus an explicit AVX-512 IFMA NTT for limbs under 2^50 —
 //!   bit-identical to the scalar reference (no cargo feature).
 //!
 //! `cargo run --release -p cheetah-bench --bin bench_he_ops` emits
