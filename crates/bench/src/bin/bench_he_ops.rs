@@ -1,8 +1,7 @@
 //! Machine-readable hot-path benchmark: emits `BENCH_he_ops.json` with
 //! ns/op for the three HE operators (allocating vs in-place/scratch
-//! variants), the contiguous batched NTT (serial vs threaded), and a
-//! per-limb-count section (1/2/3-limb RNS chains) so the cost of the
-//! modulus chain is trackable across PRs. Multi-limb presets also report
+//! variants) and a per-limb-count section (1/2/3-limb RNS chains) so the
+//! cost of the modulus chain is trackable across PRs. Multi-limb presets also report
 //! the leveled primitives — `l{2,3}_mod_switch` (dropping a limb) and
 //! `l{2,3}_rotate_level1` (rotating after one drop) — demonstrating that
 //! reduced-level rotations are measurably cheaper than full-level ones —
@@ -56,8 +55,6 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cheetah_bfv::batch::PolyBatch;
-use cheetah_bfv::poly::Representation;
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Encryptor, Evaluator, GaloisKeys, HoistedDecomposition,
@@ -65,7 +62,6 @@ use cheetah_bfv::{
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::{BsgsPlan, FcStructure, HeCostParams};
-use cheetah_gpu::batched::batched_forward;
 use cheetah_nn::{ConvSpec, FcSpec, Tensor};
 
 fn smoke() -> bool {
@@ -587,34 +583,6 @@ fn main() {
     ]
     .map(conv_point);
 
-    // --- Contiguous batched NTT, serial vs 4 threads ---
-    let (ntt_n, ntt_batch, ntt_threads) = if smoke() {
-        (2048usize, 8usize, 4usize)
-    } else {
-        (8192usize, 64usize, 4usize)
-    };
-    let q = cheetah_bfv::arith::Modulus::new(
-        cheetah_bfv::arith::generate_ntt_prime(50, ntt_n).unwrap(),
-    )
-    .unwrap();
-    let table = cheetah_bfv::ntt::NttTable::new(ntt_n, q).unwrap();
-    let base = PolyBatch::from_fn(ntt_batch, ntt_n, Representation::Coeff, |i, j| {
-        ((i * ntt_n + j) as u64).wrapping_mul(0x9e37_79b9) % q.value()
-    });
-    let mut best_serial = f64::INFINITY;
-    let mut best_parallel = f64::INFINITY;
-    for _ in 0..3 {
-        let mut b = base.clone();
-        let start = Instant::now();
-        batched_forward(&table, &mut b, 1);
-        best_serial = best_serial.min(start.elapsed().as_nanos() as f64);
-        let mut b = base.clone();
-        let start = Instant::now();
-        batched_forward(&table, &mut b, ntt_threads);
-        best_parallel = best_parallel.min(start.elapsed().as_nanos() as f64);
-    }
-    let ntt_speedup = best_serial / best_parallel;
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"degree\": 4096,");
@@ -710,14 +678,6 @@ fn main() {
     let [(la, a), (lb, b)] = conv_points;
     let _ = writeln!(json, "    \"l{la}_conv_packed\": {a:.1},");
     let _ = writeln!(json, "    \"l{lb}_conv_packed\": {b:.1}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"batched_ntt\": {{");
-    let _ = writeln!(json, "    \"n\": {ntt_n},");
-    let _ = writeln!(json, "    \"batch\": {ntt_batch},");
-    let _ = writeln!(json, "    \"threads\": {ntt_threads},");
-    let _ = writeln!(json, "    \"serial_ns\": {best_serial:.0},");
-    let _ = writeln!(json, "    \"parallel_ns\": {best_parallel:.0},");
-    let _ = writeln!(json, "    \"speedup\": {ntt_speedup:.3}");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 

@@ -2,15 +2,12 @@
 //!
 //! Paper reference: cuHE on a GTX 1080-Ti saturates near 120× at batch
 //! 512/1024 (70 % warp occupancy, 85 % warp execution efficiency).
-//! Two reproductions: the SIMT analytical model (no GPU exists here) and a
-//! real multi-threaded batched NTT on host cores (`--measure` to run it).
+//! Reproduced with the SIMT analytical model (no GPU exists here).
 
 use cheetah_bench::heading;
-use cheetah_gpu::batched::measure_batched;
 use cheetah_gpu::simt::{figure8_sweep, CpuSpec, GpuSpec};
 
 fn main() {
-    let measure = std::env::args().any(|a| a == "--measure");
     let verbose = std::env::args().any(|a| a == "--verbose");
 
     heading("Figure 8 — modeled GPU (1080-Ti) batched-NTT speedup over CPU");
@@ -54,29 +51,5 @@ fn main() {
             sat.gpu_s * 1e3,
             sat.cpu_s * 1e3
         );
-    }
-
-    if measure {
-        heading("Measured multi-threaded batched NTT (host-core substitute)");
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        println!("host has {cores} cores; saturation is expected near that count");
-        println!(
-            "{:>8} {:>12} {:>12} {:>9}",
-            "batch", "seq (ms)", "par (ms)", "speedup"
-        );
-        for batch in [1usize, 4, 16, 64, 256] {
-            let p = measure_batched(16384, batch, cores, 7);
-            println!(
-                "{:>8} {:>12.2} {:>12.2} {:>8.2}x",
-                batch,
-                p.sequential_s * 1e3,
-                p.parallel_s * 1e3,
-                p.speedup
-            );
-        }
-    } else {
-        println!("\n(pass --measure to also run the real threaded-NTT measurement)");
     }
 }

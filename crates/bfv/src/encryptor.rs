@@ -196,7 +196,7 @@ impl Encryptor {
 }
 
 /// Decrypts ciphertexts and measures true noise against the secret key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Decryptor {
     params: BfvParams,
     sk: SecretKey,

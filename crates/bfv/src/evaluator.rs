@@ -954,8 +954,7 @@ impl Evaluator {
     }
 
     /// `HE_Rotate` into a caller-owned output ciphertext. Steps wrap
-    /// around the row (`steps ≡ 0 (mod n/2)` degenerates to a copy), the
-    /// same semantics as [`Evaluator::rotate_rows_composed`]. Zero
+    /// around the row (`steps ≡ 0 (mod n/2)` degenerates to a copy). Zero
     /// allocations at steady state.
     ///
     /// # Errors
@@ -1477,16 +1476,6 @@ impl Evaluator {
         Ok(out)
     }
 
-    /// Convenience: encode-free multiplication by an unprepared plaintext.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign operands.
-    pub fn mul_plain_unprepared(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext> {
-        let prepared = self.prepare_plaintext(pt)?;
-        self.mul_plain(a, &prepared)
-    }
-
     /// `HE_Mult` with plaintext decomposition (Gazelle windowing): the
     /// weight plaintext is digit-decomposed in base `W_dcmp` and each digit
     /// multiplies the matching pre-scaled ciphertext from the client's
@@ -1573,8 +1562,7 @@ impl Evaluator {
     ///
     /// Steps wrap around the row: `steps` and `steps mod (n/2)` are the
     /// same rotation (so `row + 1` behaves like `1`, and any multiple of
-    /// the row is the identity) — the same semantics as
-    /// [`Evaluator::rotate_rows_composed`].
+    /// the row is the identity).
     ///
     /// # Errors
     ///
@@ -1609,44 +1597,6 @@ impl Evaluator {
         let mut scratch = self.scratch_guard();
         self.apply_galois_into(&mut out, a, g, keys, &mut scratch)?;
         Ok(out)
-    }
-
-    /// Rotates by an arbitrary step using only power-of-two keys,
-    /// decomposing the step into a sum of powers (≤ log2(n/2) rotations),
-    /// ping-ponging between two ciphertext buffers on the scratch path.
-    /// Costs more noise than a single keyed rotation — used when key
-    /// storage is constrained.
-    ///
-    /// Steps wrap around the row, exactly as in
-    /// [`Evaluator::rotate_rows`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Evaluator::rotate_rows`].
-    pub fn rotate_rows_composed(
-        &self,
-        a: &Ciphertext,
-        steps: i64,
-        keys: &GaloisKeys,
-    ) -> Result<Ciphertext> {
-        let row = self.params.row_size() as i64;
-        let mut remaining = steps.rem_euclid(row);
-        if remaining == 0 {
-            return Ok(a.clone());
-        }
-        let mut cur = a.clone();
-        let mut tmp = Ciphertext::transparent_zero(&self.params);
-        let mut scratch = self.scratch_guard();
-        let mut bit = 1i64;
-        while remaining > 0 {
-            if remaining & 1 == 1 {
-                self.rotate_rows_into(&mut tmp, &cur, bit, keys, &mut scratch)?;
-                std::mem::swap(&mut cur, &mut tmp);
-            }
-            remaining >>= 1;
-            bit <<= 1;
-        }
-        Ok(cur)
     }
 }
 #[cfg(test)]
@@ -1832,22 +1782,6 @@ mod tests {
     }
 
     #[test]
-    fn composed_rotation_matches_direct() {
-        let mut c = ctx(2048, &[1, 2, 4, 8, 16, 11]);
-        let vals: Vec<u64> = (0..c.params.row_size() as u64).collect();
-        let ct = c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap();
-        let direct = c.eval.rotate_rows(&ct, 11, &c.keys).unwrap();
-        let composed = c.eval.rotate_rows_composed(&ct, 11, &c.keys).unwrap();
-        let d1 = c.encoder.decode(&c.dec.decrypt_checked(&direct).unwrap());
-        let d2 = c.encoder.decode(&c.dec.decrypt_checked(&composed).unwrap());
-        assert_eq!(d1, d2);
-        // Composition uses more rotations => more noise.
-        assert!(
-            c.dec.invariant_noise(&composed).unwrap() >= c.dec.invariant_noise(&direct).unwrap()
-        );
-    }
-
-    #[test]
     fn missing_key_is_an_error() {
         let mut c = ctx(2048, &[1]);
         let ct = c.enc.encrypt(&c.encoder.encode(&[1]).unwrap()).unwrap();
@@ -1883,7 +1817,9 @@ mod tests {
         let ct = enc.encrypt(&px).unwrap();
         let wct = enc.encrypt_windowed(&px).unwrap();
 
-        let plain_prod = eval.mul_plain_unprepared(&ct, &pw).unwrap();
+        let plain_prod = eval
+            .mul_plain(&ct, &eval.prepare_plaintext(&pw).unwrap())
+            .unwrap();
         let window_prod = eval.mul_plain_windowed(&wct, &pw).unwrap();
 
         let t = params.plain_modulus();
@@ -2016,7 +1952,7 @@ mod tests {
     #[test]
     fn rotation_steps_wrap_around_the_row() {
         // steps = row + 1 must behave exactly like steps = 1 on the
-        // direct, scratch, composed, and hoisted paths.
+        // direct, scratch, and hoisted paths.
         let mut c = ctx(2048, &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512]);
         let row = c.params.row_size() as i64;
         let vals: Vec<u64> = (0..row as u64).collect();
@@ -2027,15 +1963,10 @@ mod tests {
         assert_eq!(by_one.c0().data(), wrapped.c0().data());
         assert_eq!(by_one.c1().data(), wrapped.c1().data());
 
-        let composed = c.eval.rotate_rows_composed(&ct, row + 1, &c.keys).unwrap();
         let d1 = c.encoder.decode(&c.dec.decrypt_checked(&by_one).unwrap());
-        let d2 = c.encoder.decode(&c.dec.decrypt_checked(&composed).unwrap());
-        assert_eq!(d1, d2);
 
-        // Multiples of the row are the identity everywhere.
+        // Multiples of the row are the identity.
         let ident = c.eval.rotate_rows(&ct, row, &c.keys).unwrap();
-        assert_eq!(ident.c0().data(), ct.c0().data());
-        let ident = c.eval.rotate_rows_composed(&ct, -row, &c.keys).unwrap();
         assert_eq!(ident.c0().data(), ct.c0().data());
 
         let hoisted = c.eval.hoist(&ct).unwrap();

@@ -517,20 +517,6 @@ impl KeyGenerator {
     }
 }
 
-/// Computes the Galois element `3^k mod 2n` realizing a left row-rotation
-/// by `steps` (negative steps rotate right).
-///
-/// Steps wrap around the row: any `steps` with the same
-/// `steps mod (n/2)` maps to the same element, so `row + 1` rotates like
-/// `1` — the shared semantics of [`crate::Evaluator::rotate_rows`] and
-/// [`crate::Evaluator::rotate_rows_composed`]. Computed by
-/// square-and-multiply (`O(log k)` word multiplications, not the `O(k)`
-/// scan that used to cost up to `n/2 − 1` iterations per lookup).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidRotation`] if `steps ≡ 0 (mod n/2)` — the
-/// identity rotation has no Galois element (callers special-case it).
 /// Errors unless `g` is a valid Galois element for degree `n`: odd and in
 /// `1..2n`. Shared by key generation and wire decoding, so a malformed
 /// element is rejected before any permutation table is built.
@@ -542,6 +528,19 @@ pub fn check_galois_element(n: usize, g: u64) -> Result<()> {
     }
 }
 
+/// Computes the Galois element `3^k mod 2n` realizing a left row-rotation
+/// by `steps` (negative steps rotate right).
+///
+/// Steps wrap around the row: any `steps` with the same
+/// `steps mod (n/2)` maps to the same element, so `row + 1` rotates like
+/// `1` — the semantics of [`crate::Evaluator::rotate_rows`]. Computed by
+/// square-and-multiply (`O(log k)` word multiplications, not the `O(k)`
+/// scan that used to cost up to `n/2 − 1` iterations per lookup).
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidRotation`] if `steps ≡ 0 (mod n/2)` — the
+/// identity rotation has no Galois element (callers special-case it).
 pub fn element_for_step(n: usize, steps: i64) -> Result<u64> {
     let row = (n / 2) as i64;
     let k = steps.rem_euclid(row) as u64;

@@ -89,7 +89,6 @@
 //! ```
 
 pub mod arith;
-pub mod batch;
 pub mod ciphertext;
 pub mod encoder;
 pub mod encryptor;
@@ -106,7 +105,6 @@ pub mod scratch;
 pub mod simd;
 pub mod wire;
 
-pub use batch::PolyBatch;
 pub use ciphertext::{Ciphertext, WindowedCiphertext};
 pub use encoder::{BatchEncoder, Plaintext};
 pub use encryptor::{Decryptor, Encryptor};

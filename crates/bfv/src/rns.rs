@@ -17,8 +17,7 @@
 //!   constants. Owned by [`crate::params::BfvParams`]; shared by every
 //!   object in a session.
 //! * [`RnsPoly`] — `l` limb planes in **one contiguous allocation** with
-//!   stride-`n` views (the `PolyBatch` layout from the batched-NTT work),
-//!   so limb loops stream linearly through memory.
+//!   stride-`n` views, so limb loops stream linearly through memory.
 //!
 //! A chain of length 1 is bit-identical to the historical single-modulus
 //! engine: every kernel degenerates to exactly the scalar loop the old
@@ -516,58 +515,6 @@ impl RnsPoly {
             }
             self.repr = Representation::Coeff;
         }
-    }
-
-    /// [`RnsPoly::to_eval`] with the limb planes transformed across up to
-    /// `threads` worker threads (the [`crate::batch::PolyBatch`]
-    /// chunk-per-worker scheme applied to independent limb planes, each
-    /// against its own table). Bit-identical for every thread count;
-    /// `threads <= 1` (or one limb) runs the serial loop.
-    pub fn to_eval_threaded(&mut self, chain: &ModulusChain, threads: usize) {
-        if self.repr == Representation::Coeff {
-            self.transform_planes(chain, threads, false);
-            self.repr = Representation::Eval;
-        }
-    }
-
-    /// [`RnsPoly::to_coeff`] with thread-parallel limb planes (see
-    /// [`RnsPoly::to_eval_threaded`]).
-    pub fn to_coeff_threaded(&mut self, chain: &ModulusChain, threads: usize) {
-        if self.repr == Representation::Eval {
-            self.transform_planes(chain, threads, true);
-            self.repr = Representation::Coeff;
-        }
-    }
-
-    /// Runs one NTT per limb plane, splitting planes into contiguous
-    /// per-worker chunks. Unlike the single-modulus `PolyBatch`, every
-    /// plane uses its own limb's table, so chunks carry their starting limb
-    /// index.
-    fn transform_planes(&mut self, chain: &ModulusChain, threads: usize, inverse: bool) {
-        let (l, n) = (self.limbs, self.n);
-        let run = |limb: usize, plane: &mut [u64]| {
-            if inverse {
-                chain.table(limb).inverse(plane);
-            } else {
-                chain.table(limb).forward(plane);
-            }
-        };
-        if threads <= 1 || l <= 1 {
-            for (i, plane) in self.data.chunks_exact_mut(n).enumerate() {
-                run(i, plane);
-            }
-            return;
-        }
-        let per_worker = l.div_ceil(threads.min(l));
-        std::thread::scope(|scope| {
-            for (w, chunk) in self.data.chunks_mut(per_worker * n).enumerate() {
-                scope.spawn(move || {
-                    for (k, plane) in chunk.chunks_exact_mut(n).enumerate() {
-                        run(w * per_worker + k, plane);
-                    }
-                });
-            }
-        });
     }
 
     /// Drops limb planes past `limbs`, keeping the prefix in place (planes
@@ -1399,23 +1346,6 @@ mod tests {
             ch.mod_switch_in_place(&mut last),
             Err(Error::ParameterMismatch)
         ));
-    }
-
-    #[test]
-    fn threaded_plane_transforms_are_bit_identical() {
-        let ch = chain(128, &[30, 31, 36]);
-        let base = RnsPoly::from_fn(&ch, Representation::Coeff, |i, j| {
-            ((i * 997 + j * 13 + 1) as u64) % ch.modulus(i).value()
-        });
-        let mut serial = base.clone();
-        serial.to_eval(&ch);
-        for threads in [2, 3, 8] {
-            let mut parallel = base.clone();
-            parallel.to_eval_threaded(&ch, threads);
-            assert_eq!(parallel, serial, "forward threads={threads}");
-            parallel.to_coeff_threaded(&ch, threads);
-            assert_eq!(parallel, base, "inverse threads={threads}");
-        }
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl Scratch {
 /// operations.
 ///
 /// `Scratch` owns all of its data, so leases are `Send`: a worker can
-/// carry one across a `crossbeam`/`std::thread` scope boundary.
+/// carry one across a `std::thread::scope` boundary.
 #[derive(Debug)]
 pub struct ScratchPool {
     n: usize,

@@ -66,9 +66,9 @@
 //!
 //! ## Overriding the backend (tests/benches)
 //!
-//! [`force_backend`] pins the calling **thread** to a backend; worker
-//! threads spawned by batched transforms keep the process default, so a
-//! test forcing `Scalar` cannot race a concurrent test forcing `Avx2`.
+//! [`force_backend`] pins the calling **thread** to a backend; every other
+//! thread keeps the process default, so a test forcing `Scalar` cannot
+//! race a concurrent test forcing `Avx2`.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -155,9 +155,9 @@ pub fn current_backend() -> SimdBackend {
 /// CPU supports — see [`clamp`]'s rules — so forcing `Avx512Ifma` on a CPU
 /// without it leaves the thread on `Avx2`, or on `Portable` without that.
 ///
-/// The override is **per thread**: worker threads spawned by
-/// [`crate::PolyBatch`] transforms or the serving pool keep the detected
-/// default. Intended for benches and equivalence tests.
+/// The override is **per thread**: worker threads spawned by the linear
+/// layers or the serving pool keep the detected default. Intended for
+/// benches and equivalence tests.
 pub fn force_backend(backend: Option<SimdBackend>) -> SimdBackend {
     FORCED.with(|f| f.set(backend.map(clamp)));
     current_backend()

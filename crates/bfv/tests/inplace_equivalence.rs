@@ -4,14 +4,9 @@
 //!   independent reference built from the (unchanged, seed-era) `Poly`
 //!   primitives;
 //! * reusing a dirty [`Scratch`] across operations must never change a
-//!   result;
-//! * the contiguous [`PolyBatch`] NTT must be bit-identical across thread
-//!   counts and against the per-polynomial `NttTable` path.
+//!   result.
 
-use cheetah_bfv::arith::{generate_ntt_prime, Modulus};
-use cheetah_bfv::batch::PolyBatch;
-use cheetah_bfv::ntt::NttTable;
-use cheetah_bfv::poly::{Poly, Representation};
+use cheetah_bfv::poly::Poly;
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
     Scratch,
@@ -202,45 +197,4 @@ proptest! {
             prop_assert_eq!(out[i], vals[i + step as usize]);
         }
     }
-
-    #[test]
-    fn batch_ntt_threads_bit_identical(seed in any::<u64>(), log_n in 5u32..9) {
-        let n = 1usize << log_n;
-        let q = Modulus::new(generate_ntt_prime(45, n).unwrap()).unwrap();
-        let table = NttTable::new(n, q).unwrap();
-        let base = PolyBatch::from_fn(6, n, Representation::Coeff, |i, j| {
-            seed.wrapping_mul(0x9e3779b9).wrapping_add((i * n + j) as u64) % q.value()
-        });
-
-        // Reference: the scalar per-polynomial NTT path.
-        let mut expect = base.to_rows();
-        for row in &mut expect {
-            table.forward(row);
-        }
-
-        for threads in [1usize, 2, 4, 7] {
-            let mut batch = base.clone();
-            batch.forward_ntt(&table, threads);
-            for (i, row) in expect.iter().enumerate() {
-                prop_assert_eq!(batch.poly(i), &row[..], "threads={} poly={}", threads, i);
-            }
-            batch.inverse_ntt(&table, threads);
-            prop_assert_eq!(&batch, &base, "roundtrip threads={}", threads);
-        }
-    }
-}
-
-#[test]
-fn composed_rotation_matches_direct_on_scratch_path() {
-    let mut c = ctx(12345);
-    let vals: Vec<u64> = (0..c.encoder.row_size() as u64).collect();
-    let ct = c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap();
-    let mut kg = KeyGenerator::from_seed(c.params.clone(), 12345);
-    let _ = kg.public_key().unwrap();
-    let keys = kg.galois_keys_for_steps(&[1, 2, 4, 8, 11]).unwrap();
-    let direct = c.eval.rotate_rows(&ct, 11, &keys).unwrap();
-    let composed = c.eval.rotate_rows_composed(&ct, 11, &keys).unwrap();
-    let d1 = c.encoder.decode(&c.dec.decrypt_checked(&direct).unwrap());
-    let d2 = c.encoder.decode(&c.dec.decrypt_checked(&composed).unwrap());
-    assert_eq!(d1, d2);
 }

@@ -3,7 +3,7 @@
 //! Both [`super::HomConv2d`] and [`super::HomFc`] are rotate-mul-accumulate
 //! loops whose iterations (one per giant group) are independent until the
 //! final accumulation. [`map_chunks`] splits the group range into contiguous
-//! chunks, runs one worker per chunk via `crossbeam::scope`, and returns
+//! chunks, runs one worker per chunk via `std::thread::scope`, and returns
 //! the per-chunk results **in chunk order**, so the caller's merge is
 //! deterministic: residue arithmetic mod `q` is exact and order-independent,
 //! and the (float) noise-estimate fold always happens in the same order for
@@ -90,19 +90,17 @@ where
     if threads == 1 {
         return ranges.into_iter().map(work).collect();
     }
-    let mut slots: Vec<Option<Result<T>>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    crossbeam::scope(|scope| {
-        for (slot, range) in slots.iter_mut().zip(ranges) {
-            let work = &work;
-            scope.spawn(move |_| *slot = Some(work(range)));
-        }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = ranges
+            .into_iter()
+            .map(|range| scope.spawn(move || work(range)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker thread panicked"))
+            .collect()
     })
-    .expect("worker thread panicked");
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("worker completed"))
-        .collect()
 }
 
 /// Folds per-chunk partial accumulators into one ciphertext, in chunk

@@ -2,16 +2,11 @@
 //!
 //! The paper measures cuHE's NTT on an NVIDIA 1080-Ti and finds speedup
 //! saturating near 120× — far short of the 16384× the limit study demands.
-//! No GPU exists in this environment, so this crate substitutes:
-//!
-//! * [`simt`] — a first-order SIMT analytical model (occupancy ramp,
-//!   64-bit-emulation instruction expansion, memory roofline) calibrated
-//!   to 1080-Ti specifications, regenerating the Fig. 8 curves;
-//! * [`batched`] — a real multi-threaded batched NTT demonstrating the
-//!   same saturation phenomenon on host cores.
+//! No GPU exists in this environment, so this crate substitutes [`simt`]:
+//! a first-order SIMT analytical model (occupancy ramp,
+//! 64-bit-emulation instruction expansion, memory roofline) calibrated
+//! to 1080-Ti specifications, regenerating the Fig. 8 curves.
 
-pub mod batched;
 pub mod simt;
 
-pub use batched::{batched_forward, batched_inverse, measure_batched, MeasuredPoint};
 pub use simt::{figure8_sweep, model_batched_ntt, CpuSpec, GpuSpec, NttPoint};

@@ -25,11 +25,9 @@
 use cheetah_bfv::wire::{
     self, HEADER_BYTES, OFF_FINGERPRINT, OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED,
 };
-use cheetah_bfv::{BfvParams, Error, Result};
+use cheetah_bfv::{BfvParams, Ciphertext, Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::session::PrivateInferenceSession;
 
 /// One corruption class. Every class is a pure function of the target
 /// message and the session parameters — applying the same corruption to
@@ -271,25 +269,27 @@ pub enum FaultOutcome {
 }
 
 /// Runs one corrupted ciphertext message through the full receive path —
-/// wire validation, then measured-noise-gated decryption — and classifies
-/// the outcome against the clean message's decryption.
+/// wire validation against `params`, then `decrypt_slots`, the receiving
+/// client's measured-noise-gated decryption — and classifies the outcome
+/// against the clean message's decryption.
 ///
 /// # Errors
 ///
 /// Errors only on harness misuse: a `clean` reference that itself fails
 /// to decode or decrypt.
 pub fn classify_ciphertext_fault(
-    session: &PrivateInferenceSession,
+    params: &BfvParams,
+    decrypt_slots: impl Fn(&Ciphertext) -> Result<Vec<i64>>,
     clean: &[u8],
     corrupted: &[u8],
 ) -> Result<FaultOutcome> {
-    let reference = wire::decode_ciphertext(clean, session.params())?;
-    let reference_slots = session.decrypt_slots(&reference)?;
-    let ct = match wire::decode_ciphertext(corrupted, session.params()) {
+    let reference = wire::decode_ciphertext(clean, params)?;
+    let reference_slots = decrypt_slots(&reference)?;
+    let ct = match wire::decode_ciphertext(corrupted, params) {
         Err(e) => return Ok(FaultOutcome::Detected(e)),
         Ok(ct) => ct,
     };
-    match session.decrypt_slots(&ct) {
+    match decrypt_slots(&ct) {
         Err(e) => Ok(FaultOutcome::Detected(e)),
         Ok(slots) if slots == reference_slots => Ok(FaultOutcome::Harmless),
         Ok(_) => Ok(FaultOutcome::SilentCorruption),

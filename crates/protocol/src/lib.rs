@@ -7,6 +7,11 @@
 //! hidden from the cloud. Decryption between layers resets the HE noise
 //! budget, which is why the hybrid structure needs no bootstrapping.
 //!
+//! This crate holds what a round is made of — the shared
+//! [`PreparedLayers`], the mask arithmetic, the [`Transcript`] and the
+//! per-layer [`LayerReport`]. The round itself is implemented once, by
+//! the two session halves in `cheetah-serve` ([`session`] describes it).
+//!
 //! The threat model matches Gazelle: both parties are honest but curious
 //! (§II-B). As in the paper, layer counts and shapes leak to the client;
 //! weight *values* do not.
@@ -25,5 +30,5 @@ pub mod transcript;
 
 pub use faults::{classify_ciphertext_fault, Corruption, FaultInjector, FaultOutcome};
 pub use prepared::PreparedLayers;
-pub use session::{LayerReport, PrivateInferenceSession};
+pub use session::LayerReport;
 pub use transcript::{Direction, Transcript};

@@ -1,6 +1,5 @@
-//! Client-side protocol arithmetic shared by the one-party
-//! [`crate::session::PrivateInferenceSession`] and the concurrent serving
-//! layer (`cheetah-serve`): the mod-`t` mask ring operations the simulated
+//! Client-side protocol arithmetic of the session halves in
+//! `cheetah-serve`: the mod-`t` mask ring operations the simulated
 //! garbled circuit computes, and the measured-noise decrypt gate every
 //! client applies before trusting a download.
 

@@ -10,10 +10,9 @@
 //! struct owns no `RefCell`/`Mutex` and every method takes `&self`, so
 //! sharing is lock-free by construction.
 //!
-//! What stays *per client* lives in
-//! [`crate::session::PrivateInferenceSession`] (and in `cheetah-serve`'s
-//! session halves): secret/Galois keys, encryptors, mask RNG streams,
-//! scratch space, and transcripts.
+//! What stays *per client* lives in `cheetah-serve`'s session halves:
+//! secret/Galois keys, encryptors, mask RNG streams, scratch space, and
+//! transcripts.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
@@ -22,7 +21,6 @@ use cheetah_bfv::{
 use cheetah_core::linear::parallel::default_threads;
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::ptune::ChainPlan;
-use cheetah_core::Schedule;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
 use rand::Rng;
@@ -219,21 +217,11 @@ impl PreparedLayers {
     /// picks and splits the network into leading / per-layer nonlinear
     /// bundles.
     ///
-    /// No layer reads `_schedule`: convolutions and FC layers each run one
-    /// kernel. The argument stays only because the frozen
-    /// `bench_e2e/run.rs` driver and the callers that pair a session with
-    /// the analytic Fig. 5/6 schedule pricing still pass one.
-    ///
     /// # Errors
     ///
     /// Propagates BFV errors; fails when a layer does not fit the packing
     /// constraints of [`HomConv2d`] / [`HomFc`].
-    pub fn new(
-        net: &Network,
-        weights: &Weights,
-        params: BfvParams,
-        _schedule: Schedule,
-    ) -> Result<Self> {
+    pub fn new(net: &Network, weights: &Weights, params: BfvParams) -> Result<Self> {
         Self::new_with_levels(net, weights, params, None)
     }
 
@@ -555,9 +543,7 @@ impl PreparedLayers {
     /// `w²` image, the blocks past `c_o` and the second row; they are
     /// blinded all the same, so no layout has to be trusted for it.)
     /// Returns `r` and the packed plaintexts to add, one per output
-    /// ciphertext. Both session
-    /// implementations draw through here, so their streams agree seed for
-    /// seed.
+    /// ciphertext.
     ///
     /// # Errors
     ///

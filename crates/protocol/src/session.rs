@@ -24,15 +24,17 @@
 //! half-gates size model, but no cryptographic garbling happens. Cheetah's
 //! claims are all about the server-side HE compute, which here is real.
 //!
-//! ## Shared prepared state
+//! ## Where the round is implemented
 //!
-//! Everything client-independent — packed weight plaintexts, BSGS /
-//! reduce / level plans, the rotation-step union — lives in an immutable
-//! [`PreparedLayers`] behind an `Arc`. [`PrivateInferenceSession::new`]
-//! builds one privately; [`PrivateInferenceSession::with_prepared`]
-//! attaches a fresh client (keys, encryptors, mask streams, scratch) to an
-//! existing shared model, which is how `cheetah-serve` runs many
-//! concurrent sessions against one preparation.
+//! This module is the protocol's description and its per-layer record,
+//! [`LayerReport`]. The round itself has one implementation, in
+//! `cheetah-serve`: `ClientSession` (steps 1, 3, 4) and `ServerSession`
+//! (step 2), which talk only through validated wire bytes, against an
+//! immutable [`crate::PreparedLayers`] holding everything
+//! client-independent — packed weight plaintexts, BSGS / reduce / level
+//! plans, the rotation-step union. `cheetah_serve::PrivateInferenceSession`
+//! is the one-party façade that holds both halves and runs them in one
+//! call.
 //!
 //! ## Wire formats
 //!
@@ -42,23 +44,8 @@
 //! `live·n·8 + 8`. Downloads have evaluated, non-seeded `c1` components
 //! and stay in the full `2·live·n·8` version-1 format.
 
-use std::sync::Arc;
-
-use cheetah_bfv::{
-    wire, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, GaloisKeys, KeyGenerator,
-    Result, Scratch,
-};
-use cheetah_core::Schedule;
-use cheetah_nn::{Network, Tensor, Weights};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::masking::{add_mod_t, gated_decrypt_slots, sub_mod_t};
-use crate::prepared::PreparedLayers;
-use crate::transcript::{garbled_circuit_bytes, Direction, Transcript};
-
-/// Per-linear-layer record of the last [`PrivateInferenceSession::run`]:
-/// the rotation plan, the level the layer ran at, and the three noise
+/// Per-linear-layer record of a session's current inference: the
+/// rotation plan, the level the layer ran at, and the three noise
 /// views that must nest — `measured ≤ tracked ≤ predicted` — for the
 /// whole-protocol conformance pin.
 #[derive(Debug, Clone)]
@@ -80,693 +67,16 @@ pub struct LayerReport {
     /// ciphertexts (before masking), log2.
     pub tracked_bound_log2: f64,
     /// Worst *measured* invariant noise across the layer's output
-    /// ciphertexts (before masking), log2. `None` unless
-    /// [`PrivateInferenceSession::enable_noise_measurement`] was called —
-    /// measuring costs one true decryption per output ciphertext, which
+    /// ciphertexts (before masking), log2. `None` unless the server half
+    /// was lent a decryptor
+    /// (`cheetah_serve::PrivateInferenceSession::enable_noise_measurement`)
+    /// — measuring costs one true decryption per output ciphertext, which
     /// does not belong on the production inference path.
     pub measured_noise_log2: Option<f64>,
     /// Why the session aborted at this point, when it did: the rendered
-    /// typed error of a rejected wire message or an exhausted noise
-    /// budget. `None` on the healthy path — a run that returns `Err` also
-    /// leaves the fault here, so the caller can see *which* message or
-    /// layer killed the session.
+    /// typed error of a rejected wire message, an exhausted noise budget
+    /// or an upload past the final layer. `None` on the healthy path — a
+    /// run that returns `Err` also leaves the fault here, so the caller
+    /// can see *which* message or layer killed the session.
     pub fault: Option<String>,
-}
-
-/// End-to-end private inference for a small sequential network: one
-/// client's keys, encryptors, mask streams, and scratch attached to a
-/// shared (or private) [`PreparedLayers`].
-///
-/// # Examples
-///
-/// See `examples/private_inference.rs` at the repository root.
-pub struct PrivateInferenceSession {
-    prepared: Arc<PreparedLayers>,
-    keys: GaloisKeys,
-    encryptor: Encryptor,
-    decryptor: Decryptor,
-    mask_rng: StdRng,
-    /// Session-owned scratch pool backing the in-place evaluator calls of
-    /// the protocol loop — steady-state rounds never touch the allocator
-    /// for mask removal or re-masking.
-    scratch: Scratch,
-    /// Setup bytes (seeded pk + galois keys), recorded once.
-    setup_bytes: usize,
-    /// Per-layer plan/noise records of the last [`PrivateInferenceSession::run`].
-    layer_reports: Vec<LayerReport>,
-    /// Whether runs measure true invariant noise for the reports
-    /// (conformance instrumentation; off by default).
-    measure_noise: bool,
-}
-
-impl PrivateInferenceSession {
-    /// Prepares a session: generates keys, prepares every linear layer
-    /// under the given schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates BFV errors; fails when a layer does not fit the packing
-    /// constraints of `HomConv2d` / `HomFc`.
-    pub fn new(
-        net: &Network,
-        weights: &Weights,
-        params: BfvParams,
-        schedule: Schedule,
-        seed: u64,
-    ) -> Result<Self> {
-        let prepared = Arc::new(PreparedLayers::new(net, weights, params, schedule)?);
-        Self::with_prepared(prepared, seed)
-    }
-
-    /// Attaches a fresh client (keys, encryptors, mask streams, scratch)
-    /// to an already-prepared shared model — the multi-session entry
-    /// point: prepare once, call this per client.
-    ///
-    /// # Errors
-    ///
-    /// Propagates BFV key-generation and wire errors.
-    pub fn with_prepared(prepared: Arc<PreparedLayers>, seed: u64) -> Result<Self> {
-        let params = prepared.params().clone();
-        let mut keygen = KeyGenerator::from_seed(params.clone(), seed);
-        // The public key ships seeded — (seed, pk0) instead of (pk0, pk1)
-        // — like every other fresh encryption of this key holder.
-        let (pk, pk_seed) = keygen.public_key_seeded()?;
-        let pk_encoded = wire::encode_public_key_seeded(&pk, pk_seed)?;
-        let keys = keygen.galois_keys_for_steps(prepared.required_steps())?;
-        // Keys plus the seeded public key: all sized by the actual limb
-        // count.
-        let setup_bytes = keys.byte_size(&params) + (pk_encoded.len() - wire::HEADER_BYTES);
-        let scratch = prepared.evaluator().new_scratch();
-
-        Ok(Self {
-            keys,
-            // Uploads are fresh *symmetric* encryptions (c1 = a is pure
-            // PRNG output), which is what makes them seed-compressible.
-            encryptor: Encryptor::from_secret_key(keygen.secret_key().clone(), seed ^ 0x5eed),
-            decryptor: Decryptor::new(keygen.secret_key().clone()),
-            mask_rng: StdRng::seed_from_u64(seed ^ 0xa5a5),
-            scratch,
-            prepared,
-            setup_bytes,
-            layer_reports: Vec::new(),
-            measure_noise: false,
-        })
-    }
-
-    /// The shared prepared model this session runs against.
-    pub fn prepared(&self) -> &Arc<PreparedLayers> {
-        &self.prepared
-    }
-
-    /// Per-layer plan and noise records of the most recent
-    /// [`PrivateInferenceSession::run`] (empty before the first run). The
-    /// conformance suite asserts `measured ≤ tracked ≤ predicted` for
-    /// every layer.
-    pub fn layer_reports(&self) -> &[LayerReport] {
-        &self.layer_reports
-    }
-
-    /// Makes subsequent runs measure each layer's true invariant noise
-    /// into [`LayerReport::measured_noise_log2`]. This is conformance
-    /// instrumentation — the session plays both protocol parties, so it
-    /// *can* decrypt pre-mask outputs — and it costs one real decryption
-    /// per output ciphertext per layer, so it stays off by default.
-    pub fn enable_noise_measurement(&mut self) {
-        self.measure_noise = true;
-    }
-
-    /// The session's parameter set.
-    pub fn params(&self) -> &BfvParams {
-        self.prepared.params()
-    }
-
-    /// The session's Galois key set — exactly the `O(√d)` plan-required
-    /// steps, nothing more (the fault harness probes unplanned steps
-    /// against it).
-    pub fn galois_keys(&self) -> &GaloisKeys {
-        &self.keys
-    }
-
-    /// The session's evaluator.
-    pub fn evaluator(&self) -> &Evaluator {
-        self.prepared.evaluator()
-    }
-
-    /// Client-side decryption to signed slots, gated on the *measured*
-    /// invariant noise budget — the check that makes semantically corrupt
-    /// but structurally valid ciphertexts a typed
-    /// [`Error::NoiseBudgetExhausted`] rather than silent garbage.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NoiseBudgetExhausted`] when the measured budget is gone;
-    /// propagates BFV errors for mismatched parameters.
-    pub fn decrypt_slots(&self, ct: &Ciphertext) -> Result<Vec<i64>> {
-        gated_decrypt_slots(&self.decryptor, self.prepared.encoder(), ct)
-    }
-
-    /// Decodes and validates one incoming ciphertext message at the
-    /// protocol boundary. A rejected message additionally leaves a
-    /// fault-bearing [`LayerReport`] behind, so an aborted session says
-    /// which message killed it.
-    ///
-    /// # Errors
-    ///
-    /// The wire layer's [`Error::Malformed`] / [`Error::ChainMismatch`] /
-    /// [`Error::InvalidLevel`].
-    pub fn decode_boundary(&mut self, label: &str, bytes: &[u8]) -> Result<Ciphertext> {
-        Self::decode_at_boundary(
-            self.prepared.params(),
-            &mut self.layer_reports,
-            label,
-            bytes,
-        )
-    }
-
-    fn decode_at_boundary(
-        params: &BfvParams,
-        reports: &mut Vec<LayerReport>,
-        label: &str,
-        bytes: &[u8],
-    ) -> Result<Ciphertext> {
-        wire::decode_ciphertext(bytes, params).inspect_err(|e| {
-            reports.push(LayerReport {
-                layer: reports.len(),
-                plan: label.to_string(),
-                level: 0,
-                predicted_bound_log2: f64::NAN,
-                tracked_bound_log2: f64::NAN,
-                measured_noise_log2: None,
-                fault: Some(e.to_string()),
-            });
-        })
-    }
-
-    /// Runs a full private inference. Returns the prediction tensor and
-    /// the communication transcript.
-    ///
-    /// # Errors
-    ///
-    /// Propagates BFV errors, including [`Error::NoiseBudgetExhausted`] if
-    /// a layer overflows its noise budget.
-    pub fn run(&mut self, input: &Tensor) -> Result<(Tensor, Transcript)> {
-        self.layer_reports.clear();
-        let prepared = Arc::clone(&self.prepared);
-        let params = prepared.params();
-        let t_mod = *params.plain_modulus();
-        let half_t = (t_mod.value() / 2) as i64;
-
-        let mut transcript = Transcript::new();
-        transcript.record(
-            Direction::ClientToCloud,
-            "setup: pk + galois keys",
-            self.setup_bytes,
-        );
-
-        // Leading nonlinear layers (before any linear layer) run on the
-        // client in the clear — it owns the input.
-        let mut client_act = prepared.apply_leading(input)?;
-        if prepared.linear_count() == 0 {
-            return Ok((client_act, Transcript::new()));
-        }
-
-        // Client state: current (masked) activation. Cloud state: the mask.
-        let mut cloud_mask: Option<Tensor> = None; // r_prev
-
-        for k in 0..prepared.linear_count() {
-            let is_last_linear = k + 1 == prepared.linear_count();
-
-            // 1. Client: pack + encrypt the masked activation, then
-            // serialize — the cloud only ever sees wire bytes, never a
-            // live ciphertext. The encryption is fresh + symmetric, so it
-            // ships seeded: (seed, c0), half the full-format payload.
-            let packed = prepared.pack(k, &client_act)?;
-            let (ct_up, up_seed) = self.encryptor.encrypt_seeded(&packed)?;
-            let encoded = wire::encode_ciphertext_seeded(&ct_up, up_seed)?;
-            let up_bytes = wire::SEED_BYTES + ct_up.byte_size() / 2;
-            check_wire_accounting("ciphertext", encoded.len(), up_bytes)?;
-            let label = format!("enc activations L{k}");
-            transcript.record_with_payload(
-                Direction::ClientToCloud,
-                label.clone(),
-                up_bytes,
-                encoded.clone(),
-            );
-
-            // Cloud: decode + validate before any arithmetic — the seeded
-            // decoder re-expands c1 from the seed and attaches the
-            // fresh-encryption noise estimate (exactly right here:
-            // uploads *are* fresh).
-            let mut ct =
-                Self::decode_at_boundary(params, &mut self.layer_reports, &label, &encoded)?;
-
-            // 2. Cloud: remove its own previous mask homomorphically — in
-            // place, drawing the Δ·mask temporary from the session
-            // scratch pool.
-            if let Some(r) = &cloud_mask {
-                let neg: Vec<i64> = r.data().iter().map(|&v| -v).collect();
-                let neg_t = Tensor::from_data(r.shape(), neg);
-                let neg_packed = prepared.pack(k, &neg_t)?;
-                prepared
-                    .evaluator()
-                    .add_plain_assign(&mut ct, &neg_packed, &mut self.scratch)?;
-            }
-
-            // Cloud: drop the limbs this layer's noise no longer needs —
-            // the whole layer (rotations, multiplications, and the masked
-            // download below) then runs over the live limbs only.
-            // Multi-limb chains are *faster* mid-circuit, not just
-            // roomier.
-            let target = prepared.plan_level(k, ct.noise());
-            if target > ct.level() {
-                prepared.evaluator().mod_switch_to_assign(&mut ct, target)?;
-            }
-
-            // Cloud: HE linear layer.
-            let predicted = prepared.noise_after(k, ct.noise(), ct.level());
-            let outputs = prepared.apply_with_scratch(k, &ct, &self.keys, &mut self.scratch)?;
-
-            // Conformance record. Tracked/predicted bounds are free; the
-            // *measured* invariant noise needs a real decryption per
-            // ciphertext, so it is only taken when instrumentation is
-            // enabled.
-            let mut tracked = f64::NEG_INFINITY;
-            let mut tracked_budget = f64::INFINITY;
-            let mut measured = None;
-            for out_ct in &outputs {
-                tracked = tracked.max(out_ct.noise().bound_log2);
-                tracked_budget = tracked_budget.min(
-                    out_ct
-                        .noise()
-                        .budget_bits_statistical_at(params, out_ct.level()),
-                );
-                if self.measure_noise {
-                    let m = self.decryptor.invariant_noise(out_ct)?;
-                    let m = (m.max(1) as f64).log2();
-                    measured = Some(measured.map_or(m, |prev: f64| prev.max(m)));
-                }
-            }
-            self.layer_reports.push(LayerReport {
-                layer: k,
-                plan: prepared.plan_label(k),
-                level: ct.level(),
-                predicted_bound_log2: predicted.bound_log2,
-                tracked_bound_log2: tracked,
-                measured_noise_log2: measured,
-                fault: None,
-            });
-
-            // Guardrail: abort *before* shipping anything whose tracked
-            // estimate already spent the whole budget — the offending
-            // layer's report carries the fault.
-            if tracked_budget <= 0.0 {
-                if let Some(r) = self.layer_reports.last_mut() {
-                    r.fault = Some(format!(
-                        "tracked noise budget exhausted: \
-                         {tracked_budget:.1} bits left after layer {k}"
-                    ));
-                }
-                return Err(Error::NoiseBudgetExhausted);
-            }
-
-            // Cloud: fresh output mask r (zeros on the final layer — the
-            // prediction belongs to the client) plus uniform blinding on
-            // every slot the output does not occupy.
-            let (mask, mask_pts) = prepared.draw_output_mask(k, &mut self.mask_rng)?;
-            let out_len = mask.len();
-            let mut masked_cts = outputs;
-            for (out_ct, m_pt) in masked_cts.iter_mut().zip(&mask_pts) {
-                prepared
-                    .evaluator()
-                    .add_plain_assign(out_ct, m_pt, &mut self.scratch)?;
-            }
-            // Cloud: serialize the masked outputs. Downloads carry
-            // evaluated c1 components, so they stay in the full v1
-            // format. One transcript record per layer (the byte pin other
-            // suites rely on), its payload the back-to-back wire
-            // messages.
-            let dl_bytes: usize = masked_cts.iter().map(Ciphertext::byte_size).sum();
-            let out_level = masked_cts.first().map_or(0, Ciphertext::level);
-            let mut dl_payload = Vec::new();
-            for mct in &masked_cts {
-                let encoded = wire::encode_ciphertext(mct);
-                check_wire_accounting("ciphertext", encoded.len(), mct.byte_size())?;
-                dl_payload.extend_from_slice(&encoded);
-            }
-            let dl_label = format!("enc masked outputs L{k} lvl{out_level}");
-            transcript.record_with_payload(
-                Direction::CloudToClient,
-                dl_label.clone(),
-                dl_bytes,
-                dl_payload.clone(),
-            );
-
-            // 3. Client: split the bundle, validate each message, decrypt
-            // y + r (gated on the *measured* budget).
-            let parts = wire::split_ciphertext_messages(&dl_payload, params)?;
-            if parts.len() != masked_cts.len() {
-                return Err(Error::Malformed {
-                    what: "ciphertext bundle",
-                    reason: format!(
-                        "download framed {} messages where {} were sent",
-                        parts.len(),
-                        masked_cts.len()
-                    ),
-                });
-            }
-            let mut slot_vecs = Vec::with_capacity(parts.len());
-            for part in parts {
-                let mct =
-                    Self::decode_at_boundary(params, &mut self.layer_reports, &dl_label, part)?;
-                slot_vecs.push(self.decrypt_slots(&mct)?);
-            }
-            let masked_out = prepared.unpack(k, &slot_vecs);
-
-            // 4. Garbled circuit bundle: unmask, run every nonlinear
-            // layer until the next linear one, re-mask.
-            let gc_in = sub_mod_t(&masked_out, &mask, t_mod.value());
-            let gc_out = prepared.apply_bundle(k, &gc_in)?;
-            transcript.record(
-                Direction::CloudToClient,
-                format!("garbled circuit L{k}"),
-                garbled_circuit_bytes(out_len, t_mod.bits()),
-            );
-
-            if is_last_linear {
-                // Done: the GC output is the client's prediction.
-                return Ok((gc_out, transcript));
-            }
-
-            // Fresh client-side mask for the next round (chosen by the
-            // cloud inside the GC).
-            let next_len = gc_out.len();
-            let next_mask_data: Vec<i64> = (0..next_len)
-                .map(|_| self.mask_rng.random_range(-half_t..=half_t))
-                .collect();
-            let next_mask = Tensor::from_data(gc_out.shape(), next_mask_data);
-            client_act = add_mod_t(&gc_out, &next_mask, t_mod.value());
-            cloud_mask = Some(next_mask);
-        }
-        // Unreachable: the loop returns at the last linear layer, and the
-        // zero-linear case returned above. Kept total (panic-free).
-        Ok((client_act, transcript))
-    }
-}
-
-/// Cross-checks an encoded message against the transcript accounting
-/// relation — a wire message is exactly the accounted payload
-/// (`2·live·n·8` for a full ciphertext, `live·n·8 + 8` for a seeded one)
-/// plus the fixed header — before the message ships.
-fn check_wire_accounting(what: &'static str, encoded: usize, accounted: usize) -> Result<()> {
-    if encoded != accounted + wire::HEADER_BYTES {
-        return Err(Error::Malformed {
-            what,
-            reason: format!(
-                "encoder produced {encoded} bytes where accounting expects {accounted} + {} header",
-                wire::HEADER_BYTES
-            ),
-        });
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cheetah_nn::inference::{infer, random_input};
-    use cheetah_nn::models::tiny_cnn;
-
-    fn session_params() -> BfvParams {
-        BfvParams::builder()
-            .degree(4096)
-            .plain_bits(18)
-            .cipher_bits(60)
-            .a_dcmp(1 << 6)
-            .build()
-            .unwrap()
-    }
-
-    /// Same degree/A as [`session_params`], but the 60-bit ciphertext
-    /// modulus is a genuine 2-limb RNS chain of distinct 30-bit primes.
-    /// `t` drops to 16 bits: 30-bit limbs cannot satisfy the Gazelle
-    /// congruence, so the live `(Q mod t)` multiplication rounding term
-    /// needs the extra headroom (tiny-CNN activations fit easily).
-    fn session_params_2_limb() -> BfvParams {
-        BfvParams::builder()
-            .degree(4096)
-            .plain_bits(16)
-            .moduli_bits(&[30, 30])
-            .a_dcmp(1 << 6)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn tiny_cnn_private_inference_matches_plaintext() {
-        let net = tiny_cnn();
-        let weights = Weights::random(&net, 2, 11);
-        let input = random_input(&net.input_shape, 3, 12);
-        let expect = infer(&net, &weights, &input).output;
-
-        let mut session = PrivateInferenceSession::new(
-            &net,
-            &weights,
-            session_params(),
-            Schedule::PartialAligned,
-            77,
-        )
-        .unwrap();
-        let (output, transcript) = session.run(&input).unwrap();
-        assert_eq!(output.data(), expect.data(), "private != plaintext");
-        assert!(transcript.total_bytes() > 0);
-        assert_eq!(transcript.rounds(), 4); // setup + 3 linear layers
-    }
-
-    #[test]
-    fn two_limb_chain_private_inference_matches_plaintext() {
-        // The RNS migration acceptance path: encrypt → conv → decrypt end
-        // to end through the session on a genuine 2-limb chain, with
-        // transcript bytes reflecting the limb count.
-        let net = tiny_cnn();
-        let weights = Weights::random(&net, 2, 51);
-        let input = random_input(&net.input_shape, 3, 52);
-        let expect = infer(&net, &weights, &input).output;
-
-        let params = session_params_2_limb();
-        assert_eq!(params.limbs(), 2);
-        let mut session =
-            PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 77)
-                .unwrap();
-        let (output, transcript) = session.run(&input).unwrap();
-        assert_eq!(output.data(), expect.data(), "2-limb private != plaintext");
-
-        // Every upload ships seeded — seed + one c0 component of `limbs`
-        // live limbs (`limbs·n·8 + 8` bytes): the 2-limb payload is twice
-        // the single-limb payload net of the fixed seed.
-        let mut single = PrivateInferenceSession::new(
-            &net,
-            &weights,
-            session_params(),
-            Schedule::PartialAligned,
-            77,
-        )
-        .unwrap();
-        let (_, transcript_1) = single.run(&input).unwrap();
-        let act_bytes = |t: &Transcript| -> Vec<usize> {
-            t.messages()
-                .iter()
-                .filter(|m| m.label.contains("enc activations"))
-                .map(|m| m.bytes)
-                .collect()
-        };
-        let up2 = act_bytes(&transcript);
-        let up1 = act_bytes(&transcript_1);
-        assert_eq!(up2.len(), up1.len());
-        for (b2, b1) in up2.iter().zip(&up1) {
-            assert_eq!(
-                *b2 - wire::SEED_BYTES,
-                2 * (*b1 - wire::SEED_BYTES),
-                "2-limb seeded upload payload must be twice 1-limb"
-            );
-            assert_eq!(*b2, wire::SEED_BYTES + 2 * 4096 * 8);
-        }
-    }
-
-    /// A 3-limb chain with the session's low decomposition base: deep
-    /// enough that the planner can drop a limb before every layer.
-    fn session_params_3_limb() -> BfvParams {
-        BfvParams::builder()
-            .degree(4096)
-            .plain_bits(17)
-            .moduli_bits(&[36, 36, 36])
-            .a_dcmp(1 << 6)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn leveled_session_drops_limbs_and_matches_plaintext() {
-        // The first feature where multi-limb chains are *faster*
-        // mid-circuit rather than just roomier: a tiny CNN's noise never
-        // needs the full 108-bit ceiling, so the cloud modulus-switches
-        // each layer's input down and runs the layer — and ships the
-        // masked outputs — over fewer live limbs.
-        let net = tiny_cnn();
-        let weights = Weights::random(&net, 2, 71);
-        let input = random_input(&net.input_shape, 3, 72);
-        let expect = infer(&net, &weights, &input).output;
-
-        let params = session_params_3_limb();
-        assert_eq!(params.limbs(), 3);
-        let mut session =
-            PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 77)
-                .unwrap();
-        let (output, transcript) = session.run(&input).unwrap();
-        assert_eq!(output.data(), expect.data(), "leveled private != plaintext");
-
-        // Uploads stay full-level (the client always encrypts fresh) and
-        // seeded: one 3-limb c0 plus the 8-byte seed…
-        for m in transcript
-            .messages()
-            .iter()
-            .filter(|m| m.label.contains("enc activations"))
-        {
-            assert_eq!(m.bytes, wire::SEED_BYTES + 3 * 4096 * 8, "{}", m.label);
-        }
-        // …while every masked download left level 0: the layers ran — and
-        // shipped — at a reduced level, each ciphertext a whole number of
-        // live-limb pairs strictly below the full-level size.
-        let downloads: Vec<_> = transcript
-            .messages()
-            .iter()
-            .filter(|m| m.label.contains("enc masked outputs"))
-            .collect();
-        assert!(!downloads.is_empty());
-        for m in &downloads {
-            assert!(
-                m.label.contains("lvl1") || m.label.contains("lvl2"),
-                "layer stayed at full level: {}",
-                m.label
-            );
-            // A whole number of live-limb ciphertexts (2 components ·
-            // ≤2 live limbs · n · 8 bytes each).
-            assert_eq!(m.bytes % (2 * 4096 * 8), 0);
-        }
-    }
-
-    #[test]
-    fn both_schedules_agree_end_to_end() {
-        let net = tiny_cnn();
-        let weights = Weights::random(&net, 2, 21);
-        let input = random_input(&net.input_shape, 3, 22);
-        let mut pa = PrivateInferenceSession::new(
-            &net,
-            &weights,
-            session_params(),
-            Schedule::PartialAligned,
-            1,
-        )
-        .unwrap();
-        let mut ia = PrivateInferenceSession::new(
-            &net,
-            &weights,
-            session_params(),
-            Schedule::InputAligned,
-            2,
-        )
-        .unwrap();
-        let (out_pa, _) = pa.run(&input).unwrap();
-        let (out_ia, _) = ia.run(&input).unwrap();
-        assert_eq!(out_pa.data(), out_ia.data());
-    }
-
-    #[test]
-    fn sessions_sharing_one_prepared_model_match_private_preparations() {
-        // The serve-layer contract: N clients attached to one shared
-        // Arc<PreparedLayers> produce exactly the outputs and transcripts
-        // they would with private preparations (preparation is
-        // client-independent by construction).
-        let net = tiny_cnn();
-        let weights = Weights::random(&net, 2, 61);
-        let input = random_input(&net.input_shape, 3, 62);
-
-        let shared = Arc::new(
-            PreparedLayers::new(&net, &weights, session_params(), Schedule::PartialAligned)
-                .unwrap(),
-        );
-        // Client seeds this chain's decrypt gate clears: a single 60-bit
-        // limb under an 18-bit `t` leaves fc1 about 0.4 bit of measured
-        // budget (mask removal's `q mod t` wrap term dominates), so on any
-        // layout roughly one seed in ten trips it.
-        for seed in [4u64, 5, 6] {
-            let mut shared_session =
-                PrivateInferenceSession::with_prepared(Arc::clone(&shared), seed).unwrap();
-            let mut private_session = PrivateInferenceSession::new(
-                &net,
-                &weights,
-                session_params(),
-                Schedule::PartialAligned,
-                seed,
-            )
-            .unwrap();
-            let (out_s, tr_s) = shared_session.run(&input).unwrap();
-            let (out_p, tr_p) = private_session.run(&input).unwrap();
-            assert_eq!(out_s.data(), out_p.data());
-            let bytes = |t: &Transcript| t.messages().iter().map(|m| m.bytes).collect::<Vec<_>>();
-            assert_eq!(bytes(&tr_s), bytes(&tr_p));
-        }
-    }
-
-    #[test]
-    fn transcript_grows_with_network_depth() {
-        let net = tiny_cnn();
-        let weights = Weights::random(&net, 2, 31);
-        let input = random_input(&net.input_shape, 3, 32);
-        let mut session = PrivateInferenceSession::new(
-            &net,
-            &weights,
-            session_params(),
-            Schedule::PartialAligned,
-            3,
-        )
-        .unwrap();
-        let (_, transcript) = session.run(&input).unwrap();
-        // setup + (up, down, gc) per linear layer.
-        assert!(transcript.messages().len() > 3 * 3);
-        assert!(transcript.upload_bytes() > 0);
-        assert!(transcript.download_bytes() > 0);
-    }
-
-    #[test]
-    fn masking_keeps_intermediate_values_uniformish() {
-        // The activation the client sees between layers is masked: with a
-        // fresh uniform mask the masked values should not equal the true
-        // activations (probability of collision across a whole tensor is
-        // negligible).
-        let net = tiny_cnn();
-        let weights = Weights::random(&net, 2, 41);
-        let input = random_input(&net.input_shape, 3, 42);
-        let trace = infer(&net, &weights, &input);
-        // Run the protocol and capture the client's masked view indirectly:
-        // the protocol is correct (previous test), and the mask rng is
-        // seeded differently from the weights, so a sanity spot-check on
-        // the final output sufficing here: outputs match but transcript
-        // shows masked rounds happened.
-        let mut session = PrivateInferenceSession::new(
-            &net,
-            &weights,
-            session_params(),
-            Schedule::PartialAligned,
-            99,
-        )
-        .unwrap();
-        let (out, transcript) = session.run(&input).unwrap();
-        assert_eq!(out.data(), trace.output.data());
-        let gc_msgs = transcript
-            .messages()
-            .iter()
-            .filter(|m| m.label.contains("garbled"))
-            .count();
-        assert_eq!(gc_msgs, 3);
-    }
 }

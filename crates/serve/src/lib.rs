@@ -1,8 +1,11 @@
 //! # cheetah-serve — concurrent private-inference serving
 //!
-//! The one-party [`cheetah_protocol::PrivateInferenceSession`] proves the
-//! protocol; this crate runs it at *throughput*: many concurrent client
-//! sessions against **one** prepared model.
+//! The one implementation of the private-inference round
+//! (`cheetah_protocol::session` describes it), run at *throughput*: many
+//! concurrent client sessions against **one** prepared model.
+//! [`PrivateInferenceSession`] is the same two halves held by one caller
+//! — the entry point for tests, examples and harnesses that play both
+//! parties.
 //!
 //! The architecture follows three invariants (see `docs/SERVE.md`):
 //!
@@ -19,7 +22,7 @@
 //!   validated bytes, never as a live object.
 //! * **Batched sweeps over pooled scratch** — [`ServerPool`] coalesces
 //!   same-layer work from different clients into one parallel sweep over
-//!   `crossbeam::scope` workers, each holding a leased
+//!   `std::thread::scope` workers, each holding a leased
 //!   [`cheetah_bfv::ScratchLease`] from a server-level
 //!   [`cheetah_bfv::ScratchPool`] so warm buffers survive across
 //!   sessions.
@@ -37,4 +40,7 @@ pub mod session;
 
 pub use model::PreparedModel;
 pub use pool::{ServerPool, SessionOutcome};
-pub use session::{ClientSession, ClientSetup, LayerDownload, ServerSession, SessionDriver};
+pub use session::{
+    ClientSession, ClientSetup, LayerDownload, PrivateInferenceSession, ServerSession,
+    SessionDriver,
+};

@@ -13,10 +13,10 @@ use cheetah_protocol::PreparedLayers;
 /// shapes (so per-round mask drawing never re-derives shapes).
 ///
 /// Immutability contract: every field is written once in
-/// [`PreparedModel::prepare`] and only ever read afterwards — all methods
-/// take `&self`, there is no interior mutability, and the struct is
-/// shared behind an `Arc`. That is what makes the pool's session sweeps
-/// lock-free on the model side.
+/// [`PreparedModel::from_layers`] and only ever read afterwards — all
+/// methods take `&self`, there is no interior mutability, and the struct
+/// is shared behind an `Arc`. That is what makes the pool's session
+/// sweeps lock-free on the model side.
 pub struct PreparedModel {
     layers: Arc<PreparedLayers>,
     /// `bundle_shapes[k]`: output shape of linear layer `k`'s nonlinear
@@ -25,23 +25,15 @@ pub struct PreparedModel {
 }
 
 impl PreparedModel {
-    /// Prepares a network once for any number of concurrent sessions:
-    /// packs every linear layer's weights, fixes the rotation/level
-    /// plans, and dry-runs each nonlinear bundle on zeros to record its
+    /// Wraps already-prepared layers for any number of concurrent
+    /// sessions, dry-running each nonlinear bundle on zeros to record its
     /// output shape.
     ///
     /// # Errors
     ///
-    /// Propagates preparation errors from
-    /// [`PreparedLayers::new`]; residual networks are rejected here (at
-    /// prepare time) rather than at the first session.
-    pub fn prepare(
-        net: &Network,
-        weights: &Weights,
-        params: BfvParams,
-        schedule: Schedule,
-    ) -> Result<Arc<Self>> {
-        let layers = Arc::new(PreparedLayers::new(net, weights, params, schedule)?);
+    /// Residual networks are rejected here (at prepare time) rather than
+    /// at the first session.
+    pub fn from_layers(layers: Arc<PreparedLayers>) -> Result<Arc<Self>> {
         let bundle_shapes = (0..layers.linear_count())
             .map(|k| layers.bundle_output_shape(k))
             .collect::<Result<Vec<_>>>()?;
@@ -51,9 +43,28 @@ impl PreparedModel {
         }))
     }
 
+    /// Prepares a network once: packs every linear layer's weights and
+    /// fixes the rotation/level plans ([`PreparedLayers::new`]), then
+    /// [`PreparedModel::from_layers`]. `_schedule` is ignored — no layer
+    /// has a schedule to choose — and stays only because the frozen
+    /// `bench_e2e/run.rs` driver passes one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates preparation errors from [`PreparedLayers::new`] and
+    /// [`PreparedModel::from_layers`].
+    pub fn prepare(
+        net: &Network,
+        weights: &Weights,
+        params: BfvParams,
+        _schedule: Schedule,
+    ) -> Result<Arc<Self>> {
+        Self::from_layers(Arc::new(PreparedLayers::new(net, weights, params)?))
+    }
+
     /// Prepares a network from a solver-produced [`ChainPlan`] (HE-PTune
-    /// v2): the plan's chain and schedule drive preparation and its
-    /// per-layer levels cap the runtime level planner — see
+    /// v2): the plan's chain drives preparation and its per-layer levels
+    /// cap the runtime level planner — see
     /// [`PreparedLayers::from_chain_plan`].
     ///
     /// # Errors
@@ -65,14 +76,9 @@ impl PreparedModel {
         weights: &Weights,
         plan: &ChainPlan,
     ) -> Result<Arc<Self>> {
-        let layers = Arc::new(PreparedLayers::from_chain_plan(net, weights, plan)?);
-        let bundle_shapes = (0..layers.linear_count())
-            .map(|k| layers.bundle_output_shape(k))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Arc::new(Self {
-            layers,
-            bundle_shapes,
-        }))
+        Self::from_layers(Arc::new(PreparedLayers::from_chain_plan(
+            net, weights, plan,
+        )?))
     }
 
     /// The shared prepared layers (plans, packed plaintexts, evaluator).

@@ -4,7 +4,7 @@
 //! Scheduling rule (see `docs/SERVE.md`): every live session sits at some
 //! linear-layer index; each scheduling round picks the **lowest pending
 //! layer** and sweeps every session at that layer in one
-//! `crossbeam::scope` fan-out. Same-layer work from different clients
+//! `std::thread::scope` fan-out. Same-layer work from different clients
 //! thus runs back-to-back against the same prepared plaintexts and plans
 //! (warm caches, one pass over the model state), and faulted sessions
 //! simply leave the live set without touching their neighbors.
@@ -97,33 +97,40 @@ impl ServerPool {
         let jobs: Vec<Mutex<&mut SessionDriver>> = batch.into_iter().map(Mutex::new).collect();
         let next = AtomicUsize::new(0);
         let workers = self.workers.min(jobs.len()).max(1);
-        let swept = crossbeam::scope(|s| {
-            for _ in 0..workers {
-                let jobs = &jobs;
-                let next = &next;
-                let pool = &self.scratch;
-                s.spawn(move |_| {
-                    let mut scratch = pool.lease();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
+        // Every handle is joined here, so a worker's panic comes back as
+        // a value instead of re-raising when the scope closes.
+        let panicked = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut scratch = self.scratch.lease();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= jobs.len() {
+                                break;
+                            }
+                            // Each index is claimed exactly once, so the
+                            // lock is always free; a poisoned slot (worker
+                            // died mid-step) is left for the stall guard
+                            // below.
+                            if let Ok(mut driver) = jobs[i].lock() {
+                                driver.step(&mut scratch);
+                            }
                         }
-                        // Each index is claimed exactly once, so the lock
-                        // is always free; a poisoned slot (worker died
-                        // mid-step) is left for the stall guard below.
-                        if let Ok(mut driver) = jobs[i].lock() {
-                            driver.step(&mut scratch);
-                        }
-                    }
-                });
-            }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .filter_map(|handle| handle.join().err())
+                .count()
+                > 0
         });
 
         // A worker panic (a bug below the typed-error boundary) must not
         // hang the scheduler: any session still sitting at this sweep's
         // layer made no progress — fail it rather than spin on it.
-        if swept.is_err() {
+        if panicked {
             for job in &jobs {
                 let mut driver = match job.lock() {
                     Ok(guard) => guard,

@@ -17,7 +17,8 @@ use cheetah_core::{QuantSpec, Schedule};
 use cheetah_nn::inference::{infer, random_input};
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::Weights;
-use cheetah_protocol::{PreparedLayers, PrivateInferenceSession};
+use cheetah_protocol::PreparedLayers;
+use cheetah_serve::PrivateInferenceSession;
 
 fn tiny_cnn_plan(schedule: Schedule) -> ChainPlan {
     // The engine guards every operation with its *worst-case* tracked
@@ -106,13 +107,7 @@ fn planned_levels_cap_the_runtime_level_planner() {
     let plan = tiny_cnn_plan(Schedule::PartialAligned);
 
     let capped = PreparedLayers::from_chain_plan(&net, &weights, &plan).unwrap();
-    let uncapped = PreparedLayers::new(
-        &net,
-        &weights,
-        plan.params.clone(),
-        Schedule::PartialAligned,
-    )
-    .unwrap();
+    let uncapped = PreparedLayers::new(&net, &weights, plan.params.clone()).unwrap();
     assert_eq!(uncapped.planned_levels(), None);
 
     let fresh = NoiseEstimate::fresh(&plan.params);

@@ -12,7 +12,10 @@
 //! * a faulted client (upload corrupted in flight by the fault injector)
 //!   dies with a typed error and a fault-bearing report while its
 //!   neighbors' outputs and transcripts stay bit-identical to a clean
-//!   run.
+//!   run;
+//! * a worker thread that panics mid-sweep fails the session it was
+//!   stepping with a typed error — the pool returns, and the rest of the
+//!   fleet finishes on the surviving workers.
 
 use std::sync::Arc;
 
@@ -22,8 +25,10 @@ use cheetah_nn::inference::{client_inputs, infer};
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::Weights;
 use cheetah_protocol::faults::{Corruption, FaultInjector};
-use cheetah_protocol::{PrivateInferenceSession, Transcript};
-use cheetah_serve::{PreparedModel, ServerPool, SessionDriver};
+use cheetah_protocol::Transcript;
+use cheetah_serve::{
+    PreparedModel, PrivateInferenceSession, ServerPool, SessionDriver, SessionOutcome,
+};
 
 const N: usize = 4096;
 const CLIENTS: usize = 3;
@@ -121,14 +126,9 @@ fn concurrent_sessions_match_serial_runs_and_references_on_all_presets() {
             );
 
             // One-party protocol reference: same seed, same everything.
-            let mut reference = PrivateInferenceSession::new(
-                &net,
-                &weights,
-                params.clone(),
-                Schedule::PartialAligned,
-                BASE_SEED + i as u64,
-            )
-            .unwrap();
+            let mut reference =
+                PrivateInferenceSession::new(&net, &weights, params.clone(), BASE_SEED + i as u64)
+                    .unwrap();
             let (ref_out, ref_transcript) = reference.run(&inputs[i]).unwrap();
             assert_eq!(
                 c_out.data(),
@@ -246,6 +246,20 @@ fn sparse_and_pow2_models_serve_concurrent_clients_exactly() {
     }
 }
 
+/// A failing session's neighbor is bit-identical to its clean run.
+fn assert_neighbor_untouched(i: usize, mixed: &SessionOutcome, clean: &SessionOutcome) {
+    assert_eq!(
+        mixed.result.as_ref().unwrap().data(),
+        clean.result.as_ref().unwrap().data(),
+        "client {i}: neighbor output perturbed by a failing peer"
+    );
+    assert_eq!(
+        transcript_sig(&mixed.transcript),
+        transcript_sig(&clean.transcript),
+        "client {i}: neighbor transcript perturbed by a failing peer"
+    );
+}
+
 #[test]
 fn faulted_client_does_not_perturb_neighbors() {
     let net = tiny_cnn();
@@ -301,17 +315,51 @@ fn faulted_client_does_not_perturb_neighbors() {
                 "faulted transcript must stop early"
             );
         } else {
-            // Neighbors are bit-identical to the clean run.
-            assert_eq!(
-                m.result.as_ref().unwrap().data(),
-                c.result.as_ref().unwrap().data(),
-                "client {i}: neighbor output perturbed by a faulted peer"
+            assert_neighbor_untouched(i, m, c);
+        }
+    }
+}
+
+#[test]
+fn panicking_worker_fails_its_session_and_spares_the_rest() {
+    // A bug below the typed-error boundary, stood in for by a tamper hook
+    // that panics: the sweep joins every worker, sees the panic, and the
+    // stall guard fails the one session that made no progress. Two
+    // workers for three clients, so the survivor has to pick up the rest
+    // of each sweep.
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 424);
+    let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
+    let (_, params) = preset_chains().pop().unwrap(); // rns_3x36
+    let model = PreparedModel::prepare(&net, &weights, params, Schedule::PartialAligned).unwrap();
+    let pool = ServerPool::new(Arc::clone(&model), 2);
+
+    let clean = pool.run(drivers(&model, &inputs));
+
+    let panicking_idx = 1usize;
+    let mut fleet = drivers(&model, &inputs);
+    let doomed = fleet.remove(panicking_idx);
+    fleet.insert(
+        panicking_idx,
+        doomed.with_tamper(Box::new(|layer, _| {
+            assert!(layer != 1, "injected worker panic at layer 1");
+        })),
+    );
+    let mixed = pool.run(fleet);
+
+    assert_eq!(mixed.len(), CLIENTS);
+    for (i, (m, c)) in mixed.iter().zip(&clean).enumerate() {
+        if i == panicking_idx {
+            let err = m.result.as_ref().unwrap_err();
+            assert!(
+                err.to_string().contains("stalled"),
+                "unexpected error for the panicked session: {err}"
             );
-            assert_eq!(
-                transcript_sig(&m.transcript),
-                transcript_sig(&c.transcript),
-                "client {i}: neighbor transcript perturbed by a faulted peer"
-            );
+            // Layer 0 completed before the panic; layer 1 never reached
+            // the server.
+            assert_eq!(m.reports.len(), 1);
+        } else {
+            assert_neighbor_untouched(i, m, c);
         }
     }
 }

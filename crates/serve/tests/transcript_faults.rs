@@ -19,14 +19,13 @@
 
 use cheetah_bfv::wire;
 use cheetah_bfv::{BfvParams, Error};
-use cheetah_core::Schedule;
 use cheetah_nn::inference::random_input;
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::{Network, Weights};
 use cheetah_protocol::faults::{
     classify_ciphertext_fault, Corruption, FaultInjector, FaultOutcome,
 };
-use cheetah_protocol::PrivateInferenceSession;
+use cheetah_serve::PrivateInferenceSession;
 
 const N: usize = 4096;
 
@@ -74,9 +73,7 @@ fn recorded_session(
 ) -> (PrivateInferenceSession, Vec<(String, Vec<u8>)>) {
     let weights = Weights::random(net, 2, 611);
     let input = random_input(&net.input_shape, 3, 612);
-    let mut session =
-        PrivateInferenceSession::new(net, &weights, params.clone(), Schedule::PartialAligned, 77)
-            .unwrap();
+    let mut session = PrivateInferenceSession::new(net, &weights, params.clone(), 77).unwrap();
     let (_, transcript) = session.run(&input).unwrap();
 
     // Every recorded payload, split into individual wire messages (a
@@ -169,7 +166,9 @@ fn run_fault_matrix(name: &str, params: BfvParams) {
                 // already present — nothing was corrupted.
                 continue;
             }
-            match classify_ciphertext_fault(&session, clean, &mutant).unwrap() {
+            match classify_ciphertext_fault(&params, |ct| session.decrypt_slots(ct), clean, &mutant)
+                .unwrap()
+            {
                 FaultOutcome::Detected(_) => detected += 1,
                 FaultOutcome::Harmless => harmless += 1,
                 FaultOutcome::SilentCorruption => panic!(

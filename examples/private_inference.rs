@@ -5,11 +5,10 @@
 //! Run with: `cargo run --release --example private_inference`
 
 use cheetah::bfv::BfvParams;
-use cheetah::core::Schedule;
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::models::tiny_cnn;
 use cheetah::nn::Weights;
-use cheetah::protocol::PrivateInferenceSession;
+use cheetah::serve::PrivateInferenceSession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The cloud's model (weights private to the cloud) and the client's
@@ -36,8 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .a_dcmp(1 << 4)
         .build()?;
 
-    let mut session =
-        PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 99)?;
+    let mut session = PrivateInferenceSession::new(&net, &weights, params, 99)?;
     let (output, transcript) = session.run(&input)?;
 
     // The reference plaintext inference the client could NOT run (it does

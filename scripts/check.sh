@@ -34,6 +34,21 @@ if git grep -nE 'fma_pointwise_prefix|fma_pow2' -- crates src tests examples; th
     exit 1
 fi
 
+echo "==> one-session gate"
+# A protocol round has one implementation, the session halves in
+# crates/serve (PrivateInferenceSession is a façade over them): only the
+# function itself and ServerSession::process_upload may draw a download
+# mask. The crossbeam shim and the host-thread "GPU" NTT stay deleted.
+mask_drawers=$(git grep -l 'draw_output_mask(' -- crates/protocol/src crates/serve/src | sort | tr '\n' ' ')
+if [[ "$mask_drawers" != "crates/protocol/src/prepared.rs crates/serve/src/session.rs " ]]; then
+    echo "FAIL: draw_output_mask( is called outside the one server round: $mask_drawers"
+    exit 1
+fi
+if git grep -n 'crossbeam\|PolyBatch' -- crates src tests examples Cargo.toml; then
+    echo "FAIL: the crossbeam shim or PolyBatch is back (see matches above)"
+    exit 1
+fi
+
 echo "==> one-dispatcher gate"
 # Explicit vector intrinsics stay behind cheetah_bfv::simd's dispatcher
 # (runtime detection, the bit-identity contract, the scalar reference).
@@ -253,7 +268,7 @@ done
 echo "==> fault-injection smoke (fixed seed)"
 # A second fixed seed on top of the suite's built-in default, so the gate
 # replays a different deterministic corruption draw than plain `cargo test`.
-FAULT_SEED=20260808 cargo test -q -p cheetah-protocol --test transcript_faults
+FAULT_SEED=20260808 cargo test -q -p cheetah-serve --test transcript_faults
 
 echo "==> multi-client serving smoke (fixed-seed fleet, fault containment)"
 # Deterministic multi-client fleet through the server pool: a faulted

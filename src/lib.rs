@@ -13,11 +13,14 @@
 //!   (analytical, and on real ciphertexts in the packed convolution and
 //!   the bare dot products; the FC layer is one BSGS kernel whose baby
 //!   widths 1 and `d` are the two schedules' orders);
-//! * [`protocol`] — the Gazelle-style client/cloud private-inference
-//!   round-trip with masking and a simulated garbled circuit;
+//! * [`protocol`] — what a Gazelle-style client/cloud round is made of:
+//!   prepared layers, masking, transcripts, the fault harness;
+//! * [`serve`] — the round itself, as a client half and a server half
+//!   that talk through validated wire bytes, the pool that runs many
+//!   sessions against one prepared model, and
+//!   [`serve::PrivateInferenceSession`], both halves in one value;
 //! * [`profile`] — kernel profiling and the Fig. 7 limit study;
-//! * [`gpu`] — the Fig. 8 GPU batched-NTT study (SIMT model + threaded
-//!   host substitute);
+//! * [`gpu`] — the Fig. 8 GPU batched-NTT study (the SIMT model);
 //! * [`accel`] — the accelerator architecture: HLS-style kernel cost
 //!   models, per-kernel DSE, and the PE/Lane simulator.
 //!
@@ -38,10 +41,6 @@
 //!   perform **zero heap allocations at steady state** (enforced by a
 //!   counting-allocator test). The classic allocating API still exists as
 //!   thin wrappers over the same kernels.
-//! * **Contiguous batches** — [`bfv::PolyBatch`] stores a batch of
-//!   polynomials in one contiguous allocation with stride-`n` views and
-//!   runs forward/inverse NTTs across worker threads, bit-identically to
-//!   the serial path for any thread count.
 //! * **Parallel linear layers** — `core`'s `HomConv2d` / `HomFc` each have
 //!   one `apply(input, eval, keys, threads)` that splits its giant
 //!   groups' multiply-accumulate loops into per-thread chunks, combines
@@ -55,8 +54,7 @@
 //!
 //! `cargo run --release -p cheetah-bench --bin bench_he_ops` emits
 //! `BENCH_he_ops.json` with ns/op for the three operators (allocating vs
-//! in-place) and the batched NTT, making the perf trajectory
-//! machine-readable across PRs.
+//! in-place), making the perf trajectory machine-readable across PRs.
 //!
 //! ```
 //! use cheetah::bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator};

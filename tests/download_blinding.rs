@@ -24,8 +24,8 @@ use cheetah::core::Schedule;
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::{Layer, Network, Weights};
 use cheetah::protocol::masking::center;
-use cheetah::protocol::{PrivateInferenceSession, Transcript};
-use cheetah::serve::{PreparedModel, ServerPool, SessionDriver};
+use cheetah::protocol::Transcript;
+use cheetah::serve::{PreparedModel, PrivateInferenceSession, ServerPool, SessionDriver};
 
 fn params() -> BfvParams {
     BfvParams::preset_rns_3x36(4096).unwrap()
@@ -150,9 +150,7 @@ fn both_sessions(net: &Network, weights: &Weights, seed: u64) -> [Vec<(Vec<i64>,
     let input = random_input(&net.input_shape, 3, 40 + seed);
     let expect = infer(net, weights, &input).output;
 
-    let mut one_party =
-        PrivateInferenceSession::new(net, weights, params(), Schedule::PartialAligned, seed)
-            .unwrap();
+    let mut one_party = PrivateInferenceSession::new(net, weights, params(), seed).unwrap();
     let (out, one_party_transcript) = one_party.run(&input).unwrap();
     assert_eq!(out.data(), expect.data());
 

@@ -12,7 +12,7 @@ use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::models;
 use cheetah::nn::{Layer, Network, Tensor, Weights};
 use cheetah::profile::{limit_study, network_breakdown, KernelTimer};
-use cheetah::protocol::PrivateInferenceSession;
+use cheetah::serve::PrivateInferenceSession;
 
 fn tuned(
     net: &cheetah::nn::Network,
@@ -34,26 +34,23 @@ fn tuned(
 }
 
 #[test]
-fn private_inference_matches_plaintext_for_both_schedules() {
+fn private_inference_matches_plaintext() {
     let net = models::tiny_cnn();
     let weights = Weights::random(&net, 2, 808);
     let input = random_input(&net.input_shape, 3, 809);
     let expect = infer(&net, &weights, &input).output;
 
-    for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
-        let params = BfvParams::builder()
-            .degree(4096)
-            .plain_bits(18)
-            .cipher_bits(60)
-            .a_dcmp(1 << 6)
-            .build()
-            .unwrap();
-        let mut session =
-            PrivateInferenceSession::new(&net, &weights, params, schedule, 4242).unwrap();
-        let (out, transcript) = session.run(&input).unwrap();
-        assert_eq!(out.data(), expect.data(), "{schedule}");
-        assert!(transcript.total_bytes() > 0);
-    }
+    let params = BfvParams::builder()
+        .degree(4096)
+        .plain_bits(18)
+        .cipher_bits(60)
+        .a_dcmp(1 << 6)
+        .build()
+        .unwrap();
+    let mut session = PrivateInferenceSession::new(&net, &weights, params, 4242).unwrap();
+    let (out, transcript) = session.run(&input).unwrap();
+    assert_eq!(out.data(), expect.data());
+    assert!(transcript.total_bytes() > 0);
 }
 
 #[test]
@@ -77,8 +74,7 @@ fn unsupported_zoo_shapes_are_typed_errors_at_prepare_time() {
             params.clone(),
             Schedule::PartialAligned,
         );
-        let session =
-            PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 1);
+        let session = PrivateInferenceSession::new(&net, &weights, params, 1);
         for refused in [served.map(|_| ()), session.map(|_| ())] {
             assert!(
                 matches!(refused, Err(cheetah::bfv::Error::Unsupported(why)) if why.contains(refusal)),
@@ -101,9 +97,7 @@ fn lenet300_pads_its_inputs_and_matches_plaintext() {
     let expect = infer(&net, &weights, &input).output;
     let params = BfvParams::preset_rns_3x36(4096).unwrap();
 
-    let mut session =
-        PrivateInferenceSession::new(&net, &weights, params.clone(), Schedule::PartialAligned, 1)
-            .unwrap();
+    let mut session = PrivateInferenceSession::new(&net, &weights, params.clone(), 1).unwrap();
     let (out, _) = session.run(&input).unwrap();
     assert_eq!(out.data(), expect.data(), "one-party session");
     for (report, (ni, no)) in
@@ -150,8 +144,7 @@ fn oversized_and_mismatched_convs_are_typed_errors_at_prepare_time() {
             params.clone(),
             Schedule::PartialAligned,
         );
-        let session =
-            PrivateInferenceSession::new(net, weights, params.clone(), Schedule::PartialAligned, 1);
+        let session = PrivateInferenceSession::new(net, weights, params.clone(), 1);
         [served.map(|_| ()), session.map(|_| ())]
     };
     let wide = conv_net(40);

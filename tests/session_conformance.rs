@@ -21,11 +21,11 @@
 
 use cheetah::bfv::BfvParams;
 use cheetah::core::linear::FcPlan;
-use cheetah::core::{FcStructure, HeCostParams, Schedule};
+use cheetah::core::{FcStructure, HeCostParams};
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::models::tiny_cnn;
 use cheetah::nn::{LinearLayer, Weights};
-use cheetah::protocol::PrivateInferenceSession;
+use cheetah::serve::PrivateInferenceSession;
 
 const N: usize = 4096;
 
@@ -80,14 +80,7 @@ fn tiny_cnn_conformance_on_all_preset_chains() {
 
     for (name, params) in preset_chains() {
         let limbs = params.limbs();
-        let mut session = PrivateInferenceSession::new(
-            &net,
-            &weights,
-            params.clone(),
-            Schedule::PartialAligned,
-            7,
-        )
-        .unwrap();
+        let mut session = PrivateInferenceSession::new(&net, &weights, params.clone(), 7).unwrap();
         // Conformance instrumentation: measure true invariant noise per
         // layer (off by default — it costs a decryption per ciphertext).
         session.enable_noise_measurement();
@@ -194,14 +187,12 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
     for (name, params) in preset_chains() {
         let dense_steps = {
             let dense = Weights::random(&net, 2, 2024);
-            PreparedLayers::new(&net, &dense, params.clone(), Schedule::PartialAligned)
+            PreparedLayers::new(&net, &dense, params.clone())
                 .unwrap()
                 .required_steps()
                 .len()
         };
-        let prepared = Arc::new(
-            PreparedLayers::new(&net, &weights, params.clone(), Schedule::PartialAligned).unwrap(),
-        );
+        let prepared = Arc::new(PreparedLayers::new(&net, &weights, params.clone()).unwrap());
         assert!(
             prepared.required_steps().len() < dense_steps,
             "{name}: sparse keygen must shrink ({} vs dense {dense_steps})",
@@ -230,9 +221,7 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
             );
         }
 
-        let mut session =
-            cheetah::protocol::PrivateInferenceSession::with_prepared(Arc::clone(&prepared), 7)
-                .unwrap();
+        let mut session = PrivateInferenceSession::with_prepared(Arc::clone(&prepared), 7).unwrap();
         let (output, transcript) = session.run(&input).unwrap();
         assert_eq!(
             output.data(),
@@ -253,8 +242,7 @@ fn deep_chain_ships_reduced_levels_with_consistent_reports() {
     let (_, params) = preset_chains().pop().unwrap();
     assert_eq!(params.limbs(), 3);
 
-    let mut session =
-        PrivateInferenceSession::new(&net, &weights, params, Schedule::PartialAligned, 11).unwrap();
+    let mut session = PrivateInferenceSession::new(&net, &weights, params, 11).unwrap();
     let (output, transcript) = session.run(&input).unwrap();
     assert_eq!(output.data(), infer(&net, &weights, &input).output.data());
 
