@@ -43,7 +43,18 @@
 //! control). The unsuffixed keys are **pinned to the scalar backend** so
 //! their history stays comparable across the SIMD work; the `_simd` twins
 //! run whatever `cheetah_bfv::simd::detect()` picks — named in the header's
-//! `simd_backend` — as does every other key.
+//! `simd_backend` — as does every other key without a suffix; an `_avx2`
+//! twin is its key under the forced AVX2 lanes, the best backend below
+//! the IFMA kernels. Those twins sit where an IFMA kernel *is* the op:
+//! `l{1,2,3}_rotate_hoisted_avx2` (a digit-chain replay is transform-free —
+//! it is the lazy inner product and nothing else; `l1`, a 60-bit limb,
+//! falls through and reads the same on both) and the unit costs of the
+//! three constant-multiply loops on the 36-bit presets, `decompose`
+//! (`rns_decompose_into`, `rns_3x36`), `hybrid_decompose`
+//! (`hybrid_decompose_into`, `hybrid_2x36`) and `rescale` (the `P`-rescale:
+//! `mod_switch_in_place` on `hybrid_2x36`'s key-switch chain, restoring
+//! the dropped plane — a 32 KiB copy — included), each with its `_avx2`
+//! twin. `scripts/check.sh` gates three of the pairs.
 //!
 //! Run: `cargo run --release -p cheetah-bench --bin bench_he_ops [out.json]`
 //!
@@ -55,10 +66,11 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use cheetah_bfv::poly::Representation;
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Encryptor, Evaluator, GaloisKeys, HoistedDecomposition,
-    KeyGenerator, PreparedPlaintext, Scratch,
+    KeyGenerator, PreparedPlaintext, RnsPoly, Scratch,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::{BsgsPlan, FcStructure, HeCostParams};
@@ -90,6 +102,11 @@ fn with_backend<T>(b: Option<SimdBackend>, f: impl FnOnce() -> T) -> T {
     let out = f();
     simd::force_backend(None);
     out
+}
+
+/// `f` timed under the detected backend and under the forced AVX2 lanes.
+fn detected_and_avx2(mut f: impl FnMut()) -> [f64; 2] {
+    [None, Some(SimdBackend::Avx2)].map(|b| with_backend(b, || time_ns(&mut f)))
 }
 
 struct Ctx {
@@ -158,6 +175,8 @@ struct LimbPoint {
     /// The same rotation under the runtime-detected backend.
     rotate_simd: f64,
     rotate_hoisted: f64,
+    /// The same replay under the forced AVX2 lanes.
+    rotate_hoisted_avx2: f64,
     /// `Some((mod_switch_ns, rotate_level1_ns))` for chains with a level
     /// to drop to.
     leveled: Option<(f64, f64)>,
@@ -219,7 +238,7 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
     c.eval
         .hoist_into(&mut hoisted, &c.ct, &mut scratch)
         .unwrap();
-    let rotate_hoisted = time_ns(|| {
+    let [rotate_hoisted, rotate_hoisted_avx2] = detected_and_avx2(|| {
         c.eval
             .rotate_hoisted_into(
                 &mut out,
@@ -254,8 +273,57 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
         rotate,
         rotate_simd,
         rotate_hoisted,
+        rotate_hoisted_avx2,
         leveled,
     }
+}
+
+/// Unit costs of the three constant-multiply loops on the 36-bit presets,
+/// each as `[detected, forced AVX2 lanes]`: the digit decomposition of a
+/// level-0 `rns_3x36` polynomial, the hybrid decomposition of a level-0
+/// `hybrid_2x36` one, and the `P`-rescale of one accumulator on its
+/// key-switch chain (with the 32 KiB copy that puts the dropped plane
+/// back).
+fn constant_multiply_points() -> [[f64; 2]; 3] {
+    let residues = |chain: &cheetah_bfv::ModulusChain, limbs: usize| {
+        let n = chain.degree() as u64;
+        let data = (0..limbs as u64 * n)
+            .map(|k| {
+                let q = chain.modulus((k / n) as usize).value();
+                k.wrapping_mul(0x9e37_79b9_7f4a_7c15) % q
+            })
+            .collect();
+        RnsPoly::from_data(data, limbs, n as usize, Representation::Coeff)
+    };
+    let digit = BfvParams::preset_rns_3x36(4096).unwrap();
+    let chain = digit.chain();
+    let src = residues(chain, chain.limbs());
+    let mut digits = vec![RnsPoly::zero(chain, Representation::Coeff); digit.l_ct_at(0)];
+    let decompose = detected_and_avx2(|| {
+        black_box(&src)
+            .rns_decompose_into(digit.a_dcmp(), chain, &mut digits)
+            .unwrap();
+    });
+
+    let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
+    let (chain, ks) = (hybrid.chain(), hybrid.ks_chain_at(0));
+    let src = residues(chain, chain.limbs());
+    let mut digits = vec![RnsPoly::zero(ks, Representation::Coeff); hybrid.ks_digits_at(0)];
+    let hybrid_decompose = detected_and_avx2(|| {
+        black_box(&src)
+            .hybrid_decompose_into(chain, ks, &mut digits)
+            .unwrap();
+    });
+
+    let raised = residues(ks, ks.limbs());
+    let special = ks.limbs() - 1;
+    let mut acc = raised.clone();
+    let rescale = detected_and_avx2(|| {
+        acc.resize_limbs(ks.limbs());
+        acc.limb_mut(special).copy_from_slice(raised.limb(special));
+        ks.mod_switch_in_place(black_box(&mut acc)).unwrap();
+    });
+    [decompose, hybrid_decompose, rescale]
 }
 
 /// FC-layer timings on one multi-limb preset: the auto plan vs the
@@ -522,6 +590,9 @@ fn main() {
         })
     };
 
+    // --- The constant-multiply loops: detected backend vs forced AVX2 ---
+    let [decompose, hybrid_decompose, rescale] = constant_multiply_points();
+
     // --- Modulus switching: one dropped limb on a 2-limb chain ---
     let mod_switch = {
         let c2 = ctx_for(BfvParams::preset_rns_2x30(4096).unwrap());
@@ -599,6 +670,14 @@ fn main() {
     let _ = writeln!(json, "    \"hoist_hybrid\": {hoist_hybrid:.1},");
     let _ = writeln!(json, "    \"rotate_hoisted\": {rotate_hoisted:.1},");
     let _ = writeln!(json, "    \"mod_switch\": {mod_switch:.1},");
+    for (name, [detected, avx2]) in [
+        ("decompose", decompose),
+        ("hybrid_decompose", hybrid_decompose),
+        ("rescale", rescale),
+    ] {
+        let _ = writeln!(json, "    \"{name}\": {detected:.1},");
+        let _ = writeln!(json, "    \"{name}_avx2\": {avx2:.1},");
+    }
     let _ = writeln!(json, "    \"ntt\": {ntt:.1},");
     let _ = writeln!(json, "    \"ntt_avx2\": {ntt_avx2:.1},");
     let _ = writeln!(json, "    \"ntt_simd\": {ntt_simd:.1},");
@@ -618,23 +697,19 @@ fn main() {
         );
         let _ = writeln!(json, "    \"l{limbs}_rotate\": {:.1},", p.rotate);
         let _ = writeln!(json, "    \"l{limbs}_rotate_simd\": {:.1},", p.rotate_simd);
-        match p.leveled {
-            Some((ms, r1)) => {
-                let _ = writeln!(
-                    json,
-                    "    \"l{limbs}_rotate_hoisted\": {:.1},",
-                    p.rotate_hoisted
-                );
-                let _ = writeln!(json, "    \"l{limbs}_mod_switch\": {ms:.1},");
-                let _ = writeln!(json, "    \"l{limbs}_rotate_level1\": {r1:.1}{trail}");
-            }
-            None => {
-                let _ = writeln!(
-                    json,
-                    "    \"l{limbs}_rotate_hoisted\": {:.1}{trail}",
-                    p.rotate_hoisted
-                );
-            }
+        let _ = writeln!(
+            json,
+            "    \"l{limbs}_rotate_hoisted\": {:.1},",
+            p.rotate_hoisted
+        );
+        let _ = writeln!(
+            json,
+            "    \"l{limbs}_rotate_hoisted_avx2\": {:.1}{trail}",
+            p.rotate_hoisted_avx2
+        );
+        if let Some((ms, r1)) = p.leveled {
+            let _ = writeln!(json, "    \"l{limbs}_mod_switch\": {ms:.1},");
+            let _ = writeln!(json, "    \"l{limbs}_rotate_level1\": {r1:.1}{trail}");
         }
     }
     let _ = writeln!(json, "    \"l2_rotate_hybrid\": {l2_rotate_hybrid:.1},");

@@ -230,8 +230,18 @@ impl Modulus {
     /// Reduces a signed integer into `[0, q)`.
     #[inline]
     pub fn from_signed(&self, a: i64) -> u64 {
-        let q = self.value as i128;
-        (a as i128).rem_euclid(q) as u64
+        // The magnitude's residue, under the sign: no 128-bit division.
+        let mag = a.unsigned_abs();
+        let r = if mag < self.value {
+            mag
+        } else {
+            self.reduce(mag)
+        };
+        if a < 0 && r != 0 {
+            self.value - r
+        } else {
+            r
+        }
     }
 }
 

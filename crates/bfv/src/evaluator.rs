@@ -32,8 +32,9 @@
 //! `Σ_j d_j ⊙ (k0_j, k1_j)`, and so is a linear layer's group sum
 //! `Σ_k (c0_k, c1_k) ⊙ m_k` ([`Evaluator::mul_plain_accumulate_many`]).
 //! Both run as **one lazy pass** per limb plane
-//! ([`RnsPoly::dot_pair_prefix`]): the 128-bit products of all terms are
-//! added unreduced and each coefficient is Barrett-reduced once, the two
+//! ([`RnsPoly::dot_pair_prefix`]): the products of all terms are added
+//! unreduced — in `u128`, or on the AVX-512 IFMA multiplier in two `u64`
+//! rows — and each coefficient is reduced once, the two
 //! outputs sharing the pass over the common operand, instead of one
 //! reduction and one modular add per term. The residues written are the
 //! canonical ones the term-by-term path writes — no ciphertext bit, op
@@ -1345,12 +1346,22 @@ impl Evaluator {
         self.hoist_into(hoisted, a, scratch)?;
         outs.truncate(steps.len());
         while outs.len() < steps.len() {
-            outs.push(scratch.take_ct(&self.params, a.level()));
+            outs.push(self.lease_dirty_ct(a.live_limbs(), scratch));
         }
         for (out, &step) in outs.iter_mut().zip(steps) {
             self.rotate_hoisted_into(out, a, hoisted, step, keys, scratch)?;
         }
         Ok(())
+    }
+
+    /// A ciphertext of `live` planes leased from `scratch` **unzeroed**
+    /// (return it with [`Scratch::put_ct`]): for an output the next
+    /// operation overwrites whole, where [`Scratch::take_ct`]'s zero-fill
+    /// of both components would be a dead `memset`.
+    fn lease_dirty_ct(&self, live: usize, scratch: &mut Scratch) -> Ciphertext {
+        let c0 = scratch.take_poly_limbs(live, Representation::Eval);
+        let c1 = scratch.take_poly_limbs(live, Representation::Eval);
+        Ciphertext::new(c0, c1, self.params.clone(), NoiseEstimate::zero())
     }
 
     /// Allocating wrapper over [`Evaluator::rotate_hoisted_into`].

@@ -53,11 +53,12 @@
 //!
 //! ## Kernels
 //!
-//! Every NTT butterfly and pointwise residue loop dispatches at runtime
-//! through [`simd`] to one of four backends — the scalar reference
-//! (forced only), portable lanes, AVX2 lanes, or the AVX2 lanes plus an
-//! explicit AVX-512 IFMA NTT for limbs under `2^50` — which differ in
-//! speed and never in an output bit (`docs/SIMD.md`).
+//! Every NTT butterfly, pointwise residue loop, inner product and
+//! per-limb constant multiply dispatches at runtime through [`simd`] to
+//! one of four backends — the scalar reference (forced only), portable
+//! lanes, AVX2 lanes, or the AVX2 lanes plus explicit AVX-512 IFMA kernels
+//! (NTT, lazy inner product, constant multiplier) for limbs under `2^50`
+//! — which differ in speed and never in an output bit (`docs/SIMD.md`).
 //!
 //! ## Quick start
 //!

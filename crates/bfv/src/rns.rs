@@ -256,19 +256,12 @@ impl ModulusChain {
         if live < 2 || live > self.limbs() || n != self.degree() {
             return Err(Error::ParameterMismatch);
         }
-        let q_last = *self.modulus(live - 1);
-        let half = q_last.value() >> 1;
+        let q_last = self.modulus(live - 1);
         let (head, tail) = p.data.split_at_mut((live - 1) * n);
         let last = &tail[..n];
         for (i, plane) in head.chunks_exact_mut(n).enumerate() {
-            let q_i = self.modulus(i);
             let inv = self.inner.drop_inv[live - 1][i];
-            let half_i = q_i.reduce(half);
-            for (x, &cl) in plane.iter_mut().zip(last) {
-                let b_last = q_last.add_mod(cl, half);
-                let b_i = q_i.add_mod(*x, half_i);
-                *x = q_i.mul_mod(q_i.sub_mod(b_i, q_i.reduce(b_last)), inv);
-            }
+            simd::rescale(plane, last, q_last, self.modulus(i), inv);
         }
         p.truncate_limbs(live - 1);
         Ok(())
@@ -706,9 +699,10 @@ impl RnsPoly {
     ///
     /// Writes `Σ_i ceil(log_base q_i)` digit polynomials, ordered
     /// limb-major: for limb `i`, coefficient `j`, the normalized residue
-    /// `v = [q̂_i^{-1}·c]_{q_i}` (one Barrett multiplication) is split into
-    /// base-`base` digits, each replicated across every limb plane of its
-    /// digit polynomial. Correctness rests on the CRT interpolation
+    /// `v = [q̂_i^{-1}·c]_{q_i}` (one multiplication by a constant:
+    /// `simd::mul_scalar`) is split into base-`base` digits
+    /// (`simd::peel_digit`), each replicated across every limb plane of
+    /// its digit polynomial. Correctness rests on the CRT interpolation
     /// `c ≡ Σ_i q̂_i·v_i (mod Q)`, so pairing digit `(i, d)` with a key
     /// that encrypts `base^d·q̂_i·s(x^g)` reconstructs `c·s(x^g)` exactly —
     /// no Garner composition, no 128-bit arithmetic anywhere.
@@ -756,26 +750,34 @@ impl RnsPoly {
             d.repr = Representation::Coeff;
         }
         let log_base = base.trailing_zeros();
-        let mask = base - 1;
-        let (l, n) = (self.limbs, self.n);
-        let mut first = 0;
-        for i in 0..l {
-            let q_i = chain.modulus(i);
-            let inv = chain.crt().qhat_inv(i);
+        let n = self.n;
+        let mut rest = digits;
+        for (i, plane) in self.limb_planes().enumerate() {
             let levels_i = chain.limb_decomposition_levels(base, i);
-            let limb_digits = &mut digits[first..first + levels_i];
-            for j in 0..n {
-                let mut rem = q_i.mul_mod(self.data[i * n + j], inv);
-                for digit in limb_digits.iter_mut() {
-                    let v = rem & mask;
-                    for k in 0..l {
-                        digit.data[k * n + j] = v;
-                    }
-                    rem >>= log_base;
-                }
-                debug_assert_eq!(rem, 0, "residue exceeded base^levels");
+            let (limb_digits, tail) = rest.split_at_mut(levels_i);
+            rest = tail;
+            // The normalized residues go to the first plane of the limb's
+            // top digit, and the lower digits are peeled off them there:
+            // what is left is the top digit.
+            let (top, lower) = limb_digits
+                .split_last_mut()
+                .expect("a limb has at least one digit");
+            let v = &mut top.data[..n];
+            v.copy_from_slice(plane);
+            simd::mul_scalar(v, chain.crt().qhat_inv(i), chain.modulus(i));
+            for digit in lower.iter_mut() {
+                simd::peel_digit(v, &mut digit.data[..n], log_base);
             }
-            first += levels_i;
+            debug_assert!(
+                v.iter().all(|&rem| rem < base),
+                "residue exceeded base^levels"
+            );
+            for digit in limb_digits.iter_mut() {
+                let (first, replicas) = digit.data.split_at_mut(n);
+                for replica in replicas.chunks_exact_mut(n) {
+                    replica.copy_from_slice(first);
+                }
+            }
         }
         Ok(())
     }
@@ -834,20 +836,17 @@ impl RnsPoly {
         }
         for (i, digit) in digits.iter_mut().enumerate() {
             let q_i = data_chain.modulus(i);
-            let inv = data_chain.crt().qhat_inv(i);
-            let half = q_i.value() >> 1;
-            for j in 0..n {
-                let v = q_i.mul_mod(self.data[i * n + j], inv);
-                // Centered representative: halves the |v_i| bound that
-                // multiplies the key noise.
-                let v_c = if v > half {
-                    v as i64 - q_i.value() as i64
-                } else {
-                    v as i64
-                };
-                for k in 0..=live {
-                    digit.data[k * n + j] = ks_chain.modulus(k).from_signed(v_c);
-                }
+            // Plane `i` of digit `i` is the normalized residue itself (its
+            // centred lift mod `q_i`); every other plane lifts it from
+            // there.
+            let (before, rest) = digit.data.split_at_mut(i * n);
+            let (v, after) = rest.split_at_mut(n);
+            v.copy_from_slice(self.limb(i));
+            simd::mul_scalar(v, data_chain.crt().qhat_inv(i), q_i);
+            let others = (0..i).chain(i + 1..=live);
+            let planes = before.chunks_exact_mut(n).chain(after.chunks_exact_mut(n));
+            for (k, plane) in others.zip(planes) {
+                simd::lift_centered(plane, v, q_i, ks_chain.modulus(k));
             }
         }
         Ok(())
@@ -861,9 +860,10 @@ impl RnsPoly {
     /// (`s_k[j] = shared_k[gather[j]]`, the hoisted replay's automorphism
     /// fused into the sum).
     ///
-    /// One pass per limb plane sums all `terms` products unreduced in
-    /// `u128` and reduces once per coefficient (early every
-    /// [`Modulus::lazy_dot_terms`] terms), so every residue written is the
+    /// One pass per limb plane sums all `terms` products unreduced — in
+    /// `u128`, reducing once per coefficient (early every
+    /// [`Modulus::lazy_dot_terms`] terms), or, where the CPU and the limb
+    /// allow, on the AVX-512 IFMA multiplier — so every residue written is the
     /// canonical `(r + Σ_k x_k·s_k) mod q` that `terms` sequential
     /// [`RnsPoly::fma_pointwise`] calls write — same bits, a fraction of
     /// the Barrett reductions.

@@ -1,9 +1,16 @@
 //! Kernel dispatch: scalar reference, portable lanes, AVX2 lanes, and the
-//! AVX-512 IFMA NTT.
+//! AVX-512 IFMA kernels.
 //!
-//! Every element-wise loop in the engine — the Harvey NTT butterflies in
-//! [`crate::ntt::NttTable`] and the Barrett/Shoup pointwise kernels in
-//! [`crate::poly`] — funnels through this module. Four backends exist:
+//! Every element-wise loop of residue arithmetic in the engine funnels
+//! through this module: the Harvey NTT butterflies in
+//! [`crate::ntt::NttTable`], the Barrett/Shoup pointwise kernels in
+//! [`crate::poly`], the lazy inner product under every mask sum and key
+//! switch (`dot_pair`), and the three per-coefficient loops of
+//! [`crate::rns`] that multiply every residue by a per-limb constant — the
+//! digit split of the RNS decomposition (`mul_scalar` by `q̂_i⁻¹`, then
+//! `peel_digit`), the centred lift of the hybrid decomposition
+//! (`mul_scalar`, then `lift_centered`) and the rounded limb drop of a
+//! modulus switch or `P`-rescale (`rescale`). Four backends exist:
 //!
 //! * [`SimdBackend::Scalar`] — the original loops, verbatim. This is the
 //!   pinned reference: the other backends are *defined* as bit-identical
@@ -17,26 +24,35 @@
 //!   `is_x86_feature_detected!`. (`std::simd` is nightly-only; cloning
 //!   `#[inline(always)]` bodies into a `target_feature` wrapper is the
 //!   stable equivalent of multiversioning.)
-//! * [`SimdBackend::Avx512Ifma`] — the `Avx2` lanes for every kernel but
-//!   the NTT, whose forward and inverse transforms are explicit
-//!   `std::arch` kernels (the `ifma` module below): Harvey's butterfly
-//!   in 52-bit form, eight per instruction, for every limb `q < 2^50` at
-//!   degree `n ≥ 16`. Wider limbs and `n = 8` run the `Avx2` lane NTT.
+//! * [`SimdBackend::Avx512Ifma`] — the `Avx2` lanes, except that for every
+//!   limb `q < 2^50` at degree `n ≥ 16` the kernels made of residue
+//!   *products* are explicit `std::arch` code on the 52-bit multiplier
+//!   (the `ifma` module below): the forward and inverse NTT (Harvey's
+//!   butterfly, eight per instruction), the lazy inner product
+//!   (`madd52lo`/`madd52hi` into two `u64` rows, one fold per output) and
+//!   the constant multiplies (`mul_scalar`, `lift_centered`,
+//!   `rescale`: one Shoup `mul_lazy` per product). Wider limbs and
+//!   `n = 8` run the `Avx2` lanes — or, for the kernels that have no lane
+//!   form, the reference loop.
 //!
 //! ## What the compiler vectorizes, kernel by kernel
 //!
 //! The lane bodies are shaped for auto-vectorization, and LLVM takes the
 //! offer only where no 64×64→128-bit multiply is involved: `add_assign`,
-//! `sub_assign`, `negate` and the `mul_pow2` doubling chain (adds,
-//! compares, conditional subtractions) become vector code under
-//! `Portable` and `Avx2`. Everything that goes through a `u128` product —
-//! the Shoup multiply of the lane **NTT butterflies**, the Barrett
-//! multiply of `mul_pointwise` / `mul_scalar` / `fma_pointwise`,
+//! `sub_assign`, `negate`, `peel_digit` and the `mul_pow2` doubling chain
+//! (adds, shifts, compares, conditional subtractions) become vector code
+//! under `Portable` and `Avx2`. Everything that goes through a `u128`
+//! product — the Shoup multiply of the lane **NTT butterflies**, the
+//! Barrett multiply of `mul_pointwise` / `mul_scalar` / `fma_pointwise`,
 //! `dot_reduce` — multiplies with scalar `mul`s, lane by lane (x86 has no
 //! vector multiply with a high half below AVX-512 IFMA's 52-bit one), so
 //! those lane kernels are branch-free loops at *scalar* multiply
 //! throughput: `BENCH_he_ops.json`'s `ntt_avx2` is 0.82 × the forced-scalar
-//! `ntt`, `ntt_simd` 0.12 ×. The only vector NTT is the explicit IFMA one.
+//! `ntt`, `ntt_simd` 0.12 ×. `lift_centered` and `rescale` are one
+//! Barrett multiply and a few branches per coefficient with nothing for
+//! a lane form to gain, so below `Avx512Ifma` every backend runs their
+//! reference loop, as every backend runs the `u128` multiply-accumulate
+//! of `dot_pair`. The only vector multiplies are the explicit IFMA ones.
 //!
 //! ## Bit-identity contract
 //!
@@ -46,13 +62,14 @@
 //! variants only replace `if x >= m { x -= m }` with the branch-free
 //! `x - m·(x ≥ m)` (same value) and the Barrett `while`-correction with
 //! two masked subtractions (the quotient estimate is off by at most 2, so
-//! the loop never runs more than twice). The IFMA butterflies take a
-//! different quotient estimate (52-bit instead of 64-bit Shoup), so their
-//! *lazy* intermediates may differ from the reference's by a multiple of
-//! `q` — but lazy `[0, 2q)`/`[0, 4q)` intermediates never escape a kernel;
-//! every output is the canonical residue in `[0, q)` of a mathematically
-//! fixed value. The `simd_equivalence` proptests pin the contract across
-//! all presets and levels.
+//! the loop never runs more than twice). The IFMA kernels take a
+//! different quotient estimate (52-bit instead of 64-bit Shoup, or Shoup
+//! where the reference is Barrett), so their *lazy* intermediates may
+//! differ from the reference's by a multiple of `q` — but lazy
+//! `[0, 2q)`/`[0, 4q)` intermediates never escape a kernel; every output
+//! is the canonical residue in `[0, q)` of a mathematically fixed value.
+//! The `simd_equivalence` proptests pin the contract across all presets
+//! and levels.
 //!
 //! ## Headroom
 //!
@@ -62,7 +79,8 @@
 //! bit over the Harvey minimum (`q < 2^62`) for deferred-reduction
 //! experiments without changing the tables. The IFMA butterflies feed the
 //! same `< 4q` values to a multiplier that reads 52 bits, so they run iff
-//! `4q ≤ 2^52`, i.e. `q < 2^50` — see the `ifma` module.
+//! `4q ≤ 2^52`, i.e. `q < 2^50` — see the `ifma` module; its other kernels
+//! reuse that one gate.
 //!
 //! ## Overriding the backend (tests/benches)
 //!
@@ -84,8 +102,9 @@ pub enum SimdBackend {
     Portable,
     /// The lane loops monomorphized under AVX2 (x86_64, runtime-detected).
     Avx2,
-    /// `Avx2` plus the explicit AVX-512 IFMA NTT for limbs under `2^50`
-    /// (x86_64, runtime-detected).
+    /// `Avx2` plus the explicit AVX-512 IFMA kernels — NTT, inner product,
+    /// constant multiplies — for limbs under `2^50` (x86_64,
+    /// runtime-detected).
     Avx512Ifma,
 }
 
@@ -247,9 +266,19 @@ pub(crate) fn mul_pointwise(a: &mut [u64], b: &[u64], q: &Modulus) {
     dispatch!(mul_pointwise(a, b, q))
 }
 
-/// `a[i] ← a[i]·c mod q` (Barrett; `c` reduced once up front).
+/// `a[i] ← a[i]·c mod q` (Barrett; `c` reduced once up front). The one
+/// constant multiplier: under `Avx512Ifma`, for a modulus the `ifma`
+/// kernels admit, a Shoup multiply by `c`'s 52-bit quotient, computed once
+/// per call.
 pub(crate) fn mul_scalar(a: &mut [u64], c: u64, q: &Modulus) {
-    dispatch!(mul_scalar(a, c, q))
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma if ifma::admits(a.len(), q.value()) => unsafe {
+            ifma::mul_scalar(a, q.reduce(c), q.value())
+        },
+        backend => dispatch!(backend => mul_scalar(a, c, q)),
+    }
 }
 
 /// `r[i] ← r[i] + a[i]·b[i] mod q` (the key-switch inner loop).
@@ -260,6 +289,43 @@ pub(crate) fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus) {
 /// `a[i] ← (±2^exp)·a[i] mod q` via a conditional-subtract doubling chain.
 pub(crate) fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus) {
     dispatch!(mul_pow2(a, exp, negative, q))
+}
+
+/// Peels the lowest base-`2^log_base` digit off every `v[i]`:
+/// `low[i] ← v[i] mod 2^log_base`, `v[i] ← v[i] >> log_base` — one step of
+/// the RNS decomposition's digit split.
+pub(crate) fn peel_digit(v: &mut [u64], low: &mut [u64], log_base: u32) {
+    dispatch!(peel_digit(v, low, log_base))
+}
+
+/// `out[i] ← [c_i]_to`, where `c_i ∈ (−from/2, from/2]` is the centred
+/// representative of the residue `v[i]` mod `from` — the hybrid
+/// decomposition's lift of a digit onto another plane of the key-switch
+/// chain.
+pub(crate) fn lift_centered(out: &mut [u64], v: &[u64], from: &Modulus, to: &Modulus) {
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma
+            if ifma::admits(out.len(), from.value()) && ifma::admits(out.len(), to.value()) =>
+        unsafe { ifma::lift_centered(out, v, from.value(), to.value()) },
+        _ => scalar::lift_centered(out, v, from, to),
+    }
+}
+
+/// One surviving plane of a rounded limb drop (modulus switch, hybrid
+/// `P`-rescale): with `h = ⌊q_last/2⌋`,
+/// `x[i] ← (x[i] + h − [last[i] + h]_{q_last})·inv mod q`, where `last` is
+/// the dropped plane and `inv = q_last⁻¹ mod q`.
+pub(crate) fn rescale(x: &mut [u64], last: &[u64], q_last: &Modulus, q: &Modulus, inv: u64) {
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma
+            if ifma::admits(x.len(), q_last.value()) && ifma::admits(x.len(), q.value()) =>
+        unsafe { ifma::rescale(x, last, q_last.value(), q.value(), inv) },
+        _ => scalar::rescale(x, last, q_last, q, inv),
+    }
 }
 
 /// Coefficients per block of [`dot_pair`]: two `u128` accumulator rows of
@@ -297,6 +363,10 @@ pub(crate) struct DotPlanes<'a> {
 /// is bit-identical to `terms` sequential [`fma_pointwise`] calls on any
 /// backend.
 ///
+/// Under `Avx512Ifma`, for a modulus the `ifma` kernels admit, the same
+/// sum runs on the 52-bit multiplier instead (`ifma::dot_pair`): the same
+/// canonical residues.
+///
 /// Every plane `term(k)` yields, and `gather` when present, must be as
 /// long as the outputs.
 pub(crate) fn dot_pair<'a>(
@@ -307,6 +377,11 @@ pub(crate) fn dot_pair<'a>(
     gather: Option<&[u32]>,
     q: &Modulus,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if current_backend() == SimdBackend::Avx512Ifma && ifma::admits(r0.len(), q.value()) {
+        // SAFETY: as in `ntt_forward`.
+        return unsafe { ifma::dot_pair(r0, r1, terms, term, gather, q) };
+    }
     let flush_every = q.lazy_dot_terms();
     let mut acc0 = [0u128; DOT_BLOCK];
     let mut acc1 = [0u128; DOT_BLOCK];
@@ -369,9 +444,9 @@ pub(crate) fn dot_pair<'a>(
 /// One pass of [`dot_pair`] over a block: `acc0[i] += Σ_t x0_t[i]·s_t[j]`
 /// and the same for `acc1` over `x1_t`, unreduced, with `j = perm[i]` into
 /// the whole shared plane when `GATHER` and `j = i` into a block-long one
-/// otherwise. Plain 64×64→128 multiplies and carries: there is no vector
-/// form to dispatch to, so every backend runs this loop and differs only
-/// in [`dot_reduce`].
+/// otherwise. Plain 64×64→128 multiplies and carries, which have no lane
+/// form: every backend that gets here runs this loop and differs only in
+/// [`dot_reduce`].
 fn dot_mac<const GATHER: bool>(
     acc0: &mut [u128],
     acc1: &mut [u128],
@@ -554,6 +629,35 @@ mod scalar {
     pub(super) fn dot_reduce(acc: &mut [u128], q: &Modulus) {
         for a in acc.iter_mut() {
             *a = q.reduce_u128(*a) as u128;
+        }
+    }
+
+    /// Shifts and masks: nothing for the lanes to rewrite, so they inline
+    /// this body and only re-compile it.
+    #[inline(always)]
+    pub(super) fn peel_digit(v: &mut [u64], low: &mut [u64], log_base: u32) {
+        let mask = (1u64 << log_base) - 1;
+        for (rem, d) in v.iter_mut().zip(low) {
+            *d = *rem & mask;
+            *rem >>= log_base;
+        }
+    }
+
+    pub(super) fn lift_centered(out: &mut [u64], v: &[u64], from: &Modulus, to: &Modulus) {
+        for (o, &x) in out.iter_mut().zip(v) {
+            // Centered representative: halves the |v_i| bound that
+            // multiplies the key noise.
+            *o = to.from_signed(from.center(x));
+        }
+    }
+
+    pub(super) fn rescale(x: &mut [u64], last: &[u64], q_last: &Modulus, q: &Modulus, inv: u64) {
+        let half = q_last.value() >> 1;
+        let half_i = q.reduce(half);
+        for (x, &cl) in x.iter_mut().zip(last) {
+            let b_last = q_last.add_mod(cl, half);
+            let b_i = q.add_mod(*x, half_i);
+            *x = q.mul_mod(q.sub_mod(b_i, q.reduce(b_last)), inv);
         }
     }
 }
@@ -776,6 +880,10 @@ mod lanes {
                 *a = reduce_bf(*a, qv, ratio) as u128;
             }
         }
+
+        pub(super) fn peel_digit(v: &mut [u64], low: &mut [u64], log_base: u32) {
+            crate::simd::scalar::peel_digit(v, low, log_base)
+        }
     }
 
     /// Generates the `portable` (plain) and `avx2` (`target_feature`)
@@ -820,6 +928,7 @@ mod lanes {
         fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus);
         fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus);
         fn dot_reduce(acc: &mut [u128], q: &Modulus);
+        fn peel_digit(v: &mut [u64], low: &mut [u64], log_base: u32);
     }
 }
 
@@ -857,17 +966,75 @@ mod lanes {
 // The quotient estimate differs from the reference's 64-bit one, so lazy
 // intermediates may differ by a multiple of `q`; outputs are canonical
 // residues of the same values, hence the same bytes.
+//
+// ## The constant multiplier
+//
+// The same `mul_lazy` with one broadcast operand `c < q` and its quotient
+// `⌊c·2^52/q⌋` (one division per call) is `x·c mod q` for any `x < 2^52`:
+// `canon(x·c) = csub(mul_lazy(x, c), q)`, and with `c = 1` it is `x mod q`.
+// That is all `mul_scalar`, `lift_centered` and `rescale` are made of —
+// every value they multiply is a residue, or a sum the comments bound,
+// below `2^52` — under the same gate on every modulus involved.
+//
+// ## The lazy inner product
+//
+// Residues below `2^50` are 52-bit operands, so `lo ← madd52lo(lo, x, s)`
+// and `hi ← madd52hi(hi, x, s)` add the exact (≤ 100-bit) product of
+// eight coefficient pairs to two `u64` rows, and `V = lo + hi·2^52` is the
+// running sum `r + Σ_k x_k·s_k`, unreduced. The row bound, derived as
+// `Modulus::lazy_dot_terms` is: `lo` starts at a residue, below `2^50`, and
+// gains the low half of a product, below `2^52`, per term, so after `T`
+// terms `lo < 2^50 + T·2^52 ≤ 2^64` iff `T ≤ 4095` (`DOT_MAX_TERMS`); `hi`
+// starts at zero and gains at most `⌊(q−1)²/2^52⌋ < 2^48` per term, below
+// `2^60` over 4095. The kernel folds after every `DOT_GROUP = 32` terms —
+// far inside the bound — and carries on from the folded residues, so no
+// sum is too long for it.
+//
+// The four rows of a chunk of 32 coefficients (two outputs × `lo`, `hi` ×
+// four vectors: sixteen registers) stay in registers while a group's
+// terms stream past — the shared operand loaded, or gathered through the
+// Galois permutation, once for both outputs — and fold once:
+//
+//   V = v0 + v1·2^51 + v2·2^103,   v0 = lo mod 2^51 < 2^51,
+//   v1 + v2·2^52 = (lo >> 51) + 2·hi,   v1 < 2^52
+//   V mod q = canon(v0 + canon(v1·R1) + canon(v2·R2)),
+//   R1 = 2^51 mod q,   R2 = 2^103 mod q
+//
+// with every `canon` the constant multiplier above: `v1 < 2^52` and
+// `v2 < 2^10` are in its range, and the inner sum is below
+// `2^51 + 2q ≤ 2^52`, so a multiply by 1 makes it canonical. (The split
+// is at 51 bits, not 52, to leave that sum its headroom.) When
+// `(lo >> 51) + 2·hi` cannot reach `2^52` — `2T·(1 + ⌊(q−1)²/2^52⌋) < 2^52`
+// at `T = DOT_GROUP`, i.e. every limb under `2^49` — `v2` is zero and its
+// term is skipped.
+//
+// Each output is the canonical residue of the exact sum, which is what
+// the `u128` kernel writes and what sequential `fma_pointwise` calls
+// write: the same bytes.
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use std::arch::x86_64::*;
 
-    /// Whether the kernels run a degree-`n` transform mod `q`; the section
-    /// comment derives both bounds.
+    use super::DotPlanes;
+    use crate::arith::Modulus;
+
+    /// Whether the kernels run on a degree-`n` plane mod `q`; the section
+    /// comment derives both bounds. (Every degree is a power of two: the
+    /// kernels walk whole vectors.)
     pub(super) fn admits(n: usize, q: u64) -> bool {
-        n >= 16 && q >> 50 == 0
+        n >= 16 && n.is_power_of_two() && q >> 50 == 0
     }
+
+    /// Terms the two `u64` rows of the inner product hold without a fold:
+    /// `2^50 + DOT_MAX_TERMS·2^52 ≤ 2^64` (section comment).
+    const DOT_MAX_TERMS: usize = 4095;
+
+    /// Terms [`dot_pair`] sums between folds — what its stack copy of the
+    /// terms' planes holds.
+    const DOT_GROUP: usize = 32;
+    const _: () = assert!(DOT_GROUP <= DOT_MAX_TERMS);
 
     /// Compiles every function inside with the features [`super::clamp`]
     /// detects for `Avx512Ifma`: they inline into one another, and the
@@ -892,11 +1059,37 @@ mod ifma {
         mask52: __m512i,
     }
 
-    /// Eight twiddles with their 52-bit Shoup quotients `⌊w·2^52/q⌋`.
+    /// Eight fixed multipliers — NTT twiddles, or one constant broadcast —
+    /// with their 52-bit Shoup quotients `⌊w·2^52/q⌋`.
     #[derive(Clone, Copy)]
     struct Twiddles {
         w: __m512i,
         w52: __m512i,
+    }
+
+    /// The per-call constants of [`dot_pair`].
+    struct DotConsts {
+        c: Consts,
+        /// `2^51 mod q`.
+        r51: Twiddles,
+        /// `2^103 mod q`, when `(lo >> 51) + 2·hi` can reach `2^52`.
+        r103: Option<Twiddles>,
+        one: Twiddles,
+        mask51: __m512i,
+        /// The planes' length `n` as eight `u32`s (`2^31` if it is more:
+        /// the gather reads its indices as `i32`).
+        gather_limit: __m256i,
+    }
+
+    /// One term of a [`dot_pair`] group: every plane cut to exactly the
+    /// outputs' length `n` — what [`DotConsts::gather_limit`] was made from,
+    /// and what the gather in [`dot_chunk`] relies on — and `x0`/`x1` into
+    /// vectors.
+    #[derive(Clone, Copy)]
+    struct DotVecs<'a> {
+        x0: &'a [[u64; 8]],
+        x1: &'a [[u64; 8]],
+        shared: &'a [u64],
     }
 
     with_ifma! {
@@ -954,6 +1147,19 @@ mod ifma {
             let quot = _mm512_madd52hi_epu64(zero, y, tw.w52);
             let yw = _mm512_madd52lo_epu64(zero, y, tw.w);
             _mm512_and_si512(_mm512_madd52lo_epu64(yw, quot, c.neg_q), c.mask52)
+        }
+
+        /// The canonical constant `w < q`, broadcast, with its quotient.
+        fn shoup(w: u64, q: u64) -> Twiddles {
+            Twiddles {
+                w: splat(w),
+                w52: splat((((w as u128) << 52) / q as u128) as u64),
+            }
+        }
+
+        /// `y·w mod q`, canonical, for `y < 2^52`.
+        fn mul_canon(y: __m512i, tw: Twiddles, c: &Consts) -> __m512i {
+            csub(mul_lazy(y, tw, c), c.q)
         }
 
         /// Eight butterflies. Forward (Harvey): `x, y < 4q` in,
@@ -1097,18 +1303,213 @@ mod ifma {
             // one lazy multiply of a value below `4q`, then canonical.
             let n_inv = twiddles(splat(n_inv_op), splat(n_inv_quo));
             let w = (op[1] as u128 * n_inv_op as u128 % q as u128) as u64;
-            let w_n_inv = Twiddles {
-                w: splat(w),
-                w52: splat((((w as u128) << 52) / q as u128) as u64),
-            };
+            let w_n_inv = shoup(w, q);
             let (lo, hi) = a.split_at_mut(n / 2);
             let (lo, hi) = (lo.as_chunks_mut().0, hi.as_chunks_mut().0);
             for (xs, ys) in lo.iter_mut().zip(hi) {
                 let (x, y) = (load(xs), load(ys));
                 let sum = _mm512_add_epi64(x, y);
                 let diff = _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), y);
-                store(xs, csub(mul_lazy(sum, n_inv, &c), c.q));
-                store(ys, csub(mul_lazy(diff, w_n_inv, &c), c.q));
+                store(xs, mul_canon(sum, n_inv, &c));
+                store(ys, mul_canon(diff, w_n_inv, &c));
+            }
+        }
+
+        /// [`super::mul_scalar`] by a canonical `w` on a plane [`admits`]
+        /// accepts.
+        pub(super) fn mul_scalar(a: &mut [u64], w: u64, q: u64) {
+            let c = consts(q);
+            let w = shoup(w, q);
+            for x in a.as_chunks_mut().0 {
+                store(x, mul_canon(load(x), w, &c));
+            }
+        }
+
+        /// [`super::lift_centered`] on planes [`admits`] accepts under both
+        /// moduli.
+        pub(super) fn lift_centered(out: &mut [u64], v: &[u64], from: u64, to: u64) {
+            let c = consts(to);
+            let one = shoup(1, to);
+            let (from, half) = (splat(from), splat(from >> 1));
+            let zero = _mm512_setzero_si512();
+            for (o, x) in out.as_chunks_mut().0.iter_mut().zip(v.as_chunks().0) {
+                let x = load(x);
+                // |centred x| is below `from/2 < 2^49`; its residue goes
+                // back under the sign wherever that is not zero.
+                let neg = _mm512_cmpgt_epu64_mask(x, half);
+                let r = mul_canon(_mm512_mask_sub_epi64(x, neg, from, x), one, &c);
+                let neg = _mm512_mask_cmpneq_epu64_mask(neg, r, zero);
+                store(o, _mm512_mask_sub_epi64(r, neg, c.q, r));
+            }
+        }
+
+        /// [`super::rescale`] on planes [`admits`] accepts under both moduli.
+        pub(super) fn rescale(x: &mut [u64], last: &[u64], q_last: u64, q: u64, inv: u64) {
+            let c = consts(q);
+            let (one, inv) = (shoup(1, q), shoup(inv, q));
+            let half = q_last >> 1;
+            let (q_last, half, half_i) = (splat(q_last), splat(half), splat(half % q));
+            for (x, cl) in x.as_chunks_mut().0.iter_mut().zip(last.as_chunks().0) {
+                let b_last = csub(_mm512_add_epi64(load(cl), half), q_last);
+                let b_i = csub(_mm512_add_epi64(load(x), half_i), c.q);
+                // `sub_mod`: the difference wraps above `q` exactly when it
+                // is negative, and adding `q` then wraps it back.
+                let diff = _mm512_sub_epi64(b_i, mul_canon(b_last, one, &c));
+                let diff = _mm512_min_epu64(diff, _mm512_add_epi64(diff, c.q));
+                store(x, mul_canon(diff, inv, &c));
+            }
+        }
+
+        /// `(lo + hi·2^52) mod q`, canonical, for the rows of at most
+        /// [`DOT_GROUP`] terms (section comment).
+        fn dot_fold(lo: __m512i, hi: __m512i, k: &DotConsts) -> __m512i {
+            let v0 = _mm512_and_si512(lo, k.mask51);
+            // The multiplier reads `v1`, the low 52 bits, by itself.
+            let v = _mm512_add_epi64(_mm512_srli_epi64::<51>(lo), _mm512_slli_epi64::<1>(hi));
+            let mut sum = _mm512_add_epi64(v0, mul_canon(v, k.r51, &k.c));
+            if let Some(r103) = k.r103 {
+                let v2 = _mm512_srli_epi64::<52>(v);
+                sum = _mm512_add_epi64(sum, mul_canon(v2, r103, &k.c));
+            }
+            mul_canon(sum, k.one, &k.c)
+        }
+
+        /// The eight permutation entries at `perm`, checked: each is below
+        /// `limit`.
+        ///
+        /// # Panics
+        ///
+        /// Panics when one is not — where the reference's slice index would.
+        fn gather_indices(perm: &[u32; 8], limit: __m256i) -> __m256i {
+            // SAFETY: `perm` is 32 readable bytes; the load is unaligned.
+            let idx = unsafe { _mm256_loadu_si256(perm.as_ptr().cast()) };
+            assert!(
+                _mm256_cmplt_epu32_mask(idx, limit) == 0xff,
+                "gather index out of range"
+            );
+            idx
+        }
+
+        /// Vectors `at..at + VECS` of a plane.
+        fn vecs_at<const VECS: usize>(plane: &[[u64; 8]], at: usize) -> &[[u64; 8]; VECS] {
+            plane[at..].first_chunk().expect("planes cover the outputs")
+        }
+
+        /// One chunk of `8·VECS` coefficients — vectors `at..at + VECS` of
+        /// every plane — through a group's terms: rows in registers, one
+        /// fold per output vector.
+        fn dot_chunk<const VECS: usize, const GATHER: bool>(
+            r0: &mut [[u64; 8]; VECS],
+            r1: &mut [[u64; 8]; VECS],
+            at: usize,
+            group: &[DotVecs<'_>],
+            perm: &[[u32; 8]],
+            k: &DotConsts,
+        ) {
+            let zero = _mm512_setzero_si512();
+            let (mut lo0, mut lo1) = ([zero; VECS], [zero; VECS]);
+            let (mut hi0, mut hi1) = ([zero; VECS], [zero; VECS]);
+            let mut idx = [_mm256_setzero_si256(); VECS];
+            for v in 0..VECS {
+                lo0[v] = load(&r0[v]);
+                lo1[v] = load(&r1[v]);
+                if GATHER {
+                    idx[v] = gather_indices(&perm[at + v], k.gather_limit);
+                }
+            }
+            for t in group {
+                let (x0, x1) = (vecs_at::<VECS>(t.x0, at), vecs_at::<VECS>(t.x1, at));
+                let mut s = [zero; VECS];
+                if GATHER {
+                    for v in 0..VECS {
+                        // SAFETY: `gather_indices` checked every index below
+                        // the length of `t.shared` (see `DotVecs`) and below
+                        // 2^31, so each lane reads the eight bytes of one of
+                        // its entries.
+                        s[v] = unsafe {
+                            _mm512_i32gather_epi64::<8>(idx[v], t.shared.as_ptr().cast())
+                        };
+                    }
+                } else {
+                    let shared = vecs_at::<VECS>(t.shared.as_chunks().0, at);
+                    for v in 0..VECS {
+                        s[v] = load(&shared[v]);
+                    }
+                }
+                for v in 0..VECS {
+                    let (a0, a1) = (load(&x0[v]), load(&x1[v]));
+                    lo0[v] = _mm512_madd52lo_epu64(lo0[v], a0, s[v]);
+                    hi0[v] = _mm512_madd52hi_epu64(hi0[v], a0, s[v]);
+                    lo1[v] = _mm512_madd52lo_epu64(lo1[v], a1, s[v]);
+                    hi1[v] = _mm512_madd52hi_epu64(hi1[v], a1, s[v]);
+                }
+            }
+            for v in 0..VECS {
+                store(&mut r0[v], dot_fold(lo0[v], hi0[v], k));
+                store(&mut r1[v], dot_fold(lo1[v], hi1[v], k));
+            }
+        }
+
+        /// Every chunk of `VECS` vectors of the outputs through one group.
+        fn dot_group<const VECS: usize>(
+            r0: &mut [[u64; 8]],
+            r1: &mut [[u64; 8]],
+            group: &[DotVecs<'_>],
+            perm: Option<&[[u32; 8]]>,
+            k: &DotConsts,
+        ) {
+            let chunks = r0.as_chunks_mut().0.iter_mut().zip(r1.as_chunks_mut().0);
+            for (i, (c0, c1)) in chunks.enumerate() {
+                match perm {
+                    None => dot_chunk::<VECS, false>(c0, c1, VECS * i, group, &[], k),
+                    Some(perm) => dot_chunk::<VECS, true>(c0, c1, VECS * i, group, perm, k),
+                }
+            }
+        }
+
+        /// [`super::dot_pair`] on planes [`admits`] accepts: at most
+        /// [`DOT_GROUP`] terms at a time, the outputs carrying the folded sum
+        /// from one group to the next.
+        pub(super) fn dot_pair<'a>(
+            r0: &mut [u64],
+            r1: &mut [u64],
+            terms: usize,
+            term: impl Fn(usize) -> DotPlanes<'a>,
+            gather: Option<&[u32]>,
+            q: &Modulus,
+        ) {
+            let n = r0.len();
+            let qv = q.value();
+            // What one term adds to `(lo >> 51) + 2·hi`, at most, halved.
+            let per_term = 1 + (qv - 1) as u128 * (qv - 1) as u128 / (1 << 52);
+            let narrow = 2 * DOT_GROUP as u128 * per_term < 1 << 52;
+            let k = DotConsts {
+                c: consts(qv),
+                r51: shoup(q.reduce(1 << 51), qv),
+                r103: (!narrow).then(|| shoup(q.reduce_u128(1 << 103), qv)),
+                one: shoup(1, qv),
+                mask51: splat((1 << 51) - 1),
+                gather_limit: _mm256_set1_epi32(n.min(1 << 31) as i32),
+            };
+            let (r0, r1) = (r0.as_chunks_mut().0, r1[..n].as_chunks_mut().0);
+            let perm = gather.map(|perm| perm[..n].as_chunks().0);
+            let mut group = [DotVecs { x0: &[], x1: &[], shared: &[] }; DOT_GROUP];
+            for first in (0..terms).step_by(DOT_GROUP) {
+                let take = DOT_GROUP.min(terms - first);
+                for (slot, t) in group.iter_mut().zip((first..first + take).map(&term)) {
+                    *slot = DotVecs {
+                        x0: t.x0[..n].as_chunks().0,
+                        x1: t.x1[..n].as_chunks().0,
+                        shared: &t.shared[..n],
+                    };
+                }
+                // `n` is a power of two from 16 up: whole chunks of four
+                // vectors, or one of two.
+                if n >= 32 {
+                    dot_group::<4>(r0, r1, &group[..take], perm, &k);
+                } else {
+                    dot_group::<2>(r0, r1, &group[..take], perm, &k);
+                }
             }
         }
     }

@@ -70,6 +70,23 @@ proptest! {
         prop_assert_eq!(q.from_signed(q.center(a)), a);
     }
 
+    /// `from_signed` (the magnitude's residue under the sign) is the
+    /// Euclidean remainder for every `i64` and every 2–61-bit modulus,
+    /// the sign and reduction boundaries included.
+    #[test]
+    fn from_signed_is_the_euclidean_remainder(
+        a in any::<i64>(),
+        q in any::<u64>(),
+        bits in 2u32..=61,
+    ) {
+        let q = Modulus::new((q | 1 << 63) >> (64 - bits)).unwrap();
+        let qv = q.value() as i64;
+        for a in [a, i64::MIN, i64::MAX, 0, qv, -qv, qv - 1, 1 - qv, qv + 1, -qv - 1] {
+            let expect = (a as i128).rem_euclid(qv as i128) as u64;
+            prop_assert_eq!(q.from_signed(a), expect, "a = {}, q = {}", a, qv);
+        }
+    }
+
     #[test]
     fn bit_reverse_involution(x in 0usize..4096, bits in 1u32..13) {
         let x = x & ((1 << bits) - 1);

@@ -12,9 +12,13 @@
 //!   `mul_scalar`) on random residue vectors;
 //! * the **lazy dot kernel** under every mask sum and key switch, against
 //!   sequential `fma_pointwise`, on random 20–61-bit NTT primes with term
-//!   counts straddling [`Modulus::lazy_dot_terms`] and all-`q − 1`
-//!   operands — the overflow bound as a test — plus one group sum wider
-//!   than the bound on `preset_single_60`;
+//!   counts straddling [`Modulus::lazy_dot_terms`] — and, under the IFMA
+//!   gate, its 32-term group and 4095-term row bound — and all-`q − 1`
+//!   operands — the overflow bounds as a test — at both edges of the gate,
+//!   plus one group sum wider than the bound on `preset_single_60`;
+//! * the three **constant-multiply loops** of `rns.rs` (digit decompose,
+//!   hybrid lift, rounded limb drop) at every level of every preset and at
+//!   both edges of the IFMA gate, on random and boundary inputs;
 //! * a **full rotate** — keygen, encrypt, Galois key switch, decrypt —
 //!   at every preset and every level of its chain;
 //! * typed-error behaviour is backend-independent.
@@ -205,11 +209,7 @@ proptest! {
                 .unwrap()
                 .last()
                 .unwrap();
-            let below = generate_ntt_prime(50, n).unwrap();
-            let above = (0..)
-                .map(|k| (1u64 << 50) + 1 + k * 2 * n as u64)
-                .find(|&p| is_prime(p))
-                .unwrap();
+            let [below, above] = gate_primes(n);
             for q in [random, below, above] {
                 let table = NttTable::new(n, Modulus::new(q).unwrap()).unwrap();
                 let inputs = [
@@ -243,12 +243,114 @@ proptest! {
     }
 }
 
+/// The smallest NTT prime for degree `n` above `floor`, a multiple of `2n`.
+fn ntt_prime_above(floor: u64, n: usize) -> u64 {
+    (0..)
+        .map(|k| floor + 1 + k * 2 * n as u64)
+        .find(|&p| is_prime(p))
+        .unwrap()
+}
+
+/// The largest NTT prime below `2^50` — the widest limb the IFMA kernels
+/// take — and the smallest above it, which falls through, at degree `n`.
+fn gate_primes(n: usize) -> [u64; 2] {
+    [
+        generate_ntt_prime(50, n).unwrap(),
+        ntt_prime_above(1 << 50, n),
+    ]
+}
+
+/// Term counts on both sides of what the IFMA dot kernel sums between
+/// folds (32) and of what its `u64` rows can hold (4095).
+const IFMA_DOT_COUNTS: [usize; 6] = [31, 32, 33, 4095, 4096, 4097];
+
+/// For each term count, on every backend, `dot_pair_prefix` over one
+/// `q`-limb plane of degree `n` writes the residues that many sequential
+/// scalar `fma_pointwise` calls write — from a nonzero starting
+/// accumulator, over random operands or all-`q − 1` ones (`worst`), with
+/// or without the fused Galois gather.
+fn assert_dot_matches_sequential_fma(
+    q: u64,
+    n: usize,
+    counts: &[usize],
+    worst: bool,
+    gather: bool,
+    seed: u64,
+) {
+    let chain = ModulusChain::new(n, &[q]).unwrap();
+    let q = chain.modulus(0);
+    let poly = |salt: u64| {
+        let data = if worst {
+            vec![q.value() - 1; n]
+        } else {
+            residues(q, n, seed ^ salt)
+        };
+        RnsPoly::from_data(data, 1, n, Representation::Eval)
+    };
+    let perm = chain.table(0).galois_permutation(3);
+    let (start0, start1) = (poly(1), poly(2));
+
+    for &terms in counts.iter().filter(|&&t| t > 0) {
+        let operands: Vec<[RnsPoly; 3]> = (0..terms as u64)
+            .map(|t| [poly(3 * t + 3), poly(3 * t + 4), poly(3 * t + 5)])
+            .collect();
+
+        // Reference: one Barrett-reduced fma per term, on the pinned
+        // scalar backend, over the explicitly permuted shared operand.
+        let (mut ref0, mut ref1) = (start0.clone(), start1.clone());
+        {
+            let (_guard, _) = ForceGuard::force(SimdBackend::Scalar);
+            let mut shared = RnsPoly::zero(&chain, Representation::Eval);
+            for [x0, x1, s] in &operands {
+                if gather {
+                    shared.permute_from(s, &perm);
+                } else {
+                    shared.copy_from(s);
+                }
+                ref0.fma_pointwise(x0, &shared, &chain).unwrap();
+                ref1.fma_pointwise(x1, &shared, &chain).unwrap();
+            }
+        }
+
+        let mut backends = vec![SimdBackend::Scalar];
+        backends.extend(runnable_vector_backends());
+        for backend in backends {
+            let (_guard, eff) = ForceGuard::force(backend);
+            assert_eq!(eff, backend);
+            let (mut r0, mut r1) = (start0.clone(), start1.clone());
+            RnsPoly::dot_pair_prefix(
+                &mut r0,
+                &mut r1,
+                terms,
+                |t| {
+                    let [x0, x1, shared] = &operands[t];
+                    DotTerm { x0, x1, shared }
+                },
+                gather.then_some(&perm[..]),
+                PlaneAlign::Prefix,
+                &chain,
+            )
+            .unwrap();
+            assert_eq!(
+                (&r0, &r1),
+                (&ref0, &ref1),
+                "q = {} ({} bits), n = {n}, {terms} terms, gather={gather}, worst={worst} \
+                 diverged on {}",
+                q.value(),
+                q.bits(),
+                backend.name()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Overflow soundness of the lazy dot kernel, as a test: for random
     /// NTT primes up to the 61-bit cap, term counts on both sides of the
-    /// flush bound `K`, worst-case all-`q − 1` operands, a nonzero
+    /// flush bound `K` — and, for primes the IFMA kernel takes, of its
+    /// group and row bounds —, worst-case all-`q − 1` operands, a nonzero
     /// starting accumulator, with and without the fused Galois gather,
     /// every backend writes the residues `terms` sequential
     /// `fma_pointwise` calls write.
@@ -263,72 +365,228 @@ proptest! {
         // 64 coefficients sit inside one accumulator block, 512 span two.
         let n = if two_blocks { 512 } else { 64 };
         let primes = generate_ntt_primes(bits, n, 1 + (seed % 3) as usize).unwrap();
-        let chain = ModulusChain::new(n, &[*primes.last().unwrap()]).unwrap();
-        let q = chain.modulus(0);
+        let q = Modulus::new(*primes.last().unwrap()).unwrap();
         let k = q.lazy_dot_terms();
         prop_assert!(k >= 1);
-        let counts = if k <= 64 {
+        let mut counts = if k <= 64 {
             vec![1, k - 1, k, k + 1, 3 * k + 2]
         } else {
             vec![1, 2, 19]
         };
-        let poly = |salt: u64| {
-            let data = if worst {
-                vec![q.value() - 1; n]
-            } else {
-                residues(q, n, seed ^ salt)
-            };
-            RnsPoly::from_data(data, 1, n, Representation::Eval)
-        };
-        let perm = chain.table(0).galois_permutation(3);
-        let (start0, start1) = (poly(1), poly(2));
+        if q.value() >> 50 == 0 {
+            // The long sums only at the small degree: 4097 operand triples.
+            counts.extend(&IFMA_DOT_COUNTS[..if two_blocks { 3 } else { 6 }]);
+        }
+        assert_dot_matches_sequential_fma(q.value(), n, &counts, worst, gather, seed);
+    }
+}
 
-        for terms in counts.into_iter().filter(|&t| t > 0) {
-            let operands: Vec<[RnsPoly; 3]> = (0..terms as u64)
-                .map(|t| [poly(3 * t + 3), poly(3 * t + 4), poly(3 * t + 5)])
-                .collect();
-
-            // Reference: one Barrett-reduced fma per term, on the pinned
-            // scalar backend, over the explicitly permuted shared operand.
-            let (mut ref0, mut ref1) = (start0.clone(), start1.clone());
-            {
-                let (_guard, _) = ForceGuard::force(SimdBackend::Scalar);
-                let mut shared = RnsPoly::zero(&chain, Representation::Eval);
-                for [x0, x1, s] in &operands {
-                    if gather {
-                        shared.permute_from(s, &perm);
-                    } else {
-                        shared.copy_from(s);
-                    }
-                    ref0.fma_pointwise(x0, &shared, &chain).unwrap();
-                    ref1.fma_pointwise(x1, &shared, &chain).unwrap();
-                }
+/// The IFMA dot kernel's gate and bounds, pinned: the largest NTT prime
+/// below `2^50` (takes the kernel: its rows and its fold see the widest
+/// values they admit), the smallest above and one in the middle of the
+/// next octave (fall through to the `u128` kernel — the fold's inner sum,
+/// `< 2^51 + 2q`, would leave the 52-bit multiplier's range for them;
+/// with `q` far from a power of two it does so on random operands), at
+/// the kernel's smallest degree (16, one half-width chunk), inside one
+/// block (64) and across two (512), all-`q − 1` operands from a `q − 1`
+/// accumulator and random ones, gather on and off, term counts around
+/// the 32-term group and — at `n = 64` — the 4095-term row bound.
+#[test]
+fn ifma_dot_matches_sequential_fma_at_the_gate() {
+    for n in [16usize, 64, 512] {
+        let counts = &IFMA_DOT_COUNTS[..if n == 64 { 6 } else { 3 }];
+        let [below, above] = gate_primes(n);
+        for q in [below, above, ntt_prime_above(3 << 49, n)] {
+            for gather in [false, true] {
+                assert_dot_matches_sequential_fma(q, n, counts, true, gather, 0);
+                assert_dot_matches_sequential_fma(q, n, &[7, 33], false, gather, n as u64);
             }
+        }
+    }
+}
 
-            let mut backends = vec![SimdBackend::Scalar];
-            backends.extend(runnable_vector_backends());
-            for backend in backends {
-                let (_guard, eff) = ForceGuard::force(backend);
-                prop_assert_eq!(eff, backend);
-                let (mut r0, mut r1) = (start0.clone(), start1.clone());
-                RnsPoly::dot_pair_prefix(
-                    &mut r0,
-                    &mut r1,
-                    terms,
-                    |t| {
-                        let [x0, x1, shared] = &operands[t];
-                        DotTerm { x0, x1, shared }
-                    },
-                    gather.then_some(&perm[..]),
-                    PlaneAlign::Prefix,
-                    &chain,
-                )
-                .unwrap();
-                prop_assert_eq!(
-                    (&r0, &r1), (&ref0, &ref1),
-                    "{} bits, K = {}, {} terms, gather={}, worst={} diverged on {}",
-                    bits, k, terms, gather, worst, backend.name()
-                );
+/// A dot through `gather` = the identity with one entry pointing past the
+/// plane, under `backend`.
+fn dot_through_an_out_of_range_gather(backend: SimdBackend) {
+    let n = 64;
+    let q = generate_ntt_prime(36, n).unwrap();
+    let chain = ModulusChain::new(n, &[q]).unwrap();
+    let x = RnsPoly::from_data(residues(chain.modulus(0), n, 1), 1, n, Representation::Eval);
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm[n - 3] = n as u32;
+    let (_guard, _) = ForceGuard::force(backend);
+    let (mut r0, mut r1) = (x.clone(), x.clone());
+    let term = |_| DotTerm {
+        x0: &x,
+        x1: &x,
+        shared: &x,
+    };
+    let _ = RnsPoly::dot_pair_prefix(
+        &mut r0,
+        &mut r1,
+        2,
+        term,
+        Some(&perm),
+        PlaneAlign::Prefix,
+        &chain,
+    );
+}
+
+/// A `gather` entry `≥ n` panics in the reference (a slice index) …
+#[test]
+#[should_panic]
+fn out_of_range_gather_index_panics_under_scalar() {
+    dot_through_an_out_of_range_gather(SimdBackend::Scalar);
+}
+
+/// … and under `Avx512Ifma` (the vector bound check in front of the
+/// hardware gather), never a read outside the plane.
+#[test]
+#[should_panic]
+fn out_of_range_gather_index_panics_under_avx512ifma() {
+    dot_through_an_out_of_range_gather(SimdBackend::Avx512Ifma);
+}
+
+/// The inputs of [`constant_multiply_outputs`]: per modulus, random
+/// residues and the residues where a branch of the three loops flips —
+/// all 0, all `q − 1`, and the centred lift's sign boundary `⌊q/2⌋`,
+/// `⌊q/2⌋ + 1`.
+const PATTERNS: [&str; 5] = ["random", "zero", "q-1", "q/2", "q/2+1"];
+
+fn pattern(kind: &str, q: &Modulus, n: usize, seed: u64) -> Vec<u64> {
+    match kind {
+        "random" => residues(q, n, seed),
+        "zero" => vec![0; n],
+        "q-1" => vec![q.value() - 1; n],
+        "q/2" => vec![q.value() / 2; n],
+        _ => vec![q.value() / 2 + 1; n],
+    }
+}
+
+/// Everything the three constant-multiply loops of `rns.rs` write for
+/// one input pattern on the current backend, at the level with `live`
+/// data planes of `data`: the digits of `rns_decompose_into`, the digits
+/// of `hybrid_decompose_into` onto `ks` (the `live`-plane prefix of `data`
+/// plus a special prime) when there is one, and `mod_switch_in_place` of
+/// the `live` data planes (when two are live) and of `ks`'s `live + 1`.
+/// The decompositions read `pattern · q̂_i`, so that the pattern itself is
+/// the normalized residue `[q̂_i⁻¹·c]_{q_i}` they split and lift.
+fn constant_multiply_outputs(
+    data: &ModulusChain,
+    live: usize,
+    ks: Option<&ModulusChain>,
+    base: u64,
+    kind: &str,
+    seed: u64,
+) -> Vec<RnsPoly> {
+    let n = data.degree();
+    let planes = |chain: &ModulusChain, limbs: usize, normalized: bool| {
+        let mut data = Vec::with_capacity(limbs * n);
+        for i in 0..limbs {
+            let q = chain.modulus(i);
+            let weight = if normalized {
+                chain.crt().qhat_mod(i, i)
+            } else {
+                1
+            };
+            data.extend(
+                pattern(kind, q, n, seed ^ i as u64)
+                    .into_iter()
+                    .map(|v| q.mul_mod(v, weight)),
+            );
+        }
+        RnsPoly::from_data(data, limbs, n, Representation::Coeff)
+    };
+    let src = planes(data, live, true);
+    let mut out = Vec::new();
+
+    let count = (0..live)
+        .map(|i| data.limb_decomposition_levels(base, i))
+        .sum();
+    let mut digits = vec![RnsPoly::zero_with(live, n, Representation::Coeff); count];
+    src.rns_decompose_into(base, data, &mut digits).unwrap();
+    out.extend(digits);
+
+    if let Some(ks) = ks {
+        let mut digits = vec![RnsPoly::zero_with(live + 1, n, Representation::Coeff); live];
+        src.hybrid_decompose_into(data, ks, &mut digits).unwrap();
+        out.extend(digits);
+        let mut raised = planes(ks, live + 1, false);
+        ks.mod_switch_in_place(&mut raised).unwrap();
+        out.push(raised);
+    }
+    if live >= 2 {
+        let mut dropped = planes(data, live, false);
+        data.mod_switch_in_place(&mut dropped).unwrap();
+        out.push(dropped);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The digit split, the hybrid centred lift and the rounded limb drop
+    /// write the forced-scalar reference's bytes on every backend: at
+    /// every level of every preset (`hybrid_2x40` at `n = 8192` included;
+    /// `hybrid_1x54` and `single_60` are past the IFMA gate and fall
+    /// through), and on mixed-width chains at the gate — its widest limbs
+    /// beside a narrow one, and straddling it, where only some planes of
+    /// one call take the kernel — for random inputs and every boundary
+    /// pattern.
+    #[test]
+    fn constant_multiply_loops_match_scalar(seed in any::<u64>()) {
+        let mut presets = all_presets();
+        presets.push(("hybrid_2x40", BfvParams::preset_hybrid_2x40(8192).unwrap()));
+        let mut cases: Vec<(String, ModulusChain, usize, Option<ModulusChain>, u64)> = Vec::new();
+        for (name, params) in &presets {
+            for level in 0..=params.max_level() {
+                let ks = params.has_special().then(|| params.ks_chain_at(level).clone());
+                cases.push((
+                    format!("{name} L{level}"),
+                    params.chain().clone(),
+                    params.live_limbs_at(level),
+                    ks,
+                    params.a_dcmp(),
+                ));
+            }
+        }
+        // The widest limbs the kernels take beside a narrow one — a lift or
+        // a drop between them is a real reduction, which equal-width
+        // presets never need — and chains that straddle the gate plane by
+        // plane, with a 52-bit limb no 52-bit Shoup multiply is exact for
+        // (`2q > 2^52`).
+        let n = 64;
+        let below = generate_ntt_primes(50, n, 2).unwrap();
+        let wide = generate_ntt_prime(52, n).unwrap();
+        let narrow = generate_ntt_prime(24, n).unwrap();
+        for (name, limbs) in [
+            ("50, 50 + 24 under the gate", [below[0], below[1], narrow]),
+            ("24, 50 + 50 under the gate", [narrow, below[0], below[1]]),
+            ("gate straddled, 52 bits second", [below[0], wide, narrow]),
+            ("gate straddled, 52 bits first", [wide, below[0], narrow]),
+            ("gate straddled, 52 bits last", [narrow, below[0], wide]),
+        ] {
+            let data = ModulusChain::new(n, &limbs[..2]).unwrap();
+            let ks = ModulusChain::new(n, &limbs).unwrap();
+            cases.push((name.to_string(), data, 2, Some(ks), 1 << 20));
+        }
+
+        for (name, data, live, ks, base) in &cases {
+            for kind in PATTERNS {
+                let run = |backend: SimdBackend| {
+                    let (_guard, eff) = ForceGuard::force(backend);
+                    assert_eq!(eff, backend);
+                    constant_multiply_outputs(data, *live, ks.as_ref(), *base, kind, seed)
+                };
+                let reference = run(SimdBackend::Scalar);
+                for backend in runnable_vector_backends() {
+                    prop_assert_eq!(
+                        &run(backend), &reference,
+                        "{}, {} inputs: constant-multiply loops diverged on {}",
+                        name, kind, backend.name()
+                    );
+                }
             }
         }
     }

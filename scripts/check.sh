@@ -150,23 +150,25 @@ if [[ "${1:-}" != "quick" ]]; then
     fi
 
     echo "==> hybrid key-switch regression gate (committed non-smoke BENCH_he_ops.json)"
-    # Special-prime hybrid rotation vs its equal-total-plane-count digit
-    # twin: hybrid_1x54 (1 data limb + P, two planes) against rns_2x30
-    # (two data limbs). Fewer transforms (9 vs 10) and a quarter of the
-    # key-switch pointwise work — if the committed full run ever shows the
-    # digit twin winning, the hybrid datapath has regressed. The 3-plane
-    # pair (l3_rotate_hybrid vs l3_rotate) is emitted and tracked but not
-    # gated: its 18-vs-21 transform margin is within what the exact
-    # P-rescale's multi-word arithmetic costs, so it trades places with
-    # hardware.
-    rot_hybrid=$(json_val BENCH_he_ops.json l2_rotate_hybrid)
-    rot_digit=$(json_val BENCH_he_ops.json l2_rotate)
+    # Special-prime hybrid rotation vs its equal-plane-count digit twin,
+    # like with like: hybrid_2x36 (2 data limbs + P) against rns_3x36
+    # (three data limbs) — all 36-bit limbs, both under the detected
+    # backend, so the pair compares key-switch algorithms and not NTT
+    # kernels (the old `l2_rotate_hybrid < l2_rotate` held 54-bit lanes
+    # against a 30-bit chain pinned to scalar; both keys are still emitted).
+    # Per rotation hybrid runs 18 transforms and 2 digits of 3 planes
+    # against the twin's 21 transforms and 6 digits, and pays a P-rescale
+    # per accumulator, which the IFMA constant multiplier made a few µs: if
+    # the committed full run ever shows the digit twin winning, the hybrid
+    # datapath has regressed (ROADMAP item 2c keeps the score).
+    rot_hybrid=$(json_val BENCH_he_ops.json l3_rotate_hybrid)
+    rot_digit=$(json_val BENCH_he_ops.json l3_rotate_simd)
     if [[ -z "$rot_hybrid" || -z "$rot_digit" ]]; then
-        echo "FAIL: BENCH_he_ops.json lacks l2_rotate_hybrid / l2_rotate"
+        echo "FAIL: BENCH_he_ops.json lacks l3_rotate_hybrid / l3_rotate_simd"
         exit 1
     fi
     if ! awk -v h="$rot_hybrid" -v d="$rot_digit" 'BEGIN { exit !(h < d) }'; then
-        echo "FAIL: committed l2_rotate_hybrid ($rot_hybrid ns) is not faster than its digit twin l2_rotate ($rot_digit ns)"
+        echo "FAIL: committed l3_rotate_hybrid ($rot_hybrid ns) is not faster than its digit twin l3_rotate_simd ($rot_digit ns)"
         exit 1
     fi
 
@@ -177,8 +179,12 @@ if [[ "${1:-}" != "quick" ]]; then
     # AVX-512 IFMA backend the 36-bit NTT pair must show a vector kernel:
     # each transform under 0.4 x its scalar pin (measured ~0.12 x) and the
     # forward one under the forced AVX2 lanes. (A plain `<=` let a scalar
-    # "vector" NTT pass for seven PRs.) On any other backend, and for the
-    # 2/3-limb rotations, the vector twin must not lose to its scalar pin.
+    # "vector" NTT pass for seven PRs.) The same goes for the kernels made
+    # of residue products: the transform-free digit replay (the lazy inner
+    # product and nothing else), the hybrid lift and the P-rescale must
+    # each run under 0.5 x their forced-AVX2 twin (measured ~0.3, 0.2,
+    # 0.1). On any other backend, and for the 2/3-limb rotations, the
+    # vector twin must not lose to its scalar pin.
     # The `l1_rotate` pair is emitted and tracked but not gated: a
     # single-limb rotation is dominated by key-switch bookkeeping, so its
     # SIMD margin is inside run-to-run noise.
@@ -212,6 +218,18 @@ if [[ "${1:-}" != "quick" ]]; then
             echo "FAIL: committed ntt_simd ($ntt_simd ns) does not beat the forced AVX2 lanes ntt_avx2 ($ntt_avx2 ns)"
             exit 1
         fi
+        for key in l3_rotate_hoisted hybrid_decompose rescale; do
+            ifma=$(json_val BENCH_he_ops.json "$key")
+            avx2=$(json_val BENCH_he_ops.json "${key}_avx2")
+            if [[ -z "$ifma" || -z "$avx2" ]]; then
+                echo "FAIL: BENCH_he_ops.json lacks $key / ${key}_avx2"
+                exit 1
+            fi
+            if ! awk -v v="$ifma" -v a="$avx2" 'BEGIN { exit !(v <= 0.5 * a) }'; then
+                echo "FAIL: committed $key ($ifma ns) is not within 0.5 x the forced AVX2 lanes ${key}_avx2 ($avx2 ns)"
+                exit 1
+            fi
+        done
     fi
 
     echo "==> bench_throughput smoke (JSON key regression gate)"

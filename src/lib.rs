@@ -46,11 +46,14 @@
 //!   groups' multiply-accumulate loops into per-thread chunks, combines
 //!   the results in a fixed order, and keeps exact kernel accounting via
 //!   the evaluator's atomic [`bfv::OpCounts`].
-//! * **Vector kernels** — [`bfv::simd`] dispatches the NTT butterflies
-//!   and pointwise kernels at runtime to one of four backends — the
-//!   scalar reference (forced only), portable lanes, AVX2 lanes, or the
-//!   AVX2 lanes plus an explicit AVX-512 IFMA NTT for limbs under 2^50 —
-//!   bit-identical to the scalar reference (no cargo feature).
+//! * **Vector kernels** — [`bfv::simd`] dispatches the NTT butterflies,
+//!   the pointwise kernels, the lazy inner product under every mask sum
+//!   and key switch, and the per-limb constant multiplies of the
+//!   decompositions and the rescale at runtime to one of four backends —
+//!   the scalar reference (forced only), portable lanes, AVX2 lanes, or
+//!   the AVX2 lanes plus explicit AVX-512 IFMA kernels (NTT, inner
+//!   product, constant multiplier) for limbs under 2^50 — bit-identical
+//!   to the scalar reference (no cargo feature).
 //!
 //! `cargo run --release -p cheetah-bench --bin bench_he_ops` emits
 //! `BENCH_he_ops.json` with ns/op for the three operators (allocating vs
