@@ -371,13 +371,15 @@ fn prune_fc_classes(weights: &Tensor, no: usize, ni: usize, dead_frac: f64) -> T
 }
 
 fn fc_point(params: BfvParams) -> FcPoint {
-    // n_i → n_i/4: d = n_i/4 folded diagonals (64, or 16 in a smoke run —
-    // enough for a √d split) and a fold of 4 behind every kernel.
-    let ni = if smoke() { 64 } else { 256 };
+    // 256 → 64 (`bench_e2e`'s second MLP layer): d = 64 folded diagonals,
+    // tiled 8 times into δ = 8 — enough for a √δ split. A smoke run takes
+    // 512 → 16: four copies fit the row, δ = 4. The client adds the
+    // windows up, so every variant times the kernel alone.
+    let (ni, no) = if smoke() { (512, 16) } else { (256, 64) };
     let spec = FcSpec {
         name: "bench-fc".into(),
         ni,
-        no: ni / 4,
+        no,
     };
     let mut kg = KeyGenerator::from_seed(params.clone(), 21);
     let pk = kg.public_key().unwrap();

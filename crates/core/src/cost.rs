@@ -21,8 +21,8 @@
 //! `2·live` pointwise multiplications over `live + 1` planes. The
 //! [`HeCostParams::hybrid`] flag dispatches every accessor between the
 //! two regimes so plan choosers ([`crate::sparse::BsgsPlan`],
-//! [`crate::linear::ConvPlan`],
-//! [`crate::linear::ReducePlan`]) price whichever path the chain runs.
+//! [`crate::linear::FcPlan`], [`crate::linear::ConvPlan`]) price whichever
+//! path the chain runs.
 //!
 //! These constants match the real engine: `cheetah-bfv`'s Barrett reduction
 //! performs exactly four partial products plus the `t·q` product, its NTT
@@ -191,23 +191,6 @@ impl HeCostParams {
     /// Integer multiplications in one hoist: pure NTT plane-transform work.
     pub fn hoist_mults(&self) -> u64 {
         self.ntts_per_hoist() * self.ntt_mults()
-    }
-
-    /// Integer multiplications of a dense [`crate::linear::ReducePlan`]'s
-    /// rotation schedule — the bill [`crate::linear::ReducePlan::choose`]
-    /// minimizes.
-    pub fn reduce_plan_mults(&self, plan: crate::linear::ReducePlan, count: usize) -> u64 {
-        if count <= 1 {
-            return 0;
-        }
-        match plan {
-            crate::linear::ReducePlan::Ladder => count.ilog2() as u64 * self.he_rotate_mults(),
-            crate::linear::ReducePlan::Bsgs { s, g } => {
-                let hoists = u64::from(s > 1) + u64::from(g > 1);
-                hoists * self.hoist_mults()
-                    + ((s as u64 - 1) + (g as u64 - 1)) * self.he_rotate_hoisted_mults()
-            }
-        }
     }
 }
 

@@ -50,7 +50,7 @@ pub mod sparse;
 pub mod speedup;
 
 pub use cost::{HeCostParams, KernelMults, KernelTally};
-pub use linear::{ConvPlan, ReducePlan};
+pub use linear::ConvPlan;
 pub use ptune::{DesignPoint, NoiseRegime, TuneSpace};
 pub use quant::{QuantSpec, WeightMode};
 pub use schedule::Schedule;

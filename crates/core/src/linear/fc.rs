@@ -1,6 +1,7 @@
 //! Homomorphic fully connected layers: one Baby-Step-Giant-Step kernel
-//! over the live **tiled** diagonals of a periodically packed input, then
-//! one fold.
+//! over the live **tiled** diagonals of a periodically packed input. The
+//! kernel's partial sums are the layer's output; whoever decrypts adds them
+//! up.
 //!
 //! # Layout
 //!
@@ -77,38 +78,44 @@
 //! [`HeCostParams`] by [`FcPlan::choose`] — the one chooser the engine and
 //! the chain solver share; a layer takes no schedule argument.
 //!
-//! # The fold
+//! # Where the client adds
 //!
-//! One rotate-and-sum under a [`ReducePlan`] gathers the partial copies,
-//! `T / d` of them at stride `d` around the cyclic row:
+//! `y_part` is what [`HomFc::apply`] returns. Each output row's partial
+//! sums sit `T / d` windows apart at stride `d`:
 //!
 //! ```text
-//! y[s] = Σ_{m < T/d} y_part[(s + m·d) mod row]       y[s] = (W'·x)[s mod d]
+//! y[i] = Σ_{m < T/d} y_part[i + m·d]   (mod t)        y = W'·x,  i < d
 //! ```
 //!
-//! The `T / d` windows of `δ` slots it adds up meet, in each of the `r`
-//! copies, the residues `[c·δ, (c+1)·δ)` of `γ − s (mod d)` — between them
-//! every residue once — and `n_i' / d` windows per copy cover every column
-//! of each: output row `s mod d` meets every column exactly once, whatever
-//! `s`. A layer with `T = d` (square, untiled) skips the fold; an
-//! `n_o'`-row layer pays `δ = n_o' / r` mask multiplies and
-//! `O(√δ) + log2(T / d)`-ish rotations, where the untiled layout pays
-//! `n_o'` and `O(√n_o') + log2(n_i' / d)`.
+//! The `fold = T / d` windows of `δ` slots meet, in each of the `r` copies,
+//! the residues `[c·δ, (c+1)·δ)` of `γ − s (mod d)` — between them every
+//! residue once — and `n_i' / d` windows per copy cover every column of
+//! each: output row `i` meets every column exactly once. No rotate-and-sum
+//! gathers them under encryption: the client decrypts every slot of a
+//! download anyway, the protocol hands it an additive share of `y`, and a
+//! sum of shares is a share of the sum — [`HomFc::output_slots`] names the
+//! windows and [`HomFc::decode_output`] adds them. An `n_o'`-row layer pays
+//! `δ = n_o' / r` mask multiplies and the kernel's `O(√δ)` rotations, all
+//! below `δ`; at `r = n_o'` (one tiled diagonal) it is one mask multiply
+//! and no rotation at all. A square untiled layer has `T = d`: one window.
 //!
 //! # Which slots hold what
 //!
-//! After the fold **every** slot `s` of row 0 holds `y[s mod d]`: the
-//! layer's result in `[0, n_o)`, zeros in `[n_o, d)` (padding rows), and
-//! then `row / d − 1` more **copies of the outputs** — on a hidden layer,
-//! the unmasked pre-activations. Row 1 is zero. Only slots `[0, n_o)` are
-//! read, and the protocol layer must not ship the rest in the clear:
-//! `cheetah-protocol` adds fresh uniform blinding to every slot outside
-//! `[0, n_o)` before a download leaves the server.
+//! **Every** slot `s` of row 0 holds a partial sum of output row `s mod d`
+//! (zero on the padding rows `[n_o, d)`), periodic in `T`: windows
+//! `i + m·d`, `m < fold`, of the first period are read, the `row / T − 1`
+//! further periods repeat them. On a hidden layer these are partial
+//! pre-activations — strictly more than the pre-activations themselves —
+//! so **no first-row slot may ship unmasked**: `cheetah-protocol` splits
+//! each output's mask into `fold` additive shares, one per window, and
+//! blinds every other slot with a fresh uniform draw before a download
+//! leaves the server. Row 1 is zero.
 //!
 //! Constraints: `1 ≤ n_o ≤ n_i`, `n_i' ≤ n/2`.
 
 use std::ops::Range;
 
+use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::{
     BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, Plaintext,
     PreparedPlaintext, Result, Scratch,
@@ -117,14 +124,13 @@ use cheetah_nn::{FcSpec, Tensor};
 
 use crate::cost::HeCostParams;
 use crate::linear::parallel::{map_chunks, merge_partials, WorkerScratch};
-use crate::linear::{rotate_sum_noise, rotate_sum_reduce, ReducePlan};
 use crate::sparse::{BsgsPlan, FcStructure};
 
 /// The whole plan of one FC layer: how many copies of the input the client
-/// tiles the row with, the BSGS kernel over the tiled diagonals, and the
-/// fold that gathers the partial copies. [`HomFc`] executes exactly this
-/// and the chain solver prices exactly this — op counts, Galois steps and
-/// label all come from here.
+/// tiles the row with, the BSGS kernel over the tiled diagonals, and how
+/// many windows of partial sums the client adds up after decryption.
+/// [`HomFc`] executes exactly this and the chain solver prices exactly
+/// this — op counts, Galois steps and label all come from here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FcPlan {
     /// Pre-rotated copies `r` of the input per period of the row (a power
@@ -132,29 +138,27 @@ pub struct FcPlan {
     pub tiles: usize,
     /// The kernel's baby/giant split and which of its steps are live.
     pub kernel: BsgsPlan,
-    /// Tiled diagonals `δ = n_o' / r` the kernel covers. The fold's stride
-    /// is `n_o' = tiles · diagonals`.
+    /// Tiled diagonals `δ = n_o' / r` the kernel covers. The windows'
+    /// stride is `n_o' = tiles · diagonals`.
     pub diagonals: usize,
     /// Tiled diagonals that carry a mask: the plaintext multiplies per
     /// evaluation.
     pub live: usize,
-    /// Terms of the fold, `r·n_i' / n_o'` (1 on a square untiled layer: no
-    /// fold).
+    /// Windows of partial sums per output the client adds, `r·n_i' / n_o'`
+    /// (1 on a square untiled layer: the slot is the output).
     pub fold: usize,
-    /// How the fold's rotate-and-sum runs.
-    pub fold_plan: ReducePlan,
 }
 
 impl FcPlan {
     /// Picks the cheapest plan under `cost` for a `row`-slot batching row:
     /// for every admissible tiling `r` ([`FcStructure::tilings`]) the
     /// baby width minimizing the live rotations' bill
-    /// ([`BsgsPlan::choose`]) and the cheapest [`ReducePlan`] for the
-    /// fold, keeping the least [`FcPlan::int_mults`] — the smaller `r`
-    /// unless a larger one is strictly cheaper, with every Galois key past
-    /// the untiled plan's charged one direct rotation
+    /// ([`BsgsPlan::choose`]), keeping the least [`FcPlan::int_mults`] —
+    /// the smaller `r` unless a larger one is strictly cheaper, with every
+    /// Galois key past the untiled plan's charged one direct rotation
     /// ([`super::ConvPlan::choose`]'s rate: keys are uploaded once per
-    /// session).
+    /// session). The windows a wider tiling multiplies are the client's to
+    /// add and have no price here.
     pub fn choose(s: &FcStructure, row: usize, cost: &HeCostParams) -> Self {
         let mut best = Self::for_tiles(s, 1, None, cost);
         let keys = best.rotations();
@@ -188,11 +192,11 @@ impl FcPlan {
             diagonals: tiled.diagonals(),
             live: tiled.live_diagonals(),
             fold: tiled.fold(),
-            fold_plan: ReducePlan::choose(tiled.fold(), cost),
         }
     }
 
-    /// The fold's stride `d = n_o'`: the period of the output.
+    /// The windows' stride `d = n_o'`: slot `s` holds a partial sum of
+    /// output row `s mod d`.
     pub fn stride(&self) -> usize {
         self.tiles * self.diagonals
     }
@@ -207,27 +211,18 @@ impl FcPlan {
     /// Rotations per evaluation — each step of
     /// [`FcPlan::rotation_steps`] exactly once.
     pub fn rotations(&self) -> usize {
-        self.rotation_steps().len()
+        self.kernel.rotations()
     }
 
-    /// The exact rotation steps evaluation performs: the kernel's (all
-    /// below `δ`) then the fold's (multiples of `d`). An all-zero layer
-    /// rotates by nothing.
+    /// The exact rotation steps evaluation performs: the kernel's, all
+    /// below `δ`. An all-zero layer rotates by nothing.
     pub fn rotation_steps(&self) -> Vec<i64> {
-        let mut steps = self.kernel.rotation_steps();
-        if self.live > 0 && self.fold > 1 {
-            steps.extend(self.fold_plan.steps(self.fold, self.stride() as i64));
-        }
-        steps
+        self.kernel.rotation_steps()
     }
 
-    /// Rotation-side integer multiplications under `cost`.
+    /// Rotation-side integer multiplications under `cost`: the kernel's.
     pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
-        let kernel = self.kernel.rotation_mults(cost);
-        if self.live == 0 {
-            return kernel;
-        }
-        kernel + cost.reduce_plan_mults(self.fold_plan, self.fold)
+        self.kernel.rotation_mults(cost)
     }
 
     /// All integer multiplications under `cost`: the mask multiplies plus
@@ -259,6 +254,8 @@ pub struct HomFc {
     /// `2^scale_log2` was pulled out of the masks, to be re-applied once
     /// after the merge.
     scale_log2: u32,
+    /// The plaintext modulus the windows are added under.
+    t: Modulus,
 }
 
 /// The typed refusals every constructor shares.
@@ -428,6 +425,7 @@ impl HomFc {
             plan,
             groups,
             scale_log2,
+            t: *encoder.params().plain_modulus(),
         })
     }
 
@@ -437,7 +435,7 @@ impl HomFc {
     }
 
     /// The whole plan this layer executes: tiling, kernel, live
-    /// diagonals, fold.
+    /// diagonals, windows.
     pub fn fc_plan(&self) -> &FcPlan {
         &self.plan
     }
@@ -451,9 +449,8 @@ impl HomFc {
     /// `level` (see `HomConv2d::noise_after`):
     /// [`cheetah_bfv::NoiseEstimate::bsgs_matvec_at`] over the live work —
     /// as many groups as are live, each as wide as the widest, every mask
-    /// charged the worst norm — then the factored scale's multiply and the
-    /// fold's rotate-and-sum transition on top. Upper-bounds the
-    /// engine-tracked estimate of [`HomFc::apply`].
+    /// charged the worst norm — then the factored scale's multiply on top.
+    /// Upper-bounds the engine-tracked estimate of [`HomFc::apply`].
     pub fn noise_after(
         &self,
         input: &cheetah_bfv::NoiseEstimate,
@@ -470,23 +467,15 @@ impl HomFc {
         if self.scale_log2 > 0 {
             part = part.mul_plain_at(params, level, 1, 2 * (1u64 << self.scale_log2));
         }
-        rotate_sum_noise(&part, params, level, self.plan.fold, self.plan.fold_plan)
+        part
     }
 
-    /// Rotation steps an evaluation may need on a `row`-slot batching row,
-    /// whatever plan is chosen: kernel steps `1..d` over the `d = n_o'`
-    /// folded diagonals (tiling only shortens them) plus the fold's
-    /// multiples of `d` below the widest tiling's period. Use
-    /// [`HomFc::rotation_steps`] on a prepared layer for the exact
-    /// plan-specific set.
-    pub fn required_steps(spec: &FcSpec, row: usize) -> Vec<i64> {
-        let dense = FcStructure::dense(spec.no, spec.ni);
-        let d = dense.diagonals();
-        let period = dense.max_tiles(row).max(1) * spec.ni.next_power_of_two();
-        (1..d)
-            .chain((d..period).step_by(d))
-            .map(|s| s as i64)
-            .collect()
+    /// Rotation steps an evaluation may need, whatever plan is chosen:
+    /// kernel steps `1..d` over the `d = n_o'` folded diagonals (tiling
+    /// only shortens them). Use [`HomFc::rotation_steps`] on a prepared
+    /// layer for the exact plan-specific set.
+    pub fn required_steps(spec: &FcSpec) -> Vec<i64> {
+        (1..spec.no.next_power_of_two() as i64).collect()
     }
 
     /// The exact rotation steps this prepared layer performs
@@ -518,8 +507,10 @@ impl HomFc {
         encoder.encode_signed(&row)
     }
 
-    /// Applies the layer; the output vector lands in slots `[0, n_o)`
-    /// (the module header says what the other slots hold).
+    /// Applies the layer: the kernel's partial sums `y_part`, `fold`
+    /// windows per output ([`HomFc::output_slots`]) for the decryptor to add
+    /// ([`HomFc::decode_output`]) — nothing is gathered under encryption,
+    /// and every first-row slot holds a partial sum (module header).
     ///
     /// Hoists the input once and replays only the *live* baby steps, then
     /// fans the *live* giant groups across `threads` workers
@@ -528,8 +519,8 @@ impl HomFc {
     /// baby set in one lazy pass
     /// ([`Evaluator::mul_plain_accumulate_many`]) and pays exactly one
     /// direct rotation. Per-chunk partial sums merge in chunk order, and
-    /// the scale and the fold run on the merged sum, so residues — and the
-    /// decrypted output — are identical for every thread count. An
+    /// the scale runs on the merged sum, so residues — and the decrypted
+    /// output — are identical for every thread count. An
     /// all-zero layer returns a transparent zero without a single rotation
     /// or multiply.
     ///
@@ -662,30 +653,27 @@ impl HomFc {
         if self.scale_log2 > 0 {
             eval.mul_scalar_assign(&mut part, 1u64 << self.scale_log2)?;
         }
-        if self.plan.fold == 1 {
-            return Ok(part);
-        }
-        // The fold: y = Σ_m rot(y_part, m·d) gathers each row's partial
-        // sums — into every slot s ≡ that row (mod d).
-        let mut rotated = scratch.take_ct(eval.params(), level);
-        let folded = rotate_sum_reduce(
-            part,
-            self.plan.stride() as i64,
-            self.plan.fold,
-            self.plan.fold_plan,
-            eval,
-            keys,
-            scratch,
-            &mut rotated,
-            hoisted,
-        );
-        scratch.put_ct(rotated);
-        folded
+        Ok(part)
     }
 
-    /// Extracts the output vector from decoded slots.
+    /// The slots whose sum mod `t` is output element `i < n_o`: window
+    /// `i + m·d` for `m < fold`, ascending, all inside the first period of
+    /// the row.
+    pub fn output_slots(&self, i: usize) -> std::iter::StepBy<Range<usize>> {
+        let d = self.plan.stride();
+        (i..self.plan.fold * d).step_by(d)
+    }
+
+    /// Extracts the output vector from decoded slots: element `i` is the
+    /// sum of its [`HomFc::output_slots`], centred mod `t` — exact on the
+    /// layer's own output, and on a download whose mask was shared over
+    /// the same windows it yields `y + r`.
     pub fn decode_output(&self, slots: &[i64]) -> Tensor {
-        Tensor::from_data(&[self.spec.no], slots[..self.spec.no].to_vec())
+        let sum = |i| self.output_slots(i).map(|s| slots[s]).sum();
+        let data = (0..self.spec.no)
+            .map(|i| self.t.center(self.t.from_signed(sum(i))))
+            .collect();
+        Tensor::from_data(&[self.spec.no], data)
     }
 }
 
@@ -724,7 +712,7 @@ mod tests {
         let mut kg = KeyGenerator::from_seed(params.clone(), 51);
         let pk = kg.public_key().unwrap();
         let keys = kg
-            .galois_keys_for_steps(&HomFc::required_steps(spec, params.row_size()))
+            .galois_keys_for_steps(&HomFc::required_steps(spec))
             .unwrap();
         Ctx {
             encoder: BatchEncoder::new(params.clone()),
@@ -835,10 +823,11 @@ mod tests {
 
     #[test]
     fn tiled_slot_arithmetic_reproduces_the_matrix_product() {
-        // The layout, the masks and the fold as plain slot arithmetic, no
-        // ciphertext anywhere: for the benchmark and LeNet-300-100 shapes,
-        // every tiling and a ragged baby width, every slot s of the row
-        // ends up holding (W'·x)[s mod d] — wrap-around included.
+        // The layout, the masks and the windows as plain slot arithmetic,
+        // no ciphertext anywhere: for the benchmark and LeNet-300-100
+        // shapes, every tiling and a ragged baby width, the `fold` windows
+        // at stride d from any slot s of the row add up to (W'·x)[s mod d]
+        // — wrap-around included.
         let params = BfvParams::preset_rns_3x36(4096).unwrap();
         let encoder = BatchEncoder::new(params.clone());
         let cost = HeCostParams::for_bfv(&params, 0);
@@ -996,9 +985,15 @@ mod tests {
         let wide = forced(&c, &s, &weights, 100, 1);
         assert_eq!((wide.fc_plan().kernel.b, wide.fc_plan().kernel.g), (8, 1));
         // Tiled, the same width covers δ = 4 diagonals in two groups and
-        // the fold gathers T/d = 2 copies.
+        // leaves T/d = 2 windows for the client to add: no step reaches d.
         let tiled = forced(&c, &s, &weights, 3, 2);
-        assert_eq!(tiled.rotation_steps(), vec![1, 2, 3, 8]);
+        assert_eq!(tiled.rotation_steps(), vec![1, 2, 3]);
+        let tiled_ct = encrypt(&mut c, &tiled, &input);
+        let t = tiled.apply(&tiled_ct, &c.eval, &c.keys, 1).unwrap();
+        assert_eq!(
+            tiled.decode_output(&decrypt_slots(&c, &t)).data(),
+            ragged.decode_output(&decrypt_slots(&c, &a)).data()
+        );
         assert_eq!(
             tiled.fc_plan().label(),
             "fc bsgs tiles=2 b=3 g=2 live=4/4 fold=2"

@@ -268,7 +268,7 @@ pub fn chain_candidates(degrees: &[usize]) -> Vec<(String, BfvParams)> {
 /// [`ConvPlan::choose`] — the very choosers `HomFc` / `HomConv2d` run at
 /// prepare time — so the multiplies, rotations and label are the ones the
 /// prepared kernel will perform: one multiply per live mask, the hoisted
-/// baby replays, the giant steps, and (FC) the fold's.
+/// baby replays and the giant steps (an FC layer's fold is the client's).
 ///
 /// `structure = None` prices dense; an all-zero layer costs nothing.
 fn layer_cost_on_chain_structured(
@@ -552,7 +552,16 @@ mod tests {
     #[test]
     fn structured_solve_prices_sparsity_cheaper_never_costlier() {
         use crate::sparse::{FcStructure, LayerStructure};
-        let layers = tiny_layers();
+        // An FC wide enough that the row cannot tile it down to one
+        // diagonal (256 → 40: d = 64, at most 8 copies, δ = 8) — a layer
+        // that is one mask multiply dense has nothing left to prune.
+        let mut layers = tiny_layers();
+        let (no, ni, d) = (40usize, 256usize, 64usize);
+        layers[1] = LinearLayer::Fc(FcSpec {
+            name: "fc1".into(),
+            ni,
+            no,
+        });
         let quant = QuantSpec::default();
         let dense = solve_chain_plan(
             &layers,
@@ -562,14 +571,13 @@ mod tests {
             &[4096],
         )
         .unwrap();
-        // ~90%-sparse FC structure (2 of the 16 folded diagonals live),
-        // dense conv.
+        // Sparse FC structure (2 of the 64 folded diagonals live, on two
+        // of the 8 tiled ones), dense conv.
         let fc = &layers[1];
-        let (no, ni) = (10usize, 64usize);
         let mut w = vec![0i64; no * ni];
         for k in [3usize, 12] {
-            for j in (0..ni).filter(|j| j % 16 < no) {
-                w[(j % 16) * ni + (j + k) % ni] = 3;
+            for j in (0..ni).filter(|j| j % d < no) {
+                w[(j % d) * ni + (j + k) % ni] = 3;
             }
         }
         let fc_structure = FcStructure::analyze(&w, no, ni);

@@ -220,9 +220,9 @@ impl FcStructure {
         self.classes.len()
     }
 
-    /// Copies of the output the diagonals leave spread over the (tiled)
-    /// input: the rotate-and-sum count that gathers them. Tiling `r` times
-    /// leaves `r` times the copies, `r·n_i' / d = n_i' / δ`.
+    /// Windows of partial sums per output the diagonals leave spread over
+    /// the (tiled) input, for the decryptor to add up. Tiling `r` times
+    /// leaves `r` times the windows, `r·n_i' / d = n_i' / δ`.
     pub fn fold(&self) -> usize {
         self.ni.next_power_of_two() / self.diagonals()
     }

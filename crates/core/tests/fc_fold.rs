@@ -1,20 +1,23 @@
-//! The tiled, folded FC layout, pinned from outside:
+//! The tiled FC layout and its client-side fold, pinned from outside:
 //!
 //! * over random `(n_i, n_o ≤ n_i)` — `n_o = 1`, `n_o = n_i`,
 //!   non-power-of-two `n_o` and non-power-of-two `n_i` included — ×
 //!   {forced `b = 1`, forced `b = δ`, forced random `b`, forced all-live
 //!   over dead diagonals, forced over the weights' own sparse or pow2
 //!   structure — each under a random admissible tiling — auto, sparse,
-//!   pow2} plans × levels 0/1 × the digit and hybrid presets: slots
-//!   `[0, n_o)` decrypt to the cleartext `W·x`, every slot equals the
-//!   untiled `b = 1` all-live plan's, measured ≤ tracked ≤ predicted noise,
-//!   one multiply per live tiled diagonal, one rotation per step of
-//!   `rotation_steps()`, and exactly those Galois keys are enough while
-//!   any one fewer is not; every admissible tiling of one shape is walked
-//!   deterministically besides;
+//!   pow2} plans × levels 0/1 × the digit and hybrid presets:
+//!   `decode_output` of the decrypted slots is the cleartext `W·x` and the
+//!   untiled `b = 1` all-live plan's, the `fold` windows from **any**
+//!   first-row slot add up to its output row, measured ≤ tracked ≤
+//!   predicted noise, one multiply per live tiled diagonal, one rotation
+//!   per step of `rotation_steps()` — the kernel's, none reaching `δ` —
+//!   and exactly those Galois keys are enough while any one fewer is not;
+//!   every admissible tiling of one shape is walked deterministically
+//!   besides, and of random shapes under both diagonal-method widths;
 //! * a square untiled layer (`fold = 1`) runs the unfolded engine's ops
 //!   and keys, and `tiles = 1` on the benchmark shapes runs the plans —
-//!   multiplies, rotations, step lists — the layout had before it tiled;
+//!   multiplies, step lists — the layout had before it tiled, its
+//!   rotations short by exactly the server-side fold's;
 //! * the chain solver's per-layer multiply and rotation counts (and its
 //!   label) are the prepared layer's measured `OpCounts`, on the
 //!   benchmark networks' FC shapes — tiled picks, all of them — and
@@ -26,7 +29,7 @@ use cheetah_bfv::{
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::ptune::{solve_chain_plan, NoiseRegime};
-use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec, ReducePlan, Schedule};
+use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec, Schedule};
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -230,29 +233,36 @@ fn check_layer(
     let level = ct.level();
     let (out, counts) = run(c, layer, &ct);
 
-    // Slots [0, n_o) are W·x (|y| ≤ 64·3·4 stays far inside ±t/2), and
-    // every slot — the copies past n_o included — is what the untiled
-    // all-live b = 1 plan of the same weights leaves there: the output
-    // layout does not depend on the tiling.
+    // The windows of outputs [0, n_o) add up to W·x (|y| ≤ 64·3·4 stays
+    // far inside ±t/2), and so do the `fold` windows at stride d from any
+    // other first-row slot — every slot holds a partial sum of its row, the
+    // padding rows zero — while the second row stays empty. The untiled
+    // all-live b = 1 plan of the same weights decodes to the same vector:
+    // the output does not depend on the tiling.
+    let plan = layer.fc_plan();
     let slots = c
         .encoder
         .decode_signed(&c.dec.decrypt_checked(&out).unwrap());
     assert_eq!(layer.decode_output(&slots).data(), expect.data());
     let d = s.no.next_power_of_two();
     let row = c.params.row_size();
-    for (slot, &v) in slots.iter().enumerate() {
-        let copy = (slot < row).then(|| expect.data().get(slot % d)).flatten();
-        assert_eq!(v, copy.copied().unwrap_or(0), "slot {slot}");
+    for slot in 0..row {
+        let windows = (0..plan.fold).map(|m| slots[(slot + m * d) % row]);
+        let output = expect.data().get(slot % d).copied().unwrap_or(0);
+        assert_eq!(windows.sum::<i64>(), output, "windows from slot {slot}");
     }
+    assert!(slots[row..].iter().all(|&v| v == 0), "second row written");
     let reference = prepare(c, s, w, Kind::Forced(1, 1), level);
     let ref_ct = input_at(c, &reference, &input, level);
     let (ref_out, ref_counts) = run(c, &reference, &ref_ct);
     assert_eq!(ref_counts.mul as usize, d);
+    let ref_slots = c
+        .encoder
+        .decode_signed(&c.dec.decrypt_checked(&ref_out).unwrap());
     assert_eq!(
-        slots,
-        c.encoder
-            .decode_signed(&c.dec.decrypt_checked(&ref_out).unwrap()),
-        "a slot differs from the untiled all-live b = 1 plan's"
+        layer.decode_output(&slots).data(),
+        reference.decode_output(&ref_slots).data(),
+        "an output differs from the untiled all-live b = 1 plan's"
     );
 
     // measured ≤ tracked ≤ predicted.
@@ -270,7 +280,6 @@ fn check_layer(
 
     // One multiply per live tiled diagonal, one rotation per step, each
     // step its own key.
-    let plan = layer.fc_plan();
     let steps = layer.rotation_steps();
     let (tiles, delta) = (plan.tiles, d / plan.tiles);
     let masks = if all_live {
@@ -297,13 +306,10 @@ fn check_layer(
     );
 
     // The kernel's live rotations — b + g − 2 when every diagonal carries
-    // a mask — then the fold's: log2(fold) on the ladder, s + g' − 2
-    // hoisted.
-    let fold_rotations = match plan.fold_plan {
-        ReducePlan::Ladder => plan.fold.ilog2() as usize,
-        ReducePlan::Bsgs { s: fs, g: fg } => fs + fg - 2,
-    };
-    assert_eq!(steps.len(), plan.kernel.rotations() + fold_rotations);
+    // a mask — and nothing else: no step reaches δ, let alone the windows'
+    // stride d.
+    assert_eq!(steps.len(), plan.kernel.rotations());
+    assert!(steps.iter().all(|&st| (st as usize) < delta), "{steps:?}");
     if masks == delta {
         assert_eq!(plan.kernel.rotations(), plan.kernel.b + plan.kernel.g - 2);
     }
@@ -407,6 +413,49 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random shapes under **every** admissible tiling and both
+    /// diagonal-method widths: the decrypted windows decode to the
+    /// cleartext product, and no rotation step reaches `d` — there is no
+    /// fold left to ask for one.
+    #[test]
+    fn every_tiling_decodes_to_cleartext_without_a_fold_step(
+        seed in any::<u64>(),
+        hybrid in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ni = rng.random_range(2..=96usize);
+        let no = rng.random_range(1..=ni);
+        let (s, d) = (spec(ni, no), no.next_power_of_two());
+        let mut c = ctx(preset(hybrid), seed % 983 + 1);
+        let all: Vec<usize> = (0..d).collect();
+        let w = weights_on(&s, &all, || nonzero(&mut rng, 3));
+        let input = Tensor::from_data(
+            &[ni],
+            (0..ni).map(|_| rng.random_range(-3i64..=3)).collect(),
+        );
+        let expect = eval_linear(&LinearLayer::Fc(s.clone()), &w, &input);
+        for tiles in tilings(&c, &s) {
+            for b in [1, d / tiles] {
+                let layer = prepare(&c, &s, &w, Kind::Forced(b, tiles), 0);
+                let steps = layer.rotation_steps();
+                prop_assert!(steps.iter().all(|&st| (st as usize) < d), "{:?}", steps);
+                let ct = input_at(&mut c, &layer, &input, 0);
+                let (out, counts) = run(&mut c, &layer, &ct);
+                prop_assert_eq!(counts.rotate as usize, steps.len());
+                let slots = c.encoder.decode_signed(&c.dec.decrypt_checked(&out).unwrap());
+                prop_assert_eq!(
+                    layer.decode_output(&slots).data(),
+                    expect.data(),
+                    "({}, {}) {}", ni, no, layer.fc_plan().label()
+                );
+            }
+        }
+    }
+}
+
 /// The corners, deterministically: one output, a square layer, padded
 /// rows, padded columns — under the auto-chosen plan and, for **every**
 /// admissible tiling, both diagonal-method widths and a sparse pow2 plan.
@@ -438,19 +487,21 @@ fn corner_shapes_fold_correctly() {
     }
 }
 
-/// A folded layer needs every key it lists: drop each in turn.
+/// A layer needs every key it lists — the kernel's, none of them a fold
+/// step: drop each in turn. (512 → 16 fits four copies in the row, so even
+/// the widest tiling leaves the kernel δ = 4 diagonals to rotate over.)
 #[test]
 fn every_listed_step_is_rotated_by() {
     let mut rng = StdRng::seed_from_u64(0x57e9);
-    let s = spec(32, 8);
+    let s = spec(512, 16);
     for kind in [Kind::Auto, Kind::Sparse, Kind::Forced(3, 1)] {
         let mut c = ctx(preset(false), 9);
         let w = weights_for(&s, kind, &mut rng);
         let layer = prepare(&c, &s, &w, kind, 0);
         let steps = layer.rotation_steps();
         assert!(
-            steps.iter().any(|&st| st >= 8),
-            "fold steps listed: {steps:?}"
+            !steps.is_empty() && steps.iter().all(|&st| st < 16),
+            "kernel steps only: {steps:?}"
         );
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i % 5 - 2).collect());
         let ct = input_at(&mut c, &layer, &input, 0);
@@ -519,10 +570,11 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
 
 /// `tiles = 1` is the layout before it tiled, as numbers: forced untiled
 /// under the baby width the chooser picks there, the benchmark networks'
-/// FC shapes run the labels, multiplies, rotations and step lists PR 12's
-/// and PR 15's traced runs recorded at level 0 of the two benchmark chains
+/// FC shapes run the labels, multiplies and kernel step lists PR 12's and
+/// PR 15's traced runs recorded at level 0 of the two benchmark chains
 /// (`mlp_digit` / `cnn_digit.L2` on the digit chain, `mlp_hybrid` on its
-/// hybrid twin).
+/// hybrid twin) — and their rotation counts minus exactly the steps of the
+/// server-side fold those runs still paid.
 #[test]
 fn untiled_plans_are_the_parents_op_for_op() {
     let mut rng = StdRng::seed_from_u64(0x7117);
@@ -551,7 +603,6 @@ fn untiled_plans_are_the_parents_op_for_op() {
         assert_eq!(layer.fc_plan().label(), label);
         let steps: Vec<i64> = (1..b as i64)
             .chain((1..g as i64).map(|u| u * b as i64))
-            .chain(fold_steps)
             .collect();
         assert_eq!(layer.rotation_steps(), steps, "{label}");
         let input = Tensor::from_data(&[ni], (0..ni as i64).map(|i| i % 7 - 3).collect());
@@ -559,7 +610,7 @@ fn untiled_plans_are_the_parents_op_for_op() {
         let (out, counts) = run(&mut c, &layer, &ct);
         assert_eq!(
             (counts.mul as usize, counts.rotate as usize),
-            (no, rotate),
+            (no, rotate - fold_steps.len()),
             "{label}"
         );
         let slots = c
@@ -628,14 +679,16 @@ fn solver_counts_are_the_engines_measured_counts() {
     }
 
     // The tiled picks as numbers: what this layout's traced benchmark runs
-    // record for these shapes at level 0 of the two benchmark chains.
+    // record for these shapes at level 0 of the two benchmark chains — with
+    // no fold in the price the chooser tiles as wide as the row allows, down
+    // to one mask multiply and no rotation on the last layer.
     for (hybrid, ni, no, mul, rotate, label) in [
         (
             false,
             1024,
             256,
             128,
-            26,
+            22,
             "fc bsgs tiles=2 b=16 g=8 live=128/128 fold=8",
         ),
         (
@@ -643,31 +696,31 @@ fn solver_counts_are_the_engines_measured_counts() {
             256,
             64,
             8,
-            14,
+            4,
             "fc bsgs tiles=8 b=4 g=2 live=8/8 fold=32",
         ),
         (
             false,
             64,
             16,
-            4,
-            9,
-            "fc bsgs tiles=4 b=4 g=1 live=4/4 fold=16",
+            1,
+            0,
+            "fc bsgs tiles=16 b=1 g=1 live=1/1 fold=64",
         ),
         (
             false,
             256,
             16,
-            4,
-            9,
-            "fc bsgs tiles=4 b=4 g=1 live=4/4 fold=64",
+            2,
+            1,
+            "fc bsgs tiles=8 b=1 g=2 live=2/2 fold=128",
         ),
         (
             true,
             1024,
             256,
             128,
-            25,
+            22,
             "fc bsgs tiles=2 b=16 g=8 live=128/128 fold=8",
         ),
         (
@@ -675,7 +728,7 @@ fn solver_counts_are_the_engines_measured_counts() {
             256,
             64,
             8,
-            9,
+            4,
             "fc bsgs tiles=8 b=4 g=2 live=8/8 fold=32",
         ),
         (
@@ -683,7 +736,7 @@ fn solver_counts_are_the_engines_measured_counts() {
             64,
             16,
             1,
-            6,
+            0,
             "fc bsgs tiles=16 b=1 g=1 live=1/1 fold=64",
         ),
     ] {

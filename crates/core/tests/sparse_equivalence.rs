@@ -6,7 +6,7 @@
 //!   patterns over the **folded** diagonals of a 64→16 layer (fully live,
 //!   50%, 90%, single diagonal) and at every reachable level of a deep
 //!   chain (skipped terms are zero polynomials, so even the ciphertext
-//!   bits agree, before and after the shared fold);
+//!   bits agree, window by window);
 //! * a sparse `HomConv2d` (dead taps, dead `(d, tap)` masks, dead trailing
 //!   diagonals) decodes to exactly the cleartext reference at every
 //!   reachable level and multiplies once per live mask;
@@ -63,7 +63,7 @@ fn deep_params() -> BfvParams {
 
 const NI: usize = 64;
 /// Rows, and so folded diagonals: the classes a pattern names. Untiled,
-/// the layer folds `NI / NO = 4` partial copies.
+/// the layer leaves `NI / NO = 4` windows per output for the client to add.
 const NO: usize = 16;
 
 fn fc_spec() -> FcSpec {
@@ -135,7 +135,7 @@ proptest! {
             dense.fc_plan().live, NO / tiles,
             "{}: every tiled diagonal forced live", pattern
         );
-        // Kernel steps plus the fold's, each rotated by exactly once.
+        // The kernel's steps, each rotated by exactly once.
         let sparse_rotations = sparse.rotation_steps().len();
         prop_assert!(
             sparse_rotations <= dense.rotation_steps().len(),

@@ -24,6 +24,10 @@ use cheetah_core::ptune::ChainPlan;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
 use rand::Rng;
+use std::iter::StepBy;
+use std::ops::Range;
+
+use crate::masking::center;
 
 /// Worst-case budget (bits) the leveled-evaluation planner keeps in hand
 /// when choosing how many limbs to drop before a layer.
@@ -39,7 +43,7 @@ impl HomLayer {
     /// Rotation steps this prepared layer needs Galois keys for. Both
     /// layer kinds report their *instance* plan steps — the convolution's
     /// live tap baby steps plus its one giant step, and the FC kernel's
-    /// live baby and giant steps plus its fold — so a session generates
+    /// live baby and giant steps — so a session generates
     /// keys only for rotations the prepared weights actually perform. A
     /// 90%-sparse layer's keygen shrinks with its plan; an all-zero layer
     /// needs no keys at all.
@@ -139,19 +143,23 @@ impl HomLayer {
         }
     }
 
-    /// Where element `i` of the (row-major) output tensor lands:
-    /// `(ciphertext, slot)`.
-    fn output_slot(&self, i: usize) -> (usize, usize) {
+    /// Where element `i` of the (row-major) output tensor lands: the
+    /// ciphertext and, ascending, the slots whose sum mod `t` it is — one
+    /// for a convolution, an FC layer's `fold` windows of partial sums
+    /// ([`HomFc::output_slots`]).
+    fn output_slot(&self, i: usize) -> (usize, StepBy<Range<usize>>) {
         match self {
             HomLayer::Conv(c) => {
                 let w2 = c.spec().w * c.spec().w;
-                c.output_slot(i / w2, i % w2)
+                let (ct, slot) = c.output_slot(i / w2, i % w2);
+                (ct, (slot..slot + 1).step_by(1))
             }
-            HomLayer::Fc(_) => (0, i),
+            HomLayer::Fc(f) => (0, f.output_slots(i)),
         }
     }
 
-    /// Extracts the output tensor from per-ciphertext decoded slots.
+    /// Extracts the output tensor from per-ciphertext decoded slots,
+    /// adding up each element's [`HomLayer::output_slot`] windows mod `t`.
     fn unpack(&self, slot_vecs: &[Vec<i64>]) -> Tensor {
         match self {
             HomLayer::Conv(c) => c.decode_output(slot_vecs),
@@ -185,7 +193,7 @@ fn apply_nonlinear(layers: &[Layer], input: &Tensor) -> Result<Tensor> {
 }
 
 /// Everything about a model that is client-independent, prepared once:
-/// packed weight plaintexts, BSGS/reduce/level plans, the nonlinear
+/// packed weight plaintexts, BSGS/level plans, the nonlinear
 /// bundle structure, and the union of rotation steps clients must bring
 /// Galois keys for. Immutable after construction — share it behind an
 /// `Arc` across any number of concurrent sessions.
@@ -226,7 +234,7 @@ impl PreparedLayers {
     }
 
     /// [`PreparedLayers::new`] with optional per-linear-layer planned
-    /// levels: each layer's plan (baby width, fold shape, sparse pruning)
+    /// levels: each layer's plan (tiling, baby width, sparse pruning)
     /// is then priced with the cost model *at its planned level* instead
     /// of level 0 — fewer live limbs make rotations relatively cheaper and
     /// can tip the plan choice.
@@ -488,14 +496,17 @@ impl PreparedLayers {
     }
 
     /// Extracts linear layer `k`'s output tensor from per-ciphertext
-    /// decoded slots.
+    /// decoded slots: an FC element is the sum mod `t` of its windows of
+    /// partial sums — of a masked download, a share of the sum.
     pub fn unpack(&self, k: usize, slot_vecs: &[Vec<i64>]) -> Tensor {
         self.layers[k].unpack(slot_vecs)
     }
 
     /// Packs a mask tensor to linear layer `k`'s output slot layout, one
-    /// plaintext per output ciphertext — the output slots only; what a
-    /// server ships is [`PreparedLayers::draw_output_mask`]'s.
+    /// plaintext per output ciphertext: each element in the first of its
+    /// windows, zero everywhere else, so
+    /// `unpack(decrypt(out + pack_output_mask(m))) − m = y`. What a server
+    /// ships is [`PreparedLayers::draw_output_mask`]'s.
     ///
     /// # Errors
     ///
@@ -504,9 +515,11 @@ impl PreparedLayers {
         self.pack_mask_with(k, mask, || 0)
     }
 
-    /// One plaintext per output ciphertext of layer `k`: `mask` scattered
-    /// to the output slots, and every other slot — ciphertext by
-    /// ciphertext, ascending — whatever `rest` yields.
+    /// One plaintext per output ciphertext of layer `k`, every slot but one
+    /// per element — ciphertext by ciphertext, ascending — whatever `rest`
+    /// yields: `mask[i]` goes out as additive shares mod `t` over element
+    /// `i`'s windows, the later ones `rest`'s and the first the balancing
+    /// share that makes them sum to `mask[i]`.
     fn pack_mask_with(
         &self,
         k: usize,
@@ -514,34 +527,49 @@ impl PreparedLayers {
         mut rest: impl FnMut() -> i64,
     ) -> Result<Vec<Plaintext>> {
         let layer = &self.layers[k];
-        let mut values = vec![vec![None; self.encoder.slots()]; layer.output_ciphertexts()];
+        let mut balancing = vec![vec![false; self.encoder.slots()]; layer.output_ciphertexts()];
+        for i in 0..mask.len() {
+            let (ct, mut windows) = layer.output_slot(i);
+            if let Some(first) = windows.next() {
+                balancing[ct][first] = true;
+            }
+        }
+        let mut values: Vec<Vec<i64>> = balancing
+            .iter()
+            .map(|slots| slots.iter().map(|&b| if b { 0 } else { rest() }).collect())
+            .collect();
+        let t = self.params.plain_modulus().value() as i64;
         for (i, &m) in mask.data().iter().enumerate() {
-            let (ct, slot) = layer.output_slot(i);
-            values[ct][slot] = Some(m);
+            let (ct, mut windows) = layer.output_slot(i);
+            if let Some(first) = windows.next() {
+                let drawn: i64 = windows.map(|s| values[ct][s]).sum();
+                values[ct][first] = center(m - drawn, t);
+            }
         }
         values
-            .into_iter()
-            .map(|slots| {
-                let slots: Vec<i64> = slots
-                    .into_iter()
-                    .map(|v| v.unwrap_or_else(&mut rest))
-                    .collect();
-                self.encoder.encode_signed(&slots)
-            })
+            .iter()
+            .map(|slots| self.encoder.encode_signed(slots))
             .collect()
     }
 
     /// Draws linear layer `k`'s download mask from the server's mask
     /// stream: the logical output mask `r` (uniform mod `t`; zeros on the
-    /// final layer, whose prediction belongs to the client), then — per
-    /// output ciphertext — fresh uniform blinding for **every slot that
-    /// is not an output element**. Those slots need not be empty: an FC
-    /// layer leaves every slot `s` of its first row holding output
-    /// `s mod n_o'` — past its `n_o` outputs, copy after copy of the
-    /// unmasked pre-activations — and the client decrypts whatever is
-    /// shipped. (A packed convolution's masks zero the gap behind each
-    /// `w²` image, the blocks past `c_o` and the second row; they are
-    /// blinded all the same, so no layout has to be trusted for it.)
+    /// final layer, whose prediction belongs to the client), shared over
+    /// the download so that **every slot leaves under a fresh uniform draw
+    /// or the balancing share of one**. An FC layer's first row is all
+    /// partial pre-activation sums, `fold` windows per output: `r_i` goes
+    /// out as `fold − 1` uniform draws and the share that balances them to
+    /// `r_i`, one per window; every other slot — the padding rows, the
+    /// periods past the first, the second row, a convolution's gaps and
+    /// spare blocks — takes a draw of its own, so no layout has to be
+    /// trusted to be empty.
+    ///
+    /// What the client learns: the shares are independent and uniform, so
+    /// all but one window of an output decrypt to uniform noise and the
+    /// last is fixed by their sum — the client's view of an output is
+    /// uniform conditioned on `y_i + r_i` (itself uniform) on a hidden
+    /// layer, and on `y_i` (a uniform zero-sum sharing of nothing) on the
+    /// final one. It sees the prediction and no individual partial sum.
     /// Returns `r` and the packed plaintexts to add, one per output
     /// ciphertext.
     ///
@@ -566,5 +594,93 @@ impl PreparedLayers {
         };
         let packed = self.pack_mask_with(k, &mask, || rng.random_range(-half_t..=half_t))?;
         Ok((mask, packed))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A hidden and a final FC layer, their 6 and 3 outputs in `fold = 8`
+    /// windows each, behind a convolution with two 36-pixel images in
+    /// 64-slot blocks (one slot an element).
+    fn shared_net() -> Network {
+        Network {
+            name: "shared".into(),
+            input_shape: vec![2, 6, 6],
+            layers: vec![
+                Layer::conv("conv", 6, 3, 2, 2, 1, 1),
+                Layer::Relu,
+                Layer::MaxPool { k: 3, stride: 3 },
+                Layer::Flatten,
+                Layer::fc("fc1", 8, 6),
+                Layer::Relu,
+                Layer::fc("fc2", 6, 3),
+            ],
+        }
+    }
+
+    #[test]
+    fn mask_shares_sum_to_the_element_and_draw_every_other_slot_once() {
+        let net = shared_net();
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let prepared = PreparedLayers::new(&net, &Weights::random(&net, 2, 5), params).unwrap();
+        let t = prepared.params.plain_modulus().value() as i64;
+        let half_t = t / 2;
+        let mut rng = StdRng::seed_from_u64(0x5a4e);
+        for k in 0..prepared.linear_count() {
+            let layer = &prepared.layers[k];
+            let shape = prepared.output_shape(k);
+            let len: usize = shape.iter().product();
+            let windows = layer.output_slot(0).1.count();
+            assert_eq!(windows > 1, k > 0, "{}", prepared.plan_label(k));
+            // Random masks, and the ends of the centred range on every
+            // element.
+            for case in 0..4 {
+                let data: Vec<i64> = match case {
+                    0 => vec![half_t; len],
+                    1 => vec![-half_t; len],
+                    _ => (0..len)
+                        .map(|_| rng.random_range(-half_t..=half_t))
+                        .collect(),
+                };
+                let mask = Tensor::from_data(&shape, data);
+                let mut draws = 0usize;
+                let packed = prepared
+                    .pack_mask_with(k, &mask, || {
+                        draws += 1;
+                        rng.random_range(-half_t..=half_t)
+                    })
+                    .unwrap();
+                assert_eq!(packed.len(), layer.output_ciphertexts());
+                let slots = prepared.encoder.slots();
+                assert_eq!(draws, packed.len() * slots - len, "layer {k}");
+                let decoded: Vec<Vec<i64>> = packed
+                    .iter()
+                    .map(|pt| prepared.encoder.decode_signed(pt))
+                    .collect();
+                // What the client adds up is the mask itself …
+                assert_eq!(prepared.unpack(k, &decoded).data(), mask.data());
+                // … share by share, each inside the centred range.
+                for (i, &m) in mask.data().iter().enumerate() {
+                    let (ct, shares) = layer.output_slot(i);
+                    let sum: i64 = shares.map(|s| decoded[ct][s]).sum();
+                    assert_eq!(center(sum, t), m, "layer {k} element {i}");
+                }
+                assert!(decoded.iter().flatten().all(|v| v.abs() <= half_t));
+                // With nothing drawn the first window carries the element
+                // and every other slot is zero: the replayable form.
+                let bare = prepared.pack_output_mask(k, &mask).unwrap();
+                let bare: Vec<Vec<i64>> = bare
+                    .iter()
+                    .map(|pt| prepared.encoder.decode_signed(pt))
+                    .collect();
+                assert_eq!(prepared.unpack(k, &bare).data(), mask.data());
+                let nonzero = bare.iter().flatten().filter(|&&v| v != 0).count();
+                assert_eq!(nonzero, mask.data().iter().filter(|&&m| m != 0).count());
+            }
+        }
     }
 }

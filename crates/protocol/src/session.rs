@@ -7,17 +7,25 @@
 //!
 //! 1. client packs + encrypts its masked activation `a + r_prev`, sends it;
 //! 2. cloud homomorphically subtracts `r_prev` (it knows the mask), applies
-//!    `L` under HE, adds a fresh output mask `r` — and fresh uniform
-//!    blinding on every slot `y` does not occupy, which an FC layer fills
-//!    with further copies of `y` — and sends `Enc(y + r)`;
-//! 3. client decrypts `y + r`;
+//!    `L` under HE, and **shares a fresh output mask `r` over the windows**
+//!    of the result: an FC layer leaves each output as `fold` partial sums
+//!    — it rotates nothing together that the client can add after
+//!    decryption — so `r_i` goes out as `fold` additive shares mod `t`, one
+//!    per window, every other slot under a uniform draw of its own
+//!    ([`crate::PreparedLayers::draw_output_mask`]), and the cloud sends
+//!    `Enc(y_part + shares)`;
+//! 3. client decrypts and adds each output's windows up: a sum of shares
+//!    is a share of the sum, `y + r`;
 //! 4. the garbled circuit (simulated functionally) removes `r`, applies
 //!    the nonlinear bundle (ReLU / pooling / flatten), and re-masks with
 //!    the cloud's fresh input mask for the next round.
 //!
-//! The final linear output is returned unmasked to the client (it owns the
-//! prediction); the slots around it are blinded like any other layer's. Decryption after every layer resets HE noise — the reason
-//! the Gazelle structure avoids bootstrapping entirely (§II-A).
+//! The final linear output belongs to the client (it owns the prediction):
+//! its logical mask is zero, shared over the windows all the same — a
+//! uniform zero-sum sharing, so the client learns the prediction and no
+//! partial sum of it — and the slots around them are blinded like any
+//! other layer's. Decryption after every layer resets HE noise — the
+//! reason the Gazelle structure avoids bootstrapping entirely (§II-A).
 //!
 //! The garbled circuit itself is a *functional* simulation: it computes
 //! exactly what Yao evaluation would and its cost is accounted with a
@@ -31,8 +39,8 @@
 //! `cheetah-serve`: `ClientSession` (steps 1, 3, 4) and `ServerSession`
 //! (step 2), which talk only through validated wire bytes, against an
 //! immutable [`crate::PreparedLayers`] holding everything
-//! client-independent — packed weight plaintexts, BSGS / reduce / level
-//! plans, the rotation-step union. `cheetah_serve::PrivateInferenceSession`
+//! client-independent — packed weight plaintexts, BSGS / level plans, the
+//! rotation-step union. `cheetah_serve::PrivateInferenceSession`
 //! is the one-party façade that holds both halves and runs them in one
 //! call.
 //!
@@ -54,7 +62,7 @@ pub struct LayerReport {
     pub layer: usize,
     /// Rotation-plan label: `fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`
     /// (input copies per period, baby width, giant groups, live of all
-    /// tiled diagonals, fold terms) or
+    /// tiled diagonals, windows per output the client adds) or
     /// `conv packed b=.. g=.. live=../.. out=..` (baby width, giant
     /// groups, live of all `(d, tap)` masks, output ciphertexts).
     pub plan: String,

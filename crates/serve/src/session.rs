@@ -478,9 +478,9 @@ impl ServerSession {
         }
 
         // Fresh output mask r (zeros on the final layer — the prediction
-        // belongs to the client) with uniform blinding on every slot the
-        // output does not occupy, then the next round's input mask, drawn
-        // back-to-back from the one mask stream.
+        // belongs to the client) shared over each output's windows, with
+        // uniform blinding on every slot outside them, then the next
+        // round's input mask, drawn back-to-back from the one mask stream.
         let (mask, mask_pts) = layers.draw_output_mask(k, &mut self.mask_rng)?;
         let out_len = mask.len();
         let mut masked_cts = outputs;

@@ -57,6 +57,16 @@ if git grep -l '_mm512_' -- '*.rs' ':!crates/bfv/src/simd.rs'; then
     exit 1
 fi
 
+echo "==> client-side-fold gate"
+# An FC layer ships its kernel's partial sums and the client adds them up
+# after decryption: no layer folds under encryption, and the rotate-and-sum
+# planner that did (ReducePlan, rotate_sum_reduce, and linear/dot.rs, its
+# last caller) stays deleted.
+if git grep -nE 'rotate_sum_reduce\(|ReducePlan' -- crates src tests examples; then
+    echo "FAIL: a server-side rotate-and-sum is back (see matches above)"
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release

@@ -18,13 +18,19 @@
 //!   engine-tracked estimate, which sits under the layer's `noise_after`
 //!   planning bound — `measured ≤ tracked ≤ predicted`, per layer, per
 //!   preset chain.
+//!
+//! The benchmark's MLP and CNN shapes run the same noise chain on the two
+//! 36-bit benchmark presets, with the level each layer reaches pinned: the
+//! FC bound no longer carries a fold's rotate-and-sum, so the last layer
+//! of both networks runs one level down on the digit chain — and its
+//! download still clears the client's decrypt gate at sixteen key seeds.
 
 use cheetah::bfv::BfvParams;
 use cheetah::core::linear::FcPlan;
 use cheetah::core::{FcStructure, HeCostParams};
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::models::tiny_cnn;
-use cheetah::nn::{LinearLayer, Weights};
+use cheetah::nn::{Layer, LinearLayer, Network, Weights};
 use cheetah::serve::PrivateInferenceSession;
 
 const N: usize = 4096;
@@ -202,7 +208,10 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
         // 9 `(d, tap)` masks (5 pruned); the FC layers' tiled diagonals,
         // never more of them live than the folded diagonals pruning left
         // (7 of 16 and 2 of 4) — the label is the shared chooser's for
-        // that structure.
+        // that structure. With the fold the client's, both layers tile as
+        // wide as they have rows: one tiled diagonal reads every folded
+        // one, live or pruned, in one mask multiply and no rotation — on
+        // every chain, and there is nothing left for pruning to skip.
         let plans: Vec<String> = (0..3).map(|k| prepared.plan_label(k)).collect();
         assert_eq!(plans[0], "conv packed b=1 g=1 live=4/9 out=1", "{name}");
         let cost = HeCostParams::for_bfv(&params, 0);
@@ -216,9 +225,14 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
             let plan = FcPlan::choose(&structure, params.row_size(), &cost);
             assert_eq!(plans[k], plan.label(), "{name} L{k}");
             assert!(
-                plan.live <= pruned.0 && plan.live * plan.tiles < pruned.1,
+                plan.live <= pruned.0 && plan.rotations() == 0,
                 "{name}: pruned FC layers should plan over live diagonals, got {plans:?}"
             );
+            let tiled = [
+                "fc bsgs tiles=16 b=1 g=1 live=1/1 fold=32",
+                "fc bsgs tiles=4 b=1 g=1 live=1/1 fold=16",
+            ];
+            assert_eq!(plans[k], tiled[k - 1], "{name} L{k}");
         }
 
         let mut session = PrivateInferenceSession::with_prepared(Arc::clone(&prepared), 7).unwrap();
@@ -261,4 +275,122 @@ fn deep_chain_ships_reduced_levels_with_consistent_reports() {
         report_levels.iter().all(|&l| l >= 1),
         "every tiny-CNN layer fits below full level on the 3×36 chain: {report_levels:?}"
     );
+}
+
+/// The benchmark's MLP (`bench_e2e`'s `mlp_digit` / `mlp_hybrid`).
+fn bench_mlp() -> Network {
+    Network {
+        name: "bench_mlp".into(),
+        input_shape: vec![1024],
+        layers: vec![
+            Layer::fc("fc1", 1024, 256),
+            Layer::Relu,
+            Layer::fc("fc2", 256, 64),
+            Layer::Relu,
+            Layer::fc("fc3", 64, 16),
+        ],
+    }
+}
+
+/// The benchmark's CNN (`bench_e2e`'s `cnn_digit`).
+fn bench_cnn() -> Network {
+    Network {
+        name: "bench_cnn".into(),
+        input_shape: vec![1, 16, 16],
+        layers: vec![
+            Layer::conv("conv1", 16, 3, 1, 8, 1, 1),
+            Layer::Relu,
+            Layer::MaxPool { k: 2, stride: 2 },
+            Layer::conv("conv2", 8, 3, 8, 16, 1, 1),
+            Layer::Relu,
+            Layer::MaxPool { k: 2, stride: 2 },
+            Layer::Flatten,
+            Layer::fc("fc", 256, 16),
+        ],
+    }
+}
+
+/// One benchmark network on the two 36-bit benchmark presets: exact,
+/// `measured ≤ tracked ≤ predicted` per layer, the planner's levels as
+/// pinned — and where a layer went a level down, sixteen more key seeds
+/// through the client's 0.5-bit measured decrypt gate (inside `run`).
+fn check_bench_net(net: &Network, digit_levels: [usize; 3], hybrid_levels: [usize; 3]) {
+    let digit = BfvParams::preset_rns_3x36(N).unwrap();
+    let hybrid = BfvParams::preset_hybrid_2x36(N).unwrap();
+    // The benchmark's value ranges: weights in ±1, inputs in ±3.
+    let weights = Weights::random(net, 1, 606);
+    let input = random_input(&net.input_shape, 3, 607);
+    let expect = infer(net, &weights, &input).output;
+    for (chain, params, levels) in [
+        ("rns_3x36", digit, digit_levels),
+        ("hybrid_2x36", hybrid, hybrid_levels),
+    ] {
+        let name = format!("{} on {chain}", net.name);
+        let mut session = PrivateInferenceSession::new(net, &weights, params.clone(), 7).unwrap();
+        session.enable_noise_measurement();
+        let (output, _) = session.run(&input).unwrap();
+        assert_eq!(output.data(), expect.data(), "{name}");
+        let reports = session.layer_reports();
+        for r in reports {
+            let measured = r.measured_noise_log2.expect("measurement is on");
+            assert!(
+                measured <= r.tracked_bound_log2 + 1e-9
+                    && r.tracked_bound_log2 <= r.predicted_bound_log2 + 1e-9,
+                "{name} L{} ({}): measured 2^{measured:.1}, tracked 2^{:.1}, predicted 2^{:.1}",
+                r.layer,
+                r.plan,
+                r.tracked_bound_log2,
+                r.predicted_bound_log2
+            );
+        }
+        let reached: Vec<usize> = reports.iter().map(|r| r.level).collect();
+        assert_eq!(reached, levels, "{name}: planned levels");
+        if levels == [0, 0, 0] {
+            continue;
+        }
+        for seed in 100..116 {
+            let mut session =
+                PrivateInferenceSession::new(net, &weights, params.clone(), seed).unwrap();
+            let (output, _) = session
+                .run(&input)
+                .unwrap_or_else(|e| panic!("{name}, key seed {seed}: {e}"));
+            assert_eq!(output.data(), expect.data(), "{name}, key seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn bench_mlp_stays_sound_and_reaches_the_planned_levels() {
+    check_bench_net(&bench_mlp(), [0, 0, 1], [0, 0, 0]);
+}
+
+#[test]
+fn bench_cnn_stays_sound_and_reaches_the_planned_levels() {
+    check_bench_net(&bench_cnn(), [0, 0, 1], [0, 0, 0]);
+}
+
+/// The Galois keys a client of each `bench_e2e` workload uploads: the
+/// kernels' steps and nothing for a fold (31 / 26 / 21 / 28 before it moved
+/// to the client).
+#[test]
+fn bench_models_need_keys_for_kernel_steps_only() {
+    use cheetah::protocol::PreparedLayers;
+
+    let digit = BfvParams::preset_rns_3x36(N).unwrap();
+    let hybrid = BfvParams::preset_hybrid_2x36(N).unwrap();
+    let (mlp, cnn) = (bench_mlp(), bench_cnn());
+    // `fleet_sparse`: 90 % of the diagonals pruned, weights ±2^k.
+    let mut sparse = Weights::random(&mlp, 2, 11);
+    sparse.prune_to_sparsity(0.9, 0x5ba5_e11e);
+    sparse.round_to_pow2(3);
+    let dense = |net| Weights::random(net, 1, 11);
+    for (name, net, weights, params, steps) in [
+        ("mlp_digit", &mlp, dense(&mlp), &digit, 22),
+        ("mlp_hybrid", &mlp, dense(&mlp), &hybrid, 22),
+        ("cnn_digit", &cnn, dense(&cnn), &digit, 15),
+        ("fleet_sparse", &mlp, sparse, &hybrid, 20),
+    ] {
+        let prepared = PreparedLayers::new(net, &weights, params.clone()).unwrap();
+        assert_eq!(prepared.required_steps().len(), steps, "{name}");
+    }
 }
