@@ -10,11 +10,11 @@
 //! * [`schedule`] / [`linear`] — the partial-aligned dot-product schedule
 //!   (Sched-PA, §V) and its input-aligned prior-art counterpart, both as
 //!   analytical noise shapes and as functional layers on real ciphertexts
-//!   (bare dot products under either schedule; FC as one BSGS kernel over
-//!   the live folded diagonals, whose baby widths 1 and `d` are the
-//!   diagonal method in Sched-PA's and Sched-IA's order; convolution as
-//!   one packed kernel — hoisted tap baby steps, Horner channel-diagonal
-//!   giant steps, every output channel in one ciphertext);
+//!   (FC as one BSGS kernel over the live folded diagonals, whose baby
+//!   widths 1 and `d` are the diagonal method in Sched-PA's and
+//!   Sched-IA's order; convolution as one packed kernel — hoisted tap
+//!   baby steps, Horner channel-diagonal giant steps, every output
+//!   channel in one ciphertext);
 //! * [`baseline`] / [`speedup`] — the Gazelle baseline (one global
 //!   parameter set + Sched-IA) and the Fig. 6 speedup pipeline.
 //!

@@ -66,8 +66,8 @@
 use std::sync::{Mutex, PoisonError};
 
 use cheetah_bfv::{
-    BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, Plaintext, PreparedPlaintext, Result,
-    Scratch,
+    BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
+    PreparedPlaintext, Result, Scratch,
 };
 use cheetah_nn::{ConvSpec, Tensor};
 
@@ -281,6 +281,32 @@ impl ConvPlan {
         self.live_masks() as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
     }
 
+    /// Conservative Table-III prediction of the plan's output noise when
+    /// evaluated at `level` on an input with the given estimate — the one
+    /// place a convolution's noise is priced:
+    /// [`NoiseEstimate::bsgs_matvec_at`] over the live work — every group
+    /// as wide as the widest, every chain as long as the longest, every
+    /// mask charged `mask_norm`, and each Horner step (one rotation of the
+    /// running sum) bounded by a rotation per group. A positive predicted
+    /// budget at a level means the layer can safely run there — the
+    /// planning query behind [`super::feasible_levels`]. `mask_norm` is the
+    /// centred norm of a mask's *coefficients*: a prepared layer passes
+    /// the worst its masks measure, the chain solver the `⌊t/2⌋` no
+    /// plaintext exceeds.
+    pub fn noise_after(
+        &self,
+        input: &NoiseEstimate,
+        params: &BfvParams,
+        level: usize,
+        mask_norm: u64,
+    ) -> NoiseEstimate {
+        if self.is_empty() {
+            return NoiseEstimate::zero();
+        }
+        let (widest, longest) = (self.widest_group(), self.longest_chain());
+        input.bsgs_matvec_at(params, level, widest, longest, 2 * mask_norm.max(1))
+    }
+
     /// Human-readable label for transcripts, reports and solver plans:
     /// `conv packed b=.. g=.. live=../.. out=..` — live masks over the
     /// `c_i'·fw²` per output ciphertext, then the output ciphertexts.
@@ -478,34 +504,18 @@ impl HomConv2d {
         &self.plan
     }
 
-    /// Conservative Table-III prediction of the layer's output noise when
-    /// evaluated at `level` on an input with the given estimate:
-    /// [`cheetah_bfv::NoiseEstimate::bsgs_matvec_at`] over the live work —
-    /// every group as wide as the widest, every chain as long as the
-    /// longest, every mask charged the worst norm, and each Horner step
-    /// (one rotation of the running sum) bounded by a rotation per group.
-    /// Upper-bounds the estimate the engine tracks through
-    /// [`HomConv2d::apply`], so a positive predicted budget at a level
-    /// means the layer can safely run there — the planning query behind
-    /// leveled sessions.
+    /// [`ConvPlan::noise_after`] under the worst norm of this layer's
+    /// prepared masks. Upper-bounds the estimate the engine tracks through
+    /// [`HomConv2d::apply`].
     pub fn noise_after(
         &self,
-        input: &cheetah_bfv::NoiseEstimate,
-        params: &cheetah_bfv::BfvParams,
+        input: &NoiseEstimate,
+        params: &BfvParams,
         level: usize,
-    ) -> cheetah_bfv::NoiseEstimate {
-        if self.plan.is_empty() {
-            return cheetah_bfv::NoiseEstimate::zero();
-        }
+    ) -> NoiseEstimate {
         let masks = self.masks.iter().flatten().flatten();
-        let max_norm = masks.map(PreparedPlaintext::inf_norm).max().unwrap_or(1);
-        input.bsgs_matvec_at(
-            params,
-            level,
-            self.plan.widest_group(),
-            self.plan.longest_chain(),
-            2 * max_norm.max(1),
-        )
+        let norm = masks.map(PreparedPlaintext::inf_norm).max().unwrap_or(1);
+        self.plan.noise_after(input, params, level, norm)
     }
 
     /// The exact rotation steps this prepared layer performs
@@ -720,7 +730,7 @@ impl HomConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator, OpCounts};
+    use cheetah_bfv::{Decryptor, Encryptor, KeyGenerator, OpCounts};
     use cheetah_nn::inference::eval_linear;
     use cheetah_nn::LinearLayer;
     use rand::{Rng, SeedableRng};

@@ -117,8 +117,8 @@ use std::ops::Range;
 
 use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::{
-    BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, Plaintext,
-    PreparedPlaintext, Result, Scratch,
+    BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition,
+    NoiseEstimate, Plaintext, PreparedPlaintext, Result, Scratch,
 };
 use cheetah_nn::{FcSpec, Tensor};
 
@@ -229,6 +229,34 @@ impl FcPlan {
     /// the rotations.
     pub fn int_mults(&self, cost: &HeCostParams) -> u64 {
         self.live as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
+    }
+
+    /// Conservative Table-III prediction of the plan's output noise at
+    /// `level` on an input with the given estimate — the one place an FC
+    /// layer's noise is priced (see [`super::ConvPlan::noise_after`]):
+    /// [`NoiseEstimate::bsgs_matvec_at`] over the live work — as many
+    /// groups as are live, each as wide as the widest, every mask charged
+    /// `mask_norm` — then the multiply by the factored `2^scale_log2` on
+    /// top. `mask_norm` is the centred norm of a mask's *coefficients*: a
+    /// prepared layer passes the worst its masks measure, the chain solver
+    /// the `⌊t/2⌋` no plaintext exceeds.
+    pub fn noise_after(
+        &self,
+        input: &NoiseEstimate,
+        params: &BfvParams,
+        level: usize,
+        mask_norm: u64,
+        scale_log2: u32,
+    ) -> NoiseEstimate {
+        if self.kernel.is_empty() {
+            return NoiseEstimate::zero();
+        }
+        let (widest, groups) = (self.kernel.widest_group(), self.kernel.live_groups().len());
+        let mut part = input.bsgs_matvec_at(params, level, widest, groups, 2 * mask_norm.max(1));
+        if scale_log2 > 0 {
+            part = part.mul_plain_at(params, level, 1, 2 * (1u64 << scale_log2));
+        }
+        part
     }
 
     /// Human-readable label for transcripts, reports and solver plans:
@@ -445,29 +473,19 @@ impl HomFc {
         self.scale_log2
     }
 
-    /// Conservative Table-III prediction of the layer's output noise at
-    /// `level` (see `HomConv2d::noise_after`):
-    /// [`cheetah_bfv::NoiseEstimate::bsgs_matvec_at`] over the live work —
-    /// as many groups as are live, each as wide as the widest, every mask
-    /// charged the worst norm — then the factored scale's multiply on top.
-    /// Upper-bounds the engine-tracked estimate of [`HomFc::apply`].
+    /// [`FcPlan::noise_after`] under the worst norm of this layer's
+    /// prepared masks and its factored scale. Upper-bounds the
+    /// engine-tracked estimate of [`HomFc::apply`].
     pub fn noise_after(
         &self,
-        input: &cheetah_bfv::NoiseEstimate,
-        params: &cheetah_bfv::BfvParams,
+        input: &NoiseEstimate,
+        params: &BfvParams,
         level: usize,
-    ) -> cheetah_bfv::NoiseEstimate {
-        if self.groups.is_empty() {
-            return cheetah_bfv::NoiseEstimate::zero();
-        }
+    ) -> NoiseEstimate {
         let masks = self.groups.iter().flatten().map(|(_, m)| m.inf_norm());
-        let max_norm = masks.max().unwrap_or(1).max(1);
-        let live_b = self.groups.iter().map(Vec::len).max().unwrap_or(1);
-        let mut part = input.bsgs_matvec_at(params, level, live_b, self.groups.len(), 2 * max_norm);
-        if self.scale_log2 > 0 {
-            part = part.mul_plain_at(params, level, 1, 2 * (1u64 << self.scale_log2));
-        }
-        part
+        let norm = masks.max().unwrap_or(1);
+        self.plan
+            .noise_after(input, params, level, norm, self.scale_log2)
     }
 
     /// Rotation steps an evaluation may need, whatever plan is chosen:
@@ -680,7 +698,7 @@ impl HomFc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator};
+    use cheetah_bfv::{Decryptor, Encryptor, KeyGenerator};
     use cheetah_nn::inference::eval_linear;
     use cheetah_nn::LinearLayer;
     use rand::{Rng, SeedableRng};

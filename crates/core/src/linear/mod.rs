@@ -10,8 +10,42 @@ pub mod conv;
 pub mod fc;
 pub mod parallel;
 
+use cheetah_bfv::{BfvParams, NoiseEstimate};
+
 pub use conv::{ConvPlan, HomConv2d};
 pub use fc::{FcPlan, HomFc};
+
+/// Statistical budget (bits) a layer's predicted output must keep for a
+/// level to be planned — by the runtime level planner and the chain solver
+/// alike.
+pub const LEVEL_PLAN_MARGIN_BITS: f64 = 2.0;
+
+/// The one level rule: the levels a layer may run at, ascending, each with
+/// the statistical budget of its predicted output there. Walks `input` (a
+/// level-0 estimate) down the chain's modulus-switch transitions, asks
+/// `noise_after(estimate, level)` — a plan's, or a prepared layer's — for
+/// the output at every level, and keeps those that clear
+/// [`LEVEL_PLAN_MARGIN_BITS`] under the **statistical** (IBDG) budget, the
+/// §IV-B provisioning rule HE-PTune uses (failure probability below 1e-10).
+/// The worst-case bound would pin both kernels at full level: their baby
+/// steps are rotate-then-multiply, so the Table-III bound pays the
+/// key-switch additive inside the multiplication even though the measured
+/// noise sits far below it. Dropping limbs is purely an optimization: an
+/// empty answer means level 0.
+pub fn feasible_levels<'a>(
+    input: &NoiseEstimate,
+    params: &'a BfvParams,
+    mut noise_after: impl FnMut(&NoiseEstimate, usize) -> NoiseEstimate + 'a,
+) -> impl Iterator<Item = (usize, f64)> + 'a {
+    let mut est = *input;
+    (0..params.levels()).filter_map(move |level| {
+        if level > 0 {
+            est = est.mod_switch(params, level - 1);
+        }
+        let budget = noise_after(&est, level).budget_bits_statistical_at(params, level);
+        (budget >= LEVEL_PLAN_MARGIN_BITS).then_some((level, budget))
+    })
+}
 
 #[cfg(test)]
 mod plan_tests {

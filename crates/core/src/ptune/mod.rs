@@ -8,7 +8,7 @@ pub mod tuner;
 
 pub use noise::{layer_noise, HeNoiseParams, LayerNoise, NoiseRegime};
 pub use perf::{conv_ops, fc_ops, layer_ops, OpModel};
-pub use solver::{chain_candidates, layer_noise_on_chain, solve_chain_plan, ChainPlan, LayerPlan};
+pub use solver::{chain_candidates, solve_chain_plan, ChainPlan, LayerPlan};
 pub use tuner::{
     tune_layer, tune_network, DesignPoint, InfeasibleLayer, TuneOutcome, TuneSpace, NO_WINDOW,
 };

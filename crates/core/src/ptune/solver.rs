@@ -7,192 +7,30 @@
 //! and a rotation plan ([`FcPlan`] / [`ConvPlan`]) per layer whose
 //! price depends on all of the above. This module closes that gap: it
 //! sweeps **{chain, per-layer level, rotation plan}** jointly over a
-//! network's linear layers, using the hybrid-aware cost model
-//! ([`HeCostParams`]) and a chain-exact noise model
-//! ([`layer_noise_on_chain`]), and emits a [`ChainPlan`] — concrete
+//! network's linear layers and emits a [`ChainPlan`] — concrete
 //! [`BfvParams`] (exact moduli, `t`, special prime) plus a level and plan
 //! label per layer — that `cheetah-protocol`'s `PreparedLayers` and
 //! `cheetah-serve` consume directly. "Fast" becomes a solver output
 //! instead of a hand pick.
+//!
+//! The solver models nothing of its own; it asks the engine. A layer's
+//! plan comes from the choosers `HomFc` / `HomConv2d` run at prepare time,
+//! its cost from that plan under the hybrid-aware [`HeCostParams`], its
+//! noise from that plan's `noise_after` — the function a prepared layer
+//! calls with its measured mask norm, here called with the largest norm a
+//! plaintext can have on a fresh encryption — and its levels from
+//! [`feasible_levels`], the rule the runtime level planner applies. A
+//! solved level is therefore one the runtime accepts, and a solved budget
+//! is never above the prepared layer's own.
 
-use cheetah_bfv::BfvParams;
+use cheetah_bfv::{BfvParams, NoiseEstimate};
 use cheetah_nn::LinearLayer;
 
 use crate::cost::HeCostParams;
-use crate::linear::{ConvPlan, FcPlan};
-use crate::ptune::noise::{layer_noise_shape, LayerNoise, NoiseRegime, NoiseShape};
+use crate::linear::{feasible_levels, ConvPlan, FcPlan};
 use crate::ptune::tuner::InfeasibleLayer;
 use crate::quant::QuantSpec;
-use crate::schedule::Schedule;
 use crate::sparse::{ConvStructure, FcStructure, LayerStructure};
-
-pub use cheetah_bfv::noise::FAILURE_SCALE;
-
-/// Budget (bits) a level must clear to be planned — the same margin the
-/// protocol layer's runtime planner keeps in hand.
-const PLAN_MARGIN_BITS: f64 = 2.0;
-
-/// Noise of one layer evaluated **on a concrete chain at a level**, from
-/// the exact limb values rather than an abstract `q_bits`: the ceiling is
-/// `Q_ℓ/2t` of the live limbs, the rotate additive is the hybrid
-/// `live·(q_max/P)·n·B/2` term when the chain carries a special prime and
-/// the digit `l_ct·A·B·n/2` term otherwise, and the input is a fresh
-/// encryption mod-switched down `level` limbs (the Gazelle session
-/// re-encrypts between layers, so every layer starts fresh).
-pub fn layer_noise_on_chain(
-    layer: &LinearLayer,
-    params: &BfvParams,
-    level: usize,
-    schedule: Schedule,
-    regime: NoiseRegime,
-) -> LayerNoise {
-    layer_noise_on_chain_structured(layer, None, params, level, schedule, regime)
-}
-
-/// The packed-convolution plan [`crate::linear::HomConv2d`] would execute
-/// for `c` on this chain at this level — the engine's own chooser over the
-/// measured structure, or the dense one without it.
-fn conv_plan_on_chain(
-    c: &cheetah_nn::ConvSpec,
-    structure: Option<&LayerStructure>,
-    params: &BfvParams,
-    level: usize,
-) -> ConvPlan {
-    let cost = HeCostParams::for_bfv(params, level);
-    let dense;
-    let s = match structure {
-        Some(LayerStructure::Conv(s)) => s,
-        _ => {
-            dense = ConvStructure::dense(c.co, c.ci, c.fw);
-            &dense
-        }
-    };
-    ConvPlan::choose(c, params.row_size(), s, &cost)
-}
-
-/// [`layer_noise_on_chain`] under a measured weight structure. FC layers
-/// scale Table V's mult/rotate term counts by the live-diagonal fraction
-/// (skipped diagonals contribute no rotate-mul term at all). Convolutions
-/// count the terms of the plan the engine runs — the widest group's masks
-/// times the longest Horner chain, one rotation per chain link — and
-/// charge every multiply on `v0 + ηA` whatever `schedule` says: the packed
-/// kernel's taps are hoisted rotations of the input, multiplied after.
-/// Sparse layers clear the margin at levels their dense pricing could not
-/// afford. `None` prices the dense (fully live) worst case.
-pub fn layer_noise_on_chain_structured(
-    layer: &LinearLayer,
-    structure: Option<&LayerStructure>,
-    params: &BfvParams,
-    level: usize,
-    schedule: Schedule,
-    regime: NoiseRegime,
-) -> LayerNoise {
-    let n = params.degree() as f64;
-    let sigma = params.sigma();
-    let b = 6.0 * sigma;
-    let t = params.plain_modulus().value() as f64;
-    let l_pt = params.l_pt() as f64;
-    let w = if params.l_pt() == 1 {
-        t
-    } else {
-        params.w_dcmp() as f64
-    };
-    let live = params.live_limbs_at(level);
-    // Product of the dropped tail limbs: each switch divides the
-    // invariant noise by its dropped limb at the price of a small
-    // additive rounding term.
-    let dropped: f64 = (live..params.limbs())
-        .map(|i| params.chain().modulus(i).value() as f64)
-        .product();
-    let (shape, schedule) = match layer {
-        LinearLayer::Conv(c) => {
-            let plan = conv_plan_on_chain(c, structure, params, level);
-            let links = plan.longest_chain().max(1) as f64;
-            let shape = NoiseShape {
-                mult_terms: plan.widest_group().max(1) as f64 * links,
-                rot_terms: links,
-            };
-            (shape, Schedule::InputAligned)
-        }
-        LinearLayer::Fc(_) => {
-            let mut shape = layer_noise_shape(layer, params.degree());
-            // A dead diagonal contributes no rotate-mul term: scale both
-            // term counts by the live fraction (floored at one term so an
-            // almost-empty layer still pays its single live accumulation).
-            let live_frac = structure.map_or(1.0, LayerStructure::live_fraction);
-            if live_frac < 1.0 {
-                shape.mult_terms = (shape.mult_terms * live_frac).max(1.0);
-                shape.rot_terms = (shape.rot_terms * live_frac).max(1.0);
-            }
-            (shape, schedule)
-        }
-    };
-    let ceiling_bits = params.noise_ceiling_at(level).log2();
-
-    let noise_log2 = match regime {
-        NoiseRegime::WorstCase => {
-            let v0 = 2.0 * n * b * b / dropped + level as f64 * (1.0 + (n + 1.0) / 2.0);
-            let eta_m = n * l_pt * w / 2.0;
-            let eta_a = match params.special() {
-                Some(p) => {
-                    let q_max = (0..live)
-                        .map(|i| params.chain().modulus(i).value())
-                        .max()
-                        .unwrap_or(1) as f64;
-                    live as f64 * (q_max / p.value() as f64) * n * b / 2.0 + 1.0 + (n + 1.0) / 2.0
-                }
-                None => params.l_ct_at(level) as f64 * params.a_dcmp() as f64 * b * n / 2.0,
-            };
-            let input = match schedule {
-                Schedule::PartialAligned => v0,
-                Schedule::InputAligned => v0 + eta_a,
-            };
-            (shape.mult_terms * eta_m * input + shape.rot_terms * eta_a).log2()
-        }
-        NoiseRegime::Statistical => {
-            let round_var = (1.0 + 2.0 * n / 3.0) / 12.0;
-            let v0 = sigma * sigma * (1.0 + 4.0 * n / 3.0) / (dropped * dropped)
-                + level as f64 * round_var;
-            let eta_m = if params.l_pt() == 1 {
-                n * t * t / 12.0
-            } else {
-                n * l_pt * w * w / 3.0
-            };
-            let eta_a = match params.special() {
-                Some(p) => {
-                    let q_max = (0..live)
-                        .map(|i| params.chain().modulus(i).value())
-                        .max()
-                        .unwrap_or(1) as f64;
-                    let pv = p.value() as f64;
-                    live as f64 * n * (q_max * q_max / 12.0) * sigma * sigma / (pv * pv) + round_var
-                }
-                None => {
-                    let a = params.a_dcmp() as f64;
-                    params.l_ct_at(level) as f64 * n * (a * a / 12.0) * sigma * sigma
-                }
-            };
-            let input = match schedule {
-                Schedule::PartialAligned => v0,
-                Schedule::InputAligned => v0 + eta_a,
-            };
-            let variance = shape.mult_terms * eta_m * input + shape.rot_terms * eta_a;
-            variance.log2() / 2.0 + FAILURE_SCALE.log2()
-        }
-    };
-    LayerNoise {
-        noise_log2,
-        budget_bits: ceiling_bits - noise_log2,
-    }
-}
-
-/// What [`layer_cost_on_chain_structured`] prices one layer at.
-struct LayerCost {
-    int_mults: f64,
-    he_mult: f64,
-    he_rotate: f64,
-    label: String,
-}
 
 /// One layer's slot in a [`ChainPlan`]: the level it runs at, the rotation
 /// plan the cost model picked at that level, and the modeled cost/budget.
@@ -203,8 +41,8 @@ pub struct LayerPlan {
     /// Chain level (dropped limbs) the layer runs at.
     pub level: usize,
     /// Rotation-plan label (`fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`,
-    /// `conv packed b=.. g=.. live=../.. out=..`, `zero`) — the very label
-    /// the prepared layer reports, priced under the same [`HeCostParams`].
+    /// `conv packed b=.. g=.. live=../.. out=..`) — the very label the
+    /// prepared layer reports, priced under the same [`HeCostParams`].
     pub plan: String,
     /// Modeled integer multiplications for the layer at this level.
     pub int_mults: f64,
@@ -213,7 +51,9 @@ pub struct LayerPlan {
     pub he_mult: f64,
     /// Modeled rotations, exact like `he_mult`.
     pub he_rotate: f64,
-    /// Remaining modeled noise budget (bits) at this level.
+    /// Remaining statistical noise budget (bits) at this level: the
+    /// plan's `noise_after` a fresh encryption switched down to it, every
+    /// mask at norm `⌊t/2⌋`.
     pub budget_bits: f64,
 }
 
@@ -227,11 +67,6 @@ pub struct ChainPlan {
     pub name: String,
     /// The chosen parameter set, special prime included when hybrid won.
     pub params: BfvParams,
-    /// The dot-product schedule the plan was priced under. No prepared
-    /// layer reads it any more — FC layers and convolutions both run one
-    /// kernel — it is kept because the analytic Fig. 5/6 pricing and the
-    /// frozen `bench_e2e` driver still pass one.
-    pub schedule: Schedule,
     /// Per-linear-layer plans, in network order.
     pub layers: Vec<LayerPlan>,
     /// Total modeled integer multiplications across the network.
@@ -263,59 +98,117 @@ pub fn chain_candidates(degrees: &[usize]) -> Vec<(String, BfvParams)> {
     out
 }
 
-/// Prices one layer on a chain at a level, choosing the rotation plan
-/// jointly. FC layers run [`FcPlan::choose`] and convolutions
-/// [`ConvPlan::choose`] — the very choosers `HomFc` / `HomConv2d` run at
-/// prepare time — so the multiplies, rotations and label are the ones the
-/// prepared kernel will perform: one multiply per live mask, the hoisted
-/// baby replays and the giant steps (an FC layer's fold is the client's).
-///
-/// `structure = None` prices dense; an all-zero layer costs nothing.
-fn layer_cost_on_chain_structured(
-    layer: &LinearLayer,
-    structure: Option<&LayerStructure>,
-    params: &BfvParams,
-    level: usize,
-) -> LayerCost {
-    let cost = HeCostParams::for_bfv(params, level);
-    if structure.is_some_and(LayerStructure::all_zero) {
-        return LayerCost {
-            int_mults: 0.0,
-            he_mult: 0.0,
-            he_rotate: 0.0,
-            label: "zero".to_string(),
-        };
-    }
-    match layer {
-        LinearLayer::Fc(f) => {
-            let row = params.row_size();
-            let plan = match structure {
-                Some(LayerStructure::Fc(s)) => FcPlan::choose(s, row, &cost),
-                _ => FcPlan::choose(&FcStructure::dense(f.no, f.ni), row, &cost),
-            };
-            LayerCost {
-                int_mults: plan.int_mults(&cost) as f64,
-                he_mult: plan.live as f64,
-                he_rotate: plan.rotations() as f64,
-                label: plan.label(),
+/// The plan the engine would prepare for one layer on a chain at a level.
+enum KernelPlan {
+    /// The FC plan and the pow2 scale its structure factors out of the
+    /// masks.
+    Fc(FcPlan, u32),
+    Conv(ConvPlan),
+}
+
+impl KernelPlan {
+    /// Runs the chooser `HomFc` / `HomConv2d` runs at prepare time —
+    /// [`FcPlan::choose`] / [`ConvPlan::choose`] under the chain's cost
+    /// model at `level` — over the measured structure, or the dense
+    /// (fully live) one without it.
+    fn choose(
+        layer: &LinearLayer,
+        structure: Option<&LayerStructure>,
+        params: &BfvParams,
+        level: usize,
+    ) -> Self {
+        let cost = HeCostParams::for_bfv(params, level);
+        let row = params.row_size();
+        match (layer, structure) {
+            (LinearLayer::Fc(_), Some(LayerStructure::Fc(s))) => Self::Fc(
+                FcPlan::choose(s, row, &cost),
+                s.pow2_scale_log2().unwrap_or(0),
+            ),
+            (LinearLayer::Fc(f), _) => {
+                let dense = FcStructure::dense(f.no, f.ni);
+                Self::Fc(FcPlan::choose(&dense, row, &cost), 0)
+            }
+            (LinearLayer::Conv(c), Some(LayerStructure::Conv(s))) => {
+                Self::Conv(ConvPlan::choose(c, row, s, &cost))
+            }
+            (LinearLayer::Conv(c), _) => {
+                let dense = ConvStructure::dense(c.co, c.ci, c.fw);
+                Self::Conv(ConvPlan::choose(c, row, &dense, &cost))
             }
         }
-        LinearLayer::Conv(c) => {
-            let plan = conv_plan_on_chain(c, structure, params, level);
-            LayerCost {
-                int_mults: plan.int_mults(&cost) as f64,
-                he_mult: plan.live_masks() as f64,
-                he_rotate: plan.rotations() as f64,
-                label: plan.label(),
-            }
+    }
+
+    /// The plan's own output-noise prediction with every mask at the
+    /// largest norm a plaintext can have, `⌊t/2⌋`: a mask is batch-encoded,
+    /// so the centred norm of its *coefficients* — what multiplication
+    /// noise grows with, and what a prepared layer measures — has nothing
+    /// to do with the size of the weights in its slots, and for weights
+    /// without special structure sits within a hair of that bound.
+    fn noise_after(
+        &self,
+        input: &NoiseEstimate,
+        params: &BfvParams,
+        level: usize,
+    ) -> NoiseEstimate {
+        let norm = params.plain_modulus().value() / 2;
+        match self {
+            Self::Fc(plan, scale) => plan.noise_after(input, params, level, norm, *scale),
+            Self::Conv(plan) => plan.noise_after(input, params, level, norm),
+        }
+    }
+
+    /// The plan as a [`LayerPlan`]: the multiplies, rotations and label
+    /// the prepared kernel will perform and report — one multiply per live
+    /// mask, the hoisted baby replays and the giant steps (an FC layer's
+    /// fold is the client's); an all-zero layer costs nothing.
+    fn layer_plan(
+        &self,
+        layer: &LinearLayer,
+        params: &BfvParams,
+        level: usize,
+        budget_bits: f64,
+    ) -> LayerPlan {
+        let cost = HeCostParams::for_bfv(params, level);
+        let (int_mults, he_mult, he_rotate, plan) = match self {
+            Self::Fc(p, _) => (p.int_mults(&cost), p.live, p.rotations(), p.label()),
+            Self::Conv(p) => (p.int_mults(&cost), p.live_masks(), p.rotations(), p.label()),
+        };
+        LayerPlan {
+            layer: layer.name().to_owned(),
+            level,
+            plan,
+            int_mults: int_mults as f64,
+            he_mult: he_mult as f64,
+            he_rotate: he_rotate as f64,
+            budget_bits,
         }
     }
 }
 
+/// One layer on one chain: the cheapest of its [`feasible_levels`] (the
+/// shallowest on a tie) under the plan the engine would prepare at each,
+/// or `None` when no level clears the margin. The session re-encrypts
+/// between layers, so every layer's input is a fresh encryption.
+fn cheapest_level(
+    layer: &LinearLayer,
+    structure: Option<&LayerStructure>,
+    params: &BfvParams,
+) -> Option<LayerPlan> {
+    let plans: Vec<KernelPlan> = (0..params.levels())
+        .map(|level| KernelPlan::choose(layer, structure, params, level))
+        .collect();
+    let fresh = NoiseEstimate::fresh(params);
+    feasible_levels(&fresh, params, |est, level| {
+        plans[level].noise_after(est, params, level)
+    })
+    .map(|(level, budget)| plans[level].layer_plan(layer, params, level, budget))
+    .min_by(|a, b| a.int_mults.total_cmp(&b.int_mults))
+}
+
 /// Solves for one chain + per-layer levels/plans across a network's
-/// linear layers: for every candidate chain, every layer picks its
-/// cheapest feasible level (noise budget ≥ 2 bits under `regime` on the
-/// exact chain); the candidate with the least network total wins.
+/// linear layers: for every candidate chain, every layer runs at its
+/// cheapest feasible level; the candidate with the least network total
+/// wins.
 ///
 /// # Errors
 ///
@@ -324,19 +217,17 @@ fn layer_cost_on_chain_structured(
 pub fn solve_chain_plan(
     layers: &[LinearLayer],
     quant: &QuantSpec,
-    schedule: Schedule,
-    regime: NoiseRegime,
     degrees: &[usize],
 ) -> Result<ChainPlan, InfeasibleLayer> {
-    solve_chain_plan_structured(layers, None, quant, schedule, regime, degrees)
+    solve_chain_plan_structured(layers, None, quant, degrees)
 }
 
 /// [`solve_chain_plan`] under measured weight structures (one per layer,
-/// network order): every layer is priced — cost *and* noise — at its
-/// post-sparsity op counts, so sparser layers can afford deeper levels
+/// network order): every layer is priced — cost *and* noise — over the
+/// plan its live masks leave, so sparser layers can afford deeper levels
 /// and the chain total reflects the rotations the prepared kernels will
-/// actually perform. `None` (or a `structures` length mismatch, which
-/// panics) reproduces the dense solve exactly.
+/// actually perform. `None` prices every layer dense (fully live), which
+/// dense structures reproduce exactly.
 ///
 /// # Errors
 ///
@@ -349,14 +240,11 @@ pub fn solve_chain_plan_structured(
     layers: &[LinearLayer],
     structures: Option<&[LayerStructure]>,
     quant: &QuantSpec,
-    schedule: Schedule,
-    regime: NoiseRegime,
     degrees: &[usize],
 ) -> Result<ChainPlan, InfeasibleLayer> {
     if let Some(s) = structures {
         assert_eq!(s.len(), layers.len(), "one structure per linear layer");
     }
-    let structure_of = |i: usize| structures.map(|s| &s[i]);
     let needed_bits: Vec<u32> = layers
         .iter()
         .map(|l| quant.statistical_plain_bits(l))
@@ -368,39 +256,11 @@ pub fn solve_chain_plan_structured(
         let mut plan_layers = Vec::with_capacity(layers.len());
         let mut total = 0.0;
         for (i, (layer, &needed)) in layers.iter().zip(&needed_bits).enumerate() {
-            if t_bits < needed {
-                first_failure.get_or_insert_with(|| InfeasibleLayer {
-                    layer: layer.name().to_owned(),
-                    t_bits: needed,
-                });
-                continue 'candidates;
-            }
-            let mut chosen: Option<LayerPlan> = None;
-            for level in 0..params.levels() {
-                let noise = layer_noise_on_chain_structured(
-                    layer,
-                    structure_of(i),
-                    &params,
-                    level,
-                    schedule,
-                    regime,
-                );
-                if noise.budget_bits < PLAN_MARGIN_BITS {
-                    continue;
-                }
-                let cost = layer_cost_on_chain_structured(layer, structure_of(i), &params, level);
-                if chosen.as_ref().is_none_or(|c| cost.int_mults < c.int_mults) {
-                    chosen = Some(LayerPlan {
-                        layer: layer.name().to_owned(),
-                        level,
-                        plan: cost.label,
-                        int_mults: cost.int_mults,
-                        he_mult: cost.he_mult,
-                        he_rotate: cost.he_rotate,
-                        budget_bits: noise.budget_bits,
-                    });
-                }
-            }
+            let chosen = if t_bits >= needed {
+                cheapest_level(layer, structures.map(|s| &s[i]), &params)
+            } else {
+                None
+            };
             let Some(plan) = chosen else {
                 first_failure.get_or_insert_with(|| InfeasibleLayer {
                     layer: layer.name().to_owned(),
@@ -415,7 +275,6 @@ pub fn solve_chain_plan_structured(
             best = Some(ChainPlan {
                 name,
                 params,
-                schedule,
                 layers: plan_layers,
                 total_int_mults: total,
             });
@@ -435,6 +294,7 @@ pub fn solve_chain_plan_structured(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::LEVEL_PLAN_MARGIN_BITS;
     use cheetah_nn::{ConvSpec, FcSpec};
 
     fn tiny_layers() -> Vec<LinearLayer> {
@@ -458,14 +318,8 @@ mod tests {
 
     #[test]
     fn solver_produces_a_full_plan_for_the_tiny_cnn() {
-        let plan = solve_chain_plan(
-            &tiny_layers(),
-            &QuantSpec::default(),
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-            &[4096, 8192],
-        )
-        .expect("tiny CNN must be solvable");
+        let plan = solve_chain_plan(&tiny_layers(), &QuantSpec::default(), &[4096, 8192])
+            .expect("tiny CNN must be solvable");
         assert_eq!(plan.layers.len(), 2);
         assert_eq!(plan.levels().len(), 2);
         assert!(plan.total_int_mults > 0.0);
@@ -475,70 +329,43 @@ mod tests {
                 "{}: level in range",
                 lp.layer
             );
-            assert!(lp.budget_bits >= PLAN_MARGIN_BITS, "{}: margin", lp.layer);
+            assert!(
+                lp.budget_bits >= LEVEL_PLAN_MARGIN_BITS,
+                "{}: margin",
+                lp.layer
+            );
             assert!(!lp.plan.is_empty());
         }
     }
 
     #[test]
-    fn solver_prefers_a_hybrid_chain_when_rotation_noise_bites() {
-        // Under Sched-IA every input slot already carries one key-switch
-        // additive, so digit chains pay their `l_ct·A·B` rotate term
-        // inside the multiplicative product while the hybrid term is
-        // `P`-divided to nothing — the solver must notice and pick a
-        // special-prime chain.
-        let layers = vec![LinearLayer::Fc(FcSpec {
-            name: "fc".into(),
-            ni: 64,
-            no: 32,
-        })];
-        let plan = solve_chain_plan(
-            &layers,
-            &QuantSpec::default(),
-            Schedule::InputAligned,
-            NoiseRegime::Statistical,
-            &[4096],
-        )
-        .unwrap();
-        assert!(
-            plan.params.has_special(),
-            "rotation-noise-bound nets should pick a hybrid chain, got {}",
-            plan.name
-        );
-    }
-
-    #[test]
     fn chain_noise_model_feasible_levels_shrink_with_depth() {
-        // Budget at deeper levels of a congruent chain stays within a few
-        // bits of level 0 (the modulus switch divides noise and ceiling
-        // alike), while the cost strictly drops — which is why the solver
-        // plans the deepest feasible level.
-        let params = BfvParams::preset_hybrid_2x36(4096).unwrap();
-        let layer = &tiny_layers()[0];
-        let l0 = layer_noise_on_chain(
-            layer,
-            &params,
-            0,
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-        );
-        let l1 = layer_noise_on_chain(
-            layer,
-            &params,
-            1,
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-        );
-        assert!(l0.budget_bits > 0.0);
-        let price = |level| layer_cost_on_chain_structured(layer, None, &params, level).int_mults;
-        let (c0, c1) = (price(0), price(1));
-        assert!(c1 < c0, "deeper level must be cheaper: {c1} vs {c0}");
-        // The level-1 ceiling is one 36-bit limb; the budget moves but
-        // the model must not explode (rotate noise is P-divided).
-        assert!(
-            l1.noise_log2 < l0.noise_log2 + 40.0,
-            "hybrid rotate noise must not blow up at depth"
-        );
+        // On the digit chain the tiny FC layer clears the margin at level 0
+        // and at level 1, with less budget in hand the deeper it runs, and
+        // not on the last limb; the cost strictly drops with depth — which
+        // is why the solver plans the deepest level the shared rule admits.
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let layer = &tiny_layers()[1];
+        let plans: Vec<KernelPlan> = (0..params.levels())
+            .map(|level| KernelPlan::choose(layer, None, &params, level))
+            .collect();
+        let fresh = NoiseEstimate::fresh(&params);
+        let feasible: Vec<(usize, f64)> = feasible_levels(&fresh, &params, |est, level| {
+            plans[level].noise_after(est, &params, level)
+        })
+        .collect();
+        let levels: Vec<usize> = feasible.iter().map(|&(level, _)| level).collect();
+        assert_eq!(levels, [0, 1], "feasible levels");
+        assert!(feasible[1].1 >= LEVEL_PLAN_MARGIN_BITS);
+        assert!(feasible[1].1 < feasible[0].1, "budget shrinks with depth");
+        let price = |level: usize| {
+            plans[level]
+                .layer_plan(layer, &params, level, 0.0)
+                .int_mults
+        };
+        assert!(price(1) < price(0), "deeper level must be cheaper");
+        let chosen = cheapest_level(layer, None, &params).unwrap();
+        assert_eq!((chosen.level, chosen.budget_bits), feasible[1]);
     }
 
     #[test]
@@ -563,14 +390,7 @@ mod tests {
             no,
         });
         let quant = QuantSpec::default();
-        let dense = solve_chain_plan(
-            &layers,
-            &quant,
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-            &[4096],
-        )
-        .unwrap();
+        let dense = solve_chain_plan(&layers, &quant, &[4096]).unwrap();
         // Sparse FC structure (2 of the 64 folded diagonals live, on two
         // of the 8 tiled ones), dense conv.
         let fc = &layers[1];
@@ -586,15 +406,8 @@ mod tests {
             LayerStructure::dense(&layers[0]),
             LayerStructure::Fc(fc_structure.clone()),
         ];
-        let sparse = solve_chain_plan_structured(
-            &layers,
-            Some(&structures),
-            &quant,
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-            &[4096],
-        )
-        .unwrap();
+        let sparse =
+            solve_chain_plan_structured(&layers, Some(&structures), &quant, &[4096]).unwrap();
         assert!(
             sparse.total_int_mults < dense.total_int_mults,
             "post-sparsity pricing must shrink the chain total: {} vs {}",
@@ -616,15 +429,8 @@ mod tests {
         assert_eq!(fc.name(), "fc1");
         // Dense structures reproduce the dense solve bit for bit.
         let dense_structs: Vec<LayerStructure> = layers.iter().map(LayerStructure::dense).collect();
-        let redone = solve_chain_plan_structured(
-            &layers,
-            Some(&dense_structs),
-            &quant,
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-            &[4096],
-        )
-        .unwrap();
+        let redone =
+            solve_chain_plan_structured(&layers, Some(&dense_structs), &quant, &[4096]).unwrap();
         assert_eq!(redone.total_int_mults, dense.total_int_mults);
         assert_eq!(redone.name, dense.name);
     }
@@ -642,14 +448,7 @@ mod tests {
             activation_bits: 20,
             ..QuantSpec::default()
         };
-        let err = solve_chain_plan(
-            &layers,
-            &quant,
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-            &[4096],
-        )
-        .unwrap_err();
+        let err = solve_chain_plan(&layers, &quant, &[4096]).unwrap_err();
         assert_eq!(err.layer, "wide");
     }
 }

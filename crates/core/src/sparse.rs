@@ -305,6 +305,7 @@ pub struct BsgsPlan {
     pub g: usize,
     baby_steps: Vec<usize>,
     live_groups: Vec<usize>,
+    widest_group: usize,
 }
 
 impl BsgsPlan {
@@ -315,19 +316,21 @@ impl BsgsPlan {
         let g = d.div_ceil(b);
         let mut baby_used = vec![false; b];
         let mut live_groups = Vec::new();
+        let mut widest_group = 0;
         for u in 0..g {
             let shift = u * b;
             let width = b.min(d - shift);
-            let mut any = false;
+            let mut live = 0;
             for (v, used) in baby_used.iter_mut().enumerate().take(width) {
                 if s.is_live(shift + v) {
-                    any = true;
+                    live += 1;
                     *used = true;
                 }
             }
-            if any {
+            if live > 0 {
                 live_groups.push(u);
             }
+            widest_group = widest_group.max(live);
         }
         let baby_steps = (1..b).filter(|&v| baby_used[v]).collect();
         Self {
@@ -335,6 +338,7 @@ impl BsgsPlan {
             g,
             baby_steps,
             live_groups,
+            widest_group,
         }
     }
 
@@ -366,6 +370,11 @@ impl BsgsPlan {
     /// Giant groups with at least one live diagonal.
     pub fn live_groups(&self) -> &[usize] {
         &self.live_groups
+    }
+
+    /// Most live diagonals in any one group: the widest inner sum.
+    pub fn widest_group(&self) -> usize {
+        self.widest_group
     }
 
     /// Whether the plan covers nothing (all-zero layer).

@@ -28,8 +28,8 @@ use cheetah_bfv::{
     OpCounts,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
-use cheetah_core::ptune::{solve_chain_plan, NoiseRegime};
-use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec, Schedule};
+use cheetah_core::ptune::solve_chain_plan;
+use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec};
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -639,14 +639,8 @@ fn solver_counts_are_the_engines_measured_counts() {
         activation_bits: 2,
         ..QuantSpec::default()
     };
-    let plan = solve_chain_plan(
-        &layers,
-        &quant,
-        Schedule::PartialAligned,
-        NoiseRegime::Statistical,
-        &[4096],
-    )
-    .expect("the benchmark's FC shapes are solvable at n = 4096");
+    let plan = solve_chain_plan(&layers, &quant, &[4096])
+        .expect("the benchmark's FC shapes are solvable at n = 4096");
 
     let mut rng = StdRng::seed_from_u64(0x501e);
     let mut c = ctx(plan.params.clone(), 33);
@@ -772,14 +766,8 @@ fn solver_counts_are_the_engines_measured_counts() {
         })
         .collect();
     let layers: Vec<LinearLayer> = convs.iter().cloned().map(LinearLayer::Conv).collect();
-    let plan = solve_chain_plan(
-        &layers,
-        &quant,
-        Schedule::PartialAligned,
-        NoiseRegime::Statistical,
-        &[4096],
-    )
-    .expect("the benchmark's conv shapes are solvable at n = 4096");
+    let plan = solve_chain_plan(&layers, &quant, &[4096])
+        .expect("the benchmark's conv shapes are solvable at n = 4096");
     let mut c = ctx(plan.params.clone(), 37);
     let literal = [
         ("conv packed b=1 g=1 live=9/9 out=1", 9, 8),

@@ -231,14 +231,7 @@ mod tests {
 
         let net = models::tiny_cnn();
         let layers = net.linear_layers();
-        let plan = solve_chain_plan(
-            &layers,
-            &QuantSpec::default(),
-            Schedule::PartialAligned,
-            NoiseRegime::Statistical,
-            &[4096],
-        )
-        .unwrap();
+        let plan = solve_chain_plan(&layers, &QuantSpec::default(), &[4096]).unwrap();
         let mut timer = KernelTimer::new(2);
         let b = chain_breakdown(&layers, &plan, &mut timer);
         assert!(b.total_s() > 0.0);

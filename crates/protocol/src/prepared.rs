@@ -19,7 +19,7 @@ use cheetah_bfv::{
     Result, Scratch,
 };
 use cheetah_core::linear::parallel::default_threads;
-use cheetah_core::linear::{HomConv2d, HomFc};
+use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc};
 use cheetah_core::ptune::ChainPlan;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
@@ -28,10 +28,6 @@ use std::iter::StepBy;
 use std::ops::Range;
 
 use crate::masking::center;
-
-/// Worst-case budget (bits) the leveled-evaluation planner keeps in hand
-/// when choosing how many limbs to drop before a layer.
-const LEVEL_PLAN_MARGIN_BITS: f64 = 2.0;
 
 /// A prepared homomorphic linear layer plus its packing rules.
 pub(crate) enum HomLayer {
@@ -78,29 +74,15 @@ impl HomLayer {
     }
 
     /// The deepest level this layer can run at for an input with the
-    /// given noise estimate: walks the modulus-switch transitions down
-    /// the chain and keeps the deepest level whose *predicted output*
-    /// still clears the planning margin under the **statistical** (IBDG)
-    /// budget — the §IV-B provisioning rule HE-PTune uses (failure
-    /// probability below 1e-10). The worst-case bound would pin both
-    /// kernels at full level: their baby steps are rotate-then-multiply,
-    /// so the Table-III bound pays the key-switch additive inside the
-    /// multiplication even though the measured noise sits far below it.
-    /// Returns 0 (full chain) when no switch is safe — dropping limbs is
-    /// purely an optimization, never a correctness requirement.
+    /// given noise estimate: the last of [`feasible_levels`] over this
+    /// layer's own prediction, or 0 (full chain) when no level clears the
+    /// margin.
     fn plan_level(&self, input: &NoiseEstimate, params: &BfvParams) -> usize {
-        let mut best = 0;
-        let mut est = *input;
-        for level in 0..params.levels() {
-            if level > 0 {
-                est = est.mod_switch(params, level - 1);
-            }
-            let out = self.noise_after(&est, params, level);
-            if out.budget_bits_statistical_at(params, level) >= LEVEL_PLAN_MARGIN_BITS {
-                best = level;
-            }
-        }
-        best
+        feasible_levels(input, params, |est, level| {
+            self.noise_after(est, params, level)
+        })
+        .last()
+        .map_or(0, |(level, _)| level)
     }
 
     /// The layer's input layout — an FC layer's is its plan's tiling, so

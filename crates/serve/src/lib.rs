@@ -11,7 +11,7 @@
 //!
 //! * **Shared immutable preparation** — a [`PreparedModel`] wraps the
 //!   protocol crate's `Arc<PreparedLayers>` (packed weight plaintexts,
-//!   BSGS / reduce / level plans, the rotation-step union) plus
+//!   BSGS / level plans, the rotation-step union) plus
 //!   precomputed nonlinear bundle output shapes. It is built once and
 //!   shared lock-free: nothing in it is mutated after construction.
 //! * **Per-client session halves** — [`ClientSession`] owns the secret

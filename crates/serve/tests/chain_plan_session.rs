@@ -12,29 +12,19 @@
 use std::sync::Arc;
 
 use cheetah_bfv::NoiseEstimate;
-use cheetah_core::ptune::{solve_chain_plan, ChainPlan, NoiseRegime};
-use cheetah_core::{QuantSpec, Schedule};
+use cheetah_core::ptune::{solve_chain_plan, ChainPlan};
+use cheetah_core::QuantSpec;
 use cheetah_nn::inference::{infer, random_input};
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::Weights;
 use cheetah_protocol::PreparedLayers;
 use cheetah_serve::PrivateInferenceSession;
 
-fn tiny_cnn_plan(schedule: Schedule) -> ChainPlan {
-    // The engine guards every operation with its *worst-case* tracked
-    // noise (NoiseBudgetExhausted), so a plan that must drive a live
-    // session is solved in the worst-case regime; the statistical regime
-    // is for the paper's provisioning studies.
+fn tiny_cnn_plan() -> ChainPlan {
     let net = tiny_cnn();
     let layers = net.linear_layers();
-    solve_chain_plan(
-        &layers,
-        &QuantSpec::default(),
-        schedule,
-        NoiseRegime::WorstCase,
-        &[4096],
-    )
-    .expect("tiny CNN must be solvable on the preset chains")
+    solve_chain_plan(&layers, &QuantSpec::default(), &[4096])
+        .expect("tiny CNN must be solvable on the preset chains")
 }
 
 #[test]
@@ -44,7 +34,7 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
     let input = random_input(&net.input_shape, 3, 812);
     let expect = infer(&net, &weights, &input).output;
 
-    let plan = tiny_cnn_plan(Schedule::PartialAligned);
+    let plan = tiny_cnn_plan();
     assert_eq!(plan.layers.len(), net.linear_layers().len());
 
     let prepared =
@@ -78,33 +68,10 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
 }
 
 #[test]
-fn solved_plans_agree_across_schedules() {
-    // The two schedules solve to different chains (Sched-IA's input
-    // additive pushes the solver onto a hybrid special-prime chain); the
-    // decrypted outputs must still agree exactly — the plan changes cost,
-    // never values.
-    let net = tiny_cnn();
-    let weights = Weights::random(&net, 2, 821);
-    let input = random_input(&net.input_shape, 3, 822);
-
-    let mut outputs = Vec::new();
-    for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
-        let plan = tiny_cnn_plan(schedule);
-        let prepared =
-            Arc::new(PreparedLayers::from_chain_plan(&net, &weights, &plan).expect("prepare"));
-        let mut session =
-            PrivateInferenceSession::with_prepared(Arc::clone(&prepared), 31).unwrap();
-        let (output, _) = session.run(&input).unwrap();
-        outputs.push(output);
-    }
-    assert_eq!(outputs[0].data(), outputs[1].data());
-}
-
-#[test]
 fn planned_levels_cap_the_runtime_level_planner() {
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 831);
-    let plan = tiny_cnn_plan(Schedule::PartialAligned);
+    let plan = tiny_cnn_plan();
 
     let capped = PreparedLayers::from_chain_plan(&net, &weights, &plan).unwrap();
     let uncapped = PreparedLayers::new(&net, &weights, plan.params.clone()).unwrap();
@@ -131,7 +98,7 @@ fn mismatched_plan_is_rejected_at_prepare_time() {
     // A plan solved for a different network must not silently prepare.
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 841);
-    let mut plan = tiny_cnn_plan(Schedule::PartialAligned);
+    let mut plan = tiny_cnn_plan();
     plan.layers.pop();
     let Err(err) = PreparedLayers::from_chain_plan(&net, &weights, &plan) else {
         panic!("a plan with the wrong layer count must be rejected");

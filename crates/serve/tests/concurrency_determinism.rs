@@ -155,24 +155,16 @@ fn solver_planned_model_serves_concurrent_clients() {
     // HE-PTune v2 end to end through the serving layer: the chain solver
     // picks the parameter chain and per-layer levels, prepare_with_plan
     // builds the shared model, and a concurrent pool of clients decrypts
-    // bit-identically to the cleartext reference. Solved in the
-    // worst-case regime because the engine guards every operation with
-    // its worst-case tracked noise.
-    use cheetah_core::ptune::{solve_chain_plan, NoiseRegime};
+    // bit-identically to the cleartext reference.
+    use cheetah_core::ptune::solve_chain_plan;
     use cheetah_core::QuantSpec;
 
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 424);
     let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
 
-    let plan = solve_chain_plan(
-        &net.linear_layers(),
-        &QuantSpec::default(),
-        Schedule::PartialAligned,
-        NoiseRegime::WorstCase,
-        &[N],
-    )
-    .expect("tiny CNN must be solvable");
+    let plan = solve_chain_plan(&net.linear_layers(), &QuantSpec::default(), &[N])
+        .expect("tiny CNN must be solvable");
     let model = PreparedModel::prepare_with_plan(&net, &weights, &plan).unwrap();
     assert_eq!(
         model.layers().planned_levels(),

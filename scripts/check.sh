@@ -67,6 +67,21 @@ if git grep -nE 'rotate_sum_reduce\(|ReducePlan' -- crates src tests examples; t
     exit 1
 fi
 
+echo "==> one-noise-model gate"
+# The chain solver asks the engine instead of modelling it: a layer's noise
+# is its plan's noise_after (FcPlan / ConvPlan, the functions HomFc /
+# HomConv2d delegate to) and its levels are linear::feasible_levels', the
+# runtime planner's rule. The solver's private copy of Table III, its own
+# margin and its Schedule argument must not grow back.
+if git grep -nE 'layer_noise_on_chain|\bPLAN_MARGIN_BITS\b|\bSchedule\b' -- crates/core/src/ptune/solver.rs; then
+    echo "FAIL: the chain solver models noise, a margin or a schedule of its own again (see matches above)"
+    exit 1
+fi
+if git grep -n 'layer_noise_on_chain' -- crates src tests examples; then
+    echo "FAIL: layer_noise_on_chain is back (see matches above)"
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release
