@@ -340,15 +340,10 @@ struct FcPoint {
     bsgs_untiled: f64,
     diag_level1: f64,
     bsgs_level1: f64,
-    /// The same layer with half / 90% of the folded diagonals pruned
-    /// whole — the rotations and mask multiplies the structure analyzer
-    /// lets the plan skip.
-    bsgs_sparse50: f64,
+    /// The same layer with 90% of the folded diagonals pruned whole — the
+    /// rotations and mask multiplies the structure analyzer lets the plan
+    /// skip.
     bsgs_sparse90: f64,
-    /// Power-of-two weights at 50% structured sparsity: the sparse plan's
-    /// savings plus the factored `2^m` scale re-applied by one shift-add
-    /// `mul_scalar`.
-    pow2: f64,
 }
 
 /// Zeroes `dead_frac` of the folded diagonals of an FC weight tensor
@@ -409,33 +404,16 @@ fn fc_point(params: BfvParams) -> FcPoint {
     let untiled = forced(BsgsPlan::choose(&dense, &HeCostParams::for_bfv(&params, 0)).b);
     let diag = forced(1);
 
-    // Sparse variants: the same layer with 50% / 90% of the folded
-    // diagonals pruned whole; the plan covers the live ones only.
-    let pruned = |w: &Tensor, dead_frac: f64| {
-        let w = prune_fc_classes(w, spec.no, spec.ni, dead_frac);
-        HomFc::new(&spec, &w, &encoder, &eval).unwrap()
-    };
-    let sparse50 = pruned(&weights, 0.5);
-    let sparse90 = pruned(&weights, 0.9);
+    // Sparse variant: the same layer with 90% of the folded diagonals
+    // pruned whole; the plan covers the live ones only.
+    let pruned = prune_fc_classes(&weights, spec.no, spec.ni, 0.9);
+    let sparse90 = HomFc::new(&spec, &pruned, &encoder, &eval).unwrap();
     assert!(
         sparse90.fc_plan().live < spec.no / 5,
         "a 90%-pruned layer must plan over its live diagonals only"
     );
 
-    // Pow2 variant: every live weight ±2 or ±4 (shared factor 2 is pulled
-    // out of the masks and re-applied by one shift-add mul_scalar), at
-    // 50% structured sparsity.
-    let pow2_weights = Tensor::from_data(
-        &[spec.no, spec.ni],
-        weights.data().iter().map(|&v| 2 * v).collect(),
-    );
-    let pow2 = pruned(&pow2_weights, 0.5);
-    assert!(
-        pow2.pow2_scale_log2() >= 1,
-        "pow2 bench weights must factor a shared scale"
-    );
-
-    let layers = [&diag, &bsgs, &untiled, &sparse50, &sparse90, &pow2];
+    let layers = [&diag, &bsgs, &untiled, &sparse90];
     let steps: Vec<i64> = layers.iter().flat_map(|l| l.rotation_steps()).collect();
     let keys = kg.galois_keys_for_steps(&steps).unwrap();
     // Every variant reads the input packed the way its own plan tiles it.
@@ -457,9 +435,7 @@ fn fc_point(params: BfvParams) -> FcPoint {
         bsgs_untiled: time_fc(&untiled, 0),
         diag_level1: time_fc(&diag, 1),
         bsgs_level1: time_fc(&bsgs, 1),
-        bsgs_sparse50: time_fc(&sparse50, 0),
         bsgs_sparse90: time_fc(&sparse90, 0),
-        pow2: time_fc(&pow2, 0),
     }
 }
 
@@ -740,15 +716,9 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "    \"l{limbs}_fc_bsgs_sparse50\": {:.1},",
-            p.bsgs_sparse50
-        );
-        let _ = writeln!(
-            json,
-            "    \"l{limbs}_fc_bsgs_sparse90\": {:.1},",
+            "    \"l{limbs}_fc_bsgs_sparse90\": {:.1}{trail}",
             p.bsgs_sparse90
         );
-        let _ = writeln!(json, "    \"l{limbs}_fc_pow2\": {:.1}{trail}", p.pow2);
     }
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"conv_layer_ns\": {{");

@@ -63,7 +63,7 @@
 //!
 //! * an **in-place** form (`add_assign`, `sub_assign`, `negate_assign`,
 //!   `mul_plain_assign`, `mul_plain_accumulate`,
-//!   `mul_plain_accumulate_many`, `mul_scalar_assign`, `add_plain_assign`,
+//!   `mul_plain_accumulate_many`, `add_plain_assign`,
 //!   `apply_galois_into`, `rotate_rows_into`, `rotate_hoisted_into`) that
 //!   mutates caller-owned ciphertexts and draws any temporaries from a
 //!   caller-owned [`Scratch`] pool — zero heap allocations at steady
@@ -96,12 +96,11 @@ use crate::scratch::Scratch;
 /// Running kernel-invocation counters (per evaluator).
 ///
 /// Counters are updated atomically, so no invocation is ever lost under
-/// multi-threaded evaluation. `mul`, `rotate`, `ntt`, and `poly_mul` are
-/// structural — identical for any thread count. `add` reflects the
-/// accumulation *shape*: fused accumulators count one `HE_Add` per term
-/// (including the first, onto a transparent zero), and chunked parallel
-/// reduction adds one merge per extra chunk, so `add` can differ by
-/// `chunks − 1` between thread counts (pinned down by
+/// multi-threaded evaluation. `add` reflects the accumulation *shape*:
+/// fused accumulators count one `HE_Add` per term (including the first,
+/// onto a transparent zero). The linear kernel in `cheetah-core` combines
+/// its group sums in plan order after its workers join, so every counter
+/// is identical for any thread count (pinned down by
 /// `crates/core/tests/parallel_equivalence.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
@@ -143,52 +142,6 @@ impl OpCounts {
     }
 }
 
-/// Doubling chains beyond this exponent cost more `add_mod`s than one
-/// Barrett multiply saves, so the shift-add fast path only engages for
-/// small exponents (the regime power-of-two quantized weights live in).
-/// Exactly `2^POW2_CHAIN_MAX_EXP` still takes the chain; `2^(max+1)` falls
-/// back to the generic Barrett path, bit-identically (boundary pinned by
-/// `tests/pow2_mul_plain.rs`).
-pub const POW2_CHAIN_MAX_EXP: u32 = 8;
-
-/// Marker that a prepared plaintext is the uniform scalar `±2^exp` across
-/// every slot: its centered encoding is a single coefficient `±2^exp` at
-/// index 0, whose evaluation form is that constant in every NTT position.
-/// `mul_plain` with such a plaintext is replaced by per-limb-plane doubling
-/// chains (`exp` conditional-subtract additions, plus one negation for the
-/// negative sign) instead of generic Barrett pointwise multiplies. Because
-/// `add_mod`/`neg_mod`/`mul_mod` all return the canonical residue in
-/// `[0, q)`, the chain lands on exactly the same representative — the fast
-/// path is bit-identical to the generic path, not merely congruent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pow2Scalar {
-    /// The plaintext multiplies every slot by `2^exp`.
-    pub exp: u32,
-    /// Whether the scalar is negated (`-2^exp`).
-    pub negative: bool,
-}
-
-/// Detects the shift-add fast-path shape in a centered coefficient vector:
-/// exactly one nonzero coefficient, at index 0, whose magnitude is a power
-/// of two no larger than `2^POW2_CHAIN_MAX_EXP`. A uniform slot vector
-/// batch-encodes to exactly this shape (inverse NTT of a constant vector),
-/// so power-of-two scalar masks qualify; anything else stays on the
-/// generic Barrett path.
-fn pow2_scalar_of(centered: &[i64]) -> Option<Pow2Scalar> {
-    let (first, rest) = centered.split_first()?;
-    if rest.iter().any(|&c| c != 0) {
-        return None;
-    }
-    let mag = first.unsigned_abs();
-    if mag == 0 || !mag.is_power_of_two() || mag.trailing_zeros() > POW2_CHAIN_MAX_EXP {
-        return None;
-    }
-    Some(Pow2Scalar {
-        exp: mag.trailing_zeros(),
-        negative: *first < 0,
-    })
-}
-
 /// A plaintext pre-lifted to `R_Q` (one plane per live limb of its level)
 /// and NTT-transformed, ready for repeated multiplication (exposes the
 /// intermediate per C-INTERMEDIATE; weight polynomials are reused across
@@ -200,13 +153,6 @@ fn pow2_scalar_of(centered: &[i64]) -> Option<Pow2Scalar> {
 /// ignores the surplus. A ciphertext *shallower* than the preparation is
 /// rejected with [`Error::LevelMismatch`] (the dropped planes cannot be
 /// regrown). Level-0 preparations (the default) therefore work everywhere.
-///
-/// A uniform `±2^e` plaintext carries a [`Pow2Scalar`] marker *and* its
-/// evaluation form: `mul_plain` follows the marker onto doubling chains,
-/// while the accumulating forms ([`Evaluator::mul_plain_accumulate`],
-/// [`Evaluator::mul_plain_accumulate_many`]) read `poly` like any other
-/// mask inside their one lazy pass — canonical residues either way, so the
-/// same bits.
 #[derive(Debug, Clone)]
 pub struct PreparedPlaintext {
     /// Evaluation-form RNS polynomial (centered lift of the mod-`t`
@@ -216,10 +162,6 @@ pub struct PreparedPlaintext {
     inf_norm: u64,
     /// Level the plaintext was prepared at (0 = full chain).
     level: usize,
-    /// Set when the plaintext is a uniform `±2^exp` scalar with a small
-    /// exponent; `mul_plain` then takes the shift-add fast path (the
-    /// accumulating forms read `poly` regardless).
-    pow2: Option<Pow2Scalar>,
 }
 
 impl PreparedPlaintext {
@@ -237,21 +179,6 @@ impl PreparedPlaintext {
     /// this level or deeper.
     pub fn level(&self) -> usize {
         self.level
-    }
-
-    /// `Some` iff this plaintext is a uniform `±2^exp` scalar that
-    /// `mul_plain` will evaluate with doubling chains instead of Barrett
-    /// multiplies (bit-identical either way).
-    pub fn pow2_scalar(&self) -> Option<Pow2Scalar> {
-        self.pow2
-    }
-
-    /// Strips the pow2 fast-path marker, forcing the generic Barrett path.
-    /// A testing hook: the bit-identity pins multiply by the same prepared
-    /// plaintext with and without the marker and compare raw ciphertexts.
-    pub fn without_pow2(mut self) -> Self {
-        self.pow2 = None;
-        self
     }
 }
 
@@ -588,16 +515,8 @@ impl Evaluator {
             .mul_plain_at(&self.params, level, 1, 2 * pt.inf_norm);
         {
             let (c0, c1) = a.parts_mut();
-            // Shift-add fast path for uniform ±2^e plaintexts: doubling
-            // chains land on the same canonical residues as the Barrett
-            // multiplies, so noise and op accounting stay identical.
-            if let Some(p2) = pt.pow2 {
-                c0.mul_pow2(p2.exp, p2.negative, chain);
-                c1.mul_pow2(p2.exp, p2.negative, chain);
-            } else {
-                c0.mul_assign_pointwise_prefix(&pt.poly, chain)?;
-                c1.mul_assign_pointwise_prefix(&pt.poly, chain)?;
-            }
+            c0.mul_assign_pointwise_prefix(&pt.poly, chain)?;
+            c1.mul_assign_pointwise_prefix(&pt.poly, chain)?;
         }
         a.set_noise(noise);
         Self::count(&self.mul_count, 1);
@@ -633,9 +552,7 @@ impl Evaluator {
     /// modular add per term. The ciphertext, the noise estimate (folded
     /// term by term, in order) and the [`OpCounts`] (`k` `HE_Mult`, `k`
     /// `HE_Add`, `2k` pointwise multiplications) are exactly those of `k`
-    /// sequential [`Evaluator::mul_plain_accumulate`] calls. Uniform
-    /// `±2^e` masks are read through their evaluation form like any other
-    /// (the same residues their doubling chains produce). Every term is
+    /// sequential [`Evaluator::mul_plain_accumulate`] calls. Every term is
     /// checked before `acc` is touched. No allocation.
     ///
     /// # Errors
@@ -680,39 +597,6 @@ impl Evaluator {
         Self::count(&self.mul_count, k);
         Self::count(&self.add_count, k);
         Self::count(&self.poly_mul_count, 2 * k);
-        Ok(())
-    }
-
-    /// Multiplies every slot by a scalar constant, in place. No allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts.
-    pub fn mul_scalar_assign(&self, a: &mut Ciphertext, c: u64) -> Result<()> {
-        self.params.check_same(a.params())?;
-        let level = a.level();
-        let chain = self.params.chain_at(level);
-        let t = self.params.plain_modulus();
-        let c_red = t.reduce(c);
-        let noise = a
-            .noise()
-            .mul_plain_at(&self.params, level, 1, 2 * c_red.max(1));
-        {
-            let (c0, c1) = a.parts_mut();
-            // Small power-of-two scalars (e.g. the factored-out scale of a
-            // pow2-quantized sparse layer) use the same doubling chains as
-            // pow2 prepared plaintexts. Negative-centered scalars stay on
-            // the generic path: the chain would multiply by the centered
-            // representative instead of `c_red` and the bits would diverge.
-            if let Some(p2) = pow2_scalar_of(&[t.center(c_red)]).filter(|p| !p.negative) {
-                c0.mul_pow2(p2.exp, p2.negative, chain);
-                c1.mul_pow2(p2.exp, p2.negative, chain);
-            } else {
-                c0.mul_scalar(c_red, chain);
-                c1.mul_scalar(c_red, chain);
-            }
-        }
-        a.set_noise(noise);
         Ok(())
     }
 
@@ -1461,7 +1345,6 @@ impl Evaluator {
         let chain = self.params.chain_at(level);
         let inf_norm = pt.inf_norm().max(1);
         let centered: Vec<i64> = pt.poly().data().iter().map(|&c| t.center(c)).collect();
-        let pow2 = pow2_scalar_of(&centered);
         let mut poly = RnsPoly::from_signed(&centered, chain);
         poly.to_eval(chain);
         Self::count(&self.ntt_count, chain.limbs() as u64);
@@ -1469,7 +1352,6 @@ impl Evaluator {
             poly,
             inf_norm,
             level,
-            pow2,
         })
     }
 
@@ -1555,17 +1437,6 @@ impl Evaluator {
         Self::count(&self.mul_count, l_pt as u64);
         // l_pt >= 1 by construction, but the boundary never panics on it.
         out.set_noise(noise.unwrap_or_else(NoiseEstimate::zero));
-        Ok(out)
-    }
-
-    /// Multiplies every slot by a scalar constant.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts.
-    pub fn mul_scalar(&self, a: &Ciphertext, c: u64) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        self.mul_scalar_assign(&mut out, c)?;
         Ok(out)
     }
 
@@ -2121,14 +1992,5 @@ mod tests {
             eval.rotate_hoisted(&low, &hoisted, 1, &keys),
             Err(Error::LevelMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn mul_scalar_scales_slots() {
-        let mut c = ctx(2048, &[]);
-        let ct = c.enc.encrypt(&c.encoder.encode(&[7, 9]).unwrap()).unwrap();
-        let scaled = c.eval.mul_scalar(&ct, 3).unwrap();
-        let out = c.encoder.decode(&c.dec.decrypt_checked(&scaled).unwrap());
-        assert_eq!(&out[..2], &[21, 27]);
     }
 }

@@ -110,7 +110,7 @@ pub use ciphertext::{Ciphertext, WindowedCiphertext};
 pub use encoder::{BatchEncoder, Plaintext};
 pub use encryptor::{Decryptor, Encryptor};
 pub use error::{Error, Result};
-pub use evaluator::{Evaluator, HoistedDecomposition, OpCounts, Pow2Scalar, PreparedPlaintext};
+pub use evaluator::{Evaluator, HoistedDecomposition, OpCounts, PreparedPlaintext};
 pub use keys::{GaloisKey, GaloisKeys, KeyGenerator, PublicKey, SecretKey};
 pub use noise::NoiseEstimate;
 pub use params::{

@@ -49,15 +49,6 @@ pub(crate) fn fma_pointwise_slice(r: &mut [u64], a: &[u64], b: &[u64], q: &Modul
     simd::fma_pointwise(r, a, b, q);
 }
 
-/// `x ← (±2^exp)·x mod q` element-wise via a doubling chain — `exp`
-/// conditional-subtract doublings plus an optional negation — instead of
-/// a 128-bit Barrett multiply. Every step keeps residues canonical in
-/// `[0, q)` (and `neg_mod(0) = 0`), so the result is bit-identical to
-/// `mul_scalar_slice` with the reduced `±2^exp`.
-pub(crate) fn mul_pow2_slice(a: &mut [u64], exp: u32, negative: bool, q: &Modulus) {
-    simd::mul_pow2(a, exp, negative, q);
-}
-
 pub(crate) fn permute_slice(dst: &mut [u64], src: &[u64], perm: &[u32]) {
     for (d, &i) in dst.iter_mut().zip(perm) {
         *d = src[i as usize];

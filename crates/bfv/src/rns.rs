@@ -31,8 +31,8 @@ use crate::arith::{CrtBasis, Modulus};
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
 use crate::poly::{
-    add_assign_slice, fma_pointwise_slice, mul_pointwise_slice, mul_pow2_slice, mul_scalar_slice,
-    negate_slice, permute_slice, sub_assign_slice, Representation,
+    add_assign_slice, fma_pointwise_slice, mul_pointwise_slice, negate_slice, permute_slice,
+    sub_assign_slice, Representation,
 };
 use crate::simd::{self, DotPlanes};
 
@@ -601,23 +601,6 @@ impl RnsPoly {
             mul_pointwise_slice(a, b, chain.modulus(i));
         }
         Ok(())
-    }
-
-    /// Multiplies every residue by the small scalar `c` (reduced per limb).
-    pub fn mul_scalar(&mut self, c: u64, chain: &ModulusChain) {
-        for (i, a) in self.data.chunks_exact_mut(self.n).enumerate() {
-            mul_scalar_slice(a, c, chain.modulus(i));
-        }
-    }
-
-    /// `self ← (±2^exp)·self` per plane via doubling chains — the shift-add
-    /// scalar path. Bit-identical to [`RnsPoly::mul_scalar`] by the reduced
-    /// `±2^exp` (canonical residues at every step); representation-agnostic
-    /// (element-wise either way).
-    pub fn mul_pow2(&mut self, exp: u32, negative: bool, chain: &ModulusChain) {
-        for (i, a) in self.data.chunks_exact_mut(self.n).enumerate() {
-            mul_pow2_slice(a, exp, negative, chain.modulus(i));
-        }
     }
 
     /// Fused multiply-accumulate: `self += a * b` pointwise limb-wise, all

@@ -39,8 +39,8 @@
 //!
 //! The lane bodies are shaped for auto-vectorization, and LLVM takes the
 //! offer only where no 64×64→128-bit multiply is involved: `add_assign`,
-//! `sub_assign`, `negate`, `peel_digit` and the `mul_pow2` doubling chain
-//! (adds, shifts, compares, conditional subtractions) become vector code
+//! `sub_assign`, `negate` and `peel_digit` (adds, shifts, compares,
+//! conditional subtractions) become vector code
 //! under `Portable` and `Avx2`. Everything that goes through a `u128`
 //! product — the Shoup multiply of the lane **NTT butterflies**, the
 //! Barrett multiply of `mul_pointwise` / `mul_scalar` / `fma_pointwise`,
@@ -284,11 +284,6 @@ pub(crate) fn mul_scalar(a: &mut [u64], c: u64, q: &Modulus) {
 /// `r[i] ← r[i] + a[i]·b[i] mod q` (the key-switch inner loop).
 pub(crate) fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus) {
     dispatch!(fma_pointwise(r, a, b, q))
-}
-
-/// `a[i] ← (±2^exp)·a[i] mod q` via a conditional-subtract doubling chain.
-pub(crate) fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus) {
-    dispatch!(mul_pow2(a, exp, negative, q))
 }
 
 /// Peels the lowest base-`2^log_base` digit off every `v[i]`:
@@ -616,16 +611,6 @@ mod scalar {
         }
     }
 
-    pub(super) fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus) {
-        for x in a.iter_mut() {
-            let mut v = *x;
-            for _ in 0..exp {
-                v = q.add_mod(v, v);
-            }
-            *x = if negative { q.neg_mod(v) } else { v };
-        }
-    }
-
     pub(super) fn dot_reduce(acc: &mut [u128], q: &Modulus) {
         for a in acc.iter_mut() {
             *a = q.reduce_u128(*a) as u128;
@@ -858,21 +843,6 @@ mod lanes {
             }
         }
 
-        pub(super) fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus) {
-            let qv = q.value();
-            for x in a.iter_mut() {
-                let mut v = *x;
-                for _ in 0..exp {
-                    v = csub(v + v, qv);
-                }
-                *x = if negative {
-                    (qv - v) * ((v != 0) as u64)
-                } else {
-                    v
-                };
-            }
-        }
-
         pub(super) fn dot_reduce(acc: &mut [u128], q: &Modulus) {
             let qv = q.value();
             let ratio = q.const_ratio();
@@ -926,7 +896,6 @@ mod lanes {
         fn mul_pointwise(a: &mut [u64], b: &[u64], q: &Modulus);
         fn mul_scalar(a: &mut [u64], c: u64, q: &Modulus);
         fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus);
-        fn mul_pow2(a: &mut [u64], exp: u32, negative: bool, q: &Modulus);
         fn dot_reduce(acc: &mut [u128], q: &Modulus);
         fn peel_digit(v: &mut [u64], low: &mut [u64], log_base: u32);
     }
@@ -1611,7 +1580,6 @@ mod tests {
                 mul_pointwise(&mut r, &b, &q);
                 mul_scalar(&mut r, u64::MAX, &q);
                 fma_pointwise(&mut r, &a, &b, &q);
-                mul_pow2(&mut r, 8, true, &q);
                 r
             };
             let reference = run(SimdBackend::Scalar);

@@ -105,7 +105,6 @@ fn steady_state_on(params: BfvParams) {
             &[(&other, &prepared), (&base, &prepared), (&other, &prepared)],
         )
         .unwrap();
-        eval.mul_scalar_assign(work, 3).unwrap();
         eval.add_plain_assign(work, &pt, scratch).unwrap();
         eval.rotate_rows_into(rot, work, 1, &keys, scratch).unwrap();
         eval.rotate_rows_into(rot, work, 0, &keys, scratch).unwrap();

@@ -9,12 +9,13 @@
 //!   parameter design-space exploration of §IV-C;
 //! * [`schedule`] / [`linear`] — the partial-aligned dot-product schedule
 //!   (Sched-PA, §V) and its input-aligned prior-art counterpart, both as
-//!   analytical noise shapes and as functional layers on real ciphertexts
-//!   (FC as one BSGS kernel over the live folded diagonals, whose baby
-//!   widths 1 and `d` are the diagonal method in Sched-PA's and
-//!   Sched-IA's order; convolution as one packed kernel — hoisted tap
+//!   analytical noise shapes and as functional layers on real ciphertexts:
+//!   one rotate–multiply–accumulate kernel ([`linear::PreparedKernel`] over
+//!   a [`BsgsPlan`]) under two layouts — FC over the live folded
+//!   diagonals, whose baby widths 1 and `d` are the diagonal method in
+//!   Sched-PA's and Sched-IA's order; convolution packed — hoisted tap
 //!   baby steps, Horner channel-diagonal giant steps, every output
-//!   channel in one ciphertext);
+//!   channel in one ciphertext;
 //! * [`baseline`] / [`speedup`] — the Gazelle baseline (one global
 //!   parameter set + Sched-IA) and the Fig. 6 speedup pipeline.
 //!
@@ -54,5 +55,5 @@ pub use linear::ConvPlan;
 pub use ptune::{DesignPoint, NoiseRegime, TuneSpace};
 pub use quant::{QuantSpec, WeightMode};
 pub use schedule::Schedule;
-pub use sparse::{BsgsPlan, ConvStructure, FcStructure, LayerStructure, MaskClass};
+pub use sparse::{BsgsGroup, BsgsPlan, Combine, ConvStructure, FcStructure, LayerStructure};
 pub use speedup::{evaluate_model, harmonic_mean, ModelSpeedup};

@@ -1,5 +1,6 @@
 //! Homomorphic 2-D convolution with input *and* output channels packed:
-//! one kernel in [`super::HomFc`]'s shape — hoisted tap baby steps, channel
+//! the layout that turns it into the shared Baby-Step-Giant-Step kernel
+//! ([`super::PreparedKernel`]) — hoisted tap baby steps, channel
 //! block-diagonal giant steps — writing every output channel into one
 //! ciphertext (Fig. 4 of the paper, on the real BFV engine).
 //!
@@ -33,20 +34,20 @@
 //! out = Σ_u rot( Σ_{v,tap} M_{ub+v,tap} ⊙ rot(x, off_tap + v·s), u·b·s )
 //! ```
 //!
-//! The baby rotations all read the *input*, so one hoist covers the whole
-//! set; each mask is pre-rotated by its group's `u·b·s` on the plaintext
-//! at preparation time (free); a group's inner sum `Σ_{v,tap}` is one lazy
-//! pass over its masks ([`Evaluator::mul_plain_accumulate_many`]: one
-//! Barrett reduction per coefficient, not one per mask — same bits); the
-//! giant steps accumulate by Horner —
-//! `acc ← rot(acc, b·s) + inner_u` from the last live group down — so all
-//! of them share the **one** Galois key `b·s`. Only live `(d, tap)` masks
-//! are prepared ([`ConvStructure`]): a baby step no live mask reads is
-//! never replayed, a group with no live mask adds nothing, groups past the
-//! last live one are never rotated through, and an output ciphertext with
-//! no live mask is a transparent zero. [`ConvPlan::choose`] picks the baby
-//! width from [`HeCostParams`] — the one chooser the engine and the chain
-//! solver share; a layer takes no schedule argument.
+//! which is [`BsgsPlan`]'s sum with one chain per output ciphertext, baby
+//! step `off_tap + v·s` for mask `(v, tap)` of a group, a giant index worth
+//! `b·s` slots, and the giant steps accumulated by Horner
+//! ([`crate::sparse::Combine::Horner`]: `acc ← rot(acc, b·s) + inner_u`
+//! from the last live group down), so all of them share the **one** Galois
+//! key `b·s`; [`super::PreparedKernel`] runs it. This file only lays the
+//! masks out: each is pre-rotated by its group's `u·b·s` on the plaintext
+//! at preparation time (free). Only live `(d, tap)` masks are prepared
+//! ([`ConvStructure`]): a baby step no live mask reads is never replayed, a
+//! group with no live mask adds nothing, groups past the last live one are
+//! never rotated through, and an output ciphertext with no live mask is a
+//! transparent zero. [`ConvPlan::choose`] picks the baby width from
+//! [`HeCostParams`] — the one chooser the engine and the chain solver
+//! share; a layer takes no schedule argument.
 //!
 //! # Which slots are garbage
 //!
@@ -63,60 +64,36 @@
 //! Constraints: stride 1, odd filter narrower than `2w` with 'same'
 //! padding, and `c_i'·s ≤ n/2` (one input tile per row).
 
-use std::sync::{Mutex, PoisonError};
+use std::ops::{Deref, Range};
 
 use cheetah_bfv::{
-    BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
-    PreparedPlaintext, Result, Scratch,
+    BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, Plaintext, Result, Scratch,
 };
 use cheetah_nn::{ConvSpec, Tensor};
 
 use crate::cost::HeCostParams;
-use crate::linear::parallel::map_chunks;
-use crate::sparse::ConvStructure;
+use crate::linear::PreparedKernel;
+use crate::sparse::{BsgsGroup, BsgsPlan, Combine, ConvStructure};
 
-/// One live mask of a [`ConvPlan`] group: diagonal `u·b + v`, tap `tap`,
-/// multiplying the input rotated by `step` (`0` reads it unrotated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvMask {
-    /// Baby index of the diagonal inside its group.
-    pub v: usize,
-    /// Filter tap, row-major over `fw × fw`.
-    pub tap: usize,
-    /// `off_tap + v·s`, reduced mod the row.
-    pub step: i64,
-}
-
-/// One live giant group of a [`ConvPlan`]: its index and live masks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvGroup {
-    /// Giant index: the group's inner sum is rotated by `u·b·s` in all.
-    pub u: usize,
-    /// Live masks, ascending `(v, tap)`.
-    pub masks: Vec<ConvMask>,
-}
-
-/// The whole rotation plan of one convolution: the baby/giant split of the
-/// `c_i'` channel block-diagonals and which masks of it are live, per
-/// output ciphertext. [`HomConv2d`] executes exactly this and the chain
-/// solver prices exactly this — op counts, Galois steps and label all come
-/// from here.
+/// The whole plan of one convolution: the block layout and the BSGS kernel
+/// over the `c_i'` channel block-diagonals — which masks of it are live,
+/// per output ciphertext. [`HomConv2d`] executes exactly this and the chain
+/// solver prices exactly this. Dereferences to its kernel plan: rotations,
+/// Galois steps, integer-multiply counts and the noise prediction are
+/// [`BsgsPlan`]'s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvPlan {
     /// Slots per channel block, `s = next_pow2(w²)`.
     pub stride: usize,
     /// Channel block-diagonals `c_i' = next_pow2(c_i)`.
     pub diagonals: usize,
-    /// Baby width: diagonals per giant group.
-    pub b: usize,
-    /// Giant groups `⌈c_i' / b⌉`.
-    pub g: usize,
     /// Channel blocks per ciphertext row.
     pub per_ct: usize,
     /// Taps per filter, `fw²`.
     taps: usize,
-    baby_steps: Vec<i64>,
-    chains: Vec<Vec<ConvGroup>>,
+    /// The kernel's baby/giant split (`b` diagonals per giant group,
+    /// `g = ⌈c_i' / b⌉` groups) and which of its steps are live.
+    pub kernel: BsgsPlan,
 }
 
 impl ConvPlan {
@@ -132,48 +109,29 @@ impl ConvPlan {
         let wrap = (per_ct * stride) as i64;
         let (w, fw, r) = (spec.w as i64, spec.fw, (spec.fw / 2) as i64);
         let g = diagonals.div_ceil(b);
-        let chains: Vec<Vec<ConvGroup>> = (0..spec.co.div_ceil(per_ct))
-            .map(|q| {
-                let outputs = q * per_ct..spec.co.min((q + 1) * per_ct);
-                (0..g)
-                    .filter_map(|u| {
-                        let width = b.min(diagonals - u * b);
-                        let masks: Vec<ConvMask> = (0..width * s.taps())
-                            .map(|i| (i / s.taps(), i % s.taps()))
-                            .filter(|&(v, tap)| s.mask_live(outputs.clone(), u * b + v, tap))
-                            .map(|(v, tap)| {
-                                let off = ((tap / fw) as i64 - r) * w + (tap % fw) as i64 - r;
-                                let step = (off + (v * stride) as i64).rem_euclid(wrap);
-                                ConvMask { v, tap, step }
-                            })
-                            .collect();
-                        (!masks.is_empty()).then_some(ConvGroup { u, masks })
+        let chains = (0..spec.co.div_ceil(per_ct)).map(|q| {
+            let groups = (0..g).filter_map(|u| {
+                let steps: Vec<i64> = live_cells(s, outputs_of(spec, per_ct, q), u, b)
+                    .map(|(v, tap)| {
+                        let off = ((tap / fw) as i64 - r) * w + (tap % fw) as i64 - r;
+                        (off + (v * stride) as i64).rem_euclid(wrap)
                     })
-                    .collect()
-            })
-            .collect();
-        let mut baby_steps: Vec<i64> = chains
-            .iter()
-            .flatten()
-            .flat_map(|group| group.masks.iter().map(|m| m.step))
-            .filter(|&step| step != 0)
-            .collect();
-        baby_steps.sort_unstable();
-        baby_steps.dedup();
+                    .collect();
+                (!steps.is_empty()).then_some(BsgsGroup { u, steps })
+            });
+            groups.collect()
+        });
         Self {
             stride,
             diagonals,
-            b,
-            g,
             per_ct,
             taps: s.taps(),
-            baby_steps,
-            chains,
+            kernel: BsgsPlan::new(b, g, b * stride, Combine::Horner, chains.collect()),
         }
     }
 
     /// Picks the baby width under `cost`: minimizes the rotations' bill
-    /// ([`ConvPlan::rotation_mults`]) plus one direct rotation per Galois
+    /// ([`BsgsPlan::rotation_mults`]) plus one direct rotation per Galois
     /// key the plan needs, over `b ∈ 1..=c_i'`, keeping the smaller width
     /// unless a wider one is a strict improvement. The key charge is what
     /// separates this chooser from the FC one: Horner keeps the giant
@@ -198,115 +156,6 @@ impl ConvPlan {
         best
     }
 
-    /// Distinct nonzero baby steps `off_tap + v·s` some live mask reads,
-    /// ascending, reduced mod the row: one hoisted replay each.
-    pub fn baby_steps(&self) -> &[i64] {
-        &self.baby_steps
-    }
-
-    /// Per output ciphertext, its live giant groups in ascending `u`.
-    pub fn chains(&self) -> &[Vec<ConvGroup>] {
-        &self.chains
-    }
-
-    /// Output ciphertexts, `⌈c_o / per_ct⌉`.
-    pub fn outputs(&self) -> usize {
-        self.chains.len()
-    }
-
-    /// Whether the plan covers nothing (all-zero layer).
-    pub fn is_empty(&self) -> bool {
-        self.chains.iter().all(Vec::is_empty)
-    }
-
-    /// Live masks: the plaintext multiplies per evaluation.
-    pub fn live_masks(&self) -> usize {
-        let groups = self.chains.iter().flatten();
-        groups.map(|group| group.masks.len()).sum()
-    }
-
-    /// Most live masks in any one group: the widest inner sum.
-    pub fn widest_group(&self) -> usize {
-        let groups = self.chains.iter().flatten();
-        groups.map(|group| group.masks.len()).max().unwrap_or(0)
-    }
-
-    /// Groups the longest Horner chain runs through — one past the
-    /// highest live `u` of any output ciphertext (0 on an all-zero layer).
-    pub fn longest_chain(&self) -> usize {
-        let tops = self.chains.iter().filter_map(|chain| chain.last());
-        tops.map(|top| top.u + 1).max().unwrap_or(0)
-    }
-
-    /// Direct rotations by `b·s`: each output ciphertext's chain rotates
-    /// once per group below its highest live one.
-    pub fn giant_rotations(&self) -> usize {
-        let tops = self.chains.iter().filter_map(|chain| chain.last());
-        tops.map(|top| top.u).sum()
-    }
-
-    /// Rotations per evaluation: hoisted baby replays plus Horner steps.
-    pub fn rotations(&self) -> usize {
-        self.baby_steps.len() + self.giant_rotations()
-    }
-
-    /// The exact rotation steps evaluation performs — the baby steps and,
-    /// when any chain rotates, the one giant step `b·s`. Generate Galois
-    /// keys for these and nothing more.
-    pub fn rotation_steps(&self) -> Vec<i64> {
-        let mut steps = self.baby_steps.clone();
-        if self.giant_rotations() > 0 {
-            steps.push((self.b * self.stride) as i64);
-        }
-        steps
-    }
-
-    /// Rotation-side integer multiplications under `cost`: one hoist when
-    /// any baby replay runs, one hoisted replay per baby step, one direct
-    /// rotation per Horner step.
-    pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
-        let hoist = if self.baby_steps.is_empty() {
-            0
-        } else {
-            cost.hoist_mults()
-        };
-        hoist
-            + self.baby_steps.len() as u64 * cost.he_rotate_hoisted_mults()
-            + self.giant_rotations() as u64 * cost.he_rotate_mults()
-    }
-
-    /// All integer multiplications under `cost`: the mask multiplies plus
-    /// the rotations.
-    pub fn int_mults(&self, cost: &HeCostParams) -> u64 {
-        self.live_masks() as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
-    }
-
-    /// Conservative Table-III prediction of the plan's output noise when
-    /// evaluated at `level` on an input with the given estimate — the one
-    /// place a convolution's noise is priced:
-    /// [`NoiseEstimate::bsgs_matvec_at`] over the live work — every group
-    /// as wide as the widest, every chain as long as the longest, every
-    /// mask charged `mask_norm`, and each Horner step (one rotation of the
-    /// running sum) bounded by a rotation per group. A positive predicted
-    /// budget at a level means the layer can safely run there — the
-    /// planning query behind [`super::feasible_levels`]. `mask_norm` is the
-    /// centred norm of a mask's *coefficients*: a prepared layer passes
-    /// the worst its masks measure, the chain solver the `⌊t/2⌋` no
-    /// plaintext exceeds.
-    pub fn noise_after(
-        &self,
-        input: &NoiseEstimate,
-        params: &BfvParams,
-        level: usize,
-        mask_norm: u64,
-    ) -> NoiseEstimate {
-        if self.is_empty() {
-            return NoiseEstimate::zero();
-        }
-        let (widest, longest) = (self.widest_group(), self.longest_chain());
-        input.bsgs_matvec_at(params, level, widest, longest, 2 * mask_norm.max(1))
-    }
-
     /// Human-readable label for transcripts, reports and solver plans:
     /// `conv packed b=.. g=.. live=../.. out=..` — live masks over the
     /// `c_i'·fw²` per output ciphertext, then the output ciphertexts.
@@ -322,13 +171,41 @@ impl ConvPlan {
     }
 }
 
+impl Deref for ConvPlan {
+    type Target = BsgsPlan;
+
+    fn deref(&self) -> &BsgsPlan {
+        &self.kernel
+    }
+}
+
 /// A prepared homomorphic convolution layer.
 #[derive(Debug)]
 pub struct HomConv2d {
     spec: ConvSpec,
     plan: ConvPlan,
-    /// `masks[q][i][j]` pairs with `plan.chains()[q][i].masks[j]`.
-    masks: Vec<Vec<Vec<PreparedPlaintext>>>,
+    /// `plan.kernel` with one mask per live `(d, tap)`.
+    kernel: PreparedKernel,
+}
+
+/// The output channels ciphertext `q` carries, `per_ct` to a ciphertext.
+fn outputs_of(spec: &ConvSpec, per_ct: usize, q: usize) -> Range<usize> {
+    q * per_ct..spec.co.min((q + 1) * per_ct)
+}
+
+/// The live `(v, tap)` masks of giant group `u` at baby width `b` for the
+/// ciphertext carrying output channels `outputs`, ascending: mask `j` of
+/// the group in the kernel plan and in the prepared kernel alike.
+fn live_cells(
+    s: &ConvStructure,
+    outputs: Range<usize>,
+    u: usize,
+    b: usize,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let taps = s.taps();
+    (0..b.min(s.diagonals() - u * b) * taps)
+        .map(move |i| (i / taps, i % taps))
+        .filter(move |&(v, tap)| s.mask_live(outputs.clone(), u * b + v, tap))
 }
 
 /// The typed refusals every constructor shares.
@@ -361,29 +238,30 @@ fn check_fits(spec: &ConvSpec, encoder: &BatchEncoder) -> Result<()> {
     Ok(())
 }
 
-/// Slot mask of `(d = shift + m.v, m.tap)` for output ciphertext `q`, laid
-/// out to multiply the input rotated by `m.step` ahead of a rotation by
-/// `shift·s`: the block that rotation carries into output block `o` holds
-/// `f[o][(o + d) mod c_i'][tap]` at every pixel whose tap source lies
-/// inside the image. `shift = u·b` for a member of giant group `u`.
+/// Slot mask of `(d = shift + v, tap)` for output ciphertext `q`, laid out
+/// to multiply the input rotated by the cell's baby step ahead of a
+/// rotation by `shift·s`: the block that rotation carries into output
+/// block `o` holds `f[o][(o + d) mod c_i'][tap]` at every pixel whose tap
+/// source lies inside the image. `shift = u·b` for a member of giant group
+/// `u`.
 fn conv_mask(
     spec: &ConvSpec,
     weights: &Tensor,
     plan: &ConvPlan,
     q: usize,
     shift: usize,
-    m: &ConvMask,
+    (v, tap): (usize, usize),
     slots: usize,
 ) -> Vec<i64> {
     let (w, r) = (spec.w as i64, (spec.fw / 2) as i64);
-    let (dy, dx) = ((m.tap / spec.fw) as i64 - r, (m.tap % spec.fw) as i64 - r);
+    let (dy, dx) = ((tap / spec.fw) as i64 - r, (tap % spec.fw) as i64 - r);
     let mut mask = vec![0i64; slots];
-    for o in q * plan.per_ct..spec.co.min((q + 1) * plan.per_ct) {
-        let c = (o + shift + m.v) % plan.diagonals;
+    for o in outputs_of(spec, plan.per_ct, q) {
+        let c = (o + shift + v) % plan.diagonals;
         if c >= spec.ci {
             continue;
         }
-        let f = weights.data()[(o * spec.ci + c) * plan.taps + m.tap];
+        let f = weights.data()[(o * spec.ci + c) * plan.taps + tap];
         if f == 0 {
             continue;
         }
@@ -437,7 +315,7 @@ impl HomConv2d {
         let cost = HeCostParams::for_bfv(eval.params(), level);
         let structure = ConvStructure::analyze_tensor(weights, spec);
         let plan = ConvPlan::choose(spec, encoder.row_size(), &structure, &cost);
-        Self::build(spec, weights, encoder, eval, plan)
+        Self::build(spec, weights, encoder, eval, &structure, plan)
     }
 
     /// Test/benchmark hook: prepares the layer under baby width `baby`
@@ -461,36 +339,34 @@ impl HomConv2d {
         let structure = ConvStructure::analyze_tensor(weights, spec);
         let b = baby.min(structure.diagonals());
         let plan = ConvPlan::for_structure(spec, encoder.row_size(), &structure, b);
-        Self::build(spec, weights, encoder, eval, plan)
+        Self::build(spec, weights, encoder, eval, &structure, plan)
     }
 
-    /// Encodes and prepares one plaintext per mask `plan` calls live. The
-    /// shape was checked by the caller.
+    /// Encodes and prepares one plaintext per mask `plan` — planned over
+    /// `structure` — calls live. The shape was checked by the caller.
     fn build(
         spec: &ConvSpec,
         weights: &Tensor,
         encoder: &BatchEncoder,
         eval: &Evaluator,
+        structure: &ConvStructure,
         plan: ConvPlan,
     ) -> Result<Self> {
-        let prepare = |q: usize, group: &ConvGroup| {
-            let masks = group.masks.iter().map(|m| {
+        let masks_of = |q, group: &BsgsGroup| {
+            let outputs = outputs_of(spec, plan.per_ct, q);
+            let cells = live_cells(structure, outputs, group.u, plan.b);
+            let masks = cells.map(|cell| {
                 let shift = group.u * plan.b;
-                let mask = conv_mask(spec, weights, &plan, q, shift, m, encoder.slots());
-                eval.prepare_plaintext(&encoder.encode_signed(&mask)?)
+                let mask = conv_mask(spec, weights, &plan, q, shift, cell, encoder.slots());
+                encoder.encode_signed(&mask)
             });
-            masks.collect::<Result<Vec<_>>>()
+            masks.collect()
         };
-        let masks = plan
-            .chains()
-            .iter()
-            .enumerate()
-            .map(|(q, chain)| chain.iter().map(|group| prepare(q, group)).collect())
-            .collect::<Result<_>>()?;
+        let kernel = PreparedKernel::prepare(plan.kernel.clone(), plan.label(), eval, masks_of)?;
         Ok(Self {
             spec: spec.clone(),
             plan,
-            masks,
+            kernel,
         })
     }
 
@@ -504,22 +380,14 @@ impl HomConv2d {
         &self.plan
     }
 
-    /// [`ConvPlan::noise_after`] under the worst norm of this layer's
-    /// prepared masks. Upper-bounds the estimate the engine tracks through
-    /// [`HomConv2d::apply`].
-    pub fn noise_after(
-        &self,
-        input: &NoiseEstimate,
-        params: &BfvParams,
-        level: usize,
-    ) -> NoiseEstimate {
-        let masks = self.masks.iter().flatten().flatten();
-        let norm = masks.map(PreparedPlaintext::inf_norm).max().unwrap_or(1);
-        self.plan.noise_after(input, params, level, norm)
+    /// The prepared kernel [`HomConv2d::apply`] runs: the plan's kernel
+    /// with this layer's masks.
+    pub fn kernel(&self) -> &PreparedKernel {
+        &self.kernel
     }
 
     /// The exact rotation steps this prepared layer performs
-    /// ([`ConvPlan::rotation_steps`]): generate Galois keys for these and
+    /// ([`BsgsPlan::rotation_steps`]): generate Galois keys for these and
     /// nothing more.
     pub fn rotation_steps(&self) -> Vec<i64> {
         self.plan.rotation_steps()
@@ -558,17 +426,9 @@ impl HomConv2d {
         encoder.encode_signed(&slots)
     }
 
-    /// Applies the convolution: [`ConvPlan::outputs`] ciphertexts, output
-    /// channel `o` at [`HomConv2d::output_slot`], every other slot zero.
-    ///
-    /// Hoists the input once and replays the live baby steps, fans the
-    /// live giant groups' inner sums across `threads` workers
-    /// (`threads <= 1` runs fully inline) — each one lazy pass over its
-    /// masks ([`Evaluator::mul_plain_accumulate_many`]) — then runs each
-    /// output ciphertext's Horner chain in order. Every inner sum is formed
-    /// by one worker in mask order, so residues, op counts and the
-    /// decrypted output are identical for every thread count. An output
-    /// ciphertext with no live mask is a transparent zero.
+    /// Applies the convolution: [`BsgsPlan::outputs`] ciphertexts, output
+    /// channel `o` at [`HomConv2d::output_slot`], every other slot zero. An
+    /// output ciphertext with no live mask is a transparent zero.
     ///
     /// Works out of a fresh [`Scratch`]; a caller that evaluates layer
     /// after layer keeps one and calls [`HomConv2d::apply_with_scratch`].
@@ -587,10 +447,9 @@ impl HomConv2d {
         self.apply_with_scratch(input, eval, keys, threads, &mut eval.new_scratch())
     }
 
-    /// [`HomConv2d::apply`] with every temporary — the baby set, the hoist
-    /// store, the inner sums, the Horner chains' key-switch digits — leased
-    /// from `scratch` and handed back, so a session that keeps one
-    /// `Scratch` across layers faults its workspace in once.
+    /// [`HomConv2d::apply`] with every temporary leased from `scratch` and
+    /// handed back ([`PreparedKernel::apply_with_scratch`]), so a session
+    /// that keeps one `Scratch` across layers faults its workspace in once.
     ///
     /// # Errors
     ///
@@ -603,109 +462,8 @@ impl HomConv2d {
         threads: usize,
         scratch: &mut Scratch,
     ) -> Result<Vec<Ciphertext>> {
-        // The scratch-reuse hot path copies the input into evaluator-owned
-        // buffers, so foreign ciphertexts must be rejected up front.
-        eval.params().check_same(input.params())?;
-        // The baby set's lease outlives the evaluation so that an error
-        // path hands it back too.
-        let mut babies: Vec<Ciphertext> = Vec::new();
-        let out = self.evaluate(input, eval, keys, threads, scratch, &mut babies);
-        babies.into_iter().for_each(|baby| scratch.put_ct(baby));
-        out
-    }
-
-    /// The body of [`HomConv2d::apply_with_scratch`] over its leased baby
-    /// set.
-    fn evaluate(
-        &self,
-        input: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        threads: usize,
-        scratch: &mut Scratch,
-        babies: &mut Vec<Ciphertext>,
-    ) -> Result<Vec<Ciphertext>> {
-        let level = input.level();
-        let plan = &self.plan;
-        // A 1×1 filter at b = 1 — or a layer pruned down to its center
-        // taps — reads only the unrotated input and skips the hoist.
-        if !plan.baby_steps().is_empty() {
-            let mut hoisted = scratch.take_hoisted(eval.params());
-            let replayed = eval.rotate_set_hoisted_into(
-                babies,
-                input,
-                plan.baby_steps(),
-                keys,
-                &mut hoisted,
-                scratch,
-            );
-            scratch.put_hoisted(hoisted);
-            replayed?;
-        }
-        let babies = &*babies;
-        let groups: Vec<(&ConvGroup, &Vec<PreparedPlaintext>)> = plan
-            .chains()
-            .iter()
-            .zip(&self.masks)
-            .flat_map(|(chain, masks)| chain.iter().zip(masks))
-            .collect();
-        // The inner sums' (zeroed) accumulators come from the caller's
-        // scratch and go back to it as the Horner chains consume them.
-        let blanks: Vec<Ciphertext> = groups
-            .iter()
-            .map(|_| scratch.take_ct(eval.params(), level))
-            .collect();
-        let blanks = Mutex::new(blanks);
-        let inners = map_chunks(groups.len(), threads, |range| {
-            let mut terms = Vec::new();
-            groups[range]
-                .iter()
-                .map(|(group, masks)| {
-                    // One blank per group, and a worker that panicked
-                    // mid-pop left the list whole.
-                    let blank = blanks.lock().unwrap_or_else(PoisonError::into_inner).pop();
-                    let mut inner = blank.expect("one blank accumulator per group");
-                    terms.clear();
-                    terms.extend(group.masks.iter().zip(*masks).map(|(m, mask)| {
-                        let src = match plan.baby_steps().binary_search(&m.step) {
-                            Ok(i) => &babies[i],
-                            Err(_) => input,
-                        };
-                        (src, mask)
-                    }));
-                    eval.mul_plain_accumulate_many(&mut inner, &terms)?;
-                    Ok(inner)
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
-        let mut inners = inners.into_iter().flatten();
-        let giant = (plan.b * plan.stride) as i64;
-        let mut rotated = scratch.take_ct(eval.params(), level);
-        let outputs: Result<Vec<Ciphertext>> = plan
-            .chains()
-            .iter()
-            .map(|chain| {
-                // Horner from the highest live group down: rotate the
-                // running sum one giant step per group index, adding each
-                // live group's inner sum as its index comes up.
-                let sums: Vec<Ciphertext> = inners.by_ref().take(chain.len()).collect();
-                let mut pending = chain.iter().zip(sums).rev().peekable();
-                let Some((top, mut acc)) = pending.next() else {
-                    return Ok(Ciphertext::transparent_zero_at(eval.params(), level));
-                };
-                for u in (0..top.u).rev() {
-                    eval.rotate_rows_into(&mut rotated, &acc, giant, keys, scratch)?;
-                    std::mem::swap(&mut acc, &mut rotated);
-                    if let Some((_, inner)) = pending.next_if(|(group, _)| group.u == u) {
-                        eval.add_assign(&mut acc, &inner)?;
-                        scratch.put_ct(inner);
-                    }
-                }
-                Ok(acc)
-            })
-            .collect();
-        scratch.put_ct(rotated);
-        outputs
+        self.kernel
+            .apply_with_scratch(input, eval, keys, threads, scratch)
     }
 
     /// Where output pixel `pixel` (row-major, `< w²`) of channel `o`
@@ -730,7 +488,7 @@ impl HomConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_bfv::{Decryptor, Encryptor, KeyGenerator, OpCounts};
+    use cheetah_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator, OpCounts};
     use cheetah_nn::inference::eval_linear;
     use cheetah_nn::LinearLayer;
     use rand::{Rng, SeedableRng};
@@ -980,7 +738,7 @@ mod tests {
         assert_eq!(full, expect);
         assert_eq!(low, expect, "diverged at the reduced level");
 
-        let predicted = layer.noise_after(switched.noise(), &params, 1);
+        let predicted = layer.kernel().noise_after(switched.noise(), &params, 1);
         for out in &low_cts {
             assert_eq!(out.level(), 1, "outputs stay at the input's level");
             // The engine-tracked noise stays under the planner's model.
@@ -1014,6 +772,14 @@ mod tests {
         assert_eq!(out, expect);
         assert_eq!((counts.mul, counts.rotate), (2, 1));
 
+        // At b = 1 the two live diagonals sit two giant steps apart: the
+        // chain rotates through the dead index between them, on one key.
+        let layer = HomConv2d::with_baby_width(&s, &weights, &c.encoder, &c.eval, 1).unwrap();
+        assert_eq!(layer.rotation_steps(), vec![64]);
+        let (out, _, counts) = run(&mut c, &layer, &ct);
+        assert_eq!(out, expect);
+        assert_eq!((counts.mul, counts.rotate), (2, 2));
+
         // An all-zero layer needs no key and does no work.
         let zero = Tensor::zeros(&[s.co, s.ci, s.fw, s.fw]);
         let layer = HomConv2d::new(&s, &zero, &c.encoder, &c.eval).unwrap();
@@ -1045,9 +811,11 @@ mod tests {
         for b in 1..=4 {
             let layer = HomConv2d::with_baby_width(&s, &weights, &c.encoder, &c.eval, b).unwrap();
             let plan = layer.conv_plan();
+            let structure = ConvStructure::analyze_tensor(&weights, &s);
             let groups = plan.chains()[0].iter();
-            let mut taps_read = groups.flat_map(|group| group.masks.iter().map(|m| m.tap));
-            assert!(taps_read.all(|tap| [1, 3, 4, 5, 7].contains(&tap)));
+            let mut cells =
+                groups.flat_map(|group| live_cells(&structure, 0..s.co, group.u, plan.b));
+            assert!(cells.all(|(_, tap)| [1, 3, 4, 5, 7].contains(&tap)));
             let (out, _, counts) = run(&mut c, &layer, &ct);
             assert_eq!(out, expect, "b={b}");
             assert_eq!(counts.mul as usize, plan.live_masks());

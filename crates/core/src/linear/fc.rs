@@ -1,7 +1,8 @@
-//! Homomorphic fully connected layers: one Baby-Step-Giant-Step kernel
-//! over the live **tiled** diagonals of a periodically packed input. The
-//! kernel's partial sums are the layer's output; whoever decrypts adds them
-//! up.
+//! Homomorphic fully connected layers: the layout that turns a matrix–vector
+//! product into the shared Baby-Step-Giant-Step kernel
+//! ([`super::PreparedKernel`]) over the live **tiled** diagonals of a
+//! periodically packed input. The kernel's partial sums are the layer's
+//! output; whoever decrypts adds them up.
 //!
 //! # Layout
 //!
@@ -55,28 +56,25 @@
 //! y_part = Σ_u rot( Σ_v rot(in, v) ⊙ rot⁻ᵘᵇ(mask_{ub+v}), u·b )
 //! ```
 //!
-//! The baby rotations all read the *input*, so one hoist
-//! ([`Evaluator::hoist_into`]) covers the whole set; the giant-step
-//! pre-rotation of each mask is a cyclic shift of its row at preparation
-//! time (free); a group's inner sum `Σ_v` is one lazy pass over its masks
-//! ([`Evaluator::mul_plain_accumulate_many`]: one Barrett reduction per
-//! coefficient, not one per mask — same bits); only the giant rotations of
-//! the group inner sums pay full NTT bills. Only **live** tiled diagonals
-//! carry a mask: a baby step no live diagonal reads is never replayed, a
-//! group with no live diagonal never summed or rotated, and the skipped
-//! terms are zero polynomials, so the ciphertext is the one the all-live
-//! evaluation of the same weights produces, bit for bit. When every live
-//! weight is `±2^k` the shared factor is pulled out of the masks and
-//! re-applied by one scalar multiply after the sum (exact mod `t`).
+//! which is [`BsgsPlan`]'s sum with one chain, baby step `v` for diagonal
+//! `u·b + v`, a giant index worth `b` slots, and every group sum rotated
+//! home by itself ([`crate::sparse::Combine::PerGroup`]);
+//! [`super::PreparedKernel`] runs it. This file only lays the masks out:
+//! the giant-step pre-rotation of each mask is a cyclic shift of its row at
+//! preparation time (free). Only **live** tiled diagonals carry a mask: a
+//! baby step no live diagonal reads is never replayed, a group with no live
+//! diagonal never summed or rotated, and the skipped terms are zero
+//! polynomials, so the ciphertext is the one the all-live evaluation of the
+//! same weights produces, bit for bit.
 //!
-//! That is the only kernel. A dense layer is its all-live case, an untiled
-//! one its `r = 1` case, and the diagonal method of Fig. 5 is its two
-//! corners: `b = 1` multiplies the fresh input by each pre-shifted
-//! diagonal and rotates the partial product (Sched-PA's order), `b = δ`
-//! rotates the hoisted input once per diagonal and rotates no sum (hoisted
-//! Sched-IA). Tiling and baby width are chosen per layer from
-//! [`HeCostParams`] by [`FcPlan::choose`] — the one chooser the engine and
-//! the chain solver share; a layer takes no schedule argument.
+//! A dense layer is the all-live case, an untiled one the `r = 1` case, and
+//! the diagonal method of Fig. 5 the two corners: `b = 1` multiplies the
+//! fresh input by each pre-shifted diagonal and rotates the partial product
+//! (Sched-PA's order), `b = δ` rotates the hoisted input once per diagonal
+//! and rotates no sum (hoisted Sched-IA). Tiling and baby width are chosen
+//! per layer from [`HeCostParams`] by [`FcPlan::choose`] — the one chooser
+//! the engine and the chain solver share; a layer takes no schedule
+//! argument.
 //!
 //! # Where the client adds
 //!
@@ -113,24 +111,24 @@
 //!
 //! Constraints: `1 ≤ n_o ≤ n_i`, `n_i' ≤ n/2`.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
 use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::{
-    BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition,
-    NoiseEstimate, Plaintext, PreparedPlaintext, Result, Scratch,
+    BatchEncoder, Ciphertext, Error, Evaluator, GaloisKeys, Plaintext, Result, Scratch,
 };
 use cheetah_nn::{FcSpec, Tensor};
 
 use crate::cost::HeCostParams;
-use crate::linear::parallel::{map_chunks, merge_partials, WorkerScratch};
-use crate::sparse::{BsgsPlan, FcStructure};
+use crate::linear::PreparedKernel;
+use crate::sparse::{BsgsGroup, BsgsPlan, FcStructure};
 
 /// The whole plan of one FC layer: how many copies of the input the client
 /// tiles the row with, the BSGS kernel over the tiled diagonals, and how
 /// many windows of partial sums the client adds up after decryption.
 /// [`HomFc`] executes exactly this and the chain solver prices exactly
-/// this — op counts, Galois steps and label all come from here.
+/// this. Dereferences to its kernel plan: rotations, Galois steps,
+/// integer-multiply counts and the noise prediction are [`BsgsPlan`]'s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FcPlan {
     /// Pre-rotated copies `r` of the input per period of the row (a power
@@ -153,7 +151,7 @@ impl FcPlan {
     /// Picks the cheapest plan under `cost` for a `row`-slot batching row:
     /// for every admissible tiling `r` ([`FcStructure::tilings`]) the
     /// baby width minimizing the live rotations' bill
-    /// ([`BsgsPlan::choose`]), keeping the least [`FcPlan::int_mults`] —
+    /// ([`BsgsPlan::choose`]), keeping the least [`BsgsPlan::int_mults`] —
     /// the smaller `r` unless a larger one is strictly cheaper, with every
     /// Galois key past the untiled plan's charged one direct rotation
     /// ([`super::ConvPlan::choose`]'s rate: keys are uploaded once per
@@ -208,57 +206,6 @@ impl FcPlan {
         (s % period + s % (self.tiles * period) / period * self.diagonals) % period
     }
 
-    /// Rotations per evaluation — each step of
-    /// [`FcPlan::rotation_steps`] exactly once.
-    pub fn rotations(&self) -> usize {
-        self.kernel.rotations()
-    }
-
-    /// The exact rotation steps evaluation performs: the kernel's, all
-    /// below `δ`. An all-zero layer rotates by nothing.
-    pub fn rotation_steps(&self) -> Vec<i64> {
-        self.kernel.rotation_steps()
-    }
-
-    /// Rotation-side integer multiplications under `cost`: the kernel's.
-    pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
-        self.kernel.rotation_mults(cost)
-    }
-
-    /// All integer multiplications under `cost`: the mask multiplies plus
-    /// the rotations.
-    pub fn int_mults(&self, cost: &HeCostParams) -> u64 {
-        self.live as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
-    }
-
-    /// Conservative Table-III prediction of the plan's output noise at
-    /// `level` on an input with the given estimate — the one place an FC
-    /// layer's noise is priced (see [`super::ConvPlan::noise_after`]):
-    /// [`NoiseEstimate::bsgs_matvec_at`] over the live work — as many
-    /// groups as are live, each as wide as the widest, every mask charged
-    /// `mask_norm` — then the multiply by the factored `2^scale_log2` on
-    /// top. `mask_norm` is the centred norm of a mask's *coefficients*: a
-    /// prepared layer passes the worst its masks measure, the chain solver
-    /// the `⌊t/2⌋` no plaintext exceeds.
-    pub fn noise_after(
-        &self,
-        input: &NoiseEstimate,
-        params: &BfvParams,
-        level: usize,
-        mask_norm: u64,
-        scale_log2: u32,
-    ) -> NoiseEstimate {
-        if self.kernel.is_empty() {
-            return NoiseEstimate::zero();
-        }
-        let (widest, groups) = (self.kernel.widest_group(), self.kernel.live_groups().len());
-        let mut part = input.bsgs_matvec_at(params, level, widest, groups, 2 * mask_norm.max(1));
-        if scale_log2 > 0 {
-            part = part.mul_plain_at(params, level, 1, 2 * (1u64 << scale_log2));
-        }
-        part
-    }
-
     /// Human-readable label for transcripts, reports and solver plans:
     /// `fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`.
     pub fn label(&self) -> String {
@@ -269,19 +216,21 @@ impl FcPlan {
     }
 }
 
+impl Deref for FcPlan {
+    type Target = BsgsPlan;
+
+    fn deref(&self) -> &BsgsPlan {
+        &self.kernel
+    }
+}
+
 /// A prepared homomorphic FC layer.
 #[derive(Debug)]
 pub struct HomFc {
     spec: FcSpec,
     plan: FcPlan,
-    /// `groups[i]` pairs with `plan.kernel.live_groups()[i]` and lists
-    /// `(v, mask)` for the live tiled diagonals `k = u·b + v` of that
-    /// group; dead baby steps are never rotated, dead groups never touched.
-    groups: Vec<Vec<(usize, PreparedPlaintext)>>,
-    /// When positive, every live weight was `±2^k` and the shared factor
-    /// `2^scale_log2` was pulled out of the masks, to be re-applied once
-    /// after the merge.
-    scale_log2: u32,
+    /// `plan.kernel` with one mask per live tiled diagonal.
+    kernel: PreparedKernel,
     /// The plaintext modulus the windows are added under.
     t: Modulus,
 }
@@ -311,15 +260,13 @@ fn check_shape(spec: &FcSpec, weights: &Tensor, encoder: &BatchEncoder) -> Resul
 /// that after that rotation slot `s` reads weight row `s mod d` (zero past
 /// `n_o`) and input slot `(s + k) mod row`. `shift = u·b` for the member
 /// of giant group `u`; `v = 0` throughout at `b = 1`, `shift = 0`
-/// throughout at `b = δ`. Weights come divided by `2^scale_log2` (exact —
-/// the caller factored it out of every one).
+/// throughout at `b = δ`.
 fn diagonal_mask(
     spec: &FcSpec,
     weights: &Tensor,
     plan: &FcPlan,
     shift: usize,
     v: usize,
-    scale_log2: u32,
     encoder: &BatchEncoder,
 ) -> Vec<i64> {
     let (row, d) = (encoder.row_size(), plan.stride());
@@ -328,7 +275,7 @@ fn diagonal_mask(
         // d divides the row, so (s − shift) mod d needs no wrap case.
         let (out, col) = ((s + row - shift) % d, plan.src((s + v) % row));
         if out < spec.no && col < spec.ni {
-            *slot = weights.data()[out * spec.ni + col] >> scale_log2;
+            *slot = weights.data()[out * spec.ni + col];
         }
     }
     mask
@@ -373,7 +320,7 @@ impl HomFc {
         let cost = HeCostParams::for_bfv(eval.params(), level);
         let structure = FcStructure::analyze_tensor(weights, spec);
         let plan = FcPlan::choose(&structure, encoder.row_size(), &cost);
-        Self::build(spec, weights, encoder, eval, &structure, plan)
+        Self::build(spec, weights, encoder, eval, plan)
     }
 
     /// Test/benchmark hook: prepares the layer as if its weights had the
@@ -388,9 +335,8 @@ impl HomFc {
     ///
     /// As [`HomFc::new`], plus [`Error::Unsupported`] for `baby = 0`, a
     /// `tiles` that is not one of [`FcStructure::tilings`], or an `assume`
-    /// the weights do not fit:
-    /// another shape, a live diagonal called dead, or a pow2 factor the
-    /// weights do not share.
+    /// the weights do not fit: another shape, or a live diagonal called
+    /// dead.
     pub fn with_forced_plan(
         spec: &FcSpec,
         weights: &Tensor,
@@ -402,10 +348,8 @@ impl HomFc {
     ) -> Result<Self> {
         check_shape(spec, weights, encoder)?;
         let actual = FcStructure::analyze_tensor(weights, spec);
-        let scale = assume.pow2_scale_log2().unwrap_or(0);
         let fits = (assume.no(), assume.ni()) == (spec.no, spec.ni)
-            && (0..actual.diagonals()).all(|k| assume.is_live(k) || !actual.is_live(k))
-            && (actual.all_zero() || actual.pow2_scale_log2().unwrap_or(0) >= scale);
+            && (0..actual.diagonals()).all(|k| assume.is_live(k) || !actual.is_live(k));
         let tiles_fit = assume.tilings(encoder.row_size()).any(|r| r == tiles);
         if baby == 0 || !fits || !tiles_fit {
             return Err(Error::Unsupported(
@@ -414,45 +358,31 @@ impl HomFc {
         }
         let cost = HeCostParams::for_bfv(eval.params(), 0);
         let plan = FcPlan::for_tiles(assume, tiles, Some(baby), &cost);
-        Self::build(spec, weights, encoder, eval, assume, plan)
+        Self::build(spec, weights, encoder, eval, plan)
     }
 
-    /// Encodes and prepares one mask per tiled diagonal `plan` calls live
-    /// under `structure`, carrying `w / 2^m` when the structure factors a
-    /// shared pow2 scale `m` out. The shape was checked by the caller.
+    /// Encodes and prepares one mask per tiled diagonal `plan` calls live.
+    /// The shape was checked by the caller.
     fn build(
         spec: &FcSpec,
         weights: &Tensor,
         encoder: &BatchEncoder,
         eval: &Evaluator,
-        structure: &FcStructure,
         plan: FcPlan,
     ) -> Result<Self> {
-        let (delta, b) = (plan.diagonals, plan.kernel.b);
-        let tiled = structure.tiled(plan.tiles);
-        let scale_log2 = structure.pow2_scale_log2().unwrap_or(0);
-        let groups = plan
-            .kernel
-            .live_groups()
-            .iter()
-            .map(|&u| {
-                let shift = u * b;
-                (0..b.min(delta - shift))
-                    .filter(|&v| tiled.is_live(shift + v))
-                    .map(|v| {
-                        let mask =
-                            diagonal_mask(spec, weights, &plan, shift, v, scale_log2, encoder);
-                        let prepared = eval.prepare_plaintext(&encoder.encode_signed(&mask)?)?;
-                        Ok((v, prepared))
-                    })
-                    .collect()
-            })
-            .collect::<Result<_>>()?;
+        let masks_of = |_, group: &BsgsGroup| {
+            let masks = group.steps.iter().map(|&v| {
+                let shift = group.u * plan.b;
+                let mask = diagonal_mask(spec, weights, &plan, shift, v as usize, encoder);
+                encoder.encode_signed(&mask)
+            });
+            masks.collect()
+        };
+        let kernel = PreparedKernel::prepare(plan.kernel.clone(), plan.label(), eval, masks_of)?;
         Ok(Self {
             spec: spec.clone(),
             plan,
-            groups,
-            scale_log2,
+            kernel,
             t: *encoder.params().plain_modulus(),
         })
     }
@@ -468,36 +398,14 @@ impl HomFc {
         &self.plan
     }
 
-    /// The pow2 factor (as `log2`) pulled out of the masks, if any.
-    pub fn pow2_scale_log2(&self) -> u32 {
-        self.scale_log2
-    }
-
-    /// [`FcPlan::noise_after`] under the worst norm of this layer's
-    /// prepared masks and its factored scale. Upper-bounds the
-    /// engine-tracked estimate of [`HomFc::apply`].
-    pub fn noise_after(
-        &self,
-        input: &NoiseEstimate,
-        params: &BfvParams,
-        level: usize,
-    ) -> NoiseEstimate {
-        let masks = self.groups.iter().flatten().map(|(_, m)| m.inf_norm());
-        let norm = masks.max().unwrap_or(1);
-        self.plan
-            .noise_after(input, params, level, norm, self.scale_log2)
-    }
-
-    /// Rotation steps an evaluation may need, whatever plan is chosen:
-    /// kernel steps `1..d` over the `d = n_o'` folded diagonals (tiling
-    /// only shortens them). Use [`HomFc::rotation_steps`] on a prepared
-    /// layer for the exact plan-specific set.
-    pub fn required_steps(spec: &FcSpec) -> Vec<i64> {
-        (1..spec.no.next_power_of_two() as i64).collect()
+    /// The prepared kernel [`HomFc::apply`] runs: the plan's kernel with
+    /// this layer's masks.
+    pub fn kernel(&self) -> &PreparedKernel {
+        &self.kernel
     }
 
     /// The exact rotation steps this prepared layer performs
-    /// ([`FcPlan::rotation_steps`]): generate Galois keys for these and
+    /// ([`BsgsPlan::rotation_steps`]): generate Galois keys for these and
     /// nothing more.
     pub fn rotation_steps(&self) -> Vec<i64> {
         self.plan.rotation_steps()
@@ -528,17 +436,7 @@ impl HomFc {
     /// Applies the layer: the kernel's partial sums `y_part`, `fold`
     /// windows per output ([`HomFc::output_slots`]) for the decryptor to add
     /// ([`HomFc::decode_output`]) — nothing is gathered under encryption,
-    /// and every first-row slot holds a partial sum (module header).
-    ///
-    /// Hoists the input once and replays only the *live* baby steps, then
-    /// fans the *live* giant groups across `threads` workers
-    /// (`threads <= 1` runs fully inline), one scratch-owning worker per
-    /// contiguous chunk of groups: each group forms its inner sum over the
-    /// baby set in one lazy pass
-    /// ([`Evaluator::mul_plain_accumulate_many`]) and pays exactly one
-    /// direct rotation. Per-chunk partial sums merge in chunk order, and
-    /// the scale runs on the merged sum, so residues — and the decrypted
-    /// output — are identical for every thread count. An
+    /// and every first-row slot holds a partial sum (module header). An
     /// all-zero layer returns a transparent zero without a single rotation
     /// or multiply.
     ///
@@ -558,10 +456,9 @@ impl HomFc {
         self.apply_with_scratch(input, eval, keys, threads, &mut eval.new_scratch())
     }
 
-    /// [`HomFc::apply`] with every temporary — the baby set, the hoist
-    /// store, each worker's accumulators and key-switch digits — leased
-    /// from `scratch` and handed back, so a session that keeps one
-    /// `Scratch` across layers faults its workspace in once.
+    /// [`HomFc::apply`] with every temporary leased from `scratch` and
+    /// handed back ([`PreparedKernel::apply_with_scratch`]), so a session
+    /// that keeps one `Scratch` across layers faults its workspace in once.
     ///
     /// # Errors
     ///
@@ -574,103 +471,10 @@ impl HomFc {
         threads: usize,
         scratch: &mut Scratch,
     ) -> Result<Ciphertext> {
-        // The scratch-reuse hot path copies the input into evaluator-owned
-        // buffers, so foreign ciphertexts must be rejected up front.
-        eval.params().check_same(input.params())?;
-        if self.groups.is_empty() {
-            return Ok(Ciphertext::transparent_zero_at(
-                eval.params(),
-                input.level(),
-            ));
-        }
-        // Leases outlive the evaluation so that an error path hands them
-        // back too.
-        let mut babies: Vec<Ciphertext> = Vec::new();
-        let mut hoisted = scratch.take_hoisted(eval.params());
-        let out = self.evaluate(
-            input,
-            eval,
-            keys,
-            threads,
-            scratch,
-            &mut babies,
-            &mut hoisted,
-        );
-        babies.into_iter().for_each(|baby| scratch.put_ct(baby));
-        scratch.put_hoisted(hoisted);
-        out
-    }
-
-    /// The body of [`HomFc::apply_with_scratch`] over its leased baby set
-    /// and hoist store.
-    #[allow(clippy::too_many_arguments)] // the three trailing buffers are the shared scratch set
-    fn evaluate(
-        &self,
-        input: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        threads: usize,
-        scratch: &mut Scratch,
-        babies: &mut Vec<Ciphertext>,
-        hoisted: &mut HoistedDecomposition,
-    ) -> Result<Ciphertext> {
-        let level = input.level();
-        let kernel = &self.plan.kernel;
-        // Baby set, live steps only: baby_at[v] indexes into `babies` for
-        // v in kernel.baby_steps(); v = 0 reads the unrotated input.
-        let mut baby_at = vec![usize::MAX; kernel.b];
-        if !kernel.baby_steps().is_empty() {
-            let steps: Vec<i64> = kernel.baby_steps().iter().map(|&v| v as i64).collect();
-            for (i, &v) in kernel.baby_steps().iter().enumerate() {
-                baby_at[v] = i;
-            }
-            eval.rotate_set_hoisted_into(babies, input, &steps, keys, hoisted, scratch)?;
-        }
-        let babies = &*babies;
-        let baby_at = &baby_at;
-        let live_groups = kernel.live_groups();
-        let workers = WorkerScratch::new(scratch);
-        let sum_chunk = |range: Range<usize>, scratch: &mut Scratch| {
-            let mut acc = Ciphertext::transparent_zero_at(eval.params(), level);
-            let mut rotated = scratch.take_ct(eval.params(), level);
-            let mut terms = Vec::new();
-            for (i, masks) in range.clone().zip(&self.groups[range]) {
-                let u = live_groups[i];
-                // Group accumulator leased (zeroed) from the per-level
-                // pool and returned after its sum folds into the partial,
-                // so every group past the first recycles the same buffer.
-                let mut inner = scratch.take_ct(eval.params(), level);
-                terms.clear();
-                terms.extend(masks.iter().map(|(v, mask)| {
-                    let src = if *v == 0 { input } else { &babies[baby_at[*v]] };
-                    (src, mask)
-                }));
-                eval.mul_plain_accumulate_many(&mut inner, &terms)?;
-                if u == 0 {
-                    eval.add_assign(&mut acc, &inner)?;
-                } else {
-                    eval.rotate_rows_into(
-                        &mut rotated,
-                        &inner,
-                        (u * kernel.b) as i64,
-                        keys,
-                        scratch,
-                    )?;
-                    eval.add_assign(&mut acc, &rotated)?;
-                }
-                scratch.put_ct(inner);
-            }
-            scratch.put_ct(rotated);
-            Ok(acc)
-        };
-        let partials = map_chunks(self.groups.len(), threads, |range| {
-            workers.with(|scratch| sum_chunk(range, scratch))
-        })?;
-        drop(workers);
-        let mut part = merge_partials(partials, eval)?;
-        if self.scale_log2 > 0 {
-            eval.mul_scalar_assign(&mut part, 1u64 << self.scale_log2)?;
-        }
+        let outputs = self
+            .kernel
+            .apply_with_scratch(input, eval, keys, threads, scratch)?;
+        let [part] = <[Ciphertext; 1]>::try_from(outputs).expect("an FC plan has one chain");
         Ok(part)
     }
 
@@ -698,7 +502,7 @@ impl HomFc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_bfv::{Decryptor, Encryptor, KeyGenerator};
+    use cheetah_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator};
     use cheetah_nn::inference::eval_linear;
     use cheetah_nn::LinearLayer;
     use rand::{Rng, SeedableRng};
@@ -716,10 +520,20 @@ mod tests {
         enc: Encryptor,
         dec: Decryptor,
         eval: Evaluator,
-        keys: GaloisKeys,
+        kg: KeyGenerator,
     }
 
-    fn ctx(spec: &FcSpec) -> Ctx {
+    impl Ctx {
+        /// Applies `layer` under keys for exactly its own steps — what a
+        /// session generates.
+        fn apply(&mut self, layer: &HomFc, ct: &Ciphertext, threads: usize) -> Ciphertext {
+            let steps = layer.rotation_steps();
+            let keys = self.kg.galois_keys_for_steps(&steps).unwrap();
+            layer.apply(ct, &self.eval, &keys, threads).unwrap()
+        }
+    }
+
+    fn ctx() -> Ctx {
         let params = BfvParams::builder()
             .degree(4096)
             .plain_bits(16)
@@ -729,15 +543,12 @@ mod tests {
             .unwrap();
         let mut kg = KeyGenerator::from_seed(params.clone(), 51);
         let pk = kg.public_key().unwrap();
-        let keys = kg
-            .galois_keys_for_steps(&HomFc::required_steps(spec))
-            .unwrap();
         Ctx {
             encoder: BatchEncoder::new(params.clone()),
             enc: Encryptor::from_public_key(pk, 52),
             dec: Decryptor::new(kg.secret_key().clone()),
             eval: Evaluator::new(params),
-            keys,
+            kg,
         }
     }
 
@@ -782,7 +593,7 @@ mod tests {
     /// The auto plan and, under every tiling, both diagonal-method corners
     /// against cleartext.
     fn check_fc(spec: &FcSpec) {
-        let mut c = ctx(spec);
+        let mut c = ctx();
         let weights = random_weights(spec, 9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         let input = Tensor::from_data(
@@ -804,7 +615,7 @@ mod tests {
         for (what, layer) in layers {
             let ct = encrypt(&mut c, &layer, &input);
             let threads = crate::linear::parallel::default_threads();
-            let out_ct = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
+            let out_ct = c.apply(&layer, &ct, threads);
             let budget = c.dec.invariant_noise_budget(&out_ct).unwrap();
             assert!(budget > 0.0, "{what}: budget exhausted");
             let slots = c.encoder.decode_signed(&c.dec.decrypt(&out_ct).unwrap());
@@ -884,7 +695,7 @@ mod tests {
                     for u in 0..plan.kernel.g {
                         let mut inner = vec![0i64; row];
                         for v in 0..b.min(delta - u * b) {
-                            let mask = diagonal_mask(&s, &w, &plan, u * b, v, 0, &encoder);
+                            let mask = diagonal_mask(&s, &w, &plan, u * b, v, &encoder);
                             let baby = rot(&input, v);
                             for slot in 0..row {
                                 inner[slot] += baby[slot] * mask[slot];
@@ -944,7 +755,7 @@ mod tests {
         // g − 1 giant steps only — the O(√d) plane-transform headline,
         // pinned against OpCounts.
         let s = spec(32, 32);
-        let mut c = ctx(&s);
+        let mut c = ctx();
         let weights = random_weights(&s, 13);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).collect());
 
@@ -956,7 +767,7 @@ mod tests {
         let params = c.eval.params();
         let planes = (params.l_ct() as u64 + 1) * params.limbs() as u64;
         c.eval.reset_op_counts();
-        let out = bsgs.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+        let out = c.apply(&bsgs, &ct, 1);
         let counts = c.eval.op_counts();
         assert_eq!(counts.rotate as usize, plan.b + plan.g - 2);
         assert_eq!(
@@ -968,7 +779,7 @@ mod tests {
         // The diagonal method (b = 1) pays a full rotation per diagonal.
         let diag = forced(&c, &s, &weights, 1, 1);
         c.eval.reset_op_counts();
-        let out_diag = diag.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+        let out_diag = c.apply(&diag, &ct, 1);
         let diag_counts = c.eval.op_counts();
         assert_eq!(diag_counts.ntt, planes * (s.ni as u64 - 1));
         assert!(counts.ntt < diag_counts.ntt / 4, "BSGS must slash NTT work");
@@ -986,15 +797,13 @@ mod tests {
         // b = 3 over d = 8: the last of the ⌈8/3⌉ = 3 groups is short;
         // output must still match the b = 1 plan slot for slot.
         let s = spec(8, 8);
-        let mut c = ctx(&s);
+        let mut c = ctx();
         let weights = random_weights(&s, 17);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i - 3).collect());
         let ragged = forced(&c, &s, &weights, 3, 1);
         let ct = encrypt(&mut c, &ragged, &input);
-        let a = ragged.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let b = forced(&c, &s, &weights, 1, 1)
-            .apply(&ct, &c.eval, &c.keys, 1)
-            .unwrap();
+        let a = c.apply(&ragged, &ct, 1);
+        let b = c.apply(&forced(&c, &s, &weights, 1, 1), &ct, 1);
         assert_eq!(decrypt_slots(&c, &a), decrypt_slots(&c, &b));
         let kernel = &ragged.fc_plan().kernel;
         assert_eq!((kernel.b, kernel.g), (3, 3));
@@ -1007,7 +816,7 @@ mod tests {
         let tiled = forced(&c, &s, &weights, 3, 2);
         assert_eq!(tiled.rotation_steps(), vec![1, 2, 3]);
         let tiled_ct = encrypt(&mut c, &tiled, &input);
-        let t = tiled.apply(&tiled_ct, &c.eval, &c.keys, 1).unwrap();
+        let t = c.apply(&tiled, &tiled_ct, 1);
         assert_eq!(
             tiled.decode_output(&decrypt_slots(&c, &t)).data(),
             ragged.decode_output(&decrypt_slots(&c, &a)).data()
@@ -1024,15 +833,13 @@ mod tests {
         // input and rotates the partial (Sched-PA), b = d rotates first and
         // multiplies the noisier result (hoisted Sched-IA).
         let s = spec(32, 8);
-        let mut c = ctx(&s);
+        let mut c = ctx();
         let weights = random_weights(&s, 10);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).collect());
         let pa = forced(&c, &s, &weights, 1, 1);
         let ct = encrypt(&mut c, &pa, &input);
-        let pa = pa.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-        let ia = forced(&c, &s, &weights, 8, 1)
-            .apply(&ct, &c.eval, &c.keys, 1)
-            .unwrap();
+        let pa = c.apply(&pa, &ct, 1);
+        let ia = c.apply(&forced(&c, &s, &weights, 8, 1), &ct, 1);
         let pa_budget = c.dec.invariant_noise_budget(&pa).unwrap();
         let ia_budget = c.dec.invariant_noise_budget(&ia).unwrap();
         assert!(
@@ -1060,7 +867,7 @@ mod tests {
     #[test]
     fn sparse_fc_matches_dense_and_skips_dead_rotations() {
         let s = spec(32, 32);
-        let mut c = ctx(&s);
+        let mut c = ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let weights = sparse_square_weights(s.ni, &[0, 5, 11, 19, 30], &mut rng);
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i - 16).collect());
@@ -1087,10 +894,10 @@ mod tests {
             let ct = encrypt(&mut c, &sparse, &input);
 
             c.eval.reset_op_counts();
-            let out_sparse = sparse.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let out_sparse = c.apply(&sparse, &ct, 1);
             let sparse_counts = c.eval.op_counts();
             c.eval.reset_op_counts();
-            let out_dense = dense.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let out_dense = c.apply(&dense, &ct, 1);
             let dense_counts = c.eval.op_counts();
 
             // Skipped terms are zero polynomials: every slot matches.
@@ -1114,20 +921,13 @@ mod tests {
                 );
                 assert!(sparse_counts.ntt < dense_counts.ntt);
             }
-
-            // Keys for exactly the sparse steps suffice.
-            let params = c.eval.params().clone();
-            let mut kg = KeyGenerator::from_seed(params, 51);
-            let lean_keys = kg.galois_keys_for_steps(&sparse.rotation_steps()).unwrap();
-            let out_lean = sparse.apply(&ct, &c.eval, &lean_keys, 1).unwrap();
-            assert_eq!(decrypt_slots(&c, &out_lean), decrypt_slots(&c, &out_dense));
         }
     }
 
     #[test]
     fn all_zero_fc_is_transparent_and_rotation_free() {
         let s = spec(16, 16);
-        let mut c = ctx(&s);
+        let mut c = ctx();
         let weights = Tensor::zeros(&[s.ni, s.ni]);
         let input = Tensor::from_data(&[s.ni], (1..=s.ni as i64).collect());
         let layer = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
@@ -1135,7 +935,7 @@ mod tests {
         assert!(layer.fc_plan().kernel.is_empty());
         assert!(layer.rotation_steps().is_empty());
         c.eval.reset_op_counts();
-        let out = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+        let out = c.apply(&layer, &ct, 1);
         let counts = c.eval.op_counts();
         assert_eq!(counts.rotate, 0, "all-zero layer must not rotate");
         assert_eq!(counts.mul, 0);
@@ -1149,12 +949,12 @@ mod tests {
     }
 
     #[test]
-    fn pow2_sparse_fc_factors_the_scale_and_stays_exact() {
+    fn pow2_weights_are_ordinary_integers_and_stay_exact() {
         let s = spec(16, 16);
-        // Live diagonals carry only ±4 and ±8: shared factor 2². Pruned
-        // (four live) and fully live (all sixteen) factor alike.
+        // Live diagonals carry only ±4 and ±8, pruned (four live) and
+        // fully live (all sixteen): nothing is factored out of the masks.
         for live in [vec![0usize, 3, 7, 12], (0..16).collect()] {
-            let mut c = ctx(&s);
+            let mut c = ctx();
             let mut w = vec![0i64; s.ni * s.ni];
             for (i, &k) in live.iter().enumerate() {
                 for off in 0..s.ni {
@@ -1166,24 +966,21 @@ mod tests {
             let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| 7 - i).collect());
             let layer = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
             let ct = encrypt(&mut c, &layer, &input);
-            assert_eq!(layer.pow2_scale_log2(), 2, "shared ±4/±8 factor is 2²");
-            let out = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let out = c.apply(&layer, &ct, 1);
             let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
             let slots = decrypt_slots(&c, &out);
             assert_eq!(layer.decode_output(&slots).data(), expect.data());
-            // Forced all-live under the same tiling, nothing is factored;
-            // same slots.
+            // Forced all-live under the same tiling: same slots.
             let plan = layer.fc_plan();
             let plain = forced(&c, &s, &weights, plan.kernel.b, plan.tiles);
-            assert_eq!(plain.pow2_scale_log2(), 0);
-            let out_plain = plain.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let out_plain = c.apply(&plain, &ct, 1);
             assert_eq!(slots, decrypt_slots(&c, &out_plain));
         }
     }
 
     #[test]
     fn unsupported_shapes_are_typed_errors() {
-        let c = ctx(&spec(16, 16));
+        let c = ctx();
         let try_new = |s: &FcSpec, w: &Tensor| HomFc::new(s, w, &c.encoder, &c.eval).map(|_| ());
         // n_o > n_i, n_o = 0, weights of another shape.
         for (s, w) in [
@@ -1216,7 +1013,7 @@ mod tests {
     #[test]
     fn forced_plans_that_do_not_fit_the_weights_are_refused() {
         let s = spec(16, 16);
-        let c = ctx(&s);
+        let c = ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         let weights = sparse_square_weights(s.ni, &[0, 5], &mut rng);
         let try_forced = |assume: &FcStructure, baby: usize, tiles: usize| {
@@ -1227,15 +1024,13 @@ mod tests {
         assert!(try_forced(&actual, 4, 1).is_ok());
         assert!(try_forced(&actual, 4, 16).is_ok());
         // Baby width 0, another layer's structure, a live diagonal called
-        // dead, a pow2 factor these ±1..5 weights do not share; no copies,
-        // a count that is no power of two, more copies than diagonals.
+        // dead; no copies, a count that is no power of two, more copies
+        // than diagonals.
         let other_live = sparse_square_weights(s.ni, &[0], &mut rng);
-        let pow2 = Tensor::from_data(&[16, 16], vec![4; 256]);
         for (assume, baby, tiles) in [
             (actual.clone(), 0, 1),
             (FcStructure::dense(8, 16), 4, 1),
             (FcStructure::analyze_tensor(&other_live, &s), 4, 1),
-            (FcStructure::analyze_tensor(&pow2, &s), 4, 1),
             (actual.clone(), 4, 0),
             (actual.clone(), 4, 3),
             (actual.clone(), 4, 32),

@@ -1,19 +1,22 @@
-//! Functional homomorphic linear layers on the real BFV engine:
-//! convolution (Fig. 4) as one packed kernel — hoisted tap baby steps,
-//! Horner channel-diagonal giant steps, every output channel in one
-//! ciphertext — FC as one Baby-Step-Giant-Step kernel over the live folded
-//! diagonals (the diagonal method is its baby-width-1 and baby-width-`d`
-//! corners — Fig. 5's Sched-PA and hoisted Sched-IA; a dense layer its
-//! all-live case).
+//! Functional homomorphic linear layers on the real BFV engine: one
+//! Baby-Step-Giant-Step kernel ([`kernel`]: hoist and replay the baby set,
+//! lazy group sums, giant steps) under two layouts — convolution (Fig. 4)
+//! packed, hoisted tap baby steps and Horner channel-diagonal giant steps,
+//! every output channel in one ciphertext ([`conv`]); FC over the live
+//! folded diagonals ([`fc`]; the diagonal method is its baby-width-1 and
+//! baby-width-`d` corners — Fig. 5's Sched-PA and hoisted Sched-IA; a dense
+//! layer its all-live case).
 
 pub mod conv;
 pub mod fc;
+pub mod kernel;
 pub mod parallel;
 
 use cheetah_bfv::{BfvParams, NoiseEstimate};
 
 pub use conv::{ConvPlan, HomConv2d};
 pub use fc::{FcPlan, HomFc};
+pub use kernel::PreparedKernel;
 
 /// Statistical budget (bits) a layer's predicted output must keep for a
 /// level to be planned — by the runtime level planner and the chain solver

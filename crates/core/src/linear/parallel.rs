@@ -1,20 +1,17 @@
-//! Chunked fork/join helper for the thread-parallel linear layers.
+//! Chunked fork/join helper for the thread-parallel linear kernel.
 //!
-//! Both [`super::HomConv2d`] and [`super::HomFc`] are rotate-mul-accumulate
-//! loops whose iterations (one per giant group) are independent until the
-//! final accumulation. [`map_chunks`] splits the group range into contiguous
-//! chunks, runs one worker per chunk via `std::thread::scope`, and returns
-//! the per-chunk results **in chunk order**, so the caller's merge is
-//! deterministic: residue arithmetic mod `q` is exact and order-independent,
-//! and the (float) noise-estimate fold always happens in the same order for
-//! a given thread count.
+//! [`super::PreparedKernel`] is a rotate-mul-accumulate loop whose
+//! iterations (one per giant group) are independent until the group sums
+//! meet. [`map_chunks`] splits the groups into contiguous chunks, runs one
+//! worker per chunk via `std::thread::scope`, and returns the per-chunk
+//! results **in chunk order**; the kernel combines the group sums after the
+//! join, in plan order, so nothing it computes depends on the thread count.
 //!
 //! Each worker runs out of a [`cheetah_bfv::Scratch`] of its own
 //! ([`WorkerScratch`]), so the steady-state loop bodies run with zero heap
 //! allocation and zero lock contention.
 
-use cheetah_bfv::{Ciphertext, Evaluator, Result, Scratch, ScratchPool};
-use std::ops::Range;
+use cheetah_bfv::{Result, Scratch, ScratchPool};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The scratch the chunk workers of one layer evaluation run out of: the
@@ -62,9 +59,12 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `0..count` into up to `threads` contiguous chunks, runs `work`
-/// on each chunk (in parallel when `threads > 1`), and returns the chunk
-/// results in chunk order.
+/// Splits `items` into up to `threads` contiguous chunks, runs `work` on
+/// each chunk (in parallel when `threads > 1`), and returns the chunk
+/// results in chunk order. A worker owns its chunk for the call, so
+/// whatever the items lend it — a leased accumulator per group — needs no
+/// lock and is back with the caller once this returns, on success and on
+/// error alike.
 ///
 /// # Errors
 ///
@@ -73,54 +73,30 @@ pub fn default_threads() -> usize {
 /// # Panics
 ///
 /// Panics if a worker thread panics.
-pub fn map_chunks<T, F>(count: usize, threads: usize, work: F) -> Result<Vec<T>>
+pub fn map_chunks<I, T, F>(items: &mut [I], threads: usize, work: F) -> Result<Vec<T>>
 where
+    I: Send,
     T: Send,
-    F: Fn(Range<usize>) -> Result<T> + Sync,
+    F: Fn(&mut [I]) -> Result<T> + Sync,
 {
-    if count == 0 {
+    if items.is_empty() {
         return Ok(Vec::new());
     }
-    let threads = threads.clamp(1, count);
-    let chunk = count.div_ceil(threads);
-    let ranges: Vec<Range<usize>> = (0..count)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(count))
-        .collect();
+    let threads = threads.clamp(1, items.len());
+    let chunks = items.chunks_mut(items.len().div_ceil(threads));
     if threads == 1 {
-        return ranges.into_iter().map(work).collect();
+        return chunks.map(work).collect();
     }
     std::thread::scope(|scope| {
         let work = &work;
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| scope.spawn(move || work(range)))
+        let handles: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || work(chunk)))
             .collect();
         handles
             .into_iter()
             .map(|handle| handle.join().expect("worker thread panicked"))
             .collect()
     })
-}
-
-/// Folds per-chunk partial accumulators into one ciphertext, in chunk
-/// order (deterministic for a fixed thread count).
-///
-/// # Errors
-///
-/// Propagates evaluator errors.
-///
-/// # Panics
-///
-/// Panics on an empty partial list (chunking never produces one for a
-/// non-empty step range).
-pub fn merge_partials(partials: Vec<Ciphertext>, eval: &Evaluator) -> Result<Ciphertext> {
-    let mut iter = partials.into_iter();
-    let mut acc = iter.next().expect("at least one partial accumulator");
-    for p in iter {
-        eval.add_assign(&mut acc, &p)?;
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
@@ -130,7 +106,8 @@ mod tests {
     #[test]
     fn chunk_results_arrive_in_order() {
         for threads in [1, 2, 3, 8] {
-            let out = map_chunks(10, threads, |r| Ok(r.collect::<Vec<_>>())).unwrap();
+            let mut items: Vec<usize> = (0..10).collect();
+            let out = map_chunks(&mut items, threads, |chunk| Ok(chunk.to_vec())).unwrap();
             let flat: Vec<usize> = out.into_iter().flatten().collect();
             assert_eq!(flat, (0..10).collect::<Vec<_>>(), "threads={threads}");
         }
@@ -138,14 +115,15 @@ mod tests {
 
     #[test]
     fn empty_range_yields_nothing() {
-        let out: Vec<Vec<usize>> = map_chunks(0, 4, |r| Ok(r.collect())).unwrap();
+        let out: Vec<Vec<usize>> = map_chunks(&mut [0usize; 0], 4, |c| Ok(c.to_vec())).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn errors_propagate() {
-        let r = map_chunks(8, 4, |range| {
-            if range.contains(&5) {
+        let mut items: Vec<usize> = (0..8).collect();
+        let r = map_chunks(&mut items, 4, |chunk| {
+            if chunk.contains(&5) {
                 Err(cheetah_bfv::Error::ParameterMismatch)
             } else {
                 Ok(())

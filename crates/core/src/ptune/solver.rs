@@ -24,13 +24,13 @@
 //! is never above the prepared layer's own.
 
 use cheetah_bfv::{BfvParams, NoiseEstimate};
-use cheetah_nn::LinearLayer;
+use cheetah_nn::{ConvSpec, LinearLayer};
 
 use crate::cost::HeCostParams;
 use crate::linear::{feasible_levels, ConvPlan, FcPlan};
 use crate::ptune::tuner::InfeasibleLayer;
 use crate::quant::QuantSpec;
-use crate::sparse::{ConvStructure, FcStructure, LayerStructure};
+use crate::sparse::{BsgsPlan, ConvStructure, FcStructure, LayerStructure};
 
 /// One layer's slot in a [`ChainPlan`]: the level it runs at, the rotation
 /// plan the cost model picked at that level, and the modeled cost/budget.
@@ -98,12 +98,12 @@ pub fn chain_candidates(degrees: &[usize]) -> Vec<(String, BfvParams)> {
     out
 }
 
-/// The plan the engine would prepare for one layer on a chain at a level.
-enum KernelPlan {
-    /// The FC plan and the pow2 scale its structure factors out of the
-    /// masks.
-    Fc(FcPlan, u32),
-    Conv(ConvPlan),
+/// The plan the engine would prepare for one layer on a chain at a level:
+/// the kernel plan both layer kinds carry, and the label the prepared layer
+/// reports for it.
+struct KernelPlan {
+    kernel: BsgsPlan,
+    label: String,
 }
 
 impl KernelPlan {
@@ -119,23 +119,21 @@ impl KernelPlan {
     ) -> Self {
         let cost = HeCostParams::for_bfv(params, level);
         let row = params.row_size();
-        match (layer, structure) {
-            (LinearLayer::Fc(_), Some(LayerStructure::Fc(s))) => Self::Fc(
-                FcPlan::choose(s, row, &cost),
-                s.pow2_scale_log2().unwrap_or(0),
-            ),
-            (LinearLayer::Fc(f), _) => {
-                let dense = FcStructure::dense(f.no, f.ni);
-                Self::Fc(FcPlan::choose(&dense, row, &cost), 0)
-            }
-            (LinearLayer::Conv(c), Some(LayerStructure::Conv(s))) => {
-                Self::Conv(ConvPlan::choose(c, row, s, &cost))
-            }
-            (LinearLayer::Conv(c), _) => {
-                let dense = ConvStructure::dense(c.co, c.ci, c.fw);
-                Self::Conv(ConvPlan::choose(c, row, &dense, &cost))
-            }
-        }
+        let fc = |s: &FcStructure| {
+            let plan = FcPlan::choose(s, row, &cost);
+            (plan.label(), plan.kernel)
+        };
+        let conv = |c: &ConvSpec, s: &ConvStructure| {
+            let plan = ConvPlan::choose(c, row, s, &cost);
+            (plan.label(), plan.kernel)
+        };
+        let (label, kernel) = match (layer, structure) {
+            (LinearLayer::Fc(_), Some(LayerStructure::Fc(s))) => fc(s),
+            (LinearLayer::Fc(f), _) => fc(&FcStructure::dense(f.no, f.ni)),
+            (LinearLayer::Conv(c), Some(LayerStructure::Conv(s))) => conv(c, s),
+            (LinearLayer::Conv(c), _) => conv(c, &ConvStructure::dense(c.co, c.ci, c.fw)),
+        };
+        Self { kernel, label }
     }
 
     /// The plan's own output-noise prediction with every mask at the
@@ -151,10 +149,7 @@ impl KernelPlan {
         level: usize,
     ) -> NoiseEstimate {
         let norm = params.plain_modulus().value() / 2;
-        match self {
-            Self::Fc(plan, scale) => plan.noise_after(input, params, level, norm, *scale),
-            Self::Conv(plan) => plan.noise_after(input, params, level, norm),
-        }
+        self.kernel.noise_after(input, params, level, norm)
     }
 
     /// The plan as a [`LayerPlan`]: the multiplies, rotations and label
@@ -169,17 +164,13 @@ impl KernelPlan {
         budget_bits: f64,
     ) -> LayerPlan {
         let cost = HeCostParams::for_bfv(params, level);
-        let (int_mults, he_mult, he_rotate, plan) = match self {
-            Self::Fc(p, _) => (p.int_mults(&cost), p.live, p.rotations(), p.label()),
-            Self::Conv(p) => (p.int_mults(&cost), p.live_masks(), p.rotations(), p.label()),
-        };
         LayerPlan {
             layer: layer.name().to_owned(),
             level,
-            plan,
-            int_mults: int_mults as f64,
-            he_mult: he_mult as f64,
-            he_rotate: he_rotate as f64,
+            plan: self.label.clone(),
+            int_mults: self.kernel.int_mults(&cost) as f64,
+            he_mult: self.kernel.live_masks() as f64,
+            he_rotate: self.kernel.rotations() as f64,
             budget_bits,
         }
     }

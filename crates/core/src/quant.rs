@@ -16,9 +16,9 @@ pub enum WeightMode {
     #[default]
     Integer,
     /// Signed powers of two: every nonzero weight is rounded to the
-    /// nearest `±2^k` within the bit budget — the shift-add regime where
-    /// `cheetah_bfv`'s pow2 `mul_plain` doubling chains (and the
-    /// [`crate::sparse`] scale factoring) replace Barrett multiplies.
+    /// nearest `±2^k` within the bit budget. A quantiser only: to the
+    /// engine such a weight is an integer like any other
+    /// (`docs/SPARSE.md`).
     Pow2,
 }
 
@@ -233,7 +233,7 @@ mod tests {
         assert_eq!(ws, vec![0, 1, -2, 16]);
         // Every quantized value classifies as zero or pow2.
         for &w in &ws {
-            assert!(w == 0 || crate::sparse::pow2_exponent(w).is_some());
+            assert!(w == 0 || w.unsigned_abs().is_power_of_two());
         }
     }
 }

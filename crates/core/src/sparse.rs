@@ -1,22 +1,21 @@
-//! Weight-structure analysis: the sparsity subsystem.
+//! Weight-structure analysis and the one rotation plan both linear layers
+//! carry.
 //!
 //! Pruned networks are mostly zeros. This module scans a layer's weights
-//! at preparation time and classifies each FC generalized diagonal as
-//! **zero**, **power-of-two**, or **dense** ([`MaskClass`]) and each conv
-//! `(channel diagonal, tap)` mask as live or dead ([`ConvStructure`]);
-//! the layers' rotation plans — [`BsgsPlan`], [`crate::linear::ConvPlan`]
-//! — then cover only the live masks: baby and giant steps whose every
-//! mask is zero are skipped entirely, so rotations, hoisted replays,
-//! plaintext multiplies, Galois-key generation, noise transitions, and
-//! cost-model pricing all shrink with the measured sparsity. A dense
+//! at preparation time and classifies each FC generalized diagonal
+//! ([`FcStructure`]) and each conv `(channel diagonal, tap)` mask
+//! ([`ConvStructure`]) as live or dead; the layers' rotation
+//! plan — one [`BsgsPlan`], built by [`BsgsPlan::for_structure`] for an FC
+//! layer and by [`crate::linear::ConvPlan::for_structure`] for a
+//! convolution — then covers only the live masks: baby and giant steps
+//! whose every mask is zero are skipped entirely, so rotations, hoisted
+//! replays, plaintext multiplies, Galois-key generation, noise transitions,
+//! and cost-model pricing all shrink with the measured sparsity. A dense
 //! layer is the all-live structure of the same plan, not a separate path.
 //!
-//! The power-of-two class feeds the shift-add weight path: when every live
-//! weight of a layer is `±2^k`, the shared factor `2^m` (the smallest
-//! exponent) is pulled out of the masks and re-applied with one doubling
-//! chain scalar multiply (`cheetah_bfv`'s pow2 `mul_plain` fast path),
-//! keeping mask norms — and the noise bound — `m` bits lower through the
-//! accumulation.
+//! Power-of-two weights are ordinary integers here: a batch-encoded mask's
+//! coefficient norm is `≈ t/2` whatever its slots hold, so there is no
+//! budget in factoring a shared `2^m` out of them (`docs/SPARSE.md`).
 //!
 //! An FC layer's unit is the **folded** diagonal of
 //! [`crate::linear::fc`]: with the rows padded to `n_o' = next_pow2(n_o)`,
@@ -37,83 +36,10 @@
 //! real networks converge to under diagonal packing.
 
 use crate::cost::HeCostParams;
+use cheetah_bfv::{BfvParams, NoiseEstimate};
 use cheetah_nn::layer::folded_diagonals;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use std::ops::Range;
-
-/// `Some(e)` iff `v == ±2^e` (so `±1` is `Some(0)`).
-pub fn pow2_exponent(v: i64) -> Option<u32> {
-    let m = v.unsigned_abs();
-    if m != 0 && m.is_power_of_two() {
-        Some(m.trailing_zeros())
-    } else {
-        None
-    }
-}
-
-/// Structure class of one prepared FC mask (a folded generalized
-/// diagonal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaskClass {
-    /// Every entry is zero: the mask, its rotation, and its multiply are
-    /// all skippable.
-    Zero,
-    /// Every nonzero entry is `±2^k`; `min_exp` is the smallest exponent
-    /// over the mask (the factor a shift-add scale can pull out).
-    Pow2 {
-        /// Smallest exponent among the nonzero entries.
-        min_exp: u32,
-    },
-    /// At least one entry is neither zero nor a signed power of two.
-    Dense,
-}
-
-impl MaskClass {
-    /// Classifies a stream of weight values.
-    pub fn classify(values: impl IntoIterator<Item = i64>) -> MaskClass {
-        let mut any = false;
-        let mut all_pow2 = true;
-        let mut min_exp = u32::MAX;
-        for v in values {
-            if v == 0 {
-                continue;
-            }
-            any = true;
-            match pow2_exponent(v) {
-                Some(e) => min_exp = min_exp.min(e),
-                None => all_pow2 = false,
-            }
-        }
-        if !any {
-            MaskClass::Zero
-        } else if all_pow2 {
-            MaskClass::Pow2 { min_exp }
-        } else {
-            MaskClass::Dense
-        }
-    }
-
-    /// Whether the mask is all-zero.
-    pub fn is_zero(self) -> bool {
-        self == MaskClass::Zero
-    }
-
-    /// Whether the mask has any nonzero entry.
-    pub fn is_live(self) -> bool {
-        !self.is_zero()
-    }
-
-    /// The class of the two masks' entries taken together.
-    pub fn merge(self, other: MaskClass) -> MaskClass {
-        match (self, other) {
-            (MaskClass::Zero, c) | (c, MaskClass::Zero) => c,
-            (MaskClass::Pow2 { min_exp: a }, MaskClass::Pow2 { min_exp: b }) => {
-                MaskClass::Pow2 { min_exp: a.min(b) }
-            }
-            _ => MaskClass::Dense,
-        }
-    }
-}
 
 /// Per-diagonal structure of an FC weight matrix `W (n_o × n_i)`, under
 /// the folded diagonal layout `diag_k[j] = W'[j mod n_o'][(j + k) mod n_i]`
@@ -126,25 +52,26 @@ impl MaskClass {
 pub struct FcStructure {
     ni: usize,
     no: usize,
-    classes: Vec<MaskClass>,
+    /// Per diagonal `k`: whether it has any nonzero entry.
+    live: Vec<bool>,
 }
 
 impl FcStructure {
     /// Scans row-major weights (shape `(no, ni)`) into per-diagonal
-    /// classes. `w.len()` must be `no·ni`.
+    /// liveness. `w.len()` must be `no·ni`.
     pub fn analyze(w: &[i64], no: usize, ni: usize) -> Self {
         assert_eq!(w.len(), no * ni, "weight length mismatch");
         assert!(no >= 1 && ni >= 1, "degenerate FC shape");
         let (rows, cols) = (no.next_power_of_two(), ni.next_power_of_two());
-        let classes = (0..folded_diagonals(no, ni))
+        let live = (0..folded_diagonals(no, ni))
             .map(|k| {
-                MaskClass::classify((0..rows.max(cols)).filter_map(|j| {
+                (0..rows.max(cols)).any(|j| {
                     let (r, c) = (j % rows, (j + k) % cols);
-                    (r < no && c < ni).then(|| w[r * ni + c])
-                }))
+                    r < no && c < ni && w[r * ni + c] != 0
+                })
             })
             .collect();
-        Self { ni, no, classes }
+        Self { ni, no, live }
     }
 
     /// [`FcStructure::analyze`] from a `(no, ni)` weight tensor.
@@ -163,15 +90,15 @@ impl FcStructure {
         Self {
             ni,
             no,
-            classes: vec![MaskClass::Dense; folded_diagonals(no, ni)],
+            live: vec![true; folded_diagonals(no, ni)],
         }
     }
 
     /// The structure of the `δ = d / tiles` **tiled** diagonals a layer
     /// multiplies by when its input row carries `tiles` pre-rotated copies
     /// of `x` ([`crate::linear::fc`]): tiled diagonal `k` reads the folded
-    /// diagonals `k + c·δ`, `c < tiles`, through one mask, so its class is
-    /// theirs merged. `tiles = 1` is `self`.
+    /// diagonals `k + c·δ`, `c < tiles`, through one mask, so it is dead
+    /// only when all of them are. `tiles = 1` is `self`.
     ///
     /// # Panics
     ///
@@ -183,16 +110,13 @@ impl FcStructure {
             "tiles must divide the diagonals"
         );
         let delta = d / tiles;
-        let classes = (0..delta)
-            .map(|k| {
-                let members = (0..tiles).map(|c| self.classes[k + c * delta]);
-                members.fold(MaskClass::Zero, MaskClass::merge)
-            })
+        let live = (0..delta)
+            .map(|k| (0..tiles).any(|c| self.live[k + c * delta]))
             .collect();
         Self {
             ni: self.ni,
             no: self.no,
-            classes,
+            live,
         }
     }
 
@@ -215,9 +139,9 @@ impl FcStructure {
         self.ni
     }
 
-    /// Distinct diagonals — one class, one mask, one multiply each.
+    /// Distinct diagonals — one mask, one multiply each.
     pub fn diagonals(&self) -> usize {
-        self.classes.len()
+        self.live.len()
     }
 
     /// Windows of partial sums per output the diagonals leave spread over
@@ -232,19 +156,14 @@ impl FcStructure {
         self.no
     }
 
-    /// Per-diagonal classes, indexed by diagonal `k`.
-    pub fn classes(&self) -> &[MaskClass] {
-        &self.classes
-    }
-
     /// Whether diagonal `k` has any nonzero entry.
     pub fn is_live(&self, k: usize) -> bool {
-        self.classes[k].is_live()
+        self.live[k]
     }
 
     /// Number of live diagonals.
     pub fn live_diagonals(&self) -> usize {
-        self.classes.iter().filter(|c| c.is_live()).count()
+        self.live.iter().filter(|&&live| live).count()
     }
 
     /// Whether the whole layer is zero.
@@ -256,93 +175,130 @@ impl FcStructure {
     pub fn live_fraction(&self) -> f64 {
         self.live_diagonals() as f64 / self.diagonals() as f64
     }
-
-    /// The shared power-of-two factor `m ≥ 1` (as `log2`) that can be
-    /// pulled out of every nonzero weight, or `None` when any diagonal is
-    /// dense or the smallest exponent is 0 (nothing to factor).
-    pub fn pow2_scale_log2(&self) -> Option<u32> {
-        let mut min: Option<u32> = None;
-        for c in &self.classes {
-            match c {
-                MaskClass::Zero => {}
-                MaskClass::Pow2 { min_exp } => {
-                    min = Some(min.map_or(*min_exp, |m| m.min(*min_exp)));
-                }
-                MaskClass::Dense => return None,
-            }
-        }
-        min.filter(|&m| m >= 1)
-    }
 }
 
-/// A Baby-Step-Giant-Step split of an FC layer's `d` (folded, or tiled)
-/// diagonals into `g = ⌈d / b⌉` groups of `b` baby steps (diagonal
-/// `k = u·b + v`), minus every baby step and giant group whose diagonals
-/// are all zero.
+/// How a chain's group sums meet in its output ciphertext.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    /// `Σ_u rot(inner_u, u·unit)`: every live group past the first is
+    /// rotated straight home — one direct rotation and one Galois key per
+    /// live `u > 0`, each rotation's noise added once. What an FC layer
+    /// runs.
+    PerGroup,
+    /// `acc ← rot(acc, unit) + inner_u` from the highest live group down,
+    /// rotating through dead indices too: `top` serial rotations on the
+    /// **one** key `unit`. What a convolution runs.
+    Horner,
+}
+
+/// One live giant group of a [`BsgsPlan`] chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BsgsGroup {
+    /// Giant index: the group's inner sum is rotated by `u·unit` in all.
+    pub u: usize,
+    /// The baby step each of the group's masks multiplies, in mask order
+    /// (`0` reads the input unrotated).
+    pub steps: Vec<i64>,
+}
+
+/// The Baby-Step-Giant-Step rotation plan of one linear layer — the one
+/// both layer kinds carry and [`crate::linear::PreparedKernel`] executes:
 ///
-/// The `b − 1` baby rotations all read the *input*, so one hoist (one
-/// shared INTT + digit decomposition) serves the whole set; only the
-/// `g − 1` giant rotations of the per-group inner sums pay NTT plane
-/// transforms. With `b ≈ √d` the rotation transform bill drops from
-/// `O(d·l_ct)` to `O(√d·l_ct)`. The corners are the diagonal method:
-/// `b = 1` multiplies the fresh input by each pre-shifted diagonal and
-/// rotates the partial product (Sched-PA's order, nothing hoistable),
-/// `b = d` rotates the hoisted input once per diagonal and never rotates
-/// a sum (hoisted Sched-IA).
+/// ```text
+/// out_q = Σ_u rot( Σ_j mask_{q,u,j} ⊙ rot(x, step_{q,u,j}), u·unit )
+/// ```
 ///
-/// Invariants: `baby_steps` holds the rotations `v ∈ 1..b` that some live
-/// group actually multiplies (step 0 reads the unrotated input and is
-/// never listed); `live_groups` holds the groups `u` with at least one
-/// live diagonal `k = u·b + v`. A fully-live structure keeps every step
-/// and group; an all-zero layer yields empty sets — no rotations, no
-/// multiplies, a transparent-zero output.
+/// over the live groups `u < g` of each output ciphertext `q`. An FC layer
+/// splits its `d` (folded, or tiled) diagonals into `g = ⌈d / b⌉` groups
+/// of `b` baby steps (diagonal `k = u·b + v`, step `v`, `unit = b`, one
+/// chain); a convolution splits its channel block-diagonals the same way
+/// with a step per `(v, tap)` and `unit = b·s`, one chain per output
+/// ciphertext. Every baby step and giant group whose masks are all zero is
+/// left out.
+///
+/// The baby rotations all read the *input*, so one hoist (one shared INTT and
+/// digit decomposition) serves the whole set; only the giant rotations
+/// of the per-group inner sums pay NTT plane transforms. With `b ≈ √d` the
+/// rotation transform bill drops from `O(d·l_ct)` to `O(√d·l_ct)`. The
+/// corners are the diagonal method: `b = 1` multiplies the fresh input by
+/// each pre-shifted diagonal and rotates the partial product (Sched-PA's
+/// order, nothing hoistable), `b = d` rotates the hoisted input once per
+/// diagonal and never rotates a sum (hoisted Sched-IA).
+///
+/// Invariants: `baby_steps` holds the distinct nonzero steps some live
+/// mask reads, ascending; a chain lists its groups in ascending `u`, each
+/// with at least one mask. A fully-live structure keeps every step and
+/// group; an all-zero layer yields empty chains — no rotations, no
+/// multiplies, transparent-zero outputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BsgsPlan {
     /// Baby steps per group (grid width).
     pub b: usize,
-    /// Giant-step groups (grid height, `⌈d / b⌉` over the `d` folded
-    /// diagonals).
+    /// Giant-step groups (grid height, `⌈d / b⌉` over the `d` diagonals).
     pub g: usize,
-    baby_steps: Vec<usize>,
-    live_groups: Vec<usize>,
-    widest_group: usize,
+    unit: usize,
+    combine: Combine,
+    baby_steps: Vec<i64>,
+    chains: Vec<Vec<BsgsGroup>>,
 }
 
 impl BsgsPlan {
-    /// Builds the plan for a fixed baby width `b ≥ 1` over the structure.
+    /// The plan over `chains` — per output ciphertext, its live groups —
+    /// on a `b × g` grid whose giant index is worth `unit` row slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every chain lists non-empty groups in ascending
+    /// `u < g`.
+    pub fn new(
+        b: usize,
+        g: usize,
+        unit: usize,
+        combine: Combine,
+        chains: Vec<Vec<BsgsGroup>>,
+    ) -> Self {
+        for chain in &chains {
+            assert!(
+                chain.windows(2).all(|pair| pair[0].u < pair[1].u)
+                    && chain
+                        .iter()
+                        .all(|group| group.u < g && !group.steps.is_empty()),
+                "a chain lists its live groups in ascending u < g"
+            );
+        }
+        let groups = chains.iter().flatten();
+        let mut baby_steps: Vec<i64> = groups
+            .flat_map(|group| group.steps.iter().copied())
+            .filter(|&step| step != 0)
+            .collect();
+        baby_steps.sort_unstable();
+        baby_steps.dedup();
+        Self {
+            b,
+            g,
+            unit,
+            combine,
+            baby_steps,
+            chains,
+        }
+    }
+
+    /// An FC layer's plan for a fixed baby width `b ≥ 1` over the
+    /// structure: one chain, baby step `v` for diagonal `u·b + v`, a giant
+    /// index worth `b` slots, group sums rotated home one by one.
     pub fn for_structure(s: &FcStructure, b: usize) -> Self {
         assert!(b >= 1, "degenerate baby width");
         let d = s.diagonals();
         let g = d.div_ceil(b);
-        let mut baby_used = vec![false; b];
-        let mut live_groups = Vec::new();
-        let mut widest_group = 0;
-        for u in 0..g {
-            let shift = u * b;
-            let width = b.min(d - shift);
-            let mut live = 0;
-            for (v, used) in baby_used.iter_mut().enumerate().take(width) {
-                if s.is_live(shift + v) {
-                    live += 1;
-                    *used = true;
-                }
-            }
-            if live > 0 {
-                live_groups.push(u);
-            }
-            widest_group = widest_group.max(live);
-        }
-        let baby_steps = (1..b).filter(|&v| baby_used[v]).collect();
-        Self {
-            b,
-            g,
-            baby_steps,
-            live_groups,
-            widest_group,
-        }
+        let chain = (0..g).filter_map(|u| {
+            let live = (0..b.min(d - u * b)).filter(|v| s.is_live(u * b + v));
+            let steps: Vec<i64> = live.map(|v| v as i64).collect();
+            (!steps.is_empty()).then_some(BsgsGroup { u, steps })
+        });
+        Self::new(b, g, b, Combine::PerGroup, vec![chain.collect()])
     }
 
-    /// Picks the cheapest baby width under `cost`: minimizes
+    /// Picks an FC layer's cheapest baby width under `cost`: minimizes
     /// [`BsgsPlan::rotation_mults`] — the *live* rotations only — over
     /// `b ∈ 1..=d`, keeping the smaller width unless a wider one is a
     /// strict improvement. Tiny layers stay at `b = 1`; every zeroed
@@ -362,54 +318,104 @@ impl BsgsPlan {
         best
     }
 
-    /// Baby rotation steps (`v > 0`) some live group multiplies.
-    pub fn baby_steps(&self) -> &[usize] {
+    /// Row slots one giant index is worth: group `u`'s inner sum travels
+    /// `u·unit` slots in all.
+    pub fn unit(&self) -> usize {
+        self.unit
+    }
+
+    /// How each chain's group sums meet.
+    pub fn combine(&self) -> Combine {
+        self.combine
+    }
+
+    /// Distinct nonzero baby steps some live mask reads, ascending: one
+    /// hoisted replay each.
+    pub fn baby_steps(&self) -> &[i64] {
         &self.baby_steps
     }
 
-    /// Giant groups with at least one live diagonal.
-    pub fn live_groups(&self) -> &[usize] {
-        &self.live_groups
+    /// Per output ciphertext, its live giant groups in ascending `u`.
+    pub fn chains(&self) -> &[Vec<BsgsGroup>] {
+        &self.chains
     }
 
-    /// Most live diagonals in any one group: the widest inner sum.
-    pub fn widest_group(&self) -> usize {
-        self.widest_group
+    /// Every live group, chain by chain.
+    pub fn groups(&self) -> impl Iterator<Item = &BsgsGroup> {
+        self.chains.iter().flatten()
+    }
+
+    /// Output ciphertexts.
+    pub fn outputs(&self) -> usize {
+        self.chains.len()
     }
 
     /// Whether the plan covers nothing (all-zero layer).
     pub fn is_empty(&self) -> bool {
-        self.live_groups.is_empty()
+        self.chains.iter().all(Vec::is_empty)
     }
 
-    /// Direct giant rotations performed: live groups other than group 0
-    /// (whose inner sum is accumulated unrotated).
+    /// Live masks: the plaintext multiplies per evaluation.
+    pub fn live_masks(&self) -> usize {
+        self.groups().map(|group| group.steps.len()).sum()
+    }
+
+    /// Most live masks in any one group: the widest inner sum.
+    pub fn widest_group(&self) -> usize {
+        let widths = self.groups().map(|group| group.steps.len());
+        widths.max().unwrap_or(0)
+    }
+
+    /// Group sums the deepest chain adds up, counting the dead indices a
+    /// Horner chain still rotates through (0 on an all-zero layer).
+    fn deepest_chain(&self) -> usize {
+        let depths = self.chains.iter().map(|chain| match self.combine {
+            Combine::PerGroup => chain.len(),
+            Combine::Horner => chain.last().map_or(0, |top| top.u + 1),
+        });
+        depths.max().unwrap_or(0)
+    }
+
+    /// Direct giant rotations performed. [`Combine::PerGroup`]: one per
+    /// live group other than group 0 (whose inner sum is added
+    /// unrotated); [`Combine::Horner`]: each chain rotates once per group
+    /// index below its highest live one.
     pub fn giant_rotations(&self) -> usize {
-        self.live_groups.iter().filter(|&&u| u > 0).count()
+        let per_chain = self.chains.iter().map(|chain| match self.combine {
+            Combine::PerGroup => chain.iter().filter(|group| group.u > 0).count(),
+            Combine::Horner => chain.last().map_or(0, |top| top.u),
+        });
+        per_chain.sum()
     }
 
     /// Total rotations: hoisted baby replays plus direct giant steps
-    /// (`b + g − 2` when every diagonal is live).
+    /// (`b + g − 2` for a fully live FC layer).
     pub fn rotations(&self) -> usize {
         self.baby_steps.len() + self.giant_rotations()
     }
 
-    /// The exact rotation steps evaluation performs — generate Galois
-    /// keys for these and nothing more.
+    /// The exact rotation steps evaluation performs — the baby steps, then
+    /// `u·unit` for every giant index some chain rotates home from
+    /// ([`Combine::PerGroup`]) or the one step `unit` when any chain
+    /// rotates ([`Combine::Horner`]). Generate Galois keys for these and
+    /// nothing more.
     pub fn rotation_steps(&self) -> Vec<i64> {
-        let mut steps: Vec<i64> = self.baby_steps.iter().map(|&v| v as i64).collect();
-        steps.extend(
-            self.live_groups
-                .iter()
-                .filter(|&&u| u > 0)
-                .map(|&u| (u * self.b) as i64),
-        );
+        let mut steps = self.baby_steps.clone();
+        match self.combine {
+            Combine::PerGroup => {
+                let home = (1..self.g).filter(|&u| self.groups().any(|group| group.u == u));
+                steps.extend(home.map(|u| (u * self.unit) as i64));
+            }
+            Combine::Horner => {
+                steps.extend((self.giant_rotations() > 0).then_some(self.unit as i64))
+            }
+        }
         steps
     }
 
     /// Rotation-side integer multiplications under `cost`: one hoist when
-    /// any baby replay runs, one hoisted replay per live baby step, one
-    /// direct rotation per live giant group past the first.
+    /// any baby replay runs, one hoisted replay per baby step, one direct
+    /// rotation per giant step.
     pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
         let hoist = if self.baby_steps.is_empty() {
             0
@@ -419,6 +425,38 @@ impl BsgsPlan {
         hoist
             + self.baby_steps.len() as u64 * cost.he_rotate_hoisted_mults()
             + self.giant_rotations() as u64 * cost.he_rotate_mults()
+    }
+
+    /// All integer multiplications under `cost`: the mask multiplies plus
+    /// the rotations.
+    pub fn int_mults(&self, cost: &HeCostParams) -> u64 {
+        self.live_masks() as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
+    }
+
+    /// Conservative Table-III prediction of the plan's output noise when
+    /// evaluated at `level` on an input with the given estimate — the one
+    /// place a linear layer's noise is priced:
+    /// [`NoiseEstimate::bsgs_matvec_at`] over the live work — every group
+    /// as wide as the widest, every chain as deep as the deepest, every
+    /// mask charged `mask_norm`, and each Horner step (one rotation of the
+    /// running sum) bounded by a rotation per group. A positive predicted
+    /// budget at a level means the layer can safely run there — the
+    /// planning query behind [`crate::linear::feasible_levels`].
+    /// `mask_norm` is the centred norm of a mask's *coefficients*: a
+    /// prepared kernel passes the worst its masks measure, the chain
+    /// solver the `⌊t/2⌋` no plaintext exceeds.
+    pub fn noise_after(
+        &self,
+        input: &NoiseEstimate,
+        params: &BfvParams,
+        level: usize,
+        mask_norm: u64,
+    ) -> NoiseEstimate {
+        if self.is_empty() {
+            return NoiseEstimate::zero();
+        }
+        let (widest, deepest) = (self.widest_group(), self.deepest_chain());
+        input.bsgs_matvec_at(params, level, widest, deepest, 2 * mask_norm.max(1))
     }
 }
 
@@ -589,15 +627,14 @@ mod tests {
 
     #[test]
     fn mask_classes() {
-        assert_eq!(MaskClass::classify([0, 0, 0]), MaskClass::Zero);
-        assert_eq!(
-            MaskClass::classify([4, -2, 0, 16]),
-            MaskClass::Pow2 { min_exp: 1 }
-        );
-        assert_eq!(MaskClass::classify([1, -1]), MaskClass::Pow2 { min_exp: 0 });
-        assert_eq!(MaskClass::classify([4, 3]), MaskClass::Dense);
-        assert!(pow2_exponent(-8) == Some(3) && pow2_exponent(6).is_none());
-        assert!(pow2_exponent(0).is_none());
+        // A diagonal is dead iff every entry is zero; a lone `±2^k` makes
+        // it live like any other weight.
+        let mut w = vec![0i64; 16];
+        w[1] = 4; // (0, 1): diagonal 1
+        w[4 + 3] = -3; // (1, 3): diagonal 2
+        let s = FcStructure::analyze(&w, 4, 4);
+        let live: Vec<bool> = (0..4).map(|k| s.is_live(k)).collect();
+        assert_eq!(live, [false, true, true, false]);
     }
 
     #[test]
@@ -616,32 +653,22 @@ mod tests {
 
     #[test]
     fn tiled_structure_merges_member_diagonals() {
-        // d = 8 folded diagonals: 1 and 6 dense, 3 pow2, the rest dead.
+        // d = 8 folded diagonals: 1, 3 and 6 live, the rest dead.
         let ni = 8;
-        let mut w = fc_weights_with_dead(ni, ni, &[0, 2, 3, 4, 5, 7]);
-        for off in 0..ni {
-            w[(off % ni) * ni + (off + 3) % ni] = -4;
-        }
+        let w = fc_weights_with_dead(ni, ni, &[0, 2, 4, 5, 7]);
         let s = FcStructure::analyze(&w, ni, ni);
         assert_eq!(s.live_diagonals(), 3);
-        assert_eq!(s.tiled(1).classes(), s.classes());
+        let live =
+            |s: &FcStructure| -> Vec<bool> { (0..s.diagonals()).map(|k| s.is_live(k)).collect() };
+        assert_eq!(live(&s.tiled(1)), live(&s));
         // δ = 4: tiled k reads folded k and k + 4 — {1, 5}, {2, 6}, {3, 7}.
         let two = s.tiled(2);
-        assert_eq!(
-            two.classes(),
-            [
-                MaskClass::Zero,
-                MaskClass::Dense,
-                MaskClass::Dense,
-                MaskClass::Pow2 { min_exp: 2 }
-            ]
-        );
+        assert_eq!(live(&two), [false, true, true, true]);
         assert_eq!((two.diagonals(), two.fold()), (4, 2));
         // δ = 1: every diagonal under one mask.
         let eight = s.tiled(8);
-        assert_eq!(eight.classes(), [MaskClass::Dense]);
+        assert_eq!(live(&eight), [true]);
         assert_eq!(eight.fold(), 8);
-        assert_eq!(s.pow2_scale_log2(), two.pow2_scale_log2());
         // As many copies as fit the row, never more than diagonals; a
         // padded input counts at its padded width.
         assert_eq!(s.max_tiles(2048), 8);
@@ -688,9 +715,9 @@ mod tests {
         assert!(sparse.rotations() < dense.rotations());
         assert!(sparse.rotation_mults(&c) < dense.rotation_mults(&c));
         // Every step the plan reports maps to a live diagonal.
-        for &u in sparse.live_groups() {
-            let shift = u * sparse.b;
-            assert!((0..sparse.b).any(|v| shift + v < ni && s.is_live(shift + v)));
+        for group in sparse.groups() {
+            let shift = group.u * sparse.b;
+            assert!(group.steps.iter().all(|&v| s.is_live(shift + v as usize)));
         }
     }
 
@@ -720,25 +747,6 @@ mod tests {
                 assert_eq!(plan.rotations(), 0, "diagonal 0 needs no rotation");
             }
         }
-    }
-
-    #[test]
-    fn pow2_scale_factors_out_of_pow2_layers() {
-        let ni = 8;
-        let mut w = vec![0i64; ni * ni];
-        for k in 0..ni {
-            for off in 0..ni {
-                w[(off % ni) * ni + (off + k) % ni] = if k % 2 == 0 { 4 } else { -8 };
-            }
-        }
-        let s = FcStructure::analyze(&w, ni, ni);
-        assert_eq!(s.pow2_scale_log2(), Some(2));
-        // A ±1 weight pins the shared exponent to 0: nothing to factor.
-        w[0] = 1;
-        assert_eq!(FcStructure::analyze(&w, ni, ni).pow2_scale_log2(), None);
-        // A dense weight kills the factoring outright.
-        w[0] = 3;
-        assert_eq!(FcStructure::analyze(&w, ni, ni).pow2_scale_log2(), None);
     }
 
     #[test]

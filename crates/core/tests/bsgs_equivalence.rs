@@ -202,7 +202,7 @@ proptest! {
         let mut reached = 0;
         for level in 0..c.params.levels() {
             let ct = c.encrypt(&bsgs, &input, level);
-            let predicted = bsgs.noise_after(ct.noise(), &c.params, level);
+            let predicted = bsgs.kernel().noise_after(ct.noise(), &c.params, level);
             if predicted.budget_bits_statistical_at(&c.params, level) < 2.0 {
                 continue; // not reachable: the planner would never run here
             }

@@ -112,7 +112,9 @@ fn check_layer(
         .unwrap();
     // The deepest of `level` and 0 the planner would run the layer at.
     let switched = c.eval.mod_switch_to(&fresh, level).unwrap();
-    let predicted = layer.noise_after(switched.noise(), &c.params, level);
+    let predicted = layer
+        .kernel()
+        .noise_after(switched.noise(), &c.params, level);
     let ct = if predicted.budget_bits_statistical_at(&c.params, level) >= 2.0 {
         switched
     } else {
@@ -151,7 +153,10 @@ fn check_layer(
     );
 
     // measured ≤ tracked ≤ predicted, on every output ciphertext.
-    let predicted = layer.noise_after(ct.noise(), &c.params, level).bound_log2;
+    let predicted = layer
+        .kernel()
+        .noise_after(ct.noise(), &c.params, level)
+        .bound_log2;
     for out in &outputs {
         assert_eq!(out.level(), level);
         let tracked = out.noise().bound_log2;

@@ -205,7 +205,9 @@ fn input_at(c: &mut Ctx, layer: &HomFc, input: &Tensor, level: usize) -> Ciphert
         .encrypt(&layer.encode_input(input, &c.encoder).unwrap())
         .unwrap();
     let switched = c.eval.mod_switch_to(&fresh, level).unwrap();
-    let predicted = layer.noise_after(switched.noise(), &c.params, level);
+    let predicted = layer
+        .kernel()
+        .noise_after(switched.noise(), &c.params, level);
     if predicted.budget_bits_statistical_at(&c.params, level) >= 2.0 {
         switched
     } else {
@@ -266,7 +268,10 @@ fn check_layer(
     );
 
     // measured ≤ tracked ≤ predicted.
-    let predicted = layer.noise_after(ct.noise(), &c.params, level).bound_log2;
+    let predicted = layer
+        .kernel()
+        .noise_after(ct.noise(), &c.params, level)
+        .bound_log2;
     let tracked = out.noise().bound_log2;
     let measured = (c.dec.invariant_noise(&out).unwrap().max(1) as f64).log2();
     assert!(
@@ -400,11 +405,8 @@ proptest! {
             _ => prop_assert!(all_tiles.contains(&plan.tiles), "{}", plan.label()),
         }
         match kind {
-            Kind::Sparse | Kind::ForcedSparse { pow2: false, .. } => {
+            Kind::Sparse | Kind::Pow2 | Kind::ForcedSparse { .. } => {
                 prop_assert!(live_tiled(&s, &w, 1) < d);
-            }
-            Kind::Pow2 | Kind::ForcedSparse { pow2: true, .. } => {
-                prop_assert!(layer.pow2_scale_log2() >= 1, "±2/±4 share a factor");
             }
             _ => prop_assert_eq!(plan.live, plan.diagonals),
         }
@@ -809,7 +811,7 @@ fn solver_counts_are_the_engines_measured_counts() {
         assert_eq!((counts.mul, counts.rotate), (mul, rotate), "{label}");
         // The level the solver planned is one the runtime planner's own
         // bound accepts.
-        let predicted = layer.noise_after(ct.noise(), &c.params, lp.level);
+        let predicted = layer.kernel().noise_after(ct.noise(), &c.params, lp.level);
         assert!(
             predicted.budget_bits_statistical_at(&c.params, lp.level) >= 2.0,
             "{label}: planned level {} is past the engine's bound",

@@ -1,0 +1,145 @@
+//! Leases come back on every path: an evaluation that fails half-way — a
+//! Galois-key set missing one *giant* step, so the baby set, the hoist
+//! store and the group sums are all out when the error surfaces — leaves
+//! the caller's `Scratch` pool exactly as large as a successful one does,
+//! and the next apply on that scratch is bit-equal to one on a fresh
+//! scratch. Both layer kinds (both combine modes), one and two threads.
+
+use cheetah_bfv::{
+    BatchEncoder, BfvParams, Ciphertext, Encryptor, Error, Evaluator, GaloisKeys, KeyGenerator,
+    Result, Scratch,
+};
+use cheetah_core::linear::{HomConv2d, HomFc};
+use cheetah_core::FcStructure;
+use cheetah_nn::{ConvSpec, FcSpec, Tensor};
+
+struct Ctx {
+    encoder: BatchEncoder,
+    enc: Encryptor,
+    eval: Evaluator,
+    kg: KeyGenerator,
+}
+
+fn ctx() -> Ctx {
+    let params = BfvParams::preset_rns_3x36(4096).unwrap();
+    let kg = KeyGenerator::from_seed(params.clone(), 5);
+    Ctx {
+        encoder: BatchEncoder::new(params.clone()),
+        enc: Encryptor::from_secret_key(kg.secret_key().clone(), 6),
+        eval: Evaluator::new(params),
+        kg,
+    }
+}
+
+/// `apply(keys, threads, scratch)` under the layer's own `steps`, whose
+/// last entry is a giant step.
+fn check_leases(
+    c: &mut Ctx,
+    steps: &[i64],
+    apply: impl Fn(&GaloisKeys, usize, &mut Scratch) -> Result<Vec<Ciphertext>>,
+) {
+    let (giant, babies) = steps.split_last().expect("the layer rotates");
+    let full = c.kg.galois_keys_for_steps(steps).unwrap();
+    let lean = c.kg.galois_keys_for_steps(babies).unwrap();
+    for threads in [1, 2] {
+        let reference = apply(&full, threads, &mut c.eval.new_scratch()).unwrap();
+        let mut scratch = c.eval.new_scratch();
+        apply(&full, threads, &mut scratch).unwrap();
+        let pooled = scratch.pooled();
+        assert!(pooled > 0, "the layer leases nothing");
+
+        let refused = apply(&lean, threads, &mut scratch);
+        assert!(
+            matches!(refused, Err(Error::MissingGaloisKey { step: Some(s), .. }) if s == *giant),
+            "{threads} threads: the missing giant step {giant} was not refused"
+        );
+        assert_eq!(
+            scratch.pooled(),
+            pooled,
+            "{threads} threads: a lease was dropped"
+        );
+
+        let again = apply(&full, threads, &mut scratch).unwrap();
+        assert_eq!(scratch.pooled(), pooled, "{threads} threads");
+        assert_eq!(again.len(), reference.len());
+        for (a, b) in again.iter().zip(&reference) {
+            assert_eq!(a.c0().data(), b.c0().data(), "{threads} threads");
+            assert_eq!(a.c1().data(), b.c1().data(), "{threads} threads");
+            assert_eq!(a.noise(), b.noise(), "{threads} threads");
+        }
+    }
+}
+
+#[test]
+fn a_failed_fc_apply_returns_every_lease() {
+    // 16 untiled diagonals in four giant groups of four: three of them
+    // rotated home, each under a key of its own.
+    let mut c = ctx();
+    let spec = FcSpec {
+        name: "fc-leases".into(),
+        ni: 64,
+        no: 16,
+    };
+    let data = (0..spec.no * spec.ni).map(|i| (i % 7) as i64 - 3);
+    let weights = Tensor::from_data(&[spec.no, spec.ni], data.collect());
+    let dense = FcStructure::dense(spec.no, spec.ni);
+    let layer =
+        HomFc::with_forced_plan(&spec, &weights, &c.encoder, &c.eval, &dense, 4, 1).unwrap();
+    assert_eq!(
+        layer.fc_plan().giant_rotations(),
+        3,
+        "{}",
+        layer.fc_plan().label()
+    );
+    let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).map(|i| i % 5).collect());
+    let ct = c
+        .enc
+        .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
+        .unwrap();
+    let eval = Evaluator::new(c.eval.params().clone());
+    check_leases(&mut c, &layer.rotation_steps(), |keys, threads, scratch| {
+        Ok(vec![
+            layer.apply_with_scratch(&ct, &eval, keys, threads, scratch)?
+        ])
+    });
+}
+
+#[test]
+fn a_failed_conv_apply_returns_every_lease() {
+    // Four channel diagonals at b = 1: three Horner links on the one giant
+    // key, behind eight tap replays.
+    let mut c = ctx();
+    let spec = ConvSpec {
+        name: "conv-leases".into(),
+        w: 8,
+        fw: 3,
+        ci: 4,
+        co: 2,
+        stride: 1,
+        pad: 1,
+    };
+    let len = spec.co * spec.ci * spec.fw * spec.fw;
+    let weights = Tensor::from_data(
+        &[spec.co, spec.ci, spec.fw, spec.fw],
+        (0..len).map(|i| (i % 5) as i64 - 2).collect(),
+    );
+    let layer = HomConv2d::new(&spec, &weights, &c.encoder, &c.eval).unwrap();
+    assert!(
+        layer.conv_plan().giant_rotations() > 1,
+        "{}",
+        layer.conv_plan().label()
+    );
+    let pixels = spec.ci * spec.w * spec.w;
+    let input = Tensor::from_data(
+        &[spec.ci, spec.w, spec.w],
+        (0..pixels).map(|i| (i % 7) as i64 - 3).collect(),
+    );
+    let ct = c
+        .enc
+        .encrypt(&HomConv2d::encode_input(&spec, &input, &c.encoder).unwrap())
+        .unwrap();
+    let eval = Evaluator::new(c.eval.params().clone());
+    check_leases(&mut c, &layer.rotation_steps(), |keys, threads, scratch| {
+        layer.apply_with_scratch(&ct, &eval, keys, threads, scratch)
+    });
+}

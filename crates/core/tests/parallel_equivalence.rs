@@ -7,9 +7,7 @@
 //! cannot change the decrypted result — these tests pin that down on the
 //! real engine.
 
-use cheetah_bfv::{
-    BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
-};
+use cheetah_bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::FcStructure;
 use cheetah_nn::{ConvSpec, FcSpec, Tensor};
@@ -22,10 +20,9 @@ struct Ctx {
     dec: Decryptor,
     eval: Evaluator,
     kg: KeyGenerator,
-    keys: GaloisKeys,
 }
 
-fn ctx(steps: &[i64], seed: u64) -> Ctx {
+fn ctx(seed: u64) -> Ctx {
     let params = BfvParams::builder()
         .degree(4096)
         .plain_bits(16)
@@ -35,14 +32,12 @@ fn ctx(steps: &[i64], seed: u64) -> Ctx {
         .unwrap();
     let mut kg = KeyGenerator::from_seed(params.clone(), seed);
     let pk = kg.public_key().unwrap();
-    let keys = kg.galois_keys_for_steps(steps).unwrap();
     Ctx {
         encoder: BatchEncoder::new(params.clone()),
         enc: Encryptor::from_public_key(pk, seed ^ 1),
         dec: Decryptor::new(kg.secret_key().clone()),
         eval: Evaluator::new(params),
         kg,
-        keys,
     }
 }
 
@@ -66,7 +61,7 @@ proptest! {
         // Four channel diagonals, two output ciphertexts: up to eight
         // giant groups for the workers to share.
         let spec = conv_spec(16, 3, 4, 10);
-        let mut c = ctx(&[], seed % 1000 + 1);
+        let mut c = ctx(seed % 1000 + 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let weights = Tensor::from_data(
             &[spec.co, spec.ci, spec.fw, spec.fw],
@@ -115,7 +110,7 @@ proptest! {
     #[test]
     fn fc_parallel_decrypts_identically(seed in any::<u64>(), threads in 2usize..6) {
         let spec = FcSpec { name: "fc-par".into(), ni: 16, no: 8 };
-        let mut c = ctx(&HomFc::required_steps(&spec), seed % 1000 + 1);
+        let mut c = ctx(seed % 1000 + 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let weights = Tensor::from_data(
             &[spec.no, spec.ni],
@@ -138,12 +133,13 @@ proptest! {
             // δ = 4 tiled diagonals in two groups: two workers' worth.
             ("tiles=2 b=2", forced(2, 2)),
         ] {
+            let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
             let ct = c
                 .enc
                 .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
                 .unwrap();
-            let serial = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
-            let parallel = layer.apply(&ct, &c.eval, &c.keys, threads).unwrap();
+            let serial = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
+            let parallel = layer.apply(&ct, &c.eval, &keys, threads).unwrap();
             let ds = c.encoder.decode_signed(&c.dec.decrypt(&serial).unwrap());
             let dp = c.encoder.decode_signed(&c.dec.decrypt(&parallel).unwrap());
             prop_assert_eq!(
@@ -168,44 +164,36 @@ fn op_counts_exact_across_threads() {
         ni: 2048,
         no: 16,
     };
-    let mut c = ctx(&HomFc::required_steps(&spec), 77);
+    let mut c = ctx(77);
     let weights = Tensor::from_data(&[spec.no, spec.ni], vec![1; spec.no * spec.ni]);
     let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).collect());
     let layer = HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap();
+    let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
     let ct = c
         .enc
         .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
         .unwrap();
 
     c.eval.reset_op_counts();
-    let _ = layer.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+    let _ = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
     let serial = c.eval.op_counts();
 
     c.eval.reset_op_counts();
-    let _ = layer.apply(&ct, &c.eval, &c.keys, 4).unwrap();
+    let _ = layer.apply(&ct, &c.eval, &keys, 4).unwrap();
     let parallel = c.eval.op_counts();
 
-    // Rotations, multiplications, NTTs, and pointwise products are
-    // structural (independent of chunking); only the merge adds differ by
-    // the number of extra partial-sum folds (chunks - 1 extra HE_Adds).
-    // The parallel work range is the plan's live giant-step groups.
-    assert_eq!(serial.rotate, parallel.rotate);
-    assert_eq!(serial.mul, parallel.mul);
-    assert_eq!(serial.ntt, parallel.ntt);
-    assert_eq!(serial.poly_mul, parallel.poly_mul);
-    let work_items = layer.fc_plan().kernel.live_groups().len();
+    // The parallel work range is the plan's live giant-step groups; each
+    // group sum (and its rotation home) is one worker's, and the sums are
+    // added up after the join, in plan order: rotations, multiplications,
+    // NTTs, pointwise products and — as for the convolution above — the add
+    // count are all independent of the chunking.
+    let work_items = layer.fc_plan().groups().count();
     assert!(
         work_items > 1,
-        "{}: nothing to merge",
+        "{}: nothing to share out",
         layer.fc_plan().label()
     );
-    let chunks = 4.min(work_items) as u64;
-    assert_eq!(
-        parallel.add - serial.add,
-        chunks - 1,
-        "{chunks} chunks -> {} merge adds",
-        chunks - 1
-    );
+    assert_eq!(serial, parallel);
 }
 
 /// Foreign-parameter inputs must be rejected before the copy-based hot
@@ -218,9 +206,10 @@ fn foreign_parameter_input_is_rejected() {
         ni: 8,
         no: 4,
     };
-    let c = ctx(&HomFc::required_steps(&spec), 13);
+    let mut c = ctx(13);
     let weights = Tensor::from_data(&[spec.no, spec.ni], vec![1; spec.no * spec.ni]);
     let layer = HomFc::new(&spec, &weights, &c.encoder, &c.eval).unwrap();
+    let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
 
     // Same degree, different cipher modulus -> foreign parameter set.
     let foreign = BfvParams::builder()
@@ -240,7 +229,7 @@ fn foreign_parameter_input_is_rejected() {
 
     for threads in [1, 4] {
         assert!(
-            layer.apply(&foreign_ct, &c.eval, &c.keys, threads).is_err(),
+            layer.apply(&foreign_ct, &c.eval, &keys, threads).is_err(),
             "foreign ciphertext accepted at {threads} threads"
         );
     }

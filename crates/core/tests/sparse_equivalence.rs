@@ -153,7 +153,7 @@ proptest! {
         let mut reached = 0;
         for level in 0..c.params.levels() {
             let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
-            let predicted = dense.noise_after(ct.noise(), &c.params, level);
+            let predicted = dense.kernel().noise_after(ct.noise(), &c.params, level);
             if predicted.budget_bits_statistical_at(&c.params, level) < 2.0 {
                 continue;
             }
@@ -242,7 +242,7 @@ proptest! {
         let mut reached = 0;
         for level in 0..c.params.levels() {
             let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
-            let predicted = layer.noise_after(ct.noise(), &c.params, level);
+            let predicted = layer.kernel().noise_after(ct.noise(), &c.params, level);
             if predicted.budget_bits_statistical_at(&c.params, level) < 2.0 {
                 continue;
             }

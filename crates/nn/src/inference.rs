@@ -122,8 +122,7 @@ impl Weights {
     }
 
     /// Rounds every weight to the nearest signed power of two (ties keep
-    /// the smaller magnitude; zero stays zero), clamped to `2^max_exp` —
-    /// the shift-add weight regime of pow2 `mul_plain`.
+    /// the smaller magnitude; zero stays zero), clamped to `2^max_exp`.
     pub fn round_to_pow2(&mut self, max_exp: u32) {
         for tensor in &mut self.tensors {
             for w in tensor.data_mut() {

@@ -19,7 +19,7 @@ use cheetah_bfv::{
     Result, Scratch,
 };
 use cheetah_core::linear::parallel::default_threads;
-use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc};
+use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc, PreparedKernel};
 use cheetah_core::ptune::ChainPlan;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
@@ -36,40 +36,17 @@ pub(crate) enum HomLayer {
 }
 
 impl HomLayer {
-    /// Rotation steps this prepared layer needs Galois keys for. Both
-    /// layer kinds report their *instance* plan steps — the convolution's
-    /// live tap baby steps plus its one giant step, and the FC kernel's
-    /// live baby and giant steps — so a session generates
-    /// keys only for rotations the prepared weights actually perform. A
-    /// 90%-sparse layer's keygen shrinks with its plan; an all-zero layer
-    /// needs no keys at all.
-    fn rotation_steps(&self) -> Vec<i64> {
+    /// The rotate–multiply–accumulate kernel the layer prepared — its
+    /// *instance* plan, masks and label. Rotation steps (a session
+    /// generates keys only for rotations the prepared weights actually
+    /// perform: a 90%-sparse layer's keygen shrinks with its plan, an
+    /// all-zero layer needs no keys at all), the transcript label, the
+    /// Table-III noise prediction, the output ciphertext count and the
+    /// evaluation itself are all the kernel's, whichever layer laid it out.
+    fn kernel(&self) -> &PreparedKernel {
         match self {
-            HomLayer::Conv(c) => c.rotation_steps(),
-            HomLayer::Fc(f) => f.rotation_steps(),
-        }
-    }
-
-    /// Human-readable rotation-plan label for transcripts and reports —
-    /// the label the chain solver's `LayerPlan` carries for the same plan.
-    fn plan_label(&self) -> String {
-        match self {
-            HomLayer::Conv(c) => c.conv_plan().label(),
-            HomLayer::Fc(f) => f.fc_plan().label(),
-        }
-    }
-
-    /// Table-III prediction of the layer's output noise at a level
-    /// (conservative; upper-bounds the engine-tracked estimate).
-    fn noise_after(
-        &self,
-        input: &NoiseEstimate,
-        params: &BfvParams,
-        level: usize,
-    ) -> NoiseEstimate {
-        match self {
-            HomLayer::Conv(c) => c.noise_after(input, params, level),
-            HomLayer::Fc(f) => f.noise_after(input, params, level),
+            HomLayer::Conv(c) => c.kernel(),
+            HomLayer::Fc(f) => f.kernel(),
         }
     }
 
@@ -78,8 +55,9 @@ impl HomLayer {
     /// layer's own prediction, or 0 (full chain) when no level clears the
     /// margin.
     fn plan_level(&self, input: &NoiseEstimate, params: &BfvParams) -> usize {
+        let kernel = self.kernel();
         feasible_levels(input, params, |est, level| {
-            self.noise_after(est, params, level)
+            kernel.noise_after(est, params, level)
         })
         .last()
         .map_or(0, |(level, _)| level)
@@ -95,33 +73,11 @@ impl HomLayer {
         }
     }
 
-    fn apply(
-        &self,
-        ct: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        scratch: &mut Scratch,
-    ) -> Result<Vec<Ciphertext>> {
-        let threads = default_threads();
-        match self {
-            HomLayer::Conv(c) => c.apply_with_scratch(ct, eval, keys, threads, scratch),
-            HomLayer::Fc(f) => Ok(vec![f.apply_with_scratch(ct, eval, keys, threads, scratch)?]),
-        }
-    }
-
     /// Output tensor shape.
     fn output_shape(&self) -> Vec<usize> {
         match self {
             HomLayer::Conv(c) => vec![c.spec().co, c.spec().w, c.spec().w],
             HomLayer::Fc(f) => vec![f.spec().no],
-        }
-    }
-
-    /// Ciphertexts per evaluation.
-    fn output_ciphertexts(&self) -> usize {
-        match self {
-            HomLayer::Conv(c) => c.conv_plan().outputs(),
-            HomLayer::Fc(_) => 1,
         }
     }
 
@@ -267,7 +223,8 @@ impl PreparedLayers {
                 leading.push(layer.clone());
             }
         }
-        let mut steps: Vec<i64> = layers.iter().flat_map(HomLayer::rotation_steps).collect();
+        let kernels = layers.iter().map(HomLayer::kernel);
+        let mut steps: Vec<i64> = kernels.flat_map(|k| k.plan().rotation_steps()).collect();
         steps.sort_unstable();
         steps.dedup();
         let fingerprint = cheetah_bfv::chain_fingerprint(&params);
@@ -408,14 +365,14 @@ impl PreparedLayers {
 
     /// Human-readable rotation-plan label of linear layer `k`.
     pub fn plan_label(&self, k: usize) -> String {
-        self.layers[k].plan_label()
+        self.layers[k].kernel().label().to_owned()
     }
 
     /// Number of ciphertexts linear layer `k` ships per masked download
     /// (one, unless a convolution's output channels overflow a row) —
     /// what a client validates a download bundle's framing against.
     pub fn output_ciphertexts(&self, k: usize) -> usize {
-        self.layers[k].output_ciphertexts()
+        self.layers[k].kernel().plan().outputs()
     }
 
     /// Output tensor shape of linear layer `k` (before its bundle).
@@ -434,7 +391,8 @@ impl PreparedLayers {
 
     /// Table-III noise prediction of linear layer `k` at a level.
     pub fn noise_after(&self, k: usize, input: &NoiseEstimate, level: usize) -> NoiseEstimate {
-        self.layers[k].noise_after(input, &self.params, level)
+        let kernel = self.layers[k].kernel();
+        kernel.noise_after(input, &self.params, level)
     }
 
     /// The deepest safe level for linear layer `k` given an input noise
@@ -474,7 +432,8 @@ impl PreparedLayers {
         keys: &GaloisKeys,
         scratch: &mut Scratch,
     ) -> Result<Vec<Ciphertext>> {
-        self.layers[k].apply(ct, &self.evaluator, keys, scratch)
+        let (kernel, threads) = (self.layers[k].kernel(), default_threads());
+        kernel.apply_with_scratch(ct, &self.evaluator, keys, threads, scratch)
     }
 
     /// Extracts linear layer `k`'s output tensor from per-ciphertext
@@ -509,7 +468,7 @@ impl PreparedLayers {
         mut rest: impl FnMut() -> i64,
     ) -> Result<Vec<Plaintext>> {
         let layer = &self.layers[k];
-        let mut balancing = vec![vec![false; self.encoder.slots()]; layer.output_ciphertexts()];
+        let mut balancing = vec![vec![false; self.encoder.slots()]; self.output_ciphertexts(k)];
         for i in 0..mask.len() {
             let (ct, mut windows) = layer.output_slot(i);
             if let Some(first) = windows.next() {
@@ -636,7 +595,7 @@ mod tests {
                         rng.random_range(-half_t..=half_t)
                     })
                     .unwrap();
-                assert_eq!(packed.len(), layer.output_ciphertexts());
+                assert_eq!(packed.len(), prepared.output_ciphertexts(k));
                 let slots = prepared.encoder.slots();
                 assert_eq!(draws, packed.len() * slots - len, "layer {k}");
                 let decoded: Vec<Vec<i64>> = packed

@@ -190,9 +190,10 @@ fn solver_planned_model_serves_concurrent_clients() {
 fn sparse_and_pow2_models_serve_concurrent_clients_exactly() {
     // Weight-structure variants through the full serving stack: an
     // 80%-pruned model (sparse BSGS plans, live conv masks only, smaller
-    // Galois key set) and a pow2-rounded model (shift-add `mul_plain`
-    // plaintexts) each serve a concurrent client fleet bit-identically to
-    // the cleartext reference on the same transformed weights.
+    // Galois key set) and a pow2-rounded model (weights `±2^k`, ordinary
+    // integers to the engine) each serve a concurrent client fleet
+    // bit-identically to the cleartext reference on the same transformed
+    // weights.
     let net = tiny_cnn();
     let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
     let (_, params) = preset_chains().pop().unwrap(); // rns_3x36

@@ -124,8 +124,7 @@ fn plan_budget(
     let input = fresh_at(params, level);
     let out = match (layer, structure) {
         (LinearLayer::Fc(_), LayerStructure::Fc(s)) => {
-            let scale = s.pow2_scale_log2().unwrap_or(0);
-            FcPlan::choose(s, row, &cost).noise_after(&input, params, level, norm, scale)
+            FcPlan::choose(s, row, &cost).noise_after(&input, params, level, norm)
         }
         (LinearLayer::Conv(c), LayerStructure::Conv(s)) => {
             ConvPlan::choose(c, row, s, &cost).noise_after(&input, params, level, norm)

@@ -69,16 +69,36 @@ fi
 
 echo "==> one-noise-model gate"
 # The chain solver asks the engine instead of modelling it: a layer's noise
-# is its plan's noise_after (FcPlan / ConvPlan, the functions HomFc /
-# HomConv2d delegate to) and its levels are linear::feasible_levels', the
-# runtime planner's rule. The solver's private copy of Table III, its own
-# margin and its Schedule argument must not grow back.
+# is its kernel plan's noise_after (BsgsPlan's, the function a prepared
+# kernel calls with its measured mask norm) and its levels are
+# linear::feasible_levels', the runtime planner's rule. The solver's
+# private copy of Table III, its own margin and its Schedule argument must
+# not grow back.
 if git grep -nE 'layer_noise_on_chain|\bPLAN_MARGIN_BITS\b|\bSchedule\b' -- crates/core/src/ptune/solver.rs; then
     echo "FAIL: the chain solver models noise, a margin or a schedule of its own again (see matches above)"
     exit 1
 fi
 if git grep -n 'layer_noise_on_chain' -- crates src tests examples; then
     echo "FAIL: layer_noise_on_chain is back (see matches above)"
+    exit 1
+fi
+
+echo "==> one-kernel gate"
+# A linear layer is its rotations, mask multiplies and adds, and that loop
+# exists once: linear/kernel.rs is the only file under linear/ that hoists a
+# baby set or forms a group sum (fc.rs and conv.rs lay masks and slots out).
+# The pow2 shift-add half of the engine — the Pow2 mask class, the factored
+# layer scale, the doubling chains behind mul_plain — was removed on data
+# (docs/SPARSE.md) and stays removed, as does the chunk-partial merge the
+# kernel's in-order combine replaced; the quantiser (round_to_pow2,
+# WeightMode::Pow2) is not an engine path and is not matched.
+kernel_files=$(git grep -lE 'mul_plain_accumulate_many\(|rotate_set_hoisted_into\(' -- crates/core/src/linear | tr '\n' ' ')
+if [[ "$kernel_files" != "crates/core/src/linear/kernel.rs " ]]; then
+    echo "FAIL: the rotate-multiply-accumulate loop lives outside linear/kernel.rs: $kernel_files"
+    exit 1
+fi
+if git grep -nE 'Pow2Scalar|pow2_scalar|without_pow2|mul_pow2|POW2_CHAIN_MAX_EXP|pow2_scale_log2|MaskClass::Pow2|merge_partials' -- crates src tests examples; then
+    echo "FAIL: a removed pow2 engine name (or merge_partials) is back (see matches above)"
     exit 1
 fi
 
@@ -150,27 +170,20 @@ if [[ "${1:-}" != "quick" ]]; then
         fi
     done
 
-    echo "==> sparse/pow2 FC regression gate (committed non-smoke BENCH_he_ops.json)"
+    echo "==> sparse FC regression gate (committed non-smoke BENCH_he_ops.json)"
     # Weight-structure plans must keep paying: a 90%-pruned FC layer's
-    # live-diagonal plan and the pow2 (50%-sparse, scale-factored) layer
-    # must both beat the all-live plan on the 3-limb preset — the rotations
-    # and mask multiplies the structure analyzer skips are real time. The
-    # all-live plan they are held against is the untiled one: the dense
-    # layer's tiled plan shares eight folded diagonals per mask, which the
-    # bench's contiguous pruning pattern cannot skip any of, so tiled the
-    # 50%-sparse layers run the dense plan (pow2: plus its scale multiply).
+    # live-diagonal plan must beat the all-live plan on the 3-limb preset —
+    # the rotations and mask multiplies the structure analyzer skips are
+    # real time. The all-live plan it is held against is the untiled one:
+    # the dense layer's tiled plan shares eight folded diagonals per mask,
+    # which the bench's contiguous pruning pattern cannot skip any of.
     fc_sparse90=$(json_val BENCH_he_ops.json l3_fc_bsgs_sparse90)
-    fc_pow2=$(json_val BENCH_he_ops.json l3_fc_pow2)
-    if [[ -z "$fc_sparse90" || -z "$fc_pow2" ]]; then
-        echo "FAIL: BENCH_he_ops.json lacks l3_fc_bsgs_sparse90 / l3_fc_pow2"
+    if [[ -z "$fc_sparse90" ]]; then
+        echo "FAIL: BENCH_he_ops.json lacks l3_fc_bsgs_sparse90"
         exit 1
     fi
     if ! awk -v s="$fc_sparse90" -v b="$fc_untiled" 'BEGIN { exit !(s < b) }'; then
         echo "FAIL: committed l3_fc_bsgs_sparse90 ($fc_sparse90 ns) is not faster than dense l3_fc_bsgs_untiled ($fc_untiled ns)"
-        exit 1
-    fi
-    if ! awk -v p="$fc_pow2" -v b="$fc_untiled" 'BEGIN { exit !(p < b) }'; then
-        echo "FAIL: committed l3_fc_pow2 ($fc_pow2 ns) is not faster than dense l3_fc_bsgs_untiled ($fc_untiled ns)"
         exit 1
     fi
 

@@ -10,9 +10,9 @@
 //!   fixed-point plaintext inference;
 //! * [`core`] — the paper's contribution: HE-PTune analytical models and
 //!   per-layer parameter tuning, plus the Sched-PA / Sched-IA schedules
-//!   (analytical, and on real ciphertexts in the packed convolution and
-//!   the bare dot products; the FC layer is one BSGS kernel whose baby
-//!   widths 1 and `d` are the two schedules' orders);
+//!   (analytical, and on real ciphertexts: the convolution and the FC
+//!   layer are two layouts over one BSGS kernel, whose baby widths 1 and
+//!   `d` are the two schedules' orders);
 //! * [`protocol`] — what a Gazelle-style client/cloud round is made of:
 //!   prepared layers, masking, transcripts, the fault harness;
 //! * [`serve`] — the round itself, as a client half and a server half
@@ -41,11 +41,13 @@
 //!   perform **zero heap allocations at steady state** (enforced by a
 //!   counting-allocator test). The classic allocating API still exists as
 //!   thin wrappers over the same kernels.
-//! * **Parallel linear layers** — `core`'s `HomConv2d` / `HomFc` each have
-//!   one `apply(input, eval, keys, threads)` that splits its giant
-//!   groups' multiply-accumulate loops into per-thread chunks, combines
-//!   the results in a fixed order, and keeps exact kernel accounting via
-//!   the evaluator's atomic [`bfv::OpCounts`].
+//! * **One parallel linear kernel** — `core`'s `HomConv2d` / `HomFc` lay
+//!   out masks and slots; their `apply(input, eval, keys, threads)` runs
+//!   the one `PreparedKernel`, which splits the giant groups'
+//!   multiply-accumulate loops into per-thread chunks, combines the group
+//!   sums in plan order after the join — same residues, noise estimate
+//!   and [`bfv::OpCounts`] for every thread count — and hands every
+//!   leased buffer back, on error too.
 //! * **Vector kernels** — [`bfv::simd`] dispatches the NTT butterflies,
 //!   the pointwise kernels, the lazy inner product under every mask sum
 //!   and key switch, and the per-limb constant multiplies of the
