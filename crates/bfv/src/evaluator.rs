@@ -16,19 +16,27 @@
 //!   ([`Error::LevelMismatch`] otherwise), and reusable outputs follow
 //!   their operand's level.
 //!
-//! `HE_Rotate` is implemented as the paper's Lane datapath (Fig. 9c) with
-//! RNS-native key switching: permute in the evaluation domain (free), INTT
-//! the `c1` component, decompose **per limb** into
-//! `l_ct = Σ_i ceil(log_A q_i)` digits (`[q̂_i^{-1}·c1]_{q_i}` split in
-//! base `A`; one Barrett multiplication per residue, no CRT composition),
-//! NTT each digit back, then `2·l_ct` pointwise multiplications against
-//! the (limb, digit)-indexed key-switch pairs. NTT work is
-//! `(l_ct + 1)·l_limbs` plane transforms — the counts the corrected
-//! HE-PTune model charges (§IV-A).
+//! # One key switch
+//!
+//! `HE_Rotate` is the paper's Lane datapath (Fig. 9c) — Swap → INTT →
+//! decompose → NTT → multiply-accumulate — as two private halves, each
+//! written once: `key_switch_front` (copy `c1` or read it through the
+//! Galois permutation, INTT, decompose **per limb** with no CRT
+//! composition, NTT every digit) and `key_switch_back` (the digit × key
+//! inner product onto the permuted `c0`). A direct rotation runs the
+//! front with the permutation and the back without; a hoisted set runs
+//! the front once without it and the back once a step, gathering through
+//! it. Whether the chain reserves a special prime picks the arms that are
+//! arithmetic — base-`A` digits summed straight into the output, or
+//! centred digits over `P·Q_ℓ` and a division by `P` — and the shape
+//! ([`BfvParams::ks_digits_at`] digits on [`BfvParams::ks_chain_at`]).
+//! [`OpCounts`] is bumped by what each half transforms and sums; the
+//! closed forms the corrected HE-PTune model charges (§IV-A) live in
+//! `cheetah-core`'s `cost.rs`, the per-stage table in `docs/PARAMS.md`.
 //!
 //! # One inner product
 //!
-//! The `2·l_ct` key-switch multiplications are an inner product
+//! The `2·digits` key-switch multiplications are an inner product
 //! `Σ_j d_j ⊙ (k0_j, k1_j)`, and so is a linear layer's group sum
 //! `Σ_k (c0_k, c1_k) ⊙ m_k` ([`Evaluator::mul_plain_accumulate_many`]).
 //! Both run as **one lazy pass** per limb plane
@@ -48,9 +56,9 @@
 //! work: [`Evaluator::hoist`] performs it once, and
 //! [`Evaluator::rotate_hoisted_into`] replays any number of rotations from
 //! the cached evaluation-form digits — per extra rotation only the `c0`
-//! slot permutation and the `2·l_ct`-product key-switch sum remain, the
-//! sum reading each digit *through* the permutation rather than from a
-//! permuted copy. Correctness:
+//! slot permutation and the back half remain, the sum reading each digit
+//! *through* the permutation rather than from a permuted copy.
+//! Correctness:
 //! `φ_g` is a ring automorphism, so
 //! `Σ_j φ_g(D_j(c1))·A^j·q̂_i·φ_g(s) = φ_g(c1·s)` even though digit
 //! extraction itself does not commute with `φ_g`; the hoisted result is
@@ -86,11 +94,11 @@ use std::sync::Mutex;
 use crate::ciphertext::{Ciphertext, WindowedCiphertext};
 use crate::encoder::Plaintext;
 use crate::error::{Error, Result};
-use crate::keys::{element_for_step, GaloisKeys};
+use crate::keys::{element_for_step, GaloisKey, GaloisKeys};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::poly::Representation;
-use crate::rns::{digits_from_coeffs, DotTerm, PlaneAlign, RnsPoly};
+use crate::rns::{digits_from_coeffs, DotTerm, ModulusChain, PlaneAlign, RnsPoly};
 use crate::scratch::Scratch;
 
 /// Running kernel-invocation counters (per evaluator).
@@ -116,12 +124,14 @@ pub struct OpCounts {
     /// that many here, so multi-limb chains report their true NTT work
     /// (the seed-era structural count under-reported it by a factor of
     /// `l_limbs`) and modulus-switched ciphertexts report their reduced
-    /// work. One `HE_Rotate` at level `ℓ` contributes
-    /// `(l_ct(ℓ) + 1)·live_limbs`; a hoisted rotation set contributes that
-    /// once for the whole set.
+    /// work. A key switch at level `ℓ` contributes `live` for the `c1`
+    /// INTT plus `ks_digits_at(ℓ)` digits × the planes of `ks_chain_at(ℓ)`
+    /// — once per direct rotation, once per hoisted set — and, on a
+    /// hybrid chain, `4·live + 2` per rotation for the `P`-rescale.
     pub ntt: u64,
     /// Pointwise polynomial multiplications (2 per `HE_Mult` digit,
-    /// `2·l_ct(ℓ)` per rotate; each spans every live limb plane).
+    /// `2·ks_digits_at(ℓ)` per rotate; each spans every plane of its
+    /// chain).
     pub poly_mul: u64,
     /// `HE_ModSwitch` invocations (one per dropped limb, whichever entry
     /// point dropped it).
@@ -216,8 +226,8 @@ impl HoistedDecomposition {
         }
     }
 
-    /// Number of cached digit polynomials (`l_ct` of the source's level,
-    /// once filled).
+    /// Number of cached digit polynomials ([`BfvParams::ks_digits_at`] the
+    /// source's level, once filled).
     pub fn levels(&self) -> usize {
         self.digits.len()
     }
@@ -602,18 +612,15 @@ impl Evaluator {
 
     /// Applies the Galois automorphism `x ↦ x^g` + key switching, writing
     /// into `out` and drawing all temporaries (the permuted `c1`, the
-    /// `l_ct(ℓ)` decomposition digits) from `scratch`. `out` follows `a`'s
-    /// level. Zero allocations at steady state (within one level).
+    /// decomposition digits) from `scratch`. `out` follows `a`'s level.
+    /// Zero allocations at steady state (within one level).
     ///
-    /// This is the full Lane datapath of Fig. 9c with RNS-native key
-    /// switching over the **live** limbs only: permutation (free),
-    /// INTT(c1), per-live-limb `q̂_i`-digit decomposition (limb-local
-    /// `u64` arithmetic, full-chain normalizers so level-0 keys apply
-    /// verbatim), `l_ct(ℓ)` digit NTTs, then the `2·l_ct(ℓ)`-product
-    /// inner product against the limb-major key-pair *prefix* in one lazy
-    /// pass.
-    /// At a reduced level every stage shrinks: `(l_ct(ℓ) + 1)·live`
-    /// NTT plane transforms instead of `(l_ct + 1)·limbs`.
+    /// This is the full Lane datapath of Fig. 9c over the **live** limbs
+    /// only: `c0` is permuted into the output (free), `c1` goes through
+    /// the two halves of the key switch — permuted *before* it is
+    /// decomposed (`key_switch_front`), then summed against the key
+    /// (`key_switch_back`). At a reduced level every stage shrinks with
+    /// the live-limb count.
     ///
     /// # Errors
     ///
@@ -630,96 +637,147 @@ impl Evaluator {
         self.params.check_same(out.params())?;
         let key = keys.get(g)?;
         let level = a.level();
-        let live = a.live_limbs();
-        Self::ensure_live(out, live);
+        Self::ensure_live(out, a.live_limbs());
+        let perm = key.permutation();
+        out.parts_mut().0.permute_from(a.c0(), perm);
 
-        // The permuted c1 lives in a leased scratch buffer; run the key
-        // switch in a helper so every error path returns the lease to the
-        // pool before propagating.
-        let mut c1_g = scratch.take_poly_limbs(live, Representation::Eval);
-        let switched = if self.params.has_special() {
-            self.galois_key_switch_hybrid(out, a, key, &mut c1_g, scratch)
-        } else {
-            self.galois_key_switch(out, a, key, &mut c1_g, scratch)
-        };
-        scratch.put_poly(c1_g);
+        // The digit store is leased around both halves so every error
+        // path returns it to the pool before propagating.
+        let mut digits = scratch.take_digits();
+        let switched = self
+            .key_switch_front(a.c1(), Some(perm), level, &mut digits, scratch)
+            .and_then(|()| self.key_switch_back(out, &digits, key, None, level, scratch));
+        scratch.put_digits(digits);
         switched?;
 
-        if self.params.has_special() {
-            // Hybrid bill: INTT(c1) over `live`, `live` digit NTTs of
-            // `live + 1` planes, both accumulators INTT'd on the ks chain
-            // and NTT'd back after the P-rescale: live² + 6·live + 2.
-            let live = live as u64;
-            Self::count(&self.ntt_count, live * live + 6 * live + 2);
-            Self::count(&self.poly_mul_count, 2 * live);
-        } else {
-            let l_ct = self.params.l_ct_at(level) as u64;
-            Self::count(&self.ntt_count, (l_ct + 1) * live as u64);
-            Self::count(&self.poly_mul_count, 2 * l_ct);
-        }
         Self::count(&self.rotate_count, 1);
         out.set_noise(a.noise().rotate_at(&self.params, level));
         Ok(())
     }
 
-    /// The Lane datapath body of [`Evaluator::apply_galois_into`]:
-    /// permute, INTT, per-live-limb decompose, key-switch
-    /// multiply-accumulate against the key-pair prefix.
-    fn galois_key_switch(
+    /// The front half of every key switch — the rotation-invariant part a
+    /// hoist shares across a rotation set: copy `c1` (or, for a direct
+    /// rotation, read it through the Galois permutation) into a leased
+    /// buffer, INTT its live planes, decompose, and NTT every digit on the
+    /// level's key-switch chain. `digits` comes out as
+    /// [`BfvParams::ks_digits_at`]`(level)` polynomials shaped like
+    /// [`BfvParams::ks_chain_at`]`(level)`; a store that already has that
+    /// shape is recycled (zero allocations at steady state).
+    ///
+    /// The decomposition is the one stage where the two chains differ in
+    /// arithmetic: a digit chain splits each normalised residue
+    /// `[q̂_i⁻¹·c1]_{q_i}` in base `A` (`l_ct(ℓ)` digits over the live
+    /// planes), a hybrid chain lifts it centred onto `[q_0 … q_{live-1}, P]`
+    /// (one digit per live limb). Both normalise against the **full**
+    /// chain's `q̂_i⁻¹`, which is what pairs level-`ℓ` digits with level-0
+    /// keys.
+    fn key_switch_front(
         &self,
-        out: &mut Ciphertext,
-        a: &Ciphertext,
-        key: &crate::keys::GaloisKey,
-        c1_g: &mut RnsPoly,
+        c1: &RnsPoly,
+        perm: Option<&[u32]>,
+        level: usize,
+        digits: &mut Vec<RnsPoly>,
         scratch: &mut Scratch,
     ) -> Result<()> {
-        let level = a.level();
-        let live = a.live_limbs();
-        // The *full* chain drives the decomposition: its q̂_i^{-1}
-        // normalizers are what pair live-limb digits with level-0 keys.
         let chain = self.params.chain();
-        let level_chain = self.params.chain_at(level);
-        let perm = key.permutation();
-
-        // 1. Permute both components in the evaluation domain (Swap
-        //    stage): c0 straight into the output, c1 into scratch for
-        //    decomposition (permute_from also stamps the Eval tag).
-        c1_g.permute_from(a.c1(), perm);
-        let (oc0, oc1) = out.parts_mut();
-        oc0.permute_from(a.c0(), perm);
-        // 2. INTT c1 for decomposition (one inverse pass per live plane).
-        c1_g.to_coeff(chain);
-        // 3. RNS-native decomposition over the live limbs: limb i's
-        //    residues are normalized by the full-chain q̂_i^{-1} and split
-        //    into base-A digits — never composed.
-        let digits = scratch.digits_mut_limbs(self.params.l_ct_at(level), live);
-        c1_g.rns_decompose_into(self.params.a_dcmp(), chain, digits)?;
-        // 4. NTT every digit, then one lazy sum against the (limb, digit)
-        //    key pairs — the limb-major order means the live limbs' pairs
-        //    are exactly the list's prefix, read over live planes only.
-        oc1.fill_zero();
-        oc1.set_representation(Representation::Eval);
-        for digit in digits.iter_mut() {
-            digit.to_eval(level_chain);
+        let ks = self.params.ks_chain_at(level);
+        let count = self.params.ks_digits_at(level);
+        let live = c1.limbs();
+        let mut coeffs = scratch.take_poly_limbs(live, Representation::Eval);
+        match perm {
+            Some(perm) => coeffs.permute_from(c1, perm),
+            None => coeffs.copy_from(c1),
         }
-        Self::key_switch_sum(oc0, oc1, digits, key, None, PlaneAlign::Prefix, level_chain)
+        coeffs.to_coeff(chain);
+        if digits.len() != count
+            || digits
+                .first()
+                .is_some_and(|d| d.limbs() != ks.limbs() || d.degree() != ks.degree())
+        {
+            *digits = vec![RnsPoly::zero(ks, Representation::Coeff); count];
+        }
+        let decomposed = if self.params.has_special() {
+            coeffs.hybrid_decompose_into(chain, ks, digits)
+        } else {
+            coeffs.rns_decompose_into(self.params.a_dcmp(), chain, digits)
+        };
+        scratch.put_poly(coeffs);
+        decomposed?;
+        for digit in digits.iter_mut() {
+            digit.to_eval(ks);
+        }
+        Self::count(&self.ntt_count, (live + digits.len() * ks.limbs()) as u64);
+        Ok(())
     }
 
-    /// The digit × key inner product every key switch ends in:
-    /// `r0 += Σ_j d_j ⊙ k0_j`, `r1 += Σ_j d_j ⊙ k1_j` over the
-    /// evaluation-form digits and the key's pair prefix, both outputs
-    /// sharing one lazy pass over each digit
-    /// ([`RnsPoly::dot_pair_prefix`]). A hoisted replay passes the Galois
-    /// permutation as `gather` and reads `φ_g(d_j)` straight out of the
-    /// cached digits.
+    /// The back half of every key switch: `out.c1 = Σ_j d_j ⊙ k1_j` and
+    /// `out.c0 += Σ_j d_j ⊙ k0_j` over the evaluation-form digits and the
+    /// key's limb-major pair *prefix* (the caller has already permuted
+    /// `c0` into `out`). A hoisted replay passes the Galois permutation as
+    /// `gather` and the sum reads `φ_g(d_j)` straight out of the cached
+    /// digits.
+    ///
+    /// A digit chain sums straight into the output. A hybrid chain sums
+    /// over `P·Q_ℓ` into two leased accumulators (the special plane reads
+    /// each key's *last* plane), divides both by `P` — the special prime
+    /// is the key-switch chain's last limb, so the rounded limb drop is
+    /// exactly `round(·/P)` onto the live data planes — and folds them
+    /// into the output.
+    fn key_switch_back(
+        &self,
+        out: &mut Ciphertext,
+        digits: &[RnsPoly],
+        key: &GaloisKey,
+        gather: Option<&[u32]>,
+        level: usize,
+        scratch: &mut Scratch,
+    ) -> Result<()> {
+        let ks = self.params.ks_chain_at(level);
+        let (oc0, oc1) = out.parts_mut();
+        if self.params.has_special() {
+            let mut acc0 = scratch.take_poly_limbs(ks.limbs(), Representation::Eval);
+            let mut acc1 = scratch.take_poly_limbs(ks.limbs(), Representation::Eval);
+            for acc in [&mut acc0, &mut acc1] {
+                acc.fill_zero();
+                acc.set_representation(Representation::Eval);
+            }
+            let mut body = || -> Result<()> {
+                let align = PlaneAlign::SpecialLast;
+                Self::key_switch_sum(&mut acc0, &mut acc1, digits, key, gather, align, ks)?;
+                self.divide_round_by_last(&mut acc0, ks)?;
+                self.divide_round_by_last(&mut acc1, ks)?;
+                oc0.add_assign(&acc0, self.params.chain_at(level))?;
+                oc1.copy_from(&acc1);
+                Ok(())
+            };
+            let done = body();
+            // The rescale dropped each accumulator's special plane; they
+            // go back at the width the pool files them under.
+            for mut acc in [acc0, acc1] {
+                acc.resize_limbs(ks.limbs());
+                scratch.put_poly(acc);
+            }
+            done?;
+        } else {
+            oc1.fill_zero();
+            oc1.set_representation(Representation::Eval);
+            Self::key_switch_sum(oc0, oc1, digits, key, gather, PlaneAlign::Prefix, ks)?;
+        }
+        Self::count(&self.poly_mul_count, 2 * digits.len() as u64);
+        Ok(())
+    }
+
+    /// The digit × key inner product of [`Evaluator::key_switch_back`]:
+    /// both outputs share one lazy pass over each digit
+    /// ([`RnsPoly::dot_pair_prefix`]).
     fn key_switch_sum(
         r0: &mut RnsPoly,
         r1: &mut RnsPoly,
         digits: &[RnsPoly],
-        key: &crate::keys::GaloisKey,
+        key: &GaloisKey,
         gather: Option<&[u32]>,
         align: PlaneAlign,
-        chain: &crate::rns::ModulusChain,
+        chain: &ModulusChain,
     ) -> Result<()> {
         let pairs = key.pairs();
         RnsPoly::dot_pair_prefix(
@@ -737,105 +795,21 @@ impl Evaluator {
         )
     }
 
-    /// The hybrid `P·Q_ℓ` datapath body of [`Evaluator::apply_galois_into`]
-    /// for special-prime parameter sets: permute, INTT, one **centered**
-    /// digit per live limb lifted onto the key-switch chain
-    /// `[q_0, …, q_{live−1}, P]`, multiply-accumulate against the
-    /// `P`-scaled key pairs over `P·Q_ℓ`, then the exact rescale by `P`
-    /// back onto the live data planes. Cuts the digit count from
-    /// `l_ct(ℓ) = Σ_i ceil(log_A q_i)` to `live` — the special prime
-    /// absorbs the key-noise bill the base split used to control.
-    fn galois_key_switch_hybrid(
-        &self,
-        out: &mut Ciphertext,
-        a: &Ciphertext,
-        key: &crate::keys::GaloisKey,
-        c1_g: &mut RnsPoly,
-        scratch: &mut Scratch,
-    ) -> Result<()> {
-        let level = a.level();
-        let live = a.live_limbs();
-        let chain = self.params.chain();
-        let ks = self.params.ks_chain_at(level);
-        let perm = key.permutation();
-
-        // 1. Permute both components in the evaluation domain: c0 straight
-        //    into the output, c1 into scratch for decomposition.
-        c1_g.permute_from(a.c1(), perm);
-        let (oc0, oc1) = out.parts_mut();
-        oc0.permute_from(a.c0(), perm);
-        // 2. INTT c1 (the full chain's tables drive the live prefix).
-        c1_g.to_coeff(chain);
-        // 3. Decompose over the live limbs (full-chain q̂_i⁻¹ normalizers
-        //    pair level-ℓ digits with level-0 keys) and NTT every digit
-        //    on the key-switch chain; the accumulators are leased around
-        //    the rest so every error path returns them to the pool.
-        let mut acc0 = scratch.take_poly_limbs(live + 1, Representation::Eval);
-        let mut acc1 = scratch.take_poly_limbs(live + 1, Representation::Eval);
-        let digits = scratch.digits_mut_limbs(live, live + 1);
-        let switched = c1_g
-            .hybrid_decompose_into(chain, ks, digits)
-            .and_then(|()| {
-                for digit in digits.iter_mut() {
-                    digit.to_eval(ks);
-                }
-                self.hybrid_sum_and_rescale(
-                    oc0,
-                    oc1,
-                    [&mut acc0, &mut acc1],
-                    digits,
-                    key,
-                    None,
-                    level,
-                )
-            });
-        scratch.put_poly(acc0);
-        scratch.put_poly(acc1);
-        switched
-    }
-
-    /// What both hybrid key switches end in, over two leased `live + 1`
-    /// plane accumulators: one lazy sum of the ks-chain digits against the
-    /// key pairs' limb-major prefix over `P·Q_ℓ` (the special plane reads
-    /// each key's *last* plane), the exact rescale by `P` — the special
-    /// prime is the ks chain's last limb, so the rounded limb drop is
-    /// exactly `round(·/P)` onto the live data planes — and the fold into
-    /// the permuted output. The rescale drops each accumulator's special
-    /// plane; they leave at the width they came in, as the pool files
-    /// them.
-    #[allow(clippy::too_many_arguments)] // the two outputs, their two accumulators, the sum's operands
-    fn hybrid_sum_and_rescale(
-        &self,
-        oc0: &mut RnsPoly,
-        oc1: &mut RnsPoly,
-        [acc0, acc1]: [&mut RnsPoly; 2],
-        digits: &[RnsPoly],
-        key: &crate::keys::GaloisKey,
-        gather: Option<&[u32]>,
-        level: usize,
-    ) -> Result<()> {
-        let level_chain = self.params.chain_at(level);
-        let ks = self.params.ks_chain_at(level);
-        let width = acc0.limbs();
-        for acc in [&mut *acc0, &mut *acc1] {
-            acc.fill_zero();
-            acc.set_representation(Representation::Eval);
-        }
-        let mut body = || -> Result<()> {
-            Self::key_switch_sum(acc0, acc1, digits, key, gather, PlaneAlign::SpecialLast, ks)?;
-            for acc in [&mut *acc0, &mut *acc1] {
-                acc.to_coeff(ks);
-                ks.mod_switch_in_place(acc)?;
-                acc.to_eval(level_chain);
-            }
-            oc0.add_assign(acc0, level_chain)?;
-            oc1.copy_from(acc1);
-            Ok(())
-        };
-        let done = body();
-        acc0.resize_limbs(width);
-        acc1.resize_limbs(width);
-        done
+    /// Divides an evaluation-form polynomial by the last of its live
+    /// limbs on `chain`, exactly rounded
+    /// ([`crate::rns::ModulusChain::mod_switch_in_place`]), and returns it
+    /// to evaluation form one plane narrower: `planes` inverse and
+    /// `planes − 1` forward transforms. Both divide-and-rounds of the
+    /// engine are this — `HE_ModSwitch` (by `q_drop`, on the data chain)
+    /// and the hybrid key switch's rescale (by `P`, on the key-switch
+    /// chain, whose surviving prefix is the data chain's).
+    fn divide_round_by_last(&self, p: &mut RnsPoly, chain: &ModulusChain) -> Result<()> {
+        let planes = p.limbs() as u64;
+        p.to_coeff(chain);
+        chain.mod_switch_in_place(p)?;
+        p.to_eval(chain);
+        Self::count(&self.ntt_count, 2 * planes - 1);
+        Ok(())
     }
 
     /// `HE_Rotate` into a caller-owned output ciphertext. Steps wrap
@@ -900,18 +874,11 @@ impl Evaluator {
             });
         }
         let chain = self.params.chain();
-        let live = a.live_limbs();
         let noise = a.noise().mod_switch(&self.params, level);
-        {
-            let (c0, c1) = a.parts_mut();
-            for comp in [c0, c1] {
-                comp.to_coeff(chain);
-                chain.mod_switch_in_place(comp)?;
-                comp.to_eval(chain);
-            }
-        }
+        let (c0, c1) = a.parts_mut();
+        self.divide_round_by_last(c0, chain)?;
+        self.divide_round_by_last(c1, chain)?;
         a.set_noise(noise);
-        Self::count(&self.ntt_count, 2 * (2 * live as u64 - 1));
         Self::count(&self.mod_switch_count, 1);
         Ok(())
     }
@@ -986,13 +953,15 @@ impl Evaluator {
     // ------------------------------------------------------------------
 
     /// Precomputes the rotation-invariant part of `HE_Rotate` for a
-    /// ciphertext: INTT of `c1`, the per-limb digit decomposition, and the
-    /// digit NTTs — the `(l_ct + 1)·l_limbs` plane transforms that
-    /// otherwise repeat for every step of a rotation *set*.
+    /// ciphertext — the key switch's front half: INTT of `c1`, the
+    /// per-limb digit decomposition, and the digit NTTs; on a digit chain
+    /// the `(l_ct + 1)·l_limbs` plane transforms that otherwise repeat for
+    /// every step of a rotation *set*.
     ///
     /// Pass the result to [`Evaluator::rotate_hoisted_into`] (with the
     /// *same* source ciphertext) for each step; each rotation then costs
-    /// only slot permutations and `2·l_ct` multiply-accumulates.
+    /// only slot permutations and the back half (`2·l_ct`
+    /// multiply-accumulates on a digit chain).
     ///
     /// # Errors
     ///
@@ -1018,83 +987,14 @@ impl Evaluator {
         scratch: &mut Scratch,
     ) -> Result<()> {
         self.params.check_same(a.params())?;
-        if self.params.has_special() {
-            return self.hoist_into_hybrid(hoisted, a, scratch);
-        }
         let level = a.level();
-        let live = a.live_limbs();
-        let chain = self.params.chain();
-        let level_chain = self.params.chain_at(level);
-        let l_ct = self.params.l_ct_at(level);
         hoisted.params = self.params.clone();
         hoisted.level = level;
-        if hoisted.digits.len() != l_ct
-            || hoisted
-                .digits
-                .first()
-                .is_some_and(|d| d.limbs() != live || d.degree() != chain.degree())
-        {
-            hoisted.digits = vec![RnsPoly::zero(level_chain, Representation::Coeff); l_ct];
-        }
-        // Invalidate the tag up front: should any step below fail, the
+        // Invalidate the tag up front: should the front half fail, the
         // stale digits must not pass the replay fingerprint check.
         hoisted.source_tag = 0;
-        let mut c1 = scratch.take_poly_limbs(live, Representation::Eval);
-        c1.copy_from(a.c1());
-        c1.to_coeff(chain);
-        let decomposed = c1.rns_decompose_into(self.params.a_dcmp(), chain, &mut hoisted.digits);
-        scratch.put_poly(c1);
-        decomposed?;
-        for digit in &mut hoisted.digits {
-            digit.to_eval(level_chain);
-        }
+        self.key_switch_front(a.c1(), None, level, &mut hoisted.digits, scratch)?;
         hoisted.source_tag = source_fingerprint(a.c1());
-        Self::count(&self.ntt_count, (l_ct as u64 + 1) * live as u64);
-        Ok(())
-    }
-
-    /// [`Evaluator::hoist_into`] for special-prime parameter sets: caches
-    /// `live` evaluation-form digits of `live + 1` planes on the
-    /// key-switch chain `[q_0, …, q_{live−1}, P]`. A hybrid replay is not
-    /// NTT-free — every step still pays the `P`-rescale
-    /// (`4·live + 2` plane transforms) — but the INTT + decompose + digit
-    /// NTT front (`live² + 2·live` transforms) is shared across the set.
-    fn hoist_into_hybrid(
-        &self,
-        hoisted: &mut HoistedDecomposition,
-        a: &Ciphertext,
-        scratch: &mut Scratch,
-    ) -> Result<()> {
-        let level = a.level();
-        let live = a.live_limbs();
-        let chain = self.params.chain();
-        let ks = self.params.ks_chain_at(level);
-        let digit_count = self.params.ks_digits_at(level);
-        hoisted.params = self.params.clone();
-        hoisted.level = level;
-        if hoisted.digits.len() != digit_count
-            || hoisted
-                .digits
-                .first()
-                .is_some_and(|d| d.limbs() != live + 1 || d.degree() != chain.degree())
-        {
-            hoisted.digits = vec![RnsPoly::zero(ks, Representation::Coeff); digit_count];
-        }
-        // Invalidate the tag up front: should any step below fail, the
-        // stale digits must not pass the replay fingerprint check.
-        hoisted.source_tag = 0;
-        let mut c1 = scratch.take_poly_limbs(live, Representation::Eval);
-        c1.copy_from(a.c1());
-        c1.to_coeff(chain);
-        let decomposed = c1.hybrid_decompose_into(chain, ks, &mut hoisted.digits);
-        scratch.put_poly(c1);
-        decomposed?;
-        for digit in &mut hoisted.digits {
-            digit.to_eval(ks);
-        }
-        hoisted.source_tag = source_fingerprint(a.c1());
-        let live = live as u64;
-        Self::count(&self.ntt_count, live * live + 2 * live);
         Ok(())
     }
 
@@ -1139,12 +1039,7 @@ impl Evaluator {
         // c1 (and the ciphertext not mutated since): splicing a foreign
         // hoist onto `a.c0` would decrypt to garbage while carrying a
         // valid-looking noise estimate.
-        let expected_digits = if self.params.has_special() {
-            self.params.ks_digits_at(level)
-        } else {
-            self.params.l_ct_at(level)
-        };
-        if hoisted.digits.len() != expected_digits
+        if hoisted.digits.len() != self.params.ks_digits_at(level)
             || hoisted.source_tag != source_fingerprint(a.c1())
         {
             return Err(Error::ParameterMismatch);
@@ -1156,46 +1051,9 @@ impl Evaluator {
         }
         let g = element_for_step(self.params.degree(), steps)?;
         let key = keys.get(g).map_err(|e| Self::attach_step(e, steps))?;
-        let level_chain = self.params.chain_at(level);
         let perm = key.permutation();
-
-        let (oc0, oc1) = out.parts_mut();
-        oc0.permute_from(a.c0(), perm);
-        if self.params.has_special() {
-            // Hybrid replay: sum the cached ks-chain digits, read through
-            // the permutation, against the key over P·Q_ℓ, then pay the
-            // per-step exact P-rescale back onto the live data planes.
-            let mut acc0 = scratch.take_poly_limbs(live + 1, Representation::Eval);
-            let mut acc1 = scratch.take_poly_limbs(live + 1, Representation::Eval);
-            let r = self.hybrid_sum_and_rescale(
-                oc0,
-                oc1,
-                [&mut acc0, &mut acc1],
-                &hoisted.digits,
-                key,
-                Some(perm),
-                level,
-            );
-            scratch.put_poly(acc0);
-            scratch.put_poly(acc1);
-            r?;
-            let live = live as u64;
-            Self::count(&self.ntt_count, 4 * live + 2);
-            Self::count(&self.poly_mul_count, 2 * live);
-        } else {
-            oc1.fill_zero();
-            oc1.set_representation(Representation::Eval);
-            Self::key_switch_sum(
-                oc0,
-                oc1,
-                &hoisted.digits,
-                key,
-                Some(perm),
-                PlaneAlign::Prefix,
-                level_chain,
-            )?;
-            Self::count(&self.poly_mul_count, 2 * self.params.l_ct_at(level) as u64);
-        }
+        out.parts_mut().0.permute_from(a.c0(), perm);
+        self.key_switch_back(out, &hoisted.digits, key, Some(perm), level, scratch)?;
         Self::count(&self.rotate_count, 1);
         out.set_noise(a.noise().rotate_at(&self.params, level));
         Ok(())
@@ -1210,8 +1068,9 @@ impl Evaluator {
     /// is allocation-free at steady state within one level; steps that
     /// are multiples of the row degenerate to copies of `a`.
     ///
-    /// Total NTT bill: `(l_ct(ℓ) + 1)·live` plane transforms for the hoist
-    /// — independent of the number of steps.
+    /// NTT bill on a digit chain: `(l_ct(ℓ) + 1)·live` plane transforms
+    /// for the hoist — independent of the number of steps. A hybrid chain
+    /// adds its `P`-rescale per step.
     ///
     /// # Errors
     ///

@@ -12,6 +12,13 @@
 //! Cheetah performance model charges per `HE_Rotate` (§IV-A). For a
 //! single limb `q̂_0 = 1` and everything degenerates bit-for-bit to the
 //! historical composed `A^d·s(x^g)` key shape.
+//!
+//! On a hybrid (special-prime) chain the same generator emits one pair
+//! per limb over the `P`-extended key-switch chain, pair `i` a sample of
+//! `P·q̂_i·s(x^g)`: a key is always `BfvParams::ks_digits_at(0)` pairs
+//! over `BfvParams::ks_chain_at(0)`, and the two chains differ only in
+//! the scale each pair puts on `s(x^g)`
+//! ([`KeyGenerator::galois_key`]).
 
 use std::collections::HashMap;
 
@@ -77,10 +84,11 @@ impl PublicKey {
     }
 }
 
-/// One key-switching key: `l_ct = Σ_i ceil(log_A q_i)` pairs
-/// `(−(a·s + e) + A^d·q̂_i·s(x^g), a)` in evaluation form — indexed per
-/// (limb `i`, digit `d`), stored flat in limb-major order to match the
-/// digit order [`RnsPoly::rns_decompose_into`] emits — plus the cached
+/// One key-switching key: on a digit chain `l_ct = Σ_i ceil(log_A q_i)`
+/// pairs `(−(a·s + e) + A^d·q̂_i·s(x^g), a)` in evaluation form — indexed
+/// per (limb `i`, digit `d`), stored flat in limb-major order to match the
+/// digit order [`RnsPoly::rns_decompose_into`] emits; on a hybrid chain
+/// one pair `(−(a·s + e) + P·q̂_i·s(x^g), a)` per limb — plus the cached
 /// slot permutation realizing `x ↦ x^g` on NTT-form data (the permutation
 /// depends only on `n`, so one table serves every limb plane).
 #[derive(Debug, Clone)]
@@ -94,9 +102,9 @@ pub struct GaloisKey {
 }
 
 impl GaloisKey {
-    /// Key-switch pairs: `l_ct` of them, one per (limb, digit) in
-    /// limb-major order (limb 0's digits first). For a single limb this is
-    /// the historical per-digit shape.
+    /// Key-switch pairs: [`BfvParams::ks_digits_at`]`(0)` of them, one per
+    /// digit in limb-major order (limb 0's digits first). For a single
+    /// limb this is the historical per-digit shape.
     pub fn pairs(&self) -> &[(RnsPoly, RnsPoly)] {
         &self.pairs
     }
@@ -107,8 +115,9 @@ impl GaloisKey {
     }
 
     /// Assembles a key from validated parts (wire decoding). The caller
-    /// guarantees the pair list is `l_ct` long with chain-shaped
-    /// polynomials and `perm` is the element's permutation table.
+    /// guarantees the pair list is `ks_digits_at(0)` long with
+    /// `ks_chain_at(0)`-shaped polynomials and `perm` is the element's
+    /// permutation table.
     pub(crate) fn from_parts(element: u64, pairs: Vec<(RnsPoly, RnsPoly)>, perm: Vec<u32>) -> Self {
         Self {
             element,
@@ -176,17 +185,16 @@ impl GaloisKeys {
         self.keys.keys().copied()
     }
 
-    /// Serialized size in bytes (for protocol accounting). Digit keys
-    /// hold `l_ct` pairs of `l_limbs·n`-word polynomials; hybrid keys hold
-    /// one pair per limb, each over the extended `(l_limbs + 1)`-plane
-    /// key-switch chain.
+    /// Serialized size in bytes (for protocol accounting): per key,
+    /// `ks_digits_at(0)` pairs of polynomials over the `ks_chain_at(0)`
+    /// planes, `n` 8-byte words a plane.
     pub fn byte_size(&self, params: &BfvParams) -> usize {
-        let (pairs, planes) = if params.has_special() {
-            (params.limbs(), params.limbs() + 1)
-        } else {
-            (params.l_ct(), params.limbs())
-        };
-        self.keys.len() * pairs * 2 * planes * params.degree() * 8
+        self.keys.len() * Self::key_bytes(params)
+    }
+
+    /// Bytes of one key's pair polynomials.
+    pub(crate) fn key_bytes(params: &BfvParams) -> usize {
+        params.ks_digits_at(0) * 2 * params.ks_chain_at(0).limbs() * params.degree() * 8
     }
 
     pub(crate) fn insert(&mut self, key: GaloisKey) {
@@ -260,20 +268,10 @@ impl KeyGenerator {
     /// Propagates polynomial arithmetic errors (cannot occur for matched
     /// parameters).
     pub fn public_key(&mut self) -> Result<PublicKey> {
-        let chain = self.params.chain().clone();
-        let a = self.rng.uniform_rns(&chain, Representation::Eval);
-        let mut e = self.rng.noise_rns(&chain);
-        e.to_eval(&chain);
-        // pk0 = -(a*s + e)
-        let mut pk0 = a.clone();
-        pk0.mul_assign_pointwise(self.sk.poly(), &chain)?;
-        pk0.add_assign(&e, &chain)?;
-        pk0.negate(&chain);
-        Ok(PublicKey {
-            pk0,
-            pk1: a,
-            params: self.params.clone(),
-        })
+        let a = self
+            .rng
+            .uniform_rns(self.params.chain(), Representation::Eval);
+        self.public_key_over(a)
     }
 
     /// Generates a public key whose uniform component `pk1 = a` is expanded
@@ -286,30 +284,45 @@ impl KeyGenerator {
     ///
     /// Propagates arithmetic errors from the pk0 assembly.
     pub fn public_key_seeded(&mut self) -> Result<(PublicKey, u64)> {
-        let chain = self.params.chain().clone();
         let seed = self.rng.next_seed();
-        let a = crate::sampling::expand_uniform(seed, &chain);
-        let mut e = self.rng.noise_rns(&chain);
-        e.to_eval(&chain);
-        // pk0 = -(a*s + e)
-        let mut pk0 = a.clone();
-        pk0.mul_assign_pointwise(self.sk.poly(), &chain)?;
-        pk0.add_assign(&e, &chain)?;
-        pk0.negate(&chain);
-        Ok((
-            PublicKey {
-                pk0,
-                pk1: a,
-                params: self.params.clone(),
-            },
-            seed,
-        ))
+        let a = crate::sampling::expand_uniform(seed, self.params.chain());
+        Ok((self.public_key_over(a)?, seed))
     }
 
-    /// Generates the Galois key for element `g` with the parameter set's
-    /// ciphertext decomposition base: one RLWE pair per (limb, digit) of
-    /// the RNS-native decomposition, pair `(i, d)` encrypting
-    /// `A^d·q̂_i·s(x^g)`.
+    /// `(−(a·s + e), a)` for a fresh error `e`.
+    fn public_key_over(&mut self, a: RnsPoly) -> Result<PublicKey> {
+        let chain = self.params.chain();
+        let mut e = self.rng.noise_rns(chain);
+        e.to_eval(chain);
+        let mut pk0 = a.clone();
+        pk0.mul_assign_pointwise(self.sk.poly(), chain)?;
+        pk0.add_assign(&e, chain)?;
+        pk0.negate(chain);
+        Ok(PublicKey {
+            pk0,
+            pk1: a,
+            params: self.params.clone(),
+        })
+    }
+
+    /// Generates the Galois key for element `g`: one RLWE pair per
+    /// key-switch digit ([`BfvParams::ks_digits_at`]`(0)`), each over the
+    /// key-switch chain ([`BfvParams::ks_chain_at`]`(0)`) and encrypting
+    /// `s(x^g)` times the weight its digit carries in the reconstruction
+    /// of `c1`:
+    ///
+    /// * on a digit chain, pair `(i, d)` — limb-major, one per base-`A`
+    ///   digit of limb `i` — encrypts `A^d·q̂_i·s(x^g)` with the parameter
+    ///   set's decomposition base. For one limb `q̂_0 = 1`, the historical
+    ///   `A^d` progression;
+    /// * on a hybrid chain, pair `i` encrypts `P·q̂_i·s(x^g)` over
+    ///   `[q_0 … q_{l-1}, P]` — `[P·q̂_i]_{q_k}·s_g` on every data plane
+    ///   and exactly `0` on the special plane (`P` divides the signal).
+    ///
+    /// The full-chain `q̂_i` keeps the level-prefix property: a level-`ℓ`
+    /// switch consumes the pairs of limbs `i < live` on the live planes
+    /// (and the special one), so one level-0 key set serves every level.
+    /// Both shapes draw one `(a, e)` per pair, in pair order.
     ///
     /// # Errors
     ///
@@ -318,101 +331,70 @@ impl KeyGenerator {
     /// cyclotomic); propagates arithmetic errors otherwise.
     pub fn galois_key(&mut self, g: u64) -> Result<GaloisKey> {
         check_galois_element(self.params.degree(), g)?;
-        if self.params.has_special() {
-            return self.galois_key_hybrid(g);
-        }
-        let chain = self.params.chain().clone();
-        let a_base = self.params.a_dcmp();
-        let limbs = chain.limbs();
+        let data = self.params.chain();
+        let ks = self.params.ks_chain_at(0);
+        let limbs = data.limbs();
+        let qhat = |i| -> Vec<u64> { (0..limbs).map(|k| data.crt().qhat_mod(i, k)).collect() };
+
+        // The secret on the key's chain, and per pair the scale of
+        // `s(x^g)` on each of its planes.
+        let mut scales: Vec<Vec<u64>> = Vec::with_capacity(self.params.ks_digits_at(0));
+        let lifted;
+        let s = match self.params.special() {
+            Some(p) => {
+                for i in 0..limbs {
+                    let mut scale = qhat(i);
+                    for (k, sc) in scale.iter_mut().enumerate() {
+                        let q = data.modulus(k);
+                        *sc = q.mul_mod(q.reduce(p.value()), *sc);
+                    }
+                    scale.push(0);
+                    scales.push(scale);
+                }
+                // The *same* ternary polynomial, extended to the special
+                // prime: a hybrid set sharing a data chain and seed with a
+                // digit twin has identical secrets and encryptions.
+                lifted = self.secret_on(ks);
+                &lifted
+            }
+            None => {
+                let a_base = self.params.a_dcmp();
+                for i in 0..limbs {
+                    let mut scale = qhat(i);
+                    for _ in 0..data.limb_decomposition_levels(a_base, i) {
+                        scales.push(scale.clone());
+                        for (k, sc) in scale.iter_mut().enumerate() {
+                            let q = data.modulus(k);
+                            *sc = q.mul_mod(*sc, q.reduce(a_base));
+                        }
+                    }
+                }
+                self.sk.poly()
+            }
+        };
 
         // s(x^g) in evaluation form, via the NTT-domain permutation (one
         // permutation table drives every limb plane).
-        let perm = chain.table(0).galois_permutation(g);
-        let mut s_g = RnsPoly::zero(&chain, Representation::Eval);
-        s_g.permute_from(self.sk.poly(), &perm);
+        let perm = ks.table(0).galois_permutation(g);
+        let mut s_g = RnsPoly::zero(ks, Representation::Eval);
+        s_g.permute_from(s, &perm);
 
-        let mut pairs = Vec::with_capacity(self.params.l_ct());
-        for i in 0..limbs {
-            // scale[k] = A^d·q̂_i mod q_k, advanced per digit. For one limb
-            // q̂_0 = 1, so this replays the historical A^d progression (and
-            // the RNG stream order is unchanged: one sample pair per digit).
-            let mut scale: Vec<u64> = (0..limbs).map(|k| chain.crt().qhat_mod(i, k)).collect();
-            let levels_i = chain.limb_decomposition_levels(a_base, i);
-            for digit in 0..levels_i {
-                let a_d = self.rng.uniform_rns(&chain, Representation::Eval);
-                let mut e_d = self.rng.noise_rns(&chain);
-                e_d.to_eval(&chain);
-                // k0 = -(a_d*s + e_d) + A^digit · q̂_i · s(x^g)
-                let mut k0 = a_d.clone();
-                k0.mul_assign_pointwise(self.sk.poly(), &chain)?;
-                k0.add_assign(&e_d, &chain)?;
-                k0.negate(&chain);
-                let mut scaled_sg = s_g.clone();
-                for (k, &sc) in scale.iter().enumerate() {
-                    crate::poly::mul_scalar_slice(scaled_sg.limb_mut(k), sc, chain.modulus(k));
-                }
-                k0.add_assign(&scaled_sg, &chain)?;
-                pairs.push((k0, a_d));
-                if digit + 1 < levels_i {
-                    for (k, sc) in scale.iter_mut().enumerate() {
-                        let q = chain.modulus(k);
-                        *sc = q.mul_mod(*sc, q.reduce(a_base));
-                    }
-                }
-            }
-        }
-        Ok(GaloisKey {
-            element: g,
-            pairs,
-            perm,
-        })
-    }
-
-    /// Hybrid (special-prime) Galois key: one RLWE pair per limb over the
-    /// *extended* key-switch chain `[q_0 … q_{l-1}, P]`, pair `i`
-    /// encrypting `P·q̂_i·s(x^g)` — which is `[P·q̂_i]_{q_k}·s_g` on every
-    /// data plane and exactly `0` on the special plane (`P` divides the
-    /// signal). The full-chain `q̂_i` keeps the level-prefix property:
-    /// a level-`ℓ` switch consumes pairs `i < live` on planes
-    /// `[0..live) ∪ {special}`, so one level-0 key set serves every level.
-    ///
-    /// The secret over the extended chain is the *same* ternary
-    /// polynomial: its coefficient values are read off the data chain and
-    /// re-lifted, so hybrid parameters sharing a data chain and seed with
-    /// a digit twin produce identical secrets and encryptions.
-    fn galois_key_hybrid(&mut self, g: u64) -> Result<GaloisKey> {
-        let data = self.params.chain().clone();
-        let ks = self.params.ks_chain_at(0).clone();
-        let limbs = data.limbs();
-        let p_special = ks.modulus(limbs).value();
-
-        let perm = data.table(0).galois_permutation(g);
-        let s_ks = self.secret_on(&ks);
-        let mut s_g = RnsPoly::zero(&ks, Representation::Eval);
-        s_g.permute_from(&s_ks, &perm);
-
-        let mut pairs = Vec::with_capacity(limbs);
-        for i in 0..limbs {
-            let a_i = self.rng.uniform_rns(&ks, Representation::Eval);
-            let mut e_i = self.rng.noise_rns(&ks);
-            e_i.to_eval(&ks);
-            // k0 = -(a_i·s + e_i) + P·q̂_i·s(x^g)
-            let mut k0 = a_i.clone();
-            k0.mul_assign_pointwise(&s_ks, &ks)?;
-            k0.add_assign(&e_i, &ks)?;
-            k0.negate(&ks);
+        let mut pairs = Vec::with_capacity(scales.len());
+        for scale in &scales {
+            let a = self.rng.uniform_rns(ks, Representation::Eval);
+            let mut e = self.rng.noise_rns(ks);
+            e.to_eval(ks);
+            // k0 = -(a·s + e) + scale · s(x^g)
+            let mut k0 = a.clone();
+            k0.mul_assign_pointwise(s, ks)?;
+            k0.add_assign(&e, ks)?;
+            k0.negate(ks);
             let mut scaled_sg = s_g.clone();
-            for k in 0..=limbs {
-                let q = ks.modulus(k);
-                let sc = if k < limbs {
-                    q.mul_mod(q.reduce(p_special), data.crt().qhat_mod(i, k))
-                } else {
-                    0
-                };
-                crate::poly::mul_scalar_slice(scaled_sg.limb_mut(k), sc, q);
+            for (k, &sc) in scale.iter().enumerate() {
+                crate::poly::mul_scalar_slice(scaled_sg.limb_mut(k), sc, ks.modulus(k));
             }
-            k0.add_assign(&scaled_sg, &ks)?;
-            pairs.push((k0, a_i));
+            k0.add_assign(&scaled_sg, ks)?;
+            pairs.push((k0, a));
         }
         Ok(GaloisKey {
             element: g,
@@ -471,12 +453,7 @@ impl KeyGenerator {
     /// Returns [`Error::InvalidRotation`] for any invalid step.
     pub fn galois_keys_for_steps(&mut self, steps: &[i64]) -> Result<GaloisKeys> {
         let mut out = GaloisKeys::default();
-        for &s in steps {
-            let g = self.element_for_step(s)?;
-            if !out.contains(g) {
-                out.insert(self.galois_key(g)?);
-            }
-        }
+        self.extend_galois_keys(&mut out, steps)?;
         Ok(out)
     }
 

@@ -131,11 +131,6 @@ struct ParamsInner {
     /// The special key-switch prime `P` (hybrid `P·Q` key switching).
     /// Never live for ciphertext data: the data chain above excludes it.
     special: Option<Modulus>,
-    /// Per-level key-switch chains `[q_0 … q_{live-1}, P]`, indexed by
-    /// level. Empty unless `special` is set. The special prime is always
-    /// the *last* limb, so the exact-rescale by `P` is the ordinary
-    /// drop-last-limb modulus switch on this chain.
-    ks_levels: Vec<ModulusChain>,
     w_dcmp: u64,
     a_dcmp: u64,
     sigma: f64,
@@ -159,6 +154,13 @@ struct LevelData {
     /// drift. The congruent generator drives it to 1 whenever a prime of
     /// the right shape exists.
     q_mod_t: u64,
+    /// The chain key-switch digits and sums live on: `chain` itself on a
+    /// digit chain, `[q_0 … q_{live-1}, P]` on a hybrid one. The special
+    /// prime is always the *last* limb, so the exact rescale by `P` is the
+    /// ordinary drop-last-limb modulus switch on this chain.
+    ks_chain: ModulusChain,
+    /// Digits one key switch decomposes `c1` into at this level.
+    ks_digits: usize,
 }
 
 impl fmt::Debug for BfvParams {
@@ -413,9 +415,9 @@ impl BfvParams {
     }
 
     /// Whether the chain reserves a special key-switch prime `P` (hybrid
-    /// `P·Q` key switching). Hybrid parameter sets rotate through
-    /// [`crate::Evaluator`]'s special-prime path: one digit per live limb
-    /// instead of `Σ ceil(log_A q_i)`.
+    /// `P·Q` key switching). Hybrid parameter sets take the special-prime
+    /// arms of [`crate::Evaluator`]'s key switch: one digit per live limb
+    /// instead of `Σ ceil(log_A q_i)`, and a rescale by `P` after the sum.
     #[inline]
     pub fn has_special(&self) -> bool {
         self.inner.special.is_some()
@@ -430,39 +432,31 @@ impl BfvParams {
         self.inner.special.as_ref()
     }
 
-    /// The key-switch chain `[q_0 … q_{live-1}, P]` at a level: the live
-    /// data prefix extended by the special prime. Key-switch digits and
-    /// accumulators live on this chain; dropping its last limb (`P`) is
-    /// the exact rescale back to `Q_ℓ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain has no special prime or the level is out of
-    /// range — callers dispatch on [`BfvParams::has_special`] first.
+    /// The chain a key switch runs on at a level — where its digits are
+    /// NTT'd and summed against the key: [`BfvParams::chain_at`] on a
+    /// digit chain, the live data prefix extended by the special prime,
+    /// `[q_0 … q_{live-1}, P]`, on a hybrid one (dropping that last limb
+    /// is the exact rescale back to `Q_ℓ`). A Galois key holds
+    /// [`BfvParams::ks_digits_at`]`(0)` pairs over `ks_chain_at(0)`.
     #[inline]
     pub fn ks_chain_at(&self, level: usize) -> &ModulusChain {
-        assert!(
-            self.has_special(),
-            "ks_chain_at on a chain without a special prime"
-        );
-        &self.inner.ks_levels[level]
+        &self.inner.levels[level].ks_chain
     }
 
-    /// Limb planes scratch buffers must hold: the data limbs plus one
-    /// extra plane for the special prime when the chain is hybrid.
+    /// Limb planes scratch buffers must hold: the widest key-switch chain
+    /// (the data limbs, plus the special prime's plane on a hybrid chain).
     #[inline]
     pub fn scratch_limbs(&self) -> usize {
-        self.limbs() + usize::from(self.has_special())
+        self.ks_chain_at(0).limbs()
     }
 
-    /// Digit count of a *hybrid* key switch at a level: exactly one digit
-    /// per live limb (`q̂_i`-CRT decomposition, no base-`A` splitting —
-    /// the special prime absorbs the noise the base split used to
-    /// control). Compare [`BfvParams::l_ct_at`], the digit-decomposition
-    /// bill.
+    /// Digit count of a key switch at a level: [`BfvParams::l_ct_at`] on
+    /// a digit chain; exactly one digit per live limb on a hybrid one
+    /// (`q̂_i`-CRT decomposition, no base-`A` splitting — the special
+    /// prime absorbs the noise the base split used to control).
     #[inline]
     pub fn ks_digits_at(&self, level: usize) -> usize {
-        self.live_limbs_at(level)
+        self.inner.levels[level].ks_digits
     }
 
     /// Plaintext (weight) decomposition base `W_dcmp`.
@@ -1037,11 +1031,6 @@ impl BfvParamsBuilder {
         // chains share NTT tables through the process-wide cache, so the
         // extra cost is the (tiny) per-prefix CRT constant set.
         let mut levels = Vec::with_capacity(chain.limbs());
-        // The per-level key-switch chains [q_0 … q_{live-1}, P]: extending
-        // each live prefix by the special prime also validates P (an NTT
-        // prime for n, distinct from every live limb — a duplicate fails
-        // the CRT inverse) and precomputes the P-rescale drop constants.
-        let mut ks_levels = Vec::new();
         for level in 0..chain.limbs() {
             let live = chain.limbs() - level;
             let sub = if level == 0 {
@@ -1049,11 +1038,18 @@ impl BfvParamsBuilder {
             } else {
                 ModulusChain::new(self.n, &limb_values[..live])?
             };
-            if let Some(p) = special_val {
-                let mut ks_values = limb_values[..live].to_vec();
-                ks_values.push(p);
-                ks_levels.push(ModulusChain::new(self.n, &ks_values)?);
-            }
+            // The shape of a key switch at this level. Extending the live
+            // prefix by the special prime also validates P (an NTT prime
+            // for n, distinct from every live limb — a duplicate fails the
+            // CRT inverse) and precomputes the P-rescale drop constants.
+            let (ks_chain, ks_digits) = match special_val {
+                Some(p) => {
+                    let mut ks_values = limb_values[..live].to_vec();
+                    ks_values.push(p);
+                    (ModulusChain::new(self.n, &ks_values)?, live)
+                }
+                None => (sub.clone(), sub.rns_decomposition_levels(self.a_dcmp)),
+            };
             let delta = sub.big_q() / t_val as u128;
             let delta_mod = sub
                 .moduli()
@@ -1066,6 +1062,8 @@ impl BfvParamsBuilder {
                 delta,
                 delta_mod,
                 q_mod_t,
+                ks_chain,
+                ks_digits,
             });
         }
         let special = match special_val {
@@ -1078,7 +1076,6 @@ impl BfvParamsBuilder {
                 t,
                 levels,
                 special,
-                ks_levels,
                 w_dcmp,
                 a_dcmp: self.a_dcmp,
                 sigma: self.sigma,
@@ -1392,10 +1389,14 @@ mod tests {
             assert_eq!(ks.modulus(live).value(), special);
             assert_eq!(p.ks_digits_at(level), live);
         }
-        // Non-hybrid chains have no special machinery.
+        // A digit chain switches keys on the data chain itself.
         let d = BfvParams::preset_rns_2x30(4096).unwrap();
         assert!(!d.has_special());
         assert_eq!(d.scratch_limbs(), d.limbs());
+        for level in 0..d.levels() {
+            assert_eq!(d.ks_chain_at(level), d.chain_at(level));
+            assert_eq!(d.ks_digits_at(level), d.l_ct_at(level));
+        }
     }
 
     #[test]

@@ -47,9 +47,8 @@ pub struct Scratch {
     limbs: usize,
     /// `free[k-1]`: pooled buffers of `k · n` words (live-limb count `k`).
     free: Vec<Vec<Vec<u64>>>,
+    /// The digit store: polynomials of one live-limb count.
     digits: Vec<RnsPoly>,
-    /// Live-limb count the digit store is currently shaped for.
-    digit_limbs: usize,
     /// The hoist store between [`Scratch::take_hoisted`] leases.
     hoisted: Option<HoistedDecomposition>,
     /// Child pools for a layer's worker threads ([`Scratch::workers`]).
@@ -67,7 +66,6 @@ impl Scratch {
             limbs,
             free: vec![Vec::new(); limbs],
             digits: Vec::new(),
-            digit_limbs: limbs,
             hoisted: None,
             workers: None,
         }
@@ -138,8 +136,9 @@ impl Scratch {
     /// planes (coefficient form, contents dirty). Grown on first use and
     /// reused afterwards; changing the live-limb count reshapes the store
     /// (one allocation per level change, not per operation). The key
-    /// switch sizes this with `BfvParams::l_ct_at(level)` — the live
-    /// per-limb RNS digit count `Σ_i ceil(log_A q_i)`.
+    /// switch leases the same store (`take_digits`) and shapes
+    /// it to `BfvParams::ks_digits_at(level)` digits of
+    /// `BfvParams::ks_chain_at(level)`'s planes.
     ///
     /// # Panics
     ///
@@ -150,15 +149,26 @@ impl Scratch {
             "live limb count {limbs} outside this pool's 1..={}",
             self.limbs
         );
-        if self.digit_limbs != limbs {
+        if self.digits.first().is_some_and(|d| d.limbs() != limbs) {
             self.digits.clear();
-            self.digit_limbs = limbs;
         }
         while self.digits.len() < count {
             self.digits
                 .push(RnsPoly::zero_with(limbs, self.n, Representation::Coeff));
         }
         &mut self.digits[..count]
+    }
+
+    /// Leases the digit store itself, whatever its shape: a key switch
+    /// shapes it and holds it across two halves that each lease buffers
+    /// of their own. Return it with [`Scratch::put_digits`].
+    pub(crate) fn take_digits(&mut self) -> Vec<RnsPoly> {
+        std::mem::take(&mut self.digits)
+    }
+
+    /// Returns the leased digit store.
+    pub(crate) fn put_digits(&mut self, digits: Vec<RnsPoly>) {
+        self.digits = digits;
     }
 
     /// Leases a transparent-zero ciphertext at `level` (both components
@@ -192,9 +202,10 @@ impl Scratch {
     }
 
     /// Leases the pool's [`HoistedDecomposition`] — its digit storage
-    /// (`l_ct` full polynomials, the largest single buffer of a BSGS
-    /// layer) warm from the previous layer — or an empty one on first
-    /// use. Return it with [`Scratch::put_hoisted`].
+    /// (`ks_digits_at(level)` polynomials on the key-switch chain, the
+    /// largest single buffer of a BSGS layer) warm from the previous
+    /// layer — or an empty one on first use. Return it with
+    /// [`Scratch::put_hoisted`].
     pub fn take_hoisted(&mut self, params: &BfvParams) -> HoistedDecomposition {
         self.hoisted
             .take()

@@ -733,21 +733,15 @@ pub fn decode_public_key(bytes: &[u8], params: &BfvParams) -> Result<PublicKey> 
 
 /// Exact encoded size of a `count`-key Galois key set: header, key count,
 /// one element word per key, plus the key material
-/// [`GaloisKeys::byte_size`] charges — `count·l_ct·2·limbs·n·8` for digit
-/// chains, `count·limbs·2·(limbs+1)·n·8` for hybrid chains (one pair per
-/// data limb, each over the `P`-extended key-switch chain).
+/// [`GaloisKeys::byte_size`] charges — per key, `ks_digits_at(0)` pairs of
+/// polynomials over the `ks_chain_at(0)` planes.
 pub fn galois_keys_wire_bytes(params: &BfvParams, count: usize) -> usize {
-    let (pairs, planes) = if params.has_special() {
-        (params.limbs(), params.limbs() + 1)
-    } else {
-        (params.l_ct(), params.limbs())
-    };
-    HEADER_BYTES + 4 + count * 8 + count * pairs * 2 * planes * params.degree() * 8
+    HEADER_BYTES + 4 + count * 8 + count * GaloisKeys::key_bytes(params)
 }
 
 /// Encodes a Galois key set canonically: keys are emitted in ascending
 /// element order (the `HashMap` iteration order never reaches the wire),
-/// each as its element followed by `l_ct` key-switch pairs. Slot
+/// each as its element followed by its key-switch pairs. Slot
 /// permutations are not serialized — they are a pure function of the
 /// element and are rebuilt on decode.
 pub fn encode_galois_keys(keys: &GaloisKeys, params: &BfvParams) -> Vec<u8> {
@@ -776,7 +770,10 @@ pub fn encode_galois_keys(keys: &GaloisKeys, params: &BfvParams) -> Vec<u8> {
 }
 
 /// Decodes and validates a Galois key set: every element must be a valid
-/// odd automorphism exponent, every pair polynomial canonical. Slot
+/// odd automorphism exponent, the elements strictly ascending (the one
+/// order [`encode_galois_keys`] emits — a repeated element would silently
+/// overwrite its first key, and the caller would hold fewer keys than the
+/// count the message was sized by), every pair polynomial canonical. Slot
 /// permutations are rebuilt from the validated elements.
 ///
 /// # Errors
@@ -807,20 +804,23 @@ pub fn decode_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys
             ),
         ));
     }
-    // Hybrid chains ship one pair per data limb, each over the
-    // P-extended key-switch chain (whose last plane canonical-checks
-    // against the special prime); digit chains ship l_ct pairs over the
-    // data chain.
-    let (pair_count, pair_chain) = if params.has_special() {
-        (params.limbs(), params.ks_chain_at(0))
-    } else {
-        (params.l_ct(), params.chain())
-    };
+    // Pairs live on the key-switch chain (on a hybrid chain its last
+    // plane canonical-checks against the special prime).
+    let (pair_count, pair_chain) = (params.ks_digits_at(0), params.ks_chain_at(0));
     let pair_planes = pair_chain.limbs();
     let mut out = GaloisKeys::default();
+    let mut previous = 0;
     for _ in 0..count {
         let g = r.u64()?;
         check_galois_element(params.degree(), g)?;
+        // Valid elements are odd, so 0 is below every first element.
+        if g <= previous {
+            return Err(malformed(
+                what,
+                format!("element {g} after {previous}: elements must be strictly ascending"),
+            ));
+        }
+        previous = g;
         let mut pairs = Vec::with_capacity(pair_count);
         for _ in 0..pair_count {
             let k0 = read_poly_on(&mut r, pair_chain, pair_planes, Representation::Eval)?;

@@ -141,6 +141,53 @@ fn galois_keys_roundtrip_and_size_pin() {
     }
 }
 
+/// One key set has one encoding: elements ascend strictly on the wire, so
+/// a set that lists an element twice (`GaloisKeys::insert` would silently
+/// keep one key of the two the count field sized the message by) or out
+/// of order is refused — by the order check itself, before the offending
+/// key's pair polynomials are read.
+#[test]
+fn galois_key_sets_with_repeated_or_unordered_elements_are_malformed() {
+    for name in ["rns_3x36", "hybrid_2x36"] {
+        let p = presets().into_iter().find(|(n, _)| *n == name).unwrap().1;
+        let keys = KeyGenerator::from_seed(p.clone(), 27)
+            .galois_keys_for_steps(&[1, 2])
+            .unwrap();
+        let clean = wire::encode_galois_keys(&keys, &p);
+        assert_eq!(
+            wire::decode_galois_keys(&clean, &p).unwrap().len(),
+            2,
+            "{name}"
+        );
+        // Key records are an element word followed by the pair material.
+        let first = wire::HEADER_BYTES + 4;
+        let second = first + 8 + keys.byte_size(&p) / 2;
+        let element = |at: usize| clean[at..at + 8].to_vec();
+
+        let mut repeated = clean.clone();
+        repeated[second..second + 8].copy_from_slice(&element(first));
+        let mut swapped = clean.clone();
+        swapped[first..first + 8].copy_from_slice(&element(second));
+        swapped[second..second + 8].copy_from_slice(&element(first));
+        for (what, mut mutant) in [("repeated", repeated), ("swapped", swapped)] {
+            // As is, then with a non-canonical residue in the offending
+            // key's first pair: the order check must fire first.
+            for poisoned in [false, true] {
+                if poisoned {
+                    mutant[second + 8..second + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+                }
+                match wire::decode_galois_keys(&mutant, &p) {
+                    Err(cheetah_bfv::Error::Malformed { reason, .. }) => assert!(
+                        reason.contains("strictly ascending"),
+                        "{name}, {what} element: rejected for the wrong reason: {reason}"
+                    ),
+                    other => panic!("{name}, {what} element: expected Malformed, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn plaintext_mask_roundtrip_and_size_pin() {
     for (name, p) in presets() {

@@ -102,6 +102,36 @@ if git grep -nE 'Pow2Scalar|pow2_scalar|without_pow2|mul_pow2|POW2_CHAIN_MAX_EXP
     exit 1
 fi
 
+echo "==> one-key-switch gate"
+# permute -> INTT -> decompose -> digit NTTs -> key sum (-> P-rescale) is
+# written once, as Evaluator::key_switch_front / key_switch_back, under
+# direct, hoisted, digit and hybrid rotations; keygen is one loop. The
+# per-path bodies stay deleted, the chains fork only where they differ in
+# arithmetic (the decompose arm and the rescale tail in the evaluator, the
+# pair scale in keygen; the key's shape is BfvParams::ks_digits_at /
+# ks_chain_at, which wire.rs and scratch.rs read), and the NTT-count
+# closed forms live in crates/core/src/cost.rs only.
+if git grep -nE 'galois_key_switch_hybrid|galois_key_switch\b|hoist_into_hybrid|galois_key_hybrid' -- crates src tests examples; then
+    echo "FAIL: a per-path key-switch or keygen body is back (see matches above)"
+    exit 1
+fi
+while read -r file limit; do
+    forks=$(grep -c 'has_special()' "crates/bfv/src/$file" || true)
+    if ((forks > limit)); then
+        echo "FAIL: crates/bfv/src/$file forks on has_special() $forks times (at most $limit)"
+        exit 1
+    fi
+done <<'LIMITS'
+evaluator.rs 2
+keys.rs 1
+wire.rs 0
+scratch.rs 0
+LIMITS
+if grep -nF -e 'live * live + 6 * live' -e 'live * live + 2 * live' -e '4 * live + 2' crates/bfv/src/evaluator.rs; then
+    echo "FAIL: evaluator.rs carries an NTT-count closed form again (cost.rs is their home)"
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release
@@ -198,7 +228,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # against the twin's 21 transforms and 6 digits, and pays a P-rescale
     # per accumulator, which the IFMA constant multiplier made a few µs: if
     # the committed full run ever shows the digit twin winning, the hybrid
-    # datapath has regressed (ROADMAP item 2c keeps the score).
+    # datapath has regressed (ROADMAP item 5c keeps the score).
     rot_hybrid=$(json_val BENCH_he_ops.json l3_rotate_hybrid)
     rot_digit=$(json_val BENCH_he_ops.json l3_rotate_simd)
     if [[ -z "$rot_hybrid" || -z "$rot_digit" ]]; then

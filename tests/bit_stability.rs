@@ -1,0 +1,154 @@
+//! Cross-commit bit stability: golden digests of what the engine writes.
+//!
+//! Every other suite compares a run with itself (two paths, two thread
+//! counts, two backends), so a refactor that claims "same bits" had
+//! nothing in the tree to hold it to across commits. This one pins FNV-1a
+//! digests of Galois-key wire bytes, of direct and hoisted rotation
+//! residues at every level, and of every payload of one seeded
+//! private-inference transcript. The bit-identity contract of
+//! `docs/SIMD.md` makes them machine- and backend-independent.
+//!
+//! A digest here changes only when the engine writes different bits for
+//! the same seeds — a different RNG draw order, decomposition, key shape,
+//! rounding or wire layout. A change that means to do that pastes the
+//! digests the failure lists (every mismatch of a test is reported at
+//! once) and says so; a change that claims "same bits" must leave them
+//! alone.
+
+use cheetah::bfv::{wire, BatchEncoder, BfvParams, Encryptor, Evaluator, KeyGenerator};
+use cheetah::nn::inference::random_input;
+use cheetah::nn::models::tiny_cnn;
+use cheetah::nn::Weights;
+use cheetah::serve::PrivateInferenceSession;
+
+const N: usize = 4096;
+const STEPS: [i64; 3] = [1, -3, 64];
+
+/// 64-bit FNV-1a over a byte stream, fed in pieces.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, words: &[u64]) {
+        for w in words {
+            self.bytes(&w.to_le_bytes());
+        }
+    }
+}
+
+/// Digests that left their pins, reported together when dropped.
+#[derive(Default)]
+struct Pins(Vec<String>);
+
+impl Pins {
+    fn check(&mut self, what: String, got: u64, pinned: u64) {
+        if got != pinned {
+            self.0.push(format!("{what}: {got:#018x}"));
+        }
+    }
+
+    fn finish(self) {
+        assert!(
+            self.0.is_empty(),
+            "the engine writes different bits than the pinned commit:\n{}",
+            self.0.join("\n")
+        );
+    }
+}
+
+fn preset(name: &str) -> BfvParams {
+    match name {
+        "single_60" => BfvParams::preset_single_60(N),
+        "rns_3x36" => BfvParams::preset_rns_3x36(N),
+        "hybrid_2x36" => BfvParams::preset_hybrid_2x36(N),
+        other => panic!("unknown preset {other}"),
+    }
+    .unwrap()
+}
+
+/// `(preset, digest of the encoded key set, digest of every rotation)`.
+const ENGINE_PINS: [(&str, u64, u64); 3] = [
+    ("single_60", 0x8f23_d98f_64fa_f296, 0x1679_cc15_27ef_cf5e),
+    ("rns_3x36", 0x9f0c_1c7d_de01_9787, 0x708f_50f0_d272_b71f),
+    ("hybrid_2x36", 0xe3e0_80c4_17c7_1c6c, 0x5f0a_28e4_fe09_4921),
+];
+
+#[test]
+fn galois_keys_and_rotations_keep_their_bits() {
+    let mut pins = Pins::default();
+    for (name, keys_pin, rotations_pin) in ENGINE_PINS {
+        let params = preset(name);
+        let mut keygen = KeyGenerator::from_seed(params.clone(), 7);
+        let pk = keygen.public_key().unwrap();
+        let keys = keygen.galois_keys_for_steps(&STEPS).unwrap();
+        let mut h = Fnv::new();
+        h.bytes(&wire::encode_galois_keys(&keys, &params));
+        pins.check(format!("{name} galois keys"), h.0, keys_pin);
+
+        let encoder = BatchEncoder::new(params.clone());
+        let slots: Vec<u64> = (0..N as u64).map(|i| i % 97).collect();
+        let ct0 = Encryptor::from_public_key(pk, 8)
+            .encrypt(&encoder.encode(&slots).unwrap())
+            .unwrap();
+        let evaluator = Evaluator::new(params.clone());
+        let mut h = Fnv::new();
+        for level in 0..=params.max_level() {
+            let ct = evaluator.mod_switch_to(&ct0, level).unwrap();
+            let hoisted = evaluator.hoist(&ct).unwrap();
+            for step in STEPS {
+                let direct = evaluator.rotate_rows(&ct, step, &keys).unwrap();
+                let replay = evaluator
+                    .rotate_hoisted(&ct, &hoisted, step, &keys)
+                    .unwrap();
+                for out in [&direct, &replay] {
+                    h.words(out.c0().data());
+                    h.words(out.c1().data());
+                }
+            }
+        }
+        pins.check(format!("{name} rotations"), h.0, rotations_pin);
+    }
+    pins.finish();
+}
+
+/// `(preset, digest of every transcript label and payload in order)`.
+const SESSION_PINS: [(&str, u64); 2] = [
+    ("rns_3x36", 0x17eb_6ef6_15ac_1c73),
+    ("hybrid_2x36", 0x9672_a238_2ffb_a839),
+];
+
+#[test]
+fn tiny_cnn_transcript_keeps_its_bits() {
+    // The net, weights, input and seed of
+    // `session_conformance.rs::tiny_cnn_conformance_on_all_preset_chains`.
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 2024);
+    let input = random_input(&net.input_shape, 3, 2025);
+    let mut pins = Pins::default();
+    for (name, pin) in SESSION_PINS {
+        let mut session = PrivateInferenceSession::new(&net, &weights, preset(name), 7).unwrap();
+        let (_, transcript) = session.run(&input).unwrap();
+        let mut h = Fnv::new();
+        let mut payloads = 0;
+        for m in transcript.messages() {
+            payloads += usize::from(!m.payload.is_empty());
+            h.bytes(m.label.as_bytes());
+            h.bytes(&m.payload);
+        }
+        assert_eq!(
+            payloads, 6,
+            "{name}: 3 uploads and 3 downloads carry payloads"
+        );
+        pins.check(format!("{name} tiny_cnn transcript"), h.0, pin);
+    }
+    pins.finish();
+}
