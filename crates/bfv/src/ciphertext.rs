@@ -220,33 +220,6 @@ impl Ciphertext {
     }
 }
 
-/// A windowed encryption: encryptions of `W^i · m` for
-/// `i = 0..l_pt`, enabling low-noise plaintext multiplication by digit
-/// decomposition (Gazelle's "plaintext windowing", modeled in Table III as
-/// the `l_pt`/`W_dcmp` terms).
-///
-/// The client sends `l_pt` ciphertexts instead of one — compute and
-/// bandwidth grow by `l_pt`, noise shrinks by `t/(l_pt·W)`.
-#[derive(Debug, Clone)]
-pub struct WindowedCiphertext {
-    /// `cts[i]` encrypts `W^i · m (mod t)`.
-    pub cts: Vec<Ciphertext>,
-    /// The window base `W`.
-    pub base: u64,
-}
-
-impl WindowedCiphertext {
-    /// Number of windows (`l_pt`).
-    pub fn levels(&self) -> usize {
-        self.cts.len()
-    }
-
-    /// Total serialized size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.cts.iter().map(Ciphertext::byte_size).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,14 +7,13 @@
 //! single-modulus rounding bit-for-bit, and longer chains get exact
 //! wide-modulus decryption without any big-integer polynomial arithmetic.
 
-use crate::arith::Modulus;
-use crate::ciphertext::{Ciphertext, WindowedCiphertext};
+use crate::ciphertext::Ciphertext;
 use crate::encoder::Plaintext;
 use crate::error::{Error, Result};
 use crate::keys::{PublicKey, SecretKey};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::poly::{decomposition_levels, Poly, Representation};
+use crate::poly::{Poly, Representation};
 use crate::rns::RnsPoly;
 use crate::sampling::BfvRng;
 
@@ -156,43 +155,6 @@ impl Encryptor {
             NoiseEstimate::fresh(&self.params),
         ))
     }
-
-    /// Windowed encryption (Gazelle plaintext windowing): encrypts
-    /// `W^i · m (mod t)` for `i = 0..l_pt` with `W = W_dcmp`.
-    ///
-    /// Combined with
-    /// [`crate::evaluator::Evaluator::mul_plain_windowed`], multiplication
-    /// noise shrinks from `n·t/2·v` to `n·l_pt·W/2·v` (Table III) at the
-    /// cost of `l_pt×` more ciphertexts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ParameterMismatch`] for foreign plaintexts.
-    pub fn encrypt_windowed(&mut self, pt: &Plaintext) -> Result<WindowedCiphertext> {
-        self.params.check_same(pt.params())?;
-        let t = *self.params.plain_modulus();
-        let w = self.params.w_dcmp();
-        let levels = self.params.l_pt();
-        let mut cts = Vec::with_capacity(levels);
-        let mut scale = 1u64;
-        for i in 0..levels {
-            let scaled: Vec<u64> = pt
-                .poly()
-                .data()
-                .iter()
-                .map(|&m| t.mul_mod(scale, m))
-                .collect();
-            let scaled_pt = Plaintext::from_poly(
-                Poly::from_data(scaled, Representation::Coeff),
-                self.params.clone(),
-            )?;
-            cts.push(self.encrypt(&scaled_pt)?);
-            if i + 1 < levels {
-                scale = t.mul_mod(scale, t.reduce(w));
-            }
-        }
-        Ok(WindowedCiphertext { cts, base: w })
-    }
 }
 
 /// Decrypts ciphertexts and measures true noise against the secret key.
@@ -312,16 +274,6 @@ impl Decryptor {
             return Err(Error::NoiseBudgetExhausted);
         }
         self.decrypt(ct)
-    }
-}
-
-/// Derives the number of windows a plaintext modulus `t` needs at base `w`
-/// (`l_pt`), mirroring [`BfvParams::l_pt`] for standalone use.
-pub fn plaintext_windows(t: &Modulus, w: u64) -> usize {
-    if w >= t.value() {
-        1
-    } else {
-        decomposition_levels(t.value(), w)
     }
 }
 
@@ -469,32 +421,6 @@ mod tests {
         let budget = dec.invariant_noise_budget(&ct).unwrap();
         assert!(budget > 20.0, "budget {budget}");
         assert!(budget <= params.noise_ceiling().log2());
-    }
-
-    #[test]
-    fn windowed_encryption_encrypts_scaled_copies() {
-        let params = BfvParams::builder()
-            .degree(2048)
-            .plain_bits(16)
-            .cipher_bits(54)
-            .w_dcmp(1 << 8)
-            .build()
-            .unwrap();
-        assert_eq!(params.l_pt(), 2);
-        let mut kg = KeyGenerator::from_seed(params.clone(), 11);
-        let pk = kg.public_key().unwrap();
-        let mut enc = Encryptor::from_public_key(pk, 12);
-        let dec = Decryptor::new(kg.secret_key().clone());
-        let encoder = BatchEncoder::new(params.clone());
-        let pt = encoder.encode(&[5, 6]).unwrap();
-        let wct = enc.encrypt_windowed(&pt).unwrap();
-        assert_eq!(wct.levels(), 2);
-        let t = params.plain_modulus();
-        let d0 = encoder.decode(&dec.decrypt(&wct.cts[0]).unwrap());
-        let d1 = encoder.decode(&dec.decrypt(&wct.cts[1]).unwrap());
-        assert_eq!(d0[0], 5);
-        assert_eq!(d1[0], t.mul_mod(5, 256));
-        assert_eq!(d1[1], t.mul_mod(6, 256));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! modulus switching.
 //!
 //! * [`Evaluator::add`] — SIMD addition (noise adds);
-//! * [`Evaluator::mul_plain`] / [`Evaluator::mul_plain_windowed`] — SIMD
-//!   plaintext-ciphertext multiplication (noise multiplies by
-//!   `≤ n·l_pt·W/2`);
+//! * [`Evaluator::mul_plain`] — SIMD plaintext-ciphertext multiplication
+//!   by an undecomposed plaintext (noise multiplies by `≤ n·W/2`,
+//!   `W = 2·||pt||`; plaintext windowing is priced by HE-PTune only);
 //! * [`Evaluator::rotate_rows`] / [`Evaluator::rotate_columns`] — packed
 //!   slot rotation via Galois automorphism + key switching with ciphertext
 //!   decomposition (noise adds `l_ct·A·B·n/2`);
@@ -91,14 +91,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::ciphertext::{Ciphertext, WindowedCiphertext};
+use crate::ciphertext::Ciphertext;
 use crate::encoder::Plaintext;
 use crate::error::{Error, Result};
 use crate::keys::{element_for_step, GaloisKey, GaloisKeys};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::poly::Representation;
-use crate::rns::{digits_from_coeffs, DotTerm, ModulusChain, PlaneAlign, RnsPoly};
+use crate::rns::{DotTerm, ModulusChain, PlaneAlign, RnsPoly};
 use crate::scratch::Scratch;
 
 /// Running kernel-invocation counters (per evaluator).
@@ -114,8 +114,8 @@ use crate::scratch::Scratch;
 pub struct OpCounts {
     /// `HE_Add` invocations (ct+ct or ct+pt).
     pub add: u64,
-    /// `HE_Mult` invocations (one per plaintext digit — windowed
-    /// multiplication counts `l_pt`).
+    /// `HE_Mult` invocations (one per plaintext-ciphertext product; the
+    /// engine multiplies undecomposed plaintexts, `l_pt = 1`).
     pub mul: u64,
     /// `HE_Rotate` invocations.
     pub rotate: u64,
@@ -127,9 +127,10 @@ pub struct OpCounts {
     /// work. A key switch at level `ℓ` contributes `live` for the `c1`
     /// INTT plus `ks_digits_at(ℓ)` digits × the planes of `ks_chain_at(ℓ)`
     /// — once per direct rotation, once per hoisted set — and, on a
-    /// hybrid chain, `4·live + 2` per rotation for the `P`-rescale.
+    /// hybrid chain, the `P`-rescale per rotation (two accumulators off
+    /// the key-switch chain, both back onto the live planes).
     pub ntt: u64,
-    /// Pointwise polynomial multiplications (2 per `HE_Mult` digit,
+    /// Pointwise polynomial multiplications (2 per `HE_Mult`,
     /// `2·ks_digits_at(ℓ)` per rotate; each spans every plane of its
     /// chain).
     pub poly_mul: u64,
@@ -520,9 +521,7 @@ impl Evaluator {
         let level = a.level();
         Self::check_prepared(pt, level)?;
         let chain = self.params.chain_at(level);
-        let noise = a
-            .noise()
-            .mul_plain_at(&self.params, level, 1, 2 * pt.inf_norm);
+        let noise = a.noise().mul_plain_at(&self.params, level, 2 * pt.inf_norm);
         {
             let (c0, c1) = a.parts_mut();
             c0.mul_assign_pointwise_prefix(&pt.poly, chain)?;
@@ -580,9 +579,7 @@ impl Evaluator {
             self.params.check_same(a.params())?;
             Self::check_levels(level, a.level())?;
             Self::check_prepared(pt, level)?;
-            let term = a
-                .noise()
-                .mul_plain_at(&self.params, level, 1, 2 * pt.inf_norm);
+            let term = a.noise().mul_plain_at(&self.params, level, 2 * pt.inf_norm);
             noise = noise.add(&term);
         }
         let (c0, c1) = acc.parts_mut();
@@ -1228,77 +1225,6 @@ impl Evaluator {
         Ok(out)
     }
 
-    /// `HE_Mult` with plaintext decomposition (Gazelle windowing): the
-    /// weight plaintext is digit-decomposed in base `W_dcmp` and each digit
-    /// multiplies the matching pre-scaled ciphertext from the client's
-    /// [`WindowedCiphertext`], fused-accumulated into a single output
-    /// ciphertext through the scratch pool. Costs `l_pt` polynomial
-    /// multiplications; noise grows by `≈ n·l_pt·W/2` instead of `n·t/2`
-    /// (Table III).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign operands or a windowed
-    /// ciphertext built with a different base.
-    pub fn mul_plain_windowed(
-        &self,
-        wct: &WindowedCiphertext,
-        pt: &Plaintext,
-    ) -> Result<Ciphertext> {
-        self.params.check_same(pt.params())?;
-        if wct.base != self.params.w_dcmp() || wct.levels() != self.params.l_pt() {
-            return Err(Error::ParameterMismatch);
-        }
-        let level = wct.cts.first().map_or(0, Ciphertext::level);
-        for ct in &wct.cts {
-            self.params.check_same(ct.params())?;
-            Self::check_levels(level, ct.level())?;
-        }
-        let chain = self.params.chain_at(level);
-        let live = chain.limbs();
-        let l_pt = wct.levels();
-
-        let mut out = Ciphertext::transparent_zero_at(&self.params, level);
-        let mut noise: Option<NoiseEstimate> = None;
-        {
-            let mut guard = self.scratch_guard();
-            let digits = guard.digits_mut_limbs(l_pt, live);
-            // Digit coefficients are < W <= t < every q_i: replicate each
-            // digit across the live limb planes and lift directly into the
-            // evaluation domain.
-            digits_from_coeffs(pt.poly().data(), wct.base, chain, digits)?;
-            let (oc0, oc1) = out.parts_mut();
-            for (digit, ct) in digits.iter_mut().zip(&wct.cts) {
-                digit.to_eval(chain);
-                Self::count(&self.ntt_count, live as u64);
-                Self::count(&self.poly_mul_count, 2);
-                let term = ct.noise().mul_plain_at(&self.params, level, 1, wct.base);
-                noise = Some(match noise {
-                    None => term,
-                    Some(prev) => prev.add(&term),
-                });
-            }
-            let (digits, cts) = (&*digits, &wct.cts);
-            RnsPoly::dot_pair_prefix(
-                oc0,
-                oc1,
-                l_pt,
-                |d| DotTerm {
-                    x0: cts[d].c0(),
-                    x1: cts[d].c1(),
-                    shared: &digits[d],
-                },
-                None,
-                PlaneAlign::Prefix,
-                chain,
-            )?;
-        }
-        Self::count(&self.mul_count, l_pt as u64);
-        // l_pt >= 1 by construction, but the boundary never panics on it.
-        out.set_noise(noise.unwrap_or_else(NoiseEstimate::zero));
-        Ok(out)
-    }
-
     /// `HE_Rotate`: rotates row slots left by `steps` (negative = right).
     ///
     /// Steps wrap around the row: `steps` and `steps mod (n/2)` are the
@@ -1530,49 +1456,6 @@ mod tests {
             c.eval.rotate_rows(&ct, 7, &c.keys),
             Err(Error::MissingGaloisKey { .. })
         ));
-    }
-
-    #[test]
-    fn windowed_mult_reduces_noise() {
-        // Compare noise of plain mult vs windowed mult with W = 2^6.
-        let params = BfvParams::builder()
-            .degree(2048)
-            .plain_bits(16)
-            .cipher_bits(54)
-            .w_dcmp(1 << 6)
-            .build()
-            .unwrap();
-        assert_eq!(params.l_pt(), 3);
-        let mut kg = KeyGenerator::from_seed(params.clone(), 21);
-        let pk = kg.public_key().unwrap();
-        let mut enc = Encryptor::from_public_key(pk, 22);
-        let dec = Decryptor::new(kg.secret_key().clone());
-        let encoder = BatchEncoder::new(params.clone());
-        let eval = Evaluator::new(params.clone());
-
-        let x: Vec<u64> = (1..=64).collect();
-        let w: Vec<u64> = (1..=64).map(|i| 1000 + i).collect();
-        let px = encoder.encode(&x).unwrap();
-        let pw = encoder.encode(&w).unwrap();
-
-        let ct = enc.encrypt(&px).unwrap();
-        let wct = enc.encrypt_windowed(&px).unwrap();
-
-        let plain_prod = eval
-            .mul_plain(&ct, &eval.prepare_plaintext(&pw).unwrap())
-            .unwrap();
-        let window_prod = eval.mul_plain_windowed(&wct, &pw).unwrap();
-
-        let t = params.plain_modulus();
-        let d1 = encoder.decode(&dec.decrypt_checked(&plain_prod).unwrap());
-        let d2 = encoder.decode(&dec.decrypt_checked(&window_prod).unwrap());
-        for i in 0..64 {
-            assert_eq!(d1[i], t.mul_mod(x[i], w[i]));
-            assert_eq!(d2[i], d1[i], "slot {i}");
-        }
-        let n1 = dec.invariant_noise(&plain_prod).unwrap();
-        let n2 = dec.invariant_noise(&window_prod).unwrap();
-        assert!(n2 < n1, "windowed {n2} should be below plain {n1}");
     }
 
     #[test]

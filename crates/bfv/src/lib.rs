@@ -2,17 +2,20 @@
 //!
 //! The HE substrate of the Cheetah reproduction (HPCA 2021,
 //! arXiv:2006.00505). This crate is a from-scratch implementation of the
-//! BFV scheme with exactly the knobs the paper tunes (Table II):
-//! polynomial degree `n`, plaintext modulus `t`, ciphertext modulus `q`,
-//! plaintext decomposition base `W_dcmp`, ciphertext decomposition base
-//! `A_dcmp`, and noise σ.
+//! BFV scheme with the Table II knobs the engine runs: polynomial degree
+//! `n`, plaintext modulus `t`, ciphertext modulus `q`, ciphertext
+//! decomposition base `A_dcmp`, and noise σ. The sixth knob, the plaintext
+//! decomposition base `W_dcmp`, is tuned only by HE-PTune
+//! (`cheetah_core::ptune`), which prices Gazelle-style windowing
+//! analytically; the engine multiplies undecomposed plaintexts
+//! (`l_pt = 1`, the Sched-PA point of §V-C).
 //!
 //! The three BFV operators of §III-B1 are provided by [`Evaluator`]:
-//! `HE_Add`, pt-ct `HE_Mult` (with optional Gazelle-style plaintext
-//! windowing), and `HE_Rotate` (Galois automorphism + key switching with
-//! ciphertext decomposition). Polynomials default to the evaluation (NTT)
-//! domain, as Cheetah does, and every ciphertext carries a live Table-III
-//! noise estimate that tests reconcile against exact measured noise.
+//! `HE_Add`, pt-ct `HE_Mult`, and `HE_Rotate` (Galois automorphism + key
+//! switching with ciphertext decomposition). Polynomials default to the
+//! evaluation (NTT) domain, as Cheetah does, and every ciphertext carries
+//! a live Table-III noise estimate that tests reconcile against exact
+//! measured noise.
 //!
 //! ## Leveled evaluation
 //!
@@ -106,7 +109,7 @@ pub mod scratch;
 pub mod simd;
 pub mod wire;
 
-pub use ciphertext::{Ciphertext, WindowedCiphertext};
+pub use ciphertext::Ciphertext;
 pub use encoder::{BatchEncoder, Plaintext};
 pub use encryptor::{Decryptor, Encryptor};
 pub use error::{Error, Result};
@@ -122,9 +125,7 @@ pub use scratch::{Scratch, ScratchLease, ScratchPool};
 pub use simd::SimdBackend;
 pub use wire::{
     chain_fingerprint, ciphertext_wire_bytes, decode_ciphertext, decode_galois_keys,
-    decode_plaintext_mask, decode_public_key, encode_ciphertext, encode_ciphertext_seeded,
-    encode_galois_keys, encode_plaintext_mask, encode_public_key, encode_public_key_seeded,
-    galois_keys_wire_bytes, plaintext_mask_wire_bytes, public_key_wire_bytes,
-    seeded_ciphertext_wire_bytes, seeded_public_key_wire_bytes, split_ciphertext_messages,
-    HEADER_BYTES, SEED_BYTES,
+    decode_public_key, encode_ciphertext, encode_ciphertext_seeded, encode_galois_keys,
+    encode_public_key_seeded, galois_keys_wire_bytes, seeded_ciphertext_wire_bytes,
+    seeded_public_key_wire_bytes, split_ciphertext_messages, HEADER_BYTES, SEED_BYTES,
 };

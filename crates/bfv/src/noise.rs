@@ -4,7 +4,7 @@
 //! Two parallel estimates are tracked:
 //!
 //! * **worst-case bound** — the Table III expressions
-//!   (`v0 ≤ 2nB²`, add: `v0+v1`, pt-mult: `n·l_pt·W·v/2`,
+//!   (`v0 ≤ 2nB²`, add: `v0+v1`, pt-mult: `n·W·v/2`,
 //!   rotate: `v + l_ct·A·B·n/2`);
 //! * **variance** — the statistical (IBDG) model of §IV-B: encryption noise
 //!   coefficients are independent bounded sub-Gaussians, and every HE
@@ -86,16 +86,14 @@ impl NoiseEstimate {
         }
     }
 
-    /// Noise after plaintext multiplication with decomposition
-    /// (Table III: `n·l_pt·W_dcmp·v/2`), plus the scaling-rounding term,
-    /// at level 0.
-    pub fn mul_plain(&self, params: &BfvParams, l_pt: usize, w_base: u64) -> Self {
-        self.mul_plain_at(params, 0, l_pt, w_base)
+    /// Noise after plaintext multiplication (Table III: `n·W·v/2` with
+    /// `l_pt = 1` — the engine multiplies undecomposed plaintexts), plus
+    /// the scaling-rounding term, at level 0.
+    pub fn mul_plain(&self, params: &BfvParams, w_base: u64) -> Self {
+        self.mul_plain_at(params, 0, w_base)
     }
 
-    /// Noise after plaintext multiplication at a level.
-    ///
-    /// `l_pt = 1` and `W = 2·||pt||` models the undecomposed case.
+    /// Noise after plaintext multiplication at a level; `W = 2·||pt||`.
     ///
     /// Because `Δ_ℓ·t = Q_ℓ − (Q_ℓ mod t)`, multiplying `Δ_ℓ·m + v` by a
     /// lifted plaintext also injects `−(Q_ℓ mod t)·⌊mw/t⌋`: effectively
@@ -103,14 +101,14 @@ impl NoiseEstimate {
     /// congruent generators drive `Q_ℓ mod t` to 1 where a prime of the
     /// right shape exists; otherwise the model charges the live residue of
     /// the ciphertext's level (`r` below).
-    pub fn mul_plain_at(&self, params: &BfvParams, level: usize, l_pt: usize, w_base: u64) -> Self {
+    pub fn mul_plain_at(&self, params: &BfvParams, level: usize, w_base: u64) -> Self {
         let n = params.degree() as f64;
         let r = params.q_mod_t_at(level).max(1) as f64;
-        let factor = n * l_pt as f64 * w_base as f64 / 2.0;
+        let factor = n * w_base as f64 / 2.0;
         // Variance: each output coefficient is a sum of n products of noise
-        // with plaintext digits uniform in [0, W): E[w²] ≈ W²/3. The
+        // with plaintext coefficients uniform in [0, W): E[w²] ≈ W²/3. The
         // rounding digits are ~uniform in [0, r): variance r²/12.
-        let var_factor = n * l_pt as f64 * (w_base as f64 * w_base as f64) / 3.0;
+        let var_factor = n * (w_base as f64 * w_base as f64) / 3.0;
         Self {
             bound_log2: log2_sum(self.bound_log2, r.log2()) + factor.log2(),
             variance_log2: log2_sum(self.variance_log2, (r * r / 12.0).log2()) + var_factor.log2(),
@@ -221,7 +219,7 @@ impl NoiseEstimate {
     ) -> Self {
         let term = self
             .rotate_at(params, level)
-            .mul_plain_at(params, level, 1, w_base);
+            .mul_plain_at(params, level, w_base);
         let mut inner = term;
         for _ in 1..baby.max(1) {
             inner = inner.add(&term);
@@ -369,7 +367,7 @@ mod tests {
     fn mul_is_multiplicative_rotate_is_additive() {
         let p = params();
         let fresh = NoiseEstimate::fresh(&p);
-        let after_mul = fresh.mul_plain(&p, 1, p.plain_modulus().value());
+        let after_mul = fresh.mul_plain(&p, p.plain_modulus().value());
         // Multiplicative growth: bound increases by log2(n*t/2) ≈ 12+17-1.
         assert!(after_mul.bound_log2 - fresh.bound_log2 > 25.0);
         let after_rot = fresh.rotate(&p);
@@ -385,8 +383,8 @@ mod tests {
         let p = params();
         let fresh = NoiseEstimate::fresh(&p);
         let w = p.plain_modulus().value();
-        let pa = fresh.mul_plain(&p, 1, w).rotate(&p);
-        let ia = fresh.rotate(&p).mul_plain(&p, 1, w);
+        let pa = fresh.mul_plain(&p, w).rotate(&p);
+        let ia = fresh.rotate(&p).mul_plain(&p, w);
         assert!(ia.bound_log2 > pa.bound_log2);
         assert!(ia.variance_log2 > pa.variance_log2);
     }
@@ -403,7 +401,7 @@ mod tests {
         let w = 2 * 5;
         let bsgs = fresh.bsgs_matvec_at(&p, 0, 4, 4, w);
         // Flat IA model: 16 terms of rotate-then-mul.
-        let term = fresh.rotate(&p).mul_plain(&p, 1, w);
+        let term = fresh.rotate(&p).mul_plain(&p, w);
         let mut flat = term;
         for _ in 1..16 {
             flat = flat.add(&term);
@@ -422,7 +420,7 @@ mod tests {
     #[test]
     fn statistical_budget_exceeds_worst_case_budget() {
         let p = params();
-        let e = NoiseEstimate::fresh(&p).mul_plain(&p, 1, p.plain_modulus().value());
+        let e = NoiseEstimate::fresh(&p).mul_plain(&p, p.plain_modulus().value());
         assert!(e.budget_bits_statistical(&p) > e.budget_bits_worst(&p));
     }
 

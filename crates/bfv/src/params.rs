@@ -5,7 +5,6 @@
 //! | `n`       | polynomial degree (slot vector length) |
 //! | `t`       | plaintext modulus |
 //! | `q_0…q_{l-1}` | the ciphertext modulus chain, `Q = Π q_i` |
-//! | `W_dcmp`  | plaintext (weight) decomposition base |
 //! | `A_dcmp`  | ciphertext (activation) decomposition base |
 //! | `σ`       | std-dev of the encryption noise (fixed) |
 //!
@@ -63,7 +62,6 @@ use crate::arith::{
 };
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
-use crate::poly::decomposition_levels;
 use crate::rns::{ModulusChain, RnsPoly};
 
 /// Default encryption-noise standard deviation (SEAL's default).
@@ -131,7 +129,6 @@ struct ParamsInner {
     /// The special key-switch prime `P` (hybrid `P·Q` key switching).
     /// Never live for ciphertext data: the data chain above excludes it.
     special: Option<Modulus>,
-    w_dcmp: u64,
     a_dcmp: u64,
     sigma: f64,
     t_table: Arc<NttTable>,
@@ -178,7 +175,6 @@ impl fmt::Debug for BfvParams {
                     .collect::<Vec<_>>(),
             )
             .field("special", &self.inner.special.as_ref().map(Modulus::value))
-            .field("w_dcmp", &self.inner.w_dcmp)
             .field("a_dcmp", &self.inner.a_dcmp)
             .field("sigma", &self.inner.sigma)
             .finish()
@@ -193,7 +189,6 @@ impl PartialEq for BfvParams {
                 && self.chain() == other.chain()
                 && self.inner.special.as_ref().map(Modulus::value)
                     == other.inner.special.as_ref().map(Modulus::value)
-                && self.inner.w_dcmp == other.inner.w_dcmp
                 && self.inner.a_dcmp == other.inner.a_dcmp)
     }
 }
@@ -459,12 +454,6 @@ impl BfvParams {
         self.inner.levels[level].ks_digits
     }
 
-    /// Plaintext (weight) decomposition base `W_dcmp`.
-    #[inline]
-    pub fn w_dcmp(&self) -> u64 {
-        self.inner.w_dcmp
-    }
-
     /// Ciphertext (activation) decomposition base `A_dcmp`.
     #[inline]
     pub fn a_dcmp(&self) -> u64 {
@@ -593,16 +582,6 @@ impl BfvParams {
             .rns_decomposition_levels(self.inner.a_dcmp)
     }
 
-    /// `l_pt = ceil(log_{W_dcmp}(t))` — plaintext decomposition levels.
-    /// Equals 1 when `W_dcmp >= t` (no decomposition, the Sched-PA default).
-    pub fn l_pt(&self) -> usize {
-        if self.inner.w_dcmp >= self.inner.t.value() {
-            1
-        } else {
-            decomposition_levels(self.inner.t.value(), self.inner.w_dcmp)
-        }
-    }
-
     /// Number of plaintext slots (equals the degree `n`; arranged as a
     /// `2 × n/2` matrix for rotation purposes).
     #[inline]
@@ -637,7 +616,8 @@ impl BfvParams {
     }
 
     /// Errors unless `other` is the same parameter set (degree, plaintext
-    /// modulus, modulus chain, and decomposition bases all match) —
+    /// modulus, modulus chain, special prime and decomposition base all
+    /// match) —
     /// ciphertexts from a foreign chain are rejected here.
     pub fn check_same(&self, other: &BfvParams) -> Result<()> {
         if self == other {
@@ -745,7 +725,6 @@ pub struct BfvParamsBuilder {
     moduli_bits: Option<Vec<u32>>,
     special_modulus: Option<u64>,
     special_bits: Option<u32>,
-    w_dcmp: Option<u64>,
     a_dcmp: u64,
     sigma: f64,
     security: SecurityLevel,
@@ -759,8 +738,8 @@ impl Default for BfvParamsBuilder {
 
 impl BfvParamsBuilder {
     /// Creates a builder with Cheetah-flavored defaults
-    /// (`n = 4096`, 17-bit `t`, one 60-bit limb, `A_dcmp = 2^20`, no
-    /// plaintext decomposition, `σ = 3.2`).
+    /// (`n = 4096`, 17-bit `t`, one 60-bit limb, `A_dcmp = 2^20`,
+    /// `σ = 3.2`).
     pub fn new() -> Self {
         Self {
             n: 4096,
@@ -771,7 +750,6 @@ impl BfvParamsBuilder {
             moduli_bits: None,
             special_modulus: None,
             special_bits: None,
-            w_dcmp: None,
             a_dcmp: 1 << 20,
             sigma: DEFAULT_SIGMA,
             security: SecurityLevel::default(),
@@ -845,13 +823,6 @@ impl BfvParamsBuilder {
     pub fn special_bits(&mut self, bits: u32) -> &mut Self {
         self.special_bits = Some(bits);
         self.special_modulus = None;
-        self
-    }
-
-    /// Sets the plaintext decomposition base `W_dcmp`. Values `>= t`
-    /// disable plaintext decomposition (`l_pt = 1`).
-    pub fn w_dcmp(&mut self, base: u64) -> &mut Self {
-        self.w_dcmp = Some(base);
         self
     }
 
@@ -1019,12 +990,6 @@ impl BfvParamsBuilder {
             }
         }
         chain.check_decomposition_base(self.a_dcmp)?;
-        // The plaintext window base is decomposed limb-wise too (windowed
-        // multiplication lifts its digits into every plane), so it gets the
-        // same per-limb bound — rejecting here turns a mid-inference
-        // runtime error into a build-time one.
-        let w_dcmp = self.w_dcmp.unwrap_or(t_val.next_power_of_two());
-        chain.check_decomposition_base(w_dcmp)?;
         let t_table = NttTable::cached(self.n, t)?;
         // One LevelData per level: level ℓ keeps the first `limbs - ℓ`
         // limbs. Level 0 reuses the already-built full chain; the prefix
@@ -1076,7 +1041,6 @@ impl BfvParamsBuilder {
                 t,
                 levels,
                 special,
-                w_dcmp,
                 a_dcmp: self.a_dcmp,
                 sigma: self.sigma,
                 t_table,
@@ -1244,15 +1208,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(p.l_ct(), 3);
-        // default w_dcmp >= t disables plaintext decomposition
-        assert_eq!(p.l_pt(), 1);
-        let p2 = BfvParams::builder()
-            .degree(4096)
-            .plain_bits(17)
-            .w_dcmp(1 << 6)
-            .build()
-            .unwrap();
-        assert_eq!(p2.l_pt(), 3); // ceil(17/6)
 
         // Multi-limb: l_ct sums the per-limb digit counts of the
         // RNS-native decomposition (3 limbs × ceil(36/20) digits).
@@ -1279,10 +1234,6 @@ mod tests {
         assert!(matches!(
             BfvParams::builder().a_dcmp(3).build(),
             Err(Error::InvalidDecompositionBase(3))
-        ));
-        assert!(matches!(
-            BfvParams::builder().w_dcmp(6).build(),
-            Err(Error::InvalidDecompositionBase(6))
         ));
         // A_dcmp must stay below every limb: 2^20 >= a 30-bit limb is fine,
         // but 2^30 is not.

@@ -928,55 +928,6 @@ impl RnsPoly {
     }
 }
 
-/// Fills base-`base` digit polynomials directly from small single-modulus
-/// coefficients (each `< base^levels`, e.g. a plaintext mod `t`): digit
-/// `d` of coefficient `j` is replicated across every limb plane of
-/// `digits[d]`. Used by windowed plaintext multiplication, where the digit
-/// source lives mod `t` rather than mod `Q`.
-///
-/// # Errors
-///
-/// [`Error::InvalidDecompositionBase`] for a bad base and
-/// [`Error::ParameterMismatch`] if shapes mismatch (`digits` must hold
-/// `ceil(log_base t)`-style levels chosen by the caller).
-pub fn digits_from_coeffs(
-    coeffs: &[u64],
-    base: u64,
-    chain: &ModulusChain,
-    digits: &mut [RnsPoly],
-) -> Result<()> {
-    chain.check_decomposition_base(base)?;
-    if coeffs.len() != chain.degree() || digits.is_empty() {
-        return Err(Error::ParameterMismatch);
-    }
-    for d in digits.iter_mut() {
-        chain.check_poly(d)?;
-        d.repr = Representation::Coeff;
-    }
-    let log_base = base.trailing_zeros();
-    let mask = base - 1;
-    let (l, n) = (chain.limbs(), chain.degree());
-    // `digits` must cover every coefficient: base^digits.len() > max coeff.
-    // (Shift width is capped at 63 so huge level counts don't overflow.)
-    let covered_bits = (log_base as usize * digits.len()).min(64) as u32;
-    let max_coeff = coeffs.iter().copied().max().unwrap_or(0);
-    if covered_bits < 64 && max_coeff >> covered_bits != 0 {
-        return Err(Error::ParameterMismatch);
-    }
-    for (j, &c) in coeffs.iter().enumerate() {
-        let mut rem = c;
-        for digit in digits.iter_mut() {
-            let v = rem & mask;
-            for i in 0..l {
-                digit.data[i * n + j] = v;
-            }
-            rem >>= log_base;
-        }
-        debug_assert_eq!(rem, 0, "coefficient exceeded base^levels");
-    }
-    Ok(())
-}
-
 fn repr_name(r: Representation) -> &'static str {
     match r {
         Representation::Coeff => "coefficient",

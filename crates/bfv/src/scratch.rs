@@ -37,17 +37,18 @@ use crate::rns::RnsPoly;
 /// `limbs` planes.
 ///
 /// `take_poly`/`take_poly_limbs`/`put_poly` lease buffers in LIFO order
-/// per live-limb count; `digits_mut`/`digits_mut_limbs` expose a
-/// persistent slice of digit polynomials for base decompositions. All
-/// buffers keep their capacity across uses, so steady-state operation
-/// never touches the allocator.
+/// per live-limb count; the key switch leases a persistent digit store
+/// and shapes it to its level. All buffers keep their capacity across
+/// uses, so steady-state operation never touches the allocator.
 #[derive(Debug)]
 pub struct Scratch {
     n: usize,
     limbs: usize,
     /// `free[k-1]`: pooled buffers of `k · n` words (live-limb count `k`).
     free: Vec<Vec<Vec<u64>>>,
-    /// The digit store: polynomials of one live-limb count.
+    /// The key-switch digit store: `ks_digits_at(level)` polynomials on
+    /// `ks_chain_at(level)`, reshaped by the key switch when the level
+    /// changes.
     digits: Vec<RnsPoly>,
     /// The hoist store between [`Scratch::take_hoisted`] leases.
     hoisted: Option<HoistedDecomposition>,
@@ -125,43 +126,12 @@ impl Scratch {
         self.free[limbs - 1].push(buf);
     }
 
-    /// A persistent slice of `count` full-width digit polynomials
-    /// (coefficient form, contents dirty). See
-    /// [`Scratch::digits_mut_limbs`].
-    pub fn digits_mut(&mut self, count: usize) -> &mut [RnsPoly] {
-        self.digits_mut_limbs(count, self.limbs)
-    }
-
-    /// A persistent slice of `count` digit polynomials of `limbs` live
-    /// planes (coefficient form, contents dirty). Grown on first use and
-    /// reused afterwards; changing the live-limb count reshapes the store
-    /// (one allocation per level change, not per operation). The key
-    /// switch leases the same store (`take_digits`) and shapes
-    /// it to `BfvParams::ks_digits_at(level)` digits of
-    /// `BfvParams::ks_chain_at(level)`'s planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `limbs` is outside `1..=self.limbs()`.
-    pub fn digits_mut_limbs(&mut self, count: usize, limbs: usize) -> &mut [RnsPoly] {
-        assert!(
-            limbs >= 1 && limbs <= self.limbs,
-            "live limb count {limbs} outside this pool's 1..={}",
-            self.limbs
-        );
-        if self.digits.first().is_some_and(|d| d.limbs() != limbs) {
-            self.digits.clear();
-        }
-        while self.digits.len() < count {
-            self.digits
-                .push(RnsPoly::zero_with(limbs, self.n, Representation::Coeff));
-        }
-        &mut self.digits[..count]
-    }
-
     /// Leases the digit store itself, whatever its shape: a key switch
-    /// shapes it and holds it across two halves that each lease buffers
-    /// of their own. Return it with [`Scratch::put_digits`].
+    /// shapes it to `BfvParams::ks_digits_at(level)` digits of
+    /// `BfvParams::ks_chain_at(level)`'s planes (one allocation per level
+    /// change, not per operation) and holds it across two halves that
+    /// each lease buffers of their own. Return it with
+    /// [`Scratch::put_digits`].
     pub(crate) fn take_digits(&mut self) -> Vec<RnsPoly> {
         std::mem::take(&mut self.digits)
     }
@@ -369,25 +339,68 @@ mod tests {
         assert_eq!(s.pooled(), 1);
     }
 
+    /// Rotates `ct` by one step through `s`, then returns the digit
+    /// store's `(count, planes, address of the first digit)`.
+    fn rotate_and_inspect(
+        eval: &crate::Evaluator,
+        ct: &Ciphertext,
+        keys: &crate::GaloisKeys,
+        s: &mut Scratch,
+    ) -> (usize, usize, *const u64) {
+        let mut out = Ciphertext::transparent_zero(eval.params());
+        eval.rotate_rows_into(&mut out, ct, 1, keys, s).unwrap();
+        let digits = s.take_digits();
+        let shape = (digits.len(), digits[0].limbs(), digits[0].data().as_ptr());
+        s.put_digits(digits);
+        shape
+    }
+
+    fn rotation_fixture(params: &BfvParams) -> (crate::Evaluator, Ciphertext, crate::GaloisKeys) {
+        let mut kg = crate::KeyGenerator::from_seed(params.clone(), 3);
+        let keys = kg.galois_keys_for_steps(&[1]).unwrap();
+        let pt = crate::BatchEncoder::new(params.clone())
+            .encode(&[1, 2])
+            .unwrap();
+        let ct = crate::Encryptor::from_secret_key(kg.secret_key().clone(), 4)
+            .encrypt(&pt)
+            .unwrap();
+        (crate::Evaluator::new(params.clone()), ct, keys)
+    }
+
     #[test]
     fn digits_grow_once_and_persist() {
-        let mut s = Scratch::new(8, 1);
-        let d = s.digits_mut(3);
-        assert_eq!(d.len(), 3);
-        d[0].data_mut()[0] = 7;
-        let d2 = s.digits_mut(2);
-        assert_eq!(d2[0].data()[0], 7, "digit storage persists");
-        assert_eq!(s.digits_mut(3).len(), 3);
+        // The key switch's digit store is allocated by the first rotation
+        // and recycled, same buffer, by every later one at that level.
+        let params = BfvParams::preset_rns_2x30(4096).unwrap();
+        let (eval, ct, keys) = rotation_fixture(&params);
+        let mut s = Scratch::new(params.degree(), params.scratch_limbs());
+        let first = rotate_and_inspect(&eval, &ct, &keys, &mut s);
+        assert_eq!((first.0, first.1), (params.ks_digits_at(0), 2));
+        let again = rotate_and_inspect(&eval, &ct, &keys, &mut s);
+        assert_eq!(again, first, "digit storage persists");
     }
 
     #[test]
     fn digit_store_reshapes_on_level_change() {
-        let mut s = Scratch::new(8, 2);
-        let d = s.digits_mut_limbs(2, 2);
-        assert_eq!(d[0].limbs(), 2);
-        let d = s.digits_mut_limbs(2, 1);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[0].limbs(), 1, "digits reshape to the live level");
+        // One scratch, rotations at two levels: the key switch reshapes the
+        // store to each level's ks_digits_at × ks_chain_at planes.
+        for params in [
+            BfvParams::preset_rns_3x36(4096).unwrap(),
+            BfvParams::preset_hybrid_2x36(4096).unwrap(),
+        ] {
+            let (eval, ct, keys) = rotation_fixture(&params);
+            let mut s = Scratch::new(params.degree(), params.scratch_limbs());
+            for level in [0, 1, 0] {
+                let at = eval.mod_switch_to(&ct, level).unwrap();
+                let (count, planes, _) = rotate_and_inspect(&eval, &at, &keys, &mut s);
+                assert_eq!(count, params.ks_digits_at(level), "level {level}");
+                assert_eq!(
+                    planes,
+                    params.ks_chain_at(level).limbs(),
+                    "digits reshape to the live level"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,14 @@
 //! `2·live·n·8` bytes the transcript accounting has always charged —
 //! the header is the only framing overhead.
 //!
+//! Four kinds cross the boundary: full ciphertexts (kind 1, downloads),
+//! Galois key sets (kind 3, setup), seeded ciphertexts (kind 5, uploads)
+//! and seeded public keys (kind 6, setup). Kinds 2 (full public key) and
+//! 4 (plaintext mask) are **retired**: no round sent them — a session
+//! ships its public key seeded, and masks are added under encryption and
+//! never serialized — so their bytes decode as unknown kinds and are
+//! never reused.
+//!
 //! **Seeded compression (format version 2).** A *fresh* symmetric
 //! ciphertext has `c1 = a` drawn uniformly, and a public key has
 //! `pk1 = a` likewise — both are pure PRNG output, so shipping the full
@@ -29,9 +37,9 @@
 //! nearly halving upload bytes (`8 + live·n·8` payload instead of
 //! `2·live·n·8`). Seeded ciphertexts are level-0 by construction (only
 //! fresh encryptions have a uniform `c1`; anything key-switched or
-//! mod-switched does not). Version negotiation is per message: decoders
-//! accept both formats by kind — version 1 for full kinds, version 2 for
-//! seeded kinds — so old transcripts still decode unchanged.
+//! mod-switched does not). Version negotiation is per message: a
+//! ciphertext decoder accepts both formats by kind — version 1 for full
+//! kinds, version 2 for seeded kinds.
 //!
 //! `decode_*` enforces, in order and **before any arithmetic**: length,
 //! magic/version/kind, fingerprint match against the session's
@@ -58,12 +66,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::ciphertext::Ciphertext;
-use crate::encoder::Plaintext;
 use crate::error::{Error, Result};
 use crate::keys::{check_galois_element, GaloisKey, GaloisKeys, PublicKey};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::poly::{Poly, Representation};
+use crate::poly::Representation;
 use crate::rns::RnsPoly;
 
 /// Wire magic: the first four bytes of every message.
@@ -91,18 +98,16 @@ pub const OFF_LEVEL: usize = 16;
 /// Byte offset of the live-limb-count field.
 pub const OFF_LIVE_LIMBS: usize = 20;
 
-/// Message kinds carried in the header.
+/// Message kinds carried in the header. Bytes 2 (full public key) and 4
+/// (plaintext mask) are retired kinds: they decode as unknown and are
+/// never reused, so every surviving message keeps its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kind {
     /// A BFV ciphertext (two evaluation-form polynomials).
     Ciphertext = 1,
-    /// A public key (two full-width evaluation-form polynomials).
-    PublicKey = 2,
     /// A Galois key set.
     GaloisKeys = 3,
-    /// A packed plaintext mask (one mod-`t` coefficient polynomial).
-    PlaintextMask = 4,
     /// A fresh seeded ciphertext: 8-byte expansion seed + `c0` (v2).
     SeededCiphertext = 5,
     /// A seeded public key: 8-byte expansion seed + `pk0` (v2).
@@ -113,9 +118,7 @@ impl Kind {
     fn from_u8(v: u8) -> Option<Kind> {
         match v {
             1 => Some(Kind::Ciphertext),
-            2 => Some(Kind::PublicKey),
             3 => Some(Kind::GaloisKeys),
-            4 => Some(Kind::PlaintextMask),
             5 => Some(Kind::SeededCiphertext),
             6 => Some(Kind::SeededPublicKey),
             _ => None,
@@ -134,10 +137,10 @@ impl Kind {
 }
 
 /// FNV-1a fingerprint of a parameter chain: degree, plaintext modulus,
-/// every limb prime in order, both decomposition bases, and the special
-/// key-switch prime (0 when absent). Two sessions agree on ciphertext
-/// semantics iff their fingerprints match (modulo the 64-bit collision
-/// bound) — in particular, a hybrid chain and the digit chain over the
+/// every limb prime in order, the decomposition base `A_dcmp`, the
+/// retired plaintext-window slot, and the special key-switch prime (0
+/// when absent). Two sessions agree on ciphertext semantics iff their
+/// fingerprints match (modulo the 64-bit collision bound) — in particular, a hybrid chain and the digit chain over the
 /// same data limbs produce bit-identical ciphertexts but *incompatible*
 /// key material, so the special prime must separate them on the wire.
 pub fn chain_fingerprint(params: &BfvParams) -> u64 {
@@ -152,7 +155,10 @@ pub fn chain_fingerprint(params: &BfvParams) -> u64 {
         mix(q.value());
     }
     mix(params.a_dcmp());
-    mix(params.w_dcmp());
+    // The retired `W_dcmp` slot, at the default every chain carried
+    // (`next_pow2(t)`): recorded transcripts, key bytes and the
+    // `bit_stability.rs` pins depend on it.
+    mix(params.plain_modulus().value().next_power_of_two());
     mix(params.special().map_or(0, |p| p.value()));
     h
 }
@@ -606,27 +612,6 @@ pub fn split_ciphertext_messages<'a>(bytes: &'a [u8], params: &BfvParams) -> Res
 // Public keys
 // ---------------------------------------------------------------------
 
-/// Exact encoded size of a public key.
-pub fn public_key_wire_bytes(params: &BfvParams) -> usize {
-    HEADER_BYTES + 2 * params.limbs() * params.degree() * 8
-}
-
-/// Encodes a public key (always full-width, level 0).
-pub fn encode_public_key(pk: &PublicKey) -> Vec<u8> {
-    let params = pk.params();
-    let mut out = Vec::with_capacity(public_key_wire_bytes(params));
-    write_header(
-        &mut out,
-        Kind::PublicKey,
-        chain_fingerprint(params),
-        0,
-        params.limbs(),
-    );
-    push_words(&mut out, pk.pk0().data());
-    push_words(&mut out, pk.pk1().data());
-    out
-}
-
 /// Exact encoded size of a seeded public key: header + 8-byte seed + the
 /// single `pk0` polynomial.
 pub fn seeded_public_key_wire_bytes(params: &BfvParams) -> usize {
@@ -664,7 +649,14 @@ pub fn encode_public_key_seeded(pk: &PublicKey, seed: u64) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-fn decode_public_key_seeded(bytes: &[u8], params: &BfvParams) -> Result<PublicKey> {
+/// Decodes and validates a seeded public key — the only public-key form a
+/// session ships — and rebuilds `pk1` from its seed.
+///
+/// # Errors
+///
+/// [`Error::Malformed`], [`Error::ChainMismatch`], or
+/// [`Error::InvalidLevel`].
+pub fn decode_public_key(bytes: &[u8], params: &BfvParams) -> Result<PublicKey> {
     let what = "seeded public key";
     let mut r = Reader::new(bytes, what);
     let h = read_header(&mut r, Kind::SeededPublicKey, params)?;
@@ -688,42 +680,6 @@ fn decode_public_key_seeded(bytes: &[u8], params: &BfvParams) -> Result<PublicKe
     let pk0 = read_poly(&mut r, params, h.live, Representation::Eval)?;
     expect_consumed(&r)?;
     let pk1 = crate::sampling::expand_uniform(seed, params.chain());
-    Ok(PublicKey::from_parts(pk0, pk1, params.clone()))
-}
-
-/// Decodes and validates a public key, accepting both the full v1 format
-/// and the seeded v2 format (dispatching on the header's kind byte).
-///
-/// # Errors
-///
-/// [`Error::Malformed`], [`Error::ChainMismatch`], or
-/// [`Error::InvalidLevel`].
-pub fn decode_public_key(bytes: &[u8], params: &BfvParams) -> Result<PublicKey> {
-    if bytes.get(OFF_KIND) == Some(&(Kind::SeededPublicKey as u8)) {
-        return decode_public_key_seeded(bytes, params);
-    }
-    let what = "public key";
-    let mut r = Reader::new(bytes, what);
-    let h = read_header(&mut r, Kind::PublicKey, params)?;
-    if h.level != 0 {
-        return Err(malformed(
-            what,
-            format!(
-                "public keys are level-0 objects, header claims level {}",
-                h.level
-            ),
-        ));
-    }
-    let expect = public_key_wire_bytes(params);
-    if bytes.len() != expect {
-        return Err(malformed(
-            what,
-            format!("needs exactly {expect} bytes, message has {}", bytes.len()),
-        ));
-    }
-    let pk0 = read_poly(&mut r, params, h.live, Representation::Eval)?;
-    let pk1 = read_poly(&mut r, params, h.live, Representation::Eval)?;
-    expect_consumed(&r)?;
     Ok(PublicKey::from_parts(pk0, pk1, params.clone()))
 }
 
@@ -832,104 +788,6 @@ pub fn decode_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys
     }
     expect_consumed(&r)?;
     Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Plaintext masks
-// ---------------------------------------------------------------------
-
-/// Exact encoded size of a packed plaintext mask.
-pub fn plaintext_mask_wire_bytes(params: &BfvParams) -> usize {
-    HEADER_BYTES + params.degree() * 8
-}
-
-/// Encodes a packed plaintext mask: one mod-`t` coefficient polynomial.
-/// The live-limb header field is 1 — a mask has a single (plaintext)
-/// residue plane.
-pub fn encode_plaintext_mask(pt: &Plaintext) -> Vec<u8> {
-    let params = pt.params();
-    let mut out = Vec::with_capacity(plaintext_mask_wire_bytes(params));
-    // Masks have one mod-t plane; the header's limb field says so
-    // directly rather than echoing the ciphertext chain width.
-    out.extend_from_slice(&MAGIC);
-    push_u16(&mut out, VERSION);
-    out.push(Kind::PlaintextMask as u8);
-    out.push(0);
-    push_u64(&mut out, chain_fingerprint(params));
-    push_u32(&mut out, 0);
-    push_u32(&mut out, 1);
-    push_words(&mut out, pt.poly().data());
-    out
-}
-
-/// Decodes and validates a packed plaintext mask: every coefficient must
-/// be a canonical mod-`t` residue.
-///
-/// # Errors
-///
-/// [`Error::Malformed`], [`Error::ChainMismatch`], or
-/// [`Error::InvalidLevel`].
-pub fn decode_plaintext_mask(bytes: &[u8], params: &BfvParams) -> Result<Plaintext> {
-    let what = "plaintext mask";
-    let mut r = Reader::new(bytes, what);
-    // The common header reader checks live limbs against the ciphertext
-    // chain; masks carry exactly one mod-t plane instead, so the header is
-    // read field-by-field here.
-    let magic = r.take(4)?;
-    if magic != MAGIC {
-        return Err(malformed(what, format!("bad magic {magic:02x?}")));
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(malformed(
-            what,
-            format!("unsupported format version {version} (this engine speaks {VERSION})"),
-        ));
-    }
-    let kind_byte = r.take(1)?[0];
-    if Kind::from_u8(kind_byte) != Some(Kind::PlaintextMask) {
-        return Err(malformed(
-            what,
-            format!("message kind {kind_byte} where PlaintextMask was expected"),
-        ));
-    }
-    let _reserved = r.take(1)?;
-    let found = r.u64()?;
-    let expected = chain_fingerprint(params);
-    if found != expected {
-        return Err(Error::ChainMismatch { expected, found });
-    }
-    let level = r.u32()? as usize;
-    let planes = r.u32()? as usize;
-    if level != 0 || planes != 1 {
-        return Err(malformed(
-            what,
-            format!("masks carry one level-0 plane, header claims level {level} / {planes} planes"),
-        ));
-    }
-    let expect = plaintext_mask_wire_bytes(params);
-    if bytes.len() != expect {
-        return Err(malformed(
-            what,
-            format!("needs exactly {expect} bytes, message has {}", bytes.len()),
-        ));
-    }
-    let words = r.words(params.degree())?;
-    let t = params.plain_modulus().value();
-    if let Some(j) = words.iter().position(|&w| w >= t) {
-        return Err(malformed(
-            what,
-            format!(
-                "non-canonical residue {} >= t = {t} at coefficient {j}",
-                words[j]
-            ),
-        ));
-    }
-    expect_consumed(&r)?;
-    Plaintext::from_poly(
-        Poly::from_data(words, Representation::Coeff),
-        params.clone(),
-    )
 }
 
 #[cfg(test)]
@@ -1203,14 +1061,10 @@ mod tests {
         let (pk, pk_seed) = kg.public_key_seeded().unwrap();
         let bytes = encode_public_key_seeded(&pk, pk_seed).unwrap();
         assert_eq!(bytes.len(), seeded_public_key_wire_bytes(&params));
-        assert!(bytes.len() < public_key_wire_bytes(&params));
+        assert_eq!(bytes.len() - HEADER_BYTES, SEED_BYTES + pk.byte_size() / 2);
         let back = decode_public_key(&bytes, &params).unwrap();
         assert_eq!(back.pk0().data(), pk.pk0().data());
         assert_eq!(back.pk1().data(), pk.pk1().data());
-        // Full-format keys still decode through the same entry point.
-        let full = encode_public_key(&pk);
-        let back_full = decode_public_key(&full, &params).unwrap();
-        assert_eq!(back_full.pk1().data(), pk.pk1().data());
         assert!(matches!(
             encode_public_key_seeded(&pk, pk_seed ^ 1),
             Err(Error::Malformed { .. })
@@ -1239,14 +1093,22 @@ mod tests {
     fn public_key_roundtrip() {
         let params = BfvParams::preset_rns_2x30(4096).unwrap();
         let mut kg = KeyGenerator::from_seed(params.clone(), 3);
-        let pk = kg.public_key().unwrap();
-        let bytes = encode_public_key(&pk);
-        assert_eq!(bytes.len(), public_key_wire_bytes(&params));
-        assert_eq!(bytes.len() - HEADER_BYTES, pk.byte_size());
+        let (pk, seed) = kg.public_key_seeded().unwrap();
+        let bytes = encode_public_key_seeded(&pk, seed).unwrap();
+        assert_eq!(bytes.len(), seeded_public_key_wire_bytes(&params));
         let back = decode_public_key(&bytes, &params).unwrap();
         assert_eq!(back.pk0().data(), pk.pk0().data());
         assert_eq!(back.pk1().data(), pk.pk1().data());
-        assert_eq!(encode_public_key(&back), bytes);
+        assert_eq!(encode_public_key_seeded(&back, seed).unwrap(), bytes);
+        // The retired full kind (byte 2) is an unknown kind, not a key.
+        let mut retired = bytes.clone();
+        retired[OFF_KIND] = 2;
+        match decode_public_key(&retired, &params) {
+            Err(Error::Malformed { reason, .. }) => {
+                assert!(reason.contains("unknown message kind 2"), "{reason}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1279,26 +1141,6 @@ mod tests {
         assert!(matches!(
             decode_galois_keys(&bad, &params),
             Err(Error::InvalidGaloisElement(4))
-        ));
-    }
-
-    #[test]
-    fn plaintext_mask_roundtrip_and_canonical_check() {
-        let params = BfvParams::preset_single_60(4096).unwrap();
-        let encoder = BatchEncoder::new(params.clone());
-        let pt = encoder.encode_signed(&[-3, 5, 11]).unwrap();
-        let bytes = encode_plaintext_mask(&pt);
-        assert_eq!(bytes.len(), plaintext_mask_wire_bytes(&params));
-        let back = decode_plaintext_mask(&bytes, &params).unwrap();
-        assert_eq!(back.poly().data(), pt.poly().data());
-        assert_eq!(encoder.decode_signed(&back)[..3], [-3, 5, 11]);
-
-        let mut bad = bytes.clone();
-        let t = params.plain_modulus().value();
-        bad[HEADER_BYTES..HEADER_BYTES + 8].copy_from_slice(&t.to_le_bytes());
-        assert!(matches!(
-            decode_plaintext_mask(&bad, &params),
-            Err(Error::Malformed { .. })
         ));
     }
 }

@@ -77,17 +77,18 @@ fn ciphertext_roundtrips_at_every_level_on_every_preset() {
 fn public_key_roundtrip_and_size_pin() {
     for (name, p) in presets() {
         let mut kg = KeyGenerator::from_seed(p.clone(), 17);
-        let pk = kg.public_key().unwrap();
-        let bytes = wire::encode_public_key(&pk);
+        let (pk, seed) = kg.public_key_seeded().unwrap();
+        let bytes = wire::encode_public_key_seeded(&pk, seed).unwrap();
+        // Seed + pk0: the seed stands in for the uniform pk1.
         assert_eq!(
             bytes.len(),
-            wire::HEADER_BYTES + pk.byte_size(),
+            wire::HEADER_BYTES + wire::SEED_BYTES + pk.byte_size() / 2,
             "{name}: public key wire size"
         );
-        assert_eq!(bytes.len(), wire::public_key_wire_bytes(&p));
+        assert_eq!(bytes.len(), wire::seeded_public_key_wire_bytes(&p));
         let back = wire::decode_public_key(&bytes, &p).unwrap();
         assert_eq!(
-            wire::encode_public_key(&back),
+            wire::encode_public_key_seeded(&back, seed).unwrap(),
             bytes,
             "{name}: public key re-encode bit-identical"
         );
@@ -189,28 +190,6 @@ fn galois_key_sets_with_repeated_or_unordered_elements_are_malformed() {
 }
 
 #[test]
-fn plaintext_mask_roundtrip_and_size_pin() {
-    for (name, p) in presets() {
-        let encoder = BatchEncoder::new(p.clone());
-        let values: Vec<u64> = (0..p.degree() as u64).map(|i| (i * 7) % 97).collect();
-        let pt = encoder.encode(&values).unwrap();
-        let bytes = wire::encode_plaintext_mask(&pt);
-        assert_eq!(
-            bytes.len(),
-            wire::plaintext_mask_wire_bytes(&p),
-            "{name}: mask wire size"
-        );
-        let back = wire::decode_plaintext_mask(&bytes, &p).unwrap();
-        assert_eq!(
-            wire::encode_plaintext_mask(&back),
-            bytes,
-            "{name}: mask re-encode bit-identical"
-        );
-        assert_eq!(encoder.decode(&back), values, "{name}: mask values survive");
-    }
-}
-
-#[test]
 fn hybrid_and_digit_chains_over_the_same_data_limbs_mutually_reject() {
     // The sharpest fingerprint case: a hybrid set and a digit set built
     // from the *same* data limbs and t produce bit-identical ciphertexts
@@ -266,8 +245,8 @@ fn presets_have_distinct_fingerprints_and_reject_each_other() {
     let ps = presets();
     for (i, (name_a, a)) in ps.iter().enumerate() {
         let mut kg = KeyGenerator::from_seed(a.clone(), 37);
-        let pk = kg.public_key().unwrap();
-        let bytes = wire::encode_public_key(&pk);
+        let (pk, seed) = kg.public_key_seeded().unwrap();
+        let bytes = wire::encode_public_key_seeded(&pk, seed).unwrap();
         for (j, (name_b, b)) in ps.iter().enumerate() {
             if i == j {
                 continue;

@@ -15,14 +15,13 @@
 //!   transform runs one `n`-point NTT per limb, so multi-limb chains do
 //!   `l_limbs×` the NTT work the seed-era model charged.
 //!
-//! Hybrid (special-prime `P·Q`) key switching prices differently: one
-//! digit per live limb, each lifted to `live + 1` key-switch planes, so a
-//! direct rotation pays `live² + 6·live + 2` plane transforms and
-//! `2·live` pointwise multiplications over `live + 1` planes. The
-//! [`HeCostParams::hybrid`] flag dispatches every accessor between the
-//! two regimes so plan choosers ([`crate::sparse::BsgsPlan`],
-//! [`crate::linear::FcPlan`], [`crate::linear::ConvPlan`]) price whichever
-//! path the chain runs.
+//! Hybrid (special-prime `P·Q`) key switching runs the same pipeline
+//! with a different shape — one digit per live limb, each over `live + 1`
+//! key-switch planes — plus one extra stage, the `P`-rescale of the two
+//! accumulators. The bill is read off that shape
+//! ([`HeCostParams::ks_digits`] × [`HeCostParams::ks_planes`]), so plan
+//! choosers ([`crate::sparse::BsgsPlan`], [`crate::linear::FcPlan`],
+//! [`crate::linear::ConvPlan`]) price whichever path the chain runs.
 //!
 //! These constants match the real engine: `cheetah-bfv`'s Barrett reduction
 //! performs exactly four partial products plus the `t·q` product, its NTT
@@ -62,7 +61,8 @@ impl HeCostParams {
     /// planes and the live digit count `l_ct(level)`. Level 0 reproduces
     /// the full-chain costs; deeper levels are how the model prices the
     /// cheaper tail of a leveled circuit (every entry below scales with
-    /// the live counts).
+    /// the live counts). The engine multiplies undecomposed plaintexts, so
+    /// `l_pt = 1`; windowed points are HE-PTune's to price.
     ///
     /// # Panics
     ///
@@ -70,7 +70,7 @@ impl HeCostParams {
     pub fn for_bfv(params: &cheetah_bfv::BfvParams, level: usize) -> Self {
         Self {
             n: params.degree(),
-            l_pt: params.l_pt(),
+            l_pt: 1,
             l_ct: params.l_ct_at(level),
             limbs: params.live_limbs_at(level),
             hybrid: params.has_special(),
@@ -122,60 +122,40 @@ impl HeCostParams {
         self.ks_pointwise_mults() + self.ntts_per_rotate() * self.ntt_mults()
     }
 
-    /// NTT plane transforms per `HE_Rotate`: `(l_ct + 1)·l_limbs` on the
-    /// decomposition path, [`HeCostParams::ntts_per_rotate_hybrid`] on the
-    /// hybrid path. The seed-era model charged `l_ct + 1` regardless of
-    /// the chain length, under-counting multi-limb NTT work by a factor
-    /// of `l_limbs` (each digit's forward transform and the `c1` inverse
-    /// transform touch every limb plane).
+    /// NTT plane transforms per `HE_Rotate`: a key switch's front half
+    /// ([`HeCostParams::ntts_per_hoist`]) plus its back half
+    /// ([`HeCostParams::ntts_per_rotate_hoisted`]) — a direct rotation is
+    /// a hoist of the permuted `c1` followed by one replay. On a digit
+    /// chain that is `(l_ct + 1)·l_limbs`; the seed-era model charged
+    /// `l_ct + 1` regardless of the chain length, under-counting
+    /// multi-limb NTT work by a factor of `l_limbs`.
     ///
-    /// This is the **direct** (non-hoisted) price. A rotation *set* over
-    /// one source ciphertext pays [`HeCostParams::ntts_per_hoist`] once
-    /// and [`HeCostParams::ntts_per_rotate_hoisted`] per step — the split
-    /// that makes BSGS layers priceable.
+    /// A rotation *set* over one source ciphertext pays the front once
+    /// and the back per step — the split that makes BSGS layers
+    /// priceable.
     pub fn ntts_per_rotate(&self) -> u64 {
-        if self.hybrid {
-            self.ntts_per_rotate_hybrid()
-        } else {
-            (self.l_ct as u64 + 1) * self.limbs as u64
-        }
+        self.ntts_per_hoist() + self.ntts_per_rotate_hoisted()
     }
 
-    /// NTT plane transforms per hybrid `HE_Rotate`, matching the engine's
-    /// `OpCounts::ntt` tally exactly: the `c1` INTT over `live` planes,
-    /// `live` digit forward transforms over `live + 1` key-switch planes
-    /// each, the two accumulator INTTs off the key-switch chain
-    /// (`2·(live + 1)`) and their re-entry NTTs after the `P`-rescale
-    /// (`2·live`) — `live² + 6·live + 2` in total.
-    pub fn ntts_per_rotate_hybrid(&self) -> u64 {
-        let live = self.limbs as u64;
-        live * live + 6 * live + 2
-    }
-
-    /// NTT plane transforms in one hoist (`Evaluator::hoist`): the digit
-    /// decomposition's transform bill, paid **once** for an entire
-    /// same-source rotation set. Decomposition path: `(l_ct + 1)·l_limbs`
-    /// (identical to one direct rotation — the replay is then free of
-    /// NTTs). Hybrid path: `live² + 2·live` (the per-step `P`-rescale
-    /// transforms stay in the replay).
+    /// NTT plane transforms in one hoist (`Evaluator::hoist`), the key
+    /// switch's front half, paid **once** for an entire same-source
+    /// rotation set: the `c1` INTT over the live planes plus one forward
+    /// transform per digit over every key-switch plane,
+    /// `l_limbs + ks_digits·ks_planes`.
     pub fn ntts_per_hoist(&self) -> u64 {
-        if self.hybrid {
-            let live = self.limbs as u64;
-            live * live + 2 * live
-        } else {
-            (self.l_ct as u64 + 1) * self.limbs as u64
-        }
+        (self.limbs + self.ks_digits() * self.ks_planes()) as u64
     }
 
     /// NTT plane transforms in one hoisted replay
-    /// (`Evaluator::rotate_hoisted_into`): zero on the decomposition path
-    /// (only slot permutations and the key-switch inner products remain);
-    /// `4·live + 2` on the hybrid path, whose exact `P`-rescale must run
-    /// per step (two accumulator INTTs over `live + 1` planes, two
-    /// re-entry NTTs over `live`).
+    /// (`Evaluator::rotate_hoisted_into`), the key switch's back half:
+    /// zero on a digit chain (only slot permutations and the key-switch
+    /// inner products remain). The hybrid arm is the engine's rescale
+    /// tail, run per step: two accumulator INTTs over the `ks_planes`
+    /// key-switch planes and two re-entry NTTs over the
+    /// `ks_planes − 1` data planes, `2·(2·ks_planes − 1)`.
     pub fn ntts_per_rotate_hoisted(&self) -> u64 {
         if self.hybrid {
-            4 * self.limbs as u64 + 2
+            2 * (2 * self.ks_planes() as u64 - 1)
         } else {
             0
         }

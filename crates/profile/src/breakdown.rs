@@ -83,9 +83,10 @@ pub fn layer_breakdown(layer: &LinearLayer, point: &DesignPoint, times: &KernelT
 /// Computes one layer's breakdown on a **concrete chain at a level** —
 /// the HE-PTune v2 path. Unlike [`layer_breakdown`] (which prices the
 /// tuner's abstract single-word points with digit decomposition), this
-/// uses [`HeCostParams::for_bfv`], so special-prime chains are billed the
-/// hybrid transform count (`live² + 6·live + 2` per rotate over `live + 1`
-/// planes) and digit chains the `(l_ct + 1)·live` count. `times` must be
+/// uses [`HeCostParams::for_bfv`], so every chain is billed the key-switch
+/// shape it runs ([`HeCostParams::ntts_per_rotate`]: `ks_digits` digits
+/// over `ks_planes` planes, plus the `P`-rescale on a special-prime
+/// chain) at the engine's `l_pt = 1`. `times` must be
 /// measured at the chain's limb width — per-plane kernels, not a wide
 /// single word.
 pub fn layer_breakdown_on_chain(
@@ -95,7 +96,7 @@ pub fn layer_breakdown_on_chain(
     times: &KernelTimes,
 ) -> Breakdown {
     let cost = HeCostParams::for_bfv(params, level);
-    let ops = layer_ops(layer, params.degree(), params.l_pt());
+    let ops = layer_ops(layer, params.degree(), cost.l_pt);
     // Per-plane kernel times: every transform and pointwise pass is
     // billed once per live plane (`+1` for the key-switch plane on hybrid
     // chains), which is exactly what `ntts_per_rotate` already counts.

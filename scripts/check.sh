@@ -132,6 +132,21 @@ if grep -nF -e 'live * live + 6 * live' -e 'live * live + 2 * live' -e '4 * live
     exit 1
 fi
 
+echo "==> one-plaintext-multiply gate"
+# The engine multiplies undecomposed plaintexts (l_pt = 1): Gazelle's
+# plaintext windowing is a dimension HE-PTune prices analytically
+# (crates/core/src/ptune, deliberately outside the paths below), not a
+# second multiply path. The wire carries what a round sends: the full
+# public-key kind (2) and the plaintext-mask kind (4) stay retired.
+if git grep -nE 'mul_plain_windowed|WindowedCiphertext|encrypt_windowed|digits_from_coeffs|plaintext_windows|digits_mut|\.w_dcmp\(|\.l_pt\(\)' -- crates/bfv crates/protocol crates/serve src tests examples; then
+    echo "FAIL: an engine plaintext-windowing name is back (see matches above)"
+    exit 1
+fi
+if git grep -nE 'Kind::PublicKey\b|PlaintextMask|encode_public_key\(|plaintext_mask' -- crates/bfv/src/wire.rs; then
+    echo "FAIL: a retired wire kind is back in wire.rs (see matches above)"
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release

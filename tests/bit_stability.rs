@@ -5,8 +5,9 @@
 //! nothing in the tree to hold it to across commits. This one pins FNV-1a
 //! digests of Galois-key wire bytes, of direct and hoisted rotation
 //! residues at every level, and of every payload of one seeded
-//! private-inference transcript. The bit-identity contract of
-//! `docs/SIMD.md` makes them machine- and backend-independent.
+//! private-inference transcript, plus every preset's chain fingerprint
+//! (the header word each of those messages carries). The bit-identity
+//! contract of `docs/SIMD.md` makes them machine- and backend-independent.
 //!
 //! A digest here changes only when the engine writes different bits for
 //! the same seeds — a different RNG draw order, decomposition, key shape,
@@ -66,13 +67,41 @@ impl Pins {
 }
 
 fn preset(name: &str) -> BfvParams {
+    preset_at(name, N)
+}
+
+fn preset_at(name: &str, n: usize) -> BfvParams {
     match name {
-        "single_60" => BfvParams::preset_single_60(N),
-        "rns_3x36" => BfvParams::preset_rns_3x36(N),
-        "hybrid_2x36" => BfvParams::preset_hybrid_2x36(N),
+        "single_60" => BfvParams::preset_single_60(n),
+        "rns_2x30" => BfvParams::preset_rns_2x30(n),
+        "rns_3x36" => BfvParams::preset_rns_3x36(n),
+        "hybrid_1x54" => BfvParams::preset_hybrid_1x54(n),
+        "hybrid_2x36" => BfvParams::preset_hybrid_2x36(n),
+        "hybrid_2x40" => BfvParams::preset_hybrid_2x40(n),
         other => panic!("unknown preset {other}"),
     }
     .unwrap()
+}
+
+/// `(preset, degree, chain fingerprint)` — every wire header's chain
+/// word, including the retired plaintext-window slot it still mixes.
+const FINGERPRINT_PINS: [(&str, usize, u64); 6] = [
+    ("single_60", 4096, 0x44f6_931d_fcf0_c240),
+    ("rns_2x30", 4096, 0x53bd_316f_5b16_584a),
+    ("rns_3x36", 4096, 0xccfe_4c69_63ef_e45c),
+    ("hybrid_1x54", 4096, 0x4048_d3a2_368c_03f3),
+    ("hybrid_2x36", 4096, 0x3ab6_4bea_cbcc_99fd),
+    ("hybrid_2x40", 8192, 0x420d_b8df_f505_a9fd),
+];
+
+#[test]
+fn chain_fingerprints_keep_their_bits() {
+    let mut pins = Pins::default();
+    for (name, n, pin) in FINGERPRINT_PINS {
+        let got = wire::chain_fingerprint(&preset_at(name, n));
+        pins.check(format!("{name} n={n} fingerprint"), got, pin);
+    }
+    pins.finish();
 }
 
 /// `(preset, digest of the encoded key set, digest of every rotation)`.
