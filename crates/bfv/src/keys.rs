@@ -18,15 +18,25 @@
 //! `P·q̂_i·s(x^g)`: a key is always `BfvParams::ks_digits_at(0)` pairs
 //! over `BfvParams::ks_chain_at(0)`, and the two chains differ only in
 //! the scale each pair puts on `s(x^g)`
-//! ([`KeyGenerator::galois_key`]).
+//! ([`KeyGenerator::seeded_galois_key`]).
+//!
+//! **Keys are generated seeded.** A pair's `k1 = a` is uniform, so the
+//! generator never draws it from its own stream: each key draws one
+//! 64-bit seed, and pair `d`'s `a` is the `d`-th polynomial that seed
+//! expands to ([`UniformStream`]). A client ships a
+//! [`SeededGaloisKeys`] — elements, seeds and `k0`s, half the bytes of the
+//! pairs — and the server rebuilds every `a` with
+//! [`SeededGaloisKeys::expand`], the only place a `k1` is made. Every
+//! entry point that returns full [`GaloisKeys`] generates seeded, then
+//! expands.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{Error, Result};
 use crate::params::BfvParams;
-use crate::poly::Representation;
+use crate::poly::{add_assign_slice, mul_scalar_slice, Representation};
 use crate::rns::RnsPoly;
-use crate::sampling::BfvRng;
+use crate::sampling::{BfvRng, UniformStream};
 
 /// The RLWE secret key: a ternary polynomial lifted into every limb plane,
 /// stored in evaluation form.
@@ -113,18 +123,129 @@ impl GaloisKey {
     pub fn permutation(&self) -> &[u32] {
         &self.perm
     }
+}
+
+/// Bytes of one key's `k0` polynomials (equally, of its `k1`s):
+/// `ks_digits_at(0)` polynomials over the `ks_chain_at(0)` planes, `n`
+/// 8-byte words a plane.
+pub(crate) fn key_half_bytes(params: &BfvParams) -> usize {
+    params.ks_digits_at(0) * params.ks_chain_at(0).limbs() * params.degree() * 8
+}
+
+/// One Galois key as a client generates and ships it: the element, the
+/// seed its pairs' uniform components expand from, and each pair's
+/// `k0 = −(a·s + e) + scale·s(x^g)`. Pair `d`'s `a` is the `d`-th
+/// polynomial of [`UniformStream`]`::new(seed, ks_chain_at(0))`. The type
+/// holds no `a`: what a client registers is what crosses the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeededGaloisKey {
+    /// The Galois element `g` (odd).
+    pub element: u64,
+    /// Expansion seed of the pairs' `a` components.
+    pub seed: u64,
+    /// `k0` per pair, flat in limb-major order, evaluation form.
+    k0: Vec<RnsPoly>,
+}
+
+impl SeededGaloisKey {
+    /// The pairs' `k0` components: [`BfvParams::ks_digits_at`]`(0)` of
+    /// them over [`BfvParams::ks_chain_at`]`(0)`.
+    pub fn k0(&self) -> &[RnsPoly] {
+        &self.k0
+    }
 
     /// Assembles a key from validated parts (wire decoding). The caller
-    /// guarantees the pair list is `ks_digits_at(0)` long with
-    /// `ks_chain_at(0)`-shaped polynomials and `perm` is the element's
-    /// permutation table.
-    pub(crate) fn from_parts(element: u64, pairs: Vec<(RnsPoly, RnsPoly)>, perm: Vec<u32>) -> Self {
-        Self {
-            element,
+    /// guarantees `element` is valid and `k0` is `ks_digits_at(0)`
+    /// canonical `ks_chain_at(0)`-shaped polynomials.
+    pub(crate) fn from_parts(element: u64, seed: u64, k0: Vec<RnsPoly>) -> Self {
+        Self { element, seed, k0 }
+    }
+
+    /// The full key: each pair's `a` expanded from the seed, beside its
+    /// `k0`, and the element's slot permutation.
+    fn expand(self, params: &BfvParams) -> GaloisKey {
+        let ks = params.ks_chain_at(0);
+        let mut stream = UniformStream::new(self.seed, ks);
+        let pairs = self
+            .k0
+            .into_iter()
+            .map(|k0| (k0, stream.next_poly()))
+            .collect();
+        GaloisKey {
+            element: self.element,
             pairs,
-            perm,
+            perm: ks.table(0).galois_permutation(self.element),
         }
     }
+}
+
+/// A set of seeded Galois keys, ascending by element: what
+/// [`KeyGenerator::seeded_galois_keys_for_steps`] returns, what a client
+/// registers, and what [`crate::wire::encode_seeded_galois_keys`] ships.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SeededGaloisKeys {
+    keys: BTreeMap<u64, SeededGaloisKey>,
+}
+
+impl SeededGaloisKeys {
+    /// Looks up the key realizing a row rotation by `steps` at degree
+    /// `n`, as [`GaloisKeys::get_for_step`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidRotation`] for an identity step,
+    /// [`Error::MissingGaloisKey`] (with `step` set) if absent.
+    pub fn get_for_step(&self, n: usize, steps: i64) -> Result<&SeededGaloisKey> {
+        key_for_step(n, steps, |g| self.keys.get(&g))
+    }
+
+    /// Whether a key for this element exists.
+    pub fn contains(&self, element: u64) -> bool {
+        self.keys.contains_key(&element)
+    }
+
+    /// Number of keys held.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The keys in ascending element order.
+    pub fn iter(&self) -> impl Iterator<Item = &SeededGaloisKey> + '_ {
+        self.keys.values()
+    }
+
+    /// The full key set: every pair's `a` expanded from its key's seed,
+    /// beside its `k0`, and each element's slot permutation. The only
+    /// place a `k1` is rebuilt.
+    pub fn expand(self, params: &BfvParams) -> GaloisKeys {
+        let mut out = GaloisKeys::default();
+        for key in self.keys.into_values() {
+            out.insert(key.expand(params));
+        }
+        out
+    }
+
+    pub(crate) fn insert(&mut self, key: SeededGaloisKey) {
+        self.keys.insert(key.element, key);
+    }
+}
+
+/// The key realizing a row rotation by `steps`, looked up by element.
+fn key_for_step<'a, K>(
+    n: usize,
+    steps: i64,
+    get: impl FnOnce(u64) -> Option<&'a K>,
+) -> Result<&'a K> {
+    let element = element_for_step(n, steps)?;
+    get(element).ok_or(Error::MissingGaloisKey {
+        element,
+        step: Some(steps),
+    })
 }
 
 /// A set of Galois keys indexed by Galois element.
@@ -158,11 +279,7 @@ impl GaloisKeys {
     /// [`Error::InvalidRotation`] for an identity step,
     /// [`Error::MissingGaloisKey`] (with `step` set) if absent.
     pub fn get_for_step(&self, n: usize, steps: i64) -> Result<&GaloisKey> {
-        let element = element_for_step(n, steps)?;
-        self.keys.get(&element).ok_or(Error::MissingGaloisKey {
-            element,
-            step: Some(steps),
-        })
+        key_for_step(n, steps, |g| self.keys.get(&g))
     }
 
     /// Whether a key for this element exists.
@@ -185,16 +302,11 @@ impl GaloisKeys {
         self.keys.keys().copied()
     }
 
-    /// Serialized size in bytes (for protocol accounting): per key,
-    /// `ks_digits_at(0)` pairs of polynomials over the `ks_chain_at(0)`
-    /// planes, `n` 8-byte words a plane.
+    /// Bytes of key material held: per key, `ks_digits_at(0)` pairs of
+    /// polynomials over the `ks_chain_at(0)` planes, `n` 8-byte words a
+    /// plane. Twice what the seeded set a client ships carries.
     pub fn byte_size(&self, params: &BfvParams) -> usize {
-        self.keys.len() * Self::key_bytes(params)
-    }
-
-    /// Bytes of one key's pair polynomials.
-    pub(crate) fn key_bytes(params: &BfvParams) -> usize {
-        params.ks_digits_at(0) * 2 * params.ks_chain_at(0).limbs() * params.degree() * 8
+        self.keys.len() * 2 * key_half_bytes(params)
     }
 
     pub(crate) fn insert(&mut self, key: GaloisKey) {
@@ -261,17 +373,15 @@ impl KeyGenerator {
         &self.params
     }
 
-    /// Generates a fresh public key.
+    /// Generates a fresh public key: [`KeyGenerator::public_key_seeded`]
+    /// without the seed.
     ///
     /// # Errors
     ///
     /// Propagates polynomial arithmetic errors (cannot occur for matched
     /// parameters).
     pub fn public_key(&mut self) -> Result<PublicKey> {
-        let a = self
-            .rng
-            .uniform_rns(self.params.chain(), Representation::Eval);
-        self.public_key_over(a)
+        Ok(self.public_key_seeded()?.0)
     }
 
     /// Generates a public key whose uniform component `pk1 = a` is expanded
@@ -286,11 +396,6 @@ impl KeyGenerator {
     pub fn public_key_seeded(&mut self) -> Result<(PublicKey, u64)> {
         let seed = self.rng.next_seed();
         let a = crate::sampling::expand_uniform(seed, self.params.chain());
-        Ok((self.public_key_over(a)?, seed))
-    }
-
-    /// `(−(a·s + e), a)` for a fresh error `e`.
-    fn public_key_over(&mut self, a: RnsPoly) -> Result<PublicKey> {
         let chain = self.params.chain();
         let mut e = self.rng.noise_rns(chain);
         e.to_eval(chain);
@@ -298,18 +403,22 @@ impl KeyGenerator {
         pk0.mul_assign_pointwise(self.sk.poly(), chain)?;
         pk0.add_assign(&e, chain)?;
         pk0.negate(chain);
-        Ok(PublicKey {
+        let pk = PublicKey {
             pk0,
             pk1: a,
             params: self.params.clone(),
-        })
+        };
+        Ok((pk, seed))
     }
 
-    /// Generates the Galois key for element `g`: one RLWE pair per
-    /// key-switch digit ([`BfvParams::ks_digits_at`]`(0)`), each over the
-    /// key-switch chain ([`BfvParams::ks_chain_at`]`(0)`) and encrypting
-    /// `s(x^g)` times the weight its digit carries in the reconstruction
-    /// of `c1`:
+    /// Generates the seeded Galois key for element `g` — the one keygen
+    /// body. One 64-bit seed is drawn for the key; pair `d`'s `a` is the
+    /// `d`-th polynomial it expands to, drawn into one reused buffer and
+    /// dropped, and each `k0 = −(a·s + e) + scale·s(x^g)` is assembled in
+    /// its fresh error's storage. There is one RLWE pair per key-switch
+    /// digit ([`BfvParams::ks_digits_at`]`(0)`), each over the key-switch
+    /// chain ([`BfvParams::ks_chain_at`]`(0)`) and encrypting `s(x^g)`
+    /// times the weight its digit carries in the reconstruction of `c1`:
     ///
     /// * on a digit chain, pair `(i, d)` — limb-major, one per base-`A`
     ///   digit of limb `i` — encrypts `A^d·q̂_i·s(x^g)` with the parameter
@@ -322,14 +431,15 @@ impl KeyGenerator {
     /// The full-chain `q̂_i` keeps the level-prefix property: a level-`ℓ`
     /// switch consumes the pairs of limbs `i < live` on the live planes
     /// (and the special one), so one level-0 key set serves every level.
-    /// Both shapes draw one `(a, e)` per pair, in pair order.
+    /// Both shapes draw the key's seed, then one `e` per pair in pair
+    /// order, from the generator's stream.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidGaloisElement`] unless `g` is odd and lies
     /// in `1..2n` (the automorphism group `x ↦ x^g` of the 2n-th
     /// cyclotomic); propagates arithmetic errors otherwise.
-    pub fn galois_key(&mut self, g: u64) -> Result<GaloisKey> {
+    pub fn seeded_galois_key(&mut self, g: u64) -> Result<SeededGaloisKey> {
         check_galois_element(self.params.degree(), g)?;
         let data = self.params.chain();
         let ks = self.params.ks_chain_at(0);
@@ -379,28 +489,41 @@ impl KeyGenerator {
         let mut s_g = RnsPoly::zero(ks, Representation::Eval);
         s_g.permute_from(s, &perm);
 
-        let mut pairs = Vec::with_capacity(scales.len());
+        let seed = self.rng.next_seed();
+        let mut stream = UniformStream::new(seed, ks);
+        let mut a = RnsPoly::zero(ks, Representation::Eval);
+        let mut scaled_plane = vec![0; ks.degree()];
+        let mut k0s = Vec::with_capacity(scales.len());
         for scale in &scales {
-            let a = self.rng.uniform_rns(ks, Representation::Eval);
-            let mut e = self.rng.noise_rns(ks);
-            e.to_eval(ks);
-            // k0 = -(a·s + e) + scale · s(x^g)
-            let mut k0 = a.clone();
-            k0.mul_assign_pointwise(s, ks)?;
-            k0.add_assign(&e, ks)?;
+            stream.next_into(&mut a);
+            // k0 = -(a·s + e) + scale · s(x^g), in e's storage.
+            let mut k0 = self.rng.noise_rns(ks);
+            k0.to_eval(ks);
+            k0.fma_pointwise(&a, s, ks)?;
             k0.negate(ks);
-            let mut scaled_sg = s_g.clone();
             for (k, &sc) in scale.iter().enumerate() {
-                crate::poly::mul_scalar_slice(scaled_sg.limb_mut(k), sc, ks.modulus(k));
+                let q = ks.modulus(k);
+                scaled_plane.copy_from_slice(s_g.limb(k));
+                mul_scalar_slice(&mut scaled_plane, sc, q);
+                add_assign_slice(k0.limb_mut(k), &scaled_plane, q);
             }
-            k0.add_assign(&scaled_sg, ks)?;
-            pairs.push((k0, a));
+            k0s.push(k0);
         }
-        Ok(GaloisKey {
+        Ok(SeededGaloisKey {
             element: g,
-            pairs,
-            perm,
+            seed,
+            k0: k0s,
         })
+    }
+
+    /// The full Galois key for element `g`: [`KeyGenerator::seeded_galois_key`],
+    /// expanded.
+    ///
+    /// # Errors
+    ///
+    /// As [`KeyGenerator::seeded_galois_key`].
+    pub fn galois_key(&mut self, g: u64) -> Result<GaloisKey> {
+        Ok(self.seeded_galois_key(g)?.expand(&self.params))
     }
 
     /// The secret key's ternary coefficients re-lifted onto `chain`
@@ -446,15 +569,34 @@ impl KeyGenerator {
         2 * self.params.degree() as u64 - 1
     }
 
-    /// Generates keys for a set of row-rotation steps.
+    /// Generates seeded keys for a set of row-rotation steps — what a
+    /// client ships: one per distinct Galois element, generated in step
+    /// order, held in element order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidRotation`] for any invalid step.
+    pub fn seeded_galois_keys_for_steps(&mut self, steps: &[i64]) -> Result<SeededGaloisKeys> {
+        let mut out = SeededGaloisKeys::default();
+        for &s in steps {
+            let g = self.element_for_step(s)?;
+            if !out.contains(g) {
+                out.insert(self.seeded_galois_key(g)?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Generates full keys for a set of row-rotation steps:
+    /// [`KeyGenerator::seeded_galois_keys_for_steps`], expanded.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidRotation`] for any invalid step.
     pub fn galois_keys_for_steps(&mut self, steps: &[i64]) -> Result<GaloisKeys> {
-        let mut out = GaloisKeys::default();
-        self.extend_galois_keys(&mut out, steps)?;
-        Ok(out)
+        Ok(self
+            .seeded_galois_keys_for_steps(steps)?
+            .expand(&self.params))
     }
 
     /// Generates keys for all power-of-two rotations (both directions) plus
@@ -472,10 +614,10 @@ impl KeyGenerator {
             steps.push(-p);
             p <<= 1;
         }
-        let mut keys = self.galois_keys_for_steps(&steps)?;
+        let mut keys = self.seeded_galois_keys_for_steps(&steps)?;
         let swap = self.element_for_row_swap();
-        keys.insert(self.galois_key(swap)?);
-        Ok(keys)
+        keys.insert(self.seeded_galois_key(swap)?);
+        Ok(keys.expand(&self.params))
     }
 
     /// Extends an existing key set with additional rotation steps.
@@ -676,6 +818,43 @@ mod tests {
     }
 
     #[test]
+    fn expansion_pairs_each_k0_with_its_seed_stream() {
+        // The full-key entry points generate seeded and expand: same
+        // generator state, same keys; and pair d's `a` is the d-th
+        // polynomial of the key's seed stream over the key-switch chain.
+        for p in [
+            BfvParams::preset_rns_3x36(4096).unwrap(),
+            BfvParams::preset_hybrid_2x36(4096).unwrap(),
+        ] {
+            let steps = [1, -2, 1];
+            let seeded = KeyGenerator::from_seed(p.clone(), 12)
+                .seeded_galois_keys_for_steps(&steps)
+                .unwrap();
+            let full = KeyGenerator::from_seed(p.clone(), 12)
+                .galois_keys_for_steps(&steps)
+                .unwrap();
+            assert_eq!((seeded.len(), full.len()), (2, 2));
+            let elements: Vec<u64> = seeded.iter().map(|k| k.element).collect();
+            assert!(elements.windows(2).all(|w| w[0] < w[1]), "ascending");
+            let ks = p.ks_chain_at(0);
+            for sk in seeded.iter() {
+                let key = full.get(sk.element).unwrap();
+                assert_eq!(sk.k0().len(), p.ks_digits_at(0));
+                let mut stream = UniformStream::new(sk.seed, ks);
+                for (k0, (f0, f1)) in sk.k0().iter().zip(key.pairs()) {
+                    assert_eq!(k0, f0);
+                    assert_eq!(f1, &stream.next_poly());
+                }
+            }
+            assert_eq!(seeded.get_for_step(4096, 1).unwrap().element, 3);
+            assert!(matches!(
+                seeded.get_for_step(4096, 5),
+                Err(Error::MissingGaloisKey { step: Some(5), .. })
+            ));
+        }
+    }
+
+    #[test]
     fn power_of_two_keyset_covers_log_steps() {
         let p = params();
         let mut kg = KeyGenerator::from_seed(p.clone(), 5);
@@ -708,7 +887,7 @@ mod tests {
         let p = BfvParams::preset_rns_2x30(4096).unwrap();
         let mut kg = KeyGenerator::from_seed(p.clone(), 10);
         let g = kg.element_for_step(1).unwrap();
-        let key = kg.galois_key(g).unwrap();
+        let key = kg.seeded_galois_key(g).unwrap().expand(&p);
         let chain = p.chain();
         assert_eq!(key.pairs().len(), p.l_ct());
 
@@ -752,7 +931,7 @@ mod tests {
         let p = BfvParams::preset_hybrid_2x36(4096).unwrap();
         let mut kg = KeyGenerator::from_seed(p.clone(), 10);
         let g = kg.element_for_step(1).unwrap();
-        let key = kg.galois_key(g).unwrap();
+        let key = kg.seeded_galois_key(g).unwrap().expand(&p);
         let data = p.chain();
         let ks = p.ks_chain_at(0);
         let limbs = data.limbs();

@@ -114,18 +114,21 @@ pub use encoder::{BatchEncoder, Plaintext};
 pub use encryptor::{Decryptor, Encryptor};
 pub use error::{Error, Result};
 pub use evaluator::{Evaluator, HoistedDecomposition, OpCounts, PreparedPlaintext};
-pub use keys::{GaloisKey, GaloisKeys, KeyGenerator, PublicKey, SecretKey};
+pub use keys::{
+    GaloisKey, GaloisKeys, KeyGenerator, PublicKey, SecretKey, SeededGaloisKey, SeededGaloisKeys,
+};
 pub use noise::NoiseEstimate;
 pub use params::{
     search_congruent_chain, BfvParams, BfvParamsBuilder, CongruentChain, SecurityLevel,
 };
 pub use rns::{ModulusChain, RnsPoly};
-pub use sampling::expand_uniform;
+pub use sampling::{expand_uniform, UniformStream};
 pub use scratch::{Scratch, ScratchLease, ScratchPool};
 pub use simd::SimdBackend;
 pub use wire::{
-    chain_fingerprint, ciphertext_wire_bytes, decode_ciphertext, decode_galois_keys,
-    decode_public_key, encode_ciphertext, encode_ciphertext_seeded, encode_galois_keys,
-    encode_public_key_seeded, galois_keys_wire_bytes, seeded_ciphertext_wire_bytes,
-    seeded_public_key_wire_bytes, split_ciphertext_messages, HEADER_BYTES, SEED_BYTES,
+    chain_fingerprint, ciphertext_wire_bytes, decode_ciphertext, decode_public_key,
+    decode_seeded_galois_keys, encode_ciphertext, encode_ciphertext_seeded,
+    encode_public_key_seeded, encode_seeded_galois_keys, seeded_ciphertext_wire_bytes,
+    seeded_galois_keys_wire_bytes, seeded_public_key_wire_bytes, split_ciphertext_messages,
+    HEADER_BYTES, SEED_BYTES,
 };

@@ -154,16 +154,68 @@ impl BfvRng {
     }
 }
 
+/// The uniform Eval-domain polynomials a 64-bit seed stands for on the
+/// wire: one dedicated `StdRng::seed_from_u64(seed)` stream, each
+/// polynomial drawn limb-major over `chain` (the draw order of
+/// [`BfvRng::uniform_rns`]), polynomial after polynomial. Both ends of a
+/// seeded encoding run it, so the `d`-th polynomial of
+/// `UniformStream::new(seed, chain)` is the *definition* of the uniform
+/// component a seeded message omits: a ciphertext's `c1` or a public key's
+/// `pk1` (`d = 0`, [`expand_uniform`]), or pair `d`'s `a` in a seeded
+/// Galois key ([`crate::keys::SeededGaloisKey`]).
+#[derive(Debug)]
+pub struct UniformStream<'a> {
+    rng: StdRng,
+    chain: &'a ModulusChain,
+}
+
+impl<'a> UniformStream<'a> {
+    /// The stream `seed` expands to over `chain`.
+    pub fn new(seed: u64, chain: &'a ModulusChain) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            chain,
+        }
+    }
+
+    /// The next polynomial of the stream, freshly allocated.
+    pub fn next_poly(&mut self) -> RnsPoly {
+        let (rng, chain) = (&mut self.rng, self.chain);
+        RnsPoly::from_fn(chain, Representation::Eval, |i, _| {
+            rng.random_range(0..chain.modulus(i).value())
+        })
+    }
+
+    /// Overwrites `out` with the next polynomial of the stream (the same
+    /// residues [`UniformStream::next_poly`] would return), reusing its
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` has the chain's shape.
+    pub fn next_into(&mut self, out: &mut RnsPoly) {
+        assert!(
+            out.limbs() == self.chain.limbs() && out.degree() == self.chain.degree(),
+            "stream output must have the chain's shape"
+        );
+        let n = self.chain.degree();
+        for (i, plane) in out.data_mut().chunks_exact_mut(n).enumerate() {
+            let q = self.chain.modulus(i).value();
+            for w in plane {
+                *w = self.rng.random_range(0..q);
+            }
+        }
+        out.set_representation(Representation::Eval);
+    }
+}
+
 /// Expands a 64-bit seed into the uniform Eval-domain polynomial the seed
-/// stands for on the wire: a dedicated `StdRng` stream drawing limb-major,
-/// exactly the draw order of [`BfvRng::uniform_rns`]. Both ends of a
-/// seeded encoding call this, so `expand_uniform(seed, chain)` is the
-/// *definition* of the `c1` / `pk1` component a (seed, c0) message omits.
+/// stands for on the wire: the first polynomial of its [`UniformStream`].
+/// Both ends of a seeded encoding call this, so `expand_uniform(seed,
+/// chain)` is the *definition* of the `c1` / `pk1` component a (seed, c0)
+/// message omits.
 pub fn expand_uniform(seed: u64, chain: &ModulusChain) -> RnsPoly {
-    let mut rng = StdRng::seed_from_u64(seed);
-    RnsPoly::from_fn(chain, Representation::Eval, |i, _| {
-        rng.random_range(0..chain.modulus(i).value())
-    })
+    UniformStream::new(seed, chain).next_poly()
 }
 
 #[cfg(test)]
@@ -258,6 +310,24 @@ mod tests {
             let q = chain.modulus(i).value();
             assert!(a.limb(i).iter().all(|&v| v < q));
         }
+    }
+
+    #[test]
+    fn uniform_stream_continues_expand_uniform_into_reused_buffers() {
+        let values = crate::arith::generate_ntt_primes(30, 512, 2).unwrap();
+        let chain = ModulusChain::new(512, &values).unwrap();
+        let mut fresh = UniformStream::new(9, &chain);
+        let mut reused = UniformStream::new(9, &chain);
+        let mut buf = RnsPoly::zero(&chain, Representation::Coeff);
+        let first = fresh.next_poly();
+        assert_eq!(first, expand_uniform(9, &chain));
+        reused.next_into(&mut buf);
+        assert_eq!(buf, first);
+        // Later polynomials continue the one stream, whichever way drawn.
+        let second = fresh.next_poly();
+        reused.next_into(&mut buf);
+        assert_eq!(buf, second);
+        assert_ne!(second, first);
     }
 
     #[test]

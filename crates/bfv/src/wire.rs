@@ -20,26 +20,29 @@
 //! the header is the only framing overhead.
 //!
 //! Four kinds cross the boundary: full ciphertexts (kind 1, downloads),
-//! Galois key sets (kind 3, setup), seeded ciphertexts (kind 5, uploads)
-//! and seeded public keys (kind 6, setup). Kinds 2 (full public key) and
-//! 4 (plaintext mask) are **retired**: no round sent them — a session
-//! ships its public key seeded, and masks are added under encryption and
-//! never serialized — so their bytes decode as unknown kinds and are
-//! never reused.
+//! seeded ciphertexts (kind 5, uploads), seeded public keys (kind 6,
+//! setup) and seeded Galois key sets (kind 7, setup). Kinds 2 (full
+//! public key), 3 (full Galois key set) and 4 (plaintext mask) are
+//! **retired**: no round sends them — a session ships its public key and
+//! its Galois keys seeded, and masks are added under encryption and never
+//! serialized — so their bytes decode as unknown kinds and are never
+//! reused.
 //!
 //! **Seeded compression (format version 2).** A *fresh* symmetric
-//! ciphertext has `c1 = a` drawn uniformly, and a public key has
-//! `pk1 = a` likewise — both are pure PRNG output, so shipping the full
-//! polynomial is waste. Version-2 messages (kinds
-//! [`Kind::SeededCiphertext`] / [`Kind::SeededPublicKey`]) carry an
-//! 8-byte expansion seed followed by `c0` alone; the receiver rebuilds
+//! ciphertext has `c1 = a` drawn uniformly, a public key has `pk1 = a`
+//! likewise, and so does every Galois key pair's `k1` — all pure PRNG
+//! output, so shipping the full polynomial is waste. Version-2 messages
+//! (kinds [`Kind::SeededCiphertext`] / [`Kind::SeededPublicKey`]) carry
+//! an 8-byte expansion seed followed by `c0` alone; the receiver rebuilds
 //! the uniform component with [`crate::sampling::expand_uniform`],
 //! nearly halving upload bytes (`8 + live·n·8` payload instead of
-//! `2·live·n·8`). Seeded ciphertexts are level-0 by construction (only
-//! fresh encryptions have a uniform `c1`; anything key-switched or
-//! mod-switched does not). Version negotiation is per message: a
-//! ciphertext decoder accepts both formats by kind — version 1 for full
-//! kinds, version 2 for seeded kinds.
+//! `2·live·n·8`). A [`Kind::SeededGaloisKeys`] set carries one seed per
+//! key beside its `k0`s; [`crate::keys::SeededGaloisKeys::expand`]
+//! rebuilds every pair's `a` from it. Seeded ciphertexts are level-0 by
+//! construction (only fresh encryptions have a uniform `c1`; anything
+//! key-switched or mod-switched does not). Version negotiation is per
+//! message: a ciphertext decoder accepts both formats by kind — version 1
+//! for the full kind, version 2 for seeded kinds.
 //!
 //! `decode_*` enforces, in order and **before any arithmetic**: length,
 //! magic/version/kind, fingerprint match against the session's
@@ -67,7 +70,9 @@
 
 use crate::ciphertext::Ciphertext;
 use crate::error::{Error, Result};
-use crate::keys::{check_galois_element, GaloisKey, GaloisKeys, PublicKey};
+use crate::keys::{
+    check_galois_element, key_half_bytes, PublicKey, SeededGaloisKey, SeededGaloisKeys,
+};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::poly::Representation;
@@ -98,40 +103,44 @@ pub const OFF_LEVEL: usize = 16;
 /// Byte offset of the live-limb-count field.
 pub const OFF_LIVE_LIMBS: usize = 20;
 
-/// Message kinds carried in the header. Bytes 2 (full public key) and 4
-/// (plaintext mask) are retired kinds: they decode as unknown and are
-/// never reused, so every surviving message keeps its bytes.
+/// Message kinds carried in the header. Bytes 2 (full public key), 3
+/// (full Galois key set) and 4 (plaintext mask) are retired kinds: they
+/// decode as unknown and are never reused, so every surviving message
+/// keeps its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kind {
     /// A BFV ciphertext (two evaluation-form polynomials).
     Ciphertext = 1,
-    /// A Galois key set.
-    GaloisKeys = 3,
     /// A fresh seeded ciphertext: 8-byte expansion seed + `c0` (v2).
     SeededCiphertext = 5,
     /// A seeded public key: 8-byte expansion seed + `pk0` (v2).
     SeededPublicKey = 6,
+    /// A seeded Galois key set: per key its element, an 8-byte expansion
+    /// seed and the pairs' `k0` (v2).
+    SeededGaloisKeys = 7,
 }
 
 impl Kind {
     fn from_u8(v: u8) -> Option<Kind> {
         match v {
             1 => Some(Kind::Ciphertext),
-            3 => Some(Kind::GaloisKeys),
             5 => Some(Kind::SeededCiphertext),
             6 => Some(Kind::SeededPublicKey),
+            7 => Some(Kind::SeededGaloisKeys),
             _ => None,
         }
     }
 
-    /// The format version a kind is defined in: seeded kinds are v2,
-    /// everything else v1. Decoders hold each message to its kind's
+    /// The format version a kind is defined in: seeded kinds are v2, the
+    /// full ciphertext v1. Decoders hold each message to its kind's
     /// version — that pairing *is* the version negotiation.
     fn version(self) -> u16 {
         match self {
-            Kind::SeededCiphertext | Kind::SeededPublicKey => SEEDED_VERSION,
-            _ => VERSION,
+            Kind::Ciphertext => VERSION,
+            Kind::SeededCiphertext | Kind::SeededPublicKey | Kind::SeededGaloisKeys => {
+                SEEDED_VERSION
+            }
         }
     }
 }
@@ -378,8 +387,8 @@ fn read_poly(
     read_poly_on(r, params.chain(), live, repr)
 }
 
-/// [`read_poly`] against an explicit chain — hybrid Galois key pairs live
-/// on the `P`-extended key-switch chain, whose last plane is canonical
+/// [`read_poly`] against an explicit chain — a hybrid Galois key's `k0`s
+/// live on the `P`-extended key-switch chain, whose last plane is canonical
 /// against the special prime, not any data limb.
 fn read_poly_on(
     r: &mut Reader<'_>,
@@ -687,59 +696,56 @@ pub fn decode_public_key(bytes: &[u8], params: &BfvParams) -> Result<PublicKey> 
 // Galois key sets
 // ---------------------------------------------------------------------
 
-/// Exact encoded size of a `count`-key Galois key set: header, key count,
-/// one element word per key, plus the key material
-/// [`GaloisKeys::byte_size`] charges — per key, `ks_digits_at(0)` pairs of
-/// polynomials over the `ks_chain_at(0)` planes.
-pub fn galois_keys_wire_bytes(params: &BfvParams, count: usize) -> usize {
-    HEADER_BYTES + 4 + count * 8 + count * GaloisKeys::key_bytes(params)
+/// Exact encoded size of a `count`-key seeded Galois key set: header, key
+/// count, then per key its element word, its seed, and `ks_digits_at(0)`
+/// `k0` polynomials over the `ks_chain_at(0)` planes — half the pair
+/// material the expanded [`crate::GaloisKeys::byte_size`] holds.
+pub fn seeded_galois_keys_wire_bytes(params: &BfvParams, count: usize) -> usize {
+    HEADER_BYTES + 4 + count * (8 + SEED_BYTES + key_half_bytes(params))
 }
 
-/// Encodes a Galois key set canonically: keys are emitted in ascending
-/// element order (the `HashMap` iteration order never reaches the wire),
-/// each as its element followed by its key-switch pairs. Slot
-/// permutations are not serialized — they are a pure function of the
-/// element and are rebuilt on decode.
-pub fn encode_galois_keys(keys: &GaloisKeys, params: &BfvParams) -> Vec<u8> {
-    let mut elements: Vec<u64> = keys.elements().collect();
-    elements.sort_unstable();
-    let mut out = Vec::with_capacity(galois_keys_wire_bytes(params, elements.len()));
+/// Encodes a seeded Galois key set canonically (version 2): keys in
+/// ascending element order, each as its element, its expansion seed and
+/// its pairs' `k0` polynomials. Neither the pairs' `a` nor the slot
+/// permutations are serialized — the receiver expands both from the seed
+/// and the element ([`SeededGaloisKeys::expand`]).
+pub fn encode_seeded_galois_keys(keys: &SeededGaloisKeys, params: &BfvParams) -> Vec<u8> {
+    let mut out = Vec::with_capacity(seeded_galois_keys_wire_bytes(params, keys.len()));
     write_header(
         &mut out,
-        Kind::GaloisKeys,
+        Kind::SeededGaloisKeys,
         chain_fingerprint(params),
         0,
         params.limbs(),
     );
-    push_u32(&mut out, elements.len() as u32);
-    for g in elements {
-        // The element came from the set itself; a failed lookup cannot
-        // happen, but the encoder stays panic-free regardless.
-        let Ok(key) = keys.get(g) else { continue };
-        push_u64(&mut out, g);
-        for (k0, k1) in key.pairs() {
+    push_u32(&mut out, keys.len() as u32);
+    for key in keys.iter() {
+        push_u64(&mut out, key.element);
+        push_u64(&mut out, key.seed);
+        for k0 in key.k0() {
             push_words(&mut out, k0.data());
-            push_words(&mut out, k1.data());
         }
     }
     out
 }
 
-/// Decodes and validates a Galois key set: every element must be a valid
-/// odd automorphism exponent, the elements strictly ascending (the one
-/// order [`encode_galois_keys`] emits — a repeated element would silently
-/// overwrite its first key, and the caller would hold fewer keys than the
-/// count the message was sized by), every pair polynomial canonical. Slot
-/// permutations are rebuilt from the validated elements.
+/// Decodes and validates a seeded Galois key set, expanding nothing: the
+/// exact length for the declared count, every element a valid odd
+/// automorphism exponent and the elements strictly ascending (the one
+/// order [`encode_seeded_galois_keys`] emits — a repeated element would
+/// silently overwrite its first key, and the caller would hold fewer keys
+/// than the count the message was sized by; checked before that key's
+/// polynomials are read), and every `k0` canonical on every key-switch
+/// plane (on a hybrid chain the last against the special prime `P`).
 ///
 /// # Errors
 ///
 /// [`Error::Malformed`], [`Error::ChainMismatch`],
 /// [`Error::InvalidLevel`], or [`Error::InvalidGaloisElement`].
-pub fn decode_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys> {
-    let what = "galois keys";
+pub fn decode_seeded_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<SeededGaloisKeys> {
+    let what = "seeded galois keys";
     let mut r = Reader::new(bytes, what);
-    let h = read_header(&mut r, Kind::GaloisKeys, params)?;
+    let h = read_header(&mut r, Kind::SeededGaloisKeys, params)?;
     if h.level != 0 {
         return Err(malformed(
             what,
@@ -750,7 +756,7 @@ pub fn decode_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys
         ));
     }
     let count = r.u32()? as usize;
-    let expect = galois_keys_wire_bytes(params, count);
+    let expect = seeded_galois_keys_wire_bytes(params, count);
     if bytes.len() != expect {
         return Err(malformed(
             what,
@@ -760,11 +766,8 @@ pub fn decode_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys
             ),
         ));
     }
-    // Pairs live on the key-switch chain (on a hybrid chain its last
-    // plane canonical-checks against the special prime).
-    let (pair_count, pair_chain) = (params.ks_digits_at(0), params.ks_chain_at(0));
-    let pair_planes = pair_chain.limbs();
-    let mut out = GaloisKeys::default();
+    let (pair_count, ks) = (params.ks_digits_at(0), params.ks_chain_at(0));
+    let mut out = SeededGaloisKeys::default();
     let mut previous = 0;
     for _ in 0..count {
         let g = r.u64()?;
@@ -777,14 +780,11 @@ pub fn decode_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys
             ));
         }
         previous = g;
-        let mut pairs = Vec::with_capacity(pair_count);
-        for _ in 0..pair_count {
-            let k0 = read_poly_on(&mut r, pair_chain, pair_planes, Representation::Eval)?;
-            let k1 = read_poly_on(&mut r, pair_chain, pair_planes, Representation::Eval)?;
-            pairs.push((k0, k1));
-        }
-        let perm = params.chain().table(0).galois_permutation(g);
-        out.insert(GaloisKey::from_parts(g, pairs, perm));
+        let seed = r.u64()?;
+        let k0 = (0..pair_count)
+            .map(|_| read_poly_on(&mut r, ks, ks.limbs(), Representation::Eval))
+            .collect::<Result<Vec<_>>>()?;
+        out.insert(SeededGaloisKey::from_parts(g, seed, k0));
     }
     expect_consumed(&r)?;
     Ok(out)
@@ -1115,17 +1115,24 @@ mod tests {
     fn galois_keys_roundtrip_and_reject_bad_elements() {
         let params = BfvParams::preset_rns_2x30(4096).unwrap();
         let mut kg = KeyGenerator::from_seed(params.clone(), 4);
-        let keys = kg.galois_keys_for_steps(&[1, -1, 8]).unwrap();
-        let bytes = encode_galois_keys(&keys, &params);
-        assert_eq!(bytes.len(), galois_keys_wire_bytes(&params, keys.len()));
+        let keys = kg.seeded_galois_keys_for_steps(&[1, -1, 8]).unwrap();
+        let bytes = encode_seeded_galois_keys(&keys, &params);
         assert_eq!(
             bytes.len(),
-            HEADER_BYTES + 4 + keys.len() * 8 + keys.byte_size(&params)
+            seeded_galois_keys_wire_bytes(&params, keys.len())
         );
-        let back = decode_galois_keys(&bytes, &params).unwrap();
-        assert_eq!(back.len(), keys.len());
-        for g in keys.elements() {
-            let a = keys.get(g).unwrap();
+        let expanded = keys.clone().expand(&params);
+        // Element + seed per key, and half the expanded pair material.
+        assert_eq!(
+            bytes.len(),
+            HEADER_BYTES + 4 + keys.len() * 16 + expanded.byte_size(&params) / 2
+        );
+        let back = decode_seeded_galois_keys(&bytes, &params).unwrap();
+        assert_eq!(back, keys);
+        let back = back.expand(&params);
+        assert_eq!(back.len(), expanded.len());
+        for g in expanded.elements() {
+            let a = expanded.get(g).unwrap();
             let b = back.get(g).unwrap();
             assert_eq!(a.permutation(), b.permutation());
             for (pa, pb) in a.pairs().iter().zip(b.pairs()) {
@@ -1133,14 +1140,23 @@ mod tests {
                 assert_eq!(pa.1.data(), pb.1.data());
             }
         }
-        assert_eq!(encode_galois_keys(&back, &params), bytes);
+        assert_eq!(encode_seeded_galois_keys(&keys, &params), bytes);
 
         // An even element in the stream is structurally invalid.
         let mut bad = bytes.clone();
         bad[HEADER_BYTES + 4..HEADER_BYTES + 12].copy_from_slice(&4u64.to_le_bytes());
         assert!(matches!(
-            decode_galois_keys(&bad, &params),
+            decode_seeded_galois_keys(&bad, &params),
             Err(Error::InvalidGaloisElement(4))
         ));
+        // The retired full kind (byte 3) is an unknown kind, not a key set.
+        let mut retired = bytes.clone();
+        retired[OFF_KIND] = 3;
+        match decode_seeded_galois_keys(&retired, &params) {
+            Err(Error::Malformed { reason, .. }) => {
+                assert!(reason.contains("unknown message kind 3"), "{reason}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 }

@@ -286,11 +286,11 @@ mod wire_fault_harness {
         let p_a = params(16, 54);
         let p_b = params(17, 54);
         let mut kg = KeyGenerator::from_seed(p_a.clone(), 91);
-        let keys = kg.galois_keys_for_steps(&[1, 4]).unwrap();
-        let bytes = wire::encode_galois_keys(&keys, &p_a);
-        assert!(wire::decode_galois_keys(&bytes, &p_a).is_ok());
+        let keys = kg.seeded_galois_keys_for_steps(&[1, 4]).unwrap();
+        let bytes = wire::encode_seeded_galois_keys(&keys, &p_a);
+        assert!(wire::decode_seeded_galois_keys(&bytes, &p_a).is_ok());
         assert!(matches!(
-            wire::decode_galois_keys(&bytes, &p_b),
+            wire::decode_seeded_galois_keys(&bytes, &p_b),
             Err(Error::ChainMismatch { .. })
         ));
     }

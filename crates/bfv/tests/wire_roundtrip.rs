@@ -20,6 +20,12 @@ fn presets() -> Vec<(&'static str, BfvParams)> {
     ]
 }
 
+/// Bytes of one seeded key's `k0` polynomials: `ks_digits_at(0)` of them
+/// over the `ks_chain_at(0)` planes.
+fn key_k0_bytes(p: &BfvParams) -> usize {
+    p.ks_digits_at(0) * p.ks_chain_at(0).limbs() * p.degree() * 8
+}
+
 #[test]
 fn ciphertext_roundtrips_at_every_level_on_every_preset() {
     for (name, p) in presets() {
@@ -107,24 +113,28 @@ fn galois_keys_roundtrip_and_size_pin() {
     for (name, p) in presets() {
         let mut kg = KeyGenerator::from_seed(p.clone(), 27);
         let steps = [1, 2, 8, -1];
-        let keys = kg.galois_keys_for_steps(&steps).unwrap();
-        let bytes = wire::encode_galois_keys(&keys, &p);
+        let keys = kg.seeded_galois_keys_for_steps(&steps).unwrap();
+        let bytes = wire::encode_seeded_galois_keys(&keys, &p);
         assert_eq!(
             bytes.len(),
-            wire::galois_keys_wire_bytes(&p, keys.len()),
+            wire::seeded_galois_keys_wire_bytes(&p, keys.len()),
             "{name}: galois keys wire size formula"
         );
+        // Per key an element and a seed, and the k0 half of the pairs the
+        // expanded set holds.
+        let expanded = keys.clone().expand(&p);
         assert_eq!(
             bytes.len(),
-            wire::HEADER_BYTES + 4 + keys.len() * 8 + keys.byte_size(&p),
+            wire::HEADER_BYTES + 4 + keys.len() * 16 + expanded.byte_size(&p) / 2,
             "{name}: galois keys wire size vs key accounting"
         );
-        let back = wire::decode_galois_keys(&bytes, &p).unwrap();
+        let back = wire::decode_seeded_galois_keys(&bytes, &p).unwrap();
         assert_eq!(
-            wire::encode_galois_keys(&back, &p),
+            wire::encode_seeded_galois_keys(&back, &p),
             bytes,
             "{name}: galois keys re-encode bit-identical"
         );
+        let back = back.expand(&p);
         // The decoded keys still rotate correctly.
         let pk = kg.public_key().unwrap();
         let encoder = BatchEncoder::new(p.clone());
@@ -143,26 +153,27 @@ fn galois_keys_roundtrip_and_size_pin() {
 }
 
 /// One key set has one encoding: elements ascend strictly on the wire, so
-/// a set that lists an element twice (`GaloisKeys::insert` would silently
+/// a set that lists an element twice (`SeededGaloisKeys` would silently
 /// keep one key of the two the count field sized the message by) or out
 /// of order is refused — by the order check itself, before the offending
-/// key's pair polynomials are read.
+/// key's `k0` polynomials are read.
 #[test]
 fn galois_key_sets_with_repeated_or_unordered_elements_are_malformed() {
     for name in ["rns_3x36", "hybrid_2x36"] {
         let p = presets().into_iter().find(|(n, _)| *n == name).unwrap().1;
         let keys = KeyGenerator::from_seed(p.clone(), 27)
-            .galois_keys_for_steps(&[1, 2])
+            .seeded_galois_keys_for_steps(&[1, 2])
             .unwrap();
-        let clean = wire::encode_galois_keys(&keys, &p);
+        let clean = wire::encode_seeded_galois_keys(&keys, &p);
         assert_eq!(
-            wire::decode_galois_keys(&clean, &p).unwrap().len(),
+            wire::decode_seeded_galois_keys(&clean, &p).unwrap().len(),
             2,
             "{name}"
         );
-        // Key records are an element word followed by the pair material.
+        // Key records are an element word and a seed word followed by the
+        // k0 material.
         let first = wire::HEADER_BYTES + 4;
-        let second = first + 8 + keys.byte_size(&p) / 2;
+        let second = first + 16 + key_k0_bytes(&p);
         let element = |at: usize| clean[at..at + 8].to_vec();
 
         let mut repeated = clean.clone();
@@ -172,12 +183,12 @@ fn galois_key_sets_with_repeated_or_unordered_elements_are_malformed() {
         swapped[second..second + 8].copy_from_slice(&element(first));
         for (what, mut mutant) in [("repeated", repeated), ("swapped", swapped)] {
             // As is, then with a non-canonical residue in the offending
-            // key's first pair: the order check must fire first.
+            // key's first k0: the order check must fire first.
             for poisoned in [false, true] {
                 if poisoned {
-                    mutant[second + 8..second + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+                    mutant[second + 16..second + 24].copy_from_slice(&u64::MAX.to_le_bytes());
                 }
-                match wire::decode_galois_keys(&mutant, &p) {
+                match wire::decode_seeded_galois_keys(&mutant, &p) {
                     Err(cheetah_bfv::Error::Malformed { reason, .. }) => assert!(
                         reason.contains("strictly ascending"),
                         "{name}, {what} element: rejected for the wrong reason: {reason}"
@@ -185,6 +196,89 @@ fn galois_key_sets_with_repeated_or_unordered_elements_are_malformed() {
                     other => panic!("{name}, {what} element: expected Malformed, got {other:?}"),
                 }
             }
+        }
+    }
+}
+
+/// Kind 7's framing: the retired full kind is unknown, a relabelled key
+/// set is no seeded ciphertext or public key, and the length is exact for
+/// the declared count — one count or one word either way is refused.
+#[test]
+fn seeded_galois_key_sets_are_framed_exactly() {
+    use cheetah_bfv::Error;
+    const OFF_COUNT: usize = wire::HEADER_BYTES;
+    fn malformed<T>(r: Result<T, Error>, what: &str) -> String {
+        match r {
+            Err(Error::Malformed { reason, .. }) => reason,
+            Err(other) => panic!("{what}: expected Malformed, got {other:?}"),
+            Ok(_) => panic!("{what}: accepted"),
+        }
+    }
+    for name in ["rns_3x36", "hybrid_2x36"] {
+        let p = presets().into_iter().find(|(n, _)| *n == name).unwrap().1;
+        let keys = KeyGenerator::from_seed(p.clone(), 29)
+            .seeded_galois_keys_for_steps(&[1, 4])
+            .unwrap();
+        let clean = wire::encode_seeded_galois_keys(&keys, &p);
+        assert_eq!(clean[wire::OFF_KIND], 7, "{name}");
+        assert_eq!(clean[wire::OFF_VERSION], 2, "{name}: kind 7 is a v2 kind");
+        assert_eq!(wire::decode_seeded_galois_keys(&clean, &p).unwrap(), keys);
+
+        let mut retired = clean.clone();
+        retired[wire::OFF_KIND] = 3;
+        let reason = malformed(wire::decode_seeded_galois_keys(&retired, &p), name);
+        assert!(
+            reason.contains("unknown message kind 3"),
+            "{name}: {reason}"
+        );
+
+        for kind in [5u8, 6] {
+            let mut relabelled = clean.clone();
+            relabelled[wire::OFF_KIND] = kind;
+            let what = format!("{name} as kind {kind}");
+            malformed(wire::decode_seeded_galois_keys(&relabelled, &p), &what);
+            malformed(wire::decode_ciphertext(&relabelled, &p), &what);
+            malformed(wire::decode_public_key(&relabelled, &p), &what);
+            // Framed as seeded ciphertexts, the key material misframes.
+            assert!(
+                wire::split_ciphertext_messages(&relabelled, &p).is_err(),
+                "{what}"
+            );
+        }
+        // And the key set itself is no ciphertext bundle.
+        malformed(wire::split_ciphertext_messages(&clean, &p), name);
+
+        for count in [1u32, 3] {
+            let mut lie = clean.clone();
+            lie[OFF_COUNT..OFF_COUNT + 4].copy_from_slice(&count.to_le_bytes());
+            let reason = malformed(wire::decode_seeded_galois_keys(&lie, &p), name);
+            assert!(
+                reason.contains("need exactly"),
+                "{name} count {count}: {reason}"
+            );
+        }
+        let short = &clean[..clean.len() - 8];
+        let mut long = clean.clone();
+        long.extend_from_slice(&[0; 8]);
+        for (what, bytes) in [("one word short", short), ("one word long", &long[..])] {
+            let reason = malformed(wire::decode_seeded_galois_keys(bytes, &p), what);
+            assert!(reason.contains("need exactly"), "{name} {what}: {reason}");
+        }
+
+        // A hybrid key's last k0 plane is canonical against P.
+        if let Some(special) = p.special() {
+            let at = wire::HEADER_BYTES + 4 + 16 + p.limbs() * p.degree() * 8;
+            let word = |w: u64| {
+                let mut mutant = clean.clone();
+                mutant[at..at + 8].copy_from_slice(&w.to_le_bytes());
+                wire::decode_seeded_galois_keys(&mutant, &p)
+            };
+            let reason = malformed(word(special.value()), name);
+            assert!(reason.contains("non-canonical"), "{name}: {reason}");
+            assert!(
+                word(special.value() - 1).is_ok(),
+                "{name}: P − 1 is canonical"
+            );
         }
     }
 }
@@ -213,16 +307,16 @@ fn hybrid_and_digit_chains_over_the_same_data_limbs_mutually_reject() {
     );
     let mut kg_h = KeyGenerator::from_seed(hybrid.clone(), 41);
     let mut kg_d = KeyGenerator::from_seed(digit.clone(), 41);
-    let keys_h = kg_h.galois_keys_for_steps(&[1]).unwrap();
-    let keys_d = kg_d.galois_keys_for_steps(&[1]).unwrap();
-    let bytes_h = wire::encode_galois_keys(&keys_h, &hybrid);
-    let bytes_d = wire::encode_galois_keys(&keys_d, &digit);
+    let keys_h = kg_h.seeded_galois_keys_for_steps(&[1]).unwrap();
+    let keys_d = kg_d.seeded_galois_keys_for_steps(&[1]).unwrap();
+    let bytes_h = wire::encode_seeded_galois_keys(&keys_h, &hybrid);
+    let bytes_d = wire::encode_seeded_galois_keys(&keys_d, &digit);
     assert!(
-        wire::decode_galois_keys(&bytes_h, &digit).is_err(),
+        wire::decode_seeded_galois_keys(&bytes_h, &digit).is_err(),
         "hybrid keys must not decode under the digit chain"
     );
     assert!(
-        wire::decode_galois_keys(&bytes_d, &hybrid).is_err(),
+        wire::decode_seeded_galois_keys(&bytes_d, &hybrid).is_err(),
         "digit keys must not decode under the hybrid chain"
     );
     // Ciphertexts are bit-identical across the twins, so the fingerprint

@@ -16,7 +16,7 @@
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
-    Result, Scratch,
+    Result, Scratch, SeededGaloisKeys,
 };
 use cheetah_core::linear::parallel::default_threads;
 use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc, PreparedKernel};
@@ -317,13 +317,14 @@ impl PreparedLayers {
         self.fingerprint
     }
 
-    /// Checks that a client's Galois key set covers every step the
-    /// prepared plans rotate by.
+    /// Checks that a client's seeded Galois key set covers every step the
+    /// prepared plans rotate by — on the elements alone, before any key
+    /// is expanded.
     ///
     /// # Errors
     ///
     /// [`Error::MissingGaloisKey`] naming the first uncovered step.
-    pub fn check_key_coverage(&self, keys: &GaloisKeys) -> Result<()> {
+    pub fn check_key_coverage(&self, keys: &SeededGaloisKeys) -> Result<()> {
         for &step in &self.steps {
             keys.get_for_step(self.params.degree(), step)?;
         }

@@ -7,10 +7,10 @@
 //! secret key, encrypts activation uploads (seeded wire format — fresh
 //! symmetric ciphertexts ship as `(seed, c0)`), and decrypts + validates
 //! masked downloads behind the measured-noise gate. [`ServerSession`]
-//! plays the cloud: it holds the client's Galois keys (handed over
-//! in-process but *accounted* at their wire size), removes the previous
-//! round's mask, plans the level, applies the prepared layer, re-masks,
-//! and records the transcript.
+//! plays the cloud: it holds the client's Galois keys, expanded from the
+//! seeded set the client registers (handed over in-process, accounted at
+//! its wire size), removes the previous round's mask, plans the level,
+//! applies the prepared layer, re-masks, and records the transcript.
 //!
 //! Everything that crosses between the halves is either validated wire
 //! bytes or the functional garbled-circuit handoff
@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use cheetah_bfv::{
     wire, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, GaloisKeys, KeyGenerator,
-    Result, Scratch,
+    Result, Scratch, SeededGaloisKeys,
 };
 use cheetah_nn::{Network, Tensor, Weights};
 use cheetah_protocol::masking::{add_mod_t, gated_decrypt_slots, sub_mod_t};
@@ -38,14 +38,16 @@ use rand::{Rng, SeedableRng};
 
 use crate::model::PreparedModel;
 
-/// What a client registers with the server: its Galois keys (handed over
-/// in-process; wire-encoding a multi-limb key set costs hundreds of
-/// megabytes for nothing in a simulation) and the accounted setup bytes
-/// — keys at wire size plus the seeded public key.
+/// What a client registers with the server: its seeded Galois keys —
+/// elements, seeds and `k0`s, no `k1` — and the accounted setup bytes.
+/// The set is handed over in-process but is exactly what the wire
+/// carries ([`wire::encode_seeded_galois_keys`]), and the server expands
+/// every `a` from its seed on registration.
 pub struct ClientSetup {
-    /// Plan-exact Galois keys generated by the client.
-    pub keys: GaloisKeys,
-    /// Accounted setup upload: `keys.byte_size + seeded-pk payload`.
+    /// Plan-exact seeded Galois keys generated by the client.
+    pub keys: SeededGaloisKeys,
+    /// Accounted setup upload: the seeded key set's wire payload plus the
+    /// seeded public key's.
     pub setup_bytes: usize,
 }
 
@@ -109,8 +111,11 @@ impl ClientSession {
         // — like every other fresh encryption of this key holder.
         let (pk, pk_seed) = keygen.public_key_seeded()?;
         let pk_encoded = wire::encode_public_key_seeded(&pk, pk_seed)?;
-        let keys = keygen.galois_keys_for_steps(model.required_steps())?;
-        let setup_bytes = keys.byte_size(&params) + (pk_encoded.len() - wire::HEADER_BYTES);
+        // So do the Galois keys: (element, seed, k0) per key.
+        let keys = keygen.seeded_galois_keys_for_steps(model.required_steps())?;
+        let setup_bytes = (wire::seeded_galois_keys_wire_bytes(&params, keys.len())
+            - wire::HEADER_BYTES)
+            + (pk_encoded.len() - wire::HEADER_BYTES);
         let client = Self {
             // Uploads are fresh *symmetric* encryptions (c1 = a is pure
             // PRNG output), which is what makes them seed-compressible.
@@ -270,17 +275,19 @@ pub struct ServerSession {
 }
 
 impl ServerSession {
-    /// Registers a client: checks its Galois keys cover every prepared
-    /// plan, and records the setup upload in the transcript.
+    /// Registers a client: checks its seeded Galois keys cover every
+    /// prepared plan (on the elements, before any work), expands them,
+    /// and records the setup upload in the transcript.
     ///
     /// # Errors
     ///
     /// [`Error::MissingGaloisKey`] when the key set misses a plan step.
     pub fn new(model: Arc<PreparedModel>, setup: ClientSetup, seed: u64) -> Result<Self> {
         model.layers().check_key_coverage(&setup.keys)?;
+        let keys = setup.keys.expand(model.params());
         let mut server = Self {
             model,
-            keys: setup.keys,
+            keys,
             mask_rng: StdRng::seed_from_u64(seed ^ 0xa5a5),
             setup_bytes: setup.setup_bytes,
             noise_meter: None,

@@ -302,6 +302,133 @@ fn a_round_past_the_final_layer_is_a_typed_error_on_both_halves() {
     ));
 }
 
+/// The benchmark's four workloads, `(name, network, weights, chain,
+/// Galois keys, setup bytes)`: the nets, weights and chains `bench_e2e`
+/// builds for `--seed 1`.
+fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usize)> {
+    let mlp = Network {
+        name: "bench_mlp".into(),
+        input_shape: vec![1024],
+        layers: vec![
+            Layer::fc("fc1", 1024, 256),
+            Layer::Relu,
+            Layer::fc("fc2", 256, 64),
+            Layer::Relu,
+            Layer::fc("fc3", 64, 16),
+        ],
+    };
+    let cnn = Network {
+        name: "bench_cnn".into(),
+        input_shape: vec![1, 16, 16],
+        layers: vec![
+            Layer::conv("conv1", 16, 3, 1, 8, 1, 1),
+            Layer::Relu,
+            Layer::MaxPool { k: 2, stride: 2 },
+            Layer::conv("conv2", 8, 3, 8, 16, 1, 1),
+            Layer::Relu,
+            Layer::MaxPool { k: 2, stride: 2 },
+            Layer::Flatten,
+            Layer::fc("fc", 256, 16),
+        ],
+    };
+    // The bench's weight stream for --seed 1, and its fixed pruning
+    // pattern.
+    let weight_seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_add(1 << 48);
+    let mut sparse = Weights::random(&mlp, 2, weight_seed);
+    sparse.prune_to_sparsity(0.9, 0x5ba5_e11e);
+    sparse.round_to_pow2(3);
+    let digit = BfvParams::preset_rns_3x36(4096).unwrap();
+    let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
+    vec![
+        (
+            "mlp_digit",
+            mlp.clone(),
+            Weights::random(&mlp, 1, weight_seed),
+            digit.clone(),
+            22,
+            13_074_796,
+        ),
+        (
+            "cnn_digit",
+            cnn.clone(),
+            Weights::random(&cnn, 1, weight_seed),
+            digit,
+            15,
+            8_945_916,
+        ),
+        (
+            "mlp_hybrid",
+            mlp.clone(),
+            Weights::random(&mlp, 1, weight_seed),
+            hybrid.clone(),
+            22,
+            4_391_276,
+        ),
+        ("fleet_sparse", mlp, sparse, hybrid, 20, 3_998_028),
+    ]
+}
+
+#[test]
+fn setup_bytes_account_the_seeded_key_set_at_its_wire_size() {
+    // What a client registers is what the wire carries: the seeded key
+    // set's encoding, net of its header, plus the seeded public key's
+    // payload — half the key material the server holds once it expands.
+    for (name, net, weights, params, key_count, setup_bytes) in bench_shapes() {
+        let layers = PreparedLayers::new(&net, &weights, params.clone()).unwrap();
+        let model = PreparedModel::from_layers(Arc::new(layers)).unwrap();
+        let (_, setup) = ClientSession::keygen(Arc::clone(&model), 7).unwrap();
+        let pk_payload = wire::seeded_public_key_wire_bytes(&params) - wire::HEADER_BYTES;
+        let encoded = wire::encode_seeded_galois_keys(&setup.keys, &params);
+        assert_eq!(
+            encoded.len() - wire::HEADER_BYTES,
+            setup.setup_bytes - pk_payload,
+            "{name}: accounted key bytes vs wire payload"
+        );
+        assert_eq!(setup.keys.len(), key_count, "{name}: Galois keys");
+        assert_eq!(setup.setup_bytes, setup_bytes, "{name}: setup bytes");
+
+        let server = ServerSession::new(model, setup, 7).unwrap();
+        assert_eq!(server.galois_keys().len(), key_count, "{name}: expanded");
+        let held = server.galois_keys().byte_size(&params);
+        assert_eq!(
+            encoded.len() - wire::HEADER_BYTES,
+            4 + key_count * 16 + held / 2,
+            "{name}: the wire carries the k0 half"
+        );
+        let record = &server.transcript().messages()[0];
+        assert_eq!(record.bytes, setup_bytes, "{name}: transcript setup record");
+    }
+}
+
+#[test]
+fn registration_refuses_a_seeded_set_that_misses_a_plan_step() {
+    // Coverage is checked on the seeded elements, before any expansion.
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 93);
+    let params = session_params_3_limb();
+    let layers = PreparedLayers::new(&net, &weights, params.clone()).unwrap();
+    let model = PreparedModel::from_layers(Arc::new(layers)).unwrap();
+    let (_, mut setup) = ClientSession::keygen(Arc::clone(&model), 5).unwrap();
+    let n = params.degree();
+    let element = |s: i64| cheetah_bfv::keys::element_for_step(n, s).unwrap();
+    let dropped = model.required_steps()[0];
+    let rest: Vec<i64> = (model.required_steps().iter().copied())
+        .filter(|&s| element(s) != element(dropped))
+        .collect();
+    setup.keys = KeyGenerator::from_seed(params, 5)
+        .seeded_galois_keys_for_steps(&rest)
+        .unwrap();
+    let refused = ServerSession::new(model, setup, 5).err();
+    assert!(
+        matches!(
+            refused,
+            Some(Error::MissingGaloisKey { element: g, step: Some(s) })
+                if g == element(dropped) && s == dropped
+        ),
+        "expected MissingGaloisKey for step {dropped}, got {refused:?}"
+    );
+}
+
 #[test]
 fn a_network_without_linear_layers_keeps_its_setup_record_through_both_entry_points() {
     // The leading layers are the whole inference: no round runs, and the

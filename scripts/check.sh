@@ -147,6 +147,25 @@ if git grep -nE 'Kind::PublicKey\b|PlaintextMask|encode_public_key\(|plaintext_m
     exit 1
 fi
 
+echo "==> seeded-keys gate"
+# A client ships its Galois keys seeded, (element, seed, k0) per key, and the
+# server expands every pair's a from the seed (SeededGaloisKeys::expand, the
+# only place a k1 is made). The full key-set kind (3) stays retired, keygen
+# draws no uniform polynomial from its own stream, and what a client
+# registers (ClientSetup) holds no k1.
+if git grep -nE 'Kind::GaloisKeys\b|encode_galois_keys\(|decode_galois_keys\(|\bgalois_keys_wire_bytes' -- crates src tests examples; then
+    echo "FAIL: the full Galois key-set wire kind is back (see matches above)"
+    exit 1
+fi
+if git grep -n 'uniform_rns(' -- crates/bfv/src/keys.rs; then
+    echo "FAIL: keys.rs draws a uniform polynomial from the generator stream again"
+    exit 1
+fi
+if ! git grep -qE '^    pub keys: SeededGaloisKeys,' -- crates/serve/src/session.rs; then
+    echo "FAIL: ClientSetup's key field is no longer SeededGaloisKeys"
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release

@@ -3,10 +3,11 @@
 //! Every other suite compares a run with itself (two paths, two thread
 //! counts, two backends), so a refactor that claims "same bits" had
 //! nothing in the tree to hold it to across commits. This one pins FNV-1a
-//! digests of Galois-key wire bytes, of direct and hoisted rotation
-//! residues at every level, and of every payload of one seeded
-//! private-inference transcript, plus every preset's chain fingerprint
-//! (the header word each of those messages carries). The bit-identity
+//! digests of seeded Galois-key wire bytes, of direct and hoisted
+//! rotation residues at every level, of every payload of one seeded
+//! private-inference transcript (and of its uploads alone), and of the
+//! seed expander's output, plus every preset's chain fingerprint (the
+//! header word each of those messages carries). The bit-identity
 //! contract of `docs/SIMD.md` makes them machine- and backend-independent.
 //!
 //! A digest here changes only when the engine writes different bits for
@@ -16,10 +17,13 @@
 //! once) and says so; a change that claims "same bits" must leave them
 //! alone.
 
-use cheetah::bfv::{wire, BatchEncoder, BfvParams, Encryptor, Evaluator, KeyGenerator};
+use cheetah::bfv::{
+    expand_uniform, wire, BatchEncoder, BfvParams, Encryptor, Evaluator, KeyGenerator,
+};
 use cheetah::nn::inference::random_input;
 use cheetah::nn::models::tiny_cnn;
 use cheetah::nn::Weights;
+use cheetah::protocol::transcript::Direction;
 use cheetah::serve::PrivateInferenceSession;
 
 const N: usize = 4096;
@@ -104,11 +108,30 @@ fn chain_fingerprints_keep_their_bits() {
     pins.finish();
 }
 
-/// `(preset, digest of the encoded key set, digest of every rotation)`.
+/// Digest of `expand_uniform` over the data and key-switch chains of
+/// three presets: the uniform component every seeded upload and public
+/// key omits. Generated before Galois keys were seeded and unmoved by it.
+const EXPAND_UNIFORM_PIN: u64 = 0x0326_4ce8_f8c6_9740;
+
+#[test]
+fn expand_uniform_keeps_its_bits() {
+    let mut h = Fnv::new();
+    for (name, seed) in [("single_60", 1), ("rns_3x36", 2), ("hybrid_2x36", 3)] {
+        let params = preset(name);
+        h.words(expand_uniform(seed, params.chain()).data());
+        h.words(expand_uniform(seed, params.ks_chain_at(0)).data());
+    }
+    let mut pins = Pins::default();
+    pins.check("expand_uniform".to_string(), h.0, EXPAND_UNIFORM_PIN);
+    pins.finish();
+}
+
+/// `(preset, digest of the seeded key set's wire bytes, digest of every
+/// rotation)`.
 const ENGINE_PINS: [(&str, u64, u64); 3] = [
-    ("single_60", 0x8f23_d98f_64fa_f296, 0x1679_cc15_27ef_cf5e),
-    ("rns_3x36", 0x9f0c_1c7d_de01_9787, 0x708f_50f0_d272_b71f),
-    ("hybrid_2x36", 0xe3e0_80c4_17c7_1c6c, 0x5f0a_28e4_fe09_4921),
+    ("single_60", 0x7659_7696_bd8b_7e9e, 0xefcf_0348_b308_591e),
+    ("rns_3x36", 0x6620_5ae7_e73d_afdd, 0x3f64_292b_9377_2e43),
+    ("hybrid_2x36", 0xa3c3_ee3f_59b1_d356, 0x5f79_3ea9_2f35_49cd),
 ];
 
 #[test]
@@ -118,10 +141,11 @@ fn galois_keys_and_rotations_keep_their_bits() {
         let params = preset(name);
         let mut keygen = KeyGenerator::from_seed(params.clone(), 7);
         let pk = keygen.public_key().unwrap();
-        let keys = keygen.galois_keys_for_steps(&STEPS).unwrap();
+        let seeded = keygen.seeded_galois_keys_for_steps(&STEPS).unwrap();
         let mut h = Fnv::new();
-        h.bytes(&wire::encode_galois_keys(&keys, &params));
+        h.bytes(&wire::encode_seeded_galois_keys(&seeded, &params));
         pins.check(format!("{name} galois keys"), h.0, keys_pin);
+        let keys = seeded.expand(&params);
 
         let encoder = BatchEncoder::new(params.clone());
         let slots: Vec<u64> = (0..N as u64).map(|i| i % 97).collect();
@@ -149,10 +173,15 @@ fn galois_keys_and_rotations_keep_their_bits() {
     pins.finish();
 }
 
-/// `(preset, digest of every transcript label and payload in order)`.
-const SESSION_PINS: [(&str, u64); 2] = [
-    ("rns_3x36", 0x17eb_6ef6_15ac_1c73),
-    ("hybrid_2x36", 0x9672_a238_2ffb_a839),
+/// `(preset, digest of every transcript label and payload in order,
+/// digest of the uploads' labels and payloads alone)`. The upload digests
+/// were generated before Galois keys were seeded and did not move with
+/// them: an upload depends on the secret key, the encryptor's seed and
+/// the activations the client decrypts, never on the rotation keys that
+/// moved the download bits.
+const SESSION_PINS: [(&str, u64, u64); 2] = [
+    ("rns_3x36", 0xe103_cc4c_a67a_2e88, 0x8a16_8422_2456_fdc5),
+    ("hybrid_2x36", 0x6790_ec15_62c9_826f, 0xfbf6_9463_52d2_edc3),
 ];
 
 #[test]
@@ -163,21 +192,27 @@ fn tiny_cnn_transcript_keeps_its_bits() {
     let weights = Weights::random(&net, 2, 2024);
     let input = random_input(&net.input_shape, 3, 2025);
     let mut pins = Pins::default();
-    for (name, pin) in SESSION_PINS {
+    for (name, pin, uploads_pin) in SESSION_PINS {
         let mut session = PrivateInferenceSession::new(&net, &weights, preset(name), 7).unwrap();
         let (_, transcript) = session.run(&input).unwrap();
         let mut h = Fnv::new();
+        let mut uploads = Fnv::new();
         let mut payloads = 0;
         for m in transcript.messages() {
             payloads += usize::from(!m.payload.is_empty());
             h.bytes(m.label.as_bytes());
             h.bytes(&m.payload);
+            if m.direction == Direction::ClientToCloud && !m.payload.is_empty() {
+                uploads.bytes(m.label.as_bytes());
+                uploads.bytes(&m.payload);
+            }
         }
         assert_eq!(
             payloads, 6,
             "{name}: 3 uploads and 3 downloads carry payloads"
         );
         pins.check(format!("{name} tiny_cnn transcript"), h.0, pin);
+        pins.check(format!("{name} tiny_cnn uploads"), uploads.0, uploads_pin);
     }
     pins.finish();
 }
