@@ -51,10 +51,12 @@
 //! falls through and reads the same on both) and the unit costs of the
 //! three constant-multiply loops on the 36-bit presets, `decompose`
 //! (`rns_decompose_into`, `rns_3x36`), `hybrid_decompose`
-//! (`hybrid_decompose_into`, `hybrid_2x36`) and `rescale` (the `P`-rescale:
-//! `mod_switch_in_place` on `hybrid_2x36`'s key-switch chain, restoring
-//! the dropped plane — a 32 KiB copy — included), each with its `_avx2`
-//! twin. `scripts/check.sh` gates three of the pairs.
+//! (`hybrid_decompose_into`, `hybrid_2x36`) and `rescale` (the `P`-rescale
+//! of one accumulator: `divide_round_by_last` on `hybrid_2x36`'s
+//! key-switch chain — the INTT of the `P` plane, the lift and NTT onto
+//! each data plane — restoring the dropped plane, a 32 KiB copy,
+//! included), each with its `_avx2` twin. `scripts/check.sh` gates three
+//! of the pairs.
 //!
 //! Run: `cargo run --release -p cheetah-bench --bin bench_he_ops [out.json]`
 //!
@@ -278,12 +280,12 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
     }
 }
 
-/// Unit costs of the three constant-multiply loops on the 36-bit presets,
+/// Unit costs of the three constant-multiply stages on the 36-bit presets,
 /// each as `[detected, forced AVX2 lanes]`: the digit decomposition of a
 /// level-0 `rns_3x36` polynomial, the hybrid decomposition of a level-0
-/// `hybrid_2x36` one, and the `P`-rescale of one accumulator on its
-/// key-switch chain (with the 32 KiB copy that puts the dropped plane
-/// back).
+/// `hybrid_2x36` one, and the evaluation-form `P`-rescale of one
+/// accumulator on its key-switch chain (with the 32 KiB copy that puts the
+/// dropped plane back).
 fn constant_multiply_points() -> [[f64; 2]; 3] {
     let residues = |chain: &cheetah_bfv::ModulusChain, limbs: usize| {
         let n = chain.degree() as u64;
@@ -307,21 +309,26 @@ fn constant_multiply_points() -> [[f64; 2]; 3] {
 
     let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
     let (chain, ks) = (hybrid.chain(), hybrid.ks_chain_at(0));
-    let src = residues(chain, chain.limbs());
+    // The decomposition normalizes its input in place; residues stay
+    // residues, so every pass does the same work.
+    let mut src = residues(chain, chain.limbs());
     let mut digits = vec![RnsPoly::zero(ks, Representation::Coeff); hybrid.ks_digits_at(0)];
     let hybrid_decompose = detected_and_avx2(|| {
-        black_box(&src)
+        black_box(&mut src)
             .hybrid_decompose_into(chain, ks, &mut digits)
             .unwrap();
     });
 
-    let raised = residues(ks, ks.limbs());
+    let mut raised = residues(ks, ks.limbs());
+    raised.set_representation(Representation::Eval);
     let special = ks.limbs() - 1;
     let mut acc = raised.clone();
+    let mut tmp = vec![0; ks.degree()];
     let rescale = detected_and_avx2(|| {
         acc.resize_limbs(ks.limbs());
         acc.limb_mut(special).copy_from_slice(raised.limb(special));
-        ks.mod_switch_in_place(black_box(&mut acc)).unwrap();
+        ks.divide_round_by_last(black_box(&mut acc), &mut tmp)
+            .unwrap();
     });
     [decompose, hybrid_decompose, rescale]
 }

@@ -30,9 +30,14 @@
 //! arithmetic — base-`A` digits summed straight into the output, or
 //! centred digits over `P·Q_ℓ` and a division by `P` — and the shape
 //! ([`BfvParams::ks_digits_at`] digits on [`BfvParams::ks_chain_at`]).
-//! [`OpCounts`] is bumped by what each half transforms and sums; the
-//! closed forms the corrected HE-PTune model charges (§IV-A) live in
-//! `cheetah-core`'s `cost.rs`, the per-stage table in `docs/PARAMS.md`.
+//! [`OpCounts`] is bumped by what each half transforms and sums, and the
+//! stage clock ([`Evaluator::stage_times`]) records each stage's calls,
+//! wall time and transforms; the closed forms the corrected HE-PTune model
+//! charges (§IV-A) live in `cheetah-core`'s `cost.rs`, the per-stage table
+//! in `docs/PARAMS.md`. The NTT-bound stages of a hybrid switch stay in
+//! evaluation form wherever the arithmetic allows: a digit's own plane is
+//! scaled rather than transformed, and the `P`-rescale transforms only the
+//! `P` plane and its lifts.
 //!
 //! # One inner product
 //!
@@ -90,6 +95,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::ciphertext::Ciphertext;
 use crate::encoder::Plaintext;
@@ -126,9 +132,11 @@ pub struct OpCounts {
     /// `l_limbs`) and modulus-switched ciphertexts report their reduced
     /// work. A key switch at level `ℓ` contributes `live` for the `c1`
     /// INTT plus `ks_digits_at(ℓ)` digits × the planes of `ks_chain_at(ℓ)`
-    /// — once per direct rotation, once per hoisted set — and, on a
-    /// hybrid chain, the `P`-rescale per rotation (two accumulators off
-    /// the key-switch chain, both back onto the live planes).
+    /// (less each hybrid digit's own plane, written in evaluation form) —
+    /// once per direct rotation, once per hoisted set — and, on a hybrid
+    /// chain, the `P`-rescale per rotation (per accumulator, the INTT of
+    /// the `P` plane and one NTT per live plane). [`Evaluator::stage_times`]
+    /// splits this share by stage.
     pub ntt: u64,
     /// Pointwise polynomial multiplications (2 per `HE_Mult`,
     /// `2·ks_digits_at(ℓ)` per rotate; each spans every plane of its
@@ -149,6 +157,111 @@ impl OpCounts {
             ntt: self.ntt - earlier.ntt,
             poly_mul: self.poly_mul - earlier.poly_mul,
             mod_switch: self.mod_switch - earlier.mod_switch,
+        }
+    }
+}
+
+/// The stages of one key switch, in datapath order (the rows of
+/// `docs/PARAMS.md`'s stage table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KsStage {
+    /// Front: copy `c1`, or read it through the Galois permutation; on a
+    /// hybrid chain also the digits' own planes, scaled in evaluation form.
+    Copy,
+    /// Front: the inverse transform of `c1`'s live planes.
+    Intt,
+    /// Front: the digit decomposition.
+    Decompose,
+    /// Front: the forward transforms of the digits.
+    DigitNtt,
+    /// Back: the digit × key inner product.
+    KeySum,
+    /// Back, hybrid only: the division of both accumulators by `P` and
+    /// the fold into the output.
+    Rescale,
+}
+
+impl KsStage {
+    /// Every stage, in datapath order.
+    pub const ALL: [KsStage; 6] = [
+        KsStage::Copy,
+        KsStage::Intt,
+        KsStage::Decompose,
+        KsStage::DigitNtt,
+        KsStage::KeySum,
+        KsStage::Rescale,
+    ];
+}
+
+/// One key-switch stage's running totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTime {
+    /// Times the stage ran.
+    pub calls: u64,
+    /// Wall time inside it, in nanoseconds.
+    pub ns: u64,
+    /// NTT plane transforms it ran (its share of [`OpCounts::ntt`]).
+    pub transforms: u64,
+}
+
+/// Per-stage totals of every key switch an evaluator ran since its last
+/// [`Evaluator::reset_op_counts`] ([`Evaluator::stage_times`]), indexed by
+/// [`KsStage`]. Calls and transforms are deterministic; the sum of the
+/// transforms is the key switches' part of [`OpCounts::ntt`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes([StageTime; KsStage::ALL.len()]);
+
+impl StageTimes {
+    /// Stage-wise difference (for scoped measurements).
+    pub fn since(&self, earlier: &StageTimes) -> StageTimes {
+        StageTimes(std::array::from_fn(|i| StageTime {
+            calls: self.0[i].calls - earlier.0[i].calls,
+            ns: self.0[i].ns - earlier.0[i].ns,
+            transforms: self.0[i].transforms - earlier.0[i].transforms,
+        }))
+    }
+}
+
+impl std::ops::Index<KsStage> for StageTimes {
+    type Output = StageTime;
+
+    fn index(&self, stage: KsStage) -> &StageTime {
+        &self.0[stage as usize]
+    }
+}
+
+/// The atomics behind [`StageTimes`]: `(calls, ns, transforms)` per stage,
+/// fixed-size and always on, like the [`OpCounts`] counters.
+#[derive(Debug, Default)]
+struct StageClock([[AtomicU64; 3]; KsStage::ALL.len()]);
+
+impl StageClock {
+    /// Closes `stage` at now: one call, the time since `since` and
+    /// `transforms` plane transforms. `since` moves to now, where the next
+    /// stage starts.
+    fn lap(&self, stage: KsStage, since: &mut Instant, transforms: u64) {
+        let now = Instant::now();
+        let [calls, ns, planes] = &self.0[stage as usize];
+        calls.fetch_add(1, Ordering::Relaxed);
+        ns.fetch_add((now - *since).as_nanos() as u64, Ordering::Relaxed);
+        planes.fetch_add(transforms, Ordering::Relaxed);
+        *since = now;
+    }
+
+    fn snapshot(&self) -> StageTimes {
+        StageTimes(std::array::from_fn(|i| {
+            let [calls, ns, planes] = &self.0[i];
+            StageTime {
+                calls: calls.load(Ordering::Relaxed),
+                ns: ns.load(Ordering::Relaxed),
+                transforms: planes.load(Ordering::Relaxed),
+            }
+        }))
+    }
+
+    fn reset(&self) {
+        for counter in self.0.iter().flatten() {
+            counter.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -297,8 +410,10 @@ pub struct Evaluator {
     ntt_count: AtomicU64,
     poly_mul_count: AtomicU64,
     mod_switch_count: AtomicU64,
-    /// Backs the allocating wrapper API; the in-place API takes a caller
-    /// scratch instead so worker threads never contend here.
+    stages: StageClock,
+    /// Backs the allocating wrapper API and `HE_ModSwitch`'s temporary
+    /// plane; the rest of the in-place API takes a caller scratch instead
+    /// so worker threads never contend here.
     scratch: Mutex<Scratch>,
 }
 
@@ -316,6 +431,7 @@ impl Evaluator {
             ntt_count: AtomicU64::new(0),
             poly_mul_count: AtomicU64::new(0),
             mod_switch_count: AtomicU64::new(0),
+            stages: StageClock::default(),
             scratch: Mutex::new(Scratch::new(n, limbs)),
         }
     }
@@ -343,7 +459,14 @@ impl Evaluator {
         }
     }
 
-    /// Resets the kernel counters.
+    /// Snapshot of the key-switch stage clock: calls, wall time and plane
+    /// transforms per [`KsStage`], over every key switch since the last
+    /// [`Evaluator::reset_op_counts`].
+    pub fn stage_times(&self) -> StageTimes {
+        self.stages.snapshot()
+    }
+
+    /// Resets the kernel counters and the key-switch stage clock.
     pub fn reset_op_counts(&self) {
         self.add_count.store(0, Ordering::Relaxed);
         self.mul_count.store(0, Ordering::Relaxed);
@@ -351,11 +474,20 @@ impl Evaluator {
         self.ntt_count.store(0, Ordering::Relaxed);
         self.poly_mul_count.store(0, Ordering::Relaxed);
         self.mod_switch_count.store(0, Ordering::Relaxed);
+        self.stages.reset();
     }
 
     #[inline]
     fn count(counter: &AtomicU64, by: u64) {
         counter.fetch_add(by, Ordering::Relaxed);
+    }
+
+    /// Closes a key-switch stage on the stage clock and counts its plane
+    /// transforms in [`OpCounts::ntt`] — the one place a key switch bumps
+    /// that counter.
+    fn lap(&self, stage: KsStage, since: &mut Instant, transforms: u64) {
+        self.stages.lap(stage, since, transforms);
+        Self::count(&self.ntt_count, transforms);
     }
 
     /// Locks the internal scratch pool. A poisoned mutex only means some
@@ -667,7 +799,10 @@ impl Evaluator {
     /// planes), a hybrid chain lifts it centred onto `[q_0 … q_{live-1}, P]`
     /// (one digit per live limb). Both normalise against the **full**
     /// chain's `q̂_i⁻¹`, which is what pairs level-`ℓ` digits with level-0
-    /// keys.
+    /// keys. A hybrid digit's own plane `i` is that residue itself, so it is
+    /// written in evaluation form before the INTT
+    /// ([`RnsPoly::hybrid_own_planes_into`]) and never transformed: `live`
+    /// fewer digit transforms than planes.
     fn key_switch_front(
         &self,
         c1: &RnsPoly,
@@ -679,13 +814,8 @@ impl Evaluator {
         let chain = self.params.chain();
         let ks = self.params.ks_chain_at(level);
         let count = self.params.ks_digits_at(level);
+        let hybrid = self.params.has_special();
         let live = c1.limbs();
-        let mut coeffs = scratch.take_poly_limbs(live, Representation::Eval);
-        match perm {
-            Some(perm) => coeffs.permute_from(c1, perm),
-            None => coeffs.copy_from(c1),
-        }
-        coeffs.to_coeff(chain);
         if digits.len() != count
             || digits
                 .first()
@@ -693,18 +823,39 @@ impl Evaluator {
         {
             *digits = vec![RnsPoly::zero(ks, Representation::Coeff); count];
         }
-        let decomposed = if self.params.has_special() {
-            coeffs.hybrid_decompose_into(chain, ks, digits)
-        } else {
-            coeffs.rns_decompose_into(self.params.a_dcmp(), chain, digits)
+        let mut clock = Instant::now();
+        let mut c1x = scratch.take_poly_limbs(live, Representation::Eval);
+        let mut body = || -> Result<()> {
+            match perm {
+                Some(perm) => c1x.permute_from(c1, perm),
+                None => c1x.copy_from(c1),
+            }
+            if hybrid {
+                c1x.hybrid_own_planes_into(chain, digits)?;
+            }
+            self.lap(KsStage::Copy, &mut clock, 0);
+            c1x.to_coeff(chain);
+            self.lap(KsStage::Intt, &mut clock, live as u64);
+            if hybrid {
+                c1x.hybrid_decompose_into(chain, ks, digits)?;
+            } else {
+                c1x.rns_decompose_into(self.params.a_dcmp(), chain, digits)?;
+            }
+            self.lap(KsStage::Decompose, &mut clock, 0);
+            for (i, digit) in digits.iter_mut().enumerate() {
+                digit.forward_except(ks, hybrid.then_some(i));
+            }
+            let own = if hybrid { count } else { 0 };
+            self.lap(
+                KsStage::DigitNtt,
+                &mut clock,
+                (count * ks.limbs() - own) as u64,
+            );
+            Ok(())
         };
-        scratch.put_poly(coeffs);
-        decomposed?;
-        for digit in digits.iter_mut() {
-            digit.to_eval(ks);
-        }
-        Self::count(&self.ntt_count, (live + digits.len() * ks.limbs()) as u64);
-        Ok(())
+        let done = body();
+        scratch.put_poly(c1x);
+        done
     }
 
     /// The back half of every key switch: `out.c1 = Σ_j d_j ⊙ k1_j` and
@@ -731,6 +882,7 @@ impl Evaluator {
     ) -> Result<()> {
         let ks = self.params.ks_chain_at(level);
         let (oc0, oc1) = out.parts_mut();
+        let mut clock = Instant::now();
         if self.params.has_special() {
             let mut acc0 = scratch.take_poly_limbs(ks.limbs(), Representation::Eval);
             let mut acc1 = scratch.take_poly_limbs(ks.limbs(), Representation::Eval);
@@ -741,10 +893,12 @@ impl Evaluator {
             let mut body = || -> Result<()> {
                 let align = PlaneAlign::SpecialLast;
                 Self::key_switch_sum(&mut acc0, &mut acc1, digits, key, gather, align, ks)?;
-                self.divide_round_by_last(&mut acc0, ks)?;
-                self.divide_round_by_last(&mut acc1, ks)?;
+                self.lap(KsStage::KeySum, &mut clock, 0);
+                let transforms = Self::divide_round(&mut acc0, ks, scratch)?
+                    + Self::divide_round(&mut acc1, ks, scratch)?;
                 oc0.add_assign(&acc0, self.params.chain_at(level))?;
                 oc1.copy_from(&acc1);
+                self.lap(KsStage::Rescale, &mut clock, transforms);
                 Ok(())
             };
             let done = body();
@@ -759,6 +913,7 @@ impl Evaluator {
             oc1.fill_zero();
             oc1.set_representation(Representation::Eval);
             Self::key_switch_sum(oc0, oc1, digits, key, gather, PlaneAlign::Prefix, ks)?;
+            self.lap(KsStage::KeySum, &mut clock, 0);
         }
         Self::count(&self.poly_mul_count, 2 * digits.len() as u64);
         Ok(())
@@ -793,20 +948,18 @@ impl Evaluator {
     }
 
     /// Divides an evaluation-form polynomial by the last of its live
-    /// limbs on `chain`, exactly rounded
-    /// ([`crate::rns::ModulusChain::mod_switch_in_place`]), and returns it
-    /// to evaluation form one plane narrower: `planes` inverse and
-    /// `planes − 1` forward transforms. Both divide-and-rounds of the
-    /// engine are this — `HE_ModSwitch` (by `q_drop`, on the data chain)
-    /// and the hybrid key switch's rescale (by `P`, on the key-switch
-    /// chain, whose surviving prefix is the data chain's).
-    fn divide_round_by_last(&self, p: &mut RnsPoly, chain: &ModulusChain) -> Result<()> {
+    /// limbs on `chain`, exactly rounded, with the temporary plane leased
+    /// from `scratch` ([`ModulusChain::divide_round_by_last`]); returns the
+    /// plane transforms it ran, one per plane it had. Both divide-and-rounds
+    /// of the engine are this — `HE_ModSwitch` (by `q_drop`, on the data
+    /// chain) and the hybrid key switch's rescale (by `P`, on the
+    /// key-switch chain, whose surviving prefix is the data chain's).
+    fn divide_round(p: &mut RnsPoly, chain: &ModulusChain, scratch: &mut Scratch) -> Result<u64> {
         let planes = p.limbs() as u64;
-        p.to_coeff(chain);
-        chain.mod_switch_in_place(p)?;
-        p.to_eval(chain);
-        Self::count(&self.ntt_count, 2 * planes - 1);
-        Ok(())
+        let mut tmp = scratch.take_poly_limbs(1, Representation::Coeff);
+        let divided = chain.divide_round_by_last(p, tmp.data_mut());
+        scratch.put_poly(tmp);
+        divided.map(|()| planes)
     }
 
     /// `HE_Rotate` into a caller-owned output ciphertext. Steps wrap
@@ -843,7 +996,7 @@ impl Evaluator {
     /// `HE_ModSwitch` in place: drops `a`'s last live limb, rescaling the
     /// ciphertext from `Q_ℓ` to `Q_{ℓ+1} = Q_ℓ/q_drop` with the exact
     /// `round(q_drop⁻¹·…)` correction per remaining residue
-    /// ([`crate::rns::ModulusChain::mod_switch_in_place`]). Noise divides
+    /// ([`ModulusChain::divide_round_by_last`]). Noise divides
     /// by `q_drop` (plus a small rounding term —
     /// [`NoiseEstimate::mod_switch`]), the ceiling divides by the same
     /// factor, and **every subsequent operation gets cheaper**: rotations
@@ -851,9 +1004,11 @@ impl Evaluator {
     /// and `2·l_ct(ℓ+1)` pointwise multiplications, storage and wire size
     /// drop to `2·live·n·8` bytes.
     ///
-    /// Costs `2·(2·live − 1)` NTT plane transforms (INTT every live plane,
-    /// NTT back the survivors, per component). No allocation — the drop is
-    /// a truncation of limb-major storage.
+    /// Costs `2·live` NTT plane transforms (per component, the INTT of the
+    /// dropped plane and one NTT of its lift onto each survivor). No
+    /// allocation at steady state — the drop is a truncation of limb-major
+    /// storage, and the temporary plane comes from the evaluator's own
+    /// scratch pool.
     ///
     /// # Errors
     ///
@@ -873,8 +1028,11 @@ impl Evaluator {
         let chain = self.params.chain();
         let noise = a.noise().mod_switch(&self.params, level);
         let (c0, c1) = a.parts_mut();
-        self.divide_round_by_last(c0, chain)?;
-        self.divide_round_by_last(c1, chain)?;
+        let mut scratch = self.scratch_guard();
+        let transforms = Self::divide_round(c0, chain, &mut scratch)?
+            + Self::divide_round(c1, chain, &mut scratch)?;
+        drop(scratch);
+        Self::count(&self.ntt_count, transforms);
         a.set_noise(noise);
         Self::count(&self.mod_switch_count, 1);
         Ok(())

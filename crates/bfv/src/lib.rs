@@ -113,7 +113,9 @@ pub use ciphertext::Ciphertext;
 pub use encoder::{BatchEncoder, Plaintext};
 pub use encryptor::{Decryptor, Encryptor};
 pub use error::{Error, Result};
-pub use evaluator::{Evaluator, HoistedDecomposition, OpCounts, PreparedPlaintext};
+pub use evaluator::{
+    Evaluator, HoistedDecomposition, KsStage, OpCounts, PreparedPlaintext, StageTime, StageTimes,
+};
 pub use keys::{
     GaloisKey, GaloisKeys, KeyGenerator, PublicKey, SecretKey, SeededGaloisKey, SeededGaloisKeys,
 };

@@ -229,39 +229,50 @@ impl ModulusChain {
         Ok(())
     }
 
-    /// Drops the last *live* limb of a coefficient-form polynomial in
-    /// place: the modulus-switching kernel. With `k` live limbs (`k` may be
-    /// below the chain length for an already-switched polynomial) and
-    /// `q_last = q_{k-1}`, every composed coefficient `c` is replaced by
-    /// the exactly rounded `round(c / q_last)` over the surviving prefix
-    /// modulus `Q' = q_0 ⋯ q_{k-2}`, entirely in per-residue word
-    /// arithmetic:
+    /// Drops the last *live* limb of an evaluation-form polynomial in
+    /// place, dividing by it exactly rounded: the one divide-and-round of
+    /// the engine — `HE_ModSwitch` on the data chain and the hybrid key
+    /// switch's `P`-rescale on a key-switch chain. With `k` live limbs (`k`
+    /// may be below the chain length for an already-switched polynomial)
+    /// and `q_last = q_{k-1}`, every composed coefficient `c` becomes
+    /// `round(c / q_last)` over the surviving prefix `Q' = q_0 ⋯ q_{k-2}`:
     ///
-    /// `c'_i = (c_i + ⌊q_last/2⌋ − [c_last + ⌊q_last/2⌋]_{q_last}) · q_last⁻¹  (mod q_i)`
+    /// `c'_i = (c_i − center(c_last)) · q_last⁻¹  (mod q_i)`
     ///
-    /// which is `⌊(c + ⌊q_last/2⌋)/q_last⌋ = round(c/q_last) mod q_i` because
-    /// `b − [b]_{q_last}` is an exact multiple of `q_last`. The polynomial
-    /// shrinks by one limb plane (prefix planes are preserved in place —
-    /// limb-major storage makes the drop a truncation).
+    /// (`c − center(c_last)` is the multiple of `q_last` nearest `c`). Only
+    /// the dropped plane leaves evaluation form: it is inverse-transformed
+    /// in place, and for each surviving limb its centred lift onto `q_i` is
+    /// transformed in `tmp` and subtracted before the multiply by
+    /// `q_last⁻¹`. The NTT is linear and both sides are canonical, so the
+    /// surviving planes are bit for bit the forward transforms of the
+    /// coefficient-form formula's — at `k` plane transforms instead of the
+    /// `2k − 1` of a round trip through coefficient form. The polynomial
+    /// shrinks by one limb plane (limb-major storage makes the drop a
+    /// truncation).
     ///
     /// # Errors
     ///
-    /// [`Error::WrongRepresentation`] unless in coefficient form, and
+    /// [`Error::WrongRepresentation`] unless in evaluation form, and
     /// [`Error::ParameterMismatch`] when fewer than two limbs are live, the
-    /// polynomial has more limbs than the chain, or degrees differ.
-    pub fn mod_switch_in_place(&self, p: &mut RnsPoly) -> Result<()> {
-        p.expect_repr(Representation::Coeff)?;
+    /// polynomial has more limbs than the chain, degrees differ, or `tmp`
+    /// is not one plane long.
+    pub fn divide_round_by_last(&self, p: &mut RnsPoly, tmp: &mut [u64]) -> Result<()> {
+        p.expect_repr(Representation::Eval)?;
         let live = p.limbs();
         let n = p.degree();
-        if live < 2 || live > self.limbs() || n != self.degree() {
+        if live < 2 || live > self.limbs() || n != self.degree() || tmp.len() != n {
             return Err(Error::ParameterMismatch);
         }
         let q_last = self.modulus(live - 1);
         let (head, tail) = p.data.split_at_mut((live - 1) * n);
-        let last = &tail[..n];
+        let last = &mut tail[..n];
+        self.table(live - 1).inverse(last);
         for (i, plane) in head.chunks_exact_mut(n).enumerate() {
-            let inv = self.inner.drop_inv[live - 1][i];
-            simd::rescale(plane, last, q_last, self.modulus(i), inv);
+            let q = self.modulus(i);
+            simd::lift_centered(tmp, last, q_last, q);
+            self.table(i).forward(tmp);
+            simd::sub_assign(plane, tmp, q);
+            simd::mul_scalar(plane, self.inner.drop_inv[live - 1][i], q);
         }
         p.truncate_limbs(live - 1);
         Ok(())
@@ -491,9 +502,18 @@ impl RnsPoly {
     /// Converts to evaluation form in place, one NTT per limb plane
     /// (no-op if already there).
     pub fn to_eval(&mut self, chain: &ModulusChain) {
+        self.forward_except(chain, None);
+    }
+
+    /// [`RnsPoly::to_eval`] of every plane but `keep`, which already holds
+    /// evaluation-form residues — a hybrid digit's own plane, written by
+    /// [`RnsPoly::hybrid_own_planes_into`].
+    pub(crate) fn forward_except(&mut self, chain: &ModulusChain, keep: Option<usize>) {
         if self.repr == Representation::Coeff {
             for (i, plane) in self.data.chunks_exact_mut(self.n).enumerate() {
-                chain.table(i).forward(plane);
+                if keep != Some(i) {
+                    chain.table(i).forward(plane);
+                }
             }
             self.repr = Representation::Eval;
         }
@@ -781,8 +801,15 @@ impl RnsPoly {
     /// and `q̂_i ≡ 0` modulo every other limb (and modulo nothing times `P`
     /// — the `P` factor is explicit in the key's signal).
     ///
+    /// Plane `i` of digit `i` — the digit's *own* plane, `v` itself — is
+    /// not written here: it is `q̂_i⁻¹` times `c`'s plane `i` in either
+    /// form, and [`RnsPoly::hybrid_own_planes_into`] writes it from the
+    /// evaluation form, where it needs no transform. `self`'s planes are
+    /// overwritten by the normalized residues.
+    ///
     /// `digits` must hold exactly `live` polynomials of `live + 1` planes
-    /// each; they come out in coefficient form on `ks_chain`.
+    /// each; their other planes come out in coefficient form on `ks_chain`,
+    /// for a forward transform that skips the own plane.
     ///
     /// # Errors
     ///
@@ -791,7 +818,7 @@ impl RnsPoly {
     /// prefix of `data_chain` extended by one limb, or `digits` has the
     /// wrong shape.
     pub fn hybrid_decompose_into(
-        &self,
+        &mut self,
         data_chain: &ModulusChain,
         ks_chain: &ModulusChain,
         digits: &mut [RnsPoly],
@@ -817,20 +844,56 @@ impl RnsPoly {
             }
             d.repr = Representation::Coeff;
         }
-        for (i, digit) in digits.iter_mut().enumerate() {
+        for ((i, digit), v) in digits
+            .iter_mut()
+            .enumerate()
+            .zip(self.data.chunks_exact_mut(n))
+        {
             let q_i = data_chain.modulus(i);
-            // Plane `i` of digit `i` is the normalized residue itself (its
-            // centred lift mod `q_i`); every other plane lifts it from
-            // there.
-            let (before, rest) = digit.data.split_at_mut(i * n);
-            let (v, after) = rest.split_at_mut(n);
-            v.copy_from_slice(self.limb(i));
             simd::mul_scalar(v, data_chain.crt().qhat_inv(i), q_i);
+            let (before, rest) = digit.data.split_at_mut(i * n);
             let others = (0..i).chain(i + 1..=live);
-            let planes = before.chunks_exact_mut(n).chain(after.chunks_exact_mut(n));
+            let planes = before
+                .chunks_exact_mut(n)
+                .chain(rest[n..].chunks_exact_mut(n));
             for (k, plane) in others.zip(planes) {
                 simd::lift_centered(plane, v, q_i, ks_chain.modulus(k));
             }
+        }
+        Ok(())
+    }
+
+    /// The own planes of [`RnsPoly::hybrid_decompose_into`]'s digits, from
+    /// the evaluation form of `c` (`self`): plane `i` of digit `i` is
+    /// `[q̂_i⁻¹·c]_{q_i}`, and the NTT is linear, so its transform is one
+    /// constant multiply of `self`'s plane `i`: bit for bit the transform
+    /// of the coefficient-form residue, without running it. Every other
+    /// plane is left alone.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::WrongRepresentation`] unless in evaluation form, and
+    /// [`Error::ParameterMismatch`] if `self` has more limbs than
+    /// `data_chain` or `digits` is not `live` polynomials of `live + 1`
+    /// planes.
+    pub fn hybrid_own_planes_into(
+        &self,
+        data_chain: &ModulusChain,
+        digits: &mut [RnsPoly],
+    ) -> Result<()> {
+        self.expect_repr(Representation::Eval)?;
+        let (live, n) = (self.limbs, self.n);
+        if live > data_chain.limbs()
+            || n != data_chain.degree()
+            || digits.len() != live
+            || digits.iter().any(|d| d.limbs != live + 1 || d.n != n)
+        {
+            return Err(Error::ParameterMismatch);
+        }
+        for ((i, digit), plane) in digits.iter_mut().enumerate().zip(self.limb_planes()) {
+            let own = digit.limb_mut(i);
+            own.copy_from_slice(plane);
+            simd::mul_scalar(own, data_chain.crt().qhat_inv(i), data_chain.modulus(i));
         }
         Ok(())
     }
@@ -1247,17 +1310,25 @@ mod tests {
     #[test]
     fn mod_switch_rounds_exactly() {
         // Dropping a limb must compute round(c / q_last) per coefficient,
-        // verified against exact u128 arithmetic through the CRT.
+        // verified in coefficient form against exact u128 arithmetic
+        // through the CRT.
         let ch = chain(32, &[30, 31, 36]);
         let a = RnsPoly::from_fn(&ch, Representation::Coeff, |i, j| {
             ((i as u64 * 0x9e37_79b9 + j as u64 * 0x85eb_ca6b) ^ (j as u64) << 7)
                 % ch.modulus(i).value()
         });
-        let mut b = a.clone();
-        ch.mod_switch_in_place(&mut b).unwrap();
+        let sub = ModulusChain::new(32, &[ch.modulus(0).value(), ch.modulus(1).value()]).unwrap();
+        let mut tmp = vec![0; 32];
+        let divide = |p: &RnsPoly, tmp: &mut [u64]| {
+            let mut out = p.clone();
+            out.to_eval(&ch);
+            ch.divide_round_by_last(&mut out, tmp).unwrap();
+            out.to_coeff(&ch);
+            out
+        };
+        let b = divide(&a, &mut tmp);
         assert_eq!(b.limbs(), 2);
         let q_last = ch.modulus(2).value() as u128;
-        let sub = ModulusChain::new(32, &[ch.modulus(0).value(), ch.modulus(1).value()]).unwrap();
         for j in 0..32 {
             let c = a.compose_coeff(&ch, j);
             let rounded = (c + q_last / 2) / q_last;
@@ -1265,8 +1336,7 @@ mod tests {
             assert_eq!(b.compose_coeff(&sub, j), expect, "coeff {j}");
         }
         // And a second drop keeps rounding exactly over the new prefix.
-        let mut c2 = b.clone();
-        ch.mod_switch_in_place(&mut c2).unwrap();
+        let c2 = divide(&b, &mut tmp);
         assert_eq!(c2.limbs(), 1);
         let q1 = ch.modulus(1).value() as u128;
         for j in 0..32 {
@@ -1274,10 +1344,22 @@ mod tests {
             let expect = ((c + q1 / 2) / q1) % ch.modulus(0).value() as u128;
             assert_eq!(c2.limb(0)[j] as u128, expect, "coeff {j} second drop");
         }
-        // One live limb left: nothing to drop.
+        // One live limb left: nothing to drop; coefficient form and a
+        // temporary of the wrong length are refused.
         let mut last = c2;
+        last.to_eval(&ch);
         assert!(matches!(
-            ch.mod_switch_in_place(&mut last),
+            ch.divide_round_by_last(&mut last, &mut tmp),
+            Err(Error::ParameterMismatch)
+        ));
+        assert!(matches!(
+            ch.divide_round_by_last(&mut a.clone(), &mut tmp),
+            Err(Error::WrongRepresentation { .. })
+        ));
+        let mut eval = a.clone();
+        eval.to_eval(&ch);
+        assert!(matches!(
+            ch.divide_round_by_last(&mut eval, &mut tmp[..16]),
             Err(Error::ParameterMismatch)
         ));
     }

@@ -5,12 +5,13 @@
 //! through this module: the Harvey NTT butterflies in
 //! [`crate::ntt::NttTable`], the Barrett/Shoup pointwise kernels in
 //! [`crate::poly`], the lazy inner product under every mask sum and key
-//! switch (`dot_pair`), and the three per-coefficient loops of
-//! [`crate::rns`] that multiply every residue by a per-limb constant — the
-//! digit split of the RNS decomposition (`mul_scalar` by `q̂_i⁻¹`, then
-//! `peel_digit`), the centred lift of the hybrid decomposition
-//! (`mul_scalar`, then `lift_centered`) and the rounded limb drop of a
-//! modulus switch or `P`-rescale (`rescale`). Four backends exist:
+//! switch (`dot_pair`), and the per-coefficient loops of [`crate::rns`]
+//! that multiply every residue by a per-limb constant — the digit split of
+//! the RNS decomposition (`mul_scalar` by `q̂_i⁻¹`, then `peel_digit`), the
+//! centred lift of the hybrid decomposition (`mul_scalar`, then
+//! `lift_centered`), and the rounded limb drop of a modulus switch or
+//! `P`-rescale, which is that same centred lift, a transform, `sub_assign`
+//! and `mul_scalar` by `q_drop⁻¹` in evaluation form. Four backends exist:
 //!
 //! * [`SimdBackend::Scalar`] — the original loops, verbatim. This is the
 //!   pinned reference: the other backends are *defined* as bit-identical
@@ -30,8 +31,8 @@
 //!   (the `ifma` module below): the forward and inverse NTT (Harvey's
 //!   butterfly, eight per instruction), the lazy inner product
 //!   (`madd52lo`/`madd52hi` into two `u64` rows, one fold per output) and
-//!   the constant multiplies (`mul_scalar`, `lift_centered`,
-//!   `rescale`: one Shoup `mul_lazy` per product). Wider limbs and
+//!   the constant multiplies (`mul_scalar`, `lift_centered`: one Shoup
+//!   `mul_lazy` per product). Wider limbs and
 //!   `n = 8` run the `Avx2` lanes — or, for the kernels that have no lane
 //!   form, the reference loop.
 //!
@@ -48,10 +49,10 @@
 //! vector multiply with a high half below AVX-512 IFMA's 52-bit one), so
 //! those lane kernels are branch-free loops at *scalar* multiply
 //! throughput: `BENCH_he_ops.json`'s `ntt_avx2` is 0.82 × the forced-scalar
-//! `ntt`, `ntt_simd` 0.12 ×. `lift_centered` and `rescale` are one
-//! Barrett multiply and a few branches per coefficient with nothing for
-//! a lane form to gain, so below `Avx512Ifma` every backend runs their
-//! reference loop, as every backend runs the `u128` multiply-accumulate
+//! `ntt`, `ntt_simd` 0.12 ×. `lift_centered` is one Barrett multiply and
+//! a few branches per coefficient with nothing for a lane form to gain,
+//! so below `Avx512Ifma` every backend runs its reference loop, as every
+//! backend runs the `u128` multiply-accumulate
 //! of `dot_pair`. The only vector multiplies are the explicit IFMA ones.
 //!
 //! ## Bit-identity contract
@@ -305,21 +306,6 @@ pub(crate) fn lift_centered(out: &mut [u64], v: &[u64], from: &Modulus, to: &Mod
             if ifma::admits(out.len(), from.value()) && ifma::admits(out.len(), to.value()) =>
         unsafe { ifma::lift_centered(out, v, from.value(), to.value()) },
         _ => scalar::lift_centered(out, v, from, to),
-    }
-}
-
-/// One surviving plane of a rounded limb drop (modulus switch, hybrid
-/// `P`-rescale): with `h = ⌊q_last/2⌋`,
-/// `x[i] ← (x[i] + h − [last[i] + h]_{q_last})·inv mod q`, where `last` is
-/// the dropped plane and `inv = q_last⁻¹ mod q`.
-pub(crate) fn rescale(x: &mut [u64], last: &[u64], q_last: &Modulus, q: &Modulus, inv: u64) {
-    match current_backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `ntt_forward`.
-        SimdBackend::Avx512Ifma
-            if ifma::admits(x.len(), q_last.value()) && ifma::admits(x.len(), q.value()) =>
-        unsafe { ifma::rescale(x, last, q_last.value(), q.value(), inv) },
-        _ => scalar::rescale(x, last, q_last, q, inv),
     }
 }
 
@@ -635,16 +621,6 @@ mod scalar {
             *o = to.from_signed(from.center(x));
         }
     }
-
-    pub(super) fn rescale(x: &mut [u64], last: &[u64], q_last: &Modulus, q: &Modulus, inv: u64) {
-        let half = q_last.value() >> 1;
-        let half_i = q.reduce(half);
-        for (x, &cl) in x.iter_mut().zip(last) {
-            let b_last = q_last.add_mod(cl, half);
-            let b_i = q.add_mod(*x, half_i);
-            *x = q.mul_mod(q.sub_mod(b_i, q.reduce(b_last)), inv);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -941,9 +917,9 @@ mod lanes {
 // The same `mul_lazy` with one broadcast operand `c < q` and its quotient
 // `⌊c·2^52/q⌋` (one division per call) is `x·c mod q` for any `x < 2^52`:
 // `canon(x·c) = csub(mul_lazy(x, c), q)`, and with `c = 1` it is `x mod q`.
-// That is all `mul_scalar`, `lift_centered` and `rescale` are made of —
-// every value they multiply is a residue, or a sum the comments bound,
-// below `2^52` — under the same gate on every modulus involved.
+// That is all `mul_scalar` and `lift_centered` are made of — every value
+// they multiply is a residue, or a magnitude the comments bound, below
+// `2^52` — under the same gate on every modulus involved.
 //
 // ## The lazy inner product
 //
@@ -1309,23 +1285,6 @@ mod ifma {
                 let r = mul_canon(_mm512_mask_sub_epi64(x, neg, from, x), one, &c);
                 let neg = _mm512_mask_cmpneq_epu64_mask(neg, r, zero);
                 store(o, _mm512_mask_sub_epi64(r, neg, c.q, r));
-            }
-        }
-
-        /// [`super::rescale`] on planes [`admits`] accepts under both moduli.
-        pub(super) fn rescale(x: &mut [u64], last: &[u64], q_last: u64, q: u64, inv: u64) {
-            let c = consts(q);
-            let (one, inv) = (shoup(1, q), shoup(inv, q));
-            let half = q_last >> 1;
-            let (q_last, half, half_i) = (splat(q_last), splat(half), splat(half % q));
-            for (x, cl) in x.as_chunks_mut().0.iter_mut().zip(last.as_chunks().0) {
-                let b_last = csub(_mm512_add_epi64(load(cl), half), q_last);
-                let b_i = csub(_mm512_add_epi64(load(x), half_i), c.q);
-                // `sub_mod`: the difference wraps above `q` exactly when it
-                // is negative, and adding `q` then wraps it back.
-                let diff = _mm512_sub_epi64(b_i, mul_canon(b_last, one, &c));
-                let diff = _mm512_min_epu64(diff, _mm512_add_epi64(diff, c.q));
-                store(x, mul_canon(diff, inv, &c));
             }
         }
 

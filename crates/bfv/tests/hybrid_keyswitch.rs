@@ -184,8 +184,10 @@ fn hybrid_rotate_transform_bill_beats_the_equal_width_digit_preset() {
     // width, wire size, security budget) fixed: hybrid_1x54 spends its
     // second plane on P where rns_2x30 spends it on data, and hybrid_2x36
     // pits 3 planes against rns_3x36's 3. Per rotation the hybrid path
-    // runs live² + 6·live + 2 plane transforms against the digit path's
-    // (l_ct + 1)·live.
+    // runs live² + 3·live + 2 plane transforms — its front skips each
+    // digit's own plane, its P-rescale transforms only P and its lifts —
+    // against the digit path's (l_ct + 1)·live: 12 against 21 on the
+    // 36-bit twins.
     let pairs = [
         (
             BfvParams::preset_hybrid_1x54(4096).unwrap(),
@@ -209,7 +211,7 @@ fn hybrid_rotate_transform_bill_beats_the_equal_width_digit_preset() {
         dw.evaluator.rotate_rows(&d_ct, 1, &dw.keys).unwrap();
         let h_ntt = hw.evaluator.op_counts().ntt;
         let d_ntt = dw.evaluator.op_counts().ntt;
-        assert_eq!(h_ntt, h_live * h_live + 6 * h_live + 2, "hybrid bill");
+        assert_eq!(h_ntt, h_live * h_live + 3 * h_live + 2, "hybrid bill");
         assert_eq!(d_ntt, (l_ct + 1) * d_live, "digit bill");
         assert!(
             h_ntt < d_ntt,

@@ -16,9 +16,12 @@
 //!   gate, its 32-term group and 4095-term row bound — and all-`q − 1`
 //!   operands — the overflow bounds as a test — at both edges of the gate,
 //!   plus one group sum wider than the bound on `preset_single_60`;
-//! * the three **constant-multiply loops** of `rns.rs` (digit decompose,
-//!   hybrid lift, rounded limb drop) at every level of every preset and at
-//!   both edges of the IFMA gate, on random and boundary inputs;
+//! * the **constant-multiply loops** of `rns.rs` (digit decompose, hybrid
+//!   lift and own planes, rounded limb drop) at every level of every preset
+//!   and at both edges of the IFMA gate, on random and boundary inputs;
+//! * the evaluation-form **divide-and-round** against the coefficient-form
+//!   formula it replaced, kept here as the reference, on every data and
+//!   key-switch chain;
 //! * a **full rotate** — keygen, encrypt, Galois key switch, decrypt —
 //!   at every preset and every level of its chain;
 //! * typed-error behaviour is backend-independent.
@@ -463,14 +466,16 @@ fn pattern(kind: &str, q: &Modulus, n: usize, seed: u64) -> Vec<u64> {
     }
 }
 
-/// Everything the three constant-multiply loops of `rns.rs` write for
-/// one input pattern on the current backend, at the level with `live`
-/// data planes of `data`: the digits of `rns_decompose_into`, the digits
-/// of `hybrid_decompose_into` onto `ks` (the `live`-plane prefix of `data`
-/// plus a special prime) when there is one, and `mod_switch_in_place` of
-/// the `live` data planes (when two are live) and of `ks`'s `live + 1`.
-/// The decompositions read `pattern · q̂_i`, so that the pattern itself is
-/// the normalized residue `[q̂_i⁻¹·c]_{q_i}` they split and lift.
+/// Everything the constant-multiply loops of `rns.rs` write for one input
+/// pattern on the current backend, at the level with `live` data planes of
+/// `data`: the digits of `rns_decompose_into`, the digits of
+/// `hybrid_decompose_into` onto `ks` (the `live`-plane prefix of `data`
+/// plus a special prime) when there is one — their own planes written by
+/// `hybrid_own_planes_into` from the same residues read as evaluation
+/// form — and `divide_round_by_last` of the `live` data planes (when two
+/// are live) and of `ks`'s `live + 1`, the pattern read as evaluation
+/// form. The decompositions read `pattern · q̂_i`, so that the pattern
+/// itself is the normalized residue `[q̂_i⁻¹·c]_{q_i}` they split and lift.
 fn constant_multiply_outputs(
     data: &ModulusChain,
     live: usize,
@@ -480,7 +485,7 @@ fn constant_multiply_outputs(
     seed: u64,
 ) -> Vec<RnsPoly> {
     let n = data.degree();
-    let planes = |chain: &ModulusChain, limbs: usize, normalized: bool| {
+    let planes = |chain: &ModulusChain, limbs: usize, normalized: bool, repr| {
         let mut data = Vec::with_capacity(limbs * n);
         for i in 0..limbs {
             let q = chain.modulus(i);
@@ -495,9 +500,9 @@ fn constant_multiply_outputs(
                     .map(|v| q.mul_mod(v, weight)),
             );
         }
-        RnsPoly::from_data(data, limbs, n, Representation::Coeff)
+        RnsPoly::from_data(data, limbs, n, repr)
     };
-    let src = planes(data, live, true);
+    let src = planes(data, live, true, Representation::Coeff);
     let mut out = Vec::new();
 
     let count = (0..live)
@@ -507,20 +512,116 @@ fn constant_multiply_outputs(
     src.rns_decompose_into(base, data, &mut digits).unwrap();
     out.extend(digits);
 
+    let mut tmp = vec![0; n];
     if let Some(ks) = ks {
         let mut digits = vec![RnsPoly::zero_with(live + 1, n, Representation::Coeff); live];
-        src.hybrid_decompose_into(data, ks, &mut digits).unwrap();
+        let mut eval = src.clone();
+        eval.set_representation(Representation::Eval);
+        eval.hybrid_own_planes_into(data, &mut digits).unwrap();
+        src.clone()
+            .hybrid_decompose_into(data, ks, &mut digits)
+            .unwrap();
         out.extend(digits);
-        let mut raised = planes(ks, live + 1, false);
-        ks.mod_switch_in_place(&mut raised).unwrap();
+        let mut raised = planes(ks, live + 1, false, Representation::Eval);
+        ks.divide_round_by_last(&mut raised, &mut tmp).unwrap();
         out.push(raised);
     }
     if live >= 2 {
-        let mut dropped = planes(data, live, false);
-        data.mod_switch_in_place(&mut dropped).unwrap();
+        let mut dropped = planes(data, live, false, Representation::Eval);
+        data.divide_round_by_last(&mut dropped, &mut tmp).unwrap();
         out.push(dropped);
     }
     out
+}
+
+/// The coefficient-form divide-and-round the engine ran before its rescale
+/// moved to evaluation form, kept as the reference
+/// `ModulusChain::divide_round_by_last` is pinned to: with
+/// `h = ⌊q_last/2⌋`, every surviving plane becomes
+/// `(c_i + h − [c_last + h]_{q_last})·q_last⁻¹ mod q_i`, and the last
+/// plane is dropped.
+fn divide_round_reference(chain: &ModulusChain, p: &mut RnsPoly) {
+    assert_eq!(p.representation(), Representation::Coeff);
+    let live = p.limbs();
+    let q_last = chain.modulus(live - 1);
+    let half = q_last.value() >> 1;
+    let last = p.limb(live - 1).to_vec();
+    for i in 0..live - 1 {
+        let q = chain.modulus(i);
+        let inv = q.inv_mod(q_last.value()).unwrap();
+        let half_i = q.reduce(half);
+        for (x, &c_last) in p.limb_mut(i).iter_mut().zip(&last) {
+            let b_last = q_last.add_mod(c_last, half);
+            let b_i = q.add_mod(*x, half_i);
+            *x = q.mul_mod(q.sub_mod(b_i, q.reduce(b_last)), inv);
+        }
+    }
+    p.truncate_limbs(live - 1);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The evaluation-form divide-and-round writes the bits of the
+    /// coefficient-form reference, transformed: for every preset's data
+    /// chain at every level with a limb to drop, and every hybrid preset's
+    /// key-switch chain at every level (`hybrid_2x40` at `n = 8192`
+    /// included), on random polynomials and on the boundary patterns —
+    /// which in coefficient form put the dropped plane on both sides of
+    /// the centring cut `⌊q/2⌋` — `divide_round_by_last(to_eval(c))` is
+    /// `to_eval(reference(c))` under the forced-scalar reference and every
+    /// runnable backend.
+    #[test]
+    fn divide_round_matches_the_coefficient_reference(seed in any::<u64>()) {
+        let mut presets = all_presets();
+        presets.push(("hybrid_2x40", BfvParams::preset_hybrid_2x40(8192).unwrap()));
+        let mut chains: Vec<(String, ModulusChain, usize)> = Vec::new();
+        for (name, params) in &presets {
+            for level in 0..=params.max_level() {
+                let live = params.live_limbs_at(level);
+                if live >= 2 {
+                    chains.push((format!("{name} data L{level}"), params.chain().clone(), live));
+                }
+                if params.has_special() {
+                    let ks = params.ks_chain_at(level).clone();
+                    chains.push((format!("{name} ks L{level}"), ks, live + 1));
+                }
+            }
+        }
+        let mut backends = vec![SimdBackend::Scalar];
+        backends.extend(runnable_vector_backends());
+        for (name, chain, live) in &chains {
+            let n = chain.degree();
+            for kind in PATTERNS {
+                let mut coeffs = Vec::with_capacity(live * n);
+                for i in 0..*live {
+                    coeffs.extend(pattern(kind, chain.modulus(i), n, seed ^ i as u64));
+                }
+                let coeffs = RnsPoly::from_data(coeffs, *live, n, Representation::Coeff);
+                let (input, expect) = {
+                    let (_guard, _) = ForceGuard::force(SimdBackend::Scalar);
+                    let mut input = coeffs.clone();
+                    input.to_eval(chain);
+                    let mut expect = coeffs;
+                    divide_round_reference(chain, &mut expect);
+                    expect.to_eval(chain);
+                    (input, expect)
+                };
+                for &backend in &backends {
+                    let (_guard, eff) = ForceGuard::force(backend);
+                    prop_assert_eq!(eff, backend);
+                    let mut got = input.clone();
+                    let mut tmp = vec![0; n];
+                    chain.divide_round_by_last(&mut got, &mut tmp).unwrap();
+                    prop_assert_eq!(
+                        &got, &expect,
+                        "{}, {} inputs: divide-and-round diverged on {}",
+                        name, kind, backend.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -64,8 +64,14 @@ fn steady_state_inplace_ops_do_not_allocate() {
         .build()
         .unwrap();
     // The digit key switch and its special-prime hybrid twin: both lease
-    // every temporary — and hand it back at the width it was taken.
-    for params in [digit_chain, BfvParams::preset_hybrid_2x36(4096).unwrap()] {
+    // every temporary — and hand it back at the width it was taken. The
+    // multi-limb chains also drop a limb: the divide-and-round's
+    // temporary plane comes from the evaluator's own pool.
+    for params in [
+        digit_chain,
+        BfvParams::preset_rns_3x36(4096).unwrap(),
+        BfvParams::preset_hybrid_2x36(4096).unwrap(),
+    ] {
         steady_state_on(params);
     }
 }
@@ -88,10 +94,12 @@ fn steady_state_on(params: BfvParams) {
     let mut scratch: Scratch = eval.new_scratch();
     let mut work = base.clone();
     let mut rot = Ciphertext::transparent_zero(&params);
+    let mut switched = Ciphertext::transparent_zero(&params);
     let mut hoisted = HoistedDecomposition::empty(&params);
 
     let run_all = |work: &mut Ciphertext,
                    rot: &mut Ciphertext,
+                   switched: &mut Ciphertext,
                    hoisted: &mut HoistedDecomposition,
                    scratch: &mut Scratch| {
         eval.add_assign(work, &other).unwrap();
@@ -115,16 +123,31 @@ fn steady_state_on(params: BfvParams) {
             .unwrap();
         eval.rotate_hoisted_into(rot, work, hoisted, 2, &keys, scratch)
             .unwrap();
+        if params.max_level() > 0 {
+            eval.mod_switch_to_next_into(switched, work).unwrap();
+        }
     };
 
     // Warmup: populates the scratch pool (temporary poly + l_ct digits)
     // and the hoisted digit storage.
-    run_all(&mut work, &mut rot, &mut hoisted, &mut scratch);
+    run_all(
+        &mut work,
+        &mut rot,
+        &mut switched,
+        &mut hoisted,
+        &mut scratch,
+    );
 
     // Steady state: not a single trip to the allocator.
     let before = allocations();
     for _ in 0..5 {
-        run_all(&mut work, &mut rot, &mut hoisted, &mut scratch);
+        run_all(
+            &mut work,
+            &mut rot,
+            &mut switched,
+            &mut hoisted,
+            &mut scratch,
+        );
     }
     let after = allocations();
     assert_eq!(

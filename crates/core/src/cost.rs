@@ -19,8 +19,11 @@
 //! with a different shape — one digit per live limb, each over `live + 1`
 //! key-switch planes — plus one extra stage, the `P`-rescale of the two
 //! accumulators. The bill is read off that shape
-//! ([`HeCostParams::ks_digits`] × [`HeCostParams::ks_planes`]), so plan
-//! choosers ([`crate::sparse::BsgsPlan`], [`crate::linear::FcPlan`],
+//! ([`HeCostParams::ks_digits`] × [`HeCostParams::ks_planes`]), less what
+//! the engine keeps in evaluation form: each hybrid digit's own plane is
+//! scaled rather than transformed, and the rescale transforms only the `P`
+//! plane and its lifts onto the live limbs (`ks_planes` per accumulator).
+//! So plan choosers ([`crate::sparse::BsgsPlan`], [`crate::linear::FcPlan`],
 //! [`crate::linear::ConvPlan`]) price whichever path the chain runs.
 //!
 //! These constants match the real engine: `cheetah-bfv`'s Barrett reduction
@@ -141,21 +144,24 @@ impl HeCostParams {
     /// switch's front half, paid **once** for an entire same-source
     /// rotation set: the `c1` INTT over the live planes plus one forward
     /// transform per digit over every key-switch plane,
-    /// `l_limbs + ks_digits·ks_planes`.
+    /// `l_limbs + ks_digits·ks_planes` — except, on a hybrid chain, each
+    /// digit's own plane, which the engine writes in evaluation form:
+    /// `l_limbs + ks_digits·(ks_planes − 1)`.
     pub fn ntts_per_hoist(&self) -> u64 {
-        (self.limbs + self.ks_digits() * self.ks_planes()) as u64
+        let planes = self.ks_planes() - usize::from(self.hybrid);
+        (self.limbs + self.ks_digits() * planes) as u64
     }
 
     /// NTT plane transforms in one hoisted replay
     /// (`Evaluator::rotate_hoisted_into`), the key switch's back half:
     /// zero on a digit chain (only slot permutations and the key-switch
     /// inner products remain). The hybrid arm is the engine's rescale
-    /// tail, run per step: two accumulator INTTs over the `ks_planes`
-    /// key-switch planes and two re-entry NTTs over the
-    /// `ks_planes − 1` data planes, `2·(2·ks_planes − 1)`.
+    /// tail, run per step in evaluation form: per accumulator, the INTT of
+    /// the `P` plane and one NTT of its lift onto each of the
+    /// `ks_planes − 1` data planes, `2·ks_planes`.
     pub fn ntts_per_rotate_hoisted(&self) -> u64 {
         if self.hybrid {
-            2 * (2 * self.ks_planes() as u64 - 1)
+            2 * self.ks_planes() as u64
         } else {
             0
         }
@@ -351,9 +357,11 @@ mod tests {
         };
         assert_eq!(h.ks_digits(), 2);
         assert_eq!(h.ks_planes(), 3);
-        assert_eq!(h.ntts_per_rotate(), 2 * 2 + 6 * 2 + 2);
-        assert_eq!(h.ntts_per_hoist(), 2 * 2 + 2 * 2);
-        assert_eq!(h.ntts_per_rotate_hoisted(), 4 * 2 + 2);
+        // live² + 3·live + 2 = (live + 1)(live + 2): a front of
+        // live² + live and a rescale of 2·(live + 1).
+        assert_eq!(h.ntts_per_rotate(), 2 * 2 + 3 * 2 + 2);
+        assert_eq!(h.ntts_per_hoist(), 2 * 2 + 2);
+        assert_eq!(h.ntts_per_rotate_hoisted(), 2 * (2 + 1));
         // Hoist + replay = direct, in transforms and in total mults —
         // the same conservation the digit path satisfies, with the
         // per-step P-rescale transforms living in the replay.
@@ -382,9 +390,9 @@ mod tests {
         let full = HeCostParams::for_bfv(&params, 0);
         assert!(full.hybrid);
         assert_eq!(full.limbs, 2);
-        assert_eq!(full.ntts_per_rotate(), 18);
+        assert_eq!(full.ntts_per_rotate(), 12);
         let lvl1 = HeCostParams::for_bfv(&params, 1);
-        assert_eq!(lvl1.ntts_per_rotate(), 9);
+        assert_eq!(lvl1.ntts_per_rotate(), 6);
         // Hybrid replays are NOT transform-free — BSGS pricing must see
         // the per-step rescale or it will over-hoist.
         assert!(full.ntts_per_rotate_hoisted() > 0);

@@ -132,6 +132,29 @@ if grep -nF -e 'live * live + 6 * live' -e 'live * live + 2 * live' -e '4 * live
     exit 1
 fi
 
+echo "==> one-divide-and-round gate"
+# HE_ModSwitch and the hybrid P-rescale are one evaluation-form body,
+# ModulusChain::divide_round_by_last (behind the evaluator's divide_round):
+# it inverse-transforms the dropped plane only. The coefficient-form limb
+# drop and its SIMD kernel family stay deleted (the formula lives on as the
+# reference in crates/bfv/tests/simd_equivalence.rs), and neither body
+# takes a whole polynomial through coefficient form again.
+if git grep -nE 'mod_switch_in_place|simd::rescale|fn rescale\(' -- crates/bfv/src; then
+    echo "FAIL: the coefficient-form limb drop is back in crates/bfv/src (see matches above)"
+    exit 1
+fi
+for file in crates/bfv/src/rns.rs crates/bfv/src/evaluator.rs; do
+    body=$(awk '/fn divide_round(_by_last)?\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' "$file")
+    if [[ -z "$body" ]]; then
+        echo "FAIL: no divide-and-round body found in $file"
+        exit 1
+    fi
+    if grep -n 'to_coeff(' <<<"$body"; then
+        echo "FAIL: the divide-and-round in $file goes through coefficient form again"
+        exit 1
+    fi
+done
+
 echo "==> one-plaintext-multiply gate"
 # The engine multiplies undecomposed plaintexts (l_pt = 1): Gazelle's
 # plaintext windowing is a dimension HE-PTune prices analytically
@@ -258,9 +281,10 @@ if [[ "${1:-}" != "quick" ]]; then
     # backend, so the pair compares key-switch algorithms and not NTT
     # kernels (the old `l2_rotate_hybrid < l2_rotate` held 54-bit lanes
     # against a 30-bit chain pinned to scalar; both keys are still emitted).
-    # Per rotation hybrid runs 18 transforms and 2 digits of 3 planes
-    # against the twin's 21 transforms and 6 digits, and pays a P-rescale
-    # per accumulator, which the IFMA constant multiplier made a few µs: if
+    # Per rotation hybrid runs 12 transforms and 2 digits of 3 planes
+    # against the twin's 21 transforms and 6 digits, and pays an
+    # evaluation-form P-rescale per accumulator (the P plane's INTT, its
+    # lifts and their NTTs, the IFMA constant multiplier's few µs): if
     # the committed full run ever shows the digit twin winning, the hybrid
     # datapath has regressed (ROADMAP item 5c keeps the score).
     rot_hybrid=$(json_val BENCH_he_ops.json l3_rotate_hybrid)
@@ -283,9 +307,10 @@ if [[ "${1:-}" != "quick" ]]; then
     # forward one under the forced AVX2 lanes. (A plain `<=` let a scalar
     # "vector" NTT pass for seven PRs.) The same goes for the kernels made
     # of residue products: the transform-free digit replay (the lazy inner
-    # product and nothing else), the hybrid lift and the P-rescale must
-    # each run under 0.5 x their forced-AVX2 twin (measured ~0.3, 0.2,
-    # 0.1). On any other backend, and for the 2/3-limb rotations, the
+    # product and nothing else), the hybrid lift and the P-rescale (its
+    # three plane transforms included) must each run under 0.5 x their
+    # forced-AVX2 twin (measured ~0.3, 0.16, 0.15). On any other backend,
+    # and for the 2/3-limb rotations, the
     # vector twin must not lose to its scalar pin.
     # The `l1_rotate` pair is emitted and tracked but not gated: a
     # single-limb rotation is dominated by key-switch bookkeeping, so its
