@@ -374,10 +374,10 @@ fn prune_fc_classes(weights: &Tensor, no: usize, ni: usize, dead_frac: f64) -> T
 
 fn fc_point(params: BfvParams) -> FcPoint {
     // 256 → 64 (`bench_e2e`'s second MLP layer): d = 64 folded diagonals,
-    // tiled 8 times into δ = 8 — enough for a √δ split. A smoke run takes
-    // 512 → 16: four copies fit the row, δ = 4. The client adds the
-    // windows up, so every variant times the kernel alone.
-    let (ni, no) = if smoke() { (512, 16) } else { (256, 64) };
+    // tiled 16 times over both rows into δ = 4 — enough for a split. A
+    // smoke run takes 512 → 32: eight copies fit the two rows, δ = 4. The
+    // client adds the windows up, so every variant times the kernel alone.
+    let (ni, no) = if smoke() { (512, 32) } else { (256, 64) };
     let spec = FcSpec {
         name: "bench-fc".into(),
         ni,

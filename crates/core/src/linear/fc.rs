@@ -9,20 +9,24 @@
 //! Pad `n_i` to `n_i' = next_pow2(n_i)` (zero columns) and `n_o` to
 //! `d = n_o' = next_pow2(n_o)` (zero rows); call the padded matrix `W'` and
 //! the padded input `x`. The client — who encrypts every layer's input in
-//! this protocol — fills the whole batching row (`row = n/2` slots) with
-//! `r = tiles` pre-rotated copies of `x`, over and over:
+//! this protocol — fills the batching rows (`row = n/2` slots each) with
+//! `r = tiles` pre-rotated copies of `x`, over and over. Copy `c` is `x`
+//! rotated left by `c·δ`; it sits in row `c mod 2`, at copy position
+//! `⌊c/2⌋` of that row's period:
 //!
 //! ```text
-//! in[s] = x[src(s)]    src(s) = ((s mod n_i') + ⌊(s mod T) / n_i'⌋·δ) mod n_i'
-//!                      δ = d / r,  T = r·n_i'
+//! in[ρ][s] = x[src(ρ, s)]    src(ρ, s) = ((s mod n_i') + (R·⌊(s mod T) / n_i'⌋ + ρ)·δ) mod n_i'
+//!                            δ = d / r,  R = min(r, 2),  T = (r / R)·n_i'
 //! ```
 //!
-//! Copy `c` of each group of `r` is `x` rotated left by `c·δ`. The layout
-//! has period `T`, and `T` divides the row, so a row rotation is a cyclic
-//! shift of it with no seam: nothing in this file special-cases a wrap.
-//! `r` is a power of two with `1 ≤ r ≤ min(row / n_i', d)`
-//! ([`FcStructure::max_tiles`]); `r = 1` is plain `x` repeated. The second
-//! row stays zero.
+//! `R` rows are used; each holds `r / R` copies whose offsets step by `R·δ`
+//! — across the end of a period too, since `r·δ = d ≡ 0 (mod d)`. `T`
+//! divides the row, so a row rotation is a cyclic shift of each row with
+//! no seam: nothing in this file special-cases a wrap. A row rotation turns
+//! both rows by the same step, so nothing ever moves between them and the
+//! second row needs no column-swap key. `r` is a power of two with
+//! `1 ≤ r ≤ min(n / n_i', d)` ([`FcStructure::max_tiles`]); `r = 1` is
+//! plain `x` repeated through row 0 and leaves row 1 zero.
 //!
 //! # Tiled diagonals
 //!
@@ -32,21 +36,24 @@
 //! multiplies by the `δ` **tiled** diagonals
 //!
 //! ```text
-//! mask_k[s] = W'[s mod d][src((s + k) mod row)]        k < δ, s < row
+//! mask_k[ρ][s] = W'[s mod d][src(ρ, (s + k) mod row)]        k < δ, s < row, ρ < R
 //! ```
 //!
-//! Where slot `s` sits in copy `c`, `src(s + k) − s ≡ k + c·δ (mod d)`: one
-//! mask reads the `r` folded diagonals `k, k + δ, …, k + (r−1)·δ` at once,
-//! each under the copy pre-rotated to meet it (a slot whose `s + k` crosses
-//! into the next copy reads that copy's offset instead — the same `r`
-//! diagonals, met in another order). A tiled diagonal is live iff any of
-//! its members is ([`FcStructure::tiled`]). The partial product
+//! Where slot `s + k` of row `ρ` sits in copy `c`,
+//! `src(ρ, s + k) − s ≡ k + c·δ (mod d)`: one mask reads the `r` folded
+//! diagonals `k, k + δ, …, k + (r−1)·δ` at once — the even copies' in row
+//! 0, the odd copies' in row 1 — each under the copy pre-rotated to meet it
+//! (a slot whose `s + k` crosses into the next copy of its row reads that
+//! copy's offset instead — the same `r` diagonals, met in another order).
+//! A tiled diagonal is live iff any of its members is
+//! ([`FcStructure::tiled`]). The partial product
 //!
 //! ```text
-//! y_part[s] = Σ_{k < δ} in[(s + k) mod row] · mask_k[s]
+//! y_part[ρ][s] = Σ_{k < δ} in[ρ][(s + k) mod row] · mask_k[ρ][s]
 //! ```
 //!
-//! leaves in slot `s` the part of output row `s mod d` over `δ` columns.
+//! leaves in slot `s` of either row the part of output row `s mod d` over
+//! `δ` columns.
 //!
 //! # The kernel
 //!
@@ -79,39 +86,43 @@
 //! # Where the client adds
 //!
 //! `y_part` is what [`HomFc::apply`] returns. Each output row's partial
-//! sums sit `T / d` windows apart at stride `d`:
+//! sums sit `T / d` windows apart at stride `d` in each of the `R` rows:
 //!
 //! ```text
-//! y[i] = Σ_{m < T/d} y_part[i + m·d]   (mod t)        y = W'·x,  i < d
+//! y[i] = Σ_{ρ < R} Σ_{m < T/d} y_part[ρ][i + m·d]   (mod t)        y = W'·x,  i < d
 //! ```
 //!
-//! The `fold = T / d` windows of `δ` slots meet, in each of the `r` copies,
-//! the residues `[c·δ, (c+1)·δ)` of `γ − s (mod d)` — between them every
-//! residue once — and `n_i' / d` windows per copy cover every column of
-//! each: output row `i` meets every column exactly once. No rotate-and-sum
-//! gathers them under encryption: the client decrypts every slot of a
-//! download anyway, the protocol hands it an additive share of `y`, and a
-//! sum of shares is a share of the sum — [`HomFc::output_slots`] names the
-//! windows and [`HomFc::decode_output`] adds them. An `n_o'`-row layer pays
+//! The `fold = R·T / d = n_i' / δ` windows of `δ` slots meet, in each of
+//! the `r` copies, the residues `[c·δ, (c+1)·δ)` of `γ − s (mod d)` —
+//! between them every residue once — and `n_i' / d` windows per copy cover
+//! every column of each: output row `i` meets every column exactly once.
+//! No rotate-and-sum gathers them under encryption: the client decrypts
+//! every slot of a download anyway, the protocol hands it an additive share
+//! of `y`, and a sum of shares is a share of the sum —
+//! [`HomFc::output_slots`] names the windows, row 0's then row 1's, and
+//! [`HomFc::decode_output`] adds them. An `n_o'`-row layer pays
 //! `δ = n_o' / r` mask multiplies and the kernel's `O(√δ)` rotations, all
 //! below `δ`; at `r = n_o'` (one tiled diagonal) it is one mask multiply
-//! and no rotation at all. A square untiled layer has `T = d`: one window.
+//! and no rotation at all. With both rows full (`r·n_i' = n`) that is
+//! Table IV's `n_i'·n_o' / n` multiplies. A square untiled layer has
+//! `T = d`: one window.
 //!
 //! # Which slots hold what
 //!
-//! **Every** slot `s` of row 0 holds a partial sum of output row `s mod d`
-//! (zero on the padding rows `[n_o, d)`), periodic in `T`: windows
-//! `i + m·d`, `m < fold`, of the first period are read, the `row / T − 1`
-//! further periods repeat them. On a hidden layer these are partial
-//! pre-activations — strictly more than the pre-activations themselves —
-//! so **no first-row slot may ship unmasked**: `cheetah-protocol` splits
-//! each output's mask into `fold` additive shares, one per window, and
-//! blinds every other slot with a fresh uniform draw before a download
-//! leaves the server. Row 1 is zero.
+//! **Every** slot `s` of each used row holds a partial sum of output row
+//! `s mod d` (zero on the padding rows `[n_o, d)`), periodic in `T`:
+//! windows `i + m·d`, `m < T/d`, of each row's first period are read, the
+//! `row / T − 1` further periods repeat them. On a hidden layer these are
+//! partial pre-activations — strictly more than the pre-activations
+//! themselves — so **no slot of either row may ship unmasked**:
+//! `cheetah-protocol` splits each output's mask into `fold` additive
+//! shares, one per window, and blinds every other slot with a fresh
+//! uniform draw before a download leaves the server. Row 1 is zero iff
+//! `r = 1`.
 //!
 //! Constraints: `1 ≤ n_o ≤ n_i`, `n_i' ≤ n/2`.
 
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 
 use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::{
@@ -124,15 +135,16 @@ use crate::linear::PreparedKernel;
 use crate::sparse::{BsgsGroup, BsgsPlan, FcStructure};
 
 /// The whole plan of one FC layer: how many copies of the input the client
-/// tiles the row with, the BSGS kernel over the tiled diagonals, and how
-/// many windows of partial sums the client adds up after decryption.
+/// tiles the batching rows with, the BSGS kernel over the tiled diagonals,
+/// and how many windows of partial sums the client adds up after
+/// decryption.
 /// [`HomFc`] executes exactly this and the chain solver prices exactly
 /// this. Dereferences to its kernel plan: rotations, Galois steps,
 /// integer-multiply counts and the noise prediction are [`BsgsPlan`]'s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FcPlan {
-    /// Pre-rotated copies `r` of the input per period of the row (a power
-    /// of two; 1 = plain `x`, repeated).
+    /// Pre-rotated copies `r` of the input per period of the two rows (a
+    /// power of two; 1 = plain `x`, repeated through row 0).
     pub tiles: usize,
     /// The kernel's baby/giant split and which of its steps are live.
     pub kernel: BsgsPlan,
@@ -148,8 +160,9 @@ pub struct FcPlan {
 }
 
 impl FcPlan {
-    /// Picks the cheapest plan under `cost` for a `row`-slot batching row:
-    /// for every admissible tiling `r` ([`FcStructure::tilings`]) the
+    /// Picks the cheapest plan under `cost` for a ciphertext of `slots`
+    /// slots (both batching rows): for every admissible tiling `r`
+    /// ([`FcStructure::tilings`]) the
     /// baby width minimizing the live rotations' bill
     /// ([`BsgsPlan::choose`]), keeping the least [`BsgsPlan::int_mults`] —
     /// the smaller `r` unless a larger one is strictly cheaper, with every
@@ -157,7 +170,7 @@ impl FcPlan {
     /// ([`super::ConvPlan::choose`]'s rate: keys are uploaded once per
     /// session). The windows a wider tiling multiplies are the client's to
     /// add and have no price here.
-    pub fn choose(s: &FcStructure, row: usize, cost: &HeCostParams) -> Self {
+    pub fn choose(s: &FcStructure, slots: usize, cost: &HeCostParams) -> Self {
         let mut best = Self::for_tiles(s, 1, None, cost);
         let keys = best.rotations();
         let price = |plan: &Self| {
@@ -165,7 +178,7 @@ impl FcPlan {
             plan.int_mults(cost) + extra_keys * cost.he_rotate_mults()
         };
         let mut best_price = price(&best);
-        for tiles in s.tilings(row).skip(1) {
+        for tiles in s.tilings(slots).skip(1) {
             let cand = Self::for_tiles(s, tiles, None, cost);
             let p = price(&cand);
             if p < best_price {
@@ -199,11 +212,31 @@ impl FcPlan {
         self.tiles * self.diagonals
     }
 
-    /// Which element of the zero-padded input row slot `s` holds:
-    /// `src(s)` of the module header (`n_i' = fold · diagonals`).
-    fn src(&self, s: usize) -> usize {
-        let period = self.fold * self.diagonals;
-        (s % period + s % (self.tiles * period) / period * self.diagonals) % period
+    /// Batching rows the copies fill, `R = min(r, 2)`: copy `c` sits in
+    /// row `c mod 2`.
+    pub fn rows(&self) -> usize {
+        self.tiles.min(2)
+    }
+
+    /// Which element of the zero-padded input slot `s` of batching row
+    /// `rho` holds: `src(ρ, s)` of the module header
+    /// (`n_i' = fold · diagonals`).
+    fn src(&self, rho: usize, s: usize) -> usize {
+        let ni = self.fold * self.diagonals;
+        let copy = s % (self.tiles / self.rows() * ni) / ni * self.rows() + rho;
+        (s % ni + copy * self.diagonals) % ni
+    }
+
+    /// [`HomFc::output_slots`] for `row`-slot batching rows.
+    fn windows(&self, i: usize, row: usize) -> impl Iterator<Item = usize> {
+        let d = self.stride();
+        let period = self.fold / self.rows() * d;
+        let second = if self.rows() == 2 {
+            row + i..row + period
+        } else {
+            0..0
+        };
+        (i..period).step_by(d).chain(second.step_by(d))
     }
 
     /// Human-readable label for transcripts, reports and solver plans:
@@ -233,6 +266,8 @@ pub struct HomFc {
     kernel: PreparedKernel,
     /// The plaintext modulus the windows are added under.
     t: Modulus,
+    /// Slots per batching row, where row 1's windows start.
+    row: usize,
 }
 
 /// The typed refusals every constructor shares.
@@ -256,26 +291,29 @@ fn check_shape(spec: &FcSpec, weights: &Tensor, encoder: &BatchEncoder) -> Resul
 
 /// Slot mask of tiled diagonal `k = shift + v`, laid out to multiply the
 /// input rotated by `v` ahead of a rotation by `shift`: `mask_k` of the
-/// module header shifted cyclically right by `shift` within the row, so
-/// that after that rotation slot `s` reads weight row `s mod d` (zero past
-/// `n_o`) and input slot `(s + k) mod row`. `shift = u·b` for the member
-/// of giant group `u`; `v = 0` throughout at `b = 1`, `shift = 0`
-/// throughout at `b = δ`.
+/// module header shifted cyclically right by `shift` within each row, so
+/// that after that rotation slot `s` of either row reads weight row
+/// `s mod d` (zero past `n_o`) and input slot `(s + k) mod row` of its own
+/// row. `shift = u·b` for the member of giant group `u`; `v = 0`
+/// throughout at `b = 1`, `shift = 0` throughout at `b = δ`. Both rows of
+/// `row` slots each.
 fn diagonal_mask(
     spec: &FcSpec,
     weights: &Tensor,
     plan: &FcPlan,
     shift: usize,
     v: usize,
-    encoder: &BatchEncoder,
+    row: usize,
 ) -> Vec<i64> {
-    let (row, d) = (encoder.row_size(), plan.stride());
-    let mut mask = vec![0i64; encoder.slots()];
-    for (s, slot) in mask[..row].iter_mut().enumerate() {
-        // d divides the row, so (s − shift) mod d needs no wrap case.
-        let (out, col) = ((s + row - shift) % d, plan.src((s + v) % row));
-        if out < spec.no && col < spec.ni {
-            *slot = weights.data()[out * spec.ni + col];
+    let d = plan.stride();
+    let mut mask = vec![0i64; 2 * row];
+    for (rho, half) in mask.chunks_mut(row).take(plan.rows()).enumerate() {
+        for (s, slot) in half.iter_mut().enumerate() {
+            // d divides the row, so (s − shift) mod d needs no wrap case.
+            let (out, col) = ((s + row - shift) % d, plan.src(rho, (s + v) % row));
+            if out < spec.no && col < spec.ni {
+                *slot = weights.data()[out * spec.ni + col];
+            }
         }
     }
     mask
@@ -319,7 +357,7 @@ impl HomFc {
         check_shape(spec, weights, encoder)?;
         let cost = HeCostParams::for_bfv(eval.params(), level);
         let structure = FcStructure::analyze_tensor(weights, spec);
-        let plan = FcPlan::choose(&structure, encoder.row_size(), &cost);
+        let plan = FcPlan::choose(&structure, encoder.slots(), &cost);
         Self::build(spec, weights, encoder, eval, plan)
     }
 
@@ -350,7 +388,7 @@ impl HomFc {
         let actual = FcStructure::analyze_tensor(weights, spec);
         let fits = (assume.no(), assume.ni()) == (spec.no, spec.ni)
             && (0..actual.diagonals()).all(|k| assume.is_live(k) || !actual.is_live(k));
-        let tiles_fit = assume.tilings(encoder.row_size()).any(|r| r == tiles);
+        let tiles_fit = assume.tilings(encoder.slots()).any(|r| r == tiles);
         if baby == 0 || !fits || !tiles_fit {
             return Err(Error::Unsupported(
                 "forced FC plan does not fit the weights",
@@ -370,10 +408,11 @@ impl HomFc {
         eval: &Evaluator,
         plan: FcPlan,
     ) -> Result<Self> {
+        let row = encoder.row_size();
         let masks_of = |_, group: &BsgsGroup| {
             let masks = group.steps.iter().map(|&v| {
                 let shift = group.u * plan.b;
-                let mask = diagonal_mask(spec, weights, &plan, shift, v as usize, encoder);
+                let mask = diagonal_mask(spec, weights, &plan, shift, v as usize, row);
                 encoder.encode_signed(&mask)
             });
             masks.collect()
@@ -384,6 +423,7 @@ impl HomFc {
             plan,
             kernel,
             t: *encoder.params().plain_modulus(),
+            row,
         })
     }
 
@@ -411,10 +451,11 @@ impl HomFc {
         self.plan.rotation_steps()
     }
 
-    /// Packs an input vector into the layout this layer's plan reads: the
-    /// whole first row filled with `x[src(s)]` (the module header's `src`;
-    /// zero past `n_i`), so row rotations are seamless and each mask meets
-    /// `plan.tiles` folded diagonals at once.
+    /// Packs an input vector into the layout this layer's plan reads: each
+    /// of the plan's rows filled with `x[src(ρ, s)]` (the module header's
+    /// `src`; zero past `n_i`, and row 1 zero when untiled), so row
+    /// rotations are seamless and each mask meets `plan.tiles` folded
+    /// diagonals at once.
     ///
     /// # Errors
     ///
@@ -427,18 +468,23 @@ impl HomFc {
             ));
         }
         let x = input.data();
-        let row: Vec<i64> = (0..encoder.row_size())
-            .map(|s| x.get(self.plan.src(s)).copied().unwrap_or(0))
+        let slots: Vec<i64> = (0..encoder.slots())
+            .map(|s| match (s / self.row, s % self.row) {
+                (rho, s) if rho < self.plan.rows() => {
+                    x.get(self.plan.src(rho, s)).copied().unwrap_or(0)
+                }
+                _ => 0,
+            })
             .collect();
-        encoder.encode_signed(&row)
+        encoder.encode_signed(&slots)
     }
 
     /// Applies the layer: the kernel's partial sums `y_part`, `fold`
     /// windows per output ([`HomFc::output_slots`]) for the decryptor to add
     /// ([`HomFc::decode_output`]) — nothing is gathered under encryption,
-    /// and every first-row slot holds a partial sum (module header). An
-    /// all-zero layer returns a transparent zero without a single rotation
-    /// or multiply.
+    /// and every slot of the plan's rows holds a partial sum (module
+    /// header). An all-zero layer returns a transparent zero without a
+    /// single rotation or multiply.
     ///
     /// Works out of a fresh [`Scratch`]; a caller that evaluates layer
     /// after layer keeps one and calls [`HomFc::apply_with_scratch`].
@@ -478,12 +524,11 @@ impl HomFc {
         Ok(part)
     }
 
-    /// The slots whose sum mod `t` is output element `i < n_o`: window
-    /// `i + m·d` for `m < fold`, ascending, all inside the first period of
-    /// the row.
-    pub fn output_slots(&self, i: usize) -> std::iter::StepBy<Range<usize>> {
-        let d = self.plan.stride();
-        (i..self.plan.fold * d).step_by(d)
+    /// The slots whose sum mod `t` is output element `i < n_o`, ascending:
+    /// window `i + m·d` of each used row for `m < fold / R`, all inside the
+    /// row's first period — row 0's, then (tiled) row 1's.
+    pub fn output_slots(&self, i: usize) -> impl Iterator<Item = usize> {
+        self.plan.windows(i, self.row)
     }
 
     /// Extracts the output vector from decoded slots: element `i` is the
@@ -587,7 +632,7 @@ mod tests {
     /// Every admissible tiling of a dense layer, ascending.
     fn tilings(c: &Ctx, s: &FcSpec) -> Vec<usize> {
         let dense = FcStructure::dense(s.no, s.ni);
-        dense.tilings(c.encoder.row_size()).collect()
+        dense.tilings(c.encoder.slots()).collect()
     }
 
     /// The auto plan and, under every tiling, both diagonal-method corners
@@ -654,15 +699,17 @@ mod tests {
     fn tiled_slot_arithmetic_reproduces_the_matrix_product() {
         // The layout, the masks and the windows as plain slot arithmetic,
         // no ciphertext anywhere: for the benchmark and LeNet-300-100
-        // shapes, every tiling and a ragged baby width, the `fold` windows
-        // at stride d from any slot s of the row add up to (W'·x)[s mod d]
-        // — wrap-around included.
+        // shapes, every tiling and a ragged baby width, the windows at
+        // stride d from any slot s of a row, in both rows once tiled, add
+        // up to (W'·x)[s mod d] — wrap-around included. A rotation turns
+        // each row by itself, as a row rotation does.
         let params = BfvParams::preset_rns_3x36(4096).unwrap();
         let encoder = BatchEncoder::new(params.clone());
         let cost = HeCostParams::for_bfv(&params, 0);
-        let row = encoder.row_size();
-        let rot =
-            |v: &[i64], k: usize| -> Vec<i64> { (0..row).map(|s| v[(s + k) % row]).collect() };
+        let (row, n) = (encoder.row_size(), encoder.slots());
+        let rot = |v: &[i64], k: usize| -> Vec<i64> {
+            (0..n).map(|s| v[s / row * row + (s + k) % row]).collect()
+        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x711e);
         for (ni, no) in [
             (1024, 256),
@@ -683,30 +730,38 @@ mod tests {
                 &Tensor::from_data(&[ni], x.clone()),
             );
             let dense = FcStructure::dense(no, ni);
-            for tiles in dense.tilings(row) {
+            for tiles in dense.tilings(n) {
                 let delta = dense.diagonals() / tiles;
                 for baby in [None, Some(1), Some(delta.min(3))] {
                     let plan = FcPlan::for_tiles(&dense, tiles, baby, &cost);
-                    let (b, d) = (plan.kernel.b, plan.stride());
-                    let input: Vec<i64> = (0..row)
-                        .map(|slot| x.get(plan.src(slot)).copied().unwrap_or(0))
+                    let (b, d, rows) = (plan.kernel.b, plan.stride(), plan.rows());
+                    let input: Vec<i64> = (0..n)
+                        .map(|slot| match slot / row {
+                            rho if rho < rows => x.get(plan.src(rho, slot % row)),
+                            _ => None,
+                        })
+                        .map(|v| v.copied().unwrap_or(0))
                         .collect();
-                    let mut part = vec![0i64; row];
+                    let mut part = vec![0i64; n];
                     for u in 0..plan.kernel.g {
-                        let mut inner = vec![0i64; row];
+                        let mut inner = vec![0i64; n];
                         for v in 0..b.min(delta - u * b) {
-                            let mask = diagonal_mask(&s, &w, &plan, u * b, v, &encoder);
+                            let mask = diagonal_mask(&s, &w, &plan, u * b, v, row);
                             let baby = rot(&input, v);
-                            for slot in 0..row {
+                            for slot in 0..n {
                                 inner[slot] += baby[slot] * mask[slot];
                             }
-                            assert!(mask[row..].iter().all(|&m| m == 0), "row 1 stays empty");
+                            let row1_zero = mask[row..].iter().all(|&m| m == 0);
+                            assert_eq!(row1_zero, tiles == 1, "row 1 is zero iff r = 1");
                         }
                         let giant = rot(&inner, u * b);
                         part.iter_mut().zip(giant).for_each(|(p, g)| *p += g);
                     }
+                    let per_row = plan.fold / rows;
                     for slot in 0..row {
-                        let folded: i64 = (0..plan.fold).map(|m| part[(slot + m * d) % row]).sum();
+                        let folded: i64 = (0..rows * per_row)
+                            .map(|m| part[m / per_row * row + (slot + m % per_row * d) % row])
+                            .sum();
                         let expect = y.data().get(slot % d).copied().unwrap_or(0);
                         assert_eq!(folded, expect, "({ni}, {no}) {} slot {slot}", plan.label());
                     }
@@ -716,9 +771,79 @@ mod tests {
     }
 
     #[test]
+    fn two_row_windows_read_every_column_once() {
+        // Pure index arithmetic over every power-of-two (row ≤ 256, n_i',
+        // d, r) — r = 1, r = 2 at n_i' = row and r = d among them, 5 208
+        // (case, output) pairs: every output's windows
+        // in both rows, each summing δ slots of its own row, read every
+        // input column exactly once; and every mask slot multiplies the
+        // input slot of its own row that holds the column it weighs.
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let cost = HeCostParams::for_bfv(&params, 0);
+        let mut cases = 0;
+        for row in (1..=8).map(|e| 1usize << e) {
+            let n = 2 * row;
+            for ni in (0..).map(|e| 1usize << e).take_while(|&ni| ni <= row) {
+                for d in (0..).map(|e| 1usize << e).take_while(|&d| d <= ni) {
+                    let dense = FcStructure::dense(d, ni);
+                    let all: Vec<usize> = dense.tilings(n).collect();
+                    assert_eq!(all.last(), Some(&(n / ni).min(d)));
+                    for tiles in all {
+                        let delta = d / tiles;
+                        let plan = FcPlan::for_tiles(&dense, tiles, Some(delta), &cost);
+                        let rows = plan.rows();
+                        // Which column each slot of the packed input holds.
+                        let col = |slot: usize| {
+                            (slot / row < rows).then(|| plan.src(slot / row, slot % row))
+                        };
+                        for i in 0..d {
+                            let mut seen = vec![0usize; ni];
+                            for w in plan.windows(i, row) {
+                                assert_eq!(w % row % d, i, "a window of output {i} off its row");
+                                for k in 0..delta {
+                                    let c = col(w / row * row + (w % row + k) % row)
+                                        .expect("a window reads an unused row");
+                                    seen[c] += 1;
+                                }
+                            }
+                            assert!(
+                                seen.iter().all(|&m| m == 1),
+                                "row={row} ni={ni} d={d} r={tiles} output {i}: {seen:?}"
+                            );
+                            cases += 1;
+                        }
+                        // Weight (o, c) encoded as 1 + o·ni + c: slot s of
+                        // row ρ of mask k weighs output s mod d and the
+                        // column the input holds at slot s + k of its own
+                        // row, and an unused row stays zero.
+                        let s = spec(ni, d);
+                        let w = Tensor::from_data(
+                            &[d, ni],
+                            (0..d * ni).map(|j| 1 + j as i64).collect(),
+                        );
+                        for k in 0..delta {
+                            let mask = diagonal_mask(&s, &w, &plan, 0, k, row);
+                            for (slot, &m) in mask.iter().enumerate() {
+                                let read = col(slot / row * row + (slot % row + k) % row);
+                                let weighs = (m != 0).then(|| (m as usize - 1) % ni);
+                                assert_eq!(weighs, read, "r={tiles} mask {k} slot {slot}");
+                                if m != 0 {
+                                    assert_eq!((m as usize - 1) / ni, slot % row % d);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5208);
+    }
+
+    #[test]
     fn wide_input_fills_the_row_exactly() {
         // 2048 → 10 at n = 4096: the x ‖ x layout needed 2·n_i slots and
-        // refused this layer; the periodic one needs n_i' ≤ row.
+        // refused this layer; the periodic one needs n_i' ≤ row, and tiles
+        // it twice, a copy in each row.
         let s = spec(2048, 10);
         let params = BfvParams::preset_rns_3x36(4096).unwrap();
         let mut kg = KeyGenerator::from_seed(params.clone(), 61);
@@ -734,7 +859,9 @@ mod tests {
             (0..s.ni).map(|_| rng.random_range(-3..=3)).collect(),
         );
         let layer = HomFc::new(&s, &weights, &encoder, &eval).unwrap();
-        assert_eq!((layer.fc_plan().tiles, layer.fc_plan().fold), (1, 128));
+        // n_i' = row: one copy in each row, half the masks of one row.
+        assert_eq!((layer.fc_plan().tiles, layer.fc_plan().fold), (2, 256));
+        assert_eq!(layer.fc_plan().live, 8);
         let keys = kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
         let mut enc = Encryptor::from_secret_key(kg.secret_key().clone(), 63);
         let ct = enc

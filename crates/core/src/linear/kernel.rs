@@ -112,8 +112,16 @@ impl PreparedKernel {
         &self.label
     }
 
+    /// The worst coefficient norm of this kernel's prepared masks (1 with
+    /// none): the norm [`PreparedKernel::noise_after`] charges.
+    pub fn mask_norm(&self) -> u64 {
+        let masks = self.masks.iter().flatten().flatten();
+        masks.map(PreparedPlaintext::inf_norm).max().unwrap_or(1)
+    }
+
     /// [`BsgsPlan::noise_after`] under the worst norm of this kernel's
-    /// prepared masks. Upper-bounds the estimate the engine tracks through
+    /// prepared masks ([`PreparedKernel::mask_norm`]). Upper-bounds the
+    /// estimate the engine tracks through
     /// [`PreparedKernel::apply_with_scratch`].
     pub fn noise_after(
         &self,
@@ -121,9 +129,8 @@ impl PreparedKernel {
         params: &BfvParams,
         level: usize,
     ) -> NoiseEstimate {
-        let masks = self.masks.iter().flatten().flatten();
-        let norm = masks.map(PreparedPlaintext::inf_norm).max().unwrap_or(1);
-        self.plan.noise_after(input, params, level, norm)
+        self.plan
+            .noise_after(input, params, level, self.mask_norm())
     }
 
     /// Evaluates the plan on `input` (module header): one ciphertext per

@@ -118,13 +118,12 @@ impl KernelPlan {
         level: usize,
     ) -> Self {
         let cost = HeCostParams::for_bfv(params, level);
-        let row = params.row_size();
         let fc = |s: &FcStructure| {
-            let plan = FcPlan::choose(s, row, &cost);
+            let plan = FcPlan::choose(s, params.slots(), &cost);
             (plan.label(), plan.kernel)
         };
         let conv = |c: &ConvSpec, s: &ConvStructure| {
-            let plan = ConvPlan::choose(c, row, s, &cost);
+            let plan = ConvPlan::choose(c, params.row_size(), s, &cost);
             (plan.label(), plan.kernel)
         };
         let (label, kernel) = match (layer, structure) {
@@ -370,8 +369,8 @@ mod tests {
     #[test]
     fn structured_solve_prices_sparsity_cheaper_never_costlier() {
         use crate::sparse::{FcStructure, LayerStructure};
-        // An FC wide enough that the row cannot tile it down to one
-        // diagonal (256 → 40: d = 64, at most 8 copies, δ = 8) — a layer
+        // An FC wide enough that the rows cannot tile it down to one
+        // diagonal (256 → 40: d = 64, at most 16 copies, δ = 4) — a layer
         // that is one mask multiply dense has nothing left to prune.
         let mut layers = tiny_layers();
         let (no, ni, d) = (40usize, 256usize, 64usize);
@@ -410,7 +409,7 @@ mod tests {
         // with no more masks than the two live folded diagonals.
         let lp = &sparse.layers[1];
         let cost = HeCostParams::for_bfv(&sparse.params, lp.level);
-        let fc_plan = FcPlan::choose(&fc_structure, sparse.params.row_size(), &cost);
+        let fc_plan = FcPlan::choose(&fc_structure, sparse.params.slots(), &cost);
         assert_eq!(lp.plan, fc_plan.label());
         assert!(
             lp.he_mult <= 2.0 && lp.he_mult == fc_plan.live as f64,

@@ -120,17 +120,23 @@ impl FcStructure {
         }
     }
 
-    /// The most copies of `x` a `row`-slot batching row can tile: as many
-    /// as fit, and no more than there are diagonals to share between them.
-    /// A power of two; 0 when the padded input overflows the row.
-    pub fn max_tiles(&self, row: usize) -> usize {
-        (row / self.ni.next_power_of_two()).min(self.diagonals())
+    /// The most copies of `x` the two batching rows of a `slots`-slot
+    /// ciphertext can tile ([`crate::linear::fc`]: the copies alternate
+    /// between the rows): as many as fit, and no more than there are
+    /// diagonals to share between them. A power of two; 0 when the padded
+    /// input overflows one row.
+    pub fn max_tiles(&self, slots: usize) -> usize {
+        let ni = self.ni.next_power_of_two();
+        if 2 * ni > slots {
+            return 0;
+        }
+        (slots / ni).min(self.diagonals())
     }
 
-    /// Every admissible tiling of a `row`-slot batching row, ascending: the
+    /// Every admissible tiling of a `slots`-slot ciphertext, ascending: the
     /// powers of two up to [`FcStructure::max_tiles`].
-    pub fn tilings(&self, row: usize) -> impl Iterator<Item = usize> {
-        let max = self.max_tiles(row);
+    pub fn tilings(&self, slots: usize) -> impl Iterator<Item = usize> {
+        let max = self.max_tiles(slots);
         std::iter::successors(Some(1), |&r| Some(2 * r)).take_while(move |&r| r <= max)
     }
 
@@ -669,15 +675,18 @@ mod tests {
         let eight = s.tiled(8);
         assert_eq!(live(&eight), [true]);
         assert_eq!(eight.fold(), 8);
-        // As many copies as fit the row, never more than diagonals; a
-        // padded input counts at its padded width.
-        assert_eq!(s.max_tiles(2048), 8);
-        assert_eq!(s.tilings(2048).collect::<Vec<_>>(), [1, 2, 4, 8]);
+        // As many copies as fit both rows, never more than diagonals; a
+        // padded input counts at its padded width and must fit one row.
+        assert_eq!(s.max_tiles(4096), 8);
+        assert_eq!(s.tilings(4096).collect::<Vec<_>>(), [1, 2, 4, 8]);
         assert_eq!(s.max_tiles(32), 4);
-        assert_eq!(FcStructure::dense(300, 784).max_tiles(2048), 2);
-        assert_eq!(FcStructure::dense(10, 2048).max_tiles(2048), 1);
-        assert_eq!(FcStructure::dense(10, 2048).max_tiles(1024), 0);
-        assert_eq!(FcStructure::dense(10, 2048).tilings(1024).count(), 0);
+        assert_eq!(s.max_tiles(16), 2);
+        assert_eq!(s.max_tiles(8), 0);
+        assert_eq!(FcStructure::dense(300, 784).max_tiles(4096), 4);
+        // n_i' = row: one copy a row.
+        assert_eq!(FcStructure::dense(10, 2048).max_tiles(4096), 2);
+        assert_eq!(FcStructure::dense(10, 2048).max_tiles(2048), 0);
+        assert_eq!(FcStructure::dense(10, 2048).tilings(2048).count(), 0);
     }
 
     #[test]

@@ -147,7 +147,7 @@ proptest! {
         let d = no.next_power_of_two();
         let mut c = ctx(flat_params(), seed % 997 + 1);
         let tilings: Vec<usize> = FcStructure::dense(no, ni)
-            .tilings(c.params.row_size())
+            .tilings(c.params.slots())
             .collect();
         let tiles = tilings[rng.random_range(0..tilings.len())];
         let delta = d / tiles;

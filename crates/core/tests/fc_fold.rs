@@ -8,12 +8,14 @@
 //!   pow2} plans × levels 0/1 × the digit and hybrid presets:
 //!   `decode_output` of the decrypted slots is the cleartext `W·x` and the
 //!   untiled `b = 1` all-live plan's, the `fold` windows from **any**
-//!   first-row slot add up to its output row, measured ≤ tracked ≤
+//!   slot of a row — half of them in each row once tiled — add up to its
+//!   output row, the second row is zero untiled, measured ≤ tracked ≤
 //!   predicted noise, one multiply per live tiled diagonal, one rotation
 //!   per step of `rotation_steps()` — the kernel's, none reaching `δ` —
 //!   and exactly those Galois keys are enough while any one fewer is not;
 //!   every admissible tiling of one shape is walked deterministically
-//!   besides, and of random shapes under both diagonal-method widths;
+//!   besides, and of random shapes under both diagonal-method widths, and
+//!   the two corners the second row opens on both presets;
 //! * a square untiled layer (`fold = 1`) runs the unfolded engine's ops
 //!   and keys, and `tiles = 1` on the benchmark shapes runs the plans —
 //!   multiplies, step lists — the layout had before it tiled, its
@@ -21,15 +23,18 @@
 //! * the chain solver's per-layer multiply and rotation counts (and its
 //!   label) are the prepared layer's measured `OpCounts`, on the
 //!   benchmark networks' FC shapes — tiled picks, all of them — and
-//!   `bench_cnn`'s two convolutions.
+//!   `bench_cnn`'s two convolutions;
+//! * a dense layer's masks are Table IV's `n_i·n_o / n` multiplies
+//!   (`ptune::perf`), and one when that is below one.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     OpCounts,
 };
-use cheetah_core::linear::{HomConv2d, HomFc};
+use cheetah_core::linear::{FcPlan, HomConv2d, HomFc};
+use cheetah_core::ptune::perf::fc_ops_scheduled;
 use cheetah_core::ptune::solve_chain_plan;
-use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec};
+use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec, Schedule};
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -185,7 +190,7 @@ fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, level: usize) -> HomFc {
 /// Every admissible tiling of an `s`-shaped layer, ascending.
 fn tilings(c: &Ctx, s: &FcSpec) -> Vec<usize> {
     let dense = FcStructure::dense(s.no, s.ni);
-    dense.tilings(c.params.row_size()).collect()
+    dense.tilings(c.params.slots()).collect()
 }
 
 /// One evaluation under exactly the layer's own Galois keys, with its
@@ -237,10 +242,11 @@ fn check_layer(
 
     // The windows of outputs [0, n_o) add up to W·x (|y| ≤ 64·3·4 stays
     // far inside ±t/2), and so do the `fold` windows at stride d from any
-    // other first-row slot — every slot holds a partial sum of its row, the
-    // padding rows zero — while the second row stays empty. The untiled
-    // all-live b = 1 plan of the same weights decodes to the same vector:
-    // the output does not depend on the tiling.
+    // other slot s of a row, half of them in each row once tiled — every
+    // slot holds a partial sum of its row, the padding rows zero — while an
+    // untiled layer leaves the second row empty. The untiled all-live
+    // b = 1 plan of the same weights decodes to the same vector: the
+    // output does not depend on the tiling.
     let plan = layer.fc_plan();
     let slots = c
         .encoder
@@ -248,12 +254,16 @@ fn check_layer(
     assert_eq!(layer.decode_output(&slots).data(), expect.data());
     let d = s.no.next_power_of_two();
     let row = c.params.row_size();
+    let per_row = plan.fold / plan.rows();
     for slot in 0..row {
-        let windows = (0..plan.fold).map(|m| slots[(slot + m * d) % row]);
+        let windows =
+            (0..plan.fold).map(|m| slots[m / per_row * row + (slot + m % per_row * d) % row]);
         let output = expect.data().get(slot % d).copied().unwrap_or(0);
         assert_eq!(windows.sum::<i64>(), output, "windows from slot {slot}");
     }
-    assert!(slots[row..].iter().all(|&v| v == 0), "second row written");
+    if plan.tiles == 1 {
+        assert!(slots[row..].iter().all(|&v| v == 0), "second row written");
+    }
     let reference = prepare(c, s, w, Kind::Forced(1, 1), level);
     let ref_ct = input_at(c, &reference, &input, level);
     let (ref_out, ref_counts) = run(c, &reference, &ref_ct);
@@ -489,9 +499,34 @@ fn corner_shapes_fold_correctly() {
     }
 }
 
+/// The two corners the second row opens, forced on both presets: an input
+/// as wide as a row tiled twice (one copy in each row), and as many copies
+/// as both rows hold with `δ > 1` diagonals left to rotate over.
+#[test]
+fn two_row_corners_fold_correctly() {
+    let mut rng = StdRng::seed_from_u64(0x2e0c);
+    for hybrid in [false, true] {
+        let mut c = ctx(preset(hybrid), 13);
+        let n = c.params.slots();
+        for (ni, no, tiles) in [(n / 2, 10, 2), (256, 64, n / 256)] {
+            let s = spec(ni, no);
+            let delta = no.next_power_of_two() / tiles;
+            assert!(delta > 1, "({ni}, {no})");
+            assert_eq!(tilings(&c, &s).last(), Some(&tiles), "({ni}, {no})");
+            for kind in [Kind::Forced(1, tiles), Kind::Forced(delta, tiles)] {
+                let w = weights_for(&s, kind, &mut rng);
+                let layer = prepare(&c, &s, &w, kind, 0);
+                assert_eq!(layer.fc_plan().rows(), 2);
+                check_layer(&mut c, &s, &w, &layer, true, 0, &mut rng);
+            }
+        }
+    }
+}
+
 /// A layer needs every key it lists — the kernel's, none of them a fold
-/// step: drop each in turn. (512 → 16 fits four copies in the row, so even
-/// the widest tiling leaves the kernel δ = 4 diagonals to rotate over.)
+/// step: drop each in turn. (512 → 16 fits eight copies in the two rows,
+/// so even the widest tiling leaves the kernel δ = 2 diagonals to rotate
+/// over.)
 #[test]
 fn every_listed_step_is_rotated_by() {
     let mut rng = StdRng::seed_from_u64(0x57e9);
@@ -676,24 +711,25 @@ fn solver_counts_are_the_engines_measured_counts() {
 
     // The tiled picks as numbers: what this layout's traced benchmark runs
     // record for these shapes at level 0 of the two benchmark chains — with
-    // no fold in the price the chooser tiles as wide as the row allows, down
-    // to one mask multiply and no rotation on the last layer.
+    // no fold in the price the chooser tiles as wide as both rows allow,
+    // down to Table IV's `n_i·n_o / n` masks and to one mask multiply and no
+    // rotation on the last layers.
     for (hybrid, ni, no, mul, rotate, label) in [
         (
             false,
             1024,
             256,
-            128,
-            22,
-            "fc bsgs tiles=2 b=16 g=8 live=128/128 fold=8",
+            64,
+            16,
+            "fc bsgs tiles=4 b=13 g=5 live=64/64 fold=16",
         ),
         (
             false,
             256,
             64,
-            8,
             4,
-            "fc bsgs tiles=8 b=4 g=2 live=8/8 fold=32",
+            3,
+            "fc bsgs tiles=16 b=4 g=1 live=4/4 fold=64",
         ),
         (
             false,
@@ -707,25 +743,25 @@ fn solver_counts_are_the_engines_measured_counts() {
             false,
             256,
             16,
-            2,
             1,
-            "fc bsgs tiles=8 b=1 g=2 live=2/2 fold=128",
+            0,
+            "fc bsgs tiles=16 b=1 g=1 live=1/1 fold=256",
         ),
         (
             true,
             1024,
             256,
-            128,
-            22,
-            "fc bsgs tiles=2 b=16 g=8 live=128/128 fold=8",
+            64,
+            15,
+            "fc bsgs tiles=4 b=11 g=6 live=64/64 fold=16",
         ),
         (
             true,
             256,
             64,
-            8,
             4,
-            "fc bsgs tiles=8 b=4 g=2 live=8/8 fold=32",
+            2,
+            "fc bsgs tiles=16 b=2 g=2 live=4/4 fold=64",
         ),
         (
             true,
@@ -817,5 +853,37 @@ fn solver_counts_are_the_engines_measured_counts() {
             "{label}: planned level {} is past the engine's bound",
             lp.level
         );
+    }
+}
+
+/// The engine's dense FC plan against the paper tier: once the padded
+/// layer fills a ciphertext (`n_i'·n_o' ≥ n`) the copies of the input
+/// fill both batching rows, and the chooser's live masks are Table IV's
+/// `n_i·n_o / n` multiplies (`ptune::perf::fc_ops_scheduled`); below that
+/// the layer tiles down to one mask. Every power-of-two shape that fits a
+/// row at `n = 4096`, on both presets, with the benchmark's two big layers
+/// as numbers.
+#[test]
+fn dense_masks_are_table_iv_multiplies() {
+    for hybrid in [false, true] {
+        let params = preset(hybrid);
+        let n = params.slots();
+        let cost = HeCostParams::for_bfv(&params, 0);
+        let masks = |ni: usize, no: usize| {
+            FcPlan::choose(&FcStructure::dense(no, ni), n, &cost).live_masks()
+        };
+        assert_eq!(masks(1024, 256), 64);
+        assert_eq!(masks(256, 64), 4);
+        for ni in (0..).map(|e| 1usize << e).take_while(|&ni| ni <= n / 2) {
+            for no in (0..).map(|e| 1usize << e).take_while(|&no| no <= ni) {
+                let table_iv = fc_ops_scheduled(&spec(ni, no), n, 1, Schedule::PartialAligned);
+                let engine = masks(ni, no);
+                if ni * no >= n {
+                    assert_eq!(engine as f64, table_iv.he_mult, "({ni}, {no})");
+                } else {
+                    assert_eq!(engine, 1, "({ni}, {no})");
+                }
+            }
+        }
     }
 }

@@ -24,8 +24,6 @@ use cheetah_core::ptune::ChainPlan;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
 use rand::Rng;
-use std::iter::StepBy;
-use std::ops::Range;
 
 use crate::masking::center;
 
@@ -85,14 +83,14 @@ impl HomLayer {
     /// ciphertext and, ascending, the slots whose sum mod `t` it is — one
     /// for a convolution, an FC layer's `fold` windows of partial sums
     /// ([`HomFc::output_slots`]).
-    fn output_slot(&self, i: usize) -> (usize, StepBy<Range<usize>>) {
+    fn output_slot(&self, i: usize) -> (usize, Vec<usize>) {
         match self {
             HomLayer::Conv(c) => {
                 let w2 = c.spec().w * c.spec().w;
                 let (ct, slot) = c.output_slot(i / w2, i % w2);
-                (ct, (slot..slot + 1).step_by(1))
+                (ct, vec![slot])
             }
-            HomLayer::Fc(f) => (0, f.output_slots(i)),
+            HomLayer::Fc(f) => (0, f.output_slots(i).collect()),
         }
     }
 
@@ -396,6 +394,12 @@ impl PreparedLayers {
         kernel.noise_after(input, &self.params, level)
     }
 
+    /// The coefficient norm linear layer `k`'s noise prediction charges:
+    /// the largest of its prepared masks'.
+    pub fn mask_norm(&self, k: usize) -> u64 {
+        self.layers[k].kernel().mask_norm()
+    }
+
     /// The deepest safe level for linear layer `k` given an input noise
     /// estimate (see the planner notes on the layer type). When the model
     /// was prepared from a [`ChainPlan`], the solver's planned level caps
@@ -471,8 +475,8 @@ impl PreparedLayers {
         let layer = &self.layers[k];
         let mut balancing = vec![vec![false; self.encoder.slots()]; self.output_ciphertexts(k)];
         for i in 0..mask.len() {
-            let (ct, mut windows) = layer.output_slot(i);
-            if let Some(first) = windows.next() {
+            let (ct, windows) = layer.output_slot(i);
+            if let Some(&first) = windows.first() {
                 balancing[ct][first] = true;
             }
         }
@@ -482,9 +486,9 @@ impl PreparedLayers {
             .collect();
         let t = self.params.plain_modulus().value() as i64;
         for (i, &m) in mask.data().iter().enumerate() {
-            let (ct, mut windows) = layer.output_slot(i);
-            if let Some(first) = windows.next() {
-                let drawn: i64 = windows.map(|s| values[ct][s]).sum();
+            let (ct, windows) = layer.output_slot(i);
+            if let Some((&first, rest)) = windows.split_first() {
+                let drawn: i64 = rest.iter().map(|&s| values[ct][s]).sum();
                 values[ct][first] = center(m - drawn, t);
             }
         }
@@ -498,13 +502,13 @@ impl PreparedLayers {
     /// stream: the logical output mask `r` (uniform mod `t`; zeros on the
     /// final layer, whose prediction belongs to the client), shared over
     /// the download so that **every slot leaves under a fresh uniform draw
-    /// or the balancing share of one**. An FC layer's first row is all
-    /// partial pre-activation sums, `fold` windows per output: `r_i` goes
-    /// out as `fold − 1` uniform draws and the share that balances them to
-    /// `r_i`, one per window; every other slot — the padding rows, the
-    /// periods past the first, the second row, a convolution's gaps and
-    /// spare blocks — takes a draw of its own, so no layout has to be
-    /// trusted to be empty.
+    /// or the balancing share of one**. An FC layer's rows are all partial
+    /// pre-activation sums (both rows once it tiles), `fold` windows per
+    /// output: `r_i` goes out as `fold − 1` uniform draws and the share that
+    /// balances them to `r_i`, one per window; every other slot — the
+    /// padding rows, the periods past the first, an untiled layer's empty
+    /// second row, a convolution's gaps and spare blocks — takes a draw of
+    /// its own, so no layout has to be trusted to be empty.
     ///
     /// What the client learns: the shares are independent and uniform, so
     /// all but one window of an output decrypt to uniform noise and the
@@ -576,7 +580,7 @@ mod tests {
             let layer = &prepared.layers[k];
             let shape = prepared.output_shape(k);
             let len: usize = shape.iter().product();
-            let windows = layer.output_slot(0).1.count();
+            let windows = layer.output_slot(0).1.len();
             assert_eq!(windows > 1, k > 0, "{}", prepared.plan_label(k));
             // Random masks, and the ends of the centred range on every
             // element.
@@ -608,7 +612,7 @@ mod tests {
                 // … share by share, each inside the centred range.
                 for (i, &m) in mask.data().iter().enumerate() {
                     let (ct, shares) = layer.output_slot(i);
-                    let sum: i64 = shares.map(|s| decoded[ct][s]).sum();
+                    let sum: i64 = shares.iter().map(|&s| decoded[ct][s]).sum();
                     assert_eq!(center(sum, t), m, "layer {k} element {i}");
                 }
                 assert!(decoded.iter().flatten().all(|v| v.abs() <= half_t));

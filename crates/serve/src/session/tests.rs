@@ -345,8 +345,8 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usiz
             mlp.clone(),
             Weights::random(&mlp, 1, weight_seed),
             digit.clone(),
-            22,
-            13_074_796,
+            16,
+            9_535_756,
         ),
         (
             "cnn_digit",
@@ -361,10 +361,10 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usiz
             mlp.clone(),
             Weights::random(&mlp, 1, weight_seed),
             hybrid.clone(),
-            22,
-            4_391_276,
+            15,
+            3_014_908,
         ),
-        ("fleet_sparse", mlp, sparse, hybrid, 20, 3_998_028),
+        ("fleet_sparse", mlp, sparse, hybrid, 13, 2_621_660),
     ]
 }
 

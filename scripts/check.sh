@@ -67,6 +67,20 @@ if git grep -nE 'rotate_sum_reduce\(|ReducePlan' -- crates src tests examples; t
     exit 1
 fi
 
+echo "==> two-row FC gate"
+# An FC layer tiles its input's copies over both batching rows (copy c in
+# row c mod 2; a row rotation turns both rows alike): its chooser and
+# tilings are asked for the slot count, never one row's, and the
+# column-swap rotation stays out of the engine tier.
+if git grep -nE '(FcPlan::choose|tilings|max_tiles)\([^)]*(row_size\(|\brow\b)' -- crates/core/src/linear/fc.rs crates/core/src/ptune/solver.rs; then
+    echo "FAIL: an FC layer is planned over one batching row again (see matches above)"
+    exit 1
+fi
+if git grep -n 'rotate_columns' -- crates/core; then
+    echo "FAIL: rotate_columns has a caller under crates/core (see matches above)"
+    exit 1
+fi
+
 echo "==> one-noise-model gate"
 # The chain solver asks the engine instead of modelling it: a layer's noise
 # is its kernel plan's noise_after (BsgsPlan's, the function a prepared
@@ -262,8 +276,8 @@ if [[ "${1:-}" != "quick" ]]; then
     # live-diagonal plan must beat the all-live plan on the 3-limb preset —
     # the rotations and mask multiplies the structure analyzer skips are
     # real time. The all-live plan it is held against is the untiled one:
-    # the dense layer's tiled plan shares eight folded diagonals per mask,
-    # which the bench's contiguous pruning pattern cannot skip any of.
+    # the dense layer's tiled plan shares sixteen folded diagonals per
+    # mask, which the bench's contiguous pruning pattern cannot skip any of.
     fc_sparse90=$(json_val BENCH_he_ops.json l3_fc_bsgs_sparse90)
     if [[ -z "$fc_sparse90" ]]; then
         echo "FAIL: BENCH_he_ops.json lacks l3_fc_bsgs_sparse90"

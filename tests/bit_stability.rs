@@ -174,14 +174,15 @@ fn galois_keys_and_rotations_keep_their_bits() {
 }
 
 /// `(preset, digest of every transcript label and payload in order,
-/// digest of the uploads' labels and payloads alone)`. The upload digests
-/// were generated before Galois keys were seeded and did not move with
-/// them: an upload depends on the secret key, the encryptor's seed and
-/// the activations the client decrypts, never on the rotation keys that
-/// moved the download bits.
+/// digest of the uploads' labels and payloads alone)`. An upload depends
+/// on the secret key, the encryptor's seed, the activations the client
+/// decrypts and the layout of the layer it feeds, never on the rotation
+/// keys. Both digests were regenerated when the FC layers' input copies
+/// started filling both batching rows, which changes both FC uploads and
+/// downloads.
 const SESSION_PINS: [(&str, u64, u64); 2] = [
-    ("rns_3x36", 0xe103_cc4c_a67a_2e88, 0x8a16_8422_2456_fdc5),
-    ("hybrid_2x36", 0x6790_ec15_62c9_826f, 0xfbf6_9463_52d2_edc3),
+    ("rns_3x36", 0x1823_bdad_e3f3_a2c1, 0x8d69_85be_01e5_c417),
+    ("hybrid_2x36", 0xbfd7_1444_de89_16c0, 0x462a_415e_eefc_3f5e),
 ];
 
 #[test]

@@ -1,15 +1,15 @@
 //! What a client can read out of a masked download, beyond its output.
 //!
-//! An FC download's first row is **all** partial pre-activation sums: the
-//! server stops before the fold, so slot `s` holds a partial sum of output
-//! row `s mod n_o'`, `fold` windows per output in the first period of the
-//! row and the same windows again in every further period. The client
-//! decrypts whatever is shipped and adds the windows up, so no first-row
-//! slot may leave the server readable: each output's logical mask `m_i`
-//! (uniform on a hidden layer, zero on the final one) goes out as `fold`
-//! additive shares — fresh uniform draws and the one that balances them —
-//! and every other slot (the further periods, the padding rows, the second
-//! row) under a draw of its own. A packed convolution's masks are zero
+//! A tiled FC download's two rows are **all** partial pre-activation sums:
+//! the server stops before the fold, so slot `s` of either row holds a
+//! partial sum of output row `s mod n_o'`, `fold` windows per output in the
+//! first period of the two rows (half in each) and the same windows again
+//! in every further period. The client decrypts whatever is shipped and
+//! adds the windows up, so no slot of either row may leave the server
+//! readable: each output's logical mask `m_i` (uniform on a hidden layer,
+//! zero on the final one) goes out as `fold` additive shares — fresh
+//! uniform draws and the one that balances them — and every other slot
+//! (the further periods, the padding rows) under a draw of its own. A packed convolution's masks are zero
 //! wherever no output pixel lands — the `s − w²` gap behind each image when
 //! `w²` is not a power of two, the blocks past `c_o`, the second row — so
 //! it writes nothing there; that is pinned too, and the blinding covers
@@ -72,9 +72,9 @@ fn conv_with_gaps() -> Network {
 }
 
 /// One FC layer, first and final: 6 outputs padded to `d = 8` rows, the
-/// 32 inputs tiled 8 times — one mask multiply, no rotation, and
-/// `fold = 8·32 / 8 = 32` windows per output in a 256-slot period that the
-/// row repeats 8 times.
+/// 32 inputs tiled 8 times, four copies in each row — one mask multiply,
+/// no rotation, and `fold = 8·32 / 8 = 32` windows per output, 16 in each
+/// row's 128-slot period that the row repeats 16 times.
 fn fc_only() -> Network {
     Network {
         name: "fc-only".into(),
@@ -98,18 +98,22 @@ const FC_PLAN: &str = "fc bsgs tiles=8 b=1 g=1 live=1/1 fold=32";
 const FC_NO: usize = 6;
 const FC_D: usize = 8;
 const FC_FOLD: usize = 32;
+/// Windows per output in each row.
+const FC_ROW_FOLD: usize = FC_FOLD / 2;
 
-/// The windows of output `i` of the 32 → 6 layer.
+/// The windows of output `i` of the 32 → 6 layer: row 0's, then row 1's.
 fn fc_windows(i: usize) -> Vec<usize> {
-    (0..FC_FOLD).map(|m| i + m * FC_D).collect()
+    (0..FC_FOLD)
+        .map(|m| m / FC_ROW_FOLD * ROW + i + m % FC_ROW_FOLD * FC_D)
+        .collect()
 }
 
-/// Slot `slot` of the 32 → 6 layer's download ciphertext.
+/// Slot `slot` of the 32 → 6 layer's download ciphertext: the two rows
+/// are laid out alike.
 fn fc_region(slot: usize) -> &'static str {
     match slot % FC_D {
-        _ if slot >= ROW => "second row",
         row if row >= FC_NO => "padding rows",
-        _ if slot < FC_FOLD * FC_D => "output",
+        _ if slot % ROW < FC_ROW_FOLD * FC_D => "output",
         _ => "further periods",
     }
 }
@@ -311,19 +315,26 @@ fn check(
     one_party
 }
 
-/// What the windows hide, and that they are windows: the `fold` slots at
-/// stride `d` from any first-row slot add up to that row's output, and the
-/// slot alone is not it.
+/// What the windows hide, and that they are windows: the `fold / 2` slots
+/// at stride `d` from slot `s` of each row add up to output `s mod d`, and
+/// the slot alone is not it; the second row holds partial sums too.
 fn assert_partial_sums(view: &View, output: &[i64]) {
-    let sum_from =
-        |s: usize| -> i64 { (0..FC_FOLD).map(|m| view.clear[(s + m * FC_D) % ROW]).sum() };
+    let sum_from = |s: usize| -> i64 {
+        (0..FC_FOLD)
+            .map(|m| view.clear[m / FC_ROW_FOLD * ROW + (s + m % FC_ROW_FOLD * FC_D) % ROW])
+            .sum()
+    };
     for s in 0..ROW {
         let expect = output.get(s % FC_D).copied().unwrap_or(0);
         assert_eq!(sum_from(s), expect, "windows from slot {s}");
     }
     assert!(output.iter().any(|&v| v != 0));
-    let partial = (0..ROW).filter(|&s| s % FC_D < FC_NO && view.clear[s] != output[s % FC_D]);
-    assert!(partial.count() > ROW / 2, "the windows hold whole outputs");
+    let partial = (0..2 * ROW).filter(|&s| s % FC_D < FC_NO && view.clear[s] != output[s % FC_D]);
+    assert!(partial.count() > ROW, "the windows hold whole outputs");
+    assert!(
+        view.clear[ROW..].iter().any(|&v| v != 0),
+        "the second row holds no partial sums"
+    );
 }
 
 #[test]
@@ -367,13 +378,18 @@ fn final_fc_download_blinds_the_output_copies() {
 #[test]
 fn hidden_fc_download_blinds_the_pre_activation_copies() {
     // The windows carry shares of the mask r; one left in the clear would
-    // hand the client a partial pre-activation, all of them y itself.
-    check(
+    // hand the client a partial pre-activation, all of them y itself —
+    // in the second row as much as in the first.
+    let views = check(
         &fc_hidden(),
         fc_windows,
         fc_region,
         &["further periods"],
         true,
+    );
+    assert!(
+        views[0].clear[ROW..].iter().any(|&v| v != 0),
+        "the second row holds no partial sums"
     );
 }
 

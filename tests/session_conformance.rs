@@ -222,7 +222,7 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
             let structure = FcStructure::analyze_tensor(weights.layer(k), spec);
             let pruned = (structure.live_diagonals(), structure.diagonals());
             assert_eq!(pruned, [(7, 16), (2, 4)][k - 1], "{name} L{k}");
-            let plan = FcPlan::choose(&structure, params.row_size(), &cost);
+            let plan = FcPlan::choose(&structure, params.slots(), &cost);
             assert_eq!(plans[k], plan.label(), "{name} L{k}");
             assert!(
                 plan.live <= pruned.0 && plan.rotations() == 0,
@@ -371,7 +371,8 @@ fn bench_cnn_stays_sound_and_reaches_the_planned_levels() {
 
 /// The Galois keys a client of each `bench_e2e` workload uploads: the
 /// kernels' steps and nothing for a fold (31 / 26 / 21 / 28 before it moved
-/// to the client).
+/// to the client, 22 / 22 / 15 / 20 before the FC layers filled both
+/// batching rows).
 #[test]
 fn bench_models_need_keys_for_kernel_steps_only() {
     use cheetah::protocol::PreparedLayers;
@@ -385,10 +386,10 @@ fn bench_models_need_keys_for_kernel_steps_only() {
     sparse.round_to_pow2(3);
     let dense = |net| Weights::random(net, 1, 11);
     for (name, net, weights, params, steps) in [
-        ("mlp_digit", &mlp, dense(&mlp), &digit, 22),
-        ("mlp_hybrid", &mlp, dense(&mlp), &hybrid, 22),
+        ("mlp_digit", &mlp, dense(&mlp), &digit, 16),
+        ("mlp_hybrid", &mlp, dense(&mlp), &hybrid, 15),
         ("cnn_digit", &cnn, dense(&cnn), &digit, 15),
-        ("fleet_sparse", &mlp, sparse, &hybrid, 20),
+        ("fleet_sparse", &mlp, sparse, &hybrid, 13),
     ] {
         let prepared = PreparedLayers::new(net, &weights, params.clone()).unwrap();
         assert_eq!(prepared.required_steps().len(), steps, "{name}");
