@@ -33,7 +33,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cheetah_bfv::BfvParams;
-use cheetah_core::Schedule;
 use cheetah_nn::inference::client_inputs;
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::{Network, Tensor, Weights};
@@ -139,8 +138,8 @@ fn main() {
     let reps = if smoke() { 1 } else { 3 };
 
     // --- Serving-only scaling: one shared prepared model ---
-    let shared = PreparedModel::prepare(&net, &weights, params.clone(), Schedule::PartialAligned)
-        .expect("model preparation must succeed");
+    let shared =
+        PreparedModel::new(&net, &weights, params.clone()).expect("model preparation must succeed");
     let counts = [1usize, 4, 16, 64];
     let points: Vec<ScalePoint> = counts
         .iter()
@@ -164,7 +163,7 @@ fn main() {
     let start = Instant::now();
     let mut serial_outputs = Vec::with_capacity(FLEET);
     for driver in serial_fleet {
-        let own = PreparedModel::prepare(&net, &weights, params.clone(), Schedule::PartialAligned)
+        let own = PreparedModel::new(&net, &weights, params.clone())
             .expect("model preparation must succeed");
         let pool = ServerPool::new(own, 1);
         serial_outputs.extend(assert_all_ok(&pool.run(vec![driver]), "serial baseline"));
@@ -173,8 +172,7 @@ fn main() {
 
     let start = Instant::now();
     let batched_model =
-        PreparedModel::prepare(&net, &weights, params.clone(), Schedule::PartialAligned)
-            .expect("model preparation must succeed");
+        PreparedModel::new(&net, &weights, params.clone()).expect("model preparation must succeed");
     let pool = ServerPool::new(batched_model, workers);
     let batched_outputs = assert_all_ok(&pool.run(batched_fleet), "batched");
     let batched_secs = start.elapsed().as_secs_f64();

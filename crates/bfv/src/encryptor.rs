@@ -157,6 +157,17 @@ impl Encryptor {
     }
 }
 
+/// Measured-noise gate (bits) under which [`Decryptor::decrypt_checked`]
+/// refuses a ciphertext as [`Error::NoiseBudgetExhausted`]. The budget is
+/// measured against the *nearest* plaintext multiple, so truly overflowed
+/// noise collapses it to ≈ 0 while hovering slightly positive — a
+/// strict-zero gate would wave garbage through. The max of `n`
+/// near-uniform residuals keeps garbage within a few thousandths of a bit
+/// of zero, while healthy-but-marginal ciphertexts measure well above half
+/// a bit, so half a bit separates the two populations by orders of
+/// magnitude.
+pub const MIN_DECRYPT_BUDGET_BITS: f64 = 0.5;
+
 /// Decrypts ciphertexts and measures true noise against the secret key.
 #[derive(Debug, Clone)]
 pub struct Decryptor {
@@ -188,18 +199,26 @@ impl Decryptor {
     ///
     /// Returns [`Error::ParameterMismatch`] for foreign ciphertexts.
     /// Decryption itself cannot detect noise overflow — use
-    /// [`Decryptor::invariant_noise_budget`] to check.
+    /// [`Decryptor::decrypt_checked`] to refuse it.
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext> {
+        Ok(self.phase_and_message(ct)?.1)
+    }
+
+    /// The decryption phase `c0 + c1·s` in coefficient form, over the
+    /// ciphertext's live limbs (the secret key's full-chain lift is read
+    /// as a live-plane prefix), and the plaintext it rounds to — the one
+    /// phase and the one compose-and-round under every decryption.
+    fn phase_and_message(&self, ct: &Ciphertext) -> Result<(RnsPoly, Plaintext)> {
         self.params.check_same(ct.params())?;
-        let level = ct.level();
-        let chain = self.params.chain_at(level);
-        let t = self.params.plain_modulus();
-        let phase = self.phase(ct)?;
+        let chain = self.params.chain_at(ct.level());
+        let mut phase = ct.c1().clone();
+        phase.mul_assign_pointwise_prefix(self.sk.poly(), chain)?;
+        phase.add_assign(ct.c0(), chain)?;
+        phase.to_coeff(chain);
         let qv = chain.big_q();
-        let tv = t.value() as u128;
+        let tv = self.params.plain_modulus().value() as u128;
         let half_q = qv / 2;
-        let n = self.params.degree();
-        let coeffs: Vec<u64> = (0..n)
+        let coeffs: Vec<u64> = (0..self.params.degree())
             .map(|j| {
                 // round(t*c/Q_ℓ) mod t, in exact integer arithmetic (the
                 // chain builder guarantees t*Q + Q/2 fits u128, and every
@@ -209,22 +228,30 @@ impl Decryptor {
                 ((num / qv) % tv) as u64
             })
             .collect();
-        Plaintext::from_poly(
+        let m = Plaintext::from_poly(
             Poly::from_data(coeffs, Representation::Coeff),
             self.params.clone(),
-        )
+        )?;
+        Ok((phase, m))
     }
 
-    /// `c0 + c1·s` in coefficient form — the decryption phase, over the
-    /// ciphertext's live limbs (the secret key's full-chain lift is read
-    /// as a live-plane prefix).
-    fn phase(&self, ct: &Ciphertext) -> Result<RnsPoly> {
-        let chain = self.params.chain_at(ct.level());
-        let mut acc = ct.c1().clone();
-        acc.mul_assign_pointwise_prefix(self.sk.poly(), chain)?;
-        acc.add_assign(ct.c0(), chain)?;
-        acc.to_coeff(chain);
-        Ok(acc)
+    /// The plaintext and the exact invariant-noise magnitude
+    /// `||c0 + c1·s − Δ_ℓ·m||_∞` (centered against the live `Q_ℓ`), from
+    /// one phase.
+    fn decrypt_with_noise(&self, ct: &Ciphertext) -> Result<(Plaintext, u128)> {
+        let (mut v, m) = self.phase_and_message(ct)?;
+        let level = ct.level();
+        let chain = self.params.chain_at(level);
+        let dm = self.params.lift_scaled_at(m.poly().data(), level);
+        v.sub_assign(&dm, chain)?;
+        let noise = v.inf_norm_centered(chain)?;
+        Ok((m, noise))
+    }
+
+    /// `log2(Q_ℓ/(2t)) − log2(noise)` at `level`.
+    fn budget_bits(&self, noise: u128, level: usize) -> f64 {
+        let ceiling = self.params.noise_ceiling_at(level);
+        ceiling.log2() - (noise as f64).max(1.0).log2()
     }
 
     /// The exact invariant-noise magnitude `||c0 + c1·s − Δ_ℓ·m||_∞`
@@ -235,13 +262,7 @@ impl Decryptor {
     ///
     /// Returns [`Error::ParameterMismatch`] for foreign ciphertexts.
     pub fn invariant_noise(&self, ct: &Ciphertext) -> Result<u128> {
-        let level = ct.level();
-        let chain = self.params.chain_at(level);
-        let m = self.decrypt(ct)?;
-        let dm = self.params.lift_scaled_at(m.poly().data(), level);
-        let mut v = self.phase(ct)?;
-        v.sub_assign(&dm, chain)?;
-        v.inf_norm_centered(chain)
+        Ok(self.decrypt_with_noise(ct)?.1)
     }
 
     /// Remaining noise budget in bits: `log2(Q_ℓ/(2t)) − log2(noise)`,
@@ -249,31 +270,33 @@ impl Decryptor {
     ///
     /// The measurement is taken against the *nearest* plaintext multiple,
     /// so once noise truly overflows the budget collapses to ≈ 0 (it can
-    /// hover slightly positive) rather than going deeply negative — treat
-    /// any budget below ~1 bit as failed, matching SEAL's semantics.
+    /// hover slightly positive) rather than going deeply negative — which
+    /// is why [`Decryptor::decrypt_checked`] refuses anything under
+    /// [`MIN_DECRYPT_BUDGET_BITS`], not under zero.
     ///
     /// # Errors
     ///
     /// Returns [`Error::ParameterMismatch`] for foreign ciphertexts.
     pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> Result<f64> {
-        let noise = self.invariant_noise(ct)? as f64;
-        let ceiling = self.params.noise_ceiling_at(ct.level());
-        Ok(ceiling.log2() - noise.max(1.0).log2())
+        let noise = self.invariant_noise(ct)?;
+        Ok(self.budget_bits(noise, ct.level()))
     }
 
-    /// Decrypts, returning [`Error::NoiseBudgetExhausted`] when the measured
-    /// noise already exceeds the decryption threshold. (In that regime the
-    /// "decrypted" value is garbage; the paper calls this decryption
-    /// failure.)
+    /// Decrypts, returning [`Error::NoiseBudgetExhausted`] when the
+    /// measured budget is under [`MIN_DECRYPT_BUDGET_BITS`]. (In that
+    /// regime the "decrypted" value is garbage; the paper calls this
+    /// decryption failure.) The phase is computed once for both the
+    /// measurement and the plaintext.
     ///
     /// # Errors
     ///
     /// [`Error::NoiseBudgetExhausted`] or [`Error::ParameterMismatch`].
     pub fn decrypt_checked(&self, ct: &Ciphertext) -> Result<Plaintext> {
-        if self.invariant_noise_budget(ct)? <= 0.0 {
+        let (m, noise) = self.decrypt_with_noise(ct)?;
+        if self.budget_bits(noise, ct.level()) < MIN_DECRYPT_BUDGET_BITS {
             return Err(Error::NoiseBudgetExhausted);
         }
-        self.decrypt(ct)
+        Ok(m)
     }
 }
 

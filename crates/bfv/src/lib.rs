@@ -111,7 +111,7 @@ pub mod wire;
 
 pub use ciphertext::Ciphertext;
 pub use encoder::{BatchEncoder, Plaintext};
-pub use encryptor::{Decryptor, Encryptor};
+pub use encryptor::{Decryptor, Encryptor, MIN_DECRYPT_BUDGET_BITS};
 pub use error::{Error, Result};
 pub use evaluator::{
     Evaluator, HoistedDecomposition, KsStage, OpCounts, PreparedPlaintext, StageTime, StageTimes,

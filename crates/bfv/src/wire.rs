@@ -54,8 +54,8 @@
 //! matching truncated payload — lands in a structurally valid but
 //! *cryptographically dead* ciphertext whose measured noise budget
 //! collapses, so [`crate::Decryptor::decrypt_checked`] catches it as
-//! [`crate::Error::NoiseBudgetExhausted`]. The fault-injection harness in
-//! `cheetah-protocol` pins that two-layer contract: every corruption is
+//! [`crate::Error::NoiseBudgetExhausted`]. The fault-injection harness,
+//! [`faults`], pins that two-layer contract: every corruption is
 //! either *detected* (typed error) or *provably harmless* (bit-identical
 //! decrypt); there is no third outcome.
 //!
@@ -77,6 +77,8 @@ use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::poly::Representation;
 use crate::rns::RnsPoly;
+
+pub mod faults;
 
 /// Wire magic: the first four bytes of every message.
 pub const MAGIC: [u8; 4] = *b"CHWF";

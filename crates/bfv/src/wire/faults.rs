@@ -1,6 +1,6 @@
 //! Deterministic transcript fault injection.
 //!
-//! The wire layer's contract (`cheetah_bfv::wire`) is that every byte
+//! The wire layer's contract ([`crate::wire`]) is that every byte
 //! crossing the protocol boundary is either *validated* before use or
 //! provably irrelevant. This module is the adversary that contract is
 //! tested against: a seedable [`FaultInjector`] that corrupts recorded
@@ -9,10 +9,11 @@
 //! corruption to one of exactly two outcomes:
 //!
 //! * **Detected** — a typed error from wire decoding (structural faults:
-//!   truncation, bad framing, foreign chains, non-canonical residues) or
-//!   from the measured noise-budget gate at decryption (semantic faults:
-//!   in-range bit flips, swapped components, consistent level lies — all
-//!   of which turn into enormous invariant noise);
+//!   truncation, bad framing, kind confusion, foreign chains,
+//!   non-canonical residues) or from the measured noise-budget gate at
+//!   decryption (semantic faults: in-range bit flips, swapped components,
+//!   consistent level lies — all of which turn into enormous invariant
+//!   noise);
 //! * **Harmless** — the decrypted slots are bit-identical to the clean
 //!   run's (e.g. the header's reserved byte, ignored by design).
 //!
@@ -22,10 +23,11 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use cheetah_bfv::wire::{
-    self, HEADER_BYTES, OFF_FINGERPRINT, OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED,
+use super::{
+    ciphertext_wire_bytes, decode_ciphertext, Kind, HEADER_BYTES, OFF_FINGERPRINT, OFF_KIND,
+    OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED, OFF_VERSION, SEED_BYTES,
 };
-use cheetah_bfv::{BfvParams, Ciphertext, Error, Result};
+use crate::{BfvParams, Ciphertext, Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,6 +80,14 @@ pub enum Corruption {
         /// The value written.
         value: u8,
     },
+    /// Rewrites the header's kind byte — and, for a defined kind, the
+    /// version field to that kind's — so a message reaches the decoder
+    /// framed as another kind: seeded ↔ full ciphertext (5 ↔ 1), a key
+    /// kind (6, 7) or a retired one (2, 3, 4).
+    KindRelabel {
+        /// The kind byte written.
+        kind: u8,
+    },
 }
 
 impl Corruption {
@@ -95,6 +105,7 @@ impl Corruption {
             Corruption::NonCanonicalResidue { limb } => format!("non-canonical[{limb}]"),
             Corruption::SwapComponents => "swap-components".to_string(),
             Corruption::ReservedByte { value } => format!("reserved[{value:#04x}]"),
+            Corruption::KindRelabel { kind } => format!("kind-relabel[{kind}]"),
         }
     }
 }
@@ -115,7 +126,7 @@ impl FaultInjector {
 
     /// Draws a random corruption class sized for an `len`-byte message.
     pub fn random_corruption(&mut self, len: usize) -> Corruption {
-        match self.rng.random_range(0..8u32) {
+        match self.rng.random_range(0..9u32) {
             0 => Corruption::BitFlip {
                 byte: self.rng.random_range(0..len.max(1)),
                 bit: self.rng.random_range(0..8u8),
@@ -135,8 +146,11 @@ impl FaultInjector {
                 limb: self.rng.random_range(0..8usize),
             },
             6 => Corruption::SwapComponents,
-            _ => Corruption::ReservedByte {
+            7 => Corruption::ReservedByte {
                 value: self.rng.random_range(0..=255u32) as u8,
+            },
+            _ => Corruption::KindRelabel {
+                kind: self.rng.random_range(1..=7u32) as u8,
             },
         }
     }
@@ -151,10 +165,10 @@ impl FaultInjector {
     /// [`Corruption::LevelLie`]) read the header's kind byte to aim at
     /// the right offsets in both wire formats: full v1 payloads are
     /// `(c0, c1)`, seeded v2 payloads are `(seed, c0)` — there the
-    /// residue planes start [`cheetah_bfv::SEED_BYTES`] later and the
+    /// residue planes start [`SEED_BYTES`] later and the
     /// "components" swapped are the halves of `c0`.
     pub fn apply(message: &[u8], corruption: &Corruption, params: &BfvParams) -> Vec<u8> {
-        let seeded = message.get(wire::OFF_KIND) == Some(&(wire::Kind::SeededCiphertext as u8));
+        let seeded = message.get(OFF_KIND) == Some(&(Kind::SeededCiphertext as u8));
         let mut out = message.to_vec();
         match corruption {
             Corruption::BitFlip { byte, bit } => {
@@ -188,7 +202,7 @@ impl FaultInjector {
                         // and a level-0-only decoder, so there the lie is
                         // always structural.)
                         if !seeded {
-                            out.resize(wire::ciphertext_wire_bytes(params, lvl), 0);
+                            out.resize(ciphertext_wire_bytes(params, lvl), 0);
                         }
                     }
                 }
@@ -202,7 +216,7 @@ impl FaultInjector {
             }
             Corruption::NonCanonicalResidue { limb } => {
                 let planes_at = if seeded {
-                    HEADER_BYTES + wire::SEED_BYTES
+                    HEADER_BYTES + SEED_BYTES
                 } else {
                     HEADER_BYTES
                 };
@@ -227,7 +241,7 @@ impl FaultInjector {
                 // range per-plane only by accident, so the mutant dies
                 // either structurally or at the noise gate.
                 let payload_at = if seeded {
-                    HEADER_BYTES + wire::SEED_BYTES
+                    HEADER_BYTES + SEED_BYTES
                 } else {
                     HEADER_BYTES
                 };
@@ -244,6 +258,15 @@ impl FaultInjector {
             Corruption::ReservedByte { value } => {
                 if out.len() >= HEADER_BYTES {
                     out[OFF_RESERVED] = *value;
+                }
+            }
+            Corruption::KindRelabel { kind } => {
+                if out.len() >= HEADER_BYTES {
+                    out[OFF_KIND] = *kind;
+                    if let Some(defined) = Kind::from_u8(*kind) {
+                        out[OFF_VERSION..OFF_VERSION + 2]
+                            .copy_from_slice(&defined.version().to_le_bytes());
+                    }
                 }
             }
         }
@@ -283,9 +306,9 @@ pub fn classify_ciphertext_fault(
     clean: &[u8],
     corrupted: &[u8],
 ) -> Result<FaultOutcome> {
-    let reference = wire::decode_ciphertext(clean, params)?;
+    let reference = decode_ciphertext(clean, params)?;
     let reference_slots = decrypt_slots(&reference)?;
-    let ct = match wire::decode_ciphertext(corrupted, params) {
+    let ct = match decode_ciphertext(corrupted, params) {
         Err(e) => return Ok(FaultOutcome::Detected(e)),
         Ok(ct) => ct,
     };
@@ -324,6 +347,18 @@ mod tests {
                 let c = inj.random_corruption(len);
                 let _ = FaultInjector::apply(&msg, &c, &params);
             }
+        }
+    }
+
+    #[test]
+    fn kind_relabel_writes_the_kind_and_a_defined_kinds_version() {
+        let params = BfvParams::preset_rns_2x30(4096).unwrap();
+        let msg = vec![0u8; HEADER_BYTES];
+        for (kind, version) in [(1u8, 1u16), (5, 2), (6, 2), (7, 2), (3, 0)] {
+            let out = FaultInjector::apply(&msg, &Corruption::KindRelabel { kind }, &params);
+            assert_eq!(out[OFF_KIND], kind);
+            let written = u16::from_le_bytes([out[OFF_VERSION], out[OFF_VERSION + 1]]);
+            assert_eq!(written, version, "kind {kind}");
         }
     }
 }

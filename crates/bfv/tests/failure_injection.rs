@@ -4,7 +4,7 @@
 //!
 //! The original six ad-hoc cases (below) predate the wire layer; the
 //! [`wire_fault_harness`] module re-expresses the corruption-shaped ones
-//! on the shared [`cheetah_protocol::faults::FaultInjector`] corruption
+//! on the shared [`cheetah_bfv::wire::faults::FaultInjector`] corruption
 //! classes and adds proptest-driven random-corruption coverage: any
 //! mutation of a valid encoding yields a typed error or a bit-identical
 //! decrypt — never a panic, never silent garbage.
@@ -30,7 +30,8 @@ fn params(plain_bits: u32, cipher_bits: u32) -> BfvParams {
 /// noise model guards against is real, not theoretical. Note the measured
 /// budget is computed against the *nearest* plaintext multiple, so after
 /// true overflow it collapses to ~0 rather than going deeply negative;
-/// a collapsed budget (< 1 bit) is the failure signature.
+/// a collapsed budget (< 1 bit) is the failure signature, and
+/// `decrypt_checked` must refuse the first wrong round.
 #[test]
 fn noise_exhaustion_is_detected_and_real() {
     // Full-range (non-constant) multiplier polynomials consume ~20 bits of
@@ -67,11 +68,14 @@ fn noise_exhaustion_is_detected_and_real() {
                 budget < 2.0,
                 "round {round}: garbage with a healthy budget ({budget:.1}b)"
             );
+            assert!(
+                matches!(dec.decrypt_checked(&ct), Err(Error::NoiseBudgetExhausted)),
+                "round {round}: decrypt_checked let garbage through at {budget:.4}b"
+            );
             break;
         }
     }
     assert!(failed, "budget never exhausted — q too wide for this test");
-    let _ = Error::NoiseBudgetExhausted; // referenced: decrypt_checked guards the <= 0 region
 }
 
 #[test]
@@ -182,19 +186,14 @@ fn plaintext_overflow_wraps_mod_t() {
     assert_eq!(out[0], t - 2, "(-1) + (-1) = -2 mod t");
 }
 
-/// Wire-level failure injection on the shared protocol fault harness:
-/// the corruption classes of `cheetah_protocol::faults` driven directly
-/// against the engine's decode → measured-noise-gate receive path.
+/// Wire-level failure injection on the shared fault harness: the
+/// corruption classes of `cheetah_bfv::wire::faults` driven directly
+/// against the engine's decode → `decrypt_checked` receive path.
 mod wire_fault_harness {
     use super::*;
     use cheetah_bfv::wire;
-    use cheetah_protocol::faults::{Corruption, FaultInjector};
+    use cheetah_bfv::wire::faults::{Corruption, FaultInjector};
     use proptest::prelude::*;
-
-    /// Measured-noise gate matching the protocol session's semantics:
-    /// overflowed noise collapses the budget to ≈ 0 (it can hover
-    /// slightly positive), so anything under half a bit is failed.
-    const MIN_BUDGET_BITS: f64 = 0.5;
 
     struct Rig {
         params: BfvParams,
@@ -230,11 +229,10 @@ mod wire_fault_harness {
             Err(_) => return true, // detected structurally, typed
             Ok(ct) => ct,
         };
-        let budget = r.decryptor.invariant_noise_budget(&ct).unwrap();
-        if budget < MIN_BUDGET_BITS {
-            return true; // detected at the noise gate
-        }
-        let slots = r.encoder.decode(&r.decryptor.decrypt(&ct).unwrap());
+        let slots = match r.decryptor.decrypt_checked(&ct) {
+            Err(Error::NoiseBudgetExhausted) => return true, // detected at the noise gate
+            checked => r.encoder.decode(&checked.unwrap()),
+        };
         assert_eq!(
             slots, r.clean_slots,
             "{what}: decoded+decrypted with healthy budget but different slots"
@@ -263,6 +261,9 @@ mod wire_fault_harness {
             Corruption::NonCanonicalResidue { limb: 0 },
             Corruption::SwapComponents,
             Corruption::ReservedByte { value: 0x42 },
+            Corruption::KindRelabel { kind: 5 },
+            Corruption::KindRelabel { kind: 7 },
+            Corruption::KindRelabel { kind: 3 },
         ];
         let mut detected = 0;
         let mut harmless = 0;
@@ -274,7 +275,7 @@ mod wire_fault_harness {
                 harmless += 1;
             }
         }
-        assert!(detected >= 9, "structural classes must all be detected");
+        assert!(detected >= 12, "structural classes must all be detected");
         assert!(harmless >= 1, "the reserved byte is harmless by design");
     }
 

@@ -115,7 +115,7 @@
 //! `row / T − 1` further periods repeat them. On a hidden layer these are
 //! partial pre-activations — strictly more than the pre-activations
 //! themselves — so **no slot of either row may ship unmasked**:
-//! `cheetah-protocol` splits each output's mask into `fold` additive
+//! `cheetah-serve` splits each output's mask into `fold` additive
 //! shares, one per window, and blinds every other slot with a fresh
 //! uniform draw before a download leaves the server. Row 1 is zero iff
 //! `r = 1`.

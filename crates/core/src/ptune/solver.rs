@@ -9,9 +9,8 @@
 //! sweeps **{chain, per-layer level, rotation plan}** jointly over a
 //! network's linear layers and emits a [`ChainPlan`] — concrete
 //! [`BfvParams`] (exact moduli, `t`, special prime) plus a level and plan
-//! label per layer — that `cheetah-protocol`'s `PreparedLayers` and
-//! `cheetah-serve` consume directly. "Fast" becomes a solver output
-//! instead of a hand pick.
+//! label per layer — that `cheetah-serve`'s `PreparedModel` consumes
+//! directly. "Fast" becomes a solver output instead of a hand pick.
 //!
 //! The solver models nothing of its own; it asks the engine. A layer's
 //! plan comes from the choosers `HomFc` / `HomConv2d` run at prepare time,
@@ -60,7 +59,7 @@ pub struct LayerPlan {
 /// The solver's output: one concrete chain for the whole network plus a
 /// level and rotation plan per linear layer. Everything a session needs —
 /// exact moduli, `t`, the special prime, decomposition bases — is inside
-/// `params`; `levels()` is what `PreparedLayers` consumes.
+/// `params`; `levels()` is what `PreparedModel` consumes.
 #[derive(Debug, Clone)]
 pub struct ChainPlan {
     /// Candidate name (`4096/hybrid_2x36`, …) for reports.
@@ -74,7 +73,7 @@ pub struct ChainPlan {
 }
 
 impl ChainPlan {
-    /// Per-layer levels in network order — the `PreparedLayers` input.
+    /// Per-layer levels in network order — the `PreparedModel` input.
     pub fn levels(&self) -> Vec<usize> {
         self.layers.iter().map(|l| l.level).collect()
     }

@@ -1,7 +1,7 @@
-//! # cheetah-serve — concurrent private-inference serving
+//! # cheetah-serve — private inference, served concurrently
 //!
-//! The one implementation of the private-inference round
-//! (`cheetah_protocol::session` describes it), run at *throughput*: many
+//! The Gazelle-style private-inference round and everything it is made
+//! of ([`session`] describes the round), run at *throughput*: many
 //! concurrent client sessions against **one** prepared model.
 //! [`PrivateInferenceSession`] is the same two halves held by one caller
 //! — the entry point for tests, examples and harnesses that play both
@@ -9,17 +9,16 @@
 //!
 //! The architecture follows three invariants (see `docs/SERVE.md`):
 //!
-//! * **Shared immutable preparation** — a [`PreparedModel`] wraps the
-//!   protocol crate's `Arc<PreparedLayers>` (packed weight plaintexts,
-//!   BSGS / level plans, the rotation-step union) plus
-//!   precomputed nonlinear bundle output shapes. It is built once and
+//! * **Shared immutable preparation** — a [`PreparedModel`] holds the
+//!   packed weight plaintexts, BSGS / level plans, the rotation-step
+//!   union and the nonlinear bundle output shapes. It is built once and
 //!   shared lock-free: nothing in it is mutated after construction.
 //! * **Per-client session halves** — [`ClientSession`] owns the secret
 //!   key, encryptors, and activation state; [`ServerSession`] owns the
-//!   client's Galois keys, the mask RNG stream, the transcript, and the
-//!   per-layer reports. A [`SessionDriver`] steps the two halves through
-//!   the wire-validated protocol boundary — every ciphertext crosses as
-//!   validated bytes, never as a live object.
+//!   client's Galois keys, the mask RNG stream, the [`Transcript`], and
+//!   the per-layer [`LayerReport`]s. A [`SessionDriver`] steps the two
+//!   halves through the wire-validated protocol boundary — every
+//!   ciphertext crosses as validated bytes, never as a live object.
 //! * **Batched sweeps over pooled scratch** — [`ServerPool`] coalesces
 //!   same-layer work from different clients into one parallel sweep over
 //!   `std::thread::scope` workers, each holding a leased
@@ -34,13 +33,16 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod masking;
 pub mod model;
 pub mod pool;
 pub mod session;
+pub mod transcript;
 
 pub use model::PreparedModel;
 pub use pool::{ServerPool, SessionOutcome};
 pub use session::{
-    ClientSession, ClientSetup, LayerDownload, PrivateInferenceSession, ServerSession,
+    ClientSession, ClientSetup, LayerDownload, LayerReport, PrivateInferenceSession, ServerSession,
     SessionDriver,
 };
+pub use transcript::{Direction, Transcript};

@@ -1,114 +1,645 @@
 //! The shared, immutable prepared model a server pool serves.
+//!
+//! Preparing a network for homomorphic evaluation is expensive: every
+//! linear layer's weights are packed into prepared plaintexts, BSGS
+//! plans are chosen, and the union of rotation steps the plans need is
+//! computed. None of that depends on a client — so it is built
+//! **once** into a [`PreparedModel`] and shared behind an `Arc` across
+//! every concurrent session. Everything here is read-only after
+//! construction: the struct owns no `RefCell`/`Mutex` and every method
+//! takes `&self`, so sharing is lock-free by construction.
+//!
+//! What stays *per client* lives in the session halves
+//! ([`crate::session`]): secret/Galois keys, encryptors, mask RNG
+//! streams, scratch space, and transcripts.
 
 use std::sync::Arc;
 
-use cheetah_bfv::{BfvParams, Result};
+use cheetah_bfv::{
+    BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
+    Result, Scratch, SeededGaloisKeys,
+};
+use cheetah_core::linear::parallel::default_threads;
+use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc, PreparedKernel};
 use cheetah_core::ptune::ChainPlan;
 use cheetah_core::Schedule;
-use cheetah_nn::{Network, Weights};
-use cheetah_protocol::PreparedLayers;
+use cheetah_nn::tensor::{max_pool, relu, sum_pool};
+use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
+use rand::Rng;
 
-/// Everything the serving layer shares across concurrent sessions: the
-/// protocol crate's prepared layers plus the nonlinear bundle output
-/// shapes (so per-round mask drawing never re-derives shapes).
-///
-/// Immutability contract: every field is written once in
-/// [`PreparedModel::from_layers`] and only ever read afterwards — all
-/// methods take `&self`, there is no interior mutability, and the struct
-/// is shared behind an `Arc`. That is what makes the pool's session
-/// sweeps lock-free on the model side.
+use crate::masking::center;
+
+/// A prepared homomorphic linear layer plus its packing rules.
+pub(crate) enum HomLayer {
+    Conv(HomConv2d),
+    Fc(HomFc),
+}
+
+impl HomLayer {
+    /// The rotate–multiply–accumulate kernel the layer prepared — its
+    /// *instance* plan, masks and label. Rotation steps (a session
+    /// generates keys only for rotations the prepared weights actually
+    /// perform: a 90%-sparse layer's keygen shrinks with its plan, an
+    /// all-zero layer needs no keys at all), the transcript label, the
+    /// Table-III noise prediction, the output ciphertext count and the
+    /// evaluation itself are all the kernel's, whichever layer laid it out.
+    fn kernel(&self) -> &PreparedKernel {
+        match self {
+            HomLayer::Conv(c) => c.kernel(),
+            HomLayer::Fc(f) => f.kernel(),
+        }
+    }
+
+    /// The deepest level this layer can run at for an input with the
+    /// given noise estimate: the last of [`feasible_levels`] over this
+    /// layer's own prediction, or 0 (full chain) when no level clears the
+    /// margin.
+    fn plan_level(&self, input: &NoiseEstimate, params: &BfvParams) -> usize {
+        let kernel = self.kernel();
+        feasible_levels(input, params, |est, level| {
+            kernel.noise_after(est, params, level)
+        })
+        .last()
+        .map_or(0, |(level, _)| level)
+    }
+
+    /// The layer's input layout — an FC layer's is its plan's tiling, so
+    /// the client's uploads and the server's mask removal, which both pack
+    /// through here, agree on it by construction.
+    fn pack(&self, t: &Tensor, encoder: &BatchEncoder) -> Result<Plaintext> {
+        match self {
+            HomLayer::Conv(c) => HomConv2d::encode_input(c.spec(), t, encoder),
+            HomLayer::Fc(f) => f.encode_input(t, encoder),
+        }
+    }
+
+    /// Output tensor shape.
+    fn output_shape(&self) -> Vec<usize> {
+        match self {
+            HomLayer::Conv(c) => vec![c.spec().co, c.spec().w, c.spec().w],
+            HomLayer::Fc(f) => vec![f.spec().no],
+        }
+    }
+
+    /// Where element `i` of the (row-major) output tensor lands: the
+    /// ciphertext and, ascending, the slots whose sum mod `t` it is — one
+    /// for a convolution, an FC layer's `fold` windows of partial sums
+    /// ([`HomFc::output_slots`]).
+    fn output_slot(&self, i: usize) -> (usize, Vec<usize>) {
+        match self {
+            HomLayer::Conv(c) => {
+                let w2 = c.spec().w * c.spec().w;
+                let (ct, slot) = c.output_slot(i / w2, i % w2);
+                (ct, vec![slot])
+            }
+            HomLayer::Fc(f) => (0, f.output_slots(i).collect()),
+        }
+    }
+
+    /// Extracts the output tensor from per-ciphertext decoded slots,
+    /// adding up each element's [`HomLayer::output_slot`] windows mod `t`.
+    fn unpack(&self, slot_vecs: &[Vec<i64>]) -> Tensor {
+        match self {
+            HomLayer::Conv(c) => c.decode_output(slot_vecs),
+            HomLayer::Fc(f) => f.decode_output(&slot_vecs[0]),
+        }
+    }
+}
+
+/// Applies one nonlinear bundle (the simulated garbled-circuit body) to a
+/// tensor. Linear layers never appear inside a bundle by construction;
+/// the boundary still refuses rather than panicking.
+fn apply_nonlinear(layers: &[Layer], input: &Tensor) -> Result<Tensor> {
+    let mut t = input.clone();
+    for layer in layers {
+        t = match layer {
+            Layer::Relu => relu(&t),
+            Layer::MaxPool { k, stride } => max_pool(&t, *k, *stride),
+            Layer::SumPool { k, stride } => sum_pool(&t, *k, *stride),
+            Layer::Flatten => t.clone().into_flat(),
+            Layer::ResidualAdd { .. } => {
+                return Err(Error::Unsupported(
+                    "residual networks need multi-branch sessions",
+                ))
+            }
+            Layer::Linear(_) => {
+                return Err(Error::Unsupported("linear layer inside a nonlinear bundle"))
+            }
+        };
+    }
+    Ok(t)
+}
+
+/// Everything about a model that is client-independent, prepared once:
+/// packed weight plaintexts, BSGS/level plans, the nonlinear
+/// bundle structure and its output shapes, and the union of rotation
+/// steps clients must bring Galois keys for. Immutable after
+/// construction — shared behind an `Arc` across any number of
+/// concurrent sessions.
 pub struct PreparedModel {
-    layers: Arc<PreparedLayers>,
+    params: BfvParams,
+    encoder: BatchEncoder,
+    evaluator: Evaluator,
+    layers: Vec<HomLayer>,
+    /// Nonlinear layers *before* the first linear layer (run client-side
+    /// in the clear — the client owns the input).
+    leading: Vec<Layer>,
+    /// Nonlinear bundle *after* each linear layer, up to the next linear
+    /// layer (or the end of the network).
+    bundles: Vec<Vec<Layer>>,
     /// `bundle_shapes[k]`: output shape of linear layer `k`'s nonlinear
     /// bundle — the shape of the next round's client-side mask.
     bundle_shapes: Vec<Vec<usize>>,
+    /// Sorted, deduplicated union of every layer plan's rotation steps.
+    steps: Vec<i64>,
+    /// The parameter-chain fingerprint every client message must carry.
+    fingerprint: u64,
+    /// Solver-planned level per linear layer (HE-PTune v2's
+    /// [`ChainPlan`]); the runtime level planner never goes *deeper* than
+    /// this ceiling, so the engine's measured noise can only tighten the
+    /// plan, never loosen it past what the chain solver provisioned.
+    planned_levels: Option<Vec<usize>>,
 }
 
 impl PreparedModel {
-    /// Wraps already-prepared layers for any number of concurrent
-    /// sessions, dry-running each nonlinear bundle on zeros to record its
-    /// output shape.
+    /// Prepares every linear layer of `net` under the plan its cost model
+    /// picks, splits the network into leading / per-layer nonlinear
+    /// bundles, and dry-runs each bundle on zeros to record its output
+    /// shape.
     ///
     /// # Errors
     ///
-    /// Residual networks are rejected here (at prepare time) rather than
-    /// at the first session.
-    pub fn from_layers(layers: Arc<PreparedLayers>) -> Result<Arc<Self>> {
-        let bundle_shapes = (0..layers.linear_count())
-            .map(|k| layers.bundle_output_shape(k))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Arc::new(Self {
-            layers,
-            bundle_shapes,
-        }))
+    /// Propagates BFV errors; fails when a layer does not fit the packing
+    /// constraints of [`HomConv2d`] / [`HomFc`], and rejects residual
+    /// networks here (at prepare time) rather than at the first session.
+    pub fn new(net: &Network, weights: &Weights, params: BfvParams) -> Result<Arc<Self>> {
+        Self::build(net, weights, params, None)
     }
 
-    /// Prepares a network once: packs every linear layer's weights and
-    /// fixes the rotation/level plans ([`PreparedLayers::new`]), then
-    /// [`PreparedModel::from_layers`]. `_schedule` is ignored — no layer
-    /// has a schedule to choose — and stays only because the frozen
-    /// `bench_e2e/run.rs` driver passes one.
+    /// Prepares a network from a solver-produced [`ChainPlan`]: the plan's
+    /// exact parameter chain (special prime included when the solver chose
+    /// a hybrid chain) drives preparation, each layer's plan (tiling, baby
+    /// width, sparse pruning) is priced *at its planned level*, and the
+    /// planned levels become ceilings for the runtime level planner — the
+    /// HE-PTune v2 path from `solve_chain_plan` straight into a serving
+    /// session.
     ///
     /// # Errors
     ///
-    /// Propagates preparation errors from [`PreparedLayers::new`] and
-    /// [`PreparedModel::from_layers`].
+    /// [`Error::Unsupported`] when the plan's layer count does not match
+    /// the network's linear layers; otherwise as [`PreparedModel::new`].
+    pub fn from_chain_plan(
+        net: &Network,
+        weights: &Weights,
+        plan: &ChainPlan,
+    ) -> Result<Arc<Self>> {
+        let linear_count = net
+            .layers
+            .iter()
+            .filter(|l| matches!(l, Layer::Linear(_)))
+            .count();
+        if plan.layers.len() != linear_count {
+            return Err(Error::Unsupported(
+                "chain plan layer count does not match the network",
+            ));
+        }
+        Self::build(net, weights, plan.params.clone(), Some(plan.levels()))
+    }
+
+    /// [`PreparedModel::new`] with an ignored `_schedule` — no layer has a
+    /// schedule to choose. Kept only for `bench_e2e`, whose sources stay
+    /// unchanged until the benchmark itself is revised.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedModel::new`].
     pub fn prepare(
         net: &Network,
         weights: &Weights,
         params: BfvParams,
         _schedule: Schedule,
     ) -> Result<Arc<Self>> {
-        Self::from_layers(Arc::new(PreparedLayers::new(net, weights, params)?))
+        Self::new(net, weights, params)
     }
 
-    /// Prepares a network from a solver-produced [`ChainPlan`] (HE-PTune
-    /// v2): the plan's chain drives preparation and its per-layer levels
-    /// cap the runtime level planner — see
-    /// [`PreparedLayers::from_chain_plan`].
+    /// The model itself. Kept only for `bench_e2e`, which reaches the
+    /// prepared layers through it and whose sources stay unchanged until
+    /// the benchmark itself is revised.
+    pub fn layers(&self) -> &Self {
+        self
+    }
+
+    fn build(
+        net: &Network,
+        weights: &Weights,
+        params: BfvParams,
+        planned_levels: Option<Vec<usize>>,
+    ) -> Result<Arc<Self>> {
+        let encoder = BatchEncoder::new(params.clone());
+        let evaluator = Evaluator::new(params.clone());
+
+        // Prepare every linear layer, then collect exactly the rotation
+        // steps the prepared layers' plans need (a BSGS FC layer needs
+        // O(√d) keys, not d − 1; sparse layers only their live steps).
+        let mut layers = Vec::new();
+        let mut leading = Vec::new();
+        let mut bundles: Vec<Vec<Layer>> = Vec::new();
+        for layer in &net.layers {
+            if let Layer::Linear(lin) = layer {
+                let k = layers.len();
+                let level = planned_levels.as_ref().map_or(0, |ls| ls[k]);
+                let w = weights.layer(k);
+                layers.push(match lin {
+                    LinearLayer::Conv(c) => {
+                        HomLayer::Conv(HomConv2d::new_at_level(c, w, &encoder, &evaluator, level)?)
+                    }
+                    LinearLayer::Fc(f) => {
+                        HomLayer::Fc(HomFc::new_at_level(f, w, &encoder, &evaluator, level)?)
+                    }
+                });
+                bundles.push(Vec::new());
+            } else if let Some(bundle) = bundles.last_mut() {
+                bundle.push(layer.clone());
+            } else {
+                leading.push(layer.clone());
+            }
+        }
+        let bundle_shapes = layers
+            .iter()
+            .zip(&bundles)
+            .map(|(layer, bundle)| {
+                let zeros = Tensor::zeros(&layer.output_shape());
+                Ok(apply_nonlinear(bundle, &zeros)?.shape().to_vec())
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let kernels = layers.iter().map(HomLayer::kernel);
+        let mut steps: Vec<i64> = kernels.flat_map(|k| k.plan().rotation_steps()).collect();
+        steps.sort_unstable();
+        steps.dedup();
+        let fingerprint = cheetah_bfv::chain_fingerprint(&params);
+
+        Ok(Arc::new(Self {
+            params,
+            encoder,
+            evaluator,
+            layers,
+            leading,
+            bundles,
+            bundle_shapes,
+            steps,
+            fingerprint,
+            planned_levels,
+        }))
+    }
+
+    /// The solver-planned per-layer levels, when this model was prepared
+    /// via [`PreparedModel::from_chain_plan`].
+    pub fn planned_levels(&self) -> Option<&[usize]> {
+        self.planned_levels.as_deref()
+    }
+
+    /// The parameter set every client must match (see
+    /// [`PreparedModel::fingerprint`]).
+    pub fn params(&self) -> &BfvParams {
+        &self.params
+    }
+
+    /// The shared batch encoder.
+    pub fn encoder(&self) -> &BatchEncoder {
+        &self.encoder
+    }
+
+    /// The shared evaluator (stateless over `&self`; safe to use from any
+    /// number of threads).
+    pub fn evaluator(&self) -> &Evaluator {
+        &self.evaluator
+    }
+
+    /// Number of prepared (linear) layers.
+    pub fn linear_count(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// The exact rotation steps clients must bring Galois keys for —
+    /// sorted and deduplicated across every layer plan.
+    pub fn required_steps(&self) -> &[i64] {
+        &self.steps
+    }
+
+    /// FNV-1a fingerprint of the parameter chain
+    /// ([`cheetah_bfv::chain_fingerprint`]); every wire message from a
+    /// client is validated against it before any arithmetic.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Checks that a client's seeded Galois key set covers every step the
+    /// prepared plans rotate by — on the elements alone, before any key
+    /// is expanded.
     ///
     /// # Errors
     ///
-    /// As [`PreparedModel::prepare`], plus a layer-count mismatch between
-    /// the plan and the network.
-    pub fn prepare_with_plan(
-        net: &Network,
-        weights: &Weights,
-        plan: &ChainPlan,
-    ) -> Result<Arc<Self>> {
-        Self::from_layers(Arc::new(PreparedLayers::from_chain_plan(
-            net, weights, plan,
-        )?))
+    /// [`Error::MissingGaloisKey`] naming the first uncovered step.
+    pub fn check_key_coverage(&self, keys: &SeededGaloisKeys) -> Result<()> {
+        for &step in &self.steps {
+            keys.get_for_step(self.params.degree(), step)?;
+        }
+        Ok(())
     }
 
-    /// The shared prepared layers (plans, packed plaintexts, evaluator).
-    pub fn layers(&self) -> &Arc<PreparedLayers> {
-        &self.layers
+    /// Runs the leading nonlinear layers (before the first linear layer)
+    /// on a clear input — client-side work.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unsupported`] for residual networks.
+    pub fn apply_leading(&self, input: &Tensor) -> Result<Tensor> {
+        apply_nonlinear(&self.leading, input)
     }
 
-    /// The parameter set every client of this model must match.
-    pub fn params(&self) -> &BfvParams {
-        self.layers.params()
+    /// Runs linear layer `k`'s nonlinear bundle (the simulated garbled
+    /// circuit body: ReLU / pooling / flatten until the next linear
+    /// layer).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unsupported`] for residual networks.
+    pub fn apply_bundle(&self, k: usize, input: &Tensor) -> Result<Tensor> {
+        apply_nonlinear(&self.bundles[k], input)
     }
 
-    /// Output shape of linear layer `k`'s nonlinear bundle.
+    /// Output shape of linear layer `k`'s nonlinear bundle — what the
+    /// next round's masks must cover.
     pub fn bundle_shape(&self, k: usize) -> &[usize] {
         &self.bundle_shapes[k]
     }
 
-    /// Number of prepared linear layers.
-    pub fn linear_count(&self) -> usize {
-        self.layers.linear_count()
+    /// Human-readable rotation-plan label of linear layer `k`.
+    pub fn plan_label(&self, k: usize) -> String {
+        self.layers[k].kernel().label().to_owned()
     }
 
-    /// The rotation steps a client must bring Galois keys for.
-    pub fn required_steps(&self) -> &[i64] {
-        self.layers.required_steps()
+    /// Number of ciphertexts linear layer `k` ships per masked download
+    /// (one, unless a convolution's output channels overflow a row) —
+    /// what a client validates a download bundle's framing against.
+    pub fn output_ciphertexts(&self, k: usize) -> usize {
+        self.layers[k].kernel().plan().outputs()
     }
 
-    /// FNV-1a fingerprint of the parameter chain; every wire message is
-    /// validated against it.
-    pub fn fingerprint(&self) -> u64 {
-        self.layers.fingerprint()
+    /// Output tensor shape of linear layer `k` (before its bundle).
+    pub fn output_shape(&self, k: usize) -> Vec<usize> {
+        self.layers[k].output_shape()
+    }
+
+    /// Packs a clear tensor into linear layer `k`'s input slot layout.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding errors for out-of-range values.
+    pub fn pack(&self, k: usize, t: &Tensor) -> Result<Plaintext> {
+        self.layers[k].pack(t, &self.encoder)
+    }
+
+    /// Table-III noise prediction of linear layer `k` at a level.
+    pub fn noise_after(&self, k: usize, input: &NoiseEstimate, level: usize) -> NoiseEstimate {
+        let kernel = self.layers[k].kernel();
+        kernel.noise_after(input, &self.params, level)
+    }
+
+    /// The coefficient norm linear layer `k`'s noise prediction charges:
+    /// the largest of its prepared masks'.
+    pub fn mask_norm(&self, k: usize) -> u64 {
+        self.layers[k].kernel().mask_norm()
+    }
+
+    /// The deepest safe level for linear layer `k` given an input noise
+    /// estimate (see the planner notes on the layer type). When the model
+    /// was prepared from a [`ChainPlan`], the solver's planned level caps
+    /// the answer: the runtime estimate may pull the layer shallower than
+    /// planned but never deeper.
+    pub fn plan_level(&self, k: usize, input: &NoiseEstimate) -> usize {
+        let safe = self.layers[k].plan_level(input, &self.params);
+        match &self.planned_levels {
+            Some(levels) => safe.min(levels[k]),
+            None => safe,
+        }
+    }
+
+    /// Applies linear layer `k` homomorphically with a client's keys.
+    ///
+    /// # Errors
+    ///
+    /// Propagates BFV errors ([`Error::MissingGaloisKey`] when `keys` does
+    /// not cover the plan, noise/parameter errors otherwise).
+    pub fn apply(&self, k: usize, ct: &Ciphertext, keys: &GaloisKeys) -> Result<Vec<Ciphertext>> {
+        self.apply_with_scratch(k, ct, keys, &mut self.evaluator.new_scratch())
+    }
+
+    /// [`PreparedModel::apply`] with the layer's temporaries leased from
+    /// the caller's `scratch` — the one a session already holds for its
+    /// mask arithmetic — so they stay warm from layer to layer.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedModel::apply`].
+    pub fn apply_with_scratch(
+        &self,
+        k: usize,
+        ct: &Ciphertext,
+        keys: &GaloisKeys,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<Ciphertext>> {
+        let (kernel, threads) = (self.layers[k].kernel(), default_threads());
+        kernel.apply_with_scratch(ct, &self.evaluator, keys, threads, scratch)
+    }
+
+    /// Extracts linear layer `k`'s output tensor from per-ciphertext
+    /// decoded slots: an FC element is the sum mod `t` of its windows of
+    /// partial sums — of a masked download, a share of the sum.
+    pub fn unpack(&self, k: usize, slot_vecs: &[Vec<i64>]) -> Tensor {
+        self.layers[k].unpack(slot_vecs)
+    }
+
+    /// Packs a mask tensor to linear layer `k`'s output slot layout, one
+    /// plaintext per output ciphertext: each element in the first of its
+    /// windows, zero everywhere else, so
+    /// `unpack(decrypt(out + pack_output_mask(m))) − m = y`. What a server
+    /// ships is [`PreparedModel::draw_output_mask`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding errors.
+    pub fn pack_output_mask(&self, k: usize, mask: &Tensor) -> Result<Vec<Plaintext>> {
+        self.pack_mask_with(k, mask, || 0)
+    }
+
+    /// One plaintext per output ciphertext of layer `k`, every slot but one
+    /// per element — ciphertext by ciphertext, ascending — whatever `rest`
+    /// yields: `mask[i]` goes out as additive shares mod `t` over element
+    /// `i`'s windows, the later ones `rest`'s and the first the balancing
+    /// share that makes them sum to `mask[i]`.
+    fn pack_mask_with(
+        &self,
+        k: usize,
+        mask: &Tensor,
+        mut rest: impl FnMut() -> i64,
+    ) -> Result<Vec<Plaintext>> {
+        let layer = &self.layers[k];
+        let mut balancing = vec![vec![false; self.encoder.slots()]; self.output_ciphertexts(k)];
+        for i in 0..mask.len() {
+            let (ct, windows) = layer.output_slot(i);
+            if let Some(&first) = windows.first() {
+                balancing[ct][first] = true;
+            }
+        }
+        let mut values: Vec<Vec<i64>> = balancing
+            .iter()
+            .map(|slots| slots.iter().map(|&b| if b { 0 } else { rest() }).collect())
+            .collect();
+        let t = self.params.plain_modulus().value() as i64;
+        for (i, &m) in mask.data().iter().enumerate() {
+            let (ct, windows) = layer.output_slot(i);
+            if let Some((&first, rest)) = windows.split_first() {
+                let drawn: i64 = rest.iter().map(|&s| values[ct][s]).sum();
+                values[ct][first] = center(m - drawn, t);
+            }
+        }
+        values
+            .iter()
+            .map(|slots| self.encoder.encode_signed(slots))
+            .collect()
+    }
+
+    /// Draws linear layer `k`'s download mask from the server's mask
+    /// stream: the logical output mask `r` (uniform mod `t`; zeros on the
+    /// final layer, whose prediction belongs to the client), shared over
+    /// the download so that **every slot leaves under a fresh uniform draw
+    /// or the balancing share of one**. An FC layer's rows are all partial
+    /// pre-activation sums (both rows once it tiles), `fold` windows per
+    /// output: `r_i` goes out as `fold − 1` uniform draws and the share that
+    /// balances them to `r_i`, one per window; every other slot — the
+    /// padding rows, the periods past the first, an untiled layer's empty
+    /// second row, a convolution's gaps and spare blocks — takes a draw of
+    /// its own, so no layout has to be trusted to be empty.
+    ///
+    /// What the client learns: the shares are independent and uniform, so
+    /// all but one window of an output decrypt to uniform noise and the
+    /// last is fixed by their sum — the client's view of an output is
+    /// uniform conditioned on `y_i + r_i` (itself uniform) on a hidden
+    /// layer, and on `y_i` (a uniform zero-sum sharing of nothing) on the
+    /// final one. It sees the prediction and no individual partial sum.
+    /// Returns `r` and the packed plaintexts to add, one per output
+    /// ciphertext.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding errors.
+    pub fn draw_output_mask(
+        &self,
+        k: usize,
+        rng: &mut impl Rng,
+    ) -> Result<(Tensor, Vec<Plaintext>)> {
+        let half_t = (self.params.plain_modulus().value() / 2) as i64;
+        let shape = self.output_shape(k);
+        let mask = if k + 1 == self.layers.len() {
+            Tensor::zeros(&shape)
+        } else {
+            let len = shape.iter().product();
+            let data = (0..len)
+                .map(|_| rng.random_range(-half_t..=half_t))
+                .collect();
+            Tensor::from_data(&shape, data)
+        };
+        let packed = self.pack_mask_with(k, &mask, || rng.random_range(-half_t..=half_t))?;
+        Ok((mask, packed))
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A hidden and a final FC layer, their 6 and 3 outputs in `fold = 8`
+    /// windows each, behind a convolution with two 36-pixel images in
+    /// 64-slot blocks (one slot an element).
+    fn shared_net() -> Network {
+        Network {
+            name: "shared".into(),
+            input_shape: vec![2, 6, 6],
+            layers: vec![
+                Layer::conv("conv", 6, 3, 2, 2, 1, 1),
+                Layer::Relu,
+                Layer::MaxPool { k: 3, stride: 3 },
+                Layer::Flatten,
+                Layer::fc("fc1", 8, 6),
+                Layer::Relu,
+                Layer::fc("fc2", 6, 3),
+            ],
+        }
+    }
+
+    #[test]
+    fn mask_shares_sum_to_the_element_and_draw_every_other_slot_once() {
+        let net = shared_net();
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let prepared = PreparedModel::new(&net, &Weights::random(&net, 2, 5), params).unwrap();
+        let t = prepared.params.plain_modulus().value() as i64;
+        let half_t = t / 2;
+        let mut rng = StdRng::seed_from_u64(0x5a4e);
+        for k in 0..prepared.linear_count() {
+            let layer = &prepared.layers[k];
+            let shape = prepared.output_shape(k);
+            let len: usize = shape.iter().product();
+            let windows = layer.output_slot(0).1.len();
+            assert_eq!(windows > 1, k > 0, "{}", prepared.plan_label(k));
+            // Random masks, and the ends of the centred range on every
+            // element.
+            for case in 0..4 {
+                let data: Vec<i64> = match case {
+                    0 => vec![half_t; len],
+                    1 => vec![-half_t; len],
+                    _ => (0..len)
+                        .map(|_| rng.random_range(-half_t..=half_t))
+                        .collect(),
+                };
+                let mask = Tensor::from_data(&shape, data);
+                let mut draws = 0usize;
+                let packed = prepared
+                    .pack_mask_with(k, &mask, || {
+                        draws += 1;
+                        rng.random_range(-half_t..=half_t)
+                    })
+                    .unwrap();
+                assert_eq!(packed.len(), prepared.output_ciphertexts(k));
+                let slots = prepared.encoder.slots();
+                assert_eq!(draws, packed.len() * slots - len, "layer {k}");
+                let decoded: Vec<Vec<i64>> = packed
+                    .iter()
+                    .map(|pt| prepared.encoder.decode_signed(pt))
+                    .collect();
+                // What the client adds up is the mask itself …
+                assert_eq!(prepared.unpack(k, &decoded).data(), mask.data());
+                // … share by share, each inside the centred range.
+                for (i, &m) in mask.data().iter().enumerate() {
+                    let (ct, shares) = layer.output_slot(i);
+                    let sum: i64 = shares.iter().map(|&s| decoded[ct][s]).sum();
+                    assert_eq!(center(sum, t), m, "layer {k} element {i}");
+                }
+                assert!(decoded.iter().flatten().all(|v| v.abs() <= half_t));
+                // With nothing drawn the first window carries the element
+                // and every other slot is zero: the replayable form.
+                let bare = prepared.pack_output_mask(k, &mask).unwrap();
+                let bare: Vec<Vec<i64>> = bare
+                    .iter()
+                    .map(|pt| prepared.encoder.decode_signed(pt))
+                    .collect();
+                assert_eq!(prepared.unpack(k, &bare).data(), mask.data());
+                let nonzero = bare.iter().flatten().filter(|&&v| v != 0).count();
+                assert_eq!(nonzero, mask.data().iter().filter(|&&m| m != 0).count());
+            }
+        }
     }
 }

@@ -20,10 +20,10 @@ use std::sync::{Arc, Mutex};
 
 use cheetah_bfv::{Result, ScratchPool};
 use cheetah_nn::Tensor;
-use cheetah_protocol::{LayerReport, Transcript};
 
 use crate::model::PreparedModel;
-use crate::session::SessionDriver;
+use crate::session::{LayerReport, SessionDriver};
+use crate::transcript::Transcript;
 
 /// Terminal state of one served session.
 pub struct SessionOutcome {

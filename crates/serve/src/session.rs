@@ -1,16 +1,62 @@
-//! The two halves of one inference session — the **only** implementation
-//! of a protocol round (`cheetah_protocol::session` describes it) — the
-//! driver that steps them through the wire boundary for a
-//! [`crate::ServerPool`], and the one-party façade that holds both.
+//! The private-inference round — the Gazelle-style protocol the Cheetah
+//! paper builds on (§II-A) — and its **one** implementation: the two
+//! halves of a session, the driver that steps them through the wire
+//! boundary for a [`crate::ServerPool`], and the one-party façade that
+//! holds both.
 //!
-//! [`ClientSession`] plays the owner **of the data**: it holds the
-//! secret key, encrypts activation uploads (seeded wire format — fresh
-//! symmetric ciphertexts ship as `(seed, c0)`), and decrypts + validates
-//! masked downloads behind the measured-noise gate. [`ServerSession`]
-//! plays the cloud: it holds the client's Galois keys, expanded from the
-//! seeded set the client registers (handed over in-process, accounted at
-//! its wire size), removes the previous round's mask, plans the level,
-//! applies the prepared layer, re-masks, and records the transcript.
+//! HE runs the linear layers on the cloud, a (simulated) garbled circuit
+//! runs the nonlinearities on the client, and additive masks keep
+//! activations hidden from the client and the model hidden from the
+//! cloud. Per linear layer `L` with previous-round mask `r_prev`:
+//!
+//! 1. the client packs and encrypts its masked activation `a + r_prev`
+//!    and sends it;
+//! 2. the cloud homomorphically subtracts `r_prev` (it knows the mask),
+//!    applies `L` under HE, and **shares a fresh output mask `r` over the
+//!    windows** of the result: an FC layer leaves each output as `fold`
+//!    partial sums — it rotates nothing together that the client can add
+//!    after decryption — so `r_i` goes out as `fold` additive shares mod
+//!    `t`, one per window, every other slot under a uniform draw of its
+//!    own ([`PreparedModel::draw_output_mask`]), and the cloud sends
+//!    `Enc(y_part + shares)`;
+//! 3. the client decrypts and adds each output's windows up: a sum of
+//!    shares is a share of the sum, `y + r`;
+//! 4. the garbled circuit (simulated functionally) removes `r`, applies
+//!    the nonlinear bundle (ReLU / pooling / flatten), and re-masks with
+//!    the cloud's fresh input mask for the next round.
+//!
+//! The final linear output belongs to the client (it owns the
+//! prediction): its logical mask is zero, shared over the windows all the
+//! same — a uniform zero-sum sharing, so the client learns the prediction
+//! and no partial sum of it — and the slots around them are blinded like
+//! any other layer's. Decryption after every layer resets HE noise — the
+//! reason the Gazelle structure avoids bootstrapping entirely.
+//!
+//! The garbled circuit is a *functional* simulation: it computes exactly
+//! what Yao evaluation would and its cost is accounted with a half-gates
+//! size model ([`crate::transcript::garbled_circuit_bytes`]), but no
+//! cryptographic garbling happens. Cheetah's claims are all about the
+//! server-side HE compute, which here is real.
+//!
+//! The threat model matches Gazelle: both parties are honest but curious
+//! (§II-B). As in the paper, layer counts and shapes leak to the client;
+//! weight *values* do not. The *transport* is not assumed reliable: every
+//! ciphertext and key crosses through `cheetah_bfv::wire`'s validated
+//! encoding, and `cheetah_bfv::wire::faults` corrupts recorded
+//! transcripts to pin the detected-or-harmless contract.
+//!
+//! ## The halves
+//!
+//! [`ClientSession`] plays the owner **of the data** (steps 1, 3, 4): it
+//! holds the secret key, encrypts activation uploads, and decrypts masked
+//! downloads behind the measured-noise gate
+//! ([`cheetah_bfv::Decryptor::decrypt_checked`]). [`ServerSession`] plays
+//! the cloud (step 2): it holds the client's Galois keys, expanded from
+//! the seeded set the client registers (handed over in-process, accounted
+//! at its wire size), removes the previous round's mask, plans the level,
+//! applies the prepared layer, re-masks, and records the [`Transcript`]
+//! and one [`LayerReport`] per layer. Both run against one immutable
+//! [`PreparedModel`] holding everything client-independent.
 //!
 //! Everything that crosses between the halves is either validated wire
 //! bytes or the functional garbled-circuit handoff
@@ -22,6 +68,14 @@
 //! for callers that play both parties — tests, examples, the fault and
 //! conformance harnesses: `run(&input)` is the same round
 //! [`SessionDriver::step`] runs, looped to the prediction.
+//!
+//! ## Wire formats
+//!
+//! Uploads are *fresh* symmetric encryptions, so they ship in the seeded
+//! wire format (`cheetah_bfv::wire` version 2): an 8-byte PRNG seed
+//! regenerates `c1` and only `c0` travels, halving upload bytes to
+//! `live·n·8 + 8`. Downloads have evaluated, non-seeded `c1` components
+//! and stay in the full `2·live·n·8` version-1 format.
 
 use std::sync::Arc;
 
@@ -30,13 +84,49 @@ use cheetah_bfv::{
     Result, Scratch, SeededGaloisKeys,
 };
 use cheetah_nn::{Network, Tensor, Weights};
-use cheetah_protocol::masking::{add_mod_t, gated_decrypt_slots, sub_mod_t};
-use cheetah_protocol::transcript::{garbled_circuit_bytes, Direction, Transcript};
-use cheetah_protocol::{LayerReport, PreparedLayers};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::masking::{add_mod_t, sub_mod_t};
 use crate::model::PreparedModel;
+use crate::transcript::{garbled_circuit_bytes, Direction, Transcript};
+
+/// Per-linear-layer record of a session's current inference: the
+/// rotation plan, the level the layer ran at, and the three noise
+/// views that must nest — `measured ≤ tracked ≤ predicted` — for the
+/// whole-protocol conformance pin.
+#[derive(Debug, Clone)]
+pub struct LayerReport {
+    /// Linear-layer index.
+    pub layer: usize,
+    /// Rotation-plan label: `fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`
+    /// (input copies per period, baby width, giant groups, live of all
+    /// tiled diagonals, windows per output the client adds) or
+    /// `conv packed b=.. g=.. live=../.. out=..` (baby width, giant
+    /// groups, live of all `(d, tap)` masks, output ciphertexts).
+    pub plan: String,
+    /// Level the layer ran (and shipped) at.
+    pub level: usize,
+    /// The planning model's output bound
+    /// (`noise_after` of the switched input), log2.
+    pub predicted_bound_log2: f64,
+    /// Worst engine-tracked noise bound across the layer's output
+    /// ciphertexts (before masking), log2.
+    pub tracked_bound_log2: f64,
+    /// Worst *measured* invariant noise across the layer's output
+    /// ciphertexts (before masking), log2. `None` unless the server half
+    /// was lent a decryptor
+    /// ([`PrivateInferenceSession::enable_noise_measurement`])
+    /// — measuring costs one true decryption per output ciphertext, which
+    /// does not belong on the production inference path.
+    pub measured_noise_log2: Option<f64>,
+    /// Why the session aborted at this point, when it did: the rendered
+    /// typed error of a rejected wire message, an exhausted noise budget
+    /// or an upload past the final layer. `None` on the healthy path — a
+    /// run that returns `Err` also leaves the fault here, so the caller
+    /// can see *which* message or layer killed the session.
+    pub fault: Option<String>,
+}
 
 /// What a client registers with the server: its seeded Galois keys —
 /// elements, seeds and `k0`s, no `k1` — and the accounted setup bytes.
@@ -138,7 +228,7 @@ impl ClientSession {
     ///
     /// Propagates leading-layer errors.
     pub fn begin(&mut self, input: &Tensor) -> Result<Option<Tensor>> {
-        let act = self.model.layers().apply_leading(input)?;
+        let act = self.model.apply_leading(input)?;
         self.layer = 0;
         if self.model.linear_count() == 0 {
             self.act = None;
@@ -179,7 +269,8 @@ impl ClientSession {
     /// [`Error::NoiseBudgetExhausted`] when the measured budget is gone;
     /// propagates BFV errors for mismatched parameters.
     pub fn decrypt_slots(&self, ct: &Ciphertext) -> Result<Vec<i64>> {
-        gated_decrypt_slots(&self.decryptor, self.model.layers().encoder(), ct)
+        let pt = self.decryptor.decrypt_checked(ct)?;
+        Ok(self.model.encoder().decode_signed(&pt))
     }
 
     /// The activation of the pending round.
@@ -197,7 +288,7 @@ impl ClientSession {
     /// [`Error::Unsupported`] when no round is pending; propagates
     /// packing/encryption/encoding errors.
     pub fn next_upload(&mut self) -> Result<Vec<u8>> {
-        let packed = self.model.layers().pack(self.layer, self.pending()?)?;
+        let packed = self.model.pack(self.layer, self.pending()?)?;
         let (ct, seed) = self.encryptor.encrypt_seeded(&packed)?;
         let encoded = wire::encode_ciphertext_seeded(&ct, seed)?;
         check_wire_accounting(encoded.len(), wire::SEED_BYTES + ct.byte_size() / 2)?;
@@ -216,12 +307,12 @@ impl ClientSession {
     /// [`Error::Malformed`] on a mis-framed bundle.
     pub fn absorb_download(&mut self, dl: &LayerDownload) -> Result<Option<Tensor>> {
         self.pending()?;
-        let layers = self.model.layers();
+        let model = &self.model;
         let k = self.layer;
-        let t_mod = *layers.params().plain_modulus();
+        let t_mod = *model.params().plain_modulus();
 
-        let parts = wire::split_ciphertext_messages(&dl.payload, layers.params())?;
-        let expected = layers.output_ciphertexts(k);
+        let parts = wire::split_ciphertext_messages(&dl.payload, model.params())?;
+        let expected = model.output_ciphertexts(k);
         if parts.len() != expected {
             return Err(Error::Malformed {
                 what: "ciphertext bundle",
@@ -233,16 +324,16 @@ impl ClientSession {
         }
         let mut slot_vecs = Vec::with_capacity(parts.len());
         for part in parts {
-            let ct = wire::decode_ciphertext(part, layers.params())?;
+            let ct = wire::decode_ciphertext(part, model.params())?;
             slot_vecs.push(self.decrypt_slots(&ct)?);
         }
-        let masked_out = layers.unpack(k, &slot_vecs);
+        let masked_out = model.unpack(k, &slot_vecs);
 
         // Simulated GC: unmask, nonlinear bundle, re-mask for the next
         // round (or hand the prediction to the client after the last
         // linear layer).
         let gc_in = sub_mod_t(&masked_out, &dl.mask, t_mod.value());
-        let gc_out = layers.apply_bundle(k, &gc_in)?;
+        let gc_out = model.apply_bundle(k, &gc_in)?;
         match &dl.next_mask {
             Some(next_mask) => {
                 self.act = Some(add_mod_t(&gc_out, next_mask, t_mod.value()));
@@ -283,7 +374,7 @@ impl ServerSession {
     ///
     /// [`Error::MissingGaloisKey`] when the key set misses a plan step.
     pub fn new(model: Arc<PreparedModel>, setup: ClientSetup, seed: u64) -> Result<Self> {
-        model.layers().check_key_coverage(&setup.keys)?;
+        model.check_key_coverage(&setup.keys)?;
         let keys = setup.keys.expand(model.params());
         let mut server = Self {
             model,
@@ -394,19 +485,18 @@ impl ServerSession {
     /// the layer's tracked budget is spent.
     pub fn process_upload(&mut self, bytes: &[u8], scratch: &mut Scratch) -> Result<LayerDownload> {
         let model = Arc::clone(&self.model);
-        let layers = model.layers();
-        let params = layers.params();
+        let params = model.params();
         let t_mod = *params.plain_modulus();
         let half_t = (t_mod.value() / 2) as i64;
         let k = self.layer;
         let label = format!("enc activations L{k}");
         // Client-supplied input decides how often this is called: refuse
         // before `k` indexes a layer, and before anything is recorded.
-        if k >= layers.linear_count() {
+        if k >= model.linear_count() {
             let past_end = Error::Unsupported("upload past the final linear layer");
             return Err(self.reject(&label, past_end));
         }
-        let is_last_linear = k + 1 == layers.linear_count();
+        let is_last_linear = k + 1 == model.linear_count();
 
         // Record the upload at its accounted size (payload net of the
         // fixed header), then validate it — the seeded decoder re-expands
@@ -426,8 +516,8 @@ impl ServerSession {
         if let Some(r) = &self.cloud_mask {
             let neg: Vec<i64> = r.data().iter().map(|&v| -v).collect();
             let neg_t = Tensor::from_data(r.shape(), neg);
-            let neg_packed = layers.pack(k, &neg_t)?;
-            layers
+            let neg_packed = model.pack(k, &neg_t)?;
+            model
                 .evaluator()
                 .add_plain_assign(&mut ct, &neg_packed, scratch)?;
         }
@@ -435,14 +525,14 @@ impl ServerSession {
         // Drop the limbs this layer's noise no longer needs — the whole
         // layer (rotations, multiplications, and the masked download
         // below) then runs over the live limbs only.
-        let target = layers.plan_level(k, ct.noise());
+        let target = model.plan_level(k, ct.noise());
         if target > ct.level() {
-            layers.evaluator().mod_switch_to_assign(&mut ct, target)?;
+            model.evaluator().mod_switch_to_assign(&mut ct, target)?;
         }
 
         // The HE linear layer, with this client's keys.
-        let predicted = layers.noise_after(k, ct.noise(), ct.level());
-        let outputs = layers.apply_with_scratch(k, &ct, &self.keys, scratch)?;
+        let predicted = model.noise_after(k, ct.noise(), ct.level());
+        let outputs = model.apply_with_scratch(k, &ct, &self.keys, scratch)?;
 
         // Conformance record. Tracked/predicted bounds are free; the
         // *measured* invariant noise needs a real decryption per
@@ -464,7 +554,7 @@ impl ServerSession {
         }
         self.reports.push(LayerReport {
             layer: k,
-            plan: layers.plan_label(k),
+            plan: model.plan_label(k),
             level: ct.level(),
             predicted_bound_log2: predicted.bound_log2,
             tracked_bound_log2: tracked,
@@ -488,11 +578,11 @@ impl ServerSession {
         // belongs to the client) shared over each output's windows, with
         // uniform blinding on every slot outside them, then the next
         // round's input mask, drawn back-to-back from the one mask stream.
-        let (mask, mask_pts) = layers.draw_output_mask(k, &mut self.mask_rng)?;
+        let (mask, mask_pts) = model.draw_output_mask(k, &mut self.mask_rng)?;
         let out_len = mask.len();
         let mut masked_cts = outputs;
         for (out_ct, m_pt) in masked_cts.iter_mut().zip(&mask_pts) {
-            layers.evaluator().add_plain_assign(out_ct, m_pt, scratch)?;
+            model.evaluator().add_plain_assign(out_ct, m_pt, scratch)?;
         }
 
         // Serialize the masked outputs: downloads carry evaluated c1
@@ -680,18 +770,17 @@ impl PrivateInferenceSession {
     /// Propagates BFV errors; fails when a layer does not fit the packing
     /// constraints of `HomConv2d` / `HomFc`.
     pub fn new(net: &Network, weights: &Weights, params: BfvParams, seed: u64) -> Result<Self> {
-        Self::with_prepared(Arc::new(PreparedLayers::new(net, weights, params)?), seed)
+        Self::with_prepared(PreparedModel::new(net, weights, params)?, seed)
     }
 
     /// Attaches a fresh client (keys, encryptors, mask stream, scratch)
-    /// to already-prepared layers.
+    /// to an already-prepared model.
     ///
     /// # Errors
     ///
     /// Propagates BFV key-generation and wire errors.
-    pub fn with_prepared(prepared: Arc<PreparedLayers>, seed: u64) -> Result<Self> {
-        let model = PreparedModel::from_layers(prepared)?;
-        let scratch = model.layers().evaluator().new_scratch();
+    pub fn with_prepared(model: Arc<PreparedModel>, seed: u64) -> Result<Self> {
+        let scratch = model.evaluator().new_scratch();
         let (client, setup) = ClientSession::keygen(Arc::clone(&model), seed)?;
         let server = ServerSession::new(model, setup, seed)?;
         Ok(Self {
@@ -701,9 +790,9 @@ impl PrivateInferenceSession {
         })
     }
 
-    /// The prepared layers this session runs against.
-    pub fn prepared(&self) -> &Arc<PreparedLayers> {
-        self.client.model.layers()
+    /// The prepared model this session runs against.
+    pub fn prepared(&self) -> &Arc<PreparedModel> {
+        &self.client.model
     }
 
     /// Per-layer plan and noise records of the most recent

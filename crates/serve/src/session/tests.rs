@@ -152,14 +152,14 @@ fn leveled_session_drops_limbs_and_matches_plaintext() {
 #[test]
 fn sessions_sharing_one_prepared_model_match_private_preparations() {
     // The serve-layer contract: N clients attached to one shared
-    // Arc<PreparedLayers> produce exactly the outputs and transcripts
+    // Arc<PreparedModel> produce exactly the outputs and transcripts
     // they would with private preparations (preparation is
     // client-independent by construction).
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 61);
     let input = random_input(&net.input_shape, 3, 62);
 
-    let shared = Arc::new(PreparedLayers::new(&net, &weights, session_params()).unwrap());
+    let shared = PreparedModel::new(&net, &weights, session_params()).unwrap();
     // Client seeds this chain's decrypt gate clears: a single 60-bit
     // limb under an 18-bit `t` leaves fc1 about 0.4 bit of measured
     // budget (mask removal's `q mod t` wrap term dominates), so on any
@@ -263,11 +263,10 @@ fn a_round_past_the_final_layer_is_a_typed_error_on_both_halves() {
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 91);
     let input = random_input(&net.input_shape, 3, 92);
-    let layers = PreparedLayers::new(&net, &weights, session_params_3_limb()).unwrap();
-    let model = PreparedModel::from_layers(Arc::new(layers)).unwrap();
+    let model = PreparedModel::new(&net, &weights, session_params_3_limb()).unwrap();
     let (mut client, setup) = ClientSession::new(Arc::clone(&model), 9, &input).unwrap();
     let mut server = ServerSession::new(Arc::clone(&model), setup, 9).unwrap();
-    let mut scratch = model.layers().evaluator().new_scratch();
+    let mut scratch = model.evaluator().new_scratch();
 
     let (last_upload, last_download, prediction) = loop {
         let upload = client.next_upload().unwrap();
@@ -374,8 +373,7 @@ fn setup_bytes_account_the_seeded_key_set_at_its_wire_size() {
     // set's encoding, net of its header, plus the seeded public key's
     // payload — half the key material the server holds once it expands.
     for (name, net, weights, params, key_count, setup_bytes) in bench_shapes() {
-        let layers = PreparedLayers::new(&net, &weights, params.clone()).unwrap();
-        let model = PreparedModel::from_layers(Arc::new(layers)).unwrap();
+        let model = PreparedModel::new(&net, &weights, params.clone()).unwrap();
         let (_, setup) = ClientSession::keygen(Arc::clone(&model), 7).unwrap();
         let pk_payload = wire::seeded_public_key_wire_bytes(&params) - wire::HEADER_BYTES;
         let encoded = wire::encode_seeded_galois_keys(&setup.keys, &params);
@@ -406,8 +404,7 @@ fn registration_refuses_a_seeded_set_that_misses_a_plan_step() {
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 93);
     let params = session_params_3_limb();
-    let layers = PreparedLayers::new(&net, &weights, params.clone()).unwrap();
-    let model = PreparedModel::from_layers(Arc::new(layers)).unwrap();
+    let model = PreparedModel::new(&net, &weights, params.clone()).unwrap();
     let (_, mut setup) = ClientSession::keygen(Arc::clone(&model), 5).unwrap();
     let n = params.degree();
     let element = |s: i64| cheetah_bfv::keys::element_for_step(n, s).unwrap();
@@ -446,17 +443,16 @@ fn a_network_without_linear_layers_keeps_its_setup_record_through_both_entry_poi
     let weights = Weights::random(&net, 2, 1);
     let input = random_input(&net.input_shape, 3, 2);
     let expect = infer(&net, &weights, &input).output;
-    let layers = Arc::new(PreparedLayers::new(&net, &weights, session_params_3_limb()).unwrap());
-    assert_eq!(layers.linear_count(), 0);
+    let model = PreparedModel::new(&net, &weights, session_params_3_limb()).unwrap();
+    assert_eq!(model.linear_count(), 0);
 
-    let mut session = PrivateInferenceSession::with_prepared(Arc::clone(&layers), 3).unwrap();
+    let mut session = PrivateInferenceSession::with_prepared(Arc::clone(&model), 3).unwrap();
     let (output, transcript) = session.run(&input).unwrap();
     assert_eq!(output.data(), expect.data());
     assert_eq!(transcript.messages().len(), 1);
     assert_eq!(transcript.messages()[0].label, "setup: pk + galois keys");
     assert!(transcript.messages()[0].bytes > 0);
 
-    let model = PreparedModel::from_layers(layers).unwrap();
     let driver = SessionDriver::new(&model, 0, 3, &input).unwrap();
     assert!(driver.is_done());
     let served = ServerPool::new(Arc::clone(&model), 1)

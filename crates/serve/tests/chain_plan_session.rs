@@ -3,7 +3,7 @@
 //!
 //! The chain solver sweeps {chain, per-layer level, rotation plan} over
 //! the network and emits concrete parameters plus per-layer levels;
-//! [`PreparedLayers::from_chain_plan`] turns that plan directly into a
+//! [`PreparedModel::from_chain_plan`] turns that plan directly into a
 //! servable model. These tests pin the whole path: the solved plan
 //! prepares, runs, and decrypts bit-identically to the cleartext
 //! reference, and the plan's levels genuinely cap the runtime level
@@ -17,8 +17,7 @@ use cheetah_core::QuantSpec;
 use cheetah_nn::inference::{infer, random_input};
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::Weights;
-use cheetah_protocol::PreparedLayers;
-use cheetah_serve::PrivateInferenceSession;
+use cheetah_serve::{PreparedModel, PrivateInferenceSession};
 
 fn tiny_cnn_plan() -> ChainPlan {
     let net = tiny_cnn();
@@ -37,8 +36,7 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
     let plan = tiny_cnn_plan();
     assert_eq!(plan.layers.len(), net.linear_layers().len());
 
-    let prepared =
-        Arc::new(PreparedLayers::from_chain_plan(&net, &weights, &plan).expect("prepare"));
+    let prepared = PreparedModel::from_chain_plan(&net, &weights, &plan).expect("prepare");
     assert_eq!(
         prepared.planned_levels(),
         Some(plan.levels().as_slice()),
@@ -73,8 +71,8 @@ fn planned_levels_cap_the_runtime_level_planner() {
     let weights = Weights::random(&net, 2, 831);
     let plan = tiny_cnn_plan();
 
-    let capped = PreparedLayers::from_chain_plan(&net, &weights, &plan).unwrap();
-    let uncapped = PreparedLayers::new(&net, &weights, plan.params.clone()).unwrap();
+    let capped = PreparedModel::from_chain_plan(&net, &weights, &plan).unwrap();
+    let uncapped = PreparedModel::new(&net, &weights, plan.params.clone()).unwrap();
     assert_eq!(uncapped.planned_levels(), None);
 
     let fresh = NoiseEstimate::fresh(&plan.params);
@@ -100,7 +98,7 @@ fn mismatched_plan_is_rejected_at_prepare_time() {
     let weights = Weights::random(&net, 2, 841);
     let mut plan = tiny_cnn_plan();
     plan.layers.pop();
-    let Err(err) = PreparedLayers::from_chain_plan(&net, &weights, &plan) else {
+    let Err(err) = PreparedModel::from_chain_plan(&net, &weights, &plan) else {
         panic!("a plan with the wrong layer count must be rejected");
     };
     assert!(

@@ -19,15 +19,13 @@
 
 use std::sync::Arc;
 
+use cheetah_bfv::wire::faults::{Corruption, FaultInjector};
 use cheetah_bfv::BfvParams;
-use cheetah_core::Schedule;
 use cheetah_nn::inference::{client_inputs, infer};
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::Weights;
-use cheetah_protocol::faults::{Corruption, FaultInjector};
-use cheetah_protocol::Transcript;
 use cheetah_serve::{
-    PreparedModel, PrivateInferenceSession, ServerPool, SessionDriver, SessionOutcome,
+    PreparedModel, PrivateInferenceSession, ServerPool, SessionDriver, SessionOutcome, Transcript,
 };
 
 const N: usize = 4096;
@@ -87,9 +85,7 @@ fn concurrent_sessions_match_serial_runs_and_references_on_all_presets() {
     let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
 
     for (name, params) in preset_chains() {
-        let model =
-            PreparedModel::prepare(&net, &weights, params.clone(), Schedule::PartialAligned)
-                .unwrap();
+        let model = PreparedModel::new(&net, &weights, params.clone()).unwrap();
 
         // Concurrent: every client at once, multi-worker sweeps.
         let pool = ServerPool::new(Arc::clone(&model), CLIENTS);
@@ -153,7 +149,7 @@ fn concurrent_sessions_match_serial_runs_and_references_on_all_presets() {
 #[test]
 fn solver_planned_model_serves_concurrent_clients() {
     // HE-PTune v2 end to end through the serving layer: the chain solver
-    // picks the parameter chain and per-layer levels, prepare_with_plan
+    // picks the parameter chain and per-layer levels, from_chain_plan
     // builds the shared model, and a concurrent pool of clients decrypts
     // bit-identically to the cleartext reference.
     use cheetah_core::ptune::solve_chain_plan;
@@ -165,11 +161,8 @@ fn solver_planned_model_serves_concurrent_clients() {
 
     let plan = solve_chain_plan(&net.linear_layers(), &QuantSpec::default(), &[N])
         .expect("tiny CNN must be solvable");
-    let model = PreparedModel::prepare_with_plan(&net, &weights, &plan).unwrap();
-    assert_eq!(
-        model.layers().planned_levels(),
-        Some(plan.levels().as_slice())
-    );
+    let model = PreparedModel::from_chain_plan(&net, &weights, &plan).unwrap();
+    assert_eq!(model.planned_levels(), Some(plan.levels().as_slice()));
 
     let pool = ServerPool::new(Arc::clone(&model), CLIENTS);
     let results = pool.run(drivers(&model, &inputs));
@@ -203,25 +196,18 @@ fn sparse_and_pow2_models_serve_concurrent_clients_exactly() {
     let mut pow2 = Weights::random(&net, 3, 425);
     pow2.round_to_pow2(2);
 
-    let dense_steps = PreparedModel::prepare(
-        &net,
-        &Weights::random(&net, 2, 424),
-        params.clone(),
-        Schedule::PartialAligned,
-    )
-    .unwrap()
-    .layers()
-    .required_steps()
-    .len();
+    let dense_steps = PreparedModel::new(&net, &Weights::random(&net, 2, 424), params.clone())
+        .unwrap()
+        .required_steps()
+        .len();
 
     for (what, weights) in [("sparse", &sparse), ("pow2", &pow2)] {
-        let model = PreparedModel::prepare(&net, weights, params.clone(), Schedule::PartialAligned)
-            .unwrap();
+        let model = PreparedModel::new(&net, weights, params.clone()).unwrap();
         if what == "sparse" {
             assert!(
-                model.layers().required_steps().len() < dense_steps,
+                model.required_steps().len() < dense_steps,
                 "sparse serving model must need fewer Galois steps ({} vs {dense_steps})",
-                model.layers().required_steps().len()
+                model.required_steps().len()
             );
         }
         let pool = ServerPool::new(Arc::clone(&model), CLIENTS);
@@ -260,8 +246,7 @@ fn faulted_client_does_not_perturb_neighbors() {
     let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
     let (_, params) = preset_chains().pop().unwrap(); // rns_3x36
 
-    let model =
-        PreparedModel::prepare(&net, &weights, params.clone(), Schedule::PartialAligned).unwrap();
+    let model = PreparedModel::new(&net, &weights, params.clone()).unwrap();
 
     // Clean baseline run.
     let pool = ServerPool::new(Arc::clone(&model), CLIENTS);
@@ -324,7 +309,7 @@ fn panicking_worker_fails_its_session_and_spares_the_rest() {
     let weights = Weights::random(&net, 2, 424);
     let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
     let (_, params) = preset_chains().pop().unwrap(); // rns_3x36
-    let model = PreparedModel::prepare(&net, &weights, params, Schedule::PartialAligned).unwrap();
+    let model = PreparedModel::new(&net, &weights, params).unwrap();
     let pool = ServerPool::new(Arc::clone(&model), 2);
 
     let clean = pool.run(drivers(&model, &inputs));

@@ -8,7 +8,7 @@
 //! requested bound, precision requests that steer the solve onto the
 //! digit `rns_3x36`, the hybrid `hybrid_1x54` and (one wide layer)
 //! `hybrid_2x36` — every emitted `ChainPlan` prepares through
-//! `PreparedLayers::from_chain_plan`, runs a `PrivateInferenceSession`
+//! `PreparedModel::from_chain_plan`, runs a `PrivateInferenceSession`
 //! with the noise meter lent and decrypts to `cheetah_nn::infer`'s output,
 //! and per layer: the solver's budget is, to the bit, the chosen plan's
 //! `noise_after` at mask norm `⌊t/2⌋`, at most the prepared layer's own
@@ -33,8 +33,7 @@ use cheetah_core::ptune::{chain_candidates, ChainPlan, LayerPlan};
 use cheetah_core::{HeCostParams, LayerStructure, QuantSpec};
 use cheetah_nn::inference::{infer, random_input};
 use cheetah_nn::{Layer, LinearLayer, Network, Weights};
-use cheetah_protocol::PreparedLayers;
-use cheetah_serve::PrivateInferenceSession;
+use cheetah_serve::{PreparedModel, PrivateInferenceSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,7 +137,7 @@ fn plan_budget(
 }
 
 /// The budget the prepared layer `k` itself predicts at `level`.
-fn prepared_budget(prepared: &PreparedLayers, k: usize, level: usize) -> f64 {
+fn prepared_budget(prepared: &PreparedModel, k: usize, level: usize) -> f64 {
     let params = prepared.params();
     prepared
         .noise_after(k, &fresh_at(params, level), level)
@@ -154,7 +153,7 @@ fn check_closure(
     plan: &ChainPlan,
     seed: u64,
 ) {
-    let prepared = Arc::new(PreparedLayers::from_chain_plan(net, weights, plan).expect(what));
+    let prepared = PreparedModel::from_chain_plan(net, weights, plan).expect(what);
     let params = plan.params.clone();
     let input = random_input(&net.input_shape, 2, seed ^ 0x1295);
     let trace = infer(net, weights, &input);
@@ -352,7 +351,7 @@ fn a_chain_or_level_passed_over_on_noise_is_one_the_prepared_layer_rejects() {
                 }],
                 total_int_mults: 0.0,
             };
-            let prepared = PreparedLayers::from_chain_plan(&net, &weights, &at_level).unwrap();
+            let prepared = PreparedModel::from_chain_plan(&net, &weights, &at_level).unwrap();
             if prepared_budget(&prepared, 0, level) >= LEVEL_PLAN_MARGIN_BITS {
                 let cost = HeCostParams::for_bfv(&params, level);
                 let plan = FcPlan::choose(structure, params.slots(), &cost);

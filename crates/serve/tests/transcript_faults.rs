@@ -6,9 +6,10 @@
 //! [`Corruption`] class (plus seeded random draws) and classified by
 //! [`classify_ciphertext_fault`]:
 //!
-//! * structural faults (truncation, extension, bad framing, foreign
-//!   fingerprints, non-canonical residues, inconsistent level lies) must
-//!   die in wire validation with a typed error;
+//! * structural faults (truncation, extension, bad framing, kind
+//!   confusion, foreign fingerprints, non-canonical residues,
+//!   inconsistent level lies) must die in wire validation with a typed
+//!   error;
 //! * semantic faults (in-range bit flips, swapped components, consistent
 //!   level lies) must die at the measured noise-budget gate;
 //! * the header's reserved byte must be provably harmless — bit-identical
@@ -18,13 +19,13 @@
 //! `FAULT_SEED` (defaulting to a fixed value) so CI failures replay.
 
 use cheetah_bfv::wire;
+use cheetah_bfv::wire::faults::{
+    classify_ciphertext_fault, Corruption, FaultInjector, FaultOutcome,
+};
 use cheetah_bfv::{BfvParams, Error};
 use cheetah_nn::inference::random_input;
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::{Network, Weights};
-use cheetah_protocol::faults::{
-    classify_ciphertext_fault, Corruption, FaultInjector, FaultOutcome,
-};
 use cheetah_serve::PrivateInferenceSession;
 
 const N: usize = 4096;
@@ -135,6 +136,9 @@ fn corruption_battery(params: &BfvParams, len: usize) -> Vec<Corruption> {
         // The designed-harmless target.
         Corruption::ReservedByte { value: 0xff },
     ];
+    // Kind confusion: seeded ↔ full ciphertext (a no-op on a message
+    // already of that kind), the key kinds, the retired kinds.
+    battery.extend((1..=7).map(|kind| Corruption::KindRelabel { kind }));
     if params.levels() > 1 {
         // Length-consistent level lie: survives structural validation,
         // must die at the noise gate.
@@ -289,6 +293,28 @@ fn corruption_classes_map_to_expected_errors() {
             matches!(session.decrypt_slots(&ct), Err(Error::NoiseBudgetExhausted)),
             "{} should exhaust the measured noise budget",
             c.label()
+        );
+    }
+
+    // Kind confusion dies at the framing checks: an upload read as a full
+    // ciphertext, a download as a seeded one, either as a key kind or a
+    // retired one.
+    for (message, kind) in [
+        (clean, 1u8),
+        (dl_clean, 5),
+        (clean, 6),
+        (dl_clean, 7),
+        (clean, 2),
+        (dl_clean, 3),
+        (clean, 4),
+    ] {
+        let mutant = FaultInjector::apply(message, &Corruption::KindRelabel { kind }, &params);
+        assert!(
+            matches!(
+                wire::decode_ciphertext(&mutant, &params),
+                Err(Error::Malformed { .. })
+            ),
+            "kind {kind} must be refused by the framing checks"
         );
     }
 

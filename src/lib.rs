@@ -13,12 +13,10 @@
 //!   (analytical, and on real ciphertexts: the convolution and the FC
 //!   layer are two layouts over one BSGS kernel, whose baby widths 1 and
 //!   `d` are the two schedules' orders);
-//! * [`protocol`] — what a Gazelle-style client/cloud round is made of:
-//!   prepared layers, masking, transcripts, the fault harness;
-//! * [`serve`] — the round itself, as a client half and a server half
-//!   that talk through validated wire bytes, the pool that runs many
-//!   sessions against one prepared model, and
-//!   [`serve::PrivateInferenceSession`], both halves in one value;
+//! * [`serve`] — the Gazelle-style client/cloud round, as a client half
+//!   and a server half that talk through validated wire bytes, over one
+//!   shared prepared model; the pool that runs many sessions against it;
+//!   and [`serve::PrivateInferenceSession`], both halves in one value;
 //! * [`profile`] — kernel profiling and the Fig. 7 limit study;
 //! * [`gpu`] — the Fig. 8 GPU batched-NTT study (the SIMT model);
 //! * [`accel`] — the accelerator architecture: HLS-style kernel cost
@@ -86,5 +84,4 @@ pub use cheetah_core as core;
 pub use cheetah_gpu as gpu;
 pub use cheetah_nn as nn;
 pub use cheetah_profile as profile;
-pub use cheetah_protocol as protocol;
 pub use cheetah_serve as serve;

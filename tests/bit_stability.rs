@@ -23,7 +23,7 @@ use cheetah::bfv::{
 use cheetah::nn::inference::random_input;
 use cheetah::nn::models::tiny_cnn;
 use cheetah::nn::Weights;
-use cheetah::protocol::transcript::Direction;
+use cheetah::serve::transcript::Direction;
 use cheetah::serve::PrivateInferenceSession;
 
 const N: usize = 4096;

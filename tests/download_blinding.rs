@@ -25,13 +25,12 @@
 use std::sync::Arc;
 
 use cheetah::bfv::{wire, BfvParams};
-use cheetah::core::Schedule;
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::{Layer, Network, Tensor, Weights};
-use cheetah::protocol::masking::center;
-use cheetah::protocol::Transcript;
+use cheetah::serve::masking::center;
 use cheetah::serve::{
-    ClientSession, PreparedModel, PrivateInferenceSession, ServerPool, ServerSession, SessionDriver,
+    ClientSession, PreparedModel, PrivateInferenceSession, ServerPool, ServerSession,
+    SessionDriver, Transcript,
 };
 
 const ROW: usize = 2048;
@@ -207,7 +206,7 @@ fn both_sessions(net: &Network, weights: &Weights, seed: u64) -> ([Vec<View>; 2]
     let (out, one_party_transcript) = one_party.run(&input).unwrap();
     assert_eq!(out.data(), expect.data());
 
-    let model = PreparedModel::prepare(net, weights, params(), Schedule::PartialAligned).unwrap();
+    let model = PreparedModel::new(net, weights, params()).unwrap();
     let driver = SessionDriver::new(&model, 0, seed, &input).unwrap();
     let served = ServerPool::new(Arc::clone(&model), 1)
         .run(vec![driver])
@@ -218,7 +217,7 @@ fn both_sessions(net: &Network, weights: &Weights, seed: u64) -> ([Vec<View>; 2]
     let mut server = ServerSession::new(Arc::clone(&model), setup, seed).unwrap();
     assert!(client.begin(&input).unwrap().is_none());
     server.begin();
-    let mut scratch = model.layers().evaluator().new_scratch();
+    let mut scratch = model.evaluator().new_scratch();
     let download = server
         .process_upload(&client.next_upload().unwrap(), &mut scratch)
         .unwrap();

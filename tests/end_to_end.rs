@@ -68,12 +68,7 @@ fn unsupported_zoo_shapes_are_typed_errors_at_prepare_time() {
     for (net, refusal) in [(models::lenet5(), "HomConv2d"), (strided, "HomConv2d")] {
         let weights = Weights::random(&net, 1, 810);
         let params = BfvParams::preset_rns_3x36(4096).unwrap();
-        let served = cheetah::serve::PreparedModel::prepare(
-            &net,
-            &weights,
-            params.clone(),
-            Schedule::PartialAligned,
-        );
+        let served = cheetah::serve::PreparedModel::new(&net, &weights, params.clone());
         let session = PrivateInferenceSession::new(&net, &weights, params, 1);
         for refused in [served.map(|_| ()), session.map(|_| ())] {
             assert!(
@@ -110,9 +105,7 @@ fn lenet300_pads_its_inputs_and_matches_plaintext() {
         assert!(report.plan.starts_with("fc bsgs tiles="), "{ni}→{no}");
     }
 
-    let model =
-        cheetah::serve::PreparedModel::prepare(&net, &weights, params, Schedule::PartialAligned)
-            .unwrap();
+    let model = cheetah::serve::PreparedModel::new(&net, &weights, params).unwrap();
     let driver = cheetah::serve::SessionDriver::new(&model, 0, 1, &input).unwrap();
     let served = cheetah::serve::ServerPool::new(model, 1)
         .run(vec![driver])
@@ -138,12 +131,7 @@ fn oversized_and_mismatched_convs_are_typed_errors_at_prepare_time() {
     };
     let params = BfvParams::preset_rns_3x36(4096).unwrap();
     let both = |net: &Network, weights: &Weights| {
-        let served = cheetah::serve::PreparedModel::prepare(
-            net,
-            weights,
-            params.clone(),
-            Schedule::PartialAligned,
-        );
+        let served = cheetah::serve::PreparedModel::new(net, weights, params.clone());
         let session = PrivateInferenceSession::new(net, weights, params.clone(), 1);
         [served.map(|_| ()), session.map(|_| ())]
     };
@@ -176,13 +164,7 @@ fn wrong_shaped_client_input_is_a_typed_error() {
     };
     for (net, wrong_shape) in [(models::tiny_cnn(), vec![1, 4, 4]), (mlp, vec![7])] {
         let weights = Weights::random(&net, 2, 811);
-        let model = cheetah::serve::PreparedModel::prepare(
-            &net,
-            &weights,
-            params.clone(),
-            Schedule::PartialAligned,
-        )
-        .unwrap();
+        let model = cheetah::serve::PreparedModel::new(&net, &weights, params.clone()).unwrap();
         let wrong = Tensor::zeros(&wrong_shape);
         let refused = cheetah::serve::ClientSession::new(model, 3, &wrong)
             .and_then(|(mut client, _)| client.next_upload());

@@ -182,7 +182,7 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
     // pruned weights bit-exactly — on every preset chain.
     use std::sync::Arc;
 
-    use cheetah::protocol::PreparedLayers;
+    use cheetah::serve::PreparedModel;
 
     let net = tiny_cnn();
     let mut weights = Weights::random(&net, 2, 2024);
@@ -193,12 +193,12 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
     for (name, params) in preset_chains() {
         let dense_steps = {
             let dense = Weights::random(&net, 2, 2024);
-            PreparedLayers::new(&net, &dense, params.clone())
+            PreparedModel::new(&net, &dense, params.clone())
                 .unwrap()
                 .required_steps()
                 .len()
         };
-        let prepared = Arc::new(PreparedLayers::new(&net, &weights, params.clone()).unwrap());
+        let prepared = PreparedModel::new(&net, &weights, params.clone()).unwrap();
         assert!(
             prepared.required_steps().len() < dense_steps,
             "{name}: sparse keygen must shrink ({} vs dense {dense_steps})",
@@ -375,7 +375,7 @@ fn bench_cnn_stays_sound_and_reaches_the_planned_levels() {
 /// batching rows).
 #[test]
 fn bench_models_need_keys_for_kernel_steps_only() {
-    use cheetah::protocol::PreparedLayers;
+    use cheetah::serve::PreparedModel;
 
     let digit = BfvParams::preset_rns_3x36(N).unwrap();
     let hybrid = BfvParams::preset_hybrid_2x36(N).unwrap();
@@ -391,7 +391,7 @@ fn bench_models_need_keys_for_kernel_steps_only() {
         ("cnn_digit", &cnn, dense(&cnn), &digit, 15),
         ("fleet_sparse", &mlp, sparse, &hybrid, 13),
     ] {
-        let prepared = PreparedLayers::new(net, &weights, params.clone()).unwrap();
+        let prepared = PreparedModel::new(net, &weights, params.clone()).unwrap();
         assert_eq!(prepared.required_steps().len(), steps, "{name}");
     }
 }
