@@ -5,11 +5,11 @@
 //! and the HE-PTune optimum highlighted. (c): per-layer speedup bars.
 
 use cheetah_bench::{fmt_mults, heading};
-use cheetah_core::baseline::gazelle_config;
-use cheetah_core::ptune::{tune_layer, NoiseRegime, TuneSpace};
-use cheetah_core::speedup::harmonic_mean;
 use cheetah_core::{QuantSpec, Schedule};
 use cheetah_nn::models;
+use cheetah_paper::baseline::gazelle_config;
+use cheetah_paper::ptune::{tune_layer, NoiseRegime, TuneSpace};
+use cheetah_paper::speedup::harmonic_mean;
 
 fn main() {
     let net = models::alexnet();

@@ -6,9 +6,10 @@
 //! harmonic mean, 79.6× max (30.3× mean without MNIST).
 
 use cheetah_bench::{fmt_mults, heading};
-use cheetah_core::speedup::{evaluate_model, harmonic_mean};
-use cheetah_core::{QuantSpec, TuneSpace};
+use cheetah_core::QuantSpec;
 use cheetah_nn::models;
+use cheetah_paper::ptune::TuneSpace;
+use cheetah_paper::speedup::{evaluate_model, harmonic_mean};
 
 fn main() {
     let quant = QuantSpec::default();

@@ -7,10 +7,12 @@
 //! (default `resnet50`) to profile a different network.
 
 use cheetah_bench::{heading, tune_model};
-use cheetah_core::{Schedule, TuneSpace};
+use cheetah_core::Schedule;
 use cheetah_nn::models;
-use cheetah_profile::limit::limit_study;
-use cheetah_profile::{network_breakdown, KernelTimer};
+use cheetah_paper::breakdown::network_breakdown;
+use cheetah_paper::kernels::KernelTimer;
+use cheetah_paper::limit::limit_study;
+use cheetah_paper::ptune::TuneSpace;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -5,7 +5,7 @@
 //! Reproduced with the SIMT analytical model (no GPU exists here).
 
 use cheetah_bench::heading;
-use cheetah_gpu::simt::{figure8_sweep, CpuSpec, GpuSpec};
+use cheetah_paper::simt::{figure8_sweep, CpuSpec, GpuSpec};
 
 fn main() {
     let verbose = std::env::args().any(|a| a == "--verbose");

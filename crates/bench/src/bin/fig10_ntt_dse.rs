@@ -1,9 +1,9 @@
 //! Figure 10: design-space exploration for the NTT kernel, with the
 //! power-latency Pareto frontier highlighted.
 
-use cheetah_accel::dse::{power_latency_pareto, sweep_kernel, KernelSweep};
-use cheetah_accel::kernels::KernelKind;
 use cheetah_bench::heading;
+use cheetah_paper::dse::{power_latency_pareto, sweep_kernel, KernelSweep};
+use cheetah_paper::kernels::KernelKind;
 
 fn main() {
     let n = 4096;
@@ -48,7 +48,7 @@ fn main() {
             p.cost.area_mm2()
         );
     }
-    let energy_opt = cheetah_accel::dse::energy_optimal(&points).expect("non-empty");
+    let energy_opt = cheetah_paper::dse::energy_optimal(&points).expect("non-empty");
     println!(
         "\nenergy-optimal frontier point: u={} II={} ({:.2} uJ/transform) — the lane building block",
         energy_opt.design.unroll,

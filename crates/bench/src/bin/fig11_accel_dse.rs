@@ -3,12 +3,13 @@
 //! breakdown — plus the paper's headline: near-plaintext ResNet50 HE
 //! inference at ~30 W and ~545 mm² in 5 nm.
 
-use cheetah_accel::explore::{explore, ArchSweep};
-use cheetah_accel::workload::NetworkWork;
-use cheetah_accel::NODE_5NM;
 use cheetah_bench::{heading, tune_model};
-use cheetah_core::{Schedule, TuneSpace};
+use cheetah_core::Schedule;
 use cheetah_nn::models;
+use cheetah_paper::explore::{explore, ArchSweep};
+use cheetah_paper::ptune::TuneSpace;
+use cheetah_paper::tech::NODE_5NM;
+use cheetah_paper::workload::NetworkWork;
 
 fn main() {
     let net = models::resnet50();

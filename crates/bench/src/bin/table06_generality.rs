@@ -5,12 +5,14 @@
 //! Paper reference: ResNet50 100 ms (8 PE × 512 lanes), VGG16 215 ms
 //! (+59 % vs its 16×256 ideal), AlexNet 77 ms (+28 % vs its 16×128 ideal).
 
-use cheetah_accel::generality::generality_study;
-use cheetah_accel::workload::NetworkWork;
-use cheetah_accel::{ArchSweep, NODE_5NM};
 use cheetah_bench::{heading, tune_model};
-use cheetah_core::{Schedule, TuneSpace};
+use cheetah_core::Schedule;
 use cheetah_nn::models;
+use cheetah_paper::explore::ArchSweep;
+use cheetah_paper::generality::generality_study;
+use cheetah_paper::ptune::TuneSpace;
+use cheetah_paper::tech::NODE_5NM;
+use cheetah_paper::workload::NetworkWork;
 
 fn main() {
     let space = TuneSpace::default();

@@ -13,14 +13,14 @@
 //! | `fig11_accel_dse` | Fig. 11 — ResNet50 accelerator DSE + breakdowns |
 //! | `table06_generality` | Table VI — AlexNet/VGG16 on the ResNet50 design |
 //!
-//! Criterion microbenches (`cargo bench -p cheetah-bench`) cover the hot
-//! kernels: Barrett vs `u128 %` reduction (ablation), NTT across degrees,
-//! the three HE operators, and full homomorphic layers under both
-//! schedules.
+//! Three more binaries time the engine itself: `bench_he_ops` (ns per HE
+//! operator, NTT and FC layer → `BENCH_he_ops.json`), `bench_throughput`
+//! (multi-client serving → `BENCH_throughput.json`) and `bench_e2e` (the
+//! whole-inference benchmark `BENCHMARK.json` declares).
 
-use cheetah_core::ptune::{tune_network, DesignPoint, NoiseRegime, TuneSpace};
 use cheetah_core::{QuantSpec, Schedule};
 use cheetah_nn::{LinearLayer, Network};
+use cheetah_paper::ptune::{tune_network, DesignPoint, NoiseRegime, TuneSpace};
 
 /// Tunes every linear layer of a network (the standard pipeline used by
 /// several figure binaries).

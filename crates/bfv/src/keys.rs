@@ -619,21 +619,6 @@ impl KeyGenerator {
         keys.insert(self.seeded_galois_key(swap)?);
         Ok(keys.expand(&self.params))
     }
-
-    /// Extends an existing key set with additional rotation steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidRotation`] for any invalid step.
-    pub fn extend_galois_keys(&mut self, keys: &mut GaloisKeys, steps: &[i64]) -> Result<()> {
-        for &s in steps {
-            let g = self.element_for_step(s)?;
-            if !keys.contains(g) {
-                keys.insert(self.galois_key(g)?);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Errors unless `g` is a valid Galois element for degree `n`: odd and in

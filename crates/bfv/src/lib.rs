@@ -5,8 +5,8 @@
 //! BFV scheme with the Table II knobs the engine runs: polynomial degree
 //! `n`, plaintext modulus `t`, ciphertext modulus `q`, ciphertext
 //! decomposition base `A_dcmp`, and noise σ. The sixth knob, the plaintext
-//! decomposition base `W_dcmp`, is tuned only by HE-PTune
-//! (`cheetah_core::ptune`), which prices Gazelle-style windowing
+//! decomposition base `W_dcmp`, is tuned only by HE-PTune (`ptune` in
+//! the paper tier, `cheetah-paper`), which prices Gazelle-style windowing
 //! analytically; the engine multiplies undecomposed plaintexts
 //! (`l_pt = 1`, the Sched-PA point of §V-C).
 //!

@@ -472,14 +472,6 @@ impl BfvParams {
         self.inner.levels[0].delta
     }
 
-    /// `Δ_ℓ = floor(Q_ℓ / t)` — the scaling factor at a level. Modulus
-    /// switching rescales ciphertexts from `Δ_ℓ` to `Δ_{ℓ+1}` exactly, so
-    /// decryption at level `ℓ` divides by `Q_ℓ`, not `Q`.
-    #[inline]
-    pub fn delta_at(&self, level: usize) -> u128 {
-        self.inner.levels[level].delta
-    }
-
     /// `Δ mod q_i` — the per-limb image of the level-0 scaling factor.
     #[inline]
     pub fn delta_mod(&self, limb: usize) -> u64 {
@@ -710,9 +702,9 @@ pub fn search_congruent_chain(
 /// Builder for [`BfvParams`].
 ///
 /// The ciphertext modulus chain comes from, in order of precedence:
-/// exact limb values ([`BfvParamsBuilder::moduli`]), generated per-limb
-/// bit sizes ([`BfvParamsBuilder::moduli_bits`]), an exact single modulus
-/// ([`BfvParamsBuilder::cipher_modulus`]), or a generated single prime of
+/// exact limb values ([`BfvParamsBuilder::moduli`], one value for a
+/// single exact modulus), generated per-limb bit sizes
+/// ([`BfvParamsBuilder::moduli_bits`]), or a generated single prime of
 /// [`BfvParamsBuilder::cipher_bits`] bits (the default, preferring the
 /// Gazelle congruence `q ≡ 1 (mod 2n·t)`).
 #[derive(Debug, Clone)]
@@ -783,12 +775,6 @@ impl BfvParamsBuilder {
     pub fn plain_modulus(&mut self, t: u64) -> &mut Self {
         self.plain_modulus = Some(t);
         self
-    }
-
-    /// Single-limb chain with an exact modulus (must be an NTT prime for
-    /// `n`). Equivalent to `.moduli([q])`.
-    pub fn cipher_modulus(&mut self, q: u64) -> &mut Self {
-        self.moduli(vec![q])
     }
 
     /// Exact modulus chain: pairwise-distinct NTT primes for `n`, in

@@ -279,77 +279,6 @@ impl Poly {
         Ok(())
     }
 
-    /// Decomposes a coefficient-form polynomial into digit polynomials in
-    /// base `base` (a power of two): `self = Σ_i base^i · digits[i]`, with
-    /// every digit coefficient in `[0, base)`.
-    ///
-    /// This is the ciphertext decomposition of §III-B2: rotating with base
-    /// `A_dcmp` splits `c1` into `l_ct ≈ log_A(q)` small polynomials so that
-    /// key-switch noise grows by `l_ct·A·B·n/2` instead of `q`-scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::WrongRepresentation`] if not in coefficient form, or
-    /// [`Error::InvalidDecompositionBase`] for a bad base.
-    pub fn decompose(&self, base: u64, q: &Modulus) -> Result<Vec<Poly>> {
-        let levels = decomposition_levels_checked(q.value(), base)?;
-        let mut digits = vec![Poly::zero(self.len(), Representation::Coeff); levels];
-        self.decompose_into(base, q, &mut digits)?;
-        Ok(digits)
-    }
-
-    /// Allocation-free variant of [`Poly::decompose`]: writes the digit
-    /// polynomials into `digits`, which must hold exactly
-    /// [`decomposition_levels`]`(q, base)` polynomials of matching length.
-    /// Digit buffers are fully overwritten (representation included), so
-    /// they may be dirty scratch from a previous operation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::WrongRepresentation`] if `self` is not in
-    /// coefficient form, [`Error::InvalidDecompositionBase`] for a bad
-    /// base, and [`Error::ParameterMismatch`] if `digits` has the wrong
-    /// shape.
-    pub fn decompose_into(&self, base: u64, q: &Modulus, digits: &mut [Poly]) -> Result<()> {
-        self.expect_repr(Representation::Coeff)?;
-        let levels = decomposition_levels_checked(q.value(), base)?;
-        if digits.len() != levels || digits.iter().any(|d| d.len() != self.len()) {
-            return Err(Error::ParameterMismatch);
-        }
-        let log_base = base.trailing_zeros();
-        let mask = base - 1;
-        for digit in digits.iter_mut() {
-            digit.repr = Representation::Coeff;
-        }
-        for (i, &c) in self.data.iter().enumerate() {
-            let mut rem = c;
-            for digit in digits.iter_mut() {
-                digit.data[i] = rem & mask;
-                rem >>= log_base;
-            }
-            debug_assert_eq!(rem, 0, "coefficient exceeded base^levels");
-        }
-        Ok(())
-    }
-
-    /// Recomposes digit polynomials: `Σ_i base^i · digits[i] mod q`.
-    /// Inverse of [`Poly::decompose`] (up to reduction mod `q`).
-    pub fn recompose(digits: &[Poly], base: u64, q: &Modulus) -> Result<Poly> {
-        let n = digits.first().map_or(0, Poly::len);
-        let mut out = Poly::zero(n, Representation::Coeff);
-        let mut scale = 1u64;
-        for (level, d) in digits.iter().enumerate() {
-            d.expect_repr(Representation::Coeff)?;
-            for (o, &v) in out.data.iter_mut().zip(&d.data) {
-                *o = q.add_mod(*o, q.mul_mod(scale, q.reduce(v)));
-            }
-            if level + 1 < digits.len() {
-                scale = q.mul_mod(scale, q.reduce(base));
-            }
-        }
-        Ok(out)
-    }
-
     /// Largest centered absolute value of any coefficient
     /// (coefficient-form only; used for noise measurement).
     ///
@@ -365,25 +294,6 @@ impl Poly {
             .max()
             .unwrap_or(0))
     }
-}
-
-/// Number of base-`base` digits needed to cover residues mod `q`:
-/// `l = ceil(log_base(q))`. The paper writes this as `l_ct ≈ log_A(q)` for
-/// ciphertexts and `l_pt ≈ log_W(t)` for plaintexts.
-pub fn decomposition_levels(q: u64, base: u64) -> usize {
-    assert!(base >= 2 && base.is_power_of_two());
-    let q_bits = 64 - q.leading_zeros();
-    let b_bits = base.trailing_zeros();
-    q_bits.div_ceil(b_bits) as usize
-}
-
-/// [`decomposition_levels`] with the base validated as an error instead of
-/// a panic (shared by the decompose entry points).
-fn decomposition_levels_checked(q: u64, base: u64) -> Result<usize> {
-    if base < 2 || !base.is_power_of_two() {
-        return Err(Error::InvalidDecompositionBase(base));
-    }
-    Ok(decomposition_levels(q, base))
 }
 
 #[cfg(test)]
@@ -441,46 +351,6 @@ mod tests {
         a.negate(&q);
         a.negate(&q);
         assert_eq!(a, orig);
-    }
-
-    #[test]
-    fn decompose_recompose_roundtrip() {
-        let (q, _) = setup(64, 50);
-        let a = random_poly(64, &q, 6);
-        for base in [2u64, 4, 256, 1 << 16, 1 << 20] {
-            let digits = a.decompose(base, &q).unwrap();
-            assert_eq!(digits.len(), decomposition_levels(q.value(), base));
-            for d in &digits {
-                assert!(
-                    d.data().iter().all(|&v| v < base),
-                    "digit bound base={base}"
-                );
-            }
-            let back = Poly::recompose(&digits, base, &q).unwrap();
-            assert_eq!(back, a, "base {base}");
-        }
-    }
-
-    #[test]
-    fn decompose_rejects_bad_base() {
-        let (q, _) = setup(16, 30);
-        let a = random_poly(16, &q, 7);
-        assert!(matches!(
-            a.decompose(3, &q),
-            Err(Error::InvalidDecompositionBase(3))
-        ));
-        assert!(matches!(
-            a.decompose(1, &q),
-            Err(Error::InvalidDecompositionBase(1))
-        ));
-    }
-
-    #[test]
-    fn decomposition_levels_formula() {
-        assert_eq!(decomposition_levels((1 << 60) - 1, 1 << 20), 3);
-        assert_eq!(decomposition_levels((1 << 60) - 1, 1 << 16), 4);
-        assert_eq!(decomposition_levels(1 << 60, 1 << 20), 4); // 61 bits
-        assert_eq!(decomposition_levels(255, 16), 2);
     }
 
     #[test]

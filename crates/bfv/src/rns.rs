@@ -172,9 +172,9 @@ impl ModulusChain {
     }
 
     /// `ceil(log_base(Q))`: base-`base` digits needed to cover `[0, Q)`
-    /// over the *composed* modulus. For one limb this is exactly the
-    /// historical `decomposition_levels`; multi-limb key switching uses the
-    /// per-limb [`ModulusChain::rns_decomposition_levels`] instead.
+    /// over the *composed* modulus. For one limb this is exactly
+    /// [`ModulusChain::rns_decomposition_levels`], which multi-limb key
+    /// switching uses instead.
     pub fn decomposition_levels(&self, base: u64) -> usize {
         assert!(base >= 2 && base.is_power_of_two());
         let b_bits = base.trailing_zeros();
@@ -381,14 +381,6 @@ impl RnsPoly {
     pub fn from_signed(coeffs: &[i64], chain: &ModulusChain) -> Self {
         Self::from_fn(chain, Representation::Coeff, |i, j| {
             chain.modulus(i).from_signed(coeffs[j])
-        })
-    }
-
-    /// Lifts small unsigned coefficients (each `< min q_i`) into every limb
-    /// plane (coefficient form).
-    pub fn from_small_unsigned(coeffs: &[u64], chain: &ModulusChain) -> Self {
-        Self::from_fn(chain, Representation::Coeff, |i, j| {
-            chain.modulus(i).reduce(coeffs[j])
         })
     }
 
@@ -1173,6 +1165,21 @@ mod tests {
         assert!(matches!(
             a.rns_decompose_into(1 << 16, &ch, &mut digits),
             Err(Error::ParameterMismatch)
+        ));
+    }
+
+    #[test]
+    fn decompose_rejects_bad_base() {
+        let ch = chain(32, &[30]);
+        let a = RnsPoly::zero(&ch, Representation::Coeff);
+        let mut digits = vec![RnsPoly::zero(&ch, Representation::Coeff); 30];
+        assert!(matches!(
+            a.rns_decompose_into(3, &ch, &mut digits),
+            Err(Error::InvalidDecompositionBase(3))
+        ));
+        assert!(matches!(
+            a.rns_decompose_into(1, &ch, &mut digits),
+            Err(Error::InvalidDecompositionBase(1))
         ));
     }
 

@@ -103,12 +103,6 @@ impl BfvRng {
         Poly::from_data(data, Representation::Coeff)
     }
 
-    /// Samples a uniform value in `[0, bound)` (used for masking in the
-    /// Gazelle protocol layer).
-    pub fn uniform_u64(&mut self, bound: u64) -> u64 {
-        self.rng.random_range(0..bound)
-    }
-
     // ------------------------------------------------------------------
     // RNS variants: one sample stream drives every limb plane.
     // ------------------------------------------------------------------

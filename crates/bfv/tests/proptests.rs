@@ -4,7 +4,6 @@
 
 use cheetah_bfv::arith::{bit_reverse, generate_ntt_prime, Modulus, ShoupPrecomp};
 use cheetah_bfv::ntt::{negacyclic_mul_naive, NttTable};
-use cheetah_bfv::poly::{Poly, Representation};
 use cheetah_bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
 use proptest::prelude::*;
 
@@ -128,22 +127,6 @@ proptest! {
         let mut fc: Vec<u64> = fa.iter().zip(&fb).map(|(&x, &y)| q.mul_mod(x, y)).collect();
         table.inverse(&mut fc);
         prop_assert_eq!(fc, expect);
-    }
-
-    #[test]
-    fn decompose_recompose_identity(seed in any::<u64>(), log_base in 1u32..21) {
-        use rand::{Rng, SeedableRng};
-        let n = 32;
-        let q = Modulus::new(generate_ntt_prime(50, n).unwrap()).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = Poly::from_data(
-            (0..n).map(|_| rng.random_range(0..q.value())).collect(),
-            Representation::Coeff,
-        );
-        let base = 1u64 << log_base;
-        let digits = a.decompose(base, &q).unwrap();
-        let back = Poly::recompose(&digits, base, &q).unwrap();
-        prop_assert_eq!(back, a);
     }
 }
 

@@ -669,38 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn op_counts_within_factor_of_table_iv_model() {
-        // Table IV packs c_n = row/w² channels a ciphertext and bills
-        // c_i·c_o·f_w²/c_n multiplies. The packed kernel multiplies once
-        // per (d, tap) mask — c_i'·f_w² — which is Table IV's count at
-        // c_o = c_n and above it by exactly the idle-block factor c_n/c_o
-        // when the outputs leave blocks of the row empty (here 32 blocks,
-        // 2 outputs: 16). Rotations come in under the same multiple of the
-        // model: f_w² − 1 replays plus c_i' − 1 Horner steps, not one per
-        // multiply.
-        let s = spec(8, 3, 4, 2);
-        let mut c = ctx();
-        let weights = random_weights(&s, 5);
-        let ct = encrypt(&mut c, &s, &random_input(&s, 6));
-        let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
-        let plan = layer.conv_plan();
-        assert_eq!((plan.b, plan.g, plan.per_ct), (1, 4, 32));
-        let (_, _, counts) = run(&mut c, &layer, &ct);
-        assert_eq!((counts.mul, counts.rotate), (36, 8 + 3));
-
-        let cost = HeCostParams::for_bfv(c.eval.params(), 0);
-        let model = crate::ptune::perf::conv_ops(&s, cost.n / 2, 1);
-        let idle = (plan.per_ct / s.co) as f64;
-        assert_eq!(counts.mul as f64, model.he_mult * idle, "multiplies");
-        assert!((counts.rotate as f64) < model.he_rotate * idle);
-        // One hoist for all f_w² taps, then one direct rotation per
-        // Horner step — the uncorrected per-rotation accounting would
-        // have charged every rotation a full decomposition.
-        assert_eq!(counts.ntt, (1 + 3) * cost.ntts_per_rotate());
-        assert!(counts.ntt < counts.rotate * cost.ntts_per_rotate());
-    }
-
-    #[test]
     fn conv_runs_at_reduced_level_with_less_ntt_work() {
         // A modulus-switched input drives the whole layer over its live
         // limbs: same decrypted output, strictly fewer NTT plane

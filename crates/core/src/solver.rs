@@ -1,7 +1,8 @@
 //! Chain-aware HE-PTune v2: the [`ChainPlan`] solver.
 //!
-//! The per-layer tuner ([`crate::ptune::tuner`]) sweeps abstract
-//! single-word `(n, q, A, W)` tuples — fine for the paper's Fig. 3
+//! HE-PTune's per-layer tuner (`ptune::tuner` in the paper tier,
+//! `cheetah-paper`, which reads this crate and is never read by it) sweeps
+//! abstract single-word `(n, q, A, W)` tuples — fine for the paper's Fig. 3
 //! scatter, but the engine runs *RNS chains*: presets with congruent
 //! limbs, a level per layer, a special prime for hybrid key switching,
 //! and a rotation plan ([`FcPlan`] / [`ConvPlan`]) per layer whose
@@ -27,9 +28,31 @@ use cheetah_nn::{ConvSpec, LinearLayer};
 
 use crate::cost::HeCostParams;
 use crate::linear::{feasible_levels, ConvPlan, FcPlan};
-use crate::ptune::tuner::InfeasibleLayer;
 use crate::quant::QuantSpec;
 use crate::sparse::{BsgsPlan, ConvStructure, FcStructure, LayerStructure};
+
+/// A layer for which the swept space holds no feasible configuration —
+/// the solver's error, and HE-PTune's tuner's. A caller widens the space
+/// (or relaxes the precision request) and retries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InfeasibleLayer {
+    /// Name of the first layer with no feasible point.
+    pub layer: String,
+    /// The plaintext precision (bits) the layer asked for.
+    pub t_bits: u32,
+}
+
+impl std::fmt::Display for InfeasibleLayer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "no feasible HE parameters for layer {} (t = {} bits)",
+            self.layer, self.t_bits
+        )
+    }
+}
+
+impl std::error::Error for InfeasibleLayer {}
 
 /// One layer's slot in a [`ChainPlan`]: the level it runs at, the rotation
 /// plan the cost model picked at that level, and the modeled cost/budget.
@@ -435,7 +458,6 @@ mod tests {
         let quant = QuantSpec {
             weight_bits: 20,
             activation_bits: 20,
-            ..QuantSpec::default()
         };
         let err = solve_chain_plan(&layers, &quant, &[4096]).unwrap_err();
         assert_eq!(err.layer, "wide");

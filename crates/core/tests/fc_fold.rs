@@ -23,18 +23,15 @@
 //! * the chain solver's per-layer multiply and rotation counts (and its
 //!   label) are the prepared layer's measured `OpCounts`, on the
 //!   benchmark networks' FC shapes — tiled picks, all of them — and
-//!   `bench_cnn`'s two convolutions;
-//! * a dense layer's masks are Table IV's `n_i·n_o / n` multiplies
-//!   (`ptune::perf`), and one when that is below one.
+//!   `bench_cnn`'s two convolutions.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     OpCounts,
 };
-use cheetah_core::linear::{FcPlan, HomConv2d, HomFc};
-use cheetah_core::ptune::perf::fc_ops_scheduled;
-use cheetah_core::ptune::solve_chain_plan;
-use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec, Schedule};
+use cheetah_core::linear::{HomConv2d, HomFc};
+use cheetah_core::solver::solve_chain_plan;
+use cheetah_core::{BsgsPlan, FcStructure, HeCostParams, QuantSpec};
 use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
@@ -674,7 +671,6 @@ fn solver_counts_are_the_engines_measured_counts() {
     let quant = QuantSpec {
         weight_bits: 1,
         activation_bits: 2,
-        ..QuantSpec::default()
     };
     let plan = solve_chain_plan(&layers, &quant, &[4096])
         .expect("the benchmark's FC shapes are solvable at n = 4096");
@@ -853,37 +849,5 @@ fn solver_counts_are_the_engines_measured_counts() {
             "{label}: planned level {} is past the engine's bound",
             lp.level
         );
-    }
-}
-
-/// The engine's dense FC plan against the paper tier: once the padded
-/// layer fills a ciphertext (`n_i'·n_o' ≥ n`) the copies of the input
-/// fill both batching rows, and the chooser's live masks are Table IV's
-/// `n_i·n_o / n` multiplies (`ptune::perf::fc_ops_scheduled`); below that
-/// the layer tiles down to one mask. Every power-of-two shape that fits a
-/// row at `n = 4096`, on both presets, with the benchmark's two big layers
-/// as numbers.
-#[test]
-fn dense_masks_are_table_iv_multiplies() {
-    for hybrid in [false, true] {
-        let params = preset(hybrid);
-        let n = params.slots();
-        let cost = HeCostParams::for_bfv(&params, 0);
-        let masks = |ni: usize, no: usize| {
-            FcPlan::choose(&FcStructure::dense(no, ni), n, &cost).live_masks()
-        };
-        assert_eq!(masks(1024, 256), 64);
-        assert_eq!(masks(256, 64), 4);
-        for ni in (0..).map(|e| 1usize << e).take_while(|&ni| ni <= n / 2) {
-            for no in (0..).map(|e| 1usize << e).take_while(|&no| no <= ni) {
-                let table_iv = fc_ops_scheduled(&spec(ni, no), n, 1, Schedule::PartialAligned);
-                let engine = masks(ni, no);
-                if ni * no >= n {
-                    assert_eq!(engine as f64, table_iv.he_mult, "({ni}, {no})");
-                } else {
-                    assert_eq!(engine, 1, "({ni}, {no})");
-                }
-            }
-        }
     }
 }

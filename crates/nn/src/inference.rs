@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::layer::{ConvSpec, Layer, LinearLayer};
+use crate::layer::{Layer, LinearLayer};
 use crate::models::Network;
 use crate::tensor::{conv2d, fully_connected, max_pool, relu, sum_pool, Tensor};
 
@@ -341,15 +341,6 @@ pub fn eval_linear(layer: &LinearLayer, weight: &Tensor, input: &Tensor) -> Tens
         LinearLayer::Conv(c) => conv2d(input, weight, c.stride, c.pad),
         LinearLayer::Fc(_) => fully_connected(input, weight),
     }
-}
-
-/// Builds an all-ones weight tensor for a conv spec (handy in HE layer
-/// tests where slot bookkeeping, not weight variety, is under test).
-pub fn ones_conv_weight(c: &ConvSpec) -> Tensor {
-    Tensor::from_data(
-        &[c.co, c.ci, c.fw, c.fw],
-        vec![1; c.co * c.ci * c.fw * c.fw],
-    )
 }
 
 #[cfg(test)]

@@ -13,13 +13,13 @@
 //!   ablation to separate "per-layer tuning" gains from "better global
 //!   parameters" gains.
 
+use cheetah_core::cost::HeCostParams;
+use cheetah_core::Schedule;
 use cheetah_nn::LinearLayer;
 
-use crate::cost::HeCostParams;
 use crate::ptune::noise::NoiseRegime;
 use crate::ptune::perf::layer_ops;
 use crate::ptune::tuner::{evaluate_point, DesignPoint, TuneSpace};
-use crate::schedule::Schedule;
 
 /// The global configuration selected for a network, with per-layer costs.
 #[derive(Debug, Clone)]
@@ -174,14 +174,16 @@ pub fn layer_costs_under(layers: &[LinearLayer], point: &DesignPoint) -> Vec<f64
     };
     layers
         .iter()
-        .map(|l| layer_ops(l, point.n, point.l_pt()).int_mults(&cost_params))
+        .map(|l| {
+            layer_ops(l, point.n, point.l_pt(), Schedule::PartialAligned).int_mults(&cost_params)
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::QuantSpec;
+    use cheetah_core::QuantSpec;
     use cheetah_nn::models;
 
     #[test]

@@ -7,11 +7,13 @@
 
 use cheetah_bfv::BfvParams;
 use cheetah_core::cost::HeCostParams;
-use cheetah_core::ptune::perf::layer_ops;
-use cheetah_core::ptune::{ChainPlan, DesignPoint};
+use cheetah_core::solver::ChainPlan;
+use cheetah_core::Schedule;
 use cheetah_nn::LinearLayer;
 
 use crate::kernels::{KernelConfig, KernelTimer, KernelTimes};
+use crate::ptune::perf::layer_ops;
+use crate::ptune::DesignPoint;
 
 /// Seconds attributed to each hot kernel across a full inference.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -59,7 +61,7 @@ impl Breakdown {
 /// Computes one layer's breakdown under its tuned configuration.
 pub fn layer_breakdown(layer: &LinearLayer, point: &DesignPoint, times: &KernelTimes) -> Breakdown {
     let l_pt = point.l_pt();
-    let ops = layer_ops(layer, point.n, l_pt);
+    let ops = layer_ops(layer, point.n, l_pt, Schedule::PartialAligned);
     // Plane-transform count via the shared cost model (DesignPoint sweeps
     // single-word moduli, so limbs = 1 — but the formula stays in one
     // place instead of re-deriving `l_ct + 1` here).
@@ -96,7 +98,7 @@ pub fn layer_breakdown_on_chain(
     times: &KernelTimes,
 ) -> Breakdown {
     let cost = HeCostParams::for_bfv(params, level);
-    let ops = layer_ops(layer, params.degree(), cost.l_pt);
+    let ops = layer_ops(layer, params.degree(), cost.l_pt, Schedule::PartialAligned);
     // Per-plane kernel times: every transform and pointwise pass is
     // billed once per live plane (`+1` for the key-switch plane on hybrid
     // chains), which is exactly what `ntts_per_rotate` already counts.
@@ -164,8 +166,8 @@ pub fn network_breakdown(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_core::ptune::{tune_network, NoiseRegime, TuneSpace};
-    use cheetah_core::{QuantSpec, Schedule};
+    use crate::ptune::{tune_network, NoiseRegime, TuneSpace};
+    use cheetah_core::QuantSpec;
     use cheetah_nn::models;
 
     #[test]
@@ -228,7 +230,7 @@ mod tests {
 
     #[test]
     fn chain_breakdown_covers_every_planned_layer() {
-        use cheetah_core::ptune::solve_chain_plan;
+        use cheetah_core::solver::solve_chain_plan;
 
         let net = models::tiny_cnn();
         let layers = net.linear_layers();

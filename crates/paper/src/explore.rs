@@ -87,8 +87,8 @@ pub fn explore(work: &NetworkWork, sweep: &ArchSweep, node: TechNode) -> Explore
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ptune::{tune_network, NoiseRegime, TuneSpace};
     use crate::tech::NODE_5NM;
-    use cheetah_core::ptune::{tune_network, NoiseRegime, TuneSpace};
     use cheetah_core::{QuantSpec, Schedule};
     use cheetah_nn::models;
 

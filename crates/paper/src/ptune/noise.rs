@@ -9,9 +9,8 @@
 //! bounds the decryption-failure rate below 10⁻¹⁰ — far below DNN
 //! misclassification rates, and several bits cheaper than the worst case.
 
+use cheetah_core::Schedule;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer};
-
-use crate::schedule::Schedule;
 
 pub use cheetah_bfv::noise::{FAILURE_SCALE, TARGET_FAILURE_RATE};
 

@@ -2,14 +2,13 @@
 //!
 //! Counts `HE_Mult` and `HE_Rotate` operators per CNN/FC layer as a
 //! function of layer hyperparameters and HE parameters, then reduces them
-//! to integer multiplications via [`crate::cost`]. Two CNN cases (ciphertext
+//! to integer multiplications via [`cheetah_core::cost`]. Two CNN cases (ciphertext
 //! holds ≥ 1 image, or an image spans > 1 ciphertext) and four FC cases
 //! (each side of the matrix larger or smaller than `n`).
 
+use cheetah_core::cost::{HeCostParams, KernelTally};
+use cheetah_core::Schedule;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer};
-
-use crate::cost::{HeCostParams, KernelTally};
-use crate::schedule::Schedule;
 
 /// HE-operator counts for one layer (may be fractional: the models are
 /// asymptotic rates, exactly as the paper presents them).
@@ -48,17 +47,13 @@ impl OpModel {
 /// `c_n` is the number of image channels per ciphertext (`n/w²`) when the
 /// ciphertext is at least an image, else the number of ciphertexts per
 /// channel (`w²/n`).
-pub fn conv_ops(c: &ConvSpec, n: usize, l_pt: usize) -> OpModel {
-    conv_ops_scheduled(c, n, l_pt, Schedule::PartialAligned)
-}
-
-/// Schedule-aware CNN counts: under Sched-IA the rotations act on the
-/// `l_pt` windowed *input* ciphertexts (rotate-then-multiply), so the
-/// rotation count scales with `l_pt`; under Sched-PA the windowed partial
-/// products are accumulated *before* alignment, so it does not. This is
-/// the "substantial ciphertext and plaintext decomposition" overhead §V-C
-/// attributes to Sched-IA.
-pub fn conv_ops_scheduled(c: &ConvSpec, n: usize, l_pt: usize, schedule: Schedule) -> OpModel {
+///
+/// Under Sched-IA the rotations act on the `l_pt` windowed *input*
+/// ciphertexts (rotate-then-multiply), so the rotation count scales with
+/// `l_pt`; under Sched-PA the windowed partial products are accumulated
+/// *before* alignment, so it does not. This is the "substantial ciphertext
+/// and plaintext decomposition" overhead §V-C attributes to Sched-IA.
+pub fn conv_ops(c: &ConvSpec, n: usize, l_pt: usize, schedule: Schedule) -> OpModel {
     let w2 = (c.w * c.w) as f64;
     let fw2 = (c.fw * c.fw) as f64;
     let (ci, co) = (c.ci as f64, c.co as f64);
@@ -89,13 +84,9 @@ pub fn conv_ops_scheduled(c: &ConvSpec, n: usize, l_pt: usize, schedule: Schedul
     }
 }
 
-/// Table IV, FC rows (all four size cases).
-pub fn fc_ops(f: &FcSpec, n: usize, l_pt: usize) -> OpModel {
-    fc_ops_scheduled(f, n, l_pt, Schedule::PartialAligned)
-}
-
-/// Schedule-aware FC counts (see [`conv_ops_scheduled`]).
-pub fn fc_ops_scheduled(f: &FcSpec, n: usize, l_pt: usize, schedule: Schedule) -> OpModel {
+/// Table IV, FC rows (all four size cases); `schedule` scales the
+/// rotations as in [`conv_ops`].
+pub fn fc_ops(f: &FcSpec, n: usize, l_pt: usize, schedule: Schedule) -> OpModel {
     let (ni, no) = (f.ni as f64, f.no as f64);
     let nf = n as f64;
     let l_pt = l_pt as f64;
@@ -124,27 +115,12 @@ pub fn fc_ops_scheduled(f: &FcSpec, n: usize, l_pt: usize, schedule: Schedule) -
     }
 }
 
-/// Dispatches on layer kind (Sched-PA counts).
-pub fn layer_ops(layer: &LinearLayer, n: usize, l_pt: usize) -> OpModel {
-    layer_ops_scheduled(layer, n, l_pt, Schedule::PartialAligned)
-}
-
-/// Schedule-aware dispatch.
-pub fn layer_ops_scheduled(
-    layer: &LinearLayer,
-    n: usize,
-    l_pt: usize,
-    schedule: Schedule,
-) -> OpModel {
+/// Dispatches on layer kind.
+pub fn layer_ops(layer: &LinearLayer, n: usize, l_pt: usize, schedule: Schedule) -> OpModel {
     match layer {
-        LinearLayer::Conv(c) => conv_ops_scheduled(c, n, l_pt, schedule),
-        LinearLayer::Fc(f) => fc_ops_scheduled(f, n, l_pt, schedule),
+        LinearLayer::Conv(c) => conv_ops(c, n, l_pt, schedule),
+        LinearLayer::Fc(f) => fc_ops(f, n, l_pt, schedule),
     }
-}
-
-/// Convenience: integer multiplications for a layer under HE parameters.
-pub fn layer_int_mults(layer: &LinearLayer, p: &HeCostParams, l_pt: usize) -> f64 {
-    layer_ops(layer, p.n, l_pt).int_mults(p)
 }
 
 #[cfg(test)]
@@ -174,7 +150,7 @@ mod tests {
     #[test]
     fn conv_large_n_case() {
         // n = 4096, w = 32 (w² = 1024) -> cn = 4 channels per ct.
-        let m = conv_ops(&conv(32, 3, 16, 32), 4096, 1);
+        let m = conv_ops(&conv(32, 3, 16, 32), 4096, 1, Schedule::PartialAligned);
         assert!((m.he_mult - 16.0 * 32.0 * 9.0 / 4.0).abs() < 1e-9);
         assert!((m.he_rotate - 16.0 * 32.0 * 9.0 / 4.0).abs() < 1e-9);
     }
@@ -182,7 +158,7 @@ mod tests {
     #[test]
     fn conv_small_n_case() {
         // n = 4096, w = 224 (w² = 50176) -> cn = ceil(50176/4096) = 13.
-        let m = conv_ops(&conv(224, 3, 3, 64), 4096, 1);
+        let m = conv_ops(&conv(224, 3, 3, 64), 4096, 1, Schedule::PartialAligned);
         let cn = (50176.0f64 / 4096.0).ceil();
         assert!((m.he_mult - (2.0 * cn - 1.0) * 3.0 * 64.0 * 9.0).abs() < 1e-9);
         assert!((m.he_rotate - (2.0 * cn - 1.0) * 3.0 * 64.0 * 8.0).abs() < 1e-9);
@@ -190,8 +166,8 @@ mod tests {
 
     #[test]
     fn plaintext_decomposition_multiplies_mults_only() {
-        let m1 = conv_ops(&conv(32, 3, 16, 32), 4096, 1);
-        let m3 = conv_ops(&conv(32, 3, 16, 32), 4096, 3);
+        let m1 = conv_ops(&conv(32, 3, 16, 32), 4096, 1, Schedule::PartialAligned);
+        let m3 = conv_ops(&conv(32, 3, 16, 32), 4096, 3, Schedule::PartialAligned);
         assert!((m3.he_mult - 3.0 * m1.he_mult).abs() < 1e-9);
         assert!((m3.he_rotate - m1.he_rotate).abs() < 1e-9);
     }
@@ -204,7 +180,7 @@ mod tests {
             (8192, 128, 4096),               // n < ni, n >= no
             (8192, 8192, 4096),              // n < both
         ] {
-            let m = fc_ops(&fc(ni, no), n, 1);
+            let m = fc_ops(&fc(ni, no), n, 1, Schedule::PartialAligned);
             assert!(m.he_mult > 0.0, "mult for ({ni},{no})");
             assert!(m.he_rotate > 0.0, "rotate for ({ni},{no})");
             assert!(
@@ -217,7 +193,7 @@ mod tests {
     #[test]
     fn fc_square_case_matches_paper_formula() {
         // n >= ni, n >= no: rot = ni*no/n - 1 + log2(n/no).
-        let m = fc_ops(&fc(2048, 512), 4096, 1);
+        let m = fc_ops(&fc(2048, 512), 4096, 1, Schedule::PartialAligned);
         let expect = (2048.0 * 512.0 / 4096.0 - 1.0) + (4096.0f64 / 512.0).log2();
         assert!((m.he_rotate - expect).abs() < 1e-9);
     }
@@ -227,8 +203,8 @@ mod tests {
         // Growing n cuts operator counts per Table IV but each op costs
         // more integer mults — the tension HE-PTune navigates.
         let c = conv(32, 3, 16, 32);
-        let ops_small = conv_ops(&c, 2048, 1);
-        let ops_big = conv_ops(&c, 8192, 1);
+        let ops_small = conv_ops(&c, 2048, 1, Schedule::PartialAligned);
+        let ops_big = conv_ops(&c, 8192, 1, Schedule::PartialAligned);
         assert!(ops_big.he_mult < ops_small.he_mult);
         let p_small = HeCostParams {
             n: 2048,
@@ -248,8 +224,26 @@ mod tests {
     }
 
     #[test]
+    fn layer_ops_dispatches_under_either_schedule() {
+        // Sched-IA rotates each of the l_pt windowed inputs, Sched-PA one
+        // accumulated partial: the rotations part ways, the multiplies
+        // do not.
+        let (c, f) = (conv(32, 3, 16, 32), fc(2048, 512));
+        for s in [Schedule::PartialAligned, Schedule::InputAligned] {
+            let conv_layer = LinearLayer::Conv(c.clone());
+            let fc_layer = LinearLayer::Fc(f.clone());
+            assert_eq!(layer_ops(&conv_layer, 4096, 3, s), conv_ops(&c, 4096, 3, s));
+            assert_eq!(layer_ops(&fc_layer, 4096, 3, s), fc_ops(&f, 4096, 3, s));
+        }
+        let pa = fc_ops(&f, 4096, 3, Schedule::PartialAligned);
+        let ia = fc_ops(&f, 4096, 3, Schedule::InputAligned);
+        assert_eq!(ia.he_mult, pa.he_mult);
+        assert!((ia.he_rotate - 3.0 * pa.he_rotate).abs() < 1e-9);
+    }
+
+    #[test]
     fn int_mults_consistent_with_tally() {
-        let m = conv_ops(&conv(16, 3, 4, 8), 2048, 1);
+        let m = conv_ops(&conv(16, 3, 4, 8), 2048, 1, Schedule::PartialAligned);
         let p = HeCostParams {
             n: 2048,
             l_pt: 1,

@@ -7,12 +7,13 @@
 //! thousands of points per layer evaluate in microseconds.
 
 use cheetah_bfv::params::max_log_q_128;
+use cheetah_core::cost::HeCostParams;
+use cheetah_core::solver::InfeasibleLayer;
+use cheetah_core::Schedule;
 use cheetah_nn::LinearLayer;
 
-use crate::cost::HeCostParams;
 use crate::ptune::noise::{layer_noise, HeNoiseParams, NoiseRegime};
-use crate::ptune::perf::layer_ops_scheduled;
-use crate::schedule::Schedule;
+use crate::ptune::perf::layer_ops;
 
 /// Sentinel `w_dcmp_log2` meaning "no plaintext decomposition".
 pub const NO_WINDOW: u32 = 63;
@@ -162,7 +163,7 @@ pub fn evaluate_point(
         limbs: 1,
         hybrid: false,
     };
-    let int_mults = layer_ops_scheduled(layer, n, l_pt, schedule).int_mults(&cost_params);
+    let int_mults = layer_ops(layer, n, l_pt, schedule).int_mults(&cost_params);
     DesignPoint {
         n,
         t_bits,
@@ -218,29 +219,6 @@ pub fn tune_layer(
     }
     TuneOutcome { best, points }
 }
-
-/// A layer for which the swept space holds no feasible configuration —
-/// the typed replacement for the panic the tuner used to raise. A caller
-/// widens the space (or relaxes the precision request) and retries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InfeasibleLayer {
-    /// Name of the first layer with no feasible point.
-    pub layer: String,
-    /// The plaintext precision (bits) the layer asked for.
-    pub t_bits: u32,
-}
-
-impl std::fmt::Display for InfeasibleLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "no feasible HE parameters for layer {} (t = {} bits)",
-            self.layer, self.t_bits
-        )
-    }
-}
-
-impl std::error::Error for InfeasibleLayer {}
 
 /// Per-layer tuning for a whole network: returns `(layer, best point)` in
 /// layer order.
@@ -380,7 +358,7 @@ mod tests {
 
     #[test]
     fn resnet50_all_layers_tunable() {
-        let quant = crate::quant::QuantSpec::default();
+        let quant = cheetah_core::QuantSpec::default();
         let layers = models::resnet50().linear_layers();
         let t_bits: Vec<u32> = layers
             .iter()
@@ -446,6 +424,26 @@ mod tests {
             &relaxed,
         );
         assert!(!out2.points.is_empty());
+    }
+
+    #[test]
+    fn tune_network_names_the_first_infeasible_layer() {
+        // 60 plaintext bits fit no swept `q`: the tuner reports the engine
+        // solver's typed error, naming the layer and its request.
+        let layers = vec![mid_conv()];
+        let err = tune_network(
+            &layers,
+            &[60],
+            Schedule::PartialAligned,
+            NoiseRegime::Statistical,
+            &TuneSpace::small(),
+        )
+        .unwrap_err();
+        assert_eq!((err.layer.as_str(), err.t_bits), ("c", 60));
+        assert_eq!(
+            err.to_string(),
+            "no feasible HE parameters for layer c (t = 60 bits)"
+        );
     }
 
     #[test]

@@ -268,8 +268,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ptune::{tune_network, NoiseRegime, TuneSpace};
     use crate::tech::{NODE_40NM, NODE_5NM};
-    use cheetah_core::ptune::{tune_network, NoiseRegime, TuneSpace};
     use cheetah_core::{QuantSpec, Schedule};
     use cheetah_nn::models;
 

@@ -1,13 +1,12 @@
 //! The Fig. 6 evaluation pipeline: per-benchmark speedups of HE-PTune and
 //! HE-PTune + Sched-PA over the Gazelle baseline.
 
+use cheetah_core::{QuantSpec, Schedule};
 use cheetah_nn::{LinearLayer, Network};
 
 use crate::baseline::{gazelle_config, GlobalConfig};
 use crate::ptune::noise::NoiseRegime;
 use crate::ptune::tuner::{tune_network, DesignPoint, TuneSpace};
-use crate::quant::QuantSpec;
-use crate::schedule::Schedule;
 
 /// Per-model comparison of the three configurations in Fig. 6.
 #[derive(Debug, Clone)]

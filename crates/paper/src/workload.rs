@@ -5,9 +5,11 @@
 //! output ciphertext." This module derives exactly that representation
 //! from the HE-PTune per-layer configurations.
 
-use cheetah_core::ptune::perf::layer_ops;
-use cheetah_core::ptune::DesignPoint;
+use cheetah_core::Schedule;
 use cheetah_nn::LinearLayer;
+
+use crate::ptune::perf::layer_ops;
+use crate::ptune::DesignPoint;
 
 /// One layer's accelerator workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +54,7 @@ impl NetworkWork {
         let layers = tuned
             .iter()
             .map(|(layer, point)| {
-                let ops = layer_ops(layer, point.n, point.l_pt());
+                let ops = layer_ops(layer, point.n, point.l_pt(), Schedule::PartialAligned);
                 let out_cts = (layer.output_len() as u64).div_ceil(point.n as u64).max(1);
                 let weight_count = match layer {
                     LinearLayer::Conv(c) => c.co * c.ci * c.fw * c.fw,
@@ -96,8 +98,8 @@ impl NetworkWork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_core::ptune::{tune_network, NoiseRegime, TuneSpace};
-    use cheetah_core::{QuantSpec, Schedule};
+    use crate::ptune::{tune_network, NoiseRegime, TuneSpace};
+    use cheetah_core::QuantSpec;
     use cheetah_nn::models;
 
     fn workload(net: cheetah_nn::Network) -> NetworkWork {

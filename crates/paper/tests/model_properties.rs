@@ -3,11 +3,11 @@
 //! points unit tests pin.
 
 use cheetah_core::cost::HeCostParams;
-use cheetah_core::ptune::noise::{layer_noise, HeNoiseParams, NoiseRegime};
-use cheetah_core::ptune::perf::{conv_ops_scheduled, fc_ops_scheduled, layer_ops};
-use cheetah_core::ptune::tuner::{evaluate_point, NO_WINDOW};
 use cheetah_core::Schedule;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer};
+use cheetah_paper::ptune::noise::{layer_noise, HeNoiseParams, NoiseRegime};
+use cheetah_paper::ptune::perf::{conv_ops, fc_ops, layer_ops};
+use cheetah_paper::ptune::tuner::{evaluate_point, NO_WINDOW};
 use proptest::prelude::*;
 
 fn arb_conv() -> impl Strategy<Value = ConvSpec> {
@@ -40,15 +40,15 @@ proptest! {
     #[test]
     fn conv_counts_are_positive_and_scale_with_l_pt(c in arb_conv(), l_pt in 1usize..6) {
         for n in [2048usize, 4096, 8192] {
-            let m1 = conv_ops_scheduled(&c, n, 1, Schedule::PartialAligned);
-            let ml = conv_ops_scheduled(&c, n, l_pt, Schedule::PartialAligned);
+            let m1 = conv_ops(&c, n, 1, Schedule::PartialAligned);
+            let ml = conv_ops(&c, n, l_pt, Schedule::PartialAligned);
             prop_assert!(m1.he_mult > 0.0);
             prop_assert!(m1.he_rotate >= 0.0);
             // Mults scale exactly with l_pt; PA rotations do not.
             prop_assert!((ml.he_mult - l_pt as f64 * m1.he_mult).abs() < 1e-6 * ml.he_mult.max(1.0));
             prop_assert!((ml.he_rotate - m1.he_rotate).abs() < 1e-9);
             // IA rotations do scale with l_pt.
-            let ia = conv_ops_scheduled(&c, n, l_pt, Schedule::InputAligned);
+            let ia = conv_ops(&c, n, l_pt, Schedule::InputAligned);
             prop_assert!((ia.he_rotate - l_pt as f64 * m1.he_rotate).abs() < 1e-6 * ia.he_rotate.max(1.0));
         }
     }
@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn fc_mult_count_is_exactly_table_iv(f in arb_fc(), l_pt in 1usize..6) {
         for n in [2048usize, 4096, 16384] {
-            let m = fc_ops_scheduled(&f, n, l_pt, Schedule::PartialAligned);
+            let m = fc_ops(&f, n, l_pt, Schedule::PartialAligned);
             let expect = l_pt as f64 * (f.ni * f.no) as f64 / n as f64;
             prop_assert!((m.he_mult - expect).abs() < 1e-6 * expect.max(1.0));
             prop_assert!(m.he_rotate >= 0.0);
@@ -70,7 +70,7 @@ proptest! {
         let base = HeCostParams { n: 4096, l_pt: 1, l_ct: 3,
             limbs: 1, hybrid: false, };
         let deeper_ct = HeCostParams { l_ct: 8, ..base };
-        let cost = |p: &HeCostParams, l_pt: usize| layer_ops(&layer, p.n, l_pt).int_mults(p);
+        let cost = |p: &HeCostParams, l_pt: usize| layer_ops(&layer, p.n, l_pt, Schedule::PartialAligned).int_mults(p);
         prop_assert!(cost(&deeper_ct, 1) >= cost(&base, 1));
         prop_assert!(cost(&base, 3) >= cost(&base, 1));
     }

@@ -21,7 +21,7 @@ use cheetah_bfv::{
 };
 use cheetah_core::linear::parallel::default_threads;
 use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc, PreparedKernel};
-use cheetah_core::ptune::ChainPlan;
+use cheetah_core::solver::ChainPlan;
 use cheetah_core::Schedule;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};

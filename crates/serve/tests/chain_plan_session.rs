@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use cheetah_bfv::NoiseEstimate;
-use cheetah_core::ptune::{solve_chain_plan, ChainPlan};
+use cheetah_core::solver::{solve_chain_plan, ChainPlan};
 use cheetah_core::QuantSpec;
 use cheetah_nn::inference::{infer, random_input};
 use cheetah_nn::models::tiny_cnn;

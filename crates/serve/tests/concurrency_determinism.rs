@@ -152,7 +152,7 @@ fn solver_planned_model_serves_concurrent_clients() {
     // picks the parameter chain and per-layer levels, from_chain_plan
     // builds the shared model, and a concurrent pool of clients decrypts
     // bit-identically to the cleartext reference.
-    use cheetah_core::ptune::solve_chain_plan;
+    use cheetah_core::solver::solve_chain_plan;
     use cheetah_core::QuantSpec;
 
     let net = tiny_cnn();

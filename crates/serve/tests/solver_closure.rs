@@ -28,8 +28,7 @@ use std::sync::Arc;
 
 use cheetah_bfv::{BfvParams, Encryptor, KeyGenerator, NoiseEstimate};
 use cheetah_core::linear::{ConvPlan, FcPlan, LEVEL_PLAN_MARGIN_BITS};
-use cheetah_core::ptune::solver::solve_chain_plan_structured;
-use cheetah_core::ptune::{chain_candidates, ChainPlan, LayerPlan};
+use cheetah_core::solver::{chain_candidates, solve_chain_plan_structured, ChainPlan, LayerPlan};
 use cheetah_core::{HeCostParams, LayerStructure, QuantSpec};
 use cheetah_nn::inference::{infer, random_input};
 use cheetah_nn::{Layer, LinearLayer, Network, Weights};
@@ -90,7 +89,6 @@ fn quant_for(layers: &[LinearLayer], weight_bits: u32, t_bits: u32) -> QuantSpec
     let probe = QuantSpec {
         weight_bits,
         activation_bits: 0,
-        ..QuantSpec::default()
     };
     QuantSpec {
         activation_bits: t_bits - probe.statistical_plain_bits_network(layers),

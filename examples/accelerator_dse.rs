@@ -5,12 +5,12 @@
 //! Run with: `cargo run --release --example accelerator_dse -- lenet5`
 //! (models: lenet300, lenet5, alexnet, vgg16, resnet50)
 
-use cheetah::accel::explore::{explore, ArchSweep};
-use cheetah::accel::workload::NetworkWork;
-use cheetah::accel::NODE_5NM;
-use cheetah::core::ptune::{tune_network, NoiseRegime, TuneSpace};
 use cheetah::core::{QuantSpec, Schedule};
 use cheetah::nn::models;
+use cheetah::paper::explore::{explore, ArchSweep};
+use cheetah::paper::ptune::{tune_network, NoiseRegime, TuneSpace};
+use cheetah::paper::tech::NODE_5NM;
+use cheetah::paper::workload::NetworkWork;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "lenet5".into());

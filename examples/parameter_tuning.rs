@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example parameter_tuning`
 
-use cheetah::core::ptune::{tune_layer, NoiseRegime, TuneSpace, NO_WINDOW};
 use cheetah::core::{QuantSpec, Schedule};
 use cheetah::nn::models;
+use cheetah::paper::ptune::{tune_layer, NoiseRegime, TuneSpace, NO_WINDOW};
 
 fn main() {
     let net = models::resnet50();

@@ -65,6 +65,28 @@ if git grep -nE 'cheetah[_-]protocol|Prepared[L]ayers' -- . ':!crates/bench/src/
     exit 1
 fi
 
+echo "==> tier-direction gate"
+# Two tiers: the engine (cheetah-bfv, -nn, -core, -serve) runs on
+# ciphertexts; the paper tier (cheetah-paper: HE-PTune's models and tuner,
+# the speedups, the profile, the accelerator, the GPU study) reads the
+# engine through ordinary dependencies. No engine crate depends on the
+# paper tier, for its tests either, or names it in its sources, and core's
+# retired ptune module stays gone.
+for crate in bfv nn core serve; do
+    if sed -n '/dependencies\]/,$p' "crates/$crate/Cargo.toml" | grep -n 'cheetah-paper'; then
+        echo "FAIL: crates/$crate/Cargo.toml depends on the paper tier (see matches above)"
+        exit 1
+    fi
+done
+if git grep -n 'cheetah_paper' -- crates/bfv/src crates/nn/src crates/core/src crates/serve/src; then
+    echo "FAIL: an engine crate's sources name the paper tier (see matches above)"
+    exit 1
+fi
+if git grep -nE 'cheetah_core::ptune|core::ptune::' -- crates src tests examples; then
+    echo "FAIL: cheetah_core::ptune is named again (see matches above)"
+    exit 1
+fi
+
 echo "==> one-dispatcher gate"
 # Explicit vector intrinsics stay behind cheetah_bfv::simd's dispatcher
 # (runtime detection, the bit-identity contract, the scalar reference).
@@ -88,7 +110,7 @@ echo "==> two-row FC gate"
 # row c mod 2; a row rotation turns both rows alike): its chooser and
 # tilings are asked for the slot count, never one row's, and the
 # column-swap rotation stays out of the engine tier.
-if git grep -nE '(FcPlan::choose|tilings|max_tiles)\([^)]*(row_size\(|\brow\b)' -- crates/core/src/linear/fc.rs crates/core/src/ptune/solver.rs; then
+if git grep -nE '(FcPlan::choose|tilings|max_tiles)\([^)]*(row_size\(|\brow\b)' -- crates/core/src/linear/fc.rs crates/core/src/solver.rs; then
     echo "FAIL: an FC layer is planned over one batching row again (see matches above)"
     exit 1
 fi
@@ -104,7 +126,7 @@ echo "==> one-noise-model gate"
 # linear::feasible_levels', the runtime planner's rule. The solver's
 # private copy of Table III, its own margin and its Schedule argument must
 # not grow back.
-if git grep -nE 'layer_noise_on_chain|\bPLAN_MARGIN_BITS\b|\bSchedule\b' -- crates/core/src/ptune/solver.rs; then
+if git grep -nE 'layer_noise_on_chain|\bPLAN_MARGIN_BITS\b|\bSchedule\b' -- crates/core/src/solver.rs; then
     echo "FAIL: the chain solver models noise, a margin or a schedule of its own again (see matches above)"
     exit 1
 fi
@@ -120,8 +142,8 @@ echo "==> one-kernel gate"
 # The pow2 shift-add half of the engine — the Pow2 mask class, the factored
 # layer scale, the doubling chains behind mul_plain — was removed on data
 # (docs/SPARSE.md) and stays removed, as does the chunk-partial merge the
-# kernel's in-order combine replaced; the quantiser (round_to_pow2,
-# WeightMode::Pow2) is not an engine path and is not matched.
+# kernel's in-order combine replaced; the quantiser
+# (Weights::round_to_pow2) is not an engine path and is not matched.
 kernel_files=$(git grep -lE 'mul_plain_accumulate_many\(|rotate_set_hoisted_into\(' -- crates/core/src/linear | tr '\n' ' ')
 if [[ "$kernel_files" != "crates/core/src/linear/kernel.rs " ]]; then
     echo "FAIL: the rotate-multiply-accumulate loop lives outside linear/kernel.rs: $kernel_files"
@@ -188,7 +210,7 @@ done
 echo "==> one-plaintext-multiply gate"
 # The engine multiplies undecomposed plaintexts (l_pt = 1): Gazelle's
 # plaintext windowing is a dimension HE-PTune prices analytically
-# (crates/core/src/ptune, deliberately outside the paths below), not a
+# (crates/paper/src/ptune, deliberately outside the paths below), not a
 # second multiply path. The wire carries what a round sends: the full
 # public-key kind (2) and the plaintext-mask kind (4) stay retired.
 if git grep -nE 'mul_plain_windowed|WindowedCiphertext|encrypt_windowed|digits_from_coeffs|plaintext_windows|digits_mut|\.w_dcmp\(|\.l_pt\(\)' -- crates/bfv crates/serve src tests examples; then
@@ -427,13 +449,15 @@ done
 # The protocol boundary must never panic on hostile input: no panic-family
 # macros anywhere in the serving crate's sources (it feeds client bytes
 # straight into decode) or in the wire module's submodules (the fault
-# harness). The chain solver (crates/core/src/ptune) feeds
+# harness). The chain solver (crates/core/src/solver.rs) feeds
 # serving-side preparation, so an infeasible request must come back as a
-# typed InfeasibleLayer, never a panic. The weight-structure analyzer
+# typed InfeasibleLayer, never a panic; HE-PTune's tuner
+# (crates/paper/src/ptune), which raises the same error, holds the same
+# line. The weight-structure analyzer
 # (crates/core/src/sparse.rs) also feeds preparation and holds the line.
 # The NTT boundary (crates/bfv/src/ntt.rs) converted its entry asserts to
 # typed errors and must not grow new panic macros.
-for d in crates/bfv/src/wire crates/serve/src crates/core/src/ptune crates/core/src/sparse.rs crates/bfv/src/ntt.rs; do
+for d in crates/bfv/src/wire crates/serve/src crates/core/src/solver.rs crates/paper/src/ptune crates/core/src/sparse.rs crates/bfv/src/ntt.rs; do
     if grep -rnE '\b(panic!|unimplemented!|todo!|unreachable!)\(' "$d"; then
         echo "FAIL: panic-family macro in $d (boundary must return typed errors)"
         exit 1

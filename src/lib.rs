@@ -8,19 +8,20 @@
 //!   `HE_Add` / `HE_Mult` / `HE_Rotate`, noise measurement);
 //! * [`nn`] — DNN layer descriptors, the five benchmark models, and
 //!   fixed-point plaintext inference;
-//! * [`core`] — the paper's contribution: HE-PTune analytical models and
-//!   per-layer parameter tuning, plus the Sched-PA / Sched-IA schedules
-//!   (analytical, and on real ciphertexts: the convolution and the FC
-//!   layer are two layouts over one BSGS kernel, whose baby widths 1 and
-//!   `d` are the two schedules' orders);
+//! * [`core`] — the engine tier of the paper's contribution: the
+//!   convolution and the FC layer on real ciphertexts, two layouts over
+//!   one BSGS kernel whose baby widths 1 and `d` are Sched-IA's and
+//!   Sched-PA's orders, their cost model, and the chain solver that picks
+//!   a chain, a level and a rotation plan per layer;
 //! * [`serve`] — the Gazelle-style client/cloud round, as a client half
 //!   and a server half that talk through validated wire bytes, over one
 //!   shared prepared model; the pool that runs many sessions against it;
 //!   and [`serve::PrivateInferenceSession`], both halves in one value;
-//! * [`profile`] — kernel profiling and the Fig. 7 limit study;
-//! * [`gpu`] — the Fig. 8 GPU batched-NTT study (the SIMT model);
-//! * [`accel`] — the accelerator architecture: HLS-style kernel cost
-//!   models, per-kernel DSE, and the PE/Lane simulator.
+//! * [`paper`] — the paper tier, which reads the four crates above and is
+//!   read by none of them: HE-PTune's analytical models and per-layer
+//!   tuner, the Fig. 6 speedups, the §VI profile and Fig. 7 limit study,
+//!   the §VII–VIII accelerator (HLS-style kernel costs, per-kernel DSE,
+//!   the PE/Lane simulator) and the Fig. 8 GPU study.
 //!
 //! See `examples/` for runnable end-to-end scenarios and
 //! `crates/bench/src/bin/` for the per-figure evaluation harness.
@@ -78,10 +79,8 @@
 //! # }
 //! ```
 
-pub use cheetah_accel as accel;
 pub use cheetah_bfv as bfv;
 pub use cheetah_core as core;
-pub use cheetah_gpu as gpu;
 pub use cheetah_nn as nn;
-pub use cheetah_profile as profile;
+pub use cheetah_paper as paper;
 pub use cheetah_serve as serve;

@@ -1,22 +1,26 @@
 //! Cross-crate integration tests: the full stack from BFV ciphertexts up
 //! to the accelerator simulator, exercised together.
 
-use cheetah::accel::explore::{explore, ArchSweep};
-use cheetah::accel::workload::NetworkWork;
-use cheetah::accel::{AcceleratorConfig, Simulator, NODE_40NM, NODE_5NM};
 use cheetah::bfv::BfvParams;
-use cheetah::core::ptune::{tune_network, NoiseRegime, TuneSpace};
-use cheetah::core::speedup::evaluate_model;
 use cheetah::core::{QuantSpec, Schedule};
 use cheetah::nn::inference::{infer, random_input};
 use cheetah::nn::models;
 use cheetah::nn::{Layer, Network, Tensor, Weights};
-use cheetah::profile::{limit_study, network_breakdown, KernelTimer};
+use cheetah::paper::arch::AcceleratorConfig;
+use cheetah::paper::breakdown::network_breakdown;
+use cheetah::paper::explore::{explore, ArchSweep};
+use cheetah::paper::kernels::KernelTimer;
+use cheetah::paper::limit::limit_study;
+use cheetah::paper::ptune::{tune_network, NoiseRegime, TuneSpace};
+use cheetah::paper::sim::Simulator;
+use cheetah::paper::speedup::evaluate_model;
+use cheetah::paper::tech::{NODE_40NM, NODE_5NM};
+use cheetah::paper::workload::NetworkWork;
 use cheetah::serve::PrivateInferenceSession;
 
 fn tuned(
     net: &cheetah::nn::Network,
-) -> Vec<(cheetah::nn::LinearLayer, cheetah::core::DesignPoint)> {
+) -> Vec<(cheetah::nn::LinearLayer, cheetah::paper::ptune::DesignPoint)> {
     let quant = QuantSpec::default();
     let layers = net.linear_layers();
     let t_bits: Vec<u32> = layers
@@ -189,8 +193,8 @@ fn tuning_profile_and_limit_study_compose() {
     let study = limit_study(&breakdown, breakdown.total_s() / 1000.0);
     assert!(study.final_latency_s <= breakdown.total_s() / 1000.0 * 1.001);
     // NTT must need at least as much acceleration as the adds.
-    let ntt = study.factor(cheetah::profile::Kernel::Ntt);
-    let add = study.factor(cheetah::profile::Kernel::Add);
+    let ntt = study.factor(cheetah::paper::limit::Kernel::Ntt);
+    let add = study.factor(cheetah::paper::limit::Kernel::Add);
     assert!(ntt >= add);
 }
 
