@@ -10,7 +10,10 @@
 //! direct and a hoisted rotation. The rotation keys are generated seeded,
 //! cross the wire as one kind-7 message and are expanded from their
 //! seeds, and every pair of one key is checked by the oracle to be an
-//! RLWE sample of its scaled `s(x^g)`.
+//! RLWE sample of its scaled `s(x^g)`. Switched *evaluated* ciphertexts
+//! too: a masked layer output — `mul_plain`, a hoisted rotation and a
+//! mask-sized `add_plain` — switched to the last limb, in either order of
+//! mask and switch, the shape a session's download ships in.
 
 mod oracle;
 
@@ -235,4 +238,89 @@ fn hybrid_chain_matches_the_oracle_at_every_level() {
         BfvParams::preset_hybrid_2x36(4096).unwrap(),
         [true, true, false, true, true],
     );
+}
+
+/// A layer output's way to the wire from every level above the last limb:
+/// `mul_plain` by a dense plaintext, a hoisted rotation, then a uniform
+/// mask-sized plaintext added and the result switched to the last limb —
+/// masked first or switched first. Every shipped ciphertext must decrypt
+/// to the oracle's algebra (the tracked bound promises it) and to the
+/// expected slots.
+fn switched_download(name: &str, params: BfvParams) {
+    let n = params.degree();
+    let t = params.plain_modulus().value();
+    let last = params.max_level();
+    let mut kg = KeyGenerator::from_seed(params.clone(), 2028);
+    let keys = kg.galois_keys_for_steps(&STEPS[1..]).unwrap();
+    let rig = Rig {
+        s: ternary_secret(&kg, &params),
+        decryptor: Decryptor::new(kg.secret_key().clone()),
+        params: params.clone(),
+    };
+    let encoder = BatchEncoder::new(params.clone());
+    let slots = |seed: u64| -> Vec<u64> { (0..n as u64).map(|i| (i * 7919 + seed) % t).collect() };
+    let (x, w, r) = (slots(21), slots(22), slots(23));
+    let (pt_x, pt_w, pt_r) = (
+        encoder.encode(&x).unwrap(),
+        encoder.encode(&w).unwrap(),
+        encoder.encode(&r).unwrap(),
+    );
+    let ct = Encryptor::from_secret_key(kg.secret_key().clone(), 2029)
+        .encrypt(&pt_x)
+        .unwrap();
+    let eval = Evaluator::new(params.clone());
+    let weights = eval.prepare_plaintext(&pt_w).unwrap();
+
+    // Slot `i` of a row after the rotation holds slot `i + step` of the
+    // product; the mask lands slot-wise on top.
+    let half = n / 2;
+    let step = STEPS[1];
+    let expected_slots: Vec<u64> = (0..n)
+        .map(|i| {
+            let (row, col) = (i / half, i % half);
+            let src = row * half + (col as i64 + step).rem_euclid(half as i64) as usize;
+            (x[src] * w[src] % t + r[i]) % t
+        })
+        .collect();
+    let g = rotation_element(n, step);
+    let (mx, mw, mr) = (pt_x.poly().data(), pt_w.poly().data(), pt_r.poly().data());
+    let expected = add_mod_t(&automorphism_mod_t(&mul_mod_t(mx, mw, t), g, t), mr, t);
+
+    for level in 0..last {
+        let a = eval.mod_switch_to(&ct, level).unwrap();
+        let product = eval.mul_plain(&a, &weights).unwrap();
+        let hoisted = eval.hoist(&product).unwrap();
+        let rotated = eval
+            .rotate_hoisted(&product, &hoisted, step, &keys)
+            .unwrap();
+        let masked_then_switched = eval
+            .mod_switch_to(&eval.add_plain(&rotated, &pt_r).unwrap(), last)
+            .unwrap();
+        let switched_then_masked = eval
+            .add_plain(&eval.mod_switch_to(&rotated, last).unwrap(), &pt_r)
+            .unwrap();
+        for (order, shipped) in [
+            ("masked, then switched", masked_then_switched),
+            ("switched, then masked", switched_then_masked),
+        ] {
+            let what = format!("{name} lvl{level} → lvl{last} {order}");
+            assert_eq!(shipped.level(), last, "{what}");
+            assert!(
+                rig.check(&shipped, &expected, &what),
+                "{what}: out of budget"
+            );
+            let decrypted = rig.decryptor.decrypt(&shipped).unwrap();
+            assert_eq!(encoder.decode(&decrypted), expected_slots, "{what}: slots");
+        }
+    }
+}
+
+#[test]
+fn digit_chain_ships_switched_layer_outputs_the_oracle_agrees_with() {
+    switched_download("rns_3x36", BfvParams::preset_rns_3x36(4096).unwrap());
+}
+
+#[test]
+fn hybrid_chain_ships_switched_layer_outputs_the_oracle_agrees_with() {
+    switched_download("hybrid_2x36", BfvParams::preset_hybrid_2x36(4096).unwrap());
 }

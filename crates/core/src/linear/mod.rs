@@ -50,6 +50,90 @@ pub fn feasible_levels<'a>(
     })
 }
 
+/// The shipping rule, [`feasible_levels`]' other half: the deepest level,
+/// `level` or past it, that a layer's `output` (an estimate at `level`)
+/// can be modulus-switched to and still keep [`LEVEL_PLAN_MARGIN_BITS`] of
+/// statistical budget once a mask of coefficient norm `mask_norm` is
+/// added there — Gazelle's switch-before-send (§II-A), so a download
+/// carries only the limbs its noise needs. Walks the switch transitions
+/// and stops before the first level that misses the margin; returns
+/// `level` itself when none clears it (or the chain has no limb to drop).
+pub fn shipping_level(
+    output: &NoiseEstimate,
+    level: usize,
+    mask_norm: u64,
+    params: &BfvParams,
+) -> usize {
+    let mut est = *output;
+    let mut shipped = level;
+    while shipped < params.max_level() {
+        let next = est.mod_switch(params, shipped);
+        let masked = next.add_plain(mask_norm);
+        if masked.budget_bits_statistical_at(params, shipped + 1) < LEVEL_PLAN_MARGIN_BITS {
+            break;
+        }
+        est = next;
+        shipped += 1;
+    }
+    shipped
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod shipping_tests {
+    use super::*;
+
+    /// Output estimates from a fresh ciphertext's up to `2^100` times its
+    /// noise, ascending.
+    fn outputs(params: &BfvParams) -> impl Iterator<Item = NoiseEstimate> {
+        let fresh = NoiseEstimate::fresh(params);
+        (0..=100).map(move |k| NoiseEstimate {
+            bound_log2: fresh.bound_log2 + f64::from(k),
+            variance_log2: fresh.variance_log2 + 2.0 * f64::from(k),
+        })
+    }
+
+    #[test]
+    fn shipped_levels_keep_the_margin_and_fall_with_noise() {
+        for params in [
+            // One limb: nothing to drop, every output ships where it ran.
+            BfvParams::preset_hybrid_1x54(4096).unwrap(),
+            BfvParams::preset_rns_3x36(4096).unwrap(),
+            BfvParams::preset_hybrid_2x36(4096).unwrap(),
+        ] {
+            let t = params.plain_modulus().value();
+            for level in 0..params.levels() {
+                let mut previous = params.max_level();
+                for out in outputs(&params) {
+                    let shipped = shipping_level(&out, level, t, &params);
+                    assert!(shipped >= level && shipped <= previous, "monotone");
+                    previous = shipped;
+                    let mut est = out;
+                    for from in level..shipped {
+                        est = est.mod_switch(&params, from);
+                    }
+                    if shipped > level {
+                        let budget = est
+                            .add_plain(t)
+                            .budget_bits_statistical_at(&params, shipped);
+                        assert!(budget >= LEVEL_PLAN_MARGIN_BITS, "{budget:.1} bits");
+                    }
+                }
+                // The quietest output reaches the last limb, the loudest
+                // stays where it ran.
+                let mut all = outputs(&params);
+                let quiet = all.next().unwrap();
+                assert_eq!(
+                    shipping_level(&quiet, level, t, &params),
+                    params.max_level()
+                );
+                let loud = all.last().unwrap();
+                assert_eq!(shipping_level(&loud, level, t, &params), level);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod plan_tests {
     use crate::cost::HeCostParams;

@@ -54,7 +54,8 @@
 //! the cloud (step 2): it holds the client's Galois keys, expanded from
 //! the seeded set the client registers (handed over in-process, accounted
 //! at its wire size), removes the previous round's mask, plans the level,
-//! applies the prepared layer, re-masks, and records the [`Transcript`]
+//! applies the prepared layer, switches the result to its shipping level,
+//! re-masks, and records the [`Transcript`]
 //! and one [`LayerReport`] per layer. Both run against one immutable
 //! [`PreparedModel`] holding everything client-independent.
 //!
@@ -75,14 +76,19 @@
 //! wire format (`cheetah_bfv::wire` version 2): an 8-byte PRNG seed
 //! regenerates `c1` and only `c0` travels, halving upload bytes to
 //! `live·n·8 + 8`. Downloads have evaluated, non-seeded `c1` components
-//! and stay in the full `2·live·n·8` version-1 format.
+//! and stay in the full `2·live·n·8` version-1 format, `live` counted at
+//! the *shipping* level: each layer's outputs are switched to the deepest
+//! level their noise allows before the mask goes on
+//! ([`cheetah_core::linear::shipping_level`]) — Gazelle's switch before
+//! sending, on the bench chains the last limb.
 
 use std::sync::Arc;
 
 use cheetah_bfv::{
     wire, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, GaloisKeys, KeyGenerator,
-    Result, Scratch, SeededGaloisKeys,
+    NoiseEstimate, Plaintext, Result, Scratch, SeededGaloisKeys,
 };
+use cheetah_core::linear::shipping_level;
 use cheetah_nn::{Network, Tensor, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,7 +98,8 @@ use crate::model::PreparedModel;
 use crate::transcript::{garbled_circuit_bytes, Direction, Transcript};
 
 /// Per-linear-layer record of a session's current inference: the
-/// rotation plan, the level the layer ran at, and the three noise
+/// rotation plan, the level the layer ran at and the one its download
+/// shipped at, the budget the client decrypts under, and the three noise
 /// views that must nest — `measured ≤ tracked ≤ predicted` — for the
 /// whole-protocol conformance pin.
 #[derive(Debug, Clone)]
@@ -105,10 +112,19 @@ pub struct LayerReport {
     /// `conv packed b=.. g=.. live=../.. out=..` (baby width, giant
     /// groups, live of all `(d, tap)` masks, output ciphertexts).
     pub plan: String,
-    /// Level the layer ran (and shipped) at.
+    /// Level the layer ran at.
     pub level: usize,
+    /// Level the masked download shipped at — the deepest the outputs'
+    /// noise allows ([`shipping_level`]), never shallower than
+    /// [`LayerReport::level`].
+    pub shipped_level: usize,
+    /// Tracked statistical budget (bits) of the worst shipped ciphertext:
+    /// the margin the client decrypts under. The session aborts rather
+    /// than ship when it is spent.
+    pub shipped_budget_bits: f64,
     /// The planning model's output bound
-    /// (`noise_after` of the switched input), log2.
+    /// (`noise_after` of the switched input), log2. This and the two
+    /// columns below describe the pre-mask outputs at the run level.
     pub predicted_bound_log2: f64,
     /// Worst engine-tracked noise bound across the layer's output
     /// ciphertexts (before masking), log2.
@@ -451,6 +467,8 @@ impl ServerSession {
             layer: self.reports.len(),
             plan: label.to_string(),
             level: 0,
+            shipped_level: 0,
+            shipped_budget_bits: f64::NAN,
             predicted_bound_log2: f64::NAN,
             tracked_bound_log2: f64::NAN,
             measured_noise_log2: None,
@@ -474,7 +492,8 @@ impl ServerSession {
 
     /// Processes one upload: validates the wire message, removes the
     /// previous round's mask, plans the level, applies the prepared
-    /// layer, re-masks, and serializes the download. The evaluator's
+    /// layer, switches the outputs to their shipping level, re-masks, and
+    /// serializes the download. The evaluator's
     /// temporaries come from the caller's (pooled, leased) `scratch`.
     ///
     /// # Errors
@@ -482,7 +501,7 @@ impl ServerSession {
     /// [`Error::Unsupported`] for an upload past the final linear layer
     /// and wire validation errors for a corrupt one (both leave a
     /// fault-bearing report behind), [`Error::NoiseBudgetExhausted`] when
-    /// the layer's tracked budget is spent.
+    /// the tracked budget of a shipped ciphertext is spent.
     pub fn process_upload(&mut self, bytes: &[u8], scratch: &mut Scratch) -> Result<LayerDownload> {
         let model = Arc::clone(&self.model);
         let params = model.params();
@@ -522,9 +541,8 @@ impl ServerSession {
                 .add_plain_assign(&mut ct, &neg_packed, scratch)?;
         }
 
-        // Drop the limbs this layer's noise no longer needs — the whole
-        // layer (rotations, multiplications, and the masked download
-        // below) then runs over the live limbs only.
+        // Drop the limbs this layer's noise no longer needs — its
+        // rotations and multiplications then run over the live limbs only.
         let target = model.plan_level(k, ct.noise());
         if target > ct.level() {
             model.evaluator().mod_switch_to_assign(&mut ct, target)?;
@@ -532,46 +550,24 @@ impl ServerSession {
 
         // The HE linear layer, with this client's keys.
         let predicted = model.noise_after(k, ct.noise(), ct.level());
-        let outputs = model.apply_with_scratch(k, &ct, &self.keys, scratch)?;
+        let mut outputs = model.apply_with_scratch(k, &ct, &self.keys, scratch)?;
 
-        // Conformance record. Tracked/predicted bounds are free; the
-        // *measured* invariant noise needs a real decryption per
-        // ciphertext, so it is only taken with a lent decryptor.
-        let mut tracked = f64::NEG_INFINITY;
-        let mut tracked_budget = f64::INFINITY;
+        // Conformance record, on the pre-mask outputs at the level the
+        // layer ran at. Tracked/predicted bounds are free; the *measured*
+        // invariant noise needs a real decryption per ciphertext, so it is
+        // only taken with a lent decryptor.
+        let mut worst = NoiseEstimate::zero();
         let mut measured = None;
         for out_ct in &outputs {
-            tracked = tracked.max(out_ct.noise().bound_log2);
-            tracked_budget = tracked_budget.min(
-                out_ct
-                    .noise()
-                    .budget_bits_statistical_at(params, out_ct.level()),
-            );
+            let noise = out_ct.noise();
+            worst = NoiseEstimate {
+                bound_log2: worst.bound_log2.max(noise.bound_log2),
+                variance_log2: worst.variance_log2.max(noise.variance_log2),
+            };
             if let Some(meter) = &self.noise_meter {
                 let m = (meter.invariant_noise(out_ct)?.max(1) as f64).log2();
                 measured = Some(measured.map_or(m, |prev: f64| prev.max(m)));
             }
-        }
-        self.reports.push(LayerReport {
-            layer: k,
-            plan: model.plan_label(k),
-            level: ct.level(),
-            predicted_bound_log2: predicted.bound_log2,
-            tracked_bound_log2: tracked,
-            measured_noise_log2: measured,
-            fault: None,
-        });
-
-        // Abort before shipping anything whose tracked estimate already
-        // spent the whole budget.
-        if tracked_budget <= 0.0 {
-            if let Some(r) = self.reports.last_mut() {
-                r.fault = Some(format!(
-                    "tracked noise budget exhausted: \
-                     {tracked_budget:.1} bits left after layer {k}"
-                ));
-            }
-            return Err(Error::NoiseBudgetExhausted);
         }
 
         // Fresh output mask r (zeros on the final layer — the prediction
@@ -580,24 +576,61 @@ impl ServerSession {
         // round's input mask, drawn back-to-back from the one mask stream.
         let (mask, mask_pts) = model.draw_output_mask(k, &mut self.mask_rng)?;
         let out_len = mask.len();
-        let mut masked_cts = outputs;
-        for (out_ct, m_pt) in masked_cts.iter_mut().zip(&mask_pts) {
+
+        // Switch every output down to the one level the worst of them
+        // can ship at once masked, then mask there: the client decodes and
+        // decrypts only the limbs the noise needs, and the mask's lift
+        // covers only those.
+        let mask_norm = mask_pts.iter().map(Plaintext::inf_norm).max().unwrap_or(0);
+        let shipped_level = shipping_level(&worst, ct.level(), mask_norm, params);
+        let mut shipped_budget = f64::INFINITY;
+        for (out_ct, m_pt) in outputs.iter_mut().zip(&mask_pts) {
+            model
+                .evaluator()
+                .mod_switch_to_assign(out_ct, shipped_level)?;
             model.evaluator().add_plain_assign(out_ct, m_pt, scratch)?;
+            shipped_budget = shipped_budget.min(
+                out_ct
+                    .noise()
+                    .budget_bits_statistical_at(params, shipped_level),
+            );
+        }
+        self.reports.push(LayerReport {
+            layer: k,
+            plan: model.plan_label(k),
+            level: ct.level(),
+            shipped_level,
+            shipped_budget_bits: shipped_budget,
+            predicted_bound_log2: predicted.bound_log2,
+            tracked_bound_log2: worst.bound_log2,
+            measured_noise_log2: measured,
+            fault: None,
+        });
+
+        // Abort before shipping anything whose tracked estimate already
+        // spent the whole budget.
+        if shipped_budget <= 0.0 {
+            if let Some(r) = self.reports.last_mut() {
+                r.fault = Some(format!(
+                    "tracked noise budget exhausted: \
+                     {shipped_budget:.1} bits left after layer {k}"
+                ));
+            }
+            return Err(Error::NoiseBudgetExhausted);
         }
 
         // Serialize the masked outputs: downloads carry evaluated c1
         // components, so they stay in the full v1 format. One transcript
         // record per layer (the byte pin other suites rely on), its
         // payload the back-to-back wire messages.
-        let dl_bytes: usize = masked_cts.iter().map(Ciphertext::byte_size).sum();
-        let out_level = masked_cts.first().map_or(0, Ciphertext::level);
+        let dl_bytes: usize = outputs.iter().map(Ciphertext::byte_size).sum();
         let mut dl_payload = Vec::new();
-        for mct in &masked_cts {
+        for mct in &outputs {
             let encoded = wire::encode_ciphertext(mct);
             check_wire_accounting(encoded.len(), mct.byte_size())?;
             dl_payload.extend_from_slice(&encoded);
         }
-        let dl_label = format!("enc masked outputs L{k} lvl{out_level}");
+        let dl_label = format!("enc masked outputs L{k} lvl{shipped_level}");
         self.transcript.record_with_payload(
             Direction::CloudToClient,
             dl_label,

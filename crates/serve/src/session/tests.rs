@@ -106,8 +106,8 @@ fn leveled_session_drops_limbs_and_matches_plaintext() {
     // The first feature where multi-limb chains are *faster*
     // mid-circuit rather than just roomier: a tiny CNN's noise never
     // needs the full 108-bit ceiling, so the cloud modulus-switches
-    // each layer's input down and runs the layer — and ships the
-    // masked outputs — over fewer live limbs.
+    // each layer's input down and runs the layer over fewer live limbs,
+    // then switches the outputs to the last limb before masking them.
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 71);
     let input = random_input(&net.input_shape, 3, 72);
@@ -128,25 +128,68 @@ fn leveled_session_drops_limbs_and_matches_plaintext() {
     {
         assert_eq!(m.bytes, wire::SEED_BYTES + 3 * 4096 * 8, "{}", m.label);
     }
-    // …while every masked download left level 0: the layers ran — and
-    // shipped — at a reduced level, each ciphertext a whole number of
-    // live-limb pairs strictly below the full-level size.
+    // …while every layer ran below level 0 and every masked download
+    // shipped on the last limb: one live-limb pair per ciphertext.
     let downloads: Vec<_> = transcript
         .messages()
         .iter()
         .filter(|m| m.label.contains("enc masked outputs"))
         .collect();
-    assert!(!downloads.is_empty());
-    for m in &downloads {
+    assert_eq!(downloads.len(), 3);
+    for (m, r) in downloads.iter().zip(session.layer_reports()) {
+        assert!(r.level >= 1, "layer stayed at full level: {}", r.plan);
+        assert_eq!(r.shipped_level, 2, "{}", m.label);
+        assert!(m.label.ends_with("lvl2"), "{}", m.label);
+        assert_eq!(m.bytes, 2 * 4096 * 8, "{}", m.label);
+        // The margin the client decrypts under is tracked, and left.
         assert!(
-            m.label.contains("lvl1") || m.label.contains("lvl2"),
-            "layer stayed at full level: {}",
-            m.label
+            r.shipped_budget_bits > 0.0,
+            "{}: {:.1} bits",
+            r.plan,
+            r.shipped_budget_bits
         );
-        // A whole number of live-limb ciphertexts (2 components ·
-        // ≤2 live limbs · n · 8 bytes each).
-        assert_eq!(m.bytes % (2 * 4096 * 8), 0);
+        assert!(r.fault.is_none());
     }
+}
+
+#[test]
+fn a_spent_budget_stops_the_round_before_anything_ships() {
+    // A 30-bit `t` under one 60-bit limb: the first layer's dense masks
+    // spend the whole budget, no level can take the outputs, and the
+    // abort reads the budget of the ciphertexts that would have shipped.
+    let params = BfvParams::builder()
+        .degree(4096)
+        .plain_bits(30)
+        .cipher_bits(60)
+        .a_dcmp(1 << 6)
+        .build()
+        .unwrap();
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 13);
+    let input = random_input(&net.input_shape, 3, 14);
+    let mut session = PrivateInferenceSession::new(&net, &weights, params, 15).unwrap();
+    assert!(matches!(
+        session.run(&input),
+        Err(Error::NoiseBudgetExhausted)
+    ));
+    let reports = session.layer_reports();
+    assert_eq!(
+        reports.len(),
+        1,
+        "one report, the layer that spent the budget"
+    );
+    let report = &reports[0];
+    assert_eq!(report.shipped_level, report.level);
+    assert!(report.shipped_budget_bits <= 0.0);
+    let fault = report.fault.as_deref().unwrap();
+    assert!(fault.contains("tracked noise budget exhausted"), "{fault}");
+    let downloads = session.server.transcript().messages().iter();
+    assert_eq!(
+        downloads
+            .filter(|m| m.label.contains("enc masked outputs"))
+            .count(),
+        0
+    );
 }
 
 #[test]

@@ -135,6 +135,21 @@ if git grep -n 'layer_noise_on_chain' -- crates src tests examples; then
     exit 1
 fi
 
+echo "==> one-level-rule gate"
+# The level a layer runs at (linear::feasible_levels) and the level its
+# download ships at (linear::shipping_level) clear one margin,
+# LEVEL_PLAN_MARGIN_BITS, defined once beside both rules; the serving
+# crate, which applies them, defines no margin of its own.
+margin_homes=$(git grep -lE '(const|static)[[:space:]]+LEVEL_PLAN_MARGIN_BITS\b' -- '*.rs' | tr '\n' ' ')
+if [[ "$margin_homes" != "crates/core/src/linear/mod.rs " ]]; then
+    echo "FAIL: LEVEL_PLAN_MARGIN_BITS must be defined once, in crates/core/src/linear/mod.rs: $margin_homes"
+    exit 1
+fi
+if git grep -nE '(const|static)[[:space:]]+[A-Za-z0-9_]*MARGIN[A-Za-z0-9_]*BITS' -- crates/serve/src; then
+    echo "FAIL: crates/serve/src defines a margin of its own (see matches above)"
+    exit 1
+fi
+
 echo "==> one-kernel gate"
 # A linear layer is its rotations, mask multiplies and adds, and that loop
 # exists once: linear/kernel.rs is the only file under linear/ that hoists a

@@ -179,10 +179,12 @@ fn galois_keys_and_rotations_keep_their_bits() {
 /// decrypts and the layout of the layer it feeds, never on the rotation
 /// keys. Both digests were regenerated when the FC layers' input copies
 /// started filling both batching rows, which changes both FC uploads and
-/// downloads.
+/// downloads. The whole-transcript digests alone moved again when every
+/// download started shipping on the last limb: new download bytes and
+/// labels, the same uploads.
 const SESSION_PINS: [(&str, u64, u64); 2] = [
-    ("rns_3x36", 0x1823_bdad_e3f3_a2c1, 0x8d69_85be_01e5_c417),
-    ("hybrid_2x36", 0xbfd7_1444_de89_16c0, 0x462a_415e_eefc_3f5e),
+    ("rns_3x36", 0x8da8_53f9_7a95_51e7, 0x8d69_85be_01e5_c417),
+    ("hybrid_2x36", 0x30c0_d04e_0e82_569e, 0x462a_415e_eefc_3f5e),
 ];
 
 #[test]

@@ -13,7 +13,7 @@
 //!   seed replaces the whole `c1` component), while masked downloads
 //!   stay in the full `2·live·n·8` format — one ciphertext a layer, the
 //!   convolution's two output channels included — and shrink with the
-//!   planned level;
+//!   shipping level, the deepest the layer's output noise allows;
 //! * every linear layer's *measured* invariant noise sits under the
 //!   engine-tracked estimate, which sits under the layer's `noise_after`
 //!   planning bound — `measured ≤ tracked ≤ predicted`, per layer, per
@@ -22,8 +22,9 @@
 //! The benchmark's MLP and CNN shapes run the same noise chain on the two
 //! 36-bit benchmark presets, with the level each layer reaches pinned: the
 //! FC bound no longer carries a fold's rotate-and-sum, so the last layer
-//! of both networks runs one level down on the digit chain — and its
-//! download still clears the client's decrypt gate at sixteen key seeds.
+//! of both networks runs one level down on the digit chain. Every layer's
+//! download ships on the last limb, and clears the client's decrypt gate
+//! at sixteen key seeds.
 
 use cheetah::bfv::BfvParams;
 use cheetah::core::linear::FcPlan;
@@ -249,7 +250,8 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
 #[test]
 fn deep_chain_ships_reduced_levels_with_consistent_reports() {
     // On the 3×36 chain the statistical planner drops every layer at least
-    // one level; the reports and the transcript must agree on the level.
+    // one level, and every download ships at the level its layer ran at or
+    // deeper; the reports and the transcript must agree on that level.
     let net = tiny_cnn();
     let weights = Weights::random(&net, 2, 4048);
     let input = random_input(&net.input_shape, 3, 4049);
@@ -266,10 +268,16 @@ fn deep_chain_ships_reduced_levels_with_consistent_reports() {
         .filter(|m| m.label.contains("enc masked outputs"))
         .map(|m| level_of(&m.label))
         .collect();
-    let report_levels: Vec<usize> = session.layer_reports().iter().map(|r| r.level).collect();
+    let reports = session.layer_reports();
+    let report_levels: Vec<usize> = reports.iter().map(|r| r.level).collect();
+    let shipped_levels: Vec<usize> = reports.iter().map(|r| r.shipped_level).collect();
     assert_eq!(
-        download_levels, report_levels,
+        download_levels, shipped_levels,
         "transcript/report level skew"
+    );
+    assert!(
+        reports.iter().all(|r| r.shipped_level >= r.level),
+        "a download ships above its layer: ran {report_levels:?}, shipped {shipped_levels:?}"
     );
     assert!(
         report_levels.iter().all(|&l| l >= 1),
@@ -312,8 +320,9 @@ fn bench_cnn() -> Network {
 
 /// One benchmark network on the two 36-bit benchmark presets: exact,
 /// `measured ≤ tracked ≤ predicted` per layer, the planner's levels as
-/// pinned — and where a layer went a level down, sixteen more key seeds
-/// through the client's 0.5-bit measured decrypt gate (inside `run`).
+/// pinned, every download shipped on the last limb — and sixteen more key
+/// seeds through the client's 0.5-bit measured decrypt gate (inside
+/// `run`), which every shipped download crosses.
 fn check_bench_net(net: &Network, digit_levels: [usize; 3], hybrid_levels: [usize; 3]) {
     let digit = BfvParams::preset_rns_3x36(N).unwrap();
     let hybrid = BfvParams::preset_hybrid_2x36(N).unwrap();
@@ -345,9 +354,8 @@ fn check_bench_net(net: &Network, digit_levels: [usize; 3], hybrid_levels: [usiz
         }
         let reached: Vec<usize> = reports.iter().map(|r| r.level).collect();
         assert_eq!(reached, levels, "{name}: planned levels");
-        if levels == [0, 0, 0] {
-            continue;
-        }
+        let shipped: Vec<usize> = reports.iter().map(|r| r.shipped_level).collect();
+        assert_eq!(shipped, [params.max_level(); 3], "{name}: shipped levels");
         for seed in 100..116 {
             let mut session =
                 PrivateInferenceSession::new(net, &weights, params.clone(), seed).unwrap();
