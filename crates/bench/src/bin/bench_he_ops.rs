@@ -68,7 +68,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cheetah_bfv::poly::Representation;
+use cheetah_bfv::rns::Representation;
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Encryptor, Evaluator, GaloisKeys, HoistedDecomposition,

@@ -695,26 +695,18 @@ pub fn generate_primes_congruent(bits: u32, step: u64, count: usize) -> Result<V
     Ok(primes)
 }
 
-/// Finds several distinct NTT primes of the given size (used for sweeps).
+/// Finds several distinct NTT primes of the given size, largest first:
+/// [`generate_primes_congruent`] with `step = 2n`.
 ///
 /// # Errors
 ///
 /// Returns [`Error::NoNttPrime`] if fewer than `count` primes exist.
 pub fn generate_ntt_primes(bits: u32, n: usize, count: usize) -> Result<Vec<u64>> {
-    let m = 2 * n as u64;
-    let mut primes = Vec::with_capacity(count);
-    let mut candidate = generate_ntt_prime(bits, n)?;
-    primes.push(candidate);
-    while primes.len() < count {
-        if candidate <= m {
-            return Err(Error::NoNttPrime { bits, n });
-        }
-        candidate -= m;
-        if candidate >> (bits - 1) == 1 && is_prime(candidate) {
-            primes.push(candidate);
-        }
-    }
-    Ok(primes)
+    assert!(
+        n.is_power_of_two(),
+        "polynomial degree must be a power of 2"
+    );
+    generate_primes_congruent(bits, 2 * n as u64, count)
 }
 
 /// Finds a primitive `2n`-th root of unity modulo the prime `q`

@@ -2,8 +2,7 @@
 
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::poly::Representation;
-use crate::rns::RnsPoly;
+use crate::rns::{Representation, RnsPoly};
 
 /// A BFV ciphertext: a pair of RNS polynomials in evaluation (NTT) form.
 ///

@@ -11,36 +11,60 @@
 //! `x ↦ x^{-1}` (swapping the two rows). [`BatchEncoder`] hides the
 //! index bookkeeping; [`crate::evaluator::Evaluator::rotate_rows`] gives the
 //! cyclic slot rotation the dot-product schedules of §V are built from.
+//!
+//! A [`Plaintext`] is just its coefficient vector mod `t`: encoding writes
+//! the slot values at their evaluation points and runs the inverse NTT of
+//! [`BfvParams::t_table`], decoding the forward one. Plaintexts built from
+//! chosen coefficients instead of slots enter through
+//! [`Plaintext::from_coeffs`], which checks the length and every residue.
 
 use crate::arith::bit_reverse;
 use crate::error::{Error, Result};
 use crate::params::BfvParams;
-use crate::poly::{Poly, Representation};
 
-/// A plaintext polynomial: coefficients mod `t`, coefficient form.
+/// A plaintext polynomial in `R_t`: its `n` coefficients mod `t`, lowest
+/// first.
 ///
-/// Produced by [`BatchEncoder::encode`]; consumed by the encryptor and by
-/// plaintext-ciphertext multiplication.
+/// Produced by [`BatchEncoder::encode`] and by decryption; consumed by the
+/// encryptor and by plaintext-ciphertext multiplication.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plaintext {
-    poly: Poly,
+    coeffs: Vec<u64>,
     params: BfvParams,
 }
 
 impl Plaintext {
-    /// Wraps a coefficient-form polynomial mod `t`.
+    /// Wraps `n` chosen coefficients mod `t`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::WrongRepresentation`] unless in coefficient form.
-    pub fn from_poly(poly: Poly, params: BfvParams) -> Result<Self> {
-        poly.expect_repr(Representation::Coeff)?;
-        Ok(Self { poly, params })
+    /// Returns [`Error::Malformed`] unless there are exactly `n`
+    /// coefficients, each below `t`.
+    pub fn from_coeffs(coeffs: Vec<u64>, params: BfvParams) -> Result<Self> {
+        let (n, t) = (params.degree(), params.plain_modulus().value());
+        let reason = if coeffs.len() != n {
+            format!("{} coefficients, expected {n}", coeffs.len())
+        } else if let Some(j) = coeffs.iter().position(|&c| c >= t) {
+            format!("coefficient {j} is {} ≥ t = {t}", coeffs[j])
+        } else {
+            return Ok(Self::canonical(coeffs, params));
+        };
+        Err(Error::Malformed {
+            what: "plaintext",
+            reason,
+        })
     }
 
-    /// The underlying polynomial (mod `t`, coefficient form).
-    pub fn poly(&self) -> &Poly {
-        &self.poly
+    /// Wraps coefficients the caller produced canonical (`n` of them, each
+    /// reduced mod `t`): the encoder's and the decryptor's outputs.
+    pub(crate) fn canonical(coeffs: Vec<u64>, params: BfvParams) -> Self {
+        debug_assert_eq!(coeffs.len(), params.degree());
+        Self { coeffs, params }
+    }
+
+    /// The `n` coefficients mod `t`.
+    pub fn coeffs(&self) -> &[u64] {
+        &self.coeffs
     }
 
     /// The parameter set this plaintext belongs to.
@@ -51,11 +75,11 @@ impl Plaintext {
     /// Largest centered coefficient magnitude — the `||pt||_∞` term in
     /// multiplication noise growth.
     pub fn inf_norm(&self) -> u64 {
-        // `from_poly` enforces coefficient form and `poly` is private, so
-        // the representation check cannot fail; the boundary still never
-        // panics on it.
-        self.poly
-            .inf_norm_centered(self.params.plain_modulus())
+        let t = self.params.plain_modulus();
+        self.coeffs
+            .iter()
+            .map(|&c| t.center(c).unsigned_abs())
+            .max()
             .unwrap_or(0)
     }
 }
@@ -140,13 +164,14 @@ impl BatchEncoder {
             });
         }
         let t = self.params.plain_modulus();
-        let mut eval = vec![0u64; n];
+        // Slot values at their evaluation points; the inverse NTT turns
+        // them into the coefficients in place.
+        let mut coeffs = vec![0u64; n];
         for (i, &v) in values.iter().enumerate() {
-            eval[self.slot_to_pos[i] as usize] = t.reduce(v);
+            coeffs[self.slot_to_pos[i] as usize] = t.reduce(v);
         }
-        let mut poly = Poly::from_data(eval, Representation::Eval);
-        poly.to_coeff(self.params.t_table());
-        Plaintext::from_poly(poly, self.params.clone())
+        self.params.t_table().inverse(&mut coeffs);
+        Ok(Plaintext::canonical(coeffs, self.params.clone()))
     }
 
     /// Encodes signed values; each is reduced into the centered range of `t`.
@@ -162,9 +187,8 @@ impl BatchEncoder {
 
     /// Decodes all `n` slots as unsigned residues mod `t`.
     pub fn decode(&self, pt: &Plaintext) -> Vec<u64> {
-        let mut poly = pt.poly().clone();
-        poly.to_eval(self.params.t_table());
-        let data = poly.data();
+        let mut data = pt.coeffs().to_vec();
+        self.params.t_table().forward(&mut data);
         self.slot_to_pos.iter().map(|&p| data[p as usize]).collect()
     }
 
@@ -250,8 +274,8 @@ mod tests {
         // structure sanity check: NTT of a constant is constant).
         let enc = encoder(2048);
         let pt = enc.encode_constant(9).unwrap();
-        assert_eq!(pt.poly().data()[0], 9);
-        assert!(pt.poly().data()[1..].iter().all(|&c| c == 0));
+        assert_eq!(pt.coeffs()[0], 9);
+        assert!(pt.coeffs()[1..].iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -263,16 +287,46 @@ mod tests {
         let pa = enc.encode(&a).unwrap();
         let pb = enc.encode(&b).unwrap();
         let t = *enc.params().plain_modulus();
-        let prod = crate::ntt::negacyclic_mul_naive(pa.poly().data(), pb.poly().data(), &t);
-        let pt_prod = Plaintext::from_poly(
-            Poly::from_data(prod, Representation::Coeff),
-            enc.params().clone(),
-        )
-        .unwrap();
+        let prod = crate::ntt::negacyclic_mul_naive(pa.coeffs(), pb.coeffs(), &t);
+        let pt_prod = Plaintext::from_coeffs(prod, enc.params().clone()).unwrap();
         let d = enc.decode(&pt_prod);
         for i in 0..2048 {
             assert_eq!(d[i], t.mul_mod(a[i], b[i]), "slot {i}");
         }
+    }
+
+    #[test]
+    fn from_coeffs_refuses_wrong_length_and_unreduced_coefficients() {
+        let enc = encoder(2048);
+        let params = enc.params().clone();
+        let t = params.plain_modulus().value();
+        let malformed = |r: Result<Plaintext>| {
+            matches!(
+                r,
+                Err(Error::Malformed {
+                    what: "plaintext",
+                    ..
+                })
+            )
+        };
+        assert!(malformed(Plaintext::from_coeffs(
+            vec![0; 5],
+            params.clone()
+        )));
+        let mut coeffs = vec![1u64; 2048];
+        coeffs[7] = t;
+        assert!(malformed(Plaintext::from_coeffs(
+            coeffs.clone(),
+            params.clone()
+        )));
+
+        // The largest residue is admitted and round-trips through decode.
+        coeffs[7] = t - 1;
+        let pt = Plaintext::from_coeffs(coeffs.clone(), params).unwrap();
+        assert_eq!(pt.coeffs(), &coeffs[..]);
+        assert_eq!(pt.inf_norm(), 1);
+        let again = enc.encode(&enc.decode(&pt)).unwrap();
+        assert_eq!(again, pt);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::error::{Error, Result};
 use crate::keys::{PublicKey, SecretKey};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::poly::{Poly, Representation};
-use crate::rns::RnsPoly;
+use crate::rns::{Representation, RnsPoly};
 use crate::sampling::BfvRng;
 
 /// Encrypts plaintexts under a public key (asymmetric) or secret key
@@ -66,7 +65,7 @@ impl Encryptor {
     /// different parameters.
     pub fn encrypt(&mut self, pt: &Plaintext) -> Result<Ciphertext> {
         self.params.check_same(pt.params())?;
-        let mut dm = self.params.lift_scaled(pt.poly().data());
+        let mut dm = self.params.lift_scaled(pt.coeffs());
         dm.to_eval(self.params.chain());
         if let Some(pk) = &self.pk {
             self.encrypt_with_pk(dm, pk.clone())
@@ -124,7 +123,7 @@ impl Encryptor {
             ));
         }
         self.params.check_same(pt.params())?;
-        let mut dm = self.params.lift_scaled(pt.poly().data());
+        let mut dm = self.params.lift_scaled(pt.coeffs());
         dm.to_eval(self.params.chain());
         let chain = self.params.chain().clone();
         let seed = self.rng.next_seed();
@@ -228,10 +227,7 @@ impl Decryptor {
                 ((num / qv) % tv) as u64
             })
             .collect();
-        let m = Plaintext::from_poly(
-            Poly::from_data(coeffs, Representation::Coeff),
-            self.params.clone(),
-        )?;
+        let m = Plaintext::canonical(coeffs, self.params.clone());
         Ok((phase, m))
     }
 
@@ -242,7 +238,7 @@ impl Decryptor {
         let (mut v, m) = self.phase_and_message(ct)?;
         let level = ct.level();
         let chain = self.params.chain_at(level);
-        let dm = self.params.lift_scaled_at(m.poly().data(), level);
+        let dm = self.params.lift_scaled_at(m.coeffs(), level);
         v.sub_assign(&dm, chain)?;
         let noise = v.inf_norm_centered(chain)?;
         Ok((m, noise))

@@ -114,11 +114,12 @@ pub enum Error {
         /// Maximum supported bits.
         max_bits: u32,
     },
-    /// A wire-format message failed structural validation (length, magic,
-    /// version, header fields, or canonical residues) before any
+    /// A wire-format message (length, magic, version, header fields, or
+    /// canonical residues) or a plaintext's coefficient vector (length,
+    /// residues mod `t`) failed structural validation before any
     /// arithmetic touched it.
     Malformed {
-        /// What was being decoded (`"ciphertext"`, `"public key"`, …).
+        /// What was being built (`"ciphertext"`, `"plaintext"`, …).
         what: &'static str,
         /// Which structural invariant failed.
         reason: String,
@@ -209,7 +210,7 @@ impl fmt::Display for Error {
                 "modulus chain spans {total_bits} bits, exceeding the {max_bits}-bit exact-CRT limit"
             ),
             Error::Malformed { what, reason } => {
-                write!(f, "malformed {what} on the wire: {reason}")
+                write!(f, "malformed {what}: {reason}")
             }
             Error::ChainMismatch { expected, found } => write!(
                 f,

@@ -103,8 +103,7 @@ use crate::error::{Error, Result};
 use crate::keys::{element_for_step, GaloisKey, GaloisKeys};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::poly::Representation;
-use crate::rns::{DotTerm, ModulusChain, PlaneAlign, RnsPoly};
+use crate::rns::{DotTerm, ModulusChain, PlaneAlign, Representation, RnsPoly};
 use crate::scratch::Scratch;
 
 /// Running kernel-invocation counters (per evaluator).
@@ -628,7 +627,7 @@ impl Evaluator {
         let live = a.live_limbs();
         let chain = self.params.chain_at(level);
         let mut dm = scratch.take_poly_limbs(live, Representation::Coeff);
-        self.params.lift_scaled_into(pt.poly().data(), &mut dm);
+        self.params.lift_scaled_into(pt.coeffs(), &mut dm);
         dm.to_eval(chain);
         Self::count(&self.ntt_count, live as u64);
         let noise = a.noise().add_plain(pt.inf_norm());
@@ -1358,7 +1357,7 @@ impl Evaluator {
         let t = self.params.plain_modulus();
         let chain = self.params.chain_at(level);
         let inf_norm = pt.inf_norm().max(1);
-        let centered: Vec<i64> = pt.poly().data().iter().map(|&c| t.center(c)).collect();
+        let centered: Vec<i64> = pt.coeffs().iter().map(|&c| t.center(c)).collect();
         let mut poly = RnsPoly::from_signed(&centered, chain);
         poly.to_eval(chain);
         Self::count(&self.ntt_count, chain.limbs() as u64);

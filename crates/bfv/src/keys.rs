@@ -34,9 +34,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{Error, Result};
 use crate::params::BfvParams;
-use crate::poly::{add_assign_slice, mul_scalar_slice, Representation};
-use crate::rns::RnsPoly;
+use crate::rns::{Representation, RnsPoly};
 use crate::sampling::{BfvRng, UniformStream};
+use crate::simd;
 
 /// The RLWE secret key: a ternary polynomial lifted into every limb plane,
 /// stored in evaluation form.
@@ -504,8 +504,8 @@ impl KeyGenerator {
             for (k, &sc) in scale.iter().enumerate() {
                 let q = ks.modulus(k);
                 scaled_plane.copy_from_slice(s_g.limb(k));
-                mul_scalar_slice(&mut scaled_plane, sc, q);
-                add_assign_slice(k0.limb_mut(k), &scaled_plane, q);
+                simd::mul_scalar(&mut scaled_plane, sc, q);
+                simd::add_assign(k0.limb_mut(k), &scaled_plane, q);
             }
             k0s.push(k0);
         }
@@ -896,7 +896,7 @@ mod tests {
                     for _ in 0..d {
                         sc = q.mul_mod(sc, q.reduce(p.a_dcmp()));
                     }
-                    crate::poly::mul_scalar_slice(scaled.limb_mut(k), sc, q);
+                    simd::mul_scalar(scaled.limb_mut(k), sc, q);
                 }
                 residual.sub_assign(&scaled, chain).unwrap();
                 residual.to_coeff(chain);
@@ -940,7 +940,7 @@ mod tests {
                 } else {
                     0
                 };
-                crate::poly::mul_scalar_slice(scaled.limb_mut(k), sc, q);
+                simd::mul_scalar(scaled.limb_mut(k), sc, q);
             }
             residual.sub_assign(&scaled, ks).unwrap();
             residual.to_coeff(ks);

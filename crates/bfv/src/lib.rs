@@ -12,10 +12,12 @@
 //!
 //! The three BFV operators of §III-B1 are provided by [`Evaluator`]:
 //! `HE_Add`, pt-ct `HE_Mult`, and `HE_Rotate` (Galois automorphism + key
-//! switching with ciphertext decomposition). Polynomials default to the
-//! evaluation (NTT) domain, as Cheetah does, and every ciphertext carries
-//! a live Table-III noise estimate that tests reconcile against exact
-//! measured noise.
+//! switching with ciphertext decomposition). Ciphertext polynomials are
+//! [`RnsPoly`]s, the crate's one polynomial type, and default to the
+//! evaluation (NTT) domain, as Cheetah does; a plaintext is its `n`
+//! coefficients mod `t` ([`Plaintext::from_coeffs`] checks both). Every
+//! ciphertext carries a live Table-III noise estimate that tests
+//! reconcile against exact measured noise.
 //!
 //! ## Leveled evaluation
 //!
@@ -102,7 +104,6 @@ pub mod keys;
 pub mod noise;
 pub mod ntt;
 pub mod params;
-pub mod poly;
 pub mod rns;
 pub mod sampling;
 pub mod scratch;

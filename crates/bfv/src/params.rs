@@ -57,12 +57,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::arith::{
-    generate_ntt_prime, generate_ntt_primes, generate_prime_congruent, generate_primes_congruent,
-    Modulus, MAX_NTT_MODULUS_BITS,
+    generate_ntt_prime, generate_ntt_primes, generate_primes_congruent, Modulus,
+    MAX_NTT_MODULUS_BITS,
 };
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
-use crate::rns::{ModulusChain, RnsPoly};
+use crate::rns::{ModulusChain, Representation, RnsPoly};
 
 /// Default encryption-noise standard deviation (SEAL's default).
 pub const DEFAULT_SIGMA: f64 = 3.2;
@@ -521,7 +521,7 @@ impl BfvParams {
             "foreign limb count {live}"
         );
         let level = self.limbs() - live;
-        out.set_representation(crate::poly::Representation::Coeff);
+        out.set_representation(Representation::Coeff);
         for i in 0..live {
             let q_i = *self.chain().modulus(i);
             let delta_i = self.delta_mod_at(level, i);
@@ -538,7 +538,7 @@ impl BfvParams {
 
     /// Allocating [`BfvParams::lift_scaled_into`] at an explicit level.
     pub fn lift_scaled_at(&self, msg: &[u64], level: usize) -> RnsPoly {
-        let mut out = RnsPoly::zero(self.chain_at(level), crate::poly::Representation::Coeff);
+        let mut out = RnsPoly::zero(self.chain_at(level), Representation::Coeff);
         self.lift_scaled_into(msg, &mut out);
         out
     }
@@ -842,53 +842,45 @@ impl BfvParamsBuilder {
             }
             return Ok(values.clone());
         }
-        if let Some(bits) = &self.moduli_bits {
-            if bits.is_empty() {
-                return Err(Error::InvalidLimbCount { limbs: 0 });
-            }
-            // Equal bit sizes must still yield distinct primes: generate a
-            // pool per distinct size and hand primes out in request order.
-            // Each size class prefers primes ≡ 1 (mod 2n·t): a fully
-            // congruent chain keeps Q_ℓ ≡ 1 (mod t) at *every* level, which
-            // kills both the multiplication rounding term and the dominant
-            // modulus-switch drift. Sizes whose congruent progression is
-            // too sparse fall back to plain NTT primes (e.g. 30-bit limbs
-            // at n = 4096 — the 2x30 preset's documented regime).
-            let mut values = vec![0u64; bits.len()];
-            let mut sizes: Vec<u32> = bits.clone();
-            sizes.sort_unstable();
-            sizes.dedup();
-            let congruent_step = (2 * self.n as u64).checked_mul(t_val);
-            for b in sizes {
-                let count = bits.iter().filter(|&&x| x == b).count();
-                let congruent = congruent_step
-                    .map(|s| generate_primes_congruent(b, s, count))
-                    .and_then(std::result::Result::ok);
-                let pool = match congruent {
-                    Some(pool) => pool,
-                    None => generate_ntt_primes(b, self.n, count)?,
-                };
-                let mut pool = pool.into_iter();
-                for (slot, &bit) in values.iter_mut().zip(bits.iter()) {
-                    if bit == b {
-                        *slot = pool.next().expect("pool sized to request count");
-                    }
-                }
-            }
-            return Ok(values);
+        // Without an explicit chain shape the builder generates one limb
+        // of `cipher_bits`.
+        let single = [self.cipher_bits];
+        let bits = self.moduli_bits.as_deref().unwrap_or(&single);
+        if bits.is_empty() {
+            return Err(Error::InvalidLimbCount { limbs: 0 });
         }
-        // Single generated limb: prefer q ≡ 1 (mod 2n·t) — with
+        // Equal bit sizes must still yield distinct primes: generate a
+        // pool per distinct size and hand primes out in request order.
+        // Each size class prefers primes ≡ 1 (mod 2n·t): with
         // q mod t = 1 the BFV plaintext-multiplication rounding term
         // (q mod t)·⌊mp/t⌋ vanishes (Gazelle's modulus structure, which
-        // Table III's noise model assumes). Fall back to a plain NTT prime
-        // when the progression is too sparse for the requested size.
-        let step = (2 * self.n as u64).checked_mul(t_val);
-        let q = match step {
-            Some(s) => generate_prime_congruent(self.cipher_bits, s)
-                .or_else(|_| generate_ntt_prime(self.cipher_bits, self.n))?,
-            None => generate_ntt_prime(self.cipher_bits, self.n)?,
-        };
-        Ok(vec![q])
+        // Table III's noise model assumes), and a fully congruent chain
+        // keeps Q_ℓ ≡ 1 (mod t) at *every* level, which also kills the
+        // dominant modulus-switch drift. Sizes whose congruent progression
+        // is too sparse fall back to plain NTT primes (e.g. 30-bit limbs
+        // at n = 4096 — the 2x30 preset's documented regime).
+        let mut values = vec![0u64; bits.len()];
+        let mut sizes = bits.to_vec();
+        sizes.sort_unstable();
+        sizes.dedup();
+        let congruent_step = (2 * self.n as u64).checked_mul(t_val);
+        for b in sizes {
+            let count = bits.iter().filter(|&&x| x == b).count();
+            let congruent = congruent_step
+                .map(|s| generate_primes_congruent(b, s, count))
+                .and_then(std::result::Result::ok);
+            let pool = match congruent {
+                Some(pool) => pool,
+                None => generate_ntt_primes(b, self.n, count)?,
+            };
+            let mut pool = pool.into_iter();
+            for (slot, &bit) in values.iter_mut().zip(bits.iter()) {
+                if bit == b {
+                    *slot = pool.next().expect("pool sized to request count");
+                }
+            }
+        }
+        Ok(values)
     }
 
     /// Resolves the special key-switch prime, if one was requested.

@@ -19,10 +19,12 @@
 //! * [`RnsPoly`] — `l` limb planes in **one contiguous allocation** with
 //!   stride-`n` views, so limb loops stream linearly through memory.
 //!
-//! A chain of length 1 is bit-identical to the historical single-modulus
-//! engine: every kernel degenerates to exactly the scalar loop the old
-//! `Poly` ran, which is the migration guarantee the equivalence proptests
-//! in `tests/rns_equivalence.rs` pin down.
+//! [`RnsPoly`] is the engine's only polynomial type; a single-modulus
+//! polynomial is a one-limb `RnsPoly` over `ModulusChain::new(n, &[q])`
+//! (plaintexts in `R_t` are bare coefficient vectors, see
+//! [`crate::encoder::Plaintext`]). `tests/rns_equivalence.rs` holds a
+//! one-limb chain against a reference on `Vec<u64>` that computes with
+//! [`Modulus`]' scalar methods and never enters [`crate::simd`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -30,11 +32,17 @@ use std::sync::Arc;
 use crate::arith::{CrtBasis, Modulus};
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
-use crate::poly::{
-    add_assign_slice, fma_pointwise_slice, mul_pointwise_slice, negate_slice, permute_slice,
-    sub_assign_slice, Representation,
-};
 use crate::simd::{self, DotPlanes};
+
+/// Which domain a polynomial's residues live in — shared by every limb
+/// plane of an [`RnsPoly`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Representation {
+    /// Coefficient form.
+    Coeff,
+    /// NTT (evaluation) form, bit-reversed order (see [`NttTable`]).
+    Eval,
+}
 
 /// An ordered chain of CRT primes with per-limb NTT tables and the
 /// cross-limb (Garner/CRT) constants.
@@ -311,9 +319,8 @@ pub enum PlaneAlign {
 /// (limb-major, stride `n`), with one representation tag shared by every
 /// plane — limbs always move through the NTT together.
 ///
-/// The API mirrors the scalar [`crate::poly::Poly`]; every operation takes
-/// the [`ModulusChain`] the polynomial belongs to and loops the matching
-/// scalar kernel over the limb planes.
+/// Every operation takes the [`ModulusChain`] the polynomial belongs to
+/// and runs the matching [`crate::simd`] kernel over the limb planes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RnsPoly {
     data: Vec<u64>,
@@ -403,7 +410,8 @@ impl RnsPoly {
     }
 
     /// Overwrites the representation tag without touching residues (the
-    /// scratch-reuse escape hatch, as on `Poly`).
+    /// escape hatch the scratch-reuse hot path needs to recycle a buffer
+    /// across domains; callers vouch for the claimed representation).
     #[inline]
     pub fn set_representation(&mut self, repr: Representation) {
         self.repr = repr;
@@ -475,7 +483,9 @@ impl RnsPoly {
             .chunks_exact_mut(self.n)
             .zip(src.data.chunks_exact(self.n))
         {
-            permute_slice(dst, s, perm);
+            for (d, &i) in dst.iter_mut().zip(perm) {
+                *d = s[i as usize];
+            }
         }
         self.repr = src.repr;
     }
@@ -564,7 +574,7 @@ impl RnsPoly {
             .zip(other.limb_planes())
             .enumerate()
         {
-            add_assign_slice(a, b, chain.modulus(i));
+            simd::add_assign(a, b, chain.modulus(i));
         }
         Ok(())
     }
@@ -582,7 +592,7 @@ impl RnsPoly {
             .zip(other.limb_planes())
             .enumerate()
         {
-            sub_assign_slice(a, b, chain.modulus(i));
+            simd::sub_assign(a, b, chain.modulus(i));
         }
         Ok(())
     }
@@ -590,7 +600,7 @@ impl RnsPoly {
     /// Negates every residue limb-wise in place.
     pub fn negate(&mut self, chain: &ModulusChain) {
         for (i, a) in self.data.chunks_exact_mut(self.n).enumerate() {
-            negate_slice(a, chain.modulus(i));
+            simd::negate(a, chain.modulus(i));
         }
     }
 
@@ -610,7 +620,7 @@ impl RnsPoly {
             .zip(other.limb_planes())
             .enumerate()
         {
-            mul_pointwise_slice(a, b, chain.modulus(i));
+            simd::mul_pointwise(a, b, chain.modulus(i));
         }
         Ok(())
     }
@@ -636,7 +646,7 @@ impl RnsPoly {
             .zip(b.limb_planes())
             .enumerate()
         {
-            fma_pointwise_slice(r, x, y, chain.modulus(i));
+            simd::fma_pointwise(r, x, y, chain.modulus(i));
         }
         Ok(())
     }
@@ -671,7 +681,7 @@ impl RnsPoly {
             .zip(other.limb_planes())
             .enumerate()
         {
-            mul_pointwise_slice(a, b, chain.modulus(i));
+            simd::mul_pointwise(a, b, chain.modulus(i));
         }
         Ok(())
     }
@@ -994,7 +1004,6 @@ fn repr_name(r: Representation) -> &'static str {
 mod tests {
     use super::*;
     use crate::arith::generate_ntt_primes;
-    use crate::poly::Poly;
 
     /// Chain of `bits.len()` distinct primes (homogeneous sizes in tests).
     fn chain(n: usize, bits: &[u32]) -> ModulusChain {
@@ -1013,33 +1022,74 @@ mod tests {
         assert!(a.check_same(&c).is_err());
     }
 
+    /// A one-limb `RnsPoly` against a reference on `Vec<u64>` that
+    /// computes with [`Modulus`]' scalar methods and never enters
+    /// [`crate::simd`] (the transforms go through the limb's [`NttTable`],
+    /// which `simd_equivalence` holds against the scalar backend).
     #[test]
     fn single_limb_ops_match_poly_kernels() {
         let ch = chain(64, &[50]);
         let q = *ch.modulus(0);
-        let vals_a: Vec<u64> = (0..64).map(|i| (i as u64 * 977 + 13) % q.value()).collect();
-        let vals_b: Vec<u64> = (0..64).map(|i| (i as u64 * 31 + 7) % q.value()).collect();
+        // Residues across the whole range (`q − 1` included), so sums and
+        // differences wrap and every conditional correction is taken.
+        let spread = |mul: u64| -> Vec<u64> {
+            let mut v: Vec<u64> = (1..=64u64)
+                .map(|i| i.wrapping_mul(mul) % q.value())
+                .collect();
+            v[0] = q.value() - 1;
+            v
+        };
+        let (vals_a, vals_b) = (spread(0x9e37_79b9_7f4a_7c15), spread(0xbf58_476d_1ce4_e5b9));
 
         let mut r = RnsPoly::from_data(vals_a.clone(), 1, 64, Representation::Coeff);
         let rb = RnsPoly::from_data(vals_b.clone(), 1, 64, Representation::Coeff);
-        let mut p = Poly::from_data(vals_a, Representation::Coeff);
-        let pb = Poly::from_data(vals_b, Representation::Coeff);
+        let orig = r.clone();
+        let mut p = vals_a;
 
         r.add_assign(&rb, &ch).unwrap();
-        p.add_assign(&pb, &q).unwrap();
-        assert_eq!(r.limb(0), p.data());
+        p.iter_mut()
+            .zip(&vals_b)
+            .for_each(|(x, &y)| *x = q.add_mod(*x, y));
+        assert_eq!(r.limb(0), &p[..]);
 
         r.to_eval(&ch);
-        p.to_eval(ch.table(0));
-        assert_eq!(r.limb(0), p.data());
+        ch.table(0).forward(&mut p);
+        assert_eq!(r.limb(0), &p[..]);
+
+        let mut eb = rb.clone();
+        eb.to_eval(&ch);
+        let mut acc = r.clone();
+        acc.fma_pointwise(&r, &eb, &ch).unwrap();
+        r.mul_assign_pointwise(&eb, &ch).unwrap();
+        let sum = p.clone();
+        p.iter_mut()
+            .zip(eb.limb(0))
+            .for_each(|(x, &y)| *x = q.mul_mod(*x, y));
+        assert_eq!(r.limb(0), &p[..]);
+        let fused: Vec<u64> = sum.iter().zip(&p).map(|(&x, &y)| q.add_mod(x, y)).collect();
+        assert_eq!(acc.limb(0), &fused[..]);
 
         r.to_coeff(&ch);
-        p.to_coeff(ch.table(0));
-        assert_eq!(r.limb(0), p.data());
+        ch.table(0).inverse(&mut p);
+        assert_eq!(r.limb(0), &p[..]);
 
         r.negate(&ch);
-        p.negate(&q);
-        assert_eq!(r.limb(0), p.data());
+        p.iter_mut().for_each(|x| *x = q.neg_mod(*x));
+        assert_eq!(r.limb(0), &p[..]);
+
+        r.sub_assign(&rb, &ch).unwrap();
+        p.iter_mut()
+            .zip(&vals_b)
+            .for_each(|(x, &y)| *x = q.sub_mod(*x, y));
+        assert_eq!(r.limb(0), &p[..]);
+
+        // add then sub, and negate twice, are identities.
+        let mut back = orig.clone();
+        back.add_assign(&rb, &ch).unwrap();
+        back.sub_assign(&rb, &ch).unwrap();
+        back.negate(&ch);
+        back.negate(&ch);
+        assert_eq!(back, orig);
     }
 
     #[test]
@@ -1051,6 +1101,9 @@ mod tests {
         let mut b = a.clone();
         b.to_eval(&ch);
         assert_ne!(a, b);
+        let once = b.clone();
+        b.to_eval(&ch); // idempotent
+        assert_eq!(b, once);
         b.to_coeff(&ch);
         assert_eq!(a, b);
     }
@@ -1207,6 +1260,16 @@ mod tests {
         assert!(matches!(
             a.mul_assign_pointwise(&b, &ch2),
             Err(Error::ParameterMismatch)
+        ));
+        // Same shape, other representation.
+        let c = RnsPoly::zero(&ch2, Representation::Coeff);
+        assert!(matches!(
+            a.add_assign(&c, &ch2),
+            Err(Error::WrongRepresentation { .. })
+        ));
+        assert!(matches!(
+            a.mul_assign_pointwise(&c, &ch2),
+            Err(Error::WrongRepresentation { .. })
         ));
     }
 

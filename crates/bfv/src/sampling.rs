@@ -11,9 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::arith::Modulus;
-use crate::poly::{Poly, Representation};
-use crate::rns::{ModulusChain, RnsPoly};
+use crate::rns::{ModulusChain, Representation, RnsPoly};
 
 /// Source of randomness for key generation and encryption.
 ///
@@ -55,28 +53,6 @@ impl BfvRng {
         self.cbd_k as u64
     }
 
-    /// Samples a uniform polynomial over `[0, q)` in the given
-    /// representation (uniform residues are uniform in either domain).
-    pub fn uniform_poly(&mut self, n: usize, q: &Modulus, repr: Representation) -> Poly {
-        let data = (0..n)
-            .map(|_| self.rng.random_range(0..q.value()))
-            .collect();
-        Poly::from_data(data, repr)
-    }
-
-    /// Samples a ternary polynomial with coefficients in `{-1, 0, 1}`
-    /// (uniform), in coefficient form — the RLWE secret distribution.
-    pub fn ternary_poly(&mut self, n: usize, q: &Modulus) -> Poly {
-        let data = (0..n)
-            .map(|_| match self.rng.random_range(0..3u8) {
-                0 => 0,
-                1 => 1,
-                _ => q.value() - 1, // -1 mod q
-            })
-            .collect();
-        Poly::from_data(data, Representation::Coeff)
-    }
-
     /// Samples one CBD(k) noise value in `[-k, k]`.
     pub fn noise_sample(&mut self) -> i64 {
         let k = self.cbd_k;
@@ -97,20 +73,11 @@ impl BfvRng {
         acc
     }
 
-    /// Samples a noise polynomial (coefficient form).
-    pub fn noise_poly(&mut self, n: usize, q: &Modulus) -> Poly {
-        let data = (0..n).map(|_| q.from_signed(self.noise_sample())).collect();
-        Poly::from_data(data, Representation::Coeff)
-    }
-
-    // ------------------------------------------------------------------
-    // RNS variants: one sample stream drives every limb plane.
-    // ------------------------------------------------------------------
-
     /// Samples a polynomial uniform over `[0, Q)` in RNS form: each limb
     /// plane is drawn uniformly mod its own prime, which by CRT is exactly
-    /// uniform mod the composed `Q`. For a 1-limb chain the draw sequence
-    /// is identical to [`BfvRng::uniform_poly`].
+    /// uniform mod the composed `Q`. The draw order — limb-major, one
+    /// `random_range` per residue — is what the seeded key and transcript
+    /// digests of `tests/bit_stability.rs` pin.
     pub fn uniform_rns(&mut self, chain: &ModulusChain, repr: Representation) -> RnsPoly {
         RnsPoly::from_fn(chain, repr, |i, _| {
             self.rng.random_range(0..chain.modulus(i).value())
@@ -127,7 +94,7 @@ impl BfvRng {
     /// Samples a ternary polynomial with coefficients in `{-1, 0, 1}`
     /// (uniform), lifted into every limb plane (coefficient form) — the
     /// RLWE secret distribution over the chain. One trit is drawn per
-    /// coefficient, exactly as in [`BfvRng::ternary_poly`].
+    /// coefficient, whatever the number of limbs.
     pub fn ternary_rns(&mut self, chain: &ModulusChain) -> RnsPoly {
         let trits: Vec<i64> = (0..chain.degree())
             .map(|_| match self.rng.random_range(0..3u8) {
@@ -141,7 +108,7 @@ impl BfvRng {
 
     /// Samples a CBD(k) noise polynomial lifted into every limb plane
     /// (coefficient form). One noise value is drawn per coefficient,
-    /// exactly as in [`BfvRng::noise_poly`].
+    /// whatever the number of limbs.
     pub fn noise_rns(&mut self, chain: &ModulusChain) -> RnsPoly {
         let samples: Vec<i64> = (0..chain.degree()).map(|_| self.noise_sample()).collect();
         RnsPoly::from_signed(&samples, chain)
@@ -216,17 +183,18 @@ pub fn expand_uniform(seed: u64, chain: &ModulusChain) -> RnsPoly {
 mod tests {
     use super::*;
 
-    fn q() -> Modulus {
-        Modulus::new(crate::arith::generate_ntt_prime(30, 1024).unwrap()).unwrap()
+    fn one_limb(n: usize) -> ModulusChain {
+        ModulusChain::new(n, &[crate::arith::generate_ntt_prime(30, n).unwrap()]).unwrap()
     }
 
     #[test]
     fn ternary_values_are_ternary() {
-        let q = q();
+        let chain = one_limb(1024);
+        let q = chain.modulus(0).value();
         let mut rng = BfvRng::from_seed(1, 3.2);
-        let p = rng.ternary_poly(1024, &q);
+        let p = rng.ternary_rns(&chain);
         for &c in p.data() {
-            assert!(c == 0 || c == 1 || c == q.value() - 1);
+            assert!(c == 0 || c == 1 || c == q - 1);
         }
     }
 
@@ -250,33 +218,13 @@ mod tests {
 
     #[test]
     fn uniform_poly_in_range_and_seed_reproducible() {
-        let q = q();
+        let chain = one_limb(256);
         let mut r1 = BfvRng::from_seed(42, 3.2);
         let mut r2 = BfvRng::from_seed(42, 3.2);
-        let a = r1.uniform_poly(256, &q, Representation::Eval);
-        let b = r2.uniform_poly(256, &q, Representation::Eval);
+        let a = r1.uniform_rns(&chain, Representation::Eval);
+        let b = r2.uniform_rns(&chain, Representation::Eval);
         assert_eq!(a, b);
-        assert!(a.data().iter().all(|&v| v < q.value()));
-    }
-
-    #[test]
-    fn single_limb_rns_sampling_matches_poly_sampling() {
-        let q = q();
-        let chain = ModulusChain::new(1024, &[q.value()]).unwrap();
-        let mut scalar = BfvRng::from_seed(77, 3.2);
-        let mut rns = BfvRng::from_seed(77, 3.2);
-
-        let a = scalar.uniform_poly(1024, &q, Representation::Eval);
-        let b = rns.uniform_rns(&chain, Representation::Eval);
-        assert_eq!(a.data(), b.limb(0));
-
-        let a = scalar.ternary_poly(1024, &q);
-        let b = rns.ternary_rns(&chain);
-        assert_eq!(a.data(), b.limb(0));
-
-        let a = scalar.noise_poly(1024, &q);
-        let b = rns.noise_rns(&chain);
-        assert_eq!(a.data(), b.limb(0));
+        assert!(a.data().iter().all(|&v| v < chain.modulus(0).value()));
     }
 
     #[test]

@@ -30,8 +30,7 @@ use crate::ciphertext::Ciphertext;
 use crate::evaluator::HoistedDecomposition;
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::poly::Representation;
-use crate::rns::RnsPoly;
+use crate::rns::{Representation, RnsPoly};
 
 /// A pool of reusable polynomial buffers for degree-`n` chains of up to
 /// `limbs` planes.

@@ -4,7 +4,7 @@
 //! Every element-wise loop of residue arithmetic in the engine funnels
 //! through this module: the Harvey NTT butterflies in
 //! [`crate::ntt::NttTable`], the Barrett/Shoup pointwise kernels in
-//! [`crate::poly`], the lazy inner product under every mask sum and key
+//! [`crate::rns`], the lazy inner product under every mask sum and key
 //! switch (`dot_pair`), and the per-coefficient loops of [`crate::rns`]
 //! that multiply every residue by a per-limb constant — the digit split of
 //! the RNS decomposition (`mul_scalar` by `q̂_i⁻¹`, then `peel_digit`), the
@@ -1544,6 +1544,39 @@ mod tests {
             let reference = run(SimdBackend::Scalar);
             for backend in runnable_backends() {
                 assert_eq!(run(backend), reference, "{} bits={bits}", backend.name());
+            }
+        }
+
+        // `mul_scalar` on every limb of every preset, by edge and random
+        // constants.
+        let mut presets = crate::params::BfvParams::presets(4096).unwrap();
+        presets.extend(crate::params::BfvParams::hybrid_presets(4096).unwrap());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA1A);
+        for (name, params) in presets {
+            let chain = params.chain();
+            for i in 0..chain.limbs() {
+                let q = chain.modulus(i);
+                let qv = q.value();
+                let a: Vec<u64> = (0..n).map(|_| rng.random_range(0..qv)).collect();
+                for c in [
+                    0,
+                    1,
+                    qv - 1,
+                    rng.random_range(0..qv),
+                    rng.random_range(0..qv),
+                ] {
+                    let run = |backend: SimdBackend| {
+                        let (_g, eff) = ForceGuard::pin(backend);
+                        assert_eq!(eff, backend);
+                        let mut r = a.clone();
+                        mul_scalar(&mut r, c, q);
+                        r
+                    };
+                    let reference = run(SimdBackend::Scalar);
+                    for backend in runnable_backends() {
+                        assert_eq!(run(backend), reference, "{name} limb {i} c={c}");
+                    }
+                }
             }
         }
     }

@@ -75,8 +75,7 @@ use crate::keys::{
 };
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::poly::Representation;
-use crate::rns::RnsPoly;
+use crate::rns::{Representation, RnsPoly};
 
 pub mod faults;
 

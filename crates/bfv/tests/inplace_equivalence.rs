@@ -1,12 +1,12 @@
 //! Equivalence properties for the zero-allocation hot path:
 //!
 //! * every in-place evaluator operation must be **bit-identical** to an
-//!   independent reference built from the (unchanged, seed-era) `Poly`
-//!   primitives;
+//!   independent reference on limb plane 0 as a `Vec<u64>`, computed with
+//!   [`Modulus`]' scalar methods, which never enter the `simd` dispatcher;
 //! * reusing a dirty [`Scratch`] across operations must never change a
 //!   result.
 
-use cheetah_bfv::poly::Poly;
+use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
     Scratch,
@@ -49,10 +49,24 @@ fn assert_polys_eq(a: &Ciphertext, b: &Ciphertext) {
     assert_eq!(a.c1().data(), b.c1().data(), "c1 residues differ");
 }
 
-/// Extracts limb plane 0 as a seed-era scalar `Poly` (the 1-limb chains in
-/// these tests make that the whole ciphertext component).
-fn limb0(p: &cheetah_bfv::RnsPoly) -> Poly {
-    Poly::from_data(p.limb(0).to_vec(), p.representation())
+/// Limb plane 0 (the 1-limb chains in these tests make that the whole
+/// ciphertext component).
+fn limb0(p: &cheetah_bfv::RnsPoly) -> Vec<u64> {
+    p.limb(0).to_vec()
+}
+
+/// `acc[j] = f(acc[j], a[j])`, the reference's one loop shape.
+fn zip_with(acc: &mut [u64], a: &[u64], f: impl Fn(u64, u64) -> u64) {
+    for (r, &x) in acc.iter_mut().zip(a) {
+        *r = f(*r, x);
+    }
+}
+
+/// `acc[j] += a[j]·b[j] mod q`.
+fn fma(acc: &mut [u64], a: &[u64], b: &[u64], q: &Modulus) {
+    for ((r, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+        *r = q.add_mod(*r, q.mul_mod(x, y));
+    }
 }
 
 proptest! {
@@ -69,17 +83,17 @@ proptest! {
         let ca = c.enc.encrypt(&c.encoder.encode(&a).unwrap()).unwrap();
         let cb = c.enc.encrypt(&c.encoder.encode(&b).unwrap()).unwrap();
 
-        // Reference: seed-era scalar Poly primitives on limb plane 0 (the
-        // only limb of this chain).
+        // Reference: scalar `add_mod` on limb plane 0 (the only limb of
+        // this chain).
         let mut ref0 = limb0(ca.c0());
         let mut ref1 = limb0(ca.c1());
-        ref0.add_assign(&limb0(cb.c0()), &q).unwrap();
-        ref1.add_assign(&limb0(cb.c1()), &q).unwrap();
+        zip_with(&mut ref0, cb.c0().limb(0), |x, y| q.add_mod(x, y));
+        zip_with(&mut ref1, cb.c1().limb(0), |x, y| q.add_mod(x, y));
 
         let mut inplace = ca.clone();
         c.eval.add_assign(&mut inplace, &cb).unwrap();
-        prop_assert_eq!(inplace.c0().data(), ref0.data());
-        prop_assert_eq!(inplace.c1().data(), ref1.data());
+        prop_assert_eq!(inplace.c0().data(), &ref0[..]);
+        prop_assert_eq!(inplace.c1().data(), &ref1[..]);
 
         // Wrapper and in-place must agree bit-for-bit.
         let wrapper = c.eval.add(&ca, &cb).unwrap();
@@ -103,13 +117,13 @@ proptest! {
 
         let mut ref0 = limb0(ca.c0());
         let mut ref1 = limb0(ca.c1());
-        ref0.mul_assign_pointwise(&limb0(pw.poly()), &q).unwrap();
-        ref1.mul_assign_pointwise(&limb0(pw.poly()), &q).unwrap();
+        zip_with(&mut ref0, pw.poly().limb(0), |x, y| q.mul_mod(x, y));
+        zip_with(&mut ref1, pw.poly().limb(0), |x, y| q.mul_mod(x, y));
 
         let mut inplace = ca.clone();
         c.eval.mul_plain_assign(&mut inplace, &pw).unwrap();
-        prop_assert_eq!(inplace.c0().data(), ref0.data());
-        prop_assert_eq!(inplace.c1().data(), ref1.data());
+        prop_assert_eq!(inplace.c0().data(), &ref0[..]);
+        prop_assert_eq!(inplace.c1().data(), &ref1[..]);
 
         let wrapper = c.eval.mul_plain(&ca, &pw).unwrap();
         assert_polys_eq(&wrapper, &inplace);
@@ -123,7 +137,7 @@ proptest! {
 
     /// The one-pass group sum lands on the residues, the noise estimate
     /// and the op counts of its terms accumulated one at a time — and on
-    /// the seed-era `Poly` reference's residues.
+    /// the scalar reference's residues.
     #[test]
     fn mul_plain_accumulate_many_matches_sequential_and_poly_reference(
         seed in any::<u64>(),
@@ -151,8 +165,8 @@ proptest! {
         let mut sequential = start.clone();
         c.eval.reset_op_counts();
         for (ct, mask) in cts.iter().zip(&masks) {
-            ref0.fma_pointwise(&limb0(ct.c0()), &limb0(mask.poly()), &q).unwrap();
-            ref1.fma_pointwise(&limb0(ct.c1()), &limb0(mask.poly()), &q).unwrap();
+            fma(&mut ref0, ct.c0().limb(0), mask.poly().limb(0), &q);
+            fma(&mut ref1, ct.c1().limb(0), mask.poly().limb(0), &q);
             c.eval.mul_plain_accumulate(&mut sequential, ct, mask).unwrap();
         }
         let sequential_counts = c.eval.op_counts();
@@ -162,8 +176,8 @@ proptest! {
         c.eval.reset_op_counts();
         c.eval.mul_plain_accumulate_many(&mut many, &pairs).unwrap();
         prop_assert_eq!(c.eval.op_counts(), sequential_counts);
-        prop_assert_eq!(many.c0().data(), ref0.data());
-        prop_assert_eq!(many.c1().data(), ref1.data());
+        prop_assert_eq!(many.c0().data(), &ref0[..]);
+        prop_assert_eq!(many.c1().data(), &ref1[..]);
         assert_polys_eq(&many, &sequential);
         prop_assert_eq!(many.noise(), sequential.noise());
     }

@@ -63,11 +63,7 @@ impl Rig {
         let (m, noise) = q.decrypt(&q.phase(&c0, &c1, &self.s), t);
 
         let engine = self.decryptor.decrypt(ct).unwrap();
-        assert_eq!(
-            engine.poly().data(),
-            &m[..],
-            "{what}: engine vs oracle decrypt"
-        );
+        assert_eq!(engine.coeffs(), &m[..], "{what}: engine vs oracle decrypt");
         assert_eq!(
             self.decryptor.invariant_noise(ct).unwrap(),
             noise,
@@ -175,7 +171,7 @@ fn differential(name: &str, params: BfvParams, deepest: [bool; 5]) {
     // The oracle's algebra on the coefficient polynomials; a modulus
     // switch leaves the plaintext alone, so one prediction serves every
     // level.
-    let (m0, m1, p) = (pt0.poly().data(), pt1.poly().data(), mask.poly().data());
+    let (m0, m1, p) = (pt0.coeffs(), pt1.coeffs(), mask.coeffs());
     let g2 = rotation_element(n, STEPS[1]);
     let sum = add_mod_t(m0, m1, t);
     let product = mul_mod_t(m0, p, t);
@@ -283,7 +279,7 @@ fn switched_download(name: &str, params: BfvParams) {
         })
         .collect();
     let g = rotation_element(n, step);
-    let (mx, mw, mr) = (pt_x.poly().data(), pt_w.poly().data(), pt_r.poly().data());
+    let (mx, mw, mr) = (pt_x.coeffs(), pt_w.coeffs(), pt_r.coeffs());
     let expected = add_mod_t(&automorphism_mod_t(&mul_mod_t(mx, mw, t), g, t), mr, t);
 
     for level in 0..last {

@@ -2,8 +2,10 @@
 //!
 //! * a 1-limb [`cheetah_bfv::ModulusChain`] is **bit-identical** to the
 //!   historical single-`q` engine: a full encrypt → rotate → mul_plain →
-//!   decrypt pipeline is replayed step by step with seed-era scalar
-//!   [`Poly`] primitives on limb plane 0 and compared residue-for-residue;
+//!   decrypt pipeline is replayed step by step on limb plane 0 as a
+//!   `Vec<u64>`, with [`Modulus`]' scalar methods (which never enter the
+//!   `simd` dispatcher) and the limb's `NttTable`, and compared
+//!   residue-for-residue;
 //! * CRT decompose ∘ compose round-trips on random `u128` values under
 //!   every parameter preset (1, 2, and 3 limbs);
 //! * the evaluator rejects ciphertexts from a foreign chain, even one with
@@ -17,7 +19,6 @@
 use std::sync::OnceLock;
 
 use cheetah_bfv::arith::Modulus;
-use cheetah_bfv::poly::{Poly, Representation};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator, RnsPoly,
 };
@@ -56,20 +57,30 @@ fn single_limb_params() -> BfvParams {
         .unwrap()
 }
 
-/// Limb plane 0 as a seed-era scalar `Poly`.
-fn limb0(p: &RnsPoly) -> Poly {
-    Poly::from_data(p.limb(0).to_vec(), p.representation())
+/// `acc[j] += a[j]·b[j] mod q`, one scalar residue at a time.
+fn fma(acc: &mut [u64], a: &[u64], b: &[u64], q: &Modulus) {
+    for ((r, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+        *r = q.add_mod(*r, q.mul_mod(x, y));
+    }
+}
+
+/// `acc[j] *= b[j] mod q`.
+fn mul(acc: &mut [u64], b: &[u64], q: &Modulus) {
+    for (r, &y) in acc.iter_mut().zip(b) {
+        *r = q.mul_mod(*r, y);
+    }
 }
 
 /// The seed-era single-`q` decomposition: base-`base` digits of a
 /// coefficient-form polynomial, lowest first, `⌈log_base q⌉` of them.
-fn base_digits(p: &Poly, base: u64, q: &Modulus) -> Vec<Poly> {
+fn base_digits(p: &[u64], base: u64, q: &Modulus) -> Vec<Vec<u64>> {
     let log_base = base.trailing_zeros();
     let levels = q.bits().div_ceil(log_base);
     (0..levels)
         .map(|d| {
-            let digit = p.data().iter().map(|&v| (v >> (d * log_base)) & (base - 1));
-            Poly::from_data(digit.collect(), Representation::Coeff)
+            p.iter()
+                .map(|&v| (v >> (d * log_base)) & (base - 1))
+                .collect()
         })
         .collect()
 }
@@ -78,7 +89,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// (a) 1-limb bit-identity: the whole encrypt → rotate → mul_plain →
-    /// decrypt pipeline, each stage replayed with scalar `Poly` kernels.
+    /// decrypt pipeline, each stage replayed on `Vec<u64>` planes.
     #[test]
     fn one_limb_pipeline_matches_single_q_reference(
         seed in any::<u64>(),
@@ -100,21 +111,20 @@ proptest! {
         let perm = key.permutation();
         let n = c.params.degree();
 
-        let mut ref_c0 = Poly::zero(n, Representation::Eval);
-        ref_c0.permute_from(&limb0(ct.c0()), perm);
-        let mut c1_g = Poly::zero(n, Representation::Eval);
-        c1_g.permute_from(&limb0(ct.c1()), perm);
-        c1_g.to_coeff(table);
+        let permute = |p: &RnsPoly| -> Vec<u64> { perm.iter().map(|&i| p.limb(0)[i as usize]).collect() };
+        let mut ref_c0 = permute(ct.c0());
+        let mut c1_g = permute(ct.c1());
+        table.inverse(&mut c1_g);
         let digits = base_digits(&c1_g, c.params.a_dcmp(), &q);
         prop_assert_eq!(digits.len(), c.params.l_ct());
-        let mut ref_c1 = Poly::zero(n, Representation::Eval);
+        let mut ref_c1 = vec![0u64; n];
         for (mut digit, (k0, k1)) in digits.into_iter().zip(key.pairs()) {
-            digit.to_eval(table);
-            ref_c0.fma_pointwise(&digit, &limb0(k0), &q).unwrap();
-            ref_c1.fma_pointwise(&digit, &limb0(k1), &q).unwrap();
+            table.forward(&mut digit);
+            fma(&mut ref_c0, &digit, k0.limb(0), &q);
+            fma(&mut ref_c1, &digit, k1.limb(0), &q);
         }
-        prop_assert_eq!(rotated.c0().data(), ref_c0.data(), "rotate c0");
-        prop_assert_eq!(rotated.c1().data(), ref_c1.data(), "rotate c1");
+        prop_assert_eq!(rotated.c0().data(), &ref_c0[..], "rotate c0");
+        prop_assert_eq!(rotated.c1().data(), &ref_c1[..], "rotate c1");
 
         // --- Stage 2: mul_plain (engine) vs scalar pointwise product. ---
         let pw = c
@@ -122,27 +132,25 @@ proptest! {
             .prepare_plaintext(&c.encoder.encode(&weights).unwrap())
             .unwrap();
         let prod = c.eval.mul_plain(&rotated, &pw).unwrap();
-        ref_c0.mul_assign_pointwise(&limb0(pw.poly()), &q).unwrap();
-        ref_c1.mul_assign_pointwise(&limb0(pw.poly()), &q).unwrap();
-        prop_assert_eq!(prod.c0().data(), ref_c0.data(), "mul c0");
-        prop_assert_eq!(prod.c1().data(), ref_c1.data(), "mul c1");
+        mul(&mut ref_c0, pw.poly().limb(0), &q);
+        mul(&mut ref_c1, pw.poly().limb(0), &q);
+        prop_assert_eq!(prod.c0().data(), &ref_c0[..], "mul c0");
+        prop_assert_eq!(prod.c1().data(), &ref_c1[..], "mul c1");
 
         // --- Stage 3: decrypt (engine) vs scalar phase + exact rounding. ---
         let decrypted = c.dec.decrypt(&prod).unwrap();
         let mut kg = KeyGenerator::from_seed(c.params.clone(), seed);
         let _ = kg.public_key().unwrap(); // replay the keygen stream
-        let s = limb0(kg.secret_key().poly());
-        let mut phase = ref_c1.clone();
-        phase.mul_assign_pointwise(&s, &q).unwrap();
-        phase.add_assign(&ref_c0, &q).unwrap();
-        phase.to_coeff(table);
+        let s = kg.secret_key().poly().limb(0);
+        let mut phase = ref_c0.clone();
+        fma(&mut phase, &ref_c1, s, &q);
+        table.inverse(&mut phase);
         let (qv, tv) = (q.value() as u128, c.params.plain_modulus().value() as u128);
         let reference: Vec<u64> = phase
-            .data()
             .iter()
             .map(|&p| ((tv * p as u128 + qv / 2) / qv % tv) as u64)
             .collect();
-        prop_assert_eq!(decrypted.poly().data(), &reference[..], "decrypt");
+        prop_assert_eq!(decrypted.coeffs(), &reference[..], "decrypt");
     }
 
     /// (b) CRT decompose ∘ compose round-trip on random u128 values under

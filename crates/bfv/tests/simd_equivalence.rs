@@ -8,8 +8,9 @@
 //! * forward and inverse negacyclic NTT on random polynomials, per limb
 //!   of every preset (RNS and hybrid, the special prime `P` included), and
 //!   at the edges of the AVX-512 IFMA kernel's gate (`q < 2^50`, `n ≥ 16`);
-//! * the pointwise Barrett kernels (`add`/`sub`/`negate`/`mul`/`fma`/
-//!   `mul_scalar`) on random residue vectors;
+//! * the pointwise Barrett kernels (`add`/`sub`/`negate`/`mul`/`fma`)
+//!   on random residue vectors (`mul_scalar` is pinned by `simd.rs`'s
+//!   unit tests, on the same preset limbs);
 //! * the **lazy dot kernel** under every mask sum and key switch, against
 //!   sequential `fma_pointwise`, on random 20–61-bit NTT primes with term
 //!   counts straddling [`Modulus::lazy_dot_terms`] — and, under the IFMA
@@ -28,8 +29,7 @@
 
 use cheetah_bfv::arith::{generate_ntt_prime, generate_ntt_primes, is_prime, Modulus};
 use cheetah_bfv::ntt::NttTable;
-use cheetah_bfv::poly::{Poly, Representation};
-use cheetah_bfv::rns::{DotTerm, PlaneAlign};
+use cheetah_bfv::rns::{DotTerm, PlaneAlign, Representation};
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
@@ -149,46 +149,42 @@ proptest! {
     /// The pointwise residue kernels agree bit for bit on every backend,
     /// for every limb modulus of every preset.
     #[test]
-    fn pointwise_kernels_bit_identical_across_backends(seed in any::<u64>(), c in any::<u64>()) {
+    fn pointwise_kernels_bit_identical_across_backends(seed in any::<u64>()) {
         for (name, params) in all_presets() {
             let chain = params.chain();
-            for i in 0..chain.limbs() {
-                let q = chain.modulus(i);
-                let n = chain.degree();
-                let a = Poly::from_data(residues(q, n, seed), Representation::Eval);
-                let b = Poly::from_data(residues(q, n, seed ^ 0xabcd), Representation::Eval);
-                let c = c % q.value();
+            let n = chain.degree();
+            let poly = |salt: u64| {
+                let data = (0..chain.limbs())
+                    .flat_map(|i| residues(chain.modulus(i), n, seed ^ salt))
+                    .collect();
+                RnsPoly::from_data(data, chain.limbs(), n, Representation::Eval)
+            };
+            let (a, b) = (poly(0), poly(0xabcd));
 
-                let run = |backend: SimdBackend| -> Vec<Vec<u64>> {
-                    let (_guard, eff) = ForceGuard::force(backend);
-                    assert_eq!(eff, backend);
-                    let mut add = a.clone();
-                    add.add_assign(&b, q).unwrap();
-                    let mut sub = a.clone();
-                    sub.sub_assign(&b, q).unwrap();
-                    let mut neg = a.clone();
-                    neg.negate(q);
-                    let mut mul = a.clone();
-                    mul.mul_assign_pointwise(&b, q).unwrap();
-                    let mut muls = a.clone();
-                    muls.mul_scalar(c, q);
-                    let mut fma = add.clone();
-                    fma.fma_pointwise(&a, &b, q).unwrap();
-                    [add, sub, neg, mul, muls, fma]
-                        .into_iter()
-                        .map(Poly::into_data)
-                        .collect()
-                };
+            let run = |backend: SimdBackend| -> Vec<RnsPoly> {
+                let (_guard, eff) = ForceGuard::force(backend);
+                assert_eq!(eff, backend);
+                let mut add = a.clone();
+                add.add_assign(&b, chain).unwrap();
+                let mut sub = a.clone();
+                sub.sub_assign(&b, chain).unwrap();
+                let mut neg = a.clone();
+                neg.negate(chain);
+                let mut mul = a.clone();
+                mul.mul_assign_pointwise(&b, chain).unwrap();
+                let mut fma = add.clone();
+                fma.fma_pointwise(&a, &b, chain).unwrap();
+                vec![add, sub, neg, mul, fma]
+            };
 
-                let reference = run(SimdBackend::Scalar);
-                for backend in runnable_vector_backends() {
-                    let got = run(backend);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "{} limb {} pointwise kernels diverged on {}",
-                        name, i, backend.name()
-                    );
-                }
+            let reference = run(SimdBackend::Scalar);
+            for backend in runnable_vector_backends() {
+                let got = run(backend);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "{} pointwise kernels diverged on {}",
+                    name, backend.name()
+                );
             }
         }
     }

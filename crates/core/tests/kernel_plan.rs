@@ -15,7 +15,6 @@
 //! * one, two and three threads give identical residues, noise estimates
 //!   and counts.
 
-use cheetah_bfv::poly::Poly;
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator, Plaintext,
 };
@@ -69,11 +68,11 @@ fn random_plan(combine: Combine, row: usize, rng: &mut StdRng) -> BsgsPlan {
 /// coefficient norm is what multiplication noise grows with, so a case
 /// picks it; the slots it decodes to are arbitrary mod `t`.
 fn random_mask(params: &BfvParams, bound: i64, rng: &mut StdRng) -> Plaintext {
-    let coeffs: Vec<i64> = (0..params.degree())
-        .map(|_| rng.random_range(-bound..=bound))
+    let t = params.plain_modulus();
+    let coeffs: Vec<u64> = (0..params.degree())
+        .map(|_| t.from_signed(rng.random_range(-bound..=bound)))
         .collect();
-    let poly = Poly::from_signed(&coeffs, params.plain_modulus());
-    Plaintext::from_poly(poly, params.clone()).unwrap()
+    Plaintext::from_coeffs(coeffs, params.clone()).unwrap()
 }
 
 #[test]

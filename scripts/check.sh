@@ -237,6 +237,16 @@ if git grep -nE 'Kind::PublicKey\b|PlaintextMask|encode_public_key\(|plaintext_m
     exit 1
 fi
 
+echo "==> one-polynomial gate"
+# RnsPoly is the engine's only polynomial type: a single-modulus polynomial
+# is a one-limb RnsPoly and a plaintext is its coefficient vector mod t
+# (Plaintext::from_coeffs). The seed-era single-modulus type and its module
+# stay deleted, in the library and in the tests' references alike.
+if git grep -nE 'struct Poly\b|mod poly\b|poly::' -- '*.rs'; then
+    echo "FAIL: a second polynomial type or its module is back (see matches above)"
+    exit 1
+fi
+
 echo "==> seeded-keys gate"
 # A client ships its Galois keys seeded, (element, seed, k0) per key, and the
 # server expands every pair's a from the seed (SeededGaloisKeys::expand, the
