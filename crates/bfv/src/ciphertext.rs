@@ -210,10 +210,10 @@ impl Ciphertext {
         self.noise.budget_bits_worst_at(&self.params, self.level())
     }
 
-    /// Serialized size in bytes: two components of `live_limbs · n` 8-byte
-    /// words each. Communication accounting in the protocol layer scales
-    /// with the **live** limb count, so a modulus-switched ciphertext
-    /// shrinks on the wire exactly as it does in memory.
+    /// In-memory size in bytes: two components of `live_limbs · n` 8-byte
+    /// words each, so a modulus-switched ciphertext shrinks with its
+    /// **live** limb count. The wire packs each limb plane at its limb's
+    /// width instead ([`crate::wire::ciphertext_wire_bytes`]).
     pub fn byte_size(&self) -> usize {
         2 * self.live_limbs() * self.params.degree() * 8
     }

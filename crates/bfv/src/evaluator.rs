@@ -1000,8 +1000,9 @@ impl Evaluator {
     /// [`NoiseEstimate::mod_switch`]), the ceiling divides by the same
     /// factor, and **every subsequent operation gets cheaper**: rotations
     /// at the new level run `(l_ct(ℓ+1) + 1)·live` NTT plane transforms
-    /// and `2·l_ct(ℓ+1)` pointwise multiplications, storage and wire size
-    /// drop to `2·live·n·8` bytes.
+    /// and `2·l_ct(ℓ+1)` pointwise multiplications, storage drops to
+    /// `2·live·n·8` bytes and the wire to the live planes, packed
+    /// ([`crate::wire::ciphertext_wire_bytes`]).
     ///
     /// Costs `2·live` NTT plane transforms (per component, the INTT of the
     /// dropped plane and one NTT of its lift onto each survivor). No

@@ -87,8 +87,9 @@ impl PublicKey {
         Self { pk0, pk1, params }
     }
 
-    /// Serialized size in bytes (for protocol accounting): two full-width
-    /// components of `l_limbs · n` 8-byte words.
+    /// In-memory size in bytes: two full-width components of
+    /// `l_limbs · n` 8-byte words. (The wire ships `pk0` alone, packed:
+    /// [`crate::wire::seeded_public_key_wire_bytes`].)
     pub fn byte_size(&self) -> usize {
         2 * self.params.limbs() * self.params.degree() * 8
     }
@@ -123,13 +124,6 @@ impl GaloisKey {
     pub fn permutation(&self) -> &[u32] {
         &self.perm
     }
-}
-
-/// Bytes of one key's `k0` polynomials (equally, of its `k1`s):
-/// `ks_digits_at(0)` polynomials over the `ks_chain_at(0)` planes, `n`
-/// 8-byte words a plane.
-pub(crate) fn key_half_bytes(params: &BfvParams) -> usize {
-    params.ks_digits_at(0) * params.ks_chain_at(0).limbs() * params.degree() * 8
 }
 
 /// One Galois key as a client generates and ships it: the element, the
@@ -302,11 +296,13 @@ impl GaloisKeys {
         self.keys.keys().copied()
     }
 
-    /// Bytes of key material held: per key, `ks_digits_at(0)` pairs of
-    /// polynomials over the `ks_chain_at(0)` planes, `n` 8-byte words a
-    /// plane. Twice what the seeded set a client ships carries.
+    /// Bytes of key material held in memory: per key, `ks_digits_at(0)`
+    /// pairs of polynomials over the `ks_chain_at(0)` planes, `n` 8-byte
+    /// words a plane. (The seeded set a client ships carries only the
+    /// `k0`s, packed at each limb's width: [`crate::wire`].)
     pub fn byte_size(&self, params: &BfvParams) -> usize {
-        self.keys.len() * 2 * key_half_bytes(params)
+        let planes = params.ks_digits_at(0) * params.ks_chain_at(0).limbs();
+        self.keys.len() * 2 * planes * params.degree() * 8
     }
 
     pub(crate) fn insert(&mut self, key: GaloisKey) {

@@ -38,7 +38,8 @@
 //!   planes only. A rotation at level `ℓ` performs
 //!   `(l_ct(ℓ) + 1)·live` NTT plane transforms and `2·l_ct(ℓ)` pointwise
 //!   multiplications instead of the level-0 `(l_ct + 1)·l` and `2·l_ct`,
-//!   storage and wire bytes drop to `2·live·n·8`, and existing Galois
+//!   storage drops to `2·live·n·8` bytes (and the wire to the live
+//!   planes, each packed at its limb's width), and existing Galois
 //!   keys keep working (the limb-major key-pair list is consumed as a
 //!   prefix — no key regeneration).
 //! * **When to switch** — once enough budget has been burned that the

@@ -7,17 +7,24 @@
 //! | offset | size | field |
 //! |--------|------|-------|
 //! | 0      | 4    | magic `b"CHWF"` |
-//! | 4      | 2    | format version (`u16`: 1 = full kinds, 2 = seeded kinds) |
+//! | 4      | 2    | format version (`u16`, [`VERSION`] = 3 for every kind) |
 //! | 6      | 1    | message kind |
 //! | 7      | 1    | reserved (ignored on decode) |
 //! | 8      | 8    | parameter-chain fingerprint (`u64`) |
 //! | 16     | 4    | level (dropped-limb count, `u32`) |
 //! | 20     | 4    | live limb planes per polynomial (`u32`) |
 //!
-//! followed by the message payload: polynomial words in limb-major
-//! little-endian order. A level-`ℓ` ciphertext's payload is exactly the
-//! `2·live·n·8` bytes the transcript accounting has always charged —
-//! the header is the only framing overhead.
+//! followed by the message payload: polynomials in limb-major order, each
+//! limb plane **packed at its limb's width**. Plane `i` under modulus
+//! `q_i` is `n` little-endian, LSB-first fields of
+//! `w_i = 64 − q_i.leading_zeros()` bits — exactly `n·w_i/8` bytes, since
+//! `n` is a power of two `≥ 8`, so a plane needs no padding. A
+//! Galois key's last plane on a hybrid chain is packed at the width of
+//! the special prime `P`. One polynomial over `live` planes is
+//! [`poly_bytes`]` = Σ_{i<live} n·w_i/8` bytes; every size function below
+//! is built from it, and a level-`ℓ` ciphertext's payload is
+//! `2·poly_bytes(live)` — what the transcript accounting charges. The
+//! header is the only framing overhead.
 //!
 //! Four kinds cross the boundary: full ciphertexts (kind 1, downloads),
 //! seeded ciphertexts (kind 5, uploads), seeded public keys (kind 6,
@@ -28,28 +35,32 @@
 //! serialized — so their bytes decode as unknown kinds and are never
 //! reused.
 //!
-//! **Seeded compression (format version 2).** A *fresh* symmetric
-//! ciphertext has `c1 = a` drawn uniformly, a public key has `pk1 = a`
-//! likewise, and so does every Galois key pair's `k1` — all pure PRNG
-//! output, so shipping the full polynomial is waste. Version-2 messages
-//! (kinds [`Kind::SeededCiphertext`] / [`Kind::SeededPublicKey`]) carry
-//! an 8-byte expansion seed followed by `c0` alone; the receiver rebuilds
-//! the uniform component with [`crate::sampling::expand_uniform`],
-//! nearly halving upload bytes (`8 + live·n·8` payload instead of
-//! `2·live·n·8`). A [`Kind::SeededGaloisKeys`] set carries one seed per
-//! key beside its `k0`s; [`crate::keys::SeededGaloisKeys::expand`]
-//! rebuilds every pair's `a` from it. Seeded ciphertexts are level-0 by
-//! construction (only fresh encryptions have a uniform `c1`; anything
-//! key-switched or mod-switched does not). Version negotiation is per
-//! message: a ciphertext decoder accepts both formats by kind — version 1
-//! for the full kind, version 2 for seeded kinds.
+//! **Seeded compression.** A *fresh* symmetric ciphertext has `c1 = a`
+//! drawn uniformly, a public key has `pk1 = a` likewise, and so does every
+//! Galois key pair's `k1` — all pure PRNG output, so shipping the full
+//! polynomial is waste. Seeded messages (kinds
+//! [`Kind::SeededCiphertext`] / [`Kind::SeededPublicKey`]) carry an
+//! 8-byte expansion seed followed by `c0` alone; the receiver rebuilds
+//! the uniform component with [`crate::sampling::expand_uniform`]
+//! (`8 + poly_bytes(live)` payload instead of `2·poly_bytes(live)`). A
+//! [`Kind::SeededGaloisKeys`] set carries one seed per key beside its
+//! `k0`s; [`crate::keys::SeededGaloisKeys::expand`] rebuilds every
+//! pair's `a` from it. Seeded ciphertexts are level-0 by construction
+//! (only fresh encryptions have a uniform `c1`; anything key-switched or
+//! mod-switched does not). The ciphertext decoder dispatches on the kind
+//! byte.
+//!
+//! **Versioning.** There is one layout and one version: every kind is
+//! written and read as [`VERSION`] 3. Versions 1 and 2 (the retired
+//! `u64`-per-residue layout) decode as an unsupported version.
 //!
 //! `decode_*` enforces, in order and **before any arithmetic**: length,
 //! magic/version/kind, fingerprint match against the session's
 //! [`BfvParams`] ([`crate::Error::ChainMismatch`]), level validity
 //! ([`crate::Error::InvalidLevel`]), header self-consistency, and
-//! canonical residues (`c < q_i` on every limb plane,
-//! [`crate::Error::Malformed`]). What validation cannot see — a payload
+//! canonical residues — every packed field `< q_i`, checked as it is
+//! unpacked; a field in `[q_i, 2^{w_i})` is [`crate::Error::Malformed`]
+//! naming its plane and coefficient. What validation cannot see — a payload
 //! bit flip that stays canonical, swapped components, a level lie with a
 //! matching truncated payload — lands in a structurally valid but
 //! *cryptographically dead* ciphertext whose measured noise budget
@@ -70,21 +81,17 @@
 
 use crate::ciphertext::Ciphertext;
 use crate::error::{Error, Result};
-use crate::keys::{
-    check_galois_element, key_half_bytes, PublicKey, SeededGaloisKey, SeededGaloisKeys,
-};
+use crate::keys::{check_galois_element, PublicKey, SeededGaloisKey, SeededGaloisKeys};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::rns::{Representation, RnsPoly};
+use crate::rns::{ModulusChain, Representation, RnsPoly};
 
 pub mod faults;
 
 /// Wire magic: the first four bytes of every message.
 pub const MAGIC: [u8; 4] = *b"CHWF";
-/// Format version of full (two-polynomial) messages.
-pub const VERSION: u16 = 1;
-/// Format version of seeded (seed + one polynomial) messages.
-pub const SEEDED_VERSION: u16 = 2;
+/// The format version every message kind is written and read in.
+pub const VERSION: u16 = 3;
 /// Fixed header length in bytes.
 pub const HEADER_BYTES: usize = 24;
 /// Byte length of the expansion seed a seeded payload leads with.
@@ -106,19 +113,18 @@ pub const OFF_LIVE_LIMBS: usize = 20;
 
 /// Message kinds carried in the header. Bytes 2 (full public key), 3
 /// (full Galois key set) and 4 (plaintext mask) are retired kinds: they
-/// decode as unknown and are never reused, so every surviving message
-/// keeps its bytes.
+/// decode as unknown and are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kind {
     /// A BFV ciphertext (two evaluation-form polynomials).
     Ciphertext = 1,
-    /// A fresh seeded ciphertext: 8-byte expansion seed + `c0` (v2).
+    /// A fresh seeded ciphertext: 8-byte expansion seed + `c0`.
     SeededCiphertext = 5,
-    /// A seeded public key: 8-byte expansion seed + `pk0` (v2).
+    /// A seeded public key: 8-byte expansion seed + `pk0`.
     SeededPublicKey = 6,
     /// A seeded Galois key set: per key its element, an 8-byte expansion
-    /// seed and the pairs' `k0` (v2).
+    /// seed and the pairs' `k0`.
     SeededGaloisKeys = 7,
 }
 
@@ -130,18 +136,6 @@ impl Kind {
             6 => Some(Kind::SeededPublicKey),
             7 => Some(Kind::SeededGaloisKeys),
             _ => None,
-        }
-    }
-
-    /// The format version a kind is defined in: seeded kinds are v2, the
-    /// full ciphertext v1. Decoders hold each message to its kind's
-    /// version — that pairing *is* the version negotiation.
-    fn version(self) -> u16 {
-        match self {
-            Kind::Ciphertext => VERSION,
-            Kind::SeededCiphertext | Kind::SeededPublicKey | Kind::SeededGaloisKeys => {
-                SEEDED_VERSION
-            }
         }
     }
 }
@@ -178,6 +172,128 @@ fn malformed(what: &'static str, reason: String) -> Error {
 }
 
 // ---------------------------------------------------------------------
+// Packed residue planes
+// ---------------------------------------------------------------------
+
+/// Width in bits of one packed residue field under modulus `q`:
+/// `64 − q.leading_zeros()`, the fewest bits that hold every residue.
+pub fn field_bits(q: u64) -> usize {
+    (u64::BITS - q.leading_zeros()) as usize
+}
+
+/// Bytes of limb plane `i` of `chain` on the wire: `n·w_i/8`.
+pub fn plane_bytes(chain: &ModulusChain, i: usize) -> usize {
+    chain.degree() * field_bits(chain.modulus(i).value()) / 8
+}
+
+/// Bytes of one packed polynomial over the first `live` planes of
+/// `chain`: `Σ_{i<live} n·w_i/8`. Plane `i` starts `poly_bytes(chain, i)`
+/// bytes into the polynomial. Every message size is built from this.
+pub fn poly_bytes(chain: &ModulusChain, live: usize) -> usize {
+    (0..live).map(|i| plane_bytes(chain, i)).sum()
+}
+
+/// Overwrites field `index` of a packed plane of `bits`-bit fields that
+/// starts at `plane[0]` with the low `bits` bits of `value` — any value
+/// the layout can express, canonical or not (fault injection and the
+/// codec's own tests).
+///
+/// # Panics
+///
+/// If the field runs past the end of `plane`.
+pub fn write_field(plane: &mut [u8], bits: usize, index: usize, value: u64) {
+    for b in 0..bits {
+        let at = index * bits + b;
+        let mask = 1u8 << (at % 8);
+        if (value >> b) & 1 == 1 {
+            plane[at / 8] |= mask;
+        } else {
+            plane[at / 8] &= !mask;
+        }
+    }
+}
+
+/// Appends one limb plane of canonical residues (`< q`) as `n` packed
+/// `field_bits(q)`-bit fields, written into space sized up front.
+fn push_plane(out: &mut Vec<u8>, residues: &[u64], q: u64) {
+    let bits = field_bits(q) as u32;
+    let start = out.len();
+    out.resize(start + residues.len() * bits as usize / 8, 0);
+    let mut words = out[start..].chunks_exact_mut(8);
+    // `acc` holds the `held < 64` low bits not yet written.
+    let mut acc: u64 = 0;
+    let mut held = 0;
+    for &r in residues {
+        debug_assert!(r < q, "push_plane: residue {r} >= {q}");
+        acc |= r << held;
+        held += bits;
+        if held >= 64 {
+            if let Some(word) = words.next() {
+                word.copy_from_slice(&acc.to_le_bytes());
+            }
+            held -= 64;
+            // The high `held` bits of `r` that did not fit.
+            acc = r >> (bits - held);
+        }
+    }
+    let tail = words.into_remainder();
+    let len = tail.len();
+    tail.copy_from_slice(&acc.to_le_bytes()[..len]);
+}
+
+/// Appends a polynomial's live planes, each packed at its limb's width.
+fn push_poly(out: &mut Vec<u8>, poly: &RnsPoly, chain: &ModulusChain) {
+    for i in 0..poly.limbs() {
+        push_plane(out, poly.limb(i), chain.modulus(i).value());
+    }
+}
+
+/// Unpacks one plane of `dst.len()` fields under modulus `q` from `src`
+/// (exactly `plane_bytes` long), checking each field against `q` as it is
+/// read. Returns the first non-canonical `(coefficient, value)`.
+fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64) -> std::result::Result<(), (usize, u64)> {
+    let bits = field_bits(q) as u32;
+    let mask = u64::MAX >> (64 - bits);
+    let mut words = src.chunks_exact(8);
+    let tail = {
+        let rest = words.remainder();
+        let mut w = [0u8; 8];
+        w[..rest.len()].copy_from_slice(rest);
+        u64::from_le_bytes(w)
+    };
+    let mut next = || {
+        words.next().map_or(tail, |c| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(c);
+            u64::from_le_bytes(w)
+        })
+    };
+    // `acc` holds the `held < bits` low bits not yet read.
+    let mut acc: u64 = 0;
+    let mut held = 0;
+    for (j, d) in dst.iter_mut().enumerate() {
+        let v = if held >= bits {
+            let v = acc & mask;
+            acc >>= bits;
+            held -= bits;
+            v
+        } else {
+            let w = next();
+            let v = (acc | w << held) & mask;
+            // The rest of `w` past this field.
+            acc = w >> (bits - held);
+            held += 64 - bits;
+            v
+        };
+        if v >= q {
+            return Err((j, v));
+        }
+        *d = v;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // Little-endian writer / validating reader
 // ---------------------------------------------------------------------
 
@@ -193,16 +309,9 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn push_words(out: &mut Vec<u8>, words: &[u64]) {
-    out.reserve(words.len() * 8);
-    for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
 fn write_header(out: &mut Vec<u8>, kind: Kind, fingerprint: u64, level: usize, live: usize) {
     out.extend_from_slice(&MAGIC);
-    push_u16(out, kind.version());
+    push_u16(out, VERSION);
     out.push(kind as u8);
     out.push(0); // reserved
     push_u64(out, fingerprint);
@@ -263,15 +372,27 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(w))
     }
 
-    fn words(&mut self, count: usize) -> Result<Vec<u64>> {
-        let s = self.take(count * 8)?;
-        let mut out = Vec::with_capacity(count);
-        let mut w = [0u8; 8];
-        for chunk in s.chunks_exact(8) {
-            w.copy_from_slice(chunk);
-            out.push(u64::from_le_bytes(w));
+    /// Reads one packed evaluation-form polynomial over the first `live`
+    /// planes of `chain`, unpacking and canonical-checking every field in
+    /// the same pass. A hybrid Galois key's `k0`s are read against the
+    /// `P`-extended key-switch chain, whose last plane is packed and
+    /// checked at the special prime's width.
+    fn poly(&mut self, chain: &ModulusChain, live: usize) -> Result<RnsPoly> {
+        let n = chain.degree();
+        let mut data = vec![0u64; live * n];
+        for (i, plane) in data.chunks_exact_mut(n).enumerate() {
+            let q = chain.modulus(i).value();
+            let bytes = self.take(plane_bytes(chain, i))?;
+            unpack_plane(bytes, plane, q).map_err(|(j, v)| {
+                malformed(
+                    self.what,
+                    format!(
+                        "non-canonical residue {v} >= q_{i} = {q} in plane {i} at coefficient {j}"
+                    ),
+                )
+            })?;
         }
-        Ok(out)
+        Ok(RnsPoly::from_data(data, live, n, Representation::Eval))
     }
 
     fn remaining(&self) -> usize {
@@ -295,21 +416,10 @@ fn read_header(r: &mut Reader<'_>, kind: Kind, params: &BfvParams) -> Result<Hea
         return Err(malformed(what, format!("bad magic {magic:02x?}")));
     }
     let version = r.u16()?;
-    if version != VERSION && version != SEEDED_VERSION {
+    if version != VERSION {
         return Err(malformed(
             what,
-            format!(
-                "unsupported format version {version} (this engine speaks {VERSION} and {SEEDED_VERSION})"
-            ),
-        ));
-    }
-    if version != kind.version() {
-        return Err(malformed(
-            what,
-            format!(
-                "format version {version} where {kind:?} is a version-{} kind",
-                kind.version()
-            ),
+            format!("unsupported format version {version} (this engine speaks {VERSION})"),
         ));
     }
     let kind_byte = r.take(1)?[0];
@@ -350,59 +460,6 @@ fn read_header(r: &mut Reader<'_>, kind: Kind, params: &BfvParams) -> Result<Hea
     Ok(Header { level, live })
 }
 
-/// Errors unless every word of every live limb plane is a canonical
-/// residue (`< q_i`). Runs before the words reach any arithmetic.
-fn check_canonical(
-    words: &[u64],
-    chain: &crate::rns::ModulusChain,
-    live: usize,
-    what: &'static str,
-) -> Result<()> {
-    let n = chain.degree();
-    for i in 0..live {
-        let q = chain.modulus(i).value();
-        let plane = words
-            .get(i * n..(i + 1) * n)
-            .ok_or_else(|| malformed(what, format!("limb plane {i} missing from payload")))?;
-        if let Some(j) = plane.iter().position(|&w| w >= q) {
-            return Err(malformed(
-                what,
-                format!(
-                    "non-canonical residue {} >= q_{i} = {q} at coefficient {j}",
-                    plane[j]
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Reads one evaluation-form polynomial of `live` planes, canonical-checks
-/// it, and assembles the `RnsPoly`.
-fn read_poly(
-    r: &mut Reader<'_>,
-    params: &BfvParams,
-    live: usize,
-    repr: Representation,
-) -> Result<RnsPoly> {
-    read_poly_on(r, params.chain(), live, repr)
-}
-
-/// [`read_poly`] against an explicit chain — a hybrid Galois key's `k0`s
-/// live on the `P`-extended key-switch chain, whose last plane is canonical
-/// against the special prime, not any data limb.
-fn read_poly_on(
-    r: &mut Reader<'_>,
-    chain: &crate::rns::ModulusChain,
-    live: usize,
-    repr: Representation,
-) -> Result<RnsPoly> {
-    let n = chain.degree();
-    let words = r.words(live * n)?;
-    check_canonical(&words, chain, live, r.what)?;
-    Ok(RnsPoly::from_data(words, live, n, repr))
-}
-
 /// Errors unless the message has been consumed exactly — trailing bytes
 /// are as malformed as missing ones.
 fn expect_consumed(r: &Reader<'_>) -> Result<()> {
@@ -419,14 +476,14 @@ fn expect_consumed(r: &Reader<'_>) -> Result<()> {
 // Ciphertexts
 // ---------------------------------------------------------------------
 
-/// Exact encoded size of a level-`level` ciphertext:
-/// header + the `2·live·n·8` payload the transcript accounting charges.
+/// Exact encoded size of a level-`level` ciphertext: header + the
+/// `2·poly_bytes(live)` payload the transcript accounting charges.
 pub fn ciphertext_wire_bytes(params: &BfvParams, level: usize) -> usize {
-    HEADER_BYTES + 2 * params.live_limbs_at(level) * params.degree() * 8
+    HEADER_BYTES + 2 * poly_bytes(params.chain(), params.live_limbs_at(level))
 }
 
-/// Encodes a ciphertext canonically: header, then `c0` and `c1` words in
-/// limb-major little-endian order.
+/// Encodes a ciphertext canonically: header, then `c0` and `c1`, each
+/// limb plane packed at its limb's width.
 pub fn encode_ciphertext(ct: &Ciphertext) -> Vec<u8> {
     let params = ct.params();
     let mut out = Vec::with_capacity(ciphertext_wire_bytes(params, ct.level()));
@@ -437,18 +494,18 @@ pub fn encode_ciphertext(ct: &Ciphertext) -> Vec<u8> {
         ct.level(),
         ct.live_limbs(),
     );
-    push_words(&mut out, ct.c0().data());
-    push_words(&mut out, ct.c1().data());
+    push_poly(&mut out, ct.c0(), params.chain());
+    push_poly(&mut out, ct.c1(), params.chain());
     out
 }
 
 /// Exact encoded size of a seeded (fresh, level-0) ciphertext:
-/// header + 8-byte seed + the single `c0` polynomial.
+/// header + 8-byte seed + the single packed `c0` polynomial.
 pub fn seeded_ciphertext_wire_bytes(params: &BfvParams) -> usize {
-    HEADER_BYTES + SEED_BYTES + params.limbs() * params.degree() * 8
+    HEADER_BYTES + SEED_BYTES + poly_bytes(params.chain(), params.limbs())
 }
 
-/// Encodes a fresh symmetric ciphertext in the seeded v2 format: header,
+/// Encodes a fresh symmetric ciphertext in the seeded format: header,
 /// the 8-byte seed, then `c0` alone — `c1` is implied by the seed. The
 /// encoder *proves* the compression is lossless before shipping it:
 /// re-expanding `seed` must reproduce `c1` bit-for-bit (the pair comes
@@ -487,7 +544,7 @@ pub fn encode_ciphertext_seeded(ct: &Ciphertext, seed: u64) -> Result<Vec<u8>> {
         params.limbs(),
     );
     push_u64(&mut out, seed);
-    push_words(&mut out, ct.c0().data());
+    push_poly(&mut out, ct.c0(), params.chain());
     Ok(out)
 }
 
@@ -512,15 +569,15 @@ fn decode_ciphertext_seeded(bytes: &[u8], params: &BfvParams) -> Result<Cipherte
         ));
     }
     let seed = r.u64()?;
-    let c0 = read_poly(&mut r, params, h.live, Representation::Eval)?;
+    let c0 = r.poly(params.chain(), h.live)?;
     expect_consumed(&r)?;
     let c1 = crate::sampling::expand_uniform(seed, params.chain());
     Ciphertext::try_new(c0, c1, params.clone(), NoiseEstimate::fresh(params))
 }
 
 /// Decodes and fully validates a ciphertext against the session's
-/// parameters, accepting both the full v1 format and the seeded v2
-/// format (dispatching on the header's kind byte). See the module docs
+/// parameters, accepting both the full and the seeded kind
+/// (dispatching on the header's kind byte). See the module docs
 /// for the check order; nothing is constructed before every check
 /// passes.
 ///
@@ -549,16 +606,16 @@ pub fn decode_ciphertext(bytes: &[u8], params: &BfvParams) -> Result<Ciphertext>
             ),
         ));
     }
-    let c0 = read_poly(&mut r, params, h.live, Representation::Eval)?;
-    let c1 = read_poly(&mut r, params, h.live, Representation::Eval)?;
+    let c0 = r.poly(params.chain(), h.live)?;
+    let c1 = r.poly(params.chain(), h.live)?;
     expect_consumed(&r)?;
     Ciphertext::try_new(c0, c1, params.clone(), NoiseEstimate::fresh(params))
 }
 
 /// Splits a buffer of back-to-back ciphertext messages into individual
 /// message slices, using each header's kind and level fields to compute
-/// the exact message length (full v1 messages are sized by level; seeded
-/// v2 messages have one fixed level-0 size). Only the *framing* is
+/// the exact message length (full messages are sized by level; seeded
+/// messages have one fixed level-0 size). Only the *framing* is
 /// derived here — every slice must still pass [`decode_ciphertext`]'s
 /// full validation, so a corrupted kind or level field either misframes
 /// into a slice that fails validation or errors right here.
@@ -623,12 +680,12 @@ pub fn split_ciphertext_messages<'a>(bytes: &'a [u8], params: &BfvParams) -> Res
 // ---------------------------------------------------------------------
 
 /// Exact encoded size of a seeded public key: header + 8-byte seed + the
-/// single `pk0` polynomial.
+/// single packed `pk0` polynomial.
 pub fn seeded_public_key_wire_bytes(params: &BfvParams) -> usize {
-    HEADER_BYTES + SEED_BYTES + params.limbs() * params.degree() * 8
+    HEADER_BYTES + SEED_BYTES + poly_bytes(params.chain(), params.limbs())
 }
 
-/// Encodes a public key in the seeded v2 format: header, the 8-byte
+/// Encodes a public key in the seeded format: header, the 8-byte
 /// seed, then `pk0` alone — `pk1` is implied by the seed. The pair comes
 /// from [`crate::KeyGenerator::public_key_seeded`]; the encoder verifies
 /// the seed regenerates `pk1` before shipping.
@@ -655,7 +712,7 @@ pub fn encode_public_key_seeded(pk: &PublicKey, seed: u64) -> Result<Vec<u8>> {
         params.limbs(),
     );
     push_u64(&mut out, seed);
-    push_words(&mut out, pk.pk0().data());
+    push_poly(&mut out, pk.pk0(), params.chain());
     Ok(out)
 }
 
@@ -687,7 +744,7 @@ pub fn decode_public_key(bytes: &[u8], params: &BfvParams) -> Result<PublicKey> 
         ));
     }
     let seed = r.u64()?;
-    let pk0 = read_poly(&mut r, params, h.live, Representation::Eval)?;
+    let pk0 = r.poly(params.chain(), h.live)?;
     expect_consumed(&r)?;
     let pk1 = crate::sampling::expand_uniform(seed, params.chain());
     Ok(PublicKey::from_parts(pk0, pk1, params.clone()))
@@ -699,13 +756,15 @@ pub fn decode_public_key(bytes: &[u8], params: &BfvParams) -> Result<PublicKey> 
 
 /// Exact encoded size of a `count`-key seeded Galois key set: header, key
 /// count, then per key its element word, its seed, and `ks_digits_at(0)`
-/// `k0` polynomials over the `ks_chain_at(0)` planes — half the pair
-/// material the expanded [`crate::GaloisKeys::byte_size`] holds.
+/// packed `k0` polynomials over the `ks_chain_at(0)` planes (on a hybrid
+/// chain the last at the width of `P`).
 pub fn seeded_galois_keys_wire_bytes(params: &BfvParams, count: usize) -> usize {
-    HEADER_BYTES + 4 + count * (8 + SEED_BYTES + key_half_bytes(params))
+    let ks = params.ks_chain_at(0);
+    let k0_bytes = params.ks_digits_at(0) * poly_bytes(ks, ks.limbs());
+    HEADER_BYTES + 4 + count * (8 + SEED_BYTES + k0_bytes)
 }
 
-/// Encodes a seeded Galois key set canonically (version 2): keys in
+/// Encodes a seeded Galois key set canonically: keys in
 /// ascending element order, each as its element, its expansion seed and
 /// its pairs' `k0` polynomials. Neither the pairs' `a` nor the slot
 /// permutations are serialized — the receiver expands both from the seed
@@ -720,11 +779,12 @@ pub fn encode_seeded_galois_keys(keys: &SeededGaloisKeys, params: &BfvParams) ->
         params.limbs(),
     );
     push_u32(&mut out, keys.len() as u32);
+    let ks = params.ks_chain_at(0);
     for key in keys.iter() {
         push_u64(&mut out, key.element);
         push_u64(&mut out, key.seed);
         for k0 in key.k0() {
-            push_words(&mut out, k0.data());
+            push_poly(&mut out, k0, ks);
         }
     }
     out
@@ -783,7 +843,7 @@ pub fn decode_seeded_galois_keys(bytes: &[u8], params: &BfvParams) -> Result<See
         previous = g;
         let seed = r.u64()?;
         let k0 = (0..pair_count)
-            .map(|_| read_poly_on(&mut r, ks, ks.limbs(), Representation::Eval))
+            .map(|_| r.poly(ks, ks.limbs()))
             .collect::<Result<Vec<_>>>()?;
         out.insert(SeededGaloisKey::from_parts(g, seed, k0));
     }
@@ -807,6 +867,48 @@ mod tests {
             Encryptor::from_public_key(pk, 8),
             kg,
         )
+    }
+
+    /// The codec alone, at every field width an engine limb can have and
+    /// at the smallest degrees (whose planes end mid-word): unpacking
+    /// inverts packing, a plane is exactly `n·w/8` bytes, `write_field`
+    /// addresses the fields the packer wrote, and the first over-range
+    /// field is reported with its coefficient.
+    #[test]
+    fn packed_planes_roundtrip_at_every_width() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 1) % below
+        };
+        for bits in 2..=62 {
+            let q = (1u64 << (bits - 1)) + 1;
+            assert_eq!(field_bits(q), bits);
+            for n in [8usize, 16, 64] {
+                let mut residues: Vec<u64> = (0..n).map(|_| draw(q)).collect();
+                residues[n - 1] = q - 1;
+                let mut packed = Vec::new();
+                push_plane(&mut packed, &residues, q);
+                assert_eq!(packed.len(), n * bits / 8, "w={bits} n={n}");
+                let mut back = vec![0; n];
+                unpack_plane(&packed, &mut back, q).unwrap();
+                assert_eq!(back, residues, "w={bits} n={n}");
+
+                let j = draw(n as u64) as usize;
+                let fresh = draw(q);
+                residues[j] = fresh;
+                write_field(&mut packed, bits, j, fresh);
+                let mut repacked = Vec::new();
+                push_plane(&mut repacked, &residues, q);
+                assert_eq!(packed, repacked, "w={bits} n={n} field {j}");
+
+                let top = u64::MAX >> (64 - bits);
+                write_field(&mut packed, bits, j, top);
+                assert_eq!(unpack_plane(&packed, &mut back, q), Err((j, top)));
+            }
+        }
     }
 
     #[test]
@@ -834,7 +936,8 @@ mod tests {
         let ct = enc.encrypt(&encoder.encode(&[1, 2, 3]).unwrap()).unwrap();
         let bytes = encode_ciphertext(&ct);
         assert_eq!(bytes.len(), ciphertext_wire_bytes(&params, 0));
-        assert_eq!(bytes.len() - HEADER_BYTES, ct.byte_size());
+        // One 60-bit limb: 60 of every 64 in-memory bits cross the wire.
+        assert_eq!(bytes.len() - HEADER_BYTES, ct.byte_size() / 64 * 60);
         let back = decode_ciphertext(&bytes, &params).unwrap();
         assert_eq!(back.c0().data(), ct.c0().data());
         assert_eq!(back.c1().data(), ct.c1().data());
@@ -897,10 +1000,11 @@ mod tests {
         let ct = enc.encrypt(&encoder.encode(&[5]).unwrap()).unwrap();
         let mut bytes = encode_ciphertext(&ct);
         let q = params.chain().modulus(0).value();
-        bytes[HEADER_BYTES..HEADER_BYTES + 8].copy_from_slice(&q.to_le_bytes());
+        write_field(&mut bytes[HEADER_BYTES..], field_bits(q), 5, q);
         match decode_ciphertext(&bytes, &params) {
             Err(Error::Malformed { reason, .. }) => {
                 assert!(reason.contains("non-canonical"), "{reason}");
+                assert!(reason.contains("plane 0 at coefficient 5"), "{reason}");
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
@@ -956,7 +1060,10 @@ mod tests {
             let bytes = encode_ciphertext_seeded(&ct, seed).unwrap();
             assert_eq!(bytes.len(), seeded_ciphertext_wire_bytes(&params));
             // Payload is seed + c0: (slightly over) half the full payload.
-            assert_eq!(bytes.len() - HEADER_BYTES, SEED_BYTES + ct.byte_size() / 2);
+            assert_eq!(
+                2 * (bytes.len() - HEADER_BYTES - SEED_BYTES),
+                ciphertext_wire_bytes(&params, 0) - HEADER_BYTES
+            );
             assert!(bytes.len() < ciphertext_wire_bytes(&params, 0));
 
             // The generic decoder dispatches on kind and rebuilds c1.
@@ -964,7 +1071,7 @@ mod tests {
             assert_eq!(back.c0().data(), ct.c0().data());
             assert_eq!(back.c1().data(), ct.c1().data());
 
-            // Old full format still encodes/decodes the same ciphertext.
+            // The full kind still encodes/decodes the same ciphertext.
             let full = encode_ciphertext(&ct);
             let back_full = decode_ciphertext(&full, &params).unwrap();
             assert_eq!(back_full.c1().data(), ct.c1().data());
@@ -1002,21 +1109,19 @@ mod tests {
         let (ct, seed) = enc.encrypt_seeded(&encoder.encode(&[6]).unwrap()).unwrap();
         let bytes = encode_ciphertext_seeded(&ct, seed).unwrap();
 
-        // Version/kind pairing: a seeded kind with a v1 version field.
-        let mut bad_version = bytes.clone();
-        bad_version[OFF_VERSION..OFF_VERSION + 2].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            decode_ciphertext(&bad_version, &params),
-            Err(Error::Malformed { .. })
-        ));
-        // And the converse: a full kind claiming v2.
+        // One version for every kind: the retired v1 and v2 headers are
+        // unsupported, on the seeded kind and the full one alike.
         let full = encode_ciphertext(&ct);
-        let mut bad_full = full.clone();
-        bad_full[OFF_VERSION..OFF_VERSION + 2].copy_from_slice(&2u16.to_le_bytes());
-        assert!(matches!(
-            decode_ciphertext(&bad_full, &params),
-            Err(Error::Malformed { .. })
-        ));
+        for (message, version) in [(&bytes, 1u16), (&bytes, 2), (&full, 1), (&full, 2)] {
+            let mut old = message.clone();
+            old[OFF_VERSION..OFF_VERSION + 2].copy_from_slice(&version.to_le_bytes());
+            match decode_ciphertext(&old, &params) {
+                Err(Error::Malformed { reason, .. }) => {
+                    assert!(reason.contains("unsupported format version"), "{reason}");
+                }
+                other => panic!("v{version}: expected Malformed, got {other:?}"),
+            }
+        }
         // Truncation and trailing garbage are typed errors.
         assert!(matches!(
             decode_ciphertext(&bytes[..bytes.len() - 1], &params),
@@ -1031,8 +1136,7 @@ mod tests {
         // Non-canonical c0 residue, with the plane offset shifted by the seed.
         let mut bad = bytes.clone();
         let q = params.chain().modulus(0).value();
-        let off = HEADER_BYTES + SEED_BYTES;
-        bad[off..off + 8].copy_from_slice(&q.to_le_bytes());
+        write_field(&mut bad[HEADER_BYTES + SEED_BYTES..], field_bits(q), 0, q);
         match decode_ciphertext(&bad, &params) {
             Err(Error::Malformed { reason, .. }) => {
                 assert!(reason.contains("non-canonical"), "{reason}");
@@ -1062,7 +1166,10 @@ mod tests {
         let (pk, pk_seed) = kg.public_key_seeded().unwrap();
         let bytes = encode_public_key_seeded(&pk, pk_seed).unwrap();
         assert_eq!(bytes.len(), seeded_public_key_wire_bytes(&params));
-        assert_eq!(bytes.len() - HEADER_BYTES, SEED_BYTES + pk.byte_size() / 2);
+        assert_eq!(
+            bytes.len() - HEADER_BYTES,
+            SEED_BYTES + poly_bytes(params.chain(), params.limbs())
+        );
         let back = decode_public_key(&bytes, &params).unwrap();
         assert_eq!(back.pk0().data(), pk.pk0().data());
         assert_eq!(back.pk1().data(), pk.pk1().data());
@@ -1123,10 +1230,11 @@ mod tests {
             seeded_galois_keys_wire_bytes(&params, keys.len())
         );
         let expanded = keys.clone().expand(&params);
-        // Element + seed per key, and half the expanded pair material.
+        // Element + seed per key, and the k0 half of the expanded pair
+        // material, 30 of every 64 bits of it (two 30-bit limbs).
         assert_eq!(
             bytes.len(),
-            HEADER_BYTES + 4 + keys.len() * 16 + expanded.byte_size(&params) / 2
+            HEADER_BYTES + 4 + keys.len() * 16 + expanded.byte_size(&params) / 2 / 64 * 30
         );
         let back = decode_seeded_galois_keys(&bytes, &params).unwrap();
         assert_eq!(back, keys);

@@ -10,10 +10,10 @@
 //!
 //! * **Detected** — a typed error from wire decoding (structural faults:
 //!   truncation, bad framing, kind confusion, foreign chains,
-//!   non-canonical residues) or from the measured noise-budget gate at
-//!   decryption (semantic faults: in-range bit flips, swapped components,
-//!   consistent level lies — all of which turn into enormous invariant
-//!   noise);
+//!   non-canonical residues, over-range packed fields) or from the
+//!   measured noise-budget gate at decryption (semantic faults: in-range
+//!   bit flips, swapped components, consistent level lies — all of which
+//!   turn into enormous invariant noise);
 //! * **Harmless** — the decrypted slots are bit-identical to the clean
 //!   run's (e.g. the header's reserved byte, ignored by design).
 //!
@@ -24,8 +24,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use super::{
-    ciphertext_wire_bytes, decode_ciphertext, Kind, HEADER_BYTES, OFF_FINGERPRINT, OFF_KIND,
-    OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED, OFF_VERSION, SEED_BYTES,
+    ciphertext_wire_bytes, decode_ciphertext, field_bits, plane_bytes, poly_bytes, write_field,
+    Kind, HEADER_BYTES, OFF_FINGERPRINT, OFF_KIND, OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED,
+    OFF_VERSION, SEED_BYTES, VERSION,
 };
 use crate::{BfvParams, Ciphertext, Error, Result};
 use rand::rngs::StdRng;
@@ -65,11 +66,22 @@ pub enum Corruption {
     },
     /// Rewrites the chain fingerprint to a foreign value.
     ForeignFingerprint,
-    /// Writes a `>= q_i` word into limb plane `limb % live` of the first
-    /// component.
+    /// Writes a `>= q_i` field (all ones) into the first coefficient of
+    /// limb plane `limb % live` of the first component.
     NonCanonicalResidue {
         /// Target limb plane (reduced modulo the live count).
         limb: usize,
+    },
+    /// Writes `q_i` — or, with `top`, `2^{w_i} − 1` — into one packed
+    /// field of the first component: a value the `w_i`-bit layout can
+    /// express but the limb cannot hold.
+    OverRange {
+        /// Target limb plane (reduced modulo the live count).
+        limb: usize,
+        /// Target coefficient (reduced modulo the degree).
+        coeff: usize,
+        /// Write the field's largest value instead of `q_i`.
+        top: bool,
     },
     /// Swaps the two component polynomials (`c0 ↔ c1`) — every residue
     /// stays canonical, only the semantics break.
@@ -81,8 +93,8 @@ pub enum Corruption {
         value: u8,
     },
     /// Rewrites the header's kind byte — and, for a defined kind, the
-    /// version field to that kind's — so a message reaches the decoder
-    /// framed as another kind: seeded ↔ full ciphertext (5 ↔ 1), a key
+    /// version field to the one [`VERSION`] — so a message reaches the
+    /// decoder framed as another kind: seeded ↔ full ciphertext (5 ↔ 1), a key
     /// kind (6, 7) or a retired one (2, 3, 4).
     KindRelabel {
         /// The kind byte written.
@@ -103,6 +115,9 @@ impl Corruption {
             } => format!("level-lie[{level},resize={resize_payload}]"),
             Corruption::ForeignFingerprint => "foreign-fingerprint".to_string(),
             Corruption::NonCanonicalResidue { limb } => format!("non-canonical[{limb}]"),
+            Corruption::OverRange { limb, coeff, top } => {
+                format!("over-range[{limb}.{coeff},top={top}]")
+            }
             Corruption::SwapComponents => "swap-components".to_string(),
             Corruption::ReservedByte { value } => format!("reserved[{value:#04x}]"),
             Corruption::KindRelabel { kind } => format!("kind-relabel[{kind}]"),
@@ -126,7 +141,7 @@ impl FaultInjector {
 
     /// Draws a random corruption class sized for an `len`-byte message.
     pub fn random_corruption(&mut self, len: usize) -> Corruption {
-        match self.rng.random_range(0..9u32) {
+        match self.rng.random_range(0..10u32) {
             0 => Corruption::BitFlip {
                 byte: self.rng.random_range(0..len.max(1)),
                 bit: self.rng.random_range(0..8u8),
@@ -149,6 +164,11 @@ impl FaultInjector {
             7 => Corruption::ReservedByte {
                 value: self.rng.random_range(0..=255u32) as u8,
             },
+            8 => Corruption::OverRange {
+                limb: self.rng.random_range(0..8usize),
+                coeff: self.rng.random_range(0..len.max(1)),
+                top: self.rng.random_range(0..2u32) == 1,
+            },
             _ => Corruption::KindRelabel {
                 kind: self.rng.random_range(1..=7u32) as u8,
             },
@@ -161,14 +181,22 @@ impl FaultInjector {
     /// the closest expressible mutation rather than panicking.
     ///
     /// Payload-relative classes ([`Corruption::NonCanonicalResidue`],
-    /// [`Corruption::SwapComponents`], the length-consistent
-    /// [`Corruption::LevelLie`]) read the header's kind byte to aim at
-    /// the right offsets in both wire formats: full v1 payloads are
-    /// `(c0, c1)`, seeded v2 payloads are `(seed, c0)` — there the
-    /// residue planes start [`SEED_BYTES`] later and the
-    /// "components" swapped are the halves of `c0`.
+    /// [`Corruption::OverRange`], [`Corruption::SwapComponents`], the
+    /// length-consistent [`Corruption::LevelLie`]) read the header's kind
+    /// byte and level to aim at packed planes with the wire module's
+    /// size helpers, in both ciphertext kinds: full payloads are
+    /// `(c0, c1)`, seeded payloads are `(seed, c0)` — there the planes
+    /// start [`SEED_BYTES`] later and the "components" swapped are the
+    /// halves of `c0`.
     pub fn apply(message: &[u8], corruption: &Corruption, params: &BfvParams) -> Vec<u8> {
         let seeded = message.get(OFF_KIND) == Some(&(Kind::SeededCiphertext as u8));
+        let chain = params.chain();
+        let live = header_live(message, params);
+        let payload_at = if seeded {
+            HEADER_BYTES + SEED_BYTES
+        } else {
+            HEADER_BYTES
+        };
         let mut out = message.to_vec();
         match corruption {
             Corruption::BitFlip { byte, bit } => {
@@ -215,24 +243,11 @@ impl FaultInjector {
                 }
             }
             Corruption::NonCanonicalResidue { limb } => {
-                let planes_at = if seeded {
-                    HEADER_BYTES + SEED_BYTES
-                } else {
-                    HEADER_BYTES
-                };
-                if out.len() >= planes_at + 8 {
-                    let n = params.degree();
-                    let payload_words = (out.len() - planes_at) / 8;
-                    let components = if seeded { 1 } else { 2 };
-                    let live = (payload_words / components / n).max(1);
-                    let plane = limb % live;
-                    let at = planes_at + plane * n * 8;
-                    if at + 8 <= out.len() {
-                        // q < 2^62 everywhere in this engine, so MAX is
-                        // never a canonical residue.
-                        out[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-                    }
-                }
+                over_range(&mut out, payload_at, *limb % live, 0, true, params);
+            }
+            Corruption::OverRange { limb, coeff, top } => {
+                let coeff = coeff % params.degree();
+                over_range(&mut out, payload_at, *limb % live, coeff, *top, params);
             }
             Corruption::SwapComponents => {
                 // Full format: swap c0 and c1. Seeded format has a single
@@ -240,19 +255,15 @@ impl FaultInjector {
                 // instead (the seed is left intact) — residues stay in
                 // range per-plane only by accident, so the mutant dies
                 // either structurally or at the noise gate.
-                let payload_at = if seeded {
-                    HEADER_BYTES + SEED_BYTES
+                let poly = poly_bytes(chain, live);
+                let (span, half) = if seeded {
+                    (poly, poly / 2)
                 } else {
-                    HEADER_BYTES
+                    (2 * poly, poly)
                 };
-                if out.len() > payload_at {
-                    let payload = out.len() - payload_at;
-                    let half = payload / 2;
-                    let (a, b) = out.split_at_mut(payload_at + half);
-                    let a = &mut a[payload_at..];
-                    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                        std::mem::swap(x, y);
-                    }
+                if let Some(payload) = out.get_mut(payload_at..payload_at + span) {
+                    let (a, b) = payload.split_at_mut(half);
+                    a.swap_with_slice(&mut b[..half]);
                 }
             }
             Corruption::ReservedByte { value } => {
@@ -263,14 +274,49 @@ impl FaultInjector {
             Corruption::KindRelabel { kind } => {
                 if out.len() >= HEADER_BYTES {
                     out[OFF_KIND] = *kind;
-                    if let Some(defined) = Kind::from_u8(*kind) {
-                        out[OFF_VERSION..OFF_VERSION + 2]
-                            .copy_from_slice(&defined.version().to_le_bytes());
+                    if Kind::from_u8(*kind).is_some() {
+                        out[OFF_VERSION..OFF_VERSION + 2].copy_from_slice(&VERSION.to_le_bytes());
                     }
                 }
             }
         }
         out
+    }
+}
+
+/// Live planes per polynomial the header's level claims — what a decoder
+/// frames the payload by; the whole chain when the level is past it (or
+/// the header is cut short).
+fn header_live(message: &[u8], params: &BfvParams) -> usize {
+    let level = message
+        .get(OFF_LEVEL..OFF_LEVEL + 4)
+        .and_then(|b| <[u8; 4]>::try_from(b).ok())
+        .map_or(0, |b| u32::from_le_bytes(b) as usize);
+    if level < params.levels() {
+        params.live_limbs_at(level)
+    } else {
+        params.limbs()
+    }
+}
+
+/// Writes `q_plane` (or, with `top`, the all-ones field) into field
+/// `coeff` of plane `plane` of the first polynomial after `payload_at`;
+/// a message too short to hold that plane is left as it is.
+fn over_range(
+    out: &mut [u8],
+    payload_at: usize,
+    plane: usize,
+    coeff: usize,
+    top: bool,
+    params: &BfvParams,
+) {
+    let chain = params.chain();
+    let at = payload_at + poly_bytes(chain, plane);
+    let q = chain.modulus(plane).value();
+    let bits = field_bits(q);
+    let value = if top { u64::MAX >> (64 - bits) } else { q };
+    if let Some(bytes) = out.get_mut(at..at + plane_bytes(chain, plane)) {
+        write_field(bytes, bits, coeff, value);
     }
 }
 
@@ -354,7 +400,13 @@ mod tests {
     fn kind_relabel_writes_the_kind_and_a_defined_kinds_version() {
         let params = BfvParams::preset_rns_2x30(4096).unwrap();
         let msg = vec![0u8; HEADER_BYTES];
-        for (kind, version) in [(1u8, 1u16), (5, 2), (6, 2), (7, 2), (3, 0)] {
+        for (kind, version) in [
+            (1u8, VERSION),
+            (5, VERSION),
+            (6, VERSION),
+            (7, VERSION),
+            (3, 0),
+        ] {
             let out = FaultInjector::apply(&msg, &Corruption::KindRelabel { kind }, &params);
             assert_eq!(out[OFF_KIND], kind);
             let written = u16::from_le_bytes([out[OFF_VERSION], out[OFF_VERSION + 1]]);

@@ -259,6 +259,11 @@ mod wire_fault_harness {
             },
             Corruption::ForeignFingerprint,
             Corruption::NonCanonicalResidue { limb: 0 },
+            Corruption::OverRange {
+                limb: 0,
+                coeff: 5,
+                top: false,
+            },
             Corruption::SwapComponents,
             Corruption::ReservedByte { value: 0x42 },
             Corruption::KindRelabel { kind: 5 },

@@ -11,7 +11,8 @@
 //!   while 36-bit limbs drop happily;
 //! * a 1-limb chain is level-0-only (`InvalidLevel`, not a panic);
 //! * byte accounting follows the live level: a switched ciphertext
-//!   shrinks on the wire (`2·live·n·8`).
+//!   shrinks in memory (`2·live·n·8`) and on the wire (the live planes,
+//!   packed at their limbs' widths).
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, GaloisKeys,
@@ -190,6 +191,16 @@ fn switched_ciphertext_shrinks_on_the_wire() {
     let l2 = c.eval.mod_switch_to_next(&l1).unwrap();
     assert_eq!(l2.byte_size(), 2 * 4096 * 8);
     assert!(l2.byte_size() < l1.byte_size() && l1.byte_size() < ct.byte_size());
+    // On the wire every level is its live planes, packed.
+    let sizes: Vec<usize> = [&ct, &l1, &l2]
+        .iter()
+        .map(|x| cheetah_bfv::wire::encode_ciphertext(x).len())
+        .collect();
+    let expect: Vec<usize> = (0..3)
+        .map(|level| cheetah_bfv::wire::ciphertext_wire_bytes(&c.params, level))
+        .collect();
+    assert_eq!(sizes, expect);
+    assert!(sizes[2] < sizes[1] && sizes[1] < sizes[0]);
     // The transparent accumulator for a level matches its operands.
     let z = Ciphertext::transparent_zero_at(&c.params, 2);
     assert_eq!(z.byte_size(), l2.byte_size());

@@ -1,14 +1,18 @@
 //! Wire round-trip conformance: `encode → decode` must be bit-identical
-//! for every serializable object, at every level of every preset chain,
-//! and the encoded length must match the transcript accounting the
-//! protocol layer pins (`2·live·n·8` per ciphertext, plus the fixed
-//! 24-byte header).
+//! for every serializable object, at every level of every preset chain;
+//! the encoded length must match the wire module's size helpers exactly
+//! (one byte either way is refused), and every packed field must decode
+//! canonically — `q_i − 1` and 0 in, `q_i` and the all-ones field out, in
+//! every plane including a hybrid key's `P` plane.
 //!
 //! These pins are what make the transcript byte counts in
 //! `tests/session_conformance.rs` *mean* something: a message's accounted
 //! size plus [`wire::HEADER_BYTES`] is exactly what crosses the network.
 
-use cheetah_bfv::{wire, BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
+use cheetah_bfv::{
+    wire, BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
+    ModulusChain,
+};
 
 fn presets() -> Vec<(&'static str, BfvParams)> {
     vec![
@@ -23,7 +27,128 @@ fn presets() -> Vec<(&'static str, BfvParams)> {
 /// Bytes of one seeded key's `k0` polynomials: `ks_digits_at(0)` of them
 /// over the `ks_chain_at(0)` planes.
 fn key_k0_bytes(p: &BfvParams) -> usize {
-    p.ks_digits_at(0) * p.ks_chain_at(0).limbs() * p.degree() * 8
+    let ks = p.ks_chain_at(0);
+    p.ks_digits_at(0) * wire::poly_bytes(ks, ks.limbs())
+}
+
+/// The error's reason, panicking unless it is `Malformed`.
+fn malformed<T>(r: Result<T, Error>, what: &str) -> String {
+    match r {
+        Err(Error::Malformed { reason, .. }) => reason,
+        Err(other) => panic!("{what}: expected Malformed, got {other:?}"),
+        Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+/// Both ends of the canonical range and both over-range values a
+/// `w_i`-bit field can express, with whether each must decode.
+fn boundary_values(q: u64) -> [(u64, bool); 4] {
+    let top = u64::MAX >> (64 - wire::field_bits(q));
+    [(0, true), (q - 1, true), (q, false), (top, false)]
+}
+
+/// Writes each boundary value into coefficients `0`, `3` and `n − 1` of
+/// every plane of the packed polynomial over `live` planes of `chain`
+/// starting at byte `at` of `clean`, and checks `decode` accepts exactly
+/// the canonical ones — an over-range field is refused naming its plane
+/// and coefficient.
+fn check_plane_boundaries<T>(
+    clean: &[u8],
+    at: usize,
+    chain: &ModulusChain,
+    live: usize,
+    decode: impl Fn(&[u8]) -> Result<T, Error>,
+    what: &str,
+) {
+    let n = chain.degree();
+    for i in 0..live {
+        let q = chain.modulus(i).value();
+        let plane_at = at + wire::poly_bytes(chain, i);
+        for coeff in [0, 3, n - 1] {
+            for (value, canonical) in boundary_values(q) {
+                let mut mutant = clean.to_vec();
+                wire::write_field(&mut mutant[plane_at..], wire::field_bits(q), coeff, value);
+                let what = format!("{what} plane {i} coeff {coeff} value {value}");
+                if canonical {
+                    assert!(decode(&mutant).is_ok(), "{what}: refused");
+                } else {
+                    let reason = malformed(decode(&mutant), &what);
+                    assert!(
+                        reason.contains(&format!("plane {i} at coefficient {coeff}")),
+                        "{what}: {reason}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Exact framing: one byte short or one byte long is refused.
+fn check_exact_length<T>(clean: &[u8], decode: impl Fn(&[u8]) -> Result<T, Error>, what: &str) {
+    malformed(
+        decode(&clean[..clean.len() - 1]),
+        &format!("{what}: one byte short"),
+    );
+    let mut long = clean.to_vec();
+    long.push(0);
+    malformed(decode(&long), &format!("{what}: one byte long"));
+}
+
+/// The retired `u64` layout's versions decode as unsupported.
+fn check_old_versions_refused<T>(
+    clean: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, Error>,
+    what: &str,
+) {
+    assert_eq!(
+        u16::from_le_bytes([clean[wire::OFF_VERSION], clean[wire::OFF_VERSION + 1]]),
+        wire::VERSION,
+        "{what}"
+    );
+    for version in [1u16, 2] {
+        let mut old = clean.to_vec();
+        old[wire::OFF_VERSION..wire::OFF_VERSION + 2].copy_from_slice(&version.to_le_bytes());
+        let reason = malformed(decode(&old), &format!("{what} as v{version}"));
+        assert!(
+            reason.contains("unsupported format version"),
+            "{what}: {reason}"
+        );
+    }
+}
+
+#[test]
+fn planes_pack_at_their_limbs_width() {
+    for (name, p) in presets() {
+        let n = p.degree();
+        for chain in [p.chain(), p.ks_chain_at(0)] {
+            for i in 0..chain.limbs() {
+                let q = chain.modulus(i).value();
+                let bits = (64 - q.leading_zeros()) as usize;
+                assert!(q < 1 << bits && q >= 1 << (bits - 1), "{name}");
+                assert_eq!(wire::field_bits(q), bits, "{name} plane {i}");
+                assert_eq!(wire::plane_bytes(chain, i), n * bits / 8, "{name}");
+            }
+        }
+    }
+    // The widths the presets are named for, `P` included.
+    let width = |p: &BfvParams| {
+        let ks = p.ks_chain_at(0);
+        (0..ks.limbs())
+            .map(|i| wire::field_bits(ks.modulus(i).value()))
+            .collect::<Vec<_>>()
+    };
+    let ps = presets();
+    let widths: Vec<_> = ps.iter().map(|(_, p)| width(p)).collect();
+    assert_eq!(
+        widths,
+        [
+            vec![60],
+            vec![30, 30],
+            vec![36, 36, 36],
+            vec![54, 54],
+            vec![36, 36, 36]
+        ]
+    );
 }
 
 #[test]
@@ -45,24 +170,31 @@ fn ciphertext_roundtrips_at_every_level_on_every_preset() {
             let ct = eval.mod_switch_to(&fresh, level).unwrap();
             let bytes = wire::encode_ciphertext(&ct);
 
-            // Size pin: header + 2 polys × live limb planes × n × 8 bytes,
-            // and the payload part must agree with the object's own
-            // accounting (what the transcript records).
+            // Size pin: header + 2 packed polys over the live planes.
             let live = limbs - level;
+            let poly = wire::poly_bytes(p.chain(), live);
             assert_eq!(
                 bytes.len(),
-                wire::HEADER_BYTES + 2 * live * n * 8,
+                wire::HEADER_BYTES + 2 * poly,
                 "{name} lvl{level}: wire size formula"
             );
-            assert_eq!(
-                bytes.len(),
-                ct.byte_size() + wire::HEADER_BYTES,
-                "{name} lvl{level}: wire size vs transcript accounting"
-            );
             assert_eq!(bytes.len(), wire::ciphertext_wire_bytes(&p, level));
+            let decode = |b: &[u8]| wire::decode_ciphertext(b, &p);
+            let what = format!("{name} lvl{level}");
+            check_exact_length(&bytes, decode, &what);
+            check_old_versions_refused(&bytes, decode, &what);
+            for (component, at) in [
+                ("c0", wire::HEADER_BYTES),
+                ("c1", wire::HEADER_BYTES + poly),
+            ] {
+                let what = format!("{what} {component}");
+                check_plane_boundaries(&bytes, at, p.chain(), live, decode, &what);
+            }
 
             let back = wire::decode_ciphertext(&bytes, &p).unwrap();
             assert_eq!(back.level(), level);
+            assert_eq!(back.c0().data(), ct.c0().data(), "{name} lvl{level}");
+            assert_eq!(back.c1().data(), ct.c1().data(), "{name} lvl{level}");
             assert_eq!(
                 wire::encode_ciphertext(&back),
                 bytes,
@@ -88,10 +220,16 @@ fn public_key_roundtrip_and_size_pin() {
         // Seed + pk0: the seed stands in for the uniform pk1.
         assert_eq!(
             bytes.len(),
-            wire::HEADER_BYTES + wire::SEED_BYTES + pk.byte_size() / 2,
+            wire::HEADER_BYTES + wire::SEED_BYTES + wire::poly_bytes(p.chain(), p.limbs()),
             "{name}: public key wire size"
         );
         assert_eq!(bytes.len(), wire::seeded_public_key_wire_bytes(&p));
+        let decode = |b: &[u8]| wire::decode_public_key(b, &p);
+        let what = format!("{name} public key");
+        check_exact_length(&bytes, decode, &what);
+        check_old_versions_refused(&bytes, decode, &what);
+        let at = wire::HEADER_BYTES + wire::SEED_BYTES;
+        check_plane_boundaries(&bytes, at, p.chain(), p.limbs(), decode, &what);
         let back = wire::decode_public_key(&bytes, &p).unwrap();
         assert_eq!(
             wire::encode_public_key_seeded(&back, seed).unwrap(),
@@ -109,6 +247,79 @@ fn public_key_roundtrip_and_size_pin() {
 }
 
 #[test]
+fn seeded_ciphertext_roundtrip_size_and_canonical_fields() {
+    for (name, p) in presets() {
+        let kg = KeyGenerator::from_seed(p.clone(), 19);
+        let encoder = BatchEncoder::new(p.clone());
+        let mut enc = Encryptor::from_secret_key(kg.secret_key().clone(), 20);
+        let (ct, seed) = enc
+            .encrypt_seeded(&encoder.encode(&[3, 1, 4]).unwrap())
+            .unwrap();
+        let bytes = wire::encode_ciphertext_seeded(&ct, seed).unwrap();
+        assert_eq!(
+            bytes.len(),
+            wire::HEADER_BYTES + wire::SEED_BYTES + wire::poly_bytes(p.chain(), p.limbs()),
+            "{name}: seeded ciphertext wire size"
+        );
+        assert_eq!(bytes.len(), wire::seeded_ciphertext_wire_bytes(&p));
+        let back = wire::decode_ciphertext(&bytes, &p).unwrap();
+        assert_eq!(back.c0().data(), ct.c0().data(), "{name}");
+        assert_eq!(back.c1().data(), ct.c1().data(), "{name}");
+        assert_eq!(wire::encode_ciphertext_seeded(&back, seed).unwrap(), bytes);
+        let decode = |b: &[u8]| wire::decode_ciphertext(b, &p);
+        let what = format!("{name} seeded ciphertext");
+        check_exact_length(&bytes, decode, &what);
+        check_old_versions_refused(&bytes, decode, &what);
+        let at = wire::HEADER_BYTES + wire::SEED_BYTES;
+        check_plane_boundaries(&bytes, at, p.chain(), p.limbs(), decode, &what);
+    }
+}
+
+/// A download bundle may hold ciphertexts at different levels: the
+/// splitter sizes each message by its own header, so level-1 and level-0
+/// full ciphertexts back to back frame exactly and each decodes to what
+/// was encoded.
+#[test]
+fn bundles_of_full_ciphertexts_at_mixed_levels_split_exactly() {
+    for (name, p) in presets().into_iter().filter(|(_, p)| p.levels() > 1) {
+        let mut kg = KeyGenerator::from_seed(p.clone(), 23);
+        let pk = kg.public_key().unwrap();
+        let encoder = BatchEncoder::new(p.clone());
+        let mut enc = Encryptor::from_public_key(pk, 24);
+        let eval = Evaluator::new(p.clone());
+        let fresh: Vec<_> = (0..3u64)
+            .map(|v| enc.encrypt(&encoder.encode(&[v, v + 1]).unwrap()).unwrap())
+            .collect();
+        let cts = [
+            eval.mod_switch_to(&fresh[0], 1).unwrap(),
+            fresh[1].clone(),
+            eval.mod_switch_to(&fresh[2], 1).unwrap(),
+        ];
+        let messages: Vec<Vec<u8>> = cts.iter().map(wire::encode_ciphertext).collect();
+        let bundle = messages.concat();
+        assert_eq!(
+            bundle.len(),
+            2 * wire::ciphertext_wire_bytes(&p, 1) + wire::ciphertext_wire_bytes(&p, 0),
+            "{name}"
+        );
+        let parts = wire::split_ciphertext_messages(&bundle, &p).unwrap();
+        assert_eq!(parts.len(), 3, "{name}");
+        for ((part, message), ct) in parts.iter().zip(&messages).zip(&cts) {
+            assert_eq!(*part, &message[..], "{name}");
+            let back = wire::decode_ciphertext(part, &p).unwrap();
+            assert_eq!(back.level(), ct.level(), "{name}");
+            assert_eq!(back.c0().data(), ct.c0().data(), "{name}");
+            assert_eq!(back.c1().data(), ct.c1().data(), "{name}");
+        }
+        // One byte short of the last message is a framing error.
+        malformed(
+            wire::split_ciphertext_messages(&bundle[..bundle.len() - 1], &p),
+            name,
+        );
+    }
+}
+
+#[test]
 fn galois_keys_roundtrip_and_size_pin() {
     for (name, p) in presets() {
         let mut kg = KeyGenerator::from_seed(p.clone(), 27);
@@ -120,14 +331,24 @@ fn galois_keys_roundtrip_and_size_pin() {
             wire::seeded_galois_keys_wire_bytes(&p, keys.len()),
             "{name}: galois keys wire size formula"
         );
-        // Per key an element and a seed, and the k0 half of the pairs the
-        // expanded set holds.
-        let expanded = keys.clone().expand(&p);
+        // Per key an element and a seed, and its pairs' k0 polynomials,
+        // packed — the expanded set's a halves never cross.
         assert_eq!(
             bytes.len(),
-            wire::HEADER_BYTES + 4 + keys.len() * 16 + expanded.byte_size(&p) / 2,
+            wire::HEADER_BYTES + 4 + keys.len() * (16 + key_k0_bytes(&p)),
             "{name}: galois keys wire size vs key accounting"
         );
+        let decode = |b: &[u8]| wire::decode_seeded_galois_keys(b, &p);
+        let what = format!("{name} galois keys");
+        check_exact_length(&bytes, decode, &what);
+        check_old_versions_refused(&bytes, decode, &what);
+        // Every plane of the first key's first k0 — on a hybrid chain the
+        // last one at P's width — and of the last key's last k0.
+        let ks = p.ks_chain_at(0);
+        let k0 = wire::poly_bytes(ks, ks.limbs());
+        for at in [wire::HEADER_BYTES + 4 + 16, bytes.len() - k0] {
+            check_plane_boundaries(&bytes, at, ks, ks.limbs(), decode, &what);
+        }
         let back = wire::decode_seeded_galois_keys(&bytes, &p).unwrap();
         assert_eq!(
             wire::encode_seeded_galois_keys(&back, &p),
@@ -186,7 +407,9 @@ fn galois_key_sets_with_repeated_or_unordered_elements_are_malformed() {
             // key's first k0: the order check must fire first.
             for poisoned in [false, true] {
                 if poisoned {
-                    mutant[second + 16..second + 24].copy_from_slice(&u64::MAX.to_le_bytes());
+                    let q = p.ks_chain_at(0).modulus(0).value();
+                    let bits = wire::field_bits(q);
+                    wire::write_field(&mut mutant[second + 16..], bits, 0, u64::MAX >> (64 - bits));
                 }
                 match wire::decode_seeded_galois_keys(&mutant, &p) {
                     Err(cheetah_bfv::Error::Malformed { reason, .. }) => assert!(
@@ -202,18 +425,10 @@ fn galois_key_sets_with_repeated_or_unordered_elements_are_malformed() {
 
 /// Kind 7's framing: the retired full kind is unknown, a relabelled key
 /// set is no seeded ciphertext or public key, and the length is exact for
-/// the declared count — one count or one word either way is refused.
+/// the declared count — one count or one byte either way is refused.
 #[test]
 fn seeded_galois_key_sets_are_framed_exactly() {
-    use cheetah_bfv::Error;
     const OFF_COUNT: usize = wire::HEADER_BYTES;
-    fn malformed<T>(r: Result<T, Error>, what: &str) -> String {
-        match r {
-            Err(Error::Malformed { reason, .. }) => reason,
-            Err(other) => panic!("{what}: expected Malformed, got {other:?}"),
-            Ok(_) => panic!("{what}: accepted"),
-        }
-    }
     for name in ["rns_3x36", "hybrid_2x36"] {
         let p = presets().into_iter().find(|(n, _)| *n == name).unwrap().1;
         let keys = KeyGenerator::from_seed(p.clone(), 29)
@@ -221,7 +436,11 @@ fn seeded_galois_key_sets_are_framed_exactly() {
             .unwrap();
         let clean = wire::encode_seeded_galois_keys(&keys, &p);
         assert_eq!(clean[wire::OFF_KIND], 7, "{name}");
-        assert_eq!(clean[wire::OFF_VERSION], 2, "{name}: kind 7 is a v2 kind");
+        assert_eq!(
+            clean[wire::OFF_VERSION..wire::OFF_VERSION + 2],
+            wire::VERSION.to_le_bytes(),
+            "{name}: kind 7 speaks the one version"
+        );
         assert_eq!(wire::decode_seeded_galois_keys(&clean, &p).unwrap(), keys);
 
         let mut retired = clean.clone();
@@ -257,20 +476,20 @@ fn seeded_galois_key_sets_are_framed_exactly() {
                 "{name} count {count}: {reason}"
             );
         }
-        let short = &clean[..clean.len() - 8];
+        let short = &clean[..clean.len() - 1];
         let mut long = clean.clone();
-        long.extend_from_slice(&[0; 8]);
-        for (what, bytes) in [("one word short", short), ("one word long", &long[..])] {
+        long.push(0);
+        for (what, bytes) in [("one byte short", short), ("one byte long", &long[..])] {
             let reason = malformed(wire::decode_seeded_galois_keys(bytes, &p), what);
             assert!(reason.contains("need exactly"), "{name} {what}: {reason}");
         }
 
         // A hybrid key's last k0 plane is canonical against P.
         if let Some(special) = p.special() {
-            let at = wire::HEADER_BYTES + 4 + 16 + p.limbs() * p.degree() * 8;
+            let at = wire::HEADER_BYTES + 4 + 16 + wire::poly_bytes(p.ks_chain_at(0), p.limbs());
             let word = |w: u64| {
                 let mut mutant = clean.clone();
-                mutant[at..at + 8].copy_from_slice(&w.to_le_bytes());
+                wire::write_field(&mut mutant[at..], wire::field_bits(special.value()), 0, w);
                 wire::decode_seeded_galois_keys(&mutant, &p)
             };
             let reason = malformed(word(special.value()), name);

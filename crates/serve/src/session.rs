@@ -72,12 +72,14 @@
 //!
 //! ## Wire formats
 //!
-//! Uploads are *fresh* symmetric encryptions, so they ship in the seeded
-//! wire format (`cheetah_bfv::wire` version 2): an 8-byte PRNG seed
-//! regenerates `c1` and only `c0` travels, halving upload bytes to
-//! `live·n·8 + 8`. Downloads have evaluated, non-seeded `c1` components
-//! and stay in the full `2·live·n·8` version-1 format, `live` counted at
-//! the *shipping* level: each layer's outputs are switched to the deepest
+//! Every residue crosses `cheetah_bfv::wire` packed at its limb's width:
+//! limb plane `i` is `n·w_i/8` bytes, `w_i` the bit width of `q_i`
+//! (36 bits a residue on the bench chains, not 64). Uploads are *fresh*
+//! symmetric encryptions, so they ship seeded: an 8-byte PRNG seed
+//! regenerates `c1` and only `c0` travels, `8 + Σ_i n·w_i/8` bytes over
+//! the whole chain. Downloads have evaluated, non-seeded `c1` components
+//! and ship both, `2·Σ_{i<live} n·w_i/8` bytes, `live` counted at the
+//! *shipping* level: each layer's outputs are switched to the deepest
 //! level their noise allows before the mask goes on
 //! ([`cheetah_core::linear::shipping_level`]) — Gazelle's switch before
 //! sending, on the bench chains the last limb.
@@ -142,6 +144,13 @@ pub struct LayerReport {
     /// run that returns `Err` also leaves the fault here, so the caller
     /// can see *which* message or layer killed the session.
     pub fault: Option<String>,
+    /// Wire payload bytes of the layer's upload (its transcript record:
+    /// encoded length net of the header). 0 on a fault report.
+    pub upload_bytes: usize,
+    /// Wire payload bytes of the layer's masked download bundle (its
+    /// transcript record: every message net of its header). 0 until the
+    /// download ships, so 0 on a fault report.
+    pub download_bytes: usize,
 }
 
 /// What a client registers with the server: its seeded Galois keys —
@@ -173,8 +182,9 @@ pub struct LayerDownload {
 }
 
 /// Cross-checks an encoded ciphertext message against the transcript
-/// accounting relation — a wire message is exactly the accounted payload
-/// (`2·live·n·8` for a full ciphertext, `live·n·8 + 8` for a seeded one)
+/// accounting relation — a wire message is exactly the payload the wire
+/// module sizes it at (`2·Σ_{i<live} n·w_i/8` for a full ciphertext,
+/// `8 + Σ_i n·w_i/8` for a seeded one, `w_i` the bit width of `q_i`)
 /// plus the fixed header — before the message ships.
 fn check_wire_accounting(encoded: usize, accounted: usize) -> Result<()> {
     if encoded != accounted + wire::HEADER_BYTES {
@@ -307,7 +317,8 @@ impl ClientSession {
         let packed = self.model.pack(self.layer, self.pending()?)?;
         let (ct, seed) = self.encryptor.encrypt_seeded(&packed)?;
         let encoded = wire::encode_ciphertext_seeded(&ct, seed)?;
-        check_wire_accounting(encoded.len(), wire::SEED_BYTES + ct.byte_size() / 2)?;
+        let payload = wire::seeded_ciphertext_wire_bytes(ct.params()) - wire::HEADER_BYTES;
+        check_wire_accounting(encoded.len(), payload)?;
         Ok(encoded)
     }
 
@@ -473,6 +484,8 @@ impl ServerSession {
             tracked_bound_log2: f64::NAN,
             measured_noise_log2: None,
             fault: Some(error.to_string()),
+            upload_bytes: 0,
+            download_bytes: 0,
         });
         error
     }
@@ -605,6 +618,8 @@ impl ServerSession {
             tracked_bound_log2: worst.bound_log2,
             measured_noise_log2: measured,
             fault: None,
+            upload_bytes: up_bytes,
+            download_bytes: 0,
         });
 
         // Abort before shipping anything whose tracked estimate already
@@ -620,15 +635,20 @@ impl ServerSession {
         }
 
         // Serialize the masked outputs: downloads carry evaluated c1
-        // components, so they stay in the full v1 format. One transcript
+        // components, so they ship in the full kind. One transcript
         // record per layer (the byte pin other suites rely on), its
         // payload the back-to-back wire messages.
-        let dl_bytes: usize = outputs.iter().map(Ciphertext::byte_size).sum();
-        let mut dl_payload = Vec::new();
+        let message = wire::ciphertext_wire_bytes(params, shipped_level);
+        let payload = message - wire::HEADER_BYTES;
+        let dl_bytes = outputs.len() * payload;
+        let mut dl_payload = Vec::with_capacity(outputs.len() * message);
         for mct in &outputs {
             let encoded = wire::encode_ciphertext(mct);
-            check_wire_accounting(encoded.len(), mct.byte_size())?;
+            check_wire_accounting(encoded.len(), payload)?;
             dl_payload.extend_from_slice(&encoded);
+        }
+        if let Some(r) = self.reports.last_mut() {
+            r.download_bytes = dl_bytes;
         }
         let dl_label = format!("enc masked outputs L{k} lvl{shipped_level}");
         self.transcript.record_with_payload(

@@ -60,13 +60,14 @@ fn two_limb_chain_private_inference_matches_plaintext() {
 
     let params = session_params_2_limb();
     assert_eq!(params.limbs(), 2);
-    let mut session = PrivateInferenceSession::new(&net, &weights, params, 77).unwrap();
+    let mut session = PrivateInferenceSession::new(&net, &weights, params.clone(), 77).unwrap();
     let (output, transcript) = session.run(&input).unwrap();
     assert_eq!(output.data(), expect.data(), "2-limb private != plaintext");
 
-    // Every upload ships seeded — seed + one c0 component of `limbs`
-    // live limbs (`limbs·n·8 + 8` bytes): the 2-limb payload is twice
-    // the single-limb payload net of the fixed seed.
+    // Every upload ships seeded — seed + one c0 component packed at its
+    // limbs' widths (`8 + Σ_i n·w_i/8` bytes): two 30-bit limbs carry the
+    // same 60 bits a coefficient as the single 60-bit limb, so both
+    // chains' uploads are the same size.
     let mut single = PrivateInferenceSession::new(&net, &weights, session_params(), 77).unwrap();
     let (_, transcript_1) = single.run(&input).unwrap();
     let act_bytes = |t: &Transcript| -> Vec<usize> {
@@ -79,13 +80,10 @@ fn two_limb_chain_private_inference_matches_plaintext() {
     let up2 = act_bytes(&transcript);
     let up1 = act_bytes(&transcript_1);
     assert_eq!(up2.len(), up1.len());
+    let upload = wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES;
     for (b2, b1) in up2.iter().zip(&up1) {
-        assert_eq!(
-            *b2 - wire::SEED_BYTES,
-            2 * (*b1 - wire::SEED_BYTES),
-            "2-limb seeded upload payload must be twice 1-limb"
-        );
-        assert_eq!(*b2, wire::SEED_BYTES + 2 * 4096 * 8);
+        assert_eq!(*b2, upload);
+        assert_eq!(b2, b1, "2 × 30 bits and 1 × 60 bits ship alike");
     }
 }
 
@@ -115,18 +113,19 @@ fn leveled_session_drops_limbs_and_matches_plaintext() {
 
     let params = session_params_3_limb();
     assert_eq!(params.limbs(), 3);
-    let mut session = PrivateInferenceSession::new(&net, &weights, params, 77).unwrap();
+    let mut session = PrivateInferenceSession::new(&net, &weights, params.clone(), 77).unwrap();
     let (output, transcript) = session.run(&input).unwrap();
     assert_eq!(output.data(), expect.data(), "leveled private != plaintext");
 
     // Uploads stay full-level (the client always encrypts fresh) and
     // seeded: one 3-limb c0 plus the 8-byte seed…
+    let upload = wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES;
     for m in transcript
         .messages()
         .iter()
         .filter(|m| m.label.contains("enc activations"))
     {
-        assert_eq!(m.bytes, wire::SEED_BYTES + 3 * 4096 * 8, "{}", m.label);
+        assert_eq!(m.bytes, upload, "{}", m.label);
     }
     // …while every layer ran below level 0 and every masked download
     // shipped on the last limb: one live-limb pair per ciphertext.
@@ -140,7 +139,9 @@ fn leveled_session_drops_limbs_and_matches_plaintext() {
         assert!(r.level >= 1, "layer stayed at full level: {}", r.plan);
         assert_eq!(r.shipped_level, 2, "{}", m.label);
         assert!(m.label.ends_with("lvl2"), "{}", m.label);
-        assert_eq!(m.bytes, 2 * 4096 * 8, "{}", m.label);
+        let download = wire::ciphertext_wire_bytes(&params, 2) - wire::HEADER_BYTES;
+        assert_eq!(m.bytes, download, "{}", m.label);
+        assert_eq!((r.upload_bytes, r.download_bytes), (upload, m.bytes));
         // The margin the client decrypts under is tracked, and left.
         assert!(
             r.shipped_budget_bits > 0.0,
@@ -345,9 +346,9 @@ fn a_round_past_the_final_layer_is_a_typed_error_on_both_halves() {
 }
 
 /// The benchmark's four workloads, `(name, network, weights, chain,
-/// Galois keys, setup bytes)`: the nets, weights and chains `bench_e2e`
-/// builds for `--seed 1`.
-fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usize)> {
+/// Galois keys)`: the nets, weights and chains `bench_e2e` builds for
+/// `--seed 1`.
+fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize)> {
     let mlp = Network {
         name: "bench_mlp".into(),
         input_shape: vec![1024],
@@ -388,7 +389,6 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usiz
             Weights::random(&mlp, 1, weight_seed),
             digit.clone(),
             16,
-            9_535_756,
         ),
         (
             "cnn_digit",
@@ -396,7 +396,6 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usiz
             Weights::random(&cnn, 1, weight_seed),
             digit,
             15,
-            8_945_916,
         ),
         (
             "mlp_hybrid",
@@ -404,9 +403,8 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usiz
             Weights::random(&mlp, 1, weight_seed),
             hybrid.clone(),
             15,
-            3_014_908,
         ),
-        ("fleet_sparse", mlp, sparse, hybrid, 13, 2_621_660),
+        ("fleet_sparse", mlp, sparse, hybrid, 13),
     ]
 }
 
@@ -414,8 +412,12 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize, usiz
 fn setup_bytes_account_the_seeded_key_set_at_its_wire_size() {
     // What a client registers is what the wire carries: the seeded key
     // set's encoding, net of its header, plus the seeded public key's
-    // payload — half the key material the server holds once it expands.
-    for (name, net, weights, params, key_count, setup_bytes) in bench_shapes() {
+    // payload — the k0 half of the key material the server holds once it
+    // expands, packed at 36 of every 64 bits.
+    for (name, net, weights, params, key_count) in bench_shapes() {
+        let setup_bytes = wire::seeded_galois_keys_wire_bytes(&params, key_count)
+            + wire::seeded_public_key_wire_bytes(&params)
+            - 2 * wire::HEADER_BYTES;
         let model = PreparedModel::new(&net, &weights, params.clone()).unwrap();
         let (_, setup) = ClientSession::keygen(Arc::clone(&model), 7).unwrap();
         let pk_payload = wire::seeded_public_key_wire_bytes(&params) - wire::HEADER_BYTES;
@@ -431,10 +433,11 @@ fn setup_bytes_account_the_seeded_key_set_at_its_wire_size() {
         let server = ServerSession::new(model, setup, 7).unwrap();
         assert_eq!(server.galois_keys().len(), key_count, "{name}: expanded");
         let held = server.galois_keys().byte_size(&params);
+        // Every plane on both bench chains (`P` included) is 36 bits wide.
         assert_eq!(
             encoded.len() - wire::HEADER_BYTES,
-            4 + key_count * 16 + held / 2,
-            "{name}: the wire carries the k0 half"
+            4 + key_count * 16 + held / 2 / 64 * 36,
+            "{name}: the wire carries the k0 half, packed"
         );
         let record = &server.transcript().messages()[0];
         assert_eq!(record.bytes, setup_bytes, "{name}: transcript setup record");

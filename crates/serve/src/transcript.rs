@@ -23,8 +23,9 @@ pub struct Message {
     pub direction: Direction,
     /// Short description (e.g. `"enc activations L3"`).
     pub label: String,
-    /// Accounted payload size in bytes (wire framing excluded, so the
-    /// `2·live·n·8` ciphertext pins stay limb-exact).
+    /// Accounted payload size in bytes: the encoded message(s) net of
+    /// the 24-byte header each, the wire module's payload size (every
+    /// residue packed at its limb's width).
     pub bytes: usize,
     /// The actual encoded message, when the sender captured it
     /// (`cheetah_bfv::wire` format). Empty for size-only records; the
@@ -55,7 +56,7 @@ impl Transcript {
     }
 
     /// Records a message together with its encoded wire payload, keeping
-    /// the accounted size (`bytes`) independent of the wire framing.
+    /// the accounted size (`bytes`) net of the wire framing.
     pub fn record_with_payload(
         &mut self,
         direction: Direction,

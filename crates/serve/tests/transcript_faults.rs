@@ -131,6 +131,18 @@ fn corruption_battery(params: &BfvParams, len: usize) -> Vec<Corruption> {
         Corruption::ForeignFingerprint,
         // Non-canonical residue in the first limb plane.
         Corruption::NonCanonicalResidue { limb: 0 },
+        // Over-range packed fields: `q_0` itself, and the all-ones field
+        // in the plane's last coefficient.
+        Corruption::OverRange {
+            limb: 0,
+            coeff: 1,
+            top: false,
+        },
+        Corruption::OverRange {
+            limb: 0,
+            coeff: params.degree() - 1,
+            top: true,
+        },
         // Swapped c0/c1: canonical residues, dead ciphertext.
         Corruption::SwapComponents,
         // The designed-harmless target.
@@ -247,6 +259,22 @@ fn corruption_classes_map_to_expected_errors() {
         case(Corruption::NonCanonicalResidue { limb: 0 }),
         Err(Error::Malformed { .. })
     ));
+    // An over-range field is refused by name: its plane and coefficient.
+    for limb in 0..params.limbs() {
+        for top in [false, true] {
+            match case(Corruption::OverRange {
+                limb,
+                coeff: 7,
+                top,
+            }) {
+                Err(Error::Malformed { reason, .. }) => assert!(
+                    reason.contains(&format!("plane {limb} at coefficient 7")),
+                    "{reason}"
+                ),
+                other => panic!("over-range plane {limb} (top {top}): got {other:?}"),
+            }
+        }
+    }
 
     // A length-consistent level lie reshuffles limb planes; it dies at
     // whichever layer sees it first — usually the canonical-residue check

@@ -266,6 +266,22 @@ if ! git grep -qE '^    pub keys: SeededGaloisKeys,' -- crates/serve/src/session
     exit 1
 fi
 
+echo "==> one-residue-codec gate"
+# Every residue crosses the wire packed at its limb's width, through one
+# plane writer (push_plane) and one reader that unpacks and
+# canonical-checks in the same pass (Reader::poly), in one format version:
+# the u64-per-residue writer and reader and the second version must not
+# grow back, and no size on the wire path is a word count times 8 again
+# (sizes come from wire::plane_bytes / wire::poly_bytes).
+if git grep -nE 'fn push_words|fn words\(|SEEDED_VERSION' -- crates/bfv/src/wire.rs; then
+    echo "FAIL: a u64-per-residue writer/reader or a second format version is back in wire.rs (see matches above)"
+    exit 1
+fi
+if git grep -nF -e 'degree() * 8' -e 'n * 8' -- crates/bfv/src/wire.rs crates/bfv/src/wire/faults.rs crates/serve/src; then
+    echo "FAIL: a u64-per-residue size is back on the wire path (see matches above)"
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release

@@ -3,11 +3,14 @@
 //! Every other suite compares a run with itself (two paths, two thread
 //! counts, two backends), so a refactor that claims "same bits" had
 //! nothing in the tree to hold it to across commits. This one pins FNV-1a
-//! digests of seeded Galois-key wire bytes, of direct and hoisted
-//! rotation residues at every level, of every payload of one seeded
-//! private-inference transcript (and of its uploads alone), and of the
-//! seed expander's output, plus every preset's chain fingerprint (the
-//! header word each of those messages carries). The bit-identity
+//! digests of seeded Galois-key wire bytes and of the residues a receiver
+//! decodes from them, of direct and hoisted rotation residues at every
+//! level, of every payload of one seeded private-inference transcript (of
+//! its uploads alone, and of the ciphertext words its messages decode
+//! to), and of the seed expander's output, plus every preset's chain
+//! fingerprint (the header word each of those messages carries). A wire
+//! layout change moves the byte digests and leaves the residue digests
+//! alone. The bit-identity
 //! contract of `docs/SIMD.md` makes them machine- and backend-independent.
 //!
 //! A digest here changes only when the engine writes different bits for
@@ -127,24 +130,50 @@ fn expand_uniform_keeps_its_bits() {
 }
 
 /// `(preset, digest of the seeded key set's wire bytes, digest of every
-/// rotation)`.
+/// rotation)`. The keys column was regenerated when every residue started
+/// crossing the wire packed at its limb's width (format version 3): new
+/// bytes for the same residues, which [`KEY_RESIDUE_PINS`] holds still.
 const ENGINE_PINS: [(&str, u64, u64); 3] = [
-    ("single_60", 0x7659_7696_bd8b_7e9e, 0xefcf_0348_b308_591e),
-    ("rns_3x36", 0x6620_5ae7_e73d_afdd, 0x3f64_292b_9377_2e43),
-    ("hybrid_2x36", 0xa3c3_ee3f_59b1_d356, 0x5f79_3ea9_2f35_49cd),
+    ("single_60", 0xd240_db61_2f40_b64c, 0xefcf_0348_b308_591e),
+    ("rns_3x36", 0xed47_e63a_dabb_4f53, 0x3f64_292b_9377_2e43),
+    ("hybrid_2x36", 0x8d22_9c73_2c93_b97b, 0x5f79_3ea9_2f35_49cd),
+];
+
+/// `(preset, digest of the decoded seeded key set's residues)`: per key
+/// its element, its seed and every `k0` word, in wire order. Unlike the
+/// keys column of [`ENGINE_PINS`] these do not see the wire layout, only
+/// what a receiver gets back from it.
+const KEY_RESIDUE_PINS: [(&str, u64); 3] = [
+    ("single_60", 0x864d_1f61_e961_80c3),
+    ("rns_3x36", 0x7b85_b7e4_593f_919f),
+    ("hybrid_2x36", 0x8276_ed53_e123_57f4),
 ];
 
 #[test]
 fn galois_keys_and_rotations_keep_their_bits() {
     let mut pins = Pins::default();
-    for (name, keys_pin, rotations_pin) in ENGINE_PINS {
+    for ((name, keys_pin, rotations_pin), (_, residues_pin)) in
+        ENGINE_PINS.into_iter().zip(KEY_RESIDUE_PINS)
+    {
         let params = preset(name);
         let mut keygen = KeyGenerator::from_seed(params.clone(), 7);
         let pk = keygen.public_key().unwrap();
         let seeded = keygen.seeded_galois_keys_for_steps(&STEPS).unwrap();
+        let bytes = wire::encode_seeded_galois_keys(&seeded, &params);
         let mut h = Fnv::new();
-        h.bytes(&wire::encode_seeded_galois_keys(&seeded, &params));
+        h.bytes(&bytes);
         pins.check(format!("{name} galois keys"), h.0, keys_pin);
+        let mut h = Fnv::new();
+        for key in wire::decode_seeded_galois_keys(&bytes, &params)
+            .unwrap()
+            .iter()
+        {
+            h.words(&[key.element, key.seed]);
+            for k0 in key.k0() {
+                h.words(k0.data());
+            }
+        }
+        pins.check(format!("{name} galois key residues"), h.0, residues_pin);
         let keys = seeded.expand(&params);
 
         let encoder = BatchEncoder::new(params.clone());
@@ -181,10 +210,22 @@ fn galois_keys_and_rotations_keep_their_bits() {
 /// started filling both batching rows, which changes both FC uploads and
 /// downloads. The whole-transcript digests alone moved again when every
 /// download started shipping on the last limb: new download bytes and
-/// labels, the same uploads.
+/// labels, the same uploads. Both moved when every residue started
+/// crossing the wire packed at its limb's width: new bytes for the same
+/// ciphertexts, which [`SESSION_RESIDUE_PINS`] holds still.
 const SESSION_PINS: [(&str, u64, u64); 2] = [
-    ("rns_3x36", 0x8da8_53f9_7a95_51e7, 0x8d69_85be_01e5_c417),
-    ("hybrid_2x36", 0x30c0_d04e_0e82_569e, 0x462a_415e_eefc_3f5e),
+    ("rns_3x36", 0x3c82_c051_dd29_c299, 0x91cf_40b0_effe_4582),
+    ("hybrid_2x36", 0x80a1_7a07_d07a_5f92, 0x78e0_426b_ecbe_a99b),
+];
+
+/// `(preset, digest of every transcript payload's decoded ciphertext
+/// words)`: each payload split into its messages, each message decoded
+/// (an upload's `c1` expanded from its seed) and its `c0`, `c1` words
+/// digested in order. These see the residues a receiver gets, not the
+/// wire layout that carried them.
+const SESSION_RESIDUE_PINS: [(&str, u64); 2] = [
+    ("rns_3x36", 0x2d2a_fbbc_c642_2dc6),
+    ("hybrid_2x36", 0xe221_6dd8_a76b_f93c),
 ];
 
 #[test]
@@ -195,16 +236,25 @@ fn tiny_cnn_transcript_keeps_its_bits() {
     let weights = Weights::random(&net, 2, 2024);
     let input = random_input(&net.input_shape, 3, 2025);
     let mut pins = Pins::default();
-    for (name, pin, uploads_pin) in SESSION_PINS {
-        let mut session = PrivateInferenceSession::new(&net, &weights, preset(name), 7).unwrap();
+    for ((name, pin, uploads_pin), (_, residues_pin)) in
+        SESSION_PINS.into_iter().zip(SESSION_RESIDUE_PINS)
+    {
+        let params = preset(name);
+        let mut session = PrivateInferenceSession::new(&net, &weights, params.clone(), 7).unwrap();
         let (_, transcript) = session.run(&input).unwrap();
         let mut h = Fnv::new();
         let mut uploads = Fnv::new();
+        let mut residues = Fnv::new();
         let mut payloads = 0;
         for m in transcript.messages() {
             payloads += usize::from(!m.payload.is_empty());
             h.bytes(m.label.as_bytes());
             h.bytes(&m.payload);
+            for msg in wire::split_ciphertext_messages(&m.payload, &params).unwrap() {
+                let ct = wire::decode_ciphertext(msg, &params).unwrap();
+                residues.words(ct.c0().data());
+                residues.words(ct.c1().data());
+            }
             if m.direction == Direction::ClientToCloud && !m.payload.is_empty() {
                 uploads.bytes(m.label.as_bytes());
                 uploads.bytes(&m.payload);
@@ -216,6 +266,11 @@ fn tiny_cnn_transcript_keeps_its_bits() {
         );
         pins.check(format!("{name} tiny_cnn transcript"), h.0, pin);
         pins.check(format!("{name} tiny_cnn uploads"), uploads.0, uploads_pin);
+        pins.check(
+            format!("{name} tiny_cnn ciphertext residues"),
+            residues.0,
+            residues_pin,
+        );
     }
     pins.finish();
 }

@@ -7,11 +7,11 @@
 //!
 //! * the decrypted prediction equals a cleartext reference network
 //!   **bit-exactly**;
-//! * every ciphertext message in the transcript matches the byte
-//!   accounting at its recorded level: uploads are always full-chain and
-//!   ship in the seeded wire format (`limbs·n·8 + 8`: an 8-byte PRNG
-//!   seed replaces the whole `c1` component), while masked downloads
-//!   stay in the full `2·live·n·8` format — one ciphertext a layer, the
+//! * every ciphertext message in the transcript matches the wire
+//!   module's size at its recorded level, every limb plane packed at its
+//!   limb's width: uploads are always full-chain and ship seeded (an
+//!   8-byte PRNG seed replaces the whole `c1` component), while masked
+//!   downloads ship both components — one ciphertext a layer, the
 //!   convolution's two output channels included — and shrink with the
 //!   shipping level, the deepest the layer's output noise allows;
 //! * every linear layer's *measured* invariant noise sits under the
@@ -24,9 +24,10 @@
 //! FC bound no longer carries a fold's rotate-and-sum, so the last layer
 //! of both networks runs one level down on the digit chain. Every layer's
 //! download ships on the last limb, and clears the client's decrypt gate
-//! at sixteen key seeds.
+//! at sixteen key seeds; the layers' reported upload and download bytes
+//! and the garbled circuits add up to the online bytes.
 
-use cheetah::bfv::BfvParams;
+use cheetah::bfv::{wire, BfvParams};
 use cheetah::core::linear::FcPlan;
 use cheetah::core::{FcStructure, HeCostParams};
 use cheetah::nn::inference::{infer, random_input};
@@ -112,7 +113,7 @@ fn tiny_cnn_conformance_on_all_preset_chains() {
                 // all of c1.
                 assert_eq!(
                     m.bytes,
-                    cheetah::bfv::wire::SEED_BYTES + limbs * N * 8,
+                    wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES,
                     "{name}: upload accounting for {}",
                     m.label
                 );
@@ -121,10 +122,9 @@ fn tiny_cnn_conformance_on_all_preset_chains() {
             } else if m.label.contains("enc masked outputs") {
                 let level = level_of(&m.label);
                 assert!(level < limbs, "{name}: level out of range in {}", m.label);
-                let live = limbs - level;
                 assert_eq!(
                     m.bytes,
-                    2 * live * N * 8,
+                    wire::ciphertext_wire_bytes(&params, level) - wire::HEADER_BYTES,
                     "{name}: download accounting for {}",
                     m.label
                 );
@@ -337,9 +337,35 @@ fn check_bench_net(net: &Network, digit_levels: [usize; 3], hybrid_levels: [usiz
         let name = format!("{} on {chain}", net.name);
         let mut session = PrivateInferenceSession::new(net, &weights, params.clone(), 7).unwrap();
         session.enable_noise_measurement();
-        let (output, _) = session.run(&input).unwrap();
+        let (output, transcript) = session.run(&input).unwrap();
         assert_eq!(output.data(), expect.data(), "{name}");
         let reports = session.layer_reports();
+        // What each round moved, plus the garbled circuits, is everything
+        // after the setup record: the online bytes.
+        let online = transcript.total_bytes() - transcript.messages()[0].bytes;
+        let gc: usize = transcript
+            .messages()
+            .iter()
+            .filter(|m| m.label.starts_with("garbled circuit"))
+            .map(|m| m.bytes)
+            .sum();
+        let moved: usize = reports
+            .iter()
+            .map(|r| r.upload_bytes + r.download_bytes)
+            .sum();
+        assert_eq!(moved + gc, online, "{name}: online bytes");
+        let upload = wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES;
+        let download =
+            wire::ciphertext_wire_bytes(&params, params.max_level()) - wire::HEADER_BYTES;
+        for r in reports {
+            assert_eq!(r.upload_bytes, upload, "{name} L{}", r.layer);
+            assert!(
+                r.download_bytes > 0 && r.download_bytes % download == 0,
+                "{name} L{}: {} B is no whole number of last-limb ciphertexts",
+                r.layer,
+                r.download_bytes
+            );
+        }
         for r in reports {
             let measured = r.measured_noise_log2.expect("measurement is on");
             assert!(
