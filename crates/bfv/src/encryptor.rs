@@ -104,28 +104,53 @@ impl Encryptor {
         self.assemble_sk_ciphertext(dm, a, &chain)
     }
 
-    /// Symmetric encryption with a wire-compressible mask: `c1 = a` is
-    /// expanded from a fresh 64-bit seed (via
+    /// [`Encryptor::encrypt_seeded_at`] at level 0, over the full chain.
+    /// Kept for the benchmark's sources, which call it unchanged until the
+    /// benchmark itself is revised; a session encrypts each upload at its
+    /// layer's level.
+    ///
+    /// # Errors
+    ///
+    /// As [`Encryptor::encrypt_seeded_at`].
+    pub fn encrypt_seeded(&mut self, pt: &Plaintext) -> Result<(Ciphertext, u64)> {
+        self.encrypt_seeded_at(pt, 0)
+    }
+
+    /// Symmetric encryption at `level`, with a wire-compressible mask:
+    /// `c0 = −a·s + e + Δ_ℓ·m` over the level's live limbs, and `c1 = a`
+    /// is expanded from a fresh 64-bit seed over the level's chain (via
     /// [`crate::sampling::expand_uniform`]) instead of drawn from the main
     /// stream, so the ciphertext can ship as (seed, c0) — see
-    /// [`crate::wire::encode_ciphertext_seeded`]. Returns the ciphertext
-    /// together with the seed that regenerates its `c1`.
+    /// [`crate::wire::encode_ciphertext_seeded`]. A fresh encryption's
+    /// noise is absolute, the same at every level, so the ciphertext
+    /// carries [`NoiseEstimate::fresh`] whatever its level; a client that
+    /// knows the level a layer runs at encrypts there and never ships the
+    /// limbs the server would drop. Returns the ciphertext together with
+    /// the seed that regenerates its `c1`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Unsupported`] on a public-key encryptor (only the
-    /// symmetric path has a uniform `c1`), or
-    /// [`Error::ParameterMismatch`] for foreign plaintexts.
-    pub fn encrypt_seeded(&mut self, pt: &Plaintext) -> Result<(Ciphertext, u64)> {
+    /// symmetric path has a uniform `c1`), [`Error::ParameterMismatch`]
+    /// for foreign plaintexts, or [`Error::InvalidLevel`] for a level
+    /// past the chain.
+    pub fn encrypt_seeded_at(&mut self, pt: &Plaintext, level: usize) -> Result<(Ciphertext, u64)> {
         if self.sk.is_none() {
             return Err(Error::Unsupported(
                 "seeded encryption requires a secret-key encryptor",
             ));
         }
         self.params.check_same(pt.params())?;
-        let mut dm = self.params.lift_scaled(pt.coeffs());
-        dm.to_eval(self.params.chain());
-        let chain = self.params.chain().clone();
+        if level > self.params.max_level() {
+            return Err(Error::InvalidLevel {
+                requested: level,
+                current: 0,
+                max: self.params.max_level(),
+            });
+        }
+        let chain = self.params.chain_at(level).clone();
+        let mut dm = self.params.lift_scaled_at(pt.coeffs(), level);
+        dm.to_eval(&chain);
         let seed = self.rng.next_seed();
         let a = crate::sampling::expand_uniform(seed, &chain);
         let ct = self.assemble_sk_ciphertext(dm, a, &chain)?;
@@ -141,9 +166,10 @@ impl Encryptor {
         let sk = self.sk.as_ref().expect("sk encryptor");
         let mut e = self.rng.noise_rns(chain);
         e.to_eval(chain);
-        // c0 = -(a*s) + e + Δm; c1 = a
+        // c0 = -(a*s) + e + Δm; c1 = a — over `chain`'s limbs, the secret
+        // key's full-chain lift read as a live-plane prefix.
         let mut c0 = a.clone();
-        c0.mul_assign_pointwise(sk.poly(), chain)?;
+        c0.mul_assign_pointwise_prefix(sk.poly(), chain)?;
         c0.negate(chain);
         c0.add_assign(&e, chain)?;
         c0.add_assign(&dm, chain)?;
@@ -414,6 +440,25 @@ mod tests {
             // Two seeded encryptions draw distinct seeds.
             let (_, seed2) = enc.encrypt_seeded(&pt).unwrap();
             assert_ne!(seed, seed2);
+            // At every level: the level's limbs only, c1 the seed's
+            // expansion over the level's chain, and the same plaintext
+            // back wherever the fresh estimate promises it.
+            for level in 0..params.levels() {
+                let (ct, seed) = enc.encrypt_seeded_at(&pt, level).unwrap();
+                assert_eq!(ct.level(), level);
+                let a = crate::sampling::expand_uniform(seed, params.chain_at(level));
+                assert_eq!(ct.c1(), &a);
+                if ct.noise().bound_log2 < params.noise_ceiling_at(level).log2() {
+                    assert_eq!(
+                        encoder.decode(&dec.decrypt_checked(&ct).unwrap())[..3],
+                        [9, 8, 7]
+                    );
+                }
+            }
+            assert!(matches!(
+                enc.encrypt_seeded_at(&pt, params.levels()),
+                Err(Error::InvalidLevel { .. })
+            ));
         }
     }
 

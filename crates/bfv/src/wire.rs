@@ -45,10 +45,13 @@
 //! (`8 + poly_bytes(live)` payload instead of `2·poly_bytes(live)`). A
 //! [`Kind::SeededGaloisKeys`] set carries one seed per key beside its
 //! `k0`s; [`crate::keys::SeededGaloisKeys::expand`] rebuilds every
-//! pair's `a` from it. Seeded ciphertexts are level-0 by construction
-//! (only fresh encryptions have a uniform `c1`; anything key-switched or
-//! mod-switched does not). The ciphertext decoder dispatches on the kind
-//! byte.
+//! pair's `a` from it. A seeded ciphertext is a *fresh* encryption — only
+//! those have a uniform `c1`; anything key-switched or mod-switched does
+//! not — but a fresh encryption may be made at any level
+//! ([`crate::Encryptor::encrypt_seeded_at`]): the header's level says
+//! which, `c0` carries that level's live planes, and the receiver expands
+//! `c1` over the same level's chain. The ciphertext decoder dispatches on
+//! the kind byte.
 //!
 //! **Versioning.** There is one layout and one version: every kind is
 //! written and read as [`VERSION`] 3. Versions 1 and 2 (the retired
@@ -499,49 +502,42 @@ pub fn encode_ciphertext(ct: &Ciphertext) -> Vec<u8> {
     out
 }
 
-/// Exact encoded size of a seeded (fresh, level-0) ciphertext:
-/// header + 8-byte seed + the single packed `c0` polynomial.
-pub fn seeded_ciphertext_wire_bytes(params: &BfvParams) -> usize {
-    HEADER_BYTES + SEED_BYTES + poly_bytes(params.chain(), params.limbs())
+/// Exact encoded size of a seeded (fresh) ciphertext at `level`:
+/// header + 8-byte seed + the single packed `c0` polynomial over the
+/// level's live planes, `8 + Σ_{i<live} n·w_i/8` payload bytes.
+pub fn seeded_ciphertext_wire_bytes(params: &BfvParams, level: usize) -> usize {
+    HEADER_BYTES + SEED_BYTES + poly_bytes(params.chain(), params.live_limbs_at(level))
 }
 
-/// Encodes a fresh symmetric ciphertext in the seeded format: header,
-/// the 8-byte seed, then `c0` alone — `c1` is implied by the seed. The
-/// encoder *proves* the compression is lossless before shipping it:
-/// re-expanding `seed` must reproduce `c1` bit-for-bit (the pair comes
-/// from [`crate::Encryptor::encrypt_seeded`]).
+/// Encodes a fresh symmetric ciphertext in the seeded format: header
+/// (carrying the ciphertext's level), the 8-byte seed, then `c0` alone —
+/// `c1` is implied by the seed. The encoder *proves* the compression is
+/// lossless before shipping it: re-expanding `seed` over the level's
+/// chain must reproduce `c1` bit-for-bit (the pair comes from
+/// [`crate::Encryptor::encrypt_seeded_at`]).
 ///
 /// # Errors
 ///
-/// [`Error::Malformed`] if the ciphertext is not level-0 (only fresh
-/// encryptions have a PRNG-uniform `c1`) or if `seed` does not expand to
-/// this ciphertext's `c1`.
+/// [`Error::Malformed`] if `seed` does not expand to this ciphertext's
+/// `c1` (only fresh encryptions have a PRNG-uniform `c1`).
 pub fn encode_ciphertext_seeded(ct: &Ciphertext, seed: u64) -> Result<Vec<u8>> {
     let what = "seeded ciphertext";
     let params = ct.params();
-    if ct.level() != 0 {
-        return Err(malformed(
-            what,
-            format!(
-                "only fresh level-0 ciphertexts ship seeded, this one is level {}",
-                ct.level()
-            ),
-        ));
-    }
-    let a = crate::sampling::expand_uniform(seed, params.chain());
+    let level = ct.level();
+    let a = crate::sampling::expand_uniform(seed, params.chain_at(level));
     if ct.c1() != &a {
         return Err(malformed(
             what,
             "seed does not regenerate c1 — refusing a lossy encoding".to_string(),
         ));
     }
-    let mut out = Vec::with_capacity(seeded_ciphertext_wire_bytes(params));
+    let mut out = Vec::with_capacity(seeded_ciphertext_wire_bytes(params, level));
     write_header(
         &mut out,
         Kind::SeededCiphertext,
         chain_fingerprint(params),
-        0,
-        params.limbs(),
+        level,
+        ct.live_limbs(),
     );
     push_u64(&mut out, seed);
     push_poly(&mut out, ct.c0(), params.chain());
@@ -552,26 +548,21 @@ fn decode_ciphertext_seeded(bytes: &[u8], params: &BfvParams) -> Result<Cipherte
     let what = "seeded ciphertext";
     let mut r = Reader::new(bytes, what);
     let h = read_header(&mut r, Kind::SeededCiphertext, params)?;
-    if h.level != 0 {
-        return Err(malformed(
-            what,
-            format!(
-                "seeded ciphertexts are fresh level-0 objects, header claims level {}",
-                h.level
-            ),
-        ));
-    }
-    let expect = seeded_ciphertext_wire_bytes(params);
+    let expect = seeded_ciphertext_wire_bytes(params, h.level);
     if bytes.len() != expect {
         return Err(malformed(
             what,
-            format!("needs exactly {expect} bytes, message has {}", bytes.len()),
+            format!(
+                "level {} needs exactly {expect} bytes, message has {}",
+                h.level,
+                bytes.len()
+            ),
         ));
     }
     let seed = r.u64()?;
     let c0 = r.poly(params.chain(), h.live)?;
     expect_consumed(&r)?;
-    let c1 = crate::sampling::expand_uniform(seed, params.chain());
+    let c1 = crate::sampling::expand_uniform(seed, params.chain_at(h.level));
     Ciphertext::try_new(c0, c1, params.clone(), NoiseEstimate::fresh(params))
 }
 
@@ -582,7 +573,8 @@ fn decode_ciphertext_seeded(bytes: &[u8], params: &BfvParams) -> Result<Cipherte
 /// passes.
 ///
 /// The returned ciphertext carries the fresh-encryption noise estimate
-/// (estimates are never trusted from the wire).
+/// (estimates are never trusted from the wire) — absolute noise, right at
+/// whatever level a seeded upload was encrypted.
 ///
 /// # Errors
 ///
@@ -614,8 +606,8 @@ pub fn decode_ciphertext(bytes: &[u8], params: &BfvParams) -> Result<Ciphertext>
 
 /// Splits a buffer of back-to-back ciphertext messages into individual
 /// message slices, using each header's kind and level fields to compute
-/// the exact message length (full messages are sized by level; seeded
-/// messages have one fixed level-0 size). Only the *framing* is
+/// the exact message length (both kinds are sized by their level). Only
+/// the *framing* is
 /// derived here — every slice must still pass [`decode_ciphertext`]'s
 /// full validation, so a corrupted kind or level field either misframes
 /// into a slice that fails validation or errors right here.
@@ -635,21 +627,9 @@ pub fn split_ciphertext_messages<'a>(bytes: &'a [u8], params: &BfvParams) -> Res
                 format!("truncated header at offset {pos} of {}", bytes.len()),
             )
         })?;
-        let len = match Kind::from_u8(header[OFF_KIND]) {
-            Some(Kind::SeededCiphertext) => seeded_ciphertext_wire_bytes(params),
-            Some(Kind::Ciphertext) => {
-                let mut w = [0u8; 4];
-                w.copy_from_slice(&header[OFF_LEVEL..OFF_LEVEL + 4]);
-                let level = u32::from_le_bytes(w) as usize;
-                if level >= params.levels() {
-                    return Err(Error::InvalidLevel {
-                        requested: level,
-                        current: 0,
-                        max: params.max_level(),
-                    });
-                }
-                ciphertext_wire_bytes(params, level)
-            }
+        let sized: fn(&BfvParams, usize) -> usize = match Kind::from_u8(header[OFF_KIND]) {
+            Some(Kind::SeededCiphertext) => seeded_ciphertext_wire_bytes,
+            Some(Kind::Ciphertext) => ciphertext_wire_bytes,
             other => {
                 return Err(malformed(
                     what,
@@ -660,6 +640,17 @@ pub fn split_ciphertext_messages<'a>(bytes: &'a [u8], params: &BfvParams) -> Res
                 ))
             }
         };
+        let mut w = [0u8; 4];
+        w.copy_from_slice(&header[OFF_LEVEL..OFF_LEVEL + 4]);
+        let level = u32::from_le_bytes(w) as usize;
+        if level >= params.levels() {
+            return Err(Error::InvalidLevel {
+                requested: level,
+                current: 0,
+                max: params.max_level(),
+            });
+        }
+        let len = sized(params, level);
         let msg = bytes.get(pos..pos + len).ok_or_else(|| {
             malformed(
                 what,
@@ -1058,7 +1049,7 @@ mod tests {
                 .unwrap();
 
             let bytes = encode_ciphertext_seeded(&ct, seed).unwrap();
-            assert_eq!(bytes.len(), seeded_ciphertext_wire_bytes(&params));
+            assert_eq!(bytes.len(), seeded_ciphertext_wire_bytes(&params, 0));
             // Payload is seed + c0: (slightly over) half the full payload.
             assert_eq!(
                 2 * (bytes.len() - HEADER_BYTES - SEED_BYTES),
@@ -1096,6 +1087,15 @@ mod tests {
         let ct_pk = enc_pk.encrypt(&encoder.encode(&[4]).unwrap()).unwrap();
         assert!(matches!(
             encode_ciphertext_seeded(&ct_pk, seed),
+            Err(Error::Malformed { .. })
+        ));
+        // So has a switched one: its c1 is the rounded quotient, not the
+        // seed's expansion over the deeper chain.
+        let switched = crate::evaluator::Evaluator::new(params.clone())
+            .mod_switch_to(&ct, 1)
+            .unwrap();
+        assert!(matches!(
+            encode_ciphertext_seeded(&switched, seed),
             Err(Error::Malformed { .. })
         ));
     }
@@ -1143,7 +1143,8 @@ mod tests {
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
-        // A non-zero level in a seeded header is structurally invalid.
+        // A level the payload's length does not match is structurally
+        // invalid.
         let mut lvl = bytes.clone();
         lvl[OFF_LEVEL..OFF_LEVEL + 4].copy_from_slice(&1u32.to_le_bytes());
         lvl[OFF_LIVE_LIMBS..OFF_LIVE_LIMBS + 4].copy_from_slice(&1u32.to_le_bytes());

@@ -24,9 +24,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use super::{
-    ciphertext_wire_bytes, decode_ciphertext, field_bits, plane_bytes, poly_bytes, write_field,
-    Kind, HEADER_BYTES, OFF_FINGERPRINT, OFF_KIND, OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED,
-    OFF_VERSION, SEED_BYTES, VERSION,
+    ciphertext_wire_bytes, decode_ciphertext, field_bits, plane_bytes, poly_bytes,
+    seeded_ciphertext_wire_bytes, write_field, Kind, HEADER_BYTES, OFF_FINGERPRINT, OFF_KIND,
+    OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED, OFF_VERSION, SEED_BYTES, VERSION,
 };
 use crate::{BfvParams, Ciphertext, Error, Result};
 use rand::rngs::StdRng;
@@ -56,7 +56,8 @@ pub enum Corruption {
         extra: usize,
     },
     /// Overwrites the header's level field. With `resize_payload`, also
-    /// rewrites the live-limb field and resizes the payload so the lie is
+    /// rewrites the live-limb field and resizes the payload to the lied
+    /// level's size for the message's kind, so the lie is
     /// length-consistent — structurally valid, semantically fatal.
     LevelLie {
         /// The claimed level.
@@ -223,15 +224,17 @@ impl FaultInjector {
                         let live = params.live_limbs_at(lvl) as u32;
                         out[OFF_LIVE_LIMBS..OFF_LIVE_LIMBS + 4]
                             .copy_from_slice(&live.to_le_bytes());
-                        // Zero filler keeps every residue canonical: on
-                        // the full format the lie survives structural
+                        // Zero filler keeps every residue canonical: in
+                        // either kind the lie survives structural
                         // validation and must be caught by the noise gate
-                        // instead. (Seeded messages have one fixed size
-                        // and a level-0-only decoder, so there the lie is
-                        // always structural.)
-                        if !seeded {
-                            out.resize(ciphertext_wire_bytes(params, lvl), 0);
-                        }
+                        // instead — or, on a seeded upload, by the server,
+                        // which expects each layer's input at one level.
+                        let sized = if seeded {
+                            seeded_ciphertext_wire_bytes
+                        } else {
+                            ciphertext_wire_bytes
+                        };
+                        out.resize(sized(params, lvl), 0);
                     }
                 }
             }

@@ -246,32 +246,125 @@ fn public_key_roundtrip_and_size_pin() {
     }
 }
 
+/// A seeded upload at every level of every preset: `8 + Σ_{i<live}
+/// n·w_i/8` payload bytes exactly, bit-identical round trip (`c1`
+/// re-expanded over the level's chain), every live plane — the last one
+/// included — canonical-checked, and a header level past the chain
+/// refused before the length is even looked at.
 #[test]
 fn seeded_ciphertext_roundtrip_size_and_canonical_fields() {
     for (name, p) in presets() {
         let kg = KeyGenerator::from_seed(p.clone(), 19);
         let encoder = BatchEncoder::new(p.clone());
+        let dec = Decryptor::new(kg.secret_key().clone());
         let mut enc = Encryptor::from_secret_key(kg.secret_key().clone(), 20);
-        let (ct, seed) = enc
-            .encrypt_seeded(&encoder.encode(&[3, 1, 4]).unwrap())
-            .unwrap();
-        let bytes = wire::encode_ciphertext_seeded(&ct, seed).unwrap();
+        for level in 0..p.levels() {
+            let (ct, seed) = enc
+                .encrypt_seeded_at(&encoder.encode(&[3, 1, 4]).unwrap(), level)
+                .unwrap();
+            assert_eq!(ct.level(), level, "{name}");
+            let live = p.live_limbs_at(level);
+            let bytes = wire::encode_ciphertext_seeded(&ct, seed).unwrap();
+            assert_eq!(
+                bytes.len(),
+                wire::HEADER_BYTES + wire::SEED_BYTES + wire::poly_bytes(p.chain(), live),
+                "{name} lvl{level}: seeded ciphertext wire size"
+            );
+            assert_eq!(bytes.len(), wire::seeded_ciphertext_wire_bytes(&p, level));
+            let back = wire::decode_ciphertext(&bytes, &p).unwrap();
+            assert_eq!(back.level(), level, "{name}");
+            assert_eq!(back.c0().data(), ct.c0().data(), "{name} lvl{level}");
+            assert_eq!(back.c1().data(), ct.c1().data(), "{name} lvl{level}");
+            assert_eq!(wire::encode_ciphertext_seeded(&back, seed).unwrap(), bytes);
+            // Wherever the fresh estimate the decoder attaches promises a
+            // correct decryption, the plaintext comes back. (On
+            // `rns_2x30`'s last limb it does not: `Q_1 < 2t²`, so even the
+            // rounding of `Δ_1·m` overflows the ceiling.)
+            if back.noise().bound_log2 < p.noise_ceiling_at(level).log2() {
+                assert_eq!(
+                    &encoder.decode(&dec.decrypt_checked(&back).unwrap())[..3],
+                    &[3, 1, 4],
+                    "{name} lvl{level}"
+                );
+            }
+            let decode = |b: &[u8]| wire::decode_ciphertext(b, &p);
+            let what = format!("{name} lvl{level} seeded ciphertext");
+            check_exact_length(&bytes, decode, &what);
+            check_old_versions_refused(&bytes, decode, &what);
+            let at = wire::HEADER_BYTES + wire::SEED_BYTES;
+            check_plane_boundaries(&bytes, at, p.chain(), live, decode, &what);
+
+            let mut past = bytes.clone();
+            let past_level = p.levels() as u32;
+            past[wire::OFF_LEVEL..wire::OFF_LEVEL + 4].copy_from_slice(&past_level.to_le_bytes());
+            assert!(
+                matches!(
+                    decode(&past),
+                    Err(Error::InvalidLevel { requested, .. }) if requested == p.levels()
+                ),
+                "{what}: a level past the chain"
+            );
+        }
+    }
+}
+
+/// An upload bundle may hold seeded ciphertexts at different levels, and
+/// full ones among them: the splitter sizes each message by its own kind
+/// and level, so they frame exactly and each decodes to what was encoded.
+#[test]
+fn bundles_of_seeded_ciphertexts_at_mixed_levels_split_exactly() {
+    for (name, p) in presets().into_iter().filter(|(_, p)| p.levels() > 1) {
+        let kg = KeyGenerator::from_seed(p.clone(), 25);
+        let encoder = BatchEncoder::new(p.clone());
+        let mut enc = Encryptor::from_secret_key(kg.secret_key().clone(), 26);
+        let deepest = p.max_level();
+        let mut cts = Vec::new();
+        let mut messages = Vec::new();
+        for (v, level) in [(1u64, deepest), (2, 0), (3, deepest), (4, 0)] {
+            let (ct, seed) = enc
+                .encrypt_seeded_at(&encoder.encode(&[v]).unwrap(), level)
+                .unwrap();
+            messages.push(wire::encode_ciphertext_seeded(&ct, seed).unwrap());
+            cts.push(ct);
+        }
+        // A full ciphertext among them, at the deepest level.
+        messages.push(wire::encode_ciphertext(&cts[0]));
+        cts.push(cts[0].clone());
+        let bundle = messages.concat();
         assert_eq!(
-            bytes.len(),
-            wire::HEADER_BYTES + wire::SEED_BYTES + wire::poly_bytes(p.chain(), p.limbs()),
-            "{name}: seeded ciphertext wire size"
+            bundle.len(),
+            2 * wire::seeded_ciphertext_wire_bytes(&p, deepest)
+                + 2 * wire::seeded_ciphertext_wire_bytes(&p, 0)
+                + wire::ciphertext_wire_bytes(&p, deepest),
+            "{name}"
         );
-        assert_eq!(bytes.len(), wire::seeded_ciphertext_wire_bytes(&p));
-        let back = wire::decode_ciphertext(&bytes, &p).unwrap();
-        assert_eq!(back.c0().data(), ct.c0().data(), "{name}");
-        assert_eq!(back.c1().data(), ct.c1().data(), "{name}");
-        assert_eq!(wire::encode_ciphertext_seeded(&back, seed).unwrap(), bytes);
-        let decode = |b: &[u8]| wire::decode_ciphertext(b, &p);
-        let what = format!("{name} seeded ciphertext");
-        check_exact_length(&bytes, decode, &what);
-        check_old_versions_refused(&bytes, decode, &what);
-        let at = wire::HEADER_BYTES + wire::SEED_BYTES;
-        check_plane_boundaries(&bytes, at, p.chain(), p.limbs(), decode, &what);
+        let parts = wire::split_ciphertext_messages(&bundle, &p).unwrap();
+        assert_eq!(parts.len(), messages.len(), "{name}");
+        for ((part, message), ct) in parts.iter().zip(&messages).zip(&cts) {
+            assert_eq!(*part, &message[..], "{name}");
+            let back = wire::decode_ciphertext(part, &p).unwrap();
+            assert_eq!(back.level(), ct.level(), "{name}");
+            assert_eq!(back.c0().data(), ct.c0().data(), "{name}");
+            assert_eq!(back.c1().data(), ct.c1().data(), "{name}");
+        }
+        // One byte short of the last message is a framing error, and a
+        // level past the chain in any header is refused as one.
+        malformed(
+            wire::split_ciphertext_messages(&bundle[..bundle.len() - 1], &p),
+            name,
+        );
+        let mut past = bundle.clone();
+        let second = messages[0].len();
+        let past_level = p.levels() as u32;
+        past[second + wire::OFF_LEVEL..second + wire::OFF_LEVEL + 4]
+            .copy_from_slice(&past_level.to_le_bytes());
+        assert!(
+            matches!(
+                wire::split_ciphertext_messages(&past, &p),
+                Err(Error::InvalidLevel { .. })
+            ),
+            "{name}: a level past the chain"
+        );
     }
 }
 

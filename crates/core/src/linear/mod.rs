@@ -24,10 +24,13 @@ pub use kernel::PreparedKernel;
 pub const LEVEL_PLAN_MARGIN_BITS: f64 = 2.0;
 
 /// The one level rule: the levels a layer may run at, ascending, each with
-/// the statistical budget of its predicted output there. Walks `input` (a
-/// level-0 estimate) down the chain's modulus-switch transitions, asks
-/// `noise_after(estimate, level)` — a plan's, or a prepared layer's — for
-/// the output at every level, and keeps those that clear
+/// the statistical budget of its predicted output there. A layer's input
+/// is a fresh encryption *at* the level it runs at — the client decrypts
+/// after every layer and encrypts the next upload over only the limbs
+/// that layer needs — and fresh noise is absolute, so `input` (a fresh
+/// estimate) is the input at every level: nothing is walked down the
+/// chain. Asks `noise_after(input, level)` — a plan's, or a prepared
+/// layer's — for the output at every level, and keeps those that clear
 /// [`LEVEL_PLAN_MARGIN_BITS`] under the **statistical** (IBDG) budget, the
 /// §IV-B provisioning rule HE-PTune uses (failure probability below 1e-10).
 /// The worst-case bound would pin both kernels at full level: their baby
@@ -40,12 +43,9 @@ pub fn feasible_levels<'a>(
     params: &'a BfvParams,
     mut noise_after: impl FnMut(&NoiseEstimate, usize) -> NoiseEstimate + 'a,
 ) -> impl Iterator<Item = (usize, f64)> + 'a {
-    let mut est = *input;
+    let input = *input;
     (0..params.levels()).filter_map(move |level| {
-        if level > 0 {
-            est = est.mod_switch(params, level - 1);
-        }
-        let budget = noise_after(&est, level).budget_bits_statistical_at(params, level);
+        let budget = noise_after(&input, level).budget_bits_statistical_at(params, level);
         (budget >= LEVEL_PLAN_MARGIN_BITS).then_some((level, budget))
     })
 }

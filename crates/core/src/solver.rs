@@ -200,7 +200,8 @@ impl KernelPlan {
 /// One layer on one chain: the cheapest of its [`feasible_levels`] (the
 /// shallowest on a tie) under the plan the engine would prepare at each,
 /// or `None` when no level clears the margin. The session re-encrypts
-/// between layers, so every layer's input is a fresh encryption.
+/// between layers, so every layer's input is a fresh encryption at the
+/// level the layer runs at.
 fn cheapest_level(
     layer: &LinearLayer,
     structure: Option<&LayerStructure>,

@@ -155,10 +155,14 @@ pub struct PreparedModel {
     /// The parameter-chain fingerprint every client message must carry.
     fingerprint: u64,
     /// Solver-planned level per linear layer (HE-PTune v2's
-    /// [`ChainPlan`]); the runtime level planner never goes *deeper* than
-    /// this ceiling, so the engine's measured noise can only tighten the
-    /// plan, never loosen it past what the chain solver provisioned.
+    /// [`ChainPlan`]); the level planner never goes *deeper* than this
+    /// ceiling, so the prepared layers' own noise predictions can only
+    /// tighten the plan, never loosen it past what the chain solver
+    /// provisioned.
     planned_levels: Option<Vec<usize>>,
+    /// The level each linear layer runs at ([`PreparedModel::level`]):
+    /// its upload is encrypted there and refused anywhere else.
+    levels: Vec<usize>,
 }
 
 impl PreparedModel {
@@ -278,7 +282,7 @@ impl PreparedModel {
         steps.dedup();
         let fingerprint = cheetah_bfv::chain_fingerprint(&params);
 
-        Ok(Arc::new(Self {
+        let mut model = Self {
             params,
             encoder,
             evaluator,
@@ -289,7 +293,17 @@ impl PreparedModel {
             steps,
             fingerprint,
             planned_levels,
-        }))
+            levels: Vec::new(),
+        };
+        // Layer 0's input is a fresh encryption; every later layer's is a
+        // fresh encryption of a masked activation, from which the server
+        // removes the previous mask — a plaintext of norm up to ⌊t/2⌋.
+        let fresh = NoiseEstimate::fresh(&model.params);
+        let unmasked = fresh.add_plain(model.params.plain_modulus().value() / 2);
+        model.levels = (0..model.layers.len())
+            .map(|k| model.plan_level(k, if k == 0 { &fresh } else { &unmasked }))
+            .collect();
+        Ok(Arc::new(model))
     }
 
     /// The solver-planned per-layer levels, when this model was prepared
@@ -415,14 +429,26 @@ impl PreparedModel {
     /// The deepest safe level for linear layer `k` given an input noise
     /// estimate (see the planner notes on the layer type). When the model
     /// was prepared from a [`ChainPlan`], the solver's planned level caps
-    /// the answer: the runtime estimate may pull the layer shallower than
-    /// planned but never deeper.
+    /// the answer: the estimate may pull the layer shallower than planned
+    /// but never deeper.
     pub fn plan_level(&self, k: usize, input: &NoiseEstimate) -> usize {
         let safe = self.layers[k].plan_level(input, &self.params);
         match &self.planned_levels {
             Some(levels) => safe.min(levels[k]),
             None => safe,
         }
+    }
+
+    /// The level linear layer `k` runs at, fixed when the model is
+    /// prepared: [`PreparedModel::plan_level`] of a fresh encryption for
+    /// layer 0, and of a fresh encryption with a `⌊t/2⌋`-norm mask removed
+    /// for every later layer. The client encrypts the layer's upload at
+    /// this level and the server refuses it at any other, so no limb the
+    /// layer does not need crosses the wire. Part of the model
+    /// description, like the layer shapes: it reveals no more than the
+    /// level every download header already carries.
+    pub fn level(&self, k: usize) -> usize {
+        self.levels[k]
     }
 
     /// Applies linear layer `k` homomorphically with a client's keys.

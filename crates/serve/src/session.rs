@@ -48,16 +48,18 @@
 //! ## The halves
 //!
 //! [`ClientSession`] plays the owner **of the data** (steps 1, 3, 4): it
-//! holds the secret key, encrypts activation uploads, and decrypts masked
+//! holds the secret key, encrypts each activation upload at the level its
+//! layer runs at ([`PreparedModel::level`]), and decrypts masked
 //! downloads behind the measured-noise gate
 //! ([`cheetah_bfv::Decryptor::decrypt_checked`]). [`ServerSession`] plays
 //! the cloud (step 2): it holds the client's Galois keys, expanded from
 //! the seeded set the client registers (handed over in-process, accounted
-//! at its wire size), removes the previous round's mask, plans the level,
-//! applies the prepared layer, switches the result to its shipping level,
-//! re-masks, and records the [`Transcript`]
-//! and one [`LayerReport`] per layer. Both run against one immutable
-//! [`PreparedModel`] holding everything client-independent.
+//! at its wire size), refuses an upload at any level but its layer's,
+//! removes the previous round's mask there, applies the prepared layer,
+//! switches the result to its shipping level, re-masks, and records the
+//! [`Transcript`] and one [`LayerReport`] per layer. Both run against one
+//! immutable [`PreparedModel`] holding everything client-independent —
+//! the per-layer levels included.
 //!
 //! Everything that crosses between the halves is either validated wire
 //! bytes or the functional garbled-circuit handoff
@@ -76,8 +78,11 @@
 //! limb plane `i` is `n·w_i/8` bytes, `w_i` the bit width of `q_i`
 //! (36 bits a residue on the bench chains, not 64). Uploads are *fresh*
 //! symmetric encryptions, so they ship seeded: an 8-byte PRNG seed
-//! regenerates `c1` and only `c0` travels, `8 + Σ_i n·w_i/8` bytes over
-//! the whole chain. Downloads have evaluated, non-seeded `c1` components
+//! regenerates `c1` and only `c0` travels, `8 + Σ_{i<live} n·w_i/8` bytes,
+//! `live` counted at the level the layer runs at — a fresh encryption's
+//! noise is the same at every level, so the client encrypts there and the
+//! server runs the layer on the upload as it arrives, with no switch
+//! before it. Downloads have evaluated, non-seeded `c1` components
 //! and ship both, `2·Σ_{i<live} n·w_i/8` bytes, `live` counted at the
 //! *shipping* level: each layer's outputs are switched to the deepest
 //! level their noise allows before the mask goes on
@@ -307,7 +312,8 @@ impl ClientSession {
     }
 
     /// Packs and encrypts the current activation for the next linear
-    /// layer, returning the seeded wire message.
+    /// layer at the level that layer runs at, returning the seeded wire
+    /// message.
     ///
     /// # Errors
     ///
@@ -315,9 +321,10 @@ impl ClientSession {
     /// packing/encryption/encoding errors.
     pub fn next_upload(&mut self) -> Result<Vec<u8>> {
         let packed = self.model.pack(self.layer, self.pending()?)?;
-        let (ct, seed) = self.encryptor.encrypt_seeded(&packed)?;
+        let level = self.model.level(self.layer);
+        let (ct, seed) = self.encryptor.encrypt_seeded_at(&packed, level)?;
         let encoded = wire::encode_ciphertext_seeded(&ct, seed)?;
-        let payload = wire::seeded_ciphertext_wire_bytes(ct.params()) - wire::HEADER_BYTES;
+        let payload = wire::seeded_ciphertext_wire_bytes(ct.params(), level) - wire::HEADER_BYTES;
         check_wire_accounting(encoded.len(), payload)?;
         Ok(encoded)
     }
@@ -503,18 +510,20 @@ impl ServerSession {
         wire::decode_ciphertext(bytes, self.model.params()).map_err(|e| self.reject(label, e))
     }
 
-    /// Processes one upload: validates the wire message, removes the
-    /// previous round's mask, plans the level, applies the prepared
-    /// layer, switches the outputs to their shipping level, re-masks, and
-    /// serializes the download. The evaluator's
+    /// Processes one upload: validates the wire message and its level
+    /// against the layer's, removes the previous round's mask, applies the
+    /// prepared layer, switches the outputs to their shipping level,
+    /// re-masks, and serializes the download. The evaluator's
     /// temporaries come from the caller's (pooled, leased) `scratch`.
     ///
     /// # Errors
     ///
-    /// [`Error::Unsupported`] for an upload past the final linear layer
-    /// and wire validation errors for a corrupt one (both leave a
-    /// fault-bearing report behind), [`Error::NoiseBudgetExhausted`] when
-    /// the tracked budget of a shipped ciphertext is spent.
+    /// [`Error::Unsupported`] for an upload past the final linear layer,
+    /// wire validation errors for a corrupt one and
+    /// [`Error::LevelMismatch`] for one at another level than its layer's
+    /// (all three leave a fault-bearing report behind),
+    /// [`Error::NoiseBudgetExhausted`] when the tracked budget of a
+    /// shipped ciphertext is spent.
     pub fn process_upload(&mut self, bytes: &[u8], scratch: &mut Scratch) -> Result<LayerDownload> {
         let model = Arc::clone(&self.model);
         let params = model.params();
@@ -533,7 +542,8 @@ impl ServerSession {
         // Record the upload at its accounted size (payload net of the
         // fixed header), then validate it — the seeded decoder re-expands
         // c1 from the seed and attaches the fresh-encryption estimate
-        // (exactly right here: uploads *are* fresh).
+        // (exactly right here: uploads *are* fresh, at any level) — and
+        // refuse it unless it arrived at the level the layer runs at.
         let up_bytes = bytes.len().saturating_sub(wire::HEADER_BYTES);
         self.transcript.record_with_payload(
             Direction::ClientToCloud,
@@ -542,9 +552,15 @@ impl ServerSession {
             bytes.to_vec(),
         );
         let mut ct = self.decode_boundary(&label, bytes)?;
+        let level = model.level(k);
+        if ct.level() != level {
+            let (expected, found) = (level, ct.level());
+            return Err(self.reject(&label, Error::LevelMismatch { expected, found }));
+        }
 
-        // Remove the previous round's mask homomorphically — in place,
-        // drawing the Δ·mask temporary from the leased scratch.
+        // Remove the previous round's mask homomorphically at the layer's
+        // level — in place, drawing the Δ_ℓ·mask temporary from the
+        // leased scratch.
         if let Some(r) = &self.cloud_mask {
             let neg: Vec<i64> = r.data().iter().map(|&v| -v).collect();
             let neg_t = Tensor::from_data(r.shape(), neg);
@@ -554,15 +570,9 @@ impl ServerSession {
                 .add_plain_assign(&mut ct, &neg_packed, scratch)?;
         }
 
-        // Drop the limbs this layer's noise no longer needs — its
-        // rotations and multiplications then run over the live limbs only.
-        let target = model.plan_level(k, ct.noise());
-        if target > ct.level() {
-            model.evaluator().mod_switch_to_assign(&mut ct, target)?;
-        }
-
-        // The HE linear layer, with this client's keys.
-        let predicted = model.noise_after(k, ct.noise(), ct.level());
+        // The HE linear layer, with this client's keys, over the live
+        // limbs the upload arrived with.
+        let predicted = model.noise_after(k, ct.noise(), level);
         let mut outputs = model.apply_with_scratch(k, &ct, &self.keys, scratch)?;
 
         // Conformance record, on the pre-mask outputs at the level the
@@ -595,7 +605,7 @@ impl ServerSession {
         // decrypts only the limbs the noise needs, and the mask's lift
         // covers only those.
         let mask_norm = mask_pts.iter().map(Plaintext::inf_norm).max().unwrap_or(0);
-        let shipped_level = shipping_level(&worst, ct.level(), mask_norm, params);
+        let shipped_level = shipping_level(&worst, level, mask_norm, params);
         let mut shipped_budget = f64::INFINITY;
         for (out_ct, m_pt) in outputs.iter_mut().zip(&mask_pts) {
             model
@@ -611,7 +621,7 @@ impl ServerSession {
         self.reports.push(LayerReport {
             layer: k,
             plan: model.plan_label(k),
-            level: ct.level(),
+            level,
             shipped_level,
             shipped_budget_bits: shipped_budget,
             predicted_bound_log2: predicted.bound_log2,

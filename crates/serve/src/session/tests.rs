@@ -64,10 +64,11 @@ fn two_limb_chain_private_inference_matches_plaintext() {
     let (output, transcript) = session.run(&input).unwrap();
     assert_eq!(output.data(), expect.data(), "2-limb private != plaintext");
 
-    // Every upload ships seeded — seed + one c0 component packed at its
-    // limbs' widths (`8 + Σ_i n·w_i/8` bytes): two 30-bit limbs carry the
-    // same 60 bits a coefficient as the single 60-bit limb, so both
-    // chains' uploads are the same size.
+    // Every upload ships seeded at its layer's level — seed + one c0
+    // component packed at its live limbs' widths (`8 + Σ_{i<live} n·w_i/8`
+    // bytes): two 30-bit limbs carry the same 60 bits a coefficient as the
+    // single 60-bit limb, so a layer that keeps both uploads as much as
+    // the single-limb chain does, and one that runs on the last limb half.
     let mut single = PrivateInferenceSession::new(&net, &weights, session_params(), 77).unwrap();
     let (_, transcript_1) = single.run(&input).unwrap();
     let act_bytes = |t: &Transcript| -> Vec<usize> {
@@ -80,10 +81,15 @@ fn two_limb_chain_private_inference_matches_plaintext() {
     let up2 = act_bytes(&transcript);
     let up1 = act_bytes(&transcript_1);
     assert_eq!(up2.len(), up1.len());
-    let upload = wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES;
-    for (b2, b1) in up2.iter().zip(&up1) {
-        assert_eq!(*b2, upload);
-        assert_eq!(b2, b1, "2 × 30 bits and 1 × 60 bits ship alike");
+    let upload = |level| wire::seeded_ciphertext_wire_bytes(&params, level) - wire::HEADER_BYTES;
+    for ((b2, b1), r) in up2.iter().zip(&up1).zip(session.layer_reports()) {
+        assert_eq!(*b2, upload(r.level));
+        let coefficient_bits = if r.level == 0 { 60 } else { 30 };
+        assert_eq!(
+            (b2 - wire::SEED_BYTES) * 60,
+            (b1 - wire::SEED_BYTES) * coefficient_bits,
+            "2 × 30 bits and 1 × 60 bits ship alike"
+        );
     }
 }
 
@@ -117,14 +123,14 @@ fn leveled_session_drops_limbs_and_matches_plaintext() {
     let (output, transcript) = session.run(&input).unwrap();
     assert_eq!(output.data(), expect.data(), "leveled private != plaintext");
 
-    // Uploads stay full-level (the client always encrypts fresh) and
-    // seeded: one 3-limb c0 plus the 8-byte seed…
-    let upload = wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES;
-    for m in transcript
+    // Uploads are fresh and seeded, encrypted at the level their layer
+    // runs at: one c0 over its live limbs plus the 8-byte seed…
+    let uploads = transcript
         .messages()
         .iter()
-        .filter(|m| m.label.contains("enc activations"))
-    {
+        .filter(|m| m.label.contains("enc activations"));
+    for (m, r) in uploads.zip(session.layer_reports()) {
+        let upload = wire::seeded_ciphertext_wire_bytes(&params, r.level) - wire::HEADER_BYTES;
         assert_eq!(m.bytes, upload, "{}", m.label);
     }
     // …while every layer ran below level 0 and every masked download
@@ -141,6 +147,7 @@ fn leveled_session_drops_limbs_and_matches_plaintext() {
         assert!(m.label.ends_with("lvl2"), "{}", m.label);
         let download = wire::ciphertext_wire_bytes(&params, 2) - wire::HEADER_BYTES;
         assert_eq!(m.bytes, download, "{}", m.label);
+        let upload = wire::seeded_ciphertext_wire_bytes(&params, r.level) - wire::HEADER_BYTES;
         assert_eq!((r.upload_bytes, r.download_bytes), (upload, m.bytes));
         // The margin the client decrypts under is tracked, and left.
         assert!(
@@ -343,6 +350,51 @@ fn a_round_past_the_final_layer_is_a_typed_error_on_both_halves() {
         client.absorb_download(&last_download),
         Err(Error::Unsupported(_))
     ));
+}
+
+#[test]
+fn an_upload_at_another_level_than_its_layers_is_refused() {
+    // The level each layer runs at is fixed with the model; an upload
+    // encrypted anywhere else — here over the full chain for a layer that
+    // runs one limb down — is refused with one fault report, before any
+    // arithmetic, and nothing is recorded after the upload itself.
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 95);
+    let input = random_input(&net.input_shape, 3, 96);
+    let model = PreparedModel::new(&net, &weights, session_params_3_limb()).unwrap();
+    let level = model.level(0);
+    assert!(level >= 1, "the tiny CNN's first layer runs below level 0");
+    let (mut client, setup) = ClientSession::new(Arc::clone(&model), 9, &input).unwrap();
+    let mut server = ServerSession::new(Arc::clone(&model), setup, 9).unwrap();
+    let mut scratch = model.evaluator().new_scratch();
+
+    let packed = model.pack(0, client.pending().unwrap()).unwrap();
+    let (ct, seed) = client.encryptor.encrypt_seeded_at(&packed, 0).unwrap();
+    let upload = wire::encode_ciphertext_seeded(&ct, seed).unwrap();
+    let refused = server.process_upload(&upload, &mut scratch);
+    assert!(
+        matches!(
+            refused,
+            Err(Error::LevelMismatch { expected, found: 0 }) if expected == level
+        ),
+        "a level-0 upload to a level-{level} layer must be refused"
+    );
+    assert_eq!(server.reports().len(), 1, "one fault report");
+    let fault = server.reports()[0].fault.as_deref().unwrap();
+    assert!(fault.contains("different levels"), "{fault}");
+    let recorded = shape(server.transcript());
+    assert_eq!(recorded.len(), 2, "the setup and the upload: {recorded:?}");
+    assert_eq!(recorded[1].0, "enc activations L0");
+    assert_eq!(server.layer(), 0);
+
+    // The honest upload, at the layer's level, goes through.
+    let honest = client.next_upload().unwrap();
+    assert_eq!(
+        honest.len(),
+        wire::seeded_ciphertext_wire_bytes(model.params(), level)
+    );
+    server.process_upload(&honest, &mut scratch).unwrap();
+    assert_eq!(server.reports()[1].level, level);
 }
 
 /// The benchmark's four workloads, `(name, network, weights, chain,

@@ -101,16 +101,15 @@ fn structures(layers: &[LinearLayer], weights: &Weights) -> Vec<LayerStructure> 
     layers.iter().enumerate().map(analyze).collect()
 }
 
-/// `fresh` walked down the chain to `level`, as the level rule walks it.
-fn fresh_at(params: &BfvParams, level: usize) -> NoiseEstimate {
-    (0..level).fold(NoiseEstimate::fresh(params), |est, from| {
-        est.mod_switch(params, from)
-    })
+/// A layer's input at `level`, as the level rule prices it: a fresh
+/// encryption made at that level, whose noise is the same at every level.
+fn fresh_at(params: &BfvParams, _level: usize) -> NoiseEstimate {
+    NoiseEstimate::fresh(params)
 }
 
 /// The budget of the plan the engine's chooser picks for `structure` at
-/// `level`, asked for its own `noise_after` a fresh encryption walked down
-/// to that level, every mask at `norm` — at `⌊t/2⌋`, what the solver must
+/// `level`, asked for its own `noise_after` a fresh encryption made at
+/// that level, every mask at `norm` — at `⌊t/2⌋`, what the solver must
 /// have computed, to the bit.
 fn plan_budget(
     layer: &LinearLayer,

@@ -11,7 +11,9 @@
 //!   inconsistent level lies) must die in wire validation with a typed
 //!   error;
 //! * semantic faults (in-range bit flips, swapped components, consistent
-//!   level lies) must die at the measured noise-budget gate;
+//!   level lies) must die at the measured noise-budget gate — and a
+//!   consistent level lie on an upload already dies at the server, which
+//!   expects each layer's input at one level;
 //! * the header's reserved byte must be provably harmless — bit-identical
 //!   decryption.
 //!
@@ -26,7 +28,7 @@ use cheetah_bfv::{BfvParams, Error};
 use cheetah_nn::inference::random_input;
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::{Network, Weights};
-use cheetah_serve::PrivateInferenceSession;
+use cheetah_serve::{ClientSession, PreparedModel, PrivateInferenceSession, ServerSession};
 
 const N: usize = 4096;
 
@@ -152,12 +154,15 @@ fn corruption_battery(params: &BfvParams, len: usize) -> Vec<Corruption> {
     // already of that kind), the key kinds, the retired kinds.
     battery.extend((1..=7).map(|kind| Corruption::KindRelabel { kind }));
     if params.levels() > 1 {
-        // Length-consistent level lie: survives structural validation,
-        // must die at the noise gate.
-        battery.push(Corruption::LevelLie {
-            level: 1,
-            resize_payload: true,
-        });
+        // Length-consistent level lies, one limb down and back to the
+        // full chain (a no-op on a message already there): both survive
+        // structural validation and must die at the noise gate.
+        for level in [0, 1] {
+            battery.push(Corruption::LevelLie {
+                level,
+                resize_payload: true,
+            });
+        }
         battery.push(Corruption::NonCanonicalResidue { limb: 1 });
     }
     battery
@@ -259,8 +264,12 @@ fn corruption_classes_map_to_expected_errors() {
         case(Corruption::NonCanonicalResidue { limb: 0 }),
         Err(Error::Malformed { .. })
     ));
-    // An over-range field is refused by name: its plane and coefficient.
-    for limb in 0..params.limbs() {
+    // An over-range field is refused by name: its plane and coefficient,
+    // in every plane the upload carries at its layer's level.
+    let live = wire::decode_ciphertext(clean, &params)
+        .unwrap()
+        .live_limbs();
+    for limb in 0..live {
         for top in [false, true] {
             match case(Corruption::OverRange {
                 limb,
@@ -276,26 +285,48 @@ fn corruption_classes_map_to_expected_errors() {
         }
     }
 
-    // A length-consistent level lie reshuffles limb planes; it dies at
-    // whichever layer sees it first — usually the canonical-residue check
-    // (plane words land under a different prime), otherwise the noise
-    // gate. Either way: detected, typed.
-    let lie = FaultInjector::apply(
-        clean,
-        &Corruption::LevelLie {
-            level: 1,
+    // A length-consistent level lie on an upload — a level-0 one cut to
+    // the next level's planes, a deeper one padded back out to the full
+    // chain with zero planes — keeps every field canonical: it decodes,
+    // and dies at the noise gate (`Δ_ℓ` differs per level).
+    let lied_level = |message: &[u8]| {
+        let level = wire::decode_ciphertext(message, &params).unwrap().level();
+        u32::from(level == 0)
+    };
+    let lie = |message: &[u8]| {
+        let corruption = Corruption::LevelLie {
+            level: lied_level(message),
             resize_payload: true,
-        },
-        &params,
+        };
+        FaultInjector::apply(message, &corruption, &params)
+    };
+    let ct = wire::decode_ciphertext(&lie(clean), &params)
+        .unwrap_or_else(|e| panic!("a consistent level lie decodes, got {e}"));
+    assert_eq!(ct.level() as u32, lied_level(clean));
+    assert!(
+        matches!(session.decrypt_slots(&ct), Err(Error::NoiseBudgetExhausted)),
+        "consistent level lie must die at the noise gate"
     );
-    match wire::decode_ciphertext(&lie, &params) {
-        Err(Error::Malformed { .. }) => {}
-        Ok(ct) => assert!(
-            matches!(session.decrypt_slots(&ct), Err(Error::NoiseBudgetExhausted)),
-            "consistent level lie must die at the noise gate if it decodes"
+    // In flight, it never gets that far: the server expects the layer's
+    // input at the level the prepared model fixed, and refuses the lie
+    // before any arithmetic.
+    let model = PreparedModel::new(&net, &Weights::random(&net, 2, 611), params.clone()).unwrap();
+    let input = random_input(&net.input_shape, 3, 612);
+    let (mut client, setup) = ClientSession::new(model.clone(), 77, &input).unwrap();
+    let mut server = ServerSession::new(model.clone(), setup, 77).unwrap();
+    let upload = client.next_upload().unwrap();
+    let refused = server.process_upload(&lie(&upload), &mut model.evaluator().new_scratch());
+    assert!(
+        matches!(
+            refused,
+            Err(Error::LevelMismatch { expected, found })
+                if expected == model.level(0) && found as u32 == lied_level(&upload)
         ),
-        Err(other) => panic!("unexpected error class for the level lie: {other}"),
-    }
+        "a consistent level lie must die at the server, got {:?}",
+        refused.err()
+    );
+    let fault = server.reports()[0].fault.as_deref().unwrap();
+    assert!(fault.contains("different levels"), "{fault}");
 
     // Semantic classes decode fine but die at the noise gate. They are
     // pinned on a *download* message: uploads ship seeded with a single

@@ -150,6 +150,22 @@ if git grep -nE '(const|static)[[:space:]]+[A-Za-z0-9_]*MARGIN[A-Za-z0-9_]*BITS'
     exit 1
 fi
 
+echo "==> one-switch gate"
+# A layer's upload arrives at the level the layer runs at: the client
+# encrypts it there (PreparedModel::level, fixed when the model is
+# prepared) and the server refuses any other, so a round modulus-switches
+# once — the layer's outputs, down to their shipping level — and plans no
+# level per upload.
+switches=$(grep -o 'mod_switch_to_assign' crates/serve/src/session.rs | wc -l)
+if ((switches > 1)); then
+    echo "FAIL: crates/serve/src/session.rs calls mod_switch_to_assign $switches times (the ship switch only)"
+    exit 1
+fi
+if grep -n 'plan_level(' crates/serve/src/session.rs; then
+    echo "FAIL: crates/serve/src/session.rs plans a level per upload again (see matches above)"
+    exit 1
+fi
+
 echo "==> one-kernel gate"
 # A linear layer is its rotations, mask multiplies and adds, and that loop
 # exists once: linear/kernel.rs is the only file under linear/ that hoists a

@@ -212,9 +212,14 @@ fn galois_keys_and_rotations_keep_their_bits() {
 /// download started shipping on the last limb: new download bytes and
 /// labels, the same uploads. Both moved when every residue started
 /// crossing the wire packed at its limb's width: new bytes for the same
-/// ciphertexts, which [`SESSION_RESIDUE_PINS`] holds still.
+/// ciphertexts, which [`SESSION_RESIDUE_PINS`] holds still. The
+/// `rns_3x36` row — both digests — moved again when each upload started
+/// being encrypted at the level its layer runs at: that chain runs
+/// layers below level 0, so their uploads carry fewer limbs and every
+/// later message changes with them; `hybrid_2x36` runs every layer at
+/// level 0 and keeps its bits.
 const SESSION_PINS: [(&str, u64, u64); 2] = [
-    ("rns_3x36", 0x3c82_c051_dd29_c299, 0x91cf_40b0_effe_4582),
+    ("rns_3x36", 0xeb0d_43da_4959_6b57, 0x1ec5_fe78_eaa8_06d4),
     ("hybrid_2x36", 0x80a1_7a07_d07a_5f92, 0x78e0_426b_ecbe_a99b),
 ];
 
@@ -222,9 +227,11 @@ const SESSION_PINS: [(&str, u64, u64); 2] = [
 /// words)`: each payload split into its messages, each message decoded
 /// (an upload's `c1` expanded from its seed) and its `c0`, `c1` words
 /// digested in order. These see the residues a receiver gets, not the
-/// wire layout that carried them.
+/// wire layout that carried them; the `rns_3x36` one moved with
+/// [`SESSION_PINS`]' row when uploads started arriving at their layer's
+/// level.
 const SESSION_RESIDUE_PINS: [(&str, u64); 2] = [
-    ("rns_3x36", 0x2d2a_fbbc_c642_2dc6),
+    ("rns_3x36", 0xf232_3f14_71fe_8e33),
     ("hybrid_2x36", 0xe221_6dd8_a76b_f93c),
 ];
 

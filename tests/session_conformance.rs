@@ -9,8 +9,9 @@
 //!   **bit-exactly**;
 //! * every ciphertext message in the transcript matches the wire
 //!   module's size at its recorded level, every limb plane packed at its
-//!   limb's width: uploads are always full-chain and ship seeded (an
-//!   8-byte PRNG seed replaces the whole `c1` component), while masked
+//!   limb's width: uploads are encrypted at the level their layer runs at
+//!   and ship seeded (an 8-byte PRNG seed replaces the whole `c1`
+//!   component), while masked
 //!   downloads ship both components — one ciphertext a layer, the
 //!   convolution's two output channels included — and shrink with the
 //!   shipping level, the deepest the layer's output noise allows;
@@ -24,8 +25,10 @@
 //! FC bound no longer carries a fold's rotate-and-sum, so the last layer
 //! of both networks runs one level down on the digit chain. Every layer's
 //! download ships on the last limb, and clears the client's decrypt gate
-//! at sixteen key seeds; the layers' reported upload and download bytes
-//! and the garbled circuits add up to the online bytes.
+//! at sixteen key seeds; every upload arrives at its layer's level — its
+//! header, the layer's report and the prepared model agree — and the
+//! layers' reported upload and download bytes and the garbled circuits add
+//! up to the online bytes.
 
 use cheetah::bfv::{wire, BfvParams};
 use cheetah::core::linear::FcPlan;
@@ -79,6 +82,13 @@ fn level_of(label: &str) -> usize {
     label[idx + 3..].trim().parse().expect("level parses")
 }
 
+/// The level field of a wire message's header.
+fn header_level(message: &[u8]) -> usize {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(&message[wire::OFF_LEVEL..wire::OFF_LEVEL + 4]);
+    u32::from_le_bytes(w) as usize
+}
+
 #[test]
 fn tiny_cnn_conformance_on_all_preset_chains() {
     let net = tiny_cnn();
@@ -108,12 +118,14 @@ fn tiny_cnn_conformance_on_all_preset_chains() {
         let mut accounted = 0usize;
         for m in transcript.messages() {
             if m.label.contains("enc activations") {
-                // Clients always encrypt fresh: full-chain uploads, seeded
-                // — one c0 component plus the 8-byte seed standing in for
-                // all of c1.
+                // Clients encrypt fresh at the layer's level, seeded — one
+                // c0 component over the live limbs plus the 8-byte seed
+                // standing in for all of c1.
+                let level = header_level(&m.payload);
+                assert!(level < limbs, "{name}: level out of range in {}", m.label);
                 assert_eq!(
                     m.bytes,
-                    wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES,
+                    wire::seeded_ciphertext_wire_bytes(&params, level) - wire::HEADER_BYTES,
                     "{name}: upload accounting for {}",
                     m.label
                 );
@@ -354,10 +366,20 @@ fn check_bench_net(net: &Network, digit_levels: [usize; 3], hybrid_levels: [usiz
             .map(|r| r.upload_bytes + r.download_bytes)
             .sum();
         assert_eq!(moved + gc, online, "{name}: online bytes");
-        let upload = wire::seeded_ciphertext_wire_bytes(&params) - wire::HEADER_BYTES;
         let download =
             wire::ciphertext_wire_bytes(&params, params.max_level()) - wire::HEADER_BYTES;
-        for r in reports {
+        let uploads = transcript
+            .messages()
+            .iter()
+            .filter(|m| m.label.starts_with("enc activations"));
+        assert_eq!(uploads.clone().count(), reports.len(), "{name}: uploads");
+        for (r, m) in reports.iter().zip(uploads) {
+            // The upload arrived at the level the layer ran at, the one
+            // the prepared model fixed for it, and was charged its size.
+            let level = session.prepared().level(r.layer);
+            assert_eq!(header_level(&m.payload), level, "{name} L{}", r.layer);
+            assert_eq!(r.level, level, "{name} L{}", r.layer);
+            let upload = wire::seeded_ciphertext_wire_bytes(&params, level) - wire::HEADER_BYTES;
             assert_eq!(r.upload_bytes, upload, "{name} L{}", r.layer);
             assert!(
                 r.download_bytes > 0 && r.download_bytes % download == 0,
