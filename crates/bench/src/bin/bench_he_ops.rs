@@ -1,5 +1,5 @@
 //! Machine-readable hot-path benchmark: emits `BENCH_he_ops.json` with
-//! ns/op for the three HE operators (allocating vs in-place/scratch
+//! ns/op for the three HE operators (into a fresh output vs in-place/scratch
 //! variants) and a per-limb-count section (1/2/3-limb RNS chains) so the
 //! cost of the modulus chain is trackable across PRs. Multi-limb presets also report
 //! the leveled primitives — `l{2,3}_mod_switch` (dropping a limb) and
@@ -131,7 +131,7 @@ fn ctx_for(params: BfvParams) -> Ctx {
     let raw = encoder.encode(&values).unwrap();
     let ct = enc.encrypt(&raw).unwrap();
     let ct2 = enc.encrypt(&raw).unwrap();
-    let pt = eval.prepare_plaintext(&raw).unwrap();
+    let pt = eval.prepare_plaintext_at(&raw, 0).unwrap();
     Ctx {
         eval,
         keys,
@@ -207,7 +207,7 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
         .map(|k| {
             let values: Vec<u64> = (0..4096u64).map(|v| (v * (k + 2) + k) % t).collect();
             c.eval
-                .prepare_plaintext(&encoder.encode(&values).unwrap())
+                .prepare_plaintext_at(&encoder.encode(&values).unwrap(), 0)
                 .unwrap()
         })
         .collect();
@@ -223,7 +223,7 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
             .unwrap();
     });
     let mut scratch: Scratch = c.eval.new_scratch();
-    let mut out = Ciphertext::transparent_zero(c.eval.params());
+    let mut out = Ciphertext::transparent_zero_at(c.eval.params(), 0);
     let rotate = with_backend(Some(SimdBackend::Scalar), || {
         time_ns(|| {
             c.eval
@@ -253,7 +253,7 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
             .unwrap();
     });
     let leveled = (params.max_level() >= 1).then(|| {
-        let mut switched = Ciphertext::transparent_zero(c.eval.params());
+        let mut switched = Ciphertext::transparent_zero_at(c.eval.params(), 0);
         let mod_switch = time_ns(|| {
             c.eval
                 .mod_switch_to_next_into(&mut switched, black_box(&c.ct))
@@ -429,7 +429,8 @@ fn fc_point(params: BfvParams) -> FcPoint {
         let fresh = enc
             .encrypt(&layer.encode_input(&input, &encoder).unwrap())
             .unwrap();
-        let ct = eval.mod_switch_to(&fresh, level).unwrap();
+        let mut ct = fresh;
+        eval.mod_switch_to_assign(&mut ct, level).unwrap();
         time_ns(|| {
             black_box(layer.apply(black_box(&ct), &eval, &keys, 1).unwrap());
         })
@@ -501,9 +502,10 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    // --- HE operators: allocating wrappers vs the zero-alloc hot path ---
+    // --- HE operators: into a fresh output vs the zero-alloc hot path ---
     let add_alloc = time_ns(|| {
-        black_box(c.eval.add(black_box(&c.ct), black_box(&c.ct2)).unwrap());
+        let mut out = black_box(&c.ct).clone();
+        c.eval.add_assign(&mut out, black_box(&c.ct2)).unwrap();
     });
     let mut work = c.ct.clone();
     let add_assign = time_ns(|| {
@@ -513,7 +515,8 @@ fn main() {
     });
 
     let mul_alloc = time_ns(|| {
-        black_box(c.eval.mul_plain(black_box(&c.ct), &c.pt).unwrap());
+        let mut out = black_box(&c.ct).clone();
+        c.eval.mul_plain_assign(&mut out, &c.pt).unwrap();
     });
     let mut work = c.ct.clone();
     let mul_assign = time_ns(|| {
@@ -522,11 +525,14 @@ fn main() {
             .unwrap();
     });
 
-    let rotate_alloc = time_ns(|| {
-        black_box(c.eval.rotate_rows(black_box(&c.ct), 1, &c.keys).unwrap());
-    });
     let mut scratch: Scratch = c.eval.new_scratch();
-    let mut rot_out = Ciphertext::transparent_zero(c.eval.params());
+    let rotate_alloc = time_ns(|| {
+        let mut out = Ciphertext::transparent_zero_at(c.eval.params(), 0);
+        c.eval
+            .rotate_rows_into(&mut out, black_box(&c.ct), 1, &c.keys, &mut scratch)
+            .unwrap();
+    });
+    let mut rot_out = Ciphertext::transparent_zero_at(c.eval.params(), 0);
     let rotate_into = time_ns(|| {
         c.eval
             .rotate_rows_into(&mut rot_out, black_box(&c.ct), 1, &c.keys, &mut scratch)
@@ -581,7 +587,7 @@ fn main() {
     // --- Modulus switching: one dropped limb on a 2-limb chain ---
     let mod_switch = {
         let c2 = ctx_for(BfvParams::preset_rns_2x30(4096).unwrap());
-        let mut switched = Ciphertext::transparent_zero(c2.eval.params());
+        let mut switched = Ciphertext::transparent_zero_at(c2.eval.params(), 0);
         time_ns(|| {
             c2.eval
                 .mod_switch_to_next_into(&mut switched, black_box(&c2.ct))
@@ -595,7 +601,7 @@ fn main() {
     let hybrid_rotate = |params: BfvParams| -> (f64, f64) {
         let hc = ctx_for(params);
         let mut hs: Scratch = hc.eval.new_scratch();
-        let mut hout = Ciphertext::transparent_zero(hc.eval.params());
+        let mut hout = Ciphertext::transparent_zero_at(hc.eval.params(), 0);
         let rot = time_ns(|| {
             hc.eval
                 .rotate_rows_into(&mut hout, black_box(&hc.ct), 1, &hc.keys, &mut hs)

@@ -14,7 +14,7 @@ use crate::rns::{Representation, RnsPoly};
 /// Each component stores one limb plane per **live** prime of the
 /// parameter set's [`crate::rns::ModulusChain`]: a ciphertext carries a
 /// [`Ciphertext::level`] counting how many limbs
-/// [`crate::Evaluator::mod_switch_to_next`] has dropped. Fresh encryptions
+/// [`crate::Evaluator::mod_switch_to_next_assign`] has dropped. Fresh encryptions
 /// are level 0 (the full chain); every dropped limb shrinks the
 /// ciphertext's storage, wire size, and the cost of every subsequent
 /// operation. Operands of a binary operation must share a level — the
@@ -104,16 +104,10 @@ impl Ciphertext {
         }
     }
 
-    /// An encryption of zero with zero noise (additive identity; useful as
-    /// an accumulator seed) at level 0. Marked transparent: it offers no
-    /// security.
-    pub fn transparent_zero(params: &BfvParams) -> Self {
-        Self::transparent_zero_at(params, 0)
-    }
-
-    /// [`Ciphertext::transparent_zero`] at an explicit level — the
-    /// accumulator seed matching modulus-switched operands (binary
-    /// operations require equal levels).
+    /// An encryption of zero with zero noise at `level` (additive
+    /// identity; the accumulator or output seed matching operands at that
+    /// level, since binary operations require equal levels). Marked
+    /// transparent: it offers no security.
     ///
     /// # Panics
     ///
@@ -231,7 +225,7 @@ mod tests {
             .plain_bits(16)
             .build()
             .unwrap();
-        let z = Ciphertext::transparent_zero(&params);
+        let z = Ciphertext::transparent_zero_at(&params, 0);
         assert_eq!(z.noise().bound_log2, f64::NEG_INFINITY);
         assert!(z.budget_bits().is_infinite());
         assert_eq!(z.byte_size(), 2 * 1024 * 8);
@@ -242,11 +236,11 @@ mod tests {
         let p2 = BfvParams::preset_rns_2x30(4096).unwrap();
         let p3 = BfvParams::preset_rns_3x36(4096).unwrap();
         assert_eq!(
-            Ciphertext::transparent_zero(&p2).byte_size(),
+            Ciphertext::transparent_zero_at(&p2, 0).byte_size(),
             2 * 2 * 4096 * 8
         );
         assert_eq!(
-            Ciphertext::transparent_zero(&p3).byte_size(),
+            Ciphertext::transparent_zero_at(&p3, 0).byte_size(),
             2 * 3 * 4096 * 8
         );
     }

@@ -9,7 +9,7 @@
 //! Slots are arranged as a `2 × (n/2)` matrix: the Galois group of
 //! `x^n + 1` is generated by `x ↦ x^3` (rotating within a row) and
 //! `x ↦ x^{-1}` (swapping the two rows). [`BatchEncoder`] hides the
-//! index bookkeeping; [`crate::evaluator::Evaluator::rotate_rows`] gives the
+//! index bookkeeping; [`crate::evaluator::Evaluator::rotate_rows_into`] gives the
 //! cyclic slot rotation the dot-product schedules of §V are built from.
 //!
 //! A [`Plaintext`] is just its coefficient vector mod `t`: encoding writes
@@ -144,7 +144,7 @@ impl BatchEncoder {
     }
 
     /// Slots per row (`n/2`) — the rotation period of
-    /// [`crate::evaluator::Evaluator::rotate_rows`].
+    /// [`crate::evaluator::Evaluator::rotate_rows_into`].
     pub fn row_size(&self) -> usize {
         self.params.row_size()
     }
@@ -196,15 +196,6 @@ impl BatchEncoder {
     pub fn decode_signed(&self, pt: &Plaintext) -> Vec<i64> {
         let t = self.params.plain_modulus();
         self.decode(pt).into_iter().map(|v| t.center(v)).collect()
-    }
-
-    /// Encodes the same value into every slot (constant vector).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors (cannot occur for a full-length vector).
-    pub fn encode_constant(&self, value: u64) -> Result<Plaintext> {
-        self.encode(&vec![value; self.slots()])
     }
 }
 
@@ -273,7 +264,7 @@ mod tests {
         // A constant vector encodes to the constant polynomial c (slot
         // structure sanity check: NTT of a constant is constant).
         let enc = encoder(2048);
-        let pt = enc.encode_constant(9).unwrap();
+        let pt = enc.encode(&vec![9; enc.slots()]).unwrap();
         assert_eq!(pt.coeffs()[0], 9);
         assert!(pt.coeffs()[1..].iter().all(|&c| c == 0));
     }

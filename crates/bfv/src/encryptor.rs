@@ -65,7 +65,7 @@ impl Encryptor {
     /// different parameters.
     pub fn encrypt(&mut self, pt: &Plaintext) -> Result<Ciphertext> {
         self.params.check_same(pt.params())?;
-        let mut dm = self.params.lift_scaled(pt.coeffs());
+        let mut dm = self.params.lift_scaled_at(pt.coeffs(), 0);
         dm.to_eval(self.params.chain());
         if let Some(pk) = &self.pk {
             self.encrypt_with_pk(dm, pk.clone())
@@ -105,9 +105,9 @@ impl Encryptor {
     }
 
     /// [`Encryptor::encrypt_seeded_at`] at level 0, over the full chain.
-    /// Kept for the benchmark's sources, which call it unchanged until the
-    /// benchmark itself is revised; a session encrypts each upload at its
-    /// layer's level.
+    /// The one level-0 twin the engine keeps besides [`BfvParams::chain`]:
+    /// the benchmark's sources call it unchanged until the benchmark itself
+    /// is revised; a session encrypts each upload at its layer's level.
     ///
     /// # Errors
     ///
@@ -484,7 +484,7 @@ mod tests {
         // The budget should be large for a fresh ciphertext.
         let budget = dec.invariant_noise_budget(&ct).unwrap();
         assert!(budget > 20.0, "budget {budget}");
-        assert!(budget <= params.noise_ceiling().log2());
+        assert!(budget <= params.noise_ceiling_at(0).log2());
     }
 
     #[test]

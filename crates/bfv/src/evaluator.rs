@@ -1,14 +1,16 @@
 //! Homomorphic evaluation: the three BFV operators of §III-B1, plus
 //! modulus switching.
 //!
-//! * [`Evaluator::add`] — SIMD addition (noise adds);
-//! * [`Evaluator::mul_plain`] — SIMD plaintext-ciphertext multiplication
-//!   by an undecomposed plaintext (noise multiplies by `≤ n·W/2`,
-//!   `W = 2·||pt||`; plaintext windowing is priced by HE-PTune only);
-//! * [`Evaluator::rotate_rows`] / [`Evaluator::rotate_columns`] — packed
-//!   slot rotation via Galois automorphism + key switching with ciphertext
-//!   decomposition (noise adds `l_ct·A·B·n/2`);
-//! * [`Evaluator::mod_switch_to_next`] / [`Evaluator::mod_switch_to`] —
+//! * [`Evaluator::add_assign`] — SIMD addition (noise adds);
+//! * [`Evaluator::mul_plain_assign`] — SIMD plaintext-ciphertext
+//!   multiplication by an undecomposed plaintext (noise multiplies by
+//!   `≤ n·W/2`, `W = 2·||pt||`; plaintext windowing is priced by HE-PTune
+//!   only);
+//! * [`Evaluator::rotate_rows_into`] — packed slot rotation via Galois
+//!   automorphism + key switching with ciphertext decomposition (noise
+//!   adds `l_ct·A·B·n/2`);
+//! * [`Evaluator::mod_switch_to_next_assign`] /
+//!   [`Evaluator::mod_switch_to_assign`] —
 //!   drops live limbs of the RNS chain once the noise budget allows,
 //!   shrinking every subsequent operation (and the wire format) to the
 //!   live-limb count. Every operator here is **level-aware**: it runs over
@@ -58,7 +60,7 @@
 //!
 //! Rotating one ciphertext by many steps (conv tap sets, rotate-and-sum
 //! reductions over a fixed input) shares all of the INTT + decompose + NTT
-//! work: [`Evaluator::hoist`] performs it once, and
+//! work: [`Evaluator::hoist_into`] performs it once, and
 //! [`Evaluator::rotate_hoisted_into`] replays any number of rotations from
 //! the cached evaluation-form digits — per extra rotation only the `c0`
 //! slot permutation and the back half remain, the sum reading each digit
@@ -72,21 +74,17 @@
 //!
 //! # The zero-allocation hot path
 //!
-//! Every operator comes in two forms:
-//!
-//! * an **in-place** form (`add_assign`, `sub_assign`, `negate_assign`,
-//!   `mul_plain_assign`, `mul_plain_accumulate`,
-//!   `mul_plain_accumulate_many`, `add_plain_assign`,
-//!   `apply_galois_into`, `rotate_rows_into`, `rotate_hoisted_into`) that
-//!   mutates caller-owned ciphertexts and draws any temporaries from a
-//!   caller-owned [`Scratch`] pool — zero heap allocations at steady
-//!   state (proved by the counting-allocator test in `tests/zero_alloc.rs`);
-//! * the original **allocating** form, now a thin wrapper that clones the
-//!   input (or leases the evaluator's internal scratch pool) and delegates
-//!   to the in-place form, so both paths execute byte-identical kernels.
-//!
-//! The in-place family plus per-thread `Scratch` instances is what the
-//! thread-parallel linear layers in `cheetah-core` are built on.
+//! Every operator works **in place** or into a caller-owned output
+//! (`add_assign`, `sub_assign`, `negate_assign`, `mul_plain_assign`,
+//! `mul_plain_accumulate_many`, `add_plain_assign`, `apply_galois_into`,
+//! `rotate_rows_into`, `hoist_into`, `rotate_hoisted_into`,
+//! `mod_switch_to_assign`, …): it mutates caller-owned ciphertexts and draws
+//! any temporaries from a caller-owned [`Scratch`] pool — zero heap
+//! allocations at steady state (proved by the counting-allocator test in
+//! `tests/zero_alloc.rs`). A caller that wants a new ciphertext clones its
+//! input or starts from [`Ciphertext::transparent_zero_at`] the operand's
+//! level. Per-thread `Scratch` instances are what the thread-parallel
+//! linear layers in `cheetah-core` are built on.
 //!
 //! Operation counters ([`OpCounts`]) record how many of each kernel ran —
 //! atomically, so multi-threaded layer evaluation keeps exact accounting —
@@ -307,7 +305,7 @@ impl PreparedPlaintext {
 
 /// The rotation-invariant precomputation of `HE_Rotate` for one
 /// ciphertext: the evaluation-form per-limb digit decomposition of its
-/// `c1` component (see [`Evaluator::hoist`]).
+/// `c1` component (see [`Evaluator::hoist_into`]).
 ///
 /// Read-only once built, so one instance can be shared across worker
 /// threads replaying different rotation steps of the same set.
@@ -337,12 +335,6 @@ impl HoistedDecomposition {
             level: 0,
             source_tag: 0,
         }
-    }
-
-    /// Number of cached digit polynomials ([`BfvParams::ks_digits_at`] the
-    /// source's level, once filled).
-    pub fn levels(&self) -> usize {
-        self.digits.len()
     }
 
     /// Level of the ciphertext this decomposition was hoisted from;
@@ -375,8 +367,7 @@ fn source_fingerprint(p: &RnsPoly) -> u64 {
 ///
 /// Shared-reference (`&Evaluator`) use is thread-safe: kernel counters are
 /// atomic and the internal scratch pool is mutex-guarded. For contention-free
-/// parallelism, give each worker thread its own [`Scratch`] and call the
-/// `*_assign` / `*_into` operations directly.
+/// parallelism, give each worker thread its own [`Scratch`].
 ///
 /// # Examples
 ///
@@ -393,8 +384,10 @@ fn source_fingerprint(p: &RnsPoly) -> u64 {
 /// let decryptor = Decryptor::new(keygen.secret_key().clone());
 /// let evaluator = Evaluator::new(params);
 ///
+/// let mut scratch = evaluator.new_scratch();
 /// let ct = encryptor.encrypt(&encoder.encode(&[10, 20, 30])?)?;
-/// let rotated = evaluator.rotate_rows(&ct, 1, &keys)?;
+/// let mut rotated = ct.clone();
+/// evaluator.rotate_rows_into(&mut rotated, &ct, 1, &keys, &mut scratch)?;
 /// let out = encoder.decode(&decryptor.decrypt(&rotated)?);
 /// assert_eq!(out[0], 20); // left rotation by 1
 /// # Ok(())
@@ -410,9 +403,8 @@ pub struct Evaluator {
     poly_mul_count: AtomicU64,
     mod_switch_count: AtomicU64,
     stages: StageClock,
-    /// Backs the allocating wrapper API and `HE_ModSwitch`'s temporary
-    /// plane; the rest of the in-place API takes a caller scratch instead
-    /// so worker threads never contend here.
+    /// Backs `HE_ModSwitch`'s temporary plane; every other operation takes
+    /// a caller scratch instead so worker threads never contend here.
     scratch: Mutex<Scratch>,
 }
 
@@ -538,13 +530,6 @@ impl Evaluator {
                 found: pt.level,
             })
         }
-    }
-
-    /// Resizes a reusable output ciphertext to `live` planes (retained
-    /// capacity makes this allocation-free at steady state).
-    #[inline]
-    fn ensure_live(out: &mut Ciphertext, live: usize) {
-        out.resize_live_limbs(live);
     }
 
     // ------------------------------------------------------------------
@@ -765,7 +750,7 @@ impl Evaluator {
         self.params.check_same(out.params())?;
         let key = keys.get(g)?;
         let level = a.level();
-        Self::ensure_live(out, a.live_limbs());
+        out.resize_live_limbs(a.live_limbs());
         let perm = key.permutation();
         out.parts_mut().0.permute_from(a.c0(), perm);
 
@@ -967,7 +952,8 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Evaluator::rotate_rows`].
+    /// [`Error::MissingGaloisKey`] if the key set lacks the step's
+    /// element, [`Error::ParameterMismatch`] for foreign ciphertexts.
     pub fn rotate_rows_into(
         &self,
         out: &mut Ciphertext,
@@ -979,7 +965,7 @@ impl Evaluator {
         if steps.rem_euclid(self.params.row_size() as i64) == 0 {
             self.params.check_same(a.params())?;
             self.params.check_same(out.params())?;
-            Self::ensure_live(out, a.live_limbs());
+            out.resize_live_limbs(a.live_limbs());
             out.copy_from(a);
             return Ok(());
         }
@@ -1048,27 +1034,15 @@ impl Evaluator {
     pub fn mod_switch_to_next_into(&self, out: &mut Ciphertext, a: &Ciphertext) -> Result<()> {
         self.params.check_same(a.params())?;
         self.params.check_same(out.params())?;
-        Self::ensure_live(out, a.live_limbs());
+        out.resize_live_limbs(a.live_limbs());
         out.copy_from(a);
         self.mod_switch_to_next_assign(out)
     }
 
-    /// Allocating `HE_ModSwitch`: returns `a` with its last live limb
-    /// dropped.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Evaluator::mod_switch_to_next_assign`].
-    pub fn mod_switch_to_next(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        self.mod_switch_to_next_assign(&mut out)?;
-        Ok(out)
-    }
-
-    /// Switches a ciphertext down to an exact target level (repeated
-    /// [`Evaluator::mod_switch_to_next_assign`]; a no-op when already
-    /// there). Pair with [`NoiseEstimate::recommended_level`] to drop as
-    /// many limbs as the remaining noise budget allows.
+    /// Switches a ciphertext in place down to an exact target level
+    /// (repeated [`Evaluator::mod_switch_to_next_assign`]; a no-op when
+    /// already there). Pair with [`NoiseEstimate::recommended_level`] to
+    /// drop as many limbs as the remaining noise budget allows.
     ///
     /// # Errors
     ///
@@ -1076,17 +1050,6 @@ impl Evaluator {
     /// ciphertext's current level (limbs cannot be re-grown) or past the
     /// chain's deepest level; [`Error::ParameterMismatch`] for foreign
     /// ciphertexts.
-    pub fn mod_switch_to(&self, a: &Ciphertext, level: usize) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        self.mod_switch_to_assign(&mut out, level)?;
-        Ok(out)
-    }
-
-    /// In-place [`Evaluator::mod_switch_to`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Evaluator::mod_switch_to`].
     pub fn mod_switch_to_assign(&self, a: &mut Ciphertext, level: usize) -> Result<()> {
         self.params.check_same(a.params())?;
         let current = a.level();
@@ -1113,24 +1076,13 @@ impl Evaluator {
     /// the `(l_ct + 1)·l_limbs` plane transforms that otherwise repeat for
     /// every step of a rotation *set*.
     ///
-    /// Pass the result to [`Evaluator::rotate_hoisted_into`] (with the
-    /// *same* source ciphertext) for each step; each rotation then costs
-    /// only slot permutations and the back half (`2·l_ct`
-    /// multiply-accumulates on a digit chain).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for a foreign ciphertext.
-    pub fn hoist(&self, a: &Ciphertext) -> Result<HoistedDecomposition> {
-        let mut hoisted = HoistedDecomposition::empty(&self.params);
-        let mut scratch = self.scratch_guard();
-        self.hoist_into(&mut hoisted, a, &mut scratch)?;
-        Ok(hoisted)
-    }
-
-    /// [`Evaluator::hoist`] into a reusable [`HoistedDecomposition`] (its
+    /// The result goes into a reusable [`HoistedDecomposition`] (its
     /// digit storage is recycled; zero allocations at steady state), with
-    /// the INTT temporary leased from `scratch`.
+    /// the INTT temporary leased from `scratch`. Pass it to
+    /// [`Evaluator::rotate_hoisted_into`] (with the *same* source
+    /// ciphertext) for each step; each rotation then costs only slot
+    /// permutations and the back half (`2·l_ct` multiply-accumulates on a
+    /// digit chain).
     ///
     /// # Errors
     ///
@@ -1199,7 +1151,7 @@ impl Evaluator {
         {
             return Err(Error::ParameterMismatch);
         }
-        Self::ensure_live(out, live);
+        out.resize_live_limbs(live);
         if steps.rem_euclid(self.params.row_size() as i64) == 0 {
             out.copy_from(a);
             return Ok(());
@@ -1262,89 +1214,11 @@ impl Evaluator {
         Ciphertext::new(c0, c1, self.params.clone(), NoiseEstimate::zero())
     }
 
-    /// Allocating wrapper over [`Evaluator::rotate_hoisted_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Evaluator::rotate_hoisted_into`].
-    pub fn rotate_hoisted(
-        &self,
-        a: &Ciphertext,
-        hoisted: &HoistedDecomposition,
-        steps: i64,
-        keys: &GaloisKeys,
-    ) -> Result<Ciphertext> {
-        let mut out = Ciphertext::transparent_zero(&self.params);
-        let mut scratch = self.scratch_guard();
-        self.rotate_hoisted_into(&mut out, a, hoisted, steps, keys, &mut scratch)?;
-        Ok(out)
-    }
-
-    // ------------------------------------------------------------------
-    // Allocating wrappers (original API, delegating to the hot path)
-    // ------------------------------------------------------------------
-
-    /// `HE_Add`: slot-wise ciphertext addition.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts.
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        self.add_assign(&mut out, b)?;
-        Ok(out)
-    }
-
-    /// `a - b` slot-wise.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts.
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        self.sub_assign(&mut out, b)?;
-        Ok(out)
-    }
-
-    /// Slot-wise negation.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts.
-    pub fn negate(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        self.negate_assign(&mut out)?;
-        Ok(out)
-    }
-
-    /// Adds a plaintext to a ciphertext (slot-wise): `ct + Δ·pt`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign operands.
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        let mut scratch = self.scratch_guard();
-        self.add_plain_assign(&mut out, pt, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// Lifts a plaintext to `R_Q` (centered) and NTT-transforms it for
-    /// repeated multiplication, at level 0 — usable against ciphertexts at
-    /// any level (the evaluator reads the live-plane prefix).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign plaintexts.
-    pub fn prepare_plaintext(&self, pt: &Plaintext) -> Result<PreparedPlaintext> {
-        self.prepare_plaintext_at(pt, 0)
-    }
-
-    /// [`Evaluator::prepare_plaintext`] at an explicit level: lifts into
-    /// the live planes only, paying `live` instead of `limbs` NTT plane
-    /// transforms. Worth it when a plaintext is prepared fresh for the
-    /// reduced-level tail of a network; a level-0 preparation remains the
-    /// universal choice for reusable weights.
+    /// Lifts a plaintext (centered) into the live planes of `level` and
+    /// NTT-transforms it for repeated `HE_Mult`s, paying `live` NTT plane
+    /// transforms. The preparation serves ciphertexts at `level` or deeper
+    /// (the evaluator reads the live-plane prefix), so level 0 suits
+    /// weights reused across levels.
     ///
     /// # Errors
     ///
@@ -1367,61 +1241,6 @@ impl Evaluator {
             inf_norm,
             level,
         })
-    }
-
-    /// `HE_Mult` (pt-ct, no decomposition): slot-wise multiplication by a
-    /// prepared plaintext. Two pointwise polynomial multiplications; noise
-    /// grows multiplicatively by `≈ n·||pt||` (Table III with `l_pt = 1`,
-    /// `W = 2·||pt||`).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts.
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &PreparedPlaintext) -> Result<Ciphertext> {
-        let mut out = a.clone();
-        self.mul_plain_assign(&mut out, pt)?;
-        Ok(out)
-    }
-
-    /// `HE_Rotate`: rotates row slots left by `steps` (negative = right).
-    ///
-    /// Steps wrap around the row: `steps` and `steps mod (n/2)` are the
-    /// same rotation (so `row + 1` behaves like `1`, and any multiple of
-    /// the row is the identity).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::MissingGaloisKey`] if the key set lacks the element,
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts.
-    pub fn rotate_rows(&self, a: &Ciphertext, steps: i64, keys: &GaloisKeys) -> Result<Ciphertext> {
-        if steps.rem_euclid(self.params.row_size() as i64) == 0 {
-            return Ok(a.clone());
-        }
-        let g = element_for_step(self.params.degree(), steps)?;
-        self.apply_galois(a, g, keys)
-            .map_err(|e| Self::attach_step(e, steps))
-    }
-
-    /// Swaps the two slot rows (`x ↦ x^{2n−1}`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Evaluator::rotate_rows`].
-    pub fn rotate_columns(&self, a: &Ciphertext, keys: &GaloisKeys) -> Result<Ciphertext> {
-        let g = 2 * self.params.degree() as u64 - 1;
-        self.apply_galois(a, g, keys)
-    }
-
-    /// Applies the Galois automorphism `x ↦ x^g` followed by key switching.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::MissingGaloisKey`] or [`Error::ParameterMismatch`].
-    pub fn apply_galois(&self, a: &Ciphertext, g: u64, keys: &GaloisKeys) -> Result<Ciphertext> {
-        let mut out = Ciphertext::transparent_zero(&self.params);
-        let mut scratch = self.scratch_guard();
-        self.apply_galois_into(&mut out, a, g, keys, &mut scratch)?;
-        Ok(out)
     }
 }
 #[cfg(test)]
@@ -1468,7 +1287,8 @@ mod tests {
         let b: Vec<u64> = (0..100).map(|i| 1000 + i).collect();
         let ca = c.enc.encrypt(&c.encoder.encode(&a).unwrap()).unwrap();
         let cb = c.enc.encrypt(&c.encoder.encode(&b).unwrap()).unwrap();
-        let sum = c.eval.add(&ca, &cb).unwrap();
+        let mut sum = ca.clone();
+        c.eval.add_assign(&mut sum, &cb).unwrap();
         let out = c.encoder.decode(&c.dec.decrypt_checked(&sum).unwrap());
         for i in 0..100 {
             assert_eq!(out[i], a[i] + b[i]);
@@ -1482,9 +1302,11 @@ mod tests {
         let t = c.params.plain_modulus().value();
         let ca = c.enc.encrypt(&c.encoder.encode(&[10]).unwrap()).unwrap();
         let cb = c.enc.encrypt(&c.encoder.encode(&[3]).unwrap()).unwrap();
-        let d = c.eval.sub(&ca, &cb).unwrap();
+        let mut d = ca.clone();
+        c.eval.sub_assign(&mut d, &cb).unwrap();
         assert_eq!(c.encoder.decode(&c.dec.decrypt(&d).unwrap())[0], 7);
-        let neg = c.eval.negate(&ca).unwrap();
+        let mut neg = ca.clone();
+        c.eval.negate_assign(&mut neg).unwrap();
         assert_eq!(c.encoder.decode(&c.dec.decrypt(&neg).unwrap())[0], t - 10);
     }
 
@@ -1493,7 +1315,10 @@ mod tests {
         let mut c = ctx(2048, &[]);
         let ca = c.enc.encrypt(&c.encoder.encode(&[5, 6]).unwrap()).unwrap();
         let pb = c.encoder.encode(&[100, 200]).unwrap();
-        let s = c.eval.add_plain(&ca, &pb).unwrap();
+        let mut s = ca.clone();
+        c.eval
+            .add_plain_assign(&mut s, &pb, &mut c.eval.new_scratch())
+            .unwrap();
         let out = c.encoder.decode(&c.dec.decrypt_checked(&s).unwrap());
         assert_eq!(&out[..2], &[105, 206]);
     }
@@ -1506,9 +1331,10 @@ mod tests {
         let ca = c.enc.encrypt(&c.encoder.encode(&a).unwrap()).unwrap();
         let pw = c
             .eval
-            .prepare_plaintext(&c.encoder.encode(&w).unwrap())
+            .prepare_plaintext_at(&c.encoder.encode(&w).unwrap(), 0)
             .unwrap();
-        let prod = c.eval.mul_plain(&ca, &pw).unwrap();
+        let mut prod = ca.clone();
+        c.eval.mul_plain_assign(&mut prod, &pw).unwrap();
         let out = c.encoder.decode(&c.dec.decrypt_checked(&prod).unwrap());
         for i in 0..50 {
             assert_eq!(out[i], a[i] * w[i], "slot {i}");
@@ -1529,9 +1355,10 @@ mod tests {
             .unwrap();
         let pw = c
             .eval
-            .prepare_plaintext(&c.encoder.encode_signed(&w).unwrap())
+            .prepare_plaintext_at(&c.encoder.encode_signed(&w).unwrap(), 0)
             .unwrap();
-        let prod = c.eval.mul_plain(&ca, &pw).unwrap();
+        let mut prod = ca.clone();
+        c.eval.mul_plain_assign(&mut prod, &pw).unwrap();
         let out = c
             .encoder
             .decode_signed(&c.dec.decrypt_checked(&prod).unwrap());
@@ -1544,18 +1371,26 @@ mod tests {
         let row = c.params.row_size();
         let vals: Vec<u64> = (0..row as u64).collect();
         let ct = c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap();
+        let mut scratch = c.eval.new_scratch();
+        let mut rotate = |steps| {
+            let mut out = ct.clone();
+            c.eval
+                .rotate_rows_into(&mut out, &ct, steps, &c.keys, &mut scratch)
+                .unwrap();
+            out
+        };
 
-        let left1 = c.eval.rotate_rows(&ct, 1, &c.keys).unwrap();
+        let left1 = rotate(1);
         let out = c.encoder.decode(&c.dec.decrypt_checked(&left1).unwrap());
         assert_eq!(out[0], 1);
         assert_eq!(out[row - 1], 0); // wrapped around
 
-        let right1 = c.eval.rotate_rows(&ct, -1, &c.keys).unwrap();
+        let right1 = rotate(-1);
         let out = c.encoder.decode(&c.dec.decrypt_checked(&right1).unwrap());
         assert_eq!(out[0], (row - 1) as u64);
         assert_eq!(out[1], 0);
 
-        let left5 = c.eval.rotate_rows(&ct, 5, &c.keys).unwrap();
+        let left5 = rotate(5);
         let out = c.encoder.decode(&c.dec.decrypt_checked(&left5).unwrap());
         assert_eq!(out[0], 5);
     }
@@ -1569,7 +1404,10 @@ mod tests {
             *v = i as u64;
         }
         let ct = c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap();
-        let rot = c.eval.rotate_rows(&ct, 1, &c.keys).unwrap();
+        let mut rot = ct.clone();
+        c.eval
+            .rotate_rows_into(&mut rot, &ct, 1, &c.keys, &mut c.eval.new_scratch())
+            .unwrap();
         let out = c.encoder.decode(&c.dec.decrypt_checked(&rot).unwrap());
         assert_eq!(out[0], 1);
         assert_eq!(out[row], row as u64 + 1); // row 1 also rotated left by 1
@@ -1578,40 +1416,13 @@ mod tests {
     }
 
     #[test]
-    fn rotate_columns_swaps_rows() {
-        let params = BfvParams::builder()
-            .degree(2048)
-            .plain_bits(16)
-            .cipher_bits(54)
-            .a_dcmp(1 << 16)
-            .build()
-            .unwrap();
-        let mut kg = KeyGenerator::from_seed(params.clone(), 77);
-        let pk = kg.public_key().unwrap();
-        // The power-of-two helper includes the row-swap element.
-        let keyset = kg.galois_keys_power_of_two().unwrap();
-
-        let encoder = BatchEncoder::new(params.clone());
-        let mut enc = Encryptor::from_public_key(pk, 3);
-        let dec = Decryptor::new(kg.secret_key().clone());
-        let eval = Evaluator::new(params.clone());
-        let row = params.row_size();
-        let mut vals = vec![0u64; 2 * row];
-        vals[0] = 111;
-        vals[row] = 222;
-        let ct = enc.encrypt(&encoder.encode(&vals).unwrap()).unwrap();
-        let swapped = eval.rotate_columns(&ct, &keyset).unwrap();
-        let out = encoder.decode(&dec.decrypt_checked(&swapped).unwrap());
-        assert_eq!(out[0], 222);
-        assert_eq!(out[row], 111);
-    }
-
-    #[test]
     fn missing_key_is_an_error() {
         let mut c = ctx(2048, &[1]);
         let ct = c.enc.encrypt(&c.encoder.encode(&[1]).unwrap()).unwrap();
+        let mut out = ct.clone();
         assert!(matches!(
-            c.eval.rotate_rows(&ct, 7, &c.keys),
+            c.eval
+                .rotate_rows_into(&mut out, &ct, 7, &c.keys, &mut c.eval.new_scratch()),
             Err(Error::MissingGaloisKey { .. })
         ));
     }
@@ -1620,10 +1431,14 @@ mod tests {
     fn op_counts_track_rotate_internals() {
         let mut c = ctx(2048, &[1]);
         let ct = c.enc.encrypt(&c.encoder.encode(&[1]).unwrap()).unwrap();
+        let mut out = ct.clone();
+        let mut scratch = c.eval.new_scratch();
         c.eval.reset_op_counts();
-        let _ = c.eval.rotate_rows(&ct, 1, &c.keys).unwrap();
+        c.eval
+            .rotate_rows_into(&mut out, &ct, 1, &c.keys, &mut scratch)
+            .unwrap();
         let counts = c.eval.op_counts();
-        let l_ct = c.params.l_ct() as u64;
+        let l_ct = c.params.l_ct_at(0) as u64;
         let limbs = c.params.limbs() as u64;
         assert_eq!(counts.rotate, 1);
         assert_eq!(
@@ -1648,10 +1463,13 @@ mod tests {
         let eval = Evaluator::new(params.clone());
         let ct = enc.encrypt(&encoder.encode(&[1, 2, 3]).unwrap()).unwrap();
 
+        let mut out = ct.clone();
+        let mut scratch = eval.new_scratch();
         eval.reset_op_counts();
-        let _ = eval.rotate_rows(&ct, 1, &keys).unwrap();
+        eval.rotate_rows_into(&mut out, &ct, 1, &keys, &mut scratch)
+            .unwrap();
         let counts = eval.op_counts();
-        let l_ct = params.l_ct() as u64;
+        let l_ct = params.l_ct_at(0) as u64;
         assert_eq!(params.limbs(), 3);
         assert_eq!(counts.ntt, (l_ct + 1) * 3);
         assert_eq!(counts.poly_mul, 2 * l_ct);
@@ -1675,10 +1493,12 @@ mod tests {
             let vals: Vec<u64> = (0..200).map(|i| i * 13 % 997).collect();
             let ct = enc.encrypt(&encoder.encode(&vals).unwrap()).unwrap();
 
+            let mut scratch = eval.new_scratch();
+            let mut hoisted = HoistedDecomposition::empty(&params);
             eval.reset_op_counts();
-            let hoisted = eval.hoist(&ct).unwrap();
+            eval.hoist_into(&mut hoisted, &ct, &mut scratch).unwrap();
             let after_hoist = eval.op_counts();
-            let l_ct = params.l_ct() as u64;
+            let l_ct = params.l_ct_at(0) as u64;
             let limbs = params.limbs() as u64;
             assert_eq!(
                 after_hoist.ntt,
@@ -1687,8 +1507,12 @@ mod tests {
             );
 
             for &s in &steps {
-                let direct = eval.rotate_rows(&ct, s, &keys).unwrap();
-                let via_hoist = eval.rotate_hoisted(&ct, &hoisted, s, &keys).unwrap();
+                let mut direct = ct.clone();
+                eval.rotate_rows_into(&mut direct, &ct, s, &keys, &mut scratch)
+                    .unwrap();
+                let mut via_hoist = ct.clone();
+                eval.rotate_hoisted_into(&mut via_hoist, &ct, &hoisted, s, &keys, &mut scratch)
+                    .unwrap();
                 let d1 = encoder.decode(&dec.decrypt_checked(&direct).unwrap());
                 let d2 = encoder.decode(&dec.decrypt_checked(&via_hoist).unwrap());
                 assert_eq!(d1, d2, "step {s}, limbs {limbs}");
@@ -1713,22 +1537,25 @@ mod tests {
         let mut c = ctx(2048, &[1]);
         let ct_a = c.enc.encrypt(&c.encoder.encode(&[1, 2]).unwrap()).unwrap();
         let ct_b = c.enc.encrypt(&c.encoder.encode(&[3, 4]).unwrap()).unwrap();
-        let hoisted = c.eval.hoist(&ct_a).unwrap();
+        let mut scratch = c.eval.new_scratch();
+        let mut hoisted = HoistedDecomposition::empty(&c.params);
+        c.eval
+            .hoist_into(&mut hoisted, &ct_a, &mut scratch)
+            .unwrap();
+        let mut out = ct_a.clone();
+        let mut replay = |src: &Ciphertext| {
+            c.eval
+                .rotate_hoisted_into(&mut out, src, &hoisted, 1, &c.keys, &mut scratch)
+        };
         // Replaying A's decomposition against B must fail loudly, not
         // splice A's key-switch digits onto B's c0.
-        assert!(matches!(
-            c.eval.rotate_hoisted(&ct_b, &hoisted, 1, &c.keys),
-            Err(Error::ParameterMismatch)
-        ));
+        assert!(matches!(replay(&ct_b), Err(Error::ParameterMismatch)));
         // And mutating the source after hoisting invalidates the replay.
         let mut mutated = ct_a.clone();
         c.eval.add_assign(&mut mutated, &ct_b).unwrap();
-        assert!(matches!(
-            c.eval.rotate_hoisted(&mutated, &hoisted, 1, &c.keys),
-            Err(Error::ParameterMismatch)
-        ));
+        assert!(matches!(replay(&mutated), Err(Error::ParameterMismatch)));
         // The genuine source still works.
-        assert!(c.eval.rotate_hoisted(&ct_a, &hoisted, 1, &c.keys).is_ok());
+        assert!(replay(&ct_a).is_ok());
     }
 
     #[test]
@@ -1740,21 +1567,30 @@ mod tests {
         let vals: Vec<u64> = (0..row as u64).collect();
         let ct = c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap();
 
-        let by_one = c.eval.rotate_rows(&ct, 1, &c.keys).unwrap();
-        let wrapped = c.eval.rotate_rows(&ct, row + 1, &c.keys).unwrap();
+        let mut scratch = c.eval.new_scratch();
+        let mut rotate = |steps| {
+            let mut out = ct.clone();
+            c.eval
+                .rotate_rows_into(&mut out, &ct, steps, &c.keys, &mut scratch)
+                .unwrap();
+            out
+        };
+        let by_one = rotate(1);
+        let wrapped = rotate(row + 1);
         assert_eq!(by_one.c0().data(), wrapped.c0().data());
         assert_eq!(by_one.c1().data(), wrapped.c1().data());
 
         let d1 = c.encoder.decode(&c.dec.decrypt_checked(&by_one).unwrap());
 
         // Multiples of the row are the identity.
-        let ident = c.eval.rotate_rows(&ct, row, &c.keys).unwrap();
+        let ident = rotate(row);
         assert_eq!(ident.c0().data(), ct.c0().data());
 
-        let hoisted = c.eval.hoist(&ct).unwrap();
-        let h1 = c
-            .eval
-            .rotate_hoisted(&ct, &hoisted, row + 1, &c.keys)
+        let mut hoisted = HoistedDecomposition::empty(&c.params);
+        c.eval.hoist_into(&mut hoisted, &ct, &mut scratch).unwrap();
+        let mut h1 = ct.clone();
+        c.eval
+            .rotate_hoisted_into(&mut h1, &ct, &hoisted, row + 1, &c.keys, &mut scratch)
             .unwrap();
         let dh = c.encoder.decode(&c.dec.decrypt_checked(&h1).unwrap());
         assert_eq!(d1, dh);
@@ -1780,7 +1616,8 @@ mod tests {
         assert_eq!(ct.level(), 0);
         let full_bytes = ct.byte_size();
 
-        let switched = eval.mod_switch_to_next(&ct).unwrap();
+        let mut switched = ct.clone();
+        eval.mod_switch_to_next_assign(&mut switched).unwrap();
         assert_eq!(switched.level(), 1);
         assert_eq!(switched.live_limbs(), 2);
         assert_eq!(switched.byte_size(), 2 * 2 * 4096 * 8);
@@ -1792,13 +1629,18 @@ mod tests {
         assert!(measured.max(1.0).log2() <= switched.noise().bound_log2 + 1e-9);
 
         // Rotation at the reduced level: strictly less NTT work.
+        let mut scratch = eval.new_scratch();
+        let mut rot_full = ct.clone();
+        let mut rot_low = switched.clone();
         eval.reset_op_counts();
-        let rot_full = eval.rotate_rows(&ct, 1, &keys).unwrap();
+        eval.rotate_rows_into(&mut rot_full, &ct, 1, &keys, &mut scratch)
+            .unwrap();
         let full_counts = eval.op_counts();
         eval.reset_op_counts();
-        let rot_low = eval.rotate_rows(&switched, 1, &keys).unwrap();
+        eval.rotate_rows_into(&mut rot_low, &switched, 1, &keys, &mut scratch)
+            .unwrap();
         let low_counts = eval.op_counts();
-        let l_ct_full = params.l_ct() as u64;
+        let l_ct_full = params.l_ct_at(0) as u64;
         let l_ct_low = params.l_ct_at(1) as u64;
         assert_eq!(full_counts.ntt, (l_ct_full + 1) * 3);
         assert_eq!(low_counts.ntt, (l_ct_low + 1) * 2);
@@ -1811,25 +1653,32 @@ mod tests {
         assert_eq!(a, b);
 
         // Hoisted replays work at the reduced level too.
-        let hoisted = eval.hoist(&switched).unwrap();
+        let mut hoisted = HoistedDecomposition::empty(&params);
+        eval.hoist_into(&mut hoisted, &switched, &mut scratch)
+            .unwrap();
         assert_eq!(hoisted.level(), 1);
-        let hr = eval.rotate_hoisted(&switched, &hoisted, 1, &keys).unwrap();
+        let mut hr = switched.clone();
+        eval.rotate_hoisted_into(&mut hr, &switched, &hoisted, 1, &keys, &mut scratch)
+            .unwrap();
         assert_eq!(
             encoder.decode(&dec.decrypt_checked(&hr).unwrap()),
             b,
             "hoisted reduced-level rotate diverged"
         );
 
-        // mod_switch_to walks multiple levels; deepest level errors out.
-        let bottom = eval.mod_switch_to(&ct, params.max_level()).unwrap();
+        // mod_switch_to_assign walks multiple levels; deepest level errors
+        // out.
+        let mut bottom = ct.clone();
+        eval.mod_switch_to_assign(&mut bottom, params.max_level())
+            .unwrap();
         assert_eq!(bottom.live_limbs(), 1);
         assert!(matches!(
-            eval.mod_switch_to_next(&bottom),
+            eval.mod_switch_to_next_assign(&mut bottom),
             Err(Error::InvalidLevel { .. })
         ));
         // Switching "up" is refused.
         assert!(matches!(
-            eval.mod_switch_to(&switched, 0),
+            eval.mod_switch_to_assign(&mut switched, 0),
             Err(Error::InvalidLevel { .. })
         ));
     }
@@ -1845,7 +1694,8 @@ mod tests {
         let eval = Evaluator::new(params.clone());
 
         let ct = enc.encrypt(&encoder.encode(&[1, 2, 3]).unwrap()).unwrap();
-        let low = eval.mod_switch_to_next(&ct).unwrap();
+        let mut low = ct.clone();
+        eval.mod_switch_to_next_assign(&mut low).unwrap();
 
         // ct + low: mixed levels.
         let mut work = ct.clone();
@@ -1862,9 +1712,9 @@ mod tests {
         ));
         // Accumulator at full level, operand switched.
         let pw = eval
-            .prepare_plaintext(&encoder.encode(&[5]).unwrap())
+            .prepare_plaintext_at(&encoder.encode(&[5]).unwrap(), 0)
             .unwrap();
-        let mut acc = Ciphertext::transparent_zero(&params);
+        let mut acc = Ciphertext::transparent_zero_at(&params, 0);
         assert!(matches!(
             eval.mul_plain_accumulate(&mut acc, &low, &pw),
             Err(Error::LevelMismatch { .. })
@@ -1887,9 +1737,12 @@ mod tests {
         assert_eq!(a.c0().data(), b.c0().data());
         assert_eq!(a.c1().data(), b.c1().data());
         // A hoist taken at level 0 cannot replay against the switched ct.
-        let hoisted = eval.hoist(&ct).unwrap();
+        let mut scratch = eval.new_scratch();
+        let mut hoisted = HoistedDecomposition::empty(&params);
+        eval.hoist_into(&mut hoisted, &ct, &mut scratch).unwrap();
+        let mut out = low.clone();
         assert!(matches!(
-            eval.rotate_hoisted(&low, &hoisted, 1, &keys),
+            eval.rotate_hoisted_into(&mut out, &low, &hoisted, 1, &keys, &mut scratch),
             Err(Error::LevelMismatch { .. })
         ));
     }

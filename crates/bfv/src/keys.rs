@@ -550,21 +550,6 @@ impl KeyGenerator {
         out
     }
 
-    /// Galois element realizing a row rotation by `steps`
-    /// (positive = left). `steps == 0` is invalid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidRotation`] for out-of-range steps.
-    pub fn element_for_step(&self, steps: i64) -> Result<u64> {
-        element_for_step(self.params.degree(), steps)
-    }
-
-    /// Galois element for the row swap (`x ↦ x^{2n−1}`).
-    pub fn element_for_row_swap(&self) -> u64 {
-        2 * self.params.degree() as u64 - 1
-    }
-
     /// Generates seeded keys for a set of row-rotation steps — what a
     /// client ships: one per distinct Galois element, generated in step
     /// order, held in element order.
@@ -575,7 +560,7 @@ impl KeyGenerator {
     pub fn seeded_galois_keys_for_steps(&mut self, steps: &[i64]) -> Result<SeededGaloisKeys> {
         let mut out = SeededGaloisKeys::default();
         for &s in steps {
-            let g = self.element_for_step(s)?;
+            let g = element_for_step(self.params.degree(), s)?;
             if !out.contains(g) {
                 out.insert(self.seeded_galois_key(g)?);
             }
@@ -593,27 +578,6 @@ impl KeyGenerator {
         Ok(self
             .seeded_galois_keys_for_steps(steps)?
             .expand(&self.params))
-    }
-
-    /// Generates keys for all power-of-two rotations (both directions) plus
-    /// the row swap — enough to compose any rotation in ≤ log2(n/2) hops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates key-generation errors.
-    pub fn galois_keys_power_of_two(&mut self) -> Result<GaloisKeys> {
-        let row = self.params.row_size() as i64;
-        let mut steps = Vec::new();
-        let mut p = 1i64;
-        while p < row {
-            steps.push(p);
-            steps.push(-p);
-            p <<= 1;
-        }
-        let mut keys = self.seeded_galois_keys_for_steps(&steps)?;
-        let swap = self.element_for_row_swap();
-        keys.insert(self.seeded_galois_key(swap)?);
-        Ok(keys.expand(&self.params))
     }
 }
 
@@ -633,7 +597,7 @@ pub fn check_galois_element(n: usize, g: u64) -> Result<()> {
 ///
 /// Steps wrap around the row: any `steps` with the same
 /// `steps mod (n/2)` maps to the same element, so `row + 1` rotates like
-/// `1` — the semantics of [`crate::Evaluator::rotate_rows`]. Computed by
+/// `1` — the semantics of [`crate::Evaluator::rotate_rows_into`]. Computed by
 /// square-and-multiply (`O(log k)` word multiplications, not the `O(k)`
 /// scan that used to cost up to `n/2 − 1` iterations per lookup).
 ///
@@ -784,7 +748,7 @@ mod tests {
         let p = params();
         let mut kg = KeyGenerator::from_seed(p.clone(), 3);
         let gk = kg.galois_key(3).unwrap();
-        assert_eq!(gk.pairs().len(), p.l_ct());
+        assert_eq!(gk.pairs().len(), p.l_ct_at(0));
         assert_eq!(gk.permutation().len(), p.degree());
     }
 
@@ -836,17 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn power_of_two_keyset_covers_log_steps() {
-        let p = params();
-        let mut kg = KeyGenerator::from_seed(p.clone(), 5);
-        let keys = kg.galois_keys_power_of_two().unwrap();
-        // log2(512) forward + backward + swap, minus aliases.
-        assert!(keys.len() >= 10);
-        assert!(keys.contains(kg.element_for_row_swap()));
-        assert!(keys.byte_size(&p) > 0);
-    }
-
-    #[test]
     fn key_byte_size_scales_with_limbs_and_digits() {
         let p1 = BfvParams::preset_single_60(4096).unwrap();
         let p2 = BfvParams::preset_rns_2x30(4096).unwrap();
@@ -867,10 +820,10 @@ mod tests {
         // with small e — the invariant the RNS-native key switch consumes.
         let p = BfvParams::preset_rns_2x30(4096).unwrap();
         let mut kg = KeyGenerator::from_seed(p.clone(), 10);
-        let g = kg.element_for_step(1).unwrap();
+        let g = element_for_step(p.degree(), 1).unwrap();
         let key = kg.seeded_galois_key(g).unwrap().expand(&p);
         let chain = p.chain();
-        assert_eq!(key.pairs().len(), p.l_ct());
+        assert_eq!(key.pairs().len(), p.l_ct_at(0));
 
         let mut s_g = RnsPoly::zero(chain, Representation::Eval);
         s_g.permute_from(kg.secret_key().poly(), key.permutation());
@@ -911,7 +864,7 @@ mod tests {
         // zero on the special plane.
         let p = BfvParams::preset_hybrid_2x36(4096).unwrap();
         let mut kg = KeyGenerator::from_seed(p.clone(), 10);
-        let g = kg.element_for_step(1).unwrap();
+        let g = element_for_step(p.degree(), 1).unwrap();
         let key = kg.seeded_galois_key(g).unwrap().expand(&p);
         let data = p.chain();
         let ks = p.ks_chain_at(0);

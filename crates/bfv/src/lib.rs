@@ -23,12 +23,12 @@
 //!
 //! The ciphertext modulus is an RNS chain `Q = q_0 ⋯ q_{l-1}`, and
 //! ciphertexts carry a **level**: the number of limbs
-//! [`Evaluator::mod_switch_to_next`] has dropped from the tail of the
-//! chain. The lifecycle:
+//! [`Evaluator::mod_switch_to_next_assign`] has dropped from the tail of
+//! the chain. The lifecycle:
 //!
 //! * **Level 0** — fresh encryptions; all `l` limbs live. A 1-limb chain
 //!   is level-0-only (there is nothing to drop;
-//!   `mod_switch_to_next` returns [`Error::InvalidLevel`]).
+//!   `mod_switch_to_next_assign` returns [`Error::InvalidLevel`]).
 //! * **Switching** — dropping limb `q_drop` divides the invariant noise by
 //!   `q_drop` (exact `round(q_drop⁻¹·…)` per remaining residue) at the
 //!   price of a small additive rounding term
@@ -46,7 +46,7 @@
 //!   remaining circuit fits under a smaller ceiling:
 //!   [`NoiseEstimate::recommended_level`] walks the transition model and
 //!   returns the deepest safe level for an
-//!   [`Evaluator::mod_switch_to`] call. Chains whose limbs satisfy
+//!   [`Evaluator::mod_switch_to_assign`] call. Chains whose limbs satisfy
 //!   `q_i ≡ 1 (mod t)` (the builder prefers them when such primes exist)
 //!   switch nearly free of rounding drift; incongruent chains pay up to
 //!   `Q_ℓ mod t`, which is why a 30-bit limb over a 16-bit `t` cannot
@@ -55,7 +55,8 @@
 //! Operands of every binary operation must share a level (typed
 //! [`Error::LevelMismatch`] otherwise); [`PreparedPlaintext`]s apply at
 //! their preparation level or deeper, while [`HoistedDecomposition`]s
-//! replay only at the exact level they were hoisted at.
+//! replay only at the exact level they were hoisted at. A level-dependent
+//! quantity is asked for at an explicit level (the `_at` functions).
 //!
 //! ## Kernels
 //!
@@ -86,8 +87,11 @@
 //!
 //! // SIMD: one ciphertext packs 4096 values.
 //! let ct = encryptor.encrypt(&encoder.encode(&[1, 2, 3, 4])?)?;
-//! let doubled = evaluator.add(&ct, &ct)?;
-//! let rotated = evaluator.rotate_rows(&doubled, 1, &keys)?;
+//! let mut doubled = ct.clone();
+//! evaluator.add_assign(&mut doubled, &ct)?;
+//! let mut rotated = ct.clone();
+//! let mut scratch = evaluator.new_scratch();
+//! evaluator.rotate_rows_into(&mut rotated, &doubled, 1, &keys, &mut scratch)?;
 //!
 //! let out = encoder.decode(&decryptor.decrypt_checked(&rotated)?);
 //! assert_eq!(&out[..3], &[4, 6, 8]);

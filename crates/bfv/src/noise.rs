@@ -86,14 +86,9 @@ impl NoiseEstimate {
         }
     }
 
-    /// Noise after plaintext multiplication (Table III: `n·W·v/2` with
-    /// `l_pt = 1` — the engine multiplies undecomposed plaintexts), plus
-    /// the scaling-rounding term, at level 0.
-    pub fn mul_plain(&self, params: &BfvParams, w_base: u64) -> Self {
-        self.mul_plain_at(params, 0, w_base)
-    }
-
-    /// Noise after plaintext multiplication at a level; `W = 2·||pt||`.
+    /// Noise after plaintext multiplication at a level (Table III:
+    /// `n·W·v/2` with `l_pt = 1` — the engine multiplies undecomposed
+    /// plaintexts), plus the scaling-rounding term; `W = 2·||pt||`.
     ///
     /// Because `Δ_ℓ·t = Q_ℓ − (Q_ℓ mod t)`, multiplying `Δ_ℓ·m + v` by a
     /// lifted plaintext also injects `−(Q_ℓ mod t)·⌊mw/t⌋`: effectively
@@ -115,13 +110,8 @@ impl NoiseEstimate {
         }
     }
 
-    /// Noise after a level-0 `HE_Rotate` (Table III:
-    /// `v + l_ct·A_dcmp·B·n/2`).
-    pub fn rotate(&self, params: &BfvParams) -> Self {
-        self.rotate_at(params, 0)
-    }
-
-    /// Noise after `HE_Rotate` at a level.
+    /// Noise after `HE_Rotate` at a level (Table III:
+    /// `v + l_ct·A_dcmp·B·n/2` on a digit chain).
     ///
     /// Under the RNS-native key switch `l_ct(ℓ) = Σ_{live i} ceil(log_A q_i)`
     /// counts the *per-live-limb* digits: each digit `< A` multiplies one
@@ -130,10 +120,11 @@ impl NoiseEstimate {
     /// Dropped limbs contribute neither digits nor error terms — rotation
     /// noise shrinks together with its cost. The same bound covers hoisted
     /// rotations: permuting digits after extraction leaves every
-    /// `|digit| < A` and the per-digit error fresh.
+    /// `|digit| < A` and the per-digit error fresh. A special-prime
+    /// parameter set takes the hybrid arm (`rotate_hybrid_at`).
     pub fn rotate_at(&self, params: &BfvParams, level: usize) -> Self {
-        if params.has_special() {
-            return self.rotate_hybrid_at(params, level);
+        if let Some(p_special) = params.special() {
+            return self.rotate_hybrid_at(params, level, p_special.value() as f64);
         }
         let n = params.degree() as f64;
         let b = 6.0 * params.sigma();
@@ -152,7 +143,8 @@ impl NoiseEstimate {
     /// Noise after a hybrid `P·Q_ℓ` `HE_Rotate` at a level (special-prime
     /// key switching).
     ///
-    /// The decomposition carries one *centered* digit per live limb
+    /// The hybrid arm of [`NoiseEstimate::rotate_at`]. The decomposition
+    /// carries one *centered* digit per live limb
     /// (`|v_i| ≤ q_i/2`, no base split), each multiplying a fresh key
     /// error; the accumulated key-noise bill `Σ_i v_i·e_i` is then divided
     /// by `P` in the exact rescale, leaving
@@ -162,19 +154,10 @@ impl NoiseEstimate {
     /// large as the largest data limb the key-switch term stays O(n·B) —
     /// the reason one digit per limb suffices where the digit path needs
     /// `ceil(log_A q_i)` of them.
-    ///
-    /// [`NoiseEstimate::rotate_at`] dispatches here automatically for
-    /// special-prime parameter sets, so layer/tuner models price the
-    /// hybrid path without call-site changes. Falls back to the
-    /// digit-decomposition expression when `params` has no special prime.
-    pub fn rotate_hybrid_at(&self, params: &BfvParams, level: usize) -> Self {
-        let Some(p_special) = params.special() else {
-            return self.rotate_at(params, level);
-        };
+    fn rotate_hybrid_at(&self, params: &BfvParams, level: usize, p: f64) -> Self {
         let n = params.degree() as f64;
         let b = 6.0 * params.sigma();
         let live = params.live_limbs_at(level);
-        let p = p_special.value() as f64;
         let q_max = (0..live)
             .map(|i| params.chain().modulus(i).value())
             .max()
@@ -268,26 +251,17 @@ impl NoiseEstimate {
         }
     }
 
-    /// Remaining noise budget in bits under the worst-case model at level
-    /// 0: `log2(Q/2t) − log2(bound)`. Negative means decryption may fail.
-    pub fn budget_bits_worst(&self, params: &BfvParams) -> f64 {
-        self.budget_bits_worst_at(params, 0)
-    }
-
-    /// Worst-case budget against a level's ceiling `Q_ℓ/(2t)` — the bound
-    /// must describe a ciphertext *at that level* for the comparison to
-    /// mean anything.
+    /// Remaining noise budget in bits under the worst-case model against a
+    /// level's ceiling: `log2(Q_ℓ/2t) − log2(bound)`. Negative means
+    /// decryption may fail. The bound must describe a ciphertext *at that
+    /// level* for the comparison to mean anything.
     pub fn budget_bits_worst_at(&self, params: &BfvParams, level: usize) -> f64 {
         params.noise_ceiling_at(level).log2() - self.bound_log2
     }
 
     /// Remaining noise budget in bits under the statistical model with the
-    /// 1e-10 failure target at level 0: `log2(Q/2t) − log2(c·σ_Y)`.
-    pub fn budget_bits_statistical(&self, params: &BfvParams) -> f64 {
-        self.budget_bits_statistical_at(params, 0)
-    }
-
-    /// Statistical budget against a level's ceiling.
+    /// 1e-10 failure target against a level's ceiling:
+    /// `log2(Q_ℓ/2t) − log2(c·σ_Y)`.
     pub fn budget_bits_statistical_at(&self, params: &BfvParams, level: usize) -> f64 {
         let sigma_log2 = self.variance_log2 / 2.0;
         params.noise_ceiling_at(level).log2() - (sigma_log2 + FAILURE_SCALE.log2())
@@ -299,7 +273,7 @@ impl NoiseEstimate {
     /// the chain and stops before the first level that would dip under the
     /// margin. Returns `from_level` itself when no switch is safe — the
     /// caller can always use the answer directly as a
-    /// [`crate::Evaluator::mod_switch_to`] target.
+    /// [`crate::Evaluator::mod_switch_to_assign`] target.
     pub fn recommended_level(
         &self,
         params: &BfvParams,
@@ -367,10 +341,10 @@ mod tests {
     fn mul_is_multiplicative_rotate_is_additive() {
         let p = params();
         let fresh = NoiseEstimate::fresh(&p);
-        let after_mul = fresh.mul_plain(&p, p.plain_modulus().value());
+        let after_mul = fresh.mul_plain_at(&p, 0, p.plain_modulus().value());
         // Multiplicative growth: bound increases by log2(n*t/2) ≈ 12+17-1.
         assert!(after_mul.bound_log2 - fresh.bound_log2 > 25.0);
-        let after_rot = fresh.rotate(&p);
+        let after_rot = fresh.rotate_at(&p, 0);
         // Additive growth: small compared to multiplication.
         assert!(after_rot.bound_log2 - fresh.bound_log2 < 25.0);
         assert!(after_rot.bound_log2 >= fresh.bound_log2);
@@ -383,8 +357,8 @@ mod tests {
         let p = params();
         let fresh = NoiseEstimate::fresh(&p);
         let w = p.plain_modulus().value();
-        let pa = fresh.mul_plain(&p, w).rotate(&p);
-        let ia = fresh.rotate(&p).mul_plain(&p, w);
+        let pa = fresh.mul_plain_at(&p, 0, w).rotate_at(&p, 0);
+        let ia = fresh.rotate_at(&p, 0).mul_plain_at(&p, 0, w);
         assert!(ia.bound_log2 > pa.bound_log2);
         assert!(ia.variance_log2 > pa.variance_log2);
     }
@@ -401,7 +375,7 @@ mod tests {
         let w = 2 * 5;
         let bsgs = fresh.bsgs_matvec_at(&p, 0, 4, 4, w);
         // Flat IA model: 16 terms of rotate-then-mul.
-        let term = fresh.rotate(&p).mul_plain(&p, w);
+        let term = fresh.rotate_at(&p, 0).mul_plain_at(&p, 0, w);
         let mut flat = term;
         for _ in 1..16 {
             flat = flat.add(&term);
@@ -420,8 +394,8 @@ mod tests {
     #[test]
     fn statistical_budget_exceeds_worst_case_budget() {
         let p = params();
-        let e = NoiseEstimate::fresh(&p).mul_plain(&p, p.plain_modulus().value());
-        assert!(e.budget_bits_statistical(&p) > e.budget_bits_worst(&p));
+        let e = NoiseEstimate::fresh(&p).mul_plain_at(&p, 0, p.plain_modulus().value());
+        assert!(e.budget_bits_statistical_at(&p, 0) > e.budget_bits_worst_at(&p, 0));
     }
 
     #[test]

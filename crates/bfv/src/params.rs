@@ -355,7 +355,9 @@ impl BfvParams {
         &self.inner.t
     }
 
-    /// The full (level-0) ciphertext modulus chain.
+    /// The full (level-0) ciphertext modulus chain — kept beside
+    /// [`BfvParams::chain_at`] because it is the key chain, level 0 by
+    /// definition, not a level-0 default of a level-aware quantity.
     #[inline]
     pub fn chain(&self) -> &ModulusChain {
         &self.inner.levels[0].chain
@@ -472,31 +474,17 @@ impl BfvParams {
         self.inner.levels[0].delta
     }
 
-    /// `Δ mod q_i` — the per-limb image of the level-0 scaling factor.
-    #[inline]
-    pub fn delta_mod(&self, limb: usize) -> u64 {
-        self.inner.levels[0].delta_mod[limb]
-    }
-
     /// `Δ_ℓ mod q_i` for a live limb at a level.
     #[inline]
     pub fn delta_mod_at(&self, level: usize, limb: usize) -> u64 {
         self.inner.levels[level].delta_mod[limb]
     }
 
-    /// `Q mod t` — the residue driving the plaintext-multiplication
-    /// rounding term `(Q mod t)·⌊mw/t⌋`. Equals 1 whenever the chain
-    /// satisfies the Gazelle congruence `Q ≡ 1 (mod t)` (always true for
-    /// the default generated single limb; multi-limb generated chains get
-    /// it when congruent primes of the requested sizes exist).
-    #[inline]
-    pub fn q_mod_t(&self) -> u64 {
-        self.inner.levels[0].q_mod_t
-    }
-
-    /// `Q_ℓ mod t` at a level: the multiplication rounding residue there,
-    /// and the dominant rounding drift a switch *onto* level `ℓ` injects
-    /// (the `(ρ/q_drop)·m` term with `|ρ/q_drop| ≲ (Q_ℓ mod t)/t`).
+    /// `Q_ℓ mod t` at a level: the residue driving the plaintext
+    /// multiplication rounding term `(Q_ℓ mod t)·⌊mw/t⌋` there, and the
+    /// dominant rounding drift a switch *onto* level `ℓ` injects (the
+    /// `(ρ/q_drop)·m` term with `|ρ/q_drop| ≲ (Q_ℓ mod t)/t`). It is 1 where
+    /// the Gazelle congruence `Q_ℓ ≡ 1 (mod t)` holds.
     #[inline]
     pub fn q_mod_t_at(&self, level: usize) -> u64 {
         self.inner.levels[level].q_mod_t
@@ -531,11 +519,6 @@ impl BfvParams {
         }
     }
 
-    /// Allocating variant of [`BfvParams::lift_scaled_into`] (level 0).
-    pub fn lift_scaled(&self, msg: &[u64]) -> RnsPoly {
-        self.lift_scaled_at(msg, 0)
-    }
-
     /// Allocating [`BfvParams::lift_scaled_into`] at an explicit level.
     pub fn lift_scaled_at(&self, msg: &[u64], level: usize) -> RnsPoly {
         let mut out = RnsPoly::zero(self.chain_at(level), Representation::Coeff);
@@ -555,20 +538,12 @@ impl BfvParams {
         self.inner.security
     }
 
-    /// `l_ct = Σ_i ceil(log_{A_dcmp}(q_i))` — ciphertext decomposition
-    /// digits of the RNS-native (per-limb `q̂_i`) key switch: the number of
-    /// key-switch pairs each Galois key carries and of digit polynomials
-    /// one level-0 `HE_Rotate` processes. For a single limb this equals
-    /// the historical composed `ceil(log_A Q)`.
-    pub fn l_ct(&self) -> usize {
-        self.l_ct_at(0)
-    }
-
-    /// Digit count of a key switch at a level: the sum over *live* limbs
-    /// only, `Σ_{i<limbs-ℓ} ceil(log_A q_i)`. Dropped limbs contribute no
-    /// digits, which is why rotations get cheaper as the circuit burns
-    /// budget — the Galois key's limb-major pair list is simply consumed
-    /// as a prefix.
+    /// `l_ct(ℓ) = Σ_{i<limbs-ℓ} ceil(log_{A_dcmp}(q_i))` — the RNS-native
+    /// (per-limb `q̂_i`) key switch's digits over the *live* limbs;
+    /// `l_ct_at(0)` pairs make a digit-chain Galois key. Dropped limbs
+    /// contribute no digits, which is why rotations get cheaper as the
+    /// circuit burns budget — the key's limb-major pair list is simply
+    /// consumed as a prefix.
     pub fn l_ct_at(&self, level: usize) -> usize {
         self.chain_at(level)
             .rns_decomposition_levels(self.inner.a_dcmp)
@@ -593,15 +568,10 @@ impl BfvParams {
         2.0 * self.inner.n as f64 * b * b
     }
 
-    /// The level-0 noise ceiling `Q / (2t)`: decryption succeeds while the
-    /// noise magnitude stays below this.
-    pub fn noise_ceiling(&self) -> f64 {
-        self.noise_ceiling_at(0)
-    }
-
-    /// The noise ceiling `Q_ℓ / (2t)` at a level. Switching divides noise
-    /// by the dropped limb but also lowers this ceiling by the same
-    /// factor, so the budget is (nearly) preserved — what shrinks is every
+    /// The noise ceiling `Q_ℓ / (2t)` at a level: decryption succeeds while
+    /// the noise magnitude stays below this. Switching divides noise by
+    /// the dropped limb but also lowers this ceiling by the same factor,
+    /// so the budget is (nearly) preserved — what shrinks is every
     /// subsequent operation's cost.
     pub fn noise_ceiling_at(&self, level: usize) -> f64 {
         self.big_q_at(level) as f64 / (2.0 * self.inner.t.value() as f64)
@@ -1046,7 +1016,7 @@ mod tests {
             p.chain().big_q() / p.plain_modulus().value() as u128
         );
         assert_eq!(
-            p.delta_mod(0),
+            p.delta_mod_at(0, 0),
             (p.delta() % p.chain().modulus(0).value() as u128) as u64
         );
     }
@@ -1185,14 +1155,14 @@ mod tests {
             .a_dcmp(1 << 20)
             .build()
             .unwrap();
-        assert_eq!(p.l_ct(), 3);
+        assert_eq!(p.l_ct_at(0), 3);
 
         // Multi-limb: l_ct sums the per-limb digit counts of the
         // RNS-native decomposition (3 limbs × ceil(36/20) digits).
         let p3 = BfvParams::preset_rns_3x36(4096).unwrap();
-        assert_eq!(p3.l_ct(), 3 * 36usize.div_ceil(20));
+        assert_eq!(p3.l_ct_at(0), 3 * 36usize.div_ceil(20));
         let p2 = BfvParams::preset_rns_2x30(4096).unwrap();
-        assert_eq!(p2.l_ct(), 2 * 30usize.div_ceil(20));
+        assert_eq!(p2.l_ct_at(0), 2 * 30usize.div_ceil(20));
     }
 
     #[test]
@@ -1251,10 +1221,10 @@ mod tests {
         let p = BfvParams::builder().build().unwrap();
         let b = 6.0 * p.sigma();
         assert!((p.fresh_noise_bound() - 2.0 * 4096.0 * b * b).abs() < 1e-6);
-        assert!(p.noise_ceiling() > 0.0);
+        assert!(p.noise_ceiling_at(0) > 0.0);
         // Multi-limb ceiling reflects the composed modulus.
         let p3 = BfvParams::preset_rns_3x36(4096).unwrap();
-        assert!(p3.noise_ceiling().log2() > 85.0);
+        assert!(p3.noise_ceiling_at(0).log2() > 85.0);
     }
 
     #[test]

@@ -1307,7 +1307,9 @@ mod tests {
             let ct = enc.encrypt(&encoder.encode(&vals).unwrap()).unwrap();
 
             // Engine path: RNS-native per-limb key switching.
-            let rotated = eval.rotate_rows(&ct, 1, &keys).unwrap();
+            let mut rotated = ct.clone();
+            eval.rotate_rows_into(&mut rotated, &ct, 1, &keys, &mut eval.new_scratch())
+                .unwrap();
 
             // Reference path: composed-base key switching. Keys come from
             // an independent RNG stream — only the *decrypted slots* can

@@ -21,8 +21,8 @@
 //! Threading model: a `Scratch` is deliberately *not* shared. Each worker
 //! thread owns one (they are cheap once warm), which is how the parallel
 //! linear layers in `cheetah-core` scale without lock contention. The
-//! [`crate::Evaluator`] also keeps one internal pool behind a mutex to
-//! back the legacy allocating API.
+//! [`crate::Evaluator`] also keeps one internal pool behind a mutex for
+//! `HE_ModSwitch`'s temporary plane.
 
 use std::sync::Arc;
 
@@ -346,7 +346,7 @@ mod tests {
         keys: &crate::GaloisKeys,
         s: &mut Scratch,
     ) -> (usize, usize, *const u64) {
-        let mut out = Ciphertext::transparent_zero(eval.params());
+        let mut out = Ciphertext::transparent_zero_at(eval.params(), 0);
         eval.rotate_rows_into(&mut out, ct, 1, keys, s).unwrap();
         let digits = s.take_digits();
         let shape = (digits.len(), digits[0].limbs(), digits[0].data().as_ptr());
@@ -390,7 +390,8 @@ mod tests {
             let (eval, ct, keys) = rotation_fixture(&params);
             let mut s = Scratch::new(params.degree(), params.scratch_limbs());
             for level in [0, 1, 0] {
-                let at = eval.mod_switch_to(&ct, level).unwrap();
+                let mut at = ct.clone();
+                eval.mod_switch_to_assign(&mut at, level).unwrap();
                 let (count, planes, _) = rotate_and_inspect(&eval, &at, &keys, &mut s);
                 assert_eq!(count, params.ks_digits_at(level), "level {level}");
                 assert_eq!(

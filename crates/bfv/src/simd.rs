@@ -172,7 +172,7 @@ pub fn current_backend() -> SimdBackend {
 
 /// Pins the calling thread to a backend (`None` restores auto-detection)
 /// and returns the backend now in effect. Requests are clamped to what the
-/// CPU supports — see [`clamp`]'s rules — so forcing `Avx512Ifma` on a CPU
+/// CPU supports — see `clamp`'s rules — so forcing `Avx512Ifma` on a CPU
 /// without it leaves the thread on `Avx2`, or on `Portable` without that.
 ///
 /// The override is **per thread**: worker threads spawned by the linear

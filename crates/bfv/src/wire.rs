@@ -1091,8 +1091,9 @@ mod tests {
         ));
         // So has a switched one: its c1 is the rounded quotient, not the
         // seed's expansion over the deeper chain.
-        let switched = crate::evaluator::Evaluator::new(params.clone())
-            .mod_switch_to(&ct, 1)
+        let mut switched = ct.clone();
+        crate::evaluator::Evaluator::new(params.clone())
+            .mod_switch_to_assign(&mut switched, 1)
             .unwrap();
         assert!(matches!(
             encode_ciphertext_seeded(&switched, seed),

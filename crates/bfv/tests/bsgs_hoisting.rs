@@ -11,11 +11,14 @@
 //!   foreign-fingerprint hoisted replay ([`Error::ParameterMismatch`]),
 //!   and invalid switch targets ([`Error::InvalidLevel`]).
 
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, GaloisKeys,
     HoistedDecomposition, KeyGenerator,
 };
 use proptest::prelude::*;
+use support::Alloc;
 
 struct Ctx {
     encoder: BatchEncoder,
@@ -156,7 +159,7 @@ fn stale_hoist_across_mod_switch_is_rejected() {
     let hoisted = c.eval.hoist(&ct).unwrap();
     let switched = c.eval.mod_switch_to_next(&ct).unwrap();
     assert_eq!(switched.level(), 1);
-    let mut out = Ciphertext::transparent_zero(&params);
+    let mut out = Ciphertext::transparent_zero_at(&params, 0);
     let mut scratch = c.eval.new_scratch();
     assert!(matches!(
         c.eval
@@ -184,7 +187,7 @@ fn foreign_fingerprint_hoisted_replay_is_rejected() {
     // A hoist of A spliced onto B's c0 would decrypt to garbage while
     // carrying a valid-looking noise estimate — the fingerprint stops it.
     let hoisted = c.eval.hoist(&ct_a).unwrap();
-    let mut out = Ciphertext::transparent_zero(&params);
+    let mut out = Ciphertext::transparent_zero_at(&params, 0);
     let mut scratch = c.eval.new_scratch();
     assert!(matches!(
         c.eval
@@ -204,7 +207,7 @@ fn mixed_level_group_accumulator_is_rejected() {
     let switched = c.eval.mod_switch_to_next(&ct).unwrap();
     let prepared = c
         .eval
-        .prepare_plaintext(&c.encoder.encode(&values(8)).unwrap())
+        .prepare_plaintext_at(&c.encoder.encode(&values(8)).unwrap(), 0)
         .unwrap();
 
     // Group accumulator left at full level, baby ciphertext switched

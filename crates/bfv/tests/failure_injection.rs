@@ -9,10 +9,13 @@
 //! mutation of a valid encoding yields a typed error or a bit-identical
 //! decrypt — never a panic, never silent garbage.
 
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     SecurityLevel,
 };
+use support::Alloc;
 
 fn params(plain_bits: u32, cipher_bits: u32) -> BfvParams {
     BfvParams::builder()
@@ -46,7 +49,7 @@ fn noise_exhaustion_is_detected_and_real() {
 
     let w_vals: Vec<u64> = (0..2048u64).map(|i| 3 + i % 97).collect();
     let w = eval
-        .prepare_plaintext(&encoder.encode(&w_vals).unwrap())
+        .prepare_plaintext_at(&encoder.encode(&w_vals).unwrap(), 0)
         .unwrap();
     let mut ct = enc.encrypt(&encoder.encode(&[1]).unwrap()).unwrap();
     let mut failed = false;
@@ -111,7 +114,7 @@ fn transparent_zero_adds_nothing() {
     let eval = Evaluator::new(p.clone());
 
     let ct = enc.encrypt(&encoder.encode(&[7, 8]).unwrap()).unwrap();
-    let zero = Ciphertext::transparent_zero(&p);
+    let zero = Ciphertext::transparent_zero_at(&p, 0);
     let sum = eval.add(&ct, &zero).unwrap();
     let out = encoder.decode(&dec.decrypt_checked(&sum).unwrap());
     assert_eq!(&out[..2], &[7, 8]);

@@ -8,10 +8,13 @@
 //! run side by side on the same ciphertext bits and compared after
 //! decryption — at every level of the chain.
 
+mod support;
+
 use cheetah_bfv::params::search_congruent_chain;
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
 };
+use support::Alloc;
 
 /// Builds the digit-decomposition twin of a hybrid parameter set: same
 /// degree, `t`, and data limbs — no special prime.

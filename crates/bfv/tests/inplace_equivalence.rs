@@ -6,12 +6,15 @@
 //! * reusing a dirty [`Scratch`] across operations must never change a
 //!   result.
 
+mod support;
+
 use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
     Scratch,
 };
 use proptest::prelude::*;
+use support::Alloc;
 
 struct Ctx {
     params: BfvParams,
@@ -95,7 +98,7 @@ proptest! {
         prop_assert_eq!(inplace.c0().data(), &ref0[..]);
         prop_assert_eq!(inplace.c1().data(), &ref1[..]);
 
-        // Wrapper and in-place must agree bit-for-bit.
+        // The value form (a clone, then the in-place body) agrees bit-for-bit.
         let wrapper = c.eval.add(&ca, &cb).unwrap();
         assert_polys_eq(&wrapper, &inplace);
 
@@ -113,7 +116,7 @@ proptest! {
         let mut c = ctx(seed);
         let q = *c.params.chain().modulus(0);
         let ca = c.enc.encrypt(&c.encoder.encode(&a).unwrap()).unwrap();
-        let pw = c.eval.prepare_plaintext(&c.encoder.encode(&w).unwrap()).unwrap();
+        let pw = c.eval.prepare_plaintext_at(&c.encoder.encode(&w).unwrap(), 0).unwrap();
 
         let mut ref0 = limb0(ca.c0());
         let mut ref1 = limb0(ca.c1());
@@ -156,7 +159,7 @@ proptest! {
         let masks: Vec<_> = (0..terms)
             .map(|k| {
                 let vals: Vec<u64> = w.iter().map(|&v| (3 * v + k as u64) % 65536).collect();
-                c.eval.prepare_plaintext(&c.encoder.encode(&vals).unwrap()).unwrap()
+                c.eval.prepare_plaintext_at(&c.encoder.encode(&vals).unwrap(), 0).unwrap()
             })
             .collect();
 
@@ -191,15 +194,15 @@ proptest! {
         let vals: Vec<u64> = (0..64u64).collect();
         let ct = c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap();
 
-        // Wrapper (fresh internal scratch each lock) vs caller scratch
+        // The value form (a fresh scratch each call) vs caller scratch
         // reused twice in a row, third call after unrelated traffic.
         let wrapper = c.eval.rotate_rows(&ct, step, &c.keys).unwrap();
         let mut scratch: Scratch = c.eval.new_scratch();
-        let mut out1 = Ciphertext::transparent_zero(&c.params);
+        let mut out1 = Ciphertext::transparent_zero_at(&c.params, 0);
         c.eval.rotate_rows_into(&mut out1, &ct, step, &c.keys, &mut scratch).unwrap();
         assert_polys_eq(&out1, &wrapper);
 
-        let mut out2 = Ciphertext::transparent_zero(&c.params);
+        let mut out2 = Ciphertext::transparent_zero_at(&c.params, 0);
         c.eval.add_plain_assign(&mut out2, &c.encoder.encode(&vals).unwrap(), &mut scratch).unwrap();
         c.eval.rotate_rows_into(&mut out2, &ct, step, &c.keys, &mut scratch).unwrap();
         assert_polys_eq(&out2, &wrapper);

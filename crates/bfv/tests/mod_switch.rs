@@ -14,11 +14,14 @@
 //!   shrinks in memory (`2·live·n·8`) and on the wire (the live planes,
 //!   packed at their limbs' widths).
 
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, GaloisKeys,
     KeyGenerator,
 };
 use proptest::prelude::*;
+use support::Alloc;
 
 struct Ctx {
     params: BfvParams,
@@ -76,7 +79,7 @@ proptest! {
             let ct = c.enc.encrypt(&c.encoder.encode(&vals).unwrap()).unwrap();
             let pw = c
                 .eval
-                .prepare_plaintext(&c.encoder.encode(&weights).unwrap())
+                .prepare_plaintext_at(&c.encoder.encode(&weights).unwrap(), 0)
                 .unwrap();
             let prod = c.eval.mul_plain(&ct, &pw).unwrap();
             let worked = c.eval.rotate_rows(&prod, 1, &c.keys).unwrap();

@@ -16,6 +16,7 @@
 //! mask and switch, the shape a session's download ships in.
 
 mod oracle;
+mod support;
 
 use cheetah_bfv::{
     wire, BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
@@ -24,6 +25,7 @@ use cheetah_bfv::{
 use oracle::{
     add_mod_t, automorphism_mod_t, automorphism_ternary, mul_mod_t, rotation_element, WideModulus,
 };
+use support::Alloc;
 
 const STEPS: [i64; 2] = [1, -3];
 
@@ -166,7 +168,7 @@ fn differential(name: &str, params: BfvParams, deepest: [bool; 5]) {
     let ct0 = enc.encrypt(&pt0).unwrap();
     let ct1 = enc.encrypt(&pt1).unwrap();
     let eval = Evaluator::new(params.clone());
-    let prepared = eval.prepare_plaintext(&mask).unwrap();
+    let prepared = eval.prepare_plaintext_at(&mask, 0).unwrap();
 
     // The oracle's algebra on the coefficient polynomials; a modulus
     // switch leaves the plaintext alone, so one prediction serves every
@@ -265,7 +267,7 @@ fn switched_download(name: &str, params: BfvParams) {
         .encrypt(&pt_x)
         .unwrap();
     let eval = Evaluator::new(params.clone());
-    let weights = eval.prepare_plaintext(&pt_w).unwrap();
+    let weights = eval.prepare_plaintext_at(&pt_w, 0).unwrap();
 
     // Slot `i` of a row after the rotation holds slot `i + step` of the
     // product; the mask lands slot-wise on top.

@@ -2,10 +2,13 @@
 //! hold for arbitrary inputs, and homomorphism properties of the full
 //! encrypt→evaluate→decrypt pipeline.
 
+mod support;
+
 use cheetah_bfv::arith::{bit_reverse, generate_ntt_prime, Modulus, ShoupPrecomp};
 use cheetah_bfv::ntt::{negacyclic_mul_naive, NttTable};
 use cheetah_bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
 use proptest::prelude::*;
+use support::Alloc;
 
 const Q30: u64 = 0; // placeholder replaced by lazy helpers below
 
@@ -174,7 +177,7 @@ proptest! {
         let mut ctx = hom_ctx(seed);
         let ca = ctx.enc.encrypt(&ctx.encoder.encode(&a).unwrap()).unwrap();
         let cb = ctx.enc.encrypt(&ctx.encoder.encode(&b).unwrap()).unwrap();
-        let pw = ctx.eval.prepare_plaintext(&ctx.encoder.encode(&w).unwrap()).unwrap();
+        let pw = ctx.eval.prepare_plaintext_at(&ctx.encoder.encode(&w).unwrap(), 0).unwrap();
         // (a + b) * w slot-wise
         let sum = ctx.eval.add(&ca, &cb).unwrap();
         let prod = ctx.eval.mul_plain(&sum, &pw).unwrap();
@@ -216,7 +219,7 @@ proptest! {
     ) {
         let mut ctx = hom_ctx(seed);
         let ct = ctx.enc.encrypt(&ctx.encoder.encode(&[1, 2, 3, 4]).unwrap()).unwrap();
-        let pw = ctx.eval.prepare_plaintext(&ctx.encoder.encode(&w).unwrap()).unwrap();
+        let pw = ctx.eval.prepare_plaintext_at(&ctx.encoder.encode(&w).unwrap(), 0).unwrap();
         let after_mul = ctx.eval.mul_plain(&ct, &pw).unwrap();
         let after_rot = ctx.eval.rotate_rows(&after_mul, 1, &ctx.keys).unwrap();
         for c in [&ct, &after_mul, &after_rot] {

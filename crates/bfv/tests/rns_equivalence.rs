@@ -16,7 +16,10 @@
 //!   the seed-era composed-base key switch, replayed here against
 //!   manually built composed keys over the Garner decomposition.
 
+mod support;
+
 use std::sync::OnceLock;
+use support::Alloc;
 
 use cheetah_bfv::arith::Modulus;
 use cheetah_bfv::{
@@ -116,7 +119,7 @@ proptest! {
         let mut c1_g = permute(ct.c1());
         table.inverse(&mut c1_g);
         let digits = base_digits(&c1_g, c.params.a_dcmp(), &q);
-        prop_assert_eq!(digits.len(), c.params.l_ct());
+        prop_assert_eq!(digits.len(), c.params.l_ct_at(0));
         let mut ref_c1 = vec![0u64; n];
         for (mut digit, (k0, k1)) in digits.into_iter().zip(key.pairs()) {
             table.forward(&mut digit);
@@ -129,7 +132,7 @@ proptest! {
         // --- Stage 2: mul_plain (engine) vs scalar pointwise product. ---
         let pw = c
             .eval
-            .prepare_plaintext(&c.encoder.encode(&weights).unwrap())
+            .prepare_plaintext_at(&c.encoder.encode(&weights).unwrap(), 0)
             .unwrap();
         let prod = c.eval.mul_plain(&rotated, &pw).unwrap();
         mul(&mut ref_c0, pw.poly().limb(0), &q);
@@ -214,7 +217,7 @@ fn evaluator_rejects_foreign_chain_ciphertexts() {
     ));
     let pw_single = single
         .eval
-        .prepare_plaintext(&single.encoder.encode(&[5]).unwrap())
+        .prepare_plaintext_at(&single.encoder.encode(&[5]).unwrap(), 0)
         .unwrap();
     let mut work = ct_two.clone();
     assert!(matches!(
@@ -271,7 +274,7 @@ fn multi_limb_pipeline_matches_single_limb_slots() {
         // amplified by a subsequent multiplication (§V).
         let pw = c
             .eval
-            .prepare_plaintext(&c.encoder.encode(&weights).unwrap())
+            .prepare_plaintext_at(&c.encoder.encode(&weights).unwrap(), 0)
             .unwrap();
         let prod = c.eval.mul_plain(&ct, &pw).unwrap();
         let rotated = c.eval.rotate_rows(&prod, 2, &c.keys).unwrap();

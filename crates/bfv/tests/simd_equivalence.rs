@@ -27,6 +27,8 @@
 //!   at every preset and every level of its chain;
 //! * typed-error behaviour is backend-independent.
 
+mod support;
+
 use cheetah_bfv::arith::{generate_ntt_prime, generate_ntt_primes, is_prime, Modulus};
 use cheetah_bfv::ntt::NttTable;
 use cheetah_bfv::rns::{DotTerm, PlaneAlign, Representation};
@@ -36,6 +38,7 @@ use cheetah_bfv::{
     ModulusChain, RnsPoly,
 };
 use proptest::prelude::*;
+use support::Alloc;
 
 /// Restores automatic backend detection even if an assertion unwinds.
 struct ForceGuard;
@@ -715,13 +718,13 @@ fn group_sum_wider_than_the_flush_bound_on_single_60() {
     let weights = |k: usize| -> Vec<i64> { (0..64).map(|i| (i + k as i64) % 5 - 2).collect() };
     let masks: Vec<_> = (0..TERMS)
         .map(|k| {
-            eval.prepare_plaintext(&encoder.encode_signed(&weights(k)).unwrap())
+            eval.prepare_plaintext_at(&encoder.encode_signed(&weights(k)).unwrap(), 0)
                 .unwrap()
         })
         .collect();
     let terms: Vec<_> = cts.iter().zip(&masks).collect();
 
-    let mut sequential = Ciphertext::transparent_zero(&params);
+    let mut sequential = Ciphertext::transparent_zero_at(&params, 0);
     {
         let (_guard, _) = ForceGuard::force(SimdBackend::Scalar);
         for (ct, mask) in &terms {
@@ -734,7 +737,7 @@ fn group_sum_wider_than_the_flush_bound_on_single_60() {
     for backend in backends {
         let (_guard, eff) = ForceGuard::force(backend);
         assert_eq!(eff, backend);
-        let mut many = Ciphertext::transparent_zero(&params);
+        let mut many = Ciphertext::transparent_zero_at(&params, 0);
         eval.mul_plain_accumulate_many(&mut many, &terms).unwrap();
         assert_eq!(many.c0(), sequential.c0(), "c0 on {}", backend.name());
         assert_eq!(many.c1(), sequential.c1(), "c1 on {}", backend.name());

@@ -9,10 +9,13 @@
 //! `tests/session_conformance.rs` *mean* something: a message's accounted
 //! size plus [`wire::HEADER_BYTES`] is exactly what crosses the network.
 
+mod support;
+
 use cheetah_bfv::{
     wire, BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     ModulusChain,
 };
+use support::Alloc;
 
 fn presets() -> Vec<(&'static str, BfvParams)> {
     vec![

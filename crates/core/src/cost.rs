@@ -140,7 +140,7 @@ impl HeCostParams {
         self.ntts_per_hoist() + self.ntts_per_rotate_hoisted()
     }
 
-    /// NTT plane transforms in one hoist (`Evaluator::hoist`), the key
+    /// NTT plane transforms in one hoist (`Evaluator::hoist_into`), the key
     /// switch's front half, paid **once** for an entire same-source
     /// rotation set: the `c1` INTT over the live planes plus one forward
     /// transform per digit over every key-switch plane,
@@ -310,7 +310,7 @@ mod tests {
         let full = HeCostParams::for_bfv(&params, 0);
         let lvl1 = HeCostParams::for_bfv(&params, 1);
         assert_eq!(full.limbs, 3);
-        assert_eq!(full.l_ct, params.l_ct());
+        assert_eq!(full.l_ct, params.l_ct_at(0));
         assert_eq!(lvl1.limbs, 2);
         assert_eq!(lvl1.l_ct, params.l_ct_at(1));
         assert!(lvl1.ntts_per_rotate() < full.ntts_per_rotate());

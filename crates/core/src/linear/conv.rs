@@ -624,7 +624,7 @@ mod tests {
         let (_, outputs, counts) = run(&mut c, &layer, &ct);
         assert_eq!(outputs.len(), 1, "both output channels in one ciphertext");
         let params = c.eval.params();
-        let planes = (params.l_ct() as u64 + 1) * params.limbs() as u64;
+        let planes = (params.l_ct_at(0) as u64 + 1) * params.limbs() as u64;
         assert_eq!((counts.mul, counts.rotate), (2, 1));
         assert_eq!(counts.ntt, planes, "no hoist for a 1×1 tap set");
     }
@@ -694,7 +694,8 @@ mod tests {
         let ct = encrypt(&mut c, &s, &input);
 
         let (full, _, full_counts) = run(&mut c, &layer, &ct);
-        let switched = c.eval.mod_switch_to_next(&ct).unwrap();
+        let mut switched = ct.clone();
+        c.eval.mod_switch_to_next_assign(&mut switched).unwrap();
         assert_eq!(switched.level(), 1);
         let (low, low_cts, low_counts) = run(&mut c, &layer, &switched);
         assert!(

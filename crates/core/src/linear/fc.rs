@@ -892,7 +892,7 @@ mod tests {
         assert!(plan.b > 1 && plan.g > 1, "√d split expected, got {plan:?}");
 
         let params = c.eval.params();
-        let planes = (params.l_ct() as u64 + 1) * params.limbs() as u64;
+        let planes = (params.l_ct_at(0) as u64 + 1) * params.limbs() as u64;
         c.eval.reset_op_counts();
         let out = c.apply(&bsgs, &ct, 1);
         let counts = c.eval.op_counts();

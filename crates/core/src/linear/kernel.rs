@@ -93,7 +93,7 @@ impl PreparedKernel {
                 if plain.len() != group.steps.len() {
                     return Err(Error::Unsupported("a group needs one mask per step"));
                 }
-                let group_masks = plain.iter().map(|pt| eval.prepare_plaintext(pt));
+                let group_masks = plain.iter().map(|pt| eval.prepare_plaintext_at(pt, 0));
                 prepared.push(group_masks.collect::<Result<Vec<_>>>()?);
             }
             masks.push(prepared);

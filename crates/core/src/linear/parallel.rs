@@ -8,7 +8,7 @@
 //! join, in plan order, so nothing it computes depends on the thread count.
 //!
 //! Each worker runs out of a [`cheetah_bfv::Scratch`] of its own
-//! ([`WorkerScratch`]), so the steady-state loop bodies run with zero heap
+//! (`WorkerScratch`), so the steady-state loop bodies run with zero heap
 //! allocation and zero lock contention.
 
 use cheetah_bfv::{Result, Scratch, ScratchPool};

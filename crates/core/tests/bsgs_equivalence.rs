@@ -13,6 +13,9 @@
 //!   `b + g − 2` rotations, `g` hoist-priced NTT bills — `O(√d)` plane
 //!   transforms against the diagonal method's `O(d)`.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, OpCounts,
 };
@@ -22,6 +25,7 @@ use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use support::Alloc;
 
 struct Ctx {
     params: BfvParams,

@@ -13,6 +13,9 @@
 //!   are enough while any one fewer is not;
 //! * the giant steps of any plan share a single key.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah_bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator};
 use cheetah_core::linear::HomConv2d;
 use cheetah_nn::inference::eval_linear;
@@ -21,6 +24,7 @@ use cheetah_nn::{ConvSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::Alloc;
 
 struct Ctx {
     params: BfvParams,

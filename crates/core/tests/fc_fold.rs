@@ -25,6 +25,9 @@
 //!   benchmark networks' FC shapes — tiled picks, all of them — and
 //!   `bench_cnn`'s two convolutions.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     OpCounts,
@@ -37,6 +40,7 @@ use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::Alloc;
 
 struct Ctx {
     params: BfvParams,

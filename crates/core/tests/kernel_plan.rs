@@ -15,6 +15,9 @@
 //! * one, two and three threads give identical residues, noise estimates
 //!   and counts.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator, Plaintext,
 };
@@ -22,6 +25,7 @@ use cheetah_core::linear::PreparedKernel;
 use cheetah_core::{BsgsGroup, BsgsPlan, Combine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::Alloc;
 
 /// Every slot's row rotated left by `k`: what `rotate_rows` does to a
 /// decoded slot vector (two rows of `row` slots).

@@ -7,10 +7,14 @@
 //! mod-switch}. The stage clock (`Evaluator::stage_times`) is tied to the
 //! rows of `docs/PARAMS.md`'s stage table on the same grid.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Encryptor, Evaluator, KeyGenerator, KsStage, OpCounts, StageTimes,
 };
 use cheetah_core::HeCostParams;
+use support::Alloc;
 
 /// `(ntt, poly_mul, rotate, mod_switch)` of a counter delta.
 fn columns(c: &OpCounts) -> (u64, u64, u64, u64) {

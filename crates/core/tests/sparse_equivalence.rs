@@ -13,6 +13,9 @@
 //! * all-zero layers produce transparent-zero outputs with **zero**
 //!   rotations and zero multiplies, at every level, for both layer kinds.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, GaloisKeys, KeyGenerator,
 };
@@ -22,6 +25,7 @@ use cheetah_nn::inference::eval_linear;
 use cheetah_nn::{ConvSpec, FcSpec, LinearLayer, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use support::Alloc;
 
 struct Ctx {
     params: BfvParams,

@@ -3,7 +3,7 @@
 //! Lanes.
 //!
 //! Each Lane implements one dot-product partial: two SIMDmult units
-//! (ct[0]·w, ct[1]·w), then the `HE_Rotate` datapath — Swap, INTT,
+//! (`ct[0]·w`, `ct[1]·w`), then the `HE_Rotate` datapath — Swap, INTT,
 //! Decompose, a parametrizable bank of NTT units covering the `l_ct`
 //! decomposition digits, key-switch SIMDmults, Compose. Lanes within a PE
 //! run in lockstep (shared twiddle SRAMs); a partial reduction network of

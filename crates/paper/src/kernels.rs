@@ -334,7 +334,7 @@ fn setup(cfg: KernelConfig) -> Bench {
     let pt_raw = encoder.encode(&values).expect("encode");
     let ct = enc.encrypt(&pt_raw).expect("encrypt");
     let ct2 = enc.encrypt(&pt_raw).expect("encrypt");
-    let pt = eval.prepare_plaintext(&pt_raw).expect("prepare");
+    let pt = eval.prepare_plaintext_at(&pt_raw, 0).expect("prepare");
     Bench {
         params,
         eval,
@@ -366,29 +366,35 @@ fn measure_kernels(cfg: KernelConfig, reps: u32) -> KernelTimes {
         table.forward(&mut scratch);
     });
 
+    // Each operator writes a fresh output: a clone of its input, or a new one.
     let mult_s = time_loop(reps, || {
-        let _ = b.eval.mul_plain(&b.ct, &b.pt).expect("mult");
+        b.eval
+            .mul_plain_assign(&mut b.ct.clone(), &b.pt)
+            .expect("mult");
     });
 
     let add_s = time_loop(reps, || {
-        let _ = b.eval.add(&b.ct, &b.ct2).expect("add");
+        b.eval.add_assign(&mut b.ct.clone(), &b.ct2).expect("add");
     });
 
+    let mut scratch = b.eval.new_scratch();
     let rotate_total_s = time_loop(reps, || {
-        let _ = b.eval.rotate_rows(&b.ct, 1, &b.keys).expect("rotate");
+        let mut out = Ciphertext::transparent_zero_at(&b.params, 0);
+        b.eval
+            .rotate_rows_into(&mut out, &b.ct, 1, &b.keys, &mut scratch)
+            .expect("rotate");
     });
 
     // Hoisted-rotation split: the one-time hoist and the per-step replay —
     // what BSGS layers (b − 1 replays + g − 1 direct rotations) are priced
     // from.
-    let mut scratch = b.eval.new_scratch();
     let mut hoisted = cheetah_bfv::HoistedDecomposition::empty(&b.params);
     let hoist_s = time_loop(reps, || {
         b.eval
             .hoist_into(&mut hoisted, &b.ct, &mut scratch)
             .expect("hoist");
     });
-    let mut replay_out = Ciphertext::transparent_zero(&b.params);
+    let mut replay_out = Ciphertext::transparent_zero_at(&b.params, 0);
     let rotate_hoisted_s = time_loop(reps, || {
         b.eval
             .rotate_hoisted_into(&mut replay_out, &b.ct, &hoisted, 1, &b.keys, &mut scratch)

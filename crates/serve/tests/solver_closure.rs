@@ -23,8 +23,12 @@
 //! noise is one the prepared layer's own prediction rejects too — the
 //! solver's pick is the cheapest `(chain, level)` the engine accepts.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use support::Alloc;
 
 use cheetah_bfv::{BfvParams, Encryptor, KeyGenerator, NoiseEstimate};
 use cheetah_core::linear::{ConvPlan, FcPlan, LEVEL_PLAN_MARGIN_BITS};

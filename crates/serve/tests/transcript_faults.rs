@@ -20,6 +20,9 @@
 //! There is no third outcome, and nothing panics. The seed comes from
 //! `FAULT_SEED` (defaulting to a fixed value) so CI failures replay.
 
+#[path = "../../bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah_bfv::wire;
 use cheetah_bfv::wire::faults::{
     classify_ciphertext_fault, Corruption, FaultInjector, FaultOutcome,
@@ -29,6 +32,7 @@ use cheetah_nn::inference::random_input;
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::{Network, Weights};
 use cheetah_serve::{ClientSession, PreparedModel, PrivateInferenceSession, ServerSession};
+use support::Alloc;
 
 const N: usize = 4096;
 

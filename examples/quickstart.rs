@@ -3,7 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use cheetah::bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator};
+use cheetah::bfv::{
+    BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
+};
 
 fn main() -> Result<(), Error> {
     // Table II parameters: n = 4096, 17-bit t, 60-bit q (128-bit secure),
@@ -35,6 +37,7 @@ fn main() -> Result<(), Error> {
     let mut encryptor = Encryptor::from_public_key(pk, 1);
     let decryptor = Decryptor::new(keygen.secret_key().clone());
     let evaluator = Evaluator::new(params.clone());
+    let mut scratch = evaluator.new_scratch();
 
     // Encode: one ciphertext packs n = 4096 values (SIMD slots).
     let data: Vec<u64> = (0..10).map(|i| 100 + i).collect();
@@ -46,25 +49,30 @@ fn main() -> Result<(), Error> {
         decryptor.invariant_noise_budget(&ct)?
     );
 
-    // HE_Add: slot-wise addition.
-    let doubled = evaluator.add(&ct, &ct)?;
+    // HE_Add: slot-wise addition, in place.
+    let mut doubled = ct.clone();
+    evaluator.add_assign(&mut doubled, &ct)?;
     println!(
         "after HE_Add:           worst-case model {:>5.1} bits | measured {:>5.1} bits",
         doubled.budget_bits(),
         decryptor.invariant_noise_budget(&doubled)?
     );
 
-    // HE_Mult (pt-ct): slot-wise multiplication by plaintext weights.
-    let w = evaluator.prepare_plaintext(&encoder.encode(&weights)?)?;
-    let product = evaluator.mul_plain(&doubled, &w)?;
+    // HE_Mult (pt-ct): slot-wise multiplication by plaintext weights,
+    // prepared once at the ciphertext's level.
+    let w = evaluator.prepare_plaintext_at(&encoder.encode(&weights)?, ct.level())?;
+    let mut product = doubled.clone();
+    evaluator.mul_plain_assign(&mut product, &w)?;
     println!(
         "after HE_Mult:          worst-case model {:>5.1} bits | measured {:>5.1} bits",
         product.budget_bits(),
         decryptor.invariant_noise_budget(&product)?
     );
 
-    // HE_Rotate: cyclic slot rotation (Galois automorphism + key switch).
-    let rotated = evaluator.rotate_rows(&product, 1, &keys)?;
+    // HE_Rotate: cyclic slot rotation (Galois automorphism + key switch)
+    // into a caller-owned output, temporaries leased from `scratch`.
+    let mut rotated = Ciphertext::transparent_zero_at(&params, product.level());
+    evaluator.rotate_rows_into(&mut rotated, &product, 1, &keys, &mut scratch)?;
     println!(
         "after HE_Rotate:        worst-case model {:>5.1} bits | measured {:>5.1} bits",
         rotated.budget_bits(),

@@ -38,8 +38,7 @@
 //!   `mul_plain_accumulate` / `apply_galois_into` / `rotate_rows_into`,
 //!   which draw temporaries from a reusable [`bfv::Scratch`] pool and
 //!   perform **zero heap allocations at steady state** (enforced by a
-//!   counting-allocator test). The classic allocating API still exists as
-//!   thin wrappers over the same kernels.
+//!   counting-allocator test). Each operation has this one form.
 //! * **One parallel linear kernel** — `core`'s `HomConv2d` / `HomFc` lay
 //!   out masks and slots; their `apply(input, eval, keys, threads)` runs
 //!   the one `PreparedKernel`, which splits the giant groups'
@@ -57,8 +56,9 @@
 //!   to the scalar reference (no cargo feature).
 //!
 //! `cargo run --release -p cheetah-bench --bin bench_he_ops` emits
-//! `BENCH_he_ops.json` with ns/op for the three operators (allocating vs
-//! in-place), making the perf trajectory machine-readable across PRs.
+//! `BENCH_he_ops.json` with ns/op for the three operators (into a fresh
+//! output vs in place), making the perf trajectory machine-readable across
+//! PRs.
 //!
 //! ```
 //! use cheetah::bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
@@ -73,7 +73,8 @@
 //! let eval = Evaluator::new(params);
 //!
 //! let ct = enc.encrypt(&encoder.encode(&[21, 2])?)?;
-//! let twice = eval.add(&ct, &ct)?;
+//! let mut twice = ct.clone();
+//! eval.add_assign(&mut twice, &ct)?;
 //! assert_eq!(encoder.decode(&dec.decrypt_checked(&twice)?)[0], 42);
 //! # Ok(())
 //! # }

@@ -20,6 +20,9 @@
 //! once) and says so; a change that claims "same bits" must leave them
 //! alone.
 
+#[path = "../crates/bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah::bfv::{
     expand_uniform, wire, BatchEncoder, BfvParams, Encryptor, Evaluator, KeyGenerator,
 };
@@ -28,6 +31,7 @@ use cheetah::nn::models::tiny_cnn;
 use cheetah::nn::Weights;
 use cheetah::serve::transcript::Direction;
 use cheetah::serve::PrivateInferenceSession;
+use support::Alloc;
 
 const N: usize = 4096;
 const STEPS: [i64; 3] = [1, -3, 64];

@@ -5,9 +5,13 @@
 //! invariant noise across a grid of parameter settings and operator
 //! chains.
 
+#[path = "../crates/bfv/tests/support/mod.rs"]
+mod support;
+
 use cheetah::bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator, SecurityLevel,
 };
+use support::Alloc;
 
 struct Session {
     params: BfvParams,
@@ -53,7 +57,7 @@ fn model_bounds_measurement_across_parameter_grid() {
                 let ct = s.enc.encrypt(&s.encoder.encode(&values).unwrap()).unwrap();
                 let w = s
                     .eval
-                    .prepare_plaintext(&s.encoder.encode(&[5; 64]).unwrap())
+                    .prepare_plaintext_at(&s.encoder.encode(&[5; 64]).unwrap(), 0)
                     .unwrap();
 
                 // Chain: mult -> rotate -> add(self) — all three operators.
@@ -89,13 +93,13 @@ fn statistical_estimate_is_tight_but_safe() {
     let ct = s.enc.encrypt(&s.encoder.encode(&values).unwrap()).unwrap();
     let w = s
         .eval
-        .prepare_plaintext(&s.encoder.encode(&vec![9u64; 128]).unwrap())
+        .prepare_plaintext_at(&s.encoder.encode(&vec![9u64; 128]).unwrap(), 0)
         .unwrap();
     let m = s.eval.mul_plain(&ct, &w).unwrap();
 
     let measured_budget = s.dec.invariant_noise_budget(&m).unwrap();
-    let worst_budget = m.noise().budget_bits_worst(&s.params);
-    let stat_budget = m.noise().budget_bits_statistical(&s.params);
+    let worst_budget = m.noise().budget_bits_worst_at(&s.params, 0);
+    let stat_budget = m.noise().budget_bits_statistical_at(&s.params, 0);
 
     assert!(
         stat_budget > worst_budget,
@@ -211,7 +215,7 @@ fn mod_switch_noise_model_bounds_measurement_for_every_preset() {
 }
 
 fn enc_weights(eval: &Evaluator, encoder: &BatchEncoder) -> cheetah::bfv::PreparedPlaintext {
-    eval.prepare_plaintext(&encoder.encode(&[7; 128]).unwrap())
+    eval.prepare_plaintext_at(&encoder.encode(&[7; 128]).unwrap(), 0)
         .unwrap()
 }
 
@@ -245,7 +249,7 @@ fn per_operator_budget_consumption_ordering() {
     let ct = s.enc.encrypt(&s.encoder.encode(&[6; 32]).unwrap()).unwrap();
     let w = s
         .eval
-        .prepare_plaintext(&s.encoder.encode(&[3; 32]).unwrap())
+        .prepare_plaintext_at(&s.encoder.encode(&[3; 32]).unwrap(), 0)
         .unwrap();
     let b0 = s.dec.invariant_noise_budget(&ct).unwrap();
 
