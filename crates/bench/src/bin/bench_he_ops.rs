@@ -255,9 +255,8 @@ fn per_limb_point(params: BfvParams) -> LimbPoint {
     let leveled = (params.max_level() >= 1).then(|| {
         let mut switched = Ciphertext::transparent_zero_at(c.eval.params(), 0);
         let mod_switch = time_ns(|| {
-            c.eval
-                .mod_switch_to_next_into(&mut switched, black_box(&c.ct))
-                .unwrap();
+            switched.copy_from(black_box(&c.ct));
+            c.eval.mod_switch_to_next_assign(&mut switched).unwrap();
         });
         let mut low_out = Ciphertext::transparent_zero_at(c.eval.params(), 1);
         let rotate_level1 = time_ns(|| {
@@ -432,7 +431,9 @@ fn fc_point(params: BfvParams) -> FcPoint {
         let mut ct = fresh;
         eval.mod_switch_to_assign(&mut ct, level).unwrap();
         time_ns(|| {
-            black_box(layer.apply(black_box(&ct), &eval, &keys, 1).unwrap());
+            let out =
+                layer.apply_with_scratch(black_box(&ct), &eval, &keys, &mut eval.new_scratch());
+            black_box(out.unwrap());
         })
     };
 
@@ -488,7 +489,8 @@ fn conv_point(params: BfvParams) -> (usize, f64) {
         .encrypt(&HomConv2d::encode_input(&spec, &input, &encoder).unwrap())
         .unwrap();
     let ns = time_ns(|| {
-        black_box(layer.apply(black_box(&ct), &eval, &keys, 1).unwrap());
+        let out = layer.apply_with_scratch(black_box(&ct), &eval, &keys, &mut eval.new_scratch());
+        black_box(out.unwrap());
     });
     (params.limbs(), ns)
 }
@@ -589,9 +591,8 @@ fn main() {
         let c2 = ctx_for(BfvParams::preset_rns_2x30(4096).unwrap());
         let mut switched = Ciphertext::transparent_zero_at(c2.eval.params(), 0);
         time_ns(|| {
-            c2.eval
-                .mod_switch_to_next_into(&mut switched, black_box(&c2.ct))
-                .unwrap();
+            switched.copy_from(black_box(&c2.ct));
+            c2.eval.mod_switch_to_next_assign(&mut switched).unwrap();
         })
     };
 

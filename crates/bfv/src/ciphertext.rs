@@ -141,15 +141,18 @@ impl Ciphertext {
         (self.c0, self.c1)
     }
 
-    /// Copies another ciphertext's polynomials and noise into this one
-    /// without reallocating — the hot-path replacement for `clone` when a
-    /// reusable destination exists.
+    /// Copies another ciphertext's polynomials and noise into this one,
+    /// following its live-limb count (and so its level) with the buffers
+    /// this one already has — the hot-path replacement for `clone` when a
+    /// reusable destination exists. Allocation-free once this ciphertext
+    /// has held `other`'s limb count.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes differ (parameter sets are checked by the
+    /// Panics if the degrees differ (parameter sets are checked by the
     /// evaluator entry points).
     pub fn copy_from(&mut self, other: &Ciphertext) {
+        self.resize_live_limbs(other.live_limbs());
         self.c0.copy_from(&other.c0);
         self.c1.copy_from(&other.c1);
         self.noise = other.noise;

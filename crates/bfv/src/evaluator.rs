@@ -307,8 +307,8 @@ impl PreparedPlaintext {
 /// ciphertext: the evaluation-form per-limb digit decomposition of its
 /// `c1` component (see [`Evaluator::hoist_into`]).
 ///
-/// Read-only once built, so one instance can be shared across worker
-/// threads replaying different rotation steps of the same set.
+/// Read-only once built: every replay of a rotation set reads the same
+/// instance.
 #[derive(Debug, Clone)]
 pub struct HoistedDecomposition {
     params: BfvParams,
@@ -404,7 +404,8 @@ pub struct Evaluator {
     mod_switch_count: AtomicU64,
     stages: StageClock,
     /// Backs `HE_ModSwitch`'s temporary plane; every other operation takes
-    /// a caller scratch instead so worker threads never contend here.
+    /// a caller scratch instead, so sessions on other threads sharing this
+    /// evaluator never contend here.
     scratch: Mutex<Scratch>,
 }
 
@@ -649,26 +650,6 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Fused multiply-accumulate: `acc += a ⊙ pt` — the one-term case of
-    /// [`Evaluator::mul_plain_accumulate_many`]. Equivalent to `mul_plain`
-    /// then `add` but with no intermediate ciphertext; counts one
-    /// `HE_Mult`, one `HE_Add`, and two pointwise multiplications. No
-    /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ParameterMismatch`] for foreign ciphertexts,
-    /// [`Error::LevelMismatch`] when `acc` and `a` disagree on level or
-    /// the plaintext was prepared deeper than the operands.
-    pub fn mul_plain_accumulate(
-        &self,
-        acc: &mut Ciphertext,
-        a: &Ciphertext,
-        pt: &PreparedPlaintext,
-    ) -> Result<()> {
-        self.mul_plain_accumulate_many(acc, &[(a, pt)])
-    }
-
     /// The group sum of every rotate-mul-accumulate linear layer:
     /// `acc += Σ_k a_k ⊙ pt_k` in **one pass** over the limb planes. Each
     /// coefficient's products are summed unreduced in `u128` and reduced
@@ -676,13 +657,17 @@ impl Evaluator {
     /// the pass over each mask, instead of one Barrett reduction and one
     /// modular add per term. The ciphertext, the noise estimate (folded
     /// term by term, in order) and the [`OpCounts`] (`k` `HE_Mult`, `k`
-    /// `HE_Add`, `2k` pointwise multiplications) are exactly those of `k`
-    /// sequential [`Evaluator::mul_plain_accumulate`] calls. Every term is
-    /// checked before `acc` is touched. No allocation.
+    /// `HE_Add`, `2k` pointwise multiplications) are exactly those of
+    /// multiplying a copy of each term in place (`mul_plain_assign`) and
+    /// adding it onto `acc` (`add_assign`), in order — with no intermediate
+    /// ciphertext. Every term is checked before `acc` is touched. No
+    /// allocation.
     ///
     /// # Errors
     ///
-    /// Per term, the conditions of [`Evaluator::mul_plain_accumulate`].
+    /// [`Error::ParameterMismatch`] for foreign ciphertexts,
+    /// [`Error::LevelMismatch`] when a term's ciphertext and `acc` disagree
+    /// on level or its plaintext was prepared deeper than the operands.
     pub fn mul_plain_accumulate_many(
         &self,
         acc: &mut Ciphertext,
@@ -965,7 +950,6 @@ impl Evaluator {
         if steps.rem_euclid(self.params.row_size() as i64) == 0 {
             self.params.check_same(a.params())?;
             self.params.check_same(out.params())?;
-            out.resize_live_limbs(a.live_limbs());
             out.copy_from(a);
             return Ok(());
         }
@@ -1022,21 +1006,6 @@ impl Evaluator {
         a.set_noise(noise);
         Self::count(&self.mod_switch_count, 1);
         Ok(())
-    }
-
-    /// `HE_ModSwitch` into a caller-owned output ciphertext (which follows
-    /// `a`'s new level; retained capacity keeps this allocation-free at
-    /// steady state).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Evaluator::mod_switch_to_next_assign`].
-    pub fn mod_switch_to_next_into(&self, out: &mut Ciphertext, a: &Ciphertext) -> Result<()> {
-        self.params.check_same(a.params())?;
-        self.params.check_same(out.params())?;
-        out.resize_live_limbs(a.live_limbs());
-        out.copy_from(a);
-        self.mod_switch_to_next_assign(out)
     }
 
     /// Switches a ciphertext in place down to an exact target level
@@ -1151,11 +1120,11 @@ impl Evaluator {
         {
             return Err(Error::ParameterMismatch);
         }
-        out.resize_live_limbs(live);
         if steps.rem_euclid(self.params.row_size() as i64) == 0 {
             out.copy_from(a);
             return Ok(());
         }
+        out.resize_live_limbs(live);
         let g = element_for_step(self.params.degree(), steps)?;
         let key = keys.get(g).map_err(|e| Self::attach_step(e, steps))?;
         let perm = key.permutation();
@@ -1716,7 +1685,7 @@ mod tests {
             .unwrap();
         let mut acc = Ciphertext::transparent_zero_at(&params, 0);
         assert!(matches!(
-            eval.mul_plain_accumulate(&mut acc, &low, &pw),
+            eval.mul_plain_accumulate_many(&mut acc, &[(&low, &pw)]),
             Err(Error::LevelMismatch { .. })
         ));
         // A plaintext prepared at level 1 cannot serve a level-0 operand…

@@ -18,9 +18,9 @@
 //! since a linear layer runs entirely at the level its input was switched
 //! to — still never touches the allocator.
 //!
-//! Threading model: a `Scratch` is deliberately *not* shared. Each worker
-//! thread owns one (they are cheap once warm), which is how the parallel
-//! linear layers in `cheetah-core` scale without lock contention. The
+//! Threading model: a `Scratch` is deliberately *not* shared. Each serving
+//! thread owns one (they are cheap once warm) and runs a whole session's
+//! layers out of it, so sessions in parallel never contend for memory. The
 //! [`crate::Evaluator`] also keeps one internal pool behind a mutex for
 //! `HE_ModSwitch`'s temporary plane.
 
@@ -51,8 +51,6 @@ pub struct Scratch {
     digits: Vec<RnsPoly>,
     /// The hoist store between [`Scratch::take_hoisted`] leases.
     hoisted: Option<HoistedDecomposition>,
-    /// Child pools for a layer's worker threads ([`Scratch::workers`]).
-    workers: Option<Arc<ScratchPool>>,
 }
 
 impl Scratch {
@@ -67,7 +65,6 @@ impl Scratch {
             free: vec![Vec::new(); limbs],
             digits: Vec::new(),
             hoisted: None,
-            workers: None,
         }
     }
 
@@ -184,16 +181,6 @@ impl Scratch {
     /// Returns a leased hoist store to the pool.
     pub fn put_hoisted(&mut self, hoisted: HoistedDecomposition) {
         self.hoisted = Some(hoisted);
-    }
-
-    /// Child pools of the same shape, one lease per worker thread of a
-    /// layer evaluation: they live inside this `Scratch`, so a worker's
-    /// accumulators and key-switch digits stay warm from layer to layer
-    /// and session to session exactly as long as this instance does.
-    pub fn workers(&mut self) -> &Arc<ScratchPool> {
-        let (n, limbs) = (self.n, self.limbs);
-        self.workers
-            .get_or_insert_with(|| Arc::new(ScratchPool::new(n, limbs)))
     }
 
     /// Number of pooled free buffers across all sizes (diagnostic).

@@ -175,9 +175,9 @@ pub fn current_backend() -> SimdBackend {
 /// CPU supports — see `clamp`'s rules — so forcing `Avx512Ifma` on a CPU
 /// without it leaves the thread on `Avx2`, or on `Portable` without that.
 ///
-/// The override is **per thread**: worker threads spawned by the linear
-/// layers or the serving pool keep the detected default. Intended for
-/// benches and equivalence tests.
+/// The override is **per thread**: the serving pool's worker threads, which
+/// each run whole sessions, keep the detected default. Intended for benches
+/// and equivalence tests.
 pub fn force_backend(backend: Option<SimdBackend>) -> SimdBackend {
     FORCED.with(|f| f.set(backend.map(clamp)));
     current_backend()

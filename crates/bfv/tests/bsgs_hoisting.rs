@@ -215,7 +215,8 @@ fn mixed_level_group_accumulator_is_rejected() {
     // mix live-plane widths.
     let mut acc = Ciphertext::transparent_zero_at(&params, 0);
     assert!(matches!(
-        c.eval.mul_plain_accumulate(&mut acc, &switched, &prepared),
+        c.eval
+            .mul_plain_accumulate_many(&mut acc, &[(&switched, &prepared)]),
         Err(Error::LevelMismatch {
             expected: 0,
             found: 1

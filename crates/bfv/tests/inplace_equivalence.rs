@@ -133,7 +133,7 @@ proptest! {
 
         // Fused accumulate == mul then add, bit-for-bit.
         let mut fused = ca.clone();
-        c.eval.mul_plain_accumulate(&mut fused, &ca, &pw).unwrap();
+        c.eval.mul_plain_accumulate_many(&mut fused, &[(&ca, &pw)]).unwrap();
         let explicit = c.eval.add(&ca, &c.eval.mul_plain(&ca, &pw).unwrap()).unwrap();
         assert_polys_eq(&fused, &explicit);
     }
@@ -170,7 +170,7 @@ proptest! {
         for (ct, mask) in cts.iter().zip(&masks) {
             fma(&mut ref0, ct.c0().limb(0), mask.poly().limb(0), &q);
             fma(&mut ref1, ct.c1().limb(0), mask.poly().limb(0), &q);
-            c.eval.mul_plain_accumulate(&mut sequential, ct, mask).unwrap();
+            c.eval.mul_plain_accumulate_many(&mut sequential, &[(ct, mask)]).unwrap();
         }
         let sequential_counts = c.eval.op_counts();
 

@@ -728,7 +728,7 @@ fn group_sum_wider_than_the_flush_bound_on_single_60() {
     {
         let (_guard, _) = ForceGuard::force(SimdBackend::Scalar);
         for (ct, mask) in &terms {
-            eval.mul_plain_accumulate(&mut sequential, ct, mask)
+            eval.mul_plain_accumulate_many(&mut sequential, &[(ct, mask)])
                 .unwrap();
         }
     }

@@ -107,7 +107,8 @@ fn steady_state_on(params: BfvParams) {
         eval.negate_assign(work).unwrap();
         eval.negate_assign(work).unwrap();
         eval.mul_plain_assign(work, &prepared).unwrap();
-        eval.mul_plain_accumulate(work, &other, &prepared).unwrap();
+        eval.mul_plain_accumulate_many(work, &[(&other, &prepared)])
+            .unwrap();
         eval.mul_plain_accumulate_many(
             work,
             &[(&other, &prepared), (&base, &prepared), (&other, &prepared)],
@@ -124,7 +125,8 @@ fn steady_state_on(params: BfvParams) {
         eval.rotate_hoisted_into(rot, work, hoisted, 2, &keys, scratch)
             .unwrap();
         if params.max_level() > 0 {
-            eval.mod_switch_to_next_into(switched, work).unwrap();
+            switched.copy_from(work);
+            eval.mod_switch_to_next_assign(switched).unwrap();
         }
     };
 

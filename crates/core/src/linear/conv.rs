@@ -380,8 +380,8 @@ impl HomConv2d {
         &self.plan
     }
 
-    /// The prepared kernel [`HomConv2d::apply`] runs: the plan's kernel
-    /// with this layer's masks.
+    /// The prepared kernel [`HomConv2d::apply_with_scratch`] runs: the
+    /// plan's kernel with this layer's masks.
     pub fn kernel(&self) -> &PreparedKernel {
         &self.kernel
     }
@@ -428,42 +428,23 @@ impl HomConv2d {
 
     /// Applies the convolution: [`BsgsPlan::outputs`] ciphertexts, output
     /// channel `o` at [`HomConv2d::output_slot`], every other slot zero. An
-    /// output ciphertext with no live mask is a transparent zero.
-    ///
-    /// Works out of a fresh [`Scratch`]; a caller that evaluates layer
-    /// after layer keeps one and calls [`HomConv2d::apply_with_scratch`].
+    /// output ciphertext with no live mask is a transparent zero. Every
+    /// temporary is leased from `scratch` and handed back
+    /// ([`PreparedKernel::apply_with_scratch`]), so a session that keeps
+    /// one `Scratch` across layers faults its workspace in once.
     ///
     /// # Errors
     ///
     /// Propagates BFV evaluation errors (missing Galois keys, parameter
     /// mismatches).
-    pub fn apply(
-        &self,
-        input: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        threads: usize,
-    ) -> Result<Vec<Ciphertext>> {
-        self.apply_with_scratch(input, eval, keys, threads, &mut eval.new_scratch())
-    }
-
-    /// [`HomConv2d::apply`] with every temporary leased from `scratch` and
-    /// handed back ([`PreparedKernel::apply_with_scratch`]), so a session
-    /// that keeps one `Scratch` across layers faults its workspace in once.
-    ///
-    /// # Errors
-    ///
-    /// As [`HomConv2d::apply`].
     pub fn apply_with_scratch(
         &self,
         input: &Ciphertext,
         eval: &Evaluator,
         keys: &GaloisKeys,
-        threads: usize,
         scratch: &mut Scratch,
     ) -> Result<Vec<Ciphertext>> {
-        self.kernel
-            .apply_with_scratch(input, eval, keys, threads, scratch)
+        self.kernel.apply_with_scratch(input, eval, keys, scratch)
     }
 
     /// Where output pixel `pixel` (row-major, `< w²`) of channel `o`
@@ -567,8 +548,9 @@ mod tests {
     fn run(c: &mut Ctx, layer: &HomConv2d, ct: &Ciphertext) -> (Tensor, Vec<Ciphertext>, OpCounts) {
         let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
         c.eval.reset_op_counts();
-        let threads = crate::linear::parallel::default_threads();
-        let outputs = layer.apply(ct, &c.eval, &keys, threads).unwrap();
+        let outputs = layer
+            .apply_with_scratch(ct, &c.eval, &keys, &mut c.eval.new_scratch())
+            .unwrap();
         let counts = c.eval.op_counts();
         assert_eq!(outputs.len(), layer.conv_plan().outputs());
         let slot_vecs: Vec<Vec<i64>> = outputs

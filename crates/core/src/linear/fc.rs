@@ -85,8 +85,9 @@
 //!
 //! # Where the client adds
 //!
-//! `y_part` is what [`HomFc::apply`] returns. Each output row's partial
-//! sums sit `T / d` windows apart at stride `d` in each of the `R` rows:
+//! `y_part` is what [`HomFc::apply_with_scratch`] returns. Each output
+//! row's partial sums sit `T / d` windows apart at stride `d` in each of
+//! the `R` rows:
 //!
 //! ```text
 //! y[i] = Σ_{ρ < R} Σ_{m < T/d} y_part[ρ][i + m·d]   (mod t)        y = W'·x,  i < d
@@ -438,8 +439,8 @@ impl HomFc {
         &self.plan
     }
 
-    /// The prepared kernel [`HomFc::apply`] runs: the plan's kernel with
-    /// this layer's masks.
+    /// The prepared kernel [`HomFc::apply_with_scratch`] runs: the plan's
+    /// kernel with this layer's masks.
     pub fn kernel(&self) -> &PreparedKernel {
         &self.kernel
     }
@@ -484,27 +485,10 @@ impl HomFc {
     /// ([`HomFc::decode_output`]) — nothing is gathered under encryption,
     /// and every slot of the plan's rows holds a partial sum (module
     /// header). An all-zero layer returns a transparent zero without a
-    /// single rotation or multiply.
-    ///
-    /// Works out of a fresh [`Scratch`]; a caller that evaluates layer
-    /// after layer keeps one and calls [`HomFc::apply_with_scratch`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates BFV evaluation errors.
-    pub fn apply(
-        &self,
-        input: &Ciphertext,
-        eval: &Evaluator,
-        keys: &GaloisKeys,
-        threads: usize,
-    ) -> Result<Ciphertext> {
-        self.apply_with_scratch(input, eval, keys, threads, &mut eval.new_scratch())
-    }
-
-    /// [`HomFc::apply`] with every temporary leased from `scratch` and
-    /// handed back ([`PreparedKernel::apply_with_scratch`]), so a session
-    /// that keeps one `Scratch` across layers faults its workspace in once.
+    /// single rotation or multiply. Every temporary is leased from
+    /// `scratch` and handed back ([`PreparedKernel::apply_with_scratch`]),
+    /// so a session that keeps one `Scratch` across layers faults its
+    /// workspace in once.
     ///
     /// # Errors
     ///
@@ -514,12 +498,9 @@ impl HomFc {
         input: &Ciphertext,
         eval: &Evaluator,
         keys: &GaloisKeys,
-        threads: usize,
         scratch: &mut Scratch,
     ) -> Result<Ciphertext> {
-        let outputs = self
-            .kernel
-            .apply_with_scratch(input, eval, keys, threads, scratch)?;
+        let outputs = self.kernel.apply_with_scratch(input, eval, keys, scratch)?;
         let [part] = <[Ciphertext; 1]>::try_from(outputs).expect("an FC plan has one chain");
         Ok(part)
     }
@@ -571,10 +552,12 @@ mod tests {
     impl Ctx {
         /// Applies `layer` under keys for exactly its own steps — what a
         /// session generates.
-        fn apply(&mut self, layer: &HomFc, ct: &Ciphertext, threads: usize) -> Ciphertext {
+        fn apply(&mut self, layer: &HomFc, ct: &Ciphertext) -> Ciphertext {
             let steps = layer.rotation_steps();
             let keys = self.kg.galois_keys_for_steps(&steps).unwrap();
-            layer.apply(ct, &self.eval, &keys, threads).unwrap()
+            layer
+                .apply_with_scratch(ct, &self.eval, &keys, &mut self.eval.new_scratch())
+                .unwrap()
         }
     }
 
@@ -659,8 +642,7 @@ mod tests {
         }
         for (what, layer) in layers {
             let ct = encrypt(&mut c, &layer, &input);
-            let threads = crate::linear::parallel::default_threads();
-            let out_ct = c.apply(&layer, &ct, threads);
+            let out_ct = c.apply(&layer, &ct);
             let budget = c.dec.invariant_noise_budget(&out_ct).unwrap();
             assert!(budget > 0.0, "{what}: budget exhausted");
             let slots = c.encoder.decode_signed(&c.dec.decrypt(&out_ct).unwrap());
@@ -867,7 +849,9 @@ mod tests {
         let ct = enc
             .encrypt(&layer.encode_input(&input, &encoder).unwrap())
             .unwrap();
-        let out = layer.apply(&ct, &eval, &keys, 1).unwrap();
+        let out = layer
+            .apply_with_scratch(&ct, &eval, &keys, &mut eval.new_scratch())
+            .unwrap();
         let dec = Decryptor::new(kg.secret_key().clone());
         let slots = encoder.decode_signed(&dec.decrypt_checked(&out).unwrap());
         let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
@@ -894,7 +878,7 @@ mod tests {
         let params = c.eval.params();
         let planes = (params.l_ct_at(0) as u64 + 1) * params.limbs() as u64;
         c.eval.reset_op_counts();
-        let out = c.apply(&bsgs, &ct, 1);
+        let out = c.apply(&bsgs, &ct);
         let counts = c.eval.op_counts();
         assert_eq!(counts.rotate as usize, plan.b + plan.g - 2);
         assert_eq!(
@@ -906,7 +890,7 @@ mod tests {
         // The diagonal method (b = 1) pays a full rotation per diagonal.
         let diag = forced(&c, &s, &weights, 1, 1);
         c.eval.reset_op_counts();
-        let out_diag = c.apply(&diag, &ct, 1);
+        let out_diag = c.apply(&diag, &ct);
         let diag_counts = c.eval.op_counts();
         assert_eq!(diag_counts.ntt, planes * (s.ni as u64 - 1));
         assert!(counts.ntt < diag_counts.ntt / 4, "BSGS must slash NTT work");
@@ -929,8 +913,8 @@ mod tests {
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i - 3).collect());
         let ragged = forced(&c, &s, &weights, 3, 1);
         let ct = encrypt(&mut c, &ragged, &input);
-        let a = c.apply(&ragged, &ct, 1);
-        let b = c.apply(&forced(&c, &s, &weights, 1, 1), &ct, 1);
+        let a = c.apply(&ragged, &ct);
+        let b = c.apply(&forced(&c, &s, &weights, 1, 1), &ct);
         assert_eq!(decrypt_slots(&c, &a), decrypt_slots(&c, &b));
         let kernel = &ragged.fc_plan().kernel;
         assert_eq!((kernel.b, kernel.g), (3, 3));
@@ -943,7 +927,7 @@ mod tests {
         let tiled = forced(&c, &s, &weights, 3, 2);
         assert_eq!(tiled.rotation_steps(), vec![1, 2, 3]);
         let tiled_ct = encrypt(&mut c, &tiled, &input);
-        let t = c.apply(&tiled, &tiled_ct, 1);
+        let t = c.apply(&tiled, &tiled_ct);
         assert_eq!(
             tiled.decode_output(&decrypt_slots(&c, &t)).data(),
             ragged.decode_output(&decrypt_slots(&c, &a)).data()
@@ -965,8 +949,8 @@ mod tests {
         let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).collect());
         let pa = forced(&c, &s, &weights, 1, 1);
         let ct = encrypt(&mut c, &pa, &input);
-        let pa = c.apply(&pa, &ct, 1);
-        let ia = c.apply(&forced(&c, &s, &weights, 8, 1), &ct, 1);
+        let pa = c.apply(&pa, &ct);
+        let ia = c.apply(&forced(&c, &s, &weights, 8, 1), &ct);
         let pa_budget = c.dec.invariant_noise_budget(&pa).unwrap();
         let ia_budget = c.dec.invariant_noise_budget(&ia).unwrap();
         assert!(
@@ -1021,10 +1005,10 @@ mod tests {
             let ct = encrypt(&mut c, &sparse, &input);
 
             c.eval.reset_op_counts();
-            let out_sparse = c.apply(&sparse, &ct, 1);
+            let out_sparse = c.apply(&sparse, &ct);
             let sparse_counts = c.eval.op_counts();
             c.eval.reset_op_counts();
-            let out_dense = c.apply(&dense, &ct, 1);
+            let out_dense = c.apply(&dense, &ct);
             let dense_counts = c.eval.op_counts();
 
             // Skipped terms are zero polynomials: every slot matches.
@@ -1062,7 +1046,7 @@ mod tests {
         assert!(layer.fc_plan().kernel.is_empty());
         assert!(layer.rotation_steps().is_empty());
         c.eval.reset_op_counts();
-        let out = c.apply(&layer, &ct, 1);
+        let out = c.apply(&layer, &ct);
         let counts = c.eval.op_counts();
         assert_eq!(counts.rotate, 0, "all-zero layer must not rotate");
         assert_eq!(counts.mul, 0);
@@ -1093,14 +1077,14 @@ mod tests {
             let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| 7 - i).collect());
             let layer = HomFc::new(&s, &weights, &c.encoder, &c.eval).unwrap();
             let ct = encrypt(&mut c, &layer, &input);
-            let out = c.apply(&layer, &ct, 1);
+            let out = c.apply(&layer, &ct);
             let expect = eval_linear(&LinearLayer::Fc(s.clone()), &weights, &input);
             let slots = decrypt_slots(&c, &out);
             assert_eq!(layer.decode_output(&slots).data(), expect.data());
             // Forced all-live under the same tiling: same slots.
             let plan = layer.fc_plan();
             let plain = forced(&c, &s, &weights, plan.kernel.b, plan.tiles);
-            let out_plain = c.apply(&plain, &ct, 1);
+            let out_plain = c.apply(&plain, &ct);
             assert_eq!(slots, decrypt_slots(&c, &out_plain));
         }
     }

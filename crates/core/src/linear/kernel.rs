@@ -17,39 +17,36 @@
 //!    hoist ([`Evaluator::rotate_set_hoisted_into`]) covers the whole set;
 //!    a plan that reads only the unrotated input (a 1×1 filter at `b = 1`,
 //!    a layer tiled down to one diagonal) skips the hoist.
-//! 2. **Group sums**, fanned across `threads` workers in contiguous chunks
-//!    of groups (`threads <= 1` runs inline): a group's inner sum `Σ_j` is
-//!    one lazy pass over its masks
-//!    ([`Evaluator::mul_plain_accumulate_many`]: one Barrett reduction per
-//!    coefficient, not one per mask — same bits). Under
-//!    [`Combine::PerGroup`] the worker that summed a group past the first
-//!    also rotates it home by `u·unit`.
-//! 3. **Combine**, per output ciphertext, in plan order after the join:
+//! 2. **Group sums**, in plan order: a group's inner sum `Σ_j` is one lazy
+//!    pass over its masks ([`Evaluator::mul_plain_accumulate_many`]: one
+//!    Barrett reduction per coefficient, not one per mask — same bits).
+//!    Under [`Combine::PerGroup`] a group past the first is then rotated
+//!    home by `u·unit`.
+//! 3. **Combine**, per output ciphertext, in plan order:
 //!    [`Combine::PerGroup`] adds the rotated sums up; [`Combine::Horner`]
 //!    runs `acc ← rot(acc, unit) + inner_u` from the highest live group
 //!    down, through dead indices too. A chain with no live group is a
 //!    transparent zero.
 //!
-//! Every group sum is formed by one worker in mask order and the combine
-//! runs on the caller's thread, so residues, [`cheetah_bfv::OpCounts`] and
-//! the tracked noise estimate are identical for every thread count.
+//! A layer runs start to finish on the calling thread, out of the caller's
+//! one [`Scratch`]: parallel work is whole sessions, one per thread of a
+//! serving pool, never the groups of one layer.
 //!
 //! # Leases
 //!
 //! The baby set, the hoist store and the group sums are leased from the
 //! caller's [`Scratch`] before the first evaluator call that can fail and
-//! handed back after the last, on success and on error alike; a worker's
-//! rotation spare and a Horner chain's are leased and returned inside the
-//! function that uses them. Outputs are fresh ciphertexts, never leases, so
-//! a session that keeps one `Scratch` across layers finds its pool the same
-//! size after every apply, failed or not.
+//! handed back after the last, on success and on error alike; the group
+//! sums' rotation spare and a Horner chain's are leased and returned inside
+//! the function that uses them. Outputs are fresh ciphertexts, never
+//! leases, so a session that keeps one `Scratch` across layers finds its
+//! pool the same size after every apply, failed or not.
 
 use cheetah_bfv::{
     BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, NoiseEstimate,
     Plaintext, PreparedPlaintext, Result, Scratch,
 };
 
-use crate::linear::parallel::{map_chunks, WorkerScratch};
 use crate::sparse::{BsgsGroup, BsgsPlan, Combine};
 
 /// A [`BsgsPlan`] with its masks prepared: what a linear layer evaluates.
@@ -60,14 +57,6 @@ pub struct PreparedKernel {
     masks: Vec<Vec<Vec<PreparedPlaintext>>>,
     label: String,
 }
-
-/// One group's work order: the group, its masks, and the leased
-/// accumulator its sum is formed in.
-type Job<'a> = (
-    &'a BsgsGroup,
-    &'a Vec<PreparedPlaintext>,
-    &'a mut Ciphertext,
-);
 
 impl PreparedKernel {
     /// Prepares `plan`'s masks: `masks_of(q, group)` lays out, in step
@@ -147,7 +136,6 @@ impl PreparedKernel {
         input: &Ciphertext,
         eval: &Evaluator,
         keys: &GaloisKeys,
-        threads: usize,
         scratch: &mut Scratch,
     ) -> Result<Vec<Ciphertext>> {
         // The scratch-reuse hot path copies the input into evaluator-owned
@@ -164,7 +152,6 @@ impl PreparedKernel {
             input,
             eval,
             keys,
-            threads,
             scratch,
             &mut hoisted,
             &mut babies,
@@ -185,7 +172,6 @@ impl PreparedKernel {
         input: &Ciphertext,
         eval: &Evaluator,
         keys: &GaloisKeys,
-        threads: usize,
         scratch: &mut Scratch,
         hoisted: &mut HoistedDecomposition,
         babies: &mut Vec<Ciphertext>,
@@ -197,15 +183,17 @@ impl PreparedKernel {
             eval.rotate_set_hoisted_into(babies, input, steps, keys, hoisted, scratch)?;
         }
         let babies = &*babies;
+        // What a group's giant rotation writes into; it trades places with
+        // the sum it read, so every slot keeps one buffer.
         let per_group = plan.combine() == Combine::PerGroup;
-        let sum_chunk = |jobs: &mut [Job], scratch: &mut Scratch| {
-            // What a group's giant rotation writes into; it trades places
-            // with the sum it read, so every slot keeps one buffer.
-            let mut spare = per_group.then(|| scratch.take_ct(eval.params(), level));
-            let mut terms = Vec::new();
-            let summed = jobs.iter_mut().try_for_each(|(group, masks, sum)| {
+        let mut spare = per_group.then(|| scratch.take_ct(eval.params(), level));
+        let mut terms = Vec::new();
+        let groups = plan.groups().zip(self.masks.iter().flatten());
+        let summed = groups
+            .zip(sums.iter_mut())
+            .try_for_each(|((group, masks), sum)| {
                 terms.clear();
-                terms.extend(group.steps.iter().zip(*masks).map(|(step, mask)| {
+                terms.extend(group.steps.iter().zip(masks).map(|(step, mask)| {
                     let src = match steps.binary_search(step) {
                         Ok(i) => &babies[i],
                         Err(_) => input,
@@ -216,24 +204,12 @@ impl PreparedKernel {
                 if let Some(spare) = spare.as_mut().filter(|_| group.u > 0) {
                     let home = (group.u * plan.unit()) as i64;
                     eval.rotate_rows_into(spare, sum, home, keys, scratch)?;
-                    std::mem::swap(*sum, spare);
+                    std::mem::swap(sum, spare);
                 }
                 Ok(())
             });
-            spare.into_iter().for_each(|ct| scratch.put_ct(ct));
-            summed
-        };
-        let mut jobs: Vec<Job> = plan
-            .groups()
-            .zip(self.masks.iter().flatten())
-            .zip(sums.iter_mut())
-            .map(|((group, masks), sum)| (group, masks, sum))
-            .collect();
-        let workers = WorkerScratch::new(scratch);
-        map_chunks(&mut jobs, threads, |chunk| {
-            workers.with(|scratch| sum_chunk(chunk, scratch))
-        })?;
-        drop((jobs, workers));
+        spare.into_iter().for_each(|ct| scratch.put_ct(ct));
+        summed?;
 
         let mut sums = &*sums;
         let outputs = plan.chains().iter().map(|chain| {

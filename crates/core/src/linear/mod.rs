@@ -10,7 +10,6 @@
 pub mod conv;
 pub mod fc;
 pub mod kernel;
-pub mod parallel;
 
 use cheetah_bfv::{BfvParams, NoiseEstimate};
 

@@ -65,7 +65,9 @@ impl Ctx {
             .galois_keys_for_steps(&layer.rotation_steps())
             .unwrap();
         self.eval.reset_op_counts();
-        let out = layer.apply(ct, &self.eval, &keys, 1).unwrap();
+        let out = layer
+            .apply_with_scratch(ct, &self.eval, &keys, &mut self.eval.new_scratch())
+            .unwrap();
         let counts = self.eval.op_counts();
         assert_eq!(out.level(), ct.level(), "output follows the input level");
         let slots = self

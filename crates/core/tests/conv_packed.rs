@@ -130,7 +130,9 @@ fn check_layer(
     let steps = layer.rotation_steps();
     let keys = c.kg.galois_keys_for_steps(&steps).unwrap();
     c.eval.reset_op_counts();
-    let outputs = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
+    let outputs = layer
+        .apply_with_scratch(&ct, &c.eval, &keys, &mut c.eval.new_scratch())
+        .unwrap();
     let counts = c.eval.op_counts();
 
     // The output tensor is the cleartext convolution (|y| ≤ 25·8·9 stays
@@ -227,7 +229,7 @@ fn check_layer(
         let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
         assert!(
             matches!(
-                layer.apply(&ct, &c.eval, &lean, 1),
+                layer.apply_with_scratch(&ct, &c.eval, &lean, &mut c.eval.new_scratch()),
                 Err(Error::MissingGaloisKey { .. })
             ),
             "step {} of {steps:?} was never rotated by",
@@ -338,7 +340,7 @@ fn every_listed_step_is_rotated_by() {
             let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
             assert!(
                 matches!(
-                    layer.apply(&ct, &c.eval, &lean, 1),
+                    layer.apply_with_scratch(&ct, &c.eval, &lean, &mut c.eval.new_scratch()),
                     Err(Error::MissingGaloisKey { .. })
                 ),
                 "pruned={pruned}: step {} of {steps:?} is never used",

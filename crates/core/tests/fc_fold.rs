@@ -199,7 +199,9 @@ fn tilings(c: &Ctx, s: &FcSpec) -> Vec<usize> {
 fn run(c: &mut Ctx, layer: &HomFc, ct: &Ciphertext) -> (Ciphertext, OpCounts) {
     let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
     c.eval.reset_op_counts();
-    let out = layer.apply(ct, &c.eval, &keys, 1).unwrap();
+    let out = layer
+        .apply_with_scratch(ct, &c.eval, &keys, &mut c.eval.new_scratch())
+        .unwrap();
     (out, c.eval.op_counts())
 }
 
@@ -340,7 +342,7 @@ fn check_layer(
             .map(|(_, &st)| st)
             .collect();
         let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
-        let refused = layer.apply(&ct, &c.eval, &lean, 1);
+        let refused = layer.apply_with_scratch(&ct, &c.eval, &lean, &mut c.eval.new_scratch());
         assert!(
             matches!(refused, Err(Error::MissingGaloisKey { .. })),
             "step {} of {:?} was never rotated by",
@@ -551,7 +553,7 @@ fn every_listed_step_is_rotated_by() {
             let lean = c.kg.galois_keys_for_steps(&rest).unwrap();
             assert!(
                 matches!(
-                    layer.apply(&ct, &c.eval, &lean, 1),
+                    layer.apply_with_scratch(&ct, &c.eval, &lean, &mut c.eval.new_scratch()),
                     Err(Error::MissingGaloisKey { .. })
                 ),
                 "{kind:?}: step {} of {steps:?} is never used",
@@ -832,7 +834,9 @@ fn solver_counts_are_the_engines_measured_counts() {
         let ct = c.eval.mod_switch_to(&fresh, lp.level).unwrap();
         let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
         c.eval.reset_op_counts();
-        let outputs = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
+        let outputs = layer
+            .apply_with_scratch(&ct, &c.eval, &keys, &mut c.eval.new_scratch())
+            .unwrap();
         let counts = c.eval.op_counts();
         assert_eq!(
             outputs.len(),

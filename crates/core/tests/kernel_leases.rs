@@ -3,7 +3,10 @@
 //! store and the group sums are all out when the error surfaces — leaves
 //! the caller's `Scratch` pool exactly as large as a successful one does,
 //! and the next apply on that scratch is bit-equal to one on a fresh
-//! scratch. Both layer kinds (both combine modes), one and two threads.
+//! scratch. Both layer kinds (both combine modes).
+//!
+//! The same entry point refuses a ciphertext of a foreign parameter set
+//! before it leases anything.
 
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Encryptor, Error, Evaluator, GaloisKeys, KeyGenerator,
@@ -31,50 +34,42 @@ fn ctx() -> Ctx {
     }
 }
 
-/// `apply(keys, threads, scratch)` under the layer's own `steps`, whose
-/// last entry is a giant step.
+/// `apply(keys, scratch)` under the layer's own `steps`, whose last entry
+/// is a giant step.
 fn check_leases(
     c: &mut Ctx,
     steps: &[i64],
-    apply: impl Fn(&GaloisKeys, usize, &mut Scratch) -> Result<Vec<Ciphertext>>,
+    apply: impl Fn(&GaloisKeys, &mut Scratch) -> Result<Vec<Ciphertext>>,
 ) {
     let (giant, babies) = steps.split_last().expect("the layer rotates");
     let full = c.kg.galois_keys_for_steps(steps).unwrap();
     let lean = c.kg.galois_keys_for_steps(babies).unwrap();
-    for threads in [1, 2] {
-        let reference = apply(&full, threads, &mut c.eval.new_scratch()).unwrap();
-        let mut scratch = c.eval.new_scratch();
-        apply(&full, threads, &mut scratch).unwrap();
-        let pooled = scratch.pooled();
-        assert!(pooled > 0, "the layer leases nothing");
+    let reference = apply(&full, &mut c.eval.new_scratch()).unwrap();
+    let mut scratch = c.eval.new_scratch();
+    apply(&full, &mut scratch).unwrap();
+    let pooled = scratch.pooled();
+    assert!(pooled > 0, "the layer leases nothing");
 
-        let refused = apply(&lean, threads, &mut scratch);
-        assert!(
-            matches!(refused, Err(Error::MissingGaloisKey { step: Some(s), .. }) if s == *giant),
-            "{threads} threads: the missing giant step {giant} was not refused"
-        );
-        assert_eq!(
-            scratch.pooled(),
-            pooled,
-            "{threads} threads: a lease was dropped"
-        );
+    let refused = apply(&lean, &mut scratch);
+    assert!(
+        matches!(refused, Err(Error::MissingGaloisKey { step: Some(s), .. }) if s == *giant),
+        "the missing giant step {giant} was not refused"
+    );
+    assert_eq!(scratch.pooled(), pooled, "a lease was dropped");
 
-        let again = apply(&full, threads, &mut scratch).unwrap();
-        assert_eq!(scratch.pooled(), pooled, "{threads} threads");
-        assert_eq!(again.len(), reference.len());
-        for (a, b) in again.iter().zip(&reference) {
-            assert_eq!(a.c0().data(), b.c0().data(), "{threads} threads");
-            assert_eq!(a.c1().data(), b.c1().data(), "{threads} threads");
-            assert_eq!(a.noise(), b.noise(), "{threads} threads");
-        }
+    let again = apply(&full, &mut scratch).unwrap();
+    assert_eq!(scratch.pooled(), pooled);
+    assert_eq!(again.len(), reference.len());
+    for (a, b) in again.iter().zip(&reference) {
+        assert_eq!(a.c0().data(), b.c0().data());
+        assert_eq!(a.c1().data(), b.c1().data());
+        assert_eq!(a.noise(), b.noise());
     }
 }
 
-#[test]
-fn a_failed_fc_apply_returns_every_lease() {
-    // 16 untiled diagonals in four giant groups of four: three of them
-    // rotated home, each under a key of its own.
-    let mut c = ctx();
+/// 16 untiled diagonals in four giant groups of four: three of them
+/// rotated home, each under a key of its own. The layer and its input.
+fn fc_layer(c: &Ctx) -> (HomFc, Tensor) {
     let spec = FcSpec {
         name: "fc-leases".into(),
         ni: 64,
@@ -92,23 +87,12 @@ fn a_failed_fc_apply_returns_every_lease() {
         layer.fc_plan().label()
     );
     let input = Tensor::from_data(&[spec.ni], (0..spec.ni as i64).map(|i| i % 5).collect());
-    let ct = c
-        .enc
-        .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
-        .unwrap();
-    let eval = Evaluator::new(c.eval.params().clone());
-    check_leases(&mut c, &layer.rotation_steps(), |keys, threads, scratch| {
-        Ok(vec![
-            layer.apply_with_scratch(&ct, &eval, keys, threads, scratch)?
-        ])
-    });
+    (layer, input)
 }
 
-#[test]
-fn a_failed_conv_apply_returns_every_lease() {
-    // Four channel diagonals at b = 1: three Horner links on the one giant
-    // key, behind eight tap replays.
-    let mut c = ctx();
+/// Four channel diagonals at b = 1: three Horner links on the one giant
+/// key, behind eight tap replays. The layer, its shape and its input.
+fn conv_layer(c: &Ctx) -> (HomConv2d, ConvSpec, Tensor) {
     let spec = ConvSpec {
         name: "conv-leases".into(),
         w: 8,
@@ -134,12 +118,71 @@ fn a_failed_conv_apply_returns_every_lease() {
         &[spec.ci, spec.w, spec.w],
         (0..pixels).map(|i| (i % 7) as i64 - 3).collect(),
     );
+    (layer, spec, input)
+}
+
+#[test]
+fn a_failed_fc_apply_returns_every_lease() {
+    let mut c = ctx();
+    let (layer, input) = fc_layer(&c);
+    let ct = c
+        .enc
+        .encrypt(&layer.encode_input(&input, &c.encoder).unwrap())
+        .unwrap();
+    let eval = Evaluator::new(c.eval.params().clone());
+    check_leases(&mut c, &layer.rotation_steps(), |keys, scratch| {
+        Ok(vec![layer.apply_with_scratch(&ct, &eval, keys, scratch)?])
+    });
+}
+
+#[test]
+fn a_failed_conv_apply_returns_every_lease() {
+    let mut c = ctx();
+    let (layer, spec, input) = conv_layer(&c);
     let ct = c
         .enc
         .encrypt(&HomConv2d::encode_input(&spec, &input, &c.encoder).unwrap())
         .unwrap();
     let eval = Evaluator::new(c.eval.params().clone());
-    check_leases(&mut c, &layer.rotation_steps(), |keys, threads, scratch| {
-        layer.apply_with_scratch(&ct, &eval, keys, threads, scratch)
+    check_leases(&mut c, &layer.rotation_steps(), |keys, scratch| {
+        layer.apply_with_scratch(&ct, &eval, keys, scratch)
     });
+}
+
+/// A ciphertext of another parameter set is refused before the kernel
+/// leases anything: the hot path would otherwise read its residues mod
+/// the wrong chain.
+#[test]
+fn foreign_parameter_input_is_rejected() {
+    let mut c = ctx();
+    // Same degree, another chain.
+    let foreign = BfvParams::preset_hybrid_2x36(4096).unwrap();
+    let fkg = KeyGenerator::from_seed(foreign.clone(), 14);
+    let mut fenc = Encryptor::from_secret_key(fkg.secret_key().clone(), 15);
+    let fencoder = BatchEncoder::new(foreign);
+    let mut scratch = c.eval.new_scratch();
+
+    let (fc, input) = fc_layer(&c);
+    let keys = c.kg.galois_keys_for_steps(&fc.rotation_steps()).unwrap();
+    let ct = fenc
+        .encrypt(&fc.encode_input(&input, &fencoder).unwrap())
+        .unwrap();
+    let refused = fc.apply_with_scratch(&ct, &c.eval, &keys, &mut scratch);
+    assert!(
+        matches!(refused, Err(Error::ParameterMismatch)),
+        "FC: {refused:?}"
+    );
+
+    let (conv, spec, input) = conv_layer(&c);
+    let keys = c.kg.galois_keys_for_steps(&conv.rotation_steps()).unwrap();
+    let ct = fenc
+        .encrypt(&HomConv2d::encode_input(&spec, &input, &fencoder).unwrap())
+        .unwrap();
+    let refused = conv.apply_with_scratch(&ct, &c.eval, &keys, &mut scratch);
+    assert!(
+        matches!(refused, Err(Error::ParameterMismatch)),
+        "conv: {refused:?}"
+    );
+
+    assert_eq!(scratch.pooled(), 0, "a refused input leased scratch");
 }

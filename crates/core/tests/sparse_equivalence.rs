@@ -164,14 +164,14 @@ proptest! {
             reached += 1;
 
             c.eval.reset_op_counts();
-            let a = sparse.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let a = sparse.apply_with_scratch(&ct, &c.eval, &c.keys, &mut c.eval.new_scratch()).unwrap();
             let counts = c.eval.op_counts();
             prop_assert_eq!(
                 counts.rotate as usize, sparse_rotations,
                 "{} level {}: rotation count off plan", pattern, level
             );
             prop_assert_eq!(counts.mul as usize, masks, "one multiply per live mask");
-            let d = dense.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+            let d = dense.apply_with_scratch(&ct, &c.eval, &c.keys, &mut c.eval.new_scratch()).unwrap();
 
             // Skipped terms are zero polynomials: the ciphertexts agree
             // bit for bit, not just after decryption.
@@ -252,7 +252,7 @@ proptest! {
             }
             reached += 1;
             c.eval.reset_op_counts();
-            let outputs = layer.apply(&ct, &c.eval, &keys, 1).unwrap();
+            let outputs = layer.apply_with_scratch(&ct, &c.eval, &keys, &mut c.eval.new_scratch()).unwrap();
             let counts = c.eval.op_counts();
             prop_assert_eq!(counts.mul as usize, live_masks);
             prop_assert_eq!(counts.rotate as usize, layer.conv_plan().rotations());
@@ -289,7 +289,9 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
     for level in 0..params.levels() {
         let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
         c.eval.reset_op_counts();
-        let out = fc.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+        let out = fc
+            .apply_with_scratch(&ct, &c.eval, &c.keys, &mut c.eval.new_scratch())
+            .unwrap();
         let counts = c.eval.op_counts();
         assert_eq!(counts.rotate, 0, "level {level}: all-zero FC rotated");
         assert_eq!(counts.mul, 0, "level {level}: all-zero FC multiplied");
@@ -328,7 +330,9 @@ fn all_zero_layers_are_transparent_and_rotation_free_at_every_level() {
     for level in 0..params.levels() {
         let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
         c.eval.reset_op_counts();
-        let outputs = conv.apply(&ct, &c.eval, &c.keys, 1).unwrap();
+        let outputs = conv
+            .apply_with_scratch(&ct, &c.eval, &c.keys, &mut c.eval.new_scratch())
+            .unwrap();
         let counts = c.eval.op_counts();
         assert_eq!(counts.rotate, 0, "level {level}: rotated");
         assert_eq!(counts.mul, 0, "level {level}: multiplied");

@@ -9,7 +9,6 @@
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, OpCounts,
 };
-use cheetah_core::linear::parallel::default_threads;
 use cheetah_core::linear::{FcPlan, HomConv2d};
 use cheetah_core::{FcStructure, HeCostParams, Schedule};
 use cheetah_nn::{ConvSpec, FcSpec, Tensor};
@@ -85,7 +84,9 @@ fn encrypt(c: &mut Ctx, spec: &ConvSpec, input: &Tensor) -> Ciphertext {
 fn run(c: &mut Ctx, layer: &HomConv2d, ct: &Ciphertext) -> OpCounts {
     let keys = c.kg.galois_keys_for_steps(&layer.rotation_steps()).unwrap();
     c.eval.reset_op_counts();
-    let outputs = layer.apply(ct, &c.eval, &keys, default_threads()).unwrap();
+    let outputs = layer
+        .apply_with_scratch(ct, &c.eval, &keys, &mut c.eval.new_scratch())
+        .unwrap();
     let counts = c.eval.op_counts();
     assert_eq!(outputs.len(), layer.conv_plan().outputs());
     for out in &outputs {

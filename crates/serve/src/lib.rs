@@ -21,10 +21,11 @@
 //!   ciphertext crosses as validated bytes, never as a live object.
 //! * **Batched sweeps over pooled scratch** — [`ServerPool`] coalesces
 //!   same-layer work from different clients into one parallel sweep over
-//!   `std::thread::scope` workers, each holding a leased
+//!   scoped worker threads, each holding a leased
 //!   [`cheetah_bfv::ScratchLease`] from a server-level
 //!   [`cheetah_bfv::ScratchPool`] so warm buffers survive across
-//!   sessions.
+//!   sessions. The sessions are the only parallel work: a layer runs on
+//!   the thread that steps its session.
 //!
 //! Faults stay *contained*: a corrupted message kills its own session
 //! with a typed error and a fault-bearing report, and must never perturb

@@ -19,7 +19,6 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
     Result, Scratch, SeededGaloisKeys,
 };
-use cheetah_core::linear::parallel::default_threads;
 use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc, PreparedKernel};
 use cheetah_core::solver::ChainPlan;
 use cheetah_core::Schedule;
@@ -451,7 +450,10 @@ impl PreparedModel {
         self.levels[k]
     }
 
-    /// Applies linear layer `k` homomorphically with a client's keys.
+    /// Applies linear layer `k` homomorphically with a client's keys, out
+    /// of a fresh `Scratch`: for a caller that holds none, such as the
+    /// benchmark's frozen sources (`bench_e2e/layers.rs`). A session passes
+    /// its own to [`PreparedModel::apply_with_scratch`].
     ///
     /// # Errors
     ///
@@ -475,8 +477,8 @@ impl PreparedModel {
         keys: &GaloisKeys,
         scratch: &mut Scratch,
     ) -> Result<Vec<Ciphertext>> {
-        let (kernel, threads) = (self.layers[k].kernel(), default_threads());
-        kernel.apply_with_scratch(ct, &self.evaluator, keys, threads, scratch)
+        let kernel = self.layers[k].kernel();
+        kernel.apply_with_scratch(ct, &self.evaluator, keys, scratch)
     }
 
     /// Extracts linear layer `k`'s output tensor from per-ciphertext

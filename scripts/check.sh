@@ -55,6 +55,30 @@ if awk '/^[[:space:]]*pub fn / { sig = ""; on = 1 }
     echo "FAIL: evaluator.rs has an allocating operation again (see signatures above)"
     exit 1
 fi
+# Two second forms the pairing above cannot see: the one-term accumulate
+# (a one-term mul_plain_accumulate_many) and the into-form of a mod switch
+# (copy_from follows the source's level, then mod_switch_to_next_assign).
+if grep -nE 'pub fn (mul_plain_accumulate|mod_switch_to_next_into)[[:space:]]*[(<]' crates/bfv/src/evaluator.rs; then
+    echo "FAIL: evaluator.rs has a second form of mul_plain_accumulate_many or mod_switch_to_next_assign again (see match above)"
+    exit 1
+fi
+
+echo "==> one-level-of-parallelism gate"
+# Sessions are the unit of parallel work: the ServerPool runs them on its
+# worker threads, and a layer runs start to finish on its session's thread
+# out of the session's one Scratch. Nothing else in the engine or the
+# serving crate starts a thread or sizes itself to the core count, and the
+# retired in-layer fork (the chunk splitter, its per-worker scratch, the
+# default thread count, Scratch's child pools) stays deleted. The frozen
+# benchmark sources may still name it.
+if git grep -nE 'thread::(scope|spawn)|available_parallelism|threads: usize' -- crates/core/src crates/serve/src ':!crates/serve/src/pool.rs'; then
+    echo "FAIL: a thread is started or counted outside the ServerPool (see matches above)"
+    exit 1
+fi
+if git grep -nE 'map_chunks|WorkerScratch|default_threads|linear::parallel|fn workers\(' -- crates src tests examples ':!crates/bench/src/bin/bench_e2e/'; then
+    echo "FAIL: the in-layer thread fork is back (see matches above)"
+    exit 1
+fi
 
 echo "==> one-inner-product gate"
 # Every mask sum and every key switch is one lazy pass

@@ -31,21 +31,22 @@
 //! Cheetah's thesis (§IV) is that private inference is decided by the cost
 //! of three HE kernels — NTTs, pointwise multiply-accumulate, and
 //! key-switching. The software engine keeps those kernels on a
-//! zero-allocation, thread-parallel path:
+//! zero-allocation path, and runs sessions, not layers, in parallel:
 //!
 //! * **In-place evaluator ops** — [`bfv::Evaluator`] exposes
 //!   `add_assign` / `sub_assign` / `mul_plain_assign` /
-//!   `mul_plain_accumulate` / `apply_galois_into` / `rotate_rows_into`,
-//!   which draw temporaries from a reusable [`bfv::Scratch`] pool and
-//!   perform **zero heap allocations at steady state** (enforced by a
-//!   counting-allocator test). Each operation has this one form.
-//! * **One parallel linear kernel** — `core`'s `HomConv2d` / `HomFc` lay
-//!   out masks and slots; their `apply(input, eval, keys, threads)` runs
-//!   the one `PreparedKernel`, which splits the giant groups'
-//!   multiply-accumulate loops into per-thread chunks, combines the group
-//!   sums in plan order after the join — same residues, noise estimate
-//!   and [`bfv::OpCounts`] for every thread count — and hands every
-//!   leased buffer back, on error too.
+//!   `mul_plain_accumulate_many` / `apply_galois_into` /
+//!   `rotate_rows_into` / `mod_switch_to_next_assign`, which draw
+//!   temporaries from a reusable [`bfv::Scratch`] pool and perform **zero
+//!   heap allocations at steady state** (enforced by a counting-allocator
+//!   test). Each operation has this one form.
+//! * **One linear kernel, one thread per layer** — `core`'s `HomConv2d` /
+//!   `HomFc` lay out masks and slots; their
+//!   `apply_with_scratch(input, eval, keys, scratch)` runs the one
+//!   `PreparedKernel` start to finish on the calling thread, forms the
+//!   group sums and combines them in plan order, and hands every leased
+//!   buffer back to the caller's `Scratch`, on error too. Parallel work is
+//!   whole sessions, one per `serve::ServerPool` worker.
 //! * **Vector kernels** — [`bfv::simd`] dispatches the NTT butterflies,
 //!   the pointwise kernels, the lazy inner product under every mask sum
 //!   and key switch, and the per-limb constant multiplies of the
