@@ -11,8 +11,9 @@
 //!   ([`linear::PreparedKernel`] over a [`BsgsPlan`]) under two layouts:
 //!   FC over the live folded diagonals, whose baby widths 1 and `d` are
 //!   the diagonal method in Sched-PA's and Sched-IA's order (§V);
-//!   convolution packed — hoisted tap baby steps, Horner channel-diagonal
-//!   giant steps, every output channel in one ciphertext;
+//!   convolution packed — hoisted tap baby steps, channel-diagonal giant
+//!   steps, every output channel in one ciphertext — both combining their
+//!   giant groups by Horner over the live ones;
 //! * [`cost`] — the per-level, hybrid-aware kernel prices every plan
 //!   chooser minimizes;
 //! * [`solver`] — the chain solver: one concrete chain plus a level and
@@ -47,4 +48,4 @@ pub use cost::{HeCostParams, KernelMults, KernelTally};
 pub use linear::ConvPlan;
 pub use quant::QuantSpec;
 pub use schedule::Schedule;
-pub use sparse::{BsgsGroup, BsgsPlan, Combine, ConvStructure, FcStructure, LayerStructure};
+pub use sparse::{BsgsGroup, BsgsPlan, ConvStructure, FcStructure, LayerStructure};

@@ -36,18 +36,19 @@
 //!
 //! which is [`BsgsPlan`]'s sum with one chain per output ciphertext, baby
 //! step `off_tap + v·s` for mask `(v, tap)` of a group, a giant index worth
-//! `b·s` slots, and the giant steps accumulated by Horner
-//! ([`crate::sparse::Combine::Horner`]: `acc ← rot(acc, b·s) + inner_u`
-//! from the last live group down), so all of them share the **one** Galois
-//! key `b·s`; [`super::PreparedKernel`] runs it. This file only lays the
-//! masks out: each is pre-rotated by its group's `u·b·s` on the plaintext
-//! at preparation time (free). Only live `(d, tap)` masks are prepared
-//! ([`ConvStructure`]): a baby step no live mask reads is never replayed, a
-//! group with no live mask adds nothing, groups past the last live one are
-//! never rotated through, and an output ciphertext with no live mask is a
-//! transparent zero. [`ConvPlan::choose`] picks the baby width from
-//! [`HeCostParams`] — the one chooser the engine and the chain solver
-//! share; a layer takes no schedule argument.
+//! `b·s` slots, and the giant steps accumulated by Horner over the live
+//! groups (`acc ← rot(acc, (u − u′)·b·s) + inner_{u′}` from the last live
+//! group down), so a chain with no dead group between live ones uses the
+//! **one** Galois key `b·s`; [`super::PreparedKernel`] runs it. This file
+//! only lays the masks out: each is pre-rotated by its group's `u·b·s` on
+//! the plaintext at preparation time (free). Only live `(d, tap)` masks
+//! are prepared ([`ConvStructure`]): a baby step no live mask reads is
+//! never replayed, a group with no live mask adds nothing and is never
+//! rotated through (the running sum jumps the gap in one rotation), and an
+//! output ciphertext with no live mask is a transparent zero.
+//! [`ConvPlan::choose`] picks the baby width from [`HeCostParams`] — the
+//! one chooser the engine and the chain solver share; a layer takes no
+//! schedule argument.
 //!
 //! # Which slots are garbage
 //!
@@ -73,7 +74,7 @@ use cheetah_nn::{ConvSpec, Tensor};
 
 use crate::cost::HeCostParams;
 use crate::linear::PreparedKernel;
-use crate::sparse::{BsgsGroup, BsgsPlan, Combine, ConvStructure};
+use crate::sparse::{BsgsGroup, BsgsPlan, ConvStructure};
 
 /// The whole plan of one convolution: the block layout and the BSGS kernel
 /// over the `c_i'` channel block-diagonals — which masks of it are live,
@@ -126,19 +127,22 @@ impl ConvPlan {
             diagonals,
             per_ct,
             taps: s.taps(),
-            kernel: BsgsPlan::new(b, g, b * stride, Combine::Horner, chains.collect()),
+            kernel: BsgsPlan::new(b, g, b * stride, chains.collect()),
         }
     }
 
     /// Picks the baby width under `cost`: minimizes the rotations' bill
     /// ([`BsgsPlan::rotation_mults`]) plus one direct rotation per Galois
     /// key the plan needs, over `b ∈ 1..=c_i'`, keeping the smaller width
-    /// unless a wider one is a strict improvement. The key charge is what
-    /// separates this chooser from the FC one: Horner keeps the giant
-    /// steps on one key whatever `b` is, so every baby step past the tap
-    /// set is a key nothing else would need, and a client generates and
-    /// uploads each key once per session at about a direct rotation's
-    /// price. `b` stays 1 while `c_i'` is near `fw²` and grows past it.
+    /// unless a wider one is a strict improvement. Both layer kinds meet
+    /// their groups by Horner, but only this chooser charges keys: a
+    /// convolution's baby steps `off_tap + v·s` are keys no other layer
+    /// reads, so every one past the tap set is a key a client generates
+    /// and uploads once per session at about a direct rotation's price,
+    /// while an FC layer's steps `1..b` plus `b` are a prefix its model's
+    /// narrower FC layers share, which a per-layer charge would count
+    /// again for each of them. `b` stays 1 while `c_i'` is near `fw²` and
+    /// grows past it.
     pub fn choose(spec: &ConvSpec, row: usize, s: &ConvStructure, cost: &HeCostParams) -> Self {
         let price = |plan: &Self| {
             plan.rotation_mults(cost) + plan.rotation_steps().len() as u64 * cost.he_rotate_mults()
@@ -700,9 +704,9 @@ mod tests {
     #[test]
     fn sparse_conv_skips_dead_taps_and_channels() {
         // Output 0: only the center tap of channels 0 and 2 (diagonals 0
-        // and 2); output 1: fully dead. Two masks, no tap rotation, and
-        // the chooser pairs the diagonals up (b = 2) so that the two live
-        // ones are one giant step apart: one rotation, by 2·s.
+        // and 2); output 1: fully dead. Two masks, no tap rotation, and at
+        // b = 1 the two live diagonals sit two giant steps apart: Horner
+        // jumps the dead index between them in one rotation, by 2·s.
         let s = spec(8, 3, 4, 2);
         let mut c = ctx();
         let taps = s.fw * s.fw;
@@ -715,7 +719,7 @@ mod tests {
 
         let layer = HomConv2d::new(&s, &weights, &c.encoder, &c.eval).unwrap();
         let plan = layer.conv_plan();
-        assert_eq!(plan.label(), "conv packed b=2 g=2 live=2/36 out=1");
+        assert_eq!(plan.label(), "conv packed b=1 g=4 live=2/36 out=1");
         assert!(plan.baby_steps().is_empty(), "only the center tap is live");
         assert_eq!(layer.rotation_steps(), vec![128], "the one giant key");
         let ct = encrypt(&mut c, &s, &input);
@@ -723,13 +727,18 @@ mod tests {
         assert_eq!(out, expect);
         assert_eq!((counts.mul, counts.rotate), (2, 1));
 
-        // At b = 1 the two live diagonals sit two giant steps apart: the
-        // chain rotates through the dead index between them, on one key.
-        let layer = HomConv2d::with_baby_width(&s, &weights, &c.encoder, &c.eval, 1).unwrap();
-        assert_eq!(layer.rotation_steps(), vec![64]);
+        // Pairing the diagonals up (b = 2) puts the two live ones one giant
+        // step of 2·s apart: the same rotation on the same key, so the
+        // chooser keeps the smaller width.
+        let layer = HomConv2d::with_baby_width(&s, &weights, &c.encoder, &c.eval, 2).unwrap();
+        assert_eq!(
+            layer.conv_plan().label(),
+            "conv packed b=2 g=2 live=2/36 out=1"
+        );
+        assert_eq!(layer.rotation_steps(), vec![128]);
         let (out, _, counts) = run(&mut c, &layer, &ct);
         assert_eq!(out, expect);
-        assert_eq!((counts.mul, counts.rotate), (2, 2));
+        assert_eq!((counts.mul, counts.rotate), (2, 1));
 
         // An all-zero layer needs no key and does no work.
         let zero = Tensor::zeros(&[s.co, s.ci, s.fw, s.fw]);

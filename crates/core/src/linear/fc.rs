@@ -64,15 +64,20 @@
 //! ```
 //!
 //! which is [`BsgsPlan`]'s sum with one chain, baby step `v` for diagonal
-//! `u·b + v`, a giant index worth `b` slots, and every group sum rotated
-//! home by itself ([`crate::sparse::Combine::PerGroup`]);
+//! `u·b + v`, a giant index worth `b` slots, and the group sums met by
+//! Horner over the live groups (`acc ← rot(acc, (u − u′)·b) + inner_{u′}`),
+//! so a dense layer's giant steps share the one Galois key `b`;
 //! [`super::PreparedKernel`] runs it. This file only lays the masks out:
 //! the giant-step pre-rotation of each mask is a cyclic shift of its row at
 //! preparation time (free). Only **live** tiled diagonals carry a mask: a
 //! baby step no live diagonal reads is never replayed, a group with no live
-//! diagonal never summed or rotated, and the skipped terms are zero
-//! polynomials, so the ciphertext is the one the all-live evaluation of the
-//! same weights produces, bit for bit.
+//! diagonal is never summed and the running sum jumps it in one rotation.
+//! The skipped terms are zero polynomials (and the all-live chain rotates
+//! only zeros above the top live group), so while no dead group sits below
+//! a live one the ciphertext is the one the all-live evaluation of the
+//! same weights produces, bit for bit; below a live group the all-live
+//! chain key-switches once per dead index where this one jumps the run in
+//! one rotation, so the bits differ there and the decrypted slots do not.
 //!
 //! A dense layer is the all-live case, an untiled one the `r = 1` case, and
 //! the diagonal method of Fig. 5 the two corners: `b = 1` multiplies the
@@ -167,16 +172,17 @@ impl FcPlan {
     /// baby width minimizing the live rotations' bill
     /// ([`BsgsPlan::choose`]), keeping the least [`BsgsPlan::int_mults`] —
     /// the smaller `r` unless a larger one is strictly cheaper, with every
-    /// Galois key past the untiled plan's charged one direct rotation
-    /// ([`super::ConvPlan::choose`]'s rate: keys are uploaded once per
-    /// session). The windows a wider tiling multiplies are the client's to
-    /// add and have no price here.
+    /// rotation past the untiled plan's charged one direct rotation more (a
+    /// surcharge on wider tilings at [`super::ConvPlan::choose`]'s key
+    /// rate, priced on rotations: a dense FC plan's keys are `1..b` plus
+    /// `b`, a prefix the model's layers share). The windows a wider tiling
+    /// multiplies are the client's to add and have no price here.
     pub fn choose(s: &FcStructure, slots: usize, cost: &HeCostParams) -> Self {
         let mut best = Self::for_tiles(s, 1, None, cost);
-        let keys = best.rotations();
+        let untiled = best.rotations();
         let price = |plan: &Self| {
-            let extra_keys = plan.rotations().saturating_sub(keys) as u64;
-            plan.int_mults(cost) + extra_keys * cost.he_rotate_mults()
+            let extra = plan.rotations().saturating_sub(untiled) as u64;
+            plan.int_mults(cost) + extra * cost.he_rotate_mults()
         };
         let mut best_price = price(&best);
         for tiles in s.tilings(slots).skip(1) {
@@ -918,7 +924,8 @@ mod tests {
         assert_eq!(decrypt_slots(&c, &a), decrypt_slots(&c, &b));
         let kernel = &ragged.fc_plan().kernel;
         assert_eq!((kernel.b, kernel.g), (3, 3));
-        assert_eq!(ragged.rotation_steps(), vec![1, 2, 3, 6]);
+        // Baby steps 1 and 2, then Horner's one giant step b = 3, twice.
+        assert_eq!(ragged.rotation_steps(), vec![1, 2, 3]);
         // A width past d is trimmed to d: one group, every step a replay.
         let wide = forced(&c, &s, &weights, 100, 1);
         assert_eq!((wide.fc_plan().kernel.b, wide.fc_plan().kernel.g), (8, 1));

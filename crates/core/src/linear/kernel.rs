@@ -20,12 +20,11 @@
 //! 2. **Group sums**, in plan order: a group's inner sum `Σ_j` is one lazy
 //!    pass over its masks ([`Evaluator::mul_plain_accumulate_many`]: one
 //!    Barrett reduction per coefficient, not one per mask — same bits).
-//!    Under [`Combine::PerGroup`] a group past the first is then rotated
-//!    home by `u·unit`.
-//! 3. **Combine**, per output ciphertext, in plan order:
-//!    [`Combine::PerGroup`] adds the rotated sums up; [`Combine::Horner`]
-//!    runs `acc ← rot(acc, unit) + inner_u` from the highest live group
-//!    down, through dead indices too. A chain with no live group is a
+//! 3. **Combine**, per output ciphertext, in plan order, by Horner over the
+//!    live groups: from the highest down, `acc ← rot(acc, (u − u′)·unit) +
+//!    inner_{u′}`, then one rotation by `u_min·unit` when the lowest live
+//!    group is not 0 — one direct rotation per live group above 0, on one
+//!    Galois key per distinct gap. A chain with no live group is a
 //!    transparent zero.
 //!
 //! A layer runs start to finish on the calling thread, out of the caller's
@@ -36,18 +35,18 @@
 //!
 //! The baby set, the hoist store and the group sums are leased from the
 //! caller's [`Scratch`] before the first evaluator call that can fail and
-//! handed back after the last, on success and on error alike; the group
-//! sums' rotation spare and a Horner chain's are leased and returned inside
-//! the function that uses them. Outputs are fresh ciphertexts, never
-//! leases, so a session that keeps one `Scratch` across layers finds its
-//! pool the same size after every apply, failed or not.
+//! handed back after the last, on success and on error alike; a chain's
+//! rotation spare is leased and returned inside the function that uses it.
+//! Outputs are fresh ciphertexts, never leases, so a session that keeps one
+//! `Scratch` across layers finds its pool the same size after every apply,
+//! failed or not.
 
 use cheetah_bfv::{
     BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, HoistedDecomposition, NoiseEstimate,
     Plaintext, PreparedPlaintext, Result, Scratch,
 };
 
-use crate::sparse::{BsgsGroup, BsgsPlan, Combine};
+use crate::sparse::{BsgsGroup, BsgsPlan};
 
 /// A [`BsgsPlan`] with its masks prepared: what a linear layer evaluates.
 #[derive(Debug)]
@@ -183,13 +182,9 @@ impl PreparedKernel {
             eval.rotate_set_hoisted_into(babies, input, steps, keys, hoisted, scratch)?;
         }
         let babies = &*babies;
-        // What a group's giant rotation writes into; it trades places with
-        // the sum it read, so every slot keeps one buffer.
-        let per_group = plan.combine() == Combine::PerGroup;
-        let mut spare = per_group.then(|| scratch.take_ct(eval.params(), level));
         let mut terms = Vec::new();
         let groups = plan.groups().zip(self.masks.iter().flatten());
-        let summed = groups
+        groups
             .zip(sums.iter_mut())
             .try_for_each(|((group, masks), sum)| {
                 terms.clear();
@@ -200,40 +195,22 @@ impl PreparedKernel {
                     };
                     (src, mask)
                 }));
-                eval.mul_plain_accumulate_many(sum, &terms)?;
-                if let Some(spare) = spare.as_mut().filter(|_| group.u > 0) {
-                    let home = (group.u * plan.unit()) as i64;
-                    eval.rotate_rows_into(spare, sum, home, keys, scratch)?;
-                    std::mem::swap(sum, spare);
-                }
-                Ok(())
-            });
-        spare.into_iter().for_each(|ct| scratch.put_ct(ct));
-        summed?;
+                eval.mul_plain_accumulate_many(sum, &terms)
+            })?;
 
         let mut sums = &*sums;
         let outputs = plan.chains().iter().map(|chain| {
-            let (terms, rest) = sums.split_at(chain.len());
+            let (inners, rest) = sums.split_at(chain.len());
             sums = rest;
-            match plan.combine() {
-                // The rotated group sums, added in order onto a transparent zero.
-                Combine::PerGroup => {
-                    let mut sum = Ciphertext::transparent_zero_at(eval.params(), level);
-                    let added = terms
-                        .iter()
-                        .try_for_each(|term| eval.add_assign(&mut sum, term));
-                    added.map(|()| sum)
-                }
-                Combine::Horner => horner(chain, terms, plan.unit(), level, eval, keys, scratch),
-            }
+            horner(chain, inners, plan.unit(), level, eval, keys, scratch)
         });
         outputs.collect()
     }
 }
 
-/// [`Combine::Horner`] from the highest live group down: rotate the
-/// running sum one giant step per group index, adding each live group's
-/// inner sum as its index comes up.
+/// Horner over a chain's live groups, from the highest down: rotate the
+/// running sum by the gap to the next live group and add that group's
+/// inner sum, then rotate the lowest live group home.
 fn horner(
     chain: &[BsgsGroup],
     inners: &[Ciphertext],
@@ -243,20 +220,23 @@ fn horner(
     keys: &GaloisKeys,
     scratch: &mut Scratch,
 ) -> Result<Ciphertext> {
-    let mut pending = chain.iter().zip(inners).rev().peekable();
-    let Some((top, inner)) = pending.next() else {
+    let mut pending = chain.iter().map(|group| group.u).zip(inners).rev();
+    let Some((mut u, inner)) = pending.next() else {
         return Ok(Ciphertext::transparent_zero_at(eval.params(), level));
     };
     let mut acc = inner.clone();
-    // What each rotation writes into, trading places with the running sum.
+    // What each rotation writes into, trading places with the running sum;
+    // the last link has no inner sum and takes the running sum home.
     let mut spare = scratch.take_ct(eval.params(), level);
-    let linked = (0..top.u).rev().try_for_each(|u| {
-        eval.rotate_rows_into(&mut spare, &acc, unit as i64, keys, scratch)?;
-        std::mem::swap(&mut acc, &mut spare);
-        match pending.next_if(|(group, _)| group.u == u) {
-            Some((_, inner)) => eval.add_assign(&mut acc, inner),
-            None => Ok(()),
+    let links = pending.map(|(low, inner)| (low, Some(inner)));
+    let linked = links.chain([(0, None)]).try_for_each(|(low, inner)| {
+        if u > low {
+            let gap = ((u - low) * unit) as i64;
+            eval.rotate_rows_into(&mut spare, &acc, gap, keys, scratch)?;
+            std::mem::swap(&mut acc, &mut spare);
+            u = low;
         }
+        inner.map_or(Ok(()), |inner| eval.add_assign(&mut acc, inner))
     });
     scratch.put_ct(spare);
     linked.map(|()| acc)

@@ -1,7 +1,8 @@
 //! Functional homomorphic linear layers on the real BFV engine: one
 //! Baby-Step-Giant-Step kernel ([`kernel`]: hoist and replay the baby set,
-//! lazy group sums, giant steps) under two layouts — convolution (Fig. 4)
-//! packed, hoisted tap baby steps and Horner channel-diagonal giant steps,
+//! lazy group sums, Horner giant steps over the live groups) under two
+//! layouts — convolution (Fig. 4) packed, hoisted tap baby steps and
+//! channel-diagonal giant steps,
 //! every output channel in one ciphertext ([`conv`]); FC over the live
 //! folded diagonals ([`fc`]; the diagonal method is its baby-width-1 and
 //! baby-width-`d` corners — Fig. 5's Sched-PA and hoisted Sched-IA; a dense

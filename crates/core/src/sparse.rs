@@ -29,11 +29,14 @@
 //!
 //! Classification is exact (a diagonal is zero iff every entry is zero),
 //! so skipping the dead diagonals is *bit-identical* to multiplying their
-//! zero masks: the skipped terms are zero polynomials. Per-entry random
-//! sparsity almost never zeroes a whole length-`n_i` diagonal; the
-//! structured pruning helper `cheetah_nn`'s `Weights::prune_to_sparsity`
-//! zeroes whole diagonals / conv masks, which is also what magnitude-pruned
-//! real networks converge to under diagonal packing.
+//! zero masks: the skipped terms are zero polynomials. A whole dead giant
+//! group below a live one is the one exception to the bits, not to the
+//! slots: Horner jumps a run of them in one rotation where the all-live
+//! chain rotates its running sum once per index. Per-entry random sparsity almost never zeroes a whole
+//! length-`n_i` diagonal; the structured pruning helper `cheetah_nn`'s
+//! `Weights::prune_to_sparsity` zeroes whole diagonals / conv masks, which
+//! is also what magnitude-pruned real networks converge to under diagonal
+//! packing.
 
 use crate::cost::HeCostParams;
 use cheetah_bfv::{BfvParams, NoiseEstimate};
@@ -183,20 +186,6 @@ impl FcStructure {
     }
 }
 
-/// How a chain's group sums meet in its output ciphertext.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Combine {
-    /// `Σ_u rot(inner_u, u·unit)`: every live group past the first is
-    /// rotated straight home — one direct rotation and one Galois key per
-    /// live `u > 0`, each rotation's noise added once. What an FC layer
-    /// runs.
-    PerGroup,
-    /// `acc ← rot(acc, unit) + inner_u` from the highest live group down,
-    /// rotating through dead indices too: `top` serial rotations on the
-    /// **one** key `unit`. What a convolution runs.
-    Horner,
-}
-
 /// One live giant group of a [`BsgsPlan`] chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BsgsGroup {
@@ -214,7 +203,13 @@ pub struct BsgsGroup {
 /// out_q = Σ_u rot( Σ_j mask_{q,u,j} ⊙ rot(x, step_{q,u,j}), u·unit )
 /// ```
 ///
-/// over the live groups `u < g` of each output ciphertext `q`. An FC layer
+/// over the live groups `u < g` of each output ciphertext `q`, combined
+/// by Horner over the live groups: from a chain's highest live group down,
+/// `acc ← rot(acc, (u − u′)·unit) + inner_{u′}`, then one last rotation by
+/// `u_min·unit` when the lowest live group is not 0. A chain of `k` live
+/// groups rotates once per live `u > 0` and charges `k` rotated group sums
+/// of noise — what rotating each sum home by itself would — but its giant
+/// keys are the distinct gaps, so a dense chain needs one. An FC layer
 /// splits its `d` (folded, or tiled) diagonals into `g = ⌈d / b⌉` groups
 /// of `b` baby steps (diagonal `k = u·b + v`, step `v`, `unit = b`, one
 /// chain); a convolution splits its channel block-diagonals the same way
@@ -243,7 +238,6 @@ pub struct BsgsPlan {
     /// Giant-step groups (grid height, `⌈d / b⌉` over the `d` diagonals).
     pub g: usize,
     unit: usize,
-    combine: Combine,
     baby_steps: Vec<i64>,
     chains: Vec<Vec<BsgsGroup>>,
 }
@@ -256,13 +250,7 @@ impl BsgsPlan {
     ///
     /// Panics unless every chain lists non-empty groups in ascending
     /// `u < g`.
-    pub fn new(
-        b: usize,
-        g: usize,
-        unit: usize,
-        combine: Combine,
-        chains: Vec<Vec<BsgsGroup>>,
-    ) -> Self {
+    pub fn new(b: usize, g: usize, unit: usize, chains: Vec<Vec<BsgsGroup>>) -> Self {
         for chain in &chains {
             assert!(
                 chain.windows(2).all(|pair| pair[0].u < pair[1].u)
@@ -283,7 +271,6 @@ impl BsgsPlan {
             b,
             g,
             unit,
-            combine,
             baby_steps,
             chains,
         }
@@ -291,7 +278,7 @@ impl BsgsPlan {
 
     /// An FC layer's plan for a fixed baby width `b ≥ 1` over the
     /// structure: one chain, baby step `v` for diagonal `u·b + v`, a giant
-    /// index worth `b` slots, group sums rotated home one by one.
+    /// index worth `b` slots.
     pub fn for_structure(s: &FcStructure, b: usize) -> Self {
         assert!(b >= 1, "degenerate baby width");
         let d = s.diagonals();
@@ -301,7 +288,7 @@ impl BsgsPlan {
             let steps: Vec<i64> = live.map(|v| v as i64).collect();
             (!steps.is_empty()).then_some(BsgsGroup { u, steps })
         });
-        Self::new(b, g, b, Combine::PerGroup, vec![chain.collect()])
+        Self::new(b, g, b, vec![chain.collect()])
     }
 
     /// Picks an FC layer's cheapest baby width under `cost`: minimizes
@@ -328,11 +315,6 @@ impl BsgsPlan {
     /// `u·unit` slots in all.
     pub fn unit(&self) -> usize {
         self.unit
-    }
-
-    /// How each chain's group sums meet.
-    pub fn combine(&self) -> Combine {
-        self.combine
     }
 
     /// Distinct nonzero baby steps some live mask reads, ascending: one
@@ -372,26 +354,16 @@ impl BsgsPlan {
         widths.max().unwrap_or(0)
     }
 
-    /// Group sums the deepest chain adds up, counting the dead indices a
-    /// Horner chain still rotates through (0 on an all-zero layer).
+    /// Group sums the deepest chain adds up (0 on an all-zero layer).
     fn deepest_chain(&self) -> usize {
-        let depths = self.chains.iter().map(|chain| match self.combine {
-            Combine::PerGroup => chain.len(),
-            Combine::Horner => chain.last().map_or(0, |top| top.u + 1),
-        });
-        depths.max().unwrap_or(0)
+        self.chains.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Direct giant rotations performed. [`Combine::PerGroup`]: one per
-    /// live group other than group 0 (whose inner sum is added
-    /// unrotated); [`Combine::Horner`]: each chain rotates once per group
-    /// index below its highest live one.
+    /// Direct giant rotations performed: one per live group other than
+    /// group 0 — a gap between two live groups, or the last way home from
+    /// a lowest live group above 0.
     pub fn giant_rotations(&self) -> usize {
-        let per_chain = self.chains.iter().map(|chain| match self.combine {
-            Combine::PerGroup => chain.iter().filter(|group| group.u > 0).count(),
-            Combine::Horner => chain.last().map_or(0, |top| top.u),
-        });
-        per_chain.sum()
+        self.groups().filter(|group| group.u > 0).count()
     }
 
     /// Total rotations: hoisted baby replays plus direct giant steps
@@ -401,21 +373,23 @@ impl BsgsPlan {
     }
 
     /// The exact rotation steps evaluation performs — the baby steps, then
-    /// `u·unit` for every giant index some chain rotates home from
-    /// ([`Combine::PerGroup`]) or the one step `unit` when any chain
-    /// rotates ([`Combine::Horner`]). Generate Galois keys for these and
-    /// nothing more.
+    /// ascending each distinct giant step `gap·unit` between two live
+    /// groups of a chain and `u_min·unit` home from a lowest live group
+    /// above 0, unless it already is a baby step. Generate Galois keys for
+    /// these and nothing more.
     pub fn rotation_steps(&self) -> Vec<i64> {
+        let gaps = self.chains.iter().flat_map(|chain| {
+            let between = chain.windows(2).map(|pair| pair[1].u - pair[0].u);
+            between.chain(chain.first().map(|low| low.u).filter(|&u| u > 0))
+        });
+        let mut giant: Vec<i64> = gaps
+            .map(|gap| (gap * self.unit) as i64)
+            .filter(|step| self.baby_steps.binary_search(step).is_err())
+            .collect();
+        giant.sort_unstable();
+        giant.dedup();
         let mut steps = self.baby_steps.clone();
-        match self.combine {
-            Combine::PerGroup => {
-                let home = (1..self.g).filter(|&u| self.groups().any(|group| group.u == u));
-                steps.extend(home.map(|u| (u * self.unit) as i64));
-            }
-            Combine::Horner => {
-                steps.extend((self.giant_rotations() > 0).then_some(self.unit as i64))
-            }
-        }
+        steps.extend(giant);
         steps
     }
 
@@ -444,8 +418,8 @@ impl BsgsPlan {
     /// place a linear layer's noise is priced:
     /// [`NoiseEstimate::bsgs_matvec_at`] over the live work — every group
     /// as wide as the widest, every chain as deep as the deepest, every
-    /// mask charged `mask_norm`, and each Horner step (one rotation of the
-    /// running sum) bounded by a rotation per group. A positive predicted
+    /// mask charged `mask_norm`, and each group sum charged one rotation
+    /// (a chain rotates once per live group above 0). A positive predicted
     /// budget at a level means the layer can safely run there — the
     /// planning query behind [`crate::linear::feasible_levels`].
     /// `mask_norm` is the centred norm of a mask's *coefficients*: a

@@ -296,8 +296,8 @@ fn check_layer(
         "measured {measured} > tracked {tracked}"
     );
 
-    // One multiply per live tiled diagonal, one rotation per step, each
-    // step its own key.
+    // One multiply per live tiled diagonal, one rotation per baby step and
+    // per live group above 0; each key listed once.
     let steps = layer.rotation_steps();
     let (tiles, delta) = (plan.tiles, d / plan.tiles);
     let masks = if all_live {
@@ -307,8 +307,7 @@ fn check_layer(
     };
     assert_eq!(plan.live, masks);
     assert_eq!(counts.mul as usize, masks);
-    assert_eq!(counts.rotate as usize, steps.len());
-    assert_eq!(plan.rotations(), steps.len());
+    assert_eq!(counts.rotate as usize, plan.rotations());
     let mut distinct = steps.clone();
     distinct.sort_unstable();
     distinct.dedup();
@@ -323,13 +322,16 @@ fn check_layer(
         (delta, d, tiles * s.ni.next_power_of_two() / d)
     );
 
-    // The kernel's live rotations — b + g − 2 when every diagonal carries
-    // a mask — and nothing else: no step reaches δ, let alone the windows'
-    // stride d.
-    assert_eq!(steps.len(), plan.kernel.rotations());
+    // The kernel's keys — its baby steps and the gaps Horner jumps between
+    // live groups, `1..b` plus `b` when every diagonal carries a mask —
+    // and nothing else: no step reaches δ, let alone the windows' stride d.
+    assert!(steps.len() <= plan.kernel.rotations(), "{steps:?}");
     assert!(steps.iter().all(|&st| (st as usize) < delta), "{steps:?}");
     if masks == delta {
-        assert_eq!(plan.kernel.rotations(), plan.kernel.b + plan.kernel.g - 2);
+        let (b, g) = (plan.kernel.b, plan.kernel.g);
+        assert_eq!(plan.kernel.rotations(), b + g - 2);
+        let dense: Vec<i64> = (1..b as i64).chain((g > 1).then_some(b as i64)).collect();
+        assert_eq!(steps, dense);
     }
 
     // Any one key fewer is a typed refusal: every step is really used.
@@ -459,7 +461,7 @@ proptest! {
                 prop_assert!(steps.iter().all(|&st| (st as usize) < d), "{:?}", steps);
                 let ct = input_at(&mut c, &layer, &input, 0);
                 let (out, counts) = run(&mut c, &layer, &ct);
-                prop_assert_eq!(counts.rotate as usize, steps.len());
+                prop_assert_eq!(counts.rotate as usize, layer.fc_plan().rotations());
                 let slots = c.encoder.decode_signed(&c.dec.decrypt_checked(&out).unwrap());
                 prop_assert_eq!(
                     layer.decode_output(&slots).data(),
@@ -565,9 +567,11 @@ fn every_listed_step_is_rotated_by() {
 
 /// `fold = 1`: the plan, the key set and every op count of a square
 /// untiled layer are the unfolded engine's — the chooser's split of the
-/// `n_i` all-live diagonals, baby steps `1..b` then giant steps
-/// `b, 2b, …`, `n_i` multiplies, `b + g − 2` rotations, and the plane
-/// transforms of one hoist, `b − 1` replays and `g − 1` direct rotations.
+/// `n_i` all-live diagonals, `n_i` multiplies, `b + g − 2` rotations, and
+/// the plane transforms of one hoist, `b − 1` replays and `g − 1` direct
+/// rotations — on the baby steps `1..b` plus the one giant step `b` that
+/// Horner repeats (`b, 2b, …`, a key each, before the groups met by
+/// Horner).
 #[test]
 fn square_layer_is_the_unfolded_engine_op_for_op() {
     let mut rng = StdRng::seed_from_u64(0x59a4e);
@@ -583,10 +587,8 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
             let layer = prepare(&c, &s, &w, kind, level);
             assert_eq!(layer.fc_plan().kernel, plan);
             assert_eq!(layer.fc_plan().fold, 1);
-            let parent_steps: Vec<i64> = (1..plan.b as i64)
-                .chain((1..plan.g as i64).map(|u| u * plan.b as i64))
-                .collect();
-            assert_eq!(layer.rotation_steps(), parent_steps);
+            let steps: Vec<i64> = (1..=plan.b as i64).collect();
+            assert_eq!(layer.rotation_steps(), steps);
 
             let input = Tensor::from_data(&[s.ni], (0..s.ni as i64).map(|i| i % 7 - 3).collect());
             let fresh = c
@@ -610,11 +612,13 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
 
 /// `tiles = 1` is the layout before it tiled, as numbers: forced untiled
 /// under the baby width the chooser picks there, the benchmark networks'
-/// FC shapes run the labels, multiplies and kernel step lists PR 12's and
-/// PR 15's traced runs recorded at level 0 of the two benchmark chains
-/// (`mlp_digit` / `cnn_digit.L2` on the digit chain, `mlp_hybrid` on its
-/// hybrid twin) — and their rotation counts minus exactly the steps of the
-/// server-side fold those runs still paid.
+/// FC shapes run the labels and multiplies the untiled engine's traced
+/// runs recorded at level 0 of the two benchmark chains (`mlp_digit` /
+/// `cnn_digit.L2` on the digit chain, `mlp_hybrid` on its hybrid twin) —
+/// and their rotation counts minus exactly the steps of the server-side
+/// fold those runs still paid. Those runs keyed each giant step `u·b`
+/// apart; Horner over the live groups repeats the one step `b`, so the
+/// keys are the baby steps `1..b` plus `b`.
 #[test]
 fn untiled_plans_are_the_parents_op_for_op() {
     let mut rng = StdRng::seed_from_u64(0x7117);
@@ -641,9 +645,7 @@ fn untiled_plans_are_the_parents_op_for_op() {
             ni / no
         );
         assert_eq!(layer.fc_plan().label(), label);
-        let steps: Vec<i64> = (1..b as i64)
-            .chain((1..g as i64).map(|u| u * b as i64))
-            .collect();
+        let steps: Vec<i64> = (1..=b as i64).collect();
         assert_eq!(layer.rotation_steps(), steps, "{label}");
         let input = Tensor::from_data(&[ni], (0..ni as i64).map(|i| i % 7 - 3).collect());
         let ct = input_at(&mut c, &layer, &input, 0);

@@ -67,8 +67,8 @@ fn check_leases(
     }
 }
 
-/// 16 untiled diagonals in four giant groups of four: three of them
-/// rotated home, each under a key of its own. The layer and its input.
+/// 16 untiled diagonals in four giant groups of four: three Horner links
+/// on the one giant key. The layer and its input.
 fn fc_layer(c: &Ctx) -> (HomFc, Tensor) {
     let spec = FcSpec {
         name: "fc-leases".into(),

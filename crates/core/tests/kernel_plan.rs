@@ -1,14 +1,18 @@
 //! The one rotate–multiply–accumulate kernel, pinned without a layer on
 //! top: random [`BsgsPlan`]s built directly — random distinct baby steps,
 //! one to three chains (the first with a dead group in the middle and at
-//! the top), both combine modes, a giant unit that is never the baby width
-//! — with random masks of three coefficient norms, at levels 0 and 1 on the
-//! digit and hybrid 36-bit presets:
+//! the top, and in half the cases a dead group 0), a giant unit that is
+//! never the baby width — with random masks of three coefficient norms, at
+//! levels 0 and 1 on the digit and hybrid 36-bit presets:
 //!
 //! * the decryption is the cleartext slot simulation of
 //!   `Σ_u rot(Σ_j mask ⊙ rot(x, step_j), u·unit)`;
-//! * measured `OpCounts` are the plan's `rotations()`, `live_masks()` and
-//!   the adds its shape implies;
+//! * measured `OpCounts` are the plan's baby replays plus its giant
+//!   rotations (one per live group above 0), `live_masks()` and the adds
+//!   its shape implies;
+//! * `rotation_steps()` is the baby steps plus each giant step Horner over
+//!   the live groups takes — every gap between two live groups of a chain
+//!   and the way home from a lowest live group above 0 — each listed once;
 //! * measured ≤ tracked ≤ `noise_after` at the masks' measured norm;
 //! * keys for exactly `rotation_steps()` are enough and any one fewer is a
 //!   typed refusal;
@@ -22,7 +26,7 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator, Plaintext,
 };
 use cheetah_core::linear::PreparedKernel;
-use cheetah_core::{BsgsGroup, BsgsPlan, Combine};
+use cheetah_core::{BsgsGroup, BsgsPlan, FcStructure};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use support::Alloc;
@@ -35,9 +39,10 @@ fn rot(slots: &[i64], k: usize, row: usize) -> Vec<i64> {
 }
 
 /// A random plan: `b`, `g`, a unit that is not `b`, and per chain a random
-/// live set — chain 0 with group 1 and the top group dead and group 2 live
-/// above the gap, later chains anything, an empty chain included.
-fn random_plan(combine: Combine, row: usize, rng: &mut StdRng) -> BsgsPlan {
+/// live set — chain 0 with group 1 and the top group dead, group 2 live
+/// above the gap and group 0 dead iff `dead_zero`, later chains anything,
+/// an empty chain included.
+fn random_plan(dead_zero: bool, row: usize, rng: &mut StdRng) -> BsgsPlan {
     let (b, g) = (rng.random_range(1..=4usize), rng.random_range(4..=6usize));
     let units = [3usize, 5, 16, 64, 96].map(|unit| unit + (unit == b) as usize);
     let unit = units[rng.random_range(0..units.len())];
@@ -48,6 +53,7 @@ fn random_plan(combine: Combine, row: usize, rng: &mut StdRng) -> BsgsPlan {
     let chains = (0..rng.random_range(1..=3usize)).map(|q| {
         let live: Vec<usize> = (0..g)
             .filter(|&u| match (q, u) {
+                (0, 0) => !dead_zero,
                 (0, 2) => true,
                 (0, u) if u == 1 || u == g - 1 => false,
                 _ => rng.random_range(0..10) < 6,
@@ -65,7 +71,21 @@ fn random_plan(combine: Combine, row: usize, rng: &mut StdRng) -> BsgsPlan {
         });
         groups.collect::<Vec<_>>()
     });
-    BsgsPlan::new(b, g, unit, combine, chains.collect())
+    BsgsPlan::new(b, g, unit, chains.collect())
+}
+
+/// The giant steps Horner over the live groups takes, with repeats: per
+/// chain, walking from its top live group down to 0, each distance
+/// between two stops.
+fn giant_steps(plan: &BsgsPlan) -> Vec<i64> {
+    let chains = plan.chains().iter().flat_map(|chain| {
+        let mut stops: Vec<usize> = chain.iter().map(|group| group.u).collect();
+        stops.insert(0, 0);
+        stops.dedup();
+        let gaps = stops.windows(2).map(|pair| pair[1] - pair[0]);
+        gaps.collect::<Vec<_>>()
+    });
+    chains.map(|gap| (gap * plan.unit()) as i64).collect()
 }
 
 /// A plaintext with uniform coefficients in `[-bound, bound]`: the
@@ -85,7 +105,7 @@ fn random_plans_match_the_slot_simulation_on_both_presets() {
     let mut ran_at = std::collections::BTreeSet::new();
     for case in 0..24 {
         let (hybrid, level) = (case % 2 == 1, case / 2 % 2);
-        let combine = [Combine::PerGroup, Combine::Horner][case / 4 % 2];
+        let dead_zero = case / 4 % 2 == 0;
         let params = if hybrid {
             BfvParams::preset_hybrid_2x36(4096).unwrap()
         } else {
@@ -99,8 +119,8 @@ fn random_plans_match_the_slot_simulation_on_both_presets() {
         let dec = Decryptor::new(kg.secret_key().clone());
         let eval = Evaluator::new(params.clone());
 
-        let plan = random_plan(combine, row, &mut rng);
-        let what = format!("case {case} ({combine:?}, hybrid={hybrid}): {plan:?}");
+        let plan = random_plan(dead_zero, row, &mut rng);
+        let what = format!("case {case} (hybrid={hybrid}): {plan:?}");
         let bound = [1, 8, t / 2][case / 8];
         let mut plain: Vec<Vec<Vec<Plaintext>>> = vec![Vec::new(); plan.outputs()];
         let masks_of = |q: usize, group: &BsgsGroup| {
@@ -190,17 +210,20 @@ fn random_plans_match_the_slot_simulation_on_both_presets() {
             assert!(measured <= tracked, "{what}: {measured} > {tracked}");
         }
 
-        // One multiply per mask, one rotation per plan rotation, and the
-        // adds of the shape: one per mask into its group sum, then one per
-        // group onto a transparent zero (PerGroup) or one per group below a
-        // chain's top (Horner).
+        // One multiply per mask, one replay per baby step, one giant
+        // rotation per live group above 0, and the adds of the shape: one
+        // per mask into its group sum, then one per live group below a
+        // chain's top.
         let lens = plan.chains().iter().map(Vec::len);
-        let combine_adds: usize = match combine {
-            Combine::PerGroup => lens.sum(),
-            Combine::Horner => lens.map(|len| len.saturating_sub(1)).sum(),
-        };
+        let combine_adds: usize = lens.map(|len| len.saturating_sub(1)).sum();
+        let live_above_0 = plan.groups().filter(|group| group.u > 0).count();
+        assert_eq!(plan.giant_rotations(), live_above_0, "{what}");
         assert_eq!(counts.mul as usize, plan.live_masks(), "{what}");
-        assert_eq!(counts.rotate as usize, plan.rotations(), "{what}");
+        assert_eq!(
+            counts.rotate as usize,
+            plan.giant_rotations() + plan.baby_steps().len(),
+            "{what}"
+        );
         assert_eq!(
             counts.add as usize,
             plan.live_masks() + combine_adds,
@@ -213,6 +236,24 @@ fn random_plans_match_the_slot_simulation_on_both_presets() {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), steps.len(), "{what}: a step listed twice");
+        let giant = giant_steps(&plan);
+        // Chain 0 jumps its dead group 1 — or, with group 0 dead too, comes
+        // home from group 2 — in one rotation by 2·unit.
+        assert!(giant.contains(&(2 * plan.unit() as i64)), "{what}");
+        assert_eq!(
+            steps[..plan.baby_steps().len()],
+            *plan.baby_steps(),
+            "{what}"
+        );
+        for step in &giant {
+            let listed = steps.iter().filter(|&s| s == step).count();
+            assert_eq!(listed, 1, "{what}: giant step {step} listed {listed} times");
+        }
+        let covered = |s: &i64| plan.baby_steps().contains(s) || giant.contains(s);
+        assert!(
+            steps.iter().all(covered),
+            "{what}: a step no rotation takes"
+        );
         let drop = rng.random_range(0..steps.len());
         let rest: Vec<i64> = (0..steps.len())
             .filter(|&i| i != drop)
@@ -240,12 +281,13 @@ fn masks_that_do_not_fit_the_plan_are_refused() {
         2,
         3,
         7,
-        Combine::Horner,
         vec![vec![group(0, &[0, 5]), group(2, &[5])], vec![]],
     );
+    // The dead group 1 costs nothing: group 2's sum jumps the gap in one
+    // rotation by 2·unit.
     assert_eq!(plan.baby_steps(), [5]);
-    assert_eq!(plan.rotation_steps(), [5, 7]);
-    assert_eq!((plan.giant_rotations(), plan.rotations()), (2, 3));
+    assert_eq!(plan.rotation_steps(), [5, 14]);
+    assert_eq!((plan.giant_rotations(), plan.rotations()), (1, 2));
     let params = BfvParams::preset_rns_3x36(4096).unwrap();
     let eval = Evaluator::new(params.clone());
     let encoder = BatchEncoder::new(params);
@@ -258,4 +300,22 @@ fn masks_that_do_not_fit_the_plan_are_refused() {
     };
     assert!(prepare(0).is_ok());
     assert!(matches!(prepare(1), Err(Error::Unsupported(_))));
+}
+
+/// A dense FC chain needs one giant key: the steps of a `(b, g > 1)` plan
+/// are the baby steps `1..b` plus the one gap `b`, however many groups
+/// rotate.
+#[test]
+fn a_dense_fc_plan_needs_one_giant_key() {
+    for (no, ni, b) in [(32, 32, 6), (16, 64, 4), (64, 64, 8), (8, 8, 3)] {
+        let plan = BsgsPlan::for_structure(&FcStructure::dense(no, ni), b);
+        assert!(plan.g > 1, "({no}, {ni}) at b = {b}: {plan:?}");
+        let steps: Vec<i64> = (1..=b as i64).collect();
+        assert_eq!(plan.rotation_steps(), steps, "({no}, {ni}) at b = {b}");
+        assert_eq!(
+            plan.giant_rotations(),
+            plan.g - 1,
+            "({no}, {ni}) at b = {b}"
+        );
+    }
 }

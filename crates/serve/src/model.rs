@@ -13,6 +13,7 @@
 //! ([`crate::session`]): secret/Galois keys, encryptors, mask RNG
 //! streams, scratch space, and transcripts.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cheetah_bfv::{
@@ -346,16 +347,23 @@ impl PreparedModel {
         self.fingerprint
     }
 
-    /// Checks that a client's seeded Galois key set covers every step the
-    /// prepared plans rotate by — on the elements alone, before any key
-    /// is expanded.
+    /// Checks that a client's seeded Galois key set is exactly the one the
+    /// prepared plans read: a key for every step they rotate by, and no
+    /// key no step maps to — on the elements alone, before any key is
+    /// expanded, so a server never holds a key it will not use.
     ///
     /// # Errors
     ///
-    /// [`Error::MissingGaloisKey`] naming the first uncovered step.
+    /// [`Error::MissingGaloisKey`] naming the first uncovered step;
+    /// [`Error::Unsupported`] when the set holds a surplus key.
     pub fn check_key_coverage(&self, keys: &SeededGaloisKeys) -> Result<()> {
+        let mut read = BTreeSet::new();
         for &step in &self.steps {
-            keys.get_for_step(self.params.degree(), step)?;
+            read.insert(keys.get_for_step(self.params.degree(), step)?.element);
+        }
+        // `read` is a subset of the set's elements: anything more is surplus.
+        if keys.len() > read.len() {
+            return Err(Error::Unsupported("a Galois key no plan step reads"));
         }
         Ok(())
     }

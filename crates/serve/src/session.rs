@@ -400,13 +400,14 @@ pub struct ServerSession {
 }
 
 impl ServerSession {
-    /// Registers a client: checks its seeded Galois keys cover every
-    /// prepared plan (on the elements, before any work), expands them,
-    /// and records the setup upload in the transcript.
+    /// Registers a client: checks its seeded Galois keys are exactly the
+    /// ones the prepared plans read (on the elements, before any work),
+    /// expands them, and records the setup upload in the transcript.
     ///
     /// # Errors
     ///
-    /// [`Error::MissingGaloisKey`] when the key set misses a plan step.
+    /// [`Error::MissingGaloisKey`] when the key set misses a plan step;
+    /// [`Error::Unsupported`] when it holds a key no plan step reads.
     pub fn new(model: Arc<PreparedModel>, setup: ClientSetup, seed: u64) -> Result<Self> {
         model.check_key_coverage(&setup.keys)?;
         let keys = setup.keys.expand(model.params());

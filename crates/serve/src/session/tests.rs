@@ -399,7 +399,11 @@ fn an_upload_at_another_level_than_its_layers_is_refused() {
 
 /// The benchmark's four workloads, `(name, network, weights, chain,
 /// Galois keys)`: the nets, weights and chains `bench_e2e` builds for
-/// `--seed 1`.
+/// `--seed 1`. Each layer's giant steps share one key (Horner over the
+/// live groups), so an MLP needs its widest layer's baby steps `1..b` plus
+/// `b` — 13 at `b = 13`, 11 at `b = 11`, and the sparse `fc1`'s nine live
+/// baby steps plus 13 — where a key per giant group took 16 / 15 / 13.
+/// The CNN's convolutions were always on one giant key each.
 fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize)> {
     let mlp = Network {
         name: "bench_mlp".into(),
@@ -440,7 +444,7 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize)> {
             mlp.clone(),
             Weights::random(&mlp, 1, weight_seed),
             digit.clone(),
-            16,
+            13,
         ),
         (
             "cnn_digit",
@@ -454,9 +458,9 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize)> {
             mlp.clone(),
             Weights::random(&mlp, 1, weight_seed),
             hybrid.clone(),
-            15,
+            11,
         ),
-        ("fleet_sparse", mlp, sparse, hybrid, 13),
+        ("fleet_sparse", mlp, sparse, hybrid, 10),
     ]
 }
 
@@ -521,6 +525,42 @@ fn registration_refuses_a_seeded_set_that_misses_a_plan_step() {
                 if g == element(dropped) && s == dropped
         ),
         "expected MissingGaloisKey for step {dropped}, got {refused:?}"
+    );
+}
+
+#[test]
+fn registration_accepts_the_exact_set_and_refuses_a_surplus_key() {
+    // The server holds only the keys its plans read: the model's own step
+    // set registers, the same set plus one key no plan step maps to is
+    // refused on the elements, before any expansion.
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 93);
+    let params = session_params_3_limb();
+    let model = PreparedModel::new(&net, &weights, params.clone()).unwrap();
+    let n = params.degree();
+    let element = |s: i64| cheetah_bfv::keys::element_for_step(n, s).unwrap();
+    let read: Vec<u64> = model.required_steps().iter().map(|&s| element(s)).collect();
+    let surplus = (1..).find(|&s| !read.contains(&element(s))).unwrap();
+    let mut steps = model.required_steps().to_vec();
+    let seeded = |steps: &[i64]| {
+        KeyGenerator::from_seed(params.clone(), 5)
+            .seeded_galois_keys_for_steps(steps)
+            .unwrap()
+    };
+
+    let (_, mut setup) = ClientSession::keygen(Arc::clone(&model), 5).unwrap();
+    setup.keys = seeded(&steps);
+    let server = ServerSession::new(Arc::clone(&model), setup, 5).unwrap();
+    assert_eq!(server.galois_keys().len(), steps.len());
+
+    steps.push(surplus);
+    let (_, mut setup) = ClientSession::keygen(Arc::clone(&model), 5).unwrap();
+    setup.keys = seeded(&steps);
+    assert_eq!(setup.keys.len(), model.required_steps().len() + 1);
+    let refused = ServerSession::new(model, setup, 5).err();
+    assert!(
+        matches!(refused, Some(Error::Unsupported(_))),
+        "expected a surplus key for step {surplus} refused, got {refused:?}"
     );
 }
 

@@ -245,6 +245,17 @@ if git grep -nE 'Pow2Scalar|pow2_scalar|without_pow2|mul_pow2|POW2_CHAIN_MAX_EXP
     exit 1
 fi
 
+echo "==> one-combine-rule gate"
+# A plan's group sums meet one way for both layer kinds: Horner over the
+# live groups, rotating the running sum by the gap to the next live group
+# (linear/kernel.rs's horner). The per-group combine — each sum rotated
+# home under a key of its own, added onto a transparent zero — and the
+# enum that chose between the two are gone.
+if git grep -nE 'enum Combine|Combine::|PerGroup' -- crates src tests examples ':!crates/bench/src/bin/bench_e2e/'; then
+    echo "FAIL: a second combine rule is back (see matches above)"
+    exit 1
+fi
+
 echo "==> one-key-switch gate"
 # permute -> INTT -> decompose -> digit NTTs -> key sum (-> P-rescale) is
 # written once, as Evaluator::key_switch_front / key_switch_back, under

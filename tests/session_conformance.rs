@@ -428,7 +428,13 @@ fn bench_cnn_stays_sound_and_reaches_the_planned_levels() {
 /// The Galois keys a client of each `bench_e2e` workload uploads: the
 /// kernels' steps and nothing for a fold (31 / 26 / 21 / 28 before it moved
 /// to the client, 22 / 22 / 15 / 20 before the FC layers filled both
-/// batching rows).
+/// batching rows, 16 / 15 / 15 / 13 while an FC layer rotated each giant
+/// group home under a key of its own). Every chain's live groups are
+/// consecutive from 0, so Horner over them takes one giant key `b` per
+/// layer: `fc1` at `b = 13` (digit) or 11 (hybrid) needs its baby steps
+/// `1..b` plus `b`, and `fc2`'s steps are a subset of those. The sparse
+/// `fc1`'s nine live baby steps plus 13 make `fleet_sparse`'s ten; the CNN
+/// was always on one giant key per convolution.
 #[test]
 fn bench_models_need_keys_for_kernel_steps_only() {
     use cheetah::serve::PreparedModel;
@@ -442,10 +448,10 @@ fn bench_models_need_keys_for_kernel_steps_only() {
     sparse.round_to_pow2(3);
     let dense = |net| Weights::random(net, 1, 11);
     for (name, net, weights, params, steps) in [
-        ("mlp_digit", &mlp, dense(&mlp), &digit, 16),
-        ("mlp_hybrid", &mlp, dense(&mlp), &hybrid, 15),
+        ("mlp_digit", &mlp, dense(&mlp), &digit, 13),
+        ("mlp_hybrid", &mlp, dense(&mlp), &hybrid, 11),
         ("cnn_digit", &cnn, dense(&cnn), &digit, 15),
-        ("fleet_sparse", &mlp, sparse, &hybrid, 13),
+        ("fleet_sparse", &mlp, sparse, &hybrid, 10),
     ] {
         let prepared = PreparedModel::new(net, &weights, params.clone()).unwrap();
         assert_eq!(prepared.required_steps().len(), steps, "{name}");
