@@ -58,6 +58,14 @@
 //! included), each with its `_avx2` twin. `scripts/check.sh` gates three
 //! of the pairs.
 //!
+//! The `setup_ns` section times a session's key setup piece by piece on
+//! `rns_3x36` and `hybrid_2x36` (`{preset}_…`): one CBD noise polynomial
+//! and one uniform one over the key-switch chain, one seeded Galois key,
+//! its expansion on the server (a clone of the one-key set included), one
+//! seeded level-0 encryption, and `mul_pointwise` / `fma_pointwise` over
+//! the key-switch chain with their `_avx2` twins (`scripts/check.sh` gates
+//! the pairs).
+//!
 //! Run: `cargo run --release -p cheetah-bench --bin bench_he_ops [out.json]`
 //!
 //! Set `BENCH_SMOKE=1` for CI smoke mode: the measurement budget drops to
@@ -69,10 +77,11 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cheetah_bfv::rns::Representation;
+use cheetah_bfv::sampling::BfvRng;
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Encryptor, Evaluator, GaloisKeys, HoistedDecomposition,
-    KeyGenerator, PreparedPlaintext, RnsPoly, Scratch,
+    KeyGenerator, PreparedPlaintext, RnsPoly, Scratch, UniformStream,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::{BsgsPlan, FcStructure, HeCostParams};
@@ -330,6 +339,71 @@ fn constant_multiply_points() -> [[f64; 2]; 3] {
             .unwrap();
     });
     [decompose, hybrid_decompose, rescale]
+}
+
+/// A session's key setup on one preset, piece by piece: one CBD noise
+/// polynomial and one uniform one (`UniformStream::next_poly`, the
+/// expansion's draw) over the key-switch chain, one seeded Galois key, its
+/// expansion by the server (a clone of the one-key set included), one
+/// seeded level-0 encryption, and the pointwise product and
+/// multiply-accumulate over the key-switch chain as `[detected, forced AVX2
+/// lanes]`.
+struct SetupPoint {
+    preset: &'static str,
+    noise_poly: f64,
+    uniform_poly: f64,
+    seeded_galois_key: f64,
+    key_expand: f64,
+    encrypt_seeded: f64,
+    mul_pointwise: [f64; 2],
+    fma_pointwise: [f64; 2],
+}
+
+fn setup_point(preset: &'static str, params: BfvParams) -> SetupPoint {
+    let ks = params.ks_chain_at(0);
+    let mut rng = BfvRng::from_seed(41, params.sigma());
+    let noise_poly = time_ns(|| {
+        black_box(rng.noise_rns(ks));
+    });
+    let mut stream = UniformStream::new(42, ks);
+    let uniform_poly = time_ns(|| {
+        black_box(stream.next_poly());
+    });
+    let mut kg = KeyGenerator::from_seed(params.clone(), 43);
+    let g = cheetah_bfv::keys::element_for_step(params.degree(), 1).unwrap();
+    let seeded_galois_key = time_ns(|| {
+        black_box(kg.seeded_galois_key(black_box(g)).unwrap());
+    });
+    let keys = kg.seeded_galois_keys_for_steps(&[1]).unwrap();
+    let key_expand = time_ns(|| {
+        black_box(black_box(&keys).clone().expand(&params));
+    });
+    let encoder = BatchEncoder::new(params.clone());
+    let t = params.plain_modulus().value();
+    let values: Vec<u64> = (0..params.degree() as u64).map(|v| v % t).collect();
+    let pt = encoder.encode(&values).unwrap();
+    let mut enc = Encryptor::from_secret_key(kg.secret_key().clone(), 44);
+    let encrypt_seeded = time_ns(|| {
+        black_box(enc.encrypt_seeded_at(black_box(&pt), 0).unwrap());
+    });
+    let (a, b) = (stream.next_poly(), stream.next_poly());
+    let mut r = stream.next_poly();
+    let mul_pointwise = detected_and_avx2(|| {
+        r.mul_assign_pointwise(black_box(&a), ks).unwrap();
+    });
+    let fma_pointwise = detected_and_avx2(|| {
+        r.fma_pointwise(black_box(&a), black_box(&b), ks).unwrap();
+    });
+    SetupPoint {
+        preset,
+        noise_poly,
+        uniform_poly,
+        seeded_galois_key,
+        key_expand,
+        encrypt_seeded,
+        mul_pointwise,
+        fma_pointwise,
+    }
 }
 
 /// FC-layer timings on one multi-limb preset: the auto plan vs the
@@ -639,6 +713,13 @@ fn main() {
     .map(fc_point)
     .collect();
 
+    // --- A session's key setup, piece by piece, on the bench chains ---
+    let setup_points = [
+        ("rns_3x36", BfvParams::preset_rns_3x36(4096).unwrap()),
+        ("hybrid_2x36", BfvParams::preset_hybrid_2x36(4096).unwrap()),
+    ]
+    .map(|(name, params)| setup_point(name, params));
+
     // --- Packed convolution on the multi-limb presets ---
     let conv_points = [
         BfvParams::preset_rns_2x30(4096).unwrap(),
@@ -739,6 +820,38 @@ fn main() {
     let [(la, a), (lb, b)] = conv_points;
     let _ = writeln!(json, "    \"l{la}_conv_packed\": {a:.1},");
     let _ = writeln!(json, "    \"l{lb}_conv_packed\": {b:.1}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"setup_ns\": {{");
+    for (idx, p) in setup_points.iter().enumerate() {
+        let name = p.preset;
+        let trail = if idx + 1 < setup_points.len() {
+            ","
+        } else {
+            ""
+        };
+        let _ = writeln!(json, "    \"{name}_noise_poly\": {:.1},", p.noise_poly);
+        let _ = writeln!(json, "    \"{name}_uniform_poly\": {:.1},", p.uniform_poly);
+        let _ = writeln!(
+            json,
+            "    \"{name}_seeded_galois_key\": {:.1},",
+            p.seeded_galois_key
+        );
+        let _ = writeln!(json, "    \"{name}_key_expand\": {:.1},", p.key_expand);
+        let _ = writeln!(
+            json,
+            "    \"{name}_encrypt_seeded\": {:.1},",
+            p.encrypt_seeded
+        );
+        let [mul, mul_avx2] = p.mul_pointwise;
+        let [fma, fma_avx2] = p.fma_pointwise;
+        let _ = writeln!(json, "    \"{name}_mul_pointwise\": {mul:.1},");
+        let _ = writeln!(json, "    \"{name}_mul_pointwise_avx2\": {mul_avx2:.1},");
+        let _ = writeln!(json, "    \"{name}_fma_pointwise\": {fma:.1},");
+        let _ = writeln!(
+            json,
+            "    \"{name}_fma_pointwise_avx2\": {fma_avx2:.1}{trail}"
+        );
+    }
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 

@@ -333,29 +333,51 @@ pub struct KeyGenerator {
     params: BfvParams,
     rng: BfvRng,
     sk: SecretKey,
+    /// On a hybrid chain, the secret over the key-switch chain: the same
+    /// ternary polynomial extended to the special prime. `None` on a digit
+    /// chain, whose key-switch chain is the data chain.
+    ks_secret: Option<RnsPoly>,
 }
 
 impl KeyGenerator {
     /// Creates a generator with a reproducible seed.
     pub fn from_seed(params: BfvParams, seed: u64) -> Self {
-        let mut rng = BfvRng::from_seed(seed, params.sigma());
-        let sk = Self::sample_secret(&params, &mut rng);
-        Self { params, rng, sk }
+        let rng = BfvRng::from_seed(seed, params.sigma());
+        Self::from_rng(params, rng)
     }
 
     /// Creates a generator seeded from OS entropy.
     pub fn from_entropy(params: BfvParams) -> Self {
-        let mut rng = BfvRng::from_entropy(params.sigma());
-        let sk = Self::sample_secret(&params, &mut rng);
-        Self { params, rng, sk }
+        let rng = BfvRng::from_entropy(params.sigma());
+        Self::from_rng(params, rng)
     }
 
-    fn sample_secret(params: &BfvParams, rng: &mut BfvRng) -> SecretKey {
-        let mut s = rng.ternary_rns(params.chain());
-        s.to_eval(params.chain());
-        SecretKey {
+    /// Draws the secret — one trit per coefficient, lifted onto the
+    /// key-switch chain and transformed once — and keeps its data planes
+    /// as the secret key. A hybrid set sharing a data chain and seed with
+    /// a digit twin thus has an identical secret, and every encryption
+    /// under it too.
+    fn from_rng(params: BfvParams, mut rng: BfvRng) -> Self {
+        let ks = params.ks_chain_at(0);
+        let mut s = rng.ternary_rns(ks);
+        s.to_eval(ks);
+        let (s, ks_secret) = if params.special().is_some() {
+            let data = s.data()[..params.limbs() * params.degree()].to_vec();
+            let on_data =
+                RnsPoly::from_data(data, params.limbs(), params.degree(), Representation::Eval);
+            (on_data, Some(s))
+        } else {
+            (s, None)
+        };
+        let sk = SecretKey {
             s,
             params: params.clone(),
+        };
+        Self {
+            params,
+            rng,
+            sk,
+            ks_secret,
         }
     }
 
@@ -393,11 +415,10 @@ impl KeyGenerator {
         let seed = self.rng.next_seed();
         let a = crate::sampling::expand_uniform(seed, self.params.chain());
         let chain = self.params.chain();
-        let mut e = self.rng.noise_rns(chain);
-        e.to_eval(chain);
-        let mut pk0 = a.clone();
-        pk0.mul_assign_pointwise(self.sk.poly(), chain)?;
-        pk0.add_assign(&e, chain)?;
+        // pk0 = −(a·s + e), in e's storage.
+        let mut pk0 = self.rng.noise_rns(chain);
+        pk0.to_eval(chain);
+        pk0.fma_pointwise(&a, self.sk.poly(), chain)?;
         pk0.negate(chain);
         let pk = PublicKey {
             pk0,
@@ -410,11 +431,12 @@ impl KeyGenerator {
     /// Generates the seeded Galois key for element `g` — the one keygen
     /// body. One 64-bit seed is drawn for the key; pair `d`'s `a` is the
     /// `d`-th polynomial it expands to, drawn into one reused buffer and
-    /// dropped, and each `k0 = −(a·s + e) + scale·s(x^g)` is assembled in
-    /// its fresh error's storage. There is one RLWE pair per key-switch
-    /// digit ([`BfvParams::ks_digits_at`]`(0)`), each over the key-switch
-    /// chain ([`BfvParams::ks_chain_at`]`(0)`) and encrypting `s(x^g)`
-    /// times the weight its digit carries in the reconstruction of `c1`:
+    /// dropped, and each `k0 = scale·s(x^g) − a·s − e` is assembled in
+    /// its fresh error's storage, one pass of kernels per plane. There is
+    /// one RLWE pair per key-switch digit ([`BfvParams::ks_digits_at`]`(0)`),
+    /// each over the key-switch chain ([`BfvParams::ks_chain_at`]`(0)`)
+    /// and encrypting `s(x^g)` times the weight its digit carries in the
+    /// reconstruction of `c1`:
     ///
     /// * on a digit chain, pair `(i, d)` — limb-major, one per base-`A`
     ///   digit of limb `i` — encrypts `A^d·q̂_i·s(x^g)` with the parameter
@@ -423,6 +445,10 @@ impl KeyGenerator {
     /// * on a hybrid chain, pair `i` encrypts `P·q̂_i·s(x^g)` over
     ///   `[q_0 … q_{l-1}, P]` — `[P·q̂_i]_{q_k}·s_g` on every data plane
     ///   and exactly `0` on the special plane (`P` divides the signal).
+    ///
+    /// Either weight is a multiple of every data limb but `q_i`, so a
+    /// pair's signal lives on plane `i` alone: every other plane of its
+    /// `k0` is `−(a·s + e)`.
     ///
     /// The full-chain `q̂_i` keeps the level-prefix property: a level-`ℓ`
     /// switch consumes the pairs of limbs `i < live` on the live planes
@@ -439,48 +465,11 @@ impl KeyGenerator {
         check_galois_element(self.params.degree(), g)?;
         let data = self.params.chain();
         let ks = self.params.ks_chain_at(0);
-        let limbs = data.limbs();
-        let qhat = |i| -> Vec<u64> { (0..limbs).map(|k| data.crt().qhat_mod(i, k)).collect() };
-
-        // The secret on the key's chain, and per pair the scale of
-        // `s(x^g)` on each of its planes.
-        let mut scales: Vec<Vec<u64>> = Vec::with_capacity(self.params.ks_digits_at(0));
-        let lifted;
-        let s = match self.params.special() {
-            Some(p) => {
-                for i in 0..limbs {
-                    let mut scale = qhat(i);
-                    for (k, sc) in scale.iter_mut().enumerate() {
-                        let q = data.modulus(k);
-                        *sc = q.mul_mod(q.reduce(p.value()), *sc);
-                    }
-                    scale.push(0);
-                    scales.push(scale);
-                }
-                // The *same* ternary polynomial, extended to the special
-                // prime: a hybrid set sharing a data chain and seed with a
-                // digit twin has identical secrets and encryptions.
-                lifted = self.secret_on(ks);
-                &lifted
-            }
-            None => {
-                let a_base = self.params.a_dcmp();
-                for i in 0..limbs {
-                    let mut scale = qhat(i);
-                    for _ in 0..data.limb_decomposition_levels(a_base, i) {
-                        scales.push(scale.clone());
-                        for (k, sc) in scale.iter_mut().enumerate() {
-                            let q = data.modulus(k);
-                            *sc = q.mul_mod(*sc, q.reduce(a_base));
-                        }
-                    }
-                }
-                self.sk.poly()
-            }
-        };
+        let s = self.ks_secret.as_ref().unwrap_or(self.sk.poly());
 
         // s(x^g) in evaluation form, via the NTT-domain permutation (one
-        // permutation table drives every limb plane).
+        // permutation table drives every limb plane). Plane `i` is scaled
+        // in place to the weight of limb `i`'s pair in turn.
         let perm = ks.table(0).galois_permutation(g);
         let mut s_g = RnsPoly::zero(ks, Representation::Eval);
         s_g.permute_from(s, &perm);
@@ -488,22 +477,40 @@ impl KeyGenerator {
         let seed = self.rng.next_seed();
         let mut stream = UniformStream::new(seed, ks);
         let mut a = RnsPoly::zero(ks, Representation::Eval);
-        let mut scaled_plane = vec![0; ks.degree()];
-        let mut k0s = Vec::with_capacity(scales.len());
-        for scale in &scales {
-            stream.next_into(&mut a);
-            // k0 = -(a·s + e) + scale · s(x^g), in e's storage.
-            let mut k0 = self.rng.noise_rns(ks);
-            k0.to_eval(ks);
-            k0.fma_pointwise(&a, s, ks)?;
-            k0.negate(ks);
-            for (k, &sc) in scale.iter().enumerate() {
-                let q = ks.modulus(k);
-                scaled_plane.copy_from_slice(s_g.limb(k));
-                simd::mul_scalar(&mut scaled_plane, sc, q);
-                simd::add_assign(k0.limb_mut(k), &scaled_plane, q);
+        let mut k0s = Vec::with_capacity(self.params.ks_digits_at(0));
+        for i in 0..data.limbs() {
+            let q = data.modulus(i);
+            let qhat = data.crt().qhat_mod(i, i);
+            // The first pair's weight on plane i, the step from one digit
+            // to the next, and the digits.
+            let (weight, step, digits) = match self.params.special() {
+                Some(p) => (q.mul_mod(q.reduce(p.value()), qhat), 1, 1),
+                None => {
+                    let a_base = self.params.a_dcmp();
+                    let digits = data.limb_decomposition_levels(a_base, i);
+                    (qhat, q.reduce(a_base), digits)
+                }
+            };
+            let signal = s_g.limb_mut(i);
+            simd::mul_scalar(signal, weight, q);
+            for d in 0..digits {
+                if d > 0 {
+                    simd::mul_scalar(signal, step, q);
+                }
+                stream.next_into(&mut a);
+                // k0 = scale·s(x^g) − (a·s + e), in e's storage.
+                let mut k0 = self.rng.noise_rns(ks);
+                k0.to_eval(ks);
+                for (k, plane) in k0.data_mut().chunks_exact_mut(ks.degree()).enumerate() {
+                    let qk = ks.modulus(k);
+                    simd::fma_pointwise(plane, a.limb(k), s.limb(k), qk);
+                    if k == i {
+                        simd::sub_assign(plane, signal, qk);
+                    }
+                    simd::negate(plane, qk);
+                }
+                k0s.push(k0);
             }
-            k0s.push(k0);
         }
         Ok(SeededGaloisKey {
             element: g,
@@ -520,34 +527,6 @@ impl KeyGenerator {
     /// As [`KeyGenerator::seeded_galois_key`].
     pub fn galois_key(&mut self, g: u64) -> Result<GaloisKey> {
         Ok(self.seeded_galois_key(g)?.expand(&self.params))
-    }
-
-    /// The secret key's ternary coefficients re-lifted onto `chain`
-    /// (evaluation form): limb plane 0 of the data chain is decoded back
-    /// to `{−1, 0, 1}` and CRT-lifted, extending `s` to the special prime
-    /// without touching the RNG stream.
-    fn secret_on(&self, chain: &crate::rns::ModulusChain) -> RnsPoly {
-        let data = self.params.chain();
-        let mut s = self.sk.poly().clone();
-        s.to_coeff(data);
-        let q0 = data.modulus(0).value();
-        let signed: Vec<i64> = s
-            .limb(0)
-            .iter()
-            .map(|&c| {
-                if c == 0 {
-                    0
-                } else if c == 1 {
-                    1
-                } else {
-                    debug_assert_eq!(c, q0 - 1, "secret must be ternary");
-                    -1
-                }
-            })
-            .collect();
-        let mut out = RnsPoly::from_signed(&signed, chain);
-        out.to_eval(chain);
-        out
     }
 
     /// Generates seeded keys for a set of row-rotation steps — what a
@@ -872,7 +851,7 @@ mod tests {
         let p_val = p.special().unwrap().value();
         assert_eq!(key.pairs().len(), limbs);
 
-        let s_ks = kg.secret_on(ks);
+        let s_ks = kg.ks_secret.clone().unwrap();
         let mut s_g = RnsPoly::zero(ks, Representation::Eval);
         s_g.permute_from(&s_ks, key.permutation());
 

@@ -272,11 +272,13 @@ impl NttTable {
             return Err(Error::InvalidGaloisElement(g));
         }
         let n = self.n;
-        let m = 2 * n as u64;
+        // `m = 2n` is a power of two: reducing mod `m` keeps the low bits,
+        // which a wrapping product has right whatever `g`.
+        let mask = 2 * n as u64 - 1;
         let mut perm = vec![0u32; n];
         for (j, slot) in perm.iter_mut().enumerate() {
             let e = 2 * bit_reverse(j, self.log_n) as u64 + 1;
-            let e_src = (e * g) % m;
+            let e_src = e.wrapping_mul(g) & mask;
             let j_src = bit_reverse(((e_src - 1) / 2) as usize, self.log_n);
             *slot = j_src as u32;
         }

@@ -53,24 +53,28 @@ impl BfvRng {
         self.cbd_k as u64
     }
 
-    /// Samples one CBD(k) noise value in `[-k, k]`.
+    /// Samples one CBD(k) noise value in `[-k, k]`: per chunk of up to 32
+    /// of the `k` coin pairs (whole chunks of 32 first), the popcount of
+    /// one masked 32-bit draw minus that of the next. The one definition
+    /// of a noise draw.
     pub fn noise_sample(&mut self) -> i64 {
-        let k = self.cbd_k;
-        let mut acc: i64 = 0;
-        let mut remaining = k;
-        while remaining > 0 {
-            let chunk = remaining.min(32);
-            let mask = if chunk == 32 {
-                u32::MAX
-            } else {
-                (1u32 << chunk) - 1
-            };
-            let a = (self.rng.next_u32() & mask).count_ones() as i64;
-            let b = (self.rng.next_u32() & mask).count_ones() as i64;
-            acc += a - b;
-            remaining -= chunk;
+        let mut remaining = self.cbd_k;
+        let mut acc = 0;
+        while remaining > 32 {
+            acc += self.coin_pairs(32);
+            remaining -= 32;
         }
-        acc
+        acc + self.coin_pairs(remaining)
+    }
+
+    /// One chunk of `1..=32` CBD coin pairs: `popcount(a) − popcount(b)`
+    /// over the chunk's bits of the next two 32-bit draws.
+    #[inline(always)]
+    fn coin_pairs(&mut self, chunk: u32) -> i64 {
+        let mask = u32::MAX >> (32 - chunk);
+        let a = self.rng.next_u32() & mask;
+        let b = self.rng.next_u32() & mask;
+        a.count_ones() as i64 - b.count_ones() as i64
     }
 
     /// Samples a polynomial uniform over `[0, Q)` in RNS form: each limb
@@ -79,9 +83,9 @@ impl BfvRng {
     /// `random_range` per residue — is what the seeded key and transcript
     /// digests of `tests/bit_stability.rs` pin.
     pub fn uniform_rns(&mut self, chain: &ModulusChain, repr: Representation) -> RnsPoly {
-        RnsPoly::from_fn(chain, repr, |i, _| {
-            self.rng.random_range(0..chain.modulus(i).value())
-        })
+        let mut out = RnsPoly::zero(chain, repr);
+        fill_uniform(&mut self.rng, chain, &mut out);
+        out
     }
 
     /// Draws a fresh 64-bit seed from this generator's stream — the seed a
@@ -96,22 +100,58 @@ impl BfvRng {
     /// RLWE secret distribution over the chain. One trit is drawn per
     /// coefficient, whatever the number of limbs.
     pub fn ternary_rns(&mut self, chain: &ModulusChain) -> RnsPoly {
-        let trits: Vec<i64> = (0..chain.degree())
-            .map(|_| match self.rng.random_range(0..3u8) {
-                0 => 0,
-                1 => 1,
-                _ => -1,
-            })
-            .collect();
-        RnsPoly::from_signed(&trits, chain)
+        lift_draws(chain, 1, || match self.rng.random_range(0..3u8) {
+            0 => 0,
+            1 => 1,
+            _ => -1,
+        })
     }
 
     /// Samples a CBD(k) noise polynomial lifted into every limb plane
-    /// (coefficient form). One noise value is drawn per coefficient,
-    /// whatever the number of limbs.
+    /// (coefficient form). One [`BfvRng::noise_sample`] is drawn per
+    /// coefficient, whatever the number of limbs, and written straight
+    /// into each plane.
     pub fn noise_rns(&mut self, chain: &ModulusChain) -> RnsPoly {
-        let samples: Vec<i64> = (0..chain.degree()).map(|_| self.noise_sample()).collect();
-        RnsPoly::from_signed(&samples, chain)
+        let bound = self.noise_bound();
+        lift_draws(chain, bound, || self.noise_sample())
+    }
+}
+
+/// A coefficient-form polynomial over `chain` whose coefficient `j` is the
+/// `j`-th value `draw` returns (`|v| ≤ bound`), in every limb plane the
+/// residue [`crate::arith::Modulus::from_signed`] gives it — one draw per
+/// coefficient, whatever the number of limbs. The draws land in plane 0 as
+/// two's-complement words and are lifted from there onto every other
+/// plane, then onto plane 0 in place.
+fn lift_draws(chain: &ModulusChain, bound: u64, mut draw: impl FnMut() -> i64) -> RnsPoly {
+    let n = chain.degree();
+    let mut out = RnsPoly::zero(chain, Representation::Coeff);
+    let (raw, rest) = out.data_mut().split_at_mut(n);
+    for w in raw.iter_mut() {
+        *w = draw() as u64;
+    }
+    let moduli = chain.moduli();
+    for (plane, q) in rest.chunks_exact_mut(n).zip(&moduli[1..]) {
+        for (o, &w) in plane.iter_mut().zip(&*raw) {
+            *o = lift_word(w, q, bound);
+        }
+    }
+    for w in raw.iter_mut() {
+        *w = lift_word(*w, &moduli[0], bound);
+    }
+    out
+}
+
+/// [`crate::arith::Modulus::from_signed`] of the two's-complement word
+/// `w`, whose magnitude is at most `bound`. Below `q` that is `w`, plus
+/// `q` when negative: no branch on the sign, so the loops over a plane
+/// vectorize.
+#[inline(always)]
+fn lift_word(w: u64, q: &crate::arith::Modulus, bound: u64) -> u64 {
+    if bound < q.value() {
+        w.wrapping_add(q.value() & ((w as i64 >> 63) as u64))
+    } else {
+        q.from_signed(w as i64)
     }
 }
 
@@ -139,12 +179,12 @@ impl<'a> UniformStream<'a> {
         }
     }
 
-    /// The next polynomial of the stream, freshly allocated.
+    /// The next polynomial of the stream, freshly allocated:
+    /// [`UniformStream::next_into`] a zero polynomial.
     pub fn next_poly(&mut self) -> RnsPoly {
-        let (rng, chain) = (&mut self.rng, self.chain);
-        RnsPoly::from_fn(chain, Representation::Eval, |i, _| {
-            rng.random_range(0..chain.modulus(i).value())
-        })
+        let mut out = RnsPoly::zero(self.chain, Representation::Eval);
+        self.next_into(&mut out);
+        out
     }
 
     /// Overwrites `out` with the next polynomial of the stream (the same
@@ -159,14 +199,25 @@ impl<'a> UniformStream<'a> {
             out.limbs() == self.chain.limbs() && out.degree() == self.chain.degree(),
             "stream output must have the chain's shape"
         );
-        let n = self.chain.degree();
-        for (i, plane) in out.data_mut().chunks_exact_mut(n).enumerate() {
-            let q = self.chain.modulus(i).value();
-            for w in plane {
-                *w = self.rng.random_range(0..q);
-            }
-        }
+        fill_uniform(&mut self.rng, self.chain, out);
         out.set_representation(Representation::Eval);
+    }
+}
+
+/// Overwrites every plane of `out` (shaped like `chain`) with residues
+/// uniform mod its limb, drawn from `rng` limb-major, one `random_range`
+/// per residue.
+fn fill_uniform(rng: &mut StdRng, chain: &ModulusChain, out: &mut RnsPoly) {
+    let n = chain.degree();
+    for (q, plane) in chain
+        .moduli()
+        .iter()
+        .zip(out.data_mut().chunks_exact_mut(n))
+    {
+        let q = q.value();
+        for w in plane {
+            *w = rng.random_range(0..q);
+        }
     }
 }
 
@@ -270,6 +321,33 @@ mod tests {
         reused.next_into(&mut buf);
         assert_eq!(buf, second);
         assert_ne!(second, first);
+    }
+
+    #[test]
+    fn noise_rns_is_per_coefficient_draws_lifted_by_from_signed() {
+        // The in-place lift writes, on every plane, what `from_signed` makes
+        // of the coefficient's one draw: 1- to 4-limb chains, one chunk
+        // (k = 20) and the chunked path (k = 72).
+        let values = crate::arith::generate_ntt_primes(30, 256, 4).unwrap();
+        for sigma in [3.2, 6.0] {
+            for limbs in 1..=4 {
+                let chain = ModulusChain::new(256, &values[..limbs]).unwrap();
+                let seed = 40 + limbs as u64;
+                let poly = BfvRng::from_seed(seed, sigma).noise_rns(&chain);
+                let mut reference = BfvRng::from_seed(seed, sigma);
+                let draws: Vec<i64> = (0..256).map(|_| reference.noise_sample()).collect();
+                assert!(draws.iter().any(|&e| e < 0) && draws.iter().any(|&e| e > 0));
+                assert_eq!(poly.representation(), Representation::Coeff);
+                for (i, q) in chain.moduli().iter().enumerate() {
+                    let lifted: Vec<u64> = draws.iter().map(|&e| q.from_signed(e)).collect();
+                    assert_eq!(
+                        poly.limb(i),
+                        &lifted[..],
+                        "sigma {sigma} limbs {limbs} plane {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

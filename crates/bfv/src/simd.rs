@@ -30,9 +30,10 @@
 //!   *products* are explicit `std::arch` code on the 52-bit multiplier
 //!   (the `ifma` module below): the forward and inverse NTT (Harvey's
 //!   butterfly, eight per instruction), the lazy inner product
-//!   (`madd52lo`/`madd52hi` into two `u64` rows, one fold per output) and
-//!   the constant multiplies (`mul_scalar`, `lift_centered`: one Shoup
-//!   `mul_lazy` per product). Wider limbs and
+//!   (`madd52lo`/`madd52hi` into two `u64` rows, one fold per output),
+//!   the pointwise products made of it (`mul_pointwise`, `fma_pointwise`:
+//!   one term, one output) and the constant multiplies (`mul_scalar`,
+//!   `lift_centered`: one Shoup `mul_lazy` per product). Wider limbs and
 //!   `n = 8` run the `Avx2` lanes — or, for the kernels that have no lane
 //!   form, the reference loop.
 //!
@@ -104,8 +105,8 @@ pub enum SimdBackend {
     /// The lane loops monomorphized under AVX2 (x86_64, runtime-detected).
     Avx2,
     /// `Avx2` plus the explicit AVX-512 IFMA kernels — NTT, inner product,
-    /// constant multiplies — for limbs under `2^50` (x86_64,
-    /// runtime-detected).
+    /// pointwise products, constant multiplies — for limbs under `2^50`
+    /// (x86_64, runtime-detected).
     Avx512Ifma,
 }
 
@@ -262,9 +263,18 @@ pub(crate) fn negate(a: &mut [u64], q: &Modulus) {
     dispatch!(negate(a, q))
 }
 
-/// `a[i] ← a[i]·b[i] mod q` (Barrett), element-wise.
+/// `a[i] ← a[i]·b[i] mod q` (Barrett), element-wise. Under
+/// `Avx512Ifma`, for a modulus the `ifma` kernels admit, the exact product
+/// on the 52-bit multiplier, folded once.
 pub(crate) fn mul_pointwise(a: &mut [u64], b: &[u64], q: &Modulus) {
-    dispatch!(mul_pointwise(a, b, q))
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma if ifma::admits(a.len(), q.value()) => unsafe {
+            ifma::mul_pointwise(a, b, q)
+        },
+        backend => dispatch!(backend => mul_pointwise(a, b, q)),
+    }
 }
 
 /// `a[i] ← a[i]·c mod q` (Barrett; `c` reduced once up front). The one
@@ -282,9 +292,18 @@ pub(crate) fn mul_scalar(a: &mut [u64], c: u64, q: &Modulus) {
     }
 }
 
-/// `r[i] ← r[i] + a[i]·b[i] mod q` (the key-switch inner loop).
+/// `r[i] ← r[i] + a[i]·b[i] mod q` — a one-term [`dot_pair`] for one
+/// output. Under `Avx512Ifma`, for a modulus the `ifma` kernels admit,
+/// `r[i]` plus the exact product on the 52-bit multiplier, folded once.
 pub(crate) fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus) {
-    dispatch!(fma_pointwise(r, a, b, q))
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma if ifma::admits(r.len(), q.value()) => unsafe {
+            ifma::fma_pointwise(r, a, b, q)
+        },
+        backend => dispatch!(backend => fma_pointwise(r, a, b, q)),
+    }
 }
 
 /// Peels the lowest base-`2^log_base` digit off every `v[i]`:
@@ -956,6 +975,14 @@ mod lanes {
 // Each output is the canonical residue of the exact sum, which is what
 // the `u128` kernel writes and what sequential `fma_pointwise` calls
 // write: the same bytes.
+//
+// ## The pointwise products
+//
+// `mul_pointwise` and `fma_pointwise` are that inner product at one term
+// and one output: the exact product of two residues in a `lo`/`hi` pair
+// (`lo` starting at zero, or at the accumulator's residue), folded once.
+// At `T = 1` the fold's `v2` is always zero, so `dot_consts` drops its
+// term for every admitted limb.
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -1288,8 +1315,54 @@ mod ifma {
             }
         }
 
-        /// `(lo + hi·2^52) mod q`, canonical, for the rows of at most
-        /// [`DOT_GROUP`] terms (section comment).
+        /// The constants folding rows of at most `terms` terms on planes
+        /// of `n` coefficients mod `q`.
+        fn dot_consts(q: &Modulus, terms: usize, n: usize) -> DotConsts {
+            let qv = q.value();
+            // What one term adds to `(lo >> 51) + 2·hi`, at most, halved.
+            let per_term = 1 + (qv - 1) as u128 * (qv - 1) as u128 / (1 << 52);
+            let narrow = 2 * terms as u128 * per_term < 1 << 52;
+            DotConsts {
+                c: consts(qv),
+                r51: shoup(q.reduce(1 << 51), qv),
+                r103: (!narrow).then(|| shoup(q.reduce_u128(1 << 103), qv)),
+                one: shoup(1, qv),
+                mask51: splat((1 << 51) - 1),
+                gather_limit: _mm256_set1_epi32(n.min(1 << 31) as i32),
+            }
+        }
+
+        /// [`super::mul_pointwise`] on a plane [`admits`] accepts: each
+        /// product exact in one `lo`/`hi` row pair, folded as a one-term
+        /// inner product.
+        pub(super) fn mul_pointwise(a: &mut [u64], b: &[u64], q: &Modulus) {
+            let k = dot_consts(q, 1, a.len());
+            let zero = _mm512_setzero_si512();
+            for (x, y) in a.as_chunks_mut().0.iter_mut().zip(b.as_chunks().0) {
+                let (xv, yv) = (load(x), load(y));
+                let lo = _mm512_madd52lo_epu64(zero, xv, yv);
+                let hi = _mm512_madd52hi_epu64(zero, xv, yv);
+                store(x, dot_fold(lo, hi, &k));
+            }
+        }
+
+        /// [`super::fma_pointwise`] on a plane [`admits`] accepts: the
+        /// accumulator's residue starts the `lo` row, as an output does in
+        /// [`dot_pair`], and one product joins it.
+        pub(super) fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus) {
+            let k = dot_consts(q, 1, r.len());
+            let zero = _mm512_setzero_si512();
+            let planes = a.as_chunks().0.iter().zip(b.as_chunks().0);
+            for (acc, (x, y)) in r.as_chunks_mut().0.iter_mut().zip(planes) {
+                let (xv, yv) = (load(x), load(y));
+                let lo = _mm512_madd52lo_epu64(load(acc), xv, yv);
+                let hi = _mm512_madd52hi_epu64(zero, xv, yv);
+                store(acc, dot_fold(lo, hi, &k));
+            }
+        }
+
+        /// `(lo + hi·2^52) mod q`, canonical, for the rows of at most the
+        /// terms `k` was made for (section comment).
         fn dot_fold(lo: __m512i, hi: __m512i, k: &DotConsts) -> __m512i {
             let v0 = _mm512_and_si512(lo, k.mask51);
             // The multiplier reads `v1`, the low 52 bits, by itself.
@@ -1407,18 +1480,7 @@ mod ifma {
             q: &Modulus,
         ) {
             let n = r0.len();
-            let qv = q.value();
-            // What one term adds to `(lo >> 51) + 2·hi`, at most, halved.
-            let per_term = 1 + (qv - 1) as u128 * (qv - 1) as u128 / (1 << 52);
-            let narrow = 2 * DOT_GROUP as u128 * per_term < 1 << 52;
-            let k = DotConsts {
-                c: consts(qv),
-                r51: shoup(q.reduce(1 << 51), qv),
-                r103: (!narrow).then(|| shoup(q.reduce_u128(1 << 103), qv)),
-                one: shoup(1, qv),
-                mask51: splat((1 << 51) - 1),
-                gather_limit: _mm256_set1_epi32(n.min(1 << 31) as i32),
-            };
+            let k = dot_consts(q, DOT_GROUP, n);
             let (r0, r1) = (r0.as_chunks_mut().0, r1[..n].as_chunks_mut().0);
             let perm = gather.map(|perm| perm[..n].as_chunks().0);
             let mut group = [DotVecs { x0: &[], x1: &[], shared: &[] }; DOT_GROUP];

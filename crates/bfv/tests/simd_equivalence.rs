@@ -10,7 +10,8 @@
 //!   at the edges of the AVX-512 IFMA kernel's gate (`q < 2^50`, `n ≥ 16`);
 //! * the pointwise Barrett kernels (`add`/`sub`/`negate`/`mul`/`fma`)
 //!   on random residue vectors (`mul_scalar` is pinned by `simd.rs`'s
-//!   unit tests, on the same preset limbs);
+//!   unit tests, on the same preset limbs), and the IFMA bodies of `mul`
+//!   and `fma` at both edges of the gate on random and boundary operands;
 //! * the **lazy dot kernel** under every mask sum and key switch, against
 //!   sequential `fma_pointwise`, on random 20–61-bit NTT primes with term
 //!   counts straddling [`Modulus::lazy_dot_terms`] — and, under the IFMA
@@ -260,6 +261,60 @@ fn gate_primes(n: usize) -> [u64; 2] {
         generate_ntt_prime(50, n).unwrap(),
         ntt_prime_above(1 << 50, n),
     ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The IFMA `mul_pointwise` / `fma_pointwise` at the edges of the gate
+    /// (`q < 2^50`, `n ≥ 16`): a random NTT prime of 20–49 bits, the
+    /// largest NTT prime below `2^50`, one at `1.5·2^49` and the smallest
+    /// above `2^50` (falls through to the lanes), at degrees below the
+    /// kernels' minimum (8), at it (16) and past L1 (8192), on every pair
+    /// of the random and extreme operand patterns, from every pattern of
+    /// accumulator — the product and the sum write the forced scalar
+    /// reference's bytes on every runnable backend.
+    #[test]
+    fn ifma_pointwise_products_match_scalar_at_the_gate(bits in 20u32..=49, seed in any::<u64>()) {
+        for n in [8usize, 16, 8192] {
+            let random = generate_ntt_prime(bits, n).unwrap();
+            let [below, above] = gate_primes(n);
+            for q in [random, below, ntt_prime_above(3 << 49, n), above] {
+                let chain = ModulusChain::new(n, &[q]).unwrap();
+                let modulus = chain.modulus(0);
+                let poly = |kind: &str, salt: u64| {
+                    let data = pattern(kind, modulus, n, seed ^ salt);
+                    RnsPoly::from_data(data, 1, n, Representation::Eval)
+                };
+                let products = |backend: SimdBackend| {
+                    let (_guard, eff) = ForceGuard::force(backend);
+                    assert_eq!(eff, backend);
+                    let mut out = Vec::new();
+                    for x in PATTERNS {
+                        for y in PATTERNS {
+                            let (a, b) = (poly(x, 1), poly(y, 2));
+                            let mut mul = a.clone();
+                            mul.mul_assign_pointwise(&b, &chain).unwrap();
+                            out.push(mul);
+                            for r in PATTERNS {
+                                let mut fma = poly(r, 3);
+                                fma.fma_pointwise(&a, &b, &chain).unwrap();
+                                out.push(fma);
+                            }
+                        }
+                    }
+                    out
+                };
+                let reference = products(SimdBackend::Scalar);
+                for backend in runnable_vector_backends() {
+                    prop_assert_eq!(
+                        &products(backend), &reference,
+                        "q = {}, n = {} diverged on {}", q, n, backend.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Term counts on both sides of what the IFMA dot kernel sums between

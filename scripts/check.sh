@@ -539,6 +539,31 @@ if [[ "${1:-}" != "quick" ]]; then
         done
     fi
 
+    echo "==> setup-kernel gate (committed non-smoke BENCH_he_ops.json)"
+    # A session's key setup multiplies pointwise: keygen's a·s, the public
+    # key's, a seeded encryption's and a decryption's. On the AVX-512 IFMA
+    # backend each pointwise product and multiply-accumulate over a
+    # 36-bit key-switch chain must run under 0.5 x its forced-AVX2 twin
+    # (measured ~0.2): the lanes multiply in scalar u128, the IFMA body
+    # eight at a time.
+    if [[ "$simd_backend" == "avx512ifma" ]]; then
+        for preset in rns_3x36 hybrid_2x36; do
+            for op in mul_pointwise fma_pointwise; do
+                key="${preset}_${op}"
+                ifma=$(json_val BENCH_he_ops.json "$key")
+                avx2=$(json_val BENCH_he_ops.json "${key}_avx2")
+                if [[ -z "$ifma" || -z "$avx2" ]]; then
+                    echo "FAIL: BENCH_he_ops.json lacks $key / ${key}_avx2"
+                    exit 1
+                fi
+                if ! awk -v v="$ifma" -v a="$avx2" 'BEGIN { exit !(v <= 0.5 * a) }'; then
+                    echo "FAIL: committed $key ($ifma ns) is not within 0.5 x the forced AVX2 lanes ${key}_avx2 ($avx2 ns)"
+                    exit 1
+                fi
+            done
+        done
+    fi
+
     echo "==> bench_throughput smoke (JSON key regression gate)"
     smoke_json=$(mktemp /tmp/bench_throughput.XXXXXX.json)
     BENCH_SMOKE=1 cargo run --release -q -p cheetah-bench --bin bench_throughput "$smoke_json" >/dev/null
