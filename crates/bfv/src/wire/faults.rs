@@ -24,9 +24,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use super::{
-    ciphertext_wire_bytes, decode_ciphertext, field_bits, plane_bytes, poly_bytes,
-    seeded_ciphertext_wire_bytes, write_field, Kind, HEADER_BYTES, OFF_FINGERPRINT, OFF_KIND,
-    OFF_LEVEL, OFF_LIVE_LIMBS, OFF_RESERVED, OFF_VERSION, SEED_BYTES, VERSION,
+    decode_ciphertext, field_bits, plane_bytes, poly_bytes, seeded_ciphertext_wire_bytes,
+    write_field, Kind, HEADER_BYTES, OFF_FINGERPRINT, OFF_KIND, OFF_LEVEL, OFF_LIVE_LIMBS,
+    OFF_RESERVED, OFF_VERSION, SEED_BYTES, VERSION,
 };
 use crate::{BfvParams, Ciphertext, Error, Result};
 use rand::rngs::StdRng;
@@ -221,20 +221,26 @@ impl FaultInjector {
                     out[OFF_LEVEL..OFF_LEVEL + 4].copy_from_slice(&level.to_le_bytes());
                     let lvl = *level as usize;
                     if *resize_payload && lvl < params.levels() {
-                        let live = params.live_limbs_at(lvl) as u32;
+                        let claimed = params.live_limbs_at(lvl);
                         out[OFF_LIVE_LIMBS..OFF_LIVE_LIMBS + 4]
-                            .copy_from_slice(&live.to_le_bytes());
-                        // Zero filler keeps every residue canonical: in
-                        // either kind the lie survives structural
-                        // validation and must be caught by the noise gate
-                        // instead — or, on a seeded upload, by the server,
-                        // which expects each layer's input at one level.
-                        let sized = if seeded {
-                            seeded_ciphertext_wire_bytes
+                            .copy_from_slice(&(claimed as u32).to_le_bytes());
+                        // Zero filler, per component, keeps every residue
+                        // canonical: in either kind the lie survives
+                        // structural validation and must be caught by the
+                        // noise gate — or in flight by the receiving half,
+                        // which expects each message at its round's level.
+                        if seeded {
+                            out.resize(seeded_ciphertext_wire_bytes(params, lvl), 0);
                         } else {
-                            ciphertext_wire_bytes
-                        };
-                        out.resize(sized(params, lvl), 0);
+                            let new = poly_bytes(chain, claimed);
+                            let body = out.split_off(payload_at.min(out.len()));
+                            let (c0, c1) = body.split_at(poly_bytes(chain, live).min(body.len()));
+                            for component in [c0, c1] {
+                                let kept = &component[..new.min(component.len())];
+                                out.extend_from_slice(kept);
+                                out.resize(out.len() + new - kept.len(), 0);
+                            }
+                        }
                     }
                 }
             }
@@ -395,6 +401,35 @@ mod tests {
             for _ in 0..16 {
                 let c = inj.random_corruption(len);
                 let _ = FaultInjector::apply(&msg, &c, &params);
+            }
+        }
+    }
+
+    #[test]
+    fn a_resized_level_lie_keeps_each_component_canonical() {
+        // Down the chain and back up, on a full ciphertext: each component
+        // keeps its planes under the claimed level's live count (zeros past
+        // the original's), so the lie decodes at the claimed level.
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let keygen = crate::KeyGenerator::from_seed(params.clone(), 5);
+        let mut enc = crate::Encryptor::from_secret_key(keygen.secret_key().clone(), 6);
+        let pt = crate::Plaintext::from_coeffs(vec![1; 4096], params.clone()).unwrap();
+        for (from, to) in [(2usize, 0u32), (0, 1), (1, 2)] {
+            let (ct, _) = enc.encrypt_seeded_at(&pt, from).unwrap();
+            let clean = super::super::encode_ciphertext(&ct);
+            let lie = Corruption::LevelLie {
+                level: to,
+                resize_payload: true,
+            };
+            let mutant = FaultInjector::apply(&clean, &lie, &params);
+            let sized = super::super::ciphertext_wire_bytes(&params, to as usize);
+            assert_eq!(mutant.len(), sized);
+            let lied = decode_ciphertext(&mutant, &params).unwrap();
+            assert_eq!(lied.level(), to as usize);
+            let shared = ct.live_limbs().min(lied.live_limbs());
+            for i in 0..shared {
+                assert_eq!(lied.c0().limb(i), ct.c0().limb(i), "{from} -> {to}");
+                assert_eq!(lied.c1().limb(i), ct.c1().limb(i), "{from} -> {to}");
             }
         }
     }

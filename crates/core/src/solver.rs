@@ -9,9 +9,14 @@
 //! price depends on all of the above. This module closes that gap: it
 //! sweeps **{chain, per-layer level, rotation plan}** jointly over a
 //! network's linear layers and emits a [`ChainPlan`] — concrete
-//! [`BfvParams`] (exact moduli, `t`, special prime) plus a level and plan
-//! label per layer — that `cheetah-serve`'s `PreparedModel` consumes
-//! directly. "Fast" becomes a solver output instead of a hand pick.
+//! [`BfvParams`] (exact moduli, `t`, special prime) plus one [`LayerPlan`]
+//! per layer, the record of that layer's round (level, plan label, Galois
+//! steps, predicted counts and noise, shipped level, message bytes) — that
+//! `cheetah-serve`'s `PreparedModel` consumes directly: it prepares each
+//! layer at its record's level, never runs it deeper, and keeps a record of
+//! its own per layer, built by the same [`LayerPlan::new`] from the
+//! prepared kernel, which the session halves then execute. "Fast" becomes
+//! a solver output instead of a hand pick.
 //!
 //! The solver models nothing of its own; it asks the engine. A layer's
 //! plan comes from the choosers `HomFc` / `HomConv2d` run at prepare time,
@@ -23,11 +28,11 @@
 //! solved level is therefore one the runtime accepts, and a solved budget
 //! is never above the prepared layer's own.
 
-use cheetah_bfv::{BfvParams, NoiseEstimate};
+use cheetah_bfv::{wire, BfvParams, NoiseEstimate};
 use cheetah_nn::{ConvSpec, LinearLayer};
 
 use crate::cost::HeCostParams;
-use crate::linear::{feasible_levels, ConvPlan, FcPlan};
+use crate::linear::{feasible_levels, shipping_level, ConvPlan, FcPlan};
 use crate::quant::QuantSpec;
 use crate::sparse::{BsgsPlan, ConvStructure, FcStructure, LayerStructure};
 
@@ -54,18 +59,23 @@ impl std::fmt::Display for InfeasibleLayer {
 
 impl std::error::Error for InfeasibleLayer {}
 
-/// One layer's slot in a [`ChainPlan`]: the level it runs at, the rotation
-/// plan the cost model picked at that level, and the modeled cost/budget.
+/// One linear layer's round, fixed before any session runs — Cheetah
+/// §II-A's script: an upload at some level, the layer, a switch before
+/// sending, a masked download. The solver and `cheetah-serve`'s
+/// `PreparedModel` both build it with [`LayerPlan::new`].
 #[derive(Debug, Clone)]
 pub struct LayerPlan {
     /// Layer name.
     pub layer: String,
-    /// Chain level (dropped limbs) the layer runs at.
+    /// Chain level (dropped limbs) the layer runs at: its upload is
+    /// encrypted there and refused anywhere else.
     pub level: usize,
     /// Rotation-plan label (`fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`,
     /// `conv packed b=.. g=.. live=../.. out=..`) — the very label the
     /// prepared layer reports, priced under the same [`HeCostParams`].
     pub plan: String,
+    /// The Galois steps the plan rotates by ([`BsgsPlan::rotation_steps`]).
+    pub steps: Vec<i64>,
     /// Modeled integer multiplications for the layer at this level.
     pub int_mults: f64,
     /// Modeled plaintext multiplies: what `OpCounts` measures on the
@@ -73,16 +83,71 @@ pub struct LayerPlan {
     pub he_mult: f64,
     /// Modeled rotations, exact like `he_mult`.
     pub he_rotate: f64,
-    /// Remaining statistical noise budget (bits) at this level: the
-    /// plan's `noise_after` a fresh encryption switched down to it, every
-    /// mask at norm `⌊t/2⌋`.
+    /// The coefficient norm the noise prediction charges every weight
+    /// mask: `⌊t/2⌋` in the solver, the prepared masks' worst in a model.
+    pub mask_norm: u64,
+    /// Predicted output noise at `level` ([`BsgsPlan::noise_after`]).
+    pub noise: NoiseEstimate,
+    /// Remaining statistical noise budget (bits) of `noise` at `level`.
     pub budget_bits: f64,
+    /// Level the masked download ships at: [`shipping_level`] of `noise`
+    /// under a download mask of norm `⌊t/2⌋`.
+    pub shipped_level: usize,
+    /// Output ciphertexts per masked download.
+    pub outputs: usize,
+    /// Payload bytes of the seeded upload at `level`, header excluded.
+    pub upload_bytes: usize,
+    /// Payload bytes of the download bundle, its `outputs` headers excluded.
+    pub download_bytes: usize,
 }
 
-/// The solver's output: one concrete chain for the whole network plus a
-/// level and rotation plan per linear layer. Everything a session needs —
-/// exact moduli, `t`, the special prime, decomposition bases — is inside
-/// `params`; `levels()` is what `PreparedModel` consumes.
+impl LayerPlan {
+    /// The one builder of a round's record: `kernel` (labelled `label`) run
+    /// at `level` on an input of noise `input`, every weight mask charged
+    /// `mask_norm`. The multiplies, rotations and steps are the ones the
+    /// prepared kernel performs and reports — one multiply per live mask,
+    /// the hoisted baby replays and the giant steps (an FC layer's fold is
+    /// the client's); an all-zero layer costs nothing.
+    pub fn new(
+        layer: &str,
+        kernel: &BsgsPlan,
+        label: &str,
+        params: &BfvParams,
+        level: usize,
+        input: &NoiseEstimate,
+        mask_norm: u64,
+    ) -> Self {
+        let cost = HeCostParams::for_bfv(params, level);
+        let noise = kernel.noise_after(input, params, level, mask_norm);
+        let half_t = params.plain_modulus().value() / 2;
+        let shipped_level = shipping_level(&noise, level, half_t, params);
+        let outputs = kernel.outputs();
+        let upload = wire::seeded_ciphertext_wire_bytes(params, level);
+        let download = wire::ciphertext_wire_bytes(params, shipped_level);
+        Self {
+            layer: layer.to_owned(),
+            level,
+            plan: label.to_owned(),
+            steps: kernel.rotation_steps(),
+            int_mults: kernel.int_mults(&cost) as f64,
+            he_mult: kernel.live_masks() as f64,
+            he_rotate: kernel.rotations() as f64,
+            mask_norm,
+            noise,
+            budget_bits: noise.budget_bits_statistical_at(params, level),
+            shipped_level,
+            outputs,
+            upload_bytes: upload - wire::HEADER_BYTES,
+            download_bytes: outputs * (download - wire::HEADER_BYTES),
+        }
+    }
+}
+
+/// The solver's output: one concrete chain for the whole network plus one
+/// round record per linear layer. Everything a session needs — exact
+/// moduli, `t`, the special prime, decomposition bases — is inside
+/// `params`; the records' levels are the ceilings `PreparedModel` prepares
+/// and runs each layer under.
 #[derive(Debug, Clone)]
 pub struct ChainPlan {
     /// Candidate name (`4096/hybrid_2x36`, …) for reports.
@@ -120,81 +185,37 @@ pub fn chain_candidates(degrees: &[usize]) -> Vec<(String, BfvParams)> {
     out
 }
 
-/// The plan the engine would prepare for one layer on a chain at a level:
-/// the kernel plan both layer kinds carry, and the label the prepared layer
-/// reports for it.
-struct KernelPlan {
-    kernel: BsgsPlan,
-    label: String,
-}
-
-impl KernelPlan {
-    /// Runs the chooser `HomFc` / `HomConv2d` runs at prepare time —
-    /// [`FcPlan::choose`] / [`ConvPlan::choose`] under the chain's cost
-    /// model at `level` — over the measured structure, or the dense
-    /// (fully live) one without it.
-    fn choose(
-        layer: &LinearLayer,
-        structure: Option<&LayerStructure>,
-        params: &BfvParams,
-        level: usize,
-    ) -> Self {
-        let cost = HeCostParams::for_bfv(params, level);
-        let fc = |s: &FcStructure| {
-            let plan = FcPlan::choose(s, params.slots(), &cost);
-            (plan.label(), plan.kernel)
-        };
-        let conv = |c: &ConvSpec, s: &ConvStructure| {
-            let plan = ConvPlan::choose(c, params.row_size(), s, &cost);
-            (plan.label(), plan.kernel)
-        };
-        let (label, kernel) = match (layer, structure) {
-            (LinearLayer::Fc(_), Some(LayerStructure::Fc(s))) => fc(s),
-            (LinearLayer::Fc(f), _) => fc(&FcStructure::dense(f.no, f.ni)),
-            (LinearLayer::Conv(c), Some(LayerStructure::Conv(s))) => conv(c, s),
-            (LinearLayer::Conv(c), _) => conv(c, &ConvStructure::dense(c.co, c.ci, c.fw)),
-        };
-        Self { kernel, label }
-    }
-
-    /// The plan's own output-noise prediction with every mask at the
-    /// largest norm a plaintext can have, `⌊t/2⌋`: a mask is batch-encoded,
-    /// so the centred norm of its *coefficients* — what multiplication
-    /// noise grows with, and what a prepared layer measures — has nothing
-    /// to do with the size of the weights in its slots, and for weights
-    /// without special structure sits within a hair of that bound.
-    fn noise_after(
-        &self,
-        input: &NoiseEstimate,
-        params: &BfvParams,
-        level: usize,
-    ) -> NoiseEstimate {
-        let norm = params.plain_modulus().value() / 2;
-        self.kernel.noise_after(input, params, level, norm)
-    }
-
-    /// The plan as a [`LayerPlan`]: the multiplies, rotations and label
-    /// the prepared kernel will perform and report — one multiply per live
-    /// mask, the hoisted baby replays and the giant steps (an FC layer's
-    /// fold is the client's); an all-zero layer costs nothing.
-    fn layer_plan(
-        &self,
-        layer: &LinearLayer,
-        params: &BfvParams,
-        level: usize,
-        budget_bits: f64,
-    ) -> LayerPlan {
-        let cost = HeCostParams::for_bfv(params, level);
-        LayerPlan {
-            layer: layer.name().to_owned(),
-            level,
-            plan: self.label.clone(),
-            int_mults: self.kernel.int_mults(&cost) as f64,
-            he_mult: self.kernel.live_masks() as f64,
-            he_rotate: self.kernel.rotations() as f64,
-            budget_bits,
-        }
-    }
+/// The record of `layer` at `level` on a fresh input, under the plan the
+/// chooser `HomFc` / `HomConv2d` run at prepare time picks there
+/// ([`FcPlan::choose`] / [`ConvPlan::choose`]) over the measured structure,
+/// or the dense one without it. Every mask is charged `⌊t/2⌋`: a
+/// batch-encoded mask's *coefficient* norm — what noise grows with — has
+/// nothing to do with the weights in its slots and, for weights without
+/// special structure, sits within a hair of that bound.
+fn layer_at(
+    layer: &LinearLayer,
+    structure: Option<&LayerStructure>,
+    params: &BfvParams,
+    level: usize,
+) -> LayerPlan {
+    let cost = HeCostParams::for_bfv(params, level);
+    let fc = |s: &FcStructure| {
+        let plan = FcPlan::choose(s, params.slots(), &cost);
+        (plan.label(), plan.kernel)
+    };
+    let conv = |c: &ConvSpec, s: &ConvStructure| {
+        let plan = ConvPlan::choose(c, params.row_size(), s, &cost);
+        (plan.label(), plan.kernel)
+    };
+    let (label, kernel) = match (layer, structure) {
+        (LinearLayer::Fc(_), Some(LayerStructure::Fc(s))) => fc(s),
+        (LinearLayer::Fc(f), _) => fc(&FcStructure::dense(f.no, f.ni)),
+        (LinearLayer::Conv(c), Some(LayerStructure::Conv(s))) => conv(c, s),
+        (LinearLayer::Conv(c), _) => conv(c, &ConvStructure::dense(c.co, c.ci, c.fw)),
+    };
+    let fresh = NoiseEstimate::fresh(params);
+    let norm = params.plain_modulus().value() / 2;
+    LayerPlan::new(layer.name(), &kernel, &label, params, level, &fresh, norm)
 }
 
 /// One layer on one chain: the cheapest of its [`feasible_levels`] (the
@@ -207,15 +228,14 @@ fn cheapest_level(
     structure: Option<&LayerStructure>,
     params: &BfvParams,
 ) -> Option<LayerPlan> {
-    let plans: Vec<KernelPlan> = (0..params.levels())
-        .map(|level| KernelPlan::choose(layer, structure, params, level))
+    let rounds: Vec<LayerPlan> = (0..params.levels())
+        .map(|level| layer_at(layer, structure, params, level))
         .collect();
     let fresh = NoiseEstimate::fresh(params);
-    feasible_levels(&fresh, params, |est, level| {
-        plans[level].noise_after(est, params, level)
-    })
-    .map(|(level, budget)| plans[level].layer_plan(layer, params, level, budget))
-    .min_by(|a, b| a.int_mults.total_cmp(&b.int_mults))
+    feasible_levels(&fresh, params, |_, level| rounds[level].noise)
+        .map(|(level, _)| &rounds[level])
+        .min_by(|a, b| a.int_mults.total_cmp(&b.int_mults))
+        .cloned()
 }
 
 /// Solves for one chain + per-layer levels/plans across a network's
@@ -359,23 +379,17 @@ mod tests {
         // is why the solver plans the deepest level the shared rule admits.
         let params = BfvParams::preset_rns_3x36(4096).unwrap();
         let layer = &tiny_layers()[1];
-        let plans: Vec<KernelPlan> = (0..params.levels())
-            .map(|level| KernelPlan::choose(layer, None, &params, level))
+        let rounds: Vec<LayerPlan> = (0..params.levels())
+            .map(|level| layer_at(layer, None, &params, level))
             .collect();
         let fresh = NoiseEstimate::fresh(&params);
-        let feasible: Vec<(usize, f64)> = feasible_levels(&fresh, &params, |est, level| {
-            plans[level].noise_after(est, &params, level)
-        })
-        .collect();
+        let feasible: Vec<(usize, f64)> =
+            feasible_levels(&fresh, &params, |_, level| rounds[level].noise).collect();
         let levels: Vec<usize> = feasible.iter().map(|&(level, _)| level).collect();
         assert_eq!(levels, [0, 1], "feasible levels");
         assert!(feasible[1].1 >= LEVEL_PLAN_MARGIN_BITS);
         assert!(feasible[1].1 < feasible[0].1, "budget shrinks with depth");
-        let price = |level: usize| {
-            plans[level]
-                .layer_plan(layer, &params, level, 0.0)
-                .int_mults
-        };
+        let price = |level: usize| rounds[level].int_mults;
         assert!(price(1) < price(0), "deeper level must be cheaper");
         let chosen = cheapest_level(layer, None, &params).unwrap();
         assert_eq!((chosen.level, chosen.budget_bits), feasible[1]);

@@ -21,7 +21,7 @@ use cheetah_bfv::{
     Result, Scratch, SeededGaloisKeys,
 };
 use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc, PreparedKernel};
-use cheetah_core::solver::ChainPlan;
+use cheetah_core::solver::{ChainPlan, LayerPlan};
 use cheetah_core::Schedule;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
@@ -37,30 +37,13 @@ pub(crate) enum HomLayer {
 
 impl HomLayer {
     /// The rotate–multiply–accumulate kernel the layer prepared — its
-    /// *instance* plan, masks and label. Rotation steps (a session
-    /// generates keys only for rotations the prepared weights actually
-    /// perform: a 90%-sparse layer's keygen shrinks with its plan, an
-    /// all-zero layer needs no keys at all), the transcript label, the
-    /// Table-III noise prediction, the output ciphertext count and the
-    /// evaluation itself are all the kernel's, whichever layer laid it out.
+    /// *instance* plan, masks and label, whichever layer laid it out: the
+    /// round's record is built from it, and it evaluates the layer.
     fn kernel(&self) -> &PreparedKernel {
         match self {
             HomLayer::Conv(c) => c.kernel(),
             HomLayer::Fc(f) => f.kernel(),
         }
-    }
-
-    /// The deepest level this layer can run at for an input with the
-    /// given noise estimate: the last of [`feasible_levels`] over this
-    /// layer's own prediction, or 0 (full chain) when no level clears the
-    /// margin.
-    fn plan_level(&self, input: &NoiseEstimate, params: &BfvParams) -> usize {
-        let kernel = self.kernel();
-        feasible_levels(input, params, |est, level| {
-            kernel.noise_after(est, params, level)
-        })
-        .last()
-        .map_or(0, |(level, _)| level)
     }
 
     /// The layer's input layout — an FC layer's is its plan's tiling, so
@@ -131,11 +114,10 @@ fn apply_nonlinear(layers: &[Layer], input: &Tensor) -> Result<Tensor> {
 }
 
 /// Everything about a model that is client-independent, prepared once:
-/// packed weight plaintexts, BSGS/level plans, the nonlinear
-/// bundle structure and its output shapes, and the union of rotation
-/// steps clients must bring Galois keys for. Immutable after
-/// construction — shared behind an `Arc` across any number of
-/// concurrent sessions.
+/// packed weight plaintexts, one [`LayerPlan`] per linear layer — the
+/// record of its round, which both session halves execute — the nonlinear
+/// bundle structure and its output shapes. Immutable after construction —
+/// shared behind an `Arc` across any number of concurrent sessions.
 pub struct PreparedModel {
     params: BfvParams,
     encoder: BatchEncoder,
@@ -150,19 +132,16 @@ pub struct PreparedModel {
     /// `bundle_shapes[k]`: output shape of linear layer `k`'s nonlinear
     /// bundle — the shape of the next round's client-side mask.
     bundle_shapes: Vec<Vec<usize>>,
-    /// Sorted, deduplicated union of every layer plan's rotation steps.
-    steps: Vec<i64>,
     /// The parameter-chain fingerprint every client message must carry.
     fingerprint: u64,
-    /// Solver-planned level per linear layer (HE-PTune v2's
-    /// [`ChainPlan`]); the level planner never goes *deeper* than this
-    /// ceiling, so the prepared layers' own noise predictions can only
-    /// tighten the plan, never loosen it past what the chain solver
-    /// provisioned.
+    /// Solver-planned level per linear layer ([`ChainPlan`]): a ceiling the
+    /// level planner never goes *deeper* than.
     planned_levels: Option<Vec<usize>>,
-    /// The level each linear layer runs at ([`PreparedModel::level`]):
-    /// its upload is encrypted there and refused anywhere else.
-    levels: Vec<usize>,
+    /// One round record per linear layer ([`PreparedModel::round`]).
+    rounds: Vec<LayerPlan>,
+    /// Sorted, deduplicated union of the records' Galois steps — the slice
+    /// [`PreparedModel::required_steps`] lends out.
+    key_steps: Vec<i64>,
 }
 
 impl PreparedModel {
@@ -242,10 +221,11 @@ impl PreparedModel {
         let encoder = BatchEncoder::new(params.clone());
         let evaluator = Evaluator::new(params.clone());
 
-        // Prepare every linear layer, then collect exactly the rotation
-        // steps the prepared layers' plans need (a BSGS FC layer needs
+        // Prepare every linear layer; its record then holds exactly the
+        // rotation steps the prepared plan needs (a BSGS FC layer needs
         // O(√d) keys, not d − 1; sparse layers only their live steps).
         let mut layers = Vec::new();
+        let mut names = Vec::new();
         let mut leading = Vec::new();
         let mut bundles: Vec<Vec<Layer>> = Vec::new();
         for layer in &net.layers {
@@ -253,6 +233,7 @@ impl PreparedModel {
                 let k = layers.len();
                 let level = planned_levels.as_ref().map_or(0, |ls| ls[k]);
                 let w = weights.layer(k);
+                names.push(lin.name());
                 layers.push(match lin {
                     LinearLayer::Conv(c) => {
                         HomLayer::Conv(HomConv2d::new_at_level(c, w, &encoder, &evaluator, level)?)
@@ -276,10 +257,6 @@ impl PreparedModel {
                 Ok(apply_nonlinear(bundle, &zeros)?.shape().to_vec())
             })
             .collect::<Result<Vec<_>>>()?;
-        let kernels = layers.iter().map(HomLayer::kernel);
-        let mut steps: Vec<i64> = kernels.flat_map(|k| k.plan().rotation_steps()).collect();
-        steps.sort_unstable();
-        steps.dedup();
         let fingerprint = cheetah_bfv::chain_fingerprint(&params);
 
         let mut model = Self {
@@ -290,26 +267,42 @@ impl PreparedModel {
             leading,
             bundles,
             bundle_shapes,
-            steps,
             fingerprint,
             planned_levels,
-            levels: Vec::new(),
+            rounds: Vec::new(),
+            key_steps: Vec::new(),
         };
         // Layer 0's input is a fresh encryption; every later layer's is a
         // fresh encryption of a masked activation, from which the server
         // removes the previous mask — a plaintext of norm up to ⌊t/2⌋.
         let fresh = NoiseEstimate::fresh(&model.params);
         let unmasked = fresh.add_plain(model.params.plain_modulus().value() / 2);
-        model.levels = (0..model.layers.len())
-            .map(|k| model.plan_level(k, if k == 0 { &fresh } else { &unmasked }))
+        model.rounds = names
+            .iter()
+            .enumerate()
+            .map(|(k, name)| {
+                let input = if k == 0 { &fresh } else { &unmasked };
+                let level = model.plan_level(k, input);
+                let kernel = model.layers[k].kernel();
+                let (plan, label, norm) = (kernel.plan(), kernel.label(), kernel.mask_norm());
+                LayerPlan::new(name, plan, label, &model.params, level, input, norm)
+            })
             .collect();
+        let mut steps: Vec<i64> = model.rounds.iter().flat_map(|r| r.steps.clone()).collect();
+        steps.sort_unstable();
+        steps.dedup();
+        model.key_steps = steps;
         Ok(Arc::new(model))
     }
 
-    /// The solver-planned per-layer levels, when this model was prepared
-    /// via [`PreparedModel::from_chain_plan`].
-    pub fn planned_levels(&self) -> Option<&[usize]> {
-        self.planned_levels.as_deref()
+    /// The record of linear layer `k`'s round, fixed when the model was
+    /// prepared: [`LayerPlan::new`] of the prepared kernel at
+    /// [`PreparedModel::plan_level`] of the layer's input — a fresh
+    /// encryption for layer 0, one with a `⌊t/2⌋`-norm mask removed after.
+    /// Part of the model description, like the layer shapes: it reveals no
+    /// more than every message header already carries.
+    pub fn round(&self, k: usize) -> &LayerPlan {
+        &self.rounds[k]
     }
 
     /// The parameter set every client must match (see
@@ -335,9 +328,9 @@ impl PreparedModel {
     }
 
     /// The exact rotation steps clients must bring Galois keys for —
-    /// sorted and deduplicated across every layer plan.
+    /// sorted and deduplicated across every round's steps.
     pub fn required_steps(&self) -> &[i64] {
-        &self.steps
+        &self.key_steps
     }
 
     /// FNV-1a fingerprint of the parameter chain
@@ -358,7 +351,7 @@ impl PreparedModel {
     /// [`Error::Unsupported`] when the set holds a surplus key.
     pub fn check_key_coverage(&self, keys: &SeededGaloisKeys) -> Result<()> {
         let mut read = BTreeSet::new();
-        for &step in &self.steps {
+        for &step in &self.key_steps {
             read.insert(keys.get_for_step(self.params.degree(), step)?.element);
         }
         // `read` is a subset of the set's elements: anything more is surplus.
@@ -395,16 +388,22 @@ impl PreparedModel {
         &self.bundle_shapes[k]
     }
 
-    /// Human-readable rotation-plan label of linear layer `k`.
+    /// The level linear layer `k` runs at: its round's `level`.
+    pub fn level(&self, k: usize) -> usize {
+        self.rounds[k].level
+    }
+
+    /// Human-readable rotation-plan label of linear layer `k`: its
+    /// round's `plan`.
     pub fn plan_label(&self, k: usize) -> String {
-        self.layers[k].kernel().label().to_owned()
+        self.rounds[k].plan.clone()
     }
 
     /// Number of ciphertexts linear layer `k` ships per masked download
-    /// (one, unless a convolution's output channels overflow a row) —
-    /// what a client validates a download bundle's framing against.
+    /// (one, unless a convolution's output channels overflow a row): its
+    /// round's `outputs`.
     pub fn output_ciphertexts(&self, k: usize) -> usize {
-        self.layers[k].kernel().plan().outputs()
+        self.rounds[k].outputs
     }
 
     /// Output tensor shape of linear layer `k` (before its bundle).
@@ -421,41 +420,27 @@ impl PreparedModel {
         self.layers[k].pack(t, &self.encoder)
     }
 
-    /// Table-III noise prediction of linear layer `k` at a level.
-    pub fn noise_after(&self, k: usize, input: &NoiseEstimate, level: usize) -> NoiseEstimate {
+    /// Table-III noise prediction of linear layer `k` at its round's
+    /// level, on an input other than the one its record assumed.
+    pub(crate) fn noise_after(&self, k: usize, input: &NoiseEstimate) -> NoiseEstimate {
         let kernel = self.layers[k].kernel();
-        kernel.noise_after(input, &self.params, level)
-    }
-
-    /// The coefficient norm linear layer `k`'s noise prediction charges:
-    /// the largest of its prepared masks'.
-    pub fn mask_norm(&self, k: usize) -> u64 {
-        self.layers[k].kernel().mask_norm()
+        kernel.noise_after(input, &self.params, self.rounds[k].level)
     }
 
     /// The deepest safe level for linear layer `k` given an input noise
-    /// estimate (see the planner notes on the layer type). When the model
-    /// was prepared from a [`ChainPlan`], the solver's planned level caps
-    /// the answer: the estimate may pull the layer shallower than planned
-    /// but never deeper.
+    /// estimate: the last of [`feasible_levels`] over the layer's own
+    /// prediction, or 0 (full chain) when no level clears the margin. When
+    /// the model was prepared from a [`ChainPlan`], the solver's planned
+    /// level caps the answer: the estimate may pull the layer shallower
+    /// than planned but never deeper.
     pub fn plan_level(&self, k: usize, input: &NoiseEstimate) -> usize {
-        let safe = self.layers[k].plan_level(input, &self.params);
-        match &self.planned_levels {
-            Some(levels) => safe.min(levels[k]),
-            None => safe,
-        }
-    }
-
-    /// The level linear layer `k` runs at, fixed when the model is
-    /// prepared: [`PreparedModel::plan_level`] of a fresh encryption for
-    /// layer 0, and of a fresh encryption with a `⌊t/2⌋`-norm mask removed
-    /// for every later layer. The client encrypts the layer's upload at
-    /// this level and the server refuses it at any other, so no limb the
-    /// layer does not need crosses the wire. Part of the model
-    /// description, like the layer shapes: it reveals no more than the
-    /// level every download header already carries.
-    pub fn level(&self, k: usize) -> usize {
-        self.levels[k]
+        let kernel = self.layers[k].kernel();
+        let feasible = feasible_levels(input, &self.params, |est, level| {
+            kernel.noise_after(est, &self.params, level)
+        });
+        let safe = feasible.last().map_or(0, |(level, _)| level);
+        let cap = self.planned_levels.as_ref().map_or(usize::MAX, |l| l[k]);
+        safe.min(cap)
     }
 
     /// Applies linear layer `k` homomorphically with a client's keys, out
@@ -521,7 +506,7 @@ impl PreparedModel {
         mut rest: impl FnMut() -> i64,
     ) -> Result<Vec<Plaintext>> {
         let layer = &self.layers[k];
-        let mut balancing = vec![vec![false; self.encoder.slots()]; self.output_ciphertexts(k)];
+        let mut balancing = vec![vec![false; self.encoder.slots()]; self.rounds[k].outputs];
         for i in 0..mask.len() {
             let (ct, windows) = layer.output_slot(i);
             if let Some(&first) = windows.first() {
@@ -630,7 +615,7 @@ mod tests {
             let shape = prepared.output_shape(k);
             let len: usize = shape.iter().product();
             let windows = layer.output_slot(0).1.len();
-            assert_eq!(windows > 1, k > 0, "{}", prepared.plan_label(k));
+            assert_eq!(windows > 1, k > 0, "{}", prepared.round(k).plan);
             // Random masks, and the ends of the centred range on every
             // element.
             for case in 0..4 {
@@ -649,7 +634,7 @@ mod tests {
                         rng.random_range(-half_t..=half_t)
                     })
                     .unwrap();
-                assert_eq!(packed.len(), prepared.output_ciphertexts(k));
+                assert_eq!(packed.len(), prepared.round(k).outputs);
                 let slots = prepared.encoder.slots();
                 assert_eq!(draws, packed.len() * slots - len, "layer {k}");
                 let decoded: Vec<Vec<i64>> = packed

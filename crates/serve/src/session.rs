@@ -47,19 +47,20 @@
 //!
 //! ## The halves
 //!
-//! [`ClientSession`] plays the owner **of the data** (steps 1, 3, 4): it
-//! holds the secret key, encrypts each activation upload at the level its
-//! layer runs at ([`PreparedModel::level`]), and decrypts masked
-//! downloads behind the measured-noise gate
+//! Both halves execute each layer's round record ([`PreparedModel::round`],
+//! fixed when the model is prepared). [`ClientSession`] plays the owner
+//! **of the data** (steps 1, 3, 4): it holds the secret key, encrypts each
+//! activation upload at the record's level, and decrypts masked downloads
+//! at the record's levels and length behind the measured-noise gate
 //! ([`cheetah_bfv::Decryptor::decrypt_checked`]). [`ServerSession`] plays
 //! the cloud (step 2): it holds the client's Galois keys, expanded from
 //! the seeded set the client registers (handed over in-process, accounted
-//! at its wire size), refuses an upload at any level but its layer's,
+//! at its wire size), refuses an upload at any level but the record's,
 //! removes the previous round's mask there, applies the prepared layer,
-//! switches the result to its shipping level, re-masks, and records the
-//! [`Transcript`] and one [`LayerReport`] per layer. Both run against one
-//! immutable [`PreparedModel`] holding everything client-independent —
-//! the per-layer levels included.
+//! switches the result to the record's shipping level, re-masks, and
+//! records the [`Transcript`] and one [`LayerReport`] per layer. Both run
+//! against one immutable [`PreparedModel`] holding everything
+//! client-independent.
 //!
 //! Everything that crosses between the halves is either validated wire
 //! bytes or the functional garbled-circuit handoff
@@ -84,18 +85,17 @@
 //! server runs the layer on the upload as it arrives, with no switch
 //! before it. Downloads have evaluated, non-seeded `c1` components
 //! and ship both, `2·Σ_{i<live} n·w_i/8` bytes, `live` counted at the
-//! *shipping* level: each layer's outputs are switched to the deepest
-//! level their noise allows before the mask goes on
-//! ([`cheetah_core::linear::shipping_level`]) — Gazelle's switch before
-//! sending, on the bench chains the last limb.
+//! *shipping* level: each layer's outputs are switched to the level its
+//! record ships at before the mask goes on — Gazelle's switch before
+//! sending, on the bench chains the last limb. Each half checks every
+//! message against the record's byte count ([`Error::Malformed`]).
 
 use std::sync::Arc;
 
 use cheetah_bfv::{
     wire, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, GaloisKeys, KeyGenerator,
-    NoiseEstimate, Plaintext, Result, Scratch, SeededGaloisKeys,
+    Result, Scratch, SeededGaloisKeys,
 };
-use cheetah_core::linear::shipping_level;
 use cheetah_nn::{Network, Tensor, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,17 +113,14 @@ use crate::transcript::{garbled_circuit_bytes, Direction, Transcript};
 pub struct LayerReport {
     /// Linear-layer index.
     pub layer: usize,
-    /// Rotation-plan label: `fc bsgs tiles=.. b=.. g=.. live=../.. fold=..`
-    /// (input copies per period, baby width, giant groups, live of all
-    /// tiled diagonals, windows per output the client adds) or
-    /// `conv packed b=.. g=.. live=../.. out=..` (baby width, giant
-    /// groups, live of all `(d, tap)` masks, output ciphertexts).
+    /// Rotation-plan label: the round record's
+    /// ([`cheetah_core::solver::LayerPlan::plan`]).
     pub plan: String,
     /// Level the layer ran at.
     pub level: usize,
-    /// Level the masked download shipped at — the deepest the outputs'
-    /// noise allows ([`shipping_level`]), never shallower than
-    /// [`LayerReport::level`].
+    /// Level the masked download shipped at: the round record's, the
+    /// deepest the layer's predicted output noise allows under a `⌊t/2⌋`
+    /// mask ([`cheetah_core::solver::LayerPlan::shipped_level`]).
     pub shipped_level: usize,
     /// Tracked statistical budget (bits) of the worst shipped ciphertext:
     /// the margin the client decrypts under. The session aborts rather
@@ -186,22 +183,16 @@ pub struct LayerDownload {
     pub next_mask: Option<Tensor>,
 }
 
-/// Cross-checks an encoded ciphertext message against the transcript
-/// accounting relation — a wire message is exactly the payload the wire
-/// module sizes it at (`2·Σ_{i<live} n·w_i/8` for a full ciphertext,
-/// `8 + Σ_i n·w_i/8` for a seeded one, `w_i` the bit width of `q_i`)
-/// plus the fixed header — before the message ships.
-fn check_wire_accounting(encoded: usize, accounted: usize) -> Result<()> {
-    if encoded != accounted + wire::HEADER_BYTES {
-        return Err(Error::Malformed {
-            what: "ciphertext",
-            reason: format!(
-                "encoder produced {encoded} bytes where accounting expects {accounted} + {} header",
-                wire::HEADER_BYTES
-            ),
-        });
-    }
-    Ok(())
+/// Refuses `what`, `found` bytes long, unless it is the `payload` bytes
+/// the round's record sizes it at plus one header per message.
+fn check_bytes(what: &'static str, found: usize, payload: usize, messages: usize) -> Result<()> {
+    let expected = payload + messages * wire::HEADER_BYTES;
+    (found == expected)
+        .then_some(())
+        .ok_or_else(|| Error::Malformed {
+            what,
+            reason: format!("{found} bytes where the round's record expects {expected}"),
+        })
 }
 
 /// The client half: secret key, encryptors, and activation state.
@@ -321,46 +312,44 @@ impl ClientSession {
     /// packing/encryption/encoding errors.
     pub fn next_upload(&mut self) -> Result<Vec<u8>> {
         let packed = self.model.pack(self.layer, self.pending()?)?;
-        let level = self.model.level(self.layer);
-        let (ct, seed) = self.encryptor.encrypt_seeded_at(&packed, level)?;
+        let round = self.model.round(self.layer);
+        let (ct, seed) = self.encryptor.encrypt_seeded_at(&packed, round.level)?;
         let encoded = wire::encode_ciphertext_seeded(&ct, seed)?;
-        let payload = wire::seeded_ciphertext_wire_bytes(ct.params(), level) - wire::HEADER_BYTES;
-        check_wire_accounting(encoded.len(), payload)?;
+        check_bytes("ciphertext", encoded.len(), round.upload_bytes, 1)?;
         Ok(encoded)
     }
 
     /// Consumes one masked download: splits and validates the wire
-    /// bundle, decrypts behind the measured-noise gate, runs the
-    /// simulated GC (unmask → nonlinear bundle → re-mask). Returns the
+    /// bundle, checks each message's level and the bundle's length against
+    /// the round's record, decrypts behind the measured-noise gate, runs
+    /// the simulated GC (unmask → nonlinear bundle → re-mask). Returns the
     /// prediction after the final linear layer, `None` otherwise.
     ///
     /// # Errors
     ///
     /// [`Error::Unsupported`] when no round is pending, wire validation
-    /// errors, [`Error::NoiseBudgetExhausted`] from the decrypt gate,
-    /// [`Error::Malformed`] on a mis-framed bundle.
+    /// errors, and — before anything is decrypted —
+    /// [`Error::LevelMismatch`] off the record's shipping level and
+    /// [`Error::Malformed`] off its length (so off its message count);
+    /// [`Error::NoiseBudgetExhausted`] from the decrypt gate.
     pub fn absorb_download(&mut self, dl: &LayerDownload) -> Result<Option<Tensor>> {
         self.pending()?;
         let model = &self.model;
         let k = self.layer;
+        let round = model.round(k);
         let t_mod = *model.params().plain_modulus();
 
         let parts = wire::split_ciphertext_messages(&dl.payload, model.params())?;
-        let expected = model.output_ciphertexts(k);
-        if parts.len() != expected {
-            return Err(Error::Malformed {
-                what: "ciphertext bundle",
-                reason: format!(
-                    "download framed {} messages where {expected} were expected",
-                    parts.len()
-                ),
-            });
+        let decode = |part: &&[u8]| wire::decode_ciphertext(part, model.params());
+        let cts = parts.iter().map(decode).collect::<Result<Vec<_>>>()?;
+        if let Some(ct) = cts.iter().find(|ct| ct.level() != round.shipped_level) {
+            let (expected, found) = (round.shipped_level, ct.level());
+            return Err(Error::LevelMismatch { expected, found });
         }
-        let mut slot_vecs = Vec::with_capacity(parts.len());
-        for part in parts {
-            let ct = wire::decode_ciphertext(part, model.params())?;
-            slot_vecs.push(self.decrypt_slots(&ct)?);
-        }
+        let (bundle, payload) = (dl.payload.len(), round.download_bytes);
+        check_bytes("ciphertext bundle", bundle, payload, round.outputs)?;
+        let slot_vecs = cts.iter().map(|ct| self.decrypt_slots(ct));
+        let slot_vecs = slot_vecs.collect::<Result<Vec<_>>>()?;
         let masked_out = model.unpack(k, &slot_vecs);
 
         // Simulated GC: unmask, nonlinear bundle, re-mask for the next
@@ -553,7 +542,8 @@ impl ServerSession {
             bytes.to_vec(),
         );
         let mut ct = self.decode_boundary(&label, bytes)?;
-        let level = model.level(k);
+        let round = model.round(k);
+        let level = round.level;
         if ct.level() != level {
             let (expected, found) = (level, ct.level());
             return Err(self.reject(&label, Error::LevelMismatch { expected, found }));
@@ -573,21 +563,17 @@ impl ServerSession {
 
         // The HE linear layer, with this client's keys, over the live
         // limbs the upload arrived with.
-        let predicted = model.noise_after(k, ct.noise(), level);
+        let predicted = model.noise_after(k, ct.noise());
         let mut outputs = model.apply_with_scratch(k, &ct, &self.keys, scratch)?;
 
         // Conformance record, on the pre-mask outputs at the level the
         // layer ran at. Tracked/predicted bounds are free; the *measured*
         // invariant noise needs a real decryption per ciphertext, so it is
         // only taken with a lent decryptor.
-        let mut worst = NoiseEstimate::zero();
+        let mut tracked = f64::NEG_INFINITY;
         let mut measured = None;
         for out_ct in &outputs {
-            let noise = out_ct.noise();
-            worst = NoiseEstimate {
-                bound_log2: worst.bound_log2.max(noise.bound_log2),
-                variance_log2: worst.variance_log2.max(noise.variance_log2),
-            };
+            tracked = tracked.max(out_ct.noise().bound_log2);
             if let Some(meter) = &self.noise_meter {
                 let m = (meter.invariant_noise(out_ct)?.max(1) as f64).log2();
                 measured = Some(measured.map_or(m, |prev: f64| prev.max(m)));
@@ -601,12 +587,10 @@ impl ServerSession {
         let (mask, mask_pts) = model.draw_output_mask(k, &mut self.mask_rng)?;
         let out_len = mask.len();
 
-        // Switch every output down to the one level the worst of them
-        // can ship at once masked, then mask there: the client decodes and
-        // decrypts only the limbs the noise needs, and the mask's lift
-        // covers only those.
-        let mask_norm = mask_pts.iter().map(Plaintext::inf_norm).max().unwrap_or(0);
-        let shipped_level = shipping_level(&worst, level, mask_norm, params);
+        // Switch every output down to the level the round's record ships
+        // at, then mask there: the client decodes and decrypts only the
+        // limbs the noise needs, and the mask's lift covers only those.
+        let shipped_level = round.shipped_level;
         let mut shipped_budget = f64::INFINITY;
         for (out_ct, m_pt) in outputs.iter_mut().zip(&mask_pts) {
             model
@@ -621,12 +605,12 @@ impl ServerSession {
         }
         self.reports.push(LayerReport {
             layer: k,
-            plan: model.plan_label(k),
+            plan: round.plan.clone(),
             level,
             shipped_level,
             shipped_budget_bits: shipped_budget,
             predicted_bound_log2: predicted.bound_log2,
-            tracked_bound_log2: worst.bound_log2,
+            tracked_bound_log2: tracked,
             measured_noise_log2: measured,
             fault: None,
             upload_bytes: up_bytes,
@@ -648,16 +632,18 @@ impl ServerSession {
         // Serialize the masked outputs: downloads carry evaluated c1
         // components, so they ship in the full kind. One transcript
         // record per layer (the byte pin other suites rely on), its
-        // payload the back-to-back wire messages.
-        let message = wire::ciphertext_wire_bytes(params, shipped_level);
-        let payload = message - wire::HEADER_BYTES;
-        let dl_bytes = outputs.len() * payload;
-        let mut dl_payload = Vec::with_capacity(outputs.len() * message);
+        // payload the back-to-back wire messages, at the record's size.
+        let dl_bytes = round.download_bytes;
+        let mut dl_payload = Vec::with_capacity(dl_bytes + outputs.len() * wire::HEADER_BYTES);
         for mct in &outputs {
-            let encoded = wire::encode_ciphertext(mct);
-            check_wire_accounting(encoded.len(), payload)?;
-            dl_payload.extend_from_slice(&encoded);
+            dl_payload.extend_from_slice(&wire::encode_ciphertext(mct));
         }
+        check_bytes(
+            "ciphertext bundle",
+            dl_payload.len(),
+            dl_bytes,
+            round.outputs,
+        )?;
         if let Some(r) = self.reports.last_mut() {
             r.download_bytes = dl_bytes;
         }

@@ -362,7 +362,7 @@ fn an_upload_at_another_level_than_its_layers_is_refused() {
     let weights = Weights::random(&net, 2, 95);
     let input = random_input(&net.input_shape, 3, 96);
     let model = PreparedModel::new(&net, &weights, session_params_3_limb()).unwrap();
-    let level = model.level(0);
+    let level = model.round(0).level;
     assert!(level >= 1, "the tiny CNN's first layer runs below level 0");
     let (mut client, setup) = ClientSession::new(Arc::clone(&model), 9, &input).unwrap();
     let mut server = ServerSession::new(Arc::clone(&model), setup, 9).unwrap();
@@ -462,6 +462,116 @@ fn bench_shapes() -> Vec<(&'static str, Network, Weights, BfvParams, usize)> {
         ),
         ("fleet_sparse", mlp, sparse, hybrid, 10),
     ]
+}
+
+#[test]
+fn each_rounds_record_ships_where_the_runtime_rule_would() {
+    // The level a download ships at is fixed in the round's record when
+    // the model is prepared: the layer's *predicted* output noise under a
+    // `⌊t/2⌋` mask. The rule it replaced decided per round, from the
+    // outputs' *tracked* noise and the drawn mask plaintexts' norm. Replayed
+    // on the server's own state in every round — tiny CNN and the bench
+    // MLP, on both bench chains — the old rule picks the record's level,
+    // and every report carries the record's message bytes.
+    use cheetah_bfv::{NoiseEstimate, Plaintext};
+    use cheetah_core::linear::shipping_level;
+
+    let tiny = tiny_cnn();
+    let mlp = bench_shapes().swap_remove(0).1;
+    let digit = BfvParams::preset_rns_3x36(4096).unwrap();
+    let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
+    for params in [digit, hybrid] {
+        for (net, bound) in [(&tiny, 2), (&mlp, 1)] {
+            let weights = Weights::random(net, bound, 41);
+            let input = random_input(&net.input_shape, 3, 42);
+            let model = PreparedModel::new(net, &weights, params.clone()).unwrap();
+            let (mut client, setup) = ClientSession::new(Arc::clone(&model), 43, &input).unwrap();
+            let mut server = ServerSession::new(Arc::clone(&model), setup, 43).unwrap();
+            let mut scratch = model.evaluator().new_scratch();
+            for k in 0..model.linear_count() {
+                let round = model.round(k);
+                let what = format!("{} L{k} on {} limbs", net.name, params.limbs());
+                let upload = client.next_upload().unwrap();
+
+                // The session's former rule, on the outputs the server
+                // computes and the mask plaintexts it adds: what the client
+                // decrypts from the download, less the outputs unmasked.
+                let mut ct = wire::decode_ciphertext(&upload, model.params()).unwrap();
+                if let Some(r) = &server.cloud_mask {
+                    let neg = r.data().iter().map(|&v| -v).collect();
+                    let neg = model.pack(k, &Tensor::from_data(r.shape(), neg)).unwrap();
+                    let eval = model.evaluator();
+                    eval.add_plain_assign(&mut ct, &neg, &mut scratch).unwrap();
+                }
+                let outputs = model.apply(k, &ct, &server.keys).unwrap();
+                let worst = outputs.iter().fold(NoiseEstimate::zero(), |w, out| {
+                    let noise = out.noise();
+                    NoiseEstimate {
+                        bound_log2: w.bound_log2.max(noise.bound_log2),
+                        variance_log2: w.variance_log2.max(noise.variance_log2),
+                    }
+                });
+                let download = server.process_upload(&upload, &mut scratch).unwrap();
+                let t = model.params().plain_modulus().value();
+                let parts = wire::split_ciphertext_messages(&download.payload, model.params());
+                let mut norm = 0;
+                for (part, out) in parts.unwrap().iter().zip(&outputs) {
+                    let shipped = wire::decode_ciphertext(part, model.params()).unwrap();
+                    let masked = client.decryptor.decrypt(&shipped).unwrap();
+                    let bare = client.decryptor.decrypt(out).unwrap();
+                    let pairs = masked.coeffs().iter().zip(bare.coeffs());
+                    let mask = pairs.map(|(&m, &b)| (m + t - b) % t).collect();
+                    let mask = Plaintext::from_coeffs(mask, model.params().clone()).unwrap();
+                    norm = norm.max(mask.inf_norm());
+                }
+                let runtime = shipping_level(&worst, round.level, norm, model.params());
+                assert_eq!(runtime, round.shipped_level, "{what}: shipped level");
+
+                let report = &server.reports()[k];
+                assert_eq!(report.shipped_level, round.shipped_level, "{what}");
+                assert_eq!(
+                    (report.upload_bytes, report.download_bytes),
+                    (round.upload_bytes, round.download_bytes),
+                    "{what}: message bytes"
+                );
+                client.absorb_download(&download).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_download_off_its_records_length_is_refused_before_decryption() {
+    // A bundle of well-formed messages at the record's shipping level, one
+    // too many: the client refuses it on length alone, decrypts nothing and
+    // keeps its round, so the honest download still goes through.
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 97);
+    let input = random_input(&net.input_shape, 3, 98);
+    let model = PreparedModel::new(&net, &weights, session_params_3_limb()).unwrap();
+    let (mut client, setup) = ClientSession::new(Arc::clone(&model), 9, &input).unwrap();
+    let mut server = ServerSession::new(Arc::clone(&model), setup, 9).unwrap();
+    let upload = client.next_upload().unwrap();
+    let download = server
+        .process_upload(&upload, &mut model.evaluator().new_scratch())
+        .unwrap();
+    let expected = model.round(0).download_bytes + wire::HEADER_BYTES * model.round(0).outputs;
+    assert_eq!(download.payload.len(), expected);
+
+    let padded = LayerDownload {
+        payload: download.payload.repeat(2),
+        mask: download.mask.clone(),
+        next_mask: download.next_mask.clone(),
+    };
+    let refused = client.absorb_download(&padded);
+    assert!(
+        matches!(&refused, Err(Error::Malformed { reason, .. }) if reason.contains("record")),
+        "{:?}",
+        refused.err()
+    );
+    assert_eq!(client.layer(), 0);
+    assert!(client.absorb_download(&download).unwrap().is_none());
+    assert_eq!(client.layer(), 1);
 }
 
 #[test]

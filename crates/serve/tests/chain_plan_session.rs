@@ -37,11 +37,14 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
     assert_eq!(plan.layers.len(), net.linear_layers().len());
 
     let prepared = PreparedModel::from_chain_plan(&net, &weights, &plan).expect("prepare");
-    assert_eq!(
-        prepared.planned_levels(),
-        Some(plan.levels().as_slice()),
-        "the solver's levels must reach the prepared model"
-    );
+    for (k, lp) in plan.layers.iter().enumerate() {
+        let round = prepared.round(k);
+        assert_eq!(
+            (&round.layer, round.level),
+            (&lp.layer, lp.level),
+            "the solver's levels must reach the prepared model"
+        );
+    }
     assert_eq!(prepared.params(), &plan.params);
 
     let mut session = PrivateInferenceSession::with_prepared(Arc::clone(&prepared), 77).unwrap();
@@ -73,10 +76,14 @@ fn planned_levels_cap_the_runtime_level_planner() {
 
     let capped = PreparedModel::from_chain_plan(&net, &weights, &plan).unwrap();
     let uncapped = PreparedModel::new(&net, &weights, plan.params.clone()).unwrap();
-    assert_eq!(uncapped.planned_levels(), None);
 
     let fresh = NoiseEstimate::fresh(&plan.params);
+    let unmasked = fresh.add_plain(plan.params.plain_modulus().value() / 2);
     for (k, &planned) in plan.levels().iter().enumerate() {
+        // Nothing caps a model prepared without a plan: each record runs
+        // at its layer's own deepest safe level.
+        let input = if k == 0 { &fresh } else { &unmasked };
+        assert_eq!(uncapped.round(k).level, uncapped.plan_level(k, input));
         let runtime = uncapped.plan_level(k, &fresh);
         let got = capped.plan_level(k, &fresh);
         assert!(

@@ -162,7 +162,10 @@ fn solver_planned_model_serves_concurrent_clients() {
     let plan = solve_chain_plan(&net.linear_layers(), &QuantSpec::default(), &[N])
         .expect("tiny CNN must be solvable");
     let model = PreparedModel::from_chain_plan(&net, &weights, &plan).unwrap();
-    assert_eq!(model.planned_levels(), Some(plan.levels().as_slice()));
+    let levels: Vec<usize> = (0..model.linear_count())
+        .map(|k| model.round(k).level)
+        .collect();
+    assert_eq!(levels, plan.levels());
 
     let pool = ServerPool::new(Arc::clone(&model), CLIENTS);
     let results = pool.run(drivers(&model, &inputs));

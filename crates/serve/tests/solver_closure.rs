@@ -112,37 +112,28 @@ fn fresh_at(params: &BfvParams, _level: usize) -> NoiseEstimate {
 }
 
 /// The budget of the plan the engine's chooser picks for `structure` at
-/// `level`, asked for its own `noise_after` a fresh encryption made at
-/// that level, every mask at `norm` — at `⌊t/2⌋`, what the solver must
-/// have computed, to the bit.
+/// `level`, asked for its own `noise_after` an input of noise `input`,
+/// every mask at `norm` — on a fresh encryption made at that level and at
+/// `⌊t/2⌋`, what the solver must have computed, to the bit.
 fn plan_budget(
     layer: &LinearLayer,
     structure: &LayerStructure,
     params: &BfvParams,
     level: usize,
+    input: &NoiseEstimate,
     norm: u64,
 ) -> f64 {
     let cost = HeCostParams::for_bfv(params, level);
-    let input = fresh_at(params, level);
     let out = match (layer, structure) {
         (LinearLayer::Fc(_), LayerStructure::Fc(s)) => {
-            FcPlan::choose(s, params.slots(), &cost).noise_after(&input, params, level, norm)
+            FcPlan::choose(s, params.slots(), &cost).noise_after(input, params, level, norm)
         }
         (LinearLayer::Conv(c), LayerStructure::Conv(s)) => {
-            ConvPlan::choose(c, params.row_size(), s, &cost)
-                .noise_after(&input, params, level, norm)
+            ConvPlan::choose(c, params.row_size(), s, &cost).noise_after(input, params, level, norm)
         }
         _ => unreachable!("structure of another layer kind"),
     };
     out.budget_bits_statistical_at(params, level)
-}
-
-/// The budget the prepared layer `k` itself predicts at `level`.
-fn prepared_budget(prepared: &PreparedModel, k: usize, level: usize) -> f64 {
-    let params = prepared.params();
-    prepared
-        .noise_after(k, &fresh_at(params, level), level)
-        .budget_bits_statistical_at(params, level)
 }
 
 /// Every closure property of one solved plan on one set of weights.
@@ -184,32 +175,48 @@ fn check_closure(
 
     for (k, (lp, report)) in plan.layers.iter().zip(session.layer_reports()).enumerate() {
         let what = format!("{what} layer {k} ({}) on {}", lp.layer, plan.name);
+        // The solver's record and the prepared model's: one type, the
+        // same plan at the same level.
+        let round = prepared.round(k);
         assert_eq!(report.level, lp.level, "{what}: level");
         assert_eq!(report.plan, lp.plan, "{what}: label");
-        assert_eq!(prepared.plan_label(k), lp.plan, "{what}: prepared label");
+        assert_eq!(round.plan, lp.plan, "{what}: prepared label");
+        assert_eq!(round.level, lp.level, "{what}: prepared level");
+        assert_eq!(
+            (&round.steps, round.he_mult, round.he_rotate, round.outputs),
+            (&lp.steps, lp.he_mult, lp.he_rotate, lp.outputs),
+            "{what}: prepared steps, multiplies, rotations, outputs"
+        );
 
-        let own = prepared_budget(&prepared, k, lp.level);
         let (layer, structure) = (&layers[k], &structures[k]);
+        let fresh = fresh_at(&params, lp.level);
         assert!(lp.budget_bits >= LEVEL_PLAN_MARGIN_BITS, "{what}: margin");
         // Same function, same inputs: equal to the bit.
         assert_eq!(
             lp.budget_bits,
-            plan_budget(layer, structure, &params, lp.level, half_t as u64),
+            plan_budget(layer, structure, &params, lp.level, &fresh, half_t as u64),
             "{what}: solver budget vs the plan's own at ⌊t/2⌋"
         );
+        // The chosen plan at the prepared masks' own norm is the prepared
+        // layer's prediction, to the bit, on the input its record assumes
+        // (fresh for layer 0, a `⌊t/2⌋` mask removed after): the solver and
+        // the engine differ in the norm charged and nothing else.
+        let norm = round.mask_norm;
+        let assumed = match k {
+            0 => fresh,
+            _ => fresh.add_plain(half_t as u64),
+        };
+        assert_eq!(
+            round.budget_bits,
+            plan_budget(layer, structure, &params, lp.level, &assumed, norm),
+            "{what}: the prepared layer vs the plan at its masks' norm {norm}"
+        );
+        // The prepared layer's own budget on the solver's fresh input.
+        let own = plan_budget(layer, structure, &params, lp.level, &fresh, norm);
         assert!(
             lp.budget_bits <= own,
             "{what}: solver budget {} above the prepared layer's {own}",
             lp.budget_bits
-        );
-        // The chosen plan at the prepared masks' own norm is the prepared
-        // layer's prediction, to the bit: the solver and the engine differ
-        // in the norm charged and nothing else.
-        let norm = prepared.mask_norm(k);
-        assert_eq!(
-            own,
-            plan_budget(layer, structure, &params, lp.level, norm),
-            "{what}: the prepared layer vs the plan at its masks' norm {norm}"
         );
         // A batch-encoded mask's coefficient norm is all but ⌊t/2⌋, the
         // norm the solver charges, so the two budgets nearly coincide: within
@@ -352,8 +359,12 @@ fn a_chain_or_level_passed_over_on_noise_is_one_the_prepared_layer_rejects() {
                 }],
                 total_int_mults: 0.0,
             };
+            // The layer runs at the planned level exactly when its own
+            // prediction there clears the margin: its record then holds
+            // that budget.
             let prepared = PreparedModel::from_chain_plan(&net, &weights, &at_level).unwrap();
-            if prepared_budget(&prepared, 0, level) >= LEVEL_PLAN_MARGIN_BITS {
+            let round = prepared.round(0);
+            if round.level == level && round.budget_bits >= LEVEL_PLAN_MARGIN_BITS {
                 let cost = HeCostParams::for_bfv(&params, level);
                 let plan = FcPlan::choose(structure, params.slots(), &cost);
                 accepted.push((plan.int_mults(&cost) as f64, name.clone(), level));

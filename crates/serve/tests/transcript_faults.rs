@@ -12,8 +12,9 @@
 //!   error;
 //! * semantic faults (in-range bit flips, swapped components, consistent
 //!   level lies) must die at the measured noise-budget gate — and a
-//!   consistent level lie on an upload already dies at the server, which
-//!   expects each layer's input at one level;
+//!   consistent level lie in flight already dies at the receiving half:
+//!   the server expects each layer's upload at one level, the client each
+//!   download at the level the round's record ships at;
 //! * the header's reserved byte must be provably harmless — bit-identical
 //!   decryption.
 //!
@@ -31,7 +32,9 @@ use cheetah_bfv::{BfvParams, Error};
 use cheetah_nn::inference::random_input;
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::{Network, Weights};
-use cheetah_serve::{ClientSession, PreparedModel, PrivateInferenceSession, ServerSession};
+use cheetah_serve::{
+    ClientSession, LayerDownload, PreparedModel, PrivateInferenceSession, ServerSession,
+};
 use support::Alloc;
 
 const N: usize = 4096;
@@ -324,13 +327,51 @@ fn corruption_classes_map_to_expected_errors() {
         matches!(
             refused,
             Err(Error::LevelMismatch { expected, found })
-                if expected == model.level(0) && found as u32 == lied_level(&upload)
+                if expected == model.round(0).level && found as u32 == lied_level(&upload)
         ),
         "a consistent level lie must die at the server, got {:?}",
         refused.err()
     );
     let fault = server.reports()[0].fault.as_deref().unwrap();
     assert!(fault.contains("different levels"), "{fault}");
+
+    // The same lie on the round's download: it decodes, and on its own
+    // would die only at the noise gate — but the client checks every
+    // message's level against the round's record first, and refuses it
+    // before anything is decrypted. The honest download still goes
+    // through afterwards: the refusal left the client's round untouched.
+    let honest = client.next_upload().unwrap();
+    let mut scratch = model.evaluator().new_scratch();
+    let download = server.process_upload(&honest, &mut scratch).unwrap();
+    let parts = wire::split_ciphertext_messages(&download.payload, &params).unwrap();
+    let lied_ct = wire::decode_ciphertext(&lie(parts[0]), &params)
+        .unwrap_or_else(|e| panic!("a consistent level lie decodes, got {e}"));
+    assert!(
+        matches!(
+            client.decrypt_slots(&lied_ct),
+            Err(Error::NoiseBudgetExhausted)
+        ),
+        "a lied download the client decrypted would die at the noise gate"
+    );
+    let lied = LayerDownload {
+        payload: parts.iter().flat_map(|part| lie(part)).collect(),
+        mask: download.mask.clone(),
+        next_mask: download.next_mask.clone(),
+    };
+    let shipped = model.round(0).shipped_level;
+    let refused = client.absorb_download(&lied);
+    assert!(
+        matches!(
+            refused,
+            Err(Error::LevelMismatch { expected, found })
+                if expected == shipped && found as u32 == lied_level(parts[0])
+        ),
+        "a consistent level lie on a download must die before decryption, got {:?}",
+        refused.err()
+    );
+    assert_eq!(client.layer(), 0);
+    assert!(client.absorb_download(&download).unwrap().is_none());
+    assert_eq!(client.layer(), 1);
 
     // Semantic classes decode fine but die at the noise gate. They are
     // pinned on a *download* message: uploads ship seeded with a single

@@ -199,7 +199,9 @@ echo "==> one-level-rule gate"
 # The level a layer runs at (linear::feasible_levels) and the level its
 # download ships at (linear::shipping_level) clear one margin,
 # LEVEL_PLAN_MARGIN_BITS, defined once beside both rules; the serving
-# crate, which applies them, defines no margin of its own.
+# crate, which applies them, defines no margin of its own. The shipping
+# rule has one caller, the round record's builder (solver::LayerPlan::new),
+# which the solver and PreparedModel both call (one-round-record gate).
 margin_homes=$(git grep -lE '(const|static)[[:space:]]+LEVEL_PLAN_MARGIN_BITS\b' -- '*.rs' | tr '\n' ' ')
 if [[ "$margin_homes" != "crates/core/src/linear/mod.rs " ]]; then
     echo "FAIL: LEVEL_PLAN_MARGIN_BITS must be defined once, in crates/core/src/linear/mod.rs: $margin_homes"
@@ -212,7 +214,7 @@ fi
 
 echo "==> one-switch gate"
 # A layer's upload arrives at the level the layer runs at: the client
-# encrypts it there (PreparedModel::level, fixed when the model is
+# encrypts it there (PreparedModel::round(k).level, fixed when the model is
 # prepared) and the server refuses any other, so a round modulus-switches
 # once — the layer's outputs, down to their shipping level — and plans no
 # level per upload.
@@ -223,6 +225,24 @@ if ((switches > 1)); then
 fi
 if grep -n 'plan_level(' crates/serve/src/session.rs; then
     echo "FAIL: crates/serve/src/session.rs plans a level per upload again (see matches above)"
+    exit 1
+fi
+
+echo "==> one-round-record gate"
+# A round's facts are fixed once, when the model is prepared, in one record
+# per linear layer (cheetah_core::solver::LayerPlan, built by LayerPlan::new
+# for the solver and PreparedModel alike): the level the upload runs at,
+# the level the download ships at, and both messages' bytes. The session
+# halves execute that record and check every message against it; the
+# serving crate's code decides no shipping level and sizes no message from
+# the wire module (its test module replays the old rule as the record's
+# reference), and the run-time accounting check stays deleted.
+if git grep -nE 'shipping_level\(|(seeded_)?ciphertext_wire_bytes\(' -- crates/serve/src ':!crates/serve/src/session/tests.rs'; then
+    echo "FAIL: crates/serve/src decides a shipping level or sizes a message itself (see matches above)"
+    exit 1
+fi
+if git grep -n 'check_wire_accounting' -- crates src tests examples; then
+    echo "FAIL: check_wire_accounting is back (see matches above)"
     exit 1
 fi
 
