@@ -63,6 +63,7 @@ use crate::arith::{
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
 use crate::rns::{ModulusChain, Representation, RnsPoly};
+use crate::simd;
 
 /// Default encryption-noise standard deviation (SEAL's default).
 pub const DEFAULT_SIGMA: f64 = 3.2;
@@ -492,9 +493,11 @@ impl BfvParams {
 
     /// Writes `Δ_ℓ·m` lifted into every *live* limb plane of `out`
     /// (coefficient form): `out[i][j] = (Δ_ℓ mod q_i)·m_j mod q_i`, exact
-    /// because `Δ_ℓ·m < Q_ℓ`. The level is inferred from `out`'s limb
-    /// count, so one implementation serves encryption (level 0), plaintext
-    /// addition at any level, and noise measurement.
+    /// because `Δ_ℓ·m < Q_ℓ`: the message copied into each plane and one
+    /// dispatched constant multiply by `Δ_ℓ mod q_i` (every `m_j < t` is
+    /// already a residue of every limb). The level is inferred from `out`'s
+    /// limb count, so one implementation serves encryption (level 0),
+    /// plaintext addition at any level, and noise measurement.
     ///
     /// # Panics
     ///
@@ -511,11 +514,9 @@ impl BfvParams {
         let level = self.limbs() - live;
         out.set_representation(Representation::Coeff);
         for i in 0..live {
-            let q_i = *self.chain().modulus(i);
-            let delta_i = self.delta_mod_at(level, i);
-            for (dst, &m) in out.limb_mut(i).iter_mut().zip(msg) {
-                *dst = q_i.mul_mod(delta_i, m);
-            }
+            let plane = out.limb_mut(i);
+            plane.copy_from_slice(msg);
+            simd::mul_scalar(plane, self.delta_mod_at(level, i), self.chain().modulus(i));
         }
     }
 

@@ -114,7 +114,7 @@ impl HeCostParams {
 
     /// Pointwise modular multiplications in one key switch: `2·digits`
     /// polynomial products, each spanning every key-switch plane.
-    fn ks_pointwise_mults(&self) -> u64 {
+    pub fn ks_pointwise_mults(&self) -> u64 {
         2 * self.ks_digits() as u64 * self.n as u64 * self.ks_planes() as u64 * MULTS_PER_MODMUL
     }
 
@@ -178,62 +178,6 @@ impl HeCostParams {
     pub fn hoist_mults(&self) -> u64 {
         self.ntts_per_hoist() * self.ntt_mults()
     }
-}
-
-/// Kernel-level cost decomposition of a layer (or network): how many times
-/// each hot kernel of Fig. 7 runs, and the implied integer-mult totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelTally {
-    /// `HE_Mult` operator invocations.
-    pub he_mult: f64,
-    /// `HE_Rotate` operator invocations.
-    pub he_rotate: f64,
-    /// `HE_Add` operator invocations (no multiplications; tracked for the
-    /// Fig. 7 breakdown).
-    pub he_add: f64,
-    /// NTT plane transforms (all inside rotations in the Cheetah
-    /// dataflow): [`HeCostParams::ntts_per_rotate`] per rotation.
-    pub ntt: f64,
-}
-
-impl KernelTally {
-    /// Adds another tally.
-    pub fn accumulate(&mut self, other: &KernelTally) {
-        self.he_mult += other.he_mult;
-        self.he_rotate += other.he_rotate;
-        self.he_add += other.he_add;
-        self.ntt += other.ntt;
-    }
-
-    /// Total integer multiplications under the given HE parameters,
-    /// split by kernel: `(mult_kernel, rotate_kernel_excluding_ntt, ntt)`.
-    pub fn int_mults_by_kernel(&self, p: &HeCostParams) -> KernelMults {
-        let mult = self.he_mult * p.he_mult_mults() as f64;
-        let rotate_poly = self.he_rotate * p.ks_pointwise_mults() as f64;
-        let ntt = self.ntt * p.ntt_mults() as f64;
-        KernelMults {
-            he_mult: mult,
-            he_rotate: rotate_poly,
-            ntt,
-        }
-    }
-
-    /// Total integer multiplications under the given HE parameters.
-    pub fn total_int_mults(&self, p: &HeCostParams) -> f64 {
-        let k = self.int_mults_by_kernel(p);
-        k.he_mult + k.he_rotate + k.ntt
-    }
-}
-
-/// Integer-multiplication totals per kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelMults {
-    /// Inside `HE_Mult` (element-wise modular multiplication).
-    pub he_mult: f64,
-    /// Inside `HE_Rotate`, excluding its NTTs (key-switch inner products).
-    pub he_rotate: f64,
-    /// Inside NTTs.
-    pub ntt: f64,
 }
 
 #[cfg(test)]
@@ -415,28 +359,5 @@ mod tests {
         let ntts = (p.l_ct as u64 + 1) * p.ntt_mults();
         let poly = p.he_rotate_mults() - ntts;
         assert!(ntts > poly, "NTT {ntts} should exceed pointwise {poly}");
-    }
-
-    #[test]
-    fn tally_accumulation_and_totals() {
-        let p = HeCostParams {
-            n: 2048,
-            l_pt: 1,
-            l_ct: 2,
-            limbs: 1,
-            hybrid: false,
-        };
-        let mut t = KernelTally {
-            he_mult: 10.0,
-            he_rotate: 5.0,
-            he_add: 15.0,
-            ntt: 5.0 * p.ntts_per_rotate() as f64,
-        };
-        let t2 = t;
-        t.accumulate(&t2);
-        assert_eq!(t.he_mult, 20.0);
-        let k = t.int_mults_by_kernel(&p);
-        assert!(k.ntt > 0.0 && k.he_mult > 0.0 && k.he_rotate > 0.0);
-        assert!((t.total_int_mults(&p) - (k.he_mult + k.he_rotate + k.ntt)).abs() < 1e-9);
     }
 }

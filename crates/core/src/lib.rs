@@ -44,7 +44,7 @@ pub mod schedule;
 pub mod solver;
 pub mod sparse;
 
-pub use cost::{HeCostParams, KernelMults, KernelTally};
+pub use cost::HeCostParams;
 pub use linear::ConvPlan;
 pub use quant::QuantSpec;
 pub use schedule::Schedule;

@@ -282,7 +282,8 @@ fn conv_mask(
 impl HomConv2d {
     /// Prepares the layer (encodes and NTT-transforms every live
     /// `(d, tap)` mask), choosing the baby width from the parameter set's
-    /// cost model via [`ConvPlan::choose`].
+    /// cost model at level 0 via [`ConvPlan::choose`] — the plan the chain
+    /// solver prices, at whatever level its record runs.
     ///
     /// `weights` has shape `(co, ci, fw, fw)`.
     ///
@@ -299,24 +300,8 @@ impl HomConv2d {
         encoder: &BatchEncoder,
         eval: &Evaluator,
     ) -> Result<Self> {
-        Self::new_at_level(spec, weights, encoder, eval, 0)
-    }
-
-    /// [`HomConv2d::new`] with the level the layer is planned to run at:
-    /// the cost model prices rotations over the limbs live there.
-    ///
-    /// # Errors
-    ///
-    /// As [`HomConv2d::new`].
-    pub fn new_at_level(
-        spec: &ConvSpec,
-        weights: &Tensor,
-        encoder: &BatchEncoder,
-        eval: &Evaluator,
-        level: usize,
-    ) -> Result<Self> {
         check_shape(spec, weights, encoder)?;
-        let cost = HeCostParams::for_bfv(eval.params(), level);
+        let cost = HeCostParams::for_bfv(eval.params(), 0);
         let structure = ConvStructure::analyze_tensor(weights, spec);
         let plan = ConvPlan::choose(spec, encoder.row_size(), &structure, &cost);
         Self::build(spec, weights, encoder, eval, &structure, plan)

@@ -329,7 +329,8 @@ fn diagonal_mask(
 impl HomFc {
     /// Prepares the layer (encodes and NTT-transforms every live tiled
     /// diagonal), choosing the tiling and the rotation plan from the
-    /// parameter set's cost model via [`FcPlan::choose`].
+    /// parameter set's cost model at level 0 via [`FcPlan::choose`] — the
+    /// plan the chain solver prices, at whatever level its record runs.
     ///
     /// `weights` has shape `(no, ni)`.
     ///
@@ -344,25 +345,8 @@ impl HomFc {
         encoder: &BatchEncoder,
         eval: &Evaluator,
     ) -> Result<Self> {
-        Self::new_at_level(spec, weights, encoder, eval, 0)
-    }
-
-    /// [`HomFc::new`] with the level the layer is planned to run at: the
-    /// cost model prices rotations over the limbs actually live there, so
-    /// a deep chain position can pick a different plan than level 0.
-    ///
-    /// # Errors
-    ///
-    /// As [`HomFc::new`].
-    pub fn new_at_level(
-        spec: &FcSpec,
-        weights: &Tensor,
-        encoder: &BatchEncoder,
-        eval: &Evaluator,
-        level: usize,
-    ) -> Result<Self> {
         check_shape(spec, weights, encoder)?;
-        let cost = HeCostParams::for_bfv(eval.params(), level);
+        let cost = HeCostParams::for_bfv(eval.params(), 0);
         let structure = FcStructure::analyze_tensor(weights, spec);
         let plan = FcPlan::choose(&structure, encoder.slots(), &cost);
         Self::build(spec, weights, encoder, eval, plan)

@@ -7,6 +7,11 @@
 //! folded diagonals ([`fc`]; the diagonal method is its baby-width-1 and
 //! baby-width-`d` corners — Fig. 5's Sched-PA and hoisted Sched-IA; a dense
 //! layer its all-live case).
+//!
+//! Beside them sit the two rules a round's record is built from, both held
+//! against one margin, [`LEVEL_PLAN_MARGIN_BITS`]: [`run_level`], the level
+//! a layer runs at, and [`shipping_level`], the level its download ships
+//! at. A prepared layer has no level of its own; its record has one.
 
 pub mod conv;
 pub mod fc;
@@ -14,43 +19,39 @@ pub mod kernel;
 
 use cheetah_bfv::{BfvParams, NoiseEstimate};
 
+use crate::sparse::BsgsPlan;
+
 pub use conv::{ConvPlan, HomConv2d};
 pub use fc::{FcPlan, HomFc};
 pub use kernel::PreparedKernel;
 
 /// Statistical budget (bits) a layer's predicted output must keep for a
-/// level to be planned — by the runtime level planner and the chain solver
-/// alike.
+/// level to be planned — by [`run_level`] and [`shipping_level`] alike.
 pub const LEVEL_PLAN_MARGIN_BITS: f64 = 2.0;
 
-/// The one level rule: the levels a layer may run at, ascending, each with
-/// the statistical budget of its predicted output there. A layer's input
-/// is a fresh encryption *at* the level it runs at — the client decrypts
-/// after every layer and encrypts the next upload over only the limbs
-/// that layer needs — and fresh noise is absolute, so `input` (a fresh
-/// estimate) is the input at every level: nothing is walked down the
-/// chain. Asks `noise_after(input, level)` — a plan's, or a prepared
-/// layer's — for the output at every level, and keeps those that clear
-/// [`LEVEL_PLAN_MARGIN_BITS`] under the **statistical** (IBDG) budget, the
-/// §IV-B provisioning rule HE-PTune uses (failure probability below 1e-10).
-/// The worst-case bound would pin both kernels at full level: their baby
-/// steps are rotate-then-multiply, so the Table-III bound pays the
-/// key-switch additive inside the multiplication even though the measured
-/// noise sits far below it. Dropping limbs is purely an optimization: an
-/// empty answer means level 0.
-pub fn feasible_levels<'a>(
-    input: &NoiseEstimate,
-    params: &'a BfvParams,
-    mut noise_after: impl FnMut(&NoiseEstimate, usize) -> NoiseEstimate + 'a,
-) -> impl Iterator<Item = (usize, f64)> + 'a {
-    let input = *input;
-    (0..params.levels()).filter_map(move |level| {
-        let budget = noise_after(&input, level).budget_bits_statistical_at(params, level);
-        (budget >= LEVEL_PLAN_MARGIN_BITS).then_some((level, budget))
+/// The one level rule: the deepest level at which `plan`, run on an input
+/// of noise `input` with every weight mask charged `⌊t/2⌋` (no plaintext's
+/// coefficients exceed it), keeps [`LEVEL_PLAN_MARGIN_BITS`] of
+/// **statistical** (IBDG) budget — the §IV-B provisioning rule HE-PTune
+/// uses (failure probability below 1e-10) — or `None` when no level does.
+/// The chain solver and `cheetah-serve`'s `PreparedModel` both call it, on
+/// the plan chosen once per layer and on the round's input: a fresh
+/// encryption for the first layer, one with a `⌊t/2⌋` mask removed for
+/// every later one. Fresh noise is absolute — the client encrypts each
+/// upload over only the limbs its layer keeps — so the input is the same
+/// at every level. The worst-case bound would pin every kernel at full
+/// level: baby steps are rotate-then-multiply, so the Table-III bound pays
+/// the key-switch additive inside the multiplication even though the
+/// measured noise sits far below it.
+pub fn run_level(plan: &BsgsPlan, input: &NoiseEstimate, params: &BfvParams) -> Option<usize> {
+    let half_t = params.plain_modulus().value() / 2;
+    (0..params.levels()).rev().find(|&level| {
+        let out = plan.noise_after(input, params, level, half_t);
+        out.budget_bits_statistical_at(params, level) >= LEVEL_PLAN_MARGIN_BITS
     })
 }
 
-/// The shipping rule, [`feasible_levels`]' other half: the deepest level,
+/// The shipping rule, [`run_level`]'s other half: the deepest level,
 /// `level` or past it, that a layer's `output` (an estimate at `level`)
 /// can be modulus-switched to and still keep [`LEVEL_PLAN_MARGIN_BITS`] of
 /// statistical budget once a mask of coefficient norm `mask_norm` is

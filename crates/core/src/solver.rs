@@ -7,32 +7,33 @@
 //! limbs, a level per layer, a special prime for hybrid key switching,
 //! and a rotation plan ([`FcPlan`] / [`ConvPlan`]) per layer whose
 //! price depends on all of the above. This module closes that gap: it
-//! sweeps **{chain, per-layer level, rotation plan}** jointly over a
-//! network's linear layers and emits a [`ChainPlan`] — concrete
+//! sweeps the chains and, on each, fixes every linear layer's rotation
+//! plan and level, and emits the cheapest as a [`ChainPlan`] — concrete
 //! [`BfvParams`] (exact moduli, `t`, special prime) plus one [`LayerPlan`]
 //! per layer, the record of that layer's round (level, plan label, Galois
-//! steps, predicted counts and noise, shipped level, message bytes) — that
-//! `cheetah-serve`'s `PreparedModel` consumes directly: it prepares each
-//! layer at its record's level, never runs it deeper, and keeps a record of
-//! its own per layer, built by the same [`LayerPlan::new`] from the
-//! prepared kernel, which the session halves then execute. "Fast" becomes
-//! a solver output instead of a hand pick.
+//! steps, predicted counts and noise, shipped level, message bytes). Hand
+//! its `params` to `cheetah-serve`'s `PreparedModel::new` and the model
+//! fills one record of its own per layer, by the same [`LayerPlan::new`]
+//! on the same plan at the same level, which the session halves then
+//! execute. "Fast" becomes a solver output instead of a hand pick.
 //!
 //! The solver models nothing of its own; it asks the engine. A layer's
-//! plan comes from the choosers `HomFc` / `HomConv2d` run at prepare time,
-//! its cost from that plan under the hybrid-aware [`HeCostParams`], its
-//! noise from that plan's `noise_after` — the function a prepared layer
-//! calls with its measured mask norm, here called with the largest norm a
-//! plaintext can have on a fresh encryption — and its levels from
-//! [`feasible_levels`], the rule the runtime level planner applies. A
-//! solved level is therefore one the runtime accepts, and a solved budget
-//! is never above the prepared layer's own.
+//! plan comes from the chooser `HomFc` / `HomConv2d` run at prepare time,
+//! once per layer and chain, at level 0; its cost from that plan under the
+//! hybrid-aware [`HeCostParams`]; its noise from that plan's `noise_after`
+//! — the function a prepared layer calls with its measured mask norm, here
+//! called with the largest norm a plaintext can have — and its level from
+//! [`run_level`], the one level rule, which `PreparedModel` calls too, on
+//! the same round input: fresh for the first layer, with a `⌊t/2⌋` mask
+//! removed for every later one. A solved level and plan are therefore the
+//! prepared model's, and a solved budget is never above the prepared
+//! layer's own.
 
 use cheetah_bfv::{wire, BfvParams, NoiseEstimate};
 use cheetah_nn::{ConvSpec, LinearLayer};
 
 use crate::cost::HeCostParams;
-use crate::linear::{feasible_levels, shipping_level, ConvPlan, FcPlan};
+use crate::linear::{run_level, shipping_level, ConvPlan, FcPlan};
 use crate::quant::QuantSpec;
 use crate::sparse::{BsgsPlan, ConvStructure, FcStructure, LayerStructure};
 
@@ -146,8 +147,8 @@ impl LayerPlan {
 /// The solver's output: one concrete chain for the whole network plus one
 /// round record per linear layer. Everything a session needs — exact
 /// moduli, `t`, the special prime, decomposition bases — is inside
-/// `params`; the records' levels are the ceilings `PreparedModel` prepares
-/// and runs each layer under.
+/// `params`; a `PreparedModel` built on it runs every layer at its
+/// record's level.
 #[derive(Debug, Clone)]
 pub struct ChainPlan {
     /// Candidate name (`4096/hybrid_2x36`, …) for reports.
@@ -161,7 +162,7 @@ pub struct ChainPlan {
 }
 
 impl ChainPlan {
-    /// Per-layer levels in network order — the `PreparedModel` input.
+    /// Per-layer levels in network order.
     pub fn levels(&self) -> Vec<usize> {
         self.layers.iter().map(|l| l.level).collect()
     }
@@ -185,20 +186,21 @@ pub fn chain_candidates(degrees: &[usize]) -> Vec<(String, BfvParams)> {
     out
 }
 
-/// The record of `layer` at `level` on a fresh input, under the plan the
-/// chooser `HomFc` / `HomConv2d` run at prepare time picks there
-/// ([`FcPlan::choose`] / [`ConvPlan::choose`]) over the measured structure,
-/// or the dense one without it. Every mask is charged `⌊t/2⌋`: a
-/// batch-encoded mask's *coefficient* norm — what noise grows with — has
-/// nothing to do with the weights in its slots and, for weights without
-/// special structure, sits within a hair of that bound.
-fn layer_at(
+/// The record of `layer` on one chain, on an input of noise `input`: the
+/// plan the chooser `HomFc` / `HomConv2d` run at prepare time picks
+/// ([`FcPlan::choose`] / [`ConvPlan::choose`], at level 0) over the
+/// measured structure, or the dense one without it, run at its
+/// [`run_level`] — or `None` when no level clears the margin. Every mask is
+/// charged `⌊t/2⌋`: a batch-encoded mask's *coefficient* norm — what noise
+/// grows with — has nothing to do with the weights in its slots and, for
+/// weights without special structure, sits within a hair of that bound.
+fn layer_plan(
     layer: &LinearLayer,
     structure: Option<&LayerStructure>,
     params: &BfvParams,
-    level: usize,
-) -> LayerPlan {
-    let cost = HeCostParams::for_bfv(params, level);
+    input: &NoiseEstimate,
+) -> Option<LayerPlan> {
+    let cost = HeCostParams::for_bfv(params, 0);
     let fc = |s: &FcStructure| {
         let plan = FcPlan::choose(s, params.slots(), &cost);
         (plan.label(), plan.kernel)
@@ -213,35 +215,16 @@ fn layer_at(
         (LinearLayer::Conv(c), Some(LayerStructure::Conv(s))) => conv(c, s),
         (LinearLayer::Conv(c), _) => conv(c, &ConvStructure::dense(c.co, c.ci, c.fw)),
     };
-    let fresh = NoiseEstimate::fresh(params);
-    let norm = params.plain_modulus().value() / 2;
-    LayerPlan::new(layer.name(), &kernel, &label, params, level, &fresh, norm)
-}
-
-/// One layer on one chain: the cheapest of its [`feasible_levels`] (the
-/// shallowest on a tie) under the plan the engine would prepare at each,
-/// or `None` when no level clears the margin. The session re-encrypts
-/// between layers, so every layer's input is a fresh encryption at the
-/// level the layer runs at.
-fn cheapest_level(
-    layer: &LinearLayer,
-    structure: Option<&LayerStructure>,
-    params: &BfvParams,
-) -> Option<LayerPlan> {
-    let rounds: Vec<LayerPlan> = (0..params.levels())
-        .map(|level| layer_at(layer, structure, params, level))
-        .collect();
-    let fresh = NoiseEstimate::fresh(params);
-    feasible_levels(&fresh, params, |_, level| rounds[level].noise)
-        .map(|(level, _)| &rounds[level])
-        .min_by(|a, b| a.int_mults.total_cmp(&b.int_mults))
-        .cloned()
+    let level = run_level(&kernel, input, params)?;
+    let (name, norm) = (layer.name(), params.plain_modulus().value() / 2);
+    Some(LayerPlan::new(
+        name, &kernel, &label, params, level, input, norm,
+    ))
 }
 
 /// Solves for one chain + per-layer levels/plans across a network's
-/// linear layers: for every candidate chain, every layer runs at its
-/// cheapest feasible level; the candidate with the least network total
-/// wins.
+/// linear layers: for every candidate chain, every layer's plan runs at
+/// its [`run_level`]; the candidate with the least network total wins.
 ///
 /// # Errors
 ///
@@ -286,11 +269,16 @@ pub fn solve_chain_plan_structured(
     let mut first_failure: Option<InfeasibleLayer> = None;
     'candidates: for (name, params) in chain_candidates(degrees) {
         let t_bits = 64 - params.plain_modulus().value().leading_zeros();
+        // The round's input: fresh for the first layer, fresh with the
+        // previous round's `⌊t/2⌋` mask removed for every later one.
+        let fresh = NoiseEstimate::fresh(&params);
+        let unmasked = fresh.add_plain(params.plain_modulus().value() / 2);
         let mut plan_layers = Vec::with_capacity(layers.len());
         let mut total = 0.0;
         for (i, (layer, &needed)) in layers.iter().zip(&needed_bits).enumerate() {
+            let input = if i == 0 { &fresh } else { &unmasked };
             let chosen = if t_bits >= needed {
-                cheapest_level(layer, structures.map(|s| &s[i]), &params)
+                layer_plan(layer, structures.map(|s| &s[i]), &params, input)
             } else {
                 None
             };
@@ -373,25 +361,32 @@ mod tests {
 
     #[test]
     fn chain_noise_model_feasible_levels_shrink_with_depth() {
-        // On the digit chain the tiny FC layer clears the margin at level 0
-        // and at level 1, with less budget in hand the deeper it runs, and
-        // not on the last limb; the cost strictly drops with depth — which
-        // is why the solver plans the deepest level the shared rule admits.
+        // On the digit chain the tiny FC layer's plan clears the margin at
+        // level 0 and at level 1, with less budget in hand the deeper it
+        // runs, and not on the last limb; the cost strictly drops with
+        // depth — which is why the level rule picks the deepest level that
+        // clears the margin.
         let params = BfvParams::preset_rns_3x36(4096).unwrap();
         let layer = &tiny_layers()[1];
-        let rounds: Vec<LayerPlan> = (0..params.levels())
-            .map(|level| layer_at(layer, None, &params, level))
-            .collect();
+        let cost = HeCostParams::for_bfv(&params, 0);
+        let plan = FcPlan::choose(&FcStructure::dense(10, 64), params.slots(), &cost);
         let fresh = NoiseEstimate::fresh(&params);
-        let feasible: Vec<(usize, f64)> =
-            feasible_levels(&fresh, &params, |_, level| rounds[level].noise).collect();
+        let half_t = params.plain_modulus().value() / 2;
+        let feasible: Vec<(usize, f64)> = (0..params.levels())
+            .map(|level| {
+                let out = plan.noise_after(&fresh, &params, level, half_t);
+                (level, out.budget_bits_statistical_at(&params, level))
+            })
+            .filter(|&(_, budget)| budget >= LEVEL_PLAN_MARGIN_BITS)
+            .collect();
         let levels: Vec<usize> = feasible.iter().map(|&(level, _)| level).collect();
         assert_eq!(levels, [0, 1], "feasible levels");
         assert!(feasible[1].1 >= LEVEL_PLAN_MARGIN_BITS);
         assert!(feasible[1].1 < feasible[0].1, "budget shrinks with depth");
-        let price = |level: usize| rounds[level].int_mults;
+        let price = |level: usize| plan.int_mults(&HeCostParams::for_bfv(&params, level));
         assert!(price(1) < price(0), "deeper level must be cheaper");
-        let chosen = cheapest_level(layer, None, &params).unwrap();
+        assert_eq!(run_level(&plan, &fresh, &params), Some(1));
+        let chosen = layer_plan(layer, None, &params, &fresh).unwrap();
         assert_eq!((chosen.level, chosen.budget_bits), feasible[1]);
     }
 

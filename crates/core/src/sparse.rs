@@ -421,7 +421,7 @@ impl BsgsPlan {
     /// mask charged `mask_norm`, and each group sum charged one rotation
     /// (a chain rotates once per live group above 0). A positive predicted
     /// budget at a level means the layer can safely run there — the
-    /// planning query behind [`crate::linear::feasible_levels`].
+    /// planning query behind [`crate::linear::run_level`].
     /// `mask_norm` is the centred norm of a mask's *coefficients*: a
     /// prepared kernel passes the worst its masks measure, the chain
     /// solver the `⌊t/2⌋` no plaintext exceeds.

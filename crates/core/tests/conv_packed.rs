@@ -287,7 +287,7 @@ proptest! {
             prop_assert_eq!(layer.conv_plan().b, b);
             layer
         } else {
-            HomConv2d::new_at_level(&s, &w, &c.encoder, &c.eval, level).unwrap()
+            HomConv2d::new(&s, &w, &c.encoder, &c.eval).unwrap()
         };
         if layer.conv_plan().outputs() == 1 {
             prop_assert_eq!(layer.conv_plan().live_masks(), live);

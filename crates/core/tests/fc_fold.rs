@@ -92,9 +92,9 @@ enum Kind {
     /// `with_forced_plan(the weights' own structure, b, tiles)` on weights
     /// with dead folded diagonals, every live one `±2` or `±4` when `pow2`.
     ForcedSparse { b: usize, tiles: usize, pow2: bool },
-    /// `new_at_level` on dense weights.
+    /// `new` on dense weights.
     Auto,
-    /// `new_at_level` on weights with dead folded diagonals.
+    /// `new` on weights with dead folded diagonals.
     Sparse,
     /// [`Kind::Sparse`] with every live weight `±2` or `±4`.
     Pow2,
@@ -172,7 +172,7 @@ fn weights_for(s: &FcSpec, kind: Kind, rng: &mut StdRng) -> Tensor {
     }
 }
 
-fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, level: usize) -> HomFc {
+fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind) -> HomFc {
     let forced = |assume: &FcStructure, b, tiles| {
         HomFc::with_forced_plan(s, w, &c.encoder, &c.eval, assume, b, tiles)
     };
@@ -181,9 +181,7 @@ fn prepare(c: &Ctx, s: &FcSpec, w: &Tensor, kind: Kind, level: usize) -> HomFc {
             forced(&FcStructure::dense(s.no, s.ni), b, tiles)
         }
         Kind::ForcedSparse { b, tiles, .. } => forced(&FcStructure::analyze_tensor(w, s), b, tiles),
-        Kind::Auto | Kind::Sparse | Kind::Pow2 => {
-            HomFc::new_at_level(s, w, &c.encoder, &c.eval, level)
-        }
+        Kind::Auto | Kind::Sparse | Kind::Pow2 => HomFc::new(s, w, &c.encoder, &c.eval),
     }
     .unwrap()
 }
@@ -267,7 +265,7 @@ fn check_layer(
     if plan.tiles == 1 {
         assert!(slots[row..].iter().all(|&v| v == 0), "second row written");
     }
-    let reference = prepare(c, s, w, Kind::Forced(1, 1), level);
+    let reference = prepare(c, s, w, Kind::Forced(1, 1));
     let ref_ct = input_at(c, &reference, &input, level);
     let (ref_out, ref_counts) = run(c, &reference, &ref_ct);
     assert_eq!(ref_counts.mul as usize, d);
@@ -411,7 +409,7 @@ proptest! {
             _ => Kind::Auto,
         };
         let w = weights_for(&s, kind, &mut rng);
-        let layer = prepare(&c, &s, &w, kind, level);
+        let layer = prepare(&c, &s, &w, kind);
         let plan = layer.fc_plan();
         match kind {
             Kind::Forced(..) | Kind::ForcedAllLive(..) | Kind::ForcedSparse { .. } => {
@@ -456,7 +454,7 @@ proptest! {
         let expect = eval_linear(&LinearLayer::Fc(s.clone()), &w, &input);
         for tiles in tilings(&c, &s) {
             for b in [1, d / tiles] {
-                let layer = prepare(&c, &s, &w, Kind::Forced(b, tiles), 0);
+                let layer = prepare(&c, &s, &w, Kind::Forced(b, tiles));
                 let steps = layer.rotation_steps();
                 prop_assert!(steps.iter().all(|&st| (st as usize) < d), "{:?}", steps);
                 let ct = input_at(&mut c, &layer, &input, 0);
@@ -497,7 +495,7 @@ fn corner_shapes_fold_correctly() {
         }
         for kind in kinds {
             let w = weights_for(&s, kind, &mut rng);
-            let layer = prepare(&c, &s, &w, kind, 0);
+            let layer = prepare(&c, &s, &w, kind);
             let all_live = !matches!(kind, Kind::ForcedSparse { .. });
             check_layer(&mut c, &s, &w, &layer, all_live, 0, &mut rng);
         }
@@ -520,7 +518,7 @@ fn two_row_corners_fold_correctly() {
             assert_eq!(tilings(&c, &s).last(), Some(&tiles), "({ni}, {no})");
             for kind in [Kind::Forced(1, tiles), Kind::Forced(delta, tiles)] {
                 let w = weights_for(&s, kind, &mut rng);
-                let layer = prepare(&c, &s, &w, kind, 0);
+                let layer = prepare(&c, &s, &w, kind);
                 assert_eq!(layer.fc_plan().rows(), 2);
                 check_layer(&mut c, &s, &w, &layer, true, 0, &mut rng);
             }
@@ -539,7 +537,7 @@ fn every_listed_step_is_rotated_by() {
     for kind in [Kind::Auto, Kind::Sparse, Kind::Forced(3, 1)] {
         let mut c = ctx(preset(false), 9);
         let w = weights_for(&s, kind, &mut rng);
-        let layer = prepare(&c, &s, &w, kind, 0);
+        let layer = prepare(&c, &s, &w, kind);
         let steps = layer.rotation_steps();
         assert!(
             !steps.is_empty() && steps.iter().all(|&st| st < 16),
@@ -584,7 +582,7 @@ fn square_layer_is_the_unfolded_engine_op_for_op() {
             assert!(plan.b > 1 && plan.g > 1, "32 diagonals split: {plan:?}");
             let kind = Kind::Forced(plan.b, 1);
             let w = weights_for(&s, kind, &mut rng);
-            let layer = prepare(&c, &s, &w, kind, level);
+            let layer = prepare(&c, &s, &w, kind);
             assert_eq!(layer.fc_plan().kernel, plan);
             assert_eq!(layer.fc_plan().fold, 1);
             let steps: Vec<i64> = (1..=plan.b as i64).collect();
@@ -639,7 +637,7 @@ fn untiled_plans_are_the_parents_op_for_op() {
         assert_eq!((chosen.b, chosen.g), (b, g), "({ni}, {no})");
         let all: Vec<usize> = (0..no).collect();
         let w = weights_on(&s, &all, || nonzero(&mut rng, 1));
-        let layer = prepare(&c, &s, &w, Kind::Forced(b, 1), 0);
+        let layer = prepare(&c, &s, &w, Kind::Forced(b, 1));
         let label = format!(
             "fc bsgs tiles=1 b={b} g={g} live={no}/{no} fold={}",
             ni / no
@@ -689,7 +687,7 @@ fn solver_counts_are_the_engines_measured_counts() {
         let s = spec(ni, no);
         let all: Vec<usize> = (0..no).collect();
         let w = weights_on(&s, &all, || nonzero(&mut rng, 1));
-        let layer = HomFc::new_at_level(&s, &w, &c.encoder, &c.eval, lp.level).unwrap();
+        let layer = HomFc::new(&s, &w, &c.encoder, &c.eval).unwrap();
         let fc = layer.fc_plan();
         assert_eq!(lp.plan, fc.label(), "({ni}, {no})");
         // Every one of these shapes leaves room in the row, and filling it
@@ -821,7 +819,7 @@ fn solver_counts_are_the_engines_measured_counts() {
             &[s.co, s.ci, 3, 3],
             (0..len).map(|_| nonzero(&mut rng, 1)).collect(),
         );
-        let layer = HomConv2d::new_at_level(s, &w, &c.encoder, &c.eval, lp.level).unwrap();
+        let layer = HomConv2d::new(s, &w, &c.encoder, &c.eval).unwrap();
         assert_eq!(lp.plan, layer.conv_plan().label(), "{}", s.name);
         assert_eq!(lp.plan, label);
 

@@ -9,6 +9,12 @@
 //! construction: the struct owns no `RefCell`/`Mutex` and every method
 //! takes `&self`, so sharing is lock-free by construction.
 //!
+//! Preparing also fixes each linear layer's round, one
+//! `cheetah_core::solver::LayerPlan` record: its level comes from the one
+//! level rule, `cheetah_core::linear::run_level`, which the chain solver
+//! calls too, so a model prepared on a solved chain runs every layer where
+//! the solver planned it.
+//!
 //! What stays *per client* lives in the session halves
 //! ([`crate::session`]): secret/Galois keys, encryptors, mask RNG
 //! streams, scratch space, and transcripts.
@@ -20,8 +26,8 @@ use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
     Result, Scratch, SeededGaloisKeys,
 };
-use cheetah_core::linear::{feasible_levels, HomConv2d, HomFc, PreparedKernel};
-use cheetah_core::solver::{ChainPlan, LayerPlan};
+use cheetah_core::linear::{run_level, HomConv2d, HomFc, PreparedKernel};
+use cheetah_core::solver::LayerPlan;
 use cheetah_core::Schedule;
 use cheetah_nn::tensor::{max_pool, relu, sum_pool};
 use cheetah_nn::{Layer, LinearLayer, Network, Tensor, Weights};
@@ -134,9 +140,6 @@ pub struct PreparedModel {
     bundle_shapes: Vec<Vec<usize>>,
     /// The parameter-chain fingerprint every client message must carry.
     fingerprint: u64,
-    /// Solver-planned level per linear layer ([`ChainPlan`]): a ceiling the
-    /// level planner never goes *deeper* than.
-    planned_levels: Option<Vec<usize>>,
     /// One round record per linear layer ([`PreparedModel::round`]).
     rounds: Vec<LayerPlan>,
     /// Sorted, deduplicated union of the records' Galois steps — the slice
@@ -146,9 +149,11 @@ pub struct PreparedModel {
 
 impl PreparedModel {
     /// Prepares every linear layer of `net` under the plan its cost model
-    /// picks, splits the network into leading / per-layer nonlinear
-    /// bundles, and dry-runs each bundle on zeros to record its output
-    /// shape.
+    /// picks, fixes each layer's round ([`PreparedModel::round`]), splits
+    /// the network into leading / per-layer nonlinear bundles, and dry-runs
+    /// each bundle on zeros to record its output shape. On a solved
+    /// `ChainPlan`'s `params` the rounds run at the plan's levels, plans
+    /// and shipping levels: both ask [`run_level`] the same question.
     ///
     /// # Errors
     ///
@@ -156,68 +161,6 @@ impl PreparedModel {
     /// constraints of [`HomConv2d`] / [`HomFc`], and rejects residual
     /// networks here (at prepare time) rather than at the first session.
     pub fn new(net: &Network, weights: &Weights, params: BfvParams) -> Result<Arc<Self>> {
-        Self::build(net, weights, params, None)
-    }
-
-    /// Prepares a network from a solver-produced [`ChainPlan`]: the plan's
-    /// exact parameter chain (special prime included when the solver chose
-    /// a hybrid chain) drives preparation, each layer's plan (tiling, baby
-    /// width, sparse pruning) is priced *at its planned level*, and the
-    /// planned levels become ceilings for the runtime level planner — the
-    /// HE-PTune v2 path from `solve_chain_plan` straight into a serving
-    /// session.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Unsupported`] when the plan's layer count does not match
-    /// the network's linear layers; otherwise as [`PreparedModel::new`].
-    pub fn from_chain_plan(
-        net: &Network,
-        weights: &Weights,
-        plan: &ChainPlan,
-    ) -> Result<Arc<Self>> {
-        let linear_count = net
-            .layers
-            .iter()
-            .filter(|l| matches!(l, Layer::Linear(_)))
-            .count();
-        if plan.layers.len() != linear_count {
-            return Err(Error::Unsupported(
-                "chain plan layer count does not match the network",
-            ));
-        }
-        Self::build(net, weights, plan.params.clone(), Some(plan.levels()))
-    }
-
-    /// [`PreparedModel::new`] with an ignored `_schedule` — no layer has a
-    /// schedule to choose. Kept only for `bench_e2e`, whose sources stay
-    /// unchanged until the benchmark itself is revised.
-    ///
-    /// # Errors
-    ///
-    /// As [`PreparedModel::new`].
-    pub fn prepare(
-        net: &Network,
-        weights: &Weights,
-        params: BfvParams,
-        _schedule: Schedule,
-    ) -> Result<Arc<Self>> {
-        Self::new(net, weights, params)
-    }
-
-    /// The model itself. Kept only for `bench_e2e`, which reaches the
-    /// prepared layers through it and whose sources stay unchanged until
-    /// the benchmark itself is revised.
-    pub fn layers(&self) -> &Self {
-        self
-    }
-
-    fn build(
-        net: &Network,
-        weights: &Weights,
-        params: BfvParams,
-        planned_levels: Option<Vec<usize>>,
-    ) -> Result<Arc<Self>> {
         let encoder = BatchEncoder::new(params.clone());
         let evaluator = Evaluator::new(params.clone());
 
@@ -231,16 +174,13 @@ impl PreparedModel {
         for layer in &net.layers {
             if let Layer::Linear(lin) = layer {
                 let k = layers.len();
-                let level = planned_levels.as_ref().map_or(0, |ls| ls[k]);
                 let w = weights.layer(k);
                 names.push(lin.name());
                 layers.push(match lin {
                     LinearLayer::Conv(c) => {
-                        HomLayer::Conv(HomConv2d::new_at_level(c, w, &encoder, &evaluator, level)?)
+                        HomLayer::Conv(HomConv2d::new(c, w, &encoder, &evaluator)?)
                     }
-                    LinearLayer::Fc(f) => {
-                        HomLayer::Fc(HomFc::new_at_level(f, w, &encoder, &evaluator, level)?)
-                    }
+                    LinearLayer::Fc(f) => HomLayer::Fc(HomFc::new(f, w, &encoder, &evaluator)?),
                 });
                 bundles.push(Vec::new());
             } else if let Some(bundle) = bundles.last_mut() {
@@ -268,7 +208,6 @@ impl PreparedModel {
             bundles,
             bundle_shapes,
             fingerprint,
-            planned_levels,
             rounds: Vec::new(),
             key_steps: Vec::new(),
         };
@@ -282,9 +221,9 @@ impl PreparedModel {
             .enumerate()
             .map(|(k, name)| {
                 let input = if k == 0 { &fresh } else { &unmasked };
-                let level = model.plan_level(k, input);
                 let kernel = model.layers[k].kernel();
                 let (plan, label, norm) = (kernel.plan(), kernel.label(), kernel.mask_norm());
+                let level = run_level(plan, input, &model.params).unwrap_or(0);
                 LayerPlan::new(name, plan, label, &model.params, level, input, norm)
             })
             .collect();
@@ -295,10 +234,34 @@ impl PreparedModel {
         Ok(Arc::new(model))
     }
 
+    /// [`PreparedModel::new`] with an ignored `_schedule` — no layer has a
+    /// schedule to choose. Kept only for `bench_e2e`, whose sources stay
+    /// unchanged until the benchmark itself is revised.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedModel::new`].
+    pub fn prepare(
+        net: &Network,
+        weights: &Weights,
+        params: BfvParams,
+        _schedule: Schedule,
+    ) -> Result<Arc<Self>> {
+        Self::new(net, weights, params)
+    }
+
+    /// The model itself. Kept only for `bench_e2e`, which reaches the
+    /// prepared layers through it and whose sources stay unchanged until
+    /// the benchmark itself is revised.
+    pub fn layers(&self) -> &Self {
+        self
+    }
+
     /// The record of linear layer `k`'s round, fixed when the model was
-    /// prepared: [`LayerPlan::new`] of the prepared kernel at
-    /// [`PreparedModel::plan_level`] of the layer's input — a fresh
-    /// encryption for layer 0, one with a `⌊t/2⌋`-norm mask removed after.
+    /// prepared: [`LayerPlan::new`] of the prepared kernel at its
+    /// [`run_level`] (level 0 when none clears the margin) on the layer's
+    /// input — a fresh encryption for layer 0, one with a `⌊t/2⌋`-norm mask
+    /// removed after — its noise charged the masks' measured norm.
     /// Part of the model description, like the layer shapes: it reveals no
     /// more than every message header already carries.
     pub fn round(&self, k: usize) -> &LayerPlan {
@@ -427,20 +390,12 @@ impl PreparedModel {
         kernel.noise_after(input, &self.params, self.rounds[k].level)
     }
 
-    /// The deepest safe level for linear layer `k` given an input noise
-    /// estimate: the last of [`feasible_levels`] over the layer's own
-    /// prediction, or 0 (full chain) when no level clears the margin. When
-    /// the model was prepared from a [`ChainPlan`], the solver's planned
-    /// level caps the answer: the estimate may pull the layer shallower
-    /// than planned but never deeper.
-    pub fn plan_level(&self, k: usize, input: &NoiseEstimate) -> usize {
-        let kernel = self.layers[k].kernel();
-        let feasible = feasible_levels(input, &self.params, |est, level| {
-            kernel.noise_after(est, &self.params, level)
-        });
-        let safe = feasible.last().map_or(0, |(level, _)| level);
-        let cap = self.planned_levels.as_ref().map_or(usize::MAX, |l| l[k]);
-        safe.min(cap)
+    /// The level linear layer `k` runs at, its round's `level`, whatever
+    /// `_input`. Kept only for `bench_e2e`, whose sources stay unchanged
+    /// until the benchmark itself is revised; read
+    /// [`PreparedModel::round`] instead.
+    pub fn plan_level(&self, k: usize, _input: &NoiseEstimate) -> usize {
+        self.rounds[k].level
     }
 
     /// Applies linear layer `k` homomorphically with a client's keys, out

@@ -1,17 +1,14 @@
 //! End-to-end HE-PTune v2: a solver-produced [`ChainPlan`] drives a
 //! tiny-CNN private-inference session.
 //!
-//! The chain solver sweeps {chain, per-layer level, rotation plan} over
-//! the network and emits concrete parameters plus per-layer levels;
-//! [`PreparedModel::from_chain_plan`] turns that plan directly into a
-//! servable model. These tests pin the whole path: the solved plan
-//! prepares, runs, and decrypts bit-identically to the cleartext
-//! reference, and the plan's levels genuinely cap the runtime level
-//! planner.
+//! The chain solver sweeps the chains over the network and emits concrete
+//! parameters plus one round record per layer; [`PreparedModel::new`] on
+//! the plan's `params` fixes the same levels by the same rule. This test
+//! pins the whole path: the solved plan prepares, runs, and decrypts
+//! bit-identically to the cleartext reference at the planned levels.
 
 use std::sync::Arc;
 
-use cheetah_bfv::NoiseEstimate;
 use cheetah_core::solver::{solve_chain_plan, ChainPlan};
 use cheetah_core::QuantSpec;
 use cheetah_nn::inference::{infer, random_input};
@@ -36,7 +33,7 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
     let plan = tiny_cnn_plan();
     assert_eq!(plan.layers.len(), net.linear_layers().len());
 
-    let prepared = PreparedModel::from_chain_plan(&net, &weights, &plan).expect("prepare");
+    let prepared = PreparedModel::new(&net, &weights, plan.params.clone()).expect("prepare");
     for (k, lp) in plan.layers.iter().enumerate() {
         let round = prepared.round(k);
         assert_eq!(
@@ -66,50 +63,4 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
     assert_eq!(conv.level, plan.layers[0].level, "planned conv level");
     assert_eq!(plan.layers[0].plan, "conv packed b=1 g=1 live=9/9 out=1");
     assert_eq!(conv.plan, "conv packed b=1 g=1 live=8/9 out=1");
-}
-
-#[test]
-fn planned_levels_cap_the_runtime_level_planner() {
-    let net = tiny_cnn();
-    let weights = Weights::random(&net, 2, 831);
-    let plan = tiny_cnn_plan();
-
-    let capped = PreparedModel::from_chain_plan(&net, &weights, &plan).unwrap();
-    let uncapped = PreparedModel::new(&net, &weights, plan.params.clone()).unwrap();
-
-    let fresh = NoiseEstimate::fresh(&plan.params);
-    let unmasked = fresh.add_plain(plan.params.plain_modulus().value() / 2);
-    for (k, &planned) in plan.levels().iter().enumerate() {
-        // Nothing caps a model prepared without a plan: each record runs
-        // at its layer's own deepest safe level.
-        let input = if k == 0 { &fresh } else { &unmasked };
-        assert_eq!(uncapped.round(k).level, uncapped.plan_level(k, input));
-        let runtime = uncapped.plan_level(k, &fresh);
-        let got = capped.plan_level(k, &fresh);
-        assert!(
-            got <= planned,
-            "layer {k}: capped level {got} exceeds plan {planned}"
-        );
-        assert_eq!(
-            got,
-            runtime.min(planned),
-            "layer {k}: cap must be min(runtime {runtime}, planned {planned})"
-        );
-    }
-}
-
-#[test]
-fn mismatched_plan_is_rejected_at_prepare_time() {
-    // A plan solved for a different network must not silently prepare.
-    let net = tiny_cnn();
-    let weights = Weights::random(&net, 2, 841);
-    let mut plan = tiny_cnn_plan();
-    plan.layers.pop();
-    let Err(err) = PreparedModel::from_chain_plan(&net, &weights, &plan) else {
-        panic!("a plan with the wrong layer count must be rejected");
-    };
-    assert!(
-        format!("{err}").contains("chain plan"),
-        "unexpected error: {err}"
-    );
 }

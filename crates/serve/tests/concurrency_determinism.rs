@@ -149,9 +149,9 @@ fn concurrent_sessions_match_serial_runs_and_references_on_all_presets() {
 #[test]
 fn solver_planned_model_serves_concurrent_clients() {
     // HE-PTune v2 end to end through the serving layer: the chain solver
-    // picks the parameter chain and per-layer levels, from_chain_plan
-    // builds the shared model, and a concurrent pool of clients decrypts
-    // bit-identically to the cleartext reference.
+    // picks the parameter chain and per-layer levels, PreparedModel::new on
+    // its params builds the shared model at those levels, and a concurrent
+    // pool of clients decrypts bit-identically to the cleartext reference.
     use cheetah_core::solver::solve_chain_plan;
     use cheetah_core::QuantSpec;
 
@@ -161,7 +161,7 @@ fn solver_planned_model_serves_concurrent_clients() {
 
     let plan = solve_chain_plan(&net.linear_layers(), &QuantSpec::default(), &[N])
         .expect("tiny CNN must be solvable");
-    let model = PreparedModel::from_chain_plan(&net, &weights, &plan).unwrap();
+    let model = PreparedModel::new(&net, &weights, plan.params.clone()).unwrap();
     let levels: Vec<usize> = (0..model.linear_count())
         .map(|k| model.round(k).level)
         .collect();

@@ -1,20 +1,22 @@
 //! Solver closure: the chain solver and the engine are one model.
 //!
 //! The solver prices a layer by asking the plan the engine would prepare
-//! (`FcPlan` / `ConvPlan::noise_after`, `feasible_levels`), so everything
-//! it emits must hold on the prepared layer, not just on paper. Over
-//! seeded random small networks — one to three linear layers mixing
+//! (`FcPlan` / `ConvPlan::noise_after`) and picks its level by the one
+//! level rule (`linear::run_level`) that `PreparedModel` applies too, so
+//! everything it emits must hold on the prepared layer, not just on paper.
+//! Over seeded random small networks — one to three linear layers mixing
 //! convolutions and FC layers, dense and pruned, weights at and below the
 //! requested bound, precision requests that steer the solve onto the
 //! digit `rns_3x36`, the hybrid `hybrid_1x54` and (one wide layer)
-//! `hybrid_2x36` — every emitted `ChainPlan` prepares through
-//! `PreparedModel::from_chain_plan`, runs a `PrivateInferenceSession`
+//! `hybrid_2x36` — every emitted `ChainPlan`'s `params` prepare a
+//! `PreparedModel` whose records are the plan's (level, label, steps,
+//! shipped level, message bytes), which runs a `PrivateInferenceSession`
 //! with the noise meter lent and decrypts to `cheetah_nn::infer`'s output,
 //! and per layer: the solver's budget is, to the bit, the chosen plan's
-//! `noise_after` at mask norm `⌊t/2⌋`, at most the prepared layer's own
-//! `noise_after` budget and within a twentieth of a bit of it past what
-//! the prepared masks' own norm explains — at that norm the chosen plan's
-//! budget is the prepared layer's, to the bit — predicted ≥ tracked
+//! `noise_after` at mask norm `⌊t/2⌋` on the round's input, at most the
+//! prepared layer's own budget and within a twentieth of a bit of it past
+//! what the prepared masks' own norm explains — at that norm the chosen
+//! plan's budget is the prepared layer's, to the bit — predicted ≥ tracked
 //! ≥ measured noise, the session ran the layer at the planned
 //! level, the planned multiplies and rotations are the measured `OpCounts`
 //! of the prepared layer, and the planned label is the prepared one.
@@ -30,11 +32,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use support::Alloc;
 
-use cheetah_bfv::{BfvParams, Encryptor, KeyGenerator, NoiseEstimate};
-use cheetah_core::linear::{ConvPlan, FcPlan, LEVEL_PLAN_MARGIN_BITS};
-use cheetah_core::solver::{chain_candidates, solve_chain_plan_structured, ChainPlan, LayerPlan};
+use cheetah_bfv::{BatchEncoder, BfvParams, Encryptor, Evaluator, KeyGenerator, NoiseEstimate};
+use cheetah_core::linear::{ConvPlan, FcPlan, HomFc, LEVEL_PLAN_MARGIN_BITS};
+use cheetah_core::solver::{chain_candidates, solve_chain_plan_structured, ChainPlan};
 use cheetah_core::{HeCostParams, LayerStructure, QuantSpec};
 use cheetah_nn::inference::{infer, random_input};
+use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::{Layer, LinearLayer, Network, Weights};
 use cheetah_serve::{PreparedModel, PrivateInferenceSession};
 use rand::rngs::StdRng;
@@ -105,16 +108,23 @@ fn structures(layers: &[LinearLayer], weights: &Weights) -> Vec<LayerStructure> 
     layers.iter().enumerate().map(analyze).collect()
 }
 
-/// A layer's input at `level`, as the level rule prices it: a fresh
-/// encryption made at that level, whose noise is the same at every level.
-fn fresh_at(params: &BfvParams, _level: usize) -> NoiseEstimate {
-    NoiseEstimate::fresh(params)
+/// Layer `k`'s input, as the level rule prices it: a fresh encryption for
+/// the first layer, one with the previous round's `⌊t/2⌋` mask removed for
+/// every later one — at whatever level the layer runs (fresh noise is
+/// absolute).
+fn round_input(params: &BfvParams, k: usize) -> NoiseEstimate {
+    let fresh = NoiseEstimate::fresh(params);
+    match k {
+        0 => fresh,
+        _ => fresh.add_plain(params.plain_modulus().value() / 2),
+    }
 }
 
-/// The budget of the plan the engine's chooser picks for `structure` at
-/// `level`, asked for its own `noise_after` an input of noise `input`,
-/// every mask at `norm` — on a fresh encryption made at that level and at
-/// `⌊t/2⌋`, what the solver must have computed, to the bit.
+/// The budget at `level` of the plan the engine's chooser picks for
+/// `structure` (at level 0, as both `HomFc` / `HomConv2d` and the solver
+/// choose), asked for its own `noise_after` an input of noise `input`,
+/// every mask at `norm` — on the round's input and at `⌊t/2⌋`, what the
+/// solver must have computed, to the bit.
 fn plan_budget(
     layer: &LinearLayer,
     structure: &LayerStructure,
@@ -123,7 +133,7 @@ fn plan_budget(
     input: &NoiseEstimate,
     norm: u64,
 ) -> f64 {
-    let cost = HeCostParams::for_bfv(params, level);
+    let cost = HeCostParams::for_bfv(params, 0);
     let out = match (layer, structure) {
         (LinearLayer::Fc(_), LayerStructure::Fc(s)) => {
             FcPlan::choose(s, params.slots(), &cost).noise_after(input, params, level, norm)
@@ -136,17 +146,91 @@ fn plan_budget(
     out.budget_bits_statistical_at(params, level)
 }
 
+/// One network solved on its weights' own structures.
+struct Case {
+    what: String,
+    net: Network,
+    weights: Weights,
+    structures: Vec<LayerStructure>,
+    plan: ChainPlan,
+}
+
+impl Case {
+    fn solve(what: &str, net: Network, weights: Weights, quant: &QuantSpec) -> Self {
+        let layers = net.linear_layers();
+        let structures = structures(&layers, &weights);
+        let plan = solve_chain_plan_structured(&layers, Some(&structures), quant, &[4096])
+            .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        Self {
+            what: what.to_owned(),
+            net,
+            weights,
+            structures,
+            plan,
+        }
+    }
+}
+
+/// The random closure networks: twelve seeded random nets and one layer
+/// wide enough (1024 tiled diagonals: 2048 outputs, a copy of the input in
+/// each row) that the single 54-bit limb has no budget for it, so its
+/// solve lands on `hybrid_2x36`.
+fn closure_cases() -> Vec<Case> {
+    let mut rng = StdRng::seed_from_u64(0x00c1_050e);
+    let mut cases: Vec<Case> = (0..12u64)
+        .map(|case| {
+            let net = random_net(&mut rng);
+            let layers = net.linear_layers();
+            // Weights at the requested bound (±1 under one bit) and below
+            // it (±2 under the two bits that admit ±3); every third case
+            // pruned.
+            let (weight_bits, bound) = [(1, 1), (2, 2)][(case % 2) as usize];
+            let mut weights = Weights::random(&net, bound, 900 + case);
+            if case % 3 == 2 {
+                weights.prune_to_sparsity(0.5, 950 + case);
+            }
+            // 17 bits only the digit chains carry; 16 every chain does.
+            let t_bits = if case % 4 < 2 { 17 } else { 16 };
+            let quant = quant_for(&layers, weight_bits, t_bits);
+            Case::solve(&format!("case {case}"), net, weights, &quant)
+        })
+        .collect();
+    let net = Network {
+        name: "wide".into(),
+        input_shape: vec![2048],
+        layers: vec![Layer::fc("wide", 2048, 2048)],
+    };
+    let weights = Weights::random(&net, 1, 990);
+    let quant = quant_for(&net.linear_layers(), 1, 16);
+    cases.push(Case::solve("wide", net, weights, &quant));
+    cases
+}
+
+/// A 17-bit request on one FC layer: `single_60` and `rns_3x36` both carry
+/// it, the single limb is the cheaper by far, and the solver passes it
+/// over on noise alone.
+fn rejected_case() -> Case {
+    let net = Network {
+        name: "rejected".into(),
+        input_shape: vec![256],
+        layers: vec![Layer::fc("fc", 256, 64)],
+    };
+    let weights = Weights::random(&net, 1, 31);
+    let quant = quant_for(&net.linear_layers(), 1, 17);
+    Case::solve("rejected", net, weights, &quant)
+}
+
 /// Every closure property of one solved plan on one set of weights.
-fn check_closure(
-    what: &str,
-    net: &Network,
-    weights: &Weights,
-    structures: &[LayerStructure],
-    plan: &ChainPlan,
-    seed: u64,
-) {
-    let prepared = PreparedModel::from_chain_plan(net, weights, plan).expect(what);
+fn check_closure(case: &Case, seed: u64) {
+    let Case {
+        what,
+        net,
+        weights,
+        structures,
+        plan,
+    } = case;
     let params = plan.params.clone();
+    let prepared = PreparedModel::new(net, weights, params.clone()).expect(what);
     let input = random_input(&net.input_shape, 2, seed ^ 0x1295);
     let trace = infer(net, weights, &input);
     let half_t = (params.plain_modulus().value() / 2) as i64;
@@ -189,30 +273,23 @@ fn check_closure(
         );
 
         let (layer, structure) = (&layers[k], &structures[k]);
-        let fresh = fresh_at(&params, lp.level);
+        let assumed = round_input(&params, k);
         assert!(lp.budget_bits >= LEVEL_PLAN_MARGIN_BITS, "{what}: margin");
         // Same function, same inputs: equal to the bit.
         assert_eq!(
             lp.budget_bits,
-            plan_budget(layer, structure, &params, lp.level, &fresh, half_t as u64),
+            plan_budget(layer, structure, &params, lp.level, &assumed, half_t as u64),
             "{what}: solver budget vs the plan's own at ⌊t/2⌋"
         );
         // The chosen plan at the prepared masks' own norm is the prepared
-        // layer's prediction, to the bit, on the input its record assumes
-        // (fresh for layer 0, a `⌊t/2⌋` mask removed after): the solver and
-        // the engine differ in the norm charged and nothing else.
+        // layer's prediction, to the bit, on the same round input: the
+        // solver and the engine differ in the norm charged and nothing else.
         let norm = round.mask_norm;
-        let assumed = match k {
-            0 => fresh,
-            _ => fresh.add_plain(half_t as u64),
-        };
+        let own = plan_budget(layer, structure, &params, lp.level, &assumed, norm);
         assert_eq!(
-            round.budget_bits,
-            plan_budget(layer, structure, &params, lp.level, &assumed, norm),
+            round.budget_bits, own,
             "{what}: the prepared layer vs the plan at its masks' norm {norm}"
         );
-        // The prepared layer's own budget on the solver's fresh input.
-        let own = plan_budget(layer, structure, &params, lp.level, &fresh, norm);
         assert!(
             lp.budget_bits <= own,
             "{what}: solver budget {} above the prepared layer's {own}",
@@ -266,51 +343,11 @@ fn check_closure(
 
 #[test]
 fn every_solved_plan_holds_on_the_prepared_engine() {
-    let mut rng = StdRng::seed_from_u64(0x00c1_050e);
     let mut chains = BTreeSet::new();
-    for case in 0..12u64 {
-        let net = random_net(&mut rng);
-        let layers = net.linear_layers();
-        // Weights at the requested bound (±1 under one bit) and below it
-        // (±2 under the two bits that admit ±3); every third case pruned.
-        let (weight_bits, bound) = [(1, 1), (2, 2)][(case % 2) as usize];
-        let mut weights = Weights::random(&net, bound, 900 + case);
-        if case % 3 == 2 {
-            weights.prune_to_sparsity(0.5, 950 + case);
-        }
-        // 17 bits only the digit chains carry; 16 every chain does.
-        let t_bits = if case % 4 < 2 { 17 } else { 16 };
-        let quant = quant_for(&layers, weight_bits, t_bits);
-        let structures = structures(&layers, &weights);
-        let plan = solve_chain_plan_structured(&layers, Some(&structures), &quant, &[4096])
-            .unwrap_or_else(|e| panic!("case {case}: {e:?}"));
-        chains.insert(plan.name.clone());
-        check_closure(
-            &format!("case {case}"),
-            &net,
-            &weights,
-            &structures,
-            &plan,
-            7000 + case,
-        );
+    for (i, case) in closure_cases().iter().enumerate() {
+        chains.insert(case.plan.name.clone());
+        check_closure(case, 7000 + i as u64);
     }
-
-    // One layer wide enough (1024 tiled diagonals: 2048 outputs, a copy of
-    // the input in each row) that the single 54-bit limb has no budget for
-    // it: the solve lands on hybrid_2x36.
-    let net = Network {
-        name: "wide".into(),
-        input_shape: vec![2048],
-        layers: vec![Layer::fc("wide", 2048, 2048)],
-    };
-    let layers = net.linear_layers();
-    let weights = Weights::random(&net, 1, 990);
-    let quant = quant_for(&layers, 1, 16);
-    let structures = structures(&layers, &weights);
-    let plan = solve_chain_plan_structured(&layers, Some(&structures), &quant, &[4096]).unwrap();
-    chains.insert(plan.name.clone());
-    check_closure("wide", &net, &weights, &structures, &plan, 7100);
-
     let expect = ["4096/hybrid_1x54", "4096/hybrid_2x36", "4096/rns_3x36"];
     assert_eq!(
         chains.iter().map(String::as_str).collect::<Vec<_>>(),
@@ -318,56 +355,85 @@ fn every_solved_plan_holds_on_the_prepared_engine() {
     );
 }
 
+/// The one level rule, closed: on every network this suite and the
+/// chain-plan session solve, each on its weights' own structures, a model
+/// prepared on the plan's `params` alone fixes every round the solver
+/// planned — level, label, steps, shipped level and message bytes.
+#[test]
+fn a_model_prepared_on_a_solved_chain_holds_the_solved_records() {
+    let tiny = |seed| {
+        let (net, quant) = (tiny_cnn(), QuantSpec::default());
+        let weights = Weights::random(&net, 2, seed);
+        Case::solve(&format!("tiny_cnn {seed}"), net, weights, &quant)
+    };
+    let mut cases = closure_cases();
+    cases.push(rejected_case());
+    cases.extend([811, 424].map(tiny));
+    let mut deep = 0;
+    for case in &cases {
+        let prepared =
+            PreparedModel::new(&case.net, &case.weights, case.plan.params.clone()).unwrap();
+        for (k, lp) in case.plan.layers.iter().enumerate() {
+            let round = prepared.round(k);
+            assert_eq!(
+                (
+                    round.level,
+                    &round.plan,
+                    &round.steps,
+                    round.shipped_level,
+                    round.upload_bytes,
+                    round.download_bytes
+                ),
+                (
+                    lp.level,
+                    &lp.plan,
+                    &lp.steps,
+                    lp.shipped_level,
+                    lp.upload_bytes,
+                    lp.download_bytes
+                ),
+                "{} layer {k} on {}",
+                case.what,
+                case.plan.name
+            );
+            deep += usize::from(lp.level > 0);
+        }
+    }
+    assert!(deep > 0, "no solved layer runs below level 0");
+}
+
 #[test]
 fn a_chain_or_level_passed_over_on_noise_is_one_the_prepared_layer_rejects() {
-    // A 17-bit request: `single_60` and `rns_3x36` both carry it, the
-    // single limb is the cheaper by far, and the solver passes it over on
-    // noise alone. (No request is refused outright on noise at n = 4096:
-    // level 0 of `rns_3x36` keeps 30 bits and more for any layer that
-    // fits a row.)
-    let net = Network {
-        name: "rejected".into(),
-        input_shape: vec![256],
-        layers: vec![Layer::fc("fc", 256, 64)],
-    };
-    let layers = net.linear_layers();
-    let weights = Weights::random(&net, 1, 31);
-    let quant = quant_for(&layers, 1, 17);
-    let structures = structures(&layers, &weights);
-    let plan = solve_chain_plan_structured(&layers, Some(&structures), &quant, &[4096]).unwrap();
+    // No request is refused outright on noise at n = 4096: level 0 of
+    // `rns_3x36` keeps 30 bits and more for any layer that fits a row.
+    let Case {
+        net, weights, plan, ..
+    } = rejected_case();
     let lp = &plan.layers[0];
-
-    // Brute force over what the engine itself accepts: prepare the layer on
-    // every chain whose t fits, at every level, and read its own budget.
-    let LayerStructure::Fc(structure) = &structures[0] else {
+    let Some(LinearLayer::Fc(spec)) = net.layers[0].as_linear() else {
         unreachable!("an FC layer")
     };
+
+    // Brute force over what the engine itself accepts: prepare the layer on
+    // every chain whose t fits, and read the prepared kernel's own
+    // prediction at every level, on the first layer's fresh input.
     let mut accepted: Vec<(f64, String, usize)> = Vec::new();
     let mut refused_on_noise = Vec::new();
     for (name, params) in chain_candidates(&[4096]) {
         if 64 - params.plain_modulus().value().leading_zeros() < 17 {
             continue;
         }
+        let encoder = BatchEncoder::new(params.clone());
+        let eval = Evaluator::new(params.clone());
+        let layer = HomFc::new(spec, weights.layer(0), &encoder, &eval).unwrap();
+        let kernel = layer.kernel();
+        let fresh = round_input(&params, 0);
         let before = accepted.len();
         for level in 0..params.levels() {
-            let at_level = ChainPlan {
-                name: name.clone(),
-                params: params.clone(),
-                layers: vec![LayerPlan {
-                    level,
-                    ..lp.clone()
-                }],
-                total_int_mults: 0.0,
-            };
-            // The layer runs at the planned level exactly when its own
-            // prediction there clears the margin: its record then holds
-            // that budget.
-            let prepared = PreparedModel::from_chain_plan(&net, &weights, &at_level).unwrap();
-            let round = prepared.round(0);
-            if round.level == level && round.budget_bits >= LEVEL_PLAN_MARGIN_BITS {
+            let out = kernel.noise_after(&fresh, &params, level);
+            if out.budget_bits_statistical_at(&params, level) >= LEVEL_PLAN_MARGIN_BITS {
                 let cost = HeCostParams::for_bfv(&params, level);
-                let plan = FcPlan::choose(structure, params.slots(), &cost);
-                accepted.push((plan.int_mults(&cost) as f64, name.clone(), level));
+                accepted.push((kernel.plan().int_mults(&cost) as f64, name.clone(), level));
             }
         }
         if accepted.len() == before {

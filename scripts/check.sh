@@ -182,10 +182,10 @@ fi
 echo "==> one-noise-model gate"
 # The chain solver asks the engine instead of modelling it: a layer's noise
 # is its kernel plan's noise_after (BsgsPlan's, the function a prepared
-# kernel calls with its measured mask norm) and its levels are
-# linear::feasible_levels', the runtime planner's rule. The solver's
-# private copy of Table III, its own margin and its Schedule argument must
-# not grow back.
+# kernel calls with its measured mask norm) and its level is
+# linear::run_level's, the one level rule PreparedModel applies too. The
+# solver's private copy of Table III, its own margin and its Schedule
+# argument must not grow back.
 if git grep -nE 'layer_noise_on_chain|\bPLAN_MARGIN_BITS\b|\bSchedule\b' -- crates/core/src/solver.rs; then
     echo "FAIL: the chain solver models noise, a margin or a schedule of its own again (see matches above)"
     exit 1
@@ -196,12 +196,31 @@ if git grep -n 'layer_noise_on_chain' -- crates src tests examples; then
 fi
 
 echo "==> one-level-rule gate"
-# The level a layer runs at (linear::feasible_levels) and the level its
-# download ships at (linear::shipping_level) clear one margin,
+# The level a layer runs at (linear::run_level) and the level its download
+# ships at (linear::shipping_level) clear one margin,
 # LEVEL_PLAN_MARGIN_BITS, defined once beside both rules; the serving
 # crate, which applies them, defines no margin of its own. The shipping
 # rule has one caller, the round record's builder (solver::LayerPlan::new),
 # which the solver and PreparedModel both call (one-round-record gate).
+# run_level has two callers, the chain solver and PreparedModel, each on
+# the plan it chose once per layer. The second rule it replaced stays
+# deleted: feasible_levels, the solver's per-level chooser loop
+# (cheapest_level), the solver-level cap (planned_levels) and its entry
+# (from_chain_plan), and layers prepared at a level (new_at_level). A
+# prepared layer has no level; its record has one, and plan_level survives
+# only as a read of that record for the frozen bench_e2e sources.
+if git grep -nE '\b(feasible_levels|planned_levels|cheapest_level|from_chain_plan|new_at_level)\b' -- crates src tests examples ':!crates/bench/src/bin/bench_e2e'; then
+    echo "FAIL: a second level rule is back (see matches above)"
+    exit 1
+fi
+if git grep -nE '\brun_level\(' -- crates src tests examples ':!crates/core/src/solver.rs' ':!crates/serve/src/model.rs' | grep -v 'pub fn run_level('; then
+    echo "FAIL: run_level is called outside the solver and PreparedModel (see matches above)"
+    exit 1
+fi
+if git grep -n 'plan_level(' -- crates src tests examples ':!crates/serve/src/model.rs' ':!crates/bench/src/bin/bench_e2e'; then
+    echo "FAIL: plan_level is read outside PreparedModel and the frozen bench_e2e (see matches above)"
+    exit 1
+fi
 margin_homes=$(git grep -lE '(const|static)[[:space:]]+LEVEL_PLAN_MARGIN_BITS\b' -- '*.rs' | tr '\n' ' ')
 if [[ "$margin_homes" != "crates/core/src/linear/mod.rs " ]]; then
     echo "FAIL: LEVEL_PLAN_MARGIN_BITS must be defined once, in crates/core/src/linear/mod.rs: $margin_homes"
@@ -217,14 +236,10 @@ echo "==> one-switch gate"
 # encrypts it there (PreparedModel::round(k).level, fixed when the model is
 # prepared) and the server refuses any other, so a round modulus-switches
 # once — the layer's outputs, down to their shipping level — and plans no
-# level per upload.
+# level per upload (the one-level-rule gate refuses plan_level( there).
 switches=$(grep -o 'mod_switch_to_assign' crates/serve/src/session.rs | wc -l)
 if ((switches > 1)); then
     echo "FAIL: crates/serve/src/session.rs calls mod_switch_to_assign $switches times (the ship switch only)"
-    exit 1
-fi
-if grep -n 'plan_level(' crates/serve/src/session.rs; then
-    echo "FAIL: crates/serve/src/session.rs plans a level per upload again (see matches above)"
     exit 1
 fi
 

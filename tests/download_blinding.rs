@@ -166,7 +166,7 @@ fn layer0_blinding(transcript: &Transcript, keys: &PrivateInferenceSession) -> V
     // remove, the planned level, the layer.
     let mut upload =
         wire::decode_ciphertext(payload_of(transcript, "enc activations L0"), params).unwrap();
-    let level = prepared.plan_level(0, upload.noise());
+    let level = prepared.round(0).level;
     prepared
         .evaluator()
         .mod_switch_to_assign(&mut upload, level)
