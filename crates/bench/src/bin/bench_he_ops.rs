@@ -66,6 +66,15 @@
 //! the key-switch chain with their `_avx2` twins (`scripts/check.sh` gates
 //! the pairs).
 //!
+//! The `prepare_ns` section times a model's preparation on the same two
+//! presets (`{preset}_…`): one signed mask encoded, its plaintext prepared
+//! at level 0 (the lift onto every limb and the transforms), and a whole
+//! `HomFc::new` of `bench_e2e`'s `mlp_digit` first layer (1024 → 256).
+//!
+//! The process keeps the heap it frees, as a long-lived server's allocator
+//! holds it (`keep_freed_heap`), so no row pays to fault its output's
+//! pages in again on every call.
+//!
 //! Run: `cargo run --release -p cheetah-bench --bin bench_he_ops [out.json]`
 //!
 //! Set `BENCH_SMOKE=1` for CI smoke mode: the measurement budget drops to
@@ -93,18 +102,47 @@ fn smoke() -> bool {
 
 /// Times `f` with an adaptive iteration count (~0.5 s budget after one
 /// calibration call; ~5 ms in smoke mode) and returns mean ns/op.
-fn time_ns(mut f: impl FnMut()) -> f64 {
+fn time_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     let budget: u128 = if smoke() { 5_000_000 } else { 500_000_000 };
     let start = Instant::now();
-    f();
+    black_box(f());
     let once = start.elapsed().as_nanos().max(1);
     let iters = (budget / once).clamp(3, 20_000) as u64;
     let start = Instant::now();
     for _ in 0..iters {
-        f();
+        black_box(f());
     }
     start.elapsed().as_nanos() as f64 / iters as f64
 }
+
+/// Makes the allocator keep what it frees, as the heap of a long-lived
+/// server holds it. By default glibc hands a freed top of the heap back to
+/// the kernel (`M_TRIM_THRESHOLD`, 128 KiB) and serves larger blocks by
+/// `mmap` (`M_MMAP_THRESHOLD`), so a row whose op allocates its output
+/// would fault every page of it in again on every call (about 1–1.5 µs a
+/// 4 KiB page on a 2-vCPU VM): a one-key expansion read ≈ 500 µs that way
+/// against ≈ 250 µs on a kept heap. glibc raises both thresholds the first
+/// time it frees a large `mmap`ped block, so without this call whether a
+/// row pays the faults depends on which rows ran before it.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn keep_freed_heap() {
+    const M_TRIM_THRESHOLD: i32 = -1;
+    const M_MMAP_THRESHOLD: i32 = -3;
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    // SAFETY: `mallopt` only sets the allocator's tunables; it is called
+    // before this process starts a second thread. 32 MiB is glibc's
+    // largest `mmap` threshold on a 64-bit target.
+    let kept = unsafe {
+        mallopt(M_TRIM_THRESHOLD, i32::MAX) == 1 && mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1
+    };
+    assert!(kept, "glibc refused the heap tunables");
+}
+
+/// Other allocators keep their own policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn keep_freed_heap() {}
 
 /// Runs `f` with the kernel backend forced to `b` (`None` = runtime
 /// detection), restoring automatic detection afterwards.
@@ -362,30 +400,20 @@ struct SetupPoint {
 fn setup_point(preset: &'static str, params: BfvParams) -> SetupPoint {
     let ks = params.ks_chain_at(0);
     let mut rng = BfvRng::from_seed(41, params.sigma());
-    let noise_poly = time_ns(|| {
-        black_box(rng.noise_rns(ks));
-    });
+    let noise_poly = time_ns(|| rng.noise_rns(ks));
     let mut stream = UniformStream::new(42, ks);
-    let uniform_poly = time_ns(|| {
-        black_box(stream.next_poly());
-    });
+    let uniform_poly = time_ns(|| stream.next_poly());
     let mut kg = KeyGenerator::from_seed(params.clone(), 43);
     let g = cheetah_bfv::keys::element_for_step(params.degree(), 1).unwrap();
-    let seeded_galois_key = time_ns(|| {
-        black_box(kg.seeded_galois_key(black_box(g)).unwrap());
-    });
+    let seeded_galois_key = time_ns(|| kg.seeded_galois_key(black_box(g)).unwrap());
     let keys = kg.seeded_galois_keys_for_steps(&[1]).unwrap();
-    let key_expand = time_ns(|| {
-        black_box(black_box(&keys).clone().expand(&params));
-    });
+    let key_expand = time_ns(|| black_box(&keys).clone().expand(&params));
     let encoder = BatchEncoder::new(params.clone());
     let t = params.plain_modulus().value();
     let values: Vec<u64> = (0..params.degree() as u64).map(|v| v % t).collect();
     let pt = encoder.encode(&values).unwrap();
     let mut enc = Encryptor::from_secret_key(kg.secret_key().clone(), 44);
-    let encrypt_seeded = time_ns(|| {
-        black_box(enc.encrypt_seeded_at(black_box(&pt), 0).unwrap());
-    });
+    let encrypt_seeded = time_ns(|| enc.encrypt_seeded_at(black_box(&pt), 0).unwrap());
     let (a, b) = (stream.next_poly(), stream.next_poly());
     let mut r = stream.next_poly();
     let mul_pointwise = detected_and_avx2(|| {
@@ -403,6 +431,47 @@ fn setup_point(preset: &'static str, params: BfvParams) -> SetupPoint {
         encrypt_seeded,
         mul_pointwise,
         fma_pointwise,
+    }
+}
+
+/// A model's preparation on one preset, piece by piece: one signed mask
+/// encoded (`encode_signed` of 4 096 values in `[-5, 5]`), the plaintext it
+/// gives prepared at level 0 (`prepare_plaintext_at`: the lift onto every
+/// limb and its transforms), and a whole `HomFc::new` of `bench_e2e`'s
+/// `mlp_digit` first layer (1024 → 256): plan choice, mask fill, and one
+/// encode and one preparation per live mask.
+struct PreparePoint {
+    preset: &'static str,
+    encode_signed: f64,
+    prepare_plaintext: f64,
+    mlp_fc1_homfc_new: f64,
+}
+
+fn prepare_point(preset: &'static str, params: BfvParams) -> PreparePoint {
+    let encoder = BatchEncoder::new(params.clone());
+    let eval = Evaluator::new(params.clone());
+    let values: Vec<i64> = (0..params.degree() as i64)
+        .map(|i| (i * 7 + 3) % 11 - 5)
+        .collect();
+    let encode_signed = time_ns(|| encoder.encode_signed(black_box(&values)).unwrap());
+    let pt = encoder.encode_signed(&values).unwrap();
+    let prepare_plaintext = time_ns(|| eval.prepare_plaintext_at(black_box(&pt), 0).unwrap());
+    let spec = FcSpec {
+        name: "fc1".into(),
+        ni: 1024,
+        no: 256,
+    };
+    let weights = Tensor::from_data(
+        &[spec.no, spec.ni],
+        (0..spec.no * spec.ni).map(|i| (i % 3) as i64 - 1).collect(),
+    );
+    let mlp_fc1_homfc_new =
+        time_ns(|| HomFc::new(&spec, black_box(&weights), &encoder, &eval).unwrap());
+    PreparePoint {
+        preset,
+        encode_signed,
+        prepare_plaintext,
+        mlp_fc1_homfc_new,
     }
 }
 
@@ -507,7 +576,7 @@ fn fc_point(params: BfvParams) -> FcPoint {
         time_ns(|| {
             let out =
                 layer.apply_with_scratch(black_box(&ct), &eval, &keys, &mut eval.new_scratch());
-            black_box(out.unwrap());
+            out.unwrap()
         })
     };
 
@@ -564,7 +633,7 @@ fn conv_point(params: BfvParams) -> (usize, f64) {
         .unwrap();
     let ns = time_ns(|| {
         let out = layer.apply_with_scratch(black_box(&ct), &eval, &keys, &mut eval.new_scratch());
-        black_box(out.unwrap());
+        out.unwrap()
     });
     (params.limbs(), ns)
 }
@@ -573,6 +642,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_he_ops.json".to_string());
+    keep_freed_heap();
     let c = ctx();
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -582,6 +652,7 @@ fn main() {
     let add_alloc = time_ns(|| {
         let mut out = black_box(&c.ct).clone();
         c.eval.add_assign(&mut out, black_box(&c.ct2)).unwrap();
+        out
     });
     let mut work = c.ct.clone();
     let add_assign = time_ns(|| {
@@ -593,6 +664,7 @@ fn main() {
     let mul_alloc = time_ns(|| {
         let mut out = black_box(&c.ct).clone();
         c.eval.mul_plain_assign(&mut out, &c.pt).unwrap();
+        out
     });
     let mut work = c.ct.clone();
     let mul_assign = time_ns(|| {
@@ -607,6 +679,7 @@ fn main() {
         c.eval
             .rotate_rows_into(&mut out, black_box(&c.ct), 1, &c.keys, &mut scratch)
             .unwrap();
+        out
     });
     let mut rot_out = Ciphertext::transparent_zero_at(c.eval.params(), 0);
     let rotate_into = time_ns(|| {
@@ -719,6 +792,13 @@ fn main() {
         ("hybrid_2x36", BfvParams::preset_hybrid_2x36(4096).unwrap()),
     ]
     .map(|(name, params)| setup_point(name, params));
+
+    // --- A model's preparation, piece by piece, on the bench chains ---
+    let prepare_points = [
+        ("rns_3x36", BfvParams::preset_rns_3x36(4096).unwrap()),
+        ("hybrid_2x36", BfvParams::preset_hybrid_2x36(4096).unwrap()),
+    ]
+    .map(|(name, params)| prepare_point(name, params));
 
     // --- Packed convolution on the multi-limb presets ---
     let conv_points = [
@@ -850,6 +930,31 @@ fn main() {
         let _ = writeln!(
             json,
             "    \"{name}_fma_pointwise_avx2\": {fma_avx2:.1}{trail}"
+        );
+    }
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"prepare_ns\": {{");
+    for (idx, p) in prepare_points.iter().enumerate() {
+        let name = p.preset;
+        let trail = if idx + 1 < prepare_points.len() {
+            ","
+        } else {
+            ""
+        };
+        let _ = writeln!(
+            json,
+            "    \"{name}_encode_signed\": {:.1},",
+            p.encode_signed
+        );
+        let _ = writeln!(
+            json,
+            "    \"{name}_prepare_plaintext\": {:.1},",
+            p.prepare_plaintext
+        );
+        let _ = writeln!(
+            json,
+            "    \"{name}_mlp_fc1_homfc_new\": {:.1}{trail}",
+            p.mlp_fc1_homfc_new
         );
     }
     let _ = writeln!(json, "  }}");

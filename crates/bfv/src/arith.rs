@@ -227,16 +227,24 @@ impl Modulus {
         }
     }
 
+    /// [`Modulus::from_signed`] of an `a` with `|a| < q`: `a`, plus `q`
+    /// when negative. No branch on the sign, so a loop over a plane whose
+    /// bound is known below `q` vectorizes.
+    #[inline(always)]
+    pub fn from_small_signed(&self, a: i64) -> u64 {
+        debug_assert!(a.unsigned_abs() < self.value);
+        (a as u64).wrapping_add(self.value & ((a >> 63) as u64))
+    }
+
     /// Reduces a signed integer into `[0, q)`.
     #[inline]
     pub fn from_signed(&self, a: i64) -> u64 {
         // The magnitude's residue, under the sign: no 128-bit division.
         let mag = a.unsigned_abs();
-        let r = if mag < self.value {
-            mag
-        } else {
-            self.reduce(mag)
-        };
+        if mag < self.value {
+            return self.from_small_signed(a);
+        }
+        let r = self.reduce(mag);
         if a < 0 && r != 0 {
             self.value - r
         } else {
@@ -818,6 +826,15 @@ mod tests {
         assert_eq!(q.from_signed(-1), 16);
         assert_eq!(q.from_signed(-17), 0);
         assert_eq!(q.from_signed(35), 1);
+        // Both sides of the |a| < q fast path, and the extremes.
+        let edges = (-40..=40).chain([i64::MIN, i64::MIN + 1, i64::MAX]);
+        for a in edges {
+            let expect = (a as i128).rem_euclid(17) as u64;
+            assert_eq!(q.from_signed(a), expect, "{a}");
+            if a.unsigned_abs() < 17 {
+                assert_eq!(q.from_small_signed(a), expect, "{a}");
+            }
+        }
     }
 
     #[test]

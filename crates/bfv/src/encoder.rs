@@ -156,6 +156,29 @@ impl BatchEncoder {
     ///
     /// Returns [`Error::TooManyValues`] if more than `n` values are given.
     pub fn encode(&self, values: &[u64]) -> Result<Plaintext> {
+        let t = self.params.plain_modulus();
+        self.encode_residues(values, |v| t.reduce(v))
+    }
+
+    /// Encodes signed values; each is reduced into the centered range of `t`
+    /// (`t.from_signed(v)`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::TooManyValues`] if more than `n` values are given.
+    pub fn encode_signed(&self, values: &[i64]) -> Result<Plaintext> {
+        let t = self.params.plain_modulus();
+        self.encode_residues(values, |v| t.from_signed(v))
+    }
+
+    /// Writes each value's residue mod `t` straight to its slot's
+    /// evaluation point; the inverse NTT turns them into the coefficients
+    /// in place. Missing trailing slots are zero.
+    fn encode_residues<T: Copy>(
+        &self,
+        values: &[T],
+        residue: impl Fn(T) -> u64,
+    ) -> Result<Plaintext> {
         let n = self.slots();
         if values.len() > n {
             return Err(Error::TooManyValues {
@@ -163,26 +186,12 @@ impl BatchEncoder {
                 slots: n,
             });
         }
-        let t = self.params.plain_modulus();
-        // Slot values at their evaluation points; the inverse NTT turns
-        // them into the coefficients in place.
         let mut coeffs = vec![0u64; n];
-        for (i, &v) in values.iter().enumerate() {
-            coeffs[self.slot_to_pos[i] as usize] = t.reduce(v);
+        for (&pos, &v) in self.slot_to_pos.iter().zip(values) {
+            coeffs[pos as usize] = residue(v);
         }
         self.params.t_table().inverse(&mut coeffs);
         Ok(Plaintext::canonical(coeffs, self.params.clone()))
-    }
-
-    /// Encodes signed values; each is reduced into the centered range of `t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TooManyValues`] if more than `n` values are given.
-    pub fn encode_signed(&self, values: &[i64]) -> Result<Plaintext> {
-        let t = self.params.plain_modulus();
-        let unsigned: Vec<u64> = values.iter().map(|&v| t.from_signed(v)).collect();
-        self.encode(&unsigned)
     }
 
     /// Decodes all `n` slots as unsigned residues mod `t`.

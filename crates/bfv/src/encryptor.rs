@@ -6,7 +6,10 @@
 //! `round(t·c/Q)` scaling — so a 1-limb chain reproduces the historical
 //! single-modulus rounding bit-for-bit, and longer chains get exact
 //! wide-modulus decryption without any big-integer polynomial arithmetic.
+//! A one-limb phase (every download ships at the last limb) rounds in
+//! `u64` with no compose and no division when `t·q + q/2 < 2^64`.
 
+use crate::arith::Modulus;
 use crate::ciphertext::Ciphertext;
 use crate::encoder::Plaintext;
 use crate::error::{Error, Result};
@@ -200,6 +203,32 @@ pub struct Decryptor {
     sk: SecretKey,
 }
 
+/// `round(t·c / q) mod t` for every residue `c` of a one-limb phase, when
+/// `t·q + q/2 < 2^64`: the numerator's remainder by Barrett, then the
+/// quotient by an exact division — a multiply by `q⁻¹ mod 2^64` (`q` is
+/// odd) — so no `u128` compose or division runs. The quotient is at most
+/// `t` (`c < q`), so `mod t` is one conditional subtraction. The same
+/// integers as the composed path.
+fn round_one_limb(phase: &[u64], t: u64, q: &Modulus) -> Vec<u64> {
+    let qv = q.value();
+    debug_assert!(qv % 2 == 1, "an NTT limb is odd");
+    // Newton's iteration doubles the correct low bits of q⁻¹ mod 2^64 from
+    // the three `q` itself holds (q·q ≡ 1 mod 8 for odd q).
+    let mut q_inv = qv;
+    for _ in 0..5 {
+        q_inv = q_inv.wrapping_mul(2u64.wrapping_sub(qv.wrapping_mul(q_inv)));
+    }
+    let half_q = qv / 2;
+    phase
+        .iter()
+        .map(|&c| {
+            let num = t * c + half_q;
+            let quo = (num - q.reduce(num)).wrapping_mul(q_inv);
+            quo - t * u64::from(quo >= t)
+        })
+        .collect()
+}
+
 impl Decryptor {
     /// Creates a decryptor from the secret key.
     pub fn new(sk: SecretKey) -> Self {
@@ -243,16 +272,20 @@ impl Decryptor {
         let qv = chain.big_q();
         let tv = self.params.plain_modulus().value() as u128;
         let half_q = qv / 2;
-        let coeffs: Vec<u64> = (0..self.params.degree())
-            .map(|j| {
-                // round(t*c/Q_ℓ) mod t, in exact integer arithmetic (the
-                // chain builder guarantees t*Q + Q/2 fits u128, and every
-                // Q_ℓ divides Q).
-                let c = phase.compose_coeff(chain, j);
-                let num = tv * c + half_q;
-                ((num / qv) % tv) as u64
-            })
-            .collect();
+        let coeffs: Vec<u64> = if chain.limbs() == 1 && tv * qv + half_q < 1 << 64 {
+            round_one_limb(phase.limb(0), tv as u64, chain.modulus(0))
+        } else {
+            (0..self.params.degree())
+                .map(|j| {
+                    // round(t*c/Q_ℓ) mod t, in exact integer arithmetic (the
+                    // chain builder guarantees t*Q + Q/2 fits u128, and every
+                    // Q_ℓ divides Q).
+                    let c = phase.compose_coeff(chain, j);
+                    let num = tv * c + half_q;
+                    ((num / qv) % tv) as u64
+                })
+                .collect()
+        };
         let m = Plaintext::canonical(coeffs, self.params.clone());
         Ok((phase, m))
     }
@@ -345,6 +378,44 @@ mod tests {
         let dec = Decryptor::new(kg.secret_key().clone());
         let encoder = BatchEncoder::new(params.clone());
         (params, encoder, enc, dec)
+    }
+
+    #[test]
+    fn one_limb_rounding_is_the_composed_formula() {
+        // Every last limb the presets round on in u64, on the residues
+        // where round(t·c/q) steps (c just below and at each
+        // ⌈(k·q − q/2)/t⌉, k ≤ t, where the result wraps to 0 at k = t),
+        // the edges 0, 1, q/2, q/2 + 1, q − 1, and a spread between:
+        // round_one_limb gives what the u128 compose-and-divide gives.
+        let mut checked = 0;
+        let mut presets = BfvParams::presets(4096).unwrap();
+        presets.extend(BfvParams::hybrid_presets(4096).unwrap());
+        for (_, params) in presets {
+            let t = params.plain_modulus().value();
+            let chain = params.chain_at(params.max_level());
+            let (q, qv) = (chain.modulus(0), chain.big_q() as u64);
+            if chain.limbs() != 1 || t as u128 * qv as u128 + qv as u128 / 2 >= 1 << 64 {
+                continue;
+            }
+            let mut phase = vec![0, 1, qv / 2, qv / 2 + 1, qv - 1];
+            for k in 1..=t as u128 {
+                let step = ((k * qv as u128).saturating_sub(qv as u128 / 2)).div_ceil(t as u128);
+                phase.extend([step as u64 - 1, step as u64].map(|c| c.min(qv - 1)));
+            }
+            phase.extend((0..4096u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % qv));
+            let expect: Vec<u64> = phase
+                .iter()
+                .map(|&c| {
+                    ((t as u128 * c as u128 + qv as u128 / 2) / qv as u128 % t as u128) as u64
+                })
+                .collect();
+            assert_eq!(round_one_limb(&phase, t, q), expect, "q = {qv}, t = {t}");
+            checked += 1;
+        }
+        assert_eq!(
+            checked, 3,
+            "the last limbs of rns_2x30, rns_3x36, hybrid_2x36"
+        );
     }
 
     #[test]

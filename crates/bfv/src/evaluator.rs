@@ -103,6 +103,7 @@ use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::rns::{DotTerm, ModulusChain, PlaneAlign, Representation, RnsPoly};
 use crate::scratch::Scratch;
+use crate::simd;
 
 /// Running kernel-invocation counters (per evaluator).
 ///
@@ -1185,9 +1186,11 @@ impl Evaluator {
 
     /// Lifts a plaintext (centered) into the live planes of `level` and
     /// NTT-transforms it for repeated `HE_Mult`s, paying `live` NTT plane
-    /// transforms. The preparation serves ciphertexts at `level` or deeper
-    /// (the evaluator reads the live-plane prefix), so level 0 suits
-    /// weights reused across levels.
+    /// transforms. Each plane is one dispatched `simd::lift_centered` from
+    /// `t` onto its limb — `q_i.from_signed(t.center(c))` per coefficient,
+    /// branch-free under the IFMA kernels. The preparation serves
+    /// ciphertexts at `level` or deeper (the evaluator reads the live-plane
+    /// prefix), so level 0 suits weights reused across levels.
     ///
     /// # Errors
     ///
@@ -1201,8 +1204,10 @@ impl Evaluator {
         let t = self.params.plain_modulus();
         let chain = self.params.chain_at(level);
         let inf_norm = pt.inf_norm().max(1);
-        let centered: Vec<i64> = pt.coeffs().iter().map(|&c| t.center(c)).collect();
-        let mut poly = RnsPoly::from_signed(&centered, chain);
+        let mut poly = RnsPoly::zero(chain, Representation::Coeff);
+        for (i, q) in chain.moduli().iter().enumerate() {
+            simd::lift_centered(poly.limb_mut(i), pt.coeffs(), t, q);
+        }
         poly.to_eval(chain);
         Self::count(&self.ntt_count, chain.limbs() as u64);
         Ok(PreparedPlaintext {

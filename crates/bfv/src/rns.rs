@@ -383,14 +383,6 @@ impl RnsPoly {
         }
     }
 
-    /// Lifts signed coefficients into every limb plane (coefficient form):
-    /// the CRT image of the centered integer vector.
-    pub fn from_signed(coeffs: &[i64], chain: &ModulusChain) -> Self {
-        Self::from_fn(chain, Representation::Coeff, |i, j| {
-            chain.modulus(i).from_signed(coeffs[j])
-        })
-    }
-
     /// Number of limb planes.
     #[inline]
     pub fn limbs(&self) -> usize {

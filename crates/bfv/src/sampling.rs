@@ -143,13 +143,12 @@ fn lift_draws(chain: &ModulusChain, bound: u64, mut draw: impl FnMut() -> i64) -
 }
 
 /// [`crate::arith::Modulus::from_signed`] of the two's-complement word
-/// `w`, whose magnitude is at most `bound`. Below `q` that is `w`, plus
-/// `q` when negative: no branch on the sign, so the loops over a plane
-/// vectorize.
+/// `w`, whose magnitude is at most `bound`. Below `q` the test is the
+/// plane's, not the word's, so the loops over a plane vectorize.
 #[inline(always)]
 fn lift_word(w: u64, q: &crate::arith::Modulus, bound: u64) -> u64 {
     if bound < q.value() {
-        w.wrapping_add(q.value() & ((w as i64 >> 63) as u64))
+        q.from_small_signed(w as i64)
     } else {
         q.from_signed(w as i64)
     }

@@ -21,6 +21,9 @@
 //! * the **constant-multiply loops** of `rns.rs` (digit decompose, hybrid
 //!   lift and own planes, rounded limb drop) at every level of every preset
 //!   and at both edges of the IFMA gate, on random and boundary inputs;
+//! * the **plaintext lift** under `prepare_plaintext_at` (`lift_centered`
+//!   from `t`) at every level of every preset, and against the
+//!   `from_signed` loop it replaced, kept here as the reference;
 //! * the evaluation-form **divide-and-round** against the coefficient-form
 //!   formula it replaced, kept here as the reference, on every data and
 //!   key-switch chain;
@@ -36,7 +39,7 @@ use cheetah_bfv::rns::{DotTerm, PlaneAlign, Representation};
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
-    ModulusChain, RnsPoly,
+    ModulusChain, Plaintext, RnsPoly,
 };
 use proptest::prelude::*;
 use support::Alloc;
@@ -741,6 +744,97 @@ proptest! {
                         "{}, {} inputs: constant-multiply loops diverged on {}",
                         name, kind, backend.name()
                     );
+                }
+            }
+        }
+    }
+}
+
+/// The lift `Evaluator::prepare_plaintext_at` ran before it went through
+/// the dispatched `simd::lift_centered`, kept as the reference it is pinned
+/// to: every coefficient centred mod `t` into an `i64`, `from_signed` onto
+/// each live limb of `level`, then the forward transform.
+fn prepared_plaintext_reference(params: &BfvParams, pt: &Plaintext, level: usize) -> RnsPoly {
+    let t = params.plain_modulus();
+    let chain = params.chain_at(level);
+    let centered: Vec<i64> = pt.coeffs().iter().map(|&c| t.center(c)).collect();
+    let mut poly = RnsPoly::from_fn(chain, Representation::Coeff, |i, j| {
+        chain.modulus(i).from_signed(centered[j])
+    });
+    poly.to_eval(chain);
+    poly
+}
+
+/// A plaintext whose coefficients are `kind`'s pattern mod `t`.
+fn plaintext_pattern(params: &BfvParams, kind: &str, seed: u64) -> Plaintext {
+    let coeffs = pattern(kind, params.plain_modulus(), params.degree(), seed);
+    Plaintext::from_coeffs(coeffs, params.clone()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// `lift_centered` from the plaintext modulus — the lift under
+    /// `prepare_plaintext_at` — writes the forced-scalar reference's bytes
+    /// on every backend: from each preset's `t` onto every limb of every
+    /// level, for random coefficients and the boundary patterns (0,
+    /// `t − 1`, and the centring cut `⌊t/2⌋`, `⌊t/2⌋ + 1`).
+    #[test]
+    fn plaintext_lift_matches_scalar(seed in any::<u64>()) {
+        for (name, params) in all_presets() {
+            let eval = Evaluator::new(params.clone());
+            for level in 0..=params.max_level() {
+                for kind in PATTERNS {
+                    let pt = plaintext_pattern(&params, kind, seed);
+                    let run = |backend: SimdBackend| {
+                        let (_guard, eff) = ForceGuard::force(backend);
+                        assert_eq!(eff, backend);
+                        let prepared = eval.prepare_plaintext_at(&pt, level).unwrap();
+                        (prepared.poly().clone(), prepared.inf_norm())
+                    };
+                    let reference = run(SimdBackend::Scalar);
+                    for backend in runnable_vector_backends() {
+                        prop_assert_eq!(
+                            &run(backend), &reference,
+                            "{} L{}, {} coefficients: the plaintext lift diverged on {}",
+                            name, level, kind, backend.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `prepare_plaintext_at` is the pre-kernel lift, bit for bit: at every
+/// level of `rns_3x36` and `hybrid_2x36`, on the forced-scalar reference
+/// and every runnable backend, for random and boundary coefficients, the
+/// prepared polynomial is [`prepared_plaintext_reference`]'s and its norm
+/// the plaintext's centred norm (at least 1).
+#[test]
+fn prepared_plaintext_matches_the_from_signed_reference() {
+    let mut backends = vec![SimdBackend::Scalar];
+    backends.extend(runnable_vector_backends());
+    for params in [
+        BfvParams::preset_rns_3x36(4096).unwrap(),
+        BfvParams::preset_hybrid_2x36(4096).unwrap(),
+    ] {
+        let eval = Evaluator::new(params.clone());
+        for level in 0..=params.max_level() {
+            for kind in PATTERNS {
+                let pt = plaintext_pattern(&params, kind, 0x9e1f);
+                let expect = prepared_plaintext_reference(&params, &pt, level);
+                for &backend in &backends {
+                    let (_guard, _) = ForceGuard::force(backend);
+                    let prepared = eval.prepare_plaintext_at(&pt, level).unwrap();
+                    assert_eq!(
+                        prepared.poly(),
+                        &expect,
+                        "L{level} {kind} on {}",
+                        backend.name()
+                    );
+                    assert_eq!(prepared.inf_norm(), pt.inf_norm().max(1));
+                    assert_eq!(prepared.level(), level);
                 }
             }
         }

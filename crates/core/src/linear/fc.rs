@@ -138,7 +138,7 @@ use cheetah_nn::{FcSpec, Tensor};
 
 use crate::cost::HeCostParams;
 use crate::linear::PreparedKernel;
-use crate::sparse::{BsgsGroup, BsgsPlan, FcStructure};
+use crate::sparse::{BabyWidth, BsgsGroup, BsgsPlan, FcStructure};
 
 /// The whole plan of one FC layer: how many copies of the input the client
 /// tiles the batching rows with, the BSGS kernel over the tiled diagonals,
@@ -176,24 +176,33 @@ impl FcPlan {
     /// surcharge on wider tilings at [`super::ConvPlan::choose`]'s key
     /// rate, priced on rotations: a dense FC plan's keys are `1..b` plus
     /// `b`, a prefix the model's layers share). The windows a wider tiling
-    /// multiplies are the client's to add and have no price here.
+    /// multiplies are the client's to add and have no price here. Every
+    /// `(r, b)` is priced from counts on the tiled structure — live
+    /// diagonals, live baby columns, live groups above 0 — and only the
+    /// winner is built.
     pub fn choose(s: &FcStructure, slots: usize, cost: &HeCostParams) -> Self {
-        let mut best = Self::for_tiles(s, 1, None, cost);
-        let untiled = best.rotations();
-        let price = |plan: &Self| {
-            let extra = plan.rotations().saturating_sub(untiled) as u64;
-            plan.int_mults(cost) + extra * cost.he_rotate_mults()
+        let tilings = std::iter::once(1).chain(s.tilings(slots).skip(1));
+        let widths: Vec<(usize, usize, BabyWidth)> = tilings
+            .map(|tiles| {
+                let tiled = s.tiled(tiles);
+                (
+                    tiles,
+                    tiled.live_diagonals(),
+                    BabyWidth::cheapest(&tiled, cost),
+                )
+            })
+            .collect();
+        let untiled = widths[0].2.rotations;
+        let price = |&(_, live, width): &(usize, usize, BabyWidth)| {
+            let extra = width.rotations.saturating_sub(untiled) as u64;
+            width.int_mults(live, cost) + extra * cost.he_rotate_mults()
         };
-        let mut best_price = price(&best);
-        for tiles in s.tilings(slots).skip(1) {
-            let cand = Self::for_tiles(s, tiles, None, cost);
-            let p = price(&cand);
-            if p < best_price {
-                best_price = p;
-                best = cand;
-            }
-        }
-        best
+        // `min_by_key` keeps the first of equal minima: the smaller tiling.
+        let &(tiles, _, width) = widths
+            .iter()
+            .min_by_key(|cand| price(cand))
+            .expect("the untiled plan is a candidate");
+        Self::for_tiles(s, tiles, Some(width.b), cost)
     }
 
     /// The plan over `s` tiled `tiles` times, under baby width `baby`
@@ -227,11 +236,32 @@ impl FcPlan {
 
     /// Which element of the zero-padded input slot `s` of batching row
     /// `rho` holds: `src(ρ, s)` of the module header
-    /// (`n_i' = fold · diagonals`).
+    /// (`n_i' = fold · diagonals`). Every divisor there is a power of two,
+    /// so each `mod` is a mask and the division a shift.
     fn src(&self, rho: usize, s: usize) -> usize {
         let ni = self.fold * self.diagonals;
-        let copy = s % (self.tiles / self.rows() * ni) / ni * self.rows() + rho;
-        (s % ni + copy * self.diagonals) % ni
+        let period = self.tiles / self.rows() * ni;
+        let copy = ((s & (period - 1)) >> ni.trailing_zeros()) * self.rows() + rho;
+        ((s & (ni - 1)) + copy * self.diagonals) & (ni - 1)
+    }
+
+    /// `src(ρ, s)` for every slot of the plan's rows of `row` slots, row
+    /// 0's then row 1's: built once per layer, read once per mask slot.
+    fn src_table(&self, row: usize) -> Vec<u32> {
+        let rows = (0..self.rows()).flat_map(|rho| (0..row).map(move |s| (rho, s)));
+        rows.map(|(rho, s)| self.src(rho, s) as u32).collect()
+    }
+
+    /// The packed input: each of the plan's rows of `row` slots filled
+    /// with `x[src(ρ, s)]` (zero past `x`), the rest zero.
+    fn input_slots(&self, x: &[i64], row: usize) -> Vec<i64> {
+        let mut slots = vec![0i64; 2 * row];
+        for (rho, half) in slots.chunks_mut(row).take(self.rows()).enumerate() {
+            for (s, slot) in half.iter_mut().enumerate() {
+                *slot = x.get(self.src(rho, s)).copied().unwrap_or(0);
+            }
+        }
+        slots
     }
 
     /// [`HomFc::output_slots`] for `row`-slot batching rows.
@@ -303,23 +333,27 @@ fn check_shape(spec: &FcSpec, weights: &Tensor, encoder: &BatchEncoder) -> Resul
 /// `s mod d` (zero past `n_o`) and input slot `(s + k) mod row` of its own
 /// row. `shift = u·b` for the member of giant group `u`; `v = 0`
 /// throughout at `b = 1`, `shift = 0` throughout at `b = δ`. Both rows of
-/// `row` slots each.
+/// `row` slots each; `src` is the plan's [`FcPlan::src_table`].
 fn diagonal_mask(
     spec: &FcSpec,
     weights: &Tensor,
     plan: &FcPlan,
+    src: &[u32],
     shift: usize,
     v: usize,
     row: usize,
 ) -> Vec<i64> {
-    let d = plan.stride();
+    // `d` divides the row and both are powers of two: (s − shift) mod d
+    // and (s + v) mod row are masks, with no wrap case.
+    let (d_mask, row_mask) = (plan.stride() - 1, row - 1);
+    let w = weights.data();
     let mut mask = vec![0i64; 2 * row];
-    for (rho, half) in mask.chunks_mut(row).take(plan.rows()).enumerate() {
+    for (half, src) in mask.chunks_mut(row).zip(src.chunks(row)) {
         for (s, slot) in half.iter_mut().enumerate() {
-            // d divides the row, so (s − shift) mod d needs no wrap case.
-            let (out, col) = ((s + row - shift) % d, plan.src(rho, (s + v) % row));
+            let out = (s + row - shift) & d_mask;
+            let col = src[(s + v) & row_mask] as usize;
             if out < spec.no && col < spec.ni {
-                *slot = weights.data()[out * spec.ni + col];
+                *slot = w[out * spec.ni + col];
             }
         }
     }
@@ -400,10 +434,11 @@ impl HomFc {
         plan: FcPlan,
     ) -> Result<Self> {
         let row = encoder.row_size();
+        let src = plan.src_table(row);
         let masks_of = |_, group: &BsgsGroup| {
             let masks = group.steps.iter().map(|&v| {
                 let shift = group.u * plan.b;
-                let mask = diagonal_mask(spec, weights, &plan, shift, v as usize, row);
+                let mask = diagonal_mask(spec, weights, &plan, &src, shift, v as usize, row);
                 encoder.encode_signed(&mask)
             });
             masks.collect()
@@ -458,16 +493,7 @@ impl HomFc {
                 "FC input length does not match the spec",
             ));
         }
-        let x = input.data();
-        let slots: Vec<i64> = (0..encoder.slots())
-            .map(|s| match (s / self.row, s % self.row) {
-                (rho, s) if rho < self.plan.rows() => {
-                    x.get(self.plan.src(rho, s)).copied().unwrap_or(0)
-                }
-                _ => 0,
-            })
-            .collect();
-        encoder.encode_signed(&slots)
+        encoder.encode_signed(&self.plan.input_slots(input.data(), self.row))
     }
 
     /// Applies the layer: the kernel's partial sums `y_part`, `fold`
@@ -707,6 +733,7 @@ mod tests {
                 for baby in [None, Some(1), Some(delta.min(3))] {
                     let plan = FcPlan::for_tiles(&dense, tiles, baby, &cost);
                     let (b, d, rows) = (plan.kernel.b, plan.stride(), plan.rows());
+                    let src = plan.src_table(row);
                     let input: Vec<i64> = (0..n)
                         .map(|slot| match slot / row {
                             rho if rho < rows => x.get(plan.src(rho, slot % row)),
@@ -718,7 +745,7 @@ mod tests {
                     for u in 0..plan.kernel.g {
                         let mut inner = vec![0i64; n];
                         for v in 0..b.min(delta - u * b) {
-                            let mask = diagonal_mask(&s, &w, &plan, u * b, v, row);
+                            let mask = diagonal_mask(&s, &w, &plan, &src, u * b, v, row);
                             let baby = rot(&input, v);
                             for slot in 0..n {
                                 inner[slot] += baby[slot] * mask[slot];
@@ -793,8 +820,9 @@ mod tests {
                             &[d, ni],
                             (0..d * ni).map(|j| 1 + j as i64).collect(),
                         );
+                        let src = plan.src_table(row);
                         for k in 0..delta {
-                            let mask = diagonal_mask(&s, &w, &plan, 0, k, row);
+                            let mask = diagonal_mask(&s, &w, &plan, &src, 0, k, row);
                             for (slot, &m) in mask.iter().enumerate() {
                                 let read = col(slot / row * row + (slot % row + k) % row);
                                 let weighs = (m != 0).then(|| (m as usize - 1) % ni);
@@ -809,6 +837,94 @@ mod tests {
             }
         }
         assert_eq!(cases, 5208);
+    }
+
+    /// `src(ρ, s)` as the module header writes it, `mod` and division
+    /// and all.
+    fn header_src(plan: &FcPlan, rho: usize, s: usize) -> usize {
+        let (ni, delta) = (plan.fold * plan.diagonals, plan.diagonals);
+        let rows = plan.tiles.min(2);
+        let period = plan.tiles / rows * ni;
+        ((s % ni) + (rows * ((s % period) / ni) + rho) * delta) % ni
+    }
+
+    #[test]
+    fn mask_fill_and_input_packing_are_the_header_formulas() {
+        // For every tiling from 1 to max_tiles, three baby widths and every
+        // live (u, v) of the plan, on dense and half-pruned weights of
+        // padded shapes (n_i and n_o not powers of two): the mask the
+        // layer prepares is the header's
+        //   mask_k[ρ][s] = W'[s mod d][src(ρ, (s + k) mod row)]
+        // shifted cyclically right by u·b within each used row, zero in an
+        // unused row; and the packed input is x[src(ρ, s)], zero past n_i
+        // and in an unused row.
+        let params = BfvParams::preset_rns_3x36(4096).unwrap();
+        let cost = HeCostParams::for_bfv(&params, 0);
+        let (row, n) = (params.row_size(), params.slots());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf111);
+        for (ni, no) in [
+            (24, 5),
+            (100, 10),
+            (300, 100),
+            (784, 300),
+            (20, 20),
+            (1000, 3),
+        ] {
+            let s = spec(ni, no);
+            let d = no.next_power_of_two();
+            let dense = random_weights(&s, 5);
+            let mut pruned = dense.clone();
+            for (j, w) in pruned.data_mut().iter_mut().enumerate() {
+                let (r, c) = (j / ni, j % ni);
+                if (c + d - r % d) % d % 2 == 1 {
+                    *w = 0;
+                }
+            }
+            let x: Vec<i64> = (0..ni).map(|_| rng.random_range(-9..=9)).collect();
+            for w in [&dense, &pruned] {
+                let structure = FcStructure::analyze_tensor(w, &s);
+                for tiles in structure.tilings(n) {
+                    let delta = structure.diagonals() / tiles;
+                    for baby in [1, 3.min(delta), delta] {
+                        let plan = FcPlan::for_tiles(&structure, tiles, Some(baby), &cost);
+                        let (b, rows) = (plan.kernel.b, plan.rows());
+                        let at = format!("({ni}, {no}) {}", plan.label());
+                        let src = plan.src_table(row);
+                        for group in plan.kernel.groups() {
+                            for &v in &group.steps {
+                                let (shift, k) = (group.u * b, group.u * b + v as usize);
+                                let mask =
+                                    diagonal_mask(&s, w, &plan, &src, shift, v as usize, row);
+                                for (slot, &m) in mask.iter().enumerate() {
+                                    let (rho, at_s) =
+                                        (slot / row, (slot % row + row - shift) % row);
+                                    let col = header_src(&plan, rho, (at_s + k) % row);
+                                    let (o, c) = (at_s % d, col);
+                                    let expect = if rho < rows && o < no && c < ni {
+                                        w.data()[o * ni + c]
+                                    } else {
+                                        0
+                                    };
+                                    assert_eq!(m, expect, "{at} u={} v={v} slot {slot}", group.u);
+                                }
+                            }
+                        }
+                        let packed = plan.input_slots(&x, row);
+                        for (slot, &got) in packed.iter().enumerate() {
+                            let rho = slot / row;
+                            let expect = if rho < rows {
+                                x.get(header_src(&plan, rho, slot % row))
+                                    .copied()
+                                    .unwrap_or(0)
+                            } else {
+                                0
+                            };
+                            assert_eq!(got, expect, "{at} input slot {slot}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -295,20 +295,11 @@ impl BsgsPlan {
     /// [`BsgsPlan::rotation_mults`] — the *live* rotations only — over
     /// `b ∈ 1..=d`, keeping the smaller width unless a wider one is a
     /// strict improvement. Tiny layers stay at `b = 1`; every zeroed
-    /// diagonal can only shrink the bill.
+    /// diagonal can only shrink the bill. Each width is priced from counts
+    /// on the structure — live baby columns, live groups above 0 — and only
+    /// the winner is built.
     pub fn choose(s: &FcStructure, cost: &HeCostParams) -> BsgsPlan {
-        let d = s.diagonals();
-        let mut best = Self::for_structure(s, 1);
-        let mut best_cost = best.rotation_mults(cost);
-        for b in 2..=d {
-            let cand = Self::for_structure(s, b);
-            let c = cand.rotation_mults(cost);
-            if c < best_cost {
-                best_cost = c;
-                best = cand;
-            }
-        }
-        best
+        Self::for_structure(s, BabyWidth::cheapest(s, cost).b)
     }
 
     /// Row slots one giant index is worth: group `u`'s inner sum travels
@@ -397,20 +388,13 @@ impl BsgsPlan {
     /// any baby replay runs, one hoisted replay per baby step, one direct
     /// rotation per giant step.
     pub fn rotation_mults(&self, cost: &HeCostParams) -> u64 {
-        let hoist = if self.baby_steps.is_empty() {
-            0
-        } else {
-            cost.hoist_mults()
-        };
-        hoist
-            + self.baby_steps.len() as u64 * cost.he_rotate_hoisted_mults()
-            + self.giant_rotations() as u64 * cost.he_rotate_mults()
+        rotation_bill(cost, self.baby_steps.len(), self.giant_rotations())
     }
 
     /// All integer multiplications under `cost`: the mask multiplies plus
     /// the rotations.
     pub fn int_mults(&self, cost: &HeCostParams) -> u64 {
-        self.live_masks() as u64 * cost.he_mult_mults() + self.rotation_mults(cost)
+        int_bill(cost, self.live_masks(), self.rotation_mults(cost))
     }
 
     /// Conservative Table-III prediction of the plan's output noise when
@@ -437,6 +421,69 @@ impl BsgsPlan {
         }
         let (widest, deepest) = (self.widest_group(), self.deepest_chain());
         input.bsgs_matvec_at(params, level, widest, deepest, 2 * mask_norm.max(1))
+    }
+}
+
+/// [`BsgsPlan::rotation_mults`] of a plan with `babies` hoisted replays
+/// and `giants` direct giant rotations.
+fn rotation_bill(cost: &HeCostParams, babies: usize, giants: usize) -> u64 {
+    let hoist = if babies == 0 { 0 } else { cost.hoist_mults() };
+    hoist + babies as u64 * cost.he_rotate_hoisted_mults() + giants as u64 * cost.he_rotate_mults()
+}
+
+/// [`BsgsPlan::int_mults`] of a plan with `live` masks and rotations
+/// billed `rotation_mults`.
+fn int_bill(cost: &HeCostParams, live: usize, rotation_mults: u64) -> u64 {
+    live as u64 * cost.he_mult_mults() + rotation_mults
+}
+
+/// One FC baby width priced without building its plan: the counts
+/// [`BsgsPlan::for_structure`]`(s, b)` would have.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BabyWidth {
+    /// The baby width.
+    pub b: usize,
+    /// [`BsgsPlan::rotations`]: the live baby columns (the steps
+    /// `v ∈ 1..b` some live diagonal `u·b + v` reads) plus the live groups
+    /// above 0.
+    pub rotations: usize,
+    /// [`BsgsPlan::rotation_mults`] under the chooser's cost.
+    pub rotation_mults: u64,
+}
+
+impl BabyWidth {
+    /// The counts of `for_structure(s, b)` under `cost`, from `s`'s
+    /// liveness alone: `O(d)`, no allocation.
+    fn count(s: &FcStructure, b: usize, cost: &HeCostParams) -> Self {
+        let d = s.diagonals();
+        let babies = (1..b.min(d))
+            .filter(|&v| (v..d).step_by(b).any(|k| s.is_live(k)))
+            .count();
+        let giants = (b..d)
+            .step_by(b)
+            .filter(|&low| (low..(low + b).min(d)).any(|k| s.is_live(k)))
+            .count();
+        Self {
+            b,
+            rotations: babies + giants,
+            rotation_mults: rotation_bill(cost, babies, giants),
+        }
+    }
+
+    /// [`BsgsPlan::int_mults`] of the width's plan over a structure with
+    /// `live` live diagonals.
+    pub(crate) fn int_mults(&self, live: usize, cost: &HeCostParams) -> u64 {
+        int_bill(cost, live, self.rotation_mults)
+    }
+
+    /// [`BsgsPlan::choose`]'s width: the least `rotation_mults` over
+    /// `b ∈ 1..=d`, the smaller width on a tie.
+    pub(crate) fn cheapest(s: &FcStructure, cost: &HeCostParams) -> Self {
+        let widths = (1..=s.diagonals()).map(|b| Self::count(s, b, cost));
+        // `min_by_key` keeps the first of equal minima: the smaller width.
+        widths
+            .min_by_key(|width| width.rotation_mults)
+            .expect("a structure has a diagonal")
     }
 }
 
