@@ -71,9 +71,28 @@
 //! at level 0 (the lift onto every limb and the transforms), and a whole
 //! `HomFc::new` of `bench_e2e`'s `mlp_digit` first layer (1024 → 256).
 //!
+//! The `packed_ns` section times the lazy dot with its resident operand
+//! kept as `u64` words and packed at its limbs' widths, on the same two
+//! presets: `{preset}_keysum_{words,packed}` (one key switch's digit × key
+//! sum) and `{preset}_group_sum13_{words,packed}` (a 13-term mask sum),
+//! each warm and `_cold` (cycled through 13 keys or 64 masks, more than
+//! the L2 holds; `scripts/check.sh` requires `rns_3x36_keysum_packed_cold`
+//! to be at most its `_words_cold` twin on an IFMA run), and `{preset}_pack_plane`
+//! / `{preset}_unpack_plane` (one 4096-residue plane into a fresh
+//! `PackedPoly` / `RnsPoly`).
+//!
 //! The process keeps the heap it frees, as a long-lived server's allocator
 //! holds it (`keep_freed_heap`), so no row pays to fault its output's
 //! pages in again on every call.
+//!
+//! Every row is the fastest of 41 short batches' mean ns/op
+//! (`time_ns`), each batch read on the calling thread's CPU clock
+//! (`thread_cpu_ns`; every row runs on one thread), so the time a shared
+//! VM's host gives the vCPU to its neighbours stays out of a batch. A row
+//! still moves with its neighbours' cache and memory traffic from one
+//! run to the next, often by more than a kernel change does, so rows of
+//! two runs do not compare: `scripts/check.sh` gates only ratios of rows
+//! of one run (a kernel against its twin measured beside it).
 //!
 //! Run: `cargo run --release -p cheetah-bench --bin bench_he_ops [out.json]`
 //!
@@ -85,12 +104,12 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cheetah_bfv::rns::Representation;
+use cheetah_bfv::rns::{DotOperand, DotTerm, PlaneAlign, Representation};
 use cheetah_bfv::sampling::BfvRng;
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Encryptor, Evaluator, GaloisKeys, HoistedDecomposition,
-    KeyGenerator, PreparedPlaintext, RnsPoly, Scratch, UniformStream,
+    KeyGenerator, ModulusChain, PackedPoly, PreparedPlaintext, RnsPoly, Scratch, UniformStream,
 };
 use cheetah_core::linear::{HomConv2d, HomFc};
 use cheetah_core::{BsgsPlan, FcStructure, HeCostParams};
@@ -100,19 +119,60 @@ fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Times `f` with an adaptive iteration count (~0.5 s budget after one
-/// calibration call; ~5 ms in smoke mode) and returns mean ns/op.
+/// Short batches [`time_ns`] runs; it reports the fastest.
+const TIME_BATCHES: usize = 41;
+
+/// Times `f`: one calibration call sizes a batch to about
+/// `1/TIME_BATCHES` of the budget (~0.5 s; ~5 ms in smoke mode), and the
+/// fastest batch's mean ns/op, on the thread's CPU clock, is returned.
+/// The fastest of many short batches drops the batches a neighbour on the
+/// machine slowed down, which one long mean kept; a 10th percentile of 21
+/// still moved a row by up to 1.6 × between runs of one binary on a
+/// 2-vCPU VM.
 fn time_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     let budget: u128 = if smoke() { 5_000_000 } else { 500_000_000 };
     let start = Instant::now();
     black_box(f());
     let once = start.elapsed().as_nanos().max(1);
-    let iters = (budget / once).clamp(3, 20_000) as u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
+    let iters = (budget / TIME_BATCHES as u128 / once).clamp(1, 2_000) as u64;
+    let mut batches = [0f64; TIME_BATCHES];
+    for batch in &mut batches {
+        let start = thread_cpu_ns();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        *batch = (thread_cpu_ns() - start) as f64 / iters as f64;
     }
-    start.elapsed().as_nanos() as f64 / iters as f64
+    batches.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// Nanoseconds of CPU time the calling thread has used
+/// (`CLOCK_THREAD_CPUTIME_ID`): on a VM whose host accounts stolen time
+/// to the guest, a batch's reading leaves out the time the vCPU waited.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ns() -> u128 {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `clock_gettime` writes one `timespec` (two 64-bit fields on
+    // a 64-bit Linux target) to the pointer it is given.
+    let ok = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } == 0;
+    assert!(ok, "no thread CPU clock");
+    ts.sec as u128 * 1_000_000_000 + ts.nsec as u128
+}
+
+/// Elsewhere, the wall clock since the first call.
+#[cfg(not(target_os = "linux"))]
+fn thread_cpu_ns() -> u128 {
+    static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos()
 }
 
 /// Makes the allocator keep what it frees, as the heap of a long-lived
@@ -475,6 +535,144 @@ fn prepare_point(preset: &'static str, params: BfvParams) -> PreparePoint {
     }
 }
 
+/// Galois keys the `_cold` key sums cycle through: as many as an
+/// `mlp_digit` session holds.
+const COLD_KEYS: usize = 13;
+
+/// Masks the `_cold` group sums cycle through: as many as `mlp_digit`'s
+/// first layer keeps.
+const COLD_MASKS: usize = 64;
+
+/// Terms of one `group_sum13`: what one baby-step group of `mlp_digit`'s
+/// first layer sums.
+const GROUP_TERMS: usize = 13;
+
+/// The lazy dot on one preset with its resident operand kept as words
+/// (`[0]`) and packed at its limbs' widths (`[1]`), warm (one operand set,
+/// over and over) and `_cold` (cycled through [`COLD_KEYS`] keys or
+/// [`COLD_MASKS`] masks, more than the L2 holds): `keysum` is one key
+/// switch's digit × key sum (`ks_digits_at(0)` terms over the level-0
+/// key-switch chain), `group_sum13` a [`GROUP_TERMS`]-term mask sum against
+/// two ciphertexts' components over the data chain. `pack_plane` /
+/// `unpack_plane` pack one 4096-residue plane into a fresh `PackedPoly`
+/// and unpack it into a fresh `RnsPoly`.
+struct PackedPoint {
+    preset: &'static str,
+    keysum: [f64; 2],
+    keysum_cold: [f64; 2],
+    group_sum: [f64; 2],
+    group_sum_cold: [f64; 2],
+    pack_plane: f64,
+    unpack_plane: f64,
+}
+
+fn packed_point(preset: &'static str, params: BfvParams) -> PackedPoint {
+    let (data, ks) = (params.chain(), params.ks_chain_at(0));
+    let mut stream = UniformStream::new(51, ks);
+    let mut data_stream = UniformStream::new(52, data);
+    let steps: Vec<i64> = (1..=COLD_KEYS as i64).collect();
+    let keys = KeyGenerator::from_seed(params.clone(), 53)
+        .galois_keys_for_steps(&steps)
+        .unwrap();
+    let packed_keys: Vec<&[(PackedPoly, PackedPoly)]> = keys
+        .elements()
+        .map(|g| keys.get(g).unwrap().pairs())
+        .collect();
+    let word_keys: Vec<Vec<(RnsPoly, RnsPoly)>> = packed_keys
+        .iter()
+        .map(|pairs| {
+            pairs
+                .iter()
+                .map(|(a, b)| (a.unpack(), b.unpack()))
+                .collect()
+        })
+        .collect();
+    let digits: Vec<RnsPoly> = (0..params.ks_digits_at(0))
+        .map(|_| stream.next_poly())
+        .collect();
+    let (mut r0, mut r1) = (stream.next_poly(), stream.next_poly());
+    let mut time_keysum = |packed: bool, cold: bool| {
+        let mut call = 0;
+        time_ns(|| {
+            let key = if cold { call % COLD_KEYS } else { 0 };
+            call += 1;
+            let term = |j: usize| {
+                let (x0, x1): (DotOperand, DotOperand) = if packed {
+                    let (a, b) = &packed_keys[key][j];
+                    (a.into(), b.into())
+                } else {
+                    let (a, b) = &word_keys[key][j];
+                    (a.into(), b.into())
+                };
+                DotTerm {
+                    x0,
+                    x1,
+                    shared: (&digits[j]).into(),
+                }
+            };
+            let terms = digits.len();
+            RnsPoly::dot_pair_prefix(&mut r0, &mut r1, terms, term, None, PlaneAlign::Prefix, ks)
+                .unwrap();
+        })
+    };
+    let [keysum, keysum_cold] =
+        [false, true].map(|cold| [false, true].map(|packed| time_keysum(packed, cold)));
+
+    let cts: Vec<RnsPoly> = (0..4).map(|_| data_stream.next_poly()).collect();
+    let word_masks: Vec<RnsPoly> = (0..COLD_MASKS).map(|_| data_stream.next_poly()).collect();
+    let packed_masks: Vec<PackedPoly> = word_masks
+        .iter()
+        .map(|m| PackedPoly::pack(m, data).unwrap())
+        .collect();
+    let (mut r0, mut r1) = (data_stream.next_poly(), data_stream.next_poly());
+    let mut time_group_sum = |packed: bool, cold: bool| {
+        let mut call = 0;
+        time_ns(|| {
+            let first = if cold { call * GROUP_TERMS } else { 0 };
+            call += 1;
+            let term = |j: usize| {
+                let mask = (first + j) % COLD_MASKS;
+                DotTerm {
+                    x0: (&cts[2 * (j % 2)]).into(),
+                    x1: (&cts[2 * (j % 2) + 1]).into(),
+                    shared: if packed {
+                        (&packed_masks[mask]).into()
+                    } else {
+                        (&word_masks[mask]).into()
+                    },
+                }
+            };
+            RnsPoly::dot_pair_prefix(
+                &mut r0,
+                &mut r1,
+                GROUP_TERMS,
+                term,
+                None,
+                PlaneAlign::Prefix,
+                data,
+            )
+            .unwrap();
+        })
+    };
+    let [group_sum, group_sum_cold] =
+        [false, true].map(|cold| [false, true].map(|packed| time_group_sum(packed, cold)));
+
+    let plane_chain = ModulusChain::new(params.degree(), &[data.modulus(0).value()]).unwrap();
+    let plane = UniformStream::new(54, &plane_chain).next_poly();
+    let pack_plane = time_ns(|| PackedPoly::pack(black_box(&plane), &plane_chain).unwrap());
+    let packed_plane = PackedPoly::pack(&plane, &plane_chain).unwrap();
+    let unpack_plane = time_ns(|| black_box(&packed_plane).unpack());
+    PackedPoint {
+        preset,
+        keysum,
+        keysum_cold,
+        group_sum,
+        group_sum_cold,
+        pack_plane,
+        unpack_plane,
+    }
+}
+
 /// FC-layer timings on one multi-limb preset: the auto plan vs the
 /// forced untiled `b = 1` diagonal method, on the same weights and keys,
 /// at level 0 and after one modulus switch. Decryption is not on the timed
@@ -800,6 +998,13 @@ fn main() {
     ]
     .map(|(name, params)| prepare_point(name, params));
 
+    // --- The lazy dot with its resident operand as words and packed ---
+    let packed_points = [
+        ("rns_3x36", BfvParams::preset_rns_3x36(4096).unwrap()),
+        ("hybrid_2x36", BfvParams::preset_hybrid_2x36(4096).unwrap()),
+    ]
+    .map(|(name, params)| packed_point(name, params));
+
     // --- Packed convolution on the multi-limb presets ---
     let conv_points = [
         BfvParams::preset_rns_2x30(4096).unwrap(),
@@ -955,6 +1160,31 @@ fn main() {
             json,
             "    \"{name}_mlp_fc1_homfc_new\": {:.1}{trail}",
             p.mlp_fc1_homfc_new
+        );
+    }
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"packed_ns\": {{");
+    for (idx, p) in packed_points.iter().enumerate() {
+        let name = p.preset;
+        for (row, cold, [words, packed]) in [
+            ("keysum", "", p.keysum),
+            ("keysum", "_cold", p.keysum_cold),
+            ("group_sum13", "", p.group_sum),
+            ("group_sum13", "_cold", p.group_sum_cold),
+        ] {
+            let _ = writeln!(json, "    \"{name}_{row}_words{cold}\": {words:.1},");
+            let _ = writeln!(json, "    \"{name}_{row}_packed{cold}\": {packed:.1},");
+        }
+        let trail = if idx + 1 < packed_points.len() {
+            ","
+        } else {
+            ""
+        };
+        let _ = writeln!(json, "    \"{name}_pack_plane\": {:.1},", p.pack_plane);
+        let _ = writeln!(
+            json,
+            "    \"{name}_unpack_plane\": {:.1}{trail}",
+            p.unpack_plane
         );
     }
     let _ = writeln!(json, "  }}");

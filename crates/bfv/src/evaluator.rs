@@ -101,7 +101,7 @@ use crate::error::{Error, Result};
 use crate::keys::{element_for_step, GaloisKey, GaloisKeys};
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
-use crate::rns::{DotTerm, ModulusChain, PlaneAlign, Representation, RnsPoly};
+use crate::rns::{DotTerm, ModulusChain, PackedPoly, PlaneAlign, Representation, RnsPoly};
 use crate::scratch::Scratch;
 use crate::simd;
 
@@ -275,11 +275,15 @@ impl StageClock {
 /// ignores the surplus. A ciphertext *shallower* than the preparation is
 /// rejected with [`Error::LevelMismatch`] (the dropped planes cannot be
 /// regrown). Level-0 preparations (the default) therefore work everywhere.
+///
+/// The polynomial is kept packed at its limbs' widths ([`PackedPoly`], the
+/// wire's layout): a model's masks are resident for every session, and a
+/// group sum streams them.
 #[derive(Debug, Clone)]
 pub struct PreparedPlaintext {
     /// Evaluation-form RNS polynomial (centered lift of the mod-`t`
-    /// coefficients into every live limb).
-    poly: RnsPoly,
+    /// coefficients into every live limb), packed.
+    poly: PackedPoly,
     /// `||pt||_∞` of the centered coefficients (drives noise growth).
     inf_norm: u64,
     /// Level the plaintext was prepared at (0 = full chain).
@@ -287,8 +291,9 @@ pub struct PreparedPlaintext {
 }
 
 impl PreparedPlaintext {
-    /// The evaluation-form polynomial.
-    pub fn poly(&self) -> &RnsPoly {
+    /// The evaluation-form polynomial, packed; [`PackedPoly::unpack`]
+    /// gives it as an [`RnsPoly`].
+    pub fn poly(&self) -> &PackedPoly {
         &self.poly
     }
 
@@ -642,8 +647,8 @@ impl Evaluator {
         let noise = a.noise().mul_plain_at(&self.params, level, 2 * pt.inf_norm);
         {
             let (c0, c1) = a.parts_mut();
-            c0.mul_assign_pointwise_prefix(&pt.poly, chain)?;
-            c1.mul_assign_pointwise_prefix(&pt.poly, chain)?;
+            c0.mul_assign_packed_prefix(&pt.poly, chain)?;
+            c1.mul_assign_packed_prefix(&pt.poly, chain)?;
         }
         a.set_noise(noise);
         Self::count(&self.mul_count, 1);
@@ -692,9 +697,9 @@ impl Evaluator {
             |k| {
                 let (a, pt) = terms[k];
                 DotTerm {
-                    x0: a.c0(),
-                    x1: a.c1(),
-                    shared: &pt.poly,
+                    x0: a.c0().into(),
+                    x1: a.c1().into(),
+                    shared: (&pt.poly).into(),
                 }
             },
             None,
@@ -907,9 +912,9 @@ impl Evaluator {
             r1,
             digits.len().min(pairs.len()),
             |j| DotTerm {
-                x0: &pairs[j].0,
-                x1: &pairs[j].1,
-                shared: &digits[j],
+                x0: (&pairs[j].0).into(),
+                x1: (&pairs[j].1).into(),
+                shared: (&digits[j]).into(),
             },
             gather,
             align,
@@ -1188,7 +1193,8 @@ impl Evaluator {
     /// NTT-transforms it for repeated `HE_Mult`s, paying `live` NTT plane
     /// transforms. Each plane is one dispatched `simd::lift_centered` from
     /// `t` onto its limb — `q_i.from_signed(t.center(c))` per coefficient,
-    /// branch-free under the IFMA kernels. The preparation serves
+    /// branch-free under the IFMA kernels — and the planes are then packed
+    /// at their limbs' widths by the dispatched packer. The preparation serves
     /// ciphertexts at `level` or deeper (the evaluator reads the live-plane
     /// prefix), so level 0 suits weights reused across levels.
     ///
@@ -1211,7 +1217,7 @@ impl Evaluator {
         poly.to_eval(chain);
         Self::count(&self.ntt_count, chain.limbs() as u64);
         Ok(PreparedPlaintext {
-            poly,
+            poly: PackedPoly::pack(&poly, chain)?,
             inf_norm,
             level,
         })

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{Error, Result};
 use crate::params::BfvParams;
-use crate::rns::{Representation, RnsPoly};
+use crate::rns::{PackedPoly, Representation, RnsPoly};
 use crate::sampling::{BfvRng, UniformStream};
 use crate::simd;
 
@@ -102,21 +102,26 @@ impl PublicKey {
 /// one pair `(−(a·s + e) + P·q̂_i·s(x^g), a)` per limb — plus the cached
 /// slot permutation realizing `x ↦ x^g` on NTT-form data (the permutation
 /// depends only on `n`, so one table serves every limb plane).
+///
+/// The pairs are kept packed at their limbs' widths ([`PackedPoly`], the
+/// wire's layout): every key switch streams a key that no cache holds,
+/// and the lazy dot unpacks it as it reads it.
 #[derive(Debug, Clone)]
 pub struct GaloisKey {
     /// The Galois element `g` (odd).
     pub element: u64,
     /// Key-switch pairs, one per (limb, digit), flat in limb-major order.
-    pairs: Vec<(RnsPoly, RnsPoly)>,
+    pairs: Vec<(PackedPoly, PackedPoly)>,
     /// NTT-domain permutation for `x ↦ x^g`.
     perm: Vec<u32>,
 }
 
 impl GaloisKey {
-    /// Key-switch pairs: [`BfvParams::ks_digits_at`]`(0)` of them, one per
-    /// digit in limb-major order (limb 0's digits first). For a single
-    /// limb this is the historical per-digit shape.
-    pub fn pairs(&self) -> &[(RnsPoly, RnsPoly)] {
+    /// Key-switch pairs, packed: [`BfvParams::ks_digits_at`]`(0)` of them,
+    /// one per digit in limb-major order (limb 0's digits first). For a
+    /// single limb this is the historical per-digit shape.
+    /// [`PackedPoly::unpack`] gives a component as an [`RnsPoly`].
+    pub fn pairs(&self) -> &[(PackedPoly, PackedPoly)] {
         &self.pairs
     }
 
@@ -155,15 +160,21 @@ impl SeededGaloisKey {
         Self { element, seed, k0 }
     }
 
-    /// The full key: each pair's `a` expanded from the seed, beside its
-    /// `k0`, and the element's slot permutation.
+    /// The full key: each pair's `k0` packed, then its `a` expanded from
+    /// the seed into the `k0`'s storage and packed beside it, and the
+    /// element's slot permutation.
     fn expand(self, params: &BfvParams) -> GaloisKey {
         let ks = params.ks_chain_at(0);
         let mut stream = UniformStream::new(self.seed, ks);
+        let pack = |p: &RnsPoly| PackedPoly::pack(p, ks).expect("keys are over ks_chain_at(0)");
         let pairs = self
             .k0
             .into_iter()
-            .map(|k0| (k0, stream.next_poly()))
+            .map(|mut k0| {
+                let packed_k0 = pack(&k0);
+                stream.next_into(&mut k0);
+                (packed_k0, pack(&k0))
+            })
             .collect();
         GaloisKey {
             element: self.element,
@@ -297,12 +308,15 @@ impl GaloisKeys {
     }
 
     /// Bytes of key material held in memory: per key, `ks_digits_at(0)`
-    /// pairs of polynomials over the `ks_chain_at(0)` planes, `n` 8-byte
-    /// words a plane. (The seeded set a client ships carries only the
-    /// `k0`s, packed at each limb's width: [`crate::wire`].)
+    /// pairs of polynomials over the `ks_chain_at(0)` planes, each packed
+    /// at its limb's width, `n·w_i/8` bytes a plane with no slack (the
+    /// wire's [`crate::wire::poly_bytes`]). The seeded set a client ships
+    /// carries the `k0` half of it in the same layout. The slot
+    /// permutations (`4n` bytes a key) are not counted.
     pub fn byte_size(&self, params: &BfvParams) -> usize {
-        let planes = params.ks_digits_at(0) * params.ks_chain_at(0).limbs();
-        self.keys.len() * 2 * planes * params.degree() * 8
+        let ks = params.ks_chain_at(0);
+        let pair = 2 * crate::wire::poly_bytes(ks, ks.limbs());
+        self.keys.len() * params.ks_digits_at(0) * pair
     }
 
     pub(crate) fn insert(&mut self, key: GaloisKey) {
@@ -766,6 +780,7 @@ mod tests {
                 assert_eq!(sk.k0().len(), p.ks_digits_at(0));
                 let mut stream = UniformStream::new(sk.seed, ks);
                 for (k0, (f0, f1)) in sk.k0().iter().zip(key.pairs()) {
+                    let (f0, f1) = (&f0.unpack(), &f1.unpack());
                     assert_eq!(k0, f0);
                     assert_eq!(f1, &stream.next_poly());
                 }
@@ -788,9 +803,9 @@ mod tests {
         let k2 = kg2.galois_keys_for_steps(&[1]).unwrap();
         // Per-limb decomposition: one 60-bit limb carries ceil(60/20) = 3
         // digits; two 30-bit limbs carry 2·ceil(30/20) = 4 digits, each
-        // over twice the planes.
-        assert_eq!(k1.byte_size(&p1), 3 * 2 * 4096 * 8);
-        assert_eq!(k2.byte_size(&p2), 4 * 2 * 2 * 4096 * 8);
+        // over twice the planes. Every plane is packed at its limb's width.
+        assert_eq!(k1.byte_size(&p1), 3 * 2 * 4096 * 60 / 8);
+        assert_eq!(k2.byte_size(&p2), 4 * 2 * 2 * 4096 * 30 / 8);
     }
 
     #[test]
@@ -812,6 +827,7 @@ mod tests {
             let levels_i = chain.limb_decomposition_levels(p.a_dcmp(), i);
             for d in 0..levels_i {
                 let (k0, k1) = &key.pairs()[idx];
+                let (k0, k1) = (&k0.unpack(), &k1.unpack());
                 // residual = k0 + k1·s − A^d·q̂_i·s(x^g) must be small.
                 let mut residual = k1.clone();
                 residual
@@ -856,6 +872,7 @@ mod tests {
         s_g.permute_from(&s_ks, key.permutation());
 
         for (i, (k0, k1)) in key.pairs().iter().enumerate() {
+            let (k0, k1) = (&k0.unpack(), &k1.unpack());
             assert_eq!(k0.limbs(), limbs + 1);
             let mut residual = k1.clone();
             residual.mul_assign_pointwise(&s_ks, ks).unwrap();
@@ -879,7 +896,7 @@ mod tests {
         assert_eq!(GaloisKeys::default().byte_size(&p), 0,);
         let mut set = GaloisKeys::default();
         set.insert(key);
-        assert_eq!(set.byte_size(&p), limbs * 2 * (limbs + 1) * 4096 * 8);
+        assert_eq!(set.byte_size(&p), limbs * 2 * (limbs + 1) * 4096 * 36 / 8);
     }
 
     #[test]

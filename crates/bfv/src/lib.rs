@@ -129,7 +129,7 @@ pub use noise::NoiseEstimate;
 pub use params::{
     search_congruent_chain, BfvParams, BfvParamsBuilder, CongruentChain, SecurityLevel,
 };
-pub use rns::{ModulusChain, RnsPoly};
+pub use rns::{ModulusChain, PackedPoly, RnsPoly};
 pub use sampling::{expand_uniform, UniformStream};
 pub use scratch::{Scratch, ScratchLease, ScratchPool};
 pub use simd::SimdBackend;

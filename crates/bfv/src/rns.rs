@@ -19,8 +19,13 @@
 //! * [`RnsPoly`] — `l` limb planes in **one contiguous allocation** with
 //!   stride-`n` views, so limb loops stream linearly through memory.
 //!
-//! [`RnsPoly`] is the engine's only polynomial type; a single-modulus
-//! polynomial is a one-limb `RnsPoly` over `ModulusChain::new(n, &[q])`
+//! Beside them, [`PackedPoly`] keeps a polynomial that a server holds
+//! resident — a Galois key pair, a prepared mask — at its limbs' widths,
+//! in the wire's plane layout; it has no arithmetic of its own.
+//!
+//! [`RnsPoly`] is the engine's only polynomial type with arithmetic; a
+//! single-modulus polynomial is a one-limb `RnsPoly` over
+//! `ModulusChain::new(n, &[q])`
 //! (plaintexts in `R_t` are bare coefficient vectors, see
 //! [`crate::encoder::Plaintext`]). `tests/rns_equivalence.rs` holds a
 //! one-limb chain against a reference on `Vec<u64>` that computes with
@@ -32,7 +37,8 @@ use std::sync::Arc;
 use crate::arith::{CrtBasis, Modulus};
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
-use crate::simd::{self, DotPlanes};
+use crate::simd::{self, DotPlanes, Plane};
+use crate::wire;
 
 /// Which domain a polynomial's residues live in — shared by every limb
 /// plane of an [`RnsPoly`].
@@ -293,11 +299,159 @@ impl ModulusChain {
 #[derive(Debug, Clone, Copy)]
 pub struct DotTerm<'a> {
     /// Multiplies `shared` into the first output.
-    pub x0: &'a RnsPoly,
-    /// Multiplies `shared` into the second output.
-    pub x1: &'a RnsPoly,
+    pub x0: DotOperand<'a>,
+    /// Multiplies `shared` into the second output; kept as `x0` is.
+    pub x1: DotOperand<'a>,
     /// The operand both products share.
-    pub shared: &'a RnsPoly,
+    pub shared: DotOperand<'a>,
+}
+
+/// An operand of [`RnsPoly::dot_pair_prefix`], in the form its data is
+/// kept in. The form follows where the data comes from, not a choice:
+/// what an evaluation computes (ciphertexts, babies, hoisted digits) is
+/// words, what a server holds resident (Galois keys, prepared masks) is
+/// packed.
+#[derive(Debug, Clone, Copy)]
+pub enum DotOperand<'a> {
+    /// One `u64` word per residue.
+    Words(&'a RnsPoly),
+    /// Each plane packed at its limb's width.
+    Packed(&'a PackedPoly),
+}
+
+impl<'a> From<&'a RnsPoly> for DotOperand<'a> {
+    fn from(p: &'a RnsPoly) -> Self {
+        DotOperand::Words(p)
+    }
+}
+
+impl<'a> From<&'a PackedPoly> for DotOperand<'a> {
+    fn from(p: &'a PackedPoly) -> Self {
+        DotOperand::Packed(p)
+    }
+}
+
+impl<'a> DotOperand<'a> {
+    fn is_packed(self) -> bool {
+        matches!(self, DotOperand::Packed(_))
+    }
+
+    fn limbs(self) -> usize {
+        match self {
+            DotOperand::Words(p) => p.limbs,
+            DotOperand::Packed(p) => p.limbs(),
+        }
+    }
+
+    /// Checks the shape [`RnsPoly::dot_pair_prefix`] reads: evaluation
+    /// form at degree `n`, with at least `live` planes, and a packed
+    /// plane `plane(i)` under the outputs' plane `i`'s modulus.
+    fn check(
+        self,
+        n: usize,
+        live: usize,
+        plane: impl Fn(usize) -> usize,
+        chain: &ModulusChain,
+    ) -> Result<()> {
+        let (limbs, degree, repr) = match self {
+            DotOperand::Words(p) => (p.limbs, p.n, p.repr),
+            DotOperand::Packed(p) => (p.limbs(), p.n, p.repr),
+        };
+        check_repr(repr, Representation::Eval)?;
+        if limbs < live || degree != n {
+            return Err(Error::ParameterMismatch);
+        }
+        if let DotOperand::Packed(p) = self {
+            if (0..live).any(|i| p.moduli[plane(i)] != chain.modulus(i).value()) {
+                return Err(Error::ParameterMismatch);
+            }
+        }
+        Ok(())
+    }
+
+    fn plane(self, i: usize) -> Plane<'a> {
+        match self {
+            DotOperand::Words(p) => Plane::Words(p.limb(i)),
+            DotOperand::Packed(p) => Plane::Packed(p.plane(i)),
+        }
+    }
+}
+
+/// A polynomial kept at its limbs' widths: limb plane `i` packed as `n`
+/// `wire::field_bits(q_i)`-bit little-endian fields — the wire's plane
+/// layout, written by the wire's writer — the planes back to back. This
+/// is how a server keeps what it holds resident: each Galois key pair
+/// ([`crate::keys::GaloisKey::pairs`]) and each prepared mask
+/// ([`crate::PreparedPlaintext::poly`]), so a stream of them moves
+/// `w/64` of the bytes of an [`RnsPoly`] (36/64 on the bench chains).
+///
+/// It has no arithmetic: the lazy dot ([`RnsPoly::dot_pair_prefix`]) and
+/// the plain multiply ([`RnsPoly::mul_assign_packed_prefix`]) unpack it as
+/// they read it, and [`PackedPoly::unpack`] gives the `RnsPoly` back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedPoly {
+    bytes: Vec<u8>,
+    /// Each plane's modulus, in plane order.
+    moduli: Vec<u64>,
+    n: usize,
+    repr: Representation,
+}
+
+impl PackedPoly {
+    /// Packs `poly`'s planes at the widths of `chain`'s limbs.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ParameterMismatch`] unless `poly` has `chain`'s shape.
+    pub fn pack(poly: &RnsPoly, chain: &ModulusChain) -> Result<Self> {
+        chain.check_poly(poly)?;
+        let mut bytes = Vec::with_capacity(wire::poly_bytes(chain, chain.limbs()));
+        for (plane, q) in poly.limb_planes().zip(chain.moduli()) {
+            wire::push_plane(&mut bytes, plane, q.value());
+        }
+        Ok(Self {
+            bytes,
+            moduli: chain.moduli().iter().map(Modulus::value).collect(),
+            n: poly.n,
+            repr: poly.repr,
+        })
+    }
+
+    /// The polynomial, one word per residue again.
+    pub fn unpack(&self) -> RnsPoly {
+        let mut out = RnsPoly::zero_with(self.limbs(), self.n, self.repr);
+        for (i, plane) in out.data.chunks_exact_mut(self.n).enumerate() {
+            simd::unpack_plane(self.plane(i), plane, self.moduli[i]);
+        }
+        out
+    }
+
+    /// Number of limb planes.
+    pub fn limbs(&self) -> usize {
+        self.moduli.len()
+    }
+
+    /// Ring degree `n`.
+    pub fn degree(&self) -> usize {
+        self.n
+    }
+
+    /// Representation of every plane.
+    pub fn representation(&self) -> Representation {
+        self.repr
+    }
+
+    /// Bytes of packed residues held: `Σ_i n·w_i/8`, as on the wire.
+    pub fn byte_size(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Plane `i`'s `n·w_i/8` bytes.
+    pub(crate) fn plane(&self, i: usize) -> &[u8] {
+        let bytes = |q: &u64| self.n * wire::field_bits(*q) / 8;
+        let start: usize = self.moduli[..i].iter().map(bytes).sum();
+        &self.bytes[start..start + bytes(&self.moduli[i])]
+    }
 }
 
 /// Which plane of `x0`/`x1` the last output plane of
@@ -484,13 +638,7 @@ impl RnsPoly {
 
     /// Checks the representation, erroring otherwise.
     pub fn expect_repr(&self, expected: Representation) -> Result<()> {
-        if self.repr != expected {
-            return Err(Error::WrongRepresentation {
-                expected: repr_name(expected),
-                found: repr_name(self.repr),
-            });
-        }
-        Ok(())
+        check_repr(self.repr, expected)
     }
 
     /// Converts to evaluation form in place, one NTT per limb plane
@@ -674,6 +822,28 @@ impl RnsPoly {
             .enumerate()
         {
             simd::mul_pointwise(a, b, chain.modulus(i));
+        }
+        Ok(())
+    }
+
+    /// [`RnsPoly::mul_assign_pointwise_prefix`] by a packed operand — a
+    /// prepared mask — each plane unpacked block by block as it is read.
+    ///
+    /// # Errors
+    ///
+    /// As [`RnsPoly::mul_assign_pointwise_prefix`]; also
+    /// [`Error::ParameterMismatch`] when a plane of `other` was packed
+    /// under another modulus than `chain`'s.
+    pub fn mul_assign_packed_prefix(
+        &mut self,
+        other: &PackedPoly,
+        chain: &ModulusChain,
+    ) -> Result<()> {
+        self.expect_repr(Representation::Eval)?;
+        chain.check_poly(self)?;
+        DotOperand::Packed(other).check(self.n, self.limbs, |i| i, chain)?;
+        for (i, a) in self.data.chunks_exact_mut(self.n).enumerate() {
+            simd::mul_pointwise_packed(a, other.plane(i), chain.modulus(i));
         }
         Ok(())
     }
@@ -915,12 +1085,21 @@ impl RnsPoly {
     /// prime of a per-level key-switch chain — reads the **last** plane of
     /// `x0`/`x1`, where the full key-switch chain keeps it.
     ///
+    /// Each operand is read in the form it is kept in ([`DotOperand`]): a
+    /// packed plane is unpacked as it streams past — in registers under the
+    /// IFMA kernel, a block at a time on the stack otherwise — so a key or
+    /// mask moves at its limbs' widths. Every term has the same forms,
+    /// `x0` and `x1` alike; at most one side of a product is packed (keys
+    /// meet words digits, masks words ciphertexts), and an operand read
+    /// through `gather` is words.
+    ///
     /// # Errors
     ///
     /// [`Error::WrongRepresentation`] unless everything is in evaluation
     /// form, [`Error::ParameterMismatch`] unless `chain` matches the
     /// outputs' shape, every operand covers the outputs' planes at their
-    /// degree, and `gather` (when given) has one entry per coefficient.
+    /// degree (a packed one under the same moduli), the forms are as
+    /// above, and `gather` (when given) has one entry per coefficient.
     pub fn dot_pair_prefix<'a>(
         r0: &mut RnsPoly,
         r1: &mut RnsPoly,
@@ -938,25 +1117,35 @@ impl RnsPoly {
         if gather.is_some_and(|perm| perm.len() != n) {
             return Err(Error::ParameterMismatch);
         }
+        // The plane of an operand with `limbs` planes under output plane `i`.
+        let x_index = |limbs: usize, i: usize| match align {
+            PlaneAlign::SpecialLast if i + 1 == live => limbs - 1,
+            _ => i,
+        };
+        let forms = |t: DotTerm| (t.x0.is_packed(), t.shared.is_packed());
+        let first = (terms > 0).then(|| forms(term(0)));
         for k in 0..terms {
             let t = term(k);
-            for p in [t.x0, t.x1, t.shared] {
-                p.expect_repr(Representation::Eval)?;
-                if p.limbs < live || p.n != n {
-                    return Err(Error::ParameterMismatch);
-                }
+            if Some(forms(t)) != first
+                || t.x1.is_packed() != t.x0.is_packed()
+                || t.shared.is_packed() && (gather.is_some() || t.x0.is_packed())
+            {
+                return Err(Error::ParameterMismatch);
             }
+            for x in [t.x0, t.x1] {
+                x.check(n, live, |i| x_index(x.limbs(), i), chain)?;
+            }
+            t.shared.check(n, live, |i| i, chain)?;
         }
         let planes = r0.data.chunks_exact_mut(n).zip(r1.data.chunks_exact_mut(n));
         for (i, (p0, p1)) in planes.enumerate() {
-            let special = align == PlaneAlign::SpecialLast && i + 1 == live;
-            let x_plane = |x: &'a RnsPoly| x.limb(if special { x.limbs - 1 } else { i });
+            let x_plane = |x: DotOperand<'a>| x.plane(x_index(x.limbs(), i));
             let plane_term = |k| {
                 let t = term(k);
                 DotPlanes {
                     x0: x_plane(t.x0),
                     x1: x_plane(t.x1),
-                    shared: t.shared.limb(i),
+                    shared: t.shared.plane(i),
                 }
             };
             simd::dot_pair(p0, p1, terms, plane_term, gather, chain.modulus(i));
@@ -983,6 +1172,16 @@ impl RnsPoly {
         }
         Ok(max)
     }
+}
+
+fn check_repr(found: Representation, expected: Representation) -> Result<()> {
+    if found != expected {
+        return Err(Error::WrongRepresentation {
+            expected: repr_name(expected),
+            found: repr_name(found),
+        });
+    }
+    Ok(())
 }
 
 fn repr_name(r: Representation) -> &'static str {

@@ -33,9 +33,14 @@
 //!   (`madd52lo`/`madd52hi` into two `u64` rows, one fold per output),
 //!   the pointwise products made of it (`mul_pointwise`, `fma_pointwise`:
 //!   one term, one output) and the constant multiplies (`mul_scalar`,
-//!   `lift_centered`: one Shoup `mul_lazy` per product). Wider limbs and
+//!   `lift_centered`: one Shoup `mul_lazy` per product) — and the packed
+//!   plane layout's packer and reader, eight fields a vector (`vpermb`,
+//!   AVX-512 VBMI), which the inner product and the packed plain multiply
+//!   also run in registers on operands kept packed. Wider limbs and
 //!   `n = 8` run the `Avx2` lanes — or, for the kernels that have no lane
-//!   form, the reference loop.
+//!   form, the reference loop; the packed-plane reader, four fields a
+//!   vector by AVX2 byte shuffles (the `shuffle` module, which also
+//!   serves `Avx2`).
 //!
 //! ## What the compiler vectorizes, kernel by kernel
 //!
@@ -91,6 +96,7 @@
 //! race a concurrent test forcing `Avx2`.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::arith::Modulus;
@@ -105,8 +111,9 @@ pub enum SimdBackend {
     /// The lane loops monomorphized under AVX2 (x86_64, runtime-detected).
     Avx2,
     /// `Avx2` plus the explicit AVX-512 IFMA kernels — NTT, inner product,
-    /// pointwise products, constant multiplies — for limbs under `2^50`
-    /// (x86_64, runtime-detected).
+    /// pointwise products, constant multiplies, the packed-plane packer
+    /// and reader — for limbs under `2^50` (x86_64, runtime-detected:
+    /// AVX-512 F, DQ, VL, IFMA, BW and VBMI).
     Avx512Ifma,
 }
 
@@ -134,6 +141,8 @@ fn clamp(requested: SimdBackend) -> SimdBackend {
                 && std::arch::is_x86_feature_detected!("avx512dq")
                 && std::arch::is_x86_feature_detected!("avx512vl")
                 && std::arch::is_x86_feature_detected!("avx512ifma")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vbmi")
             {
                 return SimdBackend::Avx512Ifma;
             }
@@ -328,6 +337,68 @@ pub(crate) fn lift_centered(out: &mut [u64], v: &[u64], from: &Modulus, to: &Mod
     }
 }
 
+/// Writes `residues` (canonical, `< q`) into `dst` as packed
+/// `field_bits(q)`-bit fields, little-endian: the wire's plane layout,
+/// which is also the layout of every operand a server keeps resident
+/// ([`crate::rns::PackedPoly`]). `dst` is exactly
+/// `residues.len()·field_bits(q)/8` bytes; `wire::push_plane` sizes it.
+/// Under `Avx512Ifma`, for a modulus the `ifma` kernels admit that is at
+/// least 8 bits wide, eight fields per vector (`ifma::pack_plane`): the
+/// same bytes.
+pub(crate) fn pack_plane(dst: &mut [u8], residues: &[u64], q: u64) {
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma if ifma::packs(residues.len(), q) => unsafe {
+            ifma::pack_plane(dst, residues, q)
+        },
+        _ => scalar::pack_plane(dst, residues, q),
+    }
+}
+
+/// Reads `dst.len()` packed `field_bits(q)`-bit fields from the start of
+/// `src` (at least `dst.len()·field_bits(q)/8` bytes) into `dst`,
+/// unchecked: the inverse of [`pack_plane`]. The wire's reader checks
+/// each field against `q` after it; resident planes were packed from
+/// canonical residues. Under `Avx512Ifma`, for a modulus the `ifma`
+/// kernels admit, eight fields per vector (`ifma::unpack_plane`); under
+/// `Avx2` and for the other limbs of `Avx512Ifma`, four fields per vector
+/// by byte shuffles up to 60 bits (`shuffle::unpack_plane`); otherwise
+/// the lanes' branch-free loop, or the reference under `Scalar`.
+pub(crate) fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64) {
+    match current_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `ntt_forward`.
+        SimdBackend::Avx512Ifma if ifma::admits(dst.len(), q) => unsafe {
+            ifma::unpack_plane(src, dst, q)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dispatch!`.
+        SimdBackend::Avx2 | SimdBackend::Avx512Ifma
+            if crate::wire::field_bits(q) <= shuffle::MAX_BITS =>
+        unsafe { shuffle::unpack_plane(src, dst, q) },
+        backend => dispatch!(backend => unpack_plane(src, dst, q)),
+    }
+}
+
+/// `a[i] ← a[i]·b[i] mod q` with `b` a packed plane ([`pack_plane`]'s
+/// layout): [`mul_pointwise`] on each [`DOT_BLOCK`] of `a` against its
+/// stretch of `b`, unpacked on the stack. Under `Avx512Ifma`, for a
+/// modulus the `ifma` kernels admit, `ifma::mul_pointwise` with `b`
+/// unpacked in registers.
+pub(crate) fn mul_pointwise_packed(a: &mut [u64], b: &[u8], q: &Modulus) {
+    #[cfg(target_arch = "x86_64")]
+    if current_backend() == SimdBackend::Avx512Ifma && ifma::admits(a.len(), q.value()) {
+        // SAFETY: as in `ntt_forward`.
+        return unsafe { ifma::mul_pointwise_packed(a, b, q) };
+    }
+    let mut buf = [0u64; DOT_BLOCK];
+    for (block, a) in a.chunks_mut(DOT_BLOCK).enumerate() {
+        let span = block * DOT_BLOCK..block * DOT_BLOCK + a.len();
+        mul_pointwise(a, Plane::Packed(b).block(span, &mut buf, q.value()), q);
+    }
+}
+
 /// Coefficients per block of [`dot_pair`]: two `u128` accumulator rows of
 /// this length (8 KiB together) stay in L1 while the terms stream past.
 const DOT_BLOCK: usize = 256;
@@ -341,34 +412,85 @@ const DOT_UNROLL: usize = 2;
 /// What an unused slot of a [`DOT_UNROLL`]-wide pass multiplies.
 static ZERO_BLOCK: [u64; DOT_BLOCK] = [0; DOT_BLOCK];
 
+/// One limb plane of a [`dot_pair`] operand, in the form its data is kept
+/// in: one word per residue (ciphertexts, babies, hoisted digits), or
+/// packed at the limb's width ([`pack_plane`]'s layout: Galois keys and
+/// prepared masks).
+#[derive(Clone, Copy)]
+pub(crate) enum Plane<'a> {
+    Words(&'a [u64]),
+    Packed(&'a [u8]),
+}
+
+impl<'a> Plane<'a> {
+    pub(crate) fn is_packed(self) -> bool {
+        matches!(self, Plane::Packed(_))
+    }
+
+    /// The whole plane as words.
+    ///
+    /// # Panics
+    ///
+    /// On a packed plane: only words are read through a permutation.
+    fn words(self) -> &'a [u64] {
+        match self {
+            Plane::Words(w) => w,
+            Plane::Packed(_) => panic!("a gathered operand is kept as words"),
+        }
+    }
+
+    /// Coefficients `span` (`span.start` a multiple of 8, so a packed
+    /// stretch starts on a byte) as words: borrowed, or unpacked into
+    /// `buf`.
+    fn block<'b>(self, span: Range<usize>, buf: &'b mut [u64; DOT_BLOCK], q: u64) -> &'b [u64]
+    where
+        'a: 'b,
+    {
+        match self {
+            Plane::Words(w) => &w[span],
+            Plane::Packed(bytes) => {
+                let from = span.start * crate::wire::field_bits(q) / 8;
+                let out = &mut buf[..span.len()];
+                unpack_plane(&bytes[from..], out, q);
+                out
+            }
+        }
+    }
+}
+
 /// One term of [`dot_pair`], as limb planes: adds `x0 ⊙ shared` to the
-/// first output and `x1 ⊙ shared` to the second.
+/// first output and `x1 ⊙ shared` to the second. `x0` and `x1` are kept
+/// alike, at most one side of the product is packed (a key, or a mask),
+/// and every term of one call has the same forms.
 #[derive(Clone, Copy)]
 pub(crate) struct DotPlanes<'a> {
-    pub x0: &'a [u64],
-    pub x1: &'a [u64],
-    pub shared: &'a [u64],
+    pub x0: Plane<'a>,
+    pub x1: Plane<'a>,
+    pub shared: Plane<'a>,
 }
 
 /// The lazy inner product under every mask sum and every key switch:
 /// `r0[i] ← r0[i] + Σ_k x0_k[i]·s_k[i] mod q` and the same for `r1` over
 /// `x1_k`, with `s_k[i]` read as `shared_k[gather[i]]` when a Galois
-/// permutation is fused in (one gather serves both outputs).
+/// permutation is fused in (one gather serves both outputs; a gathered
+/// operand is words).
 ///
 /// Per [`DOT_BLOCK`] coefficients the products of all `terms` are summed
 /// unreduced in `u128`, [`DOT_UNROLL`] terms to a pass, and reduced
 /// **once**; an early reduction every [`Modulus::lazy_dot_terms`] terms
 /// keeps the sum inside [`Modulus::reduce_u128`]'s input bound for every
-/// modulus. Each output is the canonical residue of the exact sum, so it
+/// modulus. A packed plane's stretch of a block is unpacked on the stack
+/// first. Each output is the canonical residue of the exact sum, so it
 /// is bit-identical to `terms` sequential [`fma_pointwise`] calls on any
 /// backend.
 ///
 /// Under `Avx512Ifma`, for a modulus the `ifma` kernels admit, the same
-/// sum runs on the 52-bit multiplier instead (`ifma::dot_pair`): the same
+/// sum runs on the 52-bit multiplier instead (`ifma::dot_pair`), which
+/// unpacks packed planes in registers as it reads them: the same
 /// canonical residues.
 ///
-/// Every plane `term(k)` yields, and `gather` when present, must be as
-/// long as the outputs.
+/// Every plane `term(k)` yields, and `gather` when present, must cover
+/// the outputs.
 pub(crate) fn dot_pair<'a>(
     r0: &mut [u64],
     r1: &mut [u64],
@@ -385,6 +507,8 @@ pub(crate) fn dot_pair<'a>(
     let flush_every = q.lazy_dot_terms();
     let mut acc0 = [0u128; DOT_BLOCK];
     let mut acc1 = [0u128; DOT_BLOCK];
+    // Per slot of a pass: where `x0`, `x1` and `shared` unpack to.
+    let mut bufs = [[[0u64; DOT_BLOCK]; 3]; DOT_UNROLL];
     let blocks = r0.chunks_mut(DOT_BLOCK).zip(r1.chunks_mut(DOT_BLOCK));
     for (block, (r0, r1)) in blocks.enumerate() {
         let len = r0.len();
@@ -407,22 +531,22 @@ pub(crate) fn dot_pair<'a>(
             let take = DOT_UNROLL.min(room).min(terms - k);
             // Slots past `take` multiply zeros (through any gatherable
             // plane): they add nothing.
-            let mut pass = [DotPlanes {
-                x0: zeros,
-                x1: zeros,
-                shared: if gather.is_some() {
-                    term(k).shared
-                } else {
-                    zeros
-                },
-            }; DOT_UNROLL];
-            for (slot, t) in pass.iter_mut().zip((k..k + take).map(&term)) {
-                slot.x0 = &t.x0[span.clone()];
-                slot.x1 = &t.x1[span.clone()];
-                slot.shared = match gather {
-                    None => &t.shared[span.clone()],
-                    Some(_) => t.shared,
-                };
+            let unused = match gather {
+                Some(_) => term(k).shared.words(),
+                None => zeros,
+            };
+            let mut pass = [(zeros, zeros, unused); DOT_UNROLL];
+            let slots = pass.iter_mut().zip(&mut bufs);
+            let qv = q.value();
+            for ((slot, [b0, b1, bs]), t) in slots.zip((k..k + take).map(&term)) {
+                *slot = (
+                    t.x0.block(span.clone(), b0, qv),
+                    t.x1.block(span.clone(), b1, qv),
+                    match gather {
+                        None => t.shared.block(span.clone(), bs, qv),
+                        Some(_) => t.shared.words(),
+                    },
+                );
             }
             match gather {
                 None => dot_mac::<false>(acc0, acc1, &pass, &[]),
@@ -444,21 +568,21 @@ pub(crate) fn dot_pair<'a>(
 /// One pass of [`dot_pair`] over a block: `acc0[i] += Σ_t x0_t[i]·s_t[j]`
 /// and the same for `acc1` over `x1_t`, unreduced, with `j = perm[i]` into
 /// the whole shared plane when `GATHER` and `j = i` into a block-long one
-/// otherwise. Plain 64×64→128 multiplies and carries, which have no lane
-/// form: every backend that gets here runs this loop and differs only in
-/// [`dot_reduce`].
+/// otherwise; each slot is `(x0, x1, shared)`. Plain 64×64→128 multiplies
+/// and carries, which have no lane form: every backend that gets here runs
+/// this loop and differs only in [`dot_reduce`].
 fn dot_mac<const GATHER: bool>(
     acc0: &mut [u128],
     acc1: &mut [u128],
-    pass: &[DotPlanes<'_>; DOT_UNROLL],
+    pass: &[(&[u64], &[u64], &[u64]); DOT_UNROLL],
     perm: &[u32],
 ) {
     let len = acc0.len();
     let acc1 = &mut acc1[..len];
     let perm = if GATHER { &perm[..len] } else { perm };
-    let pass = pass.map(|t| {
-        let shared = if GATHER { t.shared } else { &t.shared[..len] };
-        (&t.x0[..len], &t.x1[..len], shared)
+    let pass = pass.map(|(x0, x1, shared)| {
+        let shared = if GATHER { shared } else { &shared[..len] };
+        (&x0[..len], &x1[..len], shared)
     });
     for i in 0..len {
         let (mut a0, mut a1) = (acc0[i], acc1[i]);
@@ -486,6 +610,7 @@ fn dot_reduce(acc: &mut [u128], q: &Modulus) {
 
 mod scalar {
     use crate::arith::Modulus;
+    use crate::wire::field_bits;
 
     /// `x·w mod q` lazily reduced to `[0, 2q)` — `ShoupPrecomp::mul_lazy`
     /// over the SoA `(operand, quotient)` pair.
@@ -640,6 +765,71 @@ mod scalar {
             *o = to.from_signed(from.center(x));
         }
     }
+
+    /// The wire's plane writer: fields appended to a word, which goes out
+    /// whole as it fills.
+    pub(super) fn pack_plane(dst: &mut [u8], residues: &[u64], q: u64) {
+        let bits = field_bits(q) as u32;
+        let mut words = dst.chunks_exact_mut(8);
+        // `acc` holds the `held < 64` low bits not yet written.
+        let mut acc: u64 = 0;
+        let mut held = 0;
+        for &r in residues {
+            debug_assert!(r < q, "pack_plane: residue {r} >= {q}");
+            acc |= r << held;
+            held += bits;
+            if held >= 64 {
+                if let Some(word) = words.next() {
+                    word.copy_from_slice(&acc.to_le_bytes());
+                }
+                held -= 64;
+                // The high `held` bits of `r` that did not fit.
+                acc = r >> (bits - held);
+            }
+        }
+        let tail = words.into_remainder();
+        let len = tail.len();
+        tail.copy_from_slice(&acc.to_le_bytes()[..len]);
+    }
+
+    /// The reader: whole little-endian words taken in as fields run out,
+    /// the last one zero-padded if `src` ends mid-word.
+    pub(super) fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64) {
+        let bits = field_bits(q) as u32;
+        let mask = u64::MAX >> (64 - bits);
+        let mut words = src.chunks_exact(8);
+        let tail = {
+            let rest = words.remainder();
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            u64::from_le_bytes(w)
+        };
+        let mut next = || {
+            words.next().map_or(tail, |c| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
+        };
+        // `acc` holds the `held < bits` low bits not yet read.
+        let mut acc: u64 = 0;
+        let mut held = 0;
+        for d in dst.iter_mut() {
+            *d = if held >= bits {
+                let v = acc & mask;
+                acc >>= bits;
+                held -= bits;
+                v
+            } else {
+                let w = next();
+                let v = (acc | w << held) & mask;
+                // The rest of `w` past this field.
+                acc = w >> (bits - held);
+                held += 64 - bits;
+                v
+            };
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -655,6 +845,7 @@ mod scalar {
 mod lanes {
     mod body {
         use crate::arith::{mulhi_u128, Modulus, LAZY_SUM_BITS};
+        use crate::wire::field_bits;
 
         /// Lane width the kernels chunk by: 4 × u64 is one 256-bit AVX2
         /// vector, and two 128-bit NEON/SSE2 vectors — for the additive
@@ -849,6 +1040,35 @@ mod lanes {
         pub(super) fn peel_digit(v: &mut [u64], low: &mut [u64], log_base: u32) {
             crate::simd::scalar::peel_digit(v, low, log_base)
         }
+
+        /// The reader without its branch: field `p` of a group of eight
+        /// (the `w` bytes from the group's first) is the word at byte
+        /// `⌊p·w/8⌋` shifted right by `p·w mod 8`, with the next byte's
+        /// bits above it (a field of up to 62 bits spans nine bytes), and
+        /// masked. Whole groups while the nine bytes of the last field
+        /// lie in `src`; the reference loop for the rest.
+        pub(super) fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64) {
+            let w = field_bits(q);
+            let mask = u64::MAX >> (64 - w);
+            let reach = 7 * w / 8 + 9;
+            let groups = match src.len().checked_sub(reach) {
+                Some(room) => (room / w + 1).min(dst.len() / 8),
+                None => 0,
+            };
+            for (g, out) in dst[..8 * groups].chunks_exact_mut(8).enumerate() {
+                let bytes = &src[g * w..g * w + reach];
+                for (p, d) in out.iter_mut().enumerate() {
+                    let (at, sh) = (p * w / 8, p * w % 8);
+                    let mut word = [0u8; 8];
+                    word.copy_from_slice(&bytes[at..at + 8]);
+                    let lo = u64::from_le_bytes(word) >> sh;
+                    // `<< (64 − sh)` in two steps: zero when `sh = 0`.
+                    let hi = (bytes[at + 8] as u64) << 1 << (63 - sh);
+                    *d = (lo | hi) & mask;
+                }
+            }
+            crate::simd::scalar::unpack_plane(&src[groups * w..], &mut dst[8 * groups..], q);
+        }
     }
 
     /// Generates the `portable` (plain) and `avx2` (`target_feature`)
@@ -893,6 +1113,152 @@ mod lanes {
         fn fma_pointwise(r: &mut [u64], a: &[u64], b: &[u64], q: &Modulus);
         fn dot_reduce(acc: &mut [u128], q: &Modulus);
         fn peel_digit(v: &mut [u64], low: &mut [u64], log_base: u32);
+        fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64);
+    }
+}
+
+// ---------------------------------------------------------------------
+// AVX2 plane reader: four fields a vector by byte shuffles, for the
+// backends and limbs the IFMA reader does not take.
+//
+// Field `p` of a group of eight starts `s_p = p·w mod 8` bits into byte
+// `a_p = ⌊p·w/8⌋` of the group. A vector takes four fields, two to each
+// 128-bit lane, and a lane is the 16 bytes from the byte its first field
+// starts in: the pair's bits are the `2w` from bit `s_p` of it, which end
+// inside those 16 bytes iff `s_p + 2w ≤ 128` — for every `s_p ≤ 7` once
+// `w ≤ 60`. A `vpshufb` gives each 64-bit element the eight bytes from its
+// field's first, a `vpsrlvq` by `s_p` puts the field at bit 0; a field
+// with `s_p + w > 64` (only once `w > 57`) also takes its ninth byte, by
+// a second `vpshufb` and a `vpsllvq` by `64 − s_p`; an `and` keeps its
+// `w` bits. The controls and counts of every width are one table, built
+// at compile time, so a call (one 256-coefficient block of the dot)
+// starts with eight vector loads.
+// ---------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod shuffle {
+    use std::arch::x86_64::*;
+
+    use crate::wire::field_bits;
+
+    /// The widest field [`unpack_plane`] reads (section comment).
+    pub(super) const MAX_BITS: usize = 60;
+
+    /// What [`unpack_groups`] needs of a width, per vector `h` of a group
+    /// (fields `4h..4h + 4`; its lanes start at the bytes of fields `4h`
+    /// and `4h + 2`): the `vpshufb` controls of the eight bytes from each
+    /// field's first and of its ninth, and the `vpsrlvq` / `vpsllvq`
+    /// counts `s_p` and `64 − s_p`, as little-endian bytes.
+    struct Layout {
+        low: [[u8; 32]; 2],
+        high: [[u8; 32]; 2],
+        down: [[u8; 32]; 2],
+        up: [[u8; 32]; 2],
+    }
+
+    /// [`Layout`] by width, built at compile time.
+    static LAYOUTS: [Layout; MAX_BITS + 1] = {
+        const EMPTY: Layout = Layout {
+            low: [[0; 32]; 2],
+            high: [[0; 32]; 2],
+            down: [[0; 32]; 2],
+            up: [[0; 32]; 2],
+        };
+        let mut table = [EMPTY; MAX_BITS + 1];
+        let mut w = 1;
+        while w <= MAX_BITS {
+            let t = &mut table[w];
+            let mut h = 0;
+            while h < 2 {
+                let mut i = 0;
+                while i < 32 {
+                    let first = 4 * h + 2 * (i / 16);
+                    let (p, b) = (first + i % 16 / 8, i % 8);
+                    let rel = p * w / 8 - first * w / 8;
+                    let s = p * w % 8;
+                    t.low[h][i] = (rel + b) as u8;
+                    // `vpshufb` zeroes a byte whose index has bit 7 set.
+                    let ninth = b == 0 && s + w > 64;
+                    t.high[h][i] = if ninth { (rel + 8) as u8 } else { 0x80 };
+                    // Shift counts: each 64-bit element's low byte.
+                    t.down[h][i] = if b == 0 { s as u8 } else { 0 };
+                    // `vpsllvq` by 64 (`s_p = 0`) gives zero.
+                    t.up[h][i] = if b == 0 { (64 - s) as u8 } else { 0 };
+                    i += 1;
+                }
+                h += 1;
+            }
+            w += 1;
+        }
+        table
+    };
+
+    /// [`super::unpack_plane`] for fields of at most [`MAX_BITS`] bits.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64) {
+        let w = field_bits(q);
+        debug_assert!(w <= MAX_BITS);
+        // SAFETY: the CPU supports AVX2 (this function's contract).
+        unsafe {
+            if w > 57 {
+                unpack_groups::<true>(src, dst, q);
+            } else {
+                unpack_groups::<false>(src, dst, q);
+            }
+        }
+    }
+
+    /// Whole groups of eight fields while their four 16-byte loads lie in
+    /// `src`, the lane body for the rest. `NINTH`: whether a field can
+    /// reach a ninth byte (`w > 57`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn unpack_groups<const NINTH: bool>(src: &[u8], dst: &mut [u64], q: u64) {
+        let w = field_bits(q);
+        let layout = &LAYOUTS[w];
+        // SAFETY: each load reads one 32-byte array of `layout`.
+        let vector = |v: &[u8; 32]| unsafe { _mm256_loadu_si256(v.as_ptr().cast()) };
+        let low = layout.low.each_ref().map(vector);
+        let high = layout.high.each_ref().map(vector);
+        let down = layout.down.each_ref().map(vector);
+        let up = layout.up.each_ref().map(vector);
+        let at = |p: usize| p * w / 8;
+        let mask = _mm256_set1_epi64x((u64::MAX >> (64 - w)) as i64);
+        let reach = at(6) + 16;
+        let groups = match src.len().checked_sub(reach) {
+            Some(room) => (room / w + 1).min(dst.len() / 8),
+            None => 0,
+        };
+        for (g, out) in dst[..8 * groups].chunks_exact_mut(8).enumerate() {
+            let group = &src[g * w..g * w + reach];
+            for h in 0..2 {
+                let lanes = [&group[at(4 * h)..], &group[at(4 * h + 2)..]];
+                // SAFETY: each lane's 16 bytes lie in `group`: the
+                // second starts at `at(4h + 2) ≤ at(6) = reach − 16`.
+                let x = unsafe {
+                    _mm256_loadu2_m128i(lanes[1].as_ptr().cast(), lanes[0].as_ptr().cast())
+                };
+                let mut v = _mm256_srlv_epi64(_mm256_shuffle_epi8(x, low[h]), down[h]);
+                if NINTH {
+                    let hi = _mm256_sllv_epi64(_mm256_shuffle_epi8(x, high[h]), up[h]);
+                    v = _mm256_or_si256(v, hi);
+                }
+                // SAFETY: four words of `out` from `4h`; the store is
+                // unaligned.
+                unsafe {
+                    _mm256_storeu_si256(out[4 * h..].as_mut_ptr().cast(), _mm256_and_si256(v, mask))
+                };
+            }
+        }
+        // SAFETY: the CPU supports AVX2 (this function's contract).
+        unsafe { super::lanes::avx2::unpack_plane(&src[groups * w..], &mut dst[8 * groups..], q) };
     }
 }
 
@@ -983,20 +1349,49 @@ mod lanes {
 // (`lo` starting at zero, or at the accumulator's residue), folded once.
 // At `T = 1` the fold's `v2` is always zero, so `dot_consts` drops its
 // term for every admitted limb.
+//
+// ## Packed operands
+//
+// A Galois key pair or a prepared mask is kept as `w`-bit fields,
+// `w = field_bits(q) ≤ 50`, little-endian (the wire's layout). Eight fields
+// `8v..8v + 8` are the `w` bytes from `v·w` on, so one masked byte load
+// (`maskz_loadu_epi8`, the low `w` bits of the mask set: nothing past the
+// plane is read) brings them in, and field `p` starts `p·w mod 8` bits into
+// byte `⌊p·w/8⌋`. A `vpermb` gives lane `p` the eight bytes from there
+// (the highest, `⌊7w/8⌋ + 7 ≤ 50`, inside the vector), a `vpsrlvq` by
+// `p·w mod 8` puts the field at bit 0 — it ends at bit `7 + 50 < 64`, so
+// the lane holds all of it — and an `and` with `2^w − 1` clears the
+// neighbour's bits above it: the dot reads a packed plane in four
+// instructions a vector and never writes its words anywhere.
+//
+// The packer runs the other way: a `vpsllvq` by `p·w mod 8` puts each field
+// at its bit offset within its first byte, and output byte `d < w` is the OR
+// of the byte of the field holding bit `8d` and, when one starts inside
+// byte `d`, the first byte of the next field — at most those two once
+// `w ≥ 8` (two `vpermb`s, the second zero-masked where no field starts),
+// then one masked store of `w` bytes. Narrower limbs pack on the
+// reference loop.
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use std::arch::x86_64::*;
 
-    use super::DotPlanes;
+    use super::{DotPlanes, Plane};
     use crate::arith::Modulus;
+    use crate::wire::field_bits;
 
     /// Whether the kernels run on a degree-`n` plane mod `q`; the section
     /// comment derives both bounds. (Every degree is a power of two: the
     /// kernels walk whole vectors.)
     pub(super) fn admits(n: usize, q: u64) -> bool {
         n >= 16 && n.is_power_of_two() && q >> 50 == 0
+    }
+
+    /// Whether [`pack_plane`] packs a degree-`n` plane mod `q`: one
+    /// [`admits`] accepts, at least 8 bits wide (section comment).
+    pub(super) fn packs(n: usize, q: u64) -> bool {
+        admits(n, q) && q >> 7 != 0
     }
 
     /// Terms the two `u64` rows of the inner product hold without a fold:
@@ -1014,7 +1409,7 @@ mod ifma {
     macro_rules! with_ifma {
         ($($item:item)*) => {
             $(
-                #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma")]
+                #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512ifma,avx512bw,avx512vbmi")]
                 #[inline]
                 $item
             )*
@@ -1051,17 +1446,41 @@ mod ifma {
         /// The planes' length `n` as eight `u32`s (`2^31` if it is more:
         /// the gather reads its indices as `i32`).
         gather_limit: __m256i,
+        /// How a packed plane of this limb unpacks.
+        unpack: Unpack,
+    }
+
+    /// A plane's vectors: `n/8` of words, or the `n·w/8` bytes of its
+    /// packed fields (the other side empty).
+    #[derive(Clone, Copy)]
+    struct Rows<'a> {
+        words: &'a [[u64; 8]],
+        packed: &'a [u8],
     }
 
     /// One term of a [`dot_pair`] group: every plane cut to exactly the
     /// outputs' length `n` — what [`DotConsts::gather_limit`] was made from,
-    /// and what the gather in [`dot_chunk`] relies on — and `x0`/`x1` into
-    /// vectors.
+    /// and what the gather in [`dot_chunk`] relies on.
     #[derive(Clone, Copy)]
     struct DotVecs<'a> {
-        x0: &'a [[u64; 8]],
-        x1: &'a [[u64; 8]],
-        shared: &'a [u64],
+        x0: Rows<'a>,
+        x1: Rows<'a>,
+        shared: Rows<'a>,
+    }
+
+    /// The in-register unpack of eight `w`-bit fields (section comment).
+    #[derive(Clone, Copy)]
+    struct Unpack {
+        /// The field width `w`: eight fields are `w` bytes.
+        w: usize,
+        /// The low `w` bits: the bytes a load reads.
+        load: __mmask64,
+        /// Byte `8p + b` ← byte `⌊p·w/8⌋ + b`.
+        bytes: __m512i,
+        /// Lane `p`: `p·w mod 8`.
+        shift: __m512i,
+        /// `2^w − 1`.
+        mask: __m512i,
     }
 
     with_ifma! {
@@ -1329,6 +1748,7 @@ mod ifma {
                 one: shoup(1, qv),
                 mask51: splat((1 << 51) - 1),
                 gather_limit: _mm256_set1_epi32(n.min(1 << 31) as i32),
+                unpack: unpack_consts(qv),
             }
         }
 
@@ -1340,6 +1760,19 @@ mod ifma {
             let zero = _mm512_setzero_si512();
             for (x, y) in a.as_chunks_mut().0.iter_mut().zip(b.as_chunks().0) {
                 let (xv, yv) = (load(x), load(y));
+                let lo = _mm512_madd52lo_epu64(zero, xv, yv);
+                let hi = _mm512_madd52hi_epu64(zero, xv, yv);
+                store(x, dot_fold(lo, hi, &k));
+            }
+        }
+
+        /// [`super::mul_pointwise_packed`] on a plane [`admits`] accepts:
+        /// [`mul_pointwise`] with each vector of `b` unpacked as it is read.
+        pub(super) fn mul_pointwise_packed(a: &mut [u64], b: &[u8], q: &Modulus) {
+            let k = dot_consts(q, 1, a.len());
+            let zero = _mm512_setzero_si512();
+            for (v, x) in a.as_chunks_mut().0.iter_mut().enumerate() {
+                let (xv, yv) = (load(x), unpack8(b, v, &k.unpack));
                 let lo = _mm512_madd52lo_epu64(zero, xv, yv);
                 let hi = _mm512_madd52hi_epu64(zero, xv, yv);
                 store(x, dot_fold(lo, hi, &k));
@@ -1391,15 +1824,36 @@ mod ifma {
             idx
         }
 
-        /// Vectors `at..at + VECS` of a plane.
-        fn vecs_at<const VECS: usize>(plane: &[[u64; 8]], at: usize) -> &[[u64; 8]; VECS] {
-            plane[at..].first_chunk().expect("planes cover the outputs")
+        /// Eight words of a row: loaded, or unpacked from the packed
+        /// plane's fields `8v..8v + 8`.
+        fn row<const PACKED: bool>(rows: Rows<'_>, v: usize, u: &Unpack) -> __m512i {
+            if PACKED {
+                unpack8(rows.packed, v, u)
+            } else {
+                load(&rows.words[v])
+            }
+        }
+
+        /// Vectors `at..at + VECS` of a plane, in its form.
+        fn rows_at<'a, const VECS: usize, const PACKED: bool>(
+            rows: Rows<'a>,
+            at: usize,
+            u: &Unpack,
+        ) -> Rows<'a> {
+            if PACKED {
+                let packed = &rows.packed[at * u.w..(at + VECS) * u.w];
+                Rows { words: &[], packed }
+            } else {
+                let words = &rows.words[at..at + VECS];
+                Rows { words, packed: &[] }
+            }
         }
 
         /// One chunk of `8·VECS` coefficients — vectors `at..at + VECS` of
         /// every plane — through a group's terms: rows in registers, one
-        /// fold per output vector.
-        fn dot_chunk<const VECS: usize, const GATHER: bool>(
+        /// fold per output vector. `XP` / `SP`: whether `x0`/`x1` / a
+        /// non-gathered `shared` are packed.
+        fn dot_chunk<const VECS: usize, const GATHER: bool, const XP: bool, const SP: bool>(
             r0: &mut [[u64; 8]; VECS],
             r1: &mut [[u64; 8]; VECS],
             at: usize,
@@ -1418,27 +1872,28 @@ mod ifma {
                     idx[v] = gather_indices(&perm[at + v], k.gather_limit);
                 }
             }
+            let u = &k.unpack;
             for t in group {
-                let (x0, x1) = (vecs_at::<VECS>(t.x0, at), vecs_at::<VECS>(t.x1, at));
+                let x0 = rows_at::<VECS, XP>(t.x0, at, u);
+                let x1 = rows_at::<VECS, XP>(t.x1, at, u);
                 let mut s = [zero; VECS];
                 if GATHER {
+                    let shared = t.shared.words.as_flattened();
                     for v in 0..VECS {
                         // SAFETY: `gather_indices` checked every index below
-                        // the length of `t.shared` (see `DotVecs`) and below
+                        // the length of `shared` (see `DotVecs`) and below
                         // 2^31, so each lane reads the eight bytes of one of
                         // its entries.
                         s[v] = unsafe {
-                            _mm512_i32gather_epi64::<8>(idx[v], t.shared.as_ptr().cast())
+                            _mm512_i32gather_epi64::<8>(idx[v], shared.as_ptr().cast())
                         };
                     }
                 } else {
-                    let shared = vecs_at::<VECS>(t.shared.as_chunks().0, at);
-                    for v in 0..VECS {
-                        s[v] = load(&shared[v]);
-                    }
+                    let shared = rows_at::<VECS, SP>(t.shared, at, u);
+                    s = std::array::from_fn(|v| row::<SP>(shared, v, u));
                 }
                 for v in 0..VECS {
-                    let (a0, a1) = (load(&x0[v]), load(&x1[v]));
+                    let (a0, a1) = (row::<XP>(x0, v, u), row::<XP>(x1, v, u));
                     lo0[v] = _mm512_madd52lo_epu64(lo0[v], a0, s[v]);
                     hi0[v] = _mm512_madd52hi_epu64(hi0[v], a0, s[v]);
                     lo1[v] = _mm512_madd52lo_epu64(lo1[v], a1, s[v]);
@@ -1451,20 +1906,37 @@ mod ifma {
             }
         }
 
-        /// Every chunk of `VECS` vectors of the outputs through one group.
+        /// Every chunk of `VECS` vectors of the outputs through one group,
+        /// under one instance of [`dot_chunk`].
+        fn dot_chunks<const VECS: usize, const GATHER: bool, const XP: bool, const SP: bool>(
+            r0: &mut [[u64; 8]],
+            r1: &mut [[u64; 8]],
+            group: &[DotVecs<'_>],
+            perm: &[[u32; 8]],
+            k: &DotConsts,
+        ) {
+            let chunks = r0.as_chunks_mut().0.iter_mut().zip(r1.as_chunks_mut().0);
+            for (i, (c0, c1)) in chunks.enumerate() {
+                dot_chunk::<VECS, GATHER, XP, SP>(c0, c1, VECS * i, group, perm, k);
+            }
+        }
+
+        /// [`dot_chunks`] for the group's gather and operand forms
+        /// (`packed`: whether `x0`/`x1` and `shared` are).
         fn dot_group<const VECS: usize>(
             r0: &mut [[u64; 8]],
             r1: &mut [[u64; 8]],
             group: &[DotVecs<'_>],
             perm: Option<&[[u32; 8]]>,
+            packed: (bool, bool),
             k: &DotConsts,
         ) {
-            let chunks = r0.as_chunks_mut().0.iter_mut().zip(r1.as_chunks_mut().0);
-            for (i, (c0, c1)) in chunks.enumerate() {
-                match perm {
-                    None => dot_chunk::<VECS, false>(c0, c1, VECS * i, group, &[], k),
-                    Some(perm) => dot_chunk::<VECS, true>(c0, c1, VECS * i, group, perm, k),
-                }
+            match (perm, packed) {
+                (None, (false, false)) => dot_chunks::<VECS, false, false, false>(r0, r1, group, &[], k),
+                (None, (false, true)) => dot_chunks::<VECS, false, false, true>(r0, r1, group, &[], k),
+                (None, (true, _)) => dot_chunks::<VECS, false, true, false>(r0, r1, group, &[], k),
+                (Some(perm), (false, _)) => dot_chunks::<VECS, true, false, false>(r0, r1, group, perm, k),
+                (Some(perm), (true, _)) => dot_chunks::<VECS, true, true, false>(r0, r1, group, perm, k),
             }
         }
 
@@ -1479,28 +1951,140 @@ mod ifma {
             gather: Option<&[u32]>,
             q: &Modulus,
         ) {
+            if terms == 0 {
+                return;
+            }
             let n = r0.len();
             let k = dot_consts(q, DOT_GROUP, n);
             let (r0, r1) = (r0.as_chunks_mut().0, r1[..n].as_chunks_mut().0);
             let perm = gather.map(|perm| perm[..n].as_chunks().0);
-            let mut group = [DotVecs { x0: &[], x1: &[], shared: &[] }; DOT_GROUP];
+            let first = term(0);
+            let packed = (first.x0.is_packed(), first.shared.is_packed());
+            assert!(
+                !packed.1 || gather.is_none() && !packed.0,
+                "a packed shared operand meets words, ungathered"
+            );
+            // Every plane cut to the outputs' `n` coefficients.
+            let rows = |plane: Plane<'a>| match plane {
+                Plane::Words(words) => Rows {
+                    words: words[..n].as_chunks().0,
+                    packed: &[],
+                },
+                Plane::Packed(bytes) => Rows {
+                    words: &[],
+                    packed: &bytes[..n * k.unpack.w / 8],
+                },
+            };
+            let none = Rows {
+                words: &[],
+                packed: &[],
+            };
+            let mut group = [DotVecs {
+                x0: none,
+                x1: none,
+                shared: none,
+            }; DOT_GROUP];
             for first in (0..terms).step_by(DOT_GROUP) {
                 let take = DOT_GROUP.min(terms - first);
                 for (slot, t) in group.iter_mut().zip((first..first + take).map(&term)) {
+                    debug_assert_eq!((t.x0.is_packed(), t.shared.is_packed()), packed);
+                    debug_assert_eq!(t.x1.is_packed(), packed.0);
                     *slot = DotVecs {
-                        x0: t.x0[..n].as_chunks().0,
-                        x1: t.x1[..n].as_chunks().0,
-                        shared: &t.shared[..n],
+                        x0: rows(t.x0),
+                        x1: rows(t.x1),
+                        shared: rows(t.shared),
                     };
                 }
                 // `n` is a power of two from 16 up: whole chunks of four
                 // vectors, or one of two.
                 if n >= 32 {
-                    dot_group::<4>(r0, r1, &group[..take], perm, &k);
+                    dot_group::<4>(r0, r1, &group[..take], perm, packed, &k);
                 } else {
-                    dot_group::<2>(r0, r1, &group[..take], perm, &k);
+                    dot_group::<2>(r0, r1, &group[..take], perm, packed, &k);
                 }
             }
+        }
+
+        /// The per-width constants of [`unpack8`] for limb `q`.
+        fn unpack_consts(q: u64) -> Unpack {
+            let w = field_bits(q);
+            Unpack {
+                w,
+                load: u64::MAX >> (64 - w),
+                // Lane `p` takes the eight bytes from the one its field
+                // starts in; the field starts `p·w mod 8` bits into it.
+                bytes: bytes_of(|i| i / 8 * w / 8 + i % 8),
+                shift: lanes_of(|p| p * w % 8),
+                mask: splat(u64::MAX >> (64 - w)),
+            }
+        }
+
+        /// Fields `8v..8v + 8` of a packed plane — the `w` bytes from
+        /// `v·w` on — as eight words.
+        fn unpack8(packed: &[u8], v: usize, u: &Unpack) -> __m512i {
+            let fields = &packed[v * u.w..(v + 1) * u.w];
+            // SAFETY: the mask selects the first `w` bytes, all inside
+            // `fields`; the bytes it leaves out are not read.
+            let x = unsafe { _mm512_maskz_loadu_epi8(u.load, fields.as_ptr().cast()) };
+            let x = _mm512_permutexvar_epi8(u.bytes, x);
+            _mm512_and_si512(_mm512_srlv_epi64(x, u.shift), u.mask)
+        }
+
+        /// [`super::unpack_plane`] on a plane [`admits`] accepts.
+        pub(super) fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64) {
+            let u = unpack_consts(q);
+            for (v, d) in dst.as_chunks_mut().0.iter_mut().enumerate() {
+                store(d, unpack8(src, v, &u));
+            }
+        }
+
+        /// [`super::pack_plane`] on a plane [`packs`] accepts: each vector
+        /// of eight residues shifted to its fields' bit offsets, its bytes
+        /// moved to theirs by two byte permutes (the byte's low field and
+        /// the field that starts inside it, which a width of eight bits or
+        /// more leaves as the only two), and `w` bytes stored.
+        pub(super) fn pack_plane(dst: &mut [u8], residues: &[u64], q: u64) {
+            let w = field_bits(q);
+            let shift = lanes_of(|p| p * w % 8);
+            // Output byte `d < w` holds bit `8d` of field `8d/w`, whose
+            // lane starts at byte `(8d/w)·w/8`.
+            let low_field = |d: usize| 8 * d / w;
+            let low = bytes_of(|d| {
+                let p = low_field(d);
+                if d < w {
+                    8 * p + d - p * w / 8
+                } else {
+                    0
+                }
+            });
+            // The field that starts inside byte `d`, if one does, is the
+            // next one.
+            let starts_inside = |d: usize| {
+                let p = low_field(d) + 1;
+                d < w && p < 8 && p * w / 8 == d
+            };
+            let high = bytes_of(|d| 8 * (low_field(d) + 1) % 64);
+            let high_lanes = (0..64).fold(0u64, |m, d| m | (starts_inside(d) as u64) << d);
+            let keep = u64::MAX >> (64 - w);
+            for (v, r) in residues.as_chunks().0.iter().enumerate() {
+                debug_assert!(r.iter().all(|&r| r < q), "pack_plane: residue >= {q}");
+                let x = _mm512_sllv_epi64(load(r), shift);
+                let out = _mm512_or_si512(
+                    _mm512_permutexvar_epi8(low, x),
+                    _mm512_maskz_permutexvar_epi8(high_lanes, high, x),
+                );
+                let fields = &mut dst[v * w..(v + 1) * w];
+                // SAFETY: the mask selects the first `w` bytes, all inside
+                // `fields`; the bytes it leaves out are not written.
+                unsafe { _mm512_mask_storeu_epi8(fields.as_mut_ptr().cast(), keep, out) };
+            }
+        }
+
+        /// A byte index vector from its formula.
+        fn bytes_of(f: impl Fn(usize) -> usize) -> __m512i {
+            let bytes: [u8; 64] = std::array::from_fn(|i| f(i) as u8);
+            // SAFETY: `bytes` is 64 readable bytes; the load is unaligned.
+            unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) }
         }
     }
 }
@@ -1576,6 +2160,63 @@ mod tests {
             }
         }
         v
+    }
+
+    /// The packer writes the wire's layout — each field's bits set one by
+    /// one through `wire::write_field`, the layout's own definition — and
+    /// the reader reads it back, on every backend, at every width from 1 to
+    /// 62 bits, at the degree the IFMA kernels skip (8) and at ones they
+    /// take; `wire::push_plane`, which sizes the space, writes the same
+    /// bytes. Each plane holds random residues below `q` and the edges
+    /// `0`, `q − 1`, `⌊q/2⌋`, `⌊q/2⌋ + 1`.
+    #[test]
+    fn packed_planes_are_the_wire_layout_at_every_width() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9AC4);
+        for bits in 1..=62usize {
+            // The smallest and a random modulus of this width.
+            let top = 1u64 << (bits - 1);
+            for q in [top, top + rng.random_range(0..top)] {
+                for n in [8usize, 16, 256, 4096] {
+                    let mut residues: Vec<u64> = (0..n).map(|_| rng.random_range(0..q)).collect();
+                    residues[..4].copy_from_slice(&[0, q - 1, q / 2, (q / 2 + 1) % q]);
+                    let mut expect = vec![0u8; n * bits / 8];
+                    for (j, &r) in residues.iter().enumerate() {
+                        crate::wire::write_field(&mut expect, bits, j, r);
+                    }
+                    for backend in runnable_backends() {
+                        let (_g, _) = ForceGuard::pin(backend);
+                        let mut pushed = vec![0xA5];
+                        crate::wire::push_plane(&mut pushed, &residues, q);
+                        assert_eq!(
+                            &pushed[1..],
+                            &expect[..],
+                            "{bits} bits, n = {n}, {backend:?}"
+                        );
+                        let mut packed = vec![0x5A; expect.len()];
+                        pack_plane(&mut packed, &residues, q);
+                        assert_eq!(packed, expect, "{bits} bits, n = {n}, {backend:?}");
+                        let mut back = vec![u64::MAX; n];
+                        unpack_plane(&expect, &mut back, q);
+                        assert_eq!(back, residues, "{bits} bits, n = {n}, {backend:?}");
+                        // A stretch from inside the plane, as the dot's
+                        // blocks read it: more bytes follow it.
+                        let stretches = [(8, 8), (n / 2, n / 4), (0, n - 8)];
+                        for (from, len) in stretches
+                            .into_iter()
+                            .filter(|&(f, l)| f % 8 == 0 && f + l <= n)
+                        {
+                            let mut part = vec![u64::MAX; len];
+                            unpack_plane(&expect[from * bits / 8..], &mut part, q);
+                            assert_eq!(
+                                part,
+                                residues[from..from + len],
+                                "{bits} bits, {from}+{len}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -88,6 +88,7 @@ use crate::keys::{check_galois_element, PublicKey, SeededGaloisKey, SeededGalois
 use crate::noise::NoiseEstimate;
 use crate::params::BfvParams;
 use crate::rns::{ModulusChain, Representation, RnsPoly};
+use crate::simd;
 
 pub mod faults;
 
@@ -217,31 +218,14 @@ pub fn write_field(plane: &mut [u8], bits: usize, index: usize, value: u64) {
 }
 
 /// Appends one limb plane of canonical residues (`< q`) as `n` packed
-/// `field_bits(q)`-bit fields, written into space sized up front.
-fn push_plane(out: &mut Vec<u8>, residues: &[u64], q: u64) {
-    let bits = field_bits(q) as u32;
+/// `field_bits(q)`-bit fields, written into space sized up front by the
+/// dispatched packer ([`crate::simd`]'s `pack_plane`). The one writer of
+/// the layout: every message plane, and every plane a server keeps
+/// resident ([`crate::rns::PackedPoly::pack`]).
+pub(crate) fn push_plane(out: &mut Vec<u8>, residues: &[u64], q: u64) {
     let start = out.len();
-    out.resize(start + residues.len() * bits as usize / 8, 0);
-    let mut words = out[start..].chunks_exact_mut(8);
-    // `acc` holds the `held < 64` low bits not yet written.
-    let mut acc: u64 = 0;
-    let mut held = 0;
-    for &r in residues {
-        debug_assert!(r < q, "push_plane: residue {r} >= {q}");
-        acc |= r << held;
-        held += bits;
-        if held >= 64 {
-            if let Some(word) = words.next() {
-                word.copy_from_slice(&acc.to_le_bytes());
-            }
-            held -= 64;
-            // The high `held` bits of `r` that did not fit.
-            acc = r >> (bits - held);
-        }
-    }
-    let tail = words.into_remainder();
-    let len = tail.len();
-    tail.copy_from_slice(&acc.to_le_bytes()[..len]);
+    out.resize(start + residues.len() * field_bits(q) / 8, 0);
+    simd::pack_plane(&mut out[start..], residues, q);
 }
 
 /// Appends a polynomial's live planes, each packed at its limb's width.
@@ -252,48 +236,15 @@ fn push_poly(out: &mut Vec<u8>, poly: &RnsPoly, chain: &ModulusChain) {
 }
 
 /// Unpacks one plane of `dst.len()` fields under modulus `q` from `src`
-/// (exactly `plane_bytes` long), checking each field against `q` as it is
-/// read. Returns the first non-canonical `(coefficient, value)`.
+/// (exactly `plane_bytes` long) with the dispatched reader resident planes
+/// use too, then checks each field against `q`. Returns the first
+/// non-canonical `(coefficient, value)`.
 fn unpack_plane(src: &[u8], dst: &mut [u64], q: u64) -> std::result::Result<(), (usize, u64)> {
-    let bits = field_bits(q) as u32;
-    let mask = u64::MAX >> (64 - bits);
-    let mut words = src.chunks_exact(8);
-    let tail = {
-        let rest = words.remainder();
-        let mut w = [0u8; 8];
-        w[..rest.len()].copy_from_slice(rest);
-        u64::from_le_bytes(w)
-    };
-    let mut next = || {
-        words.next().map_or(tail, |c| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(c);
-            u64::from_le_bytes(w)
-        })
-    };
-    // `acc` holds the `held < bits` low bits not yet read.
-    let mut acc: u64 = 0;
-    let mut held = 0;
-    for (j, d) in dst.iter_mut().enumerate() {
-        let v = if held >= bits {
-            let v = acc & mask;
-            acc >>= bits;
-            held -= bits;
-            v
-        } else {
-            let w = next();
-            let v = (acc | w << held) & mask;
-            // The rest of `w` past this field.
-            acc = w >> (bits - held);
-            held += 64 - bits;
-            v
-        };
-        if v >= q {
-            return Err((j, v));
-        }
-        *d = v;
+    simd::unpack_plane(src, dst, q);
+    match dst.iter().position(|&v| v >= q) {
+        Some(j) => Err((j, dst[j])),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1233,10 +1184,10 @@ mod tests {
         );
         let expanded = keys.clone().expand(&params);
         // Element + seed per key, and the k0 half of the expanded pair
-        // material, 30 of every 64 bits of it (two 30-bit limbs).
+        // material, which is held in the wire's layout.
         assert_eq!(
             bytes.len(),
-            HEADER_BYTES + 4 + keys.len() * 16 + expanded.byte_size(&params) / 2 / 64 * 30
+            HEADER_BYTES + 4 + keys.len() * 16 + expanded.byte_size(&params) / 2
         );
         let back = decode_seeded_galois_keys(&bytes, &params).unwrap();
         assert_eq!(back, keys);
@@ -1247,8 +1198,8 @@ mod tests {
             let b = back.get(g).unwrap();
             assert_eq!(a.permutation(), b.permutation());
             for (pa, pb) in a.pairs().iter().zip(b.pairs()) {
-                assert_eq!(pa.0.data(), pb.0.data());
-                assert_eq!(pa.1.data(), pb.1.data());
+                assert_eq!(pa.0, pb.0);
+                assert_eq!(pa.1, pb.1);
             }
         }
         assert_eq!(encode_seeded_galois_keys(&keys, &params), bytes);

@@ -120,8 +120,8 @@ proptest! {
 
         let mut ref0 = limb0(ca.c0());
         let mut ref1 = limb0(ca.c1());
-        zip_with(&mut ref0, pw.poly().limb(0), |x, y| q.mul_mod(x, y));
-        zip_with(&mut ref1, pw.poly().limb(0), |x, y| q.mul_mod(x, y));
+        zip_with(&mut ref0, pw.poly().unpack().limb(0), |x, y| q.mul_mod(x, y));
+        zip_with(&mut ref1, pw.poly().unpack().limb(0), |x, y| q.mul_mod(x, y));
 
         let mut inplace = ca.clone();
         c.eval.mul_plain_assign(&mut inplace, &pw).unwrap();
@@ -168,8 +168,8 @@ proptest! {
         let mut sequential = start.clone();
         c.eval.reset_op_counts();
         for (ct, mask) in cts.iter().zip(&masks) {
-            fma(&mut ref0, ct.c0().limb(0), mask.poly().limb(0), &q);
-            fma(&mut ref1, ct.c1().limb(0), mask.poly().limb(0), &q);
+            fma(&mut ref0, ct.c0().limb(0), mask.poly().unpack().limb(0), &q);
+            fma(&mut ref1, ct.c1().limb(0), mask.poly().unpack().limb(0), &q);
             c.eval.mul_plain_accumulate_many(&mut sequential, &[(ct, mask)]).unwrap();
         }
         let sequential_counts = c.eval.op_counts();

@@ -126,8 +126,8 @@ fn check_key_pairs(params: &BfvParams, key: &cheetah_bfv::GaloisKey, s: &[i8]) {
     let s_g = automorphism_ternary(s, key.element);
     let cbd_bound = (2.0 * params.sigma() * params.sigma()).round() as u128;
     for (d, ((k0, a), &w)) in key.pairs().iter().zip(&weights).enumerate() {
-        let k0 = m.compose_planes(&coeff_planes(k0, ks));
-        let a = m.compose_planes(&coeff_planes(a, ks));
+        let k0 = m.compose_planes(&coeff_planes(&k0.unpack(), ks));
+        let a = m.compose_planes(&coeff_planes(&a.unpack(), ks));
         let e = m.sub_poly(&m.phase(&k0, &a, s), &m.scaled_ternary(w, &s_g));
         let norm = m.inf_norm(&e);
         assert!(

@@ -123,8 +123,8 @@ proptest! {
         let mut ref_c1 = vec![0u64; n];
         for (mut digit, (k0, k1)) in digits.into_iter().zip(key.pairs()) {
             table.forward(&mut digit);
-            fma(&mut ref_c0, &digit, k0.limb(0), &q);
-            fma(&mut ref_c1, &digit, k1.limb(0), &q);
+            fma(&mut ref_c0, &digit, k0.unpack().limb(0), &q);
+            fma(&mut ref_c1, &digit, k1.unpack().limb(0), &q);
         }
         prop_assert_eq!(rotated.c0().data(), &ref_c0[..], "rotate c0");
         prop_assert_eq!(rotated.c1().data(), &ref_c1[..], "rotate c1");
@@ -135,8 +135,8 @@ proptest! {
             .prepare_plaintext_at(&c.encoder.encode(&weights).unwrap(), 0)
             .unwrap();
         let prod = c.eval.mul_plain(&rotated, &pw).unwrap();
-        mul(&mut ref_c0, pw.poly().limb(0), &q);
-        mul(&mut ref_c1, pw.poly().limb(0), &q);
+        mul(&mut ref_c0, pw.poly().unpack().limb(0), &q);
+        mul(&mut ref_c1, pw.poly().unpack().limb(0), &q);
         prop_assert_eq!(prod.c0().data(), &ref_c0[..], "mul c0");
         prop_assert_eq!(prod.c1().data(), &ref_c1[..], "mul c1");
 

@@ -17,7 +17,10 @@
 //!   counts straddling [`Modulus::lazy_dot_terms`] — and, under the IFMA
 //!   gate, its 32-term group and 4095-term row bound — and all-`q − 1`
 //!   operands — the overflow bounds as a test — at both edges of the gate,
-//!   plus one group sum wider than the bound on `preset_single_60`;
+//!   plus one group sum wider than the bound on `preset_single_60`; and
+//!   the same dot with its resident operand packed at its limbs' widths
+//!   (packed key pairs, packed masks, packed key pairs through the Galois
+//!   gather) at every level of every preset, under both plane alignments;
 //! * the **constant-multiply loops** of `rns.rs` (digit decompose, hybrid
 //!   lift and own planes, rounded limb drop) at every level of every preset
 //!   and at both edges of the IFMA gate, on random and boundary inputs;
@@ -35,10 +38,10 @@ mod support;
 
 use cheetah_bfv::arith::{generate_ntt_prime, generate_ntt_primes, is_prime, Modulus};
 use cheetah_bfv::ntt::NttTable;
-use cheetah_bfv::rns::{DotTerm, PlaneAlign, Representation};
+use cheetah_bfv::rns::{DotOperand, DotTerm, PackedPoly, PlaneAlign, Representation};
 use cheetah_bfv::simd::{self, SimdBackend};
 use cheetah_bfv::{
-    BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
+    BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
     ModulusChain, Plaintext, RnsPoly,
 };
 use proptest::prelude::*;
@@ -384,7 +387,11 @@ fn assert_dot_matches_sequential_fma(
                 terms,
                 |t| {
                     let [x0, x1, shared] = &operands[t];
-                    DotTerm { x0, x1, shared }
+                    DotTerm {
+                        x0: x0.into(),
+                        x1: x1.into(),
+                        shared: shared.into(),
+                    }
                 },
                 gather.then_some(&perm[..]),
                 PlaneAlign::Prefix,
@@ -441,6 +448,243 @@ proptest! {
     }
 }
 
+/// A polynomial over `chain` of random residues, each plane led by the
+/// edges `0`, `q − 1`, `⌊q/2⌋` and `⌊q/2⌋ + 1`.
+fn edged_poly(chain: &ModulusChain, seed: u64) -> RnsPoly {
+    let n = chain.degree();
+    let data = chain
+        .moduli()
+        .iter()
+        .enumerate()
+        .flat_map(|(i, q)| {
+            let mut plane = residues(q, n, seed ^ (i as u64) << 56);
+            let half = q.value() / 2;
+            plane[..4].copy_from_slice(&[0, q.value() - 1, half, half + 1]);
+            plane
+        })
+        .collect();
+    RnsPoly::from_data(data, chain.limbs(), n, Representation::Eval)
+}
+
+/// One operand of a packed-dot case, in the form the case asks for.
+fn pick<'a>(packed: bool, words: &'a RnsPoly, bytes: &'a PackedPoly) -> DotOperand<'a> {
+    if packed {
+        bytes.into()
+    } else {
+        words.into()
+    }
+}
+
+/// Which operands of a packed-dot case are packed, and whether the shared
+/// operand is read through the Galois gather.
+#[derive(Debug, Clone, Copy)]
+struct DotForms {
+    x_packed: bool,
+    shared_packed: bool,
+    gather: bool,
+}
+
+/// Every form a resident operand takes in the engine: packed key pairs
+/// against words digits (a key switch), the same through the gather (a
+/// hoisted replay), words ciphertexts against packed masks (a group sum).
+const PACKED_FORMS: [DotForms; 3] = [
+    DotForms {
+        x_packed: true,
+        shared_packed: false,
+        gather: false,
+    },
+    DotForms {
+        x_packed: true,
+        shared_packed: false,
+        gather: true,
+    },
+    DotForms {
+        x_packed: false,
+        shared_packed: true,
+        gather: false,
+    },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The lazy dot reads packed operands to the same bits as words: at
+    /// every level of every preset — outputs on the level's data chain
+    /// under `PlaneAlign::Prefix` against full-chain operands, and on a
+    /// hybrid preset also on the level's key-switch chain under
+    /// `PlaneAlign::SpecialLast` against full key-switch-chain pairs —
+    /// each packed form on every runnable backend writes what the all-words
+    /// dot writes on the forced-scalar reference; so does the plain
+    /// multiply by a packed mask against the multiply by its words.
+    #[test]
+    fn packed_dot_operands_match_words_across_backends(
+        seed in any::<u64>(),
+        terms in prop_oneof![1usize..=4, Just(33usize)],
+    ) {
+        let mut backends = vec![SimdBackend::Scalar];
+        backends.extend(runnable_vector_backends());
+        for (name, params) in all_presets() {
+            for level in 0..=params.max_level() {
+                let mut alignments = vec![(PlaneAlign::Prefix, params.chain(), params.chain_at(level))];
+                if params.has_special() {
+                    let full = params.ks_chain_at(0);
+                    alignments.push((PlaneAlign::SpecialLast, full, params.ks_chain_at(level)));
+                }
+                for (align, full, out_chain) in alignments {
+                    // Under `SpecialLast` the shared operand is read plane
+                    // for plane, as the digits are: it lives on the
+                    // outputs' chain.
+                    let shared_chain = match align {
+                        PlaneAlign::Prefix => full,
+                        PlaneAlign::SpecialLast => out_chain,
+                    };
+                    let ops: Vec<[RnsPoly; 3]> = (0..terms as u64)
+                        .map(|t| {
+                            let at = seed ^ (t << 8);
+                            [edged_poly(full, at), edged_poly(full, at ^ 1), edged_poly(shared_chain, at ^ 2)]
+                        })
+                        .collect();
+                    let packed: Vec<[PackedPoly; 3]> = ops
+                        .iter()
+                        .map(|[x0, x1, s]| {
+                            [
+                                PackedPoly::pack(x0, full).unwrap(),
+                                PackedPoly::pack(x1, full).unwrap(),
+                                PackedPoly::pack(s, shared_chain).unwrap(),
+                            ]
+                        })
+                        .collect();
+                    let perm = out_chain.table(0).galois_permutation(5);
+                    let start = (edged_poly(out_chain, !seed), edged_poly(out_chain, seed.rotate_left(7)));
+                    let run = |forms: DotForms, backend: SimdBackend| {
+                        let (_guard, eff) = ForceGuard::force(backend);
+                        assert_eq!(eff, backend);
+                        let (mut r0, mut r1) = start.clone();
+                        let term = |t: usize| {
+                            let ([x0, x1, s], [p0, p1, ps]) = (&ops[t], &packed[t]);
+                            DotTerm {
+                                x0: pick(forms.x_packed, x0, p0),
+                                x1: pick(forms.x_packed, x1, p1),
+                                shared: pick(forms.shared_packed, s, ps),
+                            }
+                        };
+                        let gather = forms.gather.then_some(&perm[..]);
+                        RnsPoly::dot_pair_prefix(&mut r0, &mut r1, terms, term, gather, align, out_chain)
+                            .unwrap();
+                        (r0, r1)
+                    };
+                    if align == PlaneAlign::Prefix {
+                        // The plain multiply by a packed mask, the same way.
+                        let mul = |packed_mask: bool, backend: SimdBackend| {
+                            let (_guard, _) = ForceGuard::force(backend);
+                            let mut r = start.0.clone();
+                            match packed_mask {
+                                true => r.mul_assign_packed_prefix(&packed[0][2], out_chain),
+                                false => r.mul_assign_pointwise_prefix(&ops[0][2], out_chain),
+                            }
+                            .unwrap();
+                            r
+                        };
+                        let reference = mul(false, SimdBackend::Scalar);
+                        for &backend in &backends {
+                            prop_assert!(
+                                mul(true, backend) == reference,
+                                "{} L{}: the packed plain multiply diverged on {}",
+                                name, level, backend.name()
+                            );
+                        }
+                    }
+                    for gather in [false, true] {
+                        let words = DotForms { x_packed: false, shared_packed: false, gather };
+                        let reference = run(words, SimdBackend::Scalar);
+                        for forms in PACKED_FORMS.iter().filter(|f| f.gather == gather) {
+                            for &backend in &backends {
+                                prop_assert!(
+                                    run(*forms, backend) == reference,
+                                    "{} L{} {:?} {:?}, {} terms: diverged on {}",
+                                    name, level, align, forms, terms, backend.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A packed operand read through the gather, a term whose forms differ
+/// from the first's, a term packed on both sides of its product, and a
+/// packed plane under a foreign modulus are refused before an output is
+/// touched.
+#[test]
+fn packed_dot_refuses_mixed_forms_and_foreign_planes() {
+    let params = BfvParams::preset_rns_3x36(4096).unwrap();
+    let chain = params.chain();
+    let x = edged_poly(chain, 1);
+    let packed = PackedPoly::pack(&x, chain).unwrap();
+    let foreign_chain = BfvParams::preset_rns_2x30(4096).unwrap().chain().clone();
+    let foreign = PackedPoly::pack(&edged_poly(&foreign_chain, 2), &foreign_chain).unwrap();
+    let perm = chain.table(0).galois_permutation(3);
+    let words_x = |_| DotTerm {
+        x0: (&x).into(),
+        x1: (&x).into(),
+        shared: (&packed).into(),
+    };
+    let mixed = |t: usize| DotTerm {
+        x0: (&x).into(),
+        x1: (&x).into(),
+        shared: if t == 0 {
+            (&packed).into()
+        } else {
+            (&x).into()
+        },
+    };
+    let split = |_| DotTerm {
+        x0: (&packed).into(),
+        x1: (&x).into(),
+        shared: (&x).into(),
+    };
+    let both = |_| DotTerm {
+        x0: (&packed).into(),
+        x1: (&packed).into(),
+        shared: (&packed).into(),
+    };
+    let alien = |_| DotTerm {
+        x0: (&foreign).into(),
+        x1: (&foreign).into(),
+        shared: (&x).into(),
+    };
+    assert!(two_term_dot(&x, chain, words_x, None).is_ok());
+    let refused = [
+        two_term_dot(&x, chain, words_x, Some(&perm)),
+        two_term_dot(&x, chain, mixed, None),
+        two_term_dot(&x, chain, split, None),
+        two_term_dot(&x, chain, both, None),
+        two_term_dot(&x, chain, alien, None),
+    ];
+    for out in refused {
+        assert!(matches!(out, Err(Error::ParameterMismatch)), "{out:?}");
+    }
+}
+
+/// A two-term dot into copies of `x`, which it checks are untouched when
+/// the dot is refused.
+fn two_term_dot<'a>(
+    x: &RnsPoly,
+    chain: &ModulusChain,
+    term: impl Fn(usize) -> DotTerm<'a>,
+    gather: Option<&[u32]>,
+) -> cheetah_bfv::Result<()> {
+    let (mut r0, mut r1) = (x.clone(), x.clone());
+    let out =
+        RnsPoly::dot_pair_prefix(&mut r0, &mut r1, 2, term, gather, PlaneAlign::Prefix, chain);
+    if out.is_err() {
+        assert_eq!((&r0, &r1), (x, x), "outputs untouched");
+    }
+    out
+}
+
 /// The IFMA dot kernel's gate and bounds, pinned: the largest NTT prime
 /// below `2^50` (takes the kernel: its rows and its fold see the widest
 /// values they admit), the smallest above and one in the middle of the
@@ -477,9 +721,9 @@ fn dot_through_an_out_of_range_gather(backend: SimdBackend) {
     let (_guard, _) = ForceGuard::force(backend);
     let (mut r0, mut r1) = (x.clone(), x.clone());
     let term = |_| DotTerm {
-        x0: &x,
-        x1: &x,
-        shared: &x,
+        x0: (&x).into(),
+        x1: (&x).into(),
+        shared: (&x).into(),
     };
     let _ = RnsPoly::dot_pair_prefix(
         &mut r0,
@@ -828,7 +1072,7 @@ fn prepared_plaintext_matches_the_from_signed_reference() {
                     let (_guard, _) = ForceGuard::force(backend);
                     let prepared = eval.prepare_plaintext_at(&pt, level).unwrap();
                     assert_eq!(
-                        prepared.poly(),
+                        &prepared.poly().unpack(),
                         &expect,
                         "L{level} {kind} on {}",
                         backend.name()

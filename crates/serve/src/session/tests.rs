@@ -599,10 +599,11 @@ fn setup_bytes_account_the_seeded_key_set_at_its_wire_size() {
         let server = ServerSession::new(model, setup, 7).unwrap();
         assert_eq!(server.galois_keys().len(), key_count, "{name}: expanded");
         let held = server.galois_keys().byte_size(&params);
-        // Every plane on both bench chains (`P` included) is 36 bits wide.
+        // The server holds the pairs in the wire's layout: the k0 half of
+        // them is what crossed the wire.
         assert_eq!(
             encoded.len() - wire::HEADER_BYTES,
-            4 + key_count * 16 + held / 2 / 64 * 36,
+            4 + key_count * 16 + held / 2,
             "{name}: the wire carries the k0 half, packed"
         );
         let record = &server.transcript().messages()[0];

@@ -360,9 +360,10 @@ if git grep -nE 'Kind::PublicKey\b|PlaintextMask|encode_public_key\(|plaintext_m
 fi
 
 echo "==> one-polynomial gate"
-# RnsPoly is the engine's only polynomial type: a single-modulus polynomial
-# is a one-limb RnsPoly and a plaintext is its coefficient vector mod t
-# (Plaintext::from_coeffs). The seed-era single-modulus type and its module
+# RnsPoly is the engine's only polynomial type with arithmetic (PackedPoly
+# only holds resident operands in the wire's layout): a single-modulus
+# polynomial is a one-limb RnsPoly and a plaintext is its coefficient
+# vector mod t (Plaintext::from_coeffs). The seed-era single-modulus type and its module
 # stay deleted, in the library and in the tests' references alike.
 if git grep -nE 'struct Poly\b|mod poly\b|poly::' -- '*.rs'; then
     echo "FAIL: a second polynomial type or its module is back (see matches above)"
@@ -389,9 +390,11 @@ if ! git grep -qE '^    pub keys: SeededGaloisKeys,' -- crates/serve/src/session
 fi
 
 echo "==> one-residue-codec gate"
-# Every residue crosses the wire packed at its limb's width, through one
-# plane writer (push_plane) and one reader that unpacks and
-# canonical-checks in the same pass (Reader::poly), in one format version:
+# One packed layout serves the wire and memory: every residue crosses the
+# wire, and every residue a server keeps resident (resident-width gate
+# below) is held, packed at its limb's width, through one plane writer
+# (push_plane) and one reader (simd::unpack_plane, which the wire's
+# Reader::poly follows with its canonical check), in one format version:
 # the u64-per-residue writer and reader and the second version must not
 # grow back, and no size on the wire path is a word count times 8 again
 # (sizes come from wire::plane_bytes / wire::poly_bytes).
@@ -401,6 +404,47 @@ if git grep -nE 'fn push_words|fn words\(|SEEDED_VERSION' -- crates/bfv/src/wire
 fi
 if git grep -nF -e 'degree() * 8' -e 'n * 8' -- crates/bfv/src/wire.rs crates/bfv/src/wire/faults.rs crates/serve/src; then
     echo "FAIL: a u64-per-residue size is back on the wire path (see matches above)"
+    exit 1
+fi
+
+echo "==> resident-width gate"
+# What a server holds for a whole session - each Galois key pair, each
+# prepared mask - is kept in the wire's packed plane layout
+# (rns::PackedPoly) and unpacked in the lazy dot as it is read: neither
+# GaloisKey nor PreparedPlaintext holds an RnsPoly, so there is no second,
+# u64 form of a key or a mask. One packer writes the layout for the wire
+# and for memory: the wire's writer (wire::push_plane) over the dispatched
+# simd::pack_plane, whose two bodies are the scalar reference and the IFMA
+# vector one. No other plane packer, and no other bit accumulator of
+# packed fields, may appear.
+for spec in GaloisKey:crates/bfv/src/keys.rs PreparedPlaintext:crates/bfv/src/evaluator.rs; do
+    ty=${spec%%:*}
+    file=${spec#*:}
+    body=$(awk -v head="^pub struct $ty \\{" '$0 ~ head { on = 1 } on { print } on && /^}/ { on = 0 }' "$file")
+    if [[ -z "$body" ]]; then
+        echo "FAIL: no struct $ty found in $file"
+        exit 1
+    fi
+    if grep -vE '^[[:space:]]*//' <<<"$body" | grep -n 'RnsPoly'; then
+        echo "FAIL: $ty holds an RnsPoly again: keys and masks are kept packed (rns::PackedPoly)"
+        exit 1
+    fi
+done
+# (Functions without arguments - tests - are not packers.)
+packers=$(git grep -nE 'fn [a-z0-9_]*(pack|push)[a-z0-9_]*plane' -- '*.rs' | grep -vE 'fn [a-z0-9_]*unpack|fn [a-z0-9_]+\(\)' || true)
+expected=$(printf '%s\n' \
+    'crates/bfv/src/simd.rs:pub(crate) fn pack_plane(' \
+    'crates/bfv/src/simd.rs:pub(super) fn pack_plane(' \
+    'crates/bfv/src/simd.rs:pub(super) fn pack_plane(' \
+    'crates/bfv/src/wire.rs:pub(crate) fn push_plane(')
+found=$(sed -E 's/^([^:]+):[0-9]+:[[:space:]]*(pub(\([a-z]+\))? fn [a-z_]+\().*/\1:\2/' <<<"$packers" | sort)
+if [[ "$found" != "$expected" ]]; then
+    echo "FAIL: the plane packers are not the wire's writer and simd::pack_plane's two bodies:"
+    echo "$packers"
+    exit 1
+fi
+if git grep -nE '\|=[^;]*<<' -- '*.rs' ':!crates/bfv/src/simd.rs'; then
+    echo "FAIL: a bit accumulator of packed fields outside simd::pack_plane (see matches above)"
     exit 1
 fi
 
@@ -598,6 +642,72 @@ if [[ "${1:-}" != "quick" ]]; then
             done
         done
     fi
+
+    echo "==> packed-operand gate (committed non-smoke BENCH_he_ops.json)"
+    # Galois keys and prepared masks are kept packed at their limbs'
+    # widths, and the IFMA dot unpacks them in registers. On that backend,
+    # a key sum over packed keys streamed from beyond the L2 (13 keys
+    # cycled) must cost no more than the same sum over u64 words
+    # (packed_ns section). Only rns_3x36's key sum is gated: the cold sets
+    # (at most 15 MB as words) still fit a large L3 (105 MB on the VM the
+    # committed file comes from), so the rows time an L3 stream, and
+    # across six runs of one tree this pair read 0.63-0.82 while the
+    # rns_3x36 mask sum read 0.85-1.16 and the hybrid_2x36 pair 0.83-1.09.
+    if [[ "$simd_backend" == "avx512ifma" ]]; then
+        words=$(json_val BENCH_he_ops.json rns_3x36_keysum_words_cold)
+        packed=$(json_val BENCH_he_ops.json rns_3x36_keysum_packed_cold)
+        if [[ -z "$words" || -z "$packed" ]]; then
+            echo "FAIL: BENCH_he_ops.json lacks rns_3x36_keysum_words_cold / _packed_cold"
+            exit 1
+        fi
+        if ! awk -v p="$packed" -v w="$words" 'BEGIN { exit !(p <= 1.0 * w) }'; then
+            echo "FAIL: committed rns_3x36_keysum_packed_cold ($packed ns) is not within 1.0 x rns_3x36_keysum_words_cold ($words ns)"
+            exit 1
+        fi
+    fi
+
+    echo "==> packed-read gate (committed non-smoke BENCH_he_ops.json)"
+    # Off the IFMA kernels — the AVX2 lanes, and 60-bit limbs on any
+    # backend — the lazy dot and the plain multiply unpack a packed key or
+    # mask a block at a time before the u128 loop. Reading it with the
+    # scalar reference loop made those paths 2-4 x slower; these same-run
+    # ratios hold the faster readers in place. The forced-AVX2 hoisted
+    # replay of rns_3x36 must stay within 7 x its IFMA twin on an IFMA
+    # run; on single_60, the 26-term mask sum within 160 x one ciphertext
+    # add on the same chain, and the hoisted replay (detected and forced
+    # AVX2) within 50 x. Runs of the shuffle reader read 4.0-6.1, 108-130
+    # and 27-42; the reference reader read 8.1, 187 and 64-65. (l1_mul is
+    # not gated: 9.3-14.3 x l1_add across runs of one tree, against 13.4
+    # for the reference reader.)
+    if [[ "$simd_backend" == "avx512ifma" ]]; then
+        ifma=$(json_val BENCH_he_ops.json l3_rotate_hoisted)
+        avx2=$(json_val BENCH_he_ops.json l3_rotate_hoisted_avx2)
+        if [[ -z "$ifma" || -z "$avx2" ]]; then
+            echo "FAIL: BENCH_he_ops.json lacks l3_rotate_hoisted / l3_rotate_hoisted_avx2"
+            exit 1
+        fi
+        if ! awk -v a="$avx2" -v v="$ifma" 'BEGIN { exit !(a <= 7.0 * v) }'; then
+            echo "FAIL: committed l3_rotate_hoisted_avx2 ($avx2 ns) is not within 7 x l3_rotate_hoisted ($ifma ns)"
+            exit 1
+        fi
+    fi
+    add=$(json_val BENCH_he_ops.json l1_add)
+    if [[ -z "$add" ]]; then
+        echo "FAIL: BENCH_he_ops.json lacks l1_add"
+        exit 1
+    fi
+    for gate in "l1_dot_plain_26 160" "l1_rotate_hoisted 50" "l1_rotate_hoisted_avx2 50"; do
+        set -- $gate
+        row=$(json_val BENCH_he_ops.json "$1")
+        if [[ -z "$row" ]]; then
+            echo "FAIL: BENCH_he_ops.json lacks $1"
+            exit 1
+        fi
+        if ! awk -v r="$row" -v a="$add" -v f="$2" 'BEGIN { exit !(r <= f * a) }'; then
+            echo "FAIL: committed $1 ($row ns) is not within $2 x l1_add ($add ns)"
+            exit 1
+        fi
+    done
 
     echo "==> bench_throughput smoke (JSON key regression gate)"
     smoke_json=$(mktemp /tmp/bench_throughput.XXXXXX.json)
