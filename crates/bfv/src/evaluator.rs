@@ -83,13 +83,14 @@
 //! allocations at steady state (proved by the counting-allocator test in
 //! `tests/zero_alloc.rs`). A caller that wants a new ciphertext clones its
 //! input or starts from [`Ciphertext::transparent_zero_at`] the operand's
-//! level. Per-thread `Scratch` instances are what the thread-parallel
-//! linear layers in `cheetah-core` are built on.
+//! level. A `Scratch` belongs to whoever runs the operations: a linear
+//! layer runs start to finish on one thread, out of the scratch of the
+//! session it serves.
 //!
 //! Operation counters ([`OpCounts`]) record how many of each kernel ran —
-//! atomically, so multi-threaded layer evaluation keeps exact accounting —
-//! and the profiling harness and the Table IV count model can be validated
-//! against the real engine.
+//! atomically, because sessions on a serving pool's threads share one
+//! evaluator — and the profiling harness and the Table IV count model can
+//! be validated against the real engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -107,13 +108,11 @@ use crate::simd;
 
 /// Running kernel-invocation counters (per evaluator).
 ///
-/// Counters are updated atomically, so no invocation is ever lost under
-/// multi-threaded evaluation. `add` reflects the accumulation *shape*:
-/// fused accumulators count one `HE_Add` per term (including the first,
-/// onto a transparent zero). The linear kernel in `cheetah-core` combines
-/// its group sums in plan order after its workers join, so every counter
-/// is identical for any thread count (pinned down by
-/// `crates/core/tests/parallel_equivalence.rs`).
+/// Sessions on a serving pool's threads share one evaluator, so the
+/// counters are updated atomically and no invocation is lost between
+/// them; a layer's own operations all run on its session's thread. `add`
+/// reflects the accumulation *shape*: fused accumulators count one
+/// `HE_Add` per term (including the first, onto a transparent zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// `HE_Add` invocations (ct+ct or ct+pt).

@@ -131,7 +131,7 @@ pub use params::{
 };
 pub use rns::{ModulusChain, PackedPoly, RnsPoly};
 pub use sampling::{expand_uniform, UniformStream};
-pub use scratch::{Scratch, ScratchLease, ScratchPool};
+pub use scratch::Scratch;
 pub use simd::SimdBackend;
 pub use wire::{
     chain_fingerprint, ciphertext_wire_bytes, decode_ciphertext, decode_public_key,

@@ -18,13 +18,12 @@
 //! since a linear layer runs entirely at the level its input was switched
 //! to — still never touches the allocator.
 //!
-//! Threading model: a `Scratch` is deliberately *not* shared. Each serving
-//! thread owns one (they are cheap once warm) and runs a whole session's
-//! layers out of it, so sessions in parallel never contend for memory. The
-//! [`crate::Evaluator`] also keeps one internal pool behind a mutex for
-//! `HE_ModSwitch`'s temporary plane.
-
-use std::sync::Arc;
+//! Threading model: a `Scratch` is plain owned data, never shared. Whoever
+//! steps a session holds one (the serving crate's pool hands each worker
+//! thread its own for a sweep and keeps them warm in between), so sessions
+//! in parallel never contend for memory. The [`crate::Evaluator`] also
+//! keeps one internal pool behind a lock for `HE_ModSwitch`'s temporary
+//! plane.
 
 use crate::ciphertext::Ciphertext;
 use crate::evaluator::HoistedDecomposition;
@@ -189,105 +188,6 @@ impl Scratch {
     }
 }
 
-/// A server-level pool of warm [`Scratch`] instances, shared across
-/// worker threads.
-///
-/// A `Scratch` is deliberately single-owner (see the module docs), but a
-/// *server* running many concurrent sessions wants its warmed buffers to
-/// outlive any one session: allocating a fresh pool per session
-/// construction throws the warmup away every time. A `ScratchPool` keeps
-/// returned instances — buffers, digit store, and all — in a LIFO free
-/// list behind a mutex; [`ScratchPool::lease`] hands a whole warm
-/// `Scratch` to a worker as an RAII [`ScratchLease`] that returns it on
-/// drop. The lock is only touched at lease/return, never inside evaluator
-/// operations.
-///
-/// `Scratch` owns all of its data, so leases are `Send`: a worker can
-/// carry one across a `std::thread::scope` boundary.
-#[derive(Debug)]
-pub struct ScratchPool {
-    n: usize,
-    limbs: usize,
-    free: std::sync::Mutex<Vec<Scratch>>,
-}
-
-impl ScratchPool {
-    /// Creates an empty pool of `Scratch` instances for up-to-`limbs`-limb,
-    /// degree-`n` chains. Instances are created lazily at first lease.
-    pub fn new(n: usize, limbs: usize) -> Self {
-        Self {
-            n,
-            limbs,
-            free: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A pool shaped for a parameter set's degree and level-0 limb count
-    /// (plus the special-prime plane of hybrid chains, when present).
-    pub fn for_params(params: &BfvParams) -> Self {
-        Self::new(params.degree(), params.scratch_limbs())
-    }
-
-    fn free_list(&self) -> std::sync::MutexGuard<'_, Vec<Scratch>> {
-        // A poisoned lock only means another worker panicked mid-return;
-        // the free list itself (owned buffers) is still structurally
-        // sound, so recover rather than propagate.
-        match self.free.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Leases a warm `Scratch` (or creates a cold one when the free list
-    /// is empty). The lease returns it on drop.
-    pub fn lease(self: &Arc<Self>) -> ScratchLease {
-        let scratch = self
-            .free_list()
-            .pop()
-            .unwrap_or_else(|| Scratch::new(self.n, self.limbs));
-        ScratchLease {
-            pool: Arc::clone(self),
-            scratch: Some(scratch),
-        }
-    }
-
-    /// Number of idle `Scratch` instances currently pooled (diagnostic).
-    pub fn idle(&self) -> usize {
-        self.free_list().len()
-    }
-}
-
-/// RAII lease of a pooled [`Scratch`]: derefs to the instance, returns it
-/// to its [`ScratchPool`] — warm buffers intact — on drop.
-#[derive(Debug)]
-pub struct ScratchLease {
-    pool: Arc<ScratchPool>,
-    scratch: Option<Scratch>,
-}
-
-impl std::ops::Deref for ScratchLease {
-    type Target = Scratch;
-
-    fn deref(&self) -> &Scratch {
-        // Invariant: `scratch` is only `None` inside `drop`.
-        self.scratch.as_ref().expect("leased scratch present")
-    }
-}
-
-impl std::ops::DerefMut for ScratchLease {
-    fn deref_mut(&mut self) -> &mut Scratch {
-        self.scratch.as_mut().expect("leased scratch present")
-    }
-}
-
-impl Drop for ScratchLease {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            self.pool.free_list().push(scratch);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,43 +295,6 @@ mod tests {
     fn rejects_foreign_buffer() {
         let mut s = Scratch::new(8, 2);
         s.put_poly(RnsPoly::zero_with(3, 8, Representation::Coeff));
-    }
-
-    #[test]
-    fn scratch_pool_recycles_warm_instances_across_leases() {
-        let pool = std::sync::Arc::new(ScratchPool::new(16, 2));
-        assert_eq!(pool.idle(), 0);
-        let mut lease = pool.lease();
-        // Warm the instance: one full-width buffer enters its LIFO pool.
-        let p = lease.take_poly(Representation::Coeff);
-        let ptr = p.data().as_ptr();
-        lease.put_poly(p);
-        assert_eq!(lease.pooled(), 1);
-        drop(lease);
-        assert_eq!(pool.idle(), 1);
-        // The next lease gets the *same* warm instance back.
-        let mut again = pool.lease();
-        assert_eq!(again.pooled(), 1);
-        let q = again.take_poly(Representation::Eval);
-        assert_eq!(q.data().as_ptr(), ptr, "warm buffer must survive the pool");
-        again.put_poly(q);
-    }
-
-    #[test]
-    fn scratch_pool_leases_are_send_and_concurrent() {
-        fn assert_send<T: Send>(_: &T) {}
-        let pool = std::sync::Arc::new(ScratchPool::new(16, 2));
-        let lease = pool.lease();
-        assert_send(&lease);
-        drop(lease);
-        // Two simultaneous leases are distinct instances; both return.
-        let a = pool.lease();
-        let b = pool.lease();
-        std::thread::scope(|s| {
-            s.spawn(move || drop(a));
-            s.spawn(move || drop(b));
-        });
-        assert_eq!(pool.idle(), 2);
     }
 
     #[test]

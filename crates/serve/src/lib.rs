@@ -19,13 +19,13 @@
 //!   the per-layer [`LayerReport`]s. A [`SessionDriver`] steps the two
 //!   halves through the wire-validated protocol boundary — every
 //!   ciphertext crosses as validated bytes, never as a live object.
-//! * **Batched sweeps over pooled scratch** — [`ServerPool`] coalesces
-//!   same-layer work from different clients into one parallel sweep over
-//!   scoped worker threads, each holding a leased
-//!   [`cheetah_bfv::ScratchLease`] from a server-level
-//!   [`cheetah_bfv::ScratchPool`] so warm buffers survive across
-//!   sessions. The sessions are the only parallel work: a layer runs on
-//!   the thread that steps its session.
+//! * **Batched sweeps over the pool's own scratch** — [`ServerPool`]
+//!   coalesces same-layer work from different clients into one parallel
+//!   sweep over scoped worker threads. Each worker takes sessions off one
+//!   queue and steps them out of one [`cheetah_bfv::Scratch`], which the
+//!   pool keeps warm in its idle list between sweeps. The sessions are
+//!   the only parallel work: a layer runs on the thread that steps its
+//!   session.
 //!
 //! Faults stay *contained*: a corrupted message kills its own session
 //! with a typed error and a fault-bearing report, and must never perturb

@@ -1,5 +1,4 @@
-//! The worker pool: batched, scratch-pooled sweeps over concurrent
-//! sessions.
+//! The worker pool: batched sweeps over concurrent sessions.
 //!
 //! Scheduling rule (see `docs/SERVE.md`): every live session sits at some
 //! linear-layer index; each scheduling round picks the **lowest pending
@@ -9,16 +8,17 @@
 //! (warm caches, one pass over the model state), and faulted sessions
 //! simply leave the live set without touching their neighbors.
 //!
-//! Backpressure is structural: a sweep admits at most `workers` threads,
-//! each holding one leased [`cheetah_bfv::Scratch`] from the server-level
-//! [`ScratchPool`] — memory is bounded by the worker count, not the
-//! client count, and scratch buffers stay warm across sessions and
-//! sweeps.
+//! Backpressure is structural: a sweep starts at most `workers` threads,
+//! each stepping sessions it takes off one shared queue out of one
+//! [`Scratch`] it takes from the pool's idle list. The list keeps those
+//! scratches warm between sweeps, so memory is bounded by the worker
+//! count, not the client count. A worker that panics drops its scratch
+//! with its stack: the idle list holds only scratches of workers that
+//! returned.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cheetah_bfv::{Result, ScratchPool};
+use cheetah_bfv::{Result, Scratch};
 use cheetah_nn::Tensor;
 
 use crate::model::PreparedModel;
@@ -42,18 +42,21 @@ pub struct SessionOutcome {
 pub struct ServerPool {
     model: Arc<PreparedModel>,
     workers: usize,
-    scratch: Arc<ScratchPool>,
+    /// Warm scratches between sweeps, warmest last. A sweep worker makes
+    /// a scratch only when this list is empty, that is when every other
+    /// one is held by a worker of the same sweep, so with one `run` at a
+    /// time it never holds more than `workers`.
+    idle: Mutex<Vec<Scratch>>,
 }
 
 impl ServerPool {
-    /// Creates a pool of `workers` sweep threads (min 1) with a
-    /// server-level scratch pool shaped for the model's parameters.
+    /// Creates a pool of `workers` sweep threads (min 1); each worker's
+    /// scratch is shaped for the model's parameters when first needed.
     pub fn new(model: Arc<PreparedModel>, workers: usize) -> Self {
-        let scratch = Arc::new(ScratchPool::for_params(model.params()));
         Self {
             model,
             workers: workers.max(1),
-            scratch,
+            idle: Mutex::new(Vec::new()),
         }
     }
 
@@ -65,7 +68,7 @@ impl ServerPool {
     /// Idle scratch instances currently pooled (diagnostic — shows warm
     /// reuse across sweeps).
     pub fn scratch_idle(&self) -> usize {
-        self.scratch.idle()
+        self.idle.lock().map_or(0, |idle| idle.len())
     }
 
     /// Runs a set of sessions to completion and returns their outcomes
@@ -78,11 +81,17 @@ impl ServerPool {
             .map(SessionDriver::layer)
             .min()
         {
-            let batch: Vec<&mut SessionDriver> = drivers
-                .iter_mut()
-                .filter(|d| !d.is_done() && d.layer() == layer)
-                .collect();
-            self.sweep(batch, layer);
+            let at_layer = |d: &&mut SessionDriver| !d.is_done() && d.layer() == layer;
+            if self.sweep(drivers.iter_mut().filter(at_layer).collect()) {
+                // A worker panic (a bug below the typed-error boundary)
+                // must not hang the scheduler: any session still sitting
+                // at this sweep's layer made no progress — fail it rather
+                // than spin on it.
+                drivers
+                    .iter_mut()
+                    .filter(at_layer)
+                    .for_each(SessionDriver::fail_stalled);
+            }
         }
         drivers
             .into_iter()
@@ -90,56 +99,41 @@ impl ServerPool {
             .collect()
     }
 
-    /// One parallel sweep: `workers` threads pull same-layer sessions
-    /// from a shared queue, each stepping its session one full round with
-    /// a leased scratch.
-    fn sweep(&self, batch: Vec<&mut SessionDriver>, layer: usize) {
-        let jobs: Vec<Mutex<&mut SessionDriver>> = batch.into_iter().map(Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.workers.min(jobs.len()).max(1);
-        // Every handle is joined here, so a worker's panic comes back as
-        // a value instead of re-raising when the scope closes.
-        let panicked = std::thread::scope(|s| {
+    /// One parallel sweep: each worker takes a warm scratch off the idle
+    /// list (or makes one when it is empty), steps same-layer sessions off
+    /// one queue until it is empty, and puts its scratch back. Returns
+    /// whether a worker panicked.
+    fn sweep(&self, batch: Vec<&mut SessionDriver>) -> bool {
+        let workers = self.workers.min(batch.len());
+        let queue = Mutex::new(batch.into_iter());
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
-                        let mut scratch = self.scratch.lease();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs.len() {
-                                break;
-                            }
-                            // Each index is claimed exactly once, so the
-                            // lock is always free; a poisoned slot (worker
-                            // died mid-step) is left for the stall guard
-                            // below.
-                            if let Ok(mut driver) = jobs[i].lock() {
-                                driver.step(&mut scratch);
-                            }
+                        let mut scratch = self
+                            .idle
+                            .lock()
+                            .ok()
+                            .and_then(|mut idle| idle.pop())
+                            .unwrap_or_else(|| self.model.evaluator().new_scratch());
+                        while let Some(driver) = queue.lock().ok().and_then(|mut q| q.next()) {
+                            driver.step(&mut scratch);
+                        }
+                        // Not reached when a step panics: that scratch
+                        // unwinds with the worker and is never reused.
+                        if let Ok(mut idle) = self.idle.lock() {
+                            idle.push(scratch);
                         }
                     })
                 })
                 .collect();
+            // Every handle is joined here, so a worker's panic comes back
+            // as a value instead of re-raising when the scope closes.
             handles
                 .into_iter()
                 .filter_map(|handle| handle.join().err())
                 .count()
                 > 0
-        });
-
-        // A worker panic (a bug below the typed-error boundary) must not
-        // hang the scheduler: any session still sitting at this sweep's
-        // layer made no progress — fail it rather than spin on it.
-        if panicked {
-            for job in &jobs {
-                let mut driver = match job.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                if !driver.is_done() && driver.layer() == layer {
-                    driver.fail_stalled();
-                }
-            }
-        }
+        })
     }
 }

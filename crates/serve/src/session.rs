@@ -551,7 +551,7 @@ impl ServerSession {
 
         // Remove the previous round's mask homomorphically at the layer's
         // level — in place, drawing the Δ_ℓ·mask temporary from the
-        // leased scratch.
+        // round's scratch.
         if let Some(r) = &self.cloud_mask {
             let neg: Vec<i64> = r.data().iter().map(|&v| -v).collect();
             let neg_t = Tensor::from_data(r.shape(), neg);

@@ -15,7 +15,10 @@
 //!   run;
 //! * a worker thread that panics mid-sweep fails the session it was
 //!   stepping with a typed error — the pool returns, and the rest of the
-//!   fleet finishes on the surviving workers.
+//!   fleet finishes on the surviving workers;
+//! * a pool that lived through such a panic serves the next clean fleet
+//!   byte-identically to its first, and its idle scratch list never holds
+//!   more than one scratch per worker.
 
 use std::sync::Arc;
 
@@ -343,4 +346,66 @@ fn panicking_worker_fails_its_session_and_spares_the_rest() {
             assert_neighbor_untouched(i, m, c);
         }
     }
+}
+
+/// Everything observable about an outcome, for byte-identity checks.
+fn outcome_sig(o: &SessionOutcome) -> String {
+    let result = o.result.as_ref().map(|t| t.data().to_vec());
+    format!(
+        "{} {result:?} {:?} {:?}",
+        o.client_id,
+        transcript_sig(&o.transcript),
+        o.reports
+    )
+}
+
+#[test]
+fn pool_soak_replays_clean_after_a_panic_and_bounds_its_scratch() {
+    // One pool through three fleets: clean, one worker panicking at layer
+    // 1, clean again. The panicked worker's scratch is dropped, not
+    // reused, so the second clean fleet must replay the first byte for
+    // byte; the idle list holds at most one scratch per worker, and a
+    // worker each after a fleet at least as wide as the pool.
+    const WORKERS: usize = 2;
+    let net = tiny_cnn();
+    let weights = Weights::random(&net, 2, 424);
+    let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
+    let (_, params) = preset_chains().pop().unwrap(); // rns_3x36
+    let model = PreparedModel::new(&net, &weights, params).unwrap();
+    let pool = ServerPool::new(Arc::clone(&model), WORKERS);
+    assert_eq!(pool.scratch_idle(), 0, "scratch is made on first use");
+
+    let first: Vec<String> = pool
+        .run(drivers(&model, &inputs))
+        .iter()
+        .map(outcome_sig)
+        .collect();
+    assert_eq!(pool.scratch_idle(), WORKERS, "after the first clean fleet");
+
+    let mut fleet = drivers(&model, &inputs);
+    let doomed = fleet.remove(1);
+    fleet.insert(
+        1,
+        doomed.with_tamper(Box::new(|layer, _| {
+            assert!(layer != 1, "injected worker panic at layer 1");
+        })),
+    );
+    let mixed = pool.run(fleet);
+    assert!(mixed[1].result.is_err(), "the panicked session fails");
+    assert!(
+        pool.scratch_idle() <= WORKERS,
+        "after the panicking fleet: {} idle",
+        pool.scratch_idle()
+    );
+
+    let again: Vec<String> = pool
+        .run(drivers(&model, &inputs))
+        .iter()
+        .map(outcome_sig)
+        .collect();
+    assert_eq!(pool.scratch_idle(), WORKERS, "after the second clean fleet");
+    assert_eq!(
+        again, first,
+        "a clean fleet after a panic must replay the first clean fleet"
+    );
 }

@@ -80,6 +80,20 @@ if git grep -nE 'map_chunks|WorkerScratch|default_threads|linear::parallel|fn wo
     exit 1
 fi
 
+echo "==> one-scratch-owner gate"
+# A Scratch is plain owned data: the ServerPool keeps its workers' warm
+# scratches itself (its idle list) and a worker that panics drops its own.
+# The engine's shared pool and its RAII lease stay deleted, and scratch.rs
+# holds no lock, shared pointer or atomic.
+if git grep -nE 'Scratch(Pool|Lease)' -- crates src tests examples; then
+    echo "FAIL: the engine-side scratch pool or its lease is back (see matches above)"
+    exit 1
+fi
+if git grep -nE '\b(Mutex|Arc\b|Atomic)' -- crates/bfv/src/scratch.rs; then
+    echo "FAIL: crates/bfv/src/scratch.rs shares its buffers again (see matches above)"
+    exit 1
+fi
+
 echo "==> one-inner-product gate"
 # Every mask sum and every key switch is one lazy pass
 # (RnsPoly::dot_pair_prefix): the evaluator calls no per-term
