@@ -104,6 +104,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use cheetah_bfv::params::DEFAULT_SIGMA;
 use cheetah_bfv::rns::{DotOperand, DotTerm, PlaneAlign, Representation};
 use cheetah_bfv::sampling::BfvRng;
 use cheetah_bfv::simd::{self, SimdBackend};
@@ -253,7 +254,7 @@ fn ctx() -> Ctx {
         BfvParams::builder()
             .degree(4096)
             .plain_bits(17)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .a_dcmp(1 << 20)
             .build()
             .unwrap(),
@@ -459,7 +460,7 @@ struct SetupPoint {
 
 fn setup_point(preset: &'static str, params: BfvParams) -> SetupPoint {
     let ks = params.ks_chain_at(0);
-    let mut rng = BfvRng::from_seed(41, params.sigma());
+    let mut rng = BfvRng::from_seed(41, DEFAULT_SIGMA);
     let noise_poly = time_ns(|| rng.noise_rns(ks));
     let mut stream = UniformStream::new(42, ks);
     let uniform_poly = time_ns(|| stream.next_poly());

@@ -354,8 +354,9 @@ pub const MAX_RNS_LIMBS: usize = 8;
 /// # fn main() -> Result<(), cheetah_bfv::Error> {
 /// let basis = CrtBasis::new(&[Modulus::new(17)?, Modulus::new(19)?])?;
 /// let v = 200u128;
-/// let residues = basis.decompose(v);
-/// assert_eq!(residues, vec![200 % 17, 200 % 19]);
+/// let mut residues = [0u64; 2];
+/// basis.decompose_into(v, &mut residues);
+/// assert_eq!(residues, [200 % 17, 200 % 19]);
 /// assert_eq!(basis.compose(&residues), v);
 /// # Ok(())
 /// # }
@@ -521,13 +522,6 @@ impl CrtBasis {
             // `v < Q < 2^127` can exceed `reduce_u128`'s `2^124` bound.
             *o = (v % q.value() as u128) as u64;
         }
-    }
-
-    /// Allocating variant of [`CrtBasis::decompose_into`].
-    pub fn decompose(&self, v: u128) -> Vec<u64> {
-        let mut out = vec![0u64; self.moduli.len()];
-        self.decompose_into(v, &mut out);
-        out
     }
 }
 
@@ -931,8 +925,9 @@ mod tests {
         ];
         let basis = CrtBasis::new(&moduli).unwrap();
         let q = basis.big_q();
+        let mut residues = [0u64; 3];
         for v in [0u128, 1, 2, q / 2, q - 1, 0x1234_5678_9abc_def0] {
-            let residues = basis.decompose(v);
+            basis.decompose_into(v, &mut residues);
             for (r, m) in residues.iter().zip(&moduli) {
                 assert_eq!(*r as u128, v % m.value() as u128);
             }
@@ -949,7 +944,8 @@ mod tests {
         ];
         let basis = CrtBasis::new(&moduli).unwrap();
         let v = basis.big_q() - 12345;
-        let residues = basis.decompose(v);
+        let mut residues = [0u64; 3];
+        basis.decompose_into(v, &mut residues);
         // v ≡ Σ_i q̂_i · [q̂_i^{-1}·v]_{q_i}  (mod q_k) for every plane k.
         for (k, qk) in moduli.iter().enumerate() {
             let mut acc = 0u64;
@@ -979,7 +975,9 @@ mod tests {
         let basis = CrtBasis::new(&[q]).unwrap();
         assert_eq!(basis.total_bits(), 50);
         assert_eq!(basis.compose(&[12345]), 12345);
-        assert_eq!(basis.decompose(12345), vec![12345]);
+        let mut residue = [0u64];
+        basis.decompose_into(12345, &mut residue);
+        assert_eq!(residue, [12345]);
     }
 
     #[test]

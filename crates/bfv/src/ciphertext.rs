@@ -224,7 +224,7 @@ mod tests {
     fn transparent_zero_has_no_noise() {
         let params = BfvParams::builder()
             .degree(1024)
-            .cipher_bits(27)
+            .moduli_bits(&[27])
             .plain_bits(16)
             .build()
             .unwrap();

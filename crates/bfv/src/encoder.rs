@@ -216,7 +216,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(n)
             .plain_bits(17)
-            .cipher_bits(if n >= 4096 { 60 } else { 54 })
+            .moduli_bits(&[if n >= 4096 { 60 } else { 54 }])
             .build()
             .unwrap();
         BatchEncoder::new(params)

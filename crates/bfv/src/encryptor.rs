@@ -15,7 +15,7 @@ use crate::encoder::Plaintext;
 use crate::error::{Error, Result};
 use crate::keys::{PublicKey, SecretKey};
 use crate::noise::NoiseEstimate;
-use crate::params::BfvParams;
+use crate::params::{BfvParams, DEFAULT_SIGMA};
 use crate::rns::{Representation, RnsPoly};
 use crate::sampling::BfvRng;
 
@@ -34,7 +34,7 @@ impl Encryptor {
     /// Public-key encryptor.
     pub fn from_public_key(pk: PublicKey, seed: u64) -> Self {
         let params = pk.params().clone();
-        let rng = BfvRng::from_seed(seed, params.sigma());
+        let rng = BfvRng::from_seed(seed, DEFAULT_SIGMA);
         Self {
             params,
             pk: Some(pk),
@@ -46,7 +46,7 @@ impl Encryptor {
     /// Secret-key (symmetric) encryptor.
     pub fn from_secret_key(sk: SecretKey, seed: u64) -> Self {
         let params = sk.params().clone();
-        let rng = BfvRng::from_seed(seed, params.sigma());
+        let rng = BfvRng::from_seed(seed, DEFAULT_SIGMA);
         Self {
             params,
             pk: None,
@@ -68,7 +68,8 @@ impl Encryptor {
     /// different parameters.
     pub fn encrypt(&mut self, pt: &Plaintext) -> Result<Ciphertext> {
         self.params.check_same(pt.params())?;
-        let mut dm = self.params.lift_scaled_at(pt.coeffs(), 0);
+        let mut dm = RnsPoly::zero(self.params.chain(), Representation::Coeff);
+        self.params.lift_scaled_into(pt.coeffs(), &mut dm);
         dm.to_eval(self.params.chain());
         if let Some(pk) = &self.pk {
             self.encrypt_with_pk(dm, pk.clone())
@@ -152,7 +153,8 @@ impl Encryptor {
             });
         }
         let chain = self.params.chain_at(level).clone();
-        let mut dm = self.params.lift_scaled_at(pt.coeffs(), level);
+        let mut dm = RnsPoly::zero(&chain, Representation::Coeff);
+        self.params.lift_scaled_into(pt.coeffs(), &mut dm);
         dm.to_eval(&chain);
         let seed = self.rng.next_seed();
         let a = crate::sampling::expand_uniform(seed, &chain);
@@ -297,7 +299,8 @@ impl Decryptor {
         let (mut v, m) = self.phase_and_message(ct)?;
         let level = ct.level();
         let chain = self.params.chain_at(level);
-        let dm = self.params.lift_scaled_at(m.coeffs(), level);
+        let mut dm = RnsPoly::zero(chain, Representation::Coeff);
+        self.params.lift_scaled_into(m.coeffs(), &mut dm);
         v.sub_assign(&dm, chain)?;
         let noise = v.inf_norm_centered(chain)?;
         Ok((m, noise))
@@ -365,7 +368,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(n)
             .plain_bits(16)
-            .cipher_bits(if n >= 4096 { 60 } else { 54 })
+            .moduli_bits(&[if n >= 4096 { 60 } else { 54 }])
             .build()
             .unwrap();
         setup_with(params)
@@ -467,7 +470,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(2048)
             .plain_bits(16)
-            .cipher_bits(54)
+            .moduli_bits(&[54])
             .build()
             .unwrap();
         let mut kg = KeyGenerator::from_seed(params.clone(), 5);

@@ -1242,7 +1242,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(n)
             .plain_bits(16)
-            .cipher_bits(if n >= 4096 { 60 } else { 54 })
+            .moduli_bits(&[if n >= 4096 { 60 } else { 54 }])
             .a_dcmp(1 << 16)
             .build()
             .unwrap();

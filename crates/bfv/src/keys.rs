@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{Error, Result};
-use crate::params::BfvParams;
+use crate::params::{BfvParams, DEFAULT_SIGMA};
 use crate::rns::{PackedPoly, Representation, RnsPoly};
 use crate::sampling::{BfvRng, UniformStream};
 use crate::simd;
@@ -356,13 +356,13 @@ pub struct KeyGenerator {
 impl KeyGenerator {
     /// Creates a generator with a reproducible seed.
     pub fn from_seed(params: BfvParams, seed: u64) -> Self {
-        let rng = BfvRng::from_seed(seed, params.sigma());
+        let rng = BfvRng::from_seed(seed, DEFAULT_SIGMA);
         Self::from_rng(params, rng)
     }
 
     /// Creates a generator seeded from OS entropy.
     pub fn from_entropy(params: BfvParams) -> Self {
-        let rng = BfvRng::from_entropy(params.sigma());
+        let rng = BfvRng::from_entropy(DEFAULT_SIGMA);
         Self::from_rng(params, rng)
     }
 
@@ -628,7 +628,7 @@ mod tests {
         BfvParams::builder()
             .degree(1024)
             .plain_bits(16)
-            .cipher_bits(27)
+            .moduli_bits(&[27])
             .build()
             .unwrap()
     }
@@ -904,18 +904,18 @@ mod tests {
         // Same data chain, t, and seed: the hybrid params' secret (and
         // hence every encryption) is identical to the digit twin's — only
         // key material diverges.
-        let c = crate::params::search_congruent_chain(4096, 16, &[36, 36], 36).unwrap();
+        let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
         let digit = BfvParams::builder()
             .degree(4096)
-            .plain_modulus(c.t)
-            .moduli(c.data.clone())
-            .build()
-            .unwrap();
-        let hybrid = BfvParams::builder()
-            .degree(4096)
-            .plain_modulus(c.t)
-            .moduli(c.data)
-            .special_modulus(c.special)
+            .plain_modulus(hybrid.plain_modulus().value())
+            .moduli(
+                hybrid
+                    .chain()
+                    .moduli()
+                    .iter()
+                    .map(|q| q.value())
+                    .collect::<Vec<_>>(),
+            )
             .build()
             .unwrap();
         let kg_d = KeyGenerator::from_seed(digit, 77);

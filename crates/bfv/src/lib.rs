@@ -126,9 +126,7 @@ pub use keys::{
     GaloisKey, GaloisKeys, KeyGenerator, PublicKey, SecretKey, SeededGaloisKey, SeededGaloisKeys,
 };
 pub use noise::NoiseEstimate;
-pub use params::{
-    search_congruent_chain, BfvParams, BfvParamsBuilder, CongruentChain, SecurityLevel,
-};
+pub use params::{BfvParams, BfvParamsBuilder, SecurityLevel};
 pub use rns::{ModulusChain, PackedPoly, RnsPoly};
 pub use sampling::{expand_uniform, UniformStream};
 pub use scratch::Scratch;

@@ -18,7 +18,7 @@
 //! [`crate::encryptor::Decryptor::invariant_noise`], which computes the
 //! actual noise polynomial against the secret key; tests reconcile the two.
 
-use crate::params::BfvParams;
+use crate::params::{BfvParams, DEFAULT_SIGMA};
 
 /// Scaling factor `c` such that `Pr(|Y| ≥ c·σ_Y) ≤ 1e-10` for sub-Gaussian
 /// noise: from the paper's tail bound `Pr(|Y| ≥ q/2t) ≤ 2·exp(−q²/(4t²σ_Y²))`
@@ -51,7 +51,7 @@ impl NoiseEstimate {
     /// `σ_v² ≈ σ²·(1 + 4n/3)`.
     pub fn fresh(params: &BfvParams) -> Self {
         let n = params.degree() as f64;
-        let sigma2 = params.sigma() * params.sigma();
+        let sigma2 = DEFAULT_SIGMA * DEFAULT_SIGMA;
         let bound = params.fresh_noise_bound();
         let variance = sigma2 * (1.0 + 4.0 * n / 3.0);
         Self {
@@ -127,13 +127,13 @@ impl NoiseEstimate {
             return self.rotate_hybrid_at(params, level, p_special.value() as f64);
         }
         let n = params.degree() as f64;
-        let b = 6.0 * params.sigma();
+        let b = 6.0 * DEFAULT_SIGMA;
         let l_ct = params.l_ct_at(level) as f64;
         let a = params.a_dcmp() as f64;
         let additive = l_ct * a * b * n / 2.0;
         // Variance of the key-switch term: l_ct·n digits, each a product of
         // a uniform digit (var A²/12) and fresh noise (var σ²).
-        let add_var = l_ct * n * (a * a / 12.0) * params.sigma() * params.sigma();
+        let add_var = l_ct * n * (a * a / 12.0) * DEFAULT_SIGMA * DEFAULT_SIGMA;
         Self {
             bound_log2: log2_sum(self.bound_log2, additive.log2()),
             variance_log2: log2_sum(self.variance_log2, add_var.log2()),
@@ -156,7 +156,7 @@ impl NoiseEstimate {
     /// `ceil(log_A q_i)` of them.
     fn rotate_hybrid_at(&self, params: &BfvParams, level: usize, p: f64) -> Self {
         let n = params.degree() as f64;
-        let b = 6.0 * params.sigma();
+        let b = 6.0 * DEFAULT_SIGMA;
         let live = params.live_limbs_at(level);
         let q_max = (0..live)
             .map(|i| params.chain().modulus(i).value())
@@ -169,7 +169,7 @@ impl NoiseEstimate {
         // (var q_max²/12) with fresh key noise (var σ²), divided by P²
         // after the rescale; plus the rescale rounding (e₀ + e₁·s with
         // ~2n/3 ternary terms of var 1/12 each).
-        let sigma2 = params.sigma() * params.sigma();
+        let sigma2 = DEFAULT_SIGMA * DEFAULT_SIGMA;
         let ks_var = live as f64 * n * (q_max * q_max / 12.0) * sigma2 / (p * p);
         let round_var = (1.0 + 2.0 * n / 3.0) / 12.0;
         let add_var = ks_var + round_var;
@@ -313,7 +313,7 @@ mod tests {
     fn params() -> BfvParams {
         BfvParams::builder()
             .degree(4096)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .plain_bits(17)
             .build()
             .unwrap()
@@ -323,7 +323,7 @@ mod tests {
     fn fresh_matches_table_iii() {
         let p = params();
         let e = NoiseEstimate::fresh(&p);
-        let b = 6.0 * p.sigma();
+        let b = 6.0 * DEFAULT_SIGMA;
         let expect = (2.0 * 4096.0 * b * b).log2();
         assert!((e.bound_log2 - expect).abs() < 1e-9);
     }

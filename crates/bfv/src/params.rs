@@ -6,7 +6,7 @@
 //! | `t`       | plaintext modulus |
 //! | `q_0…q_{l-1}` | the ciphertext modulus chain, `Q = Π q_i` |
 //! | `A_dcmp`  | ciphertext (activation) decomposition base |
-//! | `σ`       | std-dev of the encryption noise (fixed) |
+//! | `σ`       | std-dev of the encryption noise ([`DEFAULT_SIGMA`], fixed) |
 //!
 //! The ciphertext modulus is a [`ModulusChain`] of word-sized CRT primes:
 //! every ciphertext polynomial stores one residue plane per limb
@@ -23,11 +23,11 @@
 //!
 //! # fn main() -> Result<(), cheetah_bfv::Error> {
 //! // Single limb (the classic Cheetah point): one generated 60-bit prime.
-//! let single = BfvParams::builder().degree(4096).cipher_bits(60).build()?;
+//! let single = BfvParams::builder().degree(4096).moduli_bits(&[60]).build()?;
 //! assert_eq!(single.limbs(), 1);
 //!
-//! // Multi-limb: exact primes via `.moduli([...])`, or generated sizes
-//! // via `.moduli_bits(&[30, 30])`.
+//! // Multi-limb: generated sizes via `.moduli_bits(&[30, 30])`, or exact
+//! // primes via `.moduli([...])`.
 //! let two = BfvParams::builder()
 //!     .degree(4096)
 //!     .plain_bits(17)
@@ -45,13 +45,16 @@
 //! # }
 //! ```
 //!
-//! The builder generates matching NTT-friendly primes, checks the 128-bit
-//! RLWE security table against the *total* `log2(Q)`, and shares memoized
-//! NTT tables per `(prime, n)` across every parameter set in the process.
+//! The builder is the only way a parameter set is made, presets included.
+//! It generates matching NTT-friendly primes (congruent ones, see
+//! [`BfvParamsBuilder`]), checks the 128-bit RLWE security table against
+//! the *total* `log2(Q)`, and shares memoized NTT tables per `(prime, n)`
+//! across every parameter set in the process.
 //!
 //! Ready-made presets for the limb counts the benches track:
 //! [`BfvParams::preset_single_60`], [`BfvParams::preset_rns_2x30`],
-//! [`BfvParams::preset_rns_3x36`] (see [`BfvParams::presets`]).
+//! [`BfvParams::preset_rns_3x36`] (see [`BfvParams::presets`]) and the
+//! hybrid ones (see [`BfvParams::hybrid_presets`]).
 
 use std::fmt;
 use std::sync::Arc;
@@ -65,7 +68,9 @@ use crate::ntt::NttTable;
 use crate::rns::{ModulusChain, Representation, RnsPoly};
 use crate::simd;
 
-/// Default encryption-noise standard deviation (SEAL's default).
+/// The encryption-noise standard deviation σ of every parameter set
+/// (SEAL's default): the key and encryption samplers draw CBD(k) with
+/// `k = round(2σ²)`, and the noise model bounds a sample by `B = 6σ`.
 pub const DEFAULT_SIGMA: f64 = 3.2;
 
 /// Maximum `log2(q)` for 128-bit classical security with ternary secrets,
@@ -108,7 +113,7 @@ pub enum SecurityLevel {
 /// let params = BfvParams::builder()
 ///     .degree(4096)
 ///     .plain_bits(17)
-///     .cipher_bits(60)
+///     .moduli_bits(&[60])
 ///     .build()?;
 /// assert_eq!(params.degree(), 4096);
 /// assert!(params.plain_modulus().value() % (2 * 4096) == 1);
@@ -131,7 +136,6 @@ struct ParamsInner {
     /// Never live for ciphertext data: the data chain above excludes it.
     special: Option<Modulus>,
     a_dcmp: u64,
-    sigma: f64,
     t_table: Arc<NttTable>,
     security: SecurityLevel,
 }
@@ -177,7 +181,6 @@ impl fmt::Debug for BfvParams {
             )
             .field("special", &self.inner.special.as_ref().map(Modulus::value))
             .field("a_dcmp", &self.inner.a_dcmp)
-            .field("sigma", &self.inner.sigma)
             .finish()
     }
 }
@@ -210,7 +213,7 @@ impl BfvParams {
         Self::builder()
             .degree(n)
             .plain_bits(17)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .build()
     }
 
@@ -268,60 +271,52 @@ impl BfvParams {
     /// prime `P` (108 bits of RLWE modulus — the `n = 4096` security
     /// ceiling). Every limb including `P` satisfies `q ≡ 1 (mod 2n·t)`,
     /// so `Q_ℓ ≡ 1 (mod t)` at every level *and* the `P`-rescale drift is
-    /// congruence-free. The search comes from
-    /// [`search_congruent_chain`] — solver output, not a hand pick.
+    /// congruence-free (the builder's guarantee for a chain with a special
+    /// prime).
     ///
     /// # Errors
     ///
-    /// Propagates search/builder errors.
+    /// Propagates builder errors.
     pub fn preset_hybrid_1x54(n: usize) -> Result<BfvParams> {
-        let plain_bits = if n >= 8192 { 17 } else { 16 };
-        let c = search_congruent_chain(n, plain_bits, &[54], 54)?;
-        Self::builder()
-            .degree(n)
-            .plain_modulus(c.t)
-            .moduli(c.data)
-            .special_modulus(c.special)
-            .build()
+        Self::hybrid(n, &[54], 54)
     }
 
     /// Hybrid preset: two 36-bit data limbs plus a congruent 36-bit `P`
     /// (108-bit RLWE modulus, two usable levels). The digit-decomposition
     /// twin is [`BfvParams::preset_rns_3x36`]: same total plane count, but
     /// rotations here pay one digit per live limb instead of
-    /// `Σ ceil(log_A q_i)`.
+    /// `Σ ceil(log_A q_i)`. Three congruent 36-bit primes exist only up to
+    /// `n = 4096`; past it the build is [`Error::NoNttPrime`].
     ///
     /// # Errors
     ///
-    /// Propagates search/builder errors.
+    /// Propagates builder errors.
     pub fn preset_hybrid_2x36(n: usize) -> Result<BfvParams> {
-        let plain_bits = if n >= 8192 { 17 } else { 16 };
-        let c = search_congruent_chain(n, plain_bits, &[36, 36], 36)?;
-        Self::builder()
-            .degree(n)
-            .plain_modulus(c.t)
-            .moduli(c.data)
-            .special_modulus(c.special)
-            .build()
+        Self::hybrid(n, &[36, 36], 36)
     }
 
     /// Hybrid preset for `n = 8192`: two 40-bit data limbs plus a
     /// congruent 40-bit `P`. Deeper degrees need wider congruent primes
     /// (`q ≡ 1 (mod 2n·t)` forces `q > 2n·t ≈ 2^31` at `n = 8192`), and
     /// the composed key-switch chain must stay under the exact-CRT 127-bit
-    /// cap — 3×40 is the sweet spot the search lands on.
+    /// cap — 3×40 is the sweet spot.
     ///
     /// # Errors
     ///
-    /// Propagates search/builder errors.
+    /// Propagates builder errors.
     pub fn preset_hybrid_2x40(n: usize) -> Result<BfvParams> {
-        let plain_bits = if n >= 8192 { 17 } else { 16 };
-        let c = search_congruent_chain(n, plain_bits, &[40, 40], 40)?;
+        Self::hybrid(n, &[40, 40], 40)
+    }
+
+    /// A hybrid preset: generated data limbs and special prime, with the
+    /// smallest `t` that has an NTT prime for the degree (as
+    /// [`BfvParams::preset_rns_2x30`]).
+    fn hybrid(n: usize, data_bits: &[u32], special_bits: u32) -> Result<BfvParams> {
         Self::builder()
             .degree(n)
-            .plain_modulus(c.t)
-            .moduli(c.data)
-            .special_modulus(c.special)
+            .plain_bits(if n >= 8192 { 17 } else { 16 })
+            .moduli_bits(data_bits)
+            .special_bits(special_bits)
             .build()
     }
 
@@ -463,12 +458,6 @@ impl BfvParams {
         self.inner.a_dcmp
     }
 
-    /// Encryption-noise standard deviation `σ`.
-    #[inline]
-    pub fn sigma(&self) -> f64 {
-        self.inner.sigma
-    }
-
     /// `Δ = floor(Q / t)`, the level-0 plaintext scaling factor (exact).
     #[inline]
     pub fn delta(&self) -> u128 {
@@ -520,13 +509,6 @@ impl BfvParams {
         }
     }
 
-    /// Allocating [`BfvParams::lift_scaled_into`] at an explicit level.
-    pub fn lift_scaled_at(&self, msg: &[u64], level: usize) -> RnsPoly {
-        let mut out = RnsPoly::zero(self.chain_at(level), Representation::Coeff);
-        self.lift_scaled_into(msg, &mut out);
-        out
-    }
-
     /// NTT tables for the plaintext modulus (used by the batch encoder).
     #[inline]
     pub fn t_table(&self) -> &NttTable {
@@ -565,7 +547,7 @@ impl BfvParams {
 
     /// Fresh-ciphertext noise bound `2nB²` with `B = 6σ` (Table III).
     pub fn fresh_noise_bound(&self) -> f64 {
-        let b = 6.0 * self.inner.sigma;
+        let b = 6.0 * DEFAULT_SIGMA;
         2.0 * self.inner.n as f64 * b * b
     }
 
@@ -591,105 +573,35 @@ impl BfvParams {
     }
 }
 
-/// A fully congruent chain found by [`search_congruent_chain`]: a
-/// plaintext prime `t` and pairwise-distinct limb primes — data limbs and
-/// the special key-switch prime — every one satisfying
-/// `q ≡ 1 (mod 2n·t)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CongruentChain {
-    /// Polynomial degree the chain was searched for.
-    pub n: usize,
-    /// The plaintext modulus (an NTT prime for `n`).
-    pub t: u64,
-    /// Data limb primes, in request order.
-    pub data: Vec<u64>,
-    /// The special key-switch prime `P`.
-    pub special: u64,
-}
-
-/// Co-optimizes `t` and the whole limb chain: finds an NTT-friendly
-/// plaintext prime `t` of `t_bits` bits, then draws pairwise-distinct
-/// primes `≡ 1 (mod 2n·t)` for every requested data-limb size *and* the
-/// special prime — so `Q_ℓ ≡ 1 (mod t)` holds at every level, the
-/// multiplication rounding term `(Q mod t)·⌊mw/t⌋` vanishes, and the
-/// modulus-switch / `P`-rescale drift is congruence-free down the whole
-/// chain. This is the prime search behind the `hybrid_*` presets and the
-/// [`crate`]-external chain solver (HE-PTune v2).
+/// Builder for [`BfvParams`] — the only way a parameter set is made.
 ///
-/// Congruent primes must exceed `2n·t`, so small limb sizes at deep
-/// degrees have no solution — the search reports that as a typed error
-/// instead of silently degrading to non-congruent primes (the builder's
-/// fallback behavior, which presets deliberately avoid).
+/// The ciphertext modulus chain is either exact limb values
+/// ([`BfvParamsBuilder::moduli`]) or generated per-limb bit sizes
+/// ([`BfvParamsBuilder::moduli_bits`]; the default is one 60-bit limb),
+/// whichever was set last. Generated primes are drawn largest first from
+/// the Gazelle progression `q ≡ 1 (mod 2n·t)`, one pool per size class so
+/// equal sizes stay distinct. With `q mod t = 1` the plaintext
+/// multiplication rounding term `(q mod t)·⌊mp/t⌋` vanishes (the regime
+/// Table III's noise model assumes), and a fully congruent chain keeps
+/// `Q_ℓ ≡ 1 (mod t)` at *every* level, which also kills the dominant
+/// modulus-switch drift.
 ///
-/// # Errors
-///
-/// * [`Error::InvalidDegree`] for a bad `n`;
-/// * [`Error::InvalidLimbCount`] for an empty data request;
-/// * [`Error::NoNttPrime`] when a size class has too few congruent
-///   primes (or no `t_bits` NTT prime exists).
-pub fn search_congruent_chain(
-    n: usize,
-    t_bits: u32,
-    data_bits: &[u32],
-    special_bits: u32,
-) -> Result<CongruentChain> {
-    if !n.is_power_of_two() || n < 8 {
-        return Err(Error::InvalidDegree(n));
-    }
-    if data_bits.is_empty() {
-        return Err(Error::InvalidLimbCount { limbs: 0 });
-    }
-    let t = generate_ntt_prime(t_bits, n)?;
-    let step = (2 * n as u64)
-        .checked_mul(t)
-        .ok_or(Error::NoNttPrime { bits: t_bits, n })?;
-    // One pooled draw per distinct size class (special included) keeps
-    // equal-sized limbs distinct; distinct sizes cannot collide.
-    let mut all: Vec<u32> = data_bits.to_vec();
-    all.push(special_bits);
-    let mut sizes = all.clone();
-    sizes.sort_unstable();
-    sizes.dedup();
-    let mut values = vec![0u64; all.len()];
-    for b in sizes {
-        let count = all.iter().filter(|&&x| x == b).count();
-        let mut pool = generate_primes_congruent(b, step, count)?.into_iter();
-        for (slot, &bit) in values.iter_mut().zip(all.iter()) {
-            if bit == b {
-                *slot = pool.next().unwrap_or(0);
-            }
-        }
-    }
-    let special = values.pop().unwrap_or(0);
-    debug_assert!(values.iter().all(|&v| v != 0) && special != 0);
-    Ok(CongruentChain {
-        n,
-        t,
-        data: values,
-        special,
-    })
-}
-
-/// Builder for [`BfvParams`].
-///
-/// The ciphertext modulus chain comes from, in order of precedence:
-/// exact limb values ([`BfvParamsBuilder::moduli`], one value for a
-/// single exact modulus), generated per-limb bit sizes
-/// ([`BfvParamsBuilder::moduli_bits`]), or a generated single prime of
-/// [`BfvParamsBuilder::cipher_bits`] bits (the default, preferring the
-/// Gazelle congruence `q ≡ 1 (mod 2n·t)`).
+/// On a chain with a special prime ([`BfvParamsBuilder::special_bits`] or
+/// [`BfvParamsBuilder::special_modulus`]) every generated limb, a
+/// generated `P` included, is congruent, or the build fails with
+/// [`Error::NoNttPrime`]. Only a data-only chain falls back to plain NTT
+/// primes for a size class whose congruent progression is too sparse
+/// (30-bit limbs at `n = 4096`: [`BfvParams::preset_rns_2x30`]).
 #[derive(Debug, Clone)]
 pub struct BfvParamsBuilder {
     n: usize,
     plain_bits: u32,
-    cipher_bits: u32,
     plain_modulus: Option<u64>,
     moduli: Option<Vec<u64>>,
-    moduli_bits: Option<Vec<u32>>,
+    moduli_bits: Vec<u32>,
     special_modulus: Option<u64>,
     special_bits: Option<u32>,
     a_dcmp: u64,
-    sigma: f64,
     security: SecurityLevel,
 }
 
@@ -701,20 +613,18 @@ impl Default for BfvParamsBuilder {
 
 impl BfvParamsBuilder {
     /// Creates a builder with Cheetah-flavored defaults
-    /// (`n = 4096`, 17-bit `t`, one 60-bit limb, `A_dcmp = 2^20`,
-    /// `σ = 3.2`).
+    /// (`n = 4096`, 17-bit `t`, one 60-bit limb, `A_dcmp = 2^20`); σ is
+    /// always [`DEFAULT_SIGMA`].
     pub fn new() -> Self {
         Self {
             n: 4096,
             plain_bits: 17,
-            cipher_bits: 60,
             plain_modulus: None,
             moduli: None,
-            moduli_bits: None,
+            moduli_bits: vec![60],
             special_modulus: None,
             special_bits: None,
             a_dcmp: 1 << 20,
-            sigma: DEFAULT_SIGMA,
             security: SecurityLevel::default(),
         }
     }
@@ -733,15 +643,6 @@ impl BfvParamsBuilder {
         self
     }
 
-    /// Single-limb chain of a generated prime with this many bits
-    /// (clears any previously set multi-limb configuration).
-    pub fn cipher_bits(&mut self, bits: u32) -> &mut Self {
-        self.cipher_bits = bits;
-        self.moduli = None;
-        self.moduli_bits = None;
-        self
-    }
-
     /// Uses an exact plaintext modulus (must be an NTT prime for `n`).
     pub fn plain_modulus(&mut self, t: u64) -> &mut Self {
         self.plain_modulus = Some(t);
@@ -752,14 +653,13 @@ impl BfvParamsBuilder {
     /// order.
     pub fn moduli(&mut self, values: impl Into<Vec<u64>>) -> &mut Self {
         self.moduli = Some(values.into());
-        self.moduli_bits = None;
         self
     }
 
     /// Generated modulus chain: one distinct NTT prime per requested bit
     /// size (equal sizes yield distinct primes).
     pub fn moduli_bits(&mut self, bits: &[u32]) -> &mut Self {
-        self.moduli_bits = Some(bits.to_vec());
+        self.moduli_bits = bits.to_vec();
         self.moduli = None;
         self
     }
@@ -774,9 +674,9 @@ impl BfvParamsBuilder {
         self
     }
 
-    /// Reserves a generated special key-switch prime of this many bits
-    /// (preferring the Gazelle congruence `P ≡ 1 (mod 2n·t)`, falling
-    /// back to a plain NTT prime; always distinct from the data limbs).
+    /// Reserves a generated special key-switch prime of this many bits:
+    /// the largest `P ≡ 1 (mod 2n·t)` distinct from the data limbs, or
+    /// [`Error::NoNttPrime`] at build time when there is none.
     pub fn special_bits(&mut self, bits: u32) -> &mut Self {
         self.special_bits = Some(bits);
         self.special_modulus = None;
@@ -786,12 +686,6 @@ impl BfvParamsBuilder {
     /// Sets the ciphertext decomposition base `A_dcmp`.
     pub fn a_dcmp(&mut self, base: u64) -> &mut Self {
         self.a_dcmp = base;
-        self
-    }
-
-    /// Sets the encryption-noise standard deviation.
-    pub fn sigma(&mut self, sigma: f64) -> &mut Self {
-        self.sigma = sigma;
         self
     }
 
@@ -813,36 +707,21 @@ impl BfvParamsBuilder {
             }
             return Ok(values.clone());
         }
-        // Without an explicit chain shape the builder generates one limb
-        // of `cipher_bits`.
-        let single = [self.cipher_bits];
-        let bits = self.moduli_bits.as_deref().unwrap_or(&single);
+        let bits = &self.moduli_bits;
         if bits.is_empty() {
             return Err(Error::InvalidLimbCount { limbs: 0 });
         }
-        // Equal bit sizes must still yield distinct primes: generate a
-        // pool per distinct size and hand primes out in request order.
-        // Each size class prefers primes ≡ 1 (mod 2n·t): with
-        // q mod t = 1 the BFV plaintext-multiplication rounding term
-        // (q mod t)·⌊mp/t⌋ vanishes (Gazelle's modulus structure, which
-        // Table III's noise model assumes), and a fully congruent chain
-        // keeps Q_ℓ ≡ 1 (mod t) at *every* level, which also kills the
-        // dominant modulus-switch drift. Sizes whose congruent progression
-        // is too sparse fall back to plain NTT primes (e.g. 30-bit limbs
-        // at n = 4096 — the 2x30 preset's documented regime).
+        let data_only = self.special_modulus.is_none() && self.special_bits.is_none();
+        // One pool per distinct size, handed out in request order.
         let mut values = vec![0u64; bits.len()];
-        let mut sizes = bits.to_vec();
+        let mut sizes = bits.clone();
         sizes.sort_unstable();
         sizes.dedup();
-        let congruent_step = (2 * self.n as u64).checked_mul(t_val);
         for b in sizes {
             let count = bits.iter().filter(|&&x| x == b).count();
-            let congruent = congruent_step
-                .map(|s| generate_primes_congruent(b, s, count))
-                .and_then(std::result::Result::ok);
-            let pool = match congruent {
-                Some(pool) => pool,
-                None => generate_ntt_primes(b, self.n, count)?,
+            let pool = match self.draw_congruent(b, t_val, count) {
+                Err(_) if data_only => generate_ntt_primes(b, self.n, count)?,
+                drawn => drawn?,
             };
             let mut pool = pool.into_iter();
             for (slot, &bit) in values.iter_mut().zip(bits.iter()) {
@@ -852,6 +731,14 @@ impl BfvParamsBuilder {
             }
         }
         Ok(values)
+    }
+
+    /// The `count` largest `bits`-bit primes `≡ 1 (mod 2n·t)`.
+    fn draw_congruent(&self, bits: u32, t_val: u64, count: usize) -> Result<Vec<u64>> {
+        let step = (2 * self.n as u64)
+            .checked_mul(t_val)
+            .ok_or(Error::NoNttPrime { bits, n: self.n })?;
+        generate_primes_congruent(bits, step, count)
     }
 
     /// Resolves the special key-switch prime, if one was requested.
@@ -867,24 +754,17 @@ impl BfvParamsBuilder {
         let Some(bits) = self.special_bits else {
             return Ok(None);
         };
-        // Draw one more candidate than there are data limbs so at least
-        // one survives the distinctness filter; prefer the congruent
-        // progression like the data limbs do, with the same fallback.
-        let pool_len = limb_values.len() + 1;
-        let step = (2 * self.n as u64).checked_mul(t_val);
-        let pick = |pool: Vec<u64>| {
-            pool.into_iter()
-                .find(|p| !limb_values.contains(p) && *p > t_val)
-        };
-        let congruent = step
-            .map(|s| generate_primes_congruent(bits, s, pool_len))
-            .and_then(std::result::Result::ok)
-            .and_then(&pick);
-        let p = match congruent {
-            Some(p) => p,
-            None => pick(generate_ntt_primes(bits, self.n, pool_len)?)
-                .ok_or(Error::NoNttPrime { bits, n: self.n })?,
-        };
+        // The draw starts where the data limbs' own draw of this size
+        // did, so it takes one more prime than the data limbs it can meet.
+        let taken = limb_values
+            .iter()
+            .filter(|&&q| 64 - q.leading_zeros() == bits)
+            .count();
+        let p = self
+            .draw_congruent(bits, t_val, taken + 1)?
+            .into_iter()
+            .find(|p| !limb_values.contains(p))
+            .ok_or(Error::NoNttPrime { bits, n: self.n })?;
         Ok(Some(p))
     }
 
@@ -991,7 +871,6 @@ impl BfvParamsBuilder {
                 levels,
                 special,
                 a_dcmp: self.a_dcmp,
-                sigma: self.sigma,
                 t_table,
                 security: self.security,
             }),
@@ -1043,16 +922,6 @@ mod tests {
             let err = BfvParams::builder()
                 .degree(4096)
                 .security(SecurityLevel::None)
-                .cipher_bits(bits)
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(err, Error::InvalidModulus(_)),
-                "cipher_bits {bits}"
-            );
-            let err = BfvParams::builder()
-                .degree(4096)
-                .security(SecurityLevel::None)
                 .moduli_bits(&[36])
                 .special_bits(bits)
                 .build()
@@ -1097,7 +966,7 @@ mod tests {
         // 60-bit q at n=2048 exceeds the 54-bit limit.
         let err = BfvParams::builder()
             .degree(2048)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::InsecureParameters { .. }));
@@ -1112,7 +981,7 @@ mod tests {
         // …but is allowed with enforcement off.
         let p = BfvParams::builder()
             .degree(2048)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .security(SecurityLevel::None)
             .build()
             .unwrap();
@@ -1152,7 +1021,7 @@ mod tests {
     fn decomposition_levels_exposed() {
         let p = BfvParams::builder()
             .degree(4096)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .a_dcmp(1 << 20)
             .build()
             .unwrap();
@@ -1204,7 +1073,7 @@ mod tests {
         assert_eq!(a, b);
         let c = BfvParams::builder()
             .degree(8192)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .build()
             .unwrap();
         assert_ne!(a, c);
@@ -1220,7 +1089,7 @@ mod tests {
     #[test]
     fn fresh_noise_and_ceiling_formulas() {
         let p = BfvParams::builder().build().unwrap();
-        let b = 6.0 * p.sigma();
+        let b = 6.0 * DEFAULT_SIGMA;
         assert!((p.fresh_noise_bound() - 2.0 * 4096.0 * b * b).abs() < 1e-6);
         assert!(p.noise_ceiling_at(0) > 0.0);
         // Multi-limb ceiling reflects the composed modulus.
@@ -1302,18 +1171,13 @@ mod tests {
     #[test]
     fn special_prime_separates_equality_and_counts_toward_security() {
         // Same data chain with and without a special prime: foreign.
-        let c = search_congruent_chain(4096, 16, &[36, 36], 36).unwrap();
+        let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
+        let t = hybrid.plain_modulus().value();
+        let data: Vec<u64> = hybrid.chain().moduli().iter().map(Modulus::value).collect();
         let digit = BfvParams::builder()
             .degree(4096)
-            .plain_modulus(c.t)
-            .moduli(c.data.clone())
-            .build()
-            .unwrap();
-        let hybrid = BfvParams::builder()
-            .degree(4096)
-            .plain_modulus(c.t)
-            .moduli(c.data.clone())
-            .special_modulus(c.special)
+            .plain_modulus(t)
+            .moduli(data.clone())
             .build()
             .unwrap();
         assert_eq!(digit.chain(), hybrid.chain());
@@ -1334,21 +1198,46 @@ mod tests {
         // A special prime duplicating a data limb is rejected.
         let err = BfvParams::builder()
             .degree(4096)
-            .plain_modulus(c.t)
-            .moduli(c.data.clone())
-            .special_modulus(c.data[0])
+            .plain_modulus(t)
+            .moduli(data.clone())
+            .special_modulus(data[0])
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidModulus(_)));
     }
 
     #[test]
-    fn search_congruent_chain_reports_impossible_regimes() {
+    fn special_bits_reports_impossible_regimes() {
+        let draw = |n: usize, data: &[u32], special: u32| {
+            BfvParams::builder()
+                .degree(n)
+                .plain_bits(16)
+                .moduli_bits(data)
+                .special_bits(special)
+                .build()
+        };
         // 30-bit congruent limbs cannot exist at n = 4096 with a 16-bit t
-        // (the progression step 2n·t already exceeds 2^30).
-        assert!(search_congruent_chain(4096, 16, &[30, 30], 30).is_err());
-        assert!(search_congruent_chain(100, 16, &[36], 36).is_err());
-        assert!(search_congruent_chain(4096, 16, &[], 36).is_err());
+        // (the progression step 2n·t already exceeds 2^30): with a special
+        // prime that is a typed error, not a chain of plain NTT primes…
+        assert!(matches!(
+            draw(4096, &[30, 30], 30),
+            Err(Error::NoNttPrime { bits: 30, .. })
+        ));
+        // …while the data-only chain keeps its fallback (rns_2x30).
+        assert!(BfvParams::builder()
+            .degree(4096)
+            .plain_bits(16)
+            .moduli_bits(&[30, 30])
+            .build()
+            .is_ok());
+        assert!(matches!(
+            draw(100, &[36], 36),
+            Err(Error::InvalidDegree(100))
+        ));
+        assert!(matches!(
+            draw(4096, &[], 36),
+            Err(Error::InvalidLimbCount { limbs: 0 })
+        ));
     }
 
     #[test]

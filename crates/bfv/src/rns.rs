@@ -1481,7 +1481,7 @@ mod tests {
         use crate::encryptor::{Decryptor, Encryptor};
         use crate::evaluator::Evaluator;
         use crate::keys::{element_for_step, KeyGenerator};
-        use crate::params::BfvParams;
+        use crate::params::{BfvParams, DEFAULT_SIGMA};
         use crate::sampling::BfvRng;
 
         for (name, params) in BfvParams::presets(4096).unwrap() {
@@ -1514,7 +1514,7 @@ mod tests {
 
             let a_base = params.a_dcmp();
             let l_cmp = chain.decomposition_levels(a_base);
-            let mut rng = BfvRng::from_seed(0xc0de, params.sigma());
+            let mut rng = BfvRng::from_seed(0xc0de, DEFAULT_SIGMA);
             let mut pairs: Vec<(RnsPoly, RnsPoly)> = Vec::with_capacity(l_cmp);
             let mut scale: Vec<u64> = vec![1; chain.limbs()];
             for level in 0..l_cmp {

@@ -302,7 +302,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(2048)
             .plain_bits(16)
-            .cipher_bits(54)
+            .moduli_bits(&[54])
             .build()
             .unwrap();
         let mut s = Scratch::new(params.degree(), params.limbs());

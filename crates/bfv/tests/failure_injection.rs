@@ -17,11 +17,11 @@ use cheetah_bfv::{
 };
 use support::Alloc;
 
-fn params(plain_bits: u32, cipher_bits: u32) -> BfvParams {
+fn params(plain_bits: u32, q_bits: u32) -> BfvParams {
     BfvParams::builder()
         .degree(2048)
         .plain_bits(plain_bits)
-        .cipher_bits(cipher_bits)
+        .moduli_bits(&[q_bits])
         .a_dcmp(1 << 16)
         .security(SecurityLevel::None)
         .build()
@@ -130,7 +130,7 @@ fn security_enforcement_blocks_legacy_parameters() {
     // Gazelle's real n=2048/q=60 violates the 128-bit table.
     let err = BfvParams::builder()
         .degree(2048)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .build()
         .unwrap_err();
     assert!(matches!(

@@ -10,9 +10,9 @@
 
 mod support;
 
-use cheetah_bfv::params::search_congruent_chain;
+use cheetah_bfv::params::SecurityLevel;
 use cheetah_bfv::{
-    BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
+    BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Error, Evaluator, KeyGenerator,
 };
 use support::Alloc;
 
@@ -225,19 +225,32 @@ fn hybrid_rotate_transform_bill_beats_the_equal_width_digit_preset() {
 
 #[test]
 fn chain_search_is_congruent_for_random_draws() {
-    // Deterministic sweep over (n, t_bits, limb widths): every chain the
-    // search returns must be congruent (q ≡ 1 mod 2n·t) down to and
-    // including the special prime. Impossible regimes must error, never
-    // silently fall back.
+    // Deterministic sweep over (n, t_bits, limb widths): every chain with a
+    // generated special prime the builder returns must be congruent
+    // (q ≡ 1 mod 2n·t) down to and including the special prime. Impossible
+    // regimes must error, never silently fall back.
     for (n, t_bits) in [(2048usize, 14u32), (4096, 16), (8192, 17)] {
         for widths in [&[54u32][..], &[36, 36], &[40, 40]] {
             let special = widths[0];
-            let Ok(c) = search_congruent_chain(n, t_bits, widths, special) else {
-                continue;
+            let built = BfvParams::builder()
+                .degree(n)
+                .plain_bits(t_bits)
+                .moduli_bits(widths)
+                .special_bits(special)
+                .security(SecurityLevel::None)
+                .build();
+            let p = match built {
+                Ok(p) => p,
+                Err(e) => {
+                    assert!(matches!(e, Error::NoNttPrime { .. }), "n={n}: {e:?}");
+                    continue;
+                }
             };
-            let step = 2 * (n as u64) * c.t;
-            for &q in c.data.iter().chain(std::iter::once(&c.special)) {
-                assert_eq!(q % step, 1, "n={n} t={} q={q}", c.t);
+            let t = p.plain_modulus().value();
+            let step = 2 * (n as u64) * t;
+            let data = p.chain().moduli().iter().map(|q| q.value());
+            for q in data.chain(p.special().map(|q| q.value())) {
+                assert_eq!(q % step, 1, "n={n} t={t} q={q}");
             }
         }
     }

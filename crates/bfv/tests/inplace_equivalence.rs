@@ -29,7 +29,7 @@ fn ctx(seed: u64) -> Ctx {
     let params = BfvParams::builder()
         .degree(2048)
         .plain_bits(16)
-        .cipher_bits(54)
+        .moduli_bits(&[54])
         .a_dcmp(1 << 16)
         .build()
         .unwrap();

@@ -18,6 +18,7 @@
 mod oracle;
 mod support;
 
+use cheetah_bfv::params::DEFAULT_SIGMA;
 use cheetah_bfv::{
     wire, BatchEncoder, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator,
     RnsPoly,
@@ -124,7 +125,7 @@ fn check_key_pairs(params: &BfvParams, key: &cheetah_bfv::GaloisKey, s: &[i8]) {
     };
     assert_eq!(weights.len(), key.pairs().len());
     let s_g = automorphism_ternary(s, key.element);
-    let cbd_bound = (2.0 * params.sigma() * params.sigma()).round() as u128;
+    let cbd_bound = (2.0 * DEFAULT_SIGMA * DEFAULT_SIGMA).round() as u128;
     for (d, ((k0, a), &w)) in key.pairs().iter().zip(&weights).enumerate() {
         let k0 = m.compose_planes(&coeff_planes(&k0.unpack(), ks));
         let a = m.compose_planes(&coeff_planes(&a.unpack(), ks));

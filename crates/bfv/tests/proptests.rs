@@ -6,7 +6,8 @@ mod support;
 
 use cheetah_bfv::arith::{bit_reverse, generate_ntt_prime, Modulus, ShoupPrecomp};
 use cheetah_bfv::ntt::{negacyclic_mul_naive, NttTable};
-use cheetah_bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
+use cheetah_bfv::params::SecurityLevel;
+use cheetah_bfv::{BatchEncoder, BfvParams, Decryptor, Encryptor, Error, Evaluator, KeyGenerator};
 use proptest::prelude::*;
 use support::Alloc;
 
@@ -147,7 +148,7 @@ fn hom_ctx(seed: u64) -> HomCtx {
     let params = BfvParams::builder()
         .degree(2048)
         .plain_bits(16)
-        .cipher_bits(54)
+        .moduli_bits(&[54])
         .a_dcmp(1 << 16)
         .build()
         .unwrap();
@@ -231,18 +232,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// HE-PTune v2 prime search: the congruence contract under random draws.
+// The builder's prime draw: the congruence contract under random draws.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever `(n, t_bits, limb widths)` the solver asks for, a chain
-    /// the search *returns* is fully congruent: every data limb and the
-    /// special prime satisfy `q ≡ 1 (mod 2n·t)`, all primes are pairwise
-    /// distinct, and each lands in its requested size class. Regimes with
-    /// no congruent primes error out (covered by the unit suite) — here
-    /// they are skipped, never silently degraded.
+    /// with a generated special prime that the builder *returns* is fully
+    /// congruent: every data limb and the special prime satisfy
+    /// `q ≡ 1 (mod 2n·t)`, all primes are pairwise distinct, and each
+    /// lands in its requested size class. Regimes with no congruent primes
+    /// are a typed [`Error::NoNttPrime`] — skipped here, never silently
+    /// degraded.
     #[test]
     fn congruent_chain_search_holds_for_random_draws(
         n_pow in 10u32..13,
@@ -256,13 +258,26 @@ proptest! {
         let width = t_bits + n_pow + 3 + extra;
         prop_assume!(width <= 60);
         let data = vec![width; limbs];
-        let Ok(c) = cheetah_bfv::search_congruent_chain(n, t_bits, &data, width) else {
-            prop_assume!(false);
-            unreachable!();
+        // The draw, not the security table, is under test.
+        let params = match BfvParams::builder()
+            .degree(n)
+            .plain_bits(t_bits)
+            .moduli_bits(&data)
+            .special_bits(width)
+            .security(SecurityLevel::None)
+            .build()
+        {
+            Ok(params) => params,
+            Err(e) => {
+                prop_assert!(matches!(e, Error::NoNttPrime { .. }), "{:?}", e);
+                prop_assume!(false);
+                unreachable!();
+            }
         };
-        let step = 2 * (n as u64) * c.t;
-        let mut all: Vec<u64> = c.data.clone();
-        all.push(c.special);
+        let t = params.plain_modulus().value();
+        let step = 2 * (n as u64) * t;
+        let mut all: Vec<u64> = params.chain().moduli().iter().map(Modulus::value).collect();
+        all.push(params.special().expect("special prime requested").value());
         prop_assert_eq!(all.len(), limbs + 1);
         for &q in &all {
             prop_assert_eq!(q % step, 1, "q = {} not congruent (step {})", q, step);
@@ -272,7 +287,7 @@ proptest! {
         dedup.sort_unstable();
         dedup.dedup();
         prop_assert_eq!(dedup.len(), all.len(), "limbs must be pairwise distinct");
-        prop_assert_eq!(64 - c.t.leading_zeros(), t_bits);
+        prop_assert_eq!(64 - t.leading_zeros(), t_bits);
     }
 }
 

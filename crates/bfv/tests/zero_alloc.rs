@@ -59,7 +59,7 @@ fn steady_state_inplace_ops_do_not_allocate() {
     let digit_chain = BfvParams::builder()
         .degree(2048)
         .plain_bits(16)
-        .cipher_bits(54)
+        .moduli_bits(&[54])
         .a_dcmp(1 << 16)
         .build()
         .unwrap();

@@ -500,7 +500,7 @@ mod tests {
             BfvParams::builder()
                 .degree(4096)
                 .plain_bits(16)
-                .cipher_bits(60)
+                .moduli_bits(&[60])
                 .a_dcmp(1 << 6)
                 .build()
                 .unwrap(),
@@ -808,7 +808,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(4096)
             .plain_bits(20)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .build()
             .unwrap();
         let encoder = BatchEncoder::new(params.clone());

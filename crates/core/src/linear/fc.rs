@@ -581,7 +581,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(4096)
             .plain_bits(16)
-            .cipher_bits(60)
+            .moduli_bits(&[60])
             .a_dcmp(1 << 6)
             .build()
             .unwrap();
@@ -1266,7 +1266,7 @@ mod tests {
         let params = BfvParams::builder()
             .degree(2048)
             .plain_bits(20)
-            .cipher_bits(54)
+            .moduli_bits(&[54])
             .build()
             .unwrap();
         let encoder = BatchEncoder::new(params.clone());

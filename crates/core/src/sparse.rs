@@ -179,11 +179,6 @@ impl FcStructure {
     pub fn all_zero(&self) -> bool {
         self.live_diagonals() == 0
     }
-
-    /// Live fraction in `[0, 1]`.
-    pub fn live_fraction(&self) -> f64 {
-        self.live_diagonals() as f64 / self.diagonals() as f64
-    }
 }
 
 /// One live giant group of a [`BsgsPlan`] chain.
@@ -572,11 +567,6 @@ impl ConvStructure {
     pub fn all_zero(&self) -> bool {
         !self.nonzero.contains(&true)
     }
-
-    /// Live fraction of `(d, tap)` masks in `[0, 1]`.
-    pub fn live_fraction(&self) -> f64 {
-        self.live_masks() as f64 / (self.diagonals() * self.taps) as f64
-    }
 }
 
 /// Analyzed structure of one linear layer — what the solver prices a chain
@@ -604,14 +594,6 @@ impl LayerStructure {
         match layer {
             LinearLayer::Fc(f) => LayerStructure::Fc(FcStructure::dense(f.no, f.ni)),
             LinearLayer::Conv(c) => LayerStructure::Conv(ConvStructure::dense(c.co, c.ci, c.fw)),
-        }
-    }
-
-    /// Live fraction of the layer's masks in `[0, 1]`.
-    pub fn live_fraction(&self) -> f64 {
-        match self {
-            LayerStructure::Fc(f) => f.live_fraction(),
-            LayerStructure::Conv(c) => c.live_fraction(),
         }
     }
 
@@ -675,7 +657,7 @@ mod tests {
         assert_eq!(s.live_diagonals(), ni - 4);
         assert!(!s.is_live(3) && s.is_live(4));
         assert!(!s.all_zero());
-        assert!((s.live_fraction() - 0.75).abs() < 1e-12);
+        assert_eq!(s.diagonals(), ni);
     }
 
     #[test]
@@ -797,7 +779,6 @@ mod tests {
         // Per output range: tap 0 of diagonal 0 belongs to output 1 alone.
         assert!(!s.mask_live(0..1, 0, 0) && s.mask_live(1..2, 0, 0));
         assert_eq!(s.live_masks(), 3);
-        assert!((s.live_fraction() - 3.0 / 36.0).abs() < 1e-12);
         assert!(!s.all_zero());
         // A non-power-of-two channel count pads: diagonal d pairs output o
         // with channel (o + d) mod 4, and channel 3 does not exist.
@@ -822,9 +803,8 @@ mod tests {
         let w = Tensor::from_data(&[4, 8], vec![0; 32]);
         let s = LayerStructure::analyze(&fc, &w);
         assert!(s.all_zero());
-        assert_eq!(s.live_fraction(), 0.0);
         let d = LayerStructure::dense(&fc);
         assert!(!d.all_zero());
-        assert_eq!(d.live_fraction(), 1.0);
+        assert!(matches!(&d, LayerStructure::Fc(f) if f.live_diagonals() == f.diagonals()));
     }
 }

@@ -87,7 +87,7 @@ fn flat_params() -> BfvParams {
     BfvParams::builder()
         .degree(4096)
         .plain_bits(16)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 6)
         .build()
         .unwrap()

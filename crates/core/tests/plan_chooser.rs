@@ -116,7 +116,7 @@ fn parameter_sets(n: usize) -> Vec<(&'static str, BfvParams)> {
     let one_limb = BfvParams::builder()
         .degree(n)
         .plain_bits(20)
-        .cipher_bits(54)
+        .moduli_bits(&[54])
         .build();
     out.push(("one limb 54", one_limb.unwrap()));
     out

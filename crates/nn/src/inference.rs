@@ -190,62 +190,6 @@ pub fn round_weight_to_pow2(w: i64, max_exp: u32) -> i64 {
     }
 }
 
-/// Accuracy cost of the pow2 weight regime for one model: compares a
-/// plaintext forward pass with integer weights against the same weights
-/// rounded to signed powers of two, over deterministic inputs.
-#[derive(Debug, Clone)]
-pub struct Pow2Report {
-    /// Model name.
-    pub model: String,
-    /// Fraction of output entries that match exactly.
-    pub exact_match: f64,
-    /// Mean relative error of the pow2 outputs (`|Δ| / max(1, |ref|)`).
-    pub mean_rel_err: f64,
-    /// Worst relative error over all outputs and inputs.
-    pub max_rel_err: f64,
-    /// Fraction of zero weights after rounding (pow2 keeps zeros).
-    pub sparsity: f64,
-}
-
-/// Builds the pow2 accuracy-vs-speed report for a network: `count`
-/// deterministic inputs, integer weights vs their pow2 rounding.
-pub fn pow2_accuracy_report(
-    net: &Network,
-    weights: &Weights,
-    max_exp: u32,
-    input_bound: i64,
-    seed: u64,
-    count: usize,
-) -> Pow2Report {
-    let mut p2 = weights.clone();
-    p2.round_to_pow2(max_exp);
-    let mut exact = 0usize;
-    let mut total = 0usize;
-    let mut err_sum = 0.0f64;
-    let mut err_max = 0.0f64;
-    for i in 0..count {
-        let input = random_input(&net.input_shape, input_bound, seed + i as u64);
-        let reference = infer(net, weights, &input).output;
-        let rounded = infer(net, &p2, &input).output;
-        for (&r, &p) in reference.data().iter().zip(rounded.data()) {
-            let rel = (r - p).abs() as f64 / (r.abs().max(1)) as f64;
-            if rel == 0.0 {
-                exact += 1;
-            }
-            err_sum += rel;
-            err_max = err_max.max(rel);
-            total += 1;
-        }
-    }
-    Pow2Report {
-        model: net.name.clone(),
-        exact_match: exact as f64 / total.max(1) as f64,
-        mean_rel_err: err_sum / total.max(1) as f64,
-        max_rel_err: err_max,
-        sparsity: p2.sparsity(),
-    }
-}
-
 /// Result of a plaintext forward pass.
 #[derive(Debug, Clone)]
 pub struct InferenceTrace {
@@ -514,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn pow2_rounding_and_report() {
+    fn weights_round_to_bounded_pow2() {
         let net = tiny_cnn();
         let mut w = Weights::random(&net, 15, 21);
         w.round_to_pow2(3);
@@ -526,23 +470,6 @@ mod tests {
                 );
             }
         }
-        let w = Weights::random(&net, 15, 21);
-        let report = pow2_accuracy_report(&net, &w, 3, 5, 33, 4);
-        assert_eq!(report.model, net.name);
-        assert!(report.mean_rel_err >= 0.0 && report.mean_rel_err <= report.max_rel_err);
-        assert!(
-            report.max_rel_err < 2.0,
-            "pow2 rounding halves a weight at worst; outputs stay the same scale (got {})",
-            report.max_rel_err
-        );
-        assert!((0.0..=1.0).contains(&report.exact_match));
-        // Pure pow2 weights round to themselves: a report on already-pow2
-        // weights is exact.
-        let mut p2 = Weights::random(&net, 15, 22);
-        p2.round_to_pow2(3);
-        let exact = pow2_accuracy_report(&net, &p2, 3, 5, 34, 2);
-        assert_eq!(exact.exact_match, 1.0);
-        assert_eq!(exact.max_rel_err, 0.0);
     }
 
     #[test]

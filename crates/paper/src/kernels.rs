@@ -318,7 +318,7 @@ fn setup(cfg: KernelConfig) -> Bench {
     let params = BfvParams::builder()
         .degree(cfg.n)
         .plain_bits(17)
-        .cipher_bits(cfg.q_bits)
+        .moduli_bits(&[cfg.q_bits])
         .a_dcmp(1u64 << cfg.a_dcmp_log2)
         // Sweeps cover insecure corners too; the timer must still run them.
         .security(SecurityLevel::None)

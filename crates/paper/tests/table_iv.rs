@@ -39,7 +39,7 @@ fn ctx() -> Ctx {
     let params = BfvParams::builder()
         .degree(4096)
         .plain_bits(16)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 6)
         .build()
         .unwrap();

@@ -13,7 +13,7 @@ fn session_params() -> BfvParams {
     BfvParams::builder()
         .degree(4096)
         .plain_bits(18)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 6)
         .build()
         .unwrap()
@@ -168,7 +168,7 @@ fn a_spent_budget_stops_the_round_before_anything_ships() {
     let params = BfvParams::builder()
         .degree(4096)
         .plain_bits(30)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 6)
         .build()
         .unwrap();

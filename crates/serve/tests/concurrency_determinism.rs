@@ -40,7 +40,7 @@ fn preset_chains() -> Vec<(&'static str, BfvParams)> {
     let single_60 = BfvParams::builder()
         .degree(N)
         .plain_bits(18)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 6)
         .build()
         .unwrap();

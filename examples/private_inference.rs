@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = BfvParams::builder()
         .degree(4096)
         .plain_bits(18)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 4)
         .build()?;
 

@@ -13,7 +13,7 @@ fn main() -> Result<(), Error> {
     let params = BfvParams::builder()
         .degree(4096)
         .plain_bits(17)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 20)
         .build()?;
     let chain = params.chain();

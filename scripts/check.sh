@@ -55,11 +55,37 @@ if awk '/^[[:space:]]*pub fn / { sig = ""; on = 1 }
     echo "FAIL: evaluator.rs has an allocating operation again (see signatures above)"
     exit 1
 fi
+# An into-form is the only form of its operation: no allocating twin
+# (pub fn x) and no level-taking allocating twin (pub fn x_at) beside a
+# pub fn x_into anywhere in the engine crate. The caller allocates the
+# output, at the level it wants, and calls the one body.
+bfv_src=$(git ls-files 'crates/bfv/src/*.rs')
+for base in $(grep -ohE 'pub fn [a-z0-9_]+_into\b' $bfv_src | sed -E 's/^pub fn (.*)_into$/\1/' | sort -u); do
+    if grep -nE "pub fn ${base}(_at)?[[:space:]]*[(<]" $bfv_src; then
+        echo "FAIL: crates/bfv/src has pub fn ${base}_into and an allocating twin of it (see match above)"
+        exit 1
+    fi
+done
 # Two second forms the pairing above cannot see: the one-term accumulate
 # (a one-term mul_plain_accumulate_many) and the into-form of a mod switch
 # (copy_from follows the source's level, then mod_switch_to_next_assign).
 if grep -nE 'pub fn (mul_plain_accumulate|mod_switch_to_next_into)[[:space:]]*[(<]' crates/bfv/src/evaluator.rs; then
     echo "FAIL: evaluator.rs has a second form of mul_plain_accumulate_many or mod_switch_to_next_assign again (see match above)"
+    exit 1
+fi
+
+echo "==> one-parameter-path gate"
+# BfvParamsBuilder is the only way a parameter set is made and draws every
+# prime, presets included: a chain with a special prime is congruent down
+# to and including a generated P, or the build fails. The second prime
+# search, its result type, the single-limb twin of moduli_bits and the
+# sigma setter (sigma is DEFAULT_SIGMA everywhere) stay deleted.
+if git grep -nE 'search_congruent_chain|CongruentChain|\bcipher_bits\b' -- crates src tests examples; then
+    echo "FAIL: a second parameter path is back (see matches above)"
+    exit 1
+fi
+if grep -nE 'pub fn sigma\(&mut self' crates/bfv/src/params.rs; then
+    echo "FAIL: crates/bfv/src/params.rs has a sigma setter again (see match above)"
     exit 1
 fi
 

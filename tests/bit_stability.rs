@@ -95,14 +95,26 @@ fn preset_at(name: &str, n: usize) -> BfvParams {
 }
 
 /// `(preset, degree, chain fingerprint)` — every wire header's chain
-/// word, including the retired plaintext-window slot it still mixes.
-const FINGERPRINT_PINS: [(&str, usize, u64); 6] = [
+/// word, including the retired plaintext-window slot it still mixes, for
+/// every preset at every degree in 4096…16384 where it builds. The
+/// fingerprint folds `n`, `t`, every data limb and `P`, so a pin holds a
+/// preset's primes at that degree bit for bit.
+const FINGERPRINT_PINS: [(&str, usize, u64); 15] = [
     ("single_60", 4096, 0x44f6_931d_fcf0_c240),
+    ("single_60", 8192, 0x6fea_bec0_733c_b240),
+    ("single_60", 16384, 0x1513_cdd7_4a63_9240),
     ("rns_2x30", 4096, 0x53bd_316f_5b16_584a),
+    ("rns_2x30", 8192, 0xa250_ccfe_5621_684a),
+    ("rns_2x30", 16384, 0x2d44_7f34_3b09_484a),
     ("rns_3x36", 4096, 0xccfe_4c69_63ef_e45c),
+    ("rns_3x36", 8192, 0x1bf4_cabf_d864_545c),
+    ("rns_3x36", 16384, 0x7005_e266_1889_b45c),
     ("hybrid_1x54", 4096, 0x4048_d3a2_368c_03f3),
+    ("hybrid_1x54", 8192, 0x7136_be9e_e5b5_33f3),
+    ("hybrid_1x54", 16384, 0xb2e2_1277_c6c5_13f3),
     ("hybrid_2x36", 4096, 0x3ab6_4bea_cbcc_99fd),
     ("hybrid_2x40", 8192, 0x420d_b8df_f505_a9fd),
+    ("hybrid_2x40", 16384, 0xa3ee_1794_cc98_49fd),
 ];
 
 #[test]
@@ -113,6 +125,21 @@ fn chain_fingerprints_keep_their_bits() {
         pins.check(format!("{name} n={n} fingerprint"), got, pin);
     }
     pins.finish();
+}
+
+#[test]
+fn hybrid_2x36_has_no_congruent_chain_past_4096() {
+    // Three congruent 36-bit primes do not exist at n = 8192 or 16384: the
+    // preset is a typed error there, never a chain of plain NTT primes.
+    for n in [8192, 16384] {
+        assert!(
+            matches!(
+                BfvParams::preset_hybrid_2x36(n),
+                Err(cheetah::bfv::Error::NoNttPrime { .. })
+            ),
+            "hybrid_2x36 at n = {n}"
+        );
+    }
 }
 
 /// Digest of `expand_uniform` over the data and key-switch chains of

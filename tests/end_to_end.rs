@@ -47,7 +47,7 @@ fn private_inference_matches_plaintext() {
     let params = BfvParams::builder()
         .degree(4096)
         .plain_bits(18)
-        .cipher_bits(60)
+        .moduli_bits(&[60])
         .a_dcmp(1 << 6)
         .build()
         .unwrap();

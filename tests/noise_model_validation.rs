@@ -26,7 +26,7 @@ fn session(n: usize, t_bits: u32, q_bits: u32, a_log: u32, seed: u64) -> Session
     let params = BfvParams::builder()
         .degree(n)
         .plain_bits(t_bits)
-        .cipher_bits(q_bits)
+        .moduli_bits(&[q_bits])
         .a_dcmp(1 << a_log)
         .security(SecurityLevel::None)
         .build()
