@@ -148,9 +148,12 @@ impl fmt::Display for Error {
             Error::NotInvertible { value, modulus } => {
                 write!(f, "{value} is not invertible modulo {modulus}")
             }
-            Error::NoNttPrime { bits, n } => {
-                write!(f, "no {bits}-bit prime congruent to 1 mod {}", 2 * n)
-            }
+            Error::NoNttPrime { bits, n } => write!(
+                f,
+                "not enough {bits}-bit NTT primes for degree {n} \
+                 (q ≡ 1 mod {}, or mod 2n·t on a congruent chain)",
+                2 * n
+            ),
             Error::NoPrimitiveRoot { modulus, order } => {
                 write!(f, "no primitive root of order {order} modulo {modulus}")
             }

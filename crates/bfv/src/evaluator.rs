@@ -1015,8 +1015,8 @@ impl Evaluator {
 
     /// Switches a ciphertext in place down to an exact target level
     /// (repeated [`Evaluator::mod_switch_to_next_assign`]; a no-op when
-    /// already there). Pair with [`NoiseEstimate::recommended_level`] to
-    /// drop as many limbs as the remaining noise budget allows.
+    /// already there). Which level to switch to is the caller's rule,
+    /// priced by [`NoiseEstimate::mod_switch`] transitions.
     ///
     /// # Errors
     ///

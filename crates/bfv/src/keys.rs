@@ -907,17 +907,11 @@ mod tests {
         let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
         let digit = BfvParams::builder()
             .degree(4096)
-            .plain_modulus(hybrid.plain_modulus().value())
-            .moduli(
-                hybrid
-                    .chain()
-                    .moduli()
-                    .iter()
-                    .map(|q| q.value())
-                    .collect::<Vec<_>>(),
-            )
+            .plain_bits(hybrid.plain_modulus().bits())
+            .moduli_bits(&[36, 36])
             .build()
             .unwrap();
+        assert_eq!(digit.chain(), hybrid.chain());
         let kg_d = KeyGenerator::from_seed(digit, 77);
         let kg_h = KeyGenerator::from_seed(hybrid, 77);
         assert_eq!(

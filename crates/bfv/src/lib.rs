@@ -43,12 +43,14 @@
 //!   keys keep working (the limb-major key-pair list is consumed as a
 //!   prefix — no key regeneration).
 //! * **When to switch** — once enough budget has been burned that the
-//!   remaining circuit fits under a smaller ceiling:
-//!   [`NoiseEstimate::recommended_level`] walks the transition model and
-//!   returns the deepest safe level for an
-//!   [`Evaluator::mod_switch_to_assign`] call. Chains whose limbs satisfy
-//!   `q_i ≡ 1 (mod t)` (the builder prefers them when such primes exist)
-//!   switch nearly free of rounding drift; incongruent chains pay up to
+//!   remaining circuit fits under a smaller ceiling. The engine prices
+//!   each switch ([`NoiseEstimate::mod_switch`]) and performs it
+//!   ([`Evaluator::mod_switch_to_assign`]); the level rule itself lives
+//!   with the layer planner (`cheetah_core::linear::run_level` and
+//!   `shipping_level`), which walks those transitions. Chains whose
+//!   limbs satisfy `q_i ≡ 1 (mod t)` (the builder prefers them when such
+//!   primes exist) switch nearly free of rounding drift; incongruent
+//!   chains pay up to
 //!   `Q_ℓ mod t`, which is why a 30-bit limb over a 16-bit `t` cannot
 //!   drop to a single limb while 36-bit limbs over a 17-bit `t` can.
 //!

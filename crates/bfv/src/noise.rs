@@ -266,32 +266,6 @@ impl NoiseEstimate {
         let sigma_log2 = self.variance_log2 / 2.0;
         params.noise_ceiling_at(level).log2() - (sigma_log2 + FAILURE_SCALE.log2())
     }
-
-    /// The deepest level this estimate can be modulus-switched to while
-    /// keeping at least `margin_bits` of worst-case budget: walks
-    /// [`NoiseEstimate::mod_switch`] transitions from `from_level` down
-    /// the chain and stops before the first level that would dip under the
-    /// margin. Returns `from_level` itself when no switch is safe — the
-    /// caller can always use the answer directly as a
-    /// [`crate::Evaluator::mod_switch_to_assign`] target.
-    pub fn recommended_level(
-        &self,
-        params: &BfvParams,
-        from_level: usize,
-        margin_bits: f64,
-    ) -> usize {
-        let mut est = *self;
-        let mut level = from_level;
-        while level < params.max_level() {
-            let next = est.mod_switch(params, level);
-            if next.budget_bits_worst_at(params, level + 1) < margin_bits {
-                break;
-            }
-            est = next;
-            level += 1;
-        }
-        level
-    }
 }
 
 /// `log2(2^a + 2^b)` computed stably.

@@ -26,8 +26,7 @@
 //! let single = BfvParams::builder().degree(4096).moduli_bits(&[60]).build()?;
 //! assert_eq!(single.limbs(), 1);
 //!
-//! // Multi-limb: generated sizes via `.moduli_bits(&[30, 30])`, or exact
-//! // primes via `.moduli([...])`.
+//! // Multi-limb: one generated prime per requested width.
 //! let two = BfvParams::builder()
 //!     .degree(4096)
 //!     .plain_bits(17)
@@ -36,11 +35,13 @@
 //! assert_eq!(two.limbs(), 2);
 //! assert_eq!(two.chain().total_bits(), 60);
 //!
-//! let explicit = BfvParams::builder()
+//! // The same widths draw the same primes.
+//! let again = BfvParams::builder()
 //!     .degree(4096)
-//!     .moduli(two.chain().moduli().iter().map(|m| m.value()).collect::<Vec<_>>())
+//!     .plain_bits(17)
+//!     .moduli_bits(&[30, 30])
 //!     .build()?;
-//! assert_eq!(explicit.chain(), two.chain());
+//! assert_eq!(again.chain(), two.chain());
 //! # Ok(())
 //! # }
 //! ```
@@ -59,10 +60,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::arith::{
-    generate_ntt_prime, generate_ntt_primes, generate_primes_congruent, Modulus,
-    MAX_NTT_MODULUS_BITS,
-};
+use crate::arith::{generate_ntt_prime, generate_ntt_primes, generate_primes_congruent, Modulus};
 use crate::error::{Error, Result};
 use crate::ntt::NttTable;
 use crate::rns::{ModulusChain, Representation, RnsPoly};
@@ -575,20 +573,20 @@ impl BfvParams {
 
 /// Builder for [`BfvParams`] — the only way a parameter set is made.
 ///
-/// The ciphertext modulus chain is either exact limb values
-/// ([`BfvParamsBuilder::moduli`]) or generated per-limb bit sizes
-/// ([`BfvParamsBuilder::moduli_bits`]; the default is one 60-bit limb),
-/// whichever was set last. Generated primes are drawn largest first from
-/// the Gazelle progression `q ≡ 1 (mod 2n·t)`, one pool per size class so
-/// equal sizes stay distinct. With `q mod t = 1` the plaintext
-/// multiplication rounding term `(q mod t)·⌊mp/t⌋` vanishes (the regime
-/// Table III's noise model assumes), and a fully congruent chain keeps
-/// `Q_ℓ ≡ 1 (mod t)` at *every* level, which also kills the dominant
-/// modulus-switch drift.
+/// A parameter set is named by its sizes: the degree, the bits of `t`,
+/// one bit width per data limb ([`BfvParamsBuilder::moduli_bits`]; the
+/// default is one 60-bit limb), optionally the bits of a special prime,
+/// `A_dcmp` and the security policy. Every prime is drawn: `t` is the
+/// largest NTT prime for `n` below `2^plain_bits`, and the limbs are
+/// drawn largest first from the Gazelle progression `q ≡ 1 (mod 2n·t)`,
+/// one pool per size class so equal sizes stay distinct. With
+/// `q mod t = 1` the plaintext multiplication rounding term
+/// `(q mod t)·⌊mp/t⌋` vanishes (the regime Table III's noise model
+/// assumes), and a fully congruent chain keeps `Q_ℓ ≡ 1 (mod t)` at
+/// *every* level, which also kills the dominant modulus-switch drift.
 ///
-/// On a chain with a special prime ([`BfvParamsBuilder::special_bits`] or
-/// [`BfvParamsBuilder::special_modulus`]) every generated limb, a
-/// generated `P` included, is congruent, or the build fails with
+/// On a chain with a special prime ([`BfvParamsBuilder::special_bits`])
+/// every limb, `P` included, is congruent, or the build fails with
 /// [`Error::NoNttPrime`]. Only a data-only chain falls back to plain NTT
 /// primes for a size class whose congruent progression is too sparse
 /// (30-bit limbs at `n = 4096`: [`BfvParams::preset_rns_2x30`]).
@@ -596,10 +594,7 @@ impl BfvParams {
 pub struct BfvParamsBuilder {
     n: usize,
     plain_bits: u32,
-    plain_modulus: Option<u64>,
-    moduli: Option<Vec<u64>>,
     moduli_bits: Vec<u32>,
-    special_modulus: Option<u64>,
     special_bits: Option<u32>,
     a_dcmp: u64,
     security: SecurityLevel,
@@ -619,10 +614,7 @@ impl BfvParamsBuilder {
         Self {
             n: 4096,
             plain_bits: 17,
-            plain_modulus: None,
-            moduli: None,
             moduli_bits: vec![60],
-            special_modulus: None,
             special_bits: None,
             a_dcmp: 1 << 20,
             security: SecurityLevel::default(),
@@ -639,20 +631,6 @@ impl BfvParamsBuilder {
     /// generated).
     pub fn plain_bits(&mut self, bits: u32) -> &mut Self {
         self.plain_bits = bits;
-        self.plain_modulus = None;
-        self
-    }
-
-    /// Uses an exact plaintext modulus (must be an NTT prime for `n`).
-    pub fn plain_modulus(&mut self, t: u64) -> &mut Self {
-        self.plain_modulus = Some(t);
-        self
-    }
-
-    /// Exact modulus chain: pairwise-distinct NTT primes for `n`, in
-    /// order.
-    pub fn moduli(&mut self, values: impl Into<Vec<u64>>) -> &mut Self {
-        self.moduli = Some(values.into());
         self
     }
 
@@ -660,26 +638,16 @@ impl BfvParamsBuilder {
     /// size (equal sizes yield distinct primes).
     pub fn moduli_bits(&mut self, bits: &[u32]) -> &mut Self {
         self.moduli_bits = bits.to_vec();
-        self.moduli = None;
-        self
-    }
-
-    /// Reserves an exact special key-switch prime `P` (must be an NTT
-    /// prime for `n`, distinct from every data limb). Parameter sets with
-    /// a special prime key-switch hybrid: digits are raised to `P·Q_ℓ`,
-    /// switched, then exact-rescaled by `P`.
-    pub fn special_modulus(&mut self, p: u64) -> &mut Self {
-        self.special_modulus = Some(p);
-        self.special_bits = None;
         self
     }
 
     /// Reserves a generated special key-switch prime of this many bits:
     /// the largest `P ≡ 1 (mod 2n·t)` distinct from the data limbs, or
-    /// [`Error::NoNttPrime`] at build time when there is none.
+    /// [`Error::NoNttPrime`] at build time when there is none. Parameter
+    /// sets with a special prime key-switch hybrid: digits are raised to
+    /// `P·Q_ℓ`, switched, then exact-rescaled by `P`.
     pub fn special_bits(&mut self, bits: u32) -> &mut Self {
         self.special_bits = Some(bits);
-        self.special_modulus = None;
         self
     }
 
@@ -697,21 +665,11 @@ impl BfvParamsBuilder {
 
     /// Resolves the limb values for the chain.
     fn resolve_moduli(&self, t_val: u64) -> Result<Vec<u64>> {
-        if let Some(values) = &self.moduli {
-            // Enforce the lazy-butterfly headroom bound (q < 2^61) here
-            // rather than deep in chain construction, so an explicit
-            // overwide limb fails with clear builder provenance. Generated
-            // limbs inherit the same bound from the prime generators.
-            if let Some(&bad) = values.iter().find(|v| *v >> MAX_NTT_MODULUS_BITS != 0) {
-                return Err(Error::InvalidModulus(bad));
-            }
-            return Ok(values.clone());
-        }
         let bits = &self.moduli_bits;
         if bits.is_empty() {
             return Err(Error::InvalidLimbCount { limbs: 0 });
         }
-        let data_only = self.special_modulus.is_none() && self.special_bits.is_none();
+        let data_only = self.special_bits.is_none();
         // One pool per distinct size, handed out in request order.
         let mut values = vec![0u64; bits.len()];
         let mut sizes = bits.clone();
@@ -733,24 +691,20 @@ impl BfvParamsBuilder {
         Ok(values)
     }
 
-    /// The `count` largest `bits`-bit primes `≡ 1 (mod 2n·t)`.
+    /// The `count` largest `bits`-bit primes `≡ 1 (mod 2n·t)`; a failed
+    /// draw names the requested degree, not the progression step.
     fn draw_congruent(&self, bits: u32, t_val: u64, count: usize) -> Result<Vec<u64>> {
         let step = (2 * self.n as u64)
             .checked_mul(t_val)
             .ok_or(Error::NoNttPrime { bits, n: self.n })?;
-        generate_primes_congruent(bits, step, count)
+        generate_primes_congruent(bits, step, count).map_err(|e| match e {
+            Error::NoNttPrime { bits, .. } => Error::NoNttPrime { bits, n: self.n },
+            e => e,
+        })
     }
 
     /// Resolves the special key-switch prime, if one was requested.
     fn resolve_special(&self, t_val: u64, limb_values: &[u64]) -> Result<Option<u64>> {
-        if let Some(p) = self.special_modulus {
-            // The special prime rides the same NTT tables as the data
-            // limbs, so it gets the same q < 2^61 headroom bound.
-            if p >> MAX_NTT_MODULUS_BITS != 0 || limb_values.contains(&p) || p <= t_val {
-                return Err(Error::InvalidModulus(p));
-            }
-            return Ok(Some(p));
-        }
         let Some(bits) = self.special_bits else {
             return Ok(None);
         };
@@ -784,10 +738,7 @@ impl BfvParamsBuilder {
         if !self.n.is_power_of_two() || self.n < 8 {
             return Err(Error::InvalidDegree(self.n));
         }
-        let t_val = match self.plain_modulus {
-            Some(t) => t,
-            None => generate_ntt_prime(self.plain_bits, self.n)?,
-        };
+        let t_val = generate_ntt_prime(self.plain_bits, self.n)?;
         let t = Modulus::new(t_val)?;
         let limb_values = self.resolve_moduli(t_val)?;
         let chain = ModulusChain::new(self.n, &limb_values)?;
@@ -905,9 +856,9 @@ mod tests {
     fn builder_rejects_overwide_limbs_typed() {
         // Per-limb width is capped at 61 bits (q < 2^61): Harvey's lazy
         // butterfly accumulates x + 2q - u < 4q in a u64 and the lane
-        // kernels keep one extra headroom bit. Every request path — bit
-        // widths, explicit values, and the special prime — must fail with
-        // a typed InvalidModulus, never a panic or a silent overflow.
+        // kernels keep one extra headroom bit. Both request paths — data
+        // widths and the special prime's — must fail with a typed
+        // InvalidModulus, never a panic or a silent overflow.
         for bits in [62u32, 63, 64] {
             let err = BfvParams::builder()
                 .degree(4096)
@@ -931,25 +882,6 @@ mod tests {
                 "special_bits {bits}"
             );
         }
-        // Explicit values: a 62-bit number is a valid raw Barrett modulus
-        // but not a valid NTT limb.
-        let wide = 0x3fff_ffff_e800_0001u64;
-        assert!(Modulus::new(wide).is_ok());
-        let err = BfvParams::builder()
-            .degree(4096)
-            .security(SecurityLevel::None)
-            .moduli(vec![wide])
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidModulus(v) if v == wide));
-        let err = BfvParams::builder()
-            .degree(4096)
-            .security(SecurityLevel::None)
-            .moduli_bits(&[36])
-            .special_modulus(wide)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidModulus(v) if v == wide));
         // One bit narrower is accepted end-to-end (61-bit limb, no security
         // cap so the width itself is what's under test).
         let p = BfvParams::builder()
@@ -1169,15 +1101,34 @@ mod tests {
     }
 
     #[test]
+    fn width_built_digit_twins_draw_the_hybrid_data_chain_and_t() {
+        // The digit twin of a hybrid preset is built from its widths alone:
+        // a data-only draw of the same widths and `t` bits meets the same
+        // primes, since the special prime is drawn after the data limbs.
+        for n in [4096usize, 8192] {
+            for (name, hybrid) in BfvParams::hybrid_presets(n).unwrap() {
+                let widths: Vec<u32> = hybrid.chain().moduli().iter().map(Modulus::bits).collect();
+                let digit = BfvParams::builder()
+                    .degree(n)
+                    .plain_bits(hybrid.plain_modulus().bits())
+                    .moduli_bits(&widths)
+                    .build()
+                    .unwrap();
+                assert_eq!(digit.chain(), hybrid.chain(), "{name} at {n}");
+                assert_eq!(digit.plain_modulus(), hybrid.plain_modulus(), "{name}");
+                assert!(!digit.has_special(), "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn special_prime_separates_equality_and_counts_toward_security() {
         // Same data chain with and without a special prime: foreign.
         let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
-        let t = hybrid.plain_modulus().value();
-        let data: Vec<u64> = hybrid.chain().moduli().iter().map(Modulus::value).collect();
         let digit = BfvParams::builder()
             .degree(4096)
-            .plain_modulus(t)
-            .moduli(data.clone())
+            .plain_bits(hybrid.plain_modulus().bits())
+            .moduli_bits(&[36, 36])
             .build()
             .unwrap();
         assert_eq!(digit.chain(), hybrid.chain());
@@ -1194,34 +1145,34 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::InsecureParameters { log_q: 144, .. }));
-
-        // A special prime duplicating a data limb is rejected.
-        let err = BfvParams::builder()
-            .degree(4096)
-            .plain_modulus(t)
-            .moduli(data.clone())
-            .special_modulus(data[0])
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidModulus(_)));
     }
 
     #[test]
     fn special_bits_reports_impossible_regimes() {
+        // The hybrid presets' t: 16 bits, or 17 from n = 8192 on (there is
+        // no 16-bit NTT prime for that degree).
         let draw = |n: usize, data: &[u32], special: u32| {
             BfvParams::builder()
                 .degree(n)
-                .plain_bits(16)
+                .plain_bits(if n >= 8192 { 17 } else { 16 })
                 .moduli_bits(data)
                 .special_bits(special)
                 .build()
         };
         // 30-bit congruent limbs cannot exist at n = 4096 with a 16-bit t
         // (the progression step 2n·t already exceeds 2^30): with a special
-        // prime that is a typed error, not a chain of plain NTT primes…
+        // prime that is a typed error, not a chain of plain NTT primes,
+        // and the error names the degree asked for, not the progression
+        // step 2n·t…
         assert!(matches!(
             draw(4096, &[30, 30], 30),
-            Err(Error::NoNttPrime { bits: 30, .. })
+            Err(Error::NoNttPrime { bits: 30, n: 4096 })
+        ));
+        // …as when the progression is too sparse for three 36-bit primes
+        // (hybrid_2x36 past n = 4096)…
+        assert!(matches!(
+            draw(8192, &[36, 36], 36),
+            Err(Error::NoNttPrime { bits: 36, n: 8192 })
         ));
         // …while the data-only chain keeps its fallback (rns_2x30).
         assert!(BfvParams::builder()

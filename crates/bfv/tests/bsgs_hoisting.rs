@@ -54,13 +54,15 @@ fn hoisted_baby_set_matches_direct_rotations_per_preset_and_level() {
             .enc
             .encrypt(&c.encoder.encode(&values(64)).unwrap())
             .unwrap();
-        // Only levels the noise model recommends (the 2×30 chain cannot
-        // drop its rounding drift; the deep chain's bottom limb cannot
-        // hold a rotation) — the same gate leveled evaluation uses.
-        let deepest = fresh.noise().recommended_level(&params, 0, 2.0);
+        // Only levels the worst-case model keeps 2 bits of budget at, walked
+        // switch by switch (the 2×30 chain cannot drop its rounding drift;
+        // the deep chain's bottom limb cannot hold a rotation).
         let mut checked = 0;
-        for level in 0..=deepest {
+        for level in 0..params.levels() {
             let ct = c.eval.mod_switch_to(&fresh, level).unwrap();
+            if level > 0 && ct.noise().budget_bits_worst_at(&params, level) < 2.0 {
+                break;
+            }
             if ct
                 .noise()
                 .rotate_at(&params, level)

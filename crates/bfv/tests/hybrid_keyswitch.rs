@@ -16,18 +16,21 @@ use cheetah_bfv::{
 };
 use support::Alloc;
 
-/// Builds the digit-decomposition twin of a hybrid parameter set: same
-/// degree, `t`, and data limbs — no special prime.
+/// Builds the digit-decomposition twin of a hybrid parameter set from its
+/// widths: same degree, `t` bits and data-limb widths — no special prime.
+/// The draw meets the hybrid set's own `t` and data limbs, which is
+/// asserted, so every comparison below runs on one data chain.
 fn digit_twin(hybrid: &BfvParams) -> BfvParams {
-    let data: Vec<u64> = (0..hybrid.limbs())
-        .map(|i| hybrid.chain().modulus(i).value())
-        .collect();
-    BfvParams::builder()
+    let widths: Vec<u32> = hybrid.chain().moduli().iter().map(|q| q.bits()).collect();
+    let digit = BfvParams::builder()
         .degree(hybrid.degree())
-        .plain_modulus(hybrid.plain_modulus().value())
-        .moduli(data)
+        .plain_bits(hybrid.plain_modulus().bits())
+        .moduli_bits(&widths)
         .build()
-        .expect("digit twin of a valid hybrid set")
+        .expect("digit twin of a valid hybrid set");
+    assert_eq!(digit.chain(), hybrid.chain(), "twin data chain");
+    assert_eq!(digit.plain_modulus(), hybrid.plain_modulus(), "twin t");
+    digit
 }
 
 struct World {

@@ -606,15 +606,13 @@ fn hybrid_and_digit_chains_over_the_same_data_limbs_mutually_reject() {
     // fingerprint's special-prime term separates their key material on
     // the wire. Both directions must reject, for every message kind.
     let hybrid = BfvParams::preset_hybrid_2x36(4096).unwrap();
-    let data: Vec<u64> = (0..hybrid.limbs())
-        .map(|i| hybrid.chain().modulus(i).value())
-        .collect();
     let digit = BfvParams::builder()
         .degree(hybrid.degree())
-        .plain_modulus(hybrid.plain_modulus().value())
-        .moduli(data)
+        .plain_bits(hybrid.plain_modulus().bits())
+        .moduli_bits(&[36, 36])
         .build()
         .unwrap();
+    assert_eq!(digit.chain(), hybrid.chain());
     assert_ne!(
         wire::chain_fingerprint(&hybrid),
         wire::chain_fingerprint(&digit),

@@ -79,13 +79,24 @@ echo "==> one-parameter-path gate"
 # prime, presets included: a chain with a special prime is congruent down
 # to and including a generated P, or the build fails. The second prime
 # search, its result type, the single-limb twin of moduli_bits and the
-# sigma setter (sigma is DEFAULT_SIGMA everywhere) stay deleted.
+# sigma setter (sigma is DEFAULT_SIGMA everywhere) stay deleted. The
+# builder takes widths only: the explicit-value setters for t, the limbs
+# and P (the read accessors of the same names take &self) stay deleted,
+# and nothing hands the builder a special prime.
 if git grep -nE 'search_congruent_chain|CongruentChain|\bcipher_bits\b' -- crates src tests examples; then
     echo "FAIL: a second parameter path is back (see matches above)"
     exit 1
 fi
 if grep -nE 'pub fn sigma\(&mut self' crates/bfv/src/params.rs; then
     echo "FAIL: crates/bfv/src/params.rs has a sigma setter again (see match above)"
+    exit 1
+fi
+if grep -nE 'pub fn (moduli|plain_modulus|special_modulus)\(&mut self' crates/bfv/src/params.rs; then
+    echo "FAIL: crates/bfv/src/params.rs has an explicit-value builder setter again (see match above)"
+    exit 1
+fi
+if git grep -nE '\.special_modulus\(' -- crates src tests examples; then
+    echo "FAIL: a special prime is handed in instead of drawn (see matches above)"
     exit 1
 fi
 
@@ -246,10 +257,11 @@ echo "==> one-level-rule gate"
 # the plan it chose once per layer. The second rule it replaced stays
 # deleted: feasible_levels, the solver's per-level chooser loop
 # (cheapest_level), the solver-level cap (planned_levels) and its entry
-# (from_chain_plan), and layers prepared at a level (new_at_level). A
+# (from_chain_plan), layers prepared at a level (new_at_level), and the
+# engine's worst-case level walk (NoiseEstimate::recommended_level). A
 # prepared layer has no level; its record has one, and plan_level survives
 # only as a read of that record for the frozen bench_e2e sources.
-if git grep -nE '\b(feasible_levels|planned_levels|cheapest_level|from_chain_plan|new_at_level)\b' -- crates src tests examples ':!crates/bench/src/bin/bench_e2e'; then
+if git grep -nE '\b(feasible_levels|planned_levels|cheapest_level|from_chain_plan|new_at_level|recommended_level)\b' -- crates src tests examples ':!crates/bench/src/bin/bench_e2e'; then
     echo "FAIL: a second level rule is back (see matches above)"
     exit 1
 fi
